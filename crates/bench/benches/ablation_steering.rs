@@ -6,8 +6,7 @@
 //! O(distance) walks from the O(1) index.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ncq_bench::experiments::ablations::deep_chain_db;
-use ncq_bench::experiments::pr1::deep_pair_db;
+use ncq_bench::experiments::ablations::{deep_chain_db, deep_pair_db};
 use ncq_core::{meet2, meet2_indexed, meet2_naive};
 use std::hint::black_box;
 use std::time::Duration;

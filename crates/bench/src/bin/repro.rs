@@ -1,17 +1,14 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro [--exp all|listing1|listing2|sec31|fig6|fig7|ablations]
+//! repro [--exp all|fig1|fig2|listing1|listing2|sec31|fig6|fig7|ablations|extensions]
 //!       [--scale small|paper] [--out DIR]
 //! ```
 //!
 //! Prints paper-style tables to stdout and, when `--out` is given, writes
 //! the raw series as JSON (one file per experiment) for EXPERIMENTS.md.
 
-use ncq_bench::experiments::{
-    ablations, corpora, extensions, fig6, fig7, listings, pr1, pr10, pr2, pr3, pr4, pr5, pr6, pr7,
-    pr8, pr9,
-};
+use ncq_bench::experiments::{ablations, corpora, extensions, fig6, fig7, listings};
 use ncq_bench::json::ToJson;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -47,9 +44,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: repro [--exp all|fig1|fig2|listing1|listing2|sec31|fig6|fig7|\
-                     ablations|extensions|pr1|pr2|pr3|pr4|pr5|pr6|pr7|pr8|pr9|pr10] \
-                     [--scale small|paper] \
-                     [--out DIR]"
+                     ablations|extensions] [--scale small|paper] [--out DIR]"
                 );
                 std::process::exit(0);
             }
@@ -161,128 +156,6 @@ fn main() {
         let rows = ablations::restrictions(&db, &inputs, 5);
         println!("{}", ablations::restrictions_table(&rows));
         write_json(&args.out, "ablation_restrictions", &rows);
-    }
-
-    // The PR 1 perf snapshot runs only when explicitly requested: it
-    // builds multi-million-node corpora and writes BENCH_pr1.json (the
-    // cross-PR perf trajectory record), neither of which a bare `repro`
-    // run should trigger as a side effect.
-    if args.exp == "pr1" {
-        let result = pr1::run(args.scale == Scale::Small);
-        println!("{}", pr1::table(&result));
-        let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-        let target = Some(dir);
-        write_json(&target, "BENCH_pr1", &result);
-    }
-
-    // PR 2 perf snapshot: the depth-aware planner vs fixed strategies
-    // and ncq-server throughput. Explicit-only, like pr1: it spins up
-    // worker pools and writes BENCH_pr2.json (the cross-PR trajectory
-    // record).
-    if args.exp == "pr2" {
-        let result = pr2::run(args.scale == Scale::Small);
-        println!("{}", pr2::table(&result));
-        let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-        let target = Some(dir);
-        write_json(&target, "BENCH_pr2", &result);
-    }
-
-    // PR 3 perf snapshot: sharded scatter/gather meets vs the single
-    // database at K ∈ {1,2,4,8}. Explicit-only, like pr1/pr2: it builds
-    // large corpora and writes BENCH_pr3.json (the cross-PR trajectory
-    // record).
-    if args.exp == "pr3" {
-        let result = pr3::run(args.scale == Scale::Small);
-        println!("{}", pr3::table(&result));
-        let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-        let target = Some(dir);
-        write_json(&target, "BENCH_pr3", &result);
-    }
-
-    // PR 4 perf snapshot: snapshot cold start vs parse+build. Explicit-
-    // only, like pr1/pr2/pr3: it serializes multi-megabyte corpora and
-    // writes BENCH_pr4.json (the cross-PR trajectory record).
-    if args.exp == "pr4" {
-        let result = pr4::run(args.scale == Scale::Small);
-        println!("{}", pr4::table(&result));
-        let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-        let target = Some(dir);
-        write_json(&target, "BENCH_pr4", &result);
-    }
-
-    // PR 5 perf snapshot: the forest catalog — manifest cold start vs
-    // separate opens and the 1-corpus routing overhead gate. Explicit-
-    // only, like the other prN experiments: it builds large corpora and
-    // writes BENCH_pr5.json (the cross-PR trajectory record).
-    if args.exp == "pr5" {
-        let result = pr5::run(args.scale == Scale::Small);
-        println!("{}", pr5::table(&result));
-        let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-        let target = Some(dir);
-        write_json(&target, "BENCH_pr5", &result);
-    }
-
-    // PR 6 perf snapshot: distributed serving — loopback remote-engine
-    // overhead vs in-process and the kill-a-replica failover profile.
-    // Explicit-only, like the other prN experiments: it binds loopback
-    // listeners and writes BENCH_pr6.json (the cross-PR trajectory
-    // record).
-    if args.exp == "pr6" {
-        let result = pr6::run(args.scale == Scale::Small);
-        println!("{}", pr6::table(&result));
-        let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-        let target = Some(dir);
-        write_json(&target, "BENCH_pr6", &result);
-    }
-
-    // PR 7 perf snapshot: shared-evaluation batch sweeps vs serial,
-    // top-k early exit vs full evaluation, and the semantic result
-    // cache's hit latency. Explicit-only, like the other prN
-    // experiments: it spins up servers and writes BENCH_pr7.json (the
-    // cross-PR trajectory record).
-    if args.exp == "pr7" {
-        let result = pr7::run(args.scale == Scale::Small);
-        println!("{}", pr7::table(&result));
-        let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-        let target = Some(dir);
-        write_json(&target, "BENCH_pr7", &result);
-    }
-
-    // PR 8 telemetry snapshot: instrumentation overhead on the PR 7
-    // hot paths (metrics on vs off) and the chaos failover trace.
-    // Explicit-only, like the other prN experiments: it toggles the
-    // process-global telemetry switch, binds loopback listeners, and
-    // writes BENCH_pr8.json (the cross-PR trajectory record).
-    if args.exp == "pr8" {
-        let result = pr8::run(args.scale == Scale::Small);
-        println!("{}", pr8::table(&result));
-        let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-        let target = Some(dir);
-        write_json(&target, "BENCH_pr8", &result);
-    }
-
-    // PR 9 SIMD snapshot: each row times the same operation under
-    // forced-scalar and forced-vector dispatch and checks the outputs
-    // are identical. Explicit-only: it flips the process-global SIMD
-    // mode override and writes BENCH_pr9.json.
-    if args.exp == "pr9" {
-        let result = pr9::run(args.scale == Scale::Small);
-        println!("{}", pr9::table(&result));
-        let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-        let target = Some(dir);
-        write_json(&target, "BENCH_pr9", &result);
-    }
-
-    // PR 10 zero-copy snapshot: v3 mapped open vs the materializing v1
-    // load vs parse+build, same entry point, answers checked identical.
-    // Explicit-only: it serializes large corpora twice per row and
-    // writes BENCH_pr10.json.
-    if args.exp == "pr10" {
-        let result = pr10::run(args.scale == Scale::Small);
-        println!("{}", pr10::table(&result));
-        let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-        let target = Some(dir);
-        write_json(&target, "BENCH_pr10", &result);
     }
 
     if want("extensions") {

@@ -5,16 +5,6 @@ pub mod extensions;
 pub mod fig6;
 pub mod fig7;
 pub mod listings;
-pub mod pr1;
-pub mod pr10;
-pub mod pr2;
-pub mod pr3;
-pub mod pr4;
-pub mod pr5;
-pub mod pr6;
-pub mod pr7;
-pub mod pr8;
-pub mod pr9;
 
 /// Shared corpus builders at the scales used by `repro` and the benches.
 pub mod corpora {

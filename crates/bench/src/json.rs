@@ -12,10 +12,6 @@ use std::fmt::Write as _;
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
     /// Integral number.
     Int(i64),
     /// Floating-point number (non-finite values render as `null`).
@@ -39,10 +35,6 @@ impl Json {
 
     fn write(&self, out: &mut String, indent: usize) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
             Json::Int(i) => {
                 let _ = write!(out, "{i}");
             }
@@ -126,18 +118,6 @@ pub trait ToJson {
     fn to_json(&self) -> Json;
 }
 
-impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
-    }
-}
-
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::Float(*self)
@@ -147,12 +127,6 @@ impl ToJson for f64 {
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
-    }
-}
-
-impl ToJson for &str {
-    fn to_json(&self) -> Json {
-        Json::Str((*self).to_string())
     }
 }
 
@@ -166,7 +140,7 @@ macro_rules! impl_to_json_int {
     )*};
 }
 
-impl_to_json_int!(usize, u64, u32, u16, u8, isize, i64, i32, i16, i8);
+impl_to_json_int!(usize, u64, u32, u16);
 
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
@@ -203,7 +177,6 @@ mod tests {
     fn renders_scalars_and_escapes() {
         assert_eq!(Json::Int(3).render(), "3\n");
         assert_eq!(Json::Float(1.5).render(), "1.5\n");
-        assert_eq!(Json::Bool(true).render(), "true\n");
         assert_eq!(Json::Str("a\"b\n".into()).render(), "\"a\\\"b\\n\"\n");
         assert_eq!(Json::Float(f64::NAN).render(), "null\n");
     }

@@ -18,4 +18,4 @@ pub mod experiments;
 pub mod json;
 pub mod measure;
 
-pub use experiments::{ablations, fig6, fig7, listings, pr1, pr2};
+pub use experiments::{ablations, fig6, fig7, listings};

@@ -21,10 +21,10 @@ use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Typed execution failures of a fallible backend. Local engines never
-/// fail (their `try_*` defaults wrap the infallible surface); remote
-/// engines surface transport exhaustion and remote-side refusals here —
-/// never a panic, never a hang past the configured timeout budget.
+/// Typed execution failures of a backend. Local engines never fail;
+/// remote engines surface transport exhaustion and remote-side refusals
+/// here — never a panic, never a hang past the configured timeout
+/// budget, never a silently empty answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendError {
     /// Every replica of the engine was tried (with retries and
@@ -95,17 +95,25 @@ pub trait MeetBackend: Send + Sync {
 
     /// Hits for one term (word, phrase or substring — the dispatch of
     /// [`ncq_fulltext::search::term_hits`]).
-    fn search(&self, term: &str) -> HitSet;
+    fn search(&self, term: &str) -> Result<HitSet, BackendError>;
 
     /// The generalized meet over hit groups (paper Fig. 5), ranked —
     /// the engine's equivalent of [`Database::meet_hits`].
-    fn meet_hit_groups(&self, inputs: &[&HitSet], options: &MeetOptions) -> Vec<Meet>;
+    fn meet_hit_groups(
+        &self,
+        inputs: &[&HitSet],
+        options: &MeetOptions,
+    ) -> Result<Vec<Meet>, BackendError>;
 
     /// A batch of meets at once, answers in query order. The default
-    /// evaluates serially; [`Database`] overrides with the
+    /// evaluates query by query (so remote engines surface per-call
+    /// transport errors); [`Database`] overrides with the
     /// shared-evaluation executor ([`crate::batch`]) — either way,
     /// answers are byte-identical to per-query [`MeetBackend::meet_hit_groups`].
-    fn meet_hit_groups_batch(&self, queries: &[crate::batch::BatchQuery<'_>]) -> Vec<Vec<Meet>> {
+    fn meet_hit_groups_batch(
+        &self,
+        queries: &[crate::batch::BatchQuery<'_>],
+    ) -> Result<Vec<Vec<Meet>>, BackendError> {
         queries
             .iter()
             .map(|q| self.meet_hit_groups(&q.inputs, &q.options))
@@ -114,61 +122,17 @@ pub trait MeetBackend: Send + Sync {
 
     /// The paper's signature query through this engine: search each
     /// term, meet the hit groups, resolve an [`AnswerSet`].
-    fn meet_terms_answers(&self, terms: &[&str], options: &MeetOptions) -> AnswerSet {
-        let inputs: Vec<HitSet> = terms.iter().map(|t| self.search(t)).collect();
-        let refs: Vec<&HitSet> = inputs.iter().collect();
-        let meets = self.meet_hit_groups(&refs, options);
-        AnswerSet::from_meets(self.store(), meets)
-    }
-
-    // ----- fallible surface -----
-    //
-    // Local engines cannot fail, so the defaults below just wrap the
-    // infallible methods. Remote engines override these to surface
-    // transport exhaustion as typed [`BackendError`]s; every serving
-    // path (the query evaluator, the server's batch executor, the
-    // forest fan-out) calls the `try_*` forms so a dead replica set
-    // degrades to an error or a partial answer instead of a panic.
-
-    /// Fallible [`MeetBackend::search`].
-    fn try_search(&self, term: &str) -> Result<HitSet, BackendError> {
-        Ok(self.search(term))
-    }
-
-    /// Fallible [`MeetBackend::meet_hit_groups`].
-    fn try_meet_hit_groups(
-        &self,
-        inputs: &[&HitSet],
-        options: &MeetOptions,
-    ) -> Result<Vec<Meet>, BackendError> {
-        Ok(self.meet_hit_groups(inputs, options))
-    }
-
-    /// Fallible [`MeetBackend::meet_hit_groups_batch`]. The default
-    /// evaluates query by query so remote engines surface per-call
-    /// transport errors; local engines override to share evaluation.
-    fn try_meet_hit_groups_batch(
-        &self,
-        queries: &[crate::batch::BatchQuery<'_>],
-    ) -> Result<Vec<Vec<Meet>>, BackendError> {
-        queries
-            .iter()
-            .map(|q| self.try_meet_hit_groups(&q.inputs, &q.options))
-            .collect()
-    }
-
-    /// Fallible [`MeetBackend::meet_terms_answers`].
-    fn try_meet_terms_answers(
+    fn meet_terms_answers(
         &self,
         terms: &[&str],
         options: &MeetOptions,
     ) -> Result<AnswerSet, BackendError> {
-        let mut inputs = Vec::with_capacity(terms.len());
-        for t in terms {
-            inputs.push(self.try_search(t)?);
-        }
+        let inputs = terms
+            .iter()
+            .map(|t| self.search(t))
+            .collect::<Result<Vec<HitSet>, _>>()?;
         let refs: Vec<&HitSet> = inputs.iter().collect();
-        let meets = self.try_meet_hit_groups(&refs, options)?;
+        let meets = self.meet_hit_groups(&refs, options)?;
         Ok(AnswerSet::from_meets(self.store(), meets))
     }
 
@@ -179,12 +143,11 @@ pub trait MeetBackend: Send + Sync {
 
     // ----- forest surface -----
     //
-    // Single-document engines are a forest of one: the default
-    // implementations below say "no named corpora" and route the
-    // all-corpora meet to the engine itself. `ncq-core::ForestBackend`
-    // overrides the lot to serve a `Catalog` of named corpora; callers
-    // (the query evaluator's `from corpus(name)` resolution, the
-    // server's `USE`/`CORPORA` verbs) stay engine-agnostic.
+    // Single-document engines serve no named corpora, which is what the
+    // defaults below say. `ncq-core::ForestBackend` overrides the lot
+    // to serve a `Catalog` of named corpora; callers (the query
+    // evaluator's `from corpus(name)` resolution, the server's
+    // `USE`/`CORPORA` verbs) stay engine-agnostic.
 
     /// Resolve a named corpus to its engine. `None` when this backend
     /// serves no corpus of that name (single-document engines always
@@ -203,14 +166,6 @@ pub trait MeetBackend: Send + Sync {
     /// backend routes by corpus.
     fn default_corpus(&self) -> Option<String> {
         None
-    }
-
-    /// The signature query fanned out across *every* corpus: answers
-    /// concatenate in catalog order (stable cross-corpus document
-    /// order), each tagged with its corpus name. A single-document
-    /// engine is its own one-corpus forest, untagged.
-    fn meet_terms_forest(&self, terms: &[&str], options: &MeetOptions) -> AnswerSet {
-        self.meet_terms_answers(terms, options)
     }
 
     /// Cold-load a snapshot and splice it in as corpus `name`,
@@ -255,19 +210,19 @@ impl MeetBackend for Database {
         Database::store(self)
     }
 
-    fn search(&self, term: &str) -> HitSet {
-        Database::search(self, term)
+    fn search(&self, term: &str) -> Result<HitSet, BackendError> {
+        Ok(Database::search(self, term))
     }
 
-    fn meet_hit_groups(&self, inputs: &[&HitSet], options: &MeetOptions) -> Vec<Meet> {
-        self.meet_hits(inputs, options)
+    fn meet_hit_groups(
+        &self,
+        inputs: &[&HitSet],
+        options: &MeetOptions,
+    ) -> Result<Vec<Meet>, BackendError> {
+        Ok(self.meet_hits(inputs, options))
     }
 
-    fn meet_hit_groups_batch(&self, queries: &[crate::batch::BatchQuery<'_>]) -> Vec<Vec<Meet>> {
-        self.meet_hits_batch(queries)
-    }
-
-    fn try_meet_hit_groups_batch(
+    fn meet_hit_groups_batch(
         &self,
         queries: &[crate::batch::BatchQuery<'_>],
     ) -> Result<Vec<Vec<Meet>>, BackendError> {
@@ -298,15 +253,15 @@ mod tests {
     fn database_backend_matches_its_inherent_api() {
         let db = Database::from_xml_str(FIGURE1).unwrap();
         let backend: &dyn MeetBackend = &db;
-        assert_eq!(backend.search("Bit"), db.search("Bit"));
+        assert_eq!(backend.search("Bit").unwrap(), db.search("Bit"));
         let inputs = vec![db.search("Bit"), db.search("1999")];
         let refs: Vec<&HitSet> = inputs.iter().collect();
         let opts = MeetOptions::default();
         assert_eq!(
-            backend.meet_hit_groups(&refs, &opts),
+            backend.meet_hit_groups(&refs, &opts).unwrap(),
             db.meet_hits(&inputs, &opts)
         );
-        let answers = backend.meet_terms_answers(&["Bit", "1999"], &opts);
+        let answers = backend.meet_terms_answers(&["Bit", "1999"], &opts).unwrap();
         assert_eq!(answers, db.meet_terms(&["Bit", "1999"]).unwrap());
     }
 }

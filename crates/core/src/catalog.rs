@@ -18,11 +18,11 @@
 //!   surface (store / search / meet) routes to the **default corpus**,
 //!   so unqualified queries answer byte-identically to a direct
 //!   `Database` on that corpus; `corpus(name)` resolution routes
-//!   qualified queries; [`MeetBackend::meet_terms_forest`] fans out
-//!   across every corpus and concatenates corpus-tagged answers in
-//!   catalog order. Meets never span corpora — documents share no
-//!   root, so a cross-corpus LCA does not exist; concatenation *is*
-//!   the complete answer.
+//!   qualified queries; [`meet_terms_forest`] fans out across every
+//!   corpus and concatenates corpus-tagged answers in catalog order.
+//!   Meets never span corpora — documents share no root, so a
+//!   cross-corpus LCA does not exist; concatenation *is* the complete
+//!   answer.
 //!
 //! Hot swaps stay per-corpus: [`MeetBackend::reload_corpus`] clones
 //! the catalog, replaces one corpus's engine (same shape, via that
@@ -140,37 +140,45 @@ impl From<ManifestError> for CatalogError {
     }
 }
 
-/// The per-corpus step of a forest fan-out: meet already-decoded hit
-/// groups on one corpus and tag the answers with its name. The single
-/// implementation behind both [`MeetBackend::meet_terms_forest`] and
-/// `ncq-server`'s `USE *` path (which decodes the hit groups through
-/// its per-worker term caches before calling this) — fan-out callers
-/// concatenate these in catalog order.
-pub fn corpus_tagged_meet(
-    name: &str,
-    backend: &dyn MeetBackend,
-    inputs: &[&HitSet],
+/// The signature query fanned out across *every* corpus `forest`
+/// serves: per corpus, resolve each term, meet the hit groups, tag the
+/// answers with the corpus name; answers concatenate in catalog order
+/// (stable cross-corpus document order). `resolve(corpus, engine, term)`
+/// is how a term becomes hits — [`MeetBackend::search`] directly, or
+/// `ncq-server`'s per-worker term cache in front of it.
+///
+/// Graceful degradation: a corpus whose engine is unavailable (a remote
+/// corpus with every replica down) contributes a typed
+/// [`crate::answer::PartialAnswer`] marker instead of failing the whole
+/// fan-out — the surviving corpora still answer.
+pub fn meet_terms_forest<H: std::borrow::Borrow<HitSet>>(
+    forest: &dyn MeetBackend,
+    terms: &[impl AsRef<str>],
     options: &MeetOptions,
+    mut resolve: impl FnMut(&str, &Arc<dyn MeetBackend>, &str) -> Result<H, BackendError>,
 ) -> AnswerSet {
-    let meets = backend.meet_hit_groups(inputs, options);
-    let mut answers = AnswerSet::from_meets(backend.store(), meets);
-    answers.tag_corpus(name);
-    answers
-}
-
-/// Fallible [`corpus_tagged_meet`]: a remote corpus whose replicas are
-/// all down surfaces a typed [`BackendError`] that fan-out callers
-/// convert into a [`crate::answer::PartialAnswer`] marker.
-pub fn try_corpus_tagged_meet(
-    name: &str,
-    backend: &dyn MeetBackend,
-    inputs: &[&HitSet],
-    options: &MeetOptions,
-) -> Result<AnswerSet, BackendError> {
-    let meets = backend.try_meet_hit_groups(inputs, options)?;
-    let mut answers = AnswerSet::from_meets(backend.store(), meets);
-    answers.tag_corpus(name);
-    Ok(answers)
+    let mut all = AnswerSet::default();
+    for name in forest.corpus_names() {
+        let Some(backend) = forest.corpus(&name) else {
+            continue;
+        };
+        let answers = (|| {
+            let inputs = terms
+                .iter()
+                .map(|t| resolve(&name, &backend, t.as_ref()))
+                .collect::<Result<Vec<H>, _>>()?;
+            let refs: Vec<&HitSet> = inputs.iter().map(H::borrow).collect();
+            let meets = backend.meet_hit_groups(&refs, options)?;
+            let mut answers = AnswerSet::from_meets(backend.store(), meets);
+            answers.tag_corpus(&name);
+            Ok::<_, BackendError>(answers)
+        })();
+        match answers {
+            Ok(a) => all.results.extend(a.results),
+            Err(e) => all.push_partial(&name, e.to_string()),
+        }
+    }
+    all
 }
 
 #[derive(Clone)]
@@ -459,7 +467,7 @@ impl MeetBackend for ForestBackend {
         self.catalog.default_backend().store()
     }
 
-    fn search(&self, term: &str) -> HitSet {
+    fn search(&self, term: &str) -> Result<HitSet, BackendError> {
         self.catalog.default_backend().search(term)
     }
 
@@ -467,24 +475,10 @@ impl MeetBackend for ForestBackend {
         &self,
         inputs: &[&HitSet],
         options: &MeetOptions,
-    ) -> Vec<crate::meet_multi::Meet> {
-        self.catalog
-            .default_backend()
-            .meet_hit_groups(inputs, options)
-    }
-
-    fn try_search(&self, term: &str) -> Result<HitSet, BackendError> {
-        self.catalog.default_backend().try_search(term)
-    }
-
-    fn try_meet_hit_groups(
-        &self,
-        inputs: &[&HitSet],
-        options: &MeetOptions,
     ) -> Result<Vec<crate::meet_multi::Meet>, BackendError> {
         self.catalog
             .default_backend()
-            .try_meet_hit_groups(inputs, options)
+            .meet_hit_groups(inputs, options)
     }
 
     fn corpus(&self, name: &str) -> Option<Arc<dyn MeetBackend>> {
@@ -497,30 +491,6 @@ impl MeetBackend for ForestBackend {
 
     fn default_corpus(&self) -> Option<String> {
         self.catalog.default_name().map(str::to_owned)
-    }
-
-    /// Graceful degradation: a corpus whose engine is unavailable (a
-    /// remote corpus with every replica down) contributes a typed
-    /// [`crate::answer::PartialAnswer`] marker instead of failing the
-    /// whole fan-out — the surviving corpora still answer, in catalog
-    /// order.
-    fn meet_terms_forest(&self, terms: &[&str], options: &MeetOptions) -> AnswerSet {
-        let mut all = AnswerSet::default();
-        for (name, backend) in self.catalog.iter() {
-            let answers = (|| {
-                let mut inputs = Vec::with_capacity(terms.len());
-                for t in terms {
-                    inputs.push(backend.try_search(t)?);
-                }
-                let refs: Vec<&HitSet> = inputs.iter().collect();
-                try_corpus_tagged_meet(name, &**backend, &refs, options)
-            })();
-            match answers {
-                Ok(a) => all.results.extend(a.results),
-                Err(e) => all.push_partial(name, e.to_string()),
-            }
-        }
-        all
     }
 
     fn robustness_stats(&self) -> RobustnessStats {
@@ -591,13 +561,14 @@ mod tests {
         assert_eq!(
             forest
                 .meet_terms_answers(&["Bit", "1999"], &opts)
+                .unwrap()
                 .to_detailed_xml(),
             direct
                 .meet_terms(&["Bit", "1999"])
                 .unwrap()
                 .to_detailed_xml()
         );
-        assert_eq!(forest.search("Bit"), direct.search("Bit"));
+        assert_eq!(forest.search("Bit").unwrap(), direct.search("Bit"));
         assert_eq!(forest.store().node_count(), direct.store().node_count());
     }
 
@@ -618,7 +589,8 @@ mod tests {
     fn forest_fanout_concatenates_in_catalog_order_with_corpus_tags() {
         let forest = forest();
         let opts = MeetOptions::default();
-        let all = forest.meet_terms_forest(&["Bit", "1999"], &opts);
+        let direct = |_: &str, engine: &Arc<dyn MeetBackend>, term: &str| engine.search(term);
+        let all = meet_terms_forest(&forest, &["Bit", "1999"], &opts, direct);
         // Both corpora contain both terms: one meet each, bib first
         // (catalog order), every answer corpus-tagged.
         assert_eq!(all.len(), 2);
@@ -632,14 +604,11 @@ mod tests {
         // Deterministic: a second run serializes identically.
         assert_eq!(
             xml,
-            forest
-                .meet_terms_forest(&["Bit", "1999"], &opts)
-                .to_detailed_xml()
+            meet_terms_forest(&forest, &["Bit", "1999"], &opts, direct).to_detailed_xml()
         );
-        // A single-document engine fans out to itself, untagged.
+        // A single-document engine serves no corpora to fan out over.
         let db = Database::from_xml_str(BIB).unwrap();
-        let single = db.meet_terms_forest(&["Bit", "1999"], &opts);
-        assert_eq!(single.results[0].corpus, None);
+        assert!(meet_terms_forest(&db, &["Bit", "1999"], &opts, direct).is_empty());
     }
 
     #[test]
@@ -693,7 +662,8 @@ mod tests {
         let answers = swapped
             .corpus("shop")
             .unwrap()
-            .meet_terms_answers(&["Bit", "1999"], &opts);
+            .meet_terms_answers(&["Bit", "1999"], &opts)
+            .unwrap();
         assert_eq!(answers.tags(), vec!["item"]);
         // Unknown corpus and non-forest engines fail typed.
         assert!(forest.reload_corpus("absent", &path).is_err());
@@ -737,6 +707,7 @@ mod tests {
         assert_eq!(
             forest
                 .meet_terms_answers(&["Bit", "1999"], &MeetOptions::default())
+                .unwrap()
                 .tags(),
             vec!["item"]
         );

@@ -1007,22 +1007,7 @@ impl MeetBackend for RemoteBackend {
         self.resolver.store()
     }
 
-    /// Infallible surface: degrades to an empty hit set when every
-    /// replica is down. First-class serving paths call
-    /// [`MeetBackend::try_search`] instead and surface the typed error.
-    fn search(&self, term: &str) -> HitSet {
-        self.try_search(term).unwrap_or_default()
-    }
-
-    /// Infallible surface: degrades to no meets when every replica is
-    /// down. First-class serving paths call
-    /// [`MeetBackend::try_meet_hit_groups`] instead.
-    fn meet_hit_groups(&self, inputs: &[&HitSet], options: &MeetOptions) -> Vec<Meet> {
-        self.try_meet_hit_groups(inputs, options)
-            .unwrap_or_default()
-    }
-
-    fn try_search(&self, term: &str) -> Result<HitSet, BackendError> {
+    fn search(&self, term: &str) -> Result<HitSet, BackendError> {
         match self.call(&EngineRequest::Search {
             term: term.to_owned(),
         })? {
@@ -1033,7 +1018,7 @@ impl MeetBackend for RemoteBackend {
         }
     }
 
-    fn try_meet_hit_groups(
+    fn meet_hit_groups(
         &self,
         inputs: &[&HitSet],
         options: &MeetOptions,
@@ -1306,11 +1291,9 @@ mod tests {
         .unwrap();
         let opts = MeetOptions::default();
         let local = db.meet_terms(&["Bit", "1999"]).unwrap();
-        let over_wire = remote
-            .try_meet_terms_answers(&["Bit", "1999"], &opts)
-            .unwrap();
+        let over_wire = remote.meet_terms_answers(&["Bit", "1999"], &opts).unwrap();
         assert_eq!(over_wire.to_detailed_xml(), local.to_detailed_xml());
-        assert_eq!(remote.try_search("Bit").unwrap(), db.search("Bit"));
+        assert_eq!(remote.search("Bit").unwrap(), db.search("Bit"));
         assert_eq!(remote.robustness_stats(), RobustnessStats::default());
     }
 
@@ -1330,7 +1313,7 @@ mod tests {
         )
         .unwrap();
         let answers = remote
-            .try_meet_terms_answers(&["Bit", "1999"], &MeetOptions::default())
+            .meet_terms_answers(&["Bit", "1999"], &MeetOptions::default())
             .unwrap();
         assert_eq!(
             answers.to_detailed_xml(),
@@ -1341,7 +1324,7 @@ mod tests {
         // After enough failures the dead replica is marked down and
         // the gauge reports it.
         for _ in 0..3 {
-            let _ = remote.try_search("Bit");
+            let _ = remote.search("Bit");
         }
         let health = remote.replica_health();
         assert_eq!(health[0].1, ReplicaHealth::Down, "{health:?}");
@@ -1362,20 +1345,20 @@ mod tests {
         )
         .unwrap();
         let started = Instant::now();
-        let err = remote.try_search("Bit").unwrap_err();
+        let err = remote.search("Bit").unwrap_err();
         let elapsed = started.elapsed();
         assert!(matches!(err, BackendError::Unavailable { attempts, .. } if attempts >= 2));
         // Budget: 2 rounds × 1 replica × connect timeout + backoff,
         // with generous slack for CI scheduling.
         let budget = Duration::from_secs(5);
         assert!(elapsed < budget, "took {elapsed:?}");
-        // Retries were counted, and the infallible surface degrades to
-        // empty instead of panicking.
+        // Retries were counted, and the meet fails typed the same way
+        // instead of panicking or answering empty.
         assert!(remote.robustness_stats().retries >= 1);
-        assert!(remote.search("Bit").is_empty());
-        assert!(remote
-            .meet_hit_groups(&[], &MeetOptions::default())
-            .is_empty());
+        assert!(matches!(
+            remote.meet_hit_groups(&[], &MeetOptions::default()),
+            Err(BackendError::Unavailable { .. })
+        ));
     }
 
     #[test]
@@ -1394,7 +1377,7 @@ mod tests {
             )
             .unwrap(),
         );
-        assert!(remote.try_search("Bit").is_err());
+        assert!(remote.search("Bit").is_err());
         assert_eq!(remote.replica_health()[0].1, ReplicaHealth::Down);
 
         // Bring the replica up on the same port and let pings heal it.
@@ -1432,7 +1415,7 @@ mod tests {
             assert!(Instant::now() < deadline, "replica never healed");
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(remote.try_search("Bit").unwrap(), db.search("Bit"));
+        assert_eq!(remote.search("Bit").unwrap(), db.search("Bit"));
         monitor.shutdown();
     }
 
@@ -1463,7 +1446,7 @@ mod tests {
             fast_config(),
         )
         .unwrap();
-        let err = remote.try_search("Bit").unwrap_err();
+        let err = remote.search("Bit").unwrap_err();
         assert!(matches!(err, BackendError::Remote { detail } if detail.contains("poisoned")));
         assert_eq!(remote.replica_health()[0].1, ReplicaHealth::Healthy);
         assert_eq!(remote.robustness_stats().failovers, 0);

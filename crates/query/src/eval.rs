@@ -190,7 +190,7 @@ fn evaluate_resolved<B: MeetBackend + ?Sized>(
                 options.filter = PathFilter::excluding(excluded);
             }
             let input_refs: Vec<&HitSet> = inputs.iter().collect();
-            let meets = db.try_meet_hit_groups(&input_refs, &options)?;
+            let meets = db.meet_hit_groups(&input_refs, &options)?;
             Ok(QueryOutput::Answers(AnswerSet::from_meets(
                 db.store(),
                 meets,
@@ -229,7 +229,7 @@ fn hit_group<B: MeetBackend + ?Sized>(
 
     let mut result: Option<HitSet> = None;
     for needle in needles {
-        let mut hits = db.try_search(needle)?;
+        let mut hits = db.search(needle)?;
         hits.retain(|path, _| matched.iter().any(|&mp| store.summary().le(path, mp)));
         result = Some(match result {
             None => hits,
@@ -276,7 +276,7 @@ fn projection_bindings<B: MeetBackend + ?Sized>(
     // interval — no ancestor-closure materialization.
     let mut needle_owners: Vec<Vec<Oid>> = Vec::with_capacity(needles.len());
     for needle in &needles {
-        let mut owners: Vec<Oid> = db.try_search(needle)?.iter().map(|(_, o)| o).collect();
+        let mut owners: Vec<Oid> = db.search(needle)?.iter().map(|(_, o)| o).collect();
         owners.sort_unstable();
         owners.dedup();
         needle_owners.push(owners);

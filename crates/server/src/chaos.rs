@@ -368,9 +368,7 @@ mod tests {
         )
         .unwrap();
         let opts = MeetOptions::default();
-        let over_proxy = remote
-            .try_meet_terms_answers(&["Bit", "1999"], &opts)
-            .unwrap();
+        let over_proxy = remote.meet_terms_answers(&["Bit", "1999"], &opts).unwrap();
         assert_eq!(
             over_proxy.to_detailed_xml(),
             db.meet_terms(&["Bit", "1999"]).unwrap().to_detailed_xml()
@@ -397,7 +395,7 @@ mod tests {
             fast_config(),
         )
         .unwrap();
-        let err = remote.try_search("Bit").unwrap_err();
+        let err = remote.search("Bit").unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("unavailable"), "typed unavailable: {msg}");
         assert!(proxy.faults_injected() > 0);
@@ -417,7 +415,7 @@ mod tests {
             fast_config(),
         )
         .unwrap();
-        let hits = remote.try_search("Bit").unwrap();
+        let hits = remote.search("Bit").unwrap();
         assert_eq!(hits, db.search("Bit"));
         proxy.shutdown();
         engine.shutdown();

@@ -13,13 +13,9 @@
 //!   refuses instead ([`ServerError::Saturated`]) — the admission
 //!   policy of a service that would rather shed than stall;
 //! * **batched execution**: a worker drains up to
-//!   [`ServerConfig::batch_max`] queued requests (waiting up to
-//!   [`ServerConfig::batch_window`] for stragglers) and evaluates them
+//!   [`ServerConfig::batch_max`] queued requests and evaluates them
 //!   together, sharing full-text posting decodes for terms repeated
 //!   across the batch via a per-worker term cache;
-//! * **per-worker scratch reuse**: hit-set input buffers and the
-//!   response line buffer live in a per-worker arena and are recycled
-//!   across queries instead of reallocated;
 //! * a **blocking client handle** ([`Client`]) plus a **line protocol**
 //!   ([`protocol`]) used by the integration tests and examples;
 //! * a **TCP acceptor** ([`net::TcpAcceptor`]): thread-per-connection

@@ -54,7 +54,7 @@
 //! in-memory buffers, examples over OS pipes, and a TCP acceptor only
 //! needs to hand each connection's stream pair to [`serve_lines`].
 
-use crate::server::{Client, Request, Response};
+use crate::server::{Client, Request, Response, ServerStats};
 use std::io::{BufRead, Write};
 
 /// Serve one session: read commands from `input` until EOF or `QUIT`,
@@ -221,126 +221,117 @@ fn validate_use(client: &Client, name: &str) -> Result<(), String> {
     }
 }
 
-/// The `STATS` payload: one `key=value` line per counter, plus the
-/// derived admission shed rate (shed / admission attempts) — the
-/// back-pressure signal an operator watches to size the queue — and,
-/// on forest deployments, one `corpus.<name>=<served>` line per corpus
-/// that has seen queries (per-corpus load at a glance). The robustness
-/// counters (`retries` through `partial_answers`) stay zero for purely
-/// local deployments; non-zero values mean the failover routers are
-/// working around sick replicas.
+/// How one service counter renders in `STATS` (`key=value`) and in
+/// `METRICS` (Prometheus text).
+enum Stat {
+    /// A count: `key=n`, `# TYPE name counter`.
+    Counter(u64),
+    /// An integer level: `key=n`, a gauge in `METRICS`.
+    Level(u64),
+    /// A derived ratio, four decimals in both.
+    Rate(f64),
+    /// A count the metrics registry owns: `STATS` prints it, `METRICS`
+    /// already carries it through the registry render. Looking it up
+    /// here also registers it, so it shows before the first increment.
+    Registry(u64),
+}
+
+/// Every scalar service counter, once: `(STATS key, METRICS name,
+/// value)` in `STATS` order. Both verbs render from this list, so a new
+/// counter is one new row. A `None` key is `METRICS`-only. The
+/// robustness counters (`retries` through `partial_answers`) stay zero
+/// for purely local deployments; non-zero values mean the failover
+/// routers are working around sick replicas. `shed_rate` (shed /
+/// admission attempts) is the back-pressure signal an operator watches
+/// to size the queue.
+#[rustfmt::skip]
+fn stat_rows(stats: &ServerStats) -> Vec<(Option<&'static str>, &'static str, Stat)> {
+    use Stat::{Counter, Level, Rate, Registry};
+    let registry = &ncq_obs::obs().registry;
+    vec![
+        (Some("served"),              "ncq_served_total",          Counter(stats.served as u64)),
+        (Some("batches"),             "ncq_batches_total",         Counter(stats.batches as u64)),
+        (Some("max_batch"),           "ncq_max_batch",             Level(stats.max_batch as u64)),
+        (Some("term_decodes"),        "ncq_term_decodes_total",    Counter(stats.term_decodes as u64)),
+        (Some("term_cache_hits"),     "ncq_term_cache_hits_total", Counter(stats.term_cache_hits as u64)),
+        (Some("term_cache_hit_rate"), "ncq_term_cache_hit_rate",   Rate(stats.term_cache_hit_rate())),
+        (Some("sem_hits"),            "ncq_sem_hits_total",        Counter(stats.sem_hits as u64)),
+        (Some("sem_misses"),          "ncq_sem_misses_total",      Counter(stats.sem_misses as u64)),
+        (Some("sem_hit_rate"),        "ncq_sem_hit_rate",          Rate(stats.sem_hit_rate())),
+        (Some("sem_evictions"),       "ncq_sem_evictions_total",   Counter(stats.sem_evictions as u64)),
+        (Some("shed"),                "ncq_shed_total",            Counter(stats.shed as u64)),
+        (Some("shed_rate"),           "ncq_shed_rate",             Rate(stats.shed_rate())),
+        (Some("retries"),             "ncq_retries_total",         Counter(stats.retries)),
+        (Some("failovers"),           "ncq_failovers_total",       Counter(stats.failovers)),
+        (Some("replicas_down"),       "ncq_replicas_down",         Level(stats.replicas_down)),
+        (Some("timeouts"),            "ncq_timeouts_total",        Counter(stats.timeouts)),
+        (Some("partial_answers"),     "ncq_partial_answers_total", Counter(stats.partial_answers as u64)),
+        (None,                        "ncq_slow_queries_total",    Counter(ncq_obs::obs().slow_count())),
+        // Snapshot-open telemetry: cold starts served zero-copy off a
+        // mapped v3 file vs materialized (legacy decode or the no-mmap
+        // fallback).
+        (Some("snapshot.mapped"), "ncq_snapshot_mapped_total",
+            Registry(registry.counter("ncq_snapshot_mapped_total").get())),
+        (Some("snapshot.materialized"), "ncq_snapshot_materialized_total",
+            Registry(registry.counter("ncq_snapshot_materialized_total").get())),
+    ]
+}
+
+/// The `STATS` payload: one `key=value` line per [`stat_rows`] row; on
+/// forest deployments one `corpus.<name>=<served>` line per corpus that
+/// has seen queries (per-corpus load at a glance); and the kernel
+/// dispatch split.
 fn format_stats(client: &Client) -> String {
     let stats = client.stats();
-    let mut out = format!(
-        "served={}\nbatches={}\nmax_batch={}\nterm_decodes={}\nterm_cache_hits={}\n\
-         term_cache_hit_rate={:.4}\nsem_hits={}\nsem_misses={}\nsem_hit_rate={:.4}\n\
-         sem_evictions={}\nshed={}\nshed_rate={:.4}\n\
-         retries={}\nfailovers={}\nreplicas_down={}\ntimeouts={}\npartial_answers={}",
-        stats.served,
-        stats.batches,
-        stats.max_batch,
-        stats.term_decodes,
-        stats.term_cache_hits,
-        stats.term_cache_hit_rate(),
-        stats.sem_hits,
-        stats.sem_misses,
-        stats.sem_hit_rate(),
-        stats.sem_evictions,
-        stats.shed,
-        stats.shed_rate(),
-        stats.retries,
-        stats.failovers,
-        stats.replicas_down,
-        stats.timeouts,
-        stats.partial_answers
-    );
-    for (name, served) in &stats.queries_by_corpus {
-        out.push_str(&format!("\ncorpus.{name}={served}"));
+    let mut lines = Vec::new();
+    let mut registry_rows = Vec::new();
+    for (key, _, stat) in stat_rows(&stats) {
+        let Some(key) = key else { continue };
+        match stat {
+            Stat::Counter(v) | Stat::Level(v) => lines.push(format!("{key}={v}")),
+            Stat::Rate(r) => lines.push(format!("{key}={r:.4}")),
+            Stat::Registry(v) => registry_rows.push(format!("{key}={v}")),
+        }
     }
-    // Snapshot-open telemetry: how many cold starts were served
-    // zero-copy off a mapped v3 file vs materialized (legacy decode or
-    // the no-mmap fallback). Registering the counters here also makes
-    // them show up in METRICS via the registry render even before the
-    // first open.
-    let registry = &ncq_obs::obs().registry;
-    out.push_str(&format!(
-        "\nsnapshot.mapped={}",
-        registry.counter("ncq_snapshot_mapped_total").get()
-    ));
-    out.push_str(&format!(
-        "\nsnapshot.materialized={}",
-        registry.counter("ncq_snapshot_materialized_total").get()
-    ));
+    for (name, served) in &stats.queries_by_corpus {
+        lines.push(format!("corpus.{name}={served}"));
+    }
+    lines.append(&mut registry_rows);
     // Kernel-dispatch telemetry: which SIMD mode the process picked
     // and how many calls each kernel family served, split scalar vs
     // vector. The CI compat matrix diffs these between `NCQ_SIMD=on`
     // and `off` legs to prove both paths really executed.
-    out.push_str(&format!("\nsimd.mode={}", ncq_simd::mode().name()));
+    lines.push(format!("simd.mode={}", ncq_simd::mode().name()));
     for (kernel, scalar, vector) in ncq_simd::dispatch_stats().lines() {
-        out.push_str(&format!("\nsimd.{kernel}.scalar={scalar}"));
-        out.push_str(&format!("\nsimd.{kernel}.vector={vector}"));
+        lines.push(format!("simd.{kernel}.scalar={scalar}"));
+        lines.push(format!("simd.{kernel}.vector={vector}"));
     }
-    out
+    lines.join("\n")
 }
 
 /// The `METRICS` payload: the whole telemetry surface in Prometheus
-/// text format. A strict superset of `STATS` — every service counter
-/// appears as an `ncq_*` metric — plus the derived rates as gauges,
-/// per-corpus query counts as a labelled counter family, the slow-query
-/// tally from the trace ring, and everything the instrumented stages
-/// recorded into the metrics registry (latency histograms with their
-/// quantile summaries, plan/remote/batch counters).
+/// text format. A strict superset of `STATS` — every [`stat_rows`] row
+/// appears as an `ncq_*` counter or gauge — plus per-corpus query
+/// counts as a labelled counter family and everything the instrumented
+/// stages recorded into the metrics registry (latency histograms with
+/// their quantile summaries, plan/remote/batch counters).
 fn format_metrics(client: &Client) -> String {
     let stats = client.stats();
+    let rows = stat_rows(&stats);
     let mut out = String::new();
-    let counter = |out: &mut String, name: &str, v: u64| {
-        out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-    };
-    counter(&mut out, "ncq_served_total", stats.served as u64);
-    counter(&mut out, "ncq_batches_total", stats.batches as u64);
-    counter(
-        &mut out,
-        "ncq_term_decodes_total",
-        stats.term_decodes as u64,
-    );
-    counter(
-        &mut out,
-        "ncq_term_cache_hits_total",
-        stats.term_cache_hits as u64,
-    );
-    counter(&mut out, "ncq_sem_hits_total", stats.sem_hits as u64);
-    counter(&mut out, "ncq_sem_misses_total", stats.sem_misses as u64);
-    counter(
-        &mut out,
-        "ncq_sem_evictions_total",
-        stats.sem_evictions as u64,
-    );
-    counter(&mut out, "ncq_shed_total", stats.shed as u64);
-    counter(&mut out, "ncq_retries_total", stats.retries);
-    counter(&mut out, "ncq_failovers_total", stats.failovers);
-    counter(&mut out, "ncq_timeouts_total", stats.timeouts);
-    counter(
-        &mut out,
-        "ncq_partial_answers_total",
-        stats.partial_answers as u64,
-    );
-    counter(
-        &mut out,
-        "ncq_slow_queries_total",
-        ncq_obs::obs().slow_count(),
-    );
-    let gauge = |out: &mut String, name: &str, v: f64| {
+    for (_, name, stat) in &rows {
+        if let Stat::Counter(v) = stat {
+            out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
+        }
+    }
+    for (_, name, stat) in &rows {
+        let v = match stat {
+            Stat::Level(v) => *v as f64,
+            Stat::Rate(r) => *r,
+            Stat::Counter(_) | Stat::Registry(_) => continue,
+        };
         out.push_str(&format!("# TYPE {name} gauge\n{name} {v:.4}\n"));
-    };
-    gauge(&mut out, "ncq_max_batch", stats.max_batch as f64);
-    gauge(&mut out, "ncq_shed_rate", stats.shed_rate());
-    gauge(&mut out, "ncq_sem_hit_rate", stats.sem_hit_rate());
-    gauge(
-        &mut out,
-        "ncq_term_cache_hit_rate",
-        stats.term_cache_hit_rate(),
-    );
-    gauge(&mut out, "ncq_replicas_down", stats.replicas_down as f64);
+    }
     if !stats.queries_by_corpus.is_empty() {
         out.push_str("# TYPE ncq_corpus_queries_total counter\n");
         for (name, served) in &stats.queries_by_corpus {
@@ -781,18 +772,13 @@ mod tests {
         assert!(out.contains("# TYPE ncq_shed_rate gauge"), "{out}");
         assert!(out.contains("ncq_shed_rate 0.0000"), "{out}");
         assert!(out.contains("ncq_term_cache_hit_rate 0.0000"), "{out}");
-        // The METRICS frame is well-formed: header line count matches.
-        let metrics_at = out
-            .lines()
-            .position(|l| l.starts_with("# TYPE ncq_served_total"))
-            .unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        let n: usize = lines[metrics_at - 1]
-            .strip_prefix("OK ")
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert!(n >= 30, "counters + gauges + registry lines: {out}");
+        // METRICS ⊇ STATS: every row with a STATS key has its metric.
+        for (key, name, _) in stat_rows(&ServerStats::default()) {
+            assert!(
+                key.is_none() || out.lines().any(|l| l.starts_with(&format!("{name} "))),
+                "STATS key {key:?} has no {name} in METRICS: {out}"
+            );
+        }
     }
 
     #[test]

@@ -201,13 +201,13 @@ impl Drop for RemoteEngine {
 fn answer(backend: &dyn MeetBackend, request: EngineRequest) -> Vec<u8> {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match request {
         EngineRequest::Ping => encode_response(&EngineResponse::Pong),
-        EngineRequest::Search { term } => match backend.try_search(&term) {
+        EngineRequest::Search { term } => match backend.search(&term) {
             Ok(hits) => encode_response(&EngineResponse::Hits(hits)),
             Err(e) => encode_error_response(&e.to_string()),
         },
         EngineRequest::Meet { inputs, options } => {
             let refs: Vec<&HitSet> = inputs.iter().collect();
-            match backend.try_meet_hit_groups(&refs, &options) {
+            match backend.meet_hit_groups(&refs, &options) {
                 Ok(meets) => encode_response(&EngineResponse::Meets(meets)),
                 Err(e) => encode_error_response(&e.to_string()),
             }
@@ -313,9 +313,7 @@ mod tests {
         )
         .unwrap();
         let opts = MeetOptions::default();
-        let over_wire = remote
-            .try_meet_terms_answers(&["Bit", "1999"], &opts)
-            .unwrap();
+        let over_wire = remote.meet_terms_answers(&["Bit", "1999"], &opts).unwrap();
         let local = db.meet_terms(&["Bit", "1999"]).unwrap();
         assert_eq!(over_wire.to_detailed_xml(), local.to_detailed_xml());
         assert!(engine.served() >= 3); // two searches + one meet

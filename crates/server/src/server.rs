@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The corpus argument that fans a request out across every corpus of
 /// a forest deployment (`USE *` on the wire).
@@ -37,15 +37,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Maximum requests one worker evaluates as a batch. Minimum 1.
     pub batch_max: usize,
-    /// How long a worker waits for stragglers to join a non-full batch.
-    /// Zero (the default) disables the window: batches still form from
-    /// queued backlog, which is the only batching that helps
-    /// *synchronous* clients — a blocking client cannot submit its next
-    /// request while the worker sits in the window, so a non-zero
-    /// window just taxes latency (`BENCH_pr2.json` measures it). Set a
-    /// window only for pipelined front ends that submit without
-    /// waiting.
-    pub batch_window: Duration,
     /// Meet evaluation strategy for every query served
     /// ([`MeetStrategy::Auto`] = depth-aware planner).
     pub strategy: MeetStrategy,
@@ -75,7 +66,6 @@ impl Default for ServerConfig {
             workers: 0,
             queue_capacity: 1024,
             batch_max: 32,
-            batch_window: Duration::ZERO,
             strategy: MeetStrategy::Auto,
             max_rows: 10_000,
             term_cache_capacity: 4096,
@@ -897,7 +887,7 @@ impl TermCache {
             shared.stats.term_decodes.fetch_add(1, Relaxed);
             let _decode = ncq_obs::trace::span("term_decode");
             ncq_obs::trace::annotate("term", term.to_owned());
-            return Ok(Arc::new(db.try_search(term)?));
+            return Ok(Arc::new(db.search(term)?));
         }
         let key = format!("{corpus}\0{term}");
         if let Some(hits) = self.map.get(&key) {
@@ -913,7 +903,7 @@ impl TermCache {
         }
         let _decode = ncq_obs::trace::span("term_decode");
         ncq_obs::trace::annotate("term", term.to_owned());
-        let hits = Arc::new(db.try_search(term)?);
+        let hits = Arc::new(db.search(term)?);
         self.map.insert(key.clone(), Arc::clone(&hits));
         self.order.push_back(key);
         Ok(hits)
@@ -926,16 +916,8 @@ impl TermCache {
     }
 }
 
-/// Per-worker reusable buffers: input hit groups are assembled here
-/// instead of reallocating per query.
-#[derive(Default)]
-struct Scratch {
-    inputs: Vec<Arc<HitSet>>,
-}
-
 fn worker_loop(shared: &Shared) {
     let mut cache = TermCache::new(shared.config.term_cache_capacity);
-    let mut scratch = Scratch::default();
     let mut seen_generation = shared.generation.load(Relaxed);
     while let Some(batch) = next_batch(shared) {
         // One backend per batch: a concurrent SNAPSHOT LOAD swaps the
@@ -950,7 +932,7 @@ fn worker_loop(shared: &Shared) {
         }
         shared.stats.batches.fetch_add(1, Relaxed);
         shared.stats.max_batch.fetch_max(batch.len(), Relaxed);
-        serve_batch(shared, &db, &epochs, &mut cache, &mut scratch, batch);
+        serve_batch(shared, &db, &epochs, &mut cache, batch);
     }
 }
 
@@ -1000,17 +982,16 @@ fn request_kind(request: &Request) -> &'static str {
 /// Single-corpus MEET requests take the vectorized path: semantic-cache
 /// lookup first (a hit skips evaluation entirely), then the misses are
 /// grouped per engine and evaluated through
-/// [`MeetBackend::try_meet_hit_groups_batch`] — one shared plane sweep
+/// [`MeetBackend::meet_hit_groups_batch`] — one shared plane sweep
 /// over the union of the group's hit lists on the single-process
 /// engine. Single-corpus SQL is cached the same way (keyed on the
 /// canonical printed parse). Everything else (fan-out, search, control
-/// verbs) runs through [`execute`] exactly as before.
+/// verbs) runs through [`execute`].
 fn serve_batch(
     shared: &Shared,
     db: &Arc<dyn MeetBackend>,
     epochs: &SemEpochs,
     cache: &mut TermCache,
-    scratch: &mut Scratch,
     batch: Vec<Job>,
 ) {
     let sem_on = shared.config.sem_cache_capacity > 0;
@@ -1081,9 +1062,9 @@ fn serve_batch(
                     None
                 }
                 Request::Sql { src, corpus } if corpus.as_deref() != Some(ALL_CORPORA) => {
-                    // Accounting mirrors [`execute`]: the session (or
-                    // default) corpus, independent of any `from
-                    // corpus(name)` inside the text.
+                    // Accounting follows the session (or default)
+                    // corpus, independent of any `from corpus(name)`
+                    // inside the text.
                     if let Some(name) = corpus
                         .as_deref()
                         .map(str::to_owned)
@@ -1134,11 +1115,10 @@ fn serve_batch(
                     }
                     Some(response)
                 }
-                other => Some(execute(shared, db, cache, scratch, other)),
+                other => Some(execute(shared, db, cache, other)),
             }
         }))
         .unwrap_or_else(|_| {
-            scratch.inputs.clear();
             Some(Response::Error(
                 "internal error: query evaluation panicked".to_owned(),
             ))
@@ -1187,7 +1167,7 @@ fn serve_batch(
                     )
                 })
                 .collect();
-            engine.try_meet_hit_groups_batch(&queries)
+            engine.meet_hit_groups_batch(&queries)
         }));
         let eval_ns = eval_started.elapsed().as_nanos() as u64;
         if let Some(pi) = lead {
@@ -1298,9 +1278,8 @@ fn sem_insert(
     shared.stats.sem_evictions.fetch_add(evicted, Relaxed);
 }
 
-/// Blocks for work, then drains up to `batch_max` jobs, waiting up to
-/// `batch_window` for stragglers to share the batch's term decodes.
-/// Returns `None` when shut down and fully drained.
+/// Blocks for work, then drains up to `batch_max` queued jobs. Returns
+/// `None` when shut down and fully drained.
 fn next_batch(shared: &Shared) -> Option<Vec<Job>> {
     let batch_max = shared.config.batch_max.max(1);
     let mut state = shared.state.lock().expect("queue lock");
@@ -1319,36 +1298,6 @@ fn next_batch(shared: &Shared) -> Option<Vec<Job>> {
     }
     shared.space.notify_all();
 
-    if batch.len() < batch_max && !state.shutdown && !shared.config.batch_window.is_zero() {
-        let deadline = Instant::now() + shared.config.batch_window;
-        loop {
-            let now = Instant::now();
-            if now >= deadline || batch.len() >= batch_max || state.shutdown {
-                break;
-            }
-            let (guard, timeout) = shared
-                .work
-                .wait_timeout(state, deadline - now)
-                .expect("queue lock");
-            state = guard;
-            let mut drained = false;
-            while batch.len() < batch_max {
-                match state.queue.pop_front() {
-                    Some(job) => {
-                        batch.push(job);
-                        drained = true;
-                    }
-                    None => break,
-                }
-            }
-            if drained {
-                shared.space.notify_all();
-            }
-            if timeout.timed_out() {
-                break;
-            }
-        }
-    }
     drop(state);
     Some(batch)
 }
@@ -1376,120 +1325,51 @@ fn execute(
     shared: &Shared,
     db: &Arc<dyn MeetBackend>,
     cache: &mut TermCache,
-    scratch: &mut Scratch,
     request: &Request,
 ) -> Response {
     match request {
+        // Concrete-corpus MEET and SQL never reach here: `serve_batch`
+        // answers them itself (batched / cached). What is left of the
+        // two verbs is the `USE *` routing.
         Request::MeetTerms {
             terms,
             within,
             limit,
-            corpus,
+            corpus: _,
         } => {
+            // Fan out across the whole catalog, decoding through the
+            // per-corpus engines and the tagged term cache, same as
+            // single-corpus routing.
+            let names = db.corpus_names();
+            if names.is_empty() {
+                return Response::Error(
+                    "this deployment serves no corpora (single-document backend)".to_owned(),
+                );
+            }
+            for name in &names {
+                shared.stats.note_corpus(name);
+            }
             let options = MeetOptions {
                 max_distance: *within,
                 limit: *limit,
                 strategy: shared.config.strategy,
                 ..MeetOptions::default()
             };
-            if corpus.as_deref() == Some(ALL_CORPORA) {
-                // Fan out across the whole catalog: per-corpus answers
-                // concatenate in catalog order, corpus-tagged. Decodes
-                // go through the per-corpus engines (and the tagged
-                // term cache), same as single-corpus routing. A corpus
-                // whose replica set is unavailable degrades to a typed
-                // partial marker instead of failing every healthy
-                // corpus's answer with it.
-                let names = db.corpus_names();
-                if names.is_empty() {
-                    return Response::Error(
-                        "this deployment serves no corpora (single-document backend)".to_owned(),
-                    );
-                }
-                let mut all = AnswerSet::default();
-                for name in &names {
-                    let Some(target) = db.corpus(name) else {
-                        return Response::Error(format!("unknown corpus {name:?}"));
-                    };
-                    shared.stats.note_corpus(name);
-                    let outcome = (|| -> Result<AnswerSet, BackendError> {
-                        scratch.inputs.clear();
-                        for term in terms {
-                            scratch
-                                .inputs
-                                .push(cache.get_or_decode(shared, &target, name, term)?);
-                        }
-                        let input_refs: Vec<&HitSet> =
-                            scratch.inputs.iter().map(Arc::as_ref).collect();
-                        ncq_core::catalog::try_corpus_tagged_meet(
-                            name,
-                            &*target,
-                            &input_refs,
-                            &options,
-                        )
-                    })();
-                    match outcome {
-                        Ok(a) => all.results.extend(a.results),
-                        Err(e) => {
-                            shared.stats.partial_answers.fetch_add(1, Relaxed);
-                            all.push_partial(name, e.to_string());
-                        }
-                    }
-                }
-                return Response::Answers(all);
-            }
-            let (target, stat_name) = match resolve_corpus(db, corpus) {
-                Ok(pair) => pair,
-                Err(msg) => return Response::Error(msg),
-            };
-            if let Some(name) = &stat_name {
-                shared.stats.note_corpus(name);
-            }
-            let cache_corpus = stat_name.as_deref().unwrap_or("");
-            scratch.inputs.clear();
-            for term in terms {
-                match cache.get_or_decode(shared, &target, cache_corpus, term) {
-                    Ok(hits) => scratch.inputs.push(hits),
-                    Err(e) => return Response::Error(e.to_string()),
-                }
-            }
-            let input_refs: Vec<&HitSet> = scratch.inputs.iter().map(Arc::as_ref).collect();
-            match target.try_meet_hit_groups(&input_refs, &options) {
-                Ok(meets) => Response::Answers(AnswerSet::from_meets(target.store(), meets)),
-                Err(e) => Response::Error(e.to_string()),
-            }
+            let all = ncq_core::catalog::meet_terms_forest(
+                &**db,
+                terms,
+                &options,
+                |name, target, term| cache.get_or_decode(shared, target, name, term),
+            );
+            shared
+                .stats
+                .partial_answers
+                .fetch_add(all.partials.len(), Relaxed);
+            Response::Answers(all)
         }
-        Request::Sql { src, corpus } => {
-            if corpus.as_deref() == Some(ALL_CORPORA) {
-                return Response::Error(
-                    "SQL evaluates against one corpus; USE a concrete corpus name".to_owned(),
-                );
-            }
-            // The evaluator resolves `from corpus(name)` itself; the
-            // session corpus only fills the default. Accounting follows
-            // the session/default routing (the service layer cannot see
-            // a corpus named inside the query text without parsing it
-            // twice).
-            if let Some(name) = corpus
-                .as_deref()
-                .map(str::to_owned)
-                .or_else(|| db.default_corpus())
-            {
-                shared.stats.note_corpus(&name);
-            }
-            let options = QueryOptions {
-                config: QueryConfig {
-                    max_rows: shared.config.max_rows,
-                },
-                strategy: shared.config.strategy,
-                default_corpus: corpus.clone(),
-            };
-            match run_query_opts(&**db, src, &options) {
-                Ok(QueryOutput::Answers(a)) => Response::Answers(a),
-                Ok(QueryOutput::Rows(r)) => Response::Rows(r),
-                Err(e) => Response::Error(e.to_string()),
-            }
-        }
+        Request::Sql { .. } => Response::Error(
+            "SQL evaluates against one corpus; USE a concrete corpus name".to_owned(),
+        ),
         Request::Search { term, corpus } => {
             if corpus.as_deref() == Some(ALL_CORPORA) {
                 let names = db.corpus_names();

@@ -13,11 +13,11 @@ use ncq_core::remote::{
     encode_request, read_frame, write_frame, EngineRequest, EngineResponse, RemoteBackend,
     RemoteConfig, DEFAULT_FRAME_CAP,
 };
-use ncq_core::{Catalog, Database, ForestBackend, MeetBackend, MeetOptions};
+use ncq_core::{BackendError, Catalog, Database, ForestBackend, MeetBackend, MeetOptions};
 use ncq_datagen::{DblpConfig, DblpCorpus};
 use ncq_server::{
-    ChaosProxy, ChaosSchedule, EngineConfig, Fault, RemoteEngine, Request, Response, Server,
-    ServerConfig, ALL_CORPORA,
+    serve_lines, ChaosProxy, ChaosSchedule, EngineConfig, Fault, RemoteEngine, Request, Response,
+    Server, ServerConfig, ALL_CORPORA,
 };
 use ncq_store::manifest::{Manifest, ManifestEntry};
 use std::io::{Read, Write};
@@ -108,7 +108,7 @@ fn remote_replicas_answer_byte_identically() {
     let opts = MeetOptions::default();
     for (t1, t2) in term_pairs(&db, 12) {
         let over_wire = remote
-            .try_meet_terms_answers(&[t1.as_str(), t2.as_str()], &opts)
+            .meet_terms_answers(&[t1.as_str(), t2.as_str()], &opts)
             .unwrap();
         let local = db.meet_terms(&[t1.as_str(), t2.as_str()]).unwrap();
         assert_eq!(
@@ -156,7 +156,7 @@ fn chaos_replica_with_one_healthy_peer_stays_byte_identical() {
     let opts = MeetOptions::default();
     for (t1, t2) in term_pairs(&db, 16) {
         let over_wire = remote
-            .try_meet_terms_answers(&[t1.as_str(), t2.as_str()], &opts)
+            .meet_terms_answers(&[t1.as_str(), t2.as_str()], &opts)
             .unwrap();
         let local = db.meet_terms(&[t1.as_str(), t2.as_str()]).unwrap();
         assert_eq!(
@@ -198,9 +198,7 @@ fn stalled_replica_times_out_and_fails_over() {
     .unwrap();
     let started = Instant::now();
     let opts = MeetOptions::default();
-    let answers = remote
-        .try_meet_terms_answers(&["Bit", "1999"], &opts)
-        .unwrap();
+    let answers = remote.meet_terms_answers(&["Bit", "1999"], &opts).unwrap();
     assert_eq!(
         answers.to_detailed_xml(),
         db.meet_terms(&["Bit", "1999"]).unwrap().to_detailed_xml()
@@ -245,7 +243,7 @@ fn killing_a_replica_mid_batch_keeps_answers_byte_identical() {
             doomed.take().unwrap().shutdown();
         }
         let over_wire = remote
-            .try_meet_terms_answers(&[t1.as_str(), t2.as_str()], &opts)
+            .meet_terms_answers(&[t1.as_str(), t2.as_str()], &opts)
             .unwrap();
         let local = db.meet_terms(&[t1.as_str(), t2.as_str()]).unwrap();
         assert_eq!(
@@ -272,7 +270,7 @@ fn all_replicas_down_is_typed_and_bounded() {
     )
     .unwrap();
     let started = Instant::now();
-    let err = remote.try_search("Bit").unwrap_err();
+    let err = remote.search("Bit").unwrap_err();
     let elapsed = started.elapsed();
     // Typed, never a panic or an empty hit set masquerading as an
     // answer.
@@ -310,7 +308,12 @@ fn forest_with_a_down_corpus_degrades_to_typed_partial_answers() {
     // Direct forest fan-out: the healthy corpus answers, the dead one
     // degrades to a typed partial marker.
     let opts = MeetOptions::default();
-    let answers = forest.meet_terms_forest(&["Bit", "1999"], &opts);
+    let answers = ncq_core::catalog::meet_terms_forest(
+        &forest,
+        &["Bit", "1999"],
+        &opts,
+        |_, engine, term| engine.search(term),
+    );
     assert!(answers.is_partial(), "dead corpus must mark the answer");
     assert!(
         !answers.results.is_empty(),
@@ -356,6 +359,58 @@ fn forest_with_a_down_corpus_degrades_to_typed_partial_answers() {
 }
 
 #[test]
+fn forest_with_a_down_default_corpus_fails_typed_never_empty() {
+    let remote_only = RemoteBackend::new(
+        Database::from_xml_str(FIG).unwrap(),
+        &[dead_endpoint().to_string()],
+        fast_config(),
+    )
+    .unwrap();
+    let mut catalog = Catalog::new();
+    // First added = default: unqualified queries route to the dead one.
+    catalog
+        .add("remote", Arc::new(remote_only) as Arc<dyn MeetBackend>)
+        .unwrap();
+    catalog
+        .add(
+            "local",
+            Arc::new(Database::from_xml_str(FIG).unwrap()) as Arc<dyn MeetBackend>,
+        )
+        .unwrap();
+    let forest = ForestBackend::new(catalog).unwrap();
+
+    // In process: an outage is an error, not an empty hit set / answer.
+    assert!(matches!(
+        forest.search("Bit"),
+        Err(BackendError::Unavailable { .. })
+    ));
+    assert!(matches!(
+        forest.meet_terms_answers(&["Bit", "1999"], &MeetOptions::default()),
+        Err(BackendError::Unavailable { .. })
+    ));
+
+    // On the wire: `ERR engine unavailable …`, never `OK 0`.
+    let server = Server::start_backend(
+        Arc::new(forest),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let mut out = Vec::new();
+    serve_lines(
+        &server.client(),
+        "MEET Bit 1999\nSEARCH Bit\n".as_bytes(),
+        &mut out,
+    )
+    .unwrap();
+    let out = String::from_utf8(out).unwrap();
+    assert_eq!(out.matches("ERR engine unavailable").count(), 2, "{out}");
+    assert!(!out.contains("OK"), "{out}");
+    server.shutdown();
+}
+
+#[test]
 fn manifest_endpoint_entries_serve_through_remote_replicas() {
     let dir = std::env::temp_dir().join("ncq-distributed-manifest-test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -379,7 +434,7 @@ fn manifest_endpoint_entries_serve_through_remote_replicas() {
     let catalog = ncq_shard::open_catalog_remote(&mpath, fast_config()).unwrap();
     let corpus = catalog.get("fig").unwrap();
     let opts = MeetOptions::default();
-    let via_manifest = corpus.meet_terms_answers(&["Bit", "1999"], &opts);
+    let via_manifest = corpus.meet_terms_answers(&["Bit", "1999"], &opts).unwrap();
     let local = db.meet_terms(&["Bit", "1999"]).unwrap();
     assert_eq!(via_manifest.to_detailed_xml(), local.to_detailed_xml());
 
@@ -511,7 +566,7 @@ fn trace_ids_propagate_over_the_wire_and_record_failover() {
     let id = ncq_obs::obs().next_trace_id();
     ncq_obs::obs().begin_trace(id);
     let answers = remote
-        .try_meet_terms_answers(&["Bit", "1999"], &MeetOptions::default())
+        .meet_terms_answers(&["Bit", "1999"], &MeetOptions::default())
         .unwrap();
     let sealed = ncq_obs::obs()
         .finish_trace()

@@ -123,7 +123,8 @@ mod tests {
         let via_forest = forest
             .corpus("wide")
             .unwrap()
-            .meet_terms_answers(&["text", "3"], &opts);
+            .meet_terms_answers(&["text", "3"], &opts)
+            .unwrap();
         let direct = wide.meet_terms(&["text", "3"]).unwrap();
         assert_eq!(via_forest.to_detailed_xml(), direct.to_detailed_xml());
 
@@ -133,7 +134,8 @@ mod tests {
         let again = swapped
             .corpus("wide")
             .unwrap()
-            .meet_terms_answers(&["text", "3"], &opts);
+            .meet_terms_answers(&["text", "3"], &opts)
+            .unwrap();
         assert_eq!(again.to_detailed_xml(), direct.to_detailed_xml());
 
         for p in [&wide_snap, &narrow_snap, &mpath] {

@@ -54,8 +54,8 @@ use ncq_core::meet_multi::MeetWitness;
 use ncq_core::rank::rank_meets;
 use ncq_core::sweep::{plane_sweep, Verdict};
 use ncq_core::{
-    meet_multi, meet_multi_indexed, meet_sets_lift_ordered, AnswerSet, ChosenStrategy, Database,
-    Meet, MeetBackend, MeetError, MeetOptions, MeetStrategy, SetMeets,
+    meet_multi, meet_multi_indexed, meet_sets_lift_ordered, AnswerSet, BackendError,
+    ChosenStrategy, Database, Meet, MeetBackend, MeetError, MeetOptions, MeetStrategy, SetMeets,
 };
 use ncq_fulltext::search::{phrase_hits, word_hits};
 use ncq_fulltext::tokenize::{contains_fold, fold, tokens};
@@ -757,12 +757,16 @@ impl MeetBackend for ShardedDb {
         self.inner.db.store()
     }
 
-    fn search(&self, term: &str) -> HitSet {
-        ShardedDb::search(self, term)
+    fn search(&self, term: &str) -> Result<HitSet, BackendError> {
+        Ok(ShardedDb::search(self, term))
     }
 
-    fn meet_hit_groups(&self, inputs: &[&HitSet], options: &MeetOptions) -> Vec<Meet> {
-        self.meet_hits(inputs, options)
+    fn meet_hit_groups(
+        &self,
+        inputs: &[&HitSet],
+        options: &MeetOptions,
+    ) -> Result<Vec<Meet>, BackendError> {
+        Ok(self.meet_hits(inputs, options))
     }
 
     fn save_snapshot(&self, path: &std::path::Path) -> Result<(), ncq_store::SnapshotError> {

@@ -24,7 +24,7 @@
 //! ```
 
 use nearest_concept::core::{meet_sets, BatchQuery, MeetOptions};
-use nearest_concept::{Database, MeetBackend, ShardedDb};
+use nearest_concept::{Database, ShardedDb};
 
 fn main() {
     // A small forked corpus whose leaves interleave three terms, so
@@ -77,7 +77,7 @@ fn main() {
     let batched = db.meet_hits_batch(&queries);
 
     let sharded = ShardedDb::new(db, 4);
-    let gathered = sharded.meet_hit_groups(&[&alpha, &beta], &options);
+    let gathered = sharded.meet_hits(&[&alpha, &beta], &options);
 
     eprintln!(
         "workload: {} phrase hits, {} set meets, {} batch results, {} gathered meets",

@@ -123,17 +123,12 @@ fn random_batches_match_serial_evaluation_everywhere() {
         for (name, engine) in &engines {
             let serial: Vec<_> = queries
                 .iter()
-                .map(|q| engine.meet_hit_groups(&q.inputs, &q.options))
+                .map(|q| engine.meet_hit_groups(&q.inputs, &q.options).unwrap())
                 .collect();
-            let batched = engine.meet_hit_groups_batch(&queries);
-            assert_eq!(batched, serial, "seed {seed}: batched != serial on {name}");
-            let fallible = engine
-                .try_meet_hit_groups_batch(&queries)
+            let batched = engine
+                .meet_hit_groups_batch(&queries)
                 .expect("local engines are infallible");
-            assert_eq!(
-                fallible, serial,
-                "seed {seed}: try-batch != serial on {name}"
-            );
+            assert_eq!(batched, serial, "seed {seed}: batched != serial on {name}");
             match &reference {
                 None => reference = Some(serial),
                 Some(r) => assert_eq!(&serial, r, "seed {seed}: {name} diverged cross-engine"),
@@ -172,22 +167,26 @@ fn limit_k_equals_the_unbounded_prefix() {
         ];
         for (name, engine) in &engines {
             for strategy in STRATEGIES {
-                let unbounded = engine.meet_hit_groups(
-                    &inputs,
-                    &MeetOptions {
-                        strategy,
-                        ..MeetOptions::default()
-                    },
-                );
-                for k in [1usize, 2, 5, unbounded.len() + 100] {
-                    let bounded = engine.meet_hit_groups(
+                let unbounded = engine
+                    .meet_hit_groups(
                         &inputs,
                         &MeetOptions {
                             strategy,
-                            limit: Some(k),
                             ..MeetOptions::default()
                         },
-                    );
+                    )
+                    .unwrap();
+                for k in [1usize, 2, 5, unbounded.len() + 100] {
+                    let bounded = engine
+                        .meet_hit_groups(
+                            &inputs,
+                            &MeetOptions {
+                                strategy,
+                                limit: Some(k),
+                                ..MeetOptions::default()
+                            },
+                        )
+                        .unwrap();
                     let want = &unbounded[..k.min(unbounded.len())];
                     assert_eq!(
                         bounded, want,

@@ -4,6 +4,7 @@
 //! fan-out, and cold-starts end to end from a manifest file — with
 //! corruption (dangling paths, checksum drift) failing typed.
 
+use nearest_concept::core::catalog::meet_terms_forest;
 use nearest_concept::core::{Catalog, CatalogError, ForestBackend, MeetBackend, MeetOptions};
 use nearest_concept::shard::{open_forest, sharded_corpus};
 use nearest_concept::store::manifest::{Manifest, ManifestEntry};
@@ -131,7 +132,10 @@ fn three_corpus_catalog_answers_match_per_corpus_databases_byte_for_byte() {
 
         // MEET: byte-identical serialized answers.
         let expected = reference.meet_terms(&terms).unwrap().to_detailed_xml();
-        let actual = routed.meet_terms_answers(&terms, &opts).to_detailed_xml();
+        let actual = routed
+            .meet_terms_answers(&terms, &opts)
+            .unwrap()
+            .to_detailed_xml();
         assert_eq!(actual, expected, "{name}: MEET drifted through the catalog");
 
         // SQL: the corpus clause routes inside the evaluator.
@@ -152,7 +156,7 @@ fn three_corpus_catalog_answers_match_per_corpus_databases_byte_for_byte() {
 
         // SEARCH: same hits.
         assert_eq!(
-            routed.search(search_term),
+            routed.search(search_term).unwrap(),
             reference.search(search_term),
             "{name}: SEARCH drifted through the catalog"
         );
@@ -166,7 +170,12 @@ fn cross_corpus_fanout_order_is_stable_and_corpus_tagged() {
     // "1999" + "1995" hit dblp and multimedia but not deep: the
     // concatenation must list dblp's answers first (catalog order),
     // each tagged, and serialize identically across runs.
-    let first = forest.meet_terms_forest(&["1999", "1995"], &opts);
+    let fan_out = || {
+        meet_terms_forest(&forest, &["1999", "1995"], &opts, |_, engine, term| {
+            engine.search(term)
+        })
+    };
+    let first = fan_out();
     assert!(!first.is_empty());
     let corpora: Vec<&str> = first
         .results
@@ -206,7 +215,7 @@ fn cross_corpus_fanout_order_is_stable_and_corpus_tagged() {
         }
     }
     // Byte-stable across repeated runs.
-    let again = forest.meet_terms_forest(&["1999", "1995"], &opts);
+    let again = fan_out();
     assert_eq!(first.to_detailed_xml(), again.to_detailed_xml());
 }
 
@@ -367,6 +376,7 @@ fn manifest_cold_start_replays_the_same_answers_with_a_sharded_corpus() {
             .corpus(name)
             .unwrap()
             .meet_terms_answers(&terms, &opts)
+            .unwrap()
             .to_detailed_xml();
         assert_eq!(actual, expected, "{name}: manifest cold start drifted");
     }
@@ -380,6 +390,7 @@ fn manifest_cold_start_replays_the_same_answers_with_a_sharded_corpus() {
     assert_eq!(
         sharded_forest
             .meet_terms_answers(&["1999", "1995"], &opts)
+            .unwrap()
             .to_detailed_xml(),
         multimedia()
             .meet_terms(&["1999", "1995"])
