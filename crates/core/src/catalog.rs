@@ -37,10 +37,7 @@ use crate::db::Database;
 use crate::meet_multi::MeetOptions;
 use ncq_fulltext::HitSet;
 use ncq_store::manifest::{Manifest, ManifestEntry, ManifestError};
-use ncq_store::snapshot::{
-    checksum64, SnapshotError, SnapshotSource, SNAPSHOT_LEGACY_MAX, SNAPSHOT_VERSION,
-    SNAPSHOT_VERSION_V1,
-};
+use ncq_store::snapshot::{checksum64, SnapshotError, SNAPSHOT_VERSION};
 use ncq_store::{validate_corpus_name, MappedSnapshot, MonetDb, VerifyMode};
 use std::fmt;
 use std::path::Path;
@@ -297,24 +294,23 @@ impl Catalog {
     /// unsharded here — `ncq-shard::open_catalog` is the shard-aware
     /// loader).
     pub fn open_manifest(path: impl AsRef<Path>) -> Result<Catalog, CatalogError> {
-        Catalog::open_manifest_with(path, |_entry, source| {
-            Ok(Arc::new(Database::decode_from(&source)?) as Arc<dyn MeetBackend>)
+        Catalog::open_manifest_with(path, |_entry, snap| {
+            Ok(Arc::new(Database::decode_from(snap)?) as Arc<dyn MeetBackend>)
         })
     }
 
     /// Open a manifest with a caller-chosen engine per entry. Each
-    /// corpus snapshot is opened once as a [`SnapshotSource`] and
-    /// verified before it reaches `opener`: legacy (v1/v2) files are
-    /// read into memory and hashed against the manifest's recorded
-    /// whole-file checksum; v3 files are mmapped, every section is
-    /// verified eagerly against the container's own per-section
-    /// checksums, and the mapped bytes are hashed against the
-    /// manifest's checksum so a swapped-but-internally-valid file
-    /// still fails typed (the pages are already resident from the
-    /// eager pass, so this costs no extra IO). Version and checksum
-    /// failures are typed. Serving opens that want the lazy
-    /// microsecond path go through [`Database::open_snapshot`]
-    /// directly.
+    /// corpus snapshot is opened once as a [`MappedSnapshot`] and
+    /// verified before it reaches `opener`: the file is mmapped, every
+    /// section is verified eagerly against the container's own
+    /// per-section checksums, and the mapped bytes are hashed against
+    /// the manifest's recorded whole-file checksum so a
+    /// swapped-but-internally-valid file still fails typed (the pages
+    /// are already resident from the eager pass, so this costs no
+    /// extra IO). An entry recording any other layout version fails
+    /// with [`CatalogError::LayoutVersion`] before its file is opened.
+    /// Serving opens that want the lazy microsecond path go through
+    /// [`Database::open_snapshot`] directly.
     ///
     /// Entries with replica endpoints bypass the opener: the snapshot
     /// becomes the coordinator's local resolver copy inside a
@@ -326,7 +322,7 @@ impl Catalog {
         path: impl AsRef<Path>,
         opener: impl FnMut(
             &ManifestEntry,
-            SnapshotSource,
+            &MappedSnapshot,
         ) -> Result<Arc<dyn MeetBackend>, SnapshotError>,
     ) -> Result<Catalog, CatalogError> {
         Catalog::open_manifest_remote(path, opener, crate::remote::RemoteConfig::default())
@@ -339,7 +335,7 @@ impl Catalog {
         path: impl AsRef<Path>,
         mut opener: impl FnMut(
             &ManifestEntry,
-            SnapshotSource,
+            &MappedSnapshot,
         ) -> Result<Arc<dyn MeetBackend>, SnapshotError>,
         remote_config: crate::remote::RemoteConfig,
     ) -> Result<Catalog, CatalogError> {
@@ -347,7 +343,7 @@ impl Catalog {
         let manifest = Manifest::load(path)?;
         let mut catalog = Catalog::new();
         for entry in &manifest.corpora {
-            if !(SNAPSHOT_VERSION_V1..=SNAPSHOT_VERSION).contains(&entry.layout_version) {
+            if entry.layout_version != SNAPSHOT_VERSION {
                 return Err(CatalogError::LayoutVersion {
                     name: entry.name.clone(),
                     found: entry.layout_version,
@@ -355,49 +351,32 @@ impl Catalog {
                 });
             }
             let snapshot_path = Manifest::resolve(path, entry);
-            let source = if entry.layout_version > SNAPSHOT_LEGACY_MAX {
-                MappedSnapshot::open_with(&snapshot_path, VerifyMode::Eager).and_then(|snap| {
-                    if checksum64(snap.bytes()) != entry.checksum {
-                        return Err(SnapshotError::ChecksumMismatch {
-                            section: "manifest-recorded file checksum",
-                            offset: 0,
-                        });
-                    }
-                    Ok(SnapshotSource::Mapped(snap))
-                })
-            } else {
-                std::fs::read(&snapshot_path)
-                    .map_err(SnapshotError::Io)
-                    .and_then(|bytes| {
-                        if checksum64(&bytes) != entry.checksum {
-                            return Err(SnapshotError::ChecksumMismatch {
-                                section: "manifest-recorded file checksum",
-                                offset: 0,
-                            });
-                        }
-                        SnapshotSource::from_bytes(bytes)
-                    })
+            let snap = MappedSnapshot::open_with(&snapshot_path, VerifyMode::Eager).map_err(
+                |e| match e {
+                    SnapshotError::ChecksumMismatch { .. } => CatalogError::ChecksumMismatch {
+                        name: entry.name.clone(),
+                    },
+                    error => CatalogError::Corpus {
+                        name: entry.name.clone(),
+                        error,
+                    },
+                },
+            )?;
+            if checksum64(snap.bytes()) != entry.checksum {
+                return Err(CatalogError::ChecksumMismatch {
+                    name: entry.name.clone(),
+                });
             }
-            .map_err(|e| match e {
-                SnapshotError::ChecksumMismatch { .. } => CatalogError::ChecksumMismatch {
-                    name: entry.name.clone(),
-                },
-                error => CatalogError::Corpus {
-                    name: entry.name.clone(),
-                    error,
-                },
-            })?;
             let backend = if entry.endpoints.is_empty() {
-                opener(entry, source).map_err(|e| CatalogError::Corpus {
+                opener(entry, &snap).map_err(|e| CatalogError::Corpus {
                     name: entry.name.clone(),
                     error: e,
                 })?
             } else {
-                let resolver =
-                    Database::decode_from(&source).map_err(|e| CatalogError::Corpus {
-                        name: entry.name.clone(),
-                        error: e,
-                    })?;
+                let resolver = Database::decode_from(&snap).map_err(|e| CatalogError::Corpus {
+                    name: entry.name.clone(),
+                    error: e,
+                })?;
                 let remote = crate::remote::RemoteBackend::new(
                     resolver,
                     &entry.endpoints,

@@ -12,8 +12,8 @@ use crate::meet_sets::{MeetError, SetMeets};
 use crate::planner::{MeetPlanner, MeetStrategy, PlanDecision};
 use crate::rank::rank_meets;
 use ncq_fulltext::{search, HitSet, InvertedIndex};
-use ncq_store::snapshot::{SnapshotError, SnapshotReader, SnapshotSource, SnapshotWriter};
-use ncq_store::{MonetDb, Oid, SnapshotWriterV3};
+use ncq_store::snapshot::SnapshotError;
+use ncq_store::{MappedSnapshot, MonetDb, Oid, SnapshotWriterV3, VerifyMode};
 use ncq_xml::{Document, ParseError};
 use std::path::Path;
 
@@ -26,8 +26,9 @@ pub struct Database {
 }
 
 /// Registry handles for the snapshot-open telemetry: open latency plus
-/// one counter per open style, so METRICS can tell mapped (v3 zero-copy)
-/// cold starts from materialized (legacy decode / no-mmap) ones.
+/// one counter per open style, so METRICS can tell mapped (zero-copy)
+/// cold starts from materialized (owned heap copy: `NCQ_NO_MMAP`,
+/// non-unix, in-memory bytes) ones.
 fn snapshot_open_metrics() -> &'static (
     std::sync::Arc<ncq_obs::Histogram>,
     std::sync::Arc<ncq_obs::Counter>,
@@ -86,21 +87,12 @@ impl Database {
     // one file cold-starts the whole engine with no parse, no meet
     // index DFS and no re-tokenization.
 
-    /// Serialize the whole engine into a **legacy** (v1) snapshot
-    /// writer. Exposed so execution layers with extra state (e.g. a
-    /// shard partition map) can append their own sections before
-    /// writing the file, and so compatibility tests can mint
-    /// old-generation files.
-    pub fn encode_snapshot(&self) -> SnapshotWriter {
-        let mut writer = SnapshotWriter::new();
-        self.store.encode_snapshot(&mut writer);
-        self.index.encode_snapshot(&mut writer);
-        writer
-    }
-
     /// Serialize the whole engine into a v3 snapshot writer: every
     /// section in final form, so opening the file is mmap + checksum +
-    /// pointer fixup. This is what [`Database::save_snapshot`] writes.
+    /// pointer fixup. This is what [`Database::save_snapshot`] writes;
+    /// exposed so execution layers with extra state (e.g. a shard
+    /// partition map) can append their own sections before writing the
+    /// file.
     pub fn encode_snapshot_v3(&self) -> SnapshotWriterV3 {
         let mut writer = SnapshotWriterV3::new();
         self.store.encode_snapshot_v3(&mut writer);
@@ -108,32 +100,18 @@ impl Database {
         writer
     }
 
-    /// Reconstruct an engine from a verified **legacy** snapshot
-    /// reader.
-    pub fn decode_snapshot(reader: &SnapshotReader) -> Result<Database, SnapshotError> {
-        let store = MonetDb::decode_snapshot(reader)?;
-        let index = InvertedIndex::decode_snapshot(reader, &store)?;
+    fn decode_untimed(snap: &MappedSnapshot) -> Result<Database, SnapshotError> {
+        let store = MonetDb::decode_snapshot_v3(snap)?;
+        let index = InvertedIndex::decode_snapshot_v3(snap, &store)?;
         Ok(Database { store, index })
     }
 
-    fn decode_source_untimed(source: &SnapshotSource) -> Result<Database, SnapshotError> {
-        match source {
-            SnapshotSource::Legacy(reader) => Database::decode_snapshot(reader),
-            SnapshotSource::Mapped(snap) => {
-                let store = MonetDb::decode_snapshot_v3(snap)?;
-                let index = InvertedIndex::decode_snapshot_v3(snap, &store)?;
-                Ok(Database { store, index })
-            }
-        }
-    }
-
-    /// Reconstruct an engine from an already-opened snapshot of either
-    /// generation: legacy files decode section by section, v3 files fix
-    /// up zero-copy views over the mapped (or owned) arena.
-    pub fn decode_from(source: &SnapshotSource) -> Result<Database, SnapshotError> {
+    /// Reconstruct an engine from an already-opened snapshot: fix up
+    /// zero-copy views over the mapped (or owned) arena.
+    pub fn decode_from(snap: &MappedSnapshot) -> Result<Database, SnapshotError> {
         let started = std::time::Instant::now();
-        let db = Database::decode_source_untimed(source)?;
-        record_snapshot_open(started, source.is_mapped());
+        let db = Database::decode_untimed(snap)?;
+        record_snapshot_open(started, snap.is_mapped());
         Ok(db)
     }
 
@@ -143,17 +121,17 @@ impl Database {
         self.encode_snapshot_v3().write_to(path.as_ref())
     }
 
-    /// Cold-start from a snapshot file. A v3 file is mmapped and served
+    /// Cold-start from a snapshot file: the file is mmapped and served
     /// zero-copy — microseconds of header/table checksums and pointer
-    /// fixup instead of the parse → transform → index build pipeline;
-    /// legacy (v1/v2) files take the materializing decode. Version
-    /// dispatch is automatic; set `NCQ_NO_MMAP=1` to force the owned
-    /// in-memory arena for v3 files.
+    /// fixup instead of the parse → transform → index build pipeline.
+    /// Set `NCQ_NO_MMAP=1` to force the owned in-memory arena. A file
+    /// of any other layout version (the retired v1/v2 included) is a
+    /// typed [`SnapshotError::UnsupportedVersion`].
     pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Database, SnapshotError> {
         let started = std::time::Instant::now();
-        let source = SnapshotSource::open(path.as_ref())?;
-        let db = Database::decode_source_untimed(&source)?;
-        record_snapshot_open(started, source.is_mapped());
+        let snap = MappedSnapshot::open(path.as_ref())?;
+        let db = Database::decode_untimed(&snap)?;
+        record_snapshot_open(started, snap.is_mapped());
         Ok(db)
     }
 
@@ -162,10 +140,10 @@ impl Database {
         self.encode_snapshot_v3().to_bytes()
     }
 
-    /// Decode an engine from in-memory snapshot bytes of either
-    /// generation.
+    /// Decode an engine from in-memory snapshot bytes (tests and
+    /// tooling), adopted into an owned, 64-byte-aligned arena.
     pub fn from_snapshot_bytes(bytes: Vec<u8>) -> Result<Database, SnapshotError> {
-        Database::decode_from(&SnapshotSource::from_bytes(bytes)?)
+        Database::decode_from(&MappedSnapshot::from_owned_bytes(bytes, VerifyMode::Lazy)?)
     }
 
     /// The underlying inverted index.

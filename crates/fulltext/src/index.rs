@@ -31,8 +31,8 @@ const _: () = assert!(std::mem::align_of::<Posting>() == 4);
 /// The two physical representations behind [`InvertedIndex`].
 #[derive(Debug, Clone)]
 pub(crate) enum Repr {
-    /// Hash map of owned posting lists: the build / legacy-decode /
-    /// restriction representation.
+    /// Hash map of owned posting lists: the build / restriction
+    /// representation.
     Built {
         map: HashMap<Box<str>, Vec<Posting>>,
         postings: usize,

@@ -5,18 +5,8 @@
 //! Persisting the finished posting lists means a cold start re-hashes
 //! the (small) vocabulary but never re-tokenizes the (large) corpus.
 //!
-//! Legacy (v1/v2) layout of the `FULLTEXT` section (all little-endian,
-//! inside the checksummed container of [`ncq_store::snapshot`]):
-//!
-//! ```text
-//! token count (u32)
-//! per token, in lexicographic byte order:
-//!   token (u32 len + UTF-8 bytes)
-//!   posting count (u32)
-//!   postings: (path u32, owner u32) pairs, in (path, owner) order
-//! ```
-//!
-//! The v3 layout stores the same data in **final form** — four flat
+//! The `FULLTEXT` section (inside the checksummed container of
+//! [`ncq_store::mmap`]) stores the index in **final form** — four flat
 //! arrays a mapped open can serve without rebuilding the hash map:
 //!
 //! ```text
@@ -27,33 +17,17 @@
 //! postings:    Posting[total]    (path u32, owner u32) pairs
 //! ```
 //!
-//! Tokens are written **sorted** in both layouts — the in-memory
-//! `HashMap` iterates in a nondeterministic order, and snapshot bytes
-//! must be a pure function of the database (the CI determinism gate
-//! `cmp`s two saves). For v3 the sort also *is* the lookup structure:
-//! the mapped representation binary searches the sorted vocabulary.
+//! Tokens are written **sorted** — the in-memory `HashMap` iterates in
+//! a nondeterministic order, and snapshot bytes must be a pure function
+//! of the database (the CI determinism gate `cmp`s two saves). The sort
+//! also *is* the lookup structure: the mapped representation binary
+//! searches the sorted vocabulary.
 
 use crate::index::{InvertedIndex, Posting, Repr};
-use ncq_store::snapshot::{section, SnapshotError, SnapshotReader, SnapshotWriter};
-use ncq_store::{MappedSnapshot, MonetDb, Oid, PathId, SnapshotWriterV3};
-use std::collections::HashMap;
+use ncq_store::snapshot::{section, SnapshotError};
+use ncq_store::{MappedSnapshot, MonetDb, SnapshotWriterV3};
 
 impl InvertedIndex {
-    /// Write the legacy `FULLTEXT` section.
-    pub fn encode_snapshot(&self, writer: &mut SnapshotWriter) {
-        let entries = self.sorted_entries();
-        let mut s = writer.section(section::FULLTEXT);
-        s.put_u32(entries.len() as u32);
-        for (token, postings) in entries {
-            s.put_str(token);
-            s.put_u32(postings.len() as u32);
-            for p in postings {
-                s.put_u32(p.path.index() as u32);
-                s.put_u32(p.owner.index() as u32);
-            }
-        }
-    }
-
     /// Write the v3 `FULLTEXT` section: the vocabulary as a sorted CSR
     /// blob and the postings as one concatenated `Pod` array, so a
     /// mapped open serves both without copying.
@@ -81,69 +55,6 @@ impl InvertedIndex {
         s.put_col::<Posting>(&postings);
     }
 
-    /// Read the legacy `FULLTEXT` section back, validating the posting
-    /// contract (sorted by `(path, owner)`, deduplicated, in range for
-    /// `store`) that the galloping intersections and plane sweeps rely
-    /// on.
-    pub fn decode_snapshot(
-        reader: &SnapshotReader,
-        store: &MonetDb,
-    ) -> Result<InvertedIndex, SnapshotError> {
-        let mut s = reader.section(section::FULLTEXT)?;
-        let token_count = s.get_u32("token count")? as usize;
-        let paths = store.summary().len();
-        let n = store.node_count();
-        // Capacities are clamped to what the payload can hold (a token
-        // entry is ≥ 9 bytes, a posting 8): inconsistent counts must
-        // fail typed when the bytes run out, not abort the allocator.
-        let mut map: HashMap<Box<str>, Vec<Posting>> =
-            HashMap::with_capacity(token_count.min(s.remaining() / 9));
-        let mut total = 0usize;
-        for _ in 0..token_count {
-            let token = s.get_str("token")?;
-            let len = s.get_u32("posting count")? as usize;
-            let mut postings = Vec::with_capacity(len.min(s.remaining() / 8));
-            let mut last: Option<Posting> = None;
-            for _ in 0..len {
-                let path = s.get_u32("posting path")? as usize;
-                let owner = s.get_u32("posting owner")? as usize;
-                if path >= paths || owner >= n {
-                    return Err(SnapshotError::Corrupt {
-                        context: "posting out of range",
-                    });
-                }
-                let posting = Posting {
-                    path: PathId::from_index(path),
-                    owner: Oid::from_index(owner),
-                };
-                if last.is_some_and(|prev| prev >= posting) {
-                    return Err(SnapshotError::Corrupt {
-                        context: "posting list not sorted/deduplicated",
-                    });
-                }
-                last = Some(posting);
-                postings.push(posting);
-            }
-            if postings.is_empty() {
-                return Err(SnapshotError::Corrupt {
-                    context: "empty posting list",
-                });
-            }
-            total += postings.len();
-            if map.insert(token.into(), postings).is_some() {
-                return Err(SnapshotError::Corrupt {
-                    context: "duplicate token",
-                });
-            }
-        }
-        Ok(InvertedIndex {
-            repr: Repr::Built {
-                map,
-                postings: total,
-            },
-        })
-    }
-
     /// Read the v3 `FULLTEXT` section as zero-copy views.
     ///
     /// The vocabulary and posting structure are fully validated here
@@ -160,11 +71,14 @@ impl InvertedIndex {
         let token_count = s.get_u64()? as usize;
         let posting_total = s.get_u64()? as usize;
         let blob_len = s.get_u64()? as usize;
-        let token_off = s.take_col::<u32>(token_count + 1)?;
-        let blob = s.take_col::<u8>(blob_len)?;
-        let posting_off = s.take_col::<u32>(token_count + 1)?;
-        let postings = s.take_col::<Posting>(posting_total)?;
         let corrupt = |context: &'static str| SnapshotError::Corrupt { context };
+        let offsets = token_count
+            .checked_add(1)
+            .ok_or(corrupt("fulltext token count overflows"))?;
+        let token_off = s.take_col::<u32>(offsets)?;
+        let blob = s.take_col::<u8>(blob_len)?;
+        let posting_off = s.take_col::<u32>(offsets)?;
+        let postings = s.take_col::<Posting>(posting_total)?;
         if !s.at_end() {
             return Err(corrupt("fulltext section has trailing bytes"));
         }
@@ -175,7 +89,7 @@ impl InvertedIndex {
             return Err(corrupt("fulltext token offsets not monotone"));
         }
         // posting_off strictly increasing: empty posting lists are
-        // rejected, same as the legacy decoder.
+        // rejected.
         if posting_off.first() != Some(&0)
             || posting_off.last() != Some(&(posting_total as u32))
             || posting_off.windows(2).any(|w| w[0] >= w[1])
@@ -220,7 +134,7 @@ impl InvertedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncq_store::VerifyMode;
+    use ncq_store::{Oid, PathId, VerifyMode};
     use ncq_xml::parse;
 
     fn store() -> MonetDb {
@@ -237,31 +151,12 @@ mod tests {
         )
     }
 
-    fn round_trip(store: &MonetDb, idx: &InvertedIndex) -> InvertedIndex {
-        let mut w = SnapshotWriter::new();
-        idx.encode_snapshot(&mut w);
-        InvertedIndex::decode_snapshot(&SnapshotReader::from_bytes(w.to_bytes()).unwrap(), store)
-            .unwrap()
-    }
-
     fn round_trip_v3(store: &MonetDb, idx: &InvertedIndex) -> InvertedIndex {
         let mut w = SnapshotWriterV3::new();
         store.encode_snapshot_v3(&mut w);
         idx.encode_snapshot_v3(&mut w);
         let snap = MappedSnapshot::from_owned_bytes(w.to_bytes(), VerifyMode::Eager).unwrap();
         InvertedIndex::decode_snapshot_v3(&snap, store).unwrap()
-    }
-
-    #[test]
-    fn round_trip_preserves_every_posting_list() {
-        let store = store();
-        let idx = InvertedIndex::build(&store);
-        let loaded = round_trip(&store, &idx);
-        assert_eq!(loaded.vocabulary_size(), idx.vocabulary_size());
-        assert_eq!(loaded.posting_count(), idx.posting_count());
-        for token in idx.vocabulary() {
-            assert_eq!(loaded.postings(token), idx.postings(token), "{token}");
-        }
     }
 
     #[test]
@@ -292,21 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn encoding_is_deterministic_despite_the_hash_map() {
-        let store = store();
-        let idx = InvertedIndex::build(&store);
-        let bytes = |i: &InvertedIndex| {
-            let mut w = SnapshotWriter::new();
-            i.encode_snapshot(&mut w);
-            w.to_bytes()
-        };
-        // Same index twice, and a rebuilt index (fresh hash seeds).
-        assert_eq!(bytes(&idx), bytes(&idx));
-        assert_eq!(bytes(&idx), bytes(&InvertedIndex::build(&store)));
-        assert_eq!(bytes(&idx), bytes(&round_trip(&store, &idx)));
-    }
-
-    #[test]
     fn v3_encoding_is_deterministic_and_repr_independent() {
         let store = store();
         let idx = InvertedIndex::build(&store);
@@ -320,33 +200,35 @@ mod tests {
         assert_eq!(bytes(&idx), bytes(&InvertedIndex::build(&store)));
         // Re-encoding a mapped index reproduces the same bytes.
         assert_eq!(bytes(&idx), bytes(&round_trip_v3(&store, &idx)));
-        // And the two container generations agree on content: the v1
-        // encoding of a mapped index matches the original's.
-        let v1_bytes = |i: &InvertedIndex| {
-            let mut w = SnapshotWriter::new();
-            i.encode_snapshot(&mut w);
-            w.to_bytes()
-        };
-        assert_eq!(v1_bytes(&idx), v1_bytes(&round_trip_v3(&store, &idx)));
     }
 
     #[test]
-    fn out_of_range_postings_are_rejected() {
+    fn huge_declared_counts_fail_typed_without_allocating() {
+        // Checksum-valid scalars that claim absurd array lengths must
+        // fail typed against the section extent — no allocation, no
+        // arithmetic overflow.
         let store = store();
-        let mut w = SnapshotWriter::new();
-        {
+        for (tokens, postings, blob) in [
+            (u64::MAX, 0, 0),
+            (u32::MAX as u64, 1, 1),
+            (1, u64::MAX / 8, 1),
+            (1, 1, u64::MAX),
+        ] {
+            let mut w = SnapshotWriterV3::new();
+            store.encode_snapshot_v3(&mut w);
             let mut s = w.section(section::FULLTEXT);
-            s.put_u32(1);
-            s.put_str("ghost");
-            s.put_u32(1);
-            s.put_u32(0);
-            s.put_u32(u32::MAX); // owner far out of range
+            s.put_u64(tokens);
+            s.put_u64(postings);
+            s.put_u64(blob);
+            let snap = MappedSnapshot::from_owned_bytes(w.to_bytes(), VerifyMode::Eager).unwrap();
+            assert!(
+                matches!(
+                    InvertedIndex::decode_snapshot_v3(&snap, &store),
+                    Err(SnapshotError::Corrupt { .. } | SnapshotError::Truncated { .. })
+                ),
+                "tokens={tokens} postings={postings} blob={blob}"
+            );
         }
-        let r = SnapshotReader::from_bytes(w.to_bytes()).unwrap();
-        assert!(matches!(
-            InvertedIndex::decode_snapshot(&r, &store),
-            Err(SnapshotError::Corrupt { .. })
-        ));
     }
 
     #[test]

@@ -268,8 +268,7 @@ fn stat_rows(stats: &ServerStats) -> Vec<(Option<&'static str>, &'static str, St
         (Some("partial_answers"),     "ncq_partial_answers_total", Counter(stats.partial_answers as u64)),
         (None,                        "ncq_slow_queries_total",    Counter(ncq_obs::obs().slow_count())),
         // Snapshot-open telemetry: cold starts served zero-copy off a
-        // mapped v3 file vs materialized (legacy decode or the no-mmap
-        // fallback).
+        // mapped file vs materialized (the owned-heap no-mmap fallback).
         (Some("snapshot.mapped"), "ncq_snapshot_mapped_total",
             Registry(registry.counter("ncq_snapshot_mapped_total").get())),
         (Some("snapshot.materialized"), "ncq_snapshot_materialized_total",

@@ -36,12 +36,11 @@ pub fn open_catalog_remote(
 ) -> Result<Catalog, CatalogError> {
     Catalog::open_manifest_remote(
         manifest_path,
-        |entry, source| {
+        |entry, snap| {
             if entry.shards > 1 {
-                Ok(Arc::new(ShardedDb::from_source(&source, entry.shards)?)
-                    as Arc<dyn MeetBackend>)
+                Ok(Arc::new(ShardedDb::from_source(snap, entry.shards)?) as Arc<dyn MeetBackend>)
             } else {
-                Ok(Arc::new(Database::decode_from(&source)?) as Arc<dyn MeetBackend>)
+                Ok(Arc::new(Database::decode_from(snap)?) as Arc<dyn MeetBackend>)
             }
         },
         remote_config,

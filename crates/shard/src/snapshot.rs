@@ -10,23 +10,11 @@
 //! [`ShardedDb::open_snapshot`] still skips the chunk decomposition
 //! walk entirely.
 //!
-//! Legacy (v1/v2) layout of the `PARTITION` section (little-endian,
-//! inside the checksummed container of [`ncq_store::snapshot`]):
-//!
-//! ```text
-//! requested K (u32) · shard count (u32)
-//! per shard:
-//!   chunk roots (u32 count + u32 oids, preorder)
-//!   covering interval start/end (u64, u64)
-//!   owned nodes (u64) · owned mass (u64) · min root depth (u32)
-//! spine bitset (u32 word count + u64 words)
-//! spine node count (u64) · total mass (u64)
-//! ```
-//!
-//! The v3 layout front-loads the scalars and shard metadata and stores
-//! the two arrays — concatenated chunk roots and the spine bitset — as
-//! aligned columns, so the (large, O(n/64)) spine is served zero-copy
-//! from the mapped file:
+//! The `PARTITION` section (inside the checksummed container of
+//! [`ncq_store::mmap`]) front-loads the scalars and shard metadata and
+//! stores the two arrays — concatenated chunk roots and the spine
+//! bitset — as aligned columns, so the (large, O(n/64)) spine is served
+//! zero-copy from the mapped file:
 //!
 //! ```text
 //! requested K · shard count · spine nodes · total mass
@@ -40,12 +28,12 @@
 use crate::partition::{PartitionMap, ShardInfo};
 use crate::sharded::ShardedDb;
 use ncq_core::Database;
-use ncq_store::snapshot::{section, SnapshotError, SnapshotReader, SnapshotSource, SnapshotWriter};
-use ncq_store::{MappedSnapshot, Oid, SnapshotWriterV3};
+use ncq_store::snapshot::{section, SnapshotError};
+use ncq_store::{MappedSnapshot, Oid, SnapshotWriterV3, VerifyMode};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Structural checks shared by both decoders: shard intervals ascend,
+/// Structural checks on a decoded map: shard intervals ascend,
 /// stay disjoint and in range, chunk roots are preorder-sorted inside
 /// their interval, the spine bitset is sized to the instance and its
 /// popcount matches, and every object outside the covering intervals
@@ -111,24 +99,6 @@ fn validate_partition(
 }
 
 impl PartitionMap {
-    /// Write the `PARTITION` section.
-    pub fn encode_snapshot(&self, writer: &mut SnapshotWriter) {
-        let mut s = writer.section(section::PARTITION);
-        s.put_u32(self.requested_k as u32);
-        s.put_u32(self.shards.len() as u32);
-        for shard in &self.shards {
-            s.put_u32_col(shard.roots.iter().map(|o| o.index() as u32));
-            s.put_u64(shard.range.start as u64);
-            s.put_u64(shard.range.end as u64);
-            s.put_u64(shard.nodes as u64);
-            s.put_u64(shard.mass);
-            s.put_u32(shard.min_root_depth as u32);
-        }
-        s.put_u64_col(self.spine.iter().copied());
-        s.put_u64(self.spine_nodes as u64);
-        s.put_u64(self.total_mass);
-    }
-
     /// Write the v3 `PARTITION` section: scalars and shard metadata up
     /// front, then the concatenated chunk roots and the spine bitset as
     /// aligned columns.
@@ -156,55 +126,6 @@ impl PartitionMap {
             .collect();
         s.put_col::<u32>(&roots);
         s.put_col::<u64>(&self.spine);
-    }
-
-    /// Read the `PARTITION` section back from a legacy snapshot,
-    /// validating the structural invariants the executors build on.
-    pub fn decode_snapshot(
-        reader: &SnapshotReader,
-        node_count: usize,
-    ) -> Result<PartitionMap, SnapshotError> {
-        let mut s = reader.section(section::PARTITION)?;
-        let requested_k = s.get_u32("partition requested k")? as usize;
-        let shard_count = s.get_u32("partition shard count")? as usize;
-        if requested_k == 0 || shard_count == 0 || shard_count > requested_k {
-            return Err(SnapshotError::Corrupt {
-                context: "partition shard counts inconsistent",
-            });
-        }
-        // Clamped: a shard entry spans ≥ 40 payload bytes, so an
-        // inconsistent count fails typed instead of aborting on a
-        // multi-gigabyte pre-allocation.
-        let mut shards = Vec::with_capacity(shard_count.min(s.remaining() / 40));
-        for _ in 0..shard_count {
-            let roots_raw = s.get_u32_col("partition chunk roots")?;
-            let start = s.get_u64("partition range start")? as usize;
-            let end = s.get_u64("partition range end")? as usize;
-            let nodes = s.get_u64("partition shard nodes")? as usize;
-            let mass = s.get_u64("partition shard mass")?;
-            let min_root_depth = s.get_u32("partition min root depth")? as usize;
-            shards.push(ShardInfo {
-                roots: roots_raw
-                    .iter()
-                    .map(|&r| Oid::from_index(r as usize))
-                    .collect(),
-                range: start..end,
-                nodes,
-                mass,
-                min_root_depth,
-            });
-        }
-        let spine = s.get_u64_col("partition spine bitset")?;
-        let spine_nodes = s.get_u64("partition spine count")? as usize;
-        let total_mass = s.get_u64("partition total mass")?;
-        validate_partition(requested_k, &shards, &spine, spine_nodes, node_count)?;
-        Ok(PartitionMap {
-            requested_k,
-            shards,
-            spine: spine.into(),
-            spine_nodes,
-            total_mass,
-        })
     }
 
     /// Read the v3 `PARTITION` section: shard metadata is materialized
@@ -236,7 +157,9 @@ impl PartitionMap {
             mass: u64,
             min_root_depth: usize,
         }
-        // Clamped like the legacy path: a shard entry is 48 bytes.
+        // Clamped: a shard entry spans 48 payload bytes, so an
+        // inconsistent count fails typed instead of aborting on a
+        // multi-gigabyte pre-allocation.
         let mut metas = Vec::with_capacity(shard_count.min(s.remaining() / 48));
         for _ in 0..shard_count {
             metas.push(Meta {
@@ -307,38 +230,34 @@ impl ShardedDb {
         writer.write_to(path.as_ref())
     }
 
-    /// Cold-start a sharded engine from a snapshot of either
-    /// generation. When the snapshot carries a partition map built for
-    /// the same requested `k`, the stored cut is reused; otherwise
-    /// (different `k`, or a snapshot saved from a single engine) the
-    /// partition is rebuilt from the loaded stats — still without any
-    /// parse or index preprocess, since the meet index and mass prefix
-    /// sums arrive pre-computed (for v3, zero-copy out of the map).
+    /// Cold-start a sharded engine from a snapshot file. When the
+    /// snapshot carries a partition map built for the same requested
+    /// `k`, the stored cut is reused; otherwise (different `k`, or a
+    /// snapshot saved from a single engine) the partition is rebuilt
+    /// from the loaded stats — still without any parse or index
+    /// preprocess, since the meet index and mass prefix sums arrive
+    /// pre-computed, zero-copy out of the map.
     pub fn open_snapshot(path: impl AsRef<Path>, k: usize) -> Result<ShardedDb, SnapshotError> {
-        ShardedDb::from_source(&SnapshotSource::open(path.as_ref())?, k)
+        ShardedDb::from_source(&MappedSnapshot::open(path.as_ref())?, k)
     }
 
-    /// Cold-start a sharded engine from in-memory snapshot bytes — the
-    /// path the forest catalog takes after verifying a corpus file
-    /// against its manifest checksum (the bytes are already read, so
-    /// re-opening the file would double the IO).
+    /// Cold-start a sharded engine from in-memory snapshot bytes
+    /// (adopted into an owned, 64-byte-aligned arena).
     pub fn from_snapshot_bytes(bytes: Vec<u8>, k: usize) -> Result<ShardedDb, SnapshotError> {
-        ShardedDb::from_source(&SnapshotSource::from_bytes(bytes)?, k)
+        ShardedDb::from_source(
+            &MappedSnapshot::from_owned_bytes(bytes, VerifyMode::Lazy)?,
+            k,
+        )
     }
 
-    /// Cold-start from an already-opened snapshot of either generation
-    /// — the shared dispatch behind the file and byte entry points,
-    /// public so forest openers can route one source to either engine
-    /// shape.
-    pub fn from_source(source: &SnapshotSource, k: usize) -> Result<ShardedDb, SnapshotError> {
+    /// Cold-start from an already-opened snapshot — the shared body of
+    /// the file and byte entry points, public so forest openers can
+    /// route one open snapshot to either engine shape.
+    pub fn from_source(source: &MappedSnapshot, k: usize) -> Result<ShardedDb, SnapshotError> {
         let db = Arc::new(Database::decode_from(source)?);
         let workers = crate::sharded::default_workers(k);
         if source.has_section(section::PARTITION) {
-            let n = db.store().node_count();
-            let partition = match source {
-                SnapshotSource::Legacy(reader) => PartitionMap::decode_snapshot(reader, n)?,
-                SnapshotSource::Mapped(snap) => PartitionMap::decode_snapshot_v3(snap, n)?,
-            };
+            let partition = PartitionMap::decode_snapshot_v3(source, db.store().node_count())?;
             if partition.requested_k() == k {
                 return Ok(ShardedDb::with_partition(db, partition, workers));
             }
@@ -369,14 +288,20 @@ mod tests {
         Database::from_document(&parse(&wide_xml(12, 6)).unwrap())
     }
 
+    /// A container holding only `map`'s PARTITION section.
+    fn partition_only(map: &PartitionMap) -> MappedSnapshot {
+        let mut w = SnapshotWriterV3::new();
+        map.encode_snapshot_v3(&mut w);
+        MappedSnapshot::from_owned_bytes(w.to_bytes(), VerifyMode::Eager).unwrap()
+    }
+
     #[test]
     fn partition_map_round_trips_exactly() {
         let db = db();
         let map = PartitionMap::build(db.store(), 4);
-        let mut w = db.encode_snapshot();
-        map.encode_snapshot(&mut w);
-        let r = SnapshotReader::from_bytes(w.to_bytes()).unwrap();
-        let loaded = PartitionMap::decode_snapshot(&r, db.store().node_count()).unwrap();
+        let loaded =
+            PartitionMap::decode_snapshot_v3(&partition_only(&map), db.store().node_count())
+                .unwrap();
         assert_eq!(loaded.requested_k(), 4);
         assert_eq!(loaded.shard_count(), map.shard_count());
         assert_eq!(loaded.spine_len(), map.spine_len());
@@ -434,26 +359,29 @@ mod tests {
         // 5..10 uncovered with an empty spine: `shard_of` would clamp
         // such an oid into the wrong shard, so decode must refuse.
         let node_count = 15usize;
-        let mut w = SnapshotWriter::new();
+        let mut w = SnapshotWriterV3::new();
         {
             let mut s = w.section(section::PARTITION);
-            s.put_u32(2); // requested k
-            s.put_u32(2); // shard count
+            s.put_u64(2); // requested k
+            s.put_u64(2); // shard count
+            s.put_u64(0); // spine nodes
+            s.put_u64(15); // total mass
+            s.put_u64(2); // total roots
+            s.put_u64(1); // spine words
             for (start, end) in [(0u64, 5u64), (10, 15)] {
-                s.put_u32_col(std::iter::once(start as u32)); // roots
+                s.put_u64(1); // root count
                 s.put_u64(start);
                 s.put_u64(end);
                 s.put_u64(end - start); // nodes
                 s.put_u64(end - start); // mass
-                s.put_u32(1); // min root depth
+                s.put_u64(1); // min root depth
             }
-            s.put_u64_col(std::iter::once(0u64)); // empty spine bitset
-            s.put_u64(0); // spine nodes
-            s.put_u64(15); // total mass
+            s.put_col::<u32>(&[0, 10]); // roots
+            s.put_col::<u64>(&[0]); // empty spine bitset
         }
-        let r = SnapshotReader::from_bytes(w.to_bytes()).unwrap();
+        let snap = MappedSnapshot::from_owned_bytes(w.to_bytes(), VerifyMode::Eager).unwrap();
         assert!(matches!(
-            PartitionMap::decode_snapshot(&r, node_count),
+            PartitionMap::decode_snapshot_v3(&snap, node_count),
             Err(SnapshotError::Corrupt {
                 context: "partition leaves a non-spine object uncovered"
             })
@@ -461,23 +389,40 @@ mod tests {
     }
 
     #[test]
-    fn truncated_partition_section_is_typed() {
+    fn partition_decoded_against_the_wrong_node_count_is_typed() {
         let db = db();
         let map = PartitionMap::build(db.store(), 4);
-        let mut w = SnapshotWriter::new();
-        map.encode_snapshot(&mut w);
-        let bytes = w.to_bytes();
-        // Chop the payload tail and re-frame: the checksum must catch it.
-        for cut in 1..64 {
-            let mut corrupt = bytes.clone();
-            corrupt.truncate(bytes.len() - cut);
-            assert!(SnapshotReader::from_bytes(corrupt).is_err());
-        }
-        // A wrong node count is a Corrupt, not a panic.
-        let r = SnapshotReader::from_bytes(bytes).unwrap();
         assert!(matches!(
-            PartitionMap::decode_snapshot(&r, db.store().node_count() / 2),
+            PartitionMap::decode_snapshot_v3(&partition_only(&map), db.store().node_count() / 2),
             Err(SnapshotError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn huge_declared_counts_fail_typed_without_allocating() {
+        // Checksum-valid scalars claiming absurd shard / root / spine
+        // counts fail typed against the section extent.
+        for (shards, roots, spine) in [(u64::MAX, 0, 0), (1, u64::MAX / 4, 0), (1, 0, u64::MAX / 8)]
+        {
+            let mut w = SnapshotWriterV3::new();
+            let mut s = w.section(section::PARTITION);
+            s.put_u64(u64::MAX); // requested k
+            s.put_u64(shards);
+            s.put_u64(0); // spine nodes
+            s.put_u64(0); // total mass
+            s.put_u64(roots);
+            s.put_u64(spine);
+            for _ in 0..6 {
+                s.put_u64(0); // one all-zero shard entry
+            }
+            let snap = MappedSnapshot::from_owned_bytes(w.to_bytes(), VerifyMode::Eager).unwrap();
+            assert!(
+                matches!(
+                    PartitionMap::decode_snapshot_v3(&snap, 15),
+                    Err(SnapshotError::Corrupt { .. } | SnapshotError::Truncated { .. })
+                ),
+                "shards={shards} roots={roots} spine={spine}"
+            );
+        }
     }
 }

@@ -60,10 +60,10 @@ use crate::path::PathId;
 /// Built once per document via [`MonetDb::meet_index`] (lazily, cached)
 /// or eagerly with [`MeetIndex::build`].
 ///
-/// Every array is a [`Col`]: owned when the index was built or loaded
-/// from a legacy snapshot, a zero-copy view into a mapped v3 snapshot
-/// otherwise — all eleven arrays here are **final-form** on disk in v3,
-/// so a mapped open performs no assembly at all. `pub(crate)` fields:
+/// Every array is a [`Col`]: owned when the index was built, a
+/// zero-copy view into a snapshot when it was loaded — all eleven
+/// arrays here are **final-form** on disk, so a snapshot open performs
+/// no assembly at all. `pub(crate)` fields:
 /// the snapshot codecs persist and reattach them directly.
 #[derive(Debug, Clone)]
 pub struct MeetIndex {
@@ -178,25 +178,19 @@ impl MeetIndex {
         debug_assert_eq!(tour.len(), tour_len);
 
         MeetIndex::assemble(depth, subtree_end, tour, path_oids)
-            .expect("a freshly built DFS tour always assembles")
     }
 
     /// Finish an index from its four source arrays — the preorder
     /// intervals, the Euler tour and the per-path postings — by
-    /// rebuilding the derived structures (first visits, tour depths,
+    /// building the derived structures (first visits, tour depths,
     /// block RMQ tables) in linear passes plus the small
-    /// O((n/32)·log(n/32)) sparse-table fill. [`MeetIndex::build`]
-    /// funnels through here after its DFS; the snapshot loader calls it
-    /// directly on the persisted arrays, which is what makes a cold
-    /// start skip the construction DFS entirely. Returns `None` for a
-    /// tour that is not a preorder DFS walk (only reachable from a
-    /// corrupt snapshot — the builder's own tour always qualifies).
-    pub(crate) fn assemble(
+    /// O((n/32)·log(n/32)) sparse-table fill.
+    fn assemble(
         depth: Vec<u32>,
         subtree_end: Vec<u32>,
         tour: Vec<u32>,
         path_oids: Vec<Vec<Oid>>,
-    ) -> Option<MeetIndex> {
+    ) -> MeetIndex {
         let n = depth.len();
         let tour_len = tour.len();
         debug_assert_eq!(tour_len, 2 * n - 1);
@@ -205,40 +199,13 @@ impl MeetIndex {
         // preorder and the tour is a DFS walk, so nodes are discovered
         // in oid order: entry `o` is a first visit exactly when it is
         // the next undiscovered oid — an append, not a random write.
-        // (The snapshot loader skips this pass: its bit-packed tour
-        // replay emits the first visits directly and enters through
-        // `assemble_with_visits`.)
         let mut first_visit: Vec<u32> = Vec::with_capacity(n);
         for (i, &o) in tour.iter().enumerate() {
             if o as usize == first_visit.len() {
                 first_visit.push(i as u32);
             }
         }
-        if first_visit.len() != n {
-            return None;
-        }
-        Some(MeetIndex::assemble_with_visits(
-            depth,
-            subtree_end,
-            tour,
-            first_visit,
-            path_oids,
-        ))
-    }
-
-    /// [`MeetIndex::assemble`] with the first-visit positions already
-    /// known. The caller guarantees `first_visit[o]` is the tour index
-    /// of `o`'s first occurrence and that every oid occurs.
-    pub(crate) fn assemble_with_visits(
-        depth: Vec<u32>,
-        subtree_end: Vec<u32>,
-        tour: Vec<u32>,
-        first_visit: Vec<u32>,
-        path_oids: Vec<Vec<Oid>>,
-    ) -> MeetIndex {
-        let n = depth.len();
-        let tour_len = tour.len();
-        debug_assert_eq!(first_visit.len(), n);
+        assert_eq!(first_visit.len(), n, "the DFS tour visits every oid");
 
         // Note the layout difference: visit_depth is
         // (first_visit << 32) | depth, while the RMQ tables pack

@@ -53,8 +53,5 @@ pub use monet::MonetDb;
 pub use object::ObjectView;
 pub use oid::Oid;
 pub use path::{PathId, PathStep, PathSummary};
-pub use snapshot::{
-    SectionBuf, SectionCursor, SnapshotError, SnapshotReader, SnapshotSource, SnapshotWriter,
-    SNAPSHOT_LEGACY_MAX, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, SNAPSHOT_VERSION_V1,
-};
+pub use snapshot::{SectionBuf, SectionCursor, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use stats::{DepthStats, PartitionStats, StoreStats};

@@ -23,16 +23,18 @@
 //!                shard count (u32)
 //!                snapshot layout version (u32)
 //!                snapshot checksum64 (u64)
-//!                replica endpoint count (u32)          [v2]
-//!                per endpoint: host:port (str)         [v2]
+//!                replica endpoint count (u32)
+//!                per endpoint: host:port (str)
 //! ```
 //!
-//! Version 1 manifests (no endpoint lists) still load — every entry
-//! gets an empty endpoint list, meaning "serve this corpus
-//! in-process". A corpus *with* endpoints is served through
-//! `ncq-core`'s `RemoteBackend`: the snapshot path stays the
-//! coordinator's local resolver copy, and the endpoints name the
-//! replica engines that execute search/meet remotely.
+//! An empty endpoint list means "serve this corpus in-process". A
+//! corpus *with* endpoints is served through `ncq-core`'s
+//! `RemoteBackend`: the snapshot path stays the coordinator's local
+//! resolver copy, and the endpoints name the replica engines that
+//! execute search/meet remotely. Like snapshots, a build reads exactly
+//! the manifest version it writes; any other version (the retired
+//! endpoint-less version 1 included) is a typed
+//! [`ManifestError::UnsupportedVersion`].
 //!
 //! The same corruption discipline as [`crate::snapshot`]: every failure
 //! mode is a typed [`ManifestError`], never a panic — bad magic, a
@@ -48,7 +50,9 @@
 //! against the manifest file's directory ([`Manifest::resolve`]), so a
 //! manifest and its snapshots move between machines as one directory.
 
-use crate::snapshot::{checksum64, SectionBuf, SectionCursor, SnapshotError, SNAPSHOT_MAGIC};
+use crate::snapshot::{
+    checksum64, write_atomic, SectionBuf, SectionCursor, SnapshotError, SNAPSHOT_MAGIC,
+};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -57,10 +61,6 @@ pub const MANIFEST_MAGIC: [u8; 8] = *b"NCQFRST\0";
 
 /// Current manifest layout version. Bump on any layout change.
 pub const MANIFEST_VERSION: u32 = 2;
-
-/// Oldest manifest layout version this build still reads (v1 entries
-/// load with empty endpoint lists).
-pub const MANIFEST_MIN_VERSION: u32 = 1;
 
 /// Typed manifest failures. Loading never panics on malformed input.
 #[derive(Debug)]
@@ -244,9 +244,9 @@ pub struct ManifestEntry {
     /// snapshot is detected before decoding.
     pub checksum: u64,
     /// Replica engine endpoints (`host:port`), in failover-routing
-    /// order. Empty = serve in-process from the snapshot (the v1
-    /// behaviour); non-empty = proxy search/meet to these replicas,
-    /// keeping the snapshot as the coordinator's local resolver copy.
+    /// order. Empty = serve in-process from the snapshot; non-empty =
+    /// proxy search/meet to these replicas, keeping the snapshot as the
+    /// coordinator's local resolver copy.
     pub endpoints: Vec<String>,
 }
 
@@ -381,7 +381,7 @@ impl Manifest {
             return Err(ManifestError::Truncated { context: "header" });
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if !(MANIFEST_MIN_VERSION..=MANIFEST_VERSION).contains(&version) {
+        if version != MANIFEST_VERSION {
             return Err(ManifestError::UnsupportedVersion {
                 found: version,
                 supported: MANIFEST_VERSION,
@@ -423,16 +423,12 @@ impl Manifest {
             }
             let layout_version = c.get_u32("corpus layout version")?;
             let checksum = c.get_u64("corpus snapshot checksum")?;
-            // v1 entries carry no endpoint list: in-process serving.
-            let mut endpoints = Vec::new();
-            if version >= 2 {
-                let n = c.get_u32("corpus endpoint count")? as usize;
-                endpoints.reserve(n.min(c.remaining() / 4 + 1));
-                for _ in 0..n {
-                    let endpoint = c.get_str("corpus replica endpoint")?.to_owned();
-                    validate_endpoint(&endpoint)?;
-                    endpoints.push(endpoint);
-                }
+            let n = c.get_u32("corpus endpoint count")? as usize;
+            let mut endpoints = Vec::with_capacity(n.min(c.remaining() / 4 + 1));
+            for _ in 0..n {
+                let endpoint = c.get_str("corpus replica endpoint")?.to_owned();
+                validate_endpoint(&endpoint)?;
+                endpoints.push(endpoint);
             }
             corpora.push(ManifestEntry {
                 name,
@@ -452,22 +448,9 @@ impl Manifest {
     }
 
     /// Write the manifest to `path` (atomic temp-file + rename, like
-    /// snapshot saves). The temp name is unique per process *and*
-    /// write, so concurrent saves — even to the same destination —
-    /// never scribble over each other's staging file; the last rename
-    /// wins.
+    /// snapshot saves).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ManifestError> {
-        static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let path = path.as_ref();
-        let bytes = self.to_bytes();
-        let seq = WRITE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp = path.with_extension(format!("tmp-manifest-{}-{seq}", std::process::id()));
-        std::fs::write(&tmp, &bytes)?;
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            std::fs::remove_file(&tmp).ok();
-            return Err(e.into());
-        }
-        Ok(())
+        Ok(write_atomic(path.as_ref(), "manifest", &self.to_bytes())?)
     }
 
     /// Read and validate a manifest file.
@@ -637,59 +620,35 @@ mod tests {
         assert!(validate_corpus_name("dblp-2026.v1").is_ok());
     }
 
-    /// Render `m` in the *version 1* layout (no endpoint lists) — the
-    /// bytes a pre-endpoint build would have written.
-    fn to_v1_bytes(m: &Manifest) -> Vec<u8> {
-        let mut body = Vec::new();
-        {
-            let mut b = SectionBuf::over(&mut body);
-            b.put_u32(m.corpora.len() as u32);
-            b.put_u32(m.default as u32);
-            for e in &m.corpora {
-                b.put_str(&e.name);
-                b.put_str(&e.snapshot);
-                b.put_u32(e.shards as u32);
-                b.put_u32(e.layout_version);
-                b.put_u64(e.checksum);
-            }
+    #[test]
+    fn other_manifest_versions_are_refused_typed() {
+        // Version 1 (the retired endpoint-less layout), 0 and a future
+        // version all fail on the header alone.
+        for found in [0u8, 1, 99] {
+            let mut bytes = sample().to_bytes();
+            bytes[8] = found;
+            assert!(matches!(
+                Manifest::from_bytes(&bytes),
+                Err(ManifestError::UnsupportedVersion { found: f, supported: MANIFEST_VERSION })
+                    if f == found as u32
+            ));
         }
-        let mut out = Vec::with_capacity(20 + body.len());
-        out.extend_from_slice(&MANIFEST_MAGIC);
-        out.extend_from_slice(&1u32.to_le_bytes());
-        out.extend_from_slice(&checksum64(&body).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
     }
 
     #[test]
-    fn version_1_manifests_still_load_with_empty_endpoints() {
-        let mut m = sample();
-        // Drop the endpoints the v1 layout cannot carry; everything
-        // else must round-trip through the old bytes unchanged.
-        for e in &mut m.corpora {
-            e.endpoints.clear();
-        }
-        let loaded = Manifest::from_bytes(&to_v1_bytes(&m)).unwrap();
-        assert_eq!(loaded, m);
-        assert!(loaded.corpora.iter().all(|e| e.endpoints.is_empty()));
-        // The v1 corruption discipline holds through the compat path.
-        let bytes = to_v1_bytes(&m);
-        for len in 0..bytes.len() {
-            assert!(Manifest::from_bytes(&bytes[..len]).is_err());
-        }
-        // Versions outside [min, current] stay refused.
-        let mut future = sample().to_bytes();
-        future[8] = 99;
-        assert!(matches!(
-            Manifest::from_bytes(&future),
-            Err(ManifestError::UnsupportedVersion { found: 99, .. })
-        ));
-        let mut zero = sample().to_bytes();
-        zero[8] = 0;
-        assert!(matches!(
-            Manifest::from_bytes(&zero),
-            Err(ManifestError::UnsupportedVersion { found: 0, .. })
-        ));
+    fn failed_save_is_typed_io_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join("ncq-manifest-failed-save-test");
+        std::fs::remove_dir_all(&dir).ok();
+        // The destination is an existing directory: the rename fails.
+        let dest = dir.join("forest.ncqm");
+        std::fs::create_dir_all(&dest).unwrap();
+        assert!(matches!(sample().save(&dest), Err(ManifestError::Io(_))));
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["forest.ncqm"], "temp file leaked: {left:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -3,17 +3,16 @@
 //!
 //! # Why
 //!
-//! The v1 loader ([`crate::snapshot::SnapshotReader`]) materializes
-//! every section and rebuilds derived state — depths, preorder
-//! intervals, sibling ranks, RMQ tables — in linear passes. That is
-//! 5–8× faster than parse+build, but a replica cold start or a
-//! `SNAPSHOT LOAD` hot swap still pays O(n) before the first query.
-//! Layout v3 stores every array in its **final in-memory form**,
-//! 64-byte aligned, so opening a snapshot is `mmap` + header/table
-//! checksum + pointer fixup: the engine serves straight out of the
-//! page cache, one physical copy shared across processes, and the
-//! first byte of a multi-gigabyte corpus is query-able in
-//! microseconds.
+//! A loader that materializes every section and rebuilds derived
+//! state — depths, preorder intervals, sibling ranks, RMQ tables — in
+//! linear passes (the retired v1/v2 layouts) is 5–8× faster than
+//! parse+build, but a replica cold start or a `SNAPSHOT LOAD` hot swap
+//! still pays O(n) before the first query. Layout v3 stores every
+//! array in its **final in-memory form**, 64-byte aligned, so opening
+//! a snapshot is `mmap` + header/table checksum + pointer fixup: the
+//! engine serves straight out of the page cache, one physical copy
+//! shared across processes, and the first byte of a multi-gigabyte
+//! corpus is query-able in microseconds.
 //!
 //! # Layout (version 3)
 //!
@@ -48,18 +47,18 @@
 //! the partition map) are verified when decoded, while the large
 //! final-form arrays served as mapped views (columns, meet index,
 //! stats prefix sums) defer their checksum so first touch stays at
-//! page-fault cost. `NCQ_SNAPSHOT_VERIFY=eager` (or
-//! [`VerifyMode::Eager`], which the forest catalog uses in place of
-//! the manifest's whole-file checksum) verifies every section at
-//! open. Under lazy verification a bit flip in an unverified array
-//! can only produce wrong answers or a bounds-check panic — all views
-//! are ordinary checked slices, never undefined behaviour.
+//! page-fault cost. [`VerifyMode::Eager`] (what the forest catalog
+//! opens with, next to the manifest's whole-file checksum) verifies
+//! every section at open. Under lazy verification a bit flip in an
+//! unverified array can only produce wrong answers or a bounds-check
+//! panic — all views are ordinary checked slices, never undefined
+//! behaviour.
 //!
 //! `NCQ_NO_MMAP=1` (or a non-unix target) routes opens through an
 //! owned, 64-byte-aligned heap copy of the file — the same views over
 //! the same layout, minus the shared page cache.
 
-use crate::snapshot::{checksum64, SnapshotError, SNAPSHOT_MAGIC};
+use crate::snapshot::{checksum64, write_atomic, SnapshotError, SNAPSHOT_MAGIC};
 use std::path::Path;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -110,16 +109,6 @@ pub enum VerifyMode {
     Lazy,
     /// Every section checksum at open (reads every page once).
     Eager,
-}
-
-impl VerifyMode {
-    /// `NCQ_SNAPSHOT_VERIFY=eager` upgrades the process default.
-    pub fn from_env() -> VerifyMode {
-        match std::env::var("NCQ_SNAPSHOT_VERIFY").as_deref() {
-            Ok("eager") => VerifyMode::Eager,
-            _ => VerifyMode::Lazy,
-        }
-    }
 }
 
 // ----- plain-old-data element types -----
@@ -353,8 +342,8 @@ impl std::fmt::Debug for SnapshotArena {
 // ----- Col: a column that is either owned or a view into the arena -----
 
 /// A read-only typed column: either an owned boxed slice (built
-/// databases, v1 loads, the no-mmap fallback) or a zero-copy view
-/// into a [`SnapshotArena`] (v3 loads). Dereferences to `&[T]` with
+/// databases) or a zero-copy view into a [`SnapshotArena`] (snapshot
+/// loads, mapped or heap-backed). Dereferences to `&[T]` with
 /// no per-access branching — the pointer/length pair is resolved at
 /// construction, and the backing enum only keeps the memory alive.
 pub struct Col<T: Pod> {
@@ -481,10 +470,9 @@ impl<T: Pod + Eq> Eq for Col<T> {}
 
 // ----- v3 writer -----
 
-/// Accumulates sections, then emits the aligned v3 container. Same
-/// call-order contract as the v1 [`crate::snapshot::SnapshotWriter`]:
-/// section order is the writer's call order and every codec keeps it
-/// fixed, so v3 bytes are a pure function of the database.
+/// Accumulates sections, then emits the aligned v3 container. Section
+/// order is the writer's call order and every codec keeps it fixed, so
+/// v3 bytes are a pure function of the database.
 #[derive(Default)]
 pub struct SnapshotWriterV3 {
     sections: Vec<(u32, Vec<u8>)>,
@@ -555,18 +543,10 @@ impl SnapshotWriterV3 {
     }
 
     /// Write the snapshot to `path` atomically (temp file + rename,
-    /// unique per process and write — same contract as the v1 writer).
+    /// unique per process and write), so readers never observe a
+    /// half-written snapshot.
     pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
-        static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let bytes = self.to_bytes();
-        let seq = WRITE_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = path.with_extension(format!("tmp-snapshot-{}-{seq}", std::process::id()));
-        std::fs::write(&tmp, &bytes)?;
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            std::fs::remove_file(&tmp).ok();
-            return Err(e.into());
-        }
-        Ok(())
+        Ok(write_atomic(path, "snapshot", &self.to_bytes())?)
     }
 }
 
@@ -581,8 +561,9 @@ impl SectionBufV3<'_> {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Embed a pre-encoded payload verbatim (the v1 codecs for the
-    /// small replay-decoded sections are reused byte-identically).
+    /// Embed a pre-encoded payload verbatim (the small
+    /// replay-decoded sections are encoded through
+    /// [`crate::snapshot::SectionBuf`]).
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
@@ -617,11 +598,10 @@ pub struct MappedSnapshot {
 }
 
 impl MappedSnapshot {
-    /// Open a v3 snapshot file with the process-default
-    /// [`VerifyMode`]: mmap (or owned fallback), then header + table +
-    /// extent validation.
+    /// Open a v3 snapshot file with [`VerifyMode::Lazy`]: mmap (or
+    /// owned fallback), then header + table + extent validation.
     pub fn open(path: &Path) -> Result<MappedSnapshot, SnapshotError> {
-        MappedSnapshot::open_with(path, VerifyMode::from_env())
+        MappedSnapshot::open_with(path, VerifyMode::Lazy)
     }
 
     /// [`MappedSnapshot::open`] with an explicit verification mode.
@@ -899,7 +879,8 @@ impl<'a> SectionView<'a> {
         ))
     }
 
-    /// The whole payload (for sections that embed a v1-encoded body).
+    /// The whole payload (for sections that embed a
+    /// [`crate::snapshot::SectionBuf`]-encoded body).
     pub fn payload(&self) -> &'a [u8] {
         &self.arena.bytes()[self.base..self.base + self.len]
     }

@@ -26,11 +26,11 @@ use std::sync::OnceLock;
 
 /// A loaded, path-partitioned XML database instance.
 ///
-/// The dense per-oid columns are [`Col`]s: owned after a bulk load or a
-/// legacy snapshot decode, zero-copy views into the mapped file after a
-/// v3 snapshot open. Edge relations are *derived* state — a pure
-/// function of the `σ`/parent columns — and are materialized lazily on
-/// first access, so neither open path pays for them up front.
+/// The dense per-oid columns are [`Col`]s: owned after a bulk load,
+/// zero-copy views into the mapped file after a snapshot open. Edge
+/// relations are *derived* state — a pure function of the `σ`/parent
+/// columns — and are materialized lazily on first access, so neither
+/// path pays for them up front.
 #[derive(Debug, Clone)]
 pub struct MonetDb {
     /// Field visibility is `pub(crate)` so the snapshot codec

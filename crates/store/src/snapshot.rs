@@ -1,5 +1,5 @@
-//! Persistent snapshots: a versioned on-disk layout for the Monet
-//! relations, the structural meet index and the instance statistics.
+//! Persistent snapshots: the on-disk layout for the Monet relations,
+//! the structural meet index and the instance statistics.
 //!
 //! # Why
 //!
@@ -8,61 +8,48 @@
 //! statistics — that the seed pipeline rebuilt on every process start
 //! (parse → Monet transform → index build, O(n log n) and dominated by
 //! XML parsing and tokenization). A snapshot pays that cost **once**:
-//! [`MonetDb::save`] serializes the loaded columns and the finished
-//! index; [`MonetDb::load`] reconstructs the database with bulk
-//! little-endian column reads and linear finishing passes, no DFS, no
-//! re-tokenization. Higher layers stack their own sections on the same
-//! container: `ncq-fulltext` persists the inverted index, `ncq-shard`
-//! the partition map, `ncq-core` ties them together behind
+//! [`MonetDb::save`] writes the loaded columns and the finished index
+//! in their in-memory representation; [`MonetDb::load`] maps the file
+//! and reattaches them — no parse, no DFS, no re-tokenization. Higher
+//! layers stack their own sections on the same container:
+//! `ncq-fulltext` persists the inverted index, `ncq-shard` the
+//! partition map, `ncq-core` ties them together behind
 //! `Database::save_snapshot` / `Database::open_snapshot`.
 //!
-//! # Layouts
+//! # Layout
 //!
-//! Two container generations coexist:
+//! There is one container: 64-byte-aligned sections holding the arrays
+//! in final form, served straight out of an `mmap` with lazy
+//! per-section checksums. The container (header, section table, writer,
+//! reader, column views) lives in [`crate::mmap`]; this module holds
+//! what every section codec shares — the error type, the section ids,
+//! [`checksum64`], the little-endian [`SectionBuf`]/[`SectionCursor`]
+//! used by the small replay-decoded sections (and by the forest
+//! manifest and the remote wire codec) — plus the store's own section
+//! codecs.
 //!
-//! * **v1/v2 (legacy, materializing)** — the compact layout below.
-//!   [`SnapshotReader`] verifies every checksum up front and the codecs
-//!   rebuild derived state (depths, intervals, ranks, RMQ tables) in
-//!   linear passes.
-//! * **v3 (current, zero-copy)** — 64-byte-aligned sections holding the
-//!   arrays in their in-memory representation, served straight out of an
-//!   `mmap` with lazy per-section checksums. See [`crate::mmap`].
-//!
-//! ```text
-//! legacy container (v1/v2):
-//! offset 0   magic   b"NCQSNAP\0"                      8 bytes
-//!        8   layout version (u32 LE)                   4 bytes
-//!       12   section count  (u32 LE)                   4 bytes
-//!       16   section table: per section                28 bytes each
-//!              id (u32) · offset (u64) · len (u64) · checksum64 (u64)
-//!        …   section payloads, back to back
-//! ```
-//!
-//! Everything is little-endian. Each section's checksum covers its raw
-//! payload bytes; [`SnapshotReader::from_bytes`] verifies every
-//! checksum up front, so a bit flip anywhere surfaces as a typed
-//! [`SnapshotError`] — never a panic and never silently wrong data.
-//! Writers emit sections in a fixed order with sorted interior maps, so
-//! **snapshot bytes are a pure function of the database**: saving twice
-//! yields byte-identical files (the CI `snapshot-compat` job `cmp`s
-//! them).
+//! Every corruption mode surfaces as a typed [`SnapshotError`] — never
+//! a panic and never silently wrong data. Writers emit sections in a
+//! fixed order with sorted interior maps, so **snapshot bytes are a
+//! pure function of the database**: saving twice yields byte-identical
+//! files (the CI `snapshot-compat` job `cmp`s them).
 //!
 //! # Versioning policy
 //!
 //! `SNAPSHOT_VERSION` names the layout, not the software: any change to
 //! section payload encodings, section semantics or the header must bump
-//! it. Loaders accept every version up to the current one — legacy
-//! files route through [`SnapshotReader`], v3 files through
-//! [`crate::mmap::MappedSnapshot`] — and refuse anything newer with
-//! [`SnapshotError::UnsupportedVersion`]. [`SnapshotSource::open`]
-//! peeks the header and dispatches. Pinned fixtures
-//! (`tests/golden/snapshot_v1.bin` … `snapshot_v3.bin`) make a
-//! forgotten bump fail loudly in CI. Adding a **new optional section
-//! id** is backward compatible and needs no bump — readers ignore
-//! unknown ids.
+//! it. A build reads exactly the version it writes; any other version —
+//! the retired v1/v2 materializing layouts included — is refused at
+//! open with [`SnapshotError::UnsupportedVersion`]. There is no upgrade
+//! tool: an older file is replaced by rebuilding from the source XML
+//! and saving again. The pinned fixture `tests/golden/snapshot_v3.bin`
+//! makes a forgotten bump fail loudly in CI, and the retired
+//! `snapshot_v1.bin`/`snapshot_v2.bin` fixtures pin the refusal. Adding
+//! a **new optional section id** is backward compatible and needs no
+//! bump — readers ignore unknown ids.
 
 use crate::index::{MeetIndex, BLOCK};
-use crate::mmap::{Col, MappedSnapshot, SnapshotWriterV3, VerifyMode};
+use crate::mmap::{Col, MappedSnapshot, SnapshotWriterV3};
 use crate::monet::MonetDb;
 use crate::oid::Oid;
 use crate::path::{PathId, PathStep, PathSummary};
@@ -70,6 +57,7 @@ use crate::stats::{DepthStats, PartitionStats};
 use ncq_xml::{NodeId, Symbol, SymbolTable};
 use std::fmt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// The 8-byte file magic.
@@ -79,15 +67,6 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NCQSNAP\0";
 /// [`crate::mmap::SnapshotWriterV3`]). Bump on any payload or header
 /// change.
 pub const SNAPSHOT_VERSION: u32 = 3;
-
-/// The original materializing layout [`SnapshotWriter`] still emits for
-/// compatibility fixtures.
-pub const SNAPSHOT_VERSION_V1: u32 = 1;
-
-/// Highest version decoded by the legacy materializing reader. v2 kept
-/// v1's byte layout (it only widened the reader's tolerance), so both
-/// route through [`SnapshotReader`].
-pub const SNAPSHOT_LEGACY_MAX: u32 = 2;
 
 /// Well-known section ids. Unknown ids are ignored by readers, so
 /// higher layers can add sections without touching this crate.
@@ -163,10 +142,16 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot io error: {e}"),
             SnapshotError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
-            SnapshotError::UnsupportedVersion { found, supported } => write!(
-                f,
-                "unsupported snapshot layout version {found} (this build reads {supported})"
-            ),
+            SnapshotError::UnsupportedVersion { found, supported } => {
+                write!(
+                    f,
+                    "unsupported snapshot layout version {found} (this build reads {supported})"
+                )?;
+                if found < supported {
+                    write!(f, "; re-save from the source XML with this build")?;
+                }
+                Ok(())
+            }
             SnapshotError::Truncated { context, offset } => {
                 write!(
                     f,
@@ -262,77 +247,26 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
     h ^ (h >> 29)
 }
 
-// ----- writing -----
-
-/// Accumulates sections in memory, then emits the framed file. Section
-/// order is the writer's call order, which every codec keeps fixed —
-/// part of the byte-determinism contract.
-#[derive(Default)]
-pub struct SnapshotWriter {
-    sections: Vec<(u32, Vec<u8>)>,
+/// Write `bytes` to `path` atomically: a temp file in the same
+/// directory is renamed into place, so readers never observe a
+/// half-written file. The temp name is unique per process and write,
+/// so concurrent saves — even to the same destination — never scribble
+/// over each other's staging file; the last rename wins. The temp file
+/// is removed when either the write or the rename fails.
+pub(crate) fn write_atomic(path: &Path, kind: &str, bytes: &[u8]) -> std::io::Result<()> {
+    static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = WRITE_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp-{kind}-{}-{seq}", std::process::id()));
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    written
 }
 
 /// Append-only little-endian payload buffer for one section.
 pub struct SectionBuf<'a> {
     buf: &'a mut Vec<u8>,
-}
-
-impl SnapshotWriter {
-    /// An empty snapshot.
-    pub fn new() -> SnapshotWriter {
-        SnapshotWriter::default()
-    }
-
-    /// Start (or panic on a duplicate of) section `id`.
-    pub fn section(&mut self, id: u32) -> SectionBuf<'_> {
-        assert!(
-            self.sections.iter().all(|&(existing, _)| existing != id),
-            "duplicate snapshot section {id}"
-        );
-        self.sections.push((id, Vec::new()));
-        let buf = &mut self.sections.last_mut().expect("just pushed").1;
-        SectionBuf { buf }
-    }
-
-    /// Render the framed snapshot: header, section table, payloads.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let table_end = 16 + 28 * self.sections.len();
-        let total: usize = table_end + self.sections.iter().map(|(_, b)| b.len()).sum::<usize>();
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION_V1.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        let mut offset = table_end as u64;
-        for (id, payload) in &self.sections {
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&offset.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&checksum64(payload).to_le_bytes());
-            offset += payload.len() as u64;
-        }
-        for (_, payload) in &self.sections {
-            out.extend_from_slice(payload);
-        }
-        out
-    }
-
-    /// Write the snapshot to `path` (atomically: a temp file in the
-    /// same directory is renamed into place, so readers never observe a
-    /// half-written snapshot). The temp name is unique per process and
-    /// write, so concurrent saves — even to the same destination — never
-    /// scribble over each other's staging file; the last rename wins.
-    pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
-        static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let bytes = self.to_bytes();
-        let seq = WRITE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp = path.with_extension(format!("tmp-snapshot-{}-{seq}", std::process::id()));
-        std::fs::write(&tmp, &bytes)?;
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            std::fs::remove_file(&tmp).ok();
-            return Err(e.into());
-        }
-        Ok(())
-    }
 }
 
 impl<'a> SectionBuf<'a> {
@@ -372,236 +306,6 @@ impl<'a> SectionBuf<'a> {
         self.buf.reserve(4 * col.len());
         for v in col {
             self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Append a length-prefixed `u64` column as one contiguous LE run.
-    pub fn put_u64_col(&mut self, col: impl ExactSizeIterator<Item = u64>) {
-        self.put_u32(u32::try_from(col.len()).expect("column too long for snapshot"));
-        self.buf.reserve(8 * col.len());
-        for v in col {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-}
-
-// ----- reading -----
-
-/// A parsed, checksum-verified snapshot. Owns the raw bytes; section
-/// cursors borrow slices of them (the bulk column decodes are straight
-/// `chunks_exact` runs over the mapped payload).
-pub struct SnapshotReader {
-    data: Vec<u8>,
-    /// `(id, payload range)` in file order.
-    table: Vec<(u32, std::ops::Range<usize>)>,
-}
-
-impl SnapshotReader {
-    /// Read and verify a snapshot file.
-    pub fn open(path: &Path) -> Result<SnapshotReader, SnapshotError> {
-        SnapshotReader::from_bytes(std::fs::read(path)?)
-    }
-
-    /// Parse and verify a snapshot from raw bytes: magic, version,
-    /// table bounds, and **every** section checksum.
-    pub fn from_bytes(data: Vec<u8>) -> Result<SnapshotReader, SnapshotError> {
-        if data.len() < 8 {
-            return Err(SnapshotError::Truncated {
-                context: "magic",
-                offset: 0,
-            });
-        }
-        if data[..8] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        if data.len() < 16 {
-            return Err(SnapshotError::Truncated {
-                context: "header",
-                offset: 8,
-            });
-        }
-        let version = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
-        if !(SNAPSHOT_VERSION_V1..=SNAPSHOT_LEGACY_MAX).contains(&version) {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        let count = u32::from_le_bytes(data[12..16].try_into().expect("4 bytes")) as usize;
-        let table_end = 16usize
-            .checked_add(count.checked_mul(28).ok_or(SnapshotError::Corrupt {
-                context: "section count overflows",
-            })?)
-            .ok_or(SnapshotError::Corrupt {
-                context: "section table overflows",
-            })?;
-        if data.len() < table_end {
-            return Err(SnapshotError::Truncated {
-                context: "section table",
-                offset: 16,
-            });
-        }
-        let mut table = Vec::with_capacity(count);
-        for i in 0..count {
-            let at = 16 + 28 * i;
-            let id = u32::from_le_bytes(data[at..at + 4].try_into().expect("4 bytes"));
-            let offset = u64::from_le_bytes(data[at + 4..at + 12].try_into().expect("8 bytes"));
-            let len = u64::from_le_bytes(data[at + 12..at + 20].try_into().expect("8 bytes"));
-            let checksum = u64::from_le_bytes(data[at + 20..at + 28].try_into().expect("8 bytes"));
-            let start = usize::try_from(offset).map_err(|_| SnapshotError::Corrupt {
-                context: "section offset overflows",
-            })?;
-            let end = start
-                .checked_add(usize::try_from(len).map_err(|_| SnapshotError::Corrupt {
-                    context: "section length overflows",
-                })?)
-                .ok_or(SnapshotError::Corrupt {
-                    context: "section range overflows",
-                })?;
-            if start < table_end || end > data.len() {
-                return Err(SnapshotError::Truncated {
-                    context: "section payload",
-                    offset,
-                });
-            }
-            if table.iter().any(|&(existing, _)| existing == id) {
-                return Err(SnapshotError::Corrupt {
-                    context: "duplicate section id",
-                });
-            }
-            if checksum64(&data[start..end]) != checksum {
-                return Err(SnapshotError::ChecksumMismatch {
-                    section: crate::mmap::section_name(id),
-                    offset,
-                });
-            }
-            table.push((id, start..end));
-        }
-        Ok(SnapshotReader { data, table })
-    }
-
-    /// Whether a section is present.
-    pub fn has_section(&self, id: u32) -> bool {
-        self.table.iter().any(|&(existing, _)| existing == id)
-    }
-
-    /// A cursor over a required section's payload.
-    pub fn section(&self, id: u32) -> Result<SectionCursor<'_>, SnapshotError> {
-        let range = self
-            .table
-            .iter()
-            .find(|&&(existing, _)| existing == id)
-            .map(|(_, r)| r.clone())
-            .ok_or(SnapshotError::MissingSection { section: id })?;
-        Ok(SectionCursor {
-            buf: &self.data[range],
-            pos: 0,
-        })
-    }
-}
-
-// ----- version dispatch -----
-
-/// Read the 12-byte preamble of an in-memory image: magic + version.
-fn peek_version_bytes(data: &[u8]) -> Result<u32, SnapshotError> {
-    if data.len() < 8 {
-        return Err(SnapshotError::Truncated {
-            context: "magic",
-            offset: 0,
-        });
-    }
-    if data[..8] != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    if data.len() < 12 {
-        return Err(SnapshotError::Truncated {
-            context: "header",
-            offset: 8,
-        });
-    }
-    Ok(u32::from_le_bytes(data[8..12].try_into().expect("4 bytes")))
-}
-
-/// Peek a snapshot file's layout version without reading the payload.
-fn peek_version_file(path: &Path) -> Result<u32, SnapshotError> {
-    use std::io::Read;
-    let mut f = std::fs::File::open(path)?;
-    let mut head = [0u8; 12];
-    let mut filled = 0usize;
-    while filled < head.len() {
-        match f.read(&mut head[filled..]) {
-            Ok(0) => break,
-            Ok(k) => filled += k,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    peek_version_bytes(&head[..filled])
-}
-
-/// A snapshot opened through the version dispatcher: legacy (v1/v2)
-/// files parse through the materializing [`SnapshotReader`], v3 files
-/// map through [`MappedSnapshot`]. Every open path in the workspace —
-/// `Database`, `ShardedDb`, the catalog, the forest — funnels through
-/// here, so old files keep loading answer-identically while new files
-/// take the zero-copy route. Versions above [`SNAPSHOT_VERSION`] are a
-/// typed [`SnapshotError::UnsupportedVersion`].
-pub enum SnapshotSource {
-    /// A fully verified, materialized legacy container (v1/v2).
-    Legacy(SnapshotReader),
-    /// A v3 container, mapped — or heap-backed under `NCQ_NO_MMAP` /
-    /// on non-unix hosts.
-    Mapped(MappedSnapshot),
-}
-
-impl SnapshotSource {
-    /// Open `path`, peeking the header to pick the decoder.
-    pub fn open(path: &Path) -> Result<SnapshotSource, SnapshotError> {
-        match peek_version_file(path)? {
-            SNAPSHOT_VERSION_V1..=SNAPSHOT_LEGACY_MAX => {
-                Ok(SnapshotSource::Legacy(SnapshotReader::open(path)?))
-            }
-            SNAPSHOT_VERSION => Ok(SnapshotSource::Mapped(MappedSnapshot::open(path)?)),
-            found => Err(SnapshotError::UnsupportedVersion {
-                found,
-                supported: SNAPSHOT_VERSION,
-            }),
-        }
-    }
-
-    /// Dispatch over an in-memory image — the wire path (snapshots
-    /// received over the remote protocol) and the test path. A v3
-    /// image is adopted into an owned, 64-byte-aligned arena.
-    pub fn from_bytes(data: Vec<u8>) -> Result<SnapshotSource, SnapshotError> {
-        match peek_version_bytes(&data)? {
-            SNAPSHOT_VERSION_V1..=SNAPSHOT_LEGACY_MAX => {
-                Ok(SnapshotSource::Legacy(SnapshotReader::from_bytes(data)?))
-            }
-            SNAPSHOT_VERSION => Ok(SnapshotSource::Mapped(MappedSnapshot::from_owned_bytes(
-                data,
-                VerifyMode::from_env(),
-            )?)),
-            found => Err(SnapshotError::UnsupportedVersion {
-                found,
-                supported: SNAPSHOT_VERSION,
-            }),
-        }
-    }
-
-    /// Whether a section is present.
-    pub fn has_section(&self, id: u32) -> bool {
-        match self {
-            SnapshotSource::Legacy(r) => r.has_section(id),
-            SnapshotSource::Mapped(m) => m.has_section(id),
-        }
-    }
-
-    /// Whether payloads are served from a memory map (false for legacy
-    /// containers and for the owned v3 fallback).
-    pub fn is_mapped(&self) -> bool {
-        match self {
-            SnapshotSource::Legacy(_) => false,
-            SnapshotSource::Mapped(m) => m.is_mapped(),
         }
     }
 }
@@ -671,39 +375,6 @@ impl<'a> SectionCursor<'a> {
             .collect())
     }
 
-    /// Read a length-prefixed `u32` column, mapping every element
-    /// through `f` after a `< bound` range check — one pass, one
-    /// allocation (the hot path of the bulk column loads; pass
-    /// `u32::MAX` as `bound` for unconstrained values).
-    pub fn get_u32_col_mapped<T>(
-        &mut self,
-        context: &'static str,
-        bound: u32,
-        f: impl Fn(u32) -> T,
-    ) -> Result<Vec<T>, SnapshotError> {
-        let len = self.get_u32(context)? as usize;
-        let bytes = self.take(4 * len, context)?;
-        let mut out = Vec::with_capacity(len);
-        for c in bytes.chunks_exact(4) {
-            let v = u32::from_le_bytes(c.try_into().expect("4 bytes"));
-            if v >= bound {
-                return Err(SnapshotError::Corrupt { context });
-            }
-            out.push(f(v));
-        }
-        Ok(out)
-    }
-
-    /// Read a length-prefixed `u64` column.
-    pub fn get_u64_col(&mut self, context: &'static str) -> Result<Vec<u64>, SnapshotError> {
-        let len = self.get_u32(context)? as usize;
-        let bytes = self.take(8 * len, context)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
-    }
-
     /// Whether the cursor consumed the whole payload.
     pub fn at_end(&self) -> bool {
         self.pos == self.buf.len()
@@ -726,9 +397,9 @@ const STEP_ELEMENT: u8 = 0;
 const STEP_ATTRIBUTE: u8 = 1;
 const STEP_CDATA: u8 = 2;
 
-// Shared payload codecs: the SYMBOLS / PATHS / STRINGS payloads are
-// byte-identical in the legacy and v3 containers (they materialize at
-// decode either way), so both writers and both readers call these.
+// The SYMBOLS / PATHS / STRINGS payloads are length-prefixed replay
+// encodings: they materialize at decode (interning, boxed strings), so
+// they gain nothing from the aligned final-form treatment.
 
 /// SYMBOLS payload: interning order reproduces ids on replay.
 fn encode_symbols_into(symbols: &SymbolTable, s: &mut SectionBuf<'_>) {
@@ -874,382 +545,14 @@ fn decode_strings(
 }
 
 impl MonetDb {
-    /// Serialize the store into `writer` (the **legacy v1 container**):
-    /// symbols, path summary, dense columns, string relations, the
-    /// (eagerly built) meet index and the instance statistics. Edge
-    /// relations are *not* written — they are a pure function of the
-    /// `σ`/parent columns and are rebuilt lazily, byte-identically.
-    /// Kept as a writer so compatibility fixtures and cross-version
-    /// tests can still mint legacy files; [`MonetDb::save`] writes the
-    /// v3 layout.
-    pub fn encode_snapshot(&self, writer: &mut SnapshotWriter) {
-        let mut s = writer.section(section::SYMBOLS);
-        encode_symbols_into(&self.symbols, &mut s);
-
-        let mut s = writer.section(section::PATHS);
-        encode_paths_into(&self.summary, &mut s);
-
-        // COLUMNS: the dense per-oid arrays, one contiguous LE run
-        // each. Only `σ` and parent are stored — sibling ranks are
-        // recomputed from the parent column in one linear pass (a
-        // parent's children appear in oid order), and the node↔oid
-        // provenance maps collapse to a single flag byte when they are
-        // the identity permutation (always true for parsed documents,
-        // whose arena ids are assigned in document order).
-        let n = self.sigma.len();
-        let mut s = writer.section(section::COLUMNS);
-        s.put_u32(n as u32);
-        s.put_u32_col(self.sigma.iter().map(|p| p.index() as u32));
-        s.put_u32_col(self.parent.iter().map(|o| o.index() as u32));
-        // Empty provenance vectors already mean "identity" (the
-        // snapshot-loaded representation), so a save → load → save
-        // cycle stays byte-stable.
-        let identity = self
-            .node_of_oid
-            .iter()
-            .enumerate()
-            .all(|(i, nd)| nd.index() == i)
-            && self
-                .oid_of_node
-                .iter()
-                .enumerate()
-                .all(|(i, o)| o.index() == i);
-        s.put_u8(identity as u8);
-        if !identity {
-            s.put_u32_col(self.node_of_oid.iter().map(|n| n.index() as u32));
-            s.put_u32_col(self.oid_of_node.iter().map(|o| o.index() as u32));
-        }
-
-        let mut s = writer.section(section::STRINGS);
-        encode_strings_into(&self.strings, &mut s);
-
-        // MEET_INDEX: the Euler tour and the per-path document-order
-        // postings. Because OIDs are preorder and the tour is a DFS
-        // walk, every tour step is either *down* to the next
-        // undiscovered oid or *up* to the current node's parent — one
-        // bit per step (2n − 2 bits ≈ n/4 bytes, vs 4 bytes per tour
-        // entry), packed LSB-first into u64 words. Depths and preorder
-        // intervals are recomputed from the parent column, and the
-        // block RMQ tables are linear-pass reconstructions
-        // (`MeetIndex::assemble`) — the construction DFS never reruns.
-        let index = self.meet_index();
-        let mut s = writer.section(section::MEET_INDEX);
-        let steps = index.tour.len() - 1;
-        s.put_u32(steps as u32);
-        let words = steps.div_ceil(64);
-        let mut packed = vec![0u64; words];
-        for (i, w) in index.tour.windows(2).enumerate() {
-            // Down-steps discover a new (larger) oid; up-steps return
-            // to the (smaller) parent.
-            if w[1] > w[0] {
-                packed[i / 64] |= 1 << (i % 64);
-            }
-        }
-        s.put_u64_col(packed.into_iter());
-        s.put_u32(index.path_count() as u32);
-        for pi in 0..index.path_count() {
-            let oids = index.oids_of_path(PathId::from_index(pi));
-            s.put_u32_col(oids.iter().map(|o| o.index() as u32));
-        }
-
-        // STATS: the planner and partitioner inputs.
-        let depth_stats = self.depth_stats();
-        let partition_stats = self.partition_stats();
-        let mut s = writer.section(section::STATS);
-        s.put_u64(depth_stats.nodes as u64);
-        s.put_u64(depth_stats.max_depth as u64);
-        s.put_u64(depth_stats.mean_depth.to_bits());
-        s.put_u64(depth_stats.p90_depth as u64);
-        // Per-oid masses, compact: `mass − 1` fits a byte for all but
-        // pathological objects (mass = 1 structural unit + strings(o)),
-        // so the column is ~1 byte/object instead of 8; 0xFF escapes to
-        // a full u64.
-        s.put_u32(partition_stats.len() as u32);
-        for i in 0..partition_stats.len() {
-            let m = partition_stats.mass_of(i) - 1;
-            if m < 0xFF {
-                s.put_u8(m as u8);
-            } else {
-                s.put_u8(0xFF);
-                s.put_u64(m);
-            }
-        }
-    }
-
-    /// Reconstruct a store from a verified snapshot.
-    pub fn decode_snapshot(reader: &SnapshotReader) -> Result<MonetDb, SnapshotError> {
-        // SYMBOLS.
-        let mut s = reader.section(section::SYMBOLS)?;
-        let symbols = decode_symbols(&mut s)?;
-
-        // PATHS.
-        let mut s = reader.section(section::PATHS)?;
-        let summary = decode_paths(&mut s, &symbols)?;
-        let path_count = summary.len();
-
-        // COLUMNS.
-        let mut s = reader.section(section::COLUMNS)?;
-        let n = s.get_u32("object count")? as usize;
-        if n == 0 {
-            return Err(SnapshotError::Corrupt {
-                context: "empty instance (a loaded document has a root)",
-            });
-        }
-        // Unchecked bulk decode + separate vectorizable max scans, then
-        // a one-pass convert; cheaper than branchy per-element checks.
-        let sigma_raw = s.get_u32_col("sigma column")?;
-        let parent_raw = s.get_u32_col("parent column")?;
-        if sigma_raw.len() != n || parent_raw.len() != n {
-            return Err(SnapshotError::Corrupt {
-                context: "column length mismatch",
-            });
-        }
-        if sigma_raw
-            .iter()
-            .max()
-            .is_some_and(|&p| p as usize >= path_count)
-        {
-            return Err(SnapshotError::Corrupt {
-                context: "sigma path out of range",
-            });
-        }
-        let sigma: Vec<PathId> = sigma_raw
-            .iter()
-            .map(|&p| PathId::from_index(p as usize))
-            .collect();
-        drop(sigma_raw);
-        if parent_raw[0] != 0 || (1..n).any(|i| parent_raw[i] as usize >= i) {
-            return Err(SnapshotError::Corrupt {
-                context: "parent column is not preorder",
-            });
-        }
-        let parent: Vec<Oid> = parent_raw
-            .iter()
-            .map(|&o| Oid::from_index(o as usize))
-            .collect();
-        // Sibling ranks: children of any parent appear in oid order, so
-        // one counting pass reproduces `Document::rank` exactly.
-        let mut rank = vec![0u32; n];
-        let mut next_rank = vec![0u32; n];
-        for i in 1..n {
-            let p = parent_raw[i] as usize;
-            rank[i] = next_rank[p];
-            next_rank[p] += 1;
-        }
-        drop(next_rank);
-        // Provenance maps: a flag byte marks the identity permutation
-        // (parsed documents), represented as empty vectors — the
-        // accessors fall back to the identity; explicit columns
-        // otherwise.
-        let (node_of_oid, oid_of_node) = if s.get_u8("provenance flag")? == 1 {
-            (Vec::new(), Vec::new())
-        } else {
-            let nodes: Vec<NodeId> = s.get_u32_col_mapped("node_of_oid column", u32::MAX, |v| {
-                NodeId::from_index(v as usize)
-            })?;
-            let oids: Vec<Oid> = s.get_u32_col_mapped("oid_of_node column", n as u32, |v| {
-                Oid::from_index(v as usize)
-            })?;
-            if nodes.len() != n || oids.len() != n {
-                return Err(SnapshotError::Corrupt {
-                    context: "provenance column length mismatch",
-                });
-            }
-            (nodes, oids)
-        };
-
-        // STRINGS.
-        let mut s = reader.section(section::STRINGS)?;
-        let strings = decode_strings(&mut s, path_count, n)?;
-
-        // Edge relations are *not* decoded — they are derived lazily
-        // from the `σ`/parent columns on first `edges_of` call, in the
-        // exact bulk-load push order.
-
-        // MEET_INDEX. Depths and preorder intervals are pure functions
-        // of the (already validated, preorder) parent column — one
-        // forward and one reverse pass, the same folds the builder
-        // runs.
-        let mut depth = vec![0u32; n];
-        for i in 1..n {
-            depth[i] = depth[parent_raw[i] as usize] + 1;
-        }
-        let mut subtree_end: Vec<u32> = (1..=n as u32).collect();
-        for i in (1..n).rev() {
-            let p = parent_raw[i] as usize;
-            if subtree_end[p] < subtree_end[i] {
-                subtree_end[p] = subtree_end[i];
-            }
-        }
-        let mut s = reader.section(section::MEET_INDEX)?;
-        // Replay the bit-packed walk: a set bit descends to the next
-        // undiscovered oid (preorder discovery order), a clear bit
-        // climbs to the parent. Every reconstructed entry is < n by
-        // construction, so no separate range scan is needed.
-        let steps = s.get_u32("index tour steps")? as usize;
-        let packed = s.get_u64_col("index tour bits")?;
-        if steps != 2 * n - 2 || packed.len() != steps.div_ceil(64) {
-            return Err(SnapshotError::Corrupt {
-                context: "meet index shape mismatch",
-            });
-        }
-        let mut tour: Vec<u32> = Vec::with_capacity(steps + 1);
-        let mut first_visit: Vec<u32> = Vec::with_capacity(n);
-        tour.push(0);
-        first_visit.push(0);
-        {
-            let mut cur = 0u32;
-            for (i, &word) in packed.iter().enumerate() {
-                let bits = if (i + 1) * 64 <= steps {
-                    64
-                } else {
-                    steps - i * 64
-                };
-                for b in 0..bits {
-                    if word >> b & 1 == 1 {
-                        // Down-step: discover the next oid; its first
-                        // visit is the position about to be pushed. The
-                        // descent must follow a real tree edge —
-                        // without this check a wrong-but-checksummed
-                        // bit stream could reconstruct a non-Euler walk
-                        // whose RMQ answers meets silently wrong.
-                        let next = first_visit.len();
-                        if next >= n {
-                            return Err(SnapshotError::Corrupt {
-                                context: "euler tour discovers too many objects",
-                            });
-                        }
-                        if parent_raw[next] != cur {
-                            return Err(SnapshotError::Corrupt {
-                                context: "euler tour descends a non-edge",
-                            });
-                        }
-                        cur = next as u32;
-                        first_visit.push(tour.len() as u32);
-                    } else {
-                        if cur == 0 {
-                            return Err(SnapshotError::Corrupt {
-                                context: "euler tour climbs above the root",
-                            });
-                        }
-                        cur = parent_raw[cur as usize];
-                    }
-                    tour.push(cur);
-                }
-            }
-            if first_visit.len() != n {
-                return Err(SnapshotError::Corrupt {
-                    context: "euler tour does not discover every object",
-                });
-            }
-        }
-        let index_paths = s.get_u32("index path count")? as usize;
-        if index_paths != path_count {
-            return Err(SnapshotError::Corrupt {
-                context: "meet index shape mismatch",
-            });
-        }
-        let mut path_oids: Vec<Vec<Oid>> = Vec::with_capacity(path_count);
-        let mut posted = 0usize;
-        for _ in 0..path_count {
-            let oids = s.get_u32_col_mapped("index path postings", n as u32, |v| {
-                Oid::from_index(v as usize)
-            })?;
-            posted += oids.len();
-            path_oids.push(oids);
-        }
-        if posted != n {
-            return Err(SnapshotError::Corrupt {
-                context: "postings do not cover the instance",
-            });
-        }
-        let index =
-            MeetIndex::assemble_with_visits(depth, subtree_end, tour, first_visit, path_oids);
-
-        // STATS.
-        let mut s = reader.section(section::STATS)?;
-        let depth_stats = DepthStats {
-            nodes: s.get_u64("depth stats nodes")? as usize,
-            max_depth: s.get_u64("depth stats max")? as usize,
-            mean_depth: f64::from_bits(s.get_u64("depth stats mean")?),
-            p90_depth: s.get_u64("depth stats p90")? as usize,
-        };
-        if depth_stats.nodes != n {
-            return Err(SnapshotError::Corrupt {
-                context: "depth stats disagree with columns",
-            });
-        }
-        let weight_count = s.get_u32("partition weight count")? as usize;
-        if weight_count != n {
-            return Err(SnapshotError::Corrupt {
-                context: "partition weights length mismatch",
-            });
-        }
-        // Specialized raw-slice loop accumulating the prefix sums
-        // directly: one byte per object in the common case, no
-        // intermediate weights vector, no per-read cursor plumbing.
-        let mut prefix = Vec::with_capacity(n + 1);
-        prefix.push(0u64);
-        {
-            let buf = s.buf;
-            let mut pos = s.pos;
-            let mut acc = 0u64;
-            for _ in 0..n {
-                let b = *buf.get(pos).ok_or(SnapshotError::Corrupt {
-                    context: "partition weight",
-                })?;
-                pos += 1;
-                let m = if b == 0xFF {
-                    let end = pos + 8;
-                    if end > buf.len() {
-                        return Err(SnapshotError::Corrupt {
-                            context: "partition weight escape",
-                        });
-                    }
-                    let wide = u64::from_le_bytes(buf[pos..end].try_into().expect("8 bytes"));
-                    pos = end;
-                    wide
-                } else {
-                    b as u64
-                };
-                acc = m.checked_add(1).and_then(|w| acc.checked_add(w)).ok_or(
-                    SnapshotError::Corrupt {
-                        context: "partition weight overflows",
-                    },
-                )?;
-                prefix.push(acc);
-            }
-            s.pos = pos;
-        }
-        debug_assert!(s.at_end(), "stats section fully consumed");
-        let partition_stats = PartitionStats::from_prefix(prefix);
-
-        let db = MonetDb {
-            symbols,
-            summary,
-            sigma: sigma.into(),
-            parent: parent.into(),
-            rank: rank.into(),
-            edges: OnceLock::new(),
-            strings,
-            node_of_oid,
-            oid_of_node,
-            meet_index: OnceLock::new(),
-            depth_stats: OnceLock::new(),
-            partition_stats: OnceLock::new(),
-        };
-        let _ = db.meet_index.set(index);
-        let _ = db.depth_stats.set(depth_stats);
-        let _ = db.partition_stats.set(partition_stats);
-        Ok(db)
-    }
-
-    /// Serialize the store into the **v3 zero-copy container**: the
-    /// same SYMBOLS / PATHS / STRINGS payloads as v1 (those materialize
-    /// at decode in every generation) plus final-form, 64-byte-aligned
-    /// arrays for the dense columns, the finished meet index and the
+    /// Serialize the store into the **v3 zero-copy container**:
+    /// replay-encoded SYMBOLS / PATHS / STRINGS payloads (those
+    /// materialize at decode) plus final-form, 64-byte-aligned arrays
+    /// for the dense columns, the finished meet index and the
     /// statistics — exactly the in-memory representation, so a v3 open
-    /// is a map + pointer fixup, not a rebuild.
+    /// is a map + pointer fixup, not a rebuild. Edge relations are
+    /// *not* written — they are a pure function of the `σ`/parent
+    /// columns and are rebuilt lazily, byte-identically.
     pub fn encode_snapshot_v3(&self, writer: &mut SnapshotWriterV3) {
         let mut buf = Vec::new();
         encode_symbols_into(&self.symbols, &mut SectionBuf::over(&mut buf));
@@ -1259,9 +562,13 @@ impl MonetDb {
         encode_paths_into(&self.summary, &mut SectionBuf::over(&mut buf));
         writer.section(section::PATHS).put_raw(&buf);
 
-        // COLUMNS: `σ`, parent and rank in final form. Unlike v1, the
-        // rank column is stored rather than recomputed — the whole
-        // point is that the open performs no linear passes.
+        // COLUMNS: `σ`, parent and rank in final form. The rank column
+        // is stored although the parent column determines it — the
+        // whole point is that the open performs no linear passes. The
+        // node↔oid provenance maps collapse to one flag when they are
+        // the identity permutation (always true for parsed documents);
+        // empty vectors already mean "identity" (the snapshot-loaded
+        // representation), so save → load → save stays byte-stable.
         let n = self.sigma.len();
         let identity = self
             .node_of_oid
@@ -1322,7 +629,7 @@ impl MonetDb {
         s.put_col::<Oid>(&index.path_data);
 
         // STATS: the scalars plus the partition prefix sums in final
-        // form (v1 re-derives them from a packed weight column).
+        // form.
         let depth_stats = self.depth_stats();
         let partition_stats = self.partition_stats();
         let mut s = writer.section(section::STATS);
@@ -1489,14 +796,6 @@ impl MonetDb {
         Ok(db)
     }
 
-    /// Reconstruct a store from any dispatched snapshot source.
-    pub fn decode_source(source: &SnapshotSource) -> Result<MonetDb, SnapshotError> {
-        match source {
-            SnapshotSource::Legacy(r) => MonetDb::decode_snapshot(r),
-            SnapshotSource::Mapped(m) => MonetDb::decode_snapshot_v3(m),
-        }
-    }
-
     /// Save the store (plus index and stats) as a standalone v3
     /// snapshot file. Higher layers that stack more sections go through
     /// [`MonetDb::encode_snapshot_v3`] instead.
@@ -1506,18 +805,18 @@ impl MonetDb {
         writer.write_to(path)
     }
 
-    /// Load a store from a snapshot file of any supported layout
-    /// version: v3 maps (no parse, no DFS, no O(n log n) preprocess —
-    /// the index and stats arrive in final form), v1/v2 take the
-    /// legacy materializing path.
+    /// Load a store from a snapshot file: map it and reattach the
+    /// columns (no parse, no DFS, no O(n log n) preprocess — the index
+    /// and stats arrive in final form).
     pub fn load(path: &Path) -> Result<MonetDb, SnapshotError> {
-        MonetDb::decode_source(&SnapshotSource::open(path)?)
+        MonetDb::decode_snapshot_v3(&MappedSnapshot::open(path)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mmap::{align64, VerifyMode};
     use ncq_xml::parse;
 
     const FIGURE1: &str = r#"
@@ -1540,19 +839,20 @@ mod tests {
         MonetDb::from_document(&parse(FIGURE1).unwrap())
     }
 
-    fn snapshot_bytes(db: &MonetDb) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        db.encode_snapshot(&mut w);
+    fn snapshot_bytes_v3(db: &MonetDb) -> Vec<u8> {
+        let mut w = SnapshotWriterV3::new();
+        db.encode_snapshot_v3(&mut w);
         w.to_bytes()
     }
 
+    fn decode(bytes: Vec<u8>) -> Result<MonetDb, SnapshotError> {
+        MonetDb::decode_snapshot_v3(&MappedSnapshot::from_owned_bytes(bytes, VerifyMode::Eager)?)
+    }
+
     #[test]
-    fn round_trip_preserves_every_relation_and_lookup() {
+    fn v3_round_trip_preserves_every_relation_and_lookup() {
         let original = db();
-        let loaded = MonetDb::decode_snapshot(
-            &SnapshotReader::from_bytes(snapshot_bytes(&original)).unwrap(),
-        )
-        .unwrap();
+        let loaded = decode(snapshot_bytes_v3(&original)).unwrap();
 
         assert_eq!(loaded.node_count(), original.node_count());
         assert_eq!(loaded.summary().len(), original.summary().len());
@@ -1578,203 +878,6 @@ mod tests {
                 loaded.meet_index().oids_of_path(p),
                 original.meet_index().oids_of_path(p)
             );
-        }
-    }
-
-    #[test]
-    fn snapshot_bytes_are_deterministic() {
-        let original = db();
-        assert_eq!(snapshot_bytes(&original), snapshot_bytes(&original));
-        // A freshly loaded clone re-saves byte-identically too.
-        let loaded = MonetDb::decode_snapshot(
-            &SnapshotReader::from_bytes(snapshot_bytes(&original)).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(snapshot_bytes(&loaded), snapshot_bytes(&original));
-    }
-
-    #[test]
-    fn save_and_load_round_trip_through_a_file() {
-        let dir = std::env::temp_dir().join("ncq-snapshot-store-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("figure1.ncq");
-        let original = db();
-        original.save(&path).unwrap();
-        let loaded = MonetDb::load(&path).unwrap();
-        assert_eq!(loaded.dump_relations(), original.dump_relations());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn bad_magic_is_typed() {
-        let mut bytes = snapshot_bytes(&db());
-        bytes[0] ^= 0xFF;
-        assert!(matches!(
-            SnapshotReader::from_bytes(bytes),
-            Err(SnapshotError::BadMagic)
-        ));
-    }
-
-    #[test]
-    fn version_mismatch_is_typed() {
-        let mut bytes = snapshot_bytes(&db());
-        bytes[8] = 99;
-        assert!(matches!(
-            SnapshotReader::from_bytes(bytes),
-            Err(SnapshotError::UnsupportedVersion { found: 99, .. })
-        ));
-    }
-
-    #[test]
-    fn payload_bit_flips_fail_the_checksum() {
-        let bytes = snapshot_bytes(&db());
-        // Flip one byte in every section payload in turn.
-        let table_end = {
-            let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-            16 + 28 * count
-        };
-        for at in [table_end, table_end + 97, bytes.len() - 1] {
-            let mut corrupt = bytes.clone();
-            corrupt[at] ^= 0x10;
-            assert!(
-                matches!(
-                    SnapshotReader::from_bytes(corrupt),
-                    Err(SnapshotError::ChecksumMismatch { .. })
-                ),
-                "flip at {at} went undetected"
-            );
-        }
-    }
-
-    #[test]
-    fn truncation_at_every_length_is_typed_not_a_panic() {
-        let bytes = snapshot_bytes(&db());
-        // Exhaustive prefix truncation: cheap at Figure 1 scale and
-        // covers every section boundary by construction.
-        for len in 0..bytes.len() {
-            let result = SnapshotReader::from_bytes(bytes[..len].to_vec())
-                .and_then(|r| MonetDb::decode_snapshot(&r));
-            assert!(result.is_err(), "prefix of {len} bytes decoded");
-        }
-    }
-
-    #[test]
-    fn missing_section_is_typed() {
-        let mut w = SnapshotWriter::new();
-        w.section(section::SYMBOLS).put_u32(0);
-        let r = SnapshotReader::from_bytes(w.to_bytes()).unwrap();
-        assert!(matches!(
-            r.section(section::COLUMNS),
-            Err(SnapshotError::MissingSection {
-                section: section::COLUMNS
-            })
-        ));
-        assert!(matches!(
-            MonetDb::decode_snapshot(&r),
-            Err(SnapshotError::MissingSection { .. })
-        ));
-    }
-
-    #[test]
-    fn huge_declared_counts_fail_typed_without_allocating() {
-        // A checksum-valid payload whose length prefix claims ~4 billion
-        // string entries must not abort on a pre-allocation — capacity
-        // is clamped to the actual payload, so it fails typed.
-        let original = db();
-        let mut w = SnapshotWriter::new();
-        original.encode_snapshot(&mut w);
-        let mut bytes = w.to_bytes();
-        // Find the STRINGS section and rewrite its first relation's
-        // length prefix (right after the u32 path count), then repair
-        // the checksum so only the decoder sees the lie.
-        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        let (mut start, mut end) = (0usize, 0usize);
-        let mut table_at = 0usize;
-        for i in 0..count {
-            let at = 16 + 28 * i;
-            if u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == section::STRINGS {
-                start = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
-                end = start
-                    + u64::from_le_bytes(bytes[at + 12..at + 20].try_into().unwrap()) as usize;
-                table_at = at;
-            }
-        }
-        bytes[start + 4..start + 8].copy_from_slice(&u32::MAX.to_le_bytes());
-        let sum = checksum64(&bytes[start..end]);
-        bytes[table_at + 20..table_at + 28].copy_from_slice(&sum.to_le_bytes());
-        let result = MonetDb::decode_snapshot(&SnapshotReader::from_bytes(bytes).unwrap());
-        assert!(matches!(result, Err(SnapshotError::Corrupt { .. })));
-    }
-
-    #[test]
-    fn non_edge_tour_bits_fail_typed_not_silently_wrong() {
-        // A 3-node chain r -> x -> y. The canonical tour bits are
-        // down,down,up,up (0b0011 LSB-first). Rewriting them to
-        // down,up,down,up (0b0101) keeps the step count, discovers
-        // every oid and never climbs above the root — but the second
-        // down would descend the non-edge r -> y, which must be a
-        // typed Corrupt, not an index that answers meets wrongly.
-        let chain = MonetDb::from_document(&parse("<r><x><y/></x></r>").unwrap());
-        let mut w = SnapshotWriter::new();
-        chain.encode_snapshot(&mut w);
-        let mut bytes = w.to_bytes();
-        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        for i in 0..count {
-            let at = 16 + 28 * i;
-            if u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == section::MEET_INDEX {
-                let start = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
-                let end = start
-                    + u64::from_le_bytes(bytes[at + 12..at + 20].try_into().unwrap()) as usize;
-                // Payload: steps u32, word count u32, then the word.
-                assert_eq!(bytes[start + 8], 0b0011);
-                bytes[start + 8] = 0b0101;
-                let sum = checksum64(&bytes[start..end]);
-                bytes[at + 20..at + 28].copy_from_slice(&sum.to_le_bytes());
-            }
-        }
-        let result = MonetDb::decode_snapshot(&SnapshotReader::from_bytes(bytes).unwrap());
-        assert!(matches!(
-            result,
-            Err(SnapshotError::Corrupt {
-                context: "euler tour descends a non-edge"
-            })
-        ));
-    }
-
-    fn snapshot_bytes_v3(db: &MonetDb) -> Vec<u8> {
-        let mut w = SnapshotWriterV3::new();
-        db.encode_snapshot_v3(&mut w);
-        w.to_bytes()
-    }
-
-    #[test]
-    fn v3_round_trip_preserves_every_relation_and_lookup() {
-        let original = db();
-        let source = SnapshotSource::from_bytes(snapshot_bytes_v3(&original)).unwrap();
-        assert!(matches!(source, SnapshotSource::Mapped(_)));
-        let loaded = MonetDb::decode_source(&source).unwrap();
-
-        assert_eq!(loaded.dump_tree(), original.dump_tree());
-        assert_eq!(loaded.dump_relations(), original.dump_relations());
-        assert_eq!(loaded.stats(), original.stats());
-        assert_eq!(loaded.depth_stats(), original.depth_stats());
-        assert_eq!(loaded.partition_stats(), original.partition_stats());
-        for o in original.iter_oids() {
-            assert_eq!(loaded.sigma(o), original.sigma(o));
-            assert_eq!(loaded.parent(o), original.parent(o));
-            assert_eq!(loaded.rank(o), original.rank(o));
-            assert_eq!(loaded.node_of(o), original.node_of(o));
-        }
-        let (a, b) = (Oid::from_index(5), Oid::from_index(15));
-        assert_eq!(
-            loaded.meet_index().meet(a, b),
-            original.meet_index().meet(a, b)
-        );
-        for p in original.summary().iter() {
-            assert_eq!(
-                loaded.meet_index().oids_of_path(p),
-                original.meet_index().oids_of_path(p)
-            );
             assert_eq!(loaded.edges_of(p), original.edges_of(p));
             assert_eq!(loaded.strings_of(p), original.strings_of(p));
         }
@@ -1785,58 +888,93 @@ mod tests {
         let original = db();
         let bytes = snapshot_bytes_v3(&original);
         assert_eq!(bytes, snapshot_bytes_v3(&original));
-        let loaded =
-            MonetDb::decode_source(&SnapshotSource::from_bytes(bytes.clone()).unwrap()).unwrap();
+        // A freshly loaded clone re-saves byte-identically too.
+        let loaded = decode(bytes.clone()).unwrap();
         assert_eq!(snapshot_bytes_v3(&loaded), bytes);
     }
 
     #[test]
-    fn save_writes_v3_and_load_dispatches_by_version() {
-        let dir = std::env::temp_dir().join("ncq-snapshot-dispatch-test");
+    fn save_writes_the_current_version_and_load_refuses_any_other() {
+        let dir = std::env::temp_dir().join("ncq-snapshot-store-test");
         std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("figure1.ncq");
         let original = db();
-
-        // `save` emits the current (v3) layout.
-        let v3_path = dir.join("dispatch.v3.ncq");
-        original.save(&v3_path).unwrap();
-        let head = std::fs::read(&v3_path).unwrap();
+        original.save(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
         assert_eq!(
-            u32::from_le_bytes(head[8..12].try_into().unwrap()),
+            u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
             SNAPSHOT_VERSION
         );
-        let loaded = MonetDb::load(&v3_path).unwrap();
+        let loaded = MonetDb::load(&path).unwrap();
         assert_eq!(loaded.dump_relations(), original.dump_relations());
 
-        // A legacy writer's file still loads through the same entry
-        // point, and so does a byte-patched v2 (same payload layout).
-        let v1_path = dir.join("dispatch.v1.ncq");
-        let mut w = SnapshotWriter::new();
-        original.encode_snapshot(&mut w);
-        w.write_to(&v1_path).unwrap();
-        let mut v2_bytes = std::fs::read(&v1_path).unwrap();
-        assert_eq!(
-            u32::from_le_bytes(v2_bytes[8..12].try_into().unwrap()),
-            SNAPSHOT_VERSION_V1
-        );
-        let legacy = MonetDb::load(&v1_path).unwrap();
-        assert_eq!(legacy.dump_relations(), original.dump_relations());
-        v2_bytes[8] = 2;
-        let v2 = MonetDb::decode_source(&SnapshotSource::from_bytes(v2_bytes).unwrap()).unwrap();
-        assert_eq!(v2.dump_relations(), original.dump_relations());
-
-        std::fs::remove_file(&v3_path).ok();
-        std::fs::remove_file(&v1_path).ok();
+        // The retired layouts and a future one are refused on the
+        // header alone, through the file entry point.
+        for found in [1u8, 2, 99] {
+            bytes[8] = found;
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                MonetDb::load(&path),
+                Err(SnapshotError::UnsupportedVersion { found: f, supported: SNAPSHOT_VERSION })
+                    if f == found as u32
+            ));
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn versions_above_current_are_typed_through_dispatch() {
-        let mut bytes = snapshot_bytes_v3(&db());
-        bytes[8] = 99;
+    fn older_versions_are_told_to_re_save() {
+        let older = SnapshotError::UnsupportedVersion {
+            found: 1,
+            supported: SNAPSHOT_VERSION,
+        };
+        assert!(older
+            .to_string()
+            .ends_with("re-save from the source XML with this build"));
+        let newer = SnapshotError::UnsupportedVersion {
+            found: 99,
+            supported: SNAPSHOT_VERSION,
+        };
+        assert!(!newer.to_string().contains("re-save"));
+    }
+
+    #[test]
+    fn failed_save_is_typed_io_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join("ncq-snapshot-failed-save-test");
+        std::fs::remove_dir_all(&dir).ok();
+        // The destination is an existing directory: the rename fails.
+        let dest = dir.join("figure1.ncq");
+        std::fs::create_dir_all(&dest).unwrap();
+        assert!(matches!(db().save(&dest), Err(SnapshotError::Io(_))));
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["figure1.ncq"], "temp file leaked: {left:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncation_at_every_length_is_typed_not_a_panic() {
+        let bytes = snapshot_bytes_v3(&db());
+        // Exhaustive prefix truncation: cheap at Figure 1 scale and
+        // covers every section boundary by construction.
+        for len in 0..bytes.len() {
+            assert!(
+                decode(bytes[..len].to_vec()).is_err(),
+                "prefix of {len} bytes decoded"
+            );
+        }
+    }
+
+    #[test]
+    fn missing_section_is_typed() {
+        let mut w = SnapshotWriterV3::new();
+        w.section(section::SYMBOLS).put_u32(0);
         assert!(matches!(
-            SnapshotSource::from_bytes(bytes),
-            Err(SnapshotError::UnsupportedVersion {
-                found: 99,
-                supported: SNAPSHOT_VERSION
+            decode(w.to_bytes()),
+            Err(SnapshotError::MissingSection {
+                section: section::PATHS
             })
         ));
     }
@@ -1844,11 +982,38 @@ mod tests {
     #[test]
     fn unknown_sections_are_ignored() {
         let original = db();
-        let mut w = SnapshotWriter::new();
-        original.encode_snapshot(&mut w);
-        w.section(0xBEEF).put_str("future extension");
-        let loaded =
-            MonetDb::decode_snapshot(&SnapshotReader::from_bytes(w.to_bytes()).unwrap()).unwrap();
+        let mut w = SnapshotWriterV3::new();
+        original.encode_snapshot_v3(&mut w);
+        w.section(0xBEEF).put_raw(b"future extension");
+        let loaded = decode(w.to_bytes()).unwrap();
         assert_eq!(loaded.dump_relations(), original.dump_relations());
+    }
+
+    #[test]
+    fn huge_declared_counts_fail_typed_without_allocating() {
+        // A checksum-valid payload whose length prefix claims ~4 billion
+        // string entries must not abort on a pre-allocation — capacity
+        // is clamped to the actual payload, so it fails typed.
+        let mut bytes = snapshot_bytes_v3(&db());
+        // Find the STRINGS section and rewrite its first relation's
+        // length prefix (right after the u32 path count), then repair
+        // the section and table checksums so only the decoder sees the
+        // lie.
+        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let table_end = 24 + 32 * count;
+        let at = (0..count)
+            .map(|i| 24 + 32 * i)
+            .find(|&at| {
+                u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == section::STRINGS
+            })
+            .expect("STRINGS section present");
+        let start = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(bytes[at + 16..at + 24].try_into().unwrap()) as usize;
+        bytes[start + 4..start + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        let sum = checksum64(&bytes[start..start + align64(len)]);
+        bytes[at + 24..at + 32].copy_from_slice(&sum.to_le_bytes());
+        let table_sum = checksum64(&bytes[24..table_end]);
+        bytes[16..24].copy_from_slice(&table_sum.to_le_bytes());
+        assert!(matches!(decode(bytes), Err(SnapshotError::Corrupt { .. })));
     }
 }

@@ -131,16 +131,9 @@ impl PartitionStats {
         }
     }
 
-    /// Adopt an already-computed prefix array (the snapshot loader
-    /// accumulates it while decoding the weight column, skipping the
-    /// intermediate weights vector). The caller guarantees `prefix[0]`
-    /// is 0 and the array is non-decreasing.
-    pub(crate) fn from_prefix(prefix: Vec<u64>) -> PartitionStats {
-        Self::from_prefix_col(prefix.into())
-    }
-
     /// Adopt a prefix column directly — possibly a zero-copy view into
-    /// a mapped v3 snapshot. Same caller contract as [`Self::from_prefix`].
+    /// a mapped v3 snapshot. The caller guarantees `prefix[0]` is 0 and
+    /// the array is non-decreasing.
     pub(crate) fn from_prefix_col(prefix: Col<u64>) -> PartitionStats {
         debug_assert!(prefix.first() == Some(&0));
         debug_assert!(prefix.windows(2).all(|w| w[0] <= w[1]));

@@ -51,6 +51,5 @@ pub use ncq_query::{run_query, run_query_opts, QueryOptions, QueryOutput};
 pub use ncq_server::{Client, Server, ServerConfig};
 pub use ncq_shard::{open_forest, ShardedDb};
 pub use ncq_store::{
-    Manifest, ManifestEntry, ManifestError, SnapshotError, SnapshotReader, SnapshotWriter,
-    MANIFEST_VERSION, SNAPSHOT_VERSION,
+    Manifest, ManifestEntry, ManifestError, SnapshotError, MANIFEST_VERSION, SNAPSHOT_VERSION,
 };

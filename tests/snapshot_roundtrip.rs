@@ -1,6 +1,9 @@
-//! Snapshot persistence suite: round-trip equivalence on random trees,
-//! byte determinism, exhaustive corruption handling, and the layout
-//! version pin.
+//! Snapshot persistence suite — one suite for the one format:
+//! round-trip equivalence on random trees, byte determinism, exhaustive
+//! corruption handling (truncation, bit flips, forged section-table
+//! extents), the layout version pin, the typed refusal of the retired
+//! v1/v2 layouts through every entry point, and a two-process check
+//! that one snapshot file serves independent opens with equal answers.
 //!
 //! Seeded loops over the vendored deterministic PRNG stand in for
 //! proptest (the offline build cannot fetch it); failures print the
@@ -16,18 +19,24 @@
 //! UPDATE_GOLDEN=1 cargo test --test snapshot_roundtrip
 //! ```
 //!
-//! Backward compatibility with the *older* committed fixtures
-//! (`snapshot_v1.bin`, `snapshot_v2.bin`) lives in `tests/snapshot_v3.rs`.
+//! The older committed fixtures (`snapshot_v1.bin`, `snapshot_v2.bin`)
+//! are files no build writes any more; they stay committed to pin that
+//! opening one is a typed `UnsupportedVersion`, never a partial load.
 
 use nearest_concept::core::{MeetOptions, MeetStrategy};
+use nearest_concept::server::{serve_lines, Server, ServerConfig};
+use nearest_concept::store::snapshot::checksum64;
 use nearest_concept::store::{
-    MappedSnapshot, SnapshotError, SnapshotSource, VerifyMode, SNAPSHOT_VERSION,
+    section_name, Manifest, ManifestEntry, MappedSnapshot, SnapshotError, VerifyMode,
+    SNAPSHOT_VERSION,
 };
 use nearest_concept::xml::Document;
-use nearest_concept::{Database, ShardedDb};
+use nearest_concept::{Catalog, CatalogError, Database, ShardedDb};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::path::PathBuf;
+use std::process::Command;
+use std::sync::Arc;
 
 /// Random tree with text leaves, as in the sharding equivalence suite:
 /// node `i + 1` hangs under a random earlier node; some nodes carry
@@ -158,7 +167,7 @@ fn corrupt_snapshots_fail_typed_at_every_boundary() {
     // semantically-plausible wrong value.
     let decode = |data: Vec<u8>| -> Result<(), SnapshotError> {
         let snap = MappedSnapshot::from_owned_bytes(data, VerifyMode::Eager)?;
-        ShardedDb::from_source(&SnapshotSource::Mapped(snap), 4)?;
+        ShardedDb::from_source(&snap, 4)?;
         Ok(())
     };
     decode(bytes.clone()).expect("pristine bytes decode");
@@ -204,16 +213,28 @@ fn corrupt_snapshots_fail_typed_at_every_boundary() {
     }
 }
 
-fn fixture_path() -> PathBuf {
+fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
-        .join(format!("snapshot_v{SNAPSHOT_VERSION}.bin"))
+        .join(name)
+}
+
+fn fixture_path() -> PathBuf {
+    golden_path(&format!("snapshot_v{SNAPSHOT_VERSION}.bin"))
+}
+
+/// The probe answer every open of the Figure 1 corpus must agree on.
+fn probe(db: &Database) -> String {
+    db.meet_terms(&["Bit", "1999"])
+        .expect("probe meet")
+        .to_detailed_xml()
 }
 
 /// The layout version pin. The committed fixture must (a) carry the
 /// current `SNAPSHOT_VERSION`, (b) decode into an engine that answers
-/// a known meet, and (c) re-encode to the **exact committed bytes**.
+/// a known meet, (c) re-encode to the **exact committed bytes**, and
+/// (d) equal a fresh K = 4 save of the Figure 1 corpus.
 /// Any layout change that forgets to bump the version fails here
 /// loudly: either the old fixture no longer decodes, or the re-encoded
 /// bytes drift from the committed ones. After an intended change, bump
@@ -274,4 +295,281 @@ fn pinned_fixture_guards_the_layout_version() {
         "re-encoded bytes drifted from the committed v{SNAPSHOT_VERSION} fixture; \
          bump SNAPSHOT_VERSION and regenerate (UPDATE_GOLDEN=1)"
     );
+
+    // And so must a fresh build: the fixture is exactly what this build
+    // writes for Figure 1 at K = 4, not merely something it can re-emit.
+    let fresh = ShardedDb::new(
+        Database::from_xml_str(nearest_concept::datagen::FIGURE1_XML).unwrap(),
+        4,
+    );
+    let mut writer = fresh.database().encode_snapshot_v3();
+    fresh.partition().encode_snapshot_v3(&mut writer);
+    assert_eq!(
+        writer.to_bytes(),
+        bytes,
+        "a fresh K = 4 save of Figure 1 drifted from the committed v{SNAPSHOT_VERSION} fixture"
+    );
+}
+
+/// The retired layouts are refused, typed, through every entry point.
+/// `snapshot_v1.bin` / `snapshot_v2.bin` are committed files of the
+/// Figure 1 corpus in the v1/v2 materializing layouts; no build can
+/// write them any more and there is no upgrade tool — the way forward
+/// is to rebuild from the source XML and save again, and the error
+/// says so. Each open must fail on the header alone with
+/// `UnsupportedVersion { found, supported: 3 }`: never a panic, never a
+/// partial load, and on a serving process never a swapped backend.
+#[test]
+fn legacy_fixtures_are_refused_typed() {
+    for (fixture, version) in [("snapshot_v1.bin", 1u32), ("snapshot_v2.bin", 2)] {
+        let bytes = std::fs::read(golden_path(fixture)).expect("read legacy fixture");
+        let dir = scratch(&format!("legacy-v{version}"));
+        std::fs::create_dir_all(&dir).expect("create legacy scratch dir");
+        let path = dir.join("legacy.ncq");
+        std::fs::write(&path, &bytes).expect("stage legacy fixture");
+
+        let refused = |e: SnapshotError, via: &str| {
+            assert!(
+                matches!(
+                    e,
+                    SnapshotError::UnsupportedVersion { found, supported: SNAPSHOT_VERSION }
+                        if found == version
+                ),
+                "{fixture} via {via}: expected UnsupportedVersion, got {e}"
+            );
+            assert!(
+                e.to_string()
+                    .contains("re-save from the source XML with this build"),
+                "{fixture} via {via}: the error does not name the way forward: {e}"
+            );
+        };
+        refused(
+            Database::open_snapshot(&path).expect_err("refused"),
+            "Database::open_snapshot",
+        );
+        refused(
+            Database::from_snapshot_bytes(bytes.clone()).expect_err("refused"),
+            "Database::from_snapshot_bytes",
+        );
+        refused(
+            ShardedDb::open_snapshot(&path, 4).expect_err("refused"),
+            "ShardedDb::open_snapshot",
+        );
+        refused(
+            ShardedDb::from_snapshot_bytes(bytes.clone(), 4).expect_err("refused"),
+            "ShardedDb::from_snapshot_bytes",
+        );
+
+        // Forest: an honest manifest records the file's layout version,
+        // and the catalog refuses the entry before opening the file…
+        let mut manifest = Manifest::new();
+        manifest
+            .push(ManifestEntry::describe("fig", &path, 1).expect("describe"))
+            .expect("push");
+        assert_eq!(manifest.corpora[0].layout_version, version);
+        let mpath = dir.join("forest.ncqm");
+        manifest.save(&mpath).expect("save manifest");
+        assert!(
+            matches!(
+                Catalog::open_manifest(&mpath),
+                Err(CatalogError::LayoutVersion { found, supported: SNAPSHOT_VERSION, .. })
+                    if found == version
+            ),
+            "{fixture}: honest manifest"
+        );
+        // …and one that claims the current layout fails on the file's
+        // own header.
+        manifest.corpora[0].layout_version = SNAPSHOT_VERSION;
+        manifest.save(&mpath).expect("save manifest");
+        match Catalog::open_manifest(&mpath) {
+            Err(CatalogError::Corpus { name, error }) => {
+                assert_eq!(name, "fig");
+                refused(error, "Catalog::open_manifest");
+            }
+            other => panic!("{fixture}: lying manifest opened as {other:?}"),
+        }
+
+        // Wire: a hot `SNAPSHOT LOAD` of the file is an in-band ERR; the
+        // old backend keeps serving and no cache epoch moves (the warmed
+        // entry still hits — a swap would have made it a second miss).
+        let db = Database::from_xml_str(nearest_concept::datagen::FIGURE1_XML).unwrap();
+        let server = Server::start(
+            Arc::new(db),
+            ServerConfig {
+                workers: 1,
+                snapshot_dir: Some(dir.clone()),
+                ..ServerConfig::default()
+            },
+        );
+        let session = |input: &str| {
+            let mut out = Vec::new();
+            serve_lines(&server.client(), input.as_bytes(), &mut out).expect("session");
+            String::from_utf8(out).expect("utf-8 session")
+        };
+        let meet = || session("MEET Bit 1999\nQUIT\n");
+        let cold = meet();
+        assert!(cold.contains("tag=\"article\""), "{cold}");
+        assert_eq!(meet(), cold, "{fixture}: warmed answer");
+        let load = session("SNAPSHOT LOAD legacy.ncq\nQUIT\n");
+        assert!(
+            load.contains(&format!(
+                "ERR unsupported snapshot layout version {version} (this build reads 3); \
+                 re-save from the source XML with this build"
+            )),
+            "{fixture}: {load}"
+        );
+        assert_eq!(meet(), cold, "{fixture}: answer after the refused load");
+        let stats = server.shutdown();
+        assert_eq!(
+            (stats.sem_misses, stats.sem_hits),
+            (1, 2),
+            "{fixture}: the refused load must leave the semantic cache epochs alone"
+        );
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Length-lies: forge a section-table entry (shrunken extent, overrun
+/// extent, offset pointed at a different section's bytes) and *repair
+/// the table checksum* so the header passes. Only per-extent
+/// validation — bounds against the file, checksum over the padded
+/// extent — stands between the lie and a wild read; every lie must be
+/// a typed error naming the section, never a panic or a wrong answer.
+#[test]
+fn table_length_lies_are_typed_errors_end_to_end() {
+    let db = Database::from_xml_str(nearest_concept::datagen::FIGURE1_XML).unwrap();
+    let sharded = ShardedDb::new(db, 4);
+    let path = scratch("length-lies.ncq");
+    sharded.save_snapshot(&path).expect("save");
+    let bytes = std::fs::read(&path).expect("read");
+
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let table_end = 24 + 32 * count;
+    assert!(count >= 2, "need two sections to swap extents");
+    let entry = |i: usize| {
+        let at = 24 + 32 * i;
+        let id = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let offset = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap());
+        let len = u64::from_le_bytes(bytes[at + 16..at + 24].try_into().unwrap());
+        (id, offset, len)
+    };
+
+    // Each lie rewrites entry fields, then recomputes the table
+    // checksum so the forgery is internally consistent.
+    let forge = |edit: &dyn Fn(&mut [u8])| {
+        let mut forged = bytes.clone();
+        edit(&mut forged);
+        let sum = checksum64(&forged[24..table_end]);
+        forged[16..24].copy_from_slice(&sum.to_le_bytes());
+        forged
+    };
+    let open = |data: &[u8], name: &str| {
+        std::fs::write(&path, data).expect("stage forged file");
+        let err = Database::open_snapshot(&path)
+            .err()
+            .unwrap_or_else(|| panic!("{name}: forged snapshot opened cleanly"));
+        assert!(
+            matches!(
+                err,
+                SnapshotError::Truncated { .. }
+                    | SnapshotError::ChecksumMismatch { .. }
+                    | SnapshotError::Corrupt { .. }
+            ),
+            "{name}: expected a typed corruption error, got {err}"
+        );
+        err
+    };
+
+    // Overrun: the first section claims to extend past end-of-file.
+    let (id0, _, _) = entry(0);
+    let overrun = forge(&|f: &mut [u8]| {
+        f[24 + 16..24 + 24].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+    });
+    let err = open(&overrun, "overrun");
+    if let SnapshotError::Truncated { context, .. } = err {
+        assert_eq!(
+            context,
+            section_name(id0),
+            "overrun error names the lied section"
+        );
+    }
+
+    // Shrink: the extent is cut short, so the checksum over the padded
+    // extent no longer matches what the writer recorded.
+    let shrink = forge(&|f: &mut [u8]| {
+        let len = u64::from_le_bytes(f[24 + 16..24 + 24].try_into().unwrap());
+        f[24 + 16..24 + 24].copy_from_slice(&(len / 2).to_le_bytes());
+    });
+    open(&shrink, "shrink");
+
+    // Swap: entry 0's extent redirected at entry 1's bytes — in-bounds,
+    // plausible, and only the per-section checksum can tell.
+    let (_, off1, len1) = entry(1);
+    let swap = forge(&|f: &mut [u8]| {
+        f[24 + 8..24 + 16].copy_from_slice(&off1.to_le_bytes());
+        f[24 + 16..24 + 24].copy_from_slice(&len1.to_le_bytes());
+    });
+    open(&swap, "swap");
+
+    std::fs::remove_file(&path).ok();
+}
+
+/// One file, two processes: the parent saves a snapshot, opens it, and
+/// re-invokes this same test binary as a child that opens the *same
+/// path* while the parent's map is still live. Both processes answer
+/// the probe identically — the on-disk image is a complete, immutable
+/// serving substrate, shareable through the page cache with no
+/// per-process rebuild.
+#[test]
+fn one_snapshot_file_serves_two_processes_with_equal_answers() {
+    // Child branch: open the file named by the env var, write the probe
+    // answer where the parent asked, and exit.
+    if let Ok(snap) = std::env::var("NCQ_V3_TWO_PROC_SNAPSHOT") {
+        let out = std::env::var("NCQ_V3_TWO_PROC_OUT").expect("child out path");
+        let db = Database::open_snapshot(&snap).expect("child open");
+        std::fs::write(&out, probe(&db)).expect("child write");
+        return;
+    }
+
+    let db = Database::from_xml_str(nearest_concept::datagen::FIGURE1_XML).unwrap();
+    let path = scratch("two-proc.ncq");
+    db.save_snapshot(&path).expect("save");
+
+    // Parent's map stays open across the child's whole lifetime.
+    let parent = Database::open_snapshot(&path).expect("parent open");
+    let expected = probe(&parent);
+
+    // A second open in the *same* process is also independent: two maps
+    // of one file, equal answers.
+    let again = Database::open_snapshot(&path).expect("second open");
+    assert_eq!(probe(&again), expected, "second in-process open diverged");
+
+    let out = scratch("two-proc-answer.txt");
+    std::fs::remove_file(&out).ok();
+    let status = Command::new(std::env::current_exe().expect("test binary path"))
+        .args([
+            "one_snapshot_file_serves_two_processes_with_equal_answers",
+            "--exact",
+            "--nocapture",
+        ])
+        .env("NCQ_V3_TWO_PROC_SNAPSHOT", &path)
+        .env("NCQ_V3_TWO_PROC_OUT", &out)
+        .status()
+        .expect("spawn child process");
+    assert!(status.success(), "child process failed");
+    let child_answer = std::fs::read_to_string(&out).expect("child answer");
+    assert_eq!(child_answer, expected, "child process answers diverged");
+
+    // The parent's map was live the whole time — re-probe to show the
+    // concurrent child open did not disturb it.
+    assert_eq!(
+        probe(&parent),
+        expected,
+        "parent answers drifted after child ran"
+    );
+
+    for p in [&path, &out] {
+        std::fs::remove_file(p).ok();
+    }
 }
