@@ -11,7 +11,8 @@
 //!   add more than array-lookup overhead.
 
 use crate::measure::{micros, time_median};
-use ncq_core::{meet2, meet2_indexed, meet2_naive, Database, MeetOptions, PathFilter};
+use ncq_core::reference::{meet2, meet2_naive};
+use ncq_core::{meet2_indexed, Database, MeetOptions, PathFilter};
 use ncq_fulltext::HitSet;
 use ncq_store::Oid;
 use ncq_xml::Document;

@@ -99,12 +99,7 @@ pub fn thesaurus_broadening(db: &Database, year: u16) -> ThesaurusResult {
         .meet_hits(&[narrow.clone(), years.clone()], &MeetOptions::default())
         .len();
     let broad_answers = db
-        .meet_terms_expanded(
-            &["ICDE", &year.to_string()],
-            &thesaurus,
-            &MeetOptions::default(),
-        )
-        .expect("meet runs")
+        .meet_hits(&[broad.clone(), years], &MeetOptions::default())
         .len();
 
     ThesaurusResult {

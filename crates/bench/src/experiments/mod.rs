@@ -6,7 +6,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod listings;
 
-/// Shared corpus builders at the scales used by `repro` and the benches.
+/// Shared corpus builders at the scales used by `repro`.
 pub mod corpora {
     use ncq_core::Database;
     use ncq_datagen::{DblpConfig, DblpCorpus, MultimediaConfig, MultimediaCorpus};

@@ -11,8 +11,8 @@
 //! | Ablations | σ-steering, set scaling, §4 restrictions | [`experiments::ablations`] |
 //!
 //! The `repro` binary drives all of them and writes text tables plus JSON
-//! series; the Criterion benches under `benches/` measure the same code
-//! paths with statistical rigor.
+//! series. Serving-path performance (end to end and per layer) is the
+//! stand-alone `perf/` benchmark's job, not this crate's.
 
 pub mod experiments;
 pub mod json;

@@ -1,8 +1,7 @@
-//! Tiny wall-clock measurement helpers (medians over repeated runs).
-//!
-//! The Criterion benches are the statistically careful measurements; these
-//! helpers exist so the `repro` binary can print paper-style tables in
-//! seconds instead of minutes.
+//! Tiny wall-clock measurement helpers (medians over repeated runs), so
+//! the `repro` binary can print the paper's timing figures (Fig. 6/7,
+//! the ablations) as tables in seconds. They are not a benchmark: claims
+//! about the serving path go through `perf/`.
 
 use std::time::{Duration, Instant};
 

@@ -15,19 +15,17 @@
 //!    reproducing `sort_unstable` on `(oid, input)` exactly;
 //! 3. evaluates duplicate queries (same inputs, same options) once and
 //!    clones the result;
-//! 4. runs the very same per-query core as the serial path
-//!    ([`meet_multi_items`]), then ranks and truncates exactly like
-//!    [`Database::meet_hits`].
+//! 4. runs each query through the same pipeline as the serial path
+//!    ([`crate::MeetPlanner::execute`]: same plan, same roll-up, same
+//!    rank and cut), plugging in the very same sweep core
+//!    (`meet_multi_items`) over the merged runs.
 //!
 //! Because step 4 is *the same code on the same item order*, batched
 //! answers are byte-identical to one-at-a-time evaluation by
 //! construction; `tests/batch_equivalence.rs` proves it differentially.
 
-use crate::meet_multi::{meet_multi, meet_multi_items, Meet, MeetOptions};
-use crate::planner::ChosenStrategy;
-use crate::rank::rank_meets;
+use crate::meet_multi::{meet_multi_items, Meet, MeetOptions};
 use crate::Database;
-use crate::MeetStrategy;
 use ncq_fulltext::HitSet;
 use ncq_store::Oid;
 use std::collections::HashMap;
@@ -118,7 +116,7 @@ fn batch_size_histogram() -> &'static std::sync::Arc<ncq_obs::Histogram> {
 }
 
 /// The batch executor behind [`Database::meet_hits_batch`].
-pub fn meet_hits_batch(db: &Database, queries: &[BatchQuery<'_>]) -> Vec<Vec<Meet>> {
+pub(crate) fn meet_hits_batch(db: &Database, queries: &[BatchQuery<'_>]) -> Vec<Vec<Meet>> {
     if ncq_obs::obs().enabled() && !queries.is_empty() {
         batch_size_histogram().record(queries.len() as u64);
     }
@@ -143,39 +141,26 @@ pub fn meet_hits_batch(db: &Database, queries: &[BatchQuery<'_>]) -> Vec<Vec<Mee
             results.push(prior);
             continue;
         }
-        // The planner decision is per query and identical to the
-        // serial path's — batching never changes the chosen strategy.
-        let chosen = match q.options.strategy {
-            MeetStrategy::Auto => db.planner().plan_multi(&q.inputs).strategy,
-            MeetStrategy::Lift => ChosenStrategy::Lift,
-            MeetStrategy::Sweep => ChosenStrategy::Sweep,
-        };
-        let mut meets = match chosen {
-            // The roll-up climbs tokens path-by-path; there is no sort
-            // to share. The planner only picks it for tiny inputs.
-            ChosenStrategy::Lift => meet_multi(db.store(), &q.inputs, &q.options),
-            ChosenStrategy::Sweep => {
-                for &h in &q.inputs {
-                    runs.entry(std::ptr::from_ref(h) as usize)
-                        .or_insert_with(|| {
-                            let mut oids: Vec<Oid> = h.iter().map(|(_, o)| o).collect();
-                            oids.sort_unstable();
-                            oids
-                        });
-                }
-                let query_runs: Vec<&[Oid]> = q
-                    .inputs
-                    .iter()
-                    .map(|&h| runs[&(std::ptr::from_ref(h) as usize)].as_slice())
-                    .collect();
-                let items = merge_tagged(&query_runs);
-                meet_multi_items(db.store(), &items, &q.options)
+        // The roll-up climbs tokens path-by-path; there is no sort to
+        // share, and the planner only picks it for tiny inputs. The
+        // sweep arm shares the per-hit-set sorted runs.
+        let meets = db.planner().execute(&q.inputs, &q.options, || {
+            for &h in &q.inputs {
+                runs.entry(std::ptr::from_ref(h) as usize)
+                    .or_insert_with(|| {
+                        let mut oids: Vec<Oid> = h.iter().map(|(_, o)| o).collect();
+                        oids.sort_unstable();
+                        oids
+                    });
             }
-        };
-        rank_meets(&mut meets);
-        if let Some(k) = q.options.limit {
-            meets.truncate(k);
-        }
+            let query_runs: Vec<&[Oid]> = q
+                .inputs
+                .iter()
+                .map(|&h| runs[&(std::ptr::from_ref(h) as usize)].as_slice())
+                .collect();
+            let items = merge_tagged(&query_runs);
+            meet_multi_items(db.store(), &items, &q.options)
+        });
         results.push(Some(meets));
     }
     results
@@ -217,7 +202,7 @@ mod tests {
             BatchQuery::new(
                 vec![&y99, &ben, &bit],
                 MeetOptions {
-                    strategy: MeetStrategy::Sweep,
+                    strategy: crate::MeetStrategy::Sweep,
                     ..MeetOptions::default()
                 },
             ),

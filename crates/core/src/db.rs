@@ -7,15 +7,43 @@
 
 use crate::answer::AnswerSet;
 use crate::meet2::{meet2_indexed, Meet2};
-use crate::meet_multi::{Meet, MeetOptions};
-use crate::meet_sets::{MeetError, SetMeets};
-use crate::planner::{MeetPlanner, MeetStrategy, PlanDecision};
-use crate::rank::rank_meets;
+use crate::meet_multi::{meet_multi_indexed, Meet, MeetOptions};
+use crate::planner::MeetPlanner;
 use ncq_fulltext::{search, HitSet, InvertedIndex};
 use ncq_store::snapshot::SnapshotError;
-use ncq_store::{MappedSnapshot, MonetDb, Oid, SnapshotWriterV3, VerifyMode};
+use ncq_store::{MappedSnapshot, MonetDb, Oid, PathId, SnapshotWriterV3, VerifyMode};
 use ncq_xml::{Document, ParseError};
+use std::fmt;
 use std::path::Path;
+
+/// The error type of the meet entry points. The generalized meet
+/// accepts any grouped input, so [`Database::meet_terms`] never
+/// produces one today; the only inhabitant comes from the Fig. 4
+/// oracle [`crate::reference::meet_sets`], which is defined on
+/// homogeneous sets only.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MeetError {
+    /// An input set mixed OIDs of different paths.
+    HeterogeneousInput {
+        /// Path of the first element.
+        expected: PathId,
+        /// Offending path.
+        found: PathId,
+    },
+}
+
+impl fmt::Display for MeetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MeetError::HeterogeneousInput { expected, found } => write!(
+                f,
+                "meet_sets requires homogeneous input sets (found paths {expected:?} and {found:?}); the generalized meet takes mixed input"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for MeetError {}
 
 /// A queryable XML database: storage, full-text index and meet operators
 /// behind one handle.
@@ -178,12 +206,8 @@ impl Database {
 
     // ----- meet entry points -----
     //
-    // The facade serves every meet through the depth-aware
-    // [`MeetPlanner`]: shallow inputs keep the paper's frontier
-    // lift/roll-up, deep inputs take the indexed plane sweep (O(1) LCA
-    // over the Euler-tour index). The raw operators in `meet2` /
-    // `meet_sets` / `meet_multi` remain the fixed strategies the
-    // ablations measure against.
+    // Every meet the facade serves is the generalized meet of Fig. 5,
+    // run through the one pipeline in [`MeetPlanner::execute`].
 
     /// The depth-aware planner over this database.
     pub fn planner(&self) -> MeetPlanner<'_> {
@@ -193,30 +217,6 @@ impl Database {
     /// Pairwise meet (paper Fig. 3), via the O(1) indexed fast path.
     pub fn meet_pair(&self, o1: Oid, o2: Oid) -> Meet2 {
         meet2_indexed(&self.store, o1, o2)
-    }
-
-    /// Set meet over two homogeneous OID sets (paper Fig. 4), with the
-    /// planner choosing between frontier lift and plane sweep.
-    ///
-    /// Errors with [`MeetError::EmptyInput`] when either set is empty.
-    pub fn meet_oid_sets(&self, s1: &[Oid], s2: &[Oid]) -> Result<SetMeets, MeetError> {
-        self.meet_oid_sets_with(s1, s2, MeetStrategy::Auto)
-    }
-
-    /// [`Database::meet_oid_sets`] with an explicit strategy override.
-    pub fn meet_oid_sets_with(
-        &self,
-        s1: &[Oid],
-        s2: &[Oid],
-        strategy: MeetStrategy,
-    ) -> Result<SetMeets, MeetError> {
-        self.planner().meet_sets(s1, s2, strategy)
-    }
-
-    /// The plan [`Database::meet_oid_sets`] would execute, without
-    /// running it.
-    pub fn plan_oid_sets(&self, s1: &[Oid], s2: &[Oid]) -> Result<PlanDecision, MeetError> {
-        self.planner().plan_sets(s1, s2)
     }
 
     /// Generalized meet over hit groups (paper Fig. 5), ranked. The
@@ -230,12 +230,9 @@ impl Database {
         options: &MeetOptions,
     ) -> Vec<Meet> {
         let _span = ncq_obs::trace::span("meet_eval");
-        let mut meets = self.planner().meet_multi(inputs, options);
-        rank_meets(&mut meets);
-        if let Some(k) = options.limit {
-            meets.truncate(k);
-        }
-        meets
+        self.planner().execute(inputs, options, || {
+            meet_multi_indexed(&self.store, inputs, options)
+        })
     }
 
     /// A whole batch of meet queries with **shared evaluation**: hit
@@ -254,10 +251,10 @@ impl Database {
     /// the hit groups. Default options (no type restriction, no distance
     /// bound).
     ///
-    /// Returns `None`-like empty answers when any term has no hits? No —
-    /// terms without hits simply contribute nothing; the remaining groups
+    /// A term without hits contributes nothing; the remaining groups
     /// still meet (matching the behaviour of combining independent
-    /// full-text searches).
+    /// full-text searches). The `Result` is part of the signature the
+    /// benchmark links against; no input makes it an `Err` today.
     pub fn meet_terms(&self, terms: &[&str]) -> Result<AnswerSet, MeetError> {
         self.meet_terms_with(terms, &MeetOptions::default())
     }
@@ -269,21 +266,6 @@ impl Database {
         options: &MeetOptions,
     ) -> Result<AnswerSet, MeetError> {
         let inputs: Vec<HitSet> = terms.iter().map(|t| self.search(t)).collect();
-        let meets = self.meet_hits(&inputs, options);
-        Ok(AnswerSet::from_meets(&self.store, meets))
-    }
-
-    /// [`Database::meet_terms`] with thesaurus broadening per term.
-    pub fn meet_terms_expanded(
-        &self,
-        terms: &[&str],
-        thesaurus: &ncq_fulltext::Thesaurus,
-        options: &MeetOptions,
-    ) -> Result<AnswerSet, MeetError> {
-        let inputs: Vec<HitSet> = terms
-            .iter()
-            .map(|t| self.search_expanded(t, thesaurus))
-            .collect();
         let meets = self.meet_hits(&inputs, options);
         Ok(AnswerSet::from_meets(&self.store, meets))
     }
@@ -339,61 +321,25 @@ mod tests {
     }
 
     #[test]
-    fn meet_oid_sets_through_facade() {
-        let db = Database::from_xml_str(FIGURE1).unwrap();
-        let years: Vec<Oid> = db.search("1999").iter().map(|(_, o)| o).collect();
-        let titles: Vec<Oid> = db.search_word("Hack").iter().map(|(_, o)| o).collect();
-        let meets = db.meet_oid_sets(&years, &titles).unwrap();
-        assert_eq!(meets.meets.len(), 1);
-    }
-
-    #[test]
-    fn meet_oid_sets_rejects_empty_inputs() {
-        let db = Database::from_xml_str(FIGURE1).unwrap();
-        let years: Vec<Oid> = db.search("1999").iter().map(|(_, o)| o).collect();
-        assert_eq!(db.meet_oid_sets(&[], &years), Err(MeetError::EmptyInput));
-        assert_eq!(db.meet_oid_sets(&years, &[]), Err(MeetError::EmptyInput));
-        assert_eq!(db.meet_oid_sets(&[], &[]), Err(MeetError::EmptyInput));
-        assert_eq!(db.plan_oid_sets(&[], &years), Err(MeetError::EmptyInput));
-    }
-
-    #[test]
     fn strategy_overrides_agree_through_the_facade() {
         let db = Database::from_xml_str(FIGURE1).unwrap();
-        let years: Vec<Oid> = db.search("1999").iter().map(|(_, o)| o).collect();
-        let titles: Vec<Oid> = db.search_word("Hack").iter().map(|(_, o)| o).collect();
-        let sorted = |r: SetMeets| {
-            let mut m = r.meets;
-            m.sort_unstable();
-            m
-        };
-        let auto = sorted(db.meet_oid_sets(&years, &titles).unwrap());
-        for strategy in [crate::MeetStrategy::Lift, crate::MeetStrategy::Sweep] {
-            let forced = sorted(db.meet_oid_sets_with(&years, &titles, strategy).unwrap());
-            assert_eq!(auto, forced, "{strategy:?}");
+        for terms in [["Bit", "1999"], ["1999", "Hack"]] {
+            let inputs = terms.map(|t| db.search(t));
+            let run = |strategy| -> Vec<_> {
+                let options = MeetOptions {
+                    strategy,
+                    ..MeetOptions::default()
+                };
+                db.meet_hits(&inputs, &options)
+                    .iter()
+                    .map(|m| (m.node, m.distance, m.witness_count))
+                    .collect()
+            };
+            let auto = run(crate::MeetStrategy::Auto);
+            assert!(!auto.is_empty(), "{terms:?}");
+            assert_eq!(auto, run(crate::MeetStrategy::Lift), "{terms:?}");
+            assert_eq!(auto, run(crate::MeetStrategy::Sweep), "{terms:?}");
         }
-        // Forced strategies agree for the generalized meet too.
-        let inputs = vec![db.search("Bit"), db.search("1999")];
-        let key = |ms: Vec<Meet>| -> Vec<_> {
-            ms.iter()
-                .map(|m| (m.node, m.distance, m.witness_count))
-                .collect()
-        };
-        let lift = key(db.meet_hits(
-            &inputs,
-            &MeetOptions {
-                strategy: crate::MeetStrategy::Lift,
-                ..MeetOptions::default()
-            },
-        ));
-        let sweep = key(db.meet_hits(
-            &inputs,
-            &MeetOptions {
-                strategy: crate::MeetStrategy::Sweep,
-                ..MeetOptions::default()
-            },
-        ));
-        assert_eq!(lift, sweep);
     }
 
     #[test]

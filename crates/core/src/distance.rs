@@ -1,10 +1,10 @@
-//! Distance calculation and the distance-bounded meet (`meet^δ`, §4).
+//! Distance calculation (§4).
 //!
 //! > "the number of joins executed while calculating `meet₂(o₁, o₂)`
 //! > corresponds to the number of edges on the shortest path from `o₁`
 //! > to `o₂`. So we can define `d(o₁, o₂)` = number of joins …"
 
-use crate::meet2::{meet2_indexed, Meet2};
+use crate::meet2::meet2_indexed;
 use ncq_store::{MonetDb, Oid};
 
 /// Number of edges on the shortest path between two nodes (through their
@@ -12,13 +12,6 @@ use ncq_store::{MonetDb, Oid};
 /// value is identical to what the steered walk would count.
 pub fn distance(db: &MonetDb, o1: Oid, o2: Oid) -> usize {
     meet2_indexed(db, o1, o2).distance
-}
-
-/// `meet^δ`: the pairwise meet, or `None` ("⊥") when the nodes are more
-/// than `max_distance` edges apart.
-pub fn meet2_bounded(db: &MonetDb, o1: Oid, o2: Oid, max_distance: usize) -> Option<Meet2> {
-    let m = meet2_indexed(db, o1, o2);
-    (m.distance <= max_distance).then_some(m)
 }
 
 #[cfg(test)]
@@ -67,16 +60,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bounded_meet_returns_bottom_beyond_delta() {
-        let db = db();
-        let c = by_label(&db, "c");
-        let d = by_label(&db, "d");
-        assert!(meet2_bounded(&db, c, d, 3).is_none());
-        let m = meet2_bounded(&db, c, d, 4).unwrap();
-        assert_eq!(m.meet, db.root());
-        assert!(meet2_bounded(&db, c, c, 0).is_some());
     }
 }

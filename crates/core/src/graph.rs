@@ -291,7 +291,7 @@ pub fn graph_distance(db: &MonetDb, graph: &RefGraph, o1: Oid, o2: Oid) -> usize
 mod tests {
     use super::*;
     use crate::distance::distance;
-    use crate::meet2::meet2;
+    use crate::reference::meet2;
     use ncq_xml::parse;
 
     fn db_with_refs() -> (MonetDb, RefGraph) {

@@ -7,21 +7,33 @@
 //! hits. The result *type* is not specified in the query — it emerges from
 //! the database instance.
 //!
-//! Three algorithm tiers, exactly as in the paper:
+//! One pipeline serves every request:
 //!
-//! * [`meet2::meet2`] — pairwise LCA with σ-steered parent walks (Fig. 3),
-//!   plus the naive two-ancestor-list baseline [`meet2::meet2_naive`] used
-//!   by the ablation benchmarks;
-//! * [`meet_sets::meet_sets`] — two homogeneous OID sets, evaluated with
-//!   bulk parent joins and *minimal meet* extraction (Fig. 4);
-//! * [`meet_multi::meet_multi`] — arbitrarily many heterogeneous hit
-//!   groups, rolled up bottom-up over the tree-shaped schema (Fig. 5),
-//!   with the §4 extensions: result-type restriction `meet_Π`
-//!   ([`filter::PathFilter`]), distance bound `meet^δ`, and
-//!   distance-based ranking ([`rank`]).
+//! ```text
+//! search → plan → { roll-up | sweep } → rank → cut
+//! ```
+//!
+//! * **search** — each term becomes a hit group
+//!   ([`ncq_fulltext::HitSet`]);
+//! * **plan** — [`MeetPlanner::plan_multi`] weighs input depth against
+//!   cardinality ([`MeetOptions::strategy`] forces an arm);
+//! * **roll-up | sweep** — the generalized meet of Fig. 5 over
+//!   arbitrarily many heterogeneous hit groups: the paper's bottom-up
+//!   token roll-up, or the indexed document-order plane sweep
+//!   ([`sweep`]) with O(1) LCA probes — same answers, different costs.
+//!   Both apply the §4 extensions: result-type restriction `meet_Π`
+//!   ([`filter::PathFilter`]) and distance bound `meet^δ`;
+//! * **rank, cut** — distance-based ranking ([`rank`]) and `limit k`.
+//!
+//! [`MeetPlanner::execute`] is that pipeline; [`Database::meet_hits`],
+//! the batch executor ([`batch`]), the sharded engine, the forest
+//! fan-out ([`catalog`]) and the remote engine ([`remote`]) all end in
+//! it. The paper's pairwise walks (Fig. 3) and two-set frontier lift
+//! (Fig. 4) are not served operators: they live in [`mod@reference`] as the
+//! oracles the test suites check the pipeline against.
 //!
 //! [`Database`] packages parsing, the Monet transform, the inverted index
-//! and the meet operators behind one facade:
+//! and the pipeline behind one facade:
 //!
 //! ```
 //! use ncq_core::Database;
@@ -49,9 +61,9 @@ pub mod filter;
 pub mod graph;
 pub mod meet2;
 pub mod meet_multi;
-pub mod meet_sets;
 pub mod planner;
 pub mod rank;
+pub mod reference;
 pub mod remote;
 pub mod sweep;
 
@@ -59,16 +71,13 @@ pub use answer::{Answer, AnswerSet, PartialAnswer, Witness};
 pub use backend::{BackendError, MeetBackend, RobustnessStats};
 pub use batch::BatchQuery;
 pub use catalog::{Catalog, CatalogError, ForestBackend};
-pub use db::Database;
-pub use distance::{distance, meet2_bounded};
+pub use db::{Database, MeetError};
+pub use distance::distance;
 pub use filter::PathFilter;
 pub use graph::{graph_distance, graph_meet, GraphMeet, RefGraph};
-pub use meet2::{meet2, meet2_indexed, meet2_naive, Meet2};
-pub use meet_multi::{meet_multi, meet_multi_indexed, meet_multi_items, Meet, MeetOptions};
-pub use meet_sets::{
-    meet_sets, meet_sets_lift_ordered, meet_sets_sweep, meet_sets_sweep_merged, MeetError, SetMeets,
-};
-pub use planner::{ChosenStrategy, MeetPlanner, MeetStrategy, PlanDecision, PlannerConfig};
+pub use meet2::{meet2_indexed, Meet2};
+pub use meet_multi::{Meet, MeetOptions};
+pub use planner::{ChosenStrategy, MeetPlanner, MeetStrategy, PlanDecision};
 pub use remote::{
     EngineRequest, EngineResponse, HealthMonitor, RemoteBackend, RemoteConfig, ReplicaHealth,
     WireError, DEFAULT_FRAME_CAP,

@@ -1,23 +1,10 @@
-//! Pairwise meet — the paper's Figure 3.
+//! Pairwise meet — `meet₂(o₁, o₂)`, the lowest common ancestor of two
+//! nodes (Definition 6).
 //!
-//! `meet₂(o₁, o₂)` is the lowest common ancestor of two nodes
-//! (Definition 6). The paper's algorithm walks parent pointers, *steered*
-//! by comparing `σ(o₁)` and `σ(o₂)`: the node with the strictly longer
-//! path is lifted first, so "superfluous look-ups are avoided". Since
-//! `depth(o) = |σ(o)|` and `σ` comes for free from the relation name, the
-//! steering decision is a depth comparison — the deeper frontier rises
-//! until depths agree, then both rise in lockstep until they coincide.
-//!
-//! [`meet2_naive`] is the baseline the steering is measured against in the
-//! ablation benchmarks: materialize the full ancestor list of one node,
-//! then walk the other upward probing membership. It performs
-//! `depth(o₁) + d` look-ups where the steered version performs exactly
-//! `d = distance(o₁, o₂)`.
-//!
-//! [`meet2_indexed`] is the production fast path: O(1) via the Euler-tour
-//! LCA index of [`ncq_store::MeetIndex`], with the steered walk retained
-//! as the ablation baseline. All three implementations agree on `meet`
-//! and `distance` for every pair.
+//! [`meet2_indexed`] answers in O(1) from the Euler-tour LCA index of
+//! [`ncq_store::MeetIndex`]. The paper's σ-steered parent walk (Fig. 3)
+//! and its naive baseline live in [`crate::reference`] as oracles; all
+//! three agree on `meet` and `distance` for every pair.
 
 use ncq_store::{MonetDb, Oid};
 
@@ -31,48 +18,15 @@ pub struct Meet2 {
     /// executed while calculating meet₂ corresponds to the number of edges
     /// on the shortest path").
     pub distance: usize,
-    /// Parent look-ups performed (== `distance` for the steered version;
-    /// larger for the naive baseline).
+    /// Parent look-ups performed (== `distance` for the steered walk;
+    /// larger for the naive baseline; 0 for the indexed probe).
     pub lookups: usize,
 }
 
-/// σ-steered pairwise meet (paper Fig. 3).
-pub fn meet2(db: &MonetDb, o1: Oid, o2: Oid) -> Meet2 {
-    let mut a = o1;
-    let mut b = o2;
-    let mut da = db.depth(a);
-    let mut db_ = db.depth(b);
-    let mut lookups = 0usize;
-
-    // Case σ(a) < σ(b): a's path is strictly longer — lift a.
-    while da > db_ {
-        a = db.parent(a).expect("depth > 0 has a parent");
-        da -= 1;
-        lookups += 1;
-    }
-    // Case σ(b) < σ(a): lift b.
-    while db_ > da {
-        b = db.parent(b).expect("depth > 0 has a parent");
-        db_ -= 1;
-        lookups += 1;
-    }
-    // Default case: lift both until they coincide.
-    while a != b {
-        a = db.parent(a).expect("non-equal nodes are below the root");
-        b = db.parent(b).expect("non-equal nodes are below the root");
-        lookups += 2;
-    }
-    Meet2 {
-        meet: a,
-        distance: lookups,
-        lookups,
-    }
-}
-
-/// Indexed fast path: O(1) LCA via the Euler-tour RMQ of
-/// [`MonetDb::meet_index`] — no parent walk at all. `distance` is still
-/// the paper's join count (`depth(o₁) + depth(o₂) − 2·depth(meet)`), but
-/// `lookups` is 0: the relational joins are modelled, not executed.
+/// O(1) LCA via the Euler-tour RMQ of [`MonetDb::meet_index`] — no
+/// parent walk at all. `distance` is still the paper's join count
+/// (`depth(o₁) + depth(o₂) − 2·depth(meet)`), but `lookups` is 0: the
+/// relational joins are modelled, not executed.
 pub fn meet2_indexed(db: &MonetDb, o1: Oid, o2: Oid) -> Meet2 {
     let (meet, distance) = db.meet_index().meet(o1, o2);
     Meet2 {
@@ -82,162 +36,21 @@ pub fn meet2_indexed(db: &MonetDb, o1: Oid, o2: Oid) -> Meet2 {
     }
 }
 
-/// Naive baseline: collect all ancestors of `o1`, then probe `o2`'s
-/// ancestors against them. No σ steering.
-pub fn meet2_naive(db: &MonetDb, o1: Oid, o2: Oid) -> Meet2 {
-    // Ancestor list of o1, index = climb count. The iterator always
-    // yields o1 itself first, but guard the subtraction so an empty list
-    // can never underflow in release builds.
-    let anc1: Vec<Oid> = db.ancestors(o1).collect();
-    let mut lookups = anc1.len().saturating_sub(1); // parent() calls to build the list
-
-    let mut b = o2;
-    let mut climb2 = 0usize;
-    loop {
-        if let Some(pos) = anc1.iter().position(|&a| a == b) {
-            return Meet2 {
-                meet: b,
-                distance: pos + climb2,
-                lookups,
-            };
-        }
-        b = db
-            .parent(b)
-            .expect("every pair of nodes meets at the root at the latest");
-        climb2 += 1;
-        lookups += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncq_store::MonetDb;
+    use crate::reference::meet2;
     use ncq_xml::parse;
-
-    /// The paper's Figure 1 document.
-    const FIGURE1: &str = r#"
-<bibliography>
-  <institute>
-    <article key="BB99">
-      <author><firstname>Ben</firstname><lastname>Bit</lastname></author>
-      <title>How to Hack</title>
-      <year>1999</year>
-    </article>
-    <article key="BK99">
-      <author>Bob Byte</author>
-      <title>Hacking &amp; RSI</title>
-      <year>1999</year>
-    </article>
-  </institute>
-</bibliography>"#;
-
-    fn db() -> MonetDb {
-        MonetDb::from_document(&parse(FIGURE1).unwrap())
-    }
-
-    /// Oid of the cdata node whose text equals `s` (first match).
-    fn cdata(db: &MonetDb, s: &str) -> Oid {
-        db.string_paths()
-            .flat_map(|p| db.strings_of(p))
-            .find(|(_, t)| &**t == s)
-            .map(|(o, _)| *o)
-            .unwrap()
-    }
-
-    #[test]
-    fn paper_example_ben_bit_meets_at_author() {
-        // §3.1: full-text "Ben" & "Bit" → the author node.
-        let db = db();
-        let m = meet2(&db, cdata(&db, "Ben"), cdata(&db, "Bit"));
-        assert_eq!(db.tag(m.meet), Some("author"));
-        // firstname/cdata → author is 2 up; lastname/cdata → author 2 up.
-        assert_eq!(m.distance, 4);
-    }
-
-    #[test]
-    fn paper_example_bob_byte_meets_at_cdata_itself() {
-        // §3.1: "Bob" and "Byte" hit the same association; the meet is the
-        // cdata node itself.
-        let db = db();
-        let o = cdata(&db, "Bob Byte");
-        let m = meet2(&db, o, o);
-        assert_eq!(m.meet, o);
-        assert_eq!(m.distance, 0);
-        assert_eq!(db.label(m.meet), "cdata");
-    }
-
-    #[test]
-    fn paper_example_bit_1999_meets_at_article() {
-        // §3.1: "Bit" & the first article's "1999" meet at the article.
-        let db = db();
-        let bit = cdata(&db, "Bit");
-        // First "1999" in document order belongs to the first article.
-        let year = cdata(&db, "1999");
-        let m = meet2(&db, bit, year);
-        assert_eq!(db.tag(m.meet), Some("article"));
-    }
-
-    #[test]
-    fn meet_is_commutative() {
-        let db = db();
-        let a = cdata(&db, "Ben");
-        let b = cdata(&db, "How to Hack");
-        let m1 = meet2(&db, a, b);
-        let m2 = meet2(&db, b, a);
-        assert_eq!(m1.meet, m2.meet);
-        assert_eq!(m1.distance, m2.distance);
-    }
-
-    #[test]
-    fn meet_with_ancestor_is_the_ancestor() {
-        let db = db();
-        let ben = cdata(&db, "Ben");
-        let root = db.root();
-        let m = meet2(&db, ben, root);
-        assert_eq!(m.meet, root);
-        assert_eq!(m.distance, db.depth(ben));
-        // And in the other argument order.
-        assert_eq!(meet2(&db, root, ben).meet, root);
-    }
-
-    #[test]
-    fn meet_of_node_with_itself_is_identity() {
-        let db = db();
-        for o in db.iter_oids() {
-            let m = meet2(&db, o, o);
-            assert_eq!(m.meet, o);
-            assert_eq!(m.distance, 0);
-            assert_eq!(m.lookups, 0);
-        }
-    }
-
-    #[test]
-    fn cross_article_meet_is_institute() {
-        let db = db();
-        let ben = cdata(&db, "Ben"); // article 1
-        let bob = cdata(&db, "Bob Byte"); // article 2
-        let m = meet2(&db, ben, bob);
-        assert_eq!(db.tag(m.meet), Some("institute"));
-    }
-
-    #[test]
-    fn naive_agrees_with_steered_everywhere() {
-        let db = db();
-        let oids: Vec<Oid> = db.iter_oids().collect();
-        for &a in &oids {
-            for &b in &oids {
-                let s = meet2(&db, a, b);
-                let n = meet2_naive(&db, a, b);
-                assert_eq!(s.meet, n.meet, "meet mismatch for {a:?},{b:?}");
-                assert_eq!(s.distance, n.distance, "distance mismatch for {a:?},{b:?}");
-            }
-        }
-    }
 
     #[test]
     fn indexed_agrees_with_steered_everywhere() {
-        let db = db();
+        let db = MonetDb::from_document(
+            &parse(
+                "<bib><inst><art key='k'><au><f>Ben</f><l>Bit</l></au><y>1999</y></art>\
+                 <art><au>Bob Byte</au><y>1999</y></art></inst></bib>",
+            )
+            .unwrap(),
+        );
         let oids: Vec<Oid> = db.iter_oids().collect();
         for &a in &oids {
             for &b in &oids {
@@ -246,45 +59,6 @@ mod tests {
                 assert_eq!(s.meet, i.meet, "meet mismatch for {a:?},{b:?}");
                 assert_eq!(s.distance, i.distance, "distance mismatch for {a:?},{b:?}");
                 assert_eq!(i.lookups, 0, "indexed meet performs no parent walk");
-            }
-        }
-    }
-
-    #[test]
-    fn steered_version_needs_no_more_lookups_than_distance() {
-        let db = db();
-        let oids: Vec<Oid> = db.iter_oids().collect();
-        for &a in &oids {
-            for &b in &oids {
-                let s = meet2(&db, a, b);
-                assert_eq!(s.lookups, s.distance);
-                let n = meet2_naive(&db, a, b);
-                assert!(n.lookups >= s.lookups);
-            }
-        }
-    }
-
-    #[test]
-    fn meet_result_is_a_common_ancestor_and_lowest() {
-        let db = db();
-        let oids: Vec<Oid> = db.iter_oids().collect();
-        for &a in &oids {
-            for &b in &oids {
-                let m = meet2(&db, a, b).meet;
-                assert!(db.is_ancestor_or_self(m, a));
-                assert!(db.is_ancestor_or_self(m, b));
-                // No child of m is a common ancestor (lowest-ness):
-                // the child of m on the path to a differs from the one to
-                // b unless a==b (then m==a==b).
-                if a != b {
-                    let step =
-                        |x: Oid| -> Option<Oid> { db.ancestors(x).take_while(|&n| n != m).last() };
-                    match (step(a), step(b)) {
-                        (Some(ca), Some(cb)) => assert_ne!(ca, cb),
-                        // One of them IS the meet.
-                        _ => assert!(a == m || b == m),
-                    }
-                }
             }
         }
     }

@@ -33,7 +33,7 @@ use ncq_store::{MonetDb, Oid, PathId};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 
-/// Tuning and restriction knobs for [`meet_multi`].
+/// Tuning and restriction knobs for the generalized meet.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MeetOptions {
     /// Result-type restriction (`meet_Π`).
@@ -43,19 +43,17 @@ pub struct MeetOptions {
     /// Cap on stored witnesses per meet (the count is always exact;
     /// only the sample is bounded). Default 8.
     pub witness_cap: usize,
-    /// Evaluation strategy. Consumed by the planner-routed facade
-    /// entry points ([`crate::Database::meet_hits`] and friends); the
-    /// raw operators in this module *are* the strategies and ignore it.
+    /// Evaluation strategy, resolved once per query by
+    /// [`crate::MeetPlanner::execute`]; the operators in this module
+    /// *are* the strategies and ignore it.
     pub strategy: MeetStrategy,
     /// Top-k bound (the dialect's `limit k`). Answers are ranked by
     /// distance, so once `k` meets are held and the k-th best distance
     /// is strictly better than anything evaluation could still produce,
-    /// both the roll-up and the indexed sweep stop early. The ranked
-    /// facades ([`crate::Database::meet_hits`] and every
-    /// [`crate::MeetBackend`]) truncate to exactly `k`; the first `k`
-    /// answers are byte-identical to the unbounded evaluation's prefix.
-    /// The raw operators here stop early but return their (unranked)
-    /// superset untruncated.
+    /// both the roll-up and the indexed sweep stop early.
+    /// [`crate::MeetPlanner::execute`] then truncates to exactly `k`;
+    /// the first `k` answers are byte-identical to the unbounded
+    /// evaluation's prefix.
     pub limit: Option<usize>,
 }
 
@@ -85,7 +83,7 @@ pub struct MeetWitness {
     pub climb: usize,
 }
 
-/// A nearest concept found by [`meet_multi`].
+/// A nearest concept found by the generalized meet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Meet {
     /// The meet node.
@@ -178,7 +176,7 @@ impl Token {
 /// deep-copy hit lists just to group them. The result is the set of
 /// minimal meets, deepest first; each meet's witnesses tell which hits
 /// it explains.
-pub fn meet_multi<H: Borrow<HitSet>>(
+pub(crate) fn meet_multi<H: Borrow<HitSet>>(
     db: &MonetDb,
     inputs: &[H],
     options: &MeetOptions,
@@ -339,7 +337,7 @@ pub fn meet_multi<H: Borrow<HitSet>>(
 ///
 /// Cost: O(hits log hits) for sort + heap, with O(1) work per LCA probe —
 /// replacing the roll-up's O(hits × depth) parent climbing.
-pub fn meet_multi_indexed<H: Borrow<HitSet>>(
+pub(crate) fn meet_multi_indexed<H: Borrow<HitSet>>(
     db: &MonetDb,
     inputs: &[H],
     options: &MeetOptions,
@@ -363,7 +361,11 @@ pub fn meet_multi_indexed<H: Borrow<HitSet>>(
 /// per-hit-set sorted runs decoded once for a whole batch — both paths
 /// run the exact same code on the exact same item order, so batched and
 /// serial answers are byte-identical by construction.
-pub fn meet_multi_items(db: &MonetDb, items: &[(Oid, u32)], options: &MeetOptions) -> Vec<Meet> {
+pub(crate) fn meet_multi_items(
+    db: &MonetDb,
+    items: &[(Oid, u32)],
+    options: &MeetOptions,
+) -> Vec<Meet> {
     let summary = db.summary();
     let cap = options.cap();
     let index = db.meet_index();
@@ -423,23 +425,13 @@ pub fn meet_multi_items(db: &MonetDb, items: &[(Oid, u32)], options: &MeetOption
 
     match options.limit {
         // Unbounded sweeps skip the early-exit bookkeeping entirely.
-        None => {
-            crate::sweep::plane_sweep(index, &oids, |_, _| true, on_candidate);
-        }
-        Some(_) => {
-            crate::sweep::plane_sweep_bounded(
-                index,
-                &oids,
-                |_, _| true,
-                on_candidate,
-                |floor| {
-                    best.borrow()
-                        .as_ref()
-                        .and_then(TopK::kth)
-                        .is_some_and(|kth| kth < floor)
-                },
-            );
-        }
+        None => crate::sweep::plane_sweep(index, &oids, on_candidate),
+        Some(_) => crate::sweep::plane_sweep_bounded(index, &oids, on_candidate, |floor| {
+            best.borrow()
+                .as_ref()
+                .and_then(TopK::kth)
+                .is_some_and(|kth| kth < floor)
+        }),
     }
 
     let mut meets = meets.into_inner();

@@ -1,36 +1,32 @@
-//! Depth-aware meet planning: lift vs sweep, chosen per query.
+//! The one meet pipeline: plan → {roll-up | sweep} → rank → cut.
 //!
-//! PR 1 left a regression on shallow corpora (`BENCH_pr1.json`,
-//! `meet_sets` flat row ≈ 0.4×): on DBLP-like documents (node depth ≈ 3)
-//! the paper's Figure 4 **frontier lift** still beats the indexed
-//! **plane sweep**, while on deep documents the sweep wins by a widening
-//! margin. The reason is visible in the cost models:
+//! Every request ends in the generalized meet of Fig. 5, and the paper's
+//! token roll-up and the indexed **plane sweep** evaluate it to the same
+//! answers at different costs:
 //!
-//! * lift pays `O(hits)` parent look-ups *per level* for roughly as many
-//!   rounds as the inputs are deep — cheap when depth is small;
+//! * the roll-up pays `O(hits)` parent look-ups *per level* plus hash-map
+//!   bookkeeping per token — cheap when the inputs are few and shallow,
+//!   and it never touches the Euler-tour index;
 //! * the sweep pays one `O(hits log hits)` sorted pass with heap pushes
-//!   and O(1) LCA probes — depth-independent, but with a larger constant.
+//!   and O(1) LCA probes — depth-independent, with a larger constant.
 //!
-//! [`MeetPlanner`] compares the two estimates per query: the **round
-//! estimate** (how deep the inputs sit, i.e. how many parent-join rounds
-//! the lift could need) against a **round budget** proportional to
-//! `log₂(hits)` (the sweep's per-item cost). Shallow inputs ⇒ lift;
-//! deep inputs ⇒ sweep. [`MeetStrategy::Lift`] / [`MeetStrategy::Sweep`]
-//! override the decision — tests and the `repro` ablations force either
-//! side; [`MeetStrategy::Auto`] plans.
-//!
-//! For the generalized meet (Fig. 5) the same shape applies, except the
-//! lift side is the token roll-up whose hash-map bookkeeping loses to
-//! the sweep well before depth does (PR 1 measured the indexed sweep
-//! 1.7× faster even on flat DBLP at ~6k hits): the roll-up is only
-//! planned for small inputs on shallow corpora, where either evaluation
-//! is microseconds and the roll-up avoids touching the Euler-tour index
-//! entirely.
+//! [`MeetPlanner::plan_multi`] compares a **round estimate** (how deep
+//! the inputs sit, i.e. how many parent-join rounds the roll-up could
+//! need) against a **round budget** proportional to `log₂(hits)`, and
+//! caps the roll-up at a small hit count: CHANGES.md (PR 1) measured the
+//! sweep 1.7× faster even on flat DBLP at ~6k hits, so the roll-up is
+//! only planned where either evaluation is microseconds.
+//! [`MeetPlanner::execute`] is the single place that resolves
+//! [`MeetStrategy`] (`Auto` plans, `Lift`/`Sweep` force an arm — the
+//! equivalence tests use that), runs the chosen arm, ranks and applies
+//! `limit`; [`crate::Database::meet_hits`], the batch executor and the
+//! sharded engine all go through it and differ only in the sweep they
+//! plug in.
 
-use crate::meet_multi::{meet_multi, meet_multi_indexed, Meet, MeetOptions};
-use crate::meet_sets::{meet_sets_lift_ordered, meet_sets_sweep_merged, MeetError, SetMeets};
+use crate::meet_multi::{meet_multi, Meet, MeetOptions};
+use crate::rank::rank_meets;
 use ncq_fulltext::HitSet;
-use ncq_store::{MonetDb, Oid};
+use ncq_store::MonetDb;
 use std::borrow::Borrow;
 
 /// Which evaluation strategy a meet query should use.
@@ -40,49 +36,32 @@ pub enum MeetStrategy {
     /// cardinalities (the default).
     #[default]
     Auto,
-    /// Force the paper-faithful evaluation: Fig. 4 frontier lifting for
-    /// homogeneous sets, Fig. 5 token roll-up for hit groups.
+    /// Force the paper-faithful Fig. 5 token roll-up.
     Lift,
     /// Force the indexed document-order plane sweep.
     Sweep,
 }
 
-/// Planner thresholds. The defaults are calibrated against
-/// `BENCH_pr1.json` / `BENCH_pr2.json`; tests tighten them to force
-/// decisions.
-#[derive(Debug, Clone, Copy)]
-pub struct PlannerConfig {
-    /// Flat component of the lift round budget.
-    pub lift_round_base: usize,
-    /// Rounds granted per *bit* of input cardinality (bit length =
-    /// ⌊log₂(hits)⌋ + 1) — a proxy for the sweep's per-item log factor.
-    pub lift_rounds_per_log2: usize,
-    /// Above this many total hits the generalized roll-up is never
-    /// planned (its per-token hashing loses to the sweep regardless of
-    /// depth).
-    pub rollup_max_hits: usize,
-    /// When the generalized inputs span more than this many distinct
-    /// relations, [`MeetPlanner::plan_multi`] stops scanning per-group
-    /// depths and uses the corpus-level [`ncq_store::DepthStats`]
-    /// (p90 depth) as its round estimate instead.
-    pub group_scan_limit: usize,
-}
+// Planner thresholds, calibrated against the flat/deep rows recorded in
+// CHANGES.md (PR 1, PR 2).
 
-impl Default for PlannerConfig {
-    fn default() -> PlannerConfig {
-        PlannerConfig {
-            lift_round_base: 4,
-            lift_rounds_per_log2: 2,
-            rollup_max_hits: 64,
-            group_scan_limit: 16,
-        }
-    }
-}
+/// Flat component of the roll-up's round budget.
+const LIFT_ROUND_BASE: usize = 4;
+/// Rounds granted per *bit* of input cardinality (bit length =
+/// ⌊log₂(hits)⌋ + 1) — a proxy for the sweep's per-item log factor.
+const LIFT_ROUNDS_PER_LOG2: usize = 2;
+/// Above this many total hits the roll-up is never planned (its
+/// per-token hashing loses to the sweep regardless of depth).
+const ROLLUP_MAX_HITS: usize = 64;
+/// When the inputs span more than this many distinct relations,
+/// [`MeetPlanner::plan_multi`] stops scanning per-group depths and uses
+/// the corpus-level [`ncq_store::DepthStats`] (p90 depth) instead.
+const GROUP_SCAN_LIMIT: usize = 16;
 
 /// The strategy a plan resolved to (never `Auto`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChosenStrategy {
-    /// Frontier lift / token roll-up.
+    /// Token roll-up.
     Lift,
     /// Indexed plane sweep.
     Sweep,
@@ -105,21 +84,20 @@ pub struct PlanDecision {
     pub strategy: ChosenStrategy,
     /// Total input hits.
     pub hits: usize,
-    /// Parent-join rounds the lift could need (depth of the deepest
+    /// Parent-join rounds the roll-up could need (depth of the deepest
     /// input).
     pub est_rounds: usize,
-    /// Rounds the lift is granted before the sweep is preferred.
+    /// Rounds the roll-up is granted before the sweep is preferred.
     pub round_budget: usize,
 }
 
 /// Per-query planner over a loaded database.
 ///
-/// Cheap to construct (borrows the store and copies the config);
-/// [`crate::Database`] builds one per meet call.
+/// Cheap to construct (borrows the store); [`crate::Database`] builds
+/// one per meet call.
 #[derive(Debug, Clone, Copy)]
 pub struct MeetPlanner<'a> {
     db: &'a MonetDb,
-    config: PlannerConfig,
 }
 
 /// Bit length of `n` (⌊log₂(n)⌋ + 1 for n ≥ 1; 1 for n = 0) — the
@@ -149,24 +127,13 @@ fn plan_counters() -> (
 }
 
 impl<'a> MeetPlanner<'a> {
-    /// Planner with default thresholds.
+    /// Planner over `db`.
     pub fn new(db: &'a MonetDb) -> MeetPlanner<'a> {
-        MeetPlanner::with_config(db, PlannerConfig::default())
-    }
-
-    /// Planner with explicit thresholds.
-    pub fn with_config(db: &'a MonetDb, config: PlannerConfig) -> MeetPlanner<'a> {
-        MeetPlanner { db, config }
-    }
-
-    /// The thresholds in effect.
-    pub fn config(&self) -> PlannerConfig {
-        self.config
+        MeetPlanner { db }
     }
 
     fn decide(&self, hits: usize, est_rounds: usize) -> PlanDecision {
-        let round_budget =
-            self.config.lift_round_base + self.config.lift_rounds_per_log2 * bit_length(hits);
+        let round_budget = LIFT_ROUND_BASE + LIFT_ROUNDS_PER_LOG2 * bit_length(hits);
         let strategy = if est_rounds <= round_budget {
             ChosenStrategy::Lift
         } else {
@@ -194,84 +161,18 @@ impl<'a> MeetPlanner<'a> {
         }
     }
 
-    /// Plan a Fig. 4 two-set meet. The inputs are homogeneous, so their
-    /// depth — the exact worst-case number of lift rounds — is the depth
-    /// of either set's shared path.
-    ///
-    /// Errors with [`MeetError::EmptyInput`] when either set is empty:
-    /// there is nothing to plan (and nothing to meet).
-    pub fn plan_sets(&self, set1: &[Oid], set2: &[Oid]) -> Result<PlanDecision, MeetError> {
-        // The global plan is the shard plan with no spine above it —
-        // one estimator, so the two can never drift apart.
-        self.plan_shard_sets(set1, set2, 0)
-    }
-
-    /// Plan one *shard's* slice of a Fig. 4 two-set meet. A sharded
-    /// scatter phase only evaluates the rounds **below the replicated
-    /// spine** — everything at or above the shard's root resolves in
-    /// the gather phase — so the lift-round estimate is the input depth
-    /// *minus* `floor_depth` (the depth of the shard's shallowest owned
-    /// node). Shards over deep chunks still sweep; shards whose chunks
-    /// sit just under the spine lift, independently of what their
-    /// sibling shards choose.
-    pub fn plan_shard_sets(
-        &self,
-        set1: &[Oid],
-        set2: &[Oid],
-        floor_depth: usize,
-    ) -> Result<PlanDecision, MeetError> {
-        let (Some(&o1), Some(&o2)) = (set1.first(), set2.first()) else {
-            return Err(MeetError::EmptyInput);
-        };
-        let est_rounds = self
-            .db
-            .depth(o1)
-            .max(self.db.depth(o2))
-            .saturating_sub(floor_depth);
-        Ok(self.decide(set1.len() + set2.len(), est_rounds))
-    }
-
-    /// Plan-and-execute a Fig. 4 two-set meet. `strategy` overrides the
-    /// plan unless it is [`MeetStrategy::Auto`].
-    ///
-    /// Execution goes through the planner-tier executors
-    /// ([`meet_sets_lift_ordered`] / [`meet_sets_sweep_merged`]): same
-    /// answers as the paper-faithful operators, exploiting the physical
-    /// properties (homogeneous, sorted, deduplicated) the plan
-    /// established.
-    pub fn meet_sets(
-        &self,
-        set1: &[Oid],
-        set2: &[Oid],
-        strategy: MeetStrategy,
-    ) -> Result<SetMeets, MeetError> {
-        let chosen = match strategy {
-            MeetStrategy::Auto => self.plan_sets(set1, set2)?.strategy,
-            MeetStrategy::Lift => ChosenStrategy::Lift,
-            MeetStrategy::Sweep => ChosenStrategy::Sweep,
-        };
-        if set1.is_empty() || set2.is_empty() {
-            return Err(MeetError::EmptyInput);
-        }
-        match chosen {
-            ChosenStrategy::Lift => meet_sets_lift_ordered(self.db, set1, set2),
-            ChosenStrategy::Sweep => meet_sets_sweep_merged(self.db, set1, set2),
-        }
-    }
-
-    /// Plan a Fig. 5 generalized meet over hit groups. The round
-    /// estimate is the depth of the deepest hit path — or, when the
-    /// inputs span more than [`PlannerConfig::group_scan_limit`]
-    /// distinct relations, the corpus-level p90 depth from the cached
-    /// [`ncq_store::DepthStats`] (broad hit sets are statistical
-    /// samples of the corpus, and the O(1) summary beats re-scanning
-    /// hundreds of group depths per query). The roll-up is additionally
-    /// capped at [`PlannerConfig::rollup_max_hits`].
+    /// Plan a generalized meet over hit groups. The round estimate is
+    /// the depth of the deepest hit path — or, when the inputs span
+    /// more than 16 distinct relations, the corpus-level p90 depth from
+    /// the cached [`ncq_store::DepthStats`] (broad hit sets are
+    /// statistical samples of the corpus, and the O(1) summary beats
+    /// re-scanning hundreds of group depths per query). The roll-up is
+    /// additionally capped at 64 total hits.
     pub fn plan_multi<H: Borrow<HitSet>>(&self, inputs: &[H]) -> PlanDecision {
         let summary = self.db.summary();
         let hits: usize = inputs.iter().map(|h| h.borrow().len()).sum();
         let group_count: usize = inputs.iter().map(|h| h.borrow().group_count()).sum();
-        let est_rounds = if group_count > self.config.group_scan_limit {
+        let est_rounds = if group_count > GROUP_SCAN_LIMIT {
             self.db.depth_stats().p90_depth
         } else {
             inputs
@@ -282,30 +183,48 @@ impl<'a> MeetPlanner<'a> {
                 .unwrap_or(0)
         };
         let mut decision = self.decide(hits, est_rounds);
-        if hits > self.config.rollup_max_hits {
+        if hits > ROLLUP_MAX_HITS {
             decision.strategy = ChosenStrategy::Sweep;
         }
         decision
     }
 
-    /// Plan-and-execute a Fig. 5 generalized meet.
-    /// [`MeetOptions::strategy`] carries the override.
-    pub fn meet_multi<H: Borrow<HitSet>>(&self, inputs: &[H], options: &MeetOptions) -> Vec<Meet> {
+    /// The pipeline every meet runs: resolve [`MeetOptions::strategy`]
+    /// (`Auto` → [`MeetPlanner::plan_multi`]), evaluate the roll-up or
+    /// the caller's `sweep`, rank, truncate to [`MeetOptions::limit`].
+    ///
+    /// `sweep` is the one thing engines differ in: the single-process
+    /// sweep over freshly sorted items, the batch executor's merged
+    /// pre-sorted runs, the sharded scatter/gather. It returns the
+    /// sweep arm's meets in any order — the rank key is total.
+    pub fn execute<H: Borrow<HitSet>>(
+        &self,
+        inputs: &[H],
+        options: &MeetOptions,
+        sweep: impl FnOnce() -> Vec<Meet>,
+    ) -> Vec<Meet> {
         let chosen = match options.strategy {
             MeetStrategy::Auto => self.plan_multi(inputs).strategy,
             MeetStrategy::Lift => ChosenStrategy::Lift,
             MeetStrategy::Sweep => ChosenStrategy::Sweep,
         };
-        match chosen {
+        let mut meets = match chosen {
             ChosenStrategy::Lift => meet_multi(self.db, inputs, options),
-            ChosenStrategy::Sweep => meet_multi_indexed(self.db, inputs, options),
+            ChosenStrategy::Sweep => sweep(),
+        };
+        rank_meets(&mut meets);
+        if let Some(k) = options.limit {
+            meets.truncate(k);
         }
+        meets
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meet_multi::meet_multi_indexed;
+    use ncq_store::Oid;
     use ncq_xml::parse;
 
     fn deep_db(depth: usize, chains: usize) -> MonetDb {
@@ -334,12 +253,24 @@ mod tests {
         v
     }
 
+    /// The `s…` and `t…` leaves as two hit groups (first `take` of each).
+    fn inputs(db: &MonetDb, take: usize) -> Vec<HitSet> {
+        ["s", "t"]
+            .map(|prefix| {
+                HitSet::from_pairs(
+                    cdata_oids(db, prefix)
+                        .into_iter()
+                        .take(take)
+                        .map(|o| (db.sigma(o), o)),
+                )
+            })
+            .to_vec()
+    }
+
     #[test]
     fn shallow_inputs_plan_lift() {
         let db = deep_db(1, 8);
-        let s = cdata_oids(&db, "s");
-        let t = cdata_oids(&db, "t");
-        let plan = MeetPlanner::new(&db).plan_sets(&s, &t).unwrap();
+        let plan = MeetPlanner::new(&db).plan_multi(&inputs(&db, usize::MAX));
         assert_eq!(plan.strategy, ChosenStrategy::Lift);
         assert_eq!(plan.hits, 16);
     }
@@ -347,101 +278,100 @@ mod tests {
     #[test]
     fn deep_inputs_plan_sweep() {
         let db = deep_db(64, 4);
-        let s = cdata_oids(&db, "s");
-        let t = cdata_oids(&db, "t");
-        let plan = MeetPlanner::new(&db).plan_sets(&s, &t).unwrap();
-        // est_rounds = 66 (chain + <a> + cdata), budget = 4 + 2·log2(8).
+        let plan = MeetPlanner::new(&db).plan_multi(&inputs(&db, usize::MAX));
+        // est_rounds = 66 (chain + <a> + cdata), budget = 4 + 2·bits(8).
         assert_eq!(plan.strategy, ChosenStrategy::Sweep);
         assert!(plan.est_rounds > plan.round_budget);
     }
 
     #[test]
-    fn empty_input_is_a_typed_error() {
+    fn empty_input_plans_and_meets_nothing() {
         let db = deep_db(1, 2);
-        let s = cdata_oids(&db, "s");
         let planner = MeetPlanner::new(&db);
-        assert_eq!(planner.plan_sets(&s, &[]), Err(MeetError::EmptyInput));
-        assert_eq!(planner.plan_sets(&[], &s), Err(MeetError::EmptyInput));
+        let none: [HitSet; 0] = [];
+        assert_eq!(planner.plan_multi(&none).hits, 0);
         for strategy in [MeetStrategy::Auto, MeetStrategy::Lift, MeetStrategy::Sweep] {
-            assert_eq!(
-                planner.meet_sets(&s, &[], strategy),
-                Err(MeetError::EmptyInput),
-                "{strategy:?}"
-            );
+            let options = MeetOptions {
+                strategy,
+                ..MeetOptions::default()
+            };
+            for inputs in [vec![], vec![HitSet::new(), HitSet::new()]] {
+                let meets = planner.execute(&inputs, &options, || {
+                    meet_multi_indexed(&db, &inputs, &options)
+                });
+                assert!(meets.is_empty(), "{strategy:?}");
+            }
         }
     }
 
     #[test]
-    fn overrides_beat_the_plan_but_agree_on_answers() {
+    fn overrides_run_the_forced_arm_and_agree_on_answers() {
         let db = deep_db(16, 6);
-        let s = cdata_oids(&db, "s");
-        let t = cdata_oids(&db, "t");
+        let inputs = inputs(&db, usize::MAX);
         let planner = MeetPlanner::new(&db);
-        let auto = planner.meet_sets(&s, &t, MeetStrategy::Auto).unwrap();
-        let lift = planner.meet_sets(&s, &t, MeetStrategy::Lift).unwrap();
-        let sweep = planner.meet_sets(&s, &t, MeetStrategy::Sweep).unwrap();
-        let key = |r: &SetMeets| {
-            let mut m = r.meets.clone();
-            m.sort_unstable();
-            m
+        let run = |strategy| {
+            let options = MeetOptions {
+                strategy,
+                ..MeetOptions::default()
+            };
+            let mut swept = false;
+            let meets = planner.execute(&inputs, &options, || {
+                swept = true;
+                meet_multi_indexed(&db, &inputs, &options)
+            });
+            (meets, swept)
         };
+        let (auto, auto_swept) = run(MeetStrategy::Auto);
+        let (lift, lift_swept) = run(MeetStrategy::Lift);
+        let (sweep, sweep_swept) = run(MeetStrategy::Sweep);
+        assert!(!lift_swept && sweep_swept);
+        assert_eq!(
+            auto_swept,
+            planner.plan_multi(&inputs).strategy == ChosenStrategy::Sweep
+        );
+        let key = |ms: &[Meet]| -> Vec<_> {
+            ms.iter()
+                .map(|m| (m.node, m.distance, m.witness_count))
+                .collect()
+        };
+        assert_eq!(auto.len(), 6);
         assert_eq!(key(&auto), key(&lift));
         assert_eq!(key(&lift), key(&sweep));
     }
 
     #[test]
-    fn multi_rollup_is_capped_by_hits() {
-        let db = deep_db(1, 40); // shallow, 80 hits > rollup_max_hits
+    fn execute_ranks_and_cuts_both_arms() {
+        // Chains of different depths give distinct distances, so the
+        // ranked prefix is well defined.
+        let db = MonetDb::from_document(
+            &parse("<r><e><e><a>s0</a></e><b>t0</b></e><e><a>s1</a><b>t1</b></e></r>").unwrap(),
+        );
+        let inputs = inputs(&db, usize::MAX);
         let planner = MeetPlanner::new(&db);
-        let inputs = vec![
-            HitSet::from_pairs(cdata_oids(&db, "s").into_iter().map(|o| (db.sigma(o), o))),
-            HitSet::from_pairs(cdata_oids(&db, "t").into_iter().map(|o| (db.sigma(o), o))),
-        ];
-        let plan = planner.plan_multi(&inputs);
-        assert_eq!(plan.strategy, ChosenStrategy::Sweep);
-        assert_eq!(plan.hits, 80);
-        // The small prefix still plans the roll-up.
-        let small = vec![
-            HitSet::from_pairs(
-                cdata_oids(&db, "s")
-                    .into_iter()
-                    .take(4)
-                    .map(|o| (db.sigma(o), o)),
-            ),
-            HitSet::from_pairs(
-                cdata_oids(&db, "t")
-                    .into_iter()
-                    .take(4)
-                    .map(|o| (db.sigma(o), o)),
-            ),
-        ];
-        assert_eq!(planner.plan_multi(&small).strategy, ChosenStrategy::Lift);
+        for strategy in [MeetStrategy::Lift, MeetStrategy::Sweep] {
+            let options = MeetOptions {
+                strategy,
+                limit: Some(1),
+                ..MeetOptions::default()
+            };
+            let meets = planner.execute(&inputs, &options, || {
+                meet_multi_indexed(&db, &inputs, &options)
+            });
+            assert_eq!(meets.len(), 1, "{strategy:?}");
+            assert_eq!(meets[0].distance, 4, "{strategy:?}: closest pair first");
+        }
     }
 
     #[test]
-    fn shard_plans_subtract_the_spine_floor() {
-        let db = deep_db(64, 4);
-        let s = cdata_oids(&db, "s");
-        let t = cdata_oids(&db, "t");
+    fn multi_rollup_is_capped_by_hits() {
+        let db = deep_db(1, 40); // shallow, 80 hits > ROLLUP_MAX_HITS
         let planner = MeetPlanner::new(&db);
-        // Globally the inputs are deep → sweep; a shard whose spine
-        // floor sits just above the hits has almost no rounds left → lift.
-        assert_eq!(
-            planner.plan_sets(&s, &t).unwrap().strategy,
-            ChosenStrategy::Sweep
-        );
-        let floored = planner.plan_shard_sets(&s, &t, 64).unwrap();
-        assert_eq!(floored.strategy, ChosenStrategy::Lift);
-        assert_eq!(floored.est_rounds, 2);
-        // Floor 0 degenerates to the global estimate.
-        assert_eq!(
-            planner.plan_shard_sets(&s, &t, 0).unwrap(),
-            planner.plan_sets(&s, &t).unwrap()
-        );
-        assert_eq!(
-            planner.plan_shard_sets(&[], &t, 3),
-            Err(MeetError::EmptyInput)
-        );
+        let plan = planner.plan_multi(&inputs(&db, usize::MAX));
+        assert_eq!(plan.strategy, ChosenStrategy::Sweep);
+        assert_eq!(plan.hits, 80);
+        // The small prefix still plans the roll-up.
+        let small = planner.plan_multi(&inputs(&db, 4));
+        assert_eq!(small.strategy, ChosenStrategy::Lift);
     }
 
     #[test]
@@ -455,7 +385,7 @@ mod tests {
 
     #[test]
     fn wide_inputs_plan_from_corpus_depth_stats() {
-        // More distinct relations than group_scan_limit: the estimate
+        // More distinct relations than GROUP_SCAN_LIMIT: the estimate
         // must come from the cached corpus DepthStats, not a scan.
         let mut xml = String::from("<r>");
         for i in 0..40 {
@@ -468,7 +398,7 @@ mod tests {
             vec![HitSet::from_pairs(db.string_paths().flat_map(|p| {
                 db.strings_of(p).iter().map(move |&(o, _)| (p, o))
             }))];
-        assert!(wide[0].group_count() > planner.config().group_scan_limit);
+        assert!(wide[0].group_count() > GROUP_SCAN_LIMIT);
         let plan = planner.plan_multi(&wide);
         assert_eq!(plan.est_rounds, db.depth_stats().p90_depth);
         // Under the limit, the exact per-group scan is used.

@@ -1,16 +1,13 @@
-//! Shared document-order plane-sweep engine for the indexed set
-//! operators.
+//! Document-order plane-sweep engine behind the indexed generalized
+//! meet and the sharded per-shard sweeps.
 //!
-//! [`meet_sets_sweep`](crate::meet_sets::meet_sets_sweep) and
-//! [`meet_multi_indexed`](crate::meet_multi::meet_multi_indexed) share
-//! the same core: items sorted in document order form a doubly-linked
-//! list; candidate meets are the LCAs of adjacent alive items, processed
-//! deepest first from a max-heap; accepting a meet consumes the
-//! contiguous run of alive items inside its subtree (preorder intervals
-//! are contiguous, so the run is an interval of the list) and bridges
-//! the gap, creating exactly one new adjacency. This module hosts that
-//! machinery once; the operators differ only in which adjacencies may
-//! propose and what happens at a candidate.
+//! Items sorted in document order form a doubly-linked list; candidate
+//! meets are the LCAs of adjacent alive items, processed deepest first
+//! from a max-heap; accepting a meet consumes the contiguous run of
+//! alive items inside its subtree (preorder intervals are contiguous,
+//! so the run is an interval of the list) and bridges the gap, creating
+//! exactly one new adjacency. This module hosts that machinery once;
+//! callers differ only in what happens at a candidate.
 //!
 //! A rejected candidate (only `meet^δ` rejects) is memoized by node:
 //! consumption can only *remove* witnesses from a subtree, so the two
@@ -39,11 +36,8 @@ pub enum Verdict {
 }
 
 /// Run the sweep over `oids` (document-order sorted, multiplicity
-/// preserved). `proposes(li, ri)` gates which adjacencies may form a
-/// candidate (e.g. cross-side only for the two-set operator);
-/// `on_candidate(meet, run)` receives the meet node and the alive run's
-/// item indices, deepest candidates first. Returns the number of LCA
-/// probes performed.
+/// preserved). `on_candidate(meet, run)` receives the meet node and the
+/// alive run's item indices, deepest candidates first.
 ///
 /// Accepted candidates surface in `(depth descending, node ascending)`
 /// order: initial candidates all enter the heap up front, a bridge
@@ -56,16 +50,9 @@ pub enum Verdict {
 pub fn plane_sweep(
     index: &MeetIndex,
     oids: &[Oid],
-    proposes: impl FnMut(usize, usize) -> bool,
     on_candidate: impl FnMut(Oid, &[usize]) -> Verdict,
-) -> usize {
-    sweep_core(
-        index,
-        oids,
-        proposes,
-        on_candidate,
-        None::<fn(usize) -> bool>,
-    )
+) {
+    sweep_core(index, oids, on_candidate, None::<fn(usize) -> bool>)
 }
 
 /// [`plane_sweep`] with a top-k early-exit hook. After every accepted
@@ -88,24 +75,21 @@ pub fn plane_sweep(
 pub fn plane_sweep_bounded(
     index: &MeetIndex,
     oids: &[Oid],
-    proposes: impl FnMut(usize, usize) -> bool,
     on_candidate: impl FnMut(Oid, &[usize]) -> Verdict,
     should_stop: impl FnMut(usize) -> bool,
-) -> usize {
-    sweep_core(index, oids, proposes, on_candidate, Some(should_stop))
+) {
+    sweep_core(index, oids, on_candidate, Some(should_stop))
 }
 
 fn sweep_core(
     index: &MeetIndex,
     oids: &[Oid],
-    mut proposes: impl FnMut(usize, usize) -> bool,
     mut on_candidate: impl FnMut(Oid, &[usize]) -> Verdict,
     mut should_stop: Option<impl FnMut(usize) -> bool>,
-) -> usize {
+) {
     let n = oids.len();
-    let mut probes = 0usize;
     if n < 2 {
-        return probes;
+        return;
     }
 
     const NONE: usize = usize::MAX;
@@ -133,16 +117,13 @@ fn sweep_core(
 
     macro_rules! push_candidate {
         ($li:expr, $ri:expr) => {
-            if proposes($li, $ri) {
-                let m = index.lca(oids[$li], oids[$ri]);
-                probes += 1;
-                heap.push((
-                    index.depth(m) as u32,
-                    std::cmp::Reverse(m.index() as u32),
-                    $li as u32,
-                    $ri as u32,
-                ));
-            }
+            let m = index.lca(oids[$li], oids[$ri]);
+            heap.push((
+                index.depth(m) as u32,
+                std::cmp::Reverse(m.index() as u32),
+                $li as u32,
+                $ri as u32,
+            ));
         };
     }
     for i in 1..n {
@@ -233,5 +214,4 @@ fn sweep_core(
             }
         }
     }
-    probes
 }

@@ -2,13 +2,11 @@
 //! documents (DBLP bibliography and multimedia feature shapes), the
 //! indexed primitives must agree exactly with the paper's walk/lift
 //! evaluation — `meet2_indexed` ≡ steered `meet2` ≡ `meet2_naive`, and
-//! the plane-sweep `meet_sets` / `meet_multi` return the same answers as
-//! the frontier-lifting / token roll-up versions.
+//! the plane-sweep arm of the generalized meet returns the same ranked
+//! answers as the token roll-up.
 
-use ncq_core::{
-    meet2, meet2_indexed, meet2_naive, meet_multi, meet_multi_indexed, meet_sets, meet_sets_sweep,
-    Database, MeetOptions,
-};
+use ncq_core::reference::{meet2, meet2_naive};
+use ncq_core::{meet2_indexed, Database, MeetOptions, MeetStrategy};
 use ncq_datagen::{DblpConfig, DblpCorpus, MultimediaConfig, MultimediaCorpus};
 use ncq_fulltext::HitSet;
 use ncq_store::Oid;
@@ -82,34 +80,6 @@ fn index_lca_and_distance_match_parent_walks_on_corpora() {
 }
 
 #[test]
-fn sweep_meet_sets_matches_lift_on_corpus_hit_lists() {
-    // Real full-text hit lists (homogeneous per relation) from the DBLP
-    // substitute: conference acronyms vs years — the paper's case-study
-    // shape.
-    for seed in 0..4u64 {
-        let db = dblp_db(seed);
-        let store = db.store();
-        let mut groups: Vec<Vec<Oid>> = Vec::new();
-        for term in ["ICDE", "VLDB", "1999", "1995", "IEEE"] {
-            for g in db.search_word(term).groups().values() {
-                groups.push(g.clone());
-            }
-        }
-        for s1 in &groups {
-            for s2 in &groups {
-                let lift = meet_sets(store, s1, s2).unwrap();
-                let sweep = meet_sets_sweep(store, s1, s2).unwrap();
-                let mut a = lift.meets.clone();
-                let mut b = sweep.meets.clone();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "seed {seed}");
-            }
-        }
-    }
-}
-
-#[test]
 fn sweep_meet_multi_matches_rollup_on_corpus_queries() {
     let canonical = |ms: &[ncq_core::Meet]| {
         ms.iter()
@@ -123,6 +93,15 @@ fn sweep_meet_multi_matches_rollup_on_corpus_queries() {
                 (m.node, m.path, m.distance, m.witness_count, ws)
             })
             .collect::<Vec<_>>()
+    };
+    let run = |db: &Database, inputs: &[HitSet], opts: &MeetOptions, strategy| {
+        db.meet_hits(
+            inputs,
+            &MeetOptions {
+                strategy,
+                ..opts.clone()
+            },
+        )
     };
     for seed in 0..4u64 {
         // DBLP: the paper's "ICDE AND year" query at several δ bounds.
@@ -138,8 +117,8 @@ fn sweep_meet_multi_matches_rollup_on_corpus_queries() {
                 witness_cap: 1024,
                 ..MeetOptions::default()
             };
-            let rollup = meet_multi(db.store(), &inputs, &opts);
-            let indexed = meet_multi_indexed(db.store(), &inputs, &opts);
+            let rollup = run(&db, &inputs, &opts, MeetStrategy::Lift);
+            let indexed = run(&db, &inputs, &opts, MeetStrategy::Sweep);
             assert_eq!(
                 canonical(&rollup),
                 canonical(&indexed),
@@ -156,8 +135,8 @@ fn sweep_meet_multi_matches_rollup_on_corpus_queries() {
                 witness_cap: 1024,
                 ..MeetOptions::default()
             };
-            let rollup = meet_multi(db.store(), &inputs, &opts);
-            let indexed = meet_multi_indexed(db.store(), &inputs, &opts);
+            let rollup = run(&db, &inputs, &opts, MeetStrategy::Lift);
+            let indexed = run(&db, &inputs, &opts, MeetStrategy::Sweep);
             assert_eq!(canonical(&rollup), canonical(&indexed), "seed {seed} d={d}");
             assert_eq!(rollup.len(), 1, "seed {seed} d={d}");
             assert_eq!(rollup[0].distance, d, "seed {seed} d={d}");

@@ -1,12 +1,13 @@
 //! Planner regression tests: seeded-PRNG corpora at depth ∈ {3, 16, 256}
-//! pin (a) that sweep and lift return identical `SetMeets` and (b) that
-//! the planner picks lift on the flat corpus and sweep on the deep one —
-//! the `BENCH_pr1.json` flat-row regression, closed.
+//! pin (a) that the roll-up and the sweep return identical ranked meets
+//! through `Database::meet_hits`, (b) that the planner picks the
+//! roll-up on a small flat input and the sweep on deep or large ones —
+//! the flat-row regression of CHANGES.md PR 1, closed in PR 2 — and
+//! (c) that a forced strategy runs the forced arm.
 
-use ncq_core::{
-    meet_sets, meet_sets_sweep, ChosenStrategy, Database, MeetError, MeetPlanner, MeetStrategy,
-    SetMeets,
-};
+use ncq_core::reference::meet_sets;
+use ncq_core::{ChosenStrategy, Database, Meet, MeetOptions, MeetStrategy};
+use ncq_fulltext::HitSet;
 use ncq_store::Oid;
 use ncq_xml::Document;
 use rand::rngs::StdRng;
@@ -41,71 +42,89 @@ fn corpus(seed: u64, depth: usize, records: usize) -> Database {
     Database::from_document(&doc)
 }
 
-/// The two homogeneous marker sets (every `s` cdata, every `t` cdata).
-fn marker_sets(db: &Database) -> (Vec<Oid>, Vec<Oid>) {
-    let store = db.store();
-    let pick = |needle: &str| -> Vec<Oid> {
-        let mut v: Vec<Oid> = store
-            .string_paths()
-            .flat_map(|p| store.strings_of(p))
-            .filter(|(_, t)| &**t == needle)
-            .map(|(o, _)| *o)
-            .collect();
-        v.sort_unstable();
-        v
-    };
-    (pick("s"), pick("t"))
+/// The two marker hit groups (every `s` cdata, every `t` cdata) — what
+/// `MEET s t` resolves to.
+fn marker_hits(db: &Database) -> [HitSet; 2] {
+    ["s", "t"].map(|needle| db.search_word(needle))
 }
 
-fn sorted(r: &SetMeets) -> Vec<(Oid, usize)> {
-    let mut m = r.meets.clone();
-    m.sort_unstable();
-    m
+fn forced(strategy: MeetStrategy) -> MeetOptions {
+    MeetOptions {
+        strategy,
+        witness_cap: 1024,
+        ..MeetOptions::default()
+    }
+}
+
+/// Ranked meets with each witness sample put in a canonical order:
+/// the roll-up absorbs witnesses group by group, the sweep lists them
+/// in document order — the same set either way.
+fn canonical(meets: &[Meet]) -> Vec<Meet> {
+    let mut meets = meets.to_vec();
+    for m in &mut meets {
+        m.witnesses.sort_unstable_by_key(|w| (w.origin, w.input));
+    }
+    meets
 }
 
 const DEPTHS: [usize; 3] = [3, 16, 256];
 
 #[test]
-fn sweep_and_lift_agree_at_every_depth() {
+fn sweep_and_rollup_agree_at_every_depth() {
     for (i, &depth) in DEPTHS.iter().enumerate() {
         for seed in 0..8u64 {
             let records = if depth >= 256 { 6 } else { 24 };
             let db = corpus((i as u64) << 32 | seed, depth, records);
-            let (s, t) = marker_sets(&db);
+            let inputs = marker_hits(&db);
+            let oids = |h: &HitSet| -> Vec<Oid> { h.iter().map(|(_, o)| o).collect() };
+            let (s, t) = (oids(&inputs[0]), oids(&inputs[1]));
             assert!(!s.is_empty() && !t.is_empty());
-            let store = db.store();
-            assert_eq!(store.depth(s[0]), depth, "marker depth is exact");
-            let lift = meet_sets(store, &s, &t).unwrap();
-            let sweep = meet_sets_sweep(store, &s, &t).unwrap();
-            assert_eq!(
-                sorted(&lift),
-                sorted(&sweep),
-                "depth {depth} seed {seed}: lift and sweep diverged"
+            assert_eq!(db.store().depth(s[0]), depth, "marker depth is exact");
+            let run = |strategy| canonical(&db.meet_hits(&inputs, &forced(strategy)));
+            let rollup = run(MeetStrategy::Lift);
+            assert!(
+                rollup == run(MeetStrategy::Sweep),
+                "depth {depth} seed {seed}: roll-up and sweep diverged"
             );
-            // Every record head is a minimal meet: one per record's pairs.
-            assert!(!lift.meets.is_empty());
             // The planner dispatch returns the same answers as both.
-            let auto = db.meet_oid_sets(&s, &t).unwrap();
-            assert_eq!(sorted(&auto), sorted(&lift));
+            assert!(
+                rollup == run(MeetStrategy::Auto),
+                "depth {depth} seed {seed}"
+            );
+            // On this shape (every s has a t under the same parent) the
+            // generalized meet finds exactly the Fig. 4 minimal meets:
+            // one per record.
+            let mut oracle = meet_sets(db.store(), &s, &t).unwrap().oids();
+            oracle.sort_unstable();
+            let mut nodes: Vec<Oid> = rollup.iter().map(|m| m.node).collect();
+            nodes.sort_unstable();
+            assert_eq!(nodes, oracle, "depth {depth} seed {seed}");
+            assert_eq!(nodes.len(), records);
         }
     }
 }
 
 #[test]
-fn planner_picks_lift_flat_and_sweep_deep() {
-    let flat = corpus(0xF1A7, 3, 64);
-    let (s, t) = marker_sets(&flat);
-    let plan = flat.plan_oid_sets(&s, &t).unwrap();
+fn planner_picks_rollup_flat_and_sweep_deep() {
+    // Flat and small: ≤ 8 · 3 · 2 = 48 hits at depth 3.
+    let flat = corpus(0xF1A7, 3, 8);
+    let plan = flat.planner().plan_multi(&marker_hits(&flat));
     assert_eq!(
         plan.strategy,
         ChosenStrategy::Lift,
-        "flat corpus (depth 3, {} hits) must lift: {plan:?}",
+        "flat corpus (depth 3, {} hits) must roll up: {plan:?}",
         plan.hits
     );
 
+    // Flat but large: the roll-up's per-token hashing loses past 64
+    // hits whatever the depth (64 records carry ≥ 128).
+    let wide = corpus(0xF1A7, 3, 64);
+    let plan = wide.planner().plan_multi(&marker_hits(&wide));
+    assert_eq!(plan.strategy, ChosenStrategy::Sweep, "{plan:?}");
+    assert!(plan.est_rounds <= plan.round_budget, "{plan:?}");
+
     let deep = corpus(0xDEEB, 256, 8);
-    let (s, t) = marker_sets(&deep);
-    let plan = deep.plan_oid_sets(&s, &t).unwrap();
+    let plan = deep.planner().plan_multi(&marker_hits(&deep));
     assert_eq!(
         plan.strategy,
         ChosenStrategy::Sweep,
@@ -116,33 +135,46 @@ fn planner_picks_lift_flat_and_sweep_deep() {
 }
 
 #[test]
-fn forced_strategies_execute_the_forced_path() {
-    // Pin the override contract on a mid-depth corpus where Auto could
-    // go either way: lookups is the tell (the lift counts parent
-    // look-ups ≥ rounds × hits; the sweep counts O(hits) LCA probes).
-    let db = corpus(0x16, 16, 24);
-    let (s, t) = marker_sets(&db);
-    let planner = MeetPlanner::new(db.store());
-    let lift = planner.meet_sets(&s, &t, MeetStrategy::Lift).unwrap();
-    let sweep = planner.meet_sets(&s, &t, MeetStrategy::Sweep).unwrap();
-    let reference_lift = meet_sets(db.store(), &s, &t).unwrap();
-    let reference_sweep = meet_sets_sweep(db.store(), &s, &t).unwrap();
-    assert_eq!(lift.lookups, reference_lift.lookups);
-    assert_eq!(sweep.lookups, reference_sweep.lookups);
-    assert_ne!(
-        lift.lookups, sweep.lookups,
-        "the two strategies must be observably different evaluations"
-    );
+fn forced_strategies_execute_the_forced_arm() {
+    // The pipeline's sweep arm is a closure, so which arm ran is
+    // observable: a forced roll-up never calls it, a forced sweep
+    // always does, Auto does exactly when the plan says so.
+    for (depth, records) in [(3, 8), (16, 24), (256, 6)] {
+        let db = corpus(0x16, depth, records);
+        let inputs = marker_hits(&db);
+        let ran_sweep = |strategy| {
+            let mut swept = false;
+            let meets: Vec<Meet> = db.planner().execute(&inputs, &forced(strategy), || {
+                swept = true;
+                db.meet_hits(&inputs, &forced(MeetStrategy::Sweep))
+            });
+            assert_eq!(meets.len(), records, "depth {depth} {strategy:?}");
+            swept
+        };
+        assert!(!ran_sweep(MeetStrategy::Lift), "depth {depth}");
+        assert!(ran_sweep(MeetStrategy::Sweep), "depth {depth}");
+        let planned = db.planner().plan_multi(&inputs).strategy;
+        assert_eq!(
+            ran_sweep(MeetStrategy::Auto),
+            planned == ChosenStrategy::Sweep,
+            "depth {depth}"
+        );
+    }
 }
 
 #[test]
 fn planner_empty_input_regression() {
     let db = corpus(0, 3, 4);
-    let (s, _) = marker_sets(&db);
-    assert_eq!(db.meet_oid_sets(&s, &[]), Err(MeetError::EmptyInput));
-    assert_eq!(db.meet_oid_sets(&[], &s), Err(MeetError::EmptyInput));
-    assert_eq!(
-        meet_sets_sweep(db.store(), &[], &s),
-        Err(MeetError::EmptyInput)
-    );
+    let [s, _] = marker_hits(&db);
+    let none: [HitSet; 0] = [];
+    assert_eq!(db.planner().plan_multi(&none).hits, 0);
+    for strategy in [MeetStrategy::Auto, MeetStrategy::Lift, MeetStrategy::Sweep] {
+        assert!(db.meet_hits(&none, &forced(strategy)).is_empty());
+        // An empty group next to a populated one contributes nothing:
+        // the populated group still meets within itself.
+        let empty = HitSet::new();
+        let alone = db.meet_hits(&[&s], &forced(strategy));
+        let padded = db.meet_hits(&[&s, &empty], &forced(strategy));
+        assert!(!alone.is_empty() && alone == padded, "{strategy:?}");
+    }
 }

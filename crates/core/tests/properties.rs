@@ -1,12 +1,14 @@
-//! Randomized property tests of the meet operator family on random trees.
+//! Randomized property tests on random trees: the paper's walks in
+//! [`ncq_core::reference`] against an independent ancestor-set LCA and
+//! the O(1) index, and the two arms of the meet pipeline (roll-up and
+//! sweep, forced through [`Database::meet_hits`]) against each other
+//! and against the witness invariants of the generalized meet.
 //!
 //! Seeded loops over a deterministic PRNG stand in for proptest (the
 //! offline build cannot fetch it); failures print the seed.
 
-use ncq_core::{
-    meet2, meet2_indexed, meet2_naive, meet_multi, meet_multi_indexed, meet_sets,
-    meet_sets_lift_ordered, meet_sets_sweep, meet_sets_sweep_merged, MeetOptions,
-};
+use ncq_core::reference::{meet2, meet2_naive, meet_sets};
+use ncq_core::{meet2_indexed, Database, Meet, MeetOptions, MeetStrategy};
 use ncq_fulltext::HitSet;
 use ncq_store::{MonetDb, Oid};
 use ncq_xml::Document;
@@ -94,7 +96,7 @@ fn meet2_algebraic_laws() {
     }
 }
 
-/// Set meet on singletons coincides with meet2, for both evaluations.
+/// Set meet on singletons coincides with meet2.
 #[test]
 fn meet_sets_singletons_match_meet2() {
     for seed in 0..CASES {
@@ -103,21 +105,16 @@ fn meet_sets_singletons_match_meet2() {
         let a = random_oid(&mut rng, &db);
         let b = random_oid(&mut rng, &db);
         let expect = meet2(&db, a, b).meet;
-        for result in [
-            meet_sets(&db, &[a], &[b]).unwrap(),
-            meet_sets_sweep(&db, &[a], &[b]).unwrap(),
-        ] {
-            assert_eq!(result.meets.len(), 1, "seed {seed}");
-            assert_eq!(result.meets[0].0, expect, "seed {seed}");
-        }
+        let result = meet_sets(&db, &[a], &[b]).unwrap();
+        assert_eq!(result.meets.len(), 1, "seed {seed}");
+        assert_eq!(result.meets[0].0, expect, "seed {seed}");
     }
 }
 
-/// Every meet_sets result is a common ancestor of at least one element
-/// from each input set, and the plane sweep returns exactly the lift's
-/// (meet, round) multiset.
+/// Every meet_sets result is minimal: the meet2 — the *lowest* common
+/// ancestor, not just a common one — of one element from each input set.
 #[test]
-fn meet_sets_results_are_minimal_and_sweep_agrees() {
+fn meet_sets_results_are_minimal_against_meet2() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(3 << 32 | seed);
         let db = MonetDb::from_document(&random_tree(&mut rng));
@@ -135,32 +132,12 @@ fn meet_sets_results_are_minimal_and_sweep_agrees() {
         let s2 = &groups[rng.random_range(1..groups.len())];
         let result = meet_sets(&db, s1, s2).unwrap();
         for &(m, _) in &result.meets {
-            // Each meet covers at least one element of each input.
             assert!(
-                s1.iter().any(|&o| db.is_ancestor_or_self(m, o)),
-                "seed {seed}"
-            );
-            assert!(
-                s2.iter().any(|&o| db.is_ancestor_or_self(m, o)),
-                "seed {seed}"
+                s1.iter()
+                    .any(|&a| s2.iter().any(|&b| meet2(&db, a, b).meet == m)),
+                "seed {seed}: {m:?} is not the meet2 of any cross pair"
             );
         }
-        let sweep = meet_sets_sweep(&db, s1, s2).unwrap();
-        let mut lift_meets = result.meets.clone();
-        let mut sweep_meets = sweep.meets.clone();
-        lift_meets.sort_unstable();
-        sweep_meets.sort_unstable();
-        assert_eq!(lift_meets, sweep_meets, "seed {seed}");
-        // The planner-tier executors reproduce their baselines exactly
-        // (meets, rounds and look-up/probe counts) on random trees.
-        let ordered = meet_sets_lift_ordered(&db, s1, s2).unwrap();
-        let mut ordered_meets = ordered.meets.clone();
-        ordered_meets.sort_unstable();
-        assert_eq!(lift_meets, ordered_meets, "seed {seed}");
-        assert_eq!(result.join_rounds, ordered.join_rounds, "seed {seed}");
-        assert_eq!(result.lookups, ordered.lookups, "seed {seed}");
-        let merged = meet_sets_sweep_merged(&db, s1, s2).unwrap();
-        assert_eq!(sweep, merged, "seed {seed}");
     }
 }
 
@@ -178,25 +155,42 @@ fn random_inputs(rng: &mut StdRng, db: &MonetDb, max_groups: usize, picks: usize
         .collect()
 }
 
-/// meet_multi invariants: witnesses' pairwise LCA is exactly the meet
-/// node; the reported distance is the closest witness pair's distance;
-/// every hit is consumed by exactly one meet, except at most one lone
-/// survivor (which dies at the root). The indexed sweep returns exactly
-/// the same meets, witness for witness.
+/// One arm of the pipeline, forced through the facade.
+fn run(
+    db: &Database,
+    inputs: &[HitSet],
+    options: &MeetOptions,
+    strategy: MeetStrategy,
+) -> Vec<Meet> {
+    db.meet_hits(
+        inputs,
+        &MeetOptions {
+            strategy,
+            ..options.clone()
+        },
+    )
+}
+
+/// Generalized-meet invariants: witnesses' pairwise LCA is exactly the
+/// meet node; the reported distance is the closest witness pair's
+/// distance; every hit is consumed by exactly one meet, except at most
+/// one lone survivor (which dies at the root). The sweep arm returns
+/// exactly the roll-up's ranked meets, witness for witness.
 #[test]
 fn meet_multi_witness_invariants_and_sweep_agrees() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(4 << 32 | seed);
-        let db = MonetDb::from_document(&random_tree(&mut rng));
+        let facade = Database::from_document(&random_tree(&mut rng));
+        let db = facade.store();
         let picks = rng.random_range(2usize..24);
-        let inputs = random_inputs(&mut rng, &db, 4, picks);
+        let inputs = random_inputs(&mut rng, db, 4, picks);
         let total_hits: usize = inputs.iter().map(HitSet::len).sum();
 
         let opts = MeetOptions {
             witness_cap: 64,
             ..MeetOptions::default()
         };
-        let meets = meet_multi(&db, &inputs, &opts);
+        let meets = run(&facade, &inputs, &opts, MeetStrategy::Lift);
 
         let mut consumed = 0usize;
         for m in &meets {
@@ -207,14 +201,14 @@ fn meet_multi_witness_invariants_and_sweep_agrees() {
             let mut best = usize::MAX;
             for (i, w1) in m.witnesses.iter().enumerate() {
                 // climb is the real tree distance origin → meet.
-                let (lca_om, d_om) = reference_lca(&db, w1.origin, m.node);
+                let (lca_om, d_om) = reference_lca(db, w1.origin, m.node);
                 assert_eq!(lca_om, m.node, "seed {seed}");
                 assert_eq!(d_om, w1.climb, "seed {seed}");
                 for w2 in m.witnesses.iter().skip(i + 1) {
                     if (w1.origin, w1.input) == (w2.origin, w2.input) {
                         continue;
                     }
-                    let (lca, d) = reference_lca(&db, w1.origin, w2.origin);
+                    let (lca, d) = reference_lca(db, w1.origin, w2.origin);
                     assert_eq!(
                         lca, m.node,
                         "seed {seed}: witness pair LCA must be the meet"
@@ -231,8 +225,8 @@ fn meet_multi_witness_invariants_and_sweep_agrees() {
         );
 
         // The indexed sweep is witness-for-witness identical.
-        let indexed = meet_multi_indexed(&db, &inputs, &opts);
-        let canonical = |ms: &[ncq_core::Meet]| {
+        let indexed = run(&facade, &inputs, &opts, MeetStrategy::Sweep);
+        let canonical = |ms: &[Meet]| {
             ms.iter()
                 .map(|m| {
                     let mut ws: Vec<_> = m
@@ -249,19 +243,19 @@ fn meet_multi_witness_invariants_and_sweep_agrees() {
     }
 }
 
-/// meet_multi is invariant under permutation of the input groups, in
-/// both evaluations.
+/// The generalized meet is invariant under permutation of the input
+/// groups, in both arms.
 #[test]
 fn meet_multi_is_order_invariant() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(5 << 32 | seed);
-        let db = MonetDb::from_document(&random_tree(&mut rng));
+        let db = Database::from_document(&random_tree(&mut rng));
         let picks = rng.random_range(2usize..18);
-        let inputs = random_inputs(&mut rng, &db, 3, picks);
+        let inputs = random_inputs(&mut rng, db.store(), 3, picks);
         let inputs_rev: Vec<HitSet> = inputs.iter().rev().cloned().collect();
-        for eval in [meet_multi, meet_multi_indexed] {
-            let fwd = eval(&db, &inputs, &MeetOptions::default());
-            let rev = eval(&db, &inputs_rev, &MeetOptions::default());
+        for strategy in [MeetStrategy::Lift, MeetStrategy::Sweep] {
+            let fwd = run(&db, &inputs, &MeetOptions::default(), strategy);
+            let rev = run(&db, &inputs_rev, &MeetOptions::default(), strategy);
             let a: Vec<(Oid, usize, usize)> = fwd
                 .iter()
                 .map(|m| (m.node, m.distance, m.witness_count))
@@ -270,7 +264,7 @@ fn meet_multi_is_order_invariant() {
                 .iter()
                 .map(|m| (m.node, m.distance, m.witness_count))
                 .collect();
-            assert_eq!(a, b, "seed {seed}");
+            assert_eq!(a, b, "seed {seed} {strategy:?}");
         }
     }
 }
@@ -281,21 +275,21 @@ fn meet_multi_is_order_invariant() {
 fn max_distance_is_monotone_and_sweep_agrees() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(6 << 32 | seed);
-        let db = MonetDb::from_document(&random_tree(&mut rng));
+        let db = Database::from_document(&random_tree(&mut rng));
         let picks = rng.random_range(2usize..16);
-        let inputs = random_inputs(&mut rng, &db, 2, picks);
+        let inputs = random_inputs(&mut rng, db.store(), 2, picks);
         let delta = rng.random_range(0usize..12);
         let opts = MeetOptions {
             max_distance: Some(delta),
             ..MeetOptions::default()
         };
-        let bounded = meet_multi(&db, &inputs, &opts);
+        let bounded = run(&db, &inputs, &opts, MeetStrategy::Lift);
         for m in &bounded {
             assert!(m.distance <= delta, "seed {seed}");
             assert!(m.witness_count >= 2, "seed {seed}");
         }
-        let indexed = meet_multi_indexed(&db, &inputs, &opts);
-        let key = |ms: &[ncq_core::Meet]| {
+        let indexed = run(&db, &inputs, &opts, MeetStrategy::Sweep);
+        let key = |ms: &[Meet]| {
             ms.iter()
                 .map(|m| (m.node, m.distance, m.witness_count))
                 .collect::<Vec<_>>()

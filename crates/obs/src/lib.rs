@@ -12,7 +12,7 @@
 //! trace-id allocator, and the master on/off switch; instrumented
 //! code guards its recording on [`Obs::enabled`], one relaxed atomic
 //! load, so metrics-off overhead on the hot meet path is measurable
-//! noise (`BENCH_pr8.json` pins it ≤ 5% even with metrics *on*).
+//! noise (CHANGES.md, PR 8 pinned it ≤ 5% even with metrics *on*).
 
 pub mod metrics;
 pub mod trace;

@@ -16,7 +16,7 @@ use crate::ast::{Query, SelectClause, SelectItem};
 use crate::error::QueryError;
 use crate::parser::parse_query;
 use crate::pathexpr::{match_paths, matched_path_ids, PathMatch};
-use ncq_core::{AnswerSet, MeetBackend, MeetOptions, MeetStrategy, PathFilter};
+use ncq_core::{AnswerSet, MeetBackend, MeetOptions, PathFilter};
 use ncq_fulltext::HitSet;
 use ncq_store::{Oid, PathId};
 
@@ -37,18 +37,11 @@ impl Default for QueryConfig {
     }
 }
 
-/// Full evaluation options: limits plus planner overrides.
-///
-/// The meet planner normally decides per query between the Fig. 4/5
-/// lift/roll-up and the indexed plane sweep; `strategy` forces either
-/// side — the planner regression tests and `ncq-server` config knobs
-/// thread through here.
+/// Full evaluation options: limits plus corpus routing.
 #[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
     /// Evaluation limits.
     pub config: QueryConfig,
-    /// Meet evaluation strategy ([`MeetStrategy::Auto`] plans).
-    pub strategy: MeetStrategy,
     /// Corpus to evaluate against when the query text names none —
     /// the server's `USE` verb threads the session corpus through
     /// here. An explicit `from corpus(name)` in the query wins.
@@ -172,7 +165,6 @@ fn evaluate_resolved<B: MeetBackend + ?Sized>(
                 .collect::<Result<_, _>>()?;
             let mut options = MeetOptions {
                 max_distance: modifiers.within,
-                strategy: opts.strategy,
                 limit: query.limit,
                 ..MeetOptions::default()
             };
@@ -531,41 +523,6 @@ mod tests {
             panic!()
         };
         assert_eq!(a.tags(), vec!["article"]);
-    }
-
-    #[test]
-    fn forced_strategies_agree_with_the_planner() {
-        let db = db();
-        let q = "select meet(t1, t2) \
-                 from bibliography/% as t1, bibliography/% as t2 \
-                 where t1 contains 'Bit' and t2 contains '1999'";
-        let run = |strategy| {
-            let QueryOutput::Answers(a) = run_query_opts(
-                &db,
-                q,
-                &QueryOptions {
-                    strategy,
-                    ..QueryOptions::default()
-                },
-            )
-            .unwrap() else {
-                panic!("meet query")
-            };
-            a
-        };
-        let auto = run(MeetStrategy::Auto);
-        let lift = run(MeetStrategy::Lift);
-        let sweep = run(MeetStrategy::Sweep);
-        assert_eq!(auto.tags(), vec!["article"]);
-        for other in [&lift, &sweep] {
-            assert_eq!(auto.tags(), other.tags());
-            assert_eq!(auto.results[0].oid, other.results[0].oid);
-            assert_eq!(auto.results[0].distance, other.results[0].distance);
-            assert_eq!(
-                auto.results[0].witness_count,
-                other.results[0].witness_count
-            );
-        }
     }
 
     #[test]

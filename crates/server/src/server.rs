@@ -10,13 +10,13 @@
 
 use ncq_core::{
     AnswerSet, BackendError, BatchQuery, CatalogError, Database, MeetBackend, MeetOptions,
-    MeetStrategy,
 };
 use ncq_fulltext::HitSet;
 use ncq_query::{parse_query, run_query_opts, QueryConfig, QueryOptions, QueryOutput, RowSet};
 use ncq_store::snapshot::SnapshotError;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::hash::Hash;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
@@ -37,19 +37,17 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Maximum requests one worker evaluates as a batch. Minimum 1.
     pub batch_max: usize,
-    /// Meet evaluation strategy for every query served
-    /// ([`MeetStrategy::Auto`] = depth-aware planner).
-    pub strategy: MeetStrategy,
     /// Projection row limit for SQL queries.
     pub max_rows: usize,
     /// Distinct terms each worker keeps decoded (FIFO eviction);
-    /// `0` disables the cache.
+    /// `0` disables the cache. Entries are epoch-tagged like the
+    /// semantic cache's.
     pub term_cache_capacity: usize,
     /// Distinct *query results* the service keeps (FIFO eviction,
     /// shared across workers); `0` disables the semantic cache. A hit
-    /// skips evaluation entirely. Entries are generation-tagged per
-    /// corpus: `SNAPSHOT LOAD … INTO c` invalidates only corpus `c`'s
-    /// entries, a whole-backend load invalidates everything.
+    /// skips evaluation entirely. Entries are epoch-tagged per corpus:
+    /// `SNAPSHOT LOAD … INTO c` invalidates only corpus `c`'s entries,
+    /// a whole-backend load invalidates everything.
     pub sem_cache_capacity: usize,
     /// Directory the `SNAPSHOT SAVE`/`SNAPSHOT LOAD` control verbs may
     /// touch. `None` (the default) disables them entirely — the verbs
@@ -66,7 +64,6 @@ impl Default for ServerConfig {
             workers: 0,
             queue_capacity: 1024,
             batch_max: 32,
-            strategy: MeetStrategy::Auto,
             max_rows: 10_000,
             term_cache_capacity: 4096,
             sem_cache_capacity: 1024,
@@ -136,9 +133,9 @@ pub enum Request {
     /// corpus's shape and every *other* corpus's engine is shared by
     /// refcount, so sibling corpora — and all in-flight batches — are
     /// untouched. Either way the swap takes effect for batches formed
-    /// after this request completes, and worker term caches are
-    /// invalidated. Gated by [`ServerConfig::snapshot_dir`] like the
-    /// save verb.
+    /// after this request completes, and the swapped scope's cached
+    /// term decodes and results go stale. Gated by
+    /// [`ServerConfig::snapshot_dir`] like the save verb.
     SnapshotLoad {
         /// Source file name inside the configured snapshot dir.
         path: PathBuf,
@@ -453,20 +450,17 @@ struct Shared {
     /// steady-state cost is nil and a swap never stalls in-flight
     /// evaluation — old batches finish on the old `Arc`.
     db: RwLock<Arc<dyn MeetBackend>>,
-    /// Bumped on every backend swap; workers drop their term caches
-    /// when it moves (cached decodes refer to the previous engine).
-    generation: AtomicUsize,
-    /// Invalidation generations for the semantic cache, split by scope:
-    /// a whole-backend swap bumps `full`, a per-corpus splice bumps
-    /// only that corpus's entry. Swappers mutate this while still
-    /// holding the `db` *write* lock and readers snapshot it under the
-    /// *read* lock, so a batch can never pair a fresh engine with
-    /// stale epochs (or vice versa). Lock order: `db`, then `epochs`.
-    epochs: Mutex<SemEpochs>,
+    /// Invalidation epochs for both caches, split by scope: a
+    /// whole-backend swap bumps `full`, a per-corpus splice bumps only
+    /// that corpus's entry. Swappers mutate this while still holding
+    /// the `db` *write* lock and readers snapshot it under the *read*
+    /// lock, so a batch can never pair a fresh engine with stale
+    /// epochs (or vice versa). Lock order: `db`, then `epochs`.
+    epochs: Mutex<Epochs>,
     /// The semantic result cache, shared across workers (unlike the
     /// per-worker term caches — a result hit saves a whole evaluation,
     /// which dwarfs the mutex).
-    sem: Mutex<SemCache>,
+    sem: Mutex<EpochCache<SemKey, Response>>,
     config: ServerConfig,
     state: Mutex<QueueState>,
     /// Signalled when jobs are queued or shutdown begins.
@@ -476,56 +470,53 @@ struct Shared {
     stats: Counters,
 }
 
-/// Snapshot-swap generations the semantic cache validates against.
+/// Snapshot-swap epochs cache entries validate against.
 #[derive(Debug, Clone, Default)]
-struct SemEpochs {
+struct Epochs {
     /// Whole-backend swaps (`SNAPSHOT LOAD` without `INTO`).
     full: usize,
     /// Per-corpus splices (`SNAPSHOT LOAD … INTO c`), keyed by corpus.
     per_corpus: HashMap<String, usize>,
 }
 
-impl SemEpochs {
-    fn corpus(&self, name: &str) -> usize {
-        self.per_corpus.get(name).copied().unwrap_or(0)
+/// `(whole-backend swaps, splices of one corpus)` — what an entry of
+/// that corpus is tagged with and checked against.
+type Epoch = (usize, usize);
+
+impl Epochs {
+    fn of(&self, corpus: &str) -> Epoch {
+        (self.full, self.per_corpus.get(corpus).copied().unwrap_or(0))
     }
 }
 
-/// One cached query result, tagged with the epochs observed when its
-/// evaluation *started* — a result computed on an engine that was
-/// swapped out mid-flight tags as already stale and is never served.
-struct SemEntry {
-    response: Response,
-    corpus: String,
-    full: usize,
-    corpus_epoch: usize,
-}
-
-/// Semantic result cache: normalized request key → response. FIFO
-/// eviction like the term cache; shared across workers behind
-/// [`Shared::sem`].
-struct SemCache {
-    map: HashMap<String, SemEntry>,
-    order: VecDeque<String>,
+/// The one cache mechanism of the service: a FIFO-evicting map whose
+/// entries carry the [`Epoch`] observed when their computation
+/// *started* — a value computed on an engine that was swapped out
+/// mid-flight tags as already stale and is never served. Instantiated
+/// twice: the shared result cache ([`Shared::sem`]) and each worker's
+/// private term-decode cache.
+struct EpochCache<K, V> {
+    map: HashMap<K, (V, Epoch)>,
+    order: VecDeque<K>,
     capacity: usize,
 }
 
-impl SemCache {
-    fn new(capacity: usize) -> SemCache {
-        SemCache {
+impl<K: Hash + Eq + Clone, V: Clone> EpochCache<K, V> {
+    fn new(capacity: usize) -> EpochCache<K, V> {
+        EpochCache {
             map: HashMap::new(),
             order: VecDeque::new(),
             capacity,
         }
     }
 
-    /// A still-valid entry for `key`, or `None`. A generation-stale
-    /// entry is removed on sight (returned in `evicted` so the caller
-    /// can count it) — it can never become valid again.
-    fn lookup(&mut self, key: &str, epochs: &SemEpochs, evicted: &mut usize) -> Option<Response> {
-        let entry = self.map.get(key)?;
-        if entry.full == epochs.full && entry.corpus_epoch == epochs.corpus(&entry.corpus) {
-            return Some(entry.response.clone());
+    /// A still-valid entry for `key`, or `None`. A stale entry is
+    /// removed on sight (counted into `evicted`) — it can never become
+    /// valid again.
+    fn lookup(&mut self, key: &K, epoch: Epoch, evicted: &mut usize) -> Option<V> {
+        let (value, tagged) = self.map.get(key)?;
+        if *tagged == epoch {
+            return Some(value.clone());
         }
         self.map.remove(key);
         self.order.retain(|k| k != key);
@@ -534,60 +525,67 @@ impl SemCache {
     }
 
     /// Insert (or refresh) an entry, evicting FIFO-oldest past
-    /// capacity; returns how many entries were evicted.
-    fn insert(
-        &mut self,
-        key: String,
-        corpus: String,
-        response: Response,
-        epochs: &SemEpochs,
-    ) -> usize {
+    /// capacity; returns how many entries were evicted. A zero
+    /// capacity keeps nothing.
+    fn insert(&mut self, key: K, value: V, epoch: Epoch) -> usize {
+        if self.capacity == 0 {
+            return 0;
+        }
         let mut evicted = 0;
         if !self.map.contains_key(&key) {
-            while self.map.len() >= self.capacity.max(1) {
-                match self.order.pop_front() {
-                    Some(oldest) => {
-                        self.map.remove(&oldest);
-                        evicted += 1;
-                    }
-                    None => break,
-                }
+            while self.map.len() >= self.capacity {
+                let Some(oldest) = self.order.pop_front() else {
+                    break;
+                };
+                self.map.remove(&oldest);
+                evicted += 1;
             }
             self.order.push_back(key.clone());
         }
-        let corpus_epoch = epochs.corpus(&corpus);
-        self.map.insert(
-            key,
-            SemEntry {
-                response,
-                corpus,
-                full: epochs.full,
-                corpus_epoch,
-            },
-        );
+        self.map.insert(key, (value, epoch));
         evicted
     }
 }
 
+/// Result-cache key: every field that selects the answer, typed — so
+/// no term, corpus name or query text can spell another request's key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum SemKey {
+    /// `MEET`: resolved corpus, options, and the term list in request
+    /// order (order is positional — witness `input` indices depend on
+    /// it).
+    Meet {
+        corpus: String,
+        within: Option<usize>,
+        limit: Option<usize>,
+        terms: Vec<String>,
+    },
+    /// SQL: the canonical printed parse (whitespace/case variants
+    /// share an entry), the *resolved* corpus (text wins over session
+    /// wins over default) and the session corpus.
+    Sql {
+        corpus: String,
+        session: Option<String>,
+        query: String,
+    },
+}
+
 impl Shared {
-    /// The current backend (a refcount bump, not a copy) together with
-    /// its generation. Both are read under the read lock — and a swap
-    /// bumps the generation while still holding the write lock — so
-    /// the pair is always consistent: a worker can never observe a new
-    /// engine with an old generation (which would let it serve
-    /// un-invalidated term-cache decodes from the previous corpus).
-    fn backend(&self) -> (Arc<dyn MeetBackend>, usize) {
-        let guard = self.db.read().expect("backend lock");
-        (Arc::clone(&guard), self.generation.load(Relaxed))
+    /// The current backend (a refcount bump, not a copy).
+    fn backend(&self) -> Arc<dyn MeetBackend> {
+        Arc::clone(&self.db.read().expect("backend lock"))
     }
 
-    /// Like [`Shared::backend`], with the semantic-cache epochs read
-    /// under the same read-lock hold — the triple is consistent for
-    /// the whole batch.
-    fn backend_and_epochs(&self) -> (Arc<dyn MeetBackend>, usize, SemEpochs) {
+    /// The current backend with the cache epochs read under the same
+    /// read-lock hold — and a swap bumps its epoch while still holding
+    /// the write lock — so the pair is consistent for the whole batch:
+    /// a worker can never pair a new engine with old epochs (which
+    /// would let it serve term decodes or results of the previous
+    /// corpus).
+    fn backend_and_epochs(&self) -> (Arc<dyn MeetBackend>, Epochs) {
         let guard = self.db.read().expect("backend lock");
         let epochs = self.epochs.lock().expect("epoch lock").clone();
-        (Arc::clone(&guard), self.generation.load(Relaxed), epochs)
+        (Arc::clone(&guard), epochs)
     }
 
     /// Counters plus the serving backend's failover-router counters
@@ -596,8 +594,7 @@ impl Shared {
     /// in the service layer.
     fn stats_snapshot(&self) -> ServerStats {
         let mut stats = self.stats.snapshot();
-        let (backend, _) = self.backend();
-        let remote = backend.robustness_stats();
+        let remote = self.backend().robustness_stats();
         stats.retries = remote.retries;
         stats.failovers = remote.failovers;
         stats.replicas_down = remote.replicas_down;
@@ -640,9 +637,8 @@ impl Server {
         let sem_capacity = config.sem_cache_capacity;
         let shared = Arc::new(Shared {
             db: RwLock::new(db),
-            generation: AtomicUsize::new(0),
-            epochs: Mutex::new(SemEpochs::default()),
-            sem: Mutex::new(SemCache::new(sem_capacity)),
+            epochs: Mutex::new(Epochs::default()),
+            sem: Mutex::new(EpochCache::new(sem_capacity)),
             config,
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
@@ -848,88 +844,54 @@ impl Client {
 
 // ----- worker side -----
 
-/// Per-worker decoded-term cache (FIFO eviction). The database is
-/// immutable, so entries never invalidate; the cap only bounds memory.
-/// Entries are `Arc<HitSet>` so handing a cached decode to the meet
-/// operators is a refcount bump, not a deep copy of the posting lists.
+/// Per-worker decoded-term cache. Entries are `Arc<HitSet>` so handing
+/// a cached decode to the meet operators is a refcount bump, not a deep
+/// copy of the posting lists.
 ///
 /// Keys are `corpus \0 term`: the same term decodes differently per
 /// corpus of a forest, and corpus names can never contain NUL
 /// (enforced by the manifest/catalog name validation), so the split at
 /// the first NUL is unambiguous.
-struct TermCache {
-    map: HashMap<String, Arc<HitSet>>,
-    order: VecDeque<String>,
-    capacity: usize,
-}
+type TermCache = EpochCache<String, Arc<HitSet>>;
 
-impl TermCache {
-    fn new(capacity: usize) -> TermCache {
-        TermCache {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            capacity,
-        }
+/// `term`'s hits on `db` (the engine of `corpus`, whose batch-start
+/// `epoch` tags and validates the entry), from the worker's cache when
+/// it holds a still-valid decode. Fallible since
+/// the backend may be a remote replica set: a decode that fails (every
+/// replica down) is a typed error, never a silently empty hit set — and
+/// is *not* cached, so the next request retries against recovered
+/// replicas.
+fn get_or_decode(
+    shared: &Shared,
+    cache: &mut TermCache,
+    epoch: Epoch,
+    db: &Arc<dyn MeetBackend>,
+    corpus: &str,
+    term: &str,
+) -> Result<Arc<HitSet>, BackendError> {
+    let key = format!("{corpus}\0{term}");
+    if let Some(hits) = cache.lookup(&key, epoch, &mut 0) {
+        shared.stats.term_cache_hits.fetch_add(1, Relaxed);
+        ncq_obs::trace::event("term_cache", format!("hit {term}"));
+        return Ok(hits);
     }
-
-    /// Fallible since the backend may be a remote replica set: a decode
-    /// that fails (every replica down) is a typed error, never a
-    /// silently empty hit set — and is *not* cached, so the next
-    /// request retries against recovered replicas.
-    fn get_or_decode(
-        &mut self,
-        shared: &Shared,
-        db: &Arc<dyn MeetBackend>,
-        corpus: &str,
-        term: &str,
-    ) -> Result<Arc<HitSet>, BackendError> {
-        if self.capacity == 0 {
-            shared.stats.term_decodes.fetch_add(1, Relaxed);
-            let _decode = ncq_obs::trace::span("term_decode");
-            ncq_obs::trace::annotate("term", term.to_owned());
-            return Ok(Arc::new(db.search(term)?));
-        }
-        let key = format!("{corpus}\0{term}");
-        if let Some(hits) = self.map.get(&key) {
-            shared.stats.term_cache_hits.fetch_add(1, Relaxed);
-            ncq_obs::trace::event("term_cache", format!("hit {term}"));
-            return Ok(Arc::clone(hits));
-        }
-        shared.stats.term_decodes.fetch_add(1, Relaxed);
-        if self.map.len() >= self.capacity {
-            if let Some(oldest) = self.order.pop_front() {
-                self.map.remove(&oldest);
-            }
-        }
-        let _decode = ncq_obs::trace::span("term_decode");
-        ncq_obs::trace::annotate("term", term.to_owned());
-        let hits = Arc::new(db.search(term)?);
-        self.map.insert(key.clone(), Arc::clone(&hits));
-        self.order.push_back(key);
-        Ok(hits)
-    }
-
-    /// Drop every cached decode (the backend was swapped).
-    fn invalidate(&mut self) {
-        self.map.clear();
-        self.order.clear();
-    }
+    shared.stats.term_decodes.fetch_add(1, Relaxed);
+    let _decode = ncq_obs::trace::span("term_decode");
+    ncq_obs::trace::annotate("term", term.to_owned());
+    let hits = Arc::new(db.search(term)?);
+    cache.insert(key, Arc::clone(&hits), epoch);
+    Ok(hits)
 }
 
 fn worker_loop(shared: &Shared) {
     let mut cache = TermCache::new(shared.config.term_cache_capacity);
-    let mut seen_generation = shared.generation.load(Relaxed);
     while let Some(batch) = next_batch(shared) {
         // One backend per batch: a concurrent SNAPSHOT LOAD swaps the
-        // engine for *subsequent* batches; cached term decodes from the
-        // old engine are dropped when the generation moves. Backend,
-        // generation and semantic-cache epochs are read as one
-        // consistent triple (see [`Shared::backend_and_epochs`]).
-        let (db, generation, epochs) = shared.backend_and_epochs();
-        if generation != seen_generation {
-            cache.invalidate();
-            seen_generation = generation;
-        }
+        // engine for *subsequent* batches. Backend and cache epochs are
+        // read as one consistent pair (see
+        // [`Shared::backend_and_epochs`]), so decodes and results of a
+        // swapped-out engine fail their epoch check.
+        let (db, epochs) = shared.backend_and_epochs();
         shared.stats.batches.fetch_add(1, Relaxed);
         shared.stats.max_batch.fetch_max(batch.len(), Relaxed);
         serve_batch(shared, &db, &epochs, &mut cache, batch);
@@ -943,8 +905,9 @@ struct PendingMeet {
     engine: Arc<dyn MeetBackend>,
     inputs: Vec<Arc<HitSet>>,
     options: MeetOptions,
-    sem_key: Option<String>,
-    corpus: String,
+    /// Result-cache key and the corpus epoch to insert under (`None`
+    /// when the result cache is off).
+    sem_key: Option<(SemKey, Epoch)>,
     /// The request's trace, suspended while the job waits for its
     /// group's shared evaluation (`None` when tracing is off).
     trace: Option<ncq_obs::Trace>,
@@ -990,7 +953,7 @@ fn request_kind(request: &Request) -> &'static str {
 fn serve_batch(
     shared: &Shared,
     db: &Arc<dyn MeetBackend>,
-    epochs: &SemEpochs,
+    epochs: &Epochs,
     cache: &mut TermCache,
     batch: Vec<Job>,
 ) {
@@ -1021,29 +984,29 @@ fn serve_batch(
                         shared.stats.note_corpus(name);
                     }
                     let corpus_name = stat_name.unwrap_or_default();
+                    let epoch = epochs.of(&corpus_name);
                     let options = MeetOptions {
                         max_distance: *within,
                         limit: *limit,
-                        strategy: shared.config.strategy,
                         ..MeetOptions::default()
                     };
-                    // Normalized key: resolved corpus + options + the
-                    // term list in request order (order is positional —
-                    // witness `input` indices depend on it).
                     let sem_key = sem_on.then(|| {
-                        format!(
-                            "{corpus_name}\0M\0{within:?}\0{limit:?}\0{}",
-                            terms.join("\x1f")
-                        )
+                        let key = SemKey::Meet {
+                            corpus: corpus_name.clone(),
+                            within: *within,
+                            limit: *limit,
+                            terms: terms.clone(),
+                        };
+                        (key, epoch)
                     });
-                    if let Some(key) = &sem_key {
-                        if let Some(hit) = sem_lookup(shared, key, epochs) {
+                    if let Some((key, epoch)) = &sem_key {
+                        if let Some(hit) = sem_lookup(shared, key, *epoch) {
                             return Some(hit);
                         }
                     }
                     let mut inputs = Vec::with_capacity(terms.len());
                     for term in terms {
-                        match cache.get_or_decode(shared, &target, &corpus_name, term) {
+                        match get_or_decode(shared, cache, epoch, &target, &corpus_name, term) {
                             Ok(hits) => inputs.push(hits),
                             Err(e) => return Some(Response::Error(e.to_string())),
                         }
@@ -1054,7 +1017,6 @@ fn serve_batch(
                         inputs,
                         options,
                         sem_key,
-                        corpus: corpus_name,
                         // Park the trace with the job; phase 2 resumes
                         // it around the grouped evaluation.
                         trace: ncq_obs::trace::suspend(),
@@ -1072,10 +1034,8 @@ fn serve_batch(
                     {
                         shared.stats.note_corpus(&name);
                     }
-                    // Key on the canonical printed parse so whitespace/
-                    // case variants share an entry; the *resolved*
-                    // corpus (text wins over session wins over default)
-                    // scopes the invalidation epoch.
+                    // The *resolved* corpus scopes the invalidation
+                    // epoch.
                     let sem_key = match (sem_on, parse_query(src)) {
                         (true, Ok(q)) => {
                             let resolved = q
@@ -1084,15 +1044,18 @@ fn serve_batch(
                                 .or_else(|| corpus.clone())
                                 .or_else(|| db.default_corpus())
                                 .unwrap_or_default();
-                            Some((
-                                format!("{resolved}\0S\0{}\0{q}", corpus.as_deref().unwrap_or("")),
-                                resolved,
-                            ))
+                            let epoch = epochs.of(&resolved);
+                            let key = SemKey::Sql {
+                                corpus: resolved,
+                                session: corpus.clone(),
+                                query: q.to_string(),
+                            };
+                            Some((key, epoch))
                         }
                         _ => None, // parse errors answer in-band below
                     };
-                    if let Some((key, _)) = &sem_key {
-                        if let Some(hit) = sem_lookup(shared, key, epochs) {
+                    if let Some((key, epoch)) = &sem_key {
+                        if let Some(hit) = sem_lookup(shared, key, *epoch) {
                             return Some(hit);
                         }
                     }
@@ -1100,7 +1063,6 @@ fn serve_batch(
                         config: QueryConfig {
                             max_rows: shared.config.max_rows,
                         },
-                        strategy: shared.config.strategy,
                         default_corpus: corpus.clone(),
                     };
                     let response = match run_query_opts(&**db, src, &options) {
@@ -1108,14 +1070,14 @@ fn serve_batch(
                         Ok(QueryOutput::Rows(r)) => Response::Rows(r),
                         Err(e) => Response::Error(e.to_string()),
                     };
-                    if let (Some((key, resolved)), false) =
+                    if let (Some((key, epoch)), false) =
                         (sem_key, matches!(response, Response::Error(_)))
                     {
-                        sem_insert(shared, key, resolved, response.clone(), epochs);
+                        sem_insert(shared, key, response.clone(), epoch);
                     }
                     Some(response)
                 }
-                other => Some(execute(shared, db, cache, other)),
+                other => Some(execute(shared, db, epochs, cache, other)),
             }
         }))
         .unwrap_or_else(|_| {
@@ -1192,17 +1154,10 @@ fn serve_batch(
                         let _serialize = ncq_obs::trace::span("serialize");
                         Response::Answers(AnswerSet::from_meets(engine.store(), meets))
                     };
-                    let p = &pending[pi];
-                    if let Some(key) = &p.sem_key {
-                        sem_insert(
-                            shared,
-                            key.clone(),
-                            p.corpus.clone(),
-                            response.clone(),
-                            epochs,
-                        );
+                    if let Some((key, epoch)) = pending[pi].sem_key.take() {
+                        sem_insert(shared, key, response.clone(), epoch);
                     }
-                    responses[p.job] = Some(response);
+                    responses[pending[pi].job] = Some(response);
                     finish_request_trace();
                 }
             }
@@ -1241,13 +1196,13 @@ fn serve_batch(
 }
 
 /// Semantic-cache lookup with counter upkeep. `None` counts a miss.
-fn sem_lookup(shared: &Shared, key: &str, epochs: &SemEpochs) -> Option<Response> {
+fn sem_lookup(shared: &Shared, key: &SemKey, epoch: Epoch) -> Option<Response> {
     let mut evicted = 0;
     let hit = shared
         .sem
         .lock()
         .expect("sem cache lock")
-        .lookup(key, epochs, &mut evicted);
+        .lookup(key, epoch, &mut evicted);
     shared.stats.sem_evictions.fetch_add(evicted, Relaxed);
     match &hit {
         Some(_) => {
@@ -1263,18 +1218,12 @@ fn sem_lookup(shared: &Shared, key: &str, epochs: &SemEpochs) -> Option<Response
 }
 
 /// Semantic-cache insert with eviction accounting.
-fn sem_insert(
-    shared: &Shared,
-    key: String,
-    corpus: String,
-    response: Response,
-    epochs: &SemEpochs,
-) {
+fn sem_insert(shared: &Shared, key: SemKey, response: Response, epoch: Epoch) {
     let evicted = shared
         .sem
         .lock()
         .expect("sem cache lock")
-        .insert(key, corpus, response, epochs);
+        .insert(key, response, epoch);
     shared.stats.sem_evictions.fetch_add(evicted, Relaxed);
 }
 
@@ -1324,6 +1273,7 @@ fn resolve_corpus(
 fn execute(
     shared: &Shared,
     db: &Arc<dyn MeetBackend>,
+    epochs: &Epochs,
     cache: &mut TermCache,
     request: &Request,
 ) -> Response {
@@ -1352,14 +1302,15 @@ fn execute(
             let options = MeetOptions {
                 max_distance: *within,
                 limit: *limit,
-                strategy: shared.config.strategy,
                 ..MeetOptions::default()
             };
             let all = ncq_core::catalog::meet_terms_forest(
                 &**db,
                 terms,
                 &options,
-                |name, target, term| cache.get_or_decode(shared, target, name, term),
+                |name, target, term| {
+                    get_or_decode(shared, cache, epochs.of(name), target, name, term)
+                },
             );
             shared
                 .stats
@@ -1388,7 +1339,7 @@ fn execute(
                     // silently short total is a wrong answer — so an
                     // unavailable corpus fails the whole fan-out count,
                     // typed with the corpus it died on.
-                    match cache.get_or_decode(shared, &target, name, term) {
+                    match get_or_decode(shared, cache, epochs.of(name), &target, name, term) {
                         Ok(hits) => total += hits.len(),
                         Err(e) => {
                             return Response::Error(format!("corpus {name:?}: {e}"));
@@ -1405,7 +1356,8 @@ fn execute(
                 shared.stats.note_corpus(name);
             }
             let cache_corpus = stat_name.as_deref().unwrap_or("");
-            match cache.get_or_decode(shared, &target, cache_corpus, term) {
+            let epoch = epochs.of(cache_corpus);
+            match get_or_decode(shared, cache, epoch, &target, cache_corpus, term) {
                 Ok(hits) => Response::Count(hits.len()),
                 Err(e) => Response::Error(e.to_string()),
             }
@@ -1444,18 +1396,14 @@ fn execute(
                     };
                     let objects = fresh.store().node_count();
                     {
-                        // Bump the generation while still holding the
-                        // write lock: readers take (backend,
-                        // generation) under the read lock, so they can
-                        // never pair the new engine with the old
-                        // generation (stale term-cache decodes) or
-                        // vice versa.
+                        // Full swap: every cached decode and result is
+                        // for the old backend now. Bump the epoch while
+                        // still holding the write lock: readers take
+                        // (backend, epochs) under the read lock, so
+                        // they can never pair the new engine with the
+                        // old epochs or vice versa.
                         let mut guard = shared.db.write().expect("backend lock");
                         *guard = fresh;
-                        shared.generation.fetch_add(1, Relaxed);
-                        // Full swap: every semantic-cache entry is for
-                        // the old backend now (epoch bump under the
-                        // write lock, like the generation).
                         shared.epochs.lock().expect("epoch lock").full += 1;
                     }
                     Response::Info(format!(
@@ -1470,26 +1418,27 @@ fn execute(
                     // swapped since the batch formed), and the
                     // expensive snapshot load runs outside the write
                     // lock: if another swap lands in between (the
-                    // generation moved), rebuild against the new
-                    // current forest instead of silently discarding
-                    // that swap. Retries are rare — swaps are operator
-                    // actions — and each one observes a strictly newer
-                    // generation.
+                    // serving backend is no longer the one cloned),
+                    // rebuild against the new current forest instead of
+                    // silently discarding that swap. Retries are rare —
+                    // swaps are operator actions — and each one
+                    // observes a strictly newer backend.
                     loop {
-                        let (current, observed) = shared.backend();
+                        let current = shared.backend();
                         let fresh = match current.reload_corpus(name, &full) {
                             Ok(fresh) => fresh,
                             Err(e) => return Response::Error(format!("corpus {name:?}: {e}")),
                         };
                         let mut guard = shared.db.write().expect("backend lock");
-                        if shared.generation.load(Relaxed) != observed {
+                        // `current` keeps its allocation alive, so
+                        // pointer identity cannot be a recycled address.
+                        if !Arc::ptr_eq(&guard, &current) {
                             continue; // lost a race: splice into the newer forest
                         }
                         *guard = fresh;
-                        shared.generation.fetch_add(1, Relaxed);
                         // Per-corpus splice invalidates only this
-                        // corpus's semantic-cache entries; siblings
-                        // keep serving cached results.
+                        // corpus's cached decodes and results; siblings
+                        // keep serving theirs.
                         *shared
                             .epochs
                             .lock()
@@ -1882,9 +1831,8 @@ mod tests {
         let db: Arc<dyn MeetBackend> = Arc::new(Database::from_xml_str(FIGURE1).unwrap());
         let shared = Arc::new(Shared {
             db: RwLock::new(db),
-            generation: AtomicUsize::new(0),
-            epochs: Mutex::new(SemEpochs::default()),
-            sem: Mutex::new(SemCache::new(0)),
+            epochs: Mutex::new(Epochs::default()),
+            sem: Mutex::new(EpochCache::new(0)),
             config: ServerConfig {
                 queue_capacity: 1,
                 ..ServerConfig::default()

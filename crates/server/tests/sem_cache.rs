@@ -11,9 +11,15 @@
 //! of the two generations' reference answers — a torn or stale-beyond-
 //! swap answer fails the run. The STATS counters must reconcile:
 //! every cacheable query is exactly one semantic hit or miss.
+//!
+//! The per-worker term-decode cache is the same epoch-tagged mechanism
+//! and is pinned here too: a corpus splice keeps sibling corpora's
+//! decodes, a whole-backend load drops everything. And the result-cache
+//! key must be injective in the request — no term can spell another
+//! request's key.
 
 use ncq_core::{Catalog, Database, ForestBackend, MeetBackend};
-use ncq_server::{Request, Response, Server, ServerConfig};
+use ncq_server::{serve_lines, Request, Response, Server, ServerConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -33,6 +39,18 @@ fn scratch_dir(name: &str) -> PathBuf {
 /// A bib+shop forest server with both bib generations saved as
 /// snapshot files, ready for `SNAPSHOT LOAD … INTO bib` swaps.
 fn forest_server(dir: &Path, workers: usize) -> Server {
+    forest_server_with(
+        dir,
+        ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        },
+    )
+}
+
+/// [`forest_server`] with explicit tuning (`snapshot_dir` is always
+/// `dir`).
+fn forest_server_with(dir: &Path, config: ServerConfig) -> Server {
     let bib = Database::from_xml_str(BIB_V1).unwrap();
     let shop = Database::from_xml_str(SHOP).unwrap();
     bib.save_snapshot(dir.join("bib-v1.ncq")).unwrap();
@@ -52,9 +70,8 @@ fn forest_server(dir: &Path, workers: usize) -> Server {
     Server::start_backend(
         Arc::new(forest),
         ServerConfig {
-            workers,
             snapshot_dir: Some(dir.to_path_buf()),
-            ..ServerConfig::default()
+            ..config
         },
     )
 }
@@ -240,4 +257,123 @@ fn hot_swap_stress_serves_only_live_generations() {
     assert!(stats.sem_hits > 0, "the stress never hit the cache");
     assert!(stats.sem_misses >= 1, "at least the first query must miss");
     assert!(stats.served >= (cacheable + SWAPS));
+}
+
+/// U+001F is not white space, so `MEET Hack\x1f1999` is a one-term
+/// request (answer: nothing meets) and must never share a result-cache
+/// entry with the two-term `MEET Hack 1999` (answer: the article) —
+/// whichever of the two warms the cache first.
+#[test]
+fn unit_separator_in_a_term_does_not_alias_another_request() {
+    let db = Database::from_xml_str(
+        "<bib><article><title>How to Hack</title><year>1999</year></article></bib>",
+    )
+    .unwrap();
+    let one_term = ["Hack\u{1f}1999"];
+    let two_terms = ["Hack", "1999"];
+    let frame = |terms: &[&str]| {
+        let payload = db.meet_terms(terms).unwrap().to_detailed_xml();
+        format!("OK {}\n{payload}\n", payload.lines().count())
+    };
+    assert_ne!(
+        frame(&one_term),
+        frame(&two_terms),
+        "distinguishable answers"
+    );
+
+    for order in [
+        [&one_term[..], &two_terms[..]],
+        [&two_terms[..], &one_term[..]],
+    ] {
+        let server = Server::start(
+            Arc::new(db.clone()),
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        );
+        let input: String = order
+            .iter()
+            .map(|terms| format!("MEET {}\n", terms.join(" ")))
+            .collect();
+        let mut out = Vec::new();
+        serve_lines(&server.client(), input.as_bytes(), &mut out).unwrap();
+        let expected: String = order.iter().map(|terms| frame(terms)).collect();
+        assert_eq!(String::from_utf8(out).unwrap(), expected);
+        let stats = server.shutdown();
+        assert_eq!(
+            (stats.sem_hits, stats.sem_misses),
+            (0, 2),
+            "two different requests, two evaluations"
+        );
+    }
+}
+
+/// The term-decode cache validates entries against the same
+/// `(full, corpus)` epochs as the result cache: splicing a snapshot
+/// into `shop` keeps `bib`'s decodes hot while `shop`'s re-decode, and
+/// a whole-backend load drops every decode.
+#[test]
+fn term_decodes_survive_a_sibling_swap_but_not_a_full_reload() {
+    let dir = scratch_dir("ncq-term-cache-epochs");
+    let no_results = ServerConfig {
+        workers: 1,            // one worker, one term cache
+        sem_cache_capacity: 0, // every MEET reaches the term cache
+        ..ServerConfig::default()
+    };
+    let server = forest_server_with(&dir, no_results.clone());
+    let client = server.client();
+    let meet = |corpus: &str| {
+        let request = Request::meet_terms(["Bit", "1999"]).with_corpus(Some(corpus.into()));
+        match client.request(request).unwrap() {
+            Response::Answers(a) => assert_eq!(a.len(), 1, "{corpus}"),
+            other => panic!("unexpected {other:?}"),
+        }
+        let s = server.stats();
+        (s.term_decodes, s.term_cache_hits)
+    };
+    assert_eq!(meet("bib"), (2, 0));
+    assert_eq!(meet("shop"), (4, 0));
+    assert_eq!(meet("bib"), (4, 2));
+    assert_eq!(meet("shop"), (4, 4));
+    match client
+        .request(Request::snapshot_load_into("shop.ncq", "shop"))
+        .unwrap()
+    {
+        Response::Info(msg) => assert!(msg.contains("reloaded"), "{msg}"),
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(meet("bib"), (4, 6), "a shop splice dropped bib's decodes");
+    assert_eq!(
+        meet("shop"),
+        (6, 6),
+        "shop served decodes of its old engine"
+    );
+    assert_eq!(meet("shop"), (6, 8), "the fresh decodes are cached again");
+    server.shutdown();
+
+    // Whole-backend load: every decode is of the replaced engine.
+    let db = Database::from_xml_str(BIB_V1).unwrap();
+    db.save_snapshot(dir.join("self.ncq")).unwrap();
+    let server = Server::start(
+        Arc::new(db),
+        ServerConfig {
+            snapshot_dir: Some(dir.clone()),
+            ..no_results
+        },
+    );
+    let client = server.client();
+    let meet = || {
+        client.meet_terms(["Bit", "1999"]).unwrap();
+        let s = server.stats();
+        (s.term_decodes, s.term_cache_hits)
+    };
+    assert_eq!(meet(), (2, 0));
+    assert_eq!(meet(), (2, 2));
+    match client.request(Request::snapshot_load("self.ncq")).unwrap() {
+        Response::Info(msg) => assert!(msg.contains("loaded"), "{msg}"),
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(meet(), (4, 2), "the full reload must drop every decode");
+    assert_eq!(meet(), (4, 4));
 }

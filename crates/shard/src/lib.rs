@@ -14,8 +14,8 @@
 //!   global relations ([`ncq_fulltext::InvertedIndex::restrict`] /
 //!   [`ncq_store::MonetDb::strings_in_range`]), so term lookups scatter
 //!   only to the shards owning hits;
-//! * [`ShardedDb`] serves the same `meet2` / `meet_sets` / `meet_multi`
-//!   / `run_query` surface as [`ncq_core::Database`] — byte-identical
+//! * [`ShardedDb`] serves the same `search` / `meet_hits` /
+//!   `run_query` surface as [`ncq_core::Database`] — byte-identical
 //!   answers, pinned by the golden suite and the randomized
 //!   equivalence property tests — with per-shard meets running in
 //!   parallel on a persistent worker pool and a gather sweep resolving
@@ -25,13 +25,16 @@
 //!   sharded engine without changes.
 //!
 //! ```
+//! use ncq_core::{MeetBackend, MeetOptions};
 //! use ncq_shard::ShardedDb;
 //!
 //! let sharded = ShardedDb::from_xml_str(
 //!     "<bib><article><author>Ben Bit</author><year>1999</year></article></bib>",
 //!     4,
 //! ).unwrap();
-//! let answers = sharded.meet_terms(&["Bit", "1999"]).unwrap();
+//! let answers = sharded
+//!     .meet_terms_answers(&["Bit", "1999"], &MeetOptions::default())
+//!     .unwrap();
 //! assert_eq!(answers.results[0].tag, "article");
 //! ```
 

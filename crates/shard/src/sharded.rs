@@ -10,14 +10,10 @@
 //!    nodes go straight to the gather pool. Per-shard work (posting
 //!    lookups, substring scans, plane sweeps) runs in parallel on a
 //!    persistent worker pool.
-//! 2. **Per-shard meets** — each shard evaluates the meet *below its
+//! 2. **Per-shard meets** — each shard sweeps the meet *below its
 //!    spine floor*. A candidate meet on the spine is **deferred** (the
 //!    sweep's `Reject` verdict: leave the run alive, never re-propose
-//!    locally) because its witness run may span shards. The
-//!    [`ncq_core::MeetPlanner`] chooses each shard's executor
-//!    independently: a frontier lift that *freezes* elements when they
-//!    climb onto the spine, or the indexed plane sweep with the spine
-//!    gate.
+//!    locally) because its witness run may span shards.
 //! 3. **Gather** — surviving items from every shard (plus the
 //!    spine-owned inputs) merge in document order and roll up the
 //!    spine, deepest node first: every remaining candidate is a spine
@@ -49,14 +45,9 @@
 
 use crate::partition::PartitionMap;
 use crate::pool::Pool;
-use ncq_core::meet2::{meet2_indexed, Meet2};
 use ncq_core::meet_multi::MeetWitness;
-use ncq_core::rank::rank_meets;
 use ncq_core::sweep::{plane_sweep, Verdict};
-use ncq_core::{
-    meet_multi, meet_multi_indexed, meet_sets_lift_ordered, AnswerSet, BackendError,
-    ChosenStrategy, Database, Meet, MeetBackend, MeetError, MeetOptions, MeetStrategy, SetMeets,
-};
+use ncq_core::{BackendError, Database, Meet, MeetBackend, MeetOptions};
 use ncq_fulltext::search::{phrase_hits, word_hits};
 use ncq_fulltext::tokenize::{contains_fold, fold, tokens};
 use ncq_fulltext::{HitSet, InvertedIndex};
@@ -110,10 +101,10 @@ struct Inner {
     spine_by_depth: Vec<Oid>,
 }
 
-/// A sharded execution layer with the same query surface as
-/// [`Database`]: `meet_pair` / `meet_oid_sets` / `meet_hits` /
-/// `meet_terms` / `run_query`, plus [`MeetBackend`] so `ncq-server`
-/// workers and `ncq-query` evaluation dispatch through it unchanged.
+/// A sharded execution layer with the query surface of [`Database`]
+/// that requests use: `search` / `meet_hits` / `run_query`, plus
+/// [`MeetBackend`] so `ncq-server` workers and `ncq-query` evaluation
+/// dispatch through it unchanged.
 pub struct ShardedDb {
     inner: Arc<Inner>,
     /// `None` for a single-shard layout, where every entry point
@@ -377,89 +368,20 @@ impl ShardedDb {
 
     // ----- meet entry points -----
 
-    /// Pairwise meet: O(1) on the shared interval-addressed index —
-    /// scattering a single probe would only add latency.
-    pub fn meet_pair(&self, o1: Oid, o2: Oid) -> Meet2 {
-        meet2_indexed(self.inner.db.store(), o1, o2)
-    }
-
-    /// Sharded [`Database::meet_oid_sets`]. Same plan, same answers:
-    /// the global planner picks lift or sweep exactly as the single
-    /// database would; the lift tier (chosen for shallow inputs, where
-    /// rounds are few) runs on the spine replica, the sweep tier
-    /// scatters with a per-shard lift/sweep decision.
-    pub fn meet_oid_sets(&self, s1: &[Oid], s2: &[Oid]) -> Result<SetMeets, MeetError> {
-        self.meet_oid_sets_with(s1, s2, MeetStrategy::Auto)
-    }
-
-    /// [`ShardedDb::meet_oid_sets`] with an explicit strategy override.
-    pub fn meet_oid_sets_with(
-        &self,
-        s1: &[Oid],
-        s2: &[Oid],
-        strategy: MeetStrategy,
-    ) -> Result<SetMeets, MeetError> {
-        let db = &self.inner.db;
-        let planner = db.planner();
-        if self.shard_count() == 1 {
-            return planner.meet_sets(s1, s2, strategy);
-        }
-        let chosen = match strategy {
-            MeetStrategy::Auto => planner.plan_sets(s1, s2)?.strategy,
-            MeetStrategy::Lift => ChosenStrategy::Lift,
-            MeetStrategy::Sweep => ChosenStrategy::Sweep,
-        };
-        if s1.is_empty() || s2.is_empty() {
-            return Err(MeetError::EmptyInput);
-        }
-        match chosen {
-            ChosenStrategy::Lift => meet_sets_lift_ordered(db.store(), s1, s2),
-            ChosenStrategy::Sweep => self.scatter_meet_sets(s1, s2),
-        }
-    }
-
-    /// Sharded [`Database::meet_hits`]: the generalized meet, ranked.
-    /// The roll-up tier (planned only for tiny inputs) runs on the
-    /// spine replica; the sweep tier scatters.
+    /// Sharded [`Database::meet_hits`]: the generalized meet, ranked,
+    /// through the same pipeline ([`ncq_core::MeetPlanner::execute`]:
+    /// same plan, same roll-up on the spine replica, same rank and
+    /// cut) with the scatter/gather plugged in as the sweep arm. Shard
+    /// sweeps run to completion whatever the `limit` (consumption, and
+    /// so the survivors fed to the gather, must stay exact); the
+    /// pipeline's cut over shard + spine meets is the global top k.
     pub fn meet_hits<H: Borrow<HitSet>>(&self, inputs: &[H], options: &MeetOptions) -> Vec<Meet> {
         let db = &self.inner.db;
-        let chosen = match options.strategy {
-            MeetStrategy::Auto => db.planner().plan_multi(inputs).strategy,
-            MeetStrategy::Lift => ChosenStrategy::Lift,
-            MeetStrategy::Sweep => ChosenStrategy::Sweep,
-        };
-        let mut meets = match chosen {
-            ChosenStrategy::Lift => meet_multi(db.store(), inputs, options),
-            ChosenStrategy::Sweep if self.shard_count() > 1 => {
-                self.scatter_meet_multi(inputs, options)
-            }
-            ChosenStrategy::Sweep => meet_multi_indexed(db.store(), inputs, options),
-        };
-        rank_meets(&mut meets);
-        // Top-k re-cut. The scatter tasks already bounded each shard's
-        // *emitted* list to its local top k (consumption stays exact);
-        // the final cut over shard winners + spine meets is the global
-        // top k, byte-identical to the unbounded prefix.
-        if let Some(k) = options.limit {
-            meets.truncate(k);
+        if self.shard_count() == 1 {
+            return db.meet_hits(inputs, options);
         }
-        meets
-    }
-
-    /// The paper's signature query through the sharded engine.
-    pub fn meet_terms(&self, terms: &[&str]) -> Result<AnswerSet, MeetError> {
-        self.meet_terms_with(terms, &MeetOptions::default())
-    }
-
-    /// [`ShardedDb::meet_terms`] with explicit [`MeetOptions`].
-    pub fn meet_terms_with(
-        &self,
-        terms: &[&str],
-        options: &MeetOptions,
-    ) -> Result<AnswerSet, MeetError> {
-        let inputs: Vec<HitSet> = terms.iter().map(|t| self.search(t)).collect();
-        let meets = self.meet_hits(&inputs, options);
-        Ok(AnswerSet::from_meets(self.inner.db.store(), meets))
+        db.planner()
+            .execute(inputs, options, || self.scatter_meet_multi(inputs, options))
     }
 
     // ----- query dialect -----
@@ -480,128 +402,6 @@ impl ShardedDb {
     }
 
     // ----- scatter/gather executors -----
-
-    /// Sweep-tier two-set meet: route by shard, evaluate below the
-    /// spine in parallel (per-shard lift-with-freeze or gated sweep,
-    /// planner's choice), then one gather sweep over the survivors.
-    fn scatter_meet_sets(&self, set1: &[Oid], set2: &[Oid]) -> Result<SetMeets, MeetError> {
-        let inner = &self.inner;
-        let store = inner.db.store();
-        let summary = store.summary();
-        let p1 = homogeneous_path(store, set1)?.expect("checked non-empty");
-        let p2 = homogeneous_path(store, set2)?.expect("checked non-empty");
-        let (d1, d2) = (summary.depth(p1), summary.depth(p2));
-
-        // Route sorted, deduplicated sides; spine-owned inputs go
-        // straight to the gather pool.
-        let k = inner.shards.len();
-        let mut per_shard: Vec<(Vec<Oid>, Vec<Oid>)> = (0..k).map(|_| Default::default()).collect();
-        let mut pool_items: Vec<(Oid, u8)> = Vec::new();
-        for (side, set) in [(0u8, set1), (1u8, set2)] {
-            let mut sorted = set.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            for o in sorted {
-                match inner.partition.shard_of(o) {
-                    Some(s) if side == 0 => per_shard[s].0.push(o),
-                    Some(s) => per_shard[s].1.push(o),
-                    None => pool_items.push((o, side)),
-                }
-            }
-        }
-
-        // Scatter: one task per shard holding any items. The planner
-        // decides lift vs sweep per shard from the rounds left below
-        // that shard's spine floor.
-        let planner = inner.db.planner();
-        let tasks: Vec<_> = per_shard
-            .into_iter()
-            .enumerate()
-            .filter(|(_, (a, b))| !a.is_empty() || !b.is_empty())
-            .map(|(s, (a, b))| {
-                let floor = inner.partition.shards()[s].min_root_depth;
-                let lift = !a.is_empty()
-                    && !b.is_empty()
-                    && planner
-                        .plan_shard_sets(&a, &b, floor)
-                        .expect("both sides non-empty")
-                        .strategy
-                        == ChosenStrategy::Lift;
-                let inner = Arc::clone(&self.inner);
-                move || {
-                    if lift {
-                        shard_lift_sets(&inner, a, b, p1, p2, d1, d2)
-                    } else {
-                        shard_sweep_sets(&inner, a, b, d1, d2)
-                    }
-                }
-            })
-            .collect();
-
-        let mut result = SetMeets::default();
-        let mut meets: Vec<(Oid, usize)> = Vec::new();
-        {
-            let _scatter = ncq_obs::trace::span("scatter");
-            ncq_obs::trace::annotate("tasks", tasks.len().to_string());
-            for (local_meets, survivors, lookups) in self.timed_scatter(tasks) {
-                meets.extend(local_meets);
-                pool_items.extend(survivors);
-                result.lookups += lookups;
-            }
-        }
-        let _gather = ncq_obs::trace::span("gather");
-
-        // Gather: every remaining candidate is a spine node, so instead
-        // of an adjacency sweep the survivors roll up the spine
-        // deepest-first — each spine node's run is one interval probe
-        // over the sorted survivor list.
-        pool_items.sort_unstable_by_key(|&(o, side)| (o, side));
-        pool_items.dedup();
-        let index = store.meet_index();
-        let round_at = |depth: usize| d1.abs_diff(d2) + (d1.min(d2) - depth);
-        // Fewer than two survivors cannot form a cross-shard meet —
-        // skip the spine walk entirely (the common case when every hit
-        // was consumed inside its shard).
-        if pool_items.len() >= 2 {
-            // The survivor keys as raw lanes: each spine node's run is
-            // one bulk interval-containment probe over them.
-            let keys: Vec<u32> = pool_items.iter().map(|&(o, _)| o.raw()).collect();
-            let mut alive = Alive::new(pool_items.len());
-            let mut run: Vec<usize> = Vec::new();
-            for &s in &self.inner.spine_by_depth {
-                let range = index.subtree_range(s);
-                result.lookups += 1;
-                run.clear();
-                let (mut side0, mut side1) = (false, false);
-                let (start, end) = key_range(&keys, range.start as u32, range.end as u32);
-                let mut i = alive.find(start);
-                while i < end {
-                    run.push(i);
-                    if pool_items[i].1 == 0 {
-                        side0 = true;
-                    } else {
-                        side1 = true;
-                    }
-                    i = alive.find(i + 1);
-                }
-                // A meet needs a witness from each side; otherwise the
-                // run stays alive for shallower spine nodes.
-                if side0 && side1 {
-                    meets.push((s, round_at(index.depth(s))));
-                    for &i in &run {
-                        alive.consume(i);
-                    }
-                }
-            }
-        }
-
-        // The global sweep accepts in (depth desc, node asc) order =
-        // (round asc, node asc); one sort restores it exactly.
-        meets.sort_unstable_by_key(|&(o, round)| (round, o));
-        result.join_rounds = meets.iter().map(|&(_, r)| r).max().unwrap_or(0);
-        result.meets = meets;
-        Ok(result)
-    }
 
     /// Sweep-tier generalized meet: route merged hits by shard, run the
     /// gated sweep per shard in parallel, gather the survivors.
@@ -637,22 +437,7 @@ impl ShardedDb {
             .map(|items| {
                 let inner = Arc::clone(&self.inner);
                 let options = options.clone();
-                move || {
-                    let (mut local_meets, survivors) = sweep_multi(&inner, items, &options);
-                    // Per-shard top-k bound: a meet outside its own
-                    // shard's k best is beaten by k meets that all
-                    // reach the global re-cut, so it can never rank in
-                    // the global top k. The sweep itself still runs to
-                    // completion — consumption (and therefore the
-                    // survivors fed to the gather) is untouched.
-                    if let Some(k) = options.limit {
-                        if local_meets.len() > k {
-                            rank_meets(&mut local_meets);
-                            local_meets.truncate(k);
-                        }
-                    }
-                    (local_meets, survivors)
-                }
+                move || sweep_multi(&inner, items, &options)
             })
             .collect();
 
@@ -670,8 +455,7 @@ impl ShardedDb {
         pool_items.sort_unstable();
         self.gather_multi(&pool_items, options, &mut meets);
 
-        // No canonical pre-sort: the only caller is the facade's
-        // `meet_hits`, whose `rank_meets` orders by the *total* key
+        // No canonical pre-sort: the pipeline ranks by the *total* key
         // (distance, witness count, node) — each node is accepted at
         // most once, so the rank fully determines the final order.
         meets
@@ -806,186 +590,6 @@ impl std::fmt::Debug for ShardedDb {
 
 // ----- shard-local executors -----
 
-/// Homogeneity check, mirroring the planner-tier executors' error.
-fn homogeneous_path(db: &MonetDb, set: &[Oid]) -> Result<Option<PathId>, MeetError> {
-    let Some(&first) = set.first() else {
-        return Ok(None);
-    };
-    let expected = db.sigma(first);
-    for &o in &set[1..] {
-        let found = db.sigma(o);
-        if found != expected {
-            return Err(MeetError::HeterogeneousInput { expected, found });
-        }
-    }
-    Ok(Some(expected))
-}
-
-/// Sorted-set intersection (inputs sorted and deduplicated).
-fn intersect(a: &[Oid], b: &[Oid]) -> Vec<Oid> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
-/// Remove (sorted) `remove` from (sorted) `set`.
-fn difference(set: &mut Vec<Oid>, remove: &[Oid]) {
-    if !remove.is_empty() {
-        set.retain(|o| remove.binary_search(o).is_err());
-    }
-}
-
-/// What a per-shard two-set executor hands back: local `(meet, round)`
-/// pairs, surviving `(oid, side)` items for the gather, and the
-/// look-ups it performed.
-type ShardSetsOutput = (Vec<(Oid, usize)>, Vec<(Oid, u8)>, usize);
-
-/// Per-shard two-set executor, sweep flavour: the indexed plane sweep
-/// with the spine gate. Returns `(local meets, surviving items,
-/// LCA probes)`.
-fn shard_sweep_sets(
-    inner: &Inner,
-    side1: Vec<Oid>,
-    side2: Vec<Oid>,
-    d1: usize,
-    d2: usize,
-) -> ShardSetsOutput {
-    // Linear merge of the two sorted sides, side 0 first on ties —
-    // the same item list the single-db merged sweep builds.
-    let mut items: Vec<(Oid, u8)> = Vec::with_capacity(side1.len() + side2.len());
-    let (mut i, mut j) = (0, 0);
-    while i < side1.len() || j < side2.len() {
-        let take_left = match (side1.get(i), side2.get(j)) {
-            (Some(a), Some(b)) => a <= b,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        if take_left {
-            items.push((side1[i], 0));
-            i += 1;
-        } else {
-            items.push((side2[j], 1));
-            j += 1;
-        }
-    }
-
-    let index = inner.db.store().meet_index();
-    let round_at = |depth: usize| d1.abs_diff(d2) + (d1.min(d2) - depth);
-    let oids: Vec<Oid> = items.iter().map(|&(o, _)| o).collect();
-    let mut meets: Vec<(Oid, usize)> = Vec::new();
-    let mut consumed = vec![false; items.len()];
-    let probes = plane_sweep(
-        index,
-        &oids,
-        |li, ri| items[li].1 != items[ri].1,
-        |m, run| {
-            if inner.partition.is_spine(m) {
-                return Verdict::Reject; // defer to the gather sweep
-            }
-            meets.push((m, round_at(index.depth(m))));
-            for &i in run {
-                consumed[i] = true;
-            }
-            Verdict::Accept
-        },
-    );
-    let survivors = items
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| !consumed[i])
-        .map(|(_, &item)| item)
-        .collect();
-    (meets, survivors, probes)
-}
-
-/// Per-shard two-set executor, lift flavour: the paper's Figure 4
-/// frontier lift restricted to the shard, with a twist — an element
-/// whose lift lands on the spine is **frozen** at that position and
-/// handed to the gather phase instead of climbing on. Everything below
-/// the spine behaves exactly like the global lift restricted to this
-/// shard's chunks (lifting and dedup are element-wise, so restriction
-/// commutes with them).
-fn shard_lift_sets(
-    inner: &Inner,
-    side1: Vec<Oid>,
-    side2: Vec<Oid>,
-    p1: PathId,
-    p2: PathId,
-    d1: usize,
-    d2: usize,
-) -> ShardSetsOutput {
-    let store = inner.db.store();
-    let summary = store.summary();
-    let round_at = |depth: usize| d1.abs_diff(d2) + (d1.min(d2) - depth);
-    let (mut f1, mut f2) = (side1, side2);
-    let (mut p1, mut p2) = (p1, p2);
-    let mut meets: Vec<(Oid, usize)> = Vec::new();
-    let mut frozen: Vec<(Oid, u8)> = Vec::new();
-    let mut lookups = 0usize;
-
-    // Lift a sorted homogeneous frontier one level; parents stay sorted
-    // (same argument as the planner's ordered lift). Elements landing
-    // on the spine freeze out of the frontier.
-    let mut lift_freeze = |f: &mut Vec<Oid>, side: u8, lookups: &mut usize| {
-        *lookups += f.len();
-        let mut out = Vec::with_capacity(f.len());
-        for &o in f.iter() {
-            let parent = store.parent(o).expect("below-spine nodes are non-root");
-            if inner.partition.is_spine(parent) {
-                frozen.push((parent, side));
-            } else {
-                out.push(parent);
-            }
-        }
-        out.dedup();
-        *f = out;
-    };
-
-    loop {
-        if f1.is_empty() && f2.is_empty() {
-            break;
-        }
-        if p1 == p2 && !f1.is_empty() && !f2.is_empty() {
-            let d = intersect(&f1, &f2);
-            if !d.is_empty() {
-                let round = round_at(summary.depth(p1));
-                meets.extend(d.iter().map(|&o| (o, round)));
-                difference(&mut f1, &d);
-                difference(&mut f2, &d);
-            }
-        }
-        if summary.lt(p1, p2) {
-            lift_freeze(&mut f1, 0, &mut lookups);
-            p1 = summary.parent(p1).expect("deeper path has a parent");
-        } else if summary.lt(p2, p1) {
-            lift_freeze(&mut f2, 1, &mut lookups);
-            p2 = summary.parent(p2).expect("deeper path has a parent");
-        } else if p1 == p2 && summary.depth(p1) == 0 {
-            // All surviving elements froze on their way up (the root is
-            // spine whenever there is more than one shard); nothing can
-            // still be active here — guard against looping regardless.
-            break;
-        } else {
-            lift_freeze(&mut f1, 0, &mut lookups);
-            lift_freeze(&mut f2, 1, &mut lookups);
-            p1 = summary.parent(p1).expect("non-root path has a parent");
-            p2 = summary.parent(p2).expect("non-root path has a parent");
-        }
-    }
-    (meets, frozen, lookups)
-}
-
 /// What [`multi_candidate`] decided about one candidate node.
 enum MultiVerdict {
     /// A `meet^δ` failure: the run stays alive for shallower
@@ -1060,26 +664,21 @@ fn sweep_multi(
     let mut meets: Vec<Meet> = Vec::new();
     let mut consumed = vec![false; items.len()];
 
-    plane_sweep(
-        index,
-        &oids,
-        |_, _| true,
-        |m, run| {
-            if inner.partition.is_spine(m) {
-                return Verdict::Reject; // defer to the gather roll-up
-            }
-            match multi_candidate(inner, &items, run, m, options) {
-                MultiVerdict::Keep => Verdict::Reject,
-                MultiVerdict::Consume(meet) => {
-                    meets.extend(meet);
-                    for &i in run {
-                        consumed[i] = true;
-                    }
-                    Verdict::Accept
+    plane_sweep(index, &oids, |m, run| {
+        if inner.partition.is_spine(m) {
+            return Verdict::Reject; // defer to the gather roll-up
+        }
+        match multi_candidate(inner, &items, run, m, options) {
+            MultiVerdict::Keep => Verdict::Reject,
+            MultiVerdict::Consume(meet) => {
+                meets.extend(meet);
+                for &i in run {
+                    consumed[i] = true;
                 }
+                Verdict::Accept
             }
-        },
-    );
+        }
+    });
 
     let survivors = items
         .iter()
@@ -1128,8 +727,9 @@ mod tests {
                 vec!["Ben", "RSI"],
                 vec!["absent", "1999"],
             ] {
+                let options = MeetOptions::default();
                 let a = single.meet_terms(&terms).unwrap();
-                let b = sharded.meet_terms(&terms).unwrap();
+                let b = sharded.meet_terms_answers(&terms, &options).unwrap();
                 assert_eq!(
                     a.to_detailed_xml(),
                     b.to_detailed_xml(),
@@ -1150,44 +750,6 @@ mod tests {
     }
 
     #[test]
-    fn meet_pair_matches() {
-        let (single, sharded) = pair(3);
-        for a in single.store().iter_oids() {
-            for b in single.store().iter_oids() {
-                assert_eq!(single.meet_pair(a, b), sharded.meet_pair(a, b));
-            }
-        }
-    }
-
-    #[test]
-    fn oid_set_meets_match_across_strategies() {
-        let (single, sharded) = pair(4);
-        let years: Vec<Oid> = single.search("1999").iter().map(|(_, o)| o).collect();
-        let titles: Vec<Oid> = single.search_word("Hack").iter().map(|(_, o)| o).collect();
-        for strategy in [MeetStrategy::Auto, MeetStrategy::Lift, MeetStrategy::Sweep] {
-            let a = single
-                .meet_oid_sets_with(&years, &titles, strategy)
-                .unwrap();
-            let b = sharded
-                .meet_oid_sets_with(&years, &titles, strategy)
-                .unwrap();
-            assert_eq!(a.meets, b.meets, "{strategy:?}");
-            assert_eq!(a.join_rounds, b.join_rounds, "{strategy:?}");
-        }
-        // Error behaviour matches too.
-        assert_eq!(
-            sharded.meet_oid_sets(&[], &years),
-            Err(MeetError::EmptyInput)
-        );
-        let mut mixed = years.clone();
-        mixed.extend(titles.iter().copied());
-        assert!(matches!(
-            sharded.meet_oid_sets_with(&mixed, &years, MeetStrategy::Sweep),
-            Err(MeetError::HeterogeneousInput { .. })
-        ));
-    }
-
-    #[test]
     fn options_flow_through_the_scatter() {
         let (single, sharded) = pair(4);
         let inputs = vec![single.search("Bit"), single.search("1999")];
@@ -1198,13 +760,13 @@ mod tests {
                 ..MeetOptions::default()
             },
             MeetOptions {
-                strategy: MeetStrategy::Sweep,
+                strategy: ncq_core::MeetStrategy::Sweep,
                 witness_cap: 1,
                 ..MeetOptions::default()
             },
             MeetOptions {
                 filter: ncq_core::PathFilter::exclude_root(single.store()),
-                strategy: MeetStrategy::Sweep,
+                strategy: ncq_core::MeetStrategy::Sweep,
                 ..MeetOptions::default()
             },
         ] {

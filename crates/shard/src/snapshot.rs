@@ -269,6 +269,7 @@ impl ShardedDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncq_core::MeetBackend;
     use ncq_xml::parse;
 
     fn wide_xml(sections: usize, leaves: usize) -> String {
@@ -336,8 +337,10 @@ mod tests {
             loaded.partition().spine_len(),
             sharded.partition().spine_len()
         );
-        let a = sharded.meet_terms(&["text", "3"]).unwrap();
-        let b = loaded.meet_terms(&["text", "3"]).unwrap();
+        let opts = ncq_core::MeetOptions::default();
+        let meet = |engine: &ShardedDb| engine.meet_terms_answers(&["text", "3"], &opts).unwrap();
+        let a = meet(&sharded);
+        let b = meet(&loaded);
         assert_eq!(a.to_detailed_xml(), b.to_detailed_xml());
         // And both agree with the unsharded engine.
         let c = db.meet_terms(&["text", "3"]).unwrap();
@@ -346,10 +349,7 @@ mod tests {
         // Different K: the partition is rebuilt, answers unchanged.
         let rek = ShardedDb::open_snapshot(&path, 2).unwrap();
         assert_eq!(rek.partition().requested_k(), 2);
-        assert_eq!(
-            rek.meet_terms(&["text", "3"]).unwrap().to_detailed_xml(),
-            a.to_detailed_xml()
-        );
+        assert_eq!(meet(&rek).to_detailed_xml(), a.to_detailed_xml());
         std::fs::remove_file(&path).ok();
     }
 

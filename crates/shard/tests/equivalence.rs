@@ -1,12 +1,13 @@
 //! Sharding equivalence property suite: for random trees and random K,
-//! [`ShardedDb`] answers are identical to [`Database`] answers across
-//! `meet2`, `meet_sets` and `meet_multi` — document order included —
-//! plus full-text search and `AnswerSet` XML byte equality.
+//! [`ShardedDb`] answers are identical to [`Database`] answers for the
+//! generalized meet under every strategy — witness samples and result
+//! order included — plus full-text search and `AnswerSet` XML byte
+//! equality.
 //!
 //! Seeded loops over a deterministic PRNG stand in for proptest (the
 //! offline build cannot fetch it); failures print the seed.
 
-use ncq_core::{Database, MeetOptions, MeetStrategy, PathFilter};
+use ncq_core::{Database, MeetBackend, MeetOptions, MeetStrategy, PathFilter};
 use ncq_fulltext::HitSet;
 use ncq_shard::ShardedDb;
 use ncq_store::Oid;
@@ -40,19 +41,6 @@ fn random_oid(rng: &mut StdRng, db: &Database) -> Oid {
     Oid::from_index(rng.random_range(0..db.store().node_count()))
 }
 
-/// A random homogeneous OID set: all members share one path.
-fn random_homogeneous_set(rng: &mut StdRng, db: &Database) -> Vec<Oid> {
-    let store = db.store();
-    let anchor = random_oid(rng, db);
-    let candidates = store.meet_index().oids_of_path(store.sigma(anchor));
-    let len = rng.random_range(1..candidates.len().min(12) + 1);
-    let mut set = Vec::with_capacity(len);
-    for _ in 0..len {
-        set.push(candidates[rng.random_range(0..candidates.len())]);
-    }
-    set
-}
-
 /// A random hit group (arbitrary paths).
 fn random_hit_set(rng: &mut StdRng, db: &Database) -> HitSet {
     let store = db.store();
@@ -67,49 +55,6 @@ const CASES: u64 = 96;
 
 fn random_k(rng: &mut StdRng) -> usize {
     rng.random_range(2usize..9)
-}
-
-#[test]
-fn meet2_is_identical() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let db = Database::from_document(&random_tree(&mut rng));
-        let sharded = ShardedDb::new(db.clone(), random_k(&mut rng));
-        for _ in 0..20 {
-            let a = random_oid(&mut rng, &db);
-            let b = random_oid(&mut rng, &db);
-            assert_eq!(db.meet_pair(a, b), sharded.meet_pair(a, b), "seed {seed}");
-        }
-    }
-}
-
-#[test]
-fn meet_sets_is_identical_including_order() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ seed);
-        let db = Database::from_document(&random_tree(&mut rng));
-        let k = random_k(&mut rng);
-        let sharded = ShardedDb::new(db.clone(), k);
-        for _ in 0..8 {
-            let s1 = random_homogeneous_set(&mut rng, &db);
-            let s2 = random_homogeneous_set(&mut rng, &db);
-            for strategy in [MeetStrategy::Auto, MeetStrategy::Lift, MeetStrategy::Sweep] {
-                let single = db.meet_oid_sets_with(&s1, &s2, strategy);
-                let shard = sharded.meet_oid_sets_with(&s1, &s2, strategy);
-                match (single, shard) {
-                    (Ok(a), Ok(b)) => {
-                        // The answers — the (meet, round) sequence in
-                        // result order — must match exactly. (The
-                        // look-up counters are execution-shape
-                        // bookkeeping: a scatter counts its own probes.)
-                        assert_eq!(a.meets, b.meets, "seed {seed} k {k} {strategy:?}");
-                        assert_eq!(a.join_rounds, b.join_rounds, "seed {seed} k {k}");
-                    }
-                    (a, b) => panic!("seed {seed}: result mismatch {a:?} vs {b:?}"),
-                }
-            }
-        }
-    }
 }
 
 #[test]
@@ -134,7 +79,7 @@ fn meet_multi_is_identical_including_witnesses() {
                 0 => Some(rng.random_range(1usize..6)),
                 _ => None,
             };
-            for strategy in [MeetStrategy::Auto, MeetStrategy::Sweep] {
+            for strategy in [MeetStrategy::Auto, MeetStrategy::Lift, MeetStrategy::Sweep] {
                 let options = MeetOptions {
                     max_distance,
                     filter: filter.clone(),
@@ -171,7 +116,9 @@ fn search_and_answer_xml_are_byte_identical() {
             vec!["twin peaks", "alpha"],
         ] {
             let a = db.meet_terms(&terms).unwrap();
-            let b = sharded.meet_terms(&terms).unwrap();
+            let b = sharded
+                .meet_terms_answers(&terms, &MeetOptions::default())
+                .unwrap();
             assert_eq!(
                 a.to_detailed_xml(),
                 b.to_detailed_xml(),
@@ -204,25 +151,12 @@ fn datagen_corpora_match_at_all_k() {
                 vec!["absent-token", "1999"],
             ] {
                 let a = db.meet_terms(&terms).unwrap();
-                let b = sharded.meet_terms(&terms).unwrap();
+                let b = sharded
+                    .meet_terms_answers(&terms, &MeetOptions::default())
+                    .unwrap();
                 assert_eq!(a.to_detailed_xml(), b.to_detailed_xml(), "k {k} {terms:?}");
             }
-            let icde = db.search("ICDE");
-            assert_eq!(icde, sharded.search("ICDE"), "k {k}");
-            // Homogeneous sets: the largest relation of each hit set.
-            let largest = |h: &HitSet| -> Vec<Oid> {
-                h.groups()
-                    .iter()
-                    .max_by_key(|(_, v)| v.len())
-                    .map(|(_, v)| v.clone())
-                    .unwrap_or_default()
-            };
-            let (g1, g2) = (largest(&icde), largest(&db.search("1995")));
-            if !g1.is_empty() && !g2.is_empty() {
-                let a = db.meet_oid_sets(&g1, &g2).unwrap();
-                let b = sharded.meet_oid_sets(&g1, &g2).unwrap();
-                assert_eq!(a.meets, b.meets, "k {k}");
-            }
+            assert_eq!(db.search("ICDE"), sharded.search("ICDE"), "k {k}");
         }
     }
 }

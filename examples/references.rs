@@ -8,7 +8,7 @@
 
 use nearest_concept::core::{distance, graph_distance};
 use nearest_concept::datagen::{DblpConfig, DblpCorpus};
-use nearest_concept::{Database, RefGraph, Thesaurus};
+use nearest_concept::{AnswerSet, Database, RefGraph, Thesaurus};
 
 fn main() {
     let corpus = DblpCorpus::generate(&DblpConfig {
@@ -59,13 +59,11 @@ fn main() {
     thesaurus.add_synonyms(&["ICDE", "EDBT"]);
 
     let narrow = db.meet_terms(&["ICDE", "1999"]).unwrap();
-    let broad = db
-        .meet_terms_expanded(
-            &["ICDE", "1999"],
-            &thesaurus,
-            &nearest_concept::MeetOptions::default(),
-        )
-        .unwrap();
+    let broadened = ["ICDE", "1999"].map(|term| db.search_expanded(term, &thesaurus));
+    let broad = AnswerSet::from_meets(
+        store,
+        db.meet_hits(&broadened, &nearest_concept::MeetOptions::default()),
+    );
     println!(
         "\n'ICDE 1999' answers: {} narrow, {} with {{ICDE, EDBT}} broadening",
         narrow.len(),

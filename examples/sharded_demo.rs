@@ -8,7 +8,7 @@
 
 use nearest_concept::datagen::{DblpConfig, DblpCorpus};
 use nearest_concept::server::{NetConfig, Server, ServerConfig, TcpAcceptor};
-use nearest_concept::{Database, ShardedDb};
+use nearest_concept::{Database, MeetBackend, MeetOptions, ShardedDb};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -47,7 +47,9 @@ fn main() {
 
     // The same query through both engines — answers are identical.
     let single = db.meet_terms(&["ICDE", "1995"]).expect("meet");
-    let scattered = sharded.meet_terms(&["ICDE", "1995"]).expect("meet");
+    let scattered = sharded
+        .meet_terms_answers(&["ICDE", "1995"], &MeetOptions::default())
+        .expect("meet");
     assert_eq!(single.to_detailed_xml(), scattered.to_detailed_xml());
     println!(
         "meet(ICDE, 1995): {} answers, first = <{}> (identical on both engines)",

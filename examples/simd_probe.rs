@@ -23,7 +23,8 @@
 //! total.vector=9184
 //! ```
 
-use nearest_concept::core::{meet_sets, BatchQuery, MeetOptions};
+use nearest_concept::core::reference::meet_sets;
+use nearest_concept::core::{BatchQuery, MeetOptions};
 use nearest_concept::{Database, ShardedDb};
 
 fn main() {

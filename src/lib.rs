@@ -21,8 +21,9 @@
 //! * [`xml`] — XML parser and syntax tree (conceptual model)
 //! * [`store`] — Monet transform (physical model, path-partitioned relations)
 //! * [`fulltext`] — inverted index producing meet inputs
-//! * [`core`] — the meet operator family, the depth-aware meet planner
-//!   and the [`Database`] facade
+//! * [`core`] — the one meet pipeline (plan → roll-up | sweep → rank →
+//!   cut), the [`Database`] facade and the paper's walks as `reference`
+//!   oracles
 //! * [`query`] — the paper's SQL-with-paths dialect incl. the `meet` aggregate
 //! * [`shard`] — preorder-interval sharded execution (partition map,
 //!   replicated spine, scatter/gather meets)
@@ -44,7 +45,7 @@ pub use ncq_xml as xml;
 
 pub use ncq_core::{
     Answer, AnswerSet, Catalog, CatalogError, Database, ForestBackend, MeetBackend, MeetOptions,
-    MeetStrategy, RefGraph,
+    RefGraph,
 };
 pub use ncq_fulltext::Thesaurus;
 pub use ncq_query::{run_query, run_query_opts, QueryOptions, QueryOutput};

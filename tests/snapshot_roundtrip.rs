@@ -23,7 +23,7 @@
 //! are files no build writes any more; they stay committed to pin that
 //! opening one is a typed `UnsupportedVersion`, never a partial load.
 
-use nearest_concept::core::{MeetOptions, MeetStrategy};
+use nearest_concept::core::{MeetBackend, MeetOptions, MeetStrategy};
 use nearest_concept::server::{serve_lines, Server, ServerConfig};
 use nearest_concept::store::snapshot::checksum64;
 use nearest_concept::store::{
@@ -86,46 +86,30 @@ fn random_trees_round_trip_with_identical_meets() {
         let loaded = Database::open_snapshot(&path).expect("load");
         let loaded_sharded = ShardedDb::open_snapshot(&path, k).expect("load sharded");
 
-        // meet_sets over a random homogeneous pair, every strategy.
-        let store = original.store();
-        let anchor =
-            nearest_concept::store::Oid::from_index(rng.random_range(0..store.node_count()));
-        let candidates = store.meet_index().oids_of_path(store.sigma(anchor));
-        let pick = |rng: &mut StdRng| {
-            let len = rng.random_range(1..candidates.len().min(8) + 1);
-            (0..len)
-                .map(|_| candidates[rng.random_range(0..candidates.len())])
-                .collect::<Vec<_>>()
-        };
-        let (s1, s2) = (pick(&mut rng), pick(&mut rng));
-        for strategy in [MeetStrategy::Auto, MeetStrategy::Lift, MeetStrategy::Sweep] {
-            let a = original.meet_oid_sets_with(&s1, &s2, strategy).unwrap();
-            let b = loaded.meet_oid_sets_with(&s1, &s2, strategy).unwrap();
-            assert_eq!(a.meets, b.meets, "seed {seed} strategy {strategy:?}");
-            assert_eq!(a.join_rounds, b.join_rounds, "seed {seed}");
-            let c = loaded_sharded
-                .meet_oid_sets_with(&s1, &s2, strategy)
-                .unwrap();
-            assert_eq!(a.meets, c.meets, "seed {seed} sharded K={k}");
-        }
-
-        // meet_multi through the full term pipeline: serialized answer
-        // XML pins ranking, distances, document order and witnesses.
+        // The generalized meet through the full term pipeline, every
+        // strategy (the forced sweep is what reads the loaded meet
+        // index): serialized answer XML pins ranking, distances,
+        // document order and witnesses.
         let terms = ["alpha", "beta", "twin peaks"];
-        let options = MeetOptions::default();
-        let a = original.meet_terms_with(&terms, &options).unwrap();
-        let b = loaded.meet_terms_with(&terms, &options).unwrap();
-        assert_eq!(
-            a.to_detailed_xml(),
-            b.to_detailed_xml(),
-            "seed {seed}: loaded Database diverged"
-        );
-        let c = loaded_sharded.meet_terms_with(&terms, &options).unwrap();
-        assert_eq!(
-            a.to_detailed_xml(),
-            c.to_detailed_xml(),
-            "seed {seed}: loaded ShardedDb (K={k}) diverged"
-        );
+        for strategy in [MeetStrategy::Auto, MeetStrategy::Lift, MeetStrategy::Sweep] {
+            let options = MeetOptions {
+                strategy,
+                ..MeetOptions::default()
+            };
+            let a = original.meet_terms_with(&terms, &options).unwrap();
+            let b = loaded.meet_terms_with(&terms, &options).unwrap();
+            assert_eq!(
+                a.to_detailed_xml(),
+                b.to_detailed_xml(),
+                "seed {seed} {strategy:?}: loaded Database diverged"
+            );
+            let c = loaded_sharded.meet_terms_answers(&terms, &options).unwrap();
+            assert_eq!(
+                a.to_detailed_xml(),
+                c.to_detailed_xml(),
+                "seed {seed} {strategy:?}: loaded ShardedDb (K={k}) diverged"
+            );
+        }
 
         std::fs::remove_file(&path).ok();
     }
@@ -278,7 +262,7 @@ fn pinned_fixture_guards_the_layout_version() {
     assert_eq!(sharded.partition().requested_k(), 4);
     assert_eq!(
         sharded
-            .meet_terms(&["Bit", "1999"])
+            .meet_terms_answers(&["Bit", "1999"], &MeetOptions::default())
             .unwrap()
             .to_detailed_xml(),
         answers.to_detailed_xml()
