@@ -105,21 +105,6 @@ pub trait MeetBackend: Send + Sync {
         options: &MeetOptions,
     ) -> Result<Vec<Meet>, BackendError>;
 
-    /// A batch of meets at once, answers in query order. The default
-    /// evaluates query by query (so remote engines surface per-call
-    /// transport errors); [`Database`] overrides with the
-    /// shared-evaluation executor ([`crate::batch`]) — either way,
-    /// answers are byte-identical to per-query [`MeetBackend::meet_hit_groups`].
-    fn meet_hit_groups_batch(
-        &self,
-        queries: &[crate::batch::BatchQuery<'_>],
-    ) -> Result<Vec<Vec<Meet>>, BackendError> {
-        queries
-            .iter()
-            .map(|q| self.meet_hit_groups(&q.inputs, &q.options))
-            .collect()
-    }
-
     /// The paper's signature query through this engine: search each
     /// term, meet the hit groups, resolve an [`AnswerSet`].
     fn meet_terms_answers(
@@ -220,13 +205,6 @@ impl MeetBackend for Database {
         options: &MeetOptions,
     ) -> Result<Vec<Meet>, BackendError> {
         Ok(self.meet_hits(inputs, options))
-    }
-
-    fn meet_hit_groups_batch(
-        &self,
-        queries: &[crate::batch::BatchQuery<'_>],
-    ) -> Result<Vec<Vec<Meet>>, BackendError> {
-        Ok(self.meet_hits_batch(queries))
     }
 
     fn save_snapshot(&self, path: &Path) -> Result<(), SnapshotError> {

@@ -235,18 +235,6 @@ impl Database {
         })
     }
 
-    /// A whole batch of meet queries with **shared evaluation**: hit
-    /// sets appearing in several queries (the common case under the
-    /// server's batch window, where concurrent queries share terms) are
-    /// decoded and document-order sorted once, and each query's sweep
-    /// runs over merged pre-sorted runs instead of re-sorting from
-    /// scratch. Answers are byte-identical to calling
-    /// [`Database::meet_hits`] once per query — the differential suite
-    /// (`tests/batch_equivalence.rs`) pins this.
-    pub fn meet_hits_batch(&self, queries: &[crate::batch::BatchQuery<'_>]) -> Vec<Vec<Meet>> {
-        crate::batch::meet_hits_batch(self, queries)
-    }
-
     /// The paper's signature query: full-text search each term, then meet
     /// the hit groups. Default options (no type restriction, no distance
     /// bound).

@@ -26,9 +26,8 @@
 //! * **rank, cut** — distance-based ranking ([`rank`]) and `limit k`.
 //!
 //! [`MeetPlanner::execute`] is that pipeline; [`Database::meet_hits`],
-//! the batch executor ([`batch`]), the sharded engine, the forest
-//! fan-out ([`catalog`]) and the remote engine ([`remote`]) all end in
-//! it. The paper's pairwise walks (Fig. 3) and two-set frontier lift
+//! the sharded engine, the forest fan-out ([`catalog`]) and the remote
+//! engine ([`remote`]) all end in it. The paper's pairwise walks (Fig. 3) and two-set frontier lift
 //! (Fig. 4) are not served operators: they live in [`mod@reference`] as the
 //! oracles the test suites check the pipeline against.
 //!
@@ -53,7 +52,6 @@
 
 pub mod answer;
 pub mod backend;
-pub mod batch;
 pub mod catalog;
 pub mod db;
 pub mod distance;
@@ -69,7 +67,6 @@ pub mod sweep;
 
 pub use answer::{Answer, AnswerSet, PartialAnswer, Witness};
 pub use backend::{BackendError, MeetBackend, RobustnessStats};
-pub use batch::BatchQuery;
 pub use catalog::{Catalog, CatalogError, ForestBackend};
 pub use db::{Database, MeetError};
 pub use distance::distance;

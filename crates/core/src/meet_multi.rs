@@ -351,21 +351,7 @@ pub(crate) fn meet_multi_indexed<H: Borrow<HitSet>>(
         .flat_map(|(i, hits)| hits.borrow().iter().map(move |(_, o)| (o, i as u32)))
         .collect();
     items.sort_unstable();
-    meet_multi_items(db, &items, options)
-}
 
-/// [`meet_multi_indexed`] over pre-merged items: `(oid, input index)`
-/// pairs already sorted by `(oid, input)`. This is the shared core of
-/// the per-query sweep and the batch executor
-/// ([`crate::batch`]), which builds each query's item list by merging
-/// per-hit-set sorted runs decoded once for a whole batch — both paths
-/// run the exact same code on the exact same item order, so batched and
-/// serial answers are byte-identical by construction.
-pub(crate) fn meet_multi_items(
-    db: &MonetDb,
-    items: &[(Oid, u32)],
-    options: &MeetOptions,
-) -> Vec<Meet> {
     let summary = db.summary();
     let cap = options.cap();
     let index = db.meet_index();

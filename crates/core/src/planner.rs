@@ -19,9 +19,8 @@
 //! [`MeetPlanner::execute`] is the single place that resolves
 //! [`MeetStrategy`] (`Auto` plans, `Lift`/`Sweep` force an arm — the
 //! equivalence tests use that), runs the chosen arm, ranks and applies
-//! `limit`; [`crate::Database::meet_hits`], the batch executor and the
-//! sharded engine all go through it and differ only in the sweep they
-//! plug in.
+//! `limit`; [`crate::Database::meet_hits`] and the sharded engine both
+//! go through it and differ only in the sweep they plug in.
 
 use crate::meet_multi::{meet_multi, Meet, MeetOptions};
 use crate::rank::rank_meets;
@@ -194,9 +193,9 @@ impl<'a> MeetPlanner<'a> {
     /// the caller's `sweep`, rank, truncate to [`MeetOptions::limit`].
     ///
     /// `sweep` is the one thing engines differ in: the single-process
-    /// sweep over freshly sorted items, the batch executor's merged
-    /// pre-sorted runs, the sharded scatter/gather. It returns the
-    /// sweep arm's meets in any order — the rank key is total.
+    /// sweep over freshly sorted items or the sharded scatter/gather.
+    /// It returns the sweep arm's meets in any order — the rank key is
+    /// total.
     pub fn execute<H: Borrow<HitSet>>(
         &self,
         inputs: &[H],

@@ -125,8 +125,8 @@ fn check_homogeneous(db: &MonetDb, set: &[Oid]) -> Result<Option<PathId>, MeetEr
     Ok(Some(expected))
 }
 
-/// Below this combined size the frontier algebra stays on the scalar
-/// reference even in vector mode: frontiers shrink fast as they climb,
+/// Below this combined size the frontier intersection stays on the
+/// scalar reference even in vector mode: frontiers shrink fast as they climb,
 /// and on runs of a few dozen oids the lane setup costs more than it
 /// saves. The output is identical either way (same reference kernel).
 const VECTOR_MIN: usize = 64;
@@ -150,15 +150,7 @@ fn difference(set: &mut Vec<Oid>, remove: &[Oid]) {
         return;
     }
     let mut out = Vec::with_capacity(set.len());
-    if set.len() + remove.len() < VECTOR_MIN {
-        ncq_simd::scalar::difference_u32_into(
-            Oid::raw_slice(set),
-            Oid::raw_slice(remove),
-            &mut out,
-        );
-    } else {
-        ncq_simd::difference_u32_into(Oid::raw_slice(set), Oid::raw_slice(remove), &mut out);
-    }
+    ncq_simd::scalar::difference_u32_into(Oid::raw_slice(set), Oid::raw_slice(remove), &mut out);
     *set = Oid::wrap_raw_vec(out);
 }
 

@@ -18,7 +18,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, Registry};
-pub use trace::{FinishedTrace, SpanRec, Trace};
+pub use trace::{FinishedTrace, SpanRec};
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};

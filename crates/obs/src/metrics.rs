@@ -71,7 +71,7 @@ impl Gauge {
 pub const BUCKETS: usize = 65;
 
 /// A log-bucketed histogram of `u64` samples (latencies in
-/// nanoseconds, batch sizes, …). Recording is three relaxed atomic
+/// nanoseconds). Recording is three relaxed atomic
 /// adds; no locks, no allocation.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],

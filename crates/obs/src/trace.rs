@@ -1,13 +1,11 @@
 //! The tracing half of `ncq-obs`: per-query span trees.
 //!
-//! A request gets one [`Trace`] — a flat vector of [`SpanRec`]s whose
+//! A request gets one `Trace` — a flat vector of [`SpanRec`]s whose
 //! `parent` indices encode the tree — carried in a thread-local slot
-//! while the owning thread works on it. The server's workers process
-//! one job at a time, so thread-local is the natural home; when a job
-//! parks between phases its trace is [`suspend`]ed back into the job
-//! and [`resume`]d later, and batched evaluation stitches a closed
-//! span into every rider's trace after the fact
-//! ([`Trace::record_closed`]).
+//! while the owning thread works on it. The server's workers evaluate
+//! one job at a time, start to finish, so thread-local is the natural
+//! home; work timed on another thread (a shard's scatter task) is
+//! stitched in after the fact as a closed span ([`record_closed`]).
 //!
 //! Every instrumentation primitive ([`span`], [`event`], [`annotate`])
 //! is a no-op when no trace is active on the thread, so instrumented
@@ -33,13 +31,13 @@ pub struct SpanRec {
     pub attrs: Vec<(&'static str, String)>,
 }
 
-/// An in-flight trace. Create with [`start`] (installs into the
-/// thread-local slot) and close with [`finish`].
+/// An in-flight trace. Created by [`start`] (installs into the
+/// thread-local slot) and closed by [`finish`].
 #[derive(Debug)]
-pub struct Trace {
+struct Trace {
     /// The request's trace id — propagated across the remote wire so
     /// replica-side traces stitch to the coordinator's.
-    pub id: u64,
+    id: u64,
     started: Instant,
     spans: Vec<SpanRec>,
     /// Stack of currently open span indices; the top is the parent of
@@ -65,33 +63,6 @@ impl Trace {
 
     fn elapsed_ns(&self) -> u64 {
         self.started.elapsed().as_nanos() as u64
-    }
-
-    /// Record an already-measured span (used when one piece of work —
-    /// a grouped batch evaluation — served several requests: the
-    /// duration is attached to every rider's trace after the fact).
-    pub fn record_closed(
-        &mut self,
-        stage: &'static str,
-        dur_ns: u64,
-        attrs: Vec<(&'static str, String)>,
-    ) {
-        let now = self.elapsed_ns();
-        let parent = self.open.last().copied();
-        self.spans.push(SpanRec {
-            parent,
-            stage,
-            start_ns: now.saturating_sub(dur_ns),
-            dur_ns,
-            attrs,
-        });
-    }
-
-    /// Annotate the innermost open span.
-    pub fn annotate(&mut self, key: &'static str, value: String) {
-        if let Some(&idx) = self.open.last() {
-            self.spans[idx as usize].attrs.push((key, value));
-        }
     }
 
     /// Close everything still open and seal the trace.
@@ -165,16 +136,6 @@ pub fn start(id: u64) {
     CURRENT.with(|c| *c.borrow_mut() = Some(Trace::new(id)));
 }
 
-/// Install a suspended trace as this thread's current trace.
-pub fn resume(trace: Trace) {
-    CURRENT.with(|c| *c.borrow_mut() = Some(trace));
-}
-
-/// Take the current trace off the thread (to park it with a job).
-pub fn suspend() -> Option<Trace> {
-    CURRENT.with(|c| c.borrow_mut().take())
-}
-
 /// Whether a trace is active on this thread.
 pub fn is_active() -> bool {
     CURRENT.with(|c| c.borrow().is_some())
@@ -194,7 +155,9 @@ pub fn clear() {
 /// Finish the current trace: closes all open spans and returns the
 /// sealed tree. `None` when no trace is active.
 pub fn finish() -> Option<FinishedTrace> {
-    suspend().map(Trace::into_finished)
+    CURRENT
+        .with(|c| c.borrow_mut().take())
+        .map(Trace::into_finished)
 }
 
 /// Open a span; it closes (duration recorded) when the returned guard
@@ -229,8 +192,8 @@ impl Drop for SpanGuard {
         let Some(idx) = self.idx else { return };
         CURRENT.with(|c| {
             let mut cur = c.borrow_mut();
-            // The trace may have been suspended/finished while the
-            // guard was alive (panic unwind paths); closing is then
+            // The trace may have been finished while the guard was
+            // alive (panic unwind paths); closing is then
             // moot.
             let Some(trace) = cur.as_mut() else { return };
             let now = trace.elapsed_ns();
@@ -248,18 +211,28 @@ impl Drop for SpanGuard {
 pub fn annotate(key: &'static str, value: String) {
     CURRENT.with(|c| {
         if let Some(trace) = c.borrow_mut().as_mut() {
-            trace.annotate(key, value);
+            if let Some(&idx) = trace.open.last() {
+                trace.spans[idx as usize].attrs.push((key, value));
+            }
         }
     });
 }
 
-/// Record an already-measured span on the current trace (see
-/// [`Trace::record_closed`]) — how work timed on *another* thread
-/// (a scatter worker) lands in the coordinating thread's trace.
+/// Record an already-measured span under the innermost open span of
+/// the current trace — how work timed on *another* thread (a scatter
+/// worker) lands in the coordinating thread's trace.
 pub fn record_closed(stage: &'static str, dur_ns: u64, attrs: Vec<(&'static str, String)>) {
     CURRENT.with(|c| {
         if let Some(trace) = c.borrow_mut().as_mut() {
-            trace.record_closed(stage, dur_ns, attrs);
+            let now = trace.elapsed_ns();
+            let parent = trace.open.last().copied();
+            trace.spans.push(SpanRec {
+                parent,
+                stage,
+                start_ns: now.saturating_sub(dur_ns),
+                dur_ns,
+                attrs,
+            });
         }
     });
 }
@@ -328,18 +301,14 @@ mod tests {
     }
 
     #[test]
-    fn suspend_resume_round_trips_and_record_closed_attaches() {
+    fn record_closed_attaches_a_measured_span() {
         start(9);
-        let mut parked = suspend().expect("active");
-        assert!(!is_active());
-        parked.record_closed("batch_eval", 1_000, vec![("batch", "4".into())]);
-        resume(parked);
-        assert_eq!(current_id(), Some(9));
+        record_closed("shard_task", 1_000, vec![("shard", "4".into())]);
         let t = finish().unwrap();
-        let batch = t.spans_named("batch_eval");
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].dur_ns, 1_000);
-        assert_eq!(batch[0].parent, Some(0), "attached under the root");
+        let task = t.spans_named("shard_task");
+        assert_eq!(task.len(), 1);
+        assert_eq!(task[0].dur_ns, 1_000);
+        assert_eq!(task[0].parent, Some(0), "attached under the root");
     }
 
     #[test]

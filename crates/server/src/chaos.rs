@@ -35,13 +35,13 @@ use ncq_store::snapshot::checksum64;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use crate::remote::SessionRegistry;
+use crate::listener::Listener;
 
 /// One injectable failure mode. [`Fault::Refuse`] is drawn at accept
 /// time; every other fault applies to one request/response exchange.
@@ -102,10 +102,7 @@ impl ChaosSchedule {
 /// proxy forwards frames to `upstream`, applying the scheduled fault
 /// of each connection to the responses flowing back.
 pub struct ChaosProxy {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    sessions: Arc<SessionRegistry>,
-    accept_thread: Option<thread::JoinHandle<()>>,
+    listener: Listener,
     faults_injected: Arc<AtomicU64>,
     connections: Arc<AtomicU64>,
 }
@@ -113,64 +110,36 @@ pub struct ChaosProxy {
 impl ChaosProxy {
     /// Bind an OS-assigned local port proxying to `upstream`.
     pub fn bind(upstream: SocketAddr, schedule: ChaosSchedule) -> std::io::Result<ChaosProxy> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let sessions = Arc::new(SessionRegistry::default());
         let faults_injected = Arc::new(AtomicU64::new(0));
         let connections = Arc::new(AtomicU64::new(0));
         let schedule = Arc::new(schedule);
 
-        let accept_stop = Arc::clone(&stop);
-        let accept_sessions = Arc::clone(&sessions);
-        let accept_faults = Arc::clone(&faults_injected);
-        let accept_connections = Arc::clone(&connections);
-        let accept_thread = thread::Builder::new()
-            .name("ncq-chaos-acceptor".to_owned())
-            .spawn(move || {
-                let mut handles: Vec<thread::JoinHandle<()>> = Vec::new();
-                for stream in listener.incoming() {
-                    if accept_stop.load(SeqCst) {
-                        break;
-                    }
-                    let Ok(client) = stream else { continue };
-                    accept_connections.fetch_add(1, SeqCst);
-                    // The accept-time draw is where Refuse lands; any
-                    // other draw becomes the first exchange's fault and
-                    // later exchanges redraw.
-                    let first_fault = schedule.draw();
-                    let sessions = Arc::clone(&accept_sessions);
-                    let faults = Arc::clone(&accept_faults);
-                    let schedule = Arc::clone(&schedule);
-                    let session = thread::Builder::new()
-                        .name("ncq-chaos-session".to_owned())
-                        .spawn(move || {
-                            if first_fault == Fault::Refuse {
-                                faults.fetch_add(1, SeqCst);
-                                let _ = client.shutdown(Shutdown::Both);
-                                return;
-                            }
-                            let id = sessions.register(&client);
-                            let _ =
-                                relay_session(client, upstream, first_fault, &schedule, &faults);
-                            sessions.deregister(id);
-                        });
-                    if let Ok(handle) = session {
-                        handles.push(handle);
-                    }
-                    handles.retain(|h| !h.is_finished());
+        let admit_schedule = Arc::clone(&schedule);
+        let admit_faults = Arc::clone(&faults_injected);
+        let admit_connections = Arc::clone(&connections);
+        let session_faults = Arc::clone(&faults_injected);
+        let listener = Listener::bind(
+            "127.0.0.1:0",
+            "ncq-chaos",
+            move |client| {
+                admit_connections.fetch_add(1, SeqCst);
+                // The accept-time draw is where Refuse lands; any other
+                // draw becomes the first exchange's fault and later
+                // exchanges redraw.
+                let first_fault = admit_schedule.draw();
+                if first_fault == Fault::Refuse {
+                    admit_faults.fetch_add(1, SeqCst);
+                    let _ = client.shutdown(Shutdown::Both);
+                    return None;
                 }
-                accept_sessions.shutdown_all();
-                for handle in handles {
-                    let _ = handle.join();
-                }
-            })?;
-
+                Some(first_fault)
+            },
+            move |client, first_fault| {
+                let _ = relay_session(client, upstream, first_fault, &schedule, &session_faults);
+            },
+        )?;
         Ok(ChaosProxy {
-            local_addr,
-            stop,
-            sessions,
-            accept_thread: Some(accept_thread),
+            listener,
             faults_injected,
             connections,
         })
@@ -178,7 +147,7 @@ impl ChaosProxy {
 
     /// The proxy's client-facing address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Applied fault draws other than [`Fault::None`] — accept-time
@@ -194,22 +163,7 @@ impl ChaosProxy {
 
     /// Stop accepting, sever every relay, join all threads.
     pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        if let Some(handle) = self.accept_thread.take() {
-            self.stop.store(true, SeqCst);
-            let _ = TcpStream::connect(self.local_addr);
-            self.sessions.shutdown_all();
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ChaosProxy {
-    fn drop(&mut self) {
-        self.stop_and_join();
+        self.listener.shutdown();
     }
 }
 

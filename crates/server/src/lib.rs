@@ -1,4 +1,4 @@
-//! # ncq-server — batched concurrent query service
+//! # ncq-server — concurrent query service
 //!
 //! The paper closes by positioning the meet operator as "a sensible and
 //! valuable add-on to an already existing search engine"; the ROADMAP
@@ -12,10 +12,12 @@
 //!   queue is at capacity (back-pressure), [`Client::try_request`]
 //!   refuses instead ([`ServerError::Saturated`]) — the admission
 //!   policy of a service that would rather shed than stall;
-//! * **batched execution**: a worker drains up to
-//!   [`ServerConfig::batch_max`] queued requests and evaluates them
-//!   together, sharing full-text posting decodes for terms repeated
-//!   across the batch via a per-worker term cache;
+//! * **one job, one evaluation, one reply**: a worker drains up to
+//!   [`ServerConfig::batch_max`] queued requests per wake-up and
+//!   answers each as it completes — only the queue drain is shared.
+//!   Repeated terms share full-text posting decodes through a
+//!   per-worker term cache, repeated queries meet in the shared
+//!   result cache;
 //! * a **blocking client handle** ([`Client`]) plus a **line protocol**
 //!   ([`protocol`]) used by the integration tests and examples;
 //! * a **TCP acceptor** ([`net::TcpAcceptor`]): thread-per-connection
@@ -59,6 +61,7 @@
 //! ```
 
 pub mod chaos;
+mod listener;
 pub mod net;
 pub mod protocol;
 pub mod remote;

@@ -13,14 +13,13 @@
 //! the same way [`crate::ServerError::Saturated`] reports it locally.
 //! (An async runtime shim remains future work — see ROADMAP.)
 
+use crate::listener::Listener;
 use crate::protocol::serve_lines;
-use crate::remote::SessionRegistry;
 use crate::server::Client;
 use std::io::{BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
 
 /// Acceptor tuning knobs.
@@ -54,10 +53,16 @@ impl Default for NetConfig {
 /// and joins all session threads before returning — no session thread
 /// outlives the acceptor.
 pub struct TcpAcceptor {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    sessions: Arc<SessionRegistry>,
-    accept_thread: Option<thread::JoinHandle<()>>,
+    listener: Listener,
+}
+
+/// One claimed connection slot; dropping it frees the slot.
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, SeqCst);
+    }
 }
 
 impl TcpAcceptor {
@@ -68,96 +73,40 @@ impl TcpAcceptor {
         client: Client,
         config: NetConfig,
     ) -> std::io::Result<TcpAcceptor> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let sessions = Arc::new(SessionRegistry::default());
         let active = Arc::new(AtomicUsize::new(0));
         let cap = config.max_connections.max(1);
         let read_timeout = config.read_timeout;
-
-        let accept_stop = Arc::clone(&stop);
-        let accept_sessions = Arc::clone(&sessions);
-        let accept_thread = thread::Builder::new()
-            .name("ncq-acceptor".to_owned())
-            .spawn(move || {
-                let mut handles: Vec<thread::JoinHandle<()>> = Vec::new();
-                for stream in listener.incoming() {
-                    if accept_stop.load(SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    // Claim a session slot; refuse in-band when full so
-                    // the remote side sees *why* it was dropped, and
-                    // count the refusal into the service's shed rate.
-                    if active.fetch_add(1, SeqCst) >= cap {
-                        active.fetch_sub(1, SeqCst);
-                        client.note_shed();
-                        let mut stream = stream;
-                        let _ = writeln!(stream, "ERR server at connection capacity");
-                        continue; // drop closes the socket
-                    }
-                    let client = client.clone();
-                    let slot = Arc::clone(&active);
-                    let registry = Arc::clone(&accept_sessions);
-                    let session =
-                        thread::Builder::new()
-                            .name("ncq-session".to_owned())
-                            .spawn(move || {
-                                let id = registry.register(&stream);
-                                let _ = serve_session(&client, stream, read_timeout);
-                                registry.deregister(id);
-                                slot.fetch_sub(1, SeqCst);
-                            });
-                    match session {
-                        Ok(handle) => handles.push(handle),
-                        Err(_) => {
-                            active.fetch_sub(1, SeqCst);
-                        }
-                    }
-                    handles.retain(|h| !h.is_finished());
+        let admit_client = client.clone();
+        let listener = Listener::bind(
+            addr,
+            "ncq",
+            move |stream| {
+                // Claim a session slot; refuse in-band when full so the
+                // remote side sees *why* it was dropped, and count the
+                // refusal into the service's shed rate.
+                let slot = Slot(Arc::clone(&active));
+                if active.fetch_add(1, SeqCst) >= cap {
+                    admit_client.note_shed();
+                    let _ = writeln!(stream, "ERR server at connection capacity");
+                    return None;
                 }
-                // Graceful drain: sever every live session (unblocking
-                // blocked reads), then join all session threads.
-                accept_sessions.shutdown_all();
-                for handle in handles {
-                    let _ = handle.join();
-                }
-            })?;
-
-        Ok(TcpAcceptor {
-            local_addr,
-            stop,
-            sessions,
-            accept_thread: Some(accept_thread),
-        })
+                Some(slot)
+            },
+            move |stream, _slot| {
+                let _ = serve_session(&client, stream, read_timeout);
+            },
+        )?;
+        Ok(TcpAcceptor { listener })
     }
 
     /// The bound address (with the OS-assigned port resolved).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Stop accepting, sever live sessions, join every thread.
     pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        if let Some(handle) = self.accept_thread.take() {
-            self.stop.store(true, SeqCst);
-            // Unblock the accept loop with a throwaway connection; the
-            // accept thread then drains the session threads.
-            let _ = TcpStream::connect(self.local_addr);
-            self.sessions.shutdown_all();
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for TcpAcceptor {
-    fn drop(&mut self) {
-        self.stop_and_join();
+        self.listener.shutdown();
     }
 }
 
@@ -193,6 +142,7 @@ mod tests {
     use ncq_core::Database;
     use std::io::{BufRead, Read};
     use std::sync::mpsc;
+    use std::thread;
 
     fn server() -> Server {
         let db = Arc::new(

@@ -44,7 +44,10 @@
 //!
 //! Every request line is assigned an id up front; errors carry it as a
 //! trailing `(req <id>)` marker so an operator can correlate a failed
-//! request with its trace (`TRACE`/`SLOW` render the same ids).
+//! request with its trace (`TRACE`/`SLOW` render the same ids). A
+//! request line is at most 64 KiB: a longer one is answered `ERR` and
+//! the session closed (there is no boundary to resume at); a line that
+//! is not UTF-8 is answered `ERR` and skipped.
 //!
 //! Meet answers are serialized with
 //! [`AnswerSet::to_detailed_xml`](ncq_core::AnswerSet::to_detailed_xml)
@@ -55,14 +58,19 @@
 //! needs to hand each connection's stream pair to [`serve_lines`].
 
 use crate::server::{Client, Request, Response, ServerStats};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
+
+/// Longest request line a session accepts, line terminator excluded.
+const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Serve one session: read commands from `input` until EOF or `QUIT`,
 /// writing framed responses to `output`. Query errors are reported
 /// in-band (`ERR …`); only transport failures surface as `io::Error`.
+/// A line that is not UTF-8 is answered `ERR` and skipped; a line
+/// longer than 64 KiB is answered `ERR` and ends the session.
 pub fn serve_lines<R: BufRead, W: Write>(
     client: &Client,
-    input: R,
+    mut input: R,
     mut output: W,
 ) -> std::io::Result<()> {
     let mut payload = String::new();
@@ -70,9 +78,27 @@ pub fn serve_lines<R: BufRead, W: Write>(
     // deployment's default corpus; `Some("*")` fans MEET/SEARCH out
     // across the whole catalog.
     let mut session_corpus: Option<String> = None;
-    for line in input.lines() {
-        let line = line?;
-        let trimmed = line.trim();
+    let mut line = Vec::new();
+    loop {
+        // Bounded read: a peer that never sends a newline costs at most
+        // the cap, not an ever-growing line.
+        line.clear();
+        let mut bounded = input.by_ref().take(MAX_LINE_BYTES as u64 + 1);
+        if bounded.read_until(b'\n', &mut line)? == 0 {
+            break;
+        }
+        if line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") {
+            let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+            write_err(&mut output, &msg, ncq_obs::obs().next_trace_id())?;
+            // The rest of the line is unread: no request boundary left.
+            break;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            let msg = "request line is not UTF-8";
+            write_err(&mut output, msg, ncq_obs::obs().next_trace_id())?;
+            continue;
+        };
+        let trimmed = text.trim();
         if trimmed.is_empty() {
             continue;
         }
@@ -313,7 +339,7 @@ fn format_stats(client: &Client) -> String {
 /// appears as an `ncq_*` counter or gauge — plus per-corpus query
 /// counts as a labelled counter family and everything the instrumented
 /// stages recorded into the metrics registry (latency histograms with
-/// their quantile summaries, plan/remote/batch counters).
+/// their quantile summaries, plan/remote counters).
 fn format_metrics(client: &Client) -> String {
     let stats = client.stats();
     let rows = stat_rows(&stats);
@@ -512,6 +538,10 @@ mod tests {
     use std::sync::Arc;
 
     fn session(input: &str) -> String {
+        session_from(input.as_bytes())
+    }
+
+    fn session_from(input: impl BufRead) -> String {
         let db = Arc::new(
             Database::from_xml_str(
                 r#"<bib><article key="BB99"><author>Ben Bit</author>
@@ -527,7 +557,7 @@ mod tests {
             },
         );
         let mut out = Vec::new();
-        serve_lines(&server.client(), input.as_bytes(), &mut out).unwrap();
+        serve_lines(&server.client(), input, &mut out).unwrap();
         String::from_utf8(out).unwrap()
     }
 
@@ -582,8 +612,8 @@ mod tests {
         let header = lines[stats_at - 1];
         let n: usize = header.strip_prefix("OK ").unwrap().parse().unwrap();
         // 17 counter/rate lines + 2 snapshot-open counters + simd.mode
-        // + 6 kernels × {scalar,vector}.
-        assert_eq!(n, 32, "one line per counter plus the derived rates");
+        // + 4 kernels × {scalar,vector}.
+        assert_eq!(n, 28, "one line per counter plus the derived rates");
         assert_eq!(lines[stats_at], "served=1");
         // The derived cache hit rates ride the frame.
         for key in ["sem_hit_rate=0.0000", "term_cache_hit_rate=0.0000"] {
@@ -738,7 +768,7 @@ mod tests {
         let mode = ncq_simd::mode().name();
         assert!(out.contains(&format!("simd.mode={mode}")), "{out}");
         assert!(out.contains("simd.intersect.scalar="), "{out}");
-        assert!(out.contains("simd.merge.vector="), "{out}");
+        assert!(out.contains("simd.decode.vector="), "{out}");
         assert!(
             out.contains("# TYPE ncq_simd_dispatch_total counter"),
             "{out}"
@@ -817,6 +847,64 @@ mod tests {
         assert!(out.contains("telemetry off"), "{out}");
         assert!(out.contains("telemetry on"), "{out}");
         assert!(out.contains("ERR OBS takes ON or OFF"), "{out}");
+    }
+
+    /// A peer that sends `a` forever and never a newline, counting the
+    /// bytes the session pulled from it.
+    struct Endless {
+        consumed: usize,
+    }
+
+    impl std::io::Read for Endless {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            buf.fill(b'a');
+            self.consumed += buf.len();
+            Ok(buf.len())
+        }
+    }
+
+    #[test]
+    fn endless_line_is_refused_after_the_cap_and_ends_the_session() {
+        let mut peer = Endless { consumed: 0 };
+        let reader = std::io::BufReader::new(&mut peer);
+        let buffer = reader.capacity();
+        let out = session_from(reader);
+        assert!(
+            out.starts_with("ERR request line exceeds 65536 bytes (req "),
+            "{out}"
+        );
+        assert_eq!(out.lines().count(), 1, "{out}");
+        assert!(
+            peer.consumed <= MAX_LINE_BYTES + 1 + buffer,
+            "read {} bytes of a line that can never end",
+            peer.consumed
+        );
+    }
+
+    #[test]
+    fn a_line_of_exactly_the_cap_is_served_one_byte_more_is_not() {
+        let at_cap = format!("PING{}", " ".repeat(MAX_LINE_BYTES - 4));
+        let out = session(&format!("{at_cap}\nPING\n"));
+        assert_eq!(out, "OK 0\nOK 0\n");
+        let out = session(&format!("{at_cap} \nPING\n"));
+        assert!(
+            out.starts_with("ERR request line exceeds 65536 bytes"),
+            "{out}"
+        );
+        assert_eq!(out.lines().count(), 1, "session closed: {out}");
+    }
+
+    #[test]
+    fn non_utf8_line_answers_err_and_the_session_continues() {
+        let out = session_from(&b"PING\n\xff\xfe MEET\nPING\n"[..]);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3, "{out}");
+        assert_eq!(lines[0], "OK 0");
+        assert!(
+            lines[1].starts_with("ERR request line is not UTF-8 (req "),
+            "{out}"
+        );
+        assert_eq!(lines[2], "OK 0");
     }
 
     #[test]

@@ -19,18 +19,17 @@
 //! stop accepting, unblock every session by shutting its socket down,
 //! join all session threads.
 
+use crate::listener::Listener;
 use ncq_core::remote::{
     decode_request_traced, encode_error_response, encode_response, read_frame_or_eof, write_frame,
     EngineRequest, EngineResponse, WireError, DEFAULT_FRAME_CAP,
 };
 use ncq_core::MeetBackend;
 use ncq_fulltext::HitSet;
-use std::collections::HashMap;
 use std::io::BufReader;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Engine listener tuning knobs.
@@ -54,40 +53,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// Tracks every live session socket so shutdown can unblock reads.
-#[derive(Default)]
-pub(crate) struct SessionRegistry {
-    next_id: AtomicUsize,
-    streams: Mutex<HashMap<usize, TcpStream>>,
-}
-
-impl SessionRegistry {
-    pub(crate) fn register(&self, stream: &TcpStream) -> usize {
-        let id = self.next_id.fetch_add(1, SeqCst);
-        if let Ok(clone) = stream.try_clone() {
-            self.streams
-                .lock()
-                .expect("session registry lock")
-                .insert(id, clone);
-        }
-        id
-    }
-
-    pub(crate) fn deregister(&self, id: usize) {
-        self.streams
-            .lock()
-            .expect("session registry lock")
-            .remove(&id);
-    }
-
-    /// Shut down every registered socket (unblocking blocked reads).
-    pub(crate) fn shutdown_all(&self) {
-        for stream in self.streams.lock().expect("session registry lock").values() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
-}
-
 /// A running engine listener: accepts coordinator connections and
 /// serves the framed engine protocol over `backend`.
 ///
@@ -95,10 +60,7 @@ impl SessionRegistry {
 /// stop accepting, finish the request each session is evaluating,
 /// unblock idle sessions, join every thread.
 pub struct RemoteEngine {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    sessions: Arc<SessionRegistry>,
-    accept_thread: Option<thread::JoinHandle<()>>,
+    listener: Listener,
     served: Arc<AtomicU64>,
 }
 
@@ -112,61 +74,22 @@ impl RemoteEngine {
         // Force the meet index eagerly so the first remote call does
         // not race the build.
         backend.store().meet_index();
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let sessions = Arc::new(SessionRegistry::default());
         let served = Arc::new(AtomicU64::new(0));
-
-        let accept_stop = Arc::clone(&stop);
-        let accept_sessions = Arc::clone(&sessions);
-        let accept_served = Arc::clone(&served);
-        let accept_thread = thread::Builder::new()
-            .name("ncq-engine-acceptor".to_owned())
-            .spawn(move || {
-                let mut handles: Vec<thread::JoinHandle<()>> = Vec::new();
-                for stream in listener.incoming() {
-                    if accept_stop.load(SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let backend = Arc::clone(&backend);
-                    let config = config.clone();
-                    let sessions = Arc::clone(&accept_sessions);
-                    let served = Arc::clone(&accept_served);
-                    let session = thread::Builder::new()
-                        .name("ncq-engine-session".to_owned())
-                        .spawn(move || {
-                            let id = sessions.register(&stream);
-                            let _ = serve_engine_session(&*backend, stream, &config, &served);
-                            sessions.deregister(id);
-                        });
-                    if let Ok(handle) = session {
-                        handles.push(handle);
-                    }
-                    // Reap finished sessions so long-lived engines do
-                    // not accumulate handles.
-                    handles.retain(|h| !h.is_finished());
-                }
-                // Graceful drain: unblock every session, then join.
-                accept_sessions.shutdown_all();
-                for handle in handles {
-                    let _ = handle.join();
-                }
-            })?;
-
-        Ok(RemoteEngine {
-            local_addr,
-            stop,
-            sessions,
-            accept_thread: Some(accept_thread),
-            served,
-        })
+        let session_served = Arc::clone(&served);
+        let listener = Listener::bind(
+            addr,
+            "ncq-engine",
+            |_| Some(()),
+            move |stream, ()| {
+                let _ = serve_engine_session(&*backend, stream, &config, &session_served);
+            },
+        )?;
+        Ok(RemoteEngine { listener, served })
     }
 
     /// The bound address (OS-assigned port resolved).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Requests answered so far (all sessions).
@@ -176,24 +99,7 @@ impl RemoteEngine {
 
     /// Graceful drain: stop accepting, unblock and join every session.
     pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        if let Some(handle) = self.accept_thread.take() {
-            self.stop.store(true, SeqCst);
-            // Unblock the accept loop with a throwaway connection; the
-            // accept thread then drains the sessions.
-            let _ = TcpStream::connect(self.local_addr);
-            self.sessions.shutdown_all();
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for RemoteEngine {
-    fn drop(&mut self) {
-        self.stop_and_join();
+        self.listener.shutdown();
     }
 }
 

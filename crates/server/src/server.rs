@@ -1,4 +1,5 @@
-//! The query service: bounded admission, worker pool, batched execution.
+//! The query service: bounded admission, worker pool, one evaluation
+//! and one reply per job.
 //!
 //! One `Shared` state is owned jointly by the [`Server`] (which joins
 //! the workers) and every [`Client`] handle. The admission queue is a
@@ -8,9 +9,7 @@
 //! always makes progress and a saturated client always eventually
 //! admits or observes shutdown.
 
-use ncq_core::{
-    AnswerSet, BackendError, BatchQuery, CatalogError, Database, MeetBackend, MeetOptions,
-};
+use ncq_core::{AnswerSet, BackendError, CatalogError, Database, MeetBackend, MeetOptions};
 use ncq_fulltext::HitSet;
 use ncq_query::{parse_query, run_query_opts, QueryConfig, QueryOptions, QueryOutput, RowSet};
 use ncq_store::snapshot::SnapshotError;
@@ -21,7 +20,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread;
-use std::time::Instant;
 
 /// The corpus argument that fans a request out across every corpus of
 /// a forest deployment (`USE *` on the wire).
@@ -35,7 +33,9 @@ pub struct ServerConfig {
     /// Admission queue capacity; [`Client::request`] blocks and
     /// [`Client::try_request`] refuses beyond it. Minimum 1.
     pub queue_capacity: usize,
-    /// Maximum requests one worker evaluates as a batch. Minimum 1.
+    /// Maximum queued requests one worker drains per wake-up (one
+    /// queue-lock round trip); it then evaluates them one by one, in
+    /// queue order, answering each as it completes. Minimum 1.
     pub batch_max: usize,
     /// Projection row limit for SQL queries.
     pub max_rows: usize,
@@ -271,9 +271,9 @@ impl std::error::Error for ServerError {}
 pub struct ServerStats {
     /// Requests answered.
     pub served: usize,
-    /// Batches executed.
+    /// Queue drains performed (worker wake-ups that found work).
     pub batches: usize,
-    /// Largest batch observed.
+    /// Most requests taken by one drain (≤ [`ServerConfig::batch_max`]).
     pub max_batch: usize,
     /// Term look-ups that ran a full-text search.
     pub term_decodes: usize,
@@ -626,7 +626,7 @@ impl Server {
 
     /// Spawn the worker pool over any [`MeetBackend`] — the
     /// single-process [`Database`] or a sharded engine. Workers are
-    /// agnostic: they decode terms, batch, and meet through the trait.
+    /// agnostic: they decode terms and meet through the trait.
     pub fn start_backend(db: Arc<dyn MeetBackend>, config: ServerConfig) -> Server {
         db.store().meet_index();
         let workers = if config.workers == 0 {
@@ -892,25 +892,29 @@ fn worker_loop(shared: &Shared) {
         // [`Shared::backend_and_epochs`]), so decodes and results of a
         // swapped-out engine fail their epoch check.
         let (db, epochs) = shared.backend_and_epochs();
+        let batch_len = batch.len();
         shared.stats.batches.fetch_add(1, Relaxed);
-        shared.stats.max_batch.fetch_max(batch.len(), Relaxed);
-        serve_batch(shared, &db, &epochs, &mut cache, batch);
+        shared.stats.max_batch.fetch_max(batch_len, Relaxed);
+        // Only the drain is shared: each job is evaluated alone, in
+        // queue order, and answered before the next one starts.
+        for job in batch {
+            ncq_obs::obs().begin_trace(job.trace_id);
+            ncq_obs::trace::annotate("op", request_kind(&job.request).to_owned());
+            ncq_obs::trace::annotate("batch", batch_len.to_string());
+            let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                execute(shared, &db, &epochs, &mut cache, &job.request)
+            }))
+            .unwrap_or_else(|_| {
+                Response::Error("internal error: query evaluation panicked".to_owned())
+            });
+            // Seal before replying: a client holding its answer can
+            // already read its trace (`TRACE`).
+            finish_request_trace();
+            shared.stats.served.fetch_add(1, Relaxed);
+            // A dropped receiver just means the client stopped waiting.
+            let _ = job.reply.send(response);
+        }
     }
-}
-
-/// A single-corpus meet that missed the semantic cache: decoded and
-/// waiting for the grouped batch evaluation.
-struct PendingMeet {
-    job: usize,
-    engine: Arc<dyn MeetBackend>,
-    inputs: Vec<Arc<HitSet>>,
-    options: MeetOptions,
-    /// Result-cache key and the corpus epoch to insert under (`None`
-    /// when the result cache is off).
-    sem_key: Option<(SemKey, Epoch)>,
-    /// The request's trace, suspended while the job waits for its
-    /// group's shared evaluation (`None` when tracing is off).
-    trace: Option<ncq_obs::Trace>,
 }
 
 /// Registry handle for the end-to-end request latency histogram.
@@ -940,259 +944,25 @@ fn request_kind(request: &Request) -> &'static str {
     }
 }
 
-/// Serve one admitted batch.
-///
-/// Single-corpus MEET requests take the vectorized path: semantic-cache
-/// lookup first (a hit skips evaluation entirely), then the misses are
-/// grouped per engine and evaluated through
-/// [`MeetBackend::meet_hit_groups_batch`] — one shared plane sweep
-/// over the union of the group's hit lists on the single-process
-/// engine. Single-corpus SQL is cached the same way (keyed on the
-/// canonical printed parse). Everything else (fan-out, search, control
-/// verbs) runs through [`execute`].
-fn serve_batch(
+/// Answer a cacheable query: from the semantic result cache when `key`
+/// holds a still-valid entry (evaluation skipped entirely), else by
+/// `evaluate`, remembering every answer but an error. `None` (cache
+/// off, or SQL that does not parse) just evaluates.
+fn cached(
     shared: &Shared,
-    db: &Arc<dyn MeetBackend>,
-    epochs: &Epochs,
-    cache: &mut TermCache,
-    batch: Vec<Job>,
-) {
-    let sem_on = shared.config.sem_cache_capacity > 0;
-    let mut responses: Vec<Option<Response>> = Vec::with_capacity(batch.len());
-    responses.resize_with(batch.len(), || None);
-    let mut pending: Vec<PendingMeet> = Vec::new();
-
-    // Phase 1: classify; answer sem-cache hits and inline work now.
-    let batch_len = batch.len();
-    for (ji, job) in batch.iter().enumerate() {
-        ncq_obs::obs().begin_trace(job.trace_id);
-        ncq_obs::trace::annotate("op", request_kind(&job.request).to_owned());
-        ncq_obs::trace::annotate("batch", batch_len.to_string());
-        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match &job.request {
-                Request::MeetTerms {
-                    terms,
-                    within,
-                    limit,
-                    corpus,
-                } if corpus.as_deref() != Some(ALL_CORPORA) => {
-                    let (target, stat_name) = match resolve_corpus(db, corpus) {
-                        Ok(pair) => pair,
-                        Err(msg) => return Some(Response::Error(msg)),
-                    };
-                    if let Some(name) = &stat_name {
-                        shared.stats.note_corpus(name);
-                    }
-                    let corpus_name = stat_name.unwrap_or_default();
-                    let epoch = epochs.of(&corpus_name);
-                    let options = MeetOptions {
-                        max_distance: *within,
-                        limit: *limit,
-                        ..MeetOptions::default()
-                    };
-                    let sem_key = sem_on.then(|| {
-                        let key = SemKey::Meet {
-                            corpus: corpus_name.clone(),
-                            within: *within,
-                            limit: *limit,
-                            terms: terms.clone(),
-                        };
-                        (key, epoch)
-                    });
-                    if let Some((key, epoch)) = &sem_key {
-                        if let Some(hit) = sem_lookup(shared, key, *epoch) {
-                            return Some(hit);
-                        }
-                    }
-                    let mut inputs = Vec::with_capacity(terms.len());
-                    for term in terms {
-                        match get_or_decode(shared, cache, epoch, &target, &corpus_name, term) {
-                            Ok(hits) => inputs.push(hits),
-                            Err(e) => return Some(Response::Error(e.to_string())),
-                        }
-                    }
-                    pending.push(PendingMeet {
-                        job: ji,
-                        engine: target,
-                        inputs,
-                        options,
-                        sem_key,
-                        // Park the trace with the job; phase 2 resumes
-                        // it around the grouped evaluation.
-                        trace: ncq_obs::trace::suspend(),
-                    });
-                    None
-                }
-                Request::Sql { src, corpus } if corpus.as_deref() != Some(ALL_CORPORA) => {
-                    // Accounting follows the session (or default)
-                    // corpus, independent of any `from corpus(name)`
-                    // inside the text.
-                    if let Some(name) = corpus
-                        .as_deref()
-                        .map(str::to_owned)
-                        .or_else(|| db.default_corpus())
-                    {
-                        shared.stats.note_corpus(&name);
-                    }
-                    // The *resolved* corpus scopes the invalidation
-                    // epoch.
-                    let sem_key = match (sem_on, parse_query(src)) {
-                        (true, Ok(q)) => {
-                            let resolved = q
-                                .corpus
-                                .clone()
-                                .or_else(|| corpus.clone())
-                                .or_else(|| db.default_corpus())
-                                .unwrap_or_default();
-                            let epoch = epochs.of(&resolved);
-                            let key = SemKey::Sql {
-                                corpus: resolved,
-                                session: corpus.clone(),
-                                query: q.to_string(),
-                            };
-                            Some((key, epoch))
-                        }
-                        _ => None, // parse errors answer in-band below
-                    };
-                    if let Some((key, epoch)) = &sem_key {
-                        if let Some(hit) = sem_lookup(shared, key, *epoch) {
-                            return Some(hit);
-                        }
-                    }
-                    let options = QueryOptions {
-                        config: QueryConfig {
-                            max_rows: shared.config.max_rows,
-                        },
-                        default_corpus: corpus.clone(),
-                    };
-                    let response = match run_query_opts(&**db, src, &options) {
-                        Ok(QueryOutput::Answers(a)) => Response::Answers(a),
-                        Ok(QueryOutput::Rows(r)) => Response::Rows(r),
-                        Err(e) => Response::Error(e.to_string()),
-                    };
-                    if let (Some((key, epoch)), false) =
-                        (sem_key, matches!(response, Response::Error(_)))
-                    {
-                        sem_insert(shared, key, response.clone(), epoch);
-                    }
-                    Some(response)
-                }
-                other => Some(execute(shared, db, epochs, cache, other)),
-            }
-        }))
-        .unwrap_or_else(|_| {
-            Some(Response::Error(
-                "internal error: query evaluation panicked".to_owned(),
-            ))
-        });
-        if response.is_some() {
-            // Answered inline (or panicked): the request is over, seal
-            // the trace. Pending meets carried theirs into `pending`.
-            finish_request_trace();
-        }
-        responses[ji] = response;
-    }
-
-    // Phase 2: grouped meet evaluation, one batched call per engine.
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (pi, p) in pending.iter().enumerate() {
-        let key = Arc::as_ptr(&p.engine) as *const () as usize;
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, members)) => members.push(pi),
-            None => groups.push((key, vec![pi])),
+    key: Option<(SemKey, Epoch)>,
+    evaluate: impl FnOnce() -> Response,
+) -> Response {
+    if let Some((key, epoch)) = &key {
+        if let Some(hit) = sem_lookup(shared, key, *epoch) {
+            return hit;
         }
     }
-    for (_, members) in &groups {
-        let engine = Arc::clone(&pending[members[0]].engine);
-        // Resume the first traced rider across the grouped call so the
-        // engine-side spans (plan decisions, scatter/gather, the shared
-        // sweep) record live into one trace; the other riders get the
-        // measured wall time stitched in as a closed `batch_eval` span.
-        let lead = members
-            .iter()
-            .copied()
-            .find(|&pi| pending[pi].trace.is_some());
-        if let Some(pi) = lead {
-            if let Some(trace) = pending[pi].trace.take() {
-                ncq_obs::trace::resume(trace);
-            }
-        }
-        let eval_started = Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let queries: Vec<BatchQuery<'_>> = members
-                .iter()
-                .map(|&pi| {
-                    let p = &pending[pi];
-                    BatchQuery::new(
-                        p.inputs.iter().map(Arc::as_ref).collect(),
-                        p.options.clone(),
-                    )
-                })
-                .collect();
-            engine.meet_hit_groups_batch(&queries)
-        }));
-        let eval_ns = eval_started.elapsed().as_nanos() as u64;
-        if let Some(pi) = lead {
-            // On the panic path any open spans were already closed by
-            // their guards during unwinding; the trace is still whole.
-            pending[pi].trace = ncq_obs::trace::suspend();
-        }
-        match outcome {
-            Ok(Ok(all)) => {
-                for (&pi, meets) in members.iter().zip(all) {
-                    if let Some(trace) = pending[pi].trace.take() {
-                        ncq_obs::trace::resume(trace);
-                        if lead != Some(pi) {
-                            ncq_obs::trace::record_closed(
-                                "batch_eval",
-                                eval_ns,
-                                vec![("group", members.len().to_string())],
-                            );
-                        }
-                    }
-                    let response = {
-                        let _serialize = ncq_obs::trace::span("serialize");
-                        Response::Answers(AnswerSet::from_meets(engine.store(), meets))
-                    };
-                    if let Some((key, epoch)) = pending[pi].sem_key.take() {
-                        sem_insert(shared, key, response.clone(), epoch);
-                    }
-                    responses[pending[pi].job] = Some(response);
-                    finish_request_trace();
-                }
-            }
-            Ok(Err(e)) => {
-                for &pi in members {
-                    if let Some(trace) = pending[pi].trace.take() {
-                        ncq_obs::trace::resume(trace);
-                        ncq_obs::trace::event("error", e.to_string());
-                    }
-                    responses[pending[pi].job] = Some(Response::Error(e.to_string()));
-                    finish_request_trace();
-                }
-            }
-            Err(_) => {
-                for &pi in members {
-                    if let Some(trace) = pending[pi].trace.take() {
-                        ncq_obs::trace::resume(trace);
-                        ncq_obs::trace::event("error", "evaluation panicked".to_owned());
-                    }
-                    responses[pending[pi].job] = Some(Response::Error(
-                        "internal error: query evaluation panicked".to_owned(),
-                    ));
-                    finish_request_trace();
-                }
-            }
-        }
+    let response = evaluate();
+    if let (Some((key, epoch)), false) = (key, matches!(response, Response::Error(_))) {
+        sem_insert(shared, key, response.clone(), epoch);
     }
-
-    for (job, response) in batch.into_iter().zip(responses) {
-        let response = response
-            .unwrap_or_else(|| Response::Error("internal error: unanswered job".to_owned()));
-        shared.stats.served.fetch_add(1, Relaxed);
-        // A dropped receiver just means the client stopped waiting.
-        let _ = job.reply.send(response);
-    }
+    response
 }
 
 /// Semantic-cache lookup with counter upkeep. `None` counts a miss.
@@ -1270,6 +1040,7 @@ fn resolve_corpus(
     }
 }
 
+/// Evaluate one request to completion on its batch's backend.
 fn execute(
     shared: &Shared,
     db: &Arc<dyn MeetBackend>,
@@ -1277,50 +1048,128 @@ fn execute(
     cache: &mut TermCache,
     request: &Request,
 ) -> Response {
+    let sem_on = shared.config.sem_cache_capacity > 0;
     match request {
-        // Concrete-corpus MEET and SQL never reach here: `serve_batch`
-        // answers them itself (batched / cached). What is left of the
-        // two verbs is the `USE *` routing.
         Request::MeetTerms {
             terms,
             within,
             limit,
-            corpus: _,
+            corpus,
         } => {
-            // Fan out across the whole catalog, decoding through the
-            // per-corpus engines and the tagged term cache, same as
-            // single-corpus routing.
-            let names = db.corpus_names();
-            if names.is_empty() {
-                return Response::Error(
-                    "this deployment serves no corpora (single-document backend)".to_owned(),
-                );
-            }
-            for name in &names {
-                shared.stats.note_corpus(name);
-            }
             let options = MeetOptions {
                 max_distance: *within,
                 limit: *limit,
                 ..MeetOptions::default()
             };
-            let all = ncq_core::catalog::meet_terms_forest(
-                &**db,
-                terms,
-                &options,
-                |name, target, term| {
-                    get_or_decode(shared, cache, epochs.of(name), target, name, term)
-                },
-            );
-            shared
-                .stats
-                .partial_answers
-                .fetch_add(all.partials.len(), Relaxed);
-            Response::Answers(all)
+            if corpus.as_deref() == Some(ALL_CORPORA) {
+                // Fan out across the whole catalog, decoding through the
+                // per-corpus engines and the tagged term cache, same as
+                // single-corpus routing.
+                let names = db.corpus_names();
+                if names.is_empty() {
+                    return Response::Error(
+                        "this deployment serves no corpora (single-document backend)".to_owned(),
+                    );
+                }
+                for name in &names {
+                    shared.stats.note_corpus(name);
+                }
+                let all = ncq_core::catalog::meet_terms_forest(
+                    &**db,
+                    terms,
+                    &options,
+                    |name, target, term| {
+                        get_or_decode(shared, cache, epochs.of(name), target, name, term)
+                    },
+                );
+                shared
+                    .stats
+                    .partial_answers
+                    .fetch_add(all.partials.len(), Relaxed);
+                return Response::Answers(all);
+            }
+            let (target, stat_name) = match resolve_corpus(db, corpus) {
+                Ok(pair) => pair,
+                Err(msg) => return Response::Error(msg),
+            };
+            if let Some(name) = &stat_name {
+                shared.stats.note_corpus(name);
+            }
+            let corpus_name = stat_name.unwrap_or_default();
+            let epoch = epochs.of(&corpus_name);
+            let key = sem_on.then(|| {
+                let key = SemKey::Meet {
+                    corpus: corpus_name.clone(),
+                    within: *within,
+                    limit: *limit,
+                    terms: terms.clone(),
+                };
+                (key, epoch)
+            });
+            cached(shared, key, || {
+                let mut inputs = Vec::with_capacity(terms.len());
+                for term in terms {
+                    match get_or_decode(shared, cache, epoch, &target, &corpus_name, term) {
+                        Ok(hits) => inputs.push(hits),
+                        Err(e) => return Response::Error(e.to_string()),
+                    }
+                }
+                let refs: Vec<&HitSet> = inputs.iter().map(Arc::as_ref).collect();
+                match target.meet_hit_groups(&refs, &options) {
+                    Ok(meets) => {
+                        let _serialize = ncq_obs::trace::span("serialize");
+                        Response::Answers(AnswerSet::from_meets(target.store(), meets))
+                    }
+                    Err(e) => {
+                        ncq_obs::trace::event("error", e.to_string());
+                        Response::Error(e.to_string())
+                    }
+                }
+            })
         }
-        Request::Sql { .. } => Response::Error(
+        Request::Sql { corpus, .. } if corpus.as_deref() == Some(ALL_CORPORA) => Response::Error(
             "SQL evaluates against one corpus; USE a concrete corpus name".to_owned(),
         ),
+        Request::Sql { src, corpus } => {
+            // Accounting follows the session (or default) corpus,
+            // independent of any `from corpus(name)` inside the text.
+            if let Some(name) = corpus.clone().or_else(|| db.default_corpus()) {
+                shared.stats.note_corpus(&name);
+            }
+            // The *resolved* corpus scopes the invalidation epoch. A
+            // parse error is not cacheable; it answers in-band below.
+            let key = match (sem_on, parse_query(src)) {
+                (true, Ok(q)) => {
+                    let resolved = q
+                        .corpus
+                        .clone()
+                        .or_else(|| corpus.clone())
+                        .or_else(|| db.default_corpus())
+                        .unwrap_or_default();
+                    let epoch = epochs.of(&resolved);
+                    let key = SemKey::Sql {
+                        corpus: resolved,
+                        session: corpus.clone(),
+                        query: q.to_string(),
+                    };
+                    Some((key, epoch))
+                }
+                _ => None,
+            };
+            cached(shared, key, || {
+                let options = QueryOptions {
+                    config: QueryConfig {
+                        max_rows: shared.config.max_rows,
+                    },
+                    default_corpus: corpus.clone(),
+                };
+                match run_query_opts(&**db, src, &options) {
+                    Ok(QueryOutput::Answers(a)) => Response::Answers(a),
+                    Ok(QueryOutput::Rows(r)) => Response::Rows(r),
+                    Err(e) => Response::Error(e.to_string()),
+                }
+            })
+        }
         Request::Search { term, corpus } => {
             if corpus.as_deref() == Some(ALL_CORPORA) {
                 let names = db.corpus_names();
@@ -1806,6 +1655,125 @@ mod tests {
             };
             assert_eq!(got.results, full.results[..k], "k = {k}");
         }
+    }
+
+    /// A backend whose `search` parks on terms starting with `gate`
+    /// until the test releases it, reporting each park first.
+    struct Gated {
+        db: Database,
+        parked: Mutex<mpsc::Sender<String>>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl MeetBackend for Gated {
+        fn store(&self) -> &ncq_store::MonetDb {
+            self.db.store()
+        }
+
+        fn search(&self, term: &str) -> Result<HitSet, BackendError> {
+            if term.starts_with("gate") {
+                self.parked.lock().unwrap().send(term.to_owned()).unwrap();
+                self.release.lock().unwrap().recv().unwrap();
+            }
+            Ok(self.db.search(term))
+        }
+
+        fn meet_hit_groups(
+            &self,
+            inputs: &[&HitSet],
+            options: &MeetOptions,
+        ) -> Result<Vec<ncq_core::Meet>, BackendError> {
+            Ok(self.db.meet_hits(inputs, options))
+        }
+    }
+
+    /// One worker over a [`Gated`] backend, already parked inside a
+    /// `SEARCH gate-0` job so that everything submitted next is picked
+    /// up by a single drain once the returned sender releases it.
+    fn parked_server() -> (Server, mpsc::Receiver<String>, mpsc::Sender<()>) {
+        let (parked_tx, parked) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let s = Server::start_backend(
+            Arc::new(Gated {
+                db: Database::from_xml_str(FIGURE1).unwrap(),
+                parked: Mutex::new(parked_tx),
+                release: Mutex::new(release_rx),
+            }),
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        );
+        // The reply is dropped unread: the worker does not care.
+        s.client()
+            .submit(Request::search("gate-0"), true, 1)
+            .unwrap();
+        assert_eq!(parked.recv().unwrap(), "gate-0");
+        (s, parked, release)
+    }
+
+    #[test]
+    fn replies_are_not_held_for_the_rest_of_the_drain() {
+        let (s, parked, release) = parked_server();
+        let client = s.client();
+        let fast_a = client
+            .submit(Request::meet_terms(["Bit", "1999"]), true, 2)
+            .unwrap();
+        let blocked = client
+            .submit(Request::meet_terms(["gate-1", "1999"]), true, 3)
+            .unwrap();
+        let fast_b = client
+            .submit(Request::meet_terms(["Bob", "Byte"]), true, 4)
+            .unwrap();
+        release.send(()).unwrap();
+
+        // The worker is now inside the second job of its drain: the
+        // first job's reply must already be out, the third still queued
+        // behind the parked one.
+        assert_eq!(parked.recv().unwrap(), "gate-1");
+        match fast_a.try_recv() {
+            Ok(Response::Answers(a)) => assert_eq!(a.tags(), vec!["article"]),
+            other => panic!("first reply held back while a later job runs: {other:?}"),
+        }
+        assert!(fast_b.try_recv().is_err());
+
+        release.send(()).unwrap();
+        assert!(matches!(blocked.recv().unwrap(), Response::Answers(_)));
+        match fast_b.recv().unwrap() {
+            Response::Answers(a) => assert_eq!(a.tags(), vec!["cdata"]),
+            other => panic!("unexpected {other:?}"),
+        }
+        let stats = s.shutdown();
+        assert_eq!(
+            (stats.served, stats.batches, stats.max_batch),
+            (4, 2, 3),
+            "{stats:?}"
+        );
+    }
+
+    #[test]
+    fn identical_meets_drained_together_evaluate_once() {
+        let (s, _parked, release) = parked_server();
+        let client = s.client();
+        let first = client
+            .submit(Request::meet_terms(["Bit", "1999"]), true, 2)
+            .unwrap();
+        let second = client
+            .submit(Request::meet_terms(["Bit", "1999"]), true, 3)
+            .unwrap();
+        release.send(()).unwrap();
+        let (first, second) = (first.recv().unwrap(), second.recv().unwrap());
+        match (&first, &second) {
+            (Response::Answers(a), Response::Answers(b)) => {
+                assert_eq!(a.to_detailed_xml(), b.to_detailed_xml());
+                assert_eq!(a.tags(), vec!["article"]);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        let stats = s.shutdown();
+        assert_eq!(stats.max_batch, 2, "one drain took both: {stats:?}");
+        assert_eq!((stats.sem_hits, stats.sem_misses), (1, 1), "{stats:?}");
+        assert_eq!(stats.term_decodes, 3, "gate-0, Bit, 1999: {stats:?}");
     }
 
     #[test]

@@ -1,21 +1,19 @@
 //! # ncq-simd — branch-free lane-parallel kernels for the meet engine
 //!
 //! The hot loops of the nearest-concept stack — posting-list
-//! intersection (`ncq-fulltext`), the tagged run merges of the batch
-//! executor (`ncq-core::batch`), frontier set algebra
-//! (`ncq-core::meet_sets`), and the interval probes of the sharded
-//! gather (`ncq-shard`) — all reduce to four primitive kernels over
-//! sorted integer runs:
+//! intersection and decode (`ncq-fulltext`) and the interval probes of
+//! the sharded gather (`ncq-shard`) — reduce to four primitive kernels
+//! over sorted `u32` runs:
 //!
-//! * [`lower_bound_u32`] / [`lower_bound_u64`] — partition search;
+//! * [`lower_bound_u32`] — partition search;
+//! * [`range_u32`] — the interval-containment probe (`lo <= x < hi`
+//!   over a sorted run is a pair of partition searches);
 //! * [`intersect_u32_into`] — compare-exchange intersection;
-//! * [`difference_u32_into`] — sorted-set subtraction;
-//! * [`merge_u64_into`] / [`merge_tagged_u64`] — stable run merges;
-//! * [`range_u32`] / [`range_u64`] — the interval-containment probe
-//!   (`lo <= x < hi` over a sorted run is a pair of partition
-//!   searches);
 //! * [`unpack_hi_u32`] — posting decode: deinterleave the owner
 //!   column out of `(path, owner)` pairs.
+//!
+//! [`scalar::difference_u32_into`] has no vector twin: its only caller
+//! is the Fig. 4 test oracle (`ncq_core::reference`).
 //!
 //! This crate provides each kernel twice: a scalar reference
 //! ([`scalar`]) and an SSE2/AVX2 implementation ([`x86`], x86-64
@@ -34,10 +32,9 @@
 //! The contract is **bit-identical output**: for every input, every
 //! dispatch target returns exactly the bytes of the scalar reference.
 //! `tests/properties.rs` proves it per kernel (random runs × lane
-//! remainders × misaligned heads × degenerate shapes), and the
-//! repo-level differential harness (`tests/batch_equivalence.rs`)
-//! plus the golden suites re-prove it end to end under both
-//! `NCQ_SIMD` settings in the `simd-compat` CI job.
+//! remainders × misaligned heads × degenerate shapes), and the golden
+//! suites re-prove it end to end under both `NCQ_SIMD` settings in the
+//! `simd-compat` CI job.
 //!
 //! Every call is tallied in a per-kernel **dispatch counter**
 //! ([`dispatch_stats`]) split scalar/vector — the server's `STATS` and
@@ -56,8 +53,7 @@ use std::sync::OnceLock;
 pub enum Mode {
     /// Scalar reference kernels (any host, `NCQ_SIMD=off`).
     Scalar,
-    /// 128-bit kernels (x86-64 baseline); 64-bit-lane and
-    /// gather-assist kernels that need AVX2 fall back to scalar.
+    /// 128-bit kernels (x86-64 baseline).
     Sse2,
     /// 256-bit kernels (runtime-detected).
     Avx2,
@@ -153,10 +149,8 @@ macro_rules! counters {
           static $vector: AtomicU64 = AtomicU64::new(0);)+
 
         /// Per-kernel dispatch tallies, split scalar/vector. "Vector"
-        /// means a lane-parallel kernel actually ran — a call that
-        /// *wanted* vector but fell back (e.g. a 64-bit kernel under
-        /// SSE2) counts as scalar, so the counters never overstate
-        /// coverage.
+        /// means a lane-parallel kernel actually ran, so the counters
+        /// never overstate coverage.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct DispatchStats {
             $(pub $field: (u64, u64),)+
@@ -183,8 +177,6 @@ counters! {
     lower_bound: LB_S / LB_V,
     range: RANGE_S / RANGE_V,
     intersect: IX_S / IX_V,
-    difference: DIFF_S / DIFF_V,
-    merge: MERGE_S / MERGE_V,
     decode: DEC_S / DEC_V,
 }
 
@@ -205,16 +197,12 @@ impl DispatchStats {
             lower_bound,
             range,
             intersect,
-            difference,
-            merge,
             decode,
         } = *self;
         vec![
             ("lower_bound", lower_bound.0, lower_bound.1),
             ("range", range.0, range.1),
             ("intersect", intersect.0, intersect.1),
-            ("difference", difference.0, difference.1),
-            ("merge", merge.0, merge.1),
             ("decode", decode.0, decode.1),
         ]
     }
@@ -242,23 +230,6 @@ pub fn lower_bound_u32(hay: &[u32], target: u32) -> usize {
         _ => {
             LB_S.fetch_add(1, Relaxed);
             scalar::lower_bound_u32(hay, target)
-        }
-    }
-}
-
-/// Smallest `i` with `hay[i] >= target` (`hay` sorted ascending);
-/// `hay.len()` if every element is below `target`.
-#[inline]
-pub fn lower_bound_u64(hay: &[u64], target: u64) -> usize {
-    match mode() {
-        #[cfg(target_arch = "x86_64")]
-        Mode::Avx2 => {
-            LB_V.fetch_add(1, Relaxed);
-            unsafe { x86::lower_bound_u64_avx2(hay, target) }
-        }
-        _ => {
-            LB_S.fetch_add(1, Relaxed);
-            scalar::lower_bound_u64(hay, target)
         }
     }
 }
@@ -294,26 +265,6 @@ pub fn range_u32(hay: &[u32], lo: u32, hi: u32) -> (usize, usize) {
     }
 }
 
-/// As [`range_u32`], for 64-bit lanes.
-#[inline]
-pub fn range_u64(hay: &[u64], lo: u64, hi: u64) -> (usize, usize) {
-    match mode() {
-        #[cfg(target_arch = "x86_64")]
-        Mode::Avx2 => {
-            RANGE_V.fetch_add(1, Relaxed);
-            let start = unsafe { x86::lower_bound_u64_avx2(hay, lo) };
-            let end = start + unsafe { x86::lower_bound_u64_avx2(&hay[start..], hi) };
-            (start, end)
-        }
-        _ => {
-            RANGE_S.fetch_add(1, Relaxed);
-            let start = scalar::lower_bound_u64(hay, lo);
-            let end = start + scalar::lower_bound_u64(&hay[start..], hi);
-            (start, end)
-        }
-    }
-}
-
 /// Intersection of two sorted, strictly increasing runs, appended to
 /// `out` in ascending order.
 #[inline]
@@ -327,40 +278,6 @@ pub fn intersect_u32_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
         _ => {
             IX_S.fetch_add(1, Relaxed);
             scalar::intersect_u32_into(a, b, out);
-        }
-    }
-}
-
-/// `set \ remove` over sorted, strictly increasing runs, appended to
-/// `out` in ascending order.
-#[inline]
-pub fn difference_u32_into(set: &[u32], remove: &[u32], out: &mut Vec<u32>) {
-    match mode() {
-        #[cfg(target_arch = "x86_64")]
-        Mode::Avx2 => {
-            DIFF_V.fetch_add(1, Relaxed);
-            unsafe { x86::difference_u32_avx2(set, remove, out) }
-        }
-        _ => {
-            DIFF_S.fetch_add(1, Relaxed);
-            scalar::difference_u32_into(set, remove, out);
-        }
-    }
-}
-
-/// Stable two-way merge of sorted `u64` runs (ties keep the left run's
-/// elements first), appended to `out`.
-#[inline]
-pub fn merge_u64_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
-    match mode() {
-        #[cfg(target_arch = "x86_64")]
-        Mode::Avx2 => {
-            MERGE_V.fetch_add(1, Relaxed);
-            unsafe { x86::merge_u64_avx2(a, b, out) }
-        }
-        _ => {
-            MERGE_S.fetch_add(1, Relaxed);
-            scalar::merge_u64_into(a, b, out);
         }
     }
 }
@@ -387,54 +304,6 @@ pub fn unpack_hi_u32(pairs: &[[u32; 2]], out: &mut Vec<u32>) {
         _ => {
             DEC_S.fetch_add(1, Relaxed);
             scalar::unpack_hi_u32(pairs, out);
-        }
-    }
-}
-
-/// K-way merge of sorted `u64` runs into `out` (cleared first) by a
-/// balanced tree of stable pairwise merges — the vectorized shape of
-/// the batch executor's `merge_tagged`. With values packed as
-/// `key << 32 | tag`, the result order is exactly `sort_unstable` by
-/// `(key, tag)` over the concatenation: adjacent-pair tree merging
-/// with left-first ties is a stable merge sort.
-pub fn merge_tagged_u64(runs: &[&[u64]], out: &mut Vec<u64>) {
-    out.clear();
-    match runs {
-        [] => {}
-        [only] => out.extend_from_slice(only),
-        [a, b] => merge_u64_into(a, b, out),
-        _ => {
-            let mut level: Vec<Vec<u64>> = runs
-                .chunks(2)
-                .map(|pair| match pair {
-                    [a, b] => {
-                        let mut merged = Vec::with_capacity(a.len() + b.len());
-                        merge_u64_into(a, b, &mut merged);
-                        merged
-                    }
-                    [only] => only.to_vec(),
-                    _ => unreachable!("chunks(2)"),
-                })
-                .collect();
-            while level.len() > 2 {
-                level = level
-                    .chunks(2)
-                    .map(|pair| match pair {
-                        [a, b] => {
-                            let mut merged = Vec::with_capacity(a.len() + b.len());
-                            merge_u64_into(a, b, &mut merged);
-                            merged
-                        }
-                        [only] => only.clone(),
-                        _ => unreachable!("chunks(2)"),
-                    })
-                    .collect();
-            }
-            match level.as_slice() {
-                [a, b] => merge_u64_into(a, b, out),
-                [only] => out.extend_from_slice(only),
-                _ => unreachable!("reduced"),
-            }
         }
     }
 }
@@ -473,18 +342,5 @@ mod tests {
         let sum = |s: &DispatchStats| s.total_scalar() + s.total_vector();
         assert!(sum(&after) >= sum(&before) + 2);
         assert_eq!(out, hay);
-    }
-
-    #[test]
-    fn merge_tagged_handles_all_run_counts() {
-        let runs: Vec<Vec<u64>> = vec![vec![1, 5, 9], vec![2, 5, 7], vec![0, 11], vec![5], vec![]];
-        for k in 0..=runs.len() {
-            let refs: Vec<&[u64]> = runs[..k].iter().map(Vec::as_slice).collect();
-            let mut got = Vec::new();
-            merge_tagged_u64(&refs, &mut got);
-            let mut expect: Vec<u64> = runs[..k].iter().flatten().copied().collect();
-            expect.sort_unstable();
-            assert_eq!(got, expect, "k={k}");
-        }
     }
 }

@@ -14,13 +14,6 @@ pub fn lower_bound_u32(hay: &[u32], target: u32) -> usize {
     hay.partition_point(|&x| x < target)
 }
 
-/// Smallest `i` with `hay[i] >= target`; `hay.len()` if none.
-/// `hay` must be sorted ascending.
-#[inline]
-pub fn lower_bound_u64(hay: &[u64], target: u64) -> usize {
-    hay.partition_point(|&x| x < target)
-}
-
 /// Intersection of two sorted, strictly increasing runs, appended to
 /// `out`. Gallops through whichever side is currently ahead, exactly
 /// like the posting-list intersection this kernel replaces.
@@ -61,37 +54,6 @@ pub fn difference_u32_into(set: &[u32], remove: &[u32], out: &mut Vec<u32>) {
             None => return,
         };
         j = j.min(remove.len());
-    }
-}
-
-/// Two-way merge of sorted `u64` runs, appended to `out`. Ties keep
-/// the left run's elements first (a stable merge), and equal stretches
-/// are moved with bulk copies found by partition search.
-pub fn merge_u64_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
-    let (mut i, mut j) = (0usize, 0usize);
-    loop {
-        if i == a.len() {
-            out.extend_from_slice(&b[j..]);
-            return;
-        }
-        if j == b.len() {
-            out.extend_from_slice(&a[i..]);
-            return;
-        }
-        if a[i] <= b[j] {
-            // Take the whole stretch of `a` at or below `b[j]` — ties
-            // go left, so the boundary is the first element > b[j].
-            let k = match b[j].checked_add(1) {
-                Some(t) => lower_bound_u64(&a[i..], t),
-                None => a.len() - i,
-            };
-            out.extend_from_slice(&a[i..i + k]);
-            i += k;
-        } else {
-            let k = lower_bound_u64(&b[j..], a[i]);
-            out.extend_from_slice(&b[j..j + k]);
-            j += k;
-        }
     }
 }
 

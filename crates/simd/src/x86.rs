@@ -16,8 +16,6 @@
 //!   has the smaller maximum. Strictly increasing inputs guarantee a
 //!   match is emitted exactly once. Skewed stretches short-circuit
 //!   through the vector lower bound before the block compare.
-//! * **merge / difference** — merge loops whose bulk copies are found
-//!   by the vector lower bound; the copies themselves are `memcpy`.
 //!
 //! Unsigned lane compares use the sign-flip trick (`x ^ MIN` turns an
 //! unsigned order into a signed one); all loads are unaligned
@@ -40,9 +38,6 @@ use core::arch::x86_64::*;
 /// that the count is a handful of compares, large enough that the
 /// binary search tail (the unpredictable branches) is skipped.
 const LB32_WINDOW: usize = 32;
-
-/// As [`LB32_WINDOW`], for 64-bit lanes.
-const LB64_WINDOW: usize = 16;
 
 /// SSE2 `lower_bound_u32`: binary search to a window, vector count of
 /// elements below the target inside it.
@@ -86,31 +81,6 @@ pub unsafe fn lower_bound_u32_avx2(hay: &[u32], target: u32) -> usize {
         let lt = _mm256_cmpgt_epi32(tv, _mm256_xor_si256(x, sign));
         below += (_mm256_movemask_ps(_mm256_castsi256_ps(lt)) as u32).count_ones() as usize;
         i += 8;
-    }
-    while i < window.len() && window[i] < target {
-        below += 1;
-        i += 1;
-    }
-    base + below
-}
-
-/// AVX2 `lower_bound_u64`: binary search to a window, 4-wide signed
-/// compare after a sign flip.
-///
-/// # Safety
-/// Requires AVX2 (checked by the dispatch layer).
-#[target_feature(enable = "avx2")]
-pub unsafe fn lower_bound_u64_avx2(hay: &[u64], target: u64) -> usize {
-    let (base, window) = narrow_window(hay, LB64_WINDOW, |x| x < target);
-    let sign = _mm256_set1_epi64x(i64::MIN);
-    let tv = _mm256_xor_si256(_mm256_set1_epi64x(target as i64), sign);
-    let mut below = 0usize;
-    let mut i = 0usize;
-    while i + 4 <= window.len() {
-        let x = _mm256_loadu_si256(window.as_ptr().add(i).cast());
-        let lt = _mm256_cmpgt_epi64(tv, _mm256_xor_si256(x, sign));
-        below += (_mm256_movemask_pd(_mm256_castsi256_pd(lt)) as u32).count_ones() as usize;
-        i += 4;
     }
     while i < window.len() && window[i] < target {
         below += 1;
@@ -267,64 +237,5 @@ pub unsafe fn unpack_hi_u32_avx2(pairs: &[[u32; 2]], out: &mut Vec<u32>) {
     out.set_len(base + i);
     for pair in &pairs[i..] {
         out.push(pair[1]);
-    }
-}
-
-/// AVX2-assisted difference: the scalar merge shape with the bulk-copy
-/// boundaries found by the vector lower bound.
-///
-/// # Safety
-/// Requires AVX2 (checked by the dispatch layer).
-#[target_feature(enable = "avx2")]
-pub unsafe fn difference_u32_avx2(set: &[u32], remove: &[u32], out: &mut Vec<u32>) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < set.len() {
-        if j == remove.len() {
-            out.extend_from_slice(&set[i..]);
-            return;
-        }
-        let k = lower_bound_u32_avx2(&set[i..], remove[j]);
-        out.extend_from_slice(&set[i..i + k]);
-        i += k;
-        if i < set.len() && set[i] == remove[j] {
-            i += 1;
-        }
-        j += match set.get(i) {
-            Some(&s) => lower_bound_u32_avx2(&remove[j..], s).max(1),
-            None => return,
-        };
-        j = j.min(remove.len());
-    }
-}
-
-/// AVX2-assisted two-way merge of sorted `u64` runs (ties keep the
-/// left run first), bulk copies found by the vector lower bound.
-///
-/// # Safety
-/// Requires AVX2 (checked by the dispatch layer).
-#[target_feature(enable = "avx2")]
-pub unsafe fn merge_u64_avx2(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
-    let (mut i, mut j) = (0usize, 0usize);
-    loop {
-        if i == a.len() {
-            out.extend_from_slice(&b[j..]);
-            return;
-        }
-        if j == b.len() {
-            out.extend_from_slice(&a[i..]);
-            return;
-        }
-        if a[i] <= b[j] {
-            let k = match b[j].checked_add(1) {
-                Some(t) => lower_bound_u64_avx2(&a[i..], t),
-                None => a.len() - i,
-            };
-            out.extend_from_slice(&a[i..i + k]);
-            i += k;
-        } else {
-            let k = lower_bound_u64_avx2(&b[j..], a[i]);
-            out.extend_from_slice(&b[j..j + k]);
-            j += k;
-        }
     }
 }

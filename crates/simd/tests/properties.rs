@@ -111,49 +111,6 @@ fn lower_bound_u32_matches_partition_point() {
 }
 
 #[test]
-fn lower_bound_u64_matches_partition_point() {
-    let _guard = lock_modes();
-    let mut rng = StdRng::seed_from_u64(0x9_02);
-    for len in [0usize, 1, 3, 4, 5, 15, 16, 17, 100, 1000] {
-        let mut hay: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
-        hay.sort_unstable();
-        for off in 0..3.min(hay.len() + 1) {
-            let hay = &hay[off..];
-            let mut targets: Vec<u64> = vec![0, u64::MAX];
-            targets.extend(
-                hay.iter()
-                    .flat_map(|&x| [x.wrapping_sub(1), x, x.wrapping_add(1)]),
-            );
-            for t in targets {
-                let expect = hay.partition_point(|&x| x < t);
-                for_each_mode("lower_bound_u64", || simd::lower_bound_u64(hay, t));
-                assert_eq!(simd::lower_bound_u64(hay, t), expect);
-            }
-        }
-    }
-}
-
-#[test]
-fn range_u64_matches_two_partition_points() {
-    let _guard = lock_modes();
-    let mut rng = StdRng::seed_from_u64(0x9_03);
-    for len in [0usize, 1, 7, 16, 64, 300] {
-        let mut hay: Vec<u64> = (0..len).map(|_| rng.random_range(0..10_000)).collect();
-        hay.sort_unstable();
-        for _ in 0..50 {
-            let lo = rng.random_range(0..10_500u64);
-            let hi = lo + rng.random_range(0..2_000u64);
-            let expect = (
-                hay.partition_point(|&x| x < lo),
-                hay.partition_point(|&x| x < hi),
-            );
-            for_each_mode("range_u64", || simd::range_u64(&hay, lo, hi));
-            assert_eq!(simd::range_u64(&hay, lo, hi), expect);
-        }
-    }
-}
-
-#[test]
 fn range_u32_matches_two_partition_points() {
     let _guard = lock_modes();
     let mut rng = StdRng::seed_from_u64(0x9_08);
@@ -216,7 +173,6 @@ fn intersect_matches_scalar_reference() {
 
 #[test]
 fn difference_matches_retain() {
-    let _guard = lock_modes();
     let mut rng = StdRng::seed_from_u64(0x9_05);
     let mut cases: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
     for a in edge_runs() {
@@ -241,13 +197,8 @@ fn difference_matches_retain() {
                 .filter(|x| remove.binary_search(x).is_err())
                 .copied()
                 .collect();
-            for_each_mode("difference_u32", || {
-                let mut out = Vec::new();
-                simd::difference_u32_into(set, remove, &mut out);
-                out
-            });
             let mut out = Vec::new();
-            simd::difference_u32_into(set, remove, &mut out);
+            simd::scalar::difference_u32_into(set, remove, &mut out);
             assert_eq!(out, expect);
         }
     }
@@ -277,90 +228,5 @@ fn unpack_hi_matches_field_walk() {
             assert_eq!(out[0], 42);
             assert_eq!(&out[1..], expect);
         }
-    }
-}
-
-#[test]
-fn merge_u64_is_a_stable_merge() {
-    let _guard = lock_modes();
-    let mut rng = StdRng::seed_from_u64(0x9_06);
-    // Tagged values: key in the high bits, provenance tag low, so a
-    // stable merge is observable — ties must keep left-run tags first.
-    let tagged = |rng: &mut StdRng, len: usize, tag: u64| -> Vec<u64> {
-        let mut keys: Vec<u64> = (0..len).map(|_| rng.random_range(0..50u64)).collect();
-        keys.sort_unstable();
-        keys.into_iter().map(|k| k << 32 | tag).collect()
-    };
-    for _ in 0..300 {
-        let la = rng.random_range(0..40);
-        let lb = rng.random_range(0..40);
-        let a = tagged(&mut rng, la, 1);
-        let b = tagged(&mut rng, lb, 2);
-        let mut expect = Vec::with_capacity(a.len() + b.len());
-        {
-            // Reference: the textbook stable merge.
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() && j < b.len() {
-                if a[i] <= b[j] {
-                    expect.push(a[i]);
-                    i += 1;
-                } else {
-                    expect.push(b[j]);
-                    j += 1;
-                }
-            }
-            expect.extend_from_slice(&a[i..]);
-            expect.extend_from_slice(&b[j..]);
-        }
-        for_each_mode("merge_u64", || {
-            let mut out = Vec::new();
-            simd::merge_u64_into(&a, &b, &mut out);
-            out
-        });
-        let mut out = Vec::new();
-        simd::merge_u64_into(&a, &b, &mut out);
-        assert_eq!(out, expect);
-    }
-    // u64::MAX keys exercise the checked_add boundary in the bulk-copy
-    // stretch search.
-    let a = vec![5, u64::MAX, u64::MAX];
-    let b = vec![5, u64::MAX];
-    for_each_mode("merge_u64 max", || {
-        let mut out = Vec::new();
-        simd::merge_u64_into(&a, &b, &mut out);
-        out
-    });
-}
-
-#[test]
-fn merge_tagged_matches_sorted_concatenation() {
-    let _guard = lock_modes();
-    let mut rng = StdRng::seed_from_u64(0x9_07);
-    for _ in 0..100 {
-        let k = rng.random_range(0..9);
-        let runs: Vec<Vec<u64>> = (0..k)
-            .map(|tag| {
-                let mut keys: Vec<u64> = (0..rng.random_range(0..30))
-                    .map(|_| rng.random_range(0..60u64))
-                    .collect();
-                keys.sort_unstable();
-                keys.dedup();
-                keys.into_iter().map(|key| key << 32 | tag as u64).collect()
-            })
-            .collect();
-        let refs: Vec<&[u64]> = runs.iter().map(Vec::as_slice).collect();
-        // Keys are unique within a run, so sorting the concatenation by
-        // the packed value == ordering by (key, run index): exactly the
-        // batch executor's merge_tagged contract.
-        let mut expect: Vec<u64> = runs.iter().flatten().copied().collect();
-        expect.sort_unstable();
-        for_each_mode("merge_tagged_u64", || {
-            let mut out = Vec::new();
-            simd::merge_tagged_u64(&refs, &mut out);
-            out
-        });
-        let mut out = Vec::new();
-        simd::merge_tagged_u64(&refs, &mut out);
-        assert_eq!(out, expect);
     }
 }

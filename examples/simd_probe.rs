@@ -23,18 +23,17 @@
 //! total.vector=9184
 //! ```
 
-use nearest_concept::core::reference::meet_sets;
-use nearest_concept::core::{BatchQuery, MeetOptions};
-use nearest_concept::{Database, ShardedDb};
+use nearest_concept::core::MeetOptions;
+use nearest_concept::{run_query, Database, QueryOutput, ShardedDb};
 
 fn main() {
     // A small forked corpus whose leaves interleave three terms, so
-    // the workload drives every vectorized kernel: posting-list
-    // intersections (search), frontier algebra + interval probes
-    // (meets), tagged merges (batches), and gather-side range probes
-    // (the sharded backend).
+    // the workload drives every kernel family: posting decode and
+    // intersection (phrase search), partition search (the dialect's
+    // `contains` offspring test) and interval range probes (the
+    // sharded gather).
     let mut xml = String::from("<root>");
-    for f in 0..16 {
+    for f in 0..24 {
         xml.push_str("<x><x><x>");
         for i in 0..40 {
             let n = f * 40 + i;
@@ -52,39 +51,30 @@ fn main() {
     xml.push_str("</root>");
     let db = Database::from_xml_str(&xml).expect("probe corpus");
 
-    let alpha = db.search("alpha");
-    let beta = db.search("beta");
-    let gamma = db.search("gamma");
-    // Phrase search intersects the per-word posting lists before the
-    // adjacency check — the `intersect` kernel's main call site.
+    // Phrase search decodes the per-word posting lists and intersects
+    // them before the adjacency check — `decode` and `intersect`.
     let phrase = db.search("alpha beta gamma");
 
-    // Homogeneous-set meets walk the frontier algebra: `intersect`
-    // and `difference` over sorted oid sets.
-    let leaves = |hits: &nearest_concept::fulltext::HitSet| {
-        hits.groups()
-            .values()
-            .max_by_key(|v| v.len())
-            .cloned()
-            .unwrap_or_default()
+    // A projection's `contains` asks, per candidate node, whether its
+    // subtree holds a hit: one `lower_bound` partition search each.
+    let rows = match run_query(
+        &db,
+        "select t from root/x/x/x as t where t contains 'gamma'",
+    ) {
+        Ok(QueryOutput::Rows(r)) => r.rows.len(),
+        other => panic!("probe query: {other:?}"),
     };
-    let frontier = meet_sets(db.store(), &leaves(&alpha), &leaves(&beta)).expect("same-path sets");
-    let options = MeetOptions::default();
 
-    let inputs = vec![&alpha, &beta, &gamma];
-    let queries: Vec<BatchQuery<'_>> = (0..8)
-        .map(|_| BatchQuery::new(inputs.clone(), options.clone()))
-        .collect();
-    let batched = db.meet_hits_batch(&queries);
-
+    // The sharded gather re-attaches deferred candidates with `range`
+    // probes over document-ordered survivors.
+    let alpha = db.search("alpha");
+    let beta = db.search("beta");
     let sharded = ShardedDb::new(db, 4);
-    let gathered = sharded.meet_hits(&[&alpha, &beta], &options);
+    let gathered = sharded.meet_hits(&[&alpha, &beta], &MeetOptions::default());
 
     eprintln!(
-        "workload: {} phrase hits, {} set meets, {} batch results, {} gathered meets",
+        "workload: {} phrase hits, {rows} projected rows, {} gathered meets",
         phrase.len(),
-        frontier.meets.len(),
-        batched.iter().map(Vec::len).sum::<usize>(),
         gathered.len()
     );
 

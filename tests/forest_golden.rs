@@ -219,49 +219,17 @@ fn cross_corpus_fanout_order_is_stable_and_corpus_tagged() {
     assert_eq!(first.to_detailed_xml(), again.to_detailed_xml());
 }
 
-/// The bounded, batched hot path replays the forest probes
-/// byte-identically. Per corpus: (a) the shared-evaluation batch
-/// executor answers the probe (plus a duplicate and a `limit 1`
-/// variant) exactly like serial evaluation; (b) a forest `Server`
-/// answers the routed MEET identically cold, batched and from a warmed
-/// semantic cache — with the per-corpus `limit` on the wire returning
-/// the ranked prefix.
+/// A forest `Server` replays the forest probes byte-identically: the
+/// routed MEET answers the same cold, from concurrent clients sharing
+/// queue drains, and from a warmed semantic cache — with the per-corpus
+/// `limit` on the wire returning the ranked prefix.
 #[test]
 fn batched_and_cached_forest_replay_is_byte_stable() {
-    use nearest_concept::core::BatchQuery;
     use nearest_concept::server::{Request, Response, Server, ServerConfig};
 
-    // (a) Per-corpus batch executor vs serial, duplicates and limits in
-    // one batch.
-    for (name, terms, _, _) in probes() {
-        let db = direct(name);
-        let hits: Vec<_> = terms.iter().map(|t| db.search(t)).collect();
-        let refs: Vec<&_> = hits.iter().collect();
-        let opts = MeetOptions::default();
-        let limited = MeetOptions {
-            limit: Some(1),
-            ..MeetOptions::default()
-        };
-        let queries = vec![
-            BatchQuery::new(refs.clone(), opts.clone()),
-            BatchQuery::new(refs.clone(), limited.clone()),
-            BatchQuery::new(refs.clone(), opts.clone()),
-        ];
-        let batched = db.meet_hits_batch(&queries);
-        let serial = db.meet_hits(&refs, &opts);
-        assert_eq!(batched[0], serial, "{name}: batched != serial");
-        assert_eq!(batched[2], serial, "{name}: duplicate diverged");
-        let cut = 1usize.min(serial.len());
-        assert_eq!(
-            batched[1],
-            serial[..cut],
-            "{name}: limit 1 != ranked prefix"
-        );
-    }
-
-    // (b) A forest server over the same catalog: concurrent routed
-    // MEETs (shared batch windows), then a warmed-cache replay, then
-    // the wire-level limit — all byte-identical to the direct engines.
+    // Concurrent routed MEETs (shared drains), then a warmed-cache
+    // replay, then the wire-level limit — all byte-identical to the
+    // direct engines.
     let forest = ForestBackend::new(three_corpus_catalog()).unwrap();
     let server = Server::start_backend(
         Arc::new(forest),

@@ -1,24 +1,18 @@
-//! Differential equivalence harness for the bounded, batched hot path.
+//! Differential harness for the top-k early exit.
 //!
-//! The batch executor ([`nearest_concept::core::batch`]) and the top-k
-//! early exit (`MeetOptions::limit`) are *optimizations*: both promise
-//! byte-identical answers to the plain serial, unbounded evaluation.
+//! `MeetOptions::limit` is an *optimization*: it promises answers
+//! byte-identical to the first `k` of the plain unbounded evaluation.
 //! This suite proves the promise differentially on random trees —
-//! random query batches through `Database` and `ShardedDb` at K ∈
-//! {1, 4}, every strategy, with and without distance bounds and limits:
-//!
-//! * batched answers (`meet_hit_groups_batch`) equal one-at-a-time
-//!   answers (`meet_hit_groups`), meet for meet, witness for witness;
-//! * `limit k` answers equal the unbounded ranking's first `k` answers
-//!   at k ∈ {1, 2, 5} and at k far beyond the result size;
-//! * every engine agrees with every other engine on the same query.
+//! through `Database` and `ShardedDb` at K ∈ {1, 4}, every strategy, at
+//! k ∈ {1, 2, 5} and at k far beyond the result size — and once more
+//! through the full term pipeline.
 //!
 //! Seeded loops over the vendored deterministic PRNG stand in for
 //! proptest (the offline build cannot fetch it); failures print the
 //! seed.
 
 use ncq_fulltext::HitSet;
-use nearest_concept::core::{BatchQuery, MeetBackend, MeetOptions, MeetStrategy};
+use nearest_concept::core::{MeetBackend, MeetOptions, MeetStrategy};
 use nearest_concept::xml::Document;
 use nearest_concept::{Database, ShardedDb};
 use rand::rngs::StdRng;
@@ -60,82 +54,6 @@ const TERMS: [&str; 7] = [
 ];
 
 const STRATEGIES: [MeetStrategy; 3] = [MeetStrategy::Auto, MeetStrategy::Lift, MeetStrategy::Sweep];
-
-/// A random per-query option set: strategy, sometimes a distance bound,
-/// sometimes a top-k limit.
-fn random_options(rng: &mut StdRng) -> MeetOptions {
-    MeetOptions {
-        strategy: STRATEGIES[rng.random_range(0..STRATEGIES.len())],
-        max_distance: if rng.random_range(0..4usize) == 0 {
-            Some(rng.random_range(0usize..12))
-        } else {
-            None
-        },
-        limit: if rng.random_range(0..3usize) == 0 {
-            Some(rng.random_range(1usize..6))
-        } else {
-            None
-        },
-        ..MeetOptions::default()
-    }
-}
-
-/// Batched evaluation is byte-identical to one-at-a-time evaluation —
-/// through the plain `Database` (which overrides the batch hook with
-/// the shared-evaluation executor) and through `ShardedDb` at K ∈
-/// {1, 4} (which inherits the serial default), duplicates, bounds and
-/// limits included. All engines also agree with each other.
-#[test]
-fn random_batches_match_serial_evaluation_everywhere() {
-    for seed in 0u64..40 {
-        let mut rng = StdRng::seed_from_u64(0xba7c_0000 + seed);
-        let doc = random_tree(&mut rng);
-        let db = Database::from_document(&doc);
-        let hits: Vec<HitSet> = TERMS.iter().map(|t| db.search(t)).collect();
-
-        // A random batch: 2–8 queries over 2–3 term groups each, drawn
-        // from the shared pool so hit sets recur across the batch
-        // (exercising the run cache and the duplicate-query dedup).
-        let n_queries = rng.random_range(2usize..9);
-        let queries: Vec<BatchQuery<'_>> = (0..n_queries)
-            .map(|_| {
-                let n_groups = rng.random_range(2usize..4);
-                let inputs: Vec<&HitSet> = (0..n_groups)
-                    .map(|_| &hits[rng.random_range(0..hits.len())])
-                    .collect();
-                BatchQuery::new(inputs, random_options(&mut rng))
-            })
-            .collect();
-
-        let engines: Vec<(String, Box<dyn MeetBackend>)> = vec![
-            ("Database".into(), Box::new(db.clone())),
-            (
-                "ShardedDb K=1".into(),
-                Box::new(ShardedDb::new(db.clone(), 1)),
-            ),
-            (
-                "ShardedDb K=4".into(),
-                Box::new(ShardedDb::new(db.clone(), 4)),
-            ),
-        ];
-
-        let mut reference: Option<Vec<Vec<nearest_concept::core::Meet>>> = None;
-        for (name, engine) in &engines {
-            let serial: Vec<_> = queries
-                .iter()
-                .map(|q| engine.meet_hit_groups(&q.inputs, &q.options).unwrap())
-                .collect();
-            let batched = engine
-                .meet_hit_groups_batch(&queries)
-                .expect("local engines are infallible");
-            assert_eq!(batched, serial, "seed {seed}: batched != serial on {name}");
-            match &reference {
-                None => reference = Some(serial),
-                Some(r) => assert_eq!(&serial, r, "seed {seed}: {name} diverged cross-engine"),
-            }
-        }
-    }
-}
 
 /// `limit k` is the unbounded ranking's prefix: for every strategy and
 /// engine, the bounded answer equals `unbounded[..k]` at small k, and
