@@ -34,7 +34,7 @@ pub struct SteeringRow {
     pub steered_us: f64,
     /// Naive time, µs.
     pub naive_us: f64,
-    /// Indexed (Euler-tour LCA) time, µs — O(1), no parent walk.
+    /// Indexed (O(1) LCA) time, µs — O(1), no parent walk.
     pub indexed_us: f64,
 }
 
@@ -212,7 +212,7 @@ pub fn restrictions(db: &Database, inputs: &[HitSet], runs: usize) -> Vec<Restri
 /// Text table for the steering ablation.
 pub fn steering_table(rows: &[SteeringRow]) -> String {
     let mut out = String::from(
-        "# Ablation A — sigma-steered meet2 vs naive LCA vs Euler-tour index\n\
+        "# Ablation A — sigma-steered meet2 vs naive LCA vs indexed LCA\n\
          # depth  distance  steered_lookups  naive_lookups  steered_us  naive_us  indexed_us\n",
     );
     for r in rows {

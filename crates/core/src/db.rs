@@ -115,22 +115,22 @@ impl Database {
     // one file cold-starts the whole engine with no parse, no meet
     // index DFS and no re-tokenization.
 
-    /// Serialize the whole engine into a v3 snapshot writer: every
+    /// Serialize the whole engine into a snapshot writer: every
     /// section in final form, so opening the file is mmap + checksum +
     /// pointer fixup. This is what [`Database::save_snapshot`] writes;
     /// exposed so execution layers with extra state (e.g. a shard
     /// partition map) can append their own sections before writing the
     /// file.
-    pub fn encode_snapshot_v3(&self) -> SnapshotWriterV3 {
+    pub fn encode_snapshot(&self) -> SnapshotWriterV3 {
         let mut writer = SnapshotWriterV3::new();
-        self.store.encode_snapshot_v3(&mut writer);
-        self.index.encode_snapshot_v3(&mut writer);
+        self.store.encode_snapshot(&mut writer);
+        self.index.encode_snapshot(&mut writer);
         writer
     }
 
     fn decode_untimed(snap: &MappedSnapshot) -> Result<Database, SnapshotError> {
-        let store = MonetDb::decode_snapshot_v3(snap)?;
-        let index = InvertedIndex::decode_snapshot_v3(snap, &store)?;
+        let store = MonetDb::decode_snapshot(snap)?;
+        let index = InvertedIndex::decode_snapshot(snap, &store)?;
         Ok(Database { store, index })
     }
 
@@ -143,17 +143,16 @@ impl Database {
         Ok(db)
     }
 
-    /// Save a snapshot file (atomic rename; deterministic bytes; v3
-    /// layout).
+    /// Save a snapshot file (atomic rename; deterministic bytes).
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        self.encode_snapshot_v3().write_to(path.as_ref())
+        self.encode_snapshot().write_to(path.as_ref())
     }
 
     /// Cold-start from a snapshot file: the file is mmapped and served
     /// zero-copy — microseconds of header/table checksums and pointer
     /// fixup instead of the parse → transform → index build pipeline.
     /// Set `NCQ_NO_MMAP=1` to force the owned in-memory arena. A file
-    /// of any other layout version (the retired v1/v2 included) is a
+    /// of any other layout version (the retired v1/v2/v3 included) is a
     /// typed [`SnapshotError::UnsupportedVersion`].
     pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Database, SnapshotError> {
         let started = std::time::Instant::now();
@@ -163,9 +162,9 @@ impl Database {
         Ok(db)
     }
 
-    /// The snapshot as in-memory bytes (tests and tooling; v3 layout).
+    /// The snapshot as in-memory bytes (tests and tooling).
     pub fn snapshot_to_bytes(&self) -> Vec<u8> {
-        self.encode_snapshot_v3().to_bytes()
+        self.encode_snapshot().into_bytes()
     }
 
     /// Decode an engine from in-memory snapshot bytes (tests and

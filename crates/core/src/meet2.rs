@@ -1,7 +1,7 @@
 //! Pairwise meet — `meet₂(o₁, o₂)`, the lowest common ancestor of two
 //! nodes (Definition 6).
 //!
-//! [`meet2_indexed`] answers in O(1) from the Euler-tour LCA index of
+//! [`meet2_indexed`] answers in O(1) from the indexed LCA of
 //! [`ncq_store::MeetIndex`]. The paper's σ-steered parent walk (Fig. 3)
 //! and its naive baseline live in [`crate::reference`] as oracles; all
 //! three agree on `meet` and `distance` for every pair.
@@ -23,7 +23,7 @@ pub struct Meet2 {
     pub lookups: usize,
 }
 
-/// O(1) LCA via the Euler-tour RMQ of [`MonetDb::meet_index`] — no
+/// O(1) LCA via the indexed RMQ of [`MonetDb::meet_index`] — no
 /// parent walk at all. `distance` is still the paper's join count
 /// (`depth(o₁) + depth(o₂) − 2·depth(meet)`), but `lookups` is 0: the
 /// relational joins are modelled, not executed.

@@ -6,7 +6,7 @@
 //!
 //! * the roll-up pays `O(hits)` parent look-ups *per level* plus hash-map
 //!   bookkeeping per token — cheap when the inputs are few and shallow,
-//!   and it never touches the Euler-tour index;
+//!   and it never touches the meet index;
 //! * the sweep pays one `O(hits log hits)` sorted pass with heap pushes
 //!   and O(1) LCA probes — depth-independent, with a larger constant.
 //!

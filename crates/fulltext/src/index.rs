@@ -10,7 +10,7 @@ use std::collections::HashMap;
 /// `repr(C)`: both fields are `repr(transparent)` `u32` newtypes, so a
 /// posting is guaranteed to be laid out as `[path, owner]: [u32; 2]` —
 /// the shape the SIMD decode kernel deinterleaves owner columns from
-/// (see [`mod@crate::intersect`]) and the shape the v3 snapshot maps
+/// (see [`mod@crate::intersect`]) and the shape the snapshot maps
 /// back as a plain slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(C)]
@@ -28,47 +28,70 @@ unsafe impl ncq_store::Pod for Posting {}
 const _: () = assert!(std::mem::size_of::<Posting>() == 8);
 const _: () = assert!(std::mem::align_of::<Posting>() == 4);
 
-/// The two physical representations behind [`InvertedIndex`].
-#[derive(Debug, Clone)]
-pub(crate) enum Repr {
-    /// Hash map of owned posting lists: the build / restriction
-    /// representation.
-    Built {
-        map: HashMap<Box<str>, Vec<Posting>>,
-        postings: usize,
-    },
-    /// Zero-copy views into a v3 snapshot: the vocabulary as a sorted
-    /// blob + offsets (CSR over bytes), the postings as one
-    /// concatenated slice + offsets (CSR over lists). Lookups binary
-    /// search the sorted vocabulary instead of hashing.
-    Mapped {
-        /// Byte offsets into `blob`, length `tokens + 1`.
-        token_off: Col<u32>,
-        /// Concatenated UTF-8 token bytes, lexicographic order.
-        blob: Col<u8>,
-        /// Posting offsets, length `tokens + 1`.
-        posting_off: Col<u32>,
-        /// All postings, concatenated in token order.
-        postings: Col<Posting>,
-    },
-}
-
 /// Token → postings over every string relation of a [`MonetDb`].
+///
+/// One physical form, built or opened: the vocabulary as a sorted blob
+/// plus offsets (CSR over bytes), the postings as one concatenated
+/// slice plus offsets (CSR over lists). Each array is a [`Col`] — owned
+/// after a build or a restriction, a zero-copy view after a snapshot
+/// open — and lookups binary-search the sorted vocabulary.
+/// `pub(crate)` fields: the snapshot codec (`crate::snapshot`) persists
+/// and reattaches them directly.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
-    /// `pub(crate)` so the snapshot codec (`crate::snapshot`) can
-    /// persist and reconstruct the posting lists directly.
-    pub(crate) repr: Repr,
+    /// Byte offsets into `blob`, length `tokens + 1`.
+    pub(crate) token_off: Col<u32>,
+    /// Concatenated UTF-8 token bytes, lexicographic order.
+    pub(crate) blob: Col<u8>,
+    /// Posting offsets, length `tokens + 1`.
+    pub(crate) posting_off: Col<u32>,
+    /// All postings, concatenated in token order.
+    pub(crate) postings: Col<Posting>,
+}
+
+/// Assembles the CSR form from `(token, postings)` entries pushed in
+/// lexicographic token order; an entry with no postings leaves no
+/// token behind.
+struct Builder {
+    token_off: Vec<u32>,
+    blob: Vec<u8>,
+    posting_off: Vec<u32>,
+    postings: Vec<Posting>,
+}
+
+impl Builder {
+    fn new() -> Builder {
+        Builder {
+            token_off: vec![0],
+            blob: Vec::new(),
+            posting_off: vec![0],
+            postings: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, token: &str, list: impl Iterator<Item = Posting>) {
+        let before = self.postings.len();
+        self.postings.extend(list);
+        if self.postings.len() > before {
+            self.blob.extend_from_slice(token.as_bytes());
+            self.token_off.push(self.blob.len() as u32);
+            self.posting_off.push(self.postings.len() as u32);
+        }
+    }
+
+    fn finish(self) -> InvertedIndex {
+        InvertedIndex {
+            token_off: self.token_off.into(),
+            blob: self.blob.into(),
+            posting_off: self.posting_off.into(),
+            postings: self.postings.into(),
+        }
+    }
 }
 
 impl Default for InvertedIndex {
     fn default() -> InvertedIndex {
-        InvertedIndex {
-            repr: Repr::Built {
-                map: HashMap::new(),
-                postings: 0,
-            },
-        }
+        Builder::new().finish()
     }
 }
 
@@ -76,7 +99,6 @@ impl InvertedIndex {
     /// Index every string association of `db`.
     pub fn build(db: &MonetDb) -> InvertedIndex {
         let mut map: HashMap<Box<str>, Vec<Posting>> = HashMap::new();
-        let mut postings = 0usize;
         for path in db.string_paths() {
             for (owner, text) in db.strings_of(path) {
                 let posting = Posting {
@@ -90,7 +112,6 @@ impl InvertedIndex {
                     // order, so checking the tail suffices.
                     if list.last() != Some(&posting) {
                         list.push(posting);
-                        postings += 1;
                     }
                 }
             }
@@ -101,9 +122,13 @@ impl InvertedIndex {
         // order, owners in document order); the galloping intersections
         // and the meet plane sweeps rely on it.
         debug_assert!(map.values().all(|v| v.windows(2).all(|w| w[0] < w[1])));
-        InvertedIndex {
-            repr: Repr::Built { map, postings },
+        let mut lists: Vec<(Box<str>, Vec<Posting>)> = map.into_iter().collect();
+        lists.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut csr = Builder::new();
+        for (token, list) in &lists {
+            csr.push(token, list.iter().copied());
         }
+        csr.finish()
     }
 
     /// Restriction of the index to the postings whose owner satisfies
@@ -112,59 +137,48 @@ impl InvertedIndex {
     /// sorted/deduplicated contract carries over; restricting an index
     /// by a partition of the OID space yields indexes whose posting
     /// lists partition the originals (no duplication, nothing lost).
-    /// The result is always the built representation — shards own their
-    /// filtered lists regardless of where the parent index lives.
+    /// The result owns its arrays — shards hold their filtered lists
+    /// regardless of where the parent index lives.
     pub fn restrict(&self, mut keep: impl FnMut(Oid) -> bool) -> InvertedIndex {
-        let mut map: HashMap<Box<str>, Vec<Posting>> = HashMap::new();
-        let mut postings = 0usize;
-        for (token, list) in self.entries() {
-            let kept: Vec<Posting> = list.iter().filter(|p| keep(p.owner)).copied().collect();
-            if !kept.is_empty() {
-                postings += kept.len();
-                map.insert(token.into(), kept);
-            }
+        let mut csr = Builder::new();
+        for i in 0..self.vocabulary_size() {
+            let kept = self.list(i).iter().copied().filter(|p| keep(p.owner));
+            csr.push(self.token(i), kept);
         }
-        InvertedIndex {
-            repr: Repr::Built { map, postings },
-        }
+        csr.finish()
     }
 
-    /// The `i`-th token of the mapped vocabulary.
-    fn mapped_token<'a>(token_off: &Col<u32>, blob: &'a Col<u8>, i: usize) -> &'a str {
-        let bytes = &blob[token_off[i] as usize..token_off[i + 1] as usize];
-        // The v3 decoder validated every token slice as UTF-8.
-        std::str::from_utf8(bytes).expect("token validated at decode")
+    /// The `i`-th token of the sorted vocabulary.
+    fn token(&self, i: usize) -> &str {
+        let bytes = &self.blob[self.token_off[i] as usize..self.token_off[i + 1] as usize];
+        // Built from `&str`s, or validated as UTF-8 by the decoder.
+        std::str::from_utf8(bytes).expect("token is valid UTF-8")
+    }
+
+    /// The posting list of the `i`-th token.
+    fn list(&self, i: usize) -> &[Posting] {
+        &self.postings[self.posting_off[i] as usize..self.posting_off[i + 1] as usize]
     }
 
     /// Postings of a token, sorted by `(path, owner)` and deduplicated.
     /// The query term is case-folded before lookup.
     pub fn postings(&self, term: &str) -> &[Posting] {
         let folded = crate::tokenize::fold(term);
-        match &self.repr {
-            Repr::Built { map, .. } => map.get(folded.as_str()).map_or(&[], Vec::as_slice),
-            Repr::Mapped {
-                token_off,
-                blob,
-                posting_off,
-                postings,
-            } => {
-                let count = token_off.len() - 1;
-                let mut lo = 0usize;
-                let mut hi = count;
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if Self::mapped_token(token_off, blob, mid) < folded.as_str() {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                if lo < count && Self::mapped_token(token_off, blob, lo) == folded.as_str() {
-                    &postings[posting_off[lo] as usize..posting_off[lo + 1] as usize]
-                } else {
-                    &[]
-                }
+        let count = self.vocabulary_size();
+        let mut lo = 0usize;
+        let mut hi = count;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.token(mid) < folded.as_str() {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
+        }
+        if lo < count && self.token(lo) == folded.as_str() {
+            self.list(lo)
+        } else {
+            &[]
         }
     }
 
@@ -175,62 +189,17 @@ impl InvertedIndex {
 
     /// Number of distinct tokens.
     pub fn vocabulary_size(&self) -> usize {
-        match &self.repr {
-            Repr::Built { map, .. } => map.len(),
-            Repr::Mapped { token_off, .. } => token_off.len() - 1,
-        }
+        self.token_off.len() - 1
     }
 
     /// Total number of postings.
     pub fn posting_count(&self) -> usize {
-        match &self.repr {
-            Repr::Built { postings, .. } => *postings,
-            Repr::Mapped { postings, .. } => postings.len(),
-        }
+        self.postings.len()
     }
 
-    /// Iterate over the vocabulary (unordered for the built
-    /// representation, lexicographic for the mapped one).
-    pub fn vocabulary(&self) -> Box<dyn Iterator<Item = &str> + '_> {
-        match &self.repr {
-            Repr::Built { map, .. } => Box::new(map.keys().map(|k| k.as_ref())),
-            Repr::Mapped {
-                token_off, blob, ..
-            } => Box::new(
-                (0..token_off.len() - 1).map(move |i| Self::mapped_token(token_off, blob, i)),
-            ),
-        }
-    }
-
-    /// `(token, postings)` pairs in unspecified order — the raw walk
-    /// the restriction and the codecs build on.
-    pub(crate) fn entries(&self) -> Box<dyn Iterator<Item = (&str, &[Posting])> + '_> {
-        match &self.repr {
-            Repr::Built { map, .. } => {
-                Box::new(map.iter().map(|(k, v)| (k.as_ref(), v.as_slice())))
-            }
-            Repr::Mapped {
-                token_off,
-                blob,
-                posting_off,
-                postings,
-            } => Box::new((0..token_off.len() - 1).map(move |i| {
-                (
-                    Self::mapped_token(token_off, blob, i),
-                    &postings[posting_off[i] as usize..posting_off[i + 1] as usize],
-                )
-            })),
-        }
-    }
-
-    /// `(token, postings)` pairs in lexicographic token order — the
-    /// deterministic sequence both snapshot encoders write.
-    pub(crate) fn sorted_entries(&self) -> Vec<(&str, &[Posting])> {
-        let mut entries: Vec<(&str, &[Posting])> = self.entries().collect();
-        // Already sorted when mapped; sort_unstable on sorted input is
-        // cheap enough not to special-case.
-        entries.sort_unstable_by_key(|&(t, _)| t);
-        entries
+    /// Iterate over the vocabulary in lexicographic order.
+    pub fn vocabulary(&self) -> impl Iterator<Item = &str> + '_ {
+        (0..self.vocabulary_size()).map(|i| self.token(i))
     }
 }
 

@@ -2,12 +2,13 @@
 //!
 //! The index is the most expensive build artifact after the meet index:
 //! every string association is tokenized and case-folded at build time.
-//! Persisting the finished posting lists means a cold start re-hashes
-//! the (small) vocabulary but never re-tokenizes the (large) corpus.
+//! Persisting the finished posting lists means a cold start never
+//! re-tokenizes the corpus.
 //!
 //! The `FULLTEXT` section (inside the checksummed container of
-//! [`ncq_store::mmap`]) stores the index in **final form** — four flat
-//! arrays a mapped open can serve without rebuilding the hash map:
+//! [`ncq_store::mmap`]) stores the index in **final form** — the four
+//! flat arrays [`InvertedIndex`] holds in memory, served as mapped
+//! views:
 //!
 //! ```text
 //! token count (u64) · total postings (u64) · blob length (u64)
@@ -17,53 +18,38 @@
 //! postings:    Posting[total]    (path u32, owner u32) pairs
 //! ```
 //!
-//! Tokens are written **sorted** — the in-memory `HashMap` iterates in
-//! a nondeterministic order, and snapshot bytes must be a pure function
-//! of the database (the CI determinism gate `cmp`s two saves). The sort
-//! also *is* the lookup structure: the mapped representation binary
-//! searches the sorted vocabulary.
+//! Tokens are **sorted** — snapshot bytes must be a pure function of
+//! the database (the CI determinism gate `cmp`s two saves), and the
+//! sort *is* the lookup structure: postings are found by binary search
+//! over the vocabulary.
 
-use crate::index::{InvertedIndex, Posting, Repr};
+use crate::index::{InvertedIndex, Posting};
 use ncq_store::snapshot::{section, SnapshotError};
 use ncq_store::{MappedSnapshot, MonetDb, SnapshotWriterV3};
 
 impl InvertedIndex {
-    /// Write the v3 `FULLTEXT` section: the vocabulary as a sorted CSR
-    /// blob and the postings as one concatenated `Pod` array, so a
-    /// mapped open serves both without copying.
-    pub fn encode_snapshot_v3(&self, writer: &mut SnapshotWriterV3) {
-        let entries = self.sorted_entries();
-        let mut token_off: Vec<u32> = Vec::with_capacity(entries.len() + 1);
-        let mut blob: Vec<u8> = Vec::new();
-        let mut posting_off: Vec<u32> = Vec::with_capacity(entries.len() + 1);
-        let mut postings: Vec<Posting> = Vec::with_capacity(self.posting_count());
-        token_off.push(0);
-        posting_off.push(0);
-        for (token, list) in entries {
-            blob.extend_from_slice(token.as_bytes());
-            token_off.push(blob.len() as u32);
-            postings.extend_from_slice(list);
-            posting_off.push(postings.len() as u32);
-        }
+    /// Write the `FULLTEXT` section: three scalars, then the four
+    /// arrays as they sit in memory.
+    pub fn encode_snapshot(&self, writer: &mut SnapshotWriterV3) {
         let mut s = writer.section(section::FULLTEXT);
-        s.put_u64((token_off.len() - 1) as u64);
-        s.put_u64(postings.len() as u64);
-        s.put_u64(blob.len() as u64);
-        s.put_col::<u32>(&token_off);
-        s.put_col::<u8>(&blob);
-        s.put_col::<u32>(&posting_off);
-        s.put_col::<Posting>(&postings);
+        s.put_u64(self.vocabulary_size() as u64);
+        s.put_u64(self.postings.len() as u64);
+        s.put_u64(self.blob.len() as u64);
+        s.put_col::<u32>(&self.token_off);
+        s.put_col::<u8>(&self.blob);
+        s.put_col::<u32>(&self.posting_off);
+        s.put_col::<Posting>(&self.postings);
     }
 
-    /// Read the v3 `FULLTEXT` section as zero-copy views.
+    /// Read the `FULLTEXT` section as zero-copy views.
     ///
     /// The vocabulary and posting structure are fully validated here
     /// (monotone offsets, UTF-8 + strictly sorted tokens, sorted and
-    /// deduplicated in-range posting lists) because the mapped lookup
-    /// path assumes all of it — so the section is read through
+    /// deduplicated in-range posting lists) because the lookup path
+    /// assumes all of it — so the section is read through
     /// [`MappedSnapshot::section_verified`], paying its checksum once
     /// alongside the structural scan.
-    pub fn decode_snapshot_v3(
+    pub fn decode_snapshot(
         snap: &MappedSnapshot,
         store: &MonetDb,
     ) -> Result<InvertedIndex, SnapshotError> {
@@ -121,12 +107,10 @@ impl InvertedIndex {
             }
         }
         Ok(InvertedIndex {
-            repr: Repr::Mapped {
-                token_off,
-                blob,
-                posting_off,
-                postings,
-            },
+            token_off,
+            blob,
+            posting_off,
+            postings,
         })
     }
 }
@@ -151,32 +135,31 @@ mod tests {
         )
     }
 
-    fn round_trip_v3(store: &MonetDb, idx: &InvertedIndex) -> InvertedIndex {
+    fn round_trip(store: &MonetDb, idx: &InvertedIndex) -> InvertedIndex {
         let mut w = SnapshotWriterV3::new();
-        store.encode_snapshot_v3(&mut w);
-        idx.encode_snapshot_v3(&mut w);
-        let snap = MappedSnapshot::from_owned_bytes(w.to_bytes(), VerifyMode::Eager).unwrap();
-        InvertedIndex::decode_snapshot_v3(&snap, store).unwrap()
+        store.encode_snapshot(&mut w);
+        idx.encode_snapshot(&mut w);
+        let snap = MappedSnapshot::from_owned_bytes(w.into_bytes(), VerifyMode::Eager).unwrap();
+        InvertedIndex::decode_snapshot(&snap, store).unwrap()
     }
 
     #[test]
-    fn v3_round_trip_serves_identical_postings_through_the_mapped_repr() {
+    fn round_trip_serves_identical_postings_from_the_mapped_views() {
         let store = store();
         let idx = InvertedIndex::build(&store);
-        let loaded = round_trip_v3(&store, &idx);
+        let loaded = round_trip(&store, &idx);
         assert_eq!(loaded.vocabulary_size(), idx.vocabulary_size());
         assert_eq!(loaded.posting_count(), idx.posting_count());
         for token in idx.vocabulary() {
             assert_eq!(loaded.postings(token), idx.postings(token), "{token}");
         }
         assert!(!loaded.contains("no-such-token"));
-        // Mapped vocabulary comes back lexicographically sorted.
+        // The vocabulary is lexicographic, built or mapped.
         let vocab: Vec<&str> = loaded.vocabulary().collect();
-        let mut sorted = vocab.clone();
-        sorted.sort_unstable();
-        assert_eq!(vocab, sorted);
+        assert!(vocab.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(vocab, idx.vocabulary().collect::<Vec<_>>());
         // And a restriction of the mapped index behaves like one of the
-        // built index (shards always rebuild owned lists).
+        // built index (shards always own their filtered lists).
         let cut = |o: Oid| o.index().is_multiple_of(2);
         let a = loaded.restrict(cut);
         let b = idx.restrict(cut);
@@ -187,19 +170,19 @@ mod tests {
     }
 
     #[test]
-    fn v3_encoding_is_deterministic_and_repr_independent() {
+    fn encoding_is_deterministic_for_built_and_mapped_indexes() {
         let store = store();
         let idx = InvertedIndex::build(&store);
         let bytes = |i: &InvertedIndex| {
             let mut w = SnapshotWriterV3::new();
-            store.encode_snapshot_v3(&mut w);
-            i.encode_snapshot_v3(&mut w);
-            w.to_bytes()
+            store.encode_snapshot(&mut w);
+            i.encode_snapshot(&mut w);
+            w.into_bytes()
         };
         assert_eq!(bytes(&idx), bytes(&idx));
         assert_eq!(bytes(&idx), bytes(&InvertedIndex::build(&store)));
         // Re-encoding a mapped index reproduces the same bytes.
-        assert_eq!(bytes(&idx), bytes(&round_trip_v3(&store, &idx)));
+        assert_eq!(bytes(&idx), bytes(&round_trip(&store, &idx)));
     }
 
     #[test]
@@ -215,15 +198,15 @@ mod tests {
             (1, 1, u64::MAX),
         ] {
             let mut w = SnapshotWriterV3::new();
-            store.encode_snapshot_v3(&mut w);
+            store.encode_snapshot(&mut w);
             let mut s = w.section(section::FULLTEXT);
             s.put_u64(tokens);
             s.put_u64(postings);
             s.put_u64(blob);
-            let snap = MappedSnapshot::from_owned_bytes(w.to_bytes(), VerifyMode::Eager).unwrap();
+            let snap = MappedSnapshot::from_owned_bytes(w.into_bytes(), VerifyMode::Eager).unwrap();
             assert!(
                 matches!(
-                    InvertedIndex::decode_snapshot_v3(&snap, &store),
+                    InvertedIndex::decode_snapshot(&snap, &store),
                     Err(SnapshotError::Corrupt { .. } | SnapshotError::Truncated { .. })
                 ),
                 "tokens={tokens} postings={postings} blob={blob}"
@@ -232,12 +215,12 @@ mod tests {
     }
 
     #[test]
-    fn v3_decode_rejects_malformed_sections() {
+    fn decode_rejects_malformed_sections() {
         let store = store();
         // Helper: write a FULLTEXT section from raw parts.
         let encode = |token_off: &[u32], blob: &[u8], posting_off: &[u32], posts: &[Posting]| {
             let mut w = SnapshotWriterV3::new();
-            store.encode_snapshot_v3(&mut w);
+            store.encode_snapshot(&mut w);
             let mut s = w.section(section::FULLTEXT);
             s.put_u64((token_off.len() - 1) as u64);
             s.put_u64(posts.len() as u64);
@@ -246,7 +229,7 @@ mod tests {
             s.put_col::<u8>(blob);
             s.put_col::<u32>(posting_off);
             s.put_col::<Posting>(posts);
-            MappedSnapshot::from_owned_bytes(w.to_bytes(), VerifyMode::Eager).unwrap()
+            MappedSnapshot::from_owned_bytes(w.into_bytes(), VerifyMode::Eager).unwrap()
         };
         let p = |path: usize, owner: usize| Posting {
             path: PathId::from_index(path),
@@ -255,31 +238,31 @@ mod tests {
         // Out-of-range owner.
         let snap = encode(&[0, 1], b"a", &[0, 1], &[p(0, 100_000)]);
         assert!(matches!(
-            InvertedIndex::decode_snapshot_v3(&snap, &store),
+            InvertedIndex::decode_snapshot(&snap, &store),
             Err(SnapshotError::Corrupt { .. })
         ));
         // Vocabulary out of order.
         let snap = encode(&[0, 1, 2], b"ba", &[0, 1, 2], &[p(0, 1), p(0, 1)]);
         assert!(matches!(
-            InvertedIndex::decode_snapshot_v3(&snap, &store),
+            InvertedIndex::decode_snapshot(&snap, &store),
             Err(SnapshotError::Corrupt { .. })
         ));
         // Empty posting list (posting_off not strictly increasing).
         let snap = encode(&[0, 1, 2], b"ab", &[0, 0, 1], &[p(0, 1)]);
         assert!(matches!(
-            InvertedIndex::decode_snapshot_v3(&snap, &store),
+            InvertedIndex::decode_snapshot(&snap, &store),
             Err(SnapshotError::Corrupt { .. })
         ));
         // Unsorted posting list.
         let snap = encode(&[0, 1], b"a", &[0, 2], &[p(1, 2), p(0, 1)]);
         assert!(matches!(
-            InvertedIndex::decode_snapshot_v3(&snap, &store),
+            InvertedIndex::decode_snapshot(&snap, &store),
             Err(SnapshotError::Corrupt { .. })
         ));
         // Invalid UTF-8 token.
         let snap = encode(&[0, 1], &[0xFF], &[0, 1], &[p(0, 1)]);
         assert!(matches!(
-            InvertedIndex::decode_snapshot_v3(&snap, &store),
+            InvertedIndex::decode_snapshot(&snap, &store),
             Err(SnapshotError::Corrupt { .. })
         ));
     }

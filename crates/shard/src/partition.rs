@@ -43,9 +43,6 @@ pub struct ShardInfo {
     pub nodes: usize,
     /// Owned mass (node count + posting mass, from `PartitionStats`).
     pub mass: u64,
-    /// Depth of the shallowest chunk root — the shard's *spine floor*;
-    /// per-shard meet evaluation only runs below it.
-    pub min_root_depth: usize,
 }
 
 /// The K-way partition of one document.
@@ -58,7 +55,7 @@ pub struct PartitionMap {
     pub(crate) requested_k: usize,
     pub(crate) shards: Vec<ShardInfo>,
     /// Bitset over OIDs: true = spine (replicated) node. A [`Col`] so
-    /// a v3 snapshot open serves it straight out of the mapped file.
+    /// a snapshot open serves it straight out of the mapped file.
     pub(crate) spine: Col<u64>,
     pub(crate) spine_nodes: usize,
     pub(crate) total_mass: u64,
@@ -85,7 +82,6 @@ impl PartitionMap {
                     range: 0..n,
                     nodes: n,
                     mass: total_mass,
-                    min_root_depth: 0,
                 }],
                 spine: spine.into(),
                 spine_nodes,
@@ -145,12 +141,7 @@ impl PartitionMap {
                 || chunks_left == 0
             {
                 remaining -= acc_mass;
-                shards.push(Self::close_shard(
-                    db,
-                    index,
-                    std::mem::take(&mut acc),
-                    acc_mass,
-                ));
+                shards.push(Self::close_shard(index, std::mem::take(&mut acc), acc_mass));
                 acc_mass = 0;
             }
         }
@@ -165,25 +156,18 @@ impl PartitionMap {
         }
     }
 
-    fn close_shard(
-        db: &MonetDb,
-        index: &ncq_store::MeetIndex,
-        roots: Vec<Oid>,
-        mass: u64,
-    ) -> ShardInfo {
+    fn close_shard(index: &ncq_store::MeetIndex, roots: Vec<Oid>, mass: u64) -> ShardInfo {
         let start = roots.first().expect("non-empty shard").index();
         let end = index.subtree_range(*roots.last().expect("non-empty")).end;
         let nodes = roots
             .iter()
             .map(|&r| index.subtree_range(r).len())
             .sum::<usize>();
-        let min_root_depth = roots.iter().map(|&r| db.depth(r)).min().expect("non-empty");
         ShardInfo {
             roots,
             range: start..end,
             nodes,
             mass,
-            min_root_depth,
         }
     }
 

@@ -19,8 +19,7 @@
 //! ```text
 //! requested K · shard count · spine nodes · total mass
 //!   · total roots · spine words                      (6 × u64)
-//! per shard: root count · start · end · nodes · mass
-//!   · min root depth                                 (6 × u64)
+//! per shard: root count · start · end · nodes · mass  (5 × u64)
 //! roots: u32[total roots]   concatenated, shard-major
 //! spine: u64[spine words]
 //! ```
@@ -99,10 +98,10 @@ fn validate_partition(
 }
 
 impl PartitionMap {
-    /// Write the v3 `PARTITION` section: scalars and shard metadata up
+    /// Write the `PARTITION` section: scalars and shard metadata up
     /// front, then the concatenated chunk roots and the spine bitset as
     /// aligned columns.
-    pub fn encode_snapshot_v3(&self, writer: &mut SnapshotWriterV3) {
+    pub fn encode_snapshot(&self, writer: &mut SnapshotWriterV3) {
         let total_roots: usize = self.shards.iter().map(|s| s.roots.len()).sum();
         let mut s = writer.section(section::PARTITION);
         s.put_u64(self.requested_k as u64);
@@ -117,7 +116,6 @@ impl PartitionMap {
             s.put_u64(shard.range.end as u64);
             s.put_u64(shard.nodes as u64);
             s.put_u64(shard.mass);
-            s.put_u64(shard.min_root_depth as u64);
         }
         let roots: Vec<u32> = self
             .shards
@@ -128,12 +126,12 @@ impl PartitionMap {
         s.put_col::<u64>(&self.spine);
     }
 
-    /// Read the v3 `PARTITION` section: shard metadata is materialized
+    /// Read the `PARTITION` section: shard metadata is materialized
     /// (it is O(K)), the spine bitset stays a zero-copy view. Read
     /// through [`MappedSnapshot::section_verified`] — the section is
     /// fully scanned by the validation below anyway, so the checksum
     /// rides along for free.
-    pub fn decode_snapshot_v3(
+    pub fn decode_snapshot(
         snap: &MappedSnapshot,
         node_count: usize,
     ) -> Result<PartitionMap, SnapshotError> {
@@ -155,12 +153,11 @@ impl PartitionMap {
             end: usize,
             nodes: usize,
             mass: u64,
-            min_root_depth: usize,
         }
-        // Clamped: a shard entry spans 48 payload bytes, so an
+        // Clamped: a shard entry spans 40 payload bytes, so an
         // inconsistent count fails typed instead of aborting on a
         // multi-gigabyte pre-allocation.
-        let mut metas = Vec::with_capacity(shard_count.min(s.remaining() / 48));
+        let mut metas = Vec::with_capacity(shard_count.min(s.remaining() / 40));
         for _ in 0..shard_count {
             metas.push(Meta {
                 roots: s.get_u64()? as usize,
@@ -168,7 +165,6 @@ impl PartitionMap {
                 end: s.get_u64()? as usize,
                 nodes: s.get_u64()? as usize,
                 mass: s.get_u64()?,
-                min_root_depth: s.get_u64()? as usize,
             });
         }
         let roots = s.take_col::<u32>(total_roots)?;
@@ -197,7 +193,6 @@ impl PartitionMap {
                 range: m.start..m.end,
                 nodes: m.nodes,
                 mass: m.mass,
-                min_root_depth: m.min_root_depth,
             });
             at = next;
         }
@@ -219,24 +214,25 @@ impl PartitionMap {
 
 impl ShardedDb {
     /// Persist the sharded engine: the database sections plus the
-    /// partition map, in the v3 zero-copy layout. Restricted postings
+    /// partition map, in the zero-copy layout. Restricted postings
     /// are not written — they are re-derived from the map at load (a
     /// linear filter), keeping the file identical to the single-engine
     /// snapshot plus one small section, and keeping saves from any
     /// engine byte-deterministic.
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        let mut writer = self.database().encode_snapshot_v3();
-        self.partition().encode_snapshot_v3(&mut writer);
+        let mut writer = self.database().encode_snapshot();
+        self.partition().encode_snapshot(&mut writer);
         writer.write_to(path.as_ref())
     }
 
     /// Cold-start a sharded engine from a snapshot file. When the
     /// snapshot carries a partition map built for the same requested
     /// `k`, the stored cut is reused; otherwise (different `k`, or a
-    /// snapshot saved from a single engine) the partition is rebuilt
-    /// from the loaded stats — still without any parse or index
-    /// preprocess, since the meet index and mass prefix sums arrive
-    /// pre-computed, zero-copy out of the map.
+    /// snapshot saved from a single engine) the partition is rebuilt —
+    /// still without any parse or index preprocess: the meet index
+    /// arrives zero-copy out of the map, and the mass prefix sums are
+    /// derived in one pass over the string relations, as on a freshly
+    /// built store.
     pub fn open_snapshot(path: impl AsRef<Path>, k: usize) -> Result<ShardedDb, SnapshotError> {
         ShardedDb::from_source(&MappedSnapshot::open(path.as_ref())?, k)
     }
@@ -257,7 +253,7 @@ impl ShardedDb {
         let db = Arc::new(Database::decode_from(source)?);
         let workers = crate::sharded::default_workers(k);
         if source.has_section(section::PARTITION) {
-            let partition = PartitionMap::decode_snapshot_v3(source, db.store().node_count())?;
+            let partition = PartitionMap::decode_snapshot(source, db.store().node_count())?;
             if partition.requested_k() == k {
                 return Ok(ShardedDb::with_partition(db, partition, workers));
             }
@@ -292,8 +288,8 @@ mod tests {
     /// A container holding only `map`'s PARTITION section.
     fn partition_only(map: &PartitionMap) -> MappedSnapshot {
         let mut w = SnapshotWriterV3::new();
-        map.encode_snapshot_v3(&mut w);
-        MappedSnapshot::from_owned_bytes(w.to_bytes(), VerifyMode::Eager).unwrap()
+        map.encode_snapshot(&mut w);
+        MappedSnapshot::from_owned_bytes(w.into_bytes(), VerifyMode::Eager).unwrap()
     }
 
     #[test]
@@ -301,8 +297,7 @@ mod tests {
         let db = db();
         let map = PartitionMap::build(db.store(), 4);
         let loaded =
-            PartitionMap::decode_snapshot_v3(&partition_only(&map), db.store().node_count())
-                .unwrap();
+            PartitionMap::decode_snapshot(&partition_only(&map), db.store().node_count()).unwrap();
         assert_eq!(loaded.requested_k(), 4);
         assert_eq!(loaded.shard_count(), map.shard_count());
         assert_eq!(loaded.spine_len(), map.spine_len());
@@ -312,7 +307,6 @@ mod tests {
             assert_eq!(a.range, b.range);
             assert_eq!(a.nodes, b.nodes);
             assert_eq!(a.mass, b.mass);
-            assert_eq!(a.min_root_depth, b.min_root_depth);
         }
         for o in db.store().iter_oids() {
             assert_eq!(loaded.is_spine(o), map.is_spine(o));
@@ -374,14 +368,13 @@ mod tests {
                 s.put_u64(end);
                 s.put_u64(end - start); // nodes
                 s.put_u64(end - start); // mass
-                s.put_u64(1); // min root depth
             }
             s.put_col::<u32>(&[0, 10]); // roots
             s.put_col::<u64>(&[0]); // empty spine bitset
         }
-        let snap = MappedSnapshot::from_owned_bytes(w.to_bytes(), VerifyMode::Eager).unwrap();
+        let snap = MappedSnapshot::from_owned_bytes(w.into_bytes(), VerifyMode::Eager).unwrap();
         assert!(matches!(
-            PartitionMap::decode_snapshot_v3(&snap, node_count),
+            PartitionMap::decode_snapshot(&snap, node_count),
             Err(SnapshotError::Corrupt {
                 context: "partition leaves a non-spine object uncovered"
             })
@@ -393,7 +386,7 @@ mod tests {
         let db = db();
         let map = PartitionMap::build(db.store(), 4);
         assert!(matches!(
-            PartitionMap::decode_snapshot_v3(&partition_only(&map), db.store().node_count() / 2),
+            PartitionMap::decode_snapshot(&partition_only(&map), db.store().node_count() / 2),
             Err(SnapshotError::Corrupt { .. })
         ));
     }
@@ -412,13 +405,13 @@ mod tests {
             s.put_u64(0); // total mass
             s.put_u64(roots);
             s.put_u64(spine);
-            for _ in 0..6 {
+            for _ in 0..5 {
                 s.put_u64(0); // one all-zero shard entry
             }
-            let snap = MappedSnapshot::from_owned_bytes(w.to_bytes(), VerifyMode::Eager).unwrap();
+            let snap = MappedSnapshot::from_owned_bytes(w.into_bytes(), VerifyMode::Eager).unwrap();
             assert!(
                 matches!(
-                    PartitionMap::decode_snapshot_v3(&snap, 15),
+                    PartitionMap::decode_snapshot(&snap, 15),
                     Err(SnapshotError::Corrupt { .. } | SnapshotError::Truncated { .. })
                 ),
                 "shards={shards} roots={roots} spine={spine}"

@@ -14,27 +14,35 @@
 //!
 //! # Construction
 //!
-//! One pass over the loaded [`crate::MonetDb`] (whose OIDs are
-//! depth-first preorder by construction) yields three structures:
+//! The OIDs of a loaded [`crate::MonetDb`] are depth-first preorder by
+//! construction, and that numbering *is* the index — no second numbering
+//! is built on top of it. Three structures hang off it:
 //!
-//! 1. **Preorder intervals** — because OIDs are assigned in DFS order,
-//!    the subtree of `o` occupies the contiguous OID range
-//!    `[o, subtree_end(o))`. Storing one `end` per node gives O(1)
-//!    [`MeetIndex::is_ancestor_or_self`] — the pre/post-order numbering
-//!    trick with the pre-number coming for free from the OID itself.
-//! 2. **Euler tour + block-decomposed sparse-table RMQ** — the tour
-//!    visits `2n − 1` nodes; the LCA of `a` and `b` is the minimum-depth
-//!    node between their first tour occurrences (Bender & Farach-Colton's
-//!    reduction of LCA to range-minimum). The tour is cut into 32-entry
-//!    blocks: per-position prefix/suffix minima answer the partial
-//!    blocks, and a sparse table over whole-block minima answers the
-//!    middle, so [`MeetIndex::lca`] and [`MeetIndex::distance`]
-//!    (`depth(a) + depth(b) − 2·depth(lca)`) are O(1) with **O(n)**
-//!    memory (a flat sparse table over the raw tour would be
-//!    O(n log n) — 168 MB at a million nodes; this layout is ~32 MB).
-//!    Ties at the minimum depth need no care: every minimum-depth
-//!    position in the queried range is an occurrence of the same node,
-//!    the LCA itself.
+//! 1. **Preorder intervals** — the subtree of `o` occupies the contiguous
+//!    OID range `[o, subtree_end(o))`. Storing one `end` per node gives
+//!    O(1) [`MeetIndex::is_ancestor_or_self`] — the pre/post-order
+//!    numbering trick with the pre-number coming for free from the OID
+//!    itself.
+//! 2. **A range-minimum structure over the preorder `depth` column** —
+//!    order the pair so `a ≤ b`. If `b` lies in `a`'s interval, `a` is
+//!    the LCA. Otherwise the LCA is *the parent of any shallowest node
+//!    in the OID range `(a, b]`*:
+//!    * the range lies inside `lca`'s subtree and excludes `lca` itself
+//!      (`lca < a`), so nothing in it is shallower than `depth(lca) + 1`;
+//!    * the child of `lca` on `b`'s path is in it (it comes after `a`,
+//!      which sits under an earlier child, and no later than `b`);
+//!    * every node at that depth in it is a child of `lca`.
+//!
+//!    So [`MeetIndex::lca`] is one range-minimum over depths plus one
+//!    parent look-up, and [`MeetIndex::distance`] is
+//!    `depth(a) + depth(b) − 2·depth(lca)`. The `n` positions are cut
+//!    into 32-entry blocks: per-position prefix/suffix minima answer the
+//!    partial blocks and a sparse table over whole-block minima answers
+//!    the middle, so a query is O(1) with **O(n)** memory (≈ 20 bytes a
+//!    node for the three tables). The tables pack `(depth << 32) |
+//!    parent`, so every tied minimum of a queried range is the *same*
+//!    value — the LCA falls out of the comparison with no dependent
+//!    load.
 //! 3. **Per-path posting lists** — for every path `p` of the summary, the
 //!    OIDs with `σ(o) = p`, in document order. Document-order sortedness
 //!    is what the plane-sweep set operators and the galloping posting
@@ -55,44 +63,39 @@ use crate::monet::MonetDb;
 use crate::oid::Oid;
 use crate::path::PathId;
 
-/// Euler-tour LCA index with preorder intervals and per-path postings.
+/// Preorder LCA index with subtree intervals and per-path postings.
 ///
 /// Built once per document via [`MonetDb::meet_index`] (lazily, cached)
 /// or eagerly with [`MeetIndex::build`].
 ///
 /// Every array is a [`Col`]: owned when the index was built, a
-/// zero-copy view into a snapshot when it was loaded — all eleven
+/// zero-copy view into a snapshot when it was loaded — all seven
 /// arrays here are **final-form** on disk, so a snapshot open performs
-/// no assembly at all. `pub(crate)` fields:
-/// the snapshot codecs persist and reattach them directly.
+/// no assembly at all. `pub(crate)` fields: the snapshot codec persists
+/// and reattaches them directly.
 #[derive(Debug, Clone)]
 pub struct MeetIndex {
+    /// The store's parent column (the root maps to itself) — a shared
+    /// view of [`MonetDb`]'s own array, never persisted a second time.
+    pub(crate) parent: Col<Oid>,
     /// Tree depth per oid (copied out of the path summary for locality).
     pub(crate) depth: Col<u32>,
     /// Exclusive end of the preorder interval per oid: the subtree of `o`
     /// is exactly the OID range `o.index()..subtree_end[o.index()]`.
     pub(crate) subtree_end: Col<u32>,
-    /// `(first_visit << 32) | depth` per oid: one load per query
-    /// endpoint yields both the tour position and the depth.
-    pub(crate) visit_depth: Col<u64>,
-    /// The Euler tour: `2n − 1` oid values.
-    pub(crate) tour: Col<u32>,
-    /// `depth[tour[i]]`, materialized so in-block scans read contiguous
-    /// memory instead of chasing `tour` → `depth`.
-    pub(crate) tour_depth: Col<u32>,
-    /// Per tour position: packed `(depth << 32) | pos` argmin within its
-    /// block, from the block start up to and including this position.
+    /// Per oid: packed `(depth << 32) | parent` minimum within its
+    /// block, from the block start up to and including this oid.
     /// Packing makes every RMQ comparison a plain u64 compare with no
     /// dependent loads.
     pub(crate) prefix_min: Col<u64>,
-    /// Per tour position: packed argmin within its block, from this
-    /// position to the block end.
+    /// Per oid: packed minimum within its block, from this oid to the
+    /// block end.
     pub(crate) suffix_min: Col<u64>,
     /// Sparse table over whole-block minima, flattened level-major:
     /// `block_table[level * num_blocks + b]` is the packed minimum over
     /// blocks `b .. b + 2^level`.
     pub(crate) block_table: Col<u64>,
-    /// Number of 32-entry tour blocks.
+    /// Number of 32-entry oid blocks.
     pub(crate) num_blocks: usize,
     /// Per-path posting offsets (CSR): the oids of path `p` are
     /// `path_data[path_off[p] .. path_off[p + 1]]`, in document order.
@@ -101,148 +104,71 @@ pub struct MeetIndex {
     pub(crate) path_data: Col<Oid>,
 }
 
-/// Tour block size: 32 entries = two cache lines of `tour_depth`, and a
-/// worst-case in-block scan of 31 contiguous comparisons. `pub(crate)`:
-/// the v3 snapshot codec validates block counts against it.
+/// Block size: 32 entries = two cache lines of `depth`, and a
+/// worst-case in-block scan of 32 contiguous comparisons. `pub(crate)`:
+/// the snapshot codec validates block counts against it.
 pub(crate) const BLOCK: usize = 32;
 const BLOCK_SHIFT: u32 = BLOCK.trailing_zeros();
 
-/// Pack a (depth, tour position) pair; the natural u64 order is then
-/// exactly "smaller depth first, leftmost position on ties".
+/// Pack a (depth, parent) pair; the natural u64 order is then "smaller
+/// depth first", and equal-depth entries of one queried range are equal
+/// outright (they share the parent — the LCA).
 #[inline]
-fn pack(depth: u32, pos: usize) -> u64 {
-    ((depth as u64) << 32) | pos as u64
+fn pack(depth: u32, parent: Oid) -> u64 {
+    ((depth as u64) << 32) | parent.raw() as u64
 }
 
 impl MeetIndex {
-    /// Build the index from a loaded database — one DFS plus the
-    /// O(n log n) sparse-table fill.
+    /// Build the index from a loaded database — linear passes over the
+    /// preorder columns plus the small O((n/32)·log(n/32)) sparse-table
+    /// fill.
     pub fn build(db: &MonetDb) -> MeetIndex {
         let n = db.node_count();
         assert!(n > 0, "a loaded document always has a root");
+        let parent = db.parent.clone();
 
-        let mut depth = Vec::with_capacity(n);
-        let mut path_oids: Vec<Vec<Oid>> = vec![Vec::new(); db.summary().len()];
-        for o in db.iter_oids() {
-            depth.push(db.depth(o) as u32);
-            path_oids[db.sigma(o).index()].push(o);
-        }
+        let depth: Vec<u32> = db
+            .sigma
+            .iter()
+            .map(|&p| db.summary().depth(p) as u32)
+            .collect();
 
         // Preorder intervals: children have larger OIDs than parents, so
         // a reverse sweep folds each subtree's end into its parent.
         let mut subtree_end: Vec<u32> = (1..=n as u32).collect();
         for i in (1..n).rev() {
-            let p = db.parent(Oid::from_index(i)).expect("non-root").index();
+            let p = parent[i].index();
             if subtree_end[p] < subtree_end[i] {
                 subtree_end[p] = subtree_end[i];
             }
         }
 
-        // Children in document order, CSR layout over the parent array.
-        let mut child_count = vec![0u32; n];
-        for i in 1..n {
-            child_count[db.parent(Oid::from_index(i)).expect("non-root").index()] += 1;
-        }
-        let mut child_start = vec![0u32; n + 1];
-        for i in 0..n {
-            child_start[i + 1] = child_start[i] + child_count[i];
-        }
-        let mut children = vec![0u32; n.saturating_sub(1)];
-        let mut fill = child_start.clone();
-        for i in 1..n {
-            let p = db.parent(Oid::from_index(i)).expect("non-root").index();
-            children[fill[p] as usize] = i as u32;
-            fill[p] += 1;
-        }
-
-        // Euler tour via an explicit DFS stack of (node, next child slot).
-        // First-visit positions are recovered from the tour by `assemble`.
-        let tour_len = 2 * n - 1;
-        let mut tour = Vec::with_capacity(tour_len);
-        let mut stack: Vec<(u32, u32)> = vec![(0, child_start[0])];
-        tour.push(0u32);
-        while let Some(top) = stack.last_mut() {
-            let node = top.0 as usize;
-            if top.1 < child_start[node + 1] {
-                let child = children[top.1 as usize];
-                top.1 += 1;
-                tour.push(child);
-                stack.push((child, child_start[child as usize]));
-            } else {
-                stack.pop();
-                if let Some(&(parent, _)) = stack.last() {
-                    tour.push(parent);
-                }
-            }
-        }
-        debug_assert_eq!(tour.len(), tour_len);
-
-        MeetIndex::assemble(depth, subtree_end, tour, path_oids)
-    }
-
-    /// Finish an index from its four source arrays — the preorder
-    /// intervals, the Euler tour and the per-path postings — by
-    /// building the derived structures (first visits, tour depths,
-    /// block RMQ tables) in linear passes plus the small
-    /// O((n/32)·log(n/32)) sparse-table fill.
-    fn assemble(
-        depth: Vec<u32>,
-        subtree_end: Vec<u32>,
-        tour: Vec<u32>,
-        path_oids: Vec<Vec<Oid>>,
-    ) -> MeetIndex {
-        let n = depth.len();
-        let tour_len = tour.len();
-        debug_assert_eq!(tour_len, 2 * n - 1);
-
-        // First tour occurrence per oid (one forward pass). OIDs are
-        // preorder and the tour is a DFS walk, so nodes are discovered
-        // in oid order: entry `o` is a first visit exactly when it is
-        // the next undiscovered oid — an append, not a random write.
-        let mut first_visit: Vec<u32> = Vec::with_capacity(n);
-        for (i, &o) in tour.iter().enumerate() {
-            if o as usize == first_visit.len() {
-                first_visit.push(i as u32);
-            }
-        }
-        assert_eq!(first_visit.len(), n, "the DFS tour visits every oid");
-
-        // Note the layout difference: visit_depth is
-        // (first_visit << 32) | depth, while the RMQ tables pack
-        // (depth << 32) | pos so the u64 order is depth-first.
-        let visit_depth: Vec<u64> = (0..n)
-            .map(|i| ((first_visit[i] as u64) << 32) | depth[i] as u64)
-            .collect();
-
-        // Per-block pass, fused for locality: gather the block's tour
-        // depths, fold its prefix/suffix packed argmins and seed the
-        // sparse table's level 0 while the 32 entries are cache-hot.
-        // The big arrays are appended to (prefix order) or staged in a
-        // block-sized scratch (suffix order) so nothing is zero-filled
-        // only to be overwritten.
-        let num_blocks = tour_len.div_ceil(BLOCK);
+        // Per-block pass: fold the block's prefix/suffix packed minima
+        // and seed the sparse table's level 0 while the 32 entries are
+        // cache-hot. The big arrays are appended to (prefix order) or
+        // staged in a block-sized scratch (suffix order) so nothing is
+        // zero-filled only to be overwritten.
+        let num_blocks = n.div_ceil(BLOCK);
         let levels = usize::BITS as usize - (num_blocks.leading_zeros() as usize);
-        let mut tour_depth: Vec<u32> = Vec::with_capacity(tour_len);
-        let mut prefix_min: Vec<u64> = Vec::with_capacity(tour_len);
-        let mut suffix_min: Vec<u64> = Vec::with_capacity(tour_len);
+        let mut prefix_min: Vec<u64> = Vec::with_capacity(n);
+        let mut suffix_min: Vec<u64> = Vec::with_capacity(n);
         let mut block_table = vec![0u64; levels * num_blocks];
         let mut scratch = [0u64; BLOCK];
         for (b, level0) in block_table.iter_mut().take(num_blocks).enumerate() {
             let start = b * BLOCK;
-            let end = (start + BLOCK).min(tour_len);
-            tour_depth.extend(tour[start..end].iter().map(|&o| depth[o as usize]));
-            let block = &tour_depth[start..end];
-            let mut best = pack(block[0], start);
-            for (off, &d) in block.iter().enumerate() {
-                best = best.min(pack(d, start + off));
+            let end = (start + BLOCK).min(n);
+            let block = depth[start..end].iter().zip(&parent[start..end]);
+            let mut best = u64::MAX;
+            for (&d, &p) in block.clone() {
+                best = best.min(pack(d, p));
                 prefix_min.push(best);
             }
-            let mut best = pack(block[block.len() - 1], end - 1);
-            for (off, &d) in block.iter().enumerate().rev() {
-                best = best.min(pack(d, start + off));
+            let mut best = u64::MAX;
+            for (off, (&d, &p)) in block.enumerate().rev() {
+                best = best.min(pack(d, p));
                 scratch[off] = best;
             }
-            suffix_min.extend_from_slice(&scratch[..block.len()]);
+            suffix_min.extend_from_slice(&scratch[..end - start]);
             *level0 = scratch[0];
         }
         // Remaining sparse-table levels over whole-block minima.
@@ -256,63 +182,33 @@ impl MeetIndex {
             }
         }
 
-        // Per-path postings in CSR layout: one offsets array plus the
-        // concatenated document-order data — the shape the v3 snapshot
-        // maps back without assembly.
-        let mut path_off: Vec<u32> = Vec::with_capacity(path_oids.len() + 1);
-        let mut path_data: Vec<Oid> = Vec::with_capacity(n);
-        path_off.push(0);
-        for oids in &path_oids {
-            path_data.extend_from_slice(oids);
-            path_off.push(path_data.len() as u32);
+        // Per-path postings in CSR layout — one offsets array plus the
+        // concatenated document-order data, the shape the snapshot maps
+        // back without assembly — by counting sort over `σ`.
+        let mut path_off = vec![0u32; db.summary().len() + 1];
+        for &p in db.sigma.iter() {
+            path_off[p.index() + 1] += 1;
+        }
+        for p in 1..path_off.len() {
+            path_off[p] += path_off[p - 1];
+        }
+        let mut next = path_off.clone();
+        let mut path_data = vec![Oid::ROOT; n];
+        for (i, &p) in db.sigma.iter().enumerate() {
+            path_data[next[p.index()] as usize] = Oid::from_index(i);
+            next[p.index()] += 1;
         }
 
         MeetIndex {
+            parent,
             depth: depth.into(),
             subtree_end: subtree_end.into(),
-            visit_depth: visit_depth.into(),
-            tour: tour.into(),
-            tour_depth: tour_depth.into(),
             prefix_min: prefix_min.into(),
             suffix_min: suffix_min.into(),
             block_table: block_table.into(),
             num_blocks,
             path_off: path_off.into(),
             path_data: path_data.into(),
-        }
-    }
-
-    /// Reattach an index from its persisted final-form arrays — the v3
-    /// snapshot path: no DFS, no RMQ fill, no posting regrouping. The
-    /// caller (the codec) has validated the shape invariants the
-    /// accessors rely on: matching lengths, `path_off` monotone from 0
-    /// to `n`, and `block_table.len() == levels * num_blocks`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        depth: Col<u32>,
-        subtree_end: Col<u32>,
-        visit_depth: Col<u64>,
-        tour: Col<u32>,
-        tour_depth: Col<u32>,
-        prefix_min: Col<u64>,
-        suffix_min: Col<u64>,
-        block_table: Col<u64>,
-        num_blocks: usize,
-        path_off: Col<u32>,
-        path_data: Col<Oid>,
-    ) -> MeetIndex {
-        MeetIndex {
-            depth,
-            subtree_end,
-            visit_depth,
-            tour,
-            tour_depth,
-            prefix_min,
-            suffix_min,
-            block_table,
-            num_blocks,
-            path_off,
-            path_data,
         }
     }
 
@@ -353,20 +249,17 @@ impl MeetIndex {
         anc.index() <= o.index() && o.index() < self.subtree_end[anc.index()] as usize
     }
 
-    /// Packed `(depth << 32) | pos` of a minimum-depth node in
-    /// `tour[l..=r]`. Any argmin is correct: all minimum-depth positions
-    /// in an Euler-tour range are occurrences of one node (the LCA).
+    /// Packed `(depth << 32) | parent` minimum over the oids `l..=r`.
     #[inline]
     fn rmq(&self, l: usize, r: usize) -> u64 {
         debug_assert!(l <= r);
         let (bl, br) = (l >> BLOCK_SHIFT, r >> BLOCK_SHIFT);
         if bl == br {
-            // One block: contiguous scan over at most 32 depths.
-            let mut best = pack(self.tour_depth[l], l);
-            for i in l + 1..=r {
-                best = best.min(pack(self.tour_depth[i], i));
-            }
-            return best;
+            // One block: contiguous scan over at most 32 entries.
+            return self.depth[l..=r]
+                .iter()
+                .zip(&self.parent[l..=r])
+                .fold(u64::MAX, |best, (&d, &p)| best.min(pack(d, p)));
         }
         let mut best = self.suffix_min[l].min(self.prefix_min[r]);
         if bl + 1 < br {
@@ -379,20 +272,10 @@ impl MeetIndex {
         best
     }
 
-    /// Packed rmq over the endpoints' first-visit range.
-    #[inline]
-    fn meet_packed(&self, va: u64, vb: u64) -> u64 {
-        let fa = (va >> 32) as usize;
-        let fb = (vb >> 32) as usize;
-        let (l, r) = if fa <= fb { (fa, fb) } else { (fb, fa) };
-        self.rmq(l, r)
-    }
-
     /// O(1) lowest common ancestor.
     #[inline]
     pub fn lca(&self, a: Oid, b: Oid) -> Oid {
-        let m = self.meet_packed(self.visit_depth[a.index()], self.visit_depth[b.index()]);
-        Oid::from_index(self.tour[(m & 0xFFFF_FFFF) as usize] as usize)
+        self.meet(a, b).0
     }
 
     /// O(1) tree distance: the number of edges on the shortest path —
@@ -406,14 +289,17 @@ impl MeetIndex {
     /// one RMQ probe (the hot path of `meet2_indexed`).
     #[inline]
     pub fn meet(&self, a: Oid, b: Oid) -> (Oid, usize) {
-        let va = self.visit_depth[a.index()];
-        let vb = self.visit_depth[b.index()];
-        let m = self.meet_packed(va, vb);
-        let meet = Oid::from_index(self.tour[(m & 0xFFFF_FFFF) as usize] as usize);
-        let dm = (m >> 32) as usize;
-        let da = (va & 0xFFFF_FFFF) as usize;
-        let dbv = (vb & 0xFFFF_FFFF) as usize;
-        (meet, da + dbv - 2 * dm)
+        let (a, b) = if a <= b { (a, b) } else { (b, a) };
+        let (da, db) = (self.depth(a), self.depth(b));
+        if b.index() < self.subtree_end[a.index()] as usize {
+            return (a, db - da);
+        }
+        // `b` lies outside `a`'s subtree: every shallowest node in
+        // `(a, b]` is a child of the LCA (module docs).
+        let m = self.rmq(a.index() + 1, b.index());
+        let lca = Oid::from_index((m & 0xFFFF_FFFF) as usize);
+        let dl = (m >> 32) as usize - 1;
+        (lca, da + db - 2 * dl)
     }
 
     /// All OIDs of path `p` in document order (empty for attribute paths,
@@ -441,7 +327,9 @@ impl MeetIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncq_xml::parse;
+    use ncq_xml::{parse, Document};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     const FIGURE1: &str = r#"
 <bibliography>
@@ -476,6 +364,92 @@ mod tests {
         for a in db.iter_oids() {
             for b in db.iter_oids() {
                 assert_eq!(idx.lca(a, b), reference_lca(&db, a, b), "{a:?} {b:?}");
+            }
+        }
+    }
+
+    /// A tree of `parents.len() + 1` elements: node `i + 1` hangs under
+    /// node `parents[i]` (creation indices; the root is node 0).
+    fn tree(parents: &[usize]) -> MonetDb {
+        let mut doc = Document::new("r");
+        let mut nodes = vec![doc.root()];
+        for &p in parents {
+            nodes.push(doc.add_element(nodes[p], "e"));
+        }
+        MonetDb::from_document(&doc)
+    }
+
+    /// Parent-walk oracle sharing no code with the index: lift the
+    /// deeper endpoint until the two meet, one edge per step.
+    fn walk_meet(db: &MonetDb, mut a: Oid, mut b: Oid) -> (Oid, usize) {
+        let mut steps = 0;
+        while a != b {
+            if db.depth(a) >= db.depth(b) {
+                a = db.parent(a).expect("deeper endpoint is not the root");
+            } else {
+                b = db.parent(b).expect("deeper endpoint is not the root");
+            }
+            steps += 1;
+        }
+        (a, steps)
+    }
+
+    fn assert_pair_matches_walk(db: &MonetDb, shape: &str, a: usize, b: usize) {
+        let idx = db.meet_index();
+        let (a, b) = (Oid::from_index(a), Oid::from_index(b));
+        let expect = walk_meet(db, a, b);
+        let n = db.node_count();
+        assert_eq!(idx.meet(a, b), expect, "{shape} n={n} meet({a}, {b})");
+        assert_eq!(idx.lca(a, b), expect.0, "{shape} n={n} lca({a}, {b})");
+        assert_eq!(idx.distance(a, b), expect.1, "{shape} n={n} d({a}, {b})");
+    }
+
+    /// Shapes chosen for the 32-entry block decomposition, at sizes on
+    /// both sides of one and two block edges and past a sparse-table
+    /// level: chains (every pair ancestor-related), stars (every
+    /// minimum tied), combs (answers on the spine, ranges straddling
+    /// block edges) and a random attachment tree. All ordered pairs —
+    /// so `a == b`, ancestor/descendant in both argument orders,
+    /// adjacent siblings and first/last oid are all in — up to 65
+    /// nodes; above that every adjacent pair, first/last, and 10^5
+    /// seeded pairs.
+    #[test]
+    fn lca_meet_and_distance_match_parent_walks_on_block_edge_shapes() {
+        let mut rng = StdRng::seed_from_u64(0x1ca_b10c);
+        for n in [1usize, 31, 32, 33, 64, 65, 1025] {
+            let links = n - 1;
+            let shapes: [(&str, Vec<usize>); 4] = [
+                ("chain", (0..links).collect()),
+                ("star", vec![0; links]),
+                // Even nodes form the spine, each odd node is the leaf
+                // hanging off the spine node before it.
+                ("comb", (0..links).map(|i| i & !1).collect()),
+                (
+                    "random",
+                    (0..links).map(|i| rng.random_range(0..i + 1)).collect(),
+                ),
+            ];
+            for (shape, parents) in &shapes {
+                let db = tree(parents);
+                assert_eq!(db.node_count(), n);
+                if n <= 65 {
+                    for a in 0..n {
+                        for b in 0..n {
+                            assert_pair_matches_walk(&db, shape, a, b);
+                        }
+                    }
+                    continue;
+                }
+                for a in 0..n - 1 {
+                    assert_pair_matches_walk(&db, shape, a, a + 1);
+                    assert_pair_matches_walk(&db, shape, a + 1, a);
+                }
+                assert_pair_matches_walk(&db, shape, 0, n - 1);
+                assert_pair_matches_walk(&db, shape, n - 1, 0);
+                for _ in 0..100_000 {
+                    let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+                    assert_pair_matches_walk(&db, shape, a, b);
+                }
             }
         }
     }

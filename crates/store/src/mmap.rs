@@ -1,5 +1,5 @@
-//! Zero-copy snapshot layout **v3**: the mapped container, the aligned
-//! writer, and the borrowed-or-owned column machinery.
+//! The zero-copy snapshot container: the mapped reader, the aligned
+//! writer, and the shared-or-mapped column machinery.
 //!
 //! # Why
 //!
@@ -7,18 +7,19 @@
 //! state — depths, preorder intervals, sibling ranks, RMQ tables — in
 //! linear passes (the retired v1/v2 layouts) is 5–8× faster than
 //! parse+build, but a replica cold start or a `SNAPSHOT LOAD` hot swap
-//! still pays O(n) before the first query. Layout v3 stores every
-//! array in its **final in-memory form**, 64-byte aligned, so opening
+//! still pays O(n) before the first query. The container (introduced
+//! with layout 3, unchanged in 4) stores every array in its
+//! **final in-memory form**, 64-byte aligned, so opening
 //! a snapshot is `mmap` + header/table checksum + pointer fixup: the
 //! engine serves straight out of the page cache, one physical copy
 //! shared across processes, and the first byte of a multi-gigabyte
 //! corpus is query-able in microseconds.
 //!
-//! # Layout (version 3)
+//! # Layout
 //!
 //! ```text
 //! offset  0  magic   b"NCQSNAP\0"                      8 bytes
-//!         8  layout version = 3 (u32 LE)               4 bytes
+//!         8  layout version = 4 (u32 LE)               4 bytes
 //!        12  section count  (u32 LE)                   4 bytes
 //!        16  table checksum64 over the table bytes     8 bytes
 //!        24  section table: per section               32 bytes each
@@ -45,11 +46,10 @@
 //! checksums are **lazy** by default: sections the decoder
 //! materializes (symbols, paths, strings, the full-text vocabulary,
 //! the partition map) are verified when decoded, while the large
-//! final-form arrays served as mapped views (columns, meet index,
-//! stats prefix sums) defer their checksum so first touch stays at
-//! page-fault cost. [`VerifyMode::Eager`] (what the forest catalog
-//! opens with, next to the manifest's whole-file checksum) verifies
-//! every section at open. Under lazy verification a bit flip in an
+//! final-form arrays served as mapped views (columns, meet index)
+//! defer their checksum so first touch stays at page-fault cost.
+//! [`VerifyMode::Eager`] (what the forest catalog opens with, next to
+//! the manifest's whole-file checksum) verifies every section at open. Under lazy verification a bit flip in an
 //! unverified array can only produce wrong answers or a bounds-check
 //! panic — all views are ordinary checked slices, never undefined
 //! behaviour.
@@ -58,7 +58,7 @@
 //! owned, 64-byte-aligned heap copy of the file — the same views over
 //! the same layout, minus the shared page cache.
 
-use crate::snapshot::{checksum64, write_atomic, SnapshotError, SNAPSHOT_MAGIC};
+use crate::snapshot::{checksum64, write_atomic, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use std::path::Path;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -341,11 +341,13 @@ impl std::fmt::Debug for SnapshotArena {
 
 // ----- Col: a column that is either owned or a view into the arena -----
 
-/// A read-only typed column: either an owned boxed slice (built
-/// databases) or a zero-copy view into a [`SnapshotArena`] (snapshot
-/// loads, mapped or heap-backed). Dereferences to `&[T]` with
-/// no per-access branching — the pointer/length pair is resolved at
-/// construction, and the backing enum only keeps the memory alive.
+/// A read-only typed column: either an owned slice (built databases)
+/// or a zero-copy view into a [`SnapshotArena`] (snapshot loads, mapped
+/// or heap-backed). Dereferences to `&[T]` with no per-access
+/// branching — the pointer/length pair is resolved at construction,
+/// and the backing enum only keeps the memory alive. Both backings are
+/// reference-counted, so a clone is another view of the same memory,
+/// never a copy.
 pub struct Col<T: Pod> {
     ptr: *const T,
     len: usize,
@@ -353,7 +355,7 @@ pub struct Col<T: Pod> {
 }
 
 enum ColBacking<T> {
-    Owned(Box<[T]>),
+    Owned(Arc<[T]>),
     Arena(Arc<SnapshotArena>),
 }
 
@@ -364,18 +366,6 @@ unsafe impl<T: Pod> Send for Col<T> {}
 unsafe impl<T: Pod> Sync for Col<T> {}
 
 impl<T: Pod> Col<T> {
-    fn from_box(b: Box<[T]>) -> Col<T> {
-        Col {
-            ptr: if b.is_empty() {
-                NonNull::dangling().as_ptr()
-            } else {
-                b.as_ptr()
-            },
-            len: b.len(),
-            backing: ColBacking::Owned(b),
-        }
-    }
-
     /// A zero-copy view of `len` elements at `byte_offset` into the
     /// arena. Fails typed on misalignment or out-of-bounds — never a
     /// wild pointer.
@@ -431,24 +421,29 @@ impl<T: Pod> std::ops::Deref for Col<T> {
 
 impl<T: Pod> From<Vec<T>> for Col<T> {
     fn from(v: Vec<T>) -> Col<T> {
-        Col::from_box(v.into_boxed_slice())
+        let owned: Arc<[T]> = v.into();
+        Col {
+            ptr: owned.as_ptr(),
+            len: owned.len(),
+            backing: ColBacking::Owned(owned),
+        }
     }
 }
 
 impl<T: Pod> Default for Col<T> {
     fn default() -> Col<T> {
-        Col::from_box(Box::default())
+        Vec::new().into()
     }
 }
 
 impl<T: Pod> Clone for Col<T> {
     fn clone(&self) -> Col<T> {
-        match &self.backing {
-            ColBacking::Owned(b) => Col::from_box(b.clone()),
-            ColBacking::Arena(a) => Col {
-                ptr: self.ptr,
-                len: self.len,
-                backing: ColBacking::Arena(Arc::clone(a)),
+        Col {
+            ptr: self.ptr,
+            len: self.len,
+            backing: match &self.backing {
+                ColBacking::Owned(a) => ColBacking::Owned(Arc::clone(a)),
+                ColBacking::Arena(a) => ColBacking::Arena(Arc::clone(a)),
             },
         }
     }
@@ -468,18 +463,25 @@ impl<T: Pod + PartialEq> PartialEq for Col<T> {
 
 impl<T: Pod + Eq> Eq for Col<T> {}
 
-// ----- v3 writer -----
+// ----- writer -----
 
-/// Accumulates sections, then emits the aligned v3 container. Section
-/// order is the writer's call order and every codec keeps it fixed, so
-/// v3 bytes are a pure function of the database.
+/// Accumulates sections, then emits the aligned container introduced
+/// with layout 3; unchanged in 4. Section order is the writer's call
+/// order and every codec keeps it fixed, so snapshot bytes are a pure
+/// function of the database. Payloads are appended to the one buffer
+/// that becomes the image, so a save holds the snapshot once.
 #[derive(Default)]
 pub struct SnapshotWriterV3 {
-    sections: Vec<(u32, Vec<u8>)>,
+    /// Every payload, each starting on a 64-byte boundary.
+    payloads: Vec<u8>,
+    /// `(id, start, len)` into `payloads`; the last `len` is set by
+    /// `seal`.
+    sections: Vec<(u32, usize, usize)>,
 }
 
-/// Builder for one v3 section payload: little-endian scalars, raw
-/// embedded payloads, and 64-byte-aligned typed arrays.
+/// Builder for one section payload of the aligned container
+/// introduced with layout 3; unchanged in 4: little-endian scalars,
+/// raw embedded payloads, and 64-byte-aligned typed arrays.
 pub struct SectionBufV3<'a> {
     buf: &'a mut Vec<u8>,
 }
@@ -490,51 +492,52 @@ impl SnapshotWriterV3 {
         SnapshotWriterV3::default()
     }
 
+    /// Close the open section: record its length, zero-pad to the
+    /// next 64-byte boundary.
+    fn seal(&mut self) {
+        if let Some((_, start, len)) = self.sections.last_mut() {
+            *len = self.payloads.len() - *start;
+        }
+        self.payloads.resize(align64(self.payloads.len()), 0);
+    }
+
     /// Start (or panic on a duplicate of) section `id`.
     pub fn section(&mut self, id: u32) -> SectionBufV3<'_> {
         assert!(
-            self.sections.iter().all(|&(existing, _)| existing != id),
+            self.sections.iter().all(|&(existing, ..)| existing != id),
             "duplicate snapshot section {id}"
         );
-        self.sections.push((id, Vec::new()));
-        let buf = &mut self.sections.last_mut().expect("just pushed").1;
-        SectionBufV3 { buf }
+        self.seal();
+        self.sections.push((id, self.payloads.len(), 0));
+        SectionBufV3 {
+            buf: &mut self.payloads,
+        }
     }
 
-    /// Render the framed v3 snapshot: header, checksummed table,
+    /// Render the framed snapshot: header, checksummed table,
     /// aligned zero-padded payloads.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.seal();
         let count = self.sections.len();
         let table_end = 24 + 32 * count;
         let payload_start = align64(table_end);
-        let total: usize = payload_start
-            + self
-                .sections
-                .iter()
-                .map(|(_, b)| align64(b.len()))
-                .sum::<usize>();
-        let mut out = vec![0u8; total];
+        // Make room in front: 64-byte-aligned positions stay aligned.
+        let mut out = self.payloads;
+        let payload_len = out.len();
+        out.resize(payload_start + payload_len, 0);
+        out.copy_within(..payload_len, payload_start);
+        out[..payload_start].fill(0);
         out[..8].copy_from_slice(&SNAPSHOT_MAGIC);
-        out[8..12].copy_from_slice(&3u32.to_le_bytes());
+        out[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out[12..16].copy_from_slice(&(count as u32).to_le_bytes());
-        // Payloads first (the table checksums their padded extents).
-        let mut offset = payload_start;
-        let mut extents = Vec::with_capacity(count);
-        for (_, payload) in &self.sections {
-            out[offset..offset + payload.len()].copy_from_slice(payload);
-            let padded = align64(payload.len());
-            extents.push((offset, payload.len(), padded));
-            offset += padded;
-        }
-        for (i, ((id, _), &(start, len, padded))) in
-            self.sections.iter().zip(extents.iter()).enumerate()
-        {
+        for (i, &(id, start, len)) in self.sections.iter().enumerate() {
+            let start = payload_start + start;
             let at = 24 + 32 * i;
             out[at..at + 4].copy_from_slice(&id.to_le_bytes());
             // bytes at+4..at+8 stay zero (reserved).
             out[at + 8..at + 16].copy_from_slice(&(start as u64).to_le_bytes());
             out[at + 16..at + 24].copy_from_slice(&(len as u64).to_le_bytes());
-            let sum = checksum64(&out[start..start + padded]);
+            let sum = checksum64(&out[start..start + align64(len)]);
             out[at + 24..at + 32].copy_from_slice(&sum.to_le_bytes());
         }
         let table_sum = checksum64(&out[24..table_end]);
@@ -545,8 +548,8 @@ impl SnapshotWriterV3 {
     /// Write the snapshot to `path` atomically (temp file + rename,
     /// unique per process and write), so readers never observe a
     /// half-written snapshot.
-    pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
-        Ok(write_atomic(path, "snapshot", &self.to_bytes())?)
+    pub fn write_to(self, path: &Path) -> Result<(), SnapshotError> {
+        Ok(write_atomic(path, "snapshot", &self.into_bytes())?)
     }
 }
 
@@ -578,7 +581,7 @@ impl SectionBufV3<'_> {
     }
 }
 
-// ----- v3 reader -----
+// ----- reader -----
 
 struct SectionEntry {
     id: u32,
@@ -589,7 +592,7 @@ struct SectionEntry {
     verified: AtomicBool,
 }
 
-/// An open v3 snapshot: the arena plus the validated section table.
+/// An open snapshot: the arena plus the validated section table.
 /// Section payloads are served as [`SectionView`] cursors whose typed
 /// array reads produce zero-copy [`Col`] views.
 pub struct MappedSnapshot {
@@ -598,7 +601,7 @@ pub struct MappedSnapshot {
 }
 
 impl MappedSnapshot {
-    /// Open a v3 snapshot file with [`VerifyMode::Lazy`]: mmap (or
+    /// Open a snapshot file with [`VerifyMode::Lazy`]: mmap (or
     /// owned fallback), then header + table + extent validation.
     pub fn open(path: &Path) -> Result<MappedSnapshot, SnapshotError> {
         MappedSnapshot::open_with(path, VerifyMode::Lazy)
@@ -649,10 +652,10 @@ impl MappedSnapshot {
             });
         }
         let version = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
-        if version != 3 {
+        if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
-                supported: crate::snapshot::SNAPSHOT_VERSION,
+                supported: SNAPSHOT_VERSION,
             });
         }
         let count = u32::from_le_bytes(data[12..16].try_into().expect("4 bytes")) as usize;
@@ -700,7 +703,7 @@ impl MappedSnapshot {
             let len = usize::try_from(len).map_err(|_| SnapshotError::Corrupt {
                 context: "section length overflows",
             })?;
-            // v3 packs sections deterministically: each starts exactly
+            // Sections are packed deterministically: each starts exactly
             // at the padded end of its predecessor. A table that lies
             // about an offset or length (to alias sections or reach
             // past the file) fails here, typed.
@@ -836,7 +839,7 @@ impl std::fmt::Debug for MappedSnapshot {
     }
 }
 
-/// Sequential reader over one v3 section payload: little-endian
+/// Sequential reader over one section payload: little-endian
 /// scalars, embedded raw payloads, and 64-byte-aligned typed arrays
 /// that come back as zero-copy [`Col`] views. Every read is
 /// bounds-checked against the table-declared payload length (itself
@@ -928,7 +931,7 @@ mod tests {
         s.put_col::<u64>(&[1 << 40, 2]);
         let mut s = w.section(section::STATS);
         s.put_u64(42);
-        w.to_bytes()
+        w.into_bytes()
     }
 
     #[test]

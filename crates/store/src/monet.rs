@@ -58,7 +58,7 @@ pub struct MonetDb {
     pub(crate) node_of_oid: Vec<NodeId>,
     /// Oid per tree node (dense over the arena).
     pub(crate) oid_of_node: Vec<Oid>,
-    /// Lazily built structural meet index (Euler-tour LCA); the database
+    /// Lazily built structural meet index (preorder LCA); the database
     /// is immutable after loading, so the cache never invalidates.
     pub(crate) meet_index: OnceLock<MeetIndex>,
     /// Lazily computed node-depth distribution (planner input).

@@ -4,8 +4,8 @@
 //! # Why
 //!
 //! The meet operator's O(1) fast paths rest on preprocessed state — the
-//! Euler-tour/RMQ [`MeetIndex`], per-path postings, depth and mass
-//! statistics — that the seed pipeline rebuilt on every process start
+//! preorder-RMQ [`MeetIndex`], per-path postings, depth statistics —
+//! that the seed pipeline rebuilt on every process start
 //! (parse → Monet transform → index build, O(n log n) and dominated by
 //! XML parsing and tokenization). A snapshot pays that cost **once**:
 //! [`MonetDb::save`] writes the loaded columns and the finished index
@@ -39,21 +39,22 @@
 //! `SNAPSHOT_VERSION` names the layout, not the software: any change to
 //! section payload encodings, section semantics or the header must bump
 //! it. A build reads exactly the version it writes; any other version —
-//! the retired v1/v2 materializing layouts included — is refused at
-//! open with [`SnapshotError::UnsupportedVersion`]. There is no upgrade
-//! tool: an older file is replaced by rebuilding from the source XML
-//! and saving again. The pinned fixture `tests/golden/snapshot_v3.bin`
-//! makes a forgotten bump fail loudly in CI, and the retired
-//! `snapshot_v1.bin`/`snapshot_v2.bin` fixtures pin the refusal. Adding
-//! a **new optional section id** is backward compatible and needs no
-//! bump — readers ignore unknown ids.
+//! the retired v1/v2 materializing layouts and the v3 payloads
+//! included — is refused at open with
+//! [`SnapshotError::UnsupportedVersion`]. There is no upgrade tool: an
+//! older file is replaced by rebuilding from the source XML and saving
+//! again. The pinned fixture `tests/golden/snapshot_v4.bin` makes a
+//! forgotten bump fail loudly in CI, and the retired
+//! `snapshot_v1.bin`/`snapshot_v2.bin`/`snapshot_v3.bin` fixtures pin
+//! the refusal. Adding a **new optional section id** is backward
+//! compatible and needs no bump — readers ignore unknown ids.
 
 use crate::index::{MeetIndex, BLOCK};
 use crate::mmap::{Col, MappedSnapshot, SnapshotWriterV3};
 use crate::monet::MonetDb;
 use crate::oid::Oid;
 use crate::path::{PathId, PathStep, PathSummary};
-use crate::stats::{DepthStats, PartitionStats};
+use crate::stats::DepthStats;
 use ncq_xml::{NodeId, Symbol, SymbolTable};
 use std::fmt;
 use std::path::Path;
@@ -66,7 +67,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NCQSNAP\0";
 /// Current layout version (the zero-copy mmap container written by
 /// [`crate::mmap::SnapshotWriterV3`]). Bump on any payload or header
 /// change.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Well-known section ids. Unknown ids are ignored by readers, so
 /// higher layers can add sections without touching this crate.
@@ -79,10 +80,10 @@ pub mod section {
     pub const COLUMNS: u32 = 3;
     /// String relations (cdata text and attribute values) per path.
     pub const STRINGS: u32 = 4;
-    /// The structural meet index: preorder intervals, Euler tour,
-    /// per-path document-order postings.
+    /// The structural meet index: depths, preorder intervals, the
+    /// block-RMQ tables over them, per-path document-order postings.
     pub const MEET_INDEX: u32 = 5;
-    /// `DepthStats` + `PartitionStats` (planner / partitioner inputs).
+    /// `DepthStats` (planner input).
     pub const STATS: u32 = 6;
     /// The full-text inverted index (written by `ncq-fulltext`).
     pub const FULLTEXT: u32 = 7;
@@ -545,15 +546,16 @@ fn decode_strings(
 }
 
 impl MonetDb {
-    /// Serialize the store into the **v3 zero-copy container**:
+    /// Serialize the store into the **zero-copy container**:
     /// replay-encoded SYMBOLS / PATHS / STRINGS payloads (those
     /// materialize at decode) plus final-form, 64-byte-aligned arrays
-    /// for the dense columns, the finished meet index and the
-    /// statistics — exactly the in-memory representation, so a v3 open
-    /// is a map + pointer fixup, not a rebuild. Edge relations are
-    /// *not* written — they are a pure function of the `σ`/parent
-    /// columns and are rebuilt lazily, byte-identically.
-    pub fn encode_snapshot_v3(&self, writer: &mut SnapshotWriterV3) {
+    /// for the dense columns and the finished meet index — exactly the
+    /// in-memory representation, so an open is a map + pointer fixup,
+    /// not a rebuild. Nothing derivable that no served request reads is
+    /// written: edge relations and the partitioner's mass prefix sums
+    /// are pure functions of the columns and are rebuilt lazily,
+    /// byte-identically.
+    pub fn encode_snapshot(&self, writer: &mut SnapshotWriterV3) {
         let mut buf = Vec::new();
         encode_symbols_into(&self.symbols, &mut SectionBuf::over(&mut buf));
         writer.section(section::SYMBOLS).put_raw(&buf);
@@ -601,52 +603,44 @@ impl MonetDb {
         encode_strings_into(&self.strings, &mut SectionBuf::over(&mut buf));
         writer.section(section::STRINGS).put_raw(&buf);
 
-        // MEET_INDEX: the finished index, field for field — Euler-tour
-        // first visits (packed in `visit_depth`), depths, subtree
-        // intervals, the block-RMQ tables and the CSR postings.
+        // MEET_INDEX: the finished index, field for field — depths,
+        // subtree intervals, the block-RMQ tables and the CSR postings.
+        // Its parent view is the COLUMNS array above, not written again.
         let index = self.meet_index();
         let levels = index
             .block_table
             .len()
             .checked_div(index.num_blocks)
             .unwrap_or(0);
-        let tour_len = index.tour.len();
         let mut s = writer.section(section::MEET_INDEX);
         s.put_u64(n as u64);
-        s.put_u64(tour_len as u64);
         s.put_u64(index.num_blocks as u64);
         s.put_u64(levels as u64);
         s.put_u64(index.path_count() as u64);
         s.put_col::<u32>(&index.depth);
         s.put_col::<u32>(&index.subtree_end);
-        s.put_col::<u64>(&index.visit_depth);
-        s.put_col::<u32>(&index.tour);
-        s.put_col::<u32>(&index.tour_depth);
         s.put_col::<u64>(&index.prefix_min);
         s.put_col::<u64>(&index.suffix_min);
         s.put_col::<u64>(&index.block_table);
         s.put_col::<u32>(&index.path_off);
         s.put_col::<Oid>(&index.path_data);
 
-        // STATS: the scalars plus the partition prefix sums in final
-        // form.
+        // STATS: the four depth scalars.
         let depth_stats = self.depth_stats();
-        let partition_stats = self.partition_stats();
         let mut s = writer.section(section::STATS);
         s.put_u64(depth_stats.nodes as u64);
         s.put_u64(depth_stats.max_depth as u64);
         s.put_u64(depth_stats.mean_depth.to_bits());
         s.put_u64(depth_stats.p90_depth as u64);
-        s.put_col::<u64>(partition_stats.prefix_sums());
     }
 
-    /// Reconstruct a store from a v3 container: decode the small
+    /// Reconstruct a store from the container: decode the small
     /// materialized sections (checksummed here — they are a few percent
     /// of the file), reattach every large array as a zero-copy [`Col`]
     /// view, and seed the index/stats caches. Shape invariants the
     /// accessors rely on are validated; content checksums of the array
     /// sections follow the lazy-verify policy (see [`crate::mmap`]).
-    pub fn decode_snapshot_v3(snap: &MappedSnapshot) -> Result<MonetDb, SnapshotError> {
+    pub fn decode_snapshot(snap: &MappedSnapshot) -> Result<MonetDb, SnapshotError> {
         // SYMBOLS / PATHS.
         let view = snap.section_verified(section::SYMBOLS)?;
         let symbols = decode_symbols(&mut SectionCursor::new(view.payload()))?;
@@ -709,13 +703,11 @@ impl MonetDb {
         // MEET_INDEX: shape scalars, then straight pointer fixups.
         let mut v = snap.section(section::MEET_INDEX)?;
         let idx_n = v.get_u64()? as usize;
-        let tour_len = v.get_u64()? as usize;
         let num_blocks = v.get_u64()? as usize;
         let levels = v.get_u64()? as usize;
         let idx_paths = v.get_u64()? as usize;
         if idx_n != n
-            || tour_len != 2 * n - 1
-            || num_blocks != tour_len.div_ceil(BLOCK)
+            || num_blocks != n.div_ceil(BLOCK)
             || levels != usize::BITS as usize - num_blocks.leading_zeros() as usize
             || idx_paths != path_count
         {
@@ -725,11 +717,8 @@ impl MonetDb {
         }
         let depth: Col<u32> = v.take_col(n)?;
         let subtree_end: Col<u32> = v.take_col(n)?;
-        let visit_depth: Col<u64> = v.take_col(n)?;
-        let tour: Col<u32> = v.take_col(tour_len)?;
-        let tour_depth: Col<u32> = v.take_col(tour_len)?;
-        let prefix_min: Col<u64> = v.take_col(tour_len)?;
-        let suffix_min: Col<u64> = v.take_col(tour_len)?;
+        let prefix_min: Col<u64> = v.take_col(n)?;
+        let suffix_min: Col<u64> = v.take_col(n)?;
         let block_table: Col<u64> = v.take_col(levels * num_blocks)?;
         let path_off: Col<u32> = v.take_col(path_count + 1)?;
         if path_off.first() != Some(&0)
@@ -741,21 +730,19 @@ impl MonetDb {
             });
         }
         let path_data: Col<Oid> = v.take_col(n)?;
-        let index = MeetIndex::from_parts(
+        let index = MeetIndex {
+            parent: parent.clone(),
             depth,
             subtree_end,
-            visit_depth,
-            tour,
-            tour_depth,
             prefix_min,
             suffix_min,
             block_table,
             num_blocks,
             path_off,
             path_data,
-        );
+        };
 
-        // STATS.
+        // STATS: four scalars, nothing after them.
         let mut v = snap.section(section::STATS)?;
         let depth_stats = DepthStats {
             nodes: v.get_u64()? as usize,
@@ -768,13 +755,11 @@ impl MonetDb {
                 context: "depth stats disagree with columns",
             });
         }
-        let prefix: Col<u64> = v.take_col(n + 1)?;
-        if prefix.first() != Some(&0) {
+        if !v.at_end() {
             return Err(SnapshotError::Corrupt {
-                context: "partition prefix does not start at zero",
+                context: "stats section has trailing bytes",
             });
         }
-        let partition_stats = PartitionStats::from_prefix_col(prefix);
 
         let db = MonetDb {
             symbols,
@@ -792,16 +777,15 @@ impl MonetDb {
         };
         let _ = db.meet_index.set(index);
         let _ = db.depth_stats.set(depth_stats);
-        let _ = db.partition_stats.set(partition_stats);
         Ok(db)
     }
 
-    /// Save the store (plus index and stats) as a standalone v3
+    /// Save the store (plus index and stats) as a standalone
     /// snapshot file. Higher layers that stack more sections go through
-    /// [`MonetDb::encode_snapshot_v3`] instead.
+    /// [`MonetDb::encode_snapshot`] instead.
     pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
         let mut writer = SnapshotWriterV3::new();
-        self.encode_snapshot_v3(&mut writer);
+        self.encode_snapshot(&mut writer);
         writer.write_to(path)
     }
 
@@ -809,7 +793,7 @@ impl MonetDb {
     /// columns (no parse, no DFS, no O(n log n) preprocess — the index
     /// and stats arrive in final form).
     pub fn load(path: &Path) -> Result<MonetDb, SnapshotError> {
-        MonetDb::decode_snapshot_v3(&MappedSnapshot::open(path)?)
+        MonetDb::decode_snapshot(&MappedSnapshot::open(path)?)
     }
 }
 
@@ -839,20 +823,20 @@ mod tests {
         MonetDb::from_document(&parse(FIGURE1).unwrap())
     }
 
-    fn snapshot_bytes_v3(db: &MonetDb) -> Vec<u8> {
+    fn snapshot_bytes(db: &MonetDb) -> Vec<u8> {
         let mut w = SnapshotWriterV3::new();
-        db.encode_snapshot_v3(&mut w);
-        w.to_bytes()
+        db.encode_snapshot(&mut w);
+        w.into_bytes()
     }
 
     fn decode(bytes: Vec<u8>) -> Result<MonetDb, SnapshotError> {
-        MonetDb::decode_snapshot_v3(&MappedSnapshot::from_owned_bytes(bytes, VerifyMode::Eager)?)
+        MonetDb::decode_snapshot(&MappedSnapshot::from_owned_bytes(bytes, VerifyMode::Eager)?)
     }
 
     #[test]
-    fn v3_round_trip_preserves_every_relation_and_lookup() {
+    fn round_trip_preserves_every_relation_and_lookup() {
         let original = db();
-        let loaded = decode(snapshot_bytes_v3(&original)).unwrap();
+        let loaded = decode(snapshot_bytes(&original)).unwrap();
 
         assert_eq!(loaded.node_count(), original.node_count());
         assert_eq!(loaded.summary().len(), original.summary().len());
@@ -884,13 +868,13 @@ mod tests {
     }
 
     #[test]
-    fn v3_bytes_are_deterministic_and_resave_stable() {
+    fn bytes_are_deterministic_and_resave_stable() {
         let original = db();
-        let bytes = snapshot_bytes_v3(&original);
-        assert_eq!(bytes, snapshot_bytes_v3(&original));
+        let bytes = snapshot_bytes(&original);
+        assert_eq!(bytes, snapshot_bytes(&original));
         // A freshly loaded clone re-saves byte-identically too.
         let loaded = decode(bytes.clone()).unwrap();
-        assert_eq!(snapshot_bytes_v3(&loaded), bytes);
+        assert_eq!(snapshot_bytes(&loaded), bytes);
     }
 
     #[test]
@@ -910,7 +894,7 @@ mod tests {
 
         // The retired layouts and a future one are refused on the
         // header alone, through the file entry point.
-        for found in [1u8, 2, 99] {
+        for found in [1u8, 2, 3, 99] {
             bytes[8] = found;
             std::fs::write(&path, &bytes).unwrap();
             assert!(matches!(
@@ -956,7 +940,7 @@ mod tests {
 
     #[test]
     fn truncation_at_every_length_is_typed_not_a_panic() {
-        let bytes = snapshot_bytes_v3(&db());
+        let bytes = snapshot_bytes(&db());
         // Exhaustive prefix truncation: cheap at Figure 1 scale and
         // covers every section boundary by construction.
         for len in 0..bytes.len() {
@@ -972,7 +956,7 @@ mod tests {
         let mut w = SnapshotWriterV3::new();
         w.section(section::SYMBOLS).put_u32(0);
         assert!(matches!(
-            decode(w.to_bytes()),
+            decode(w.into_bytes()),
             Err(SnapshotError::MissingSection {
                 section: section::PATHS
             })
@@ -983,37 +967,70 @@ mod tests {
     fn unknown_sections_are_ignored() {
         let original = db();
         let mut w = SnapshotWriterV3::new();
-        original.encode_snapshot_v3(&mut w);
+        original.encode_snapshot(&mut w);
         w.section(0xBEEF).put_raw(b"future extension");
-        let loaded = decode(w.to_bytes()).unwrap();
+        let loaded = decode(w.into_bytes()).unwrap();
         assert_eq!(loaded.dump_relations(), original.dump_relations());
+    }
+
+    /// Rewrite section `id` in place — `edit` gets the payload bytes and
+    /// the table's length field — then repair the section and table
+    /// checksums so only the decoder sees the lie.
+    fn forge_section(bytes: &mut [u8], id: u32, edit: impl FnOnce(&mut [u8], &mut u64)) {
+        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let table_end = 24 + 32 * count;
+        let at = (0..count)
+            .map(|i| 24 + 32 * i)
+            .find(|&at| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == id)
+            .expect("section present");
+        let start = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap()) as usize;
+        let mut len = u64::from_le_bytes(bytes[at + 16..at + 24].try_into().unwrap());
+        let padded = align64(len as usize);
+        edit(&mut bytes[start..start + padded], &mut len);
+        assert_eq!(align64(len as usize), padded, "forgery keeps the extent");
+        bytes[at + 16..at + 24].copy_from_slice(&len.to_le_bytes());
+        let sum = checksum64(&bytes[start..start + padded]);
+        bytes[at + 24..at + 32].copy_from_slice(&sum.to_le_bytes());
+        let table_sum = checksum64(&bytes[24..table_end]);
+        bytes[16..24].copy_from_slice(&table_sum.to_le_bytes());
     }
 
     #[test]
     fn huge_declared_counts_fail_typed_without_allocating() {
         // A checksum-valid payload whose length prefix claims ~4 billion
         // string entries must not abort on a pre-allocation — capacity
-        // is clamped to the actual payload, so it fails typed.
-        let mut bytes = snapshot_bytes_v3(&db());
-        // Find the STRINGS section and rewrite its first relation's
-        // length prefix (right after the u32 path count), then repair
-        // the section and table checksums so only the decoder sees the
-        // lie.
-        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        let table_end = 24 + 32 * count;
-        let at = (0..count)
-            .map(|i| 24 + 32 * i)
-            .find(|&at| {
-                u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == section::STRINGS
-            })
-            .expect("STRINGS section present");
-        let start = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap()) as usize;
-        let len = u64::from_le_bytes(bytes[at + 16..at + 24].try_into().unwrap()) as usize;
-        bytes[start + 4..start + 8].copy_from_slice(&u32::MAX.to_le_bytes());
-        let sum = checksum64(&bytes[start..start + align64(len)]);
-        bytes[at + 24..at + 32].copy_from_slice(&sum.to_le_bytes());
-        let table_sum = checksum64(&bytes[24..table_end]);
-        bytes[16..24].copy_from_slice(&table_sum.to_le_bytes());
+        // is clamped to the actual payload, so it fails typed. The lie
+        // is the first relation's length prefix (right after the u32
+        // path count).
+        let mut bytes = snapshot_bytes(&db());
+        forge_section(&mut bytes, section::STRINGS, |payload, _| {
+            payload[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
         assert!(matches!(decode(bytes), Err(SnapshotError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn stats_with_trailing_bytes_or_a_foreign_node_count_are_corrupt() {
+        // STATS is four scalars; the decoder accepts nothing after them
+        // and no node count but the one COLUMNS carries.
+        let pristine = snapshot_bytes(&db());
+        let mut trailing = pristine.clone();
+        forge_section(&mut trailing, section::STATS, |_, len| *len += 8);
+        assert!(matches!(
+            decode(trailing),
+            Err(SnapshotError::Corrupt {
+                context: "stats section has trailing bytes"
+            })
+        ));
+        let mut foreign = pristine;
+        forge_section(&mut foreign, section::STATS, |payload, _| {
+            payload[..8].copy_from_slice(&1_000_000u64.to_le_bytes());
+        });
+        assert!(matches!(
+            decode(foreign),
+            Err(SnapshotError::Corrupt {
+                context: "depth stats disagree with columns"
+            })
+        ));
     }
 }

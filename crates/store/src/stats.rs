@@ -1,6 +1,5 @@
 //! Summary statistics about a loaded database instance.
 
-use crate::mmap::Col;
 use std::fmt;
 
 /// Counters describing a [`crate::MonetDb`], as printed by the examples and
@@ -108,13 +107,12 @@ impl fmt::Display for DepthStats {
 /// document into shards on subtree boundaries.
 ///
 /// Computed once per database ([`crate::MonetDb::partition_stats`]) and
-/// cached.
+/// cached; never persisted — only the partitioner reads it, and one
+/// pass over the string relations rebuilds it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PartitionStats {
     /// `prefix[i]` = total weight of oids `0..i`; length `nodes + 1`.
-    /// A [`Col`] so a v3 snapshot open can serve the array straight out
-    /// of the mapped file.
-    prefix: Col<u64>,
+    prefix: Vec<u64>,
 }
 
 impl PartitionStats {
@@ -126,24 +124,7 @@ impl PartitionStats {
             acc += w;
             prefix.push(acc);
         }
-        PartitionStats {
-            prefix: prefix.into(),
-        }
-    }
-
-    /// Adopt a prefix column directly — possibly a zero-copy view into
-    /// a mapped v3 snapshot. The caller guarantees `prefix[0]` is 0 and
-    /// the array is non-decreasing.
-    pub(crate) fn from_prefix_col(prefix: Col<u64>) -> PartitionStats {
-        debug_assert!(prefix.first() == Some(&0));
-        debug_assert!(prefix.windows(2).all(|w| w[0] <= w[1]));
         PartitionStats { prefix }
-    }
-
-    /// The raw prefix-sum array (`nodes + 1` entries), for persisting in
-    /// final form.
-    pub(crate) fn prefix_sums(&self) -> &[u64] {
-        &self.prefix
     }
 
     /// Number of objects covered.

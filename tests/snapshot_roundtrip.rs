@@ -1,15 +1,16 @@
 //! Snapshot persistence suite — one suite for the one format:
 //! round-trip equivalence on random trees, byte determinism, exhaustive
 //! corruption handling (truncation, bit flips, forged section-table
-//! extents), the layout version pin, the typed refusal of the retired
-//! v1/v2 layouts through every entry point, and a two-process check
-//! that one snapshot file serves independent opens with equal answers.
+//! extents), the layout version pin, the layout byte budget, the typed
+//! refusal of the retired v1/v2/v3 layouts through every entry point,
+//! and a two-process check that one snapshot file serves independent
+//! opens with equal answers.
 //!
 //! Seeded loops over the vendored deterministic PRNG stand in for
 //! proptest (the offline build cannot fetch it); failures print the
 //! seed.
 //!
-//! The pinned fixture `tests/golden/snapshot_v3.bin` is a committed
+//! The pinned fixture `tests/golden/snapshot_v4.bin` is a committed
 //! current-layout snapshot of the Figure 1 corpus (saved through
 //! `ShardedDb` at K = 4 so every section id, including the partition
 //! map, is exercised). Regenerate after an *intended* layout change —
@@ -19,13 +20,15 @@
 //! UPDATE_GOLDEN=1 cargo test --test snapshot_roundtrip
 //! ```
 //!
-//! The older committed fixtures (`snapshot_v1.bin`, `snapshot_v2.bin`)
-//! are files no build writes any more; they stay committed to pin that
-//! opening one is a typed `UnsupportedVersion`, never a partial load.
+//! The older committed fixtures (`snapshot_v1.bin`, `snapshot_v2.bin`,
+//! `snapshot_v3.bin`) are files no build writes any more; they stay
+//! committed to pin that opening one is a typed `UnsupportedVersion`,
+//! never a partial load.
 
 use nearest_concept::core::{MeetBackend, MeetOptions, MeetStrategy};
+use nearest_concept::datagen::{DblpConfig, DblpCorpus};
 use nearest_concept::server::{serve_lines, Server, ServerConfig};
-use nearest_concept::store::snapshot::checksum64;
+use nearest_concept::store::snapshot::{checksum64, section};
 use nearest_concept::store::{
     section_name, Manifest, ManifestEntry, MappedSnapshot, SnapshotError, VerifyMode,
     SNAPSHOT_VERSION,
@@ -145,7 +148,7 @@ fn corrupt_snapshots_fail_typed_at_every_boundary() {
     let bytes = std::fs::read(&path).expect("read");
     std::fs::remove_file(&path).ok();
 
-    // Decode through the v3 mapped path with *eager* verification so a
+    // Decode through the mapped path with *eager* verification so a
     // payload flip in a lazily-checked section (columns, meet index,
     // stats) still surfaces as a typed checksum error rather than a
     // semantically-plausible wrong value.
@@ -156,7 +159,7 @@ fn corrupt_snapshots_fail_typed_at_every_boundary() {
     };
     decode(bytes.clone()).expect("pristine bytes decode");
 
-    // Section boundaries from the v3 table (24-byte header, 32-byte
+    // Section boundaries from the table (24-byte header, 32-byte
     // entries): offset and offset+len of every section, plus the
     // header/table edges.
     let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
@@ -271,10 +274,10 @@ fn pinned_fixture_guards_the_layout_version() {
 
     // Byte-stability: re-encoding the loaded engine plus its partition
     // map must reproduce the committed bytes exactly.
-    let mut writer = loaded.encode_snapshot_v3();
-    sharded.partition().encode_snapshot_v3(&mut writer);
+    let mut writer = loaded.encode_snapshot();
+    sharded.partition().encode_snapshot(&mut writer);
     assert_eq!(
-        writer.to_bytes(),
+        writer.into_bytes(),
         bytes,
         "re-encoded bytes drifted from the committed v{SNAPSHOT_VERSION} fixture; \
          bump SNAPSHOT_VERSION and regenerate (UPDATE_GOLDEN=1)"
@@ -286,26 +289,32 @@ fn pinned_fixture_guards_the_layout_version() {
         Database::from_xml_str(nearest_concept::datagen::FIGURE1_XML).unwrap(),
         4,
     );
-    let mut writer = fresh.database().encode_snapshot_v3();
-    fresh.partition().encode_snapshot_v3(&mut writer);
+    let mut writer = fresh.database().encode_snapshot();
+    fresh.partition().encode_snapshot(&mut writer);
     assert_eq!(
-        writer.to_bytes(),
+        writer.into_bytes(),
         bytes,
         "a fresh K = 4 save of Figure 1 drifted from the committed v{SNAPSHOT_VERSION} fixture"
     );
 }
 
 /// The retired layouts are refused, typed, through every entry point.
-/// `snapshot_v1.bin` / `snapshot_v2.bin` are committed files of the
-/// Figure 1 corpus in the v1/v2 materializing layouts; no build can
+/// `snapshot_v1.bin` / `snapshot_v2.bin` / `snapshot_v3.bin` are
+/// committed files of the Figure 1 corpus in the v1/v2 materializing
+/// layouts and the v3 payloads of today's container; no build can
 /// write them any more and there is no upgrade tool — the way forward
 /// is to rebuild from the source XML and save again, and the error
 /// says so. Each open must fail on the header alone with
-/// `UnsupportedVersion { found, supported: 3 }`: never a panic, never a
-/// partial load, and on a serving process never a swapped backend.
+/// `UnsupportedVersion { found, supported: SNAPSHOT_VERSION }`: never a
+/// panic, never a partial load, and on a serving process never a
+/// swapped backend.
 #[test]
 fn legacy_fixtures_are_refused_typed() {
-    for (fixture, version) in [("snapshot_v1.bin", 1u32), ("snapshot_v2.bin", 2)] {
+    for (fixture, version) in [
+        ("snapshot_v1.bin", 1u32),
+        ("snapshot_v2.bin", 2),
+        ("snapshot_v3.bin", 3),
+    ] {
         let bytes = std::fs::read(golden_path(fixture)).expect("read legacy fixture");
         let dir = scratch(&format!("legacy-v{version}"));
         std::fs::create_dir_all(&dir).expect("create legacy scratch dir");
@@ -397,7 +406,8 @@ fn legacy_fixtures_are_refused_typed() {
         let load = session("SNAPSHOT LOAD legacy.ncq\nQUIT\n");
         assert!(
             load.contains(&format!(
-                "ERR unsupported snapshot layout version {version} (this build reads 3); \
+                "ERR unsupported snapshot layout version {version} \
+                 (this build reads {SNAPSHOT_VERSION}); \
                  re-save from the source XML with this build"
             )),
             "{fixture}: {load}"
@@ -412,6 +422,33 @@ fn legacy_fixtures_are_refused_typed() {
 
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// The layout byte budget — a structural, timing-free pin of what the
+/// file stores per node. The meet index is seven columns over the
+/// preorder numbering (two u32 columns, two packed u64 minima, a
+/// sparse table over n/32 blocks, the CSR postings): at most 32 bytes
+/// a node plus the path offsets and alignment slack. `STATS` is four
+/// scalars — nothing per node, and nothing only the partitioner reads.
+#[test]
+fn meet_index_and_stats_sections_stay_within_their_byte_budget() {
+    let corpus = DblpCorpus::generate(&DblpConfig::scaled(8_000));
+    let db = Database::from_document(&corpus.document);
+    let (n, paths) = (db.store().node_count(), db.store().summary().len());
+    assert!(
+        n >= 100_000,
+        "corpus too small to pin a per-node budget: {n}"
+    );
+    let snap = MappedSnapshot::from_owned_bytes(db.snapshot_to_bytes(), VerifyMode::Lazy).unwrap();
+    let bytes = |id: u32| snap.section(id).expect("section present").remaining();
+    let meet_index = bytes(section::MEET_INDEX);
+    assert!(
+        meet_index <= 32 * n + 4 * paths + 4096,
+        "MEET_INDEX is {meet_index} bytes for {n} nodes / {paths} paths ({:.1} B/node)",
+        meet_index as f64 / n as f64
+    );
+    let stats = bytes(section::STATS);
+    assert!(stats <= 64, "STATS is {stats} bytes");
 }
 
 /// Length-lies: forge a section-table entry (shrunken extent, overrun
