@@ -15,7 +15,7 @@ use ncq_core::reference::{meet2, meet2_naive};
 use ncq_core::{meet2_indexed, Database, MeetOptions, PathFilter};
 use ncq_fulltext::HitSet;
 use ncq_store::Oid;
-use ncq_xml::Document;
+use ncq_xml::{Document, NodeId};
 
 // ----- Ablation A: steering -----
 
@@ -38,6 +38,13 @@ pub struct SteeringRow {
     pub indexed_us: f64,
 }
 
+/// The oid the store gives `node`: its position in the document's
+/// preorder.
+fn oid_of(doc: &Document, node: NodeId) -> Oid {
+    let position = doc.iter_depth_first().position(|n| n == node);
+    Oid::from_index(position.expect("node belongs to the document"))
+}
+
 /// A deep chain document: `root/e/e/…/e` with a small fork of two leaves
 /// at the bottom — the worst case for the naive baseline.
 pub fn deep_chain_db(depth: usize) -> (Database, Oid, Oid) {
@@ -50,9 +57,11 @@ pub fn deep_chain_db(depth: usize) -> (Database, Oid, Oid) {
     let l = doc.add_text(left, "probe-left");
     let right = doc.add_element(cur, "right");
     let r = doc.add_text(right, "probe-right");
-    let db = Database::from_document(&doc);
-    let (lo, ro) = (db.store().oid_of(l), db.store().oid_of(r));
-    (db, lo, ro)
+    (
+        Database::from_document(&doc),
+        oid_of(&doc, l),
+        oid_of(&doc, r),
+    )
 }
 
 /// One probe pair `2·depth + 2` edges apart with the meet at the root,
@@ -81,12 +90,8 @@ pub fn deep_pair_db(depth: usize) -> (Database, Oid, Oid) {
         }
         leaves.push(doc.add_text(cur, format!("probe-{c}")));
     }
-    let db = Database::from_document(&doc);
-    let (a, b) = (
-        db.store().oid_of(leaves[0]),
-        db.store().oid_of(leaves[chains / 2]),
-    );
-    (db, a, b)
+    let (a, b) = (oid_of(&doc, leaves[0]), oid_of(&doc, leaves[chains / 2]));
+    (Database::from_document(&doc), a, b)
 }
 
 /// Run the steering ablation over several depths.

@@ -291,12 +291,14 @@ impl Catalog {
 
     /// Open every corpus of a manifest as a single-process
     /// [`Database`] (shard counts recorded in the manifest are served
-    /// unsharded here — `ncq-shard::open_catalog` is the shard-aware
-    /// loader).
+    /// unsharded here — `ncq-shard::open_catalog_remote` is the
+    /// shard-aware loader).
     pub fn open_manifest(path: impl AsRef<Path>) -> Result<Catalog, CatalogError> {
-        Catalog::open_manifest_with(path, |_entry, snap| {
-            Ok(Arc::new(Database::decode_from(snap)?) as Arc<dyn MeetBackend>)
-        })
+        Catalog::open_manifest_remote(
+            path,
+            |_entry, snap| Ok(Arc::new(Database::decode_from(snap)?) as Arc<dyn MeetBackend>),
+            crate::remote::RemoteConfig::default(),
+        )
     }
 
     /// Open a manifest with a caller-chosen engine per entry. Each
@@ -314,23 +316,11 @@ impl Catalog {
     ///
     /// Entries with replica endpoints bypass the opener: the snapshot
     /// becomes the coordinator's local resolver copy inside a
-    /// [`crate::RemoteBackend`] (default router configuration) that
-    /// proxies search/meet to the listed replicas with failover —
+    /// [`crate::RemoteBackend`] that proxies search/meet to the listed
+    /// replicas with failover, routed by `remote_config` (timeouts,
+    /// retry rounds, backoff — the stress suites tighten these) —
     /// shard-aware openers need no remote logic of their own, because
     /// the remote process does its own sharding.
-    pub fn open_manifest_with(
-        path: impl AsRef<Path>,
-        opener: impl FnMut(
-            &ManifestEntry,
-            &MappedSnapshot,
-        ) -> Result<Arc<dyn MeetBackend>, SnapshotError>,
-    ) -> Result<Catalog, CatalogError> {
-        Catalog::open_manifest_remote(path, opener, crate::remote::RemoteConfig::default())
-    }
-
-    /// [`Catalog::open_manifest_with`] with an explicit router
-    /// configuration for endpoint-backed entries (timeouts, retry
-    /// rounds, backoff — the stress suites tighten these).
     pub fn open_manifest_remote(
         path: impl AsRef<Path>,
         mut opener: impl FnMut(

@@ -98,22 +98,6 @@ pub fn run_query<B: MeetBackend + ?Sized>(db: &B, src: &str) -> Result<QueryOutp
     run_query_opts(db, src, &QueryOptions::default())
 }
 
-/// Parse and evaluate with explicit limits (planner left on Auto).
-pub fn run_query_with<B: MeetBackend + ?Sized>(
-    db: &B,
-    src: &str,
-    config: &QueryConfig,
-) -> Result<QueryOutput, QueryError> {
-    run_query_opts(
-        db,
-        src,
-        &QueryOptions {
-            config: *config,
-            ..QueryOptions::default()
-        },
-    )
-}
-
 /// Parse and evaluate with full [`QueryOptions`] (limits + planner
 /// overrides).
 pub fn run_query_opts<B: MeetBackend + ?Sized>(
@@ -627,6 +611,13 @@ mod tests {
         assert_eq!(big.results, full.results);
     }
 
+    fn max_rows_10() -> QueryOptions {
+        QueryOptions {
+            config: QueryConfig { max_rows: 10 },
+            ..QueryOptions::default()
+        }
+    }
+
     #[test]
     fn limit_stops_projection_enumeration_early() {
         let db = db();
@@ -640,7 +631,7 @@ mod tests {
         assert_eq!(three.rows, full.rows[..3]);
         // The enumeration is abandoned at the limit, so a query whose
         // full join would blow max_rows succeeds when limited below it.
-        let out = run_query_with(&db, &format!("{q} limit 5"), &QueryConfig { max_rows: 10 });
+        let out = run_query_opts(&db, &format!("{q} limit 5"), &max_rows_10());
         let QueryOutput::Rows(five) = out.unwrap() else {
             panic!()
         };
@@ -652,7 +643,7 @@ mod tests {
         let db = db();
         let q = "select t1, t2 \
                  from bibliography/% as t1, bibliography/% as t2";
-        let err = run_query_with(&db, q, &QueryConfig { max_rows: 10 }).unwrap_err();
+        let err = run_query_opts(&db, q, &max_rows_10()).unwrap_err();
         assert!(matches!(err, QueryError::RowLimitExceeded { limit: 10 }));
     }
 

@@ -82,7 +82,5 @@ pub mod pathexpr;
 
 pub use ast::{Query, SelectClause};
 pub use error::QueryError;
-pub use eval::{
-    run_query, run_query_opts, run_query_with, QueryConfig, QueryOptions, QueryOutput, Row, RowSet,
-};
+pub use eval::{run_query, run_query_opts, QueryConfig, QueryOptions, QueryOutput, Row, RowSet};
 pub use parser::parse_query;

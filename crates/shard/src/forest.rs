@@ -8,7 +8,7 @@
 //!
 //! This lives in `ncq-shard` (not `ncq-core`) because the core catalog
 //! cannot name `ShardedDb` without inverting the crate stack; the
-//! opener hook of [`Catalog::open_manifest_with`] exists exactly for
+//! opener hook of [`Catalog::open_manifest_remote`] exists exactly for
 //! this split.
 
 use crate::sharded::ShardedDb;
@@ -23,13 +23,8 @@ use std::sync::Arc;
 /// the manifest's recorded checksums before decoding. Entries that
 /// name replica endpoints are served through `ncq-core`'s
 /// `RemoteBackend` instead (the endpoint branch lives in
-/// `Catalog::open_manifest_remote`, shared with the unsharded loader).
-pub fn open_catalog(manifest_path: impl AsRef<Path>) -> Result<Catalog, CatalogError> {
-    open_catalog_remote(manifest_path, RemoteConfig::default())
-}
-
-/// [`open_catalog`] with an explicit failover-router configuration for
-/// endpoint-backed entries (the stress suites tighten the timeouts).
+/// `Catalog::open_manifest_remote`, shared with the unsharded loader),
+/// routed by `remote_config` (the stress suites tighten the timeouts).
 pub fn open_catalog_remote(
     manifest_path: impl AsRef<Path>,
     remote_config: RemoteConfig,
@@ -47,18 +42,11 @@ pub fn open_catalog_remote(
     )
 }
 
-/// [`open_catalog`] wrapped as a serving backend — the engine
-/// `ncq-server`'s `Server::open_manifest` spins its worker pool over.
+/// [`open_catalog_remote`] under the default router configuration,
+/// wrapped as a serving backend — the engine `ncq-server`'s
+/// `Server::open_manifest` spins its worker pool over.
 pub fn open_forest(manifest_path: impl AsRef<Path>) -> Result<ForestBackend, CatalogError> {
-    ForestBackend::new(open_catalog(manifest_path)?)
-}
-
-/// [`open_forest`] with an explicit failover-router configuration.
-pub fn open_forest_remote(
-    manifest_path: impl AsRef<Path>,
-    remote_config: RemoteConfig,
-) -> Result<ForestBackend, CatalogError> {
-    ForestBackend::new(open_catalog_remote(manifest_path, remote_config)?)
+    ForestBackend::new(open_catalog_remote(manifest_path, RemoteConfig::default())?)
 }
 
 /// Build a [`crate::PartitionMap`]-backed corpus programmatically (tests and

@@ -44,8 +44,6 @@ mod pool;
 pub mod sharded;
 pub mod snapshot;
 
-pub use forest::{
-    open_catalog, open_catalog_remote, open_forest, open_forest_remote, sharded_corpus,
-};
+pub use forest::{open_catalog_remote, open_forest, sharded_corpus};
 pub use partition::{PartitionMap, ShardInfo};
 pub use sharded::ShardedDb;

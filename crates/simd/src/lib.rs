@@ -163,13 +163,6 @@ macro_rules! counters {
                 $($field: ($scalar.load(Relaxed), $vector.load(Relaxed)),)+
             }
         }
-
-        /// Zero all dispatch counters (the probe example and the CI
-        /// matrix measure deltas over a known workload).
-        pub fn reset_dispatch_stats() {
-            $($scalar.store(0, Relaxed);
-              $vector.store(0, Relaxed);)+
-        }
     };
 }
 

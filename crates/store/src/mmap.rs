@@ -4,11 +4,11 @@
 //! # Why
 //!
 //! A loader that materializes every section and rebuilds derived
-//! state — depths, preorder intervals, sibling ranks, RMQ tables — in
+//! state — depths, preorder intervals, RMQ tables — in
 //! linear passes (the retired v1/v2 layouts) is 5–8× faster than
 //! parse+build, but a replica cold start or a `SNAPSHOT LOAD` hot swap
 //! still pays O(n) before the first query. The container (introduced
-//! with layout 3, unchanged in 4) stores every array in its
+//! with layout 3, unchanged since) stores every array in its
 //! **final in-memory form**, 64-byte aligned, so opening
 //! a snapshot is `mmap` + header/table checksum + pointer fixup: the
 //! engine serves straight out of the page cache, one physical copy
@@ -19,7 +19,7 @@
 //!
 //! ```text
 //! offset  0  magic   b"NCQSNAP\0"                      8 bytes
-//!         8  layout version = 4 (u32 LE)               4 bytes
+//!         8  layout version = 5 (u32 LE)               4 bytes
 //!        12  section count  (u32 LE)                   4 bytes
 //!        16  table checksum64 over the table bytes     8 bytes
 //!        24  section table: per section               32 bytes each

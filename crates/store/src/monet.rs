@@ -8,8 +8,15 @@
 //!
 //! * **edge relations** `σ(o) ↦ [(parent, o)]` for element and cdata nodes,
 //! * **string relations** for cdata text (`…/cdata`) and attribute values
-//!   (`…/@name`), keyed by the owner's association path,
-//! * **rank relations** `σ(o) ↦ [(o, rank)]` preserving sibling order.
+//!   (`…/@name`), keyed by the owner's association path.
+//!
+//! **Oid = preorder position.** That is the one contract between the
+//! store and the tree it was loaded from: the i-th node of
+//! `Document::iter_depth_first` is oid i, and nothing else about the
+//! source tree is kept. Definition 4 stores sibling order in separate
+//! rank relations because it lets oids be arbitrary; here siblings are
+//! numbered in document order, so sibling order *is* oid order and no
+//! rank relation exists.
 //!
 //! On top of the relations, two dense arrays provide the primitives the
 //! meet algorithms need in O(1): `sigma: oid → PathId` and
@@ -20,7 +27,7 @@ use crate::mmap::Col;
 use crate::oid::Oid;
 use crate::path::{PathId, PathStep, PathSummary};
 use crate::stats::{DepthStats, PartitionStats, StoreStats};
-use ncq_xml::{Document, NodeId, NodeKind, SymbolTable};
+use ncq_xml::{Document, NodeKind, SymbolTable};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -42,8 +49,6 @@ pub struct MonetDb {
     pub(crate) sigma: Col<PathId>,
     /// Parent oid per oid; the root maps to itself.
     pub(crate) parent: Col<Oid>,
-    /// Sibling rank per oid (0-based).
-    pub(crate) rank: Col<u32>,
     /// Edge relations indexed by `PathId`: pairs `(parent(o), o)` with
     /// `σ(o)` = that path. Attribute paths have empty edge relations.
     /// Rebuilt lazily from `σ`/parent in two linear passes — byte-
@@ -54,10 +59,6 @@ pub struct MonetDb {
     /// Non-empty only for cdata paths (owner = the cdata node) and
     /// attribute paths (owner = the element carrying the attribute).
     pub(crate) strings: Vec<Vec<(Oid, Box<str>)>>,
-    /// Original tree node per oid, for object re-assembly.
-    pub(crate) node_of_oid: Vec<NodeId>,
-    /// Oid per tree node (dense over the arena).
-    pub(crate) oid_of_node: Vec<Oid>,
     /// Lazily built structural meet index (preorder LCA); the database
     /// is immutable after loading, so the cache never invalidates.
     pub(crate) meet_index: OnceLock<MeetIndex>,
@@ -67,110 +68,57 @@ pub struct MonetDb {
     pub(crate) partition_stats: OnceLock<PartitionStats>,
 }
 
-/// Bulk-load staging: plain growable vectors, converted to [`Col`]s
-/// once the DFS finishes.
-struct Loader {
-    summary: PathSummary,
-    sigma: Vec<PathId>,
-    parent: Vec<Oid>,
-    rank: Vec<u32>,
-    strings: Vec<Vec<(Oid, Box<str>)>>,
-    node_of_oid: Vec<NodeId>,
-    oid_of_node: Vec<Oid>,
-}
-
-impl Loader {
-    fn ensure_path_slot(&mut self, p: PathId) {
-        let need = p.index() + 1;
-        if self.strings.len() < need {
-            self.strings.resize_with(need, Vec::new);
-        }
-    }
-
-    fn bulk_load(&mut self, doc: &Document) {
-        // Explicit DFS stack of (node, parent oid, parent path, rank).
-        // Children are pushed in reverse so document order pops first.
-        let root_sym = doc.tag_symbol(doc.root()).expect("root is an element node");
-        // Symbols were cloned from the document, so the root symbol is
-        // valid in our table too.
-        let root_path = self.summary.intern_root(PathStep::Element(root_sym));
-        self.ensure_path_slot(root_path);
-        self.sigma.push(root_path);
-        self.parent.push(Oid::ROOT);
-        self.rank.push(0);
-        self.node_of_oid.push(doc.root());
-        self.oid_of_node[doc.root().index()] = Oid::ROOT;
-        self.load_attributes(doc, doc.root(), Oid::ROOT, root_path);
-
-        let mut stack: Vec<(NodeId, Oid, PathId)> = Vec::new();
-        for &c in doc.children(doc.root()).iter().rev() {
-            stack.push((c, Oid::ROOT, root_path));
+impl MonetDb {
+    /// Bulk-load a parsed document (paper §2, Definition 4).
+    pub fn from_document(doc: &Document) -> MonetDb {
+        fn push_string(
+            strings: &mut Vec<Vec<(Oid, Box<str>)>>,
+            path: PathId,
+            owner: Oid,
+            value: &str,
+        ) {
+            if strings.len() <= path.index() {
+                strings.resize_with(path.index() + 1, Vec::new);
+            }
+            strings[path.index()].push((owner, value.into()));
         }
 
+        let n = doc.len();
+        let mut summary = PathSummary::new();
+        let mut sigma: Vec<PathId> = Vec::with_capacity(n);
+        let mut parent: Vec<Oid> = Vec::with_capacity(n);
+        let mut strings = Vec::new();
+        // Explicit DFS stack of (node, parent oid, parent path); the
+        // root is its own parent and has no parent path. Children are
+        // pushed in reverse so document order pops first.
+        let mut stack = vec![(doc.root(), Oid::ROOT, None)];
         while let Some((node, parent_oid, parent_path)) = stack.pop() {
-            let oid = Oid::from_index(self.sigma.len());
-            let rank = doc.rank(node) as u32;
-            let path = match doc.kind(node) {
-                NodeKind::Element(sym) => self
-                    .summary
-                    .intern_child(parent_path, PathStep::Element(*sym)),
-                NodeKind::Text(_) => self.summary.intern_child(parent_path, PathStep::Cdata),
+            let oid = Oid::from_index(sigma.len());
+            // Symbols are cloned from the document below, so its symbol
+            // ids are valid in our table too.
+            let step = match doc.kind(node) {
+                NodeKind::Element(sym) => PathStep::Element(*sym),
+                NodeKind::Text(_) => PathStep::Cdata,
             };
-            self.ensure_path_slot(path);
-            self.sigma.push(path);
-            self.parent.push(parent_oid);
-            self.rank.push(rank);
-            self.node_of_oid.push(node);
-            self.oid_of_node[node.index()] = oid;
-
+            let path = match parent_path {
+                None => summary.intern_root(step),
+                Some(p) => summary.intern_child(p, step),
+            };
+            sigma.push(path);
+            parent.push(parent_oid);
             match doc.kind(node) {
-                NodeKind::Text(s) => {
-                    self.strings[path.index()].push((oid, s.as_str().into()));
-                }
+                NodeKind::Text(s) => push_string(&mut strings, path, oid, s),
                 NodeKind::Element(_) => {
-                    self.load_attributes(doc, node, oid, path);
+                    for attr in doc.attributes(node) {
+                        let apath = summary.intern_child(path, PathStep::Attribute(attr.name));
+                        push_string(&mut strings, apath, oid, &attr.value);
+                    }
                     for &c in doc.children(node).iter().rev() {
-                        stack.push((c, oid, path));
+                        stack.push((c, oid, Some(path)));
                     }
                 }
             }
         }
-    }
-
-    fn load_attributes(&mut self, doc: &Document, node: NodeId, oid: Oid, path: PathId) {
-        for attr in doc.attributes(node) {
-            let apath = self
-                .summary
-                .intern_child(path, PathStep::Attribute(attr.name));
-            self.ensure_path_slot(apath);
-            self.strings[apath.index()].push((oid, attr.value.as_str().into()));
-        }
-    }
-}
-
-impl MonetDb {
-    /// Bulk-load a parsed document (paper §2, Definition 4).
-    pub fn from_document(doc: &Document) -> MonetDb {
-        let n = doc.len();
-        let mut loader = Loader {
-            summary: PathSummary::new(),
-            sigma: Vec::with_capacity(n),
-            parent: Vec::with_capacity(n),
-            rank: Vec::with_capacity(n),
-            strings: Vec::new(),
-            node_of_oid: Vec::with_capacity(n),
-            oid_of_node: vec![Oid::ROOT; n],
-        };
-        loader.bulk_load(doc);
-        let Loader {
-            summary,
-            sigma,
-            parent,
-            rank,
-            mut strings,
-            node_of_oid,
-            oid_of_node,
-        } = loader;
         // Every interned path gets a string slot (the snapshot codec and
         // the `strings_of` accessor index by dense path id).
         strings.resize_with(summary.len(), Vec::new);
@@ -179,11 +127,8 @@ impl MonetDb {
             summary,
             sigma: sigma.into(),
             parent: parent.into(),
-            rank: rank.into(),
             edges: OnceLock::new(),
             strings,
-            node_of_oid,
-            oid_of_node,
             meet_index: OnceLock::new(),
             depth_stats: OnceLock::new(),
             partition_stats: OnceLock::new(),
@@ -236,12 +181,6 @@ impl MonetDb {
     #[inline]
     pub fn depth(&self, o: Oid) -> usize {
         self.summary.depth(self.sigma(o))
-    }
-
-    /// Sibling rank of `o` (0-based).
-    #[inline]
-    pub fn rank(&self, o: Oid) -> usize {
-        self.rank[o.index()] as usize
     }
 
     /// The root object.
@@ -363,6 +302,16 @@ impl MonetDb {
             .map_or(&[], Vec::as_slice)
     }
 
+    /// The edges of relation `p` under one parent. Objects of one path
+    /// share a depth, so their parents are non-decreasing in document
+    /// order and the run is a contiguous subslice.
+    pub(crate) fn edges_under(&self, p: PathId, parent: Oid) -> &[(Oid, Oid)] {
+        let edges = self.edges_of(p);
+        let lo = edges.partition_point(|&(q, _)| q < parent);
+        let hi = edges.partition_point(|&(q, _)| q <= parent);
+        &edges[lo..hi]
+    }
+
     /// String relation of a path: `(owner, string)` pairs.
     pub fn strings_of(&self, p: PathId) -> &[(Oid, Box<str>)] {
         self.strings.get(p.index()).map_or(&[], Vec::as_slice)
@@ -378,17 +327,6 @@ impl MonetDb {
         let rel = self.strings_of(p);
         let lo = rel.partition_point(|&(o, _)| o.index() < range.start);
         let hi = rel.partition_point(|&(o, _)| o.index() < range.end);
-        &rel[lo..hi]
-    }
-
-    /// Restriction of an edge relation to a preorder OID interval of the
-    /// *child*: the `(parent, o)` pairs with `o.index()` in `range`.
-    /// Edge relations are in document order of `o`, so this is again a
-    /// contiguous subslice.
-    pub fn edges_in_range(&self, p: PathId, range: Range<usize>) -> &[(Oid, Oid)] {
-        let rel = self.edges_of(p);
-        let lo = rel.partition_point(|&(_, o)| o.index() < range.start);
-        let hi = rel.partition_point(|&(_, o)| o.index() < range.end);
         &rel[lo..hi]
     }
 
@@ -415,32 +353,6 @@ impl MonetDb {
             return vec![Oid::ROOT];
         }
         self.edges_of(p).iter().map(|&(_, o)| o).collect()
-    }
-
-    // ----- provenance -----
-    //
-    // For databases whose arena ids coincide with document order (every
-    // parsed document, and any snapshot-loaded instance), the maps are
-    // the identity permutation and are stored as *empty* vectors — the
-    // accessors fall back to the identity instead of materializing n
-    // entries twice.
-
-    /// The tree node behind an oid.
-    pub fn node_of(&self, o: Oid) -> NodeId {
-        if self.node_of_oid.is_empty() {
-            NodeId::from_index(o.index())
-        } else {
-            self.node_of_oid[o.index()]
-        }
-    }
-
-    /// The oid assigned to a tree node.
-    pub fn oid_of(&self, n: NodeId) -> Oid {
-        if self.oid_of_node.is_empty() {
-            Oid::from_index(n.index())
-        } else {
-            self.oid_of_node[n.index()]
-        }
     }
 
     /// Render the syntax tree in the style of the paper's **Figure 1**:
@@ -479,17 +391,13 @@ impl MonetDb {
             }
             // Children in reverse document order so the stack pops the
             // first child next.
-            let mut children: Vec<Oid> = Vec::new();
-            for p in self.summary.children(self.sigma(o)) {
-                let edges = self.edges_of(*p);
-                let start = edges.partition_point(|&(parent, _)| parent < o);
-                for &(parent, child) in &edges[start..] {
-                    if parent != o {
-                        break;
-                    }
-                    children.push(child);
-                }
-            }
+            let mut children: Vec<Oid> = self
+                .summary
+                .children(self.sigma(o))
+                .iter()
+                .flat_map(|p| self.edges_under(*p, o))
+                .map(|&(_, child)| child)
+                .collect();
             children.sort_unstable();
             for c in children.into_iter().rev() {
                 stack.push(c);
@@ -684,24 +592,13 @@ mod tests {
     }
 
     #[test]
-    fn ranks_match_sibling_positions() {
-        let db = figure1_db();
-        // institute's children: two articles with ranks 0 and 1.
-        let p_art = db
-            .summary()
-            .lookup_in(&["bibliography", "institute", "article"], db.symbols())
-            .unwrap();
-        let arts = db.oids_of_path(p_art);
-        assert_eq!(db.rank(arts[0]), 0);
-        assert_eq!(db.rank(arts[1]), 1);
-    }
-
-    #[test]
-    fn node_oid_mapping_round_trips() {
+    fn oids_are_preorder_positions() {
         let doc = parse(FIGURE1).unwrap();
         let db = MonetDb::from_document(&doc);
-        for o in db.iter_oids() {
-            assert_eq!(db.oid_of(db.node_of(o)), o);
+        assert_eq!(db.node_count(), doc.len());
+        for (n, o) in doc.iter_depth_first().zip(db.iter_oids()) {
+            assert_eq!(db.tag(o), doc.tag_name(n));
+            assert_eq!(db.string_value(db.sigma(o), o), doc.text(n));
         }
     }
 
@@ -856,13 +753,6 @@ mod tests {
                 .cloned()
                 .collect();
             assert_eq!(db.strings_in_range(p, range.clone()), strings.as_slice());
-            let edges: Vec<_> = db
-                .edges_of(p)
-                .iter()
-                .filter(|(_, o)| range.contains(&o.index()))
-                .copied()
-                .collect();
-            assert_eq!(db.edges_in_range(p, range.clone()), edges.as_slice());
         }
         // The restricted year relation holds exactly the second year.
         let p_year = db

@@ -39,46 +39,28 @@ impl ObjectView {
         let mut children = Vec::new();
 
         match summary.step(path) {
-            PathStep::Cdata => {
-                // The node's own string lives in its path's string relation.
-                if let Some((_, s)) = db.strings_of(path).iter().find(|(owner, _)| *owner == oid) {
-                    text.push_str(s);
-                }
-            }
+            // The node's own string lives in its path's string relation.
+            PathStep::Cdata => text.push_str(db.string_value(path, oid).unwrap_or_default()),
             _ => {
-                // Attributes: string relations on attribute child paths
-                // whose owner is this oid.
                 for &child_path in summary.children(path) {
                     match summary.step(child_path) {
+                        // An attribute path holds at most one string per
+                        // owner.
                         PathStep::Attribute(sym) => {
-                            for (owner, value) in db.strings_of(child_path) {
-                                if *owner == oid {
-                                    attributes.push((
-                                        db.symbols().resolve(sym).to_owned(),
-                                        value.to_string(),
-                                    ));
-                                }
+                            if let Some(value) = db.string_value(child_path, oid) {
+                                attributes
+                                    .push((db.symbols().resolve(sym).to_owned(), value.to_owned()));
                             }
                         }
                         PathStep::Cdata => {
-                            for &(parent, child) in db.edges_of(child_path) {
-                                if parent == oid {
-                                    if let Some((_, s)) = db
-                                        .strings_of(child_path)
-                                        .iter()
-                                        .find(|(owner, _)| *owner == child)
-                                    {
-                                        text.push_str(s);
-                                    }
-                                }
+                            for &(_, child) in db.edges_under(child_path, oid) {
+                                text.push_str(
+                                    db.string_value(child_path, child).unwrap_or_default(),
+                                );
                             }
                         }
                         PathStep::Element(_) => {
-                            for &(parent, child) in db.edges_of(child_path) {
-                                if parent == oid {
-                                    children.push(child);
-                                }
-                            }
+                            children.extend(db.edges_under(child_path, oid).iter().map(|&(_, c)| c))
                         }
                     }
                 }

@@ -39,15 +39,15 @@
 //! `SNAPSHOT_VERSION` names the layout, not the software: any change to
 //! section payload encodings, section semantics or the header must bump
 //! it. A build reads exactly the version it writes; any other version —
-//! the retired v1/v2 materializing layouts and the v3 payloads
+//! the retired v1/v2 materializing layouts and the v3/v4 payloads
 //! included — is refused at open with
 //! [`SnapshotError::UnsupportedVersion`]. There is no upgrade tool: an
 //! older file is replaced by rebuilding from the source XML and saving
-//! again. The pinned fixture `tests/golden/snapshot_v4.bin` makes a
+//! again. The pinned fixture `tests/golden/snapshot_v5.bin` makes a
 //! forgotten bump fail loudly in CI, and the retired
-//! `snapshot_v1.bin`/`snapshot_v2.bin`/`snapshot_v3.bin` fixtures pin
-//! the refusal. Adding a **new optional section id** is backward
-//! compatible and needs no bump — readers ignore unknown ids.
+//! `snapshot_v1.bin` … `snapshot_v4.bin` fixtures pin the refusal.
+//! Adding a **new optional section id** is backward compatible and
+//! needs no bump — readers ignore unknown ids.
 
 use crate::index::{MeetIndex, BLOCK};
 use crate::mmap::{Col, MappedSnapshot, SnapshotWriterV3};
@@ -55,7 +55,7 @@ use crate::monet::MonetDb;
 use crate::oid::Oid;
 use crate::path::{PathId, PathStep, PathSummary};
 use crate::stats::DepthStats;
-use ncq_xml::{NodeId, Symbol, SymbolTable};
+use ncq_xml::{Symbol, SymbolTable};
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,7 +67,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NCQSNAP\0";
 /// Current layout version (the zero-copy mmap container written by
 /// [`crate::mmap::SnapshotWriterV3`]). Bump on any payload or header
 /// change.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Well-known section ids. Unknown ids are ignored by readers, so
 /// higher layers can add sections without touching this crate.
@@ -76,7 +76,7 @@ pub mod section {
     pub const SYMBOLS: u32 = 1;
     /// The path summary (tree-shaped schema).
     pub const PATHS: u32 = 2;
-    /// Dense per-oid columns: `σ`, parent, rank, node↔oid provenance.
+    /// Dense per-oid columns: `σ` and parent.
     pub const COLUMNS: u32 = 3;
     /// String relations (cdata text and attribute values) per path.
     pub const STRINGS: u32 = 4;
@@ -564,40 +564,14 @@ impl MonetDb {
         encode_paths_into(&self.summary, &mut SectionBuf::over(&mut buf));
         writer.section(section::PATHS).put_raw(&buf);
 
-        // COLUMNS: `σ`, parent and rank in final form. The rank column
-        // is stored although the parent column determines it — the
-        // whole point is that the open performs no linear passes. The
-        // node↔oid provenance maps collapse to one flag when they are
-        // the identity permutation (always true for parsed documents);
-        // empty vectors already mean "identity" (the snapshot-loaded
-        // representation), so save → load → save stays byte-stable.
+        // COLUMNS: the node count, then `σ` and parent in final form —
+        // the whole tree (oids are preorder positions, so sibling order
+        // needs no column of its own).
         let n = self.sigma.len();
-        let identity = self
-            .node_of_oid
-            .iter()
-            .enumerate()
-            .all(|(i, nd)| nd.index() == i)
-            && self
-                .oid_of_node
-                .iter()
-                .enumerate()
-                .all(|(i, o)| o.index() == i);
         let mut s = writer.section(section::COLUMNS);
         s.put_u64(n as u64);
-        s.put_u64(identity as u64);
         s.put_col::<PathId>(&self.sigma);
         s.put_col::<Oid>(&self.parent);
-        s.put_col::<u32>(&self.rank);
-        if !identity {
-            let nodes: Vec<u32> = self
-                .node_of_oid
-                .iter()
-                .map(|nd| nd.index() as u32)
-                .collect();
-            let oids: Vec<u32> = self.oid_of_node.iter().map(|o| o.index() as u32).collect();
-            s.put_col::<u32>(&nodes);
-            s.put_col::<u32>(&oids);
-        }
 
         buf.clear();
         encode_strings_into(&self.strings, &mut SectionBuf::over(&mut buf));
@@ -658,15 +632,13 @@ impl MonetDb {
                 context: "empty instance (a loaded document has a root)",
             });
         }
-        let identity = v.get_u64()?;
-        if identity > 1 {
-            return Err(SnapshotError::Corrupt {
-                context: "provenance flag out of range",
-            });
-        }
         let sigma: Col<PathId> = v.take_col(n)?;
         let parent: Col<Oid> = v.take_col(n)?;
-        let rank: Col<u32> = v.take_col(n)?;
+        if !v.at_end() {
+            return Err(SnapshotError::Corrupt {
+                context: "columns section has trailing bytes",
+            });
+        }
         if sigma.iter().any(|p| p.index() >= path_count) {
             return Err(SnapshotError::Corrupt {
                 context: "sigma path out of range",
@@ -677,24 +649,6 @@ impl MonetDb {
                 context: "parent column is not preorder",
             });
         }
-        let (node_of_oid, oid_of_node) = if identity == 1 {
-            (Vec::new(), Vec::new())
-        } else {
-            let nodes: Col<u32> = v.take_col(n)?;
-            let oids: Col<u32> = v.take_col(n)?;
-            if oids.iter().any(|&x| x as usize >= n) {
-                return Err(SnapshotError::Corrupt {
-                    context: "oid_of_node out of range",
-                });
-            }
-            (
-                nodes
-                    .iter()
-                    .map(|&x| NodeId::from_index(x as usize))
-                    .collect(),
-                oids.iter().map(|&x| Oid::from_index(x as usize)).collect(),
-            )
-        };
 
         // STRINGS.
         let view = snap.section_verified(section::STRINGS)?;
@@ -766,11 +720,8 @@ impl MonetDb {
             summary,
             sigma,
             parent,
-            rank,
             edges: OnceLock::new(),
             strings,
-            node_of_oid,
-            oid_of_node,
             meet_index: OnceLock::new(),
             depth_stats: OnceLock::new(),
             partition_stats: OnceLock::new(),
@@ -848,8 +799,6 @@ mod tests {
         for o in original.iter_oids() {
             assert_eq!(loaded.sigma(o), original.sigma(o));
             assert_eq!(loaded.parent(o), original.parent(o));
-            assert_eq!(loaded.rank(o), original.rank(o));
-            assert_eq!(loaded.node_of(o), original.node_of(o));
         }
         // The meet index answers identically without being rebuilt.
         let (a, b) = (Oid::from_index(5), Oid::from_index(15));
@@ -894,7 +843,7 @@ mod tests {
 
         // The retired layouts and a future one are refused on the
         // header alone, through the file entry point.
-        for found in [1u8, 2, 3, 99] {
+        for found in [1u8, 2, 3, 4, 99] {
             bytes[8] = found;
             std::fs::write(&path, &bytes).unwrap();
             assert!(matches!(
@@ -1007,6 +956,21 @@ mod tests {
             payload[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
         });
         assert!(matches!(decode(bytes), Err(SnapshotError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn columns_with_trailing_bytes_are_corrupt() {
+        // COLUMNS ends with the parent column; a layout-4 section under
+        // a forged header reads as exactly this — `σ`, parent, then
+        // more bytes.
+        let mut bytes = snapshot_bytes(&db());
+        forge_section(&mut bytes, section::COLUMNS, |_, len| *len += 4);
+        assert!(matches!(
+            decode(bytes),
+            Err(SnapshotError::Corrupt {
+                context: "columns section has trailing bytes"
+            })
+        ));
     }
 
     #[test]

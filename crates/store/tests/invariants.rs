@@ -81,29 +81,76 @@ fn for_random_dbs(salt: u64, mut check: impl FnMut(&Document, &MonetDb, u64)) {
     }
 }
 
+/// Grow `doc` out of document order: new elements under random earlier
+/// elements, so arena ids stop being preorder positions.
+fn graft(doc: &mut Document, rng: &mut StdRng) {
+    let mut hosts: Vec<NodeId> = doc
+        .iter_arena()
+        .filter(|&n| doc.text(n).is_none())
+        .collect();
+    for _ in 0..rng.random_range(1usize..12) {
+        let e = doc.add_element(
+            hosts[rng.random_range(0..hosts.len())],
+            TAGS[rng.random_range(0..TAGS.len())],
+        );
+        doc.add_text(e, word(rng));
+        hosts.push(e);
+    }
+}
+
+/// Random builder documents whose arena order is (almost always) not
+/// preorder, loaded; `check` also gets the contract's pairing of the
+/// document's DFS with the oid sequence.
+fn for_grafted_dbs(salt: u64, mut check: impl FnMut(&Document, &MonetDb, &[(NodeId, Oid)], u64)) {
+    let mut out_of_order = 0;
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(salt << 32 | seed);
+        let mut doc = build(&ops(&mut rng));
+        graft(&mut doc, &mut rng);
+        let db = MonetDb::from_document(&doc);
+        let pairs: Vec<(NodeId, Oid)> = doc.iter_depth_first().zip(db.iter_oids()).collect();
+        out_of_order += pairs.iter().any(|(n, o)| n.index() != o.index()) as u64;
+        check(&doc, &db, &pairs, seed);
+    }
+    assert!(
+        out_of_order > CASES / 2,
+        "grafting left arena order = preorder"
+    );
+}
+
 /// Every tree node gets exactly one oid; count matches.
 #[test]
 fn oid_assignment_is_a_bijection() {
-    for_random_dbs(1, |doc, db, seed| {
+    for_grafted_dbs(1, |doc, db, pairs, seed| {
         assert_eq!(db.node_count(), doc.len(), "seed {seed}");
+        assert_eq!(pairs.len(), doc.len(), "seed {seed}");
         let mut seen = vec![false; doc.len()];
-        for o in db.iter_oids() {
-            let n = db.node_of(o);
+        for (n, _) in pairs {
             assert!(!seen[n.index()], "seed {seed}");
             seen[n.index()] = true;
-            assert_eq!(db.oid_of(n), o, "seed {seed}");
         }
     });
 }
 
-/// Oids are depth-first document order: parent < child, and the sequence
-/// of node_of(oid) equals the document's DFS pre-order.
+/// Oid = preorder position: the i-th node of the document's DFS is oid
+/// i — same kind, same tag or text, and its parent is its tree parent's
+/// oid (so parent < child).
 #[test]
 fn oids_follow_document_order() {
-    for_random_dbs(2, |doc, db, seed| {
-        let dfs: Vec<NodeId> = doc.iter_depth_first().collect();
-        for (i, n) in dfs.iter().enumerate() {
-            assert_eq!(db.node_of(Oid::from_index(i)), *n, "seed {seed}");
+    for_grafted_dbs(2, |doc, db, pairs, seed| {
+        let mut oid_at = vec![Oid::ROOT; doc.len()];
+        for &(n, o) in pairs {
+            oid_at[n.index()] = o;
+            // Both sides answer `None` for the other kind.
+            assert_eq!(db.tag(o), doc.tag_name(n), "seed {seed}");
+            assert_eq!(db.string_value(db.sigma(o), o), doc.text(n), "seed {seed}");
+            // The DFS reaches a parent before its children, so its slot
+            // in `oid_at` is already filled.
+            assert_eq!(
+                db.parent(o),
+                doc.parent(n).map(|p| oid_at[p.index()]),
+                "seed {seed}"
+            );
         }
         for o in db.iter_oids().skip(1) {
             assert!(db.parent(o).unwrap() < o, "seed {seed}");
@@ -254,4 +301,40 @@ fn meet_index_agrees_with_parent_walks() {
         }
         assert_eq!(total, n, "seed {seed}");
     });
+}
+
+/// Bulk load costs the same per node whatever the fan-out: ~100 k
+/// elements as one root × 100 k children and as a 64-ary tree load
+/// within 5× of each other (fastest of three). A per-node scan of the
+/// sibling list would put the flat shape ~10⁴× behind.
+#[test]
+fn ingest_is_linear_in_fan_out() {
+    const NODES: usize = 100_000;
+    let shaped = |fan_out: usize| {
+        let mut doc = Document::new("root");
+        let mut nodes = vec![doc.root()];
+        for i in 0..NODES {
+            let node = doc.add_element(nodes[i / fan_out], "e");
+            nodes.push(node);
+        }
+        doc
+    };
+    let fastest_load = |doc: &Document| {
+        (0..3)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                let db = MonetDb::from_document(doc);
+                let elapsed = start.elapsed();
+                assert_eq!(db.node_count(), NODES + 1);
+                elapsed
+            })
+            .min()
+            .expect("three runs")
+    };
+    let flat = fastest_load(&shaped(NODES));
+    let tree = fastest_load(&shaped(64));
+    assert!(
+        flat <= 5 * tree && tree <= 5 * flat,
+        "flat fan-out loads in {flat:?}, 64-ary tree in {tree:?}"
+    );
 }

@@ -29,12 +29,6 @@ impl NodeId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Reconstruct from a raw index previously obtained via [`NodeId::index`].
-    #[inline]
-    pub fn from_index(index: usize) -> NodeId {
-        NodeId(u32::try_from(index).expect("document too large"))
-    }
 }
 
 impl fmt::Debug for NodeId {
@@ -221,18 +215,6 @@ impl Document {
             .map(|a| a.value.as_str())
     }
 
-    /// Rank of a node among its siblings (0-based), 0 for the root.
-    pub fn rank(&self, id: NodeId) -> usize {
-        match self.parent(id) {
-            None => 0,
-            Some(p) => self
-                .children(p)
-                .iter()
-                .position(|&c| c == id)
-                .expect("child missing from parent's child list"),
-        }
-    }
-
     /// Depth of a node: 0 for the root.
     pub fn depth(&self, id: NodeId) -> usize {
         self.ancestors(id).count() - 1
@@ -398,9 +380,6 @@ mod tests {
             .map(|&c| d.tag_name(c).unwrap())
             .collect();
         assert_eq!(tags, vec!["author", "title", "year"]);
-        for (i, &c) in d.children(art).iter().enumerate() {
-            assert_eq!(d.rank(c), i);
-        }
     }
 
     #[test]

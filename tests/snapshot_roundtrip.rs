@@ -2,7 +2,7 @@
 //! round-trip equivalence on random trees, byte determinism, exhaustive
 //! corruption handling (truncation, bit flips, forged section-table
 //! extents), the layout version pin, the layout byte budget, the typed
-//! refusal of the retired v1/v2/v3 layouts through every entry point,
+//! refusal of the retired v1–v4 layouts through every entry point,
 //! and a two-process check that one snapshot file serves independent
 //! opens with equal answers.
 //!
@@ -10,7 +10,7 @@
 //! proptest (the offline build cannot fetch it); failures print the
 //! seed.
 //!
-//! The pinned fixture `tests/golden/snapshot_v4.bin` is a committed
+//! The pinned fixture `tests/golden/snapshot_v5.bin` is a committed
 //! current-layout snapshot of the Figure 1 corpus (saved through
 //! `ShardedDb` at K = 4 so every section id, including the partition
 //! map, is exercised). Regenerate after an *intended* layout change —
@@ -20,10 +20,9 @@
 //! UPDATE_GOLDEN=1 cargo test --test snapshot_roundtrip
 //! ```
 //!
-//! The older committed fixtures (`snapshot_v1.bin`, `snapshot_v2.bin`,
-//! `snapshot_v3.bin`) are files no build writes any more; they stay
-//! committed to pin that opening one is a typed `UnsupportedVersion`,
-//! never a partial load.
+//! The older committed fixtures (`snapshot_v1.bin` … `snapshot_v4.bin`)
+//! are files no build writes any more; they stay committed to pin that
+//! opening one is a typed `UnsupportedVersion`, never a partial load.
 
 use nearest_concept::core::{MeetBackend, MeetOptions, MeetStrategy};
 use nearest_concept::datagen::{DblpConfig, DblpCorpus};
@@ -299,21 +298,24 @@ fn pinned_fixture_guards_the_layout_version() {
 }
 
 /// The retired layouts are refused, typed, through every entry point.
-/// `snapshot_v1.bin` / `snapshot_v2.bin` / `snapshot_v3.bin` are
-/// committed files of the Figure 1 corpus in the v1/v2 materializing
-/// layouts and the v3 payloads of today's container; no build can
+/// `snapshot_v1.bin` … `snapshot_v4.bin` are committed files of the
+/// Figure 1 corpus in the v1/v2 materializing layouts and the v3/v4
+/// payloads of today's container; no build can
 /// write them any more and there is no upgrade tool — the way forward
 /// is to rebuild from the source XML and save again, and the error
 /// says so. Each open must fail on the header alone with
 /// `UnsupportedVersion { found, supported: SNAPSHOT_VERSION }`: never a
 /// panic, never a partial load, and on a serving process never a
-/// swapped backend.
+/// swapped backend. The header is all that guards a v4 file's symbols,
+/// paths and strings (they decode unchanged), so the last case forges
+/// it: a v4 `COLUMNS` section under a v5 header is `Corrupt`.
 #[test]
 fn legacy_fixtures_are_refused_typed() {
     for (fixture, version) in [
         ("snapshot_v1.bin", 1u32),
         ("snapshot_v2.bin", 2),
         ("snapshot_v3.bin", 3),
+        ("snapshot_v4.bin", 4),
     ] {
         let bytes = std::fs::read(golden_path(fixture)).expect("read legacy fixture");
         let dir = scratch(&format!("legacy-v{version}"));
@@ -422,6 +424,11 @@ fn legacy_fixtures_are_refused_typed() {
 
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    let mut forged = std::fs::read(golden_path("snapshot_v4.bin")).expect("read v4 fixture");
+    forged[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    let err = Database::from_snapshot_bytes(forged).expect_err("v4 payloads under a v5 header");
+    assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
 }
 
 /// The layout byte budget — a structural, timing-free pin of what the
@@ -430,6 +437,8 @@ fn legacy_fixtures_are_refused_typed() {
 /// sparse table over n/32 blocks, the CSR postings): at most 32 bytes
 /// a node plus the path offsets and alignment slack. `STATS` is four
 /// scalars — nothing per node, and nothing only the partitioner reads.
+/// `COLUMNS` is the tree itself and nothing else: `σ` and parent, 8
+/// bytes a node.
 #[test]
 fn meet_index_and_stats_sections_stay_within_their_byte_budget() {
     let corpus = DblpCorpus::generate(&DblpConfig::scaled(8_000));
@@ -449,6 +458,12 @@ fn meet_index_and_stats_sections_stay_within_their_byte_budget() {
     );
     let stats = bytes(section::STATS);
     assert!(stats <= 64, "STATS is {stats} bytes");
+    let columns = bytes(section::COLUMNS);
+    assert!(
+        columns <= 8 * n + 4096,
+        "COLUMNS is {columns} bytes for {n} nodes ({:.1} B/node)",
+        columns as f64 / n as f64
+    );
 }
 
 /// Length-lies: forge a section-table entry (shrunken extent, overrun
