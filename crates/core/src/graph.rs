@@ -115,8 +115,8 @@ impl RefGraph {
         for path in summary.iter() {
             if let PathStep::Attribute(sym) = summary.step(path) {
                 if symbols.resolve(sym) == key_attr {
-                    for (owner, value) in db.strings_of(path) {
-                        targets.insert(value, *owner);
+                    for (owner, value) in db.strings_of(path).iter() {
+                        targets.insert(value, owner);
                     }
                 }
             }
@@ -137,11 +137,11 @@ impl RefGraph {
             if !is_ref {
                 continue;
             }
-            for (cdata_oid, value) in db.strings_of(path) {
-                if let Some(&target) = targets.get(&**value) {
+            for (cdata_oid, value) in db.strings_of(path).iter() {
+                if let Some(&target) = targets.get(value) {
                     // Reference edge between the *record* owning the
                     // crossref (the ref element's parent) and the target.
-                    let ref_node = db.parent(*cdata_oid).expect("cdata has a parent");
+                    let ref_node = db.parent(cdata_oid).expect("cdata has a parent");
                     let source = db.parent(ref_node).unwrap_or(ref_node);
                     graph.add_edge(source, target);
                 }
@@ -315,9 +315,9 @@ mod tests {
 
     fn by_text(db: &MonetDb, s: &str) -> Oid {
         db.string_paths()
-            .flat_map(|p| db.strings_of(p))
-            .find(|(_, t)| &**t == s)
-            .map(|(o, _)| *o)
+            .flat_map(|p| db.strings_of(p).iter())
+            .find(|&(_, t)| t == s)
+            .map(|(o, _)| o)
             .unwrap()
     }
 

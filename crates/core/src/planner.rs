@@ -244,9 +244,9 @@ mod tests {
     fn cdata_oids(db: &MonetDb, prefix: &str) -> Vec<Oid> {
         let mut v: Vec<Oid> = db
             .string_paths()
-            .flat_map(|p| db.strings_of(p))
+            .flat_map(|p| db.strings_of(p).iter())
             .filter(|(_, t)| t.starts_with(prefix))
-            .map(|(o, _)| *o)
+            .map(|(o, _)| o)
             .collect();
         v.sort_unstable();
         v
@@ -395,7 +395,7 @@ mod tests {
         let planner = MeetPlanner::new(&db);
         let wide =
             vec![HitSet::from_pairs(db.string_paths().flat_map(|p| {
-                db.strings_of(p).iter().map(move |&(o, _)| (p, o))
+                db.strings_of(p).iter().map(move |(o, _)| (p, o))
             }))];
         assert!(wide[0].group_count() > GROUP_SCAN_LIMIT);
         let plan = planner.plan_multi(&wide);
@@ -403,7 +403,7 @@ mod tests {
         // Under the limit, the exact per-group scan is used.
         let narrow =
             vec![HitSet::from_pairs(db.string_paths().take(2).flat_map(
-                |p| db.strings_of(p).iter().map(move |&(o, _)| (p, o)),
+                |p| db.strings_of(p).iter().map(move |(o, _)| (p, o)),
             ))];
         let plan = planner.plan_multi(&narrow);
         assert_eq!(plan.est_rounds, 2); // r/t{i}/cdata

@@ -254,25 +254,25 @@ mod tests {
     /// Oid of the cdata node whose text equals `s` (first match).
     fn cdata(db: &MonetDb, s: &str) -> Oid {
         db.string_paths()
-            .flat_map(|p| db.strings_of(p))
-            .find(|(_, t)| &**t == s)
-            .map(|(o, _)| *o)
+            .flat_map(|p| db.strings_of(p).iter())
+            .find(|&(_, t)| t == s)
+            .map(|(o, _)| o)
             .unwrap()
     }
 
     fn cdata_all(db: &MonetDb, s: &str) -> Vec<Oid> {
         db.string_paths()
-            .flat_map(|p| db.strings_of(p))
-            .filter(|(_, t)| &**t == s)
-            .map(|(o, _)| *o)
+            .flat_map(|p| db.strings_of(p).iter())
+            .filter(|&(_, t)| t == s)
+            .map(|(o, _)| o)
             .collect()
     }
 
     fn cdata_containing(db: &MonetDb, s: &str) -> Vec<Oid> {
         db.string_paths()
-            .flat_map(|p| db.strings_of(p))
+            .flat_map(|p| db.strings_of(p).iter())
             .filter(|(_, t)| t.contains(s))
-            .map(|(o, _)| *o)
+            .map(|(o, _)| o)
             .collect()
     }
 

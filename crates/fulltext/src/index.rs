@@ -100,11 +100,8 @@ impl InvertedIndex {
     pub fn build(db: &MonetDb) -> InvertedIndex {
         let mut map: HashMap<Box<str>, Vec<Posting>> = HashMap::new();
         for path in db.string_paths() {
-            for (owner, text) in db.strings_of(path) {
-                let posting = Posting {
-                    path,
-                    owner: *owner,
-                };
+            for (owner, text) in db.strings_of(path).iter() {
+                let posting = Posting { path, owner };
                 for tok in tokens(text) {
                     let list = map.entry(tok.into_boxed_str()).or_default();
                     // The same token may occur twice in one string; store

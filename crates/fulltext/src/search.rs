@@ -57,9 +57,9 @@ pub fn substring_hits(db: &MonetDb, needle: &str) -> HitSet {
 pub fn predicate_hits(db: &MonetDb, mut pred: impl FnMut(&str) -> bool) -> HitSet {
     let mut hits = HitSet::new();
     for path in db.string_paths() {
-        for (owner, text) in db.strings_of(path) {
+        for (owner, text) in db.strings_of(path).iter() {
             if pred(text) {
-                hits.insert(path, *owner);
+                hits.insert(path, owner);
             }
         }
     }

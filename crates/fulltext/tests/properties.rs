@@ -53,9 +53,9 @@ fn random_doc(rng: &mut StdRng) -> Document {
 fn naive_hits(db: &MonetDb, pred: impl Fn(&str) -> bool) -> HitSet {
     let mut hits = HitSet::new();
     for p in db.string_paths() {
-        for (owner, text) in db.strings_of(p) {
+        for (owner, text) in db.strings_of(p).iter() {
             if pred(text) {
-                hits.insert(p, *owner);
+                hits.insert(p, owner);
             }
         }
     }
@@ -130,7 +130,7 @@ fn posting_count_is_consistent() {
         let idx = InvertedIndex::build(&db);
         let mut expected = 0usize;
         for p in db.string_paths() {
-            for (_, text) in db.strings_of(p) {
+            for (_, text) in db.strings_of(p).iter() {
                 let mut toks: Vec<String> = ncq_fulltext::tokenize::tokens(text).collect();
                 toks.sort();
                 toks.dedup();

@@ -42,7 +42,7 @@ fn corpus_terms(db: &Database, want: usize) -> Vec<String> {
     let store = db.store();
     let mut terms = Vec::new();
     'outer: for p in store.string_paths() {
-        for (_, text) in store.strings_of(p) {
+        for (_, text) in store.strings_of(p).iter() {
             if let Some(word) = text.split_whitespace().next() {
                 let word: String = word.chars().filter(|c| c.is_alphanumeric()).collect();
                 if word.len() >= 2 && !terms.contains(&word) {

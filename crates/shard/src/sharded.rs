@@ -165,8 +165,8 @@ impl ShardedDb {
                 store
                     .strings_of(p)
                     .iter()
-                    .filter(|(o, _)| partition.is_spine(*o))
-                    .map(move |&(o, _)| (p, o))
+                    .filter(|&(o, _)| partition.is_spine(o))
+                    .map(move |(o, _)| (p, o))
             })
             .collect();
         let mut spine_by_depth: Vec<Oid> = store
@@ -340,9 +340,9 @@ impl ShardedDb {
                     let range = inner.partition.shards()[s].range.clone();
                     let mut hits = HitSet::new();
                     for path in store.string_paths() {
-                        for (owner, text) in store.strings_in_range(path, range.clone()) {
-                            if !inner.partition.is_spine(*owner) && contains_fold(text, &needle) {
-                                hits.insert(path, *owner);
+                        for (owner, text) in store.strings_in_range(path, range.clone()).iter() {
+                            if !inner.partition.is_spine(owner) && contains_fold(text, &needle) {
+                                hits.insert(path, owner);
                             }
                         }
                     }

@@ -26,9 +26,9 @@
 //!     .summary()
 //!     .lookup_in(&["bib", "article", "year", "cdata"], db.symbols())
 //!     .unwrap();
-//! let (owner, text) = &db.strings_of(path)[0];
-//! assert_eq!(&**text, "1999");
-//! assert_eq!(db.relation_name(db.sigma(*owner)), "bib/article/year/cdata");
+//! let (owner, text) = db.strings_of(path).get(0).unwrap();
+//! assert_eq!(text, "1999");
+//! assert_eq!(db.relation_name(db.sigma(owner)), "bib/article/year/cdata");
 //! ```
 
 pub mod index;
@@ -40,6 +40,7 @@ pub mod oid;
 pub mod path;
 pub mod snapshot;
 pub mod stats;
+pub mod strings;
 
 pub use index::MeetIndex;
 pub use manifest::{
@@ -55,3 +56,4 @@ pub use oid::Oid;
 pub use path::{PathId, PathStep, PathSummary};
 pub use snapshot::{SectionBuf, SectionCursor, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use stats::{DepthStats, PartitionStats, StoreStats};
+pub use strings::StringRel;

@@ -19,7 +19,7 @@
 //!
 //! ```text
 //! offset  0  magic   b"NCQSNAP\0"                      8 bytes
-//!         8  layout version = 5 (u32 LE)               4 bytes
+//!         8  layout version = 6 (u32 LE)               4 bytes
 //!        12  section count  (u32 LE)                   4 bytes
 //!        16  table checksum64 over the table bytes     8 bytes
 //!        24  section table: per section               32 bytes each
@@ -43,11 +43,13 @@
 //! advertised section extent are always validated at open — a
 //! truncated or table-corrupt file fails typed before any payload
 //! pointer is formed (no SIGBUS-prone blind dereference). Payload
-//! checksums are **lazy** by default: sections the decoder
-//! materializes (symbols, paths, strings, the full-text vocabulary,
-//! the partition map) are verified when decoded, while the large
-//! final-form arrays served as mapped views (columns, meet index)
-//! defer their checksum so first touch stays at page-fault cost.
+//! checksums are **lazy** by default: sections the decoder reads in
+//! full anyway — to materialize them (symbols, paths, the partition
+//! map) or to validate what its accessors assume (the string columns,
+//! the full-text vocabulary) — are verified when decoded, while the
+//! large final-form arrays served as mapped views (columns, meet
+//! index) defer their checksum so first touch stays at page-fault
+//! cost.
 //! [`VerifyMode::Eager`] (what the forest catalog opens with, next to
 //! the manifest's whole-file checksum) verifies every section at open. Under lazy verification a bit flip in an
 //! unverified array can only produce wrong answers or a bounds-check
@@ -568,6 +570,7 @@ impl SectionBufV3<'_> {
     /// replay-decoded sections are encoded through
     /// [`crate::snapshot::SectionBuf`]).
     pub fn put_raw(&mut self, bytes: &[u8]) {
+        self.reserve(bytes.len());
         self.buf.extend_from_slice(bytes);
     }
 
@@ -576,8 +579,27 @@ impl SectionBufV3<'_> {
     /// element count, so arrays need no length prefix.
     pub fn put_col<T: Pod>(&mut self, vals: &[T]) {
         let aligned = align64(self.buf.len());
+        self.reserve(aligned - self.buf.len() + std::mem::size_of_val(vals));
         self.buf.resize(aligned, 0);
         self.buf.extend_from_slice(as_bytes(vals));
+    }
+
+    /// Make room for `additional` bytes, keeping the capacity a power
+    /// of two. `Vec` doubles too, but jumps to the exact size when one
+    /// column is more than the buffer holds, and the image then ends up
+    /// with whatever capacity the column sizes happen to produce. A save
+    /// frees the image right after writing it, and glibc takes the size
+    /// of a freed mapping of up to 32 MiB as its new mmap threshold:
+    /// from then on everything smaller comes from the heap and twice
+    /// that much freed heap is kept. A 31 MiB image in a 31.9 MiB buffer
+    /// put 47 MB on the ingest peak of the next build in the same
+    /// process; in a 32 MiB buffer it is unmapped without a trace.
+    fn reserve(&mut self, additional: usize) {
+        let needed = self.buf.len() + additional;
+        if needed > self.buf.capacity() {
+            self.buf
+                .reserve_exact(needed.next_power_of_two() - self.buf.len());
+        }
     }
 }
 
@@ -968,6 +990,17 @@ mod tests {
             let offset = u64::from_le_bytes(a[at + 8..at + 16].try_into().unwrap());
             assert_eq!(offset % SECTION_ALIGN as u64, 0);
         }
+    }
+
+    #[test]
+    fn image_capacity_stays_a_power_of_two() {
+        let mut w = SnapshotWriterV3::new();
+        let mut s = w.section(section::COLUMNS);
+        s.put_col::<u32>(&[1; 5]);
+        // Each far more than twice what the buffer holds by then.
+        s.put_col::<u8>(&[2; 3000]);
+        s.put_raw(&[3; 20_000]);
+        assert!(w.into_bytes().capacity().is_power_of_two());
     }
 
     #[test]

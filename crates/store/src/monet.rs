@@ -8,7 +8,9 @@
 //!
 //! * **edge relations** `σ(o) ↦ [(parent, o)]` for element and cdata nodes,
 //! * **string relations** for cdata text (`…/cdata`) and attribute values
-//!   (`…/@name`), keyed by the owner's association path.
+//!   (`…/@name`), keyed by the owner's association path — four columns
+//!   shared by every relation (see [`crate::strings`]), read through the
+//!   borrowed [`StringRel`] view.
 //!
 //! **Oid = preorder position.** That is the one contract between the
 //! store and the tree it was loaded from: the i-th node of
@@ -27,17 +29,18 @@ use crate::mmap::Col;
 use crate::oid::Oid;
 use crate::path::{PathId, PathStep, PathSummary};
 use crate::stats::{DepthStats, PartitionStats, StoreStats};
+use crate::strings::{StringColumns, StringRel};
 use ncq_xml::{Document, NodeKind, SymbolTable};
 use std::ops::Range;
 use std::sync::OnceLock;
 
 /// A loaded, path-partitioned XML database instance.
 ///
-/// The dense per-oid columns are [`Col`]s: owned after a bulk load,
-/// zero-copy views into the mapped file after a snapshot open. Edge
-/// relations are *derived* state — a pure function of the `σ`/parent
-/// columns — and are materialized lazily on first access, so neither
-/// path pays for them up front.
+/// The dense per-oid columns and the string columns are [`Col`]s: owned
+/// after a bulk load, zero-copy views into the mapped file after a
+/// snapshot open. Edge relations are *derived* state — a pure function
+/// of the `σ`/parent columns — and are materialized lazily on first
+/// access, so neither path pays for them up front.
 #[derive(Debug, Clone)]
 pub struct MonetDb {
     /// Field visibility is `pub(crate)` so the snapshot codec
@@ -58,7 +61,7 @@ pub struct MonetDb {
     /// String relations indexed by `PathId`: pairs `(owner, string)`.
     /// Non-empty only for cdata paths (owner = the cdata node) and
     /// attribute paths (owner = the element carrying the attribute).
-    pub(crate) strings: Vec<Vec<(Oid, Box<str>)>>,
+    pub(crate) strings: StringColumns,
     /// Lazily built structural meet index (preorder LCA); the database
     /// is immutable after loading, so the cache never invalidates.
     pub(crate) meet_index: OnceLock<MeetIndex>,
@@ -71,23 +74,13 @@ pub struct MonetDb {
 impl MonetDb {
     /// Bulk-load a parsed document (paper §2, Definition 4).
     pub fn from_document(doc: &Document) -> MonetDb {
-        fn push_string(
-            strings: &mut Vec<Vec<(Oid, Box<str>)>>,
-            path: PathId,
-            owner: Oid,
-            value: &str,
-        ) {
-            if strings.len() <= path.index() {
-                strings.resize_with(path.index() + 1, Vec::new);
-            }
-            strings[path.index()].push((owner, value.into()));
-        }
-
         let n = doc.len();
         let mut summary = PathSummary::new();
         let mut sigma: Vec<PathId> = Vec::with_capacity(n);
         let mut parent: Vec<Oid> = Vec::with_capacity(n);
-        let mut strings = Vec::new();
+        // The nodes in oid order, for the walks that size and fill the
+        // string columns once every path is known.
+        let mut order = Vec::with_capacity(n);
         // Explicit DFS stack of (node, parent oid, parent path); the
         // root is its own parent and has no parent path. Children are
         // pushed in reverse so document order pops first.
@@ -106,22 +99,29 @@ impl MonetDb {
             };
             sigma.push(path);
             parent.push(parent_oid);
-            match doc.kind(node) {
-                NodeKind::Text(s) => push_string(&mut strings, path, oid, s),
-                NodeKind::Element(_) => {
-                    for attr in doc.attributes(node) {
-                        let apath = summary.intern_child(path, PathStep::Attribute(attr.name));
-                        push_string(&mut strings, apath, oid, &attr.value);
-                    }
-                    for &c in doc.children(node).iter().rev() {
-                        stack.push((c, oid, Some(path)));
-                    }
-                }
+            order.push(node);
+            // Attribute paths are interned here, right after their
+            // element's, so path ids keep their document order; the walks
+            // below only look them up.
+            for attr in doc.attributes(node) {
+                summary.intern_child(path, PathStep::Attribute(attr.name));
+            }
+            for &c in doc.children(node).iter().rev() {
+                stack.push((c, oid, Some(path)));
             }
         }
-        // Every interned path gets a string slot (the snapshot codec and
-        // the `strings_of` accessor index by dense path id).
-        strings.resize_with(summary.len(), Vec::new);
+        let strings = StringColumns::from_document_order(summary.len(), |emit| {
+            for (i, &node) in order.iter().enumerate() {
+                let oid = Oid::from_index(i);
+                if let NodeKind::Text(s) = doc.kind(node) {
+                    emit(sigma[i], oid, s);
+                }
+                for attr in doc.attributes(node) {
+                    let apath = summary.intern_child(sigma[i], PathStep::Attribute(attr.name));
+                    emit(apath, oid, &attr.value);
+                }
+            }
+        });
         MonetDb {
             symbols: doc.symbols().clone(),
             summary,
@@ -249,10 +249,9 @@ impl MonetDb {
     pub fn partition_stats(&self) -> &PartitionStats {
         self.partition_stats.get_or_init(|| {
             let mut weights = vec![1u64; self.node_count()];
-            for p in self.summary.iter() {
-                for (owner, _) in self.strings_of(p) {
-                    weights[owner.index()] += 1;
-                }
+            let (_, owners, _, _) = self.strings.columns();
+            for owner in owners {
+                weights[owner.index()] += 1;
             }
             PartitionStats::from_weights(weights)
         })
@@ -312,31 +311,27 @@ impl MonetDb {
         &edges[lo..hi]
     }
 
-    /// String relation of a path: `(owner, string)` pairs.
-    pub fn strings_of(&self, p: PathId) -> &[(Oid, Box<str>)] {
-        self.strings.get(p.index()).map_or(&[], Vec::as_slice)
+    /// String relation of a path: `(owner, string)` pairs in document
+    /// order of the owner.
+    pub fn strings_of(&self, p: PathId) -> StringRel<'_> {
+        self.strings.relation(p)
     }
 
     /// Restriction of a string relation to a preorder OID interval:
     /// the `(owner, string)` pairs with `owner.index()` in `range`.
     /// String relations are loaded in document order of the owner, so
-    /// the restriction is a contiguous subslice found by two binary
+    /// the restriction is a contiguous run found by two binary
     /// searches — the zero-copy "relation restriction" a sharded
     /// execution layer scans instead of the whole relation.
-    pub fn strings_in_range(&self, p: PathId, range: Range<usize>) -> &[(Oid, Box<str>)] {
-        let rel = self.strings_of(p);
-        let lo = rel.partition_point(|&(o, _)| o.index() < range.start);
-        let hi = rel.partition_point(|&(o, _)| o.index() < range.end);
-        &rel[lo..hi]
+    pub fn strings_in_range(&self, p: PathId, range: Range<usize>) -> StringRel<'_> {
+        self.strings_of(p).range(range)
     }
 
     /// The string owned by `owner` in relation `p`, if any. String
     /// relations are loaded in document order of the owner, so this is a
     /// binary search.
     pub fn string_value(&self, p: PathId, owner: Oid) -> Option<&str> {
-        let rel = self.strings_of(p);
-        let idx = rel.binary_search_by_key(&owner, |(o, _)| *o).ok()?;
-        Some(&rel[idx].1)
+        self.strings_of(p).value_of(owner)
     }
 
     /// All paths that own a non-empty string relation (cdata and attribute
@@ -434,26 +429,22 @@ impl MonetDb {
 
     /// Summary statistics (relation counts, association counts…).
     pub fn stats(&self) -> StoreStats {
+        let (_, owners, _, text) = self.strings.columns();
         let mut s = StoreStats {
             objects: self.node_count(),
             paths: self.summary.len(),
+            string_associations: owners.len(),
+            string_bytes: text.len(),
             ..StoreStats::default()
         };
         for p in self.summary.iter() {
             let e = self.edges_of(p).len();
-            let t = self.strings_of(p).len();
             if e > 0 {
                 s.edge_relations += 1;
                 s.edge_associations += e;
             }
-            if t > 0 {
+            if !self.strings_of(p).is_empty() {
                 s.string_relations += 1;
-                s.string_associations += t;
-                s.string_bytes += self
-                    .strings_of(p)
-                    .iter()
-                    .map(|(_, v)| v.len())
-                    .sum::<usize>();
             }
             s.max_depth = s.max_depth.max(self.summary.depth(p));
         }
@@ -537,12 +528,13 @@ mod tests {
             .unwrap();
         let rel = db.strings_of(p);
         assert_eq!(rel.len(), 2);
-        assert_eq!(&*rel[0].1, "BB99");
-        assert_eq!(&*rel[1].1, "BK99");
+        let ((first, bb99), (second, bk99)) = (rel.get(0).unwrap(), rel.get(1).unwrap());
+        assert_eq!((bb99, bk99), ("BB99", "BK99"));
+        assert_eq!(rel.get(2), None);
         // Owners are the two article elements.
-        assert_eq!(db.tag(rel[0].0), Some("article"));
-        assert_eq!(db.tag(rel[1].0), Some("article"));
-        assert_ne!(rel[0].0, rel[1].0);
+        assert_eq!(db.tag(first), Some("article"));
+        assert_eq!(db.tag(second), Some("article"));
+        assert_ne!(first, second);
     }
 
     #[test]
@@ -555,7 +547,7 @@ mod tests {
                 db.symbols(),
             )
             .unwrap();
-        let years: Vec<&str> = db.strings_of(p).iter().map(|(_, s)| &**s).collect();
+        let years: Vec<&str> = db.strings_of(p).iter().map(|(_, s)| s).collect();
         assert_eq!(years, vec!["1999", "1999"]);
     }
 
@@ -750,9 +742,9 @@ mod tests {
                 .strings_of(p)
                 .iter()
                 .filter(|(o, _)| range.contains(&o.index()))
-                .cloned()
                 .collect();
-            assert_eq!(db.strings_in_range(p, range.clone()), strings.as_slice());
+            let restricted: Vec<_> = db.strings_in_range(p, range.clone()).iter().collect();
+            assert_eq!(restricted, strings);
         }
         // The restricted year relation holds exactly the second year.
         let p_year = db

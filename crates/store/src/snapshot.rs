@@ -39,22 +39,23 @@
 //! `SNAPSHOT_VERSION` names the layout, not the software: any change to
 //! section payload encodings, section semantics or the header must bump
 //! it. A build reads exactly the version it writes; any other version —
-//! the retired v1/v2 materializing layouts and the v3/v4 payloads
+//! the retired v1/v2 materializing layouts and the v3–v5 payloads
 //! included — is refused at open with
 //! [`SnapshotError::UnsupportedVersion`]. There is no upgrade tool: an
 //! older file is replaced by rebuilding from the source XML and saving
-//! again. The pinned fixture `tests/golden/snapshot_v5.bin` makes a
+//! again. The pinned fixture `tests/golden/snapshot_v6.bin` makes a
 //! forgotten bump fail loudly in CI, and the retired
-//! `snapshot_v1.bin` … `snapshot_v4.bin` fixtures pin the refusal.
+//! `snapshot_v1.bin` … `snapshot_v5.bin` fixtures pin the refusal.
 //! Adding a **new optional section id** is backward compatible and
 //! needs no bump — readers ignore unknown ids.
 
 use crate::index::{MeetIndex, BLOCK};
-use crate::mmap::{Col, MappedSnapshot, SnapshotWriterV3};
+use crate::mmap::{Col, MappedSnapshot, SectionView, SnapshotWriterV3};
 use crate::monet::MonetDb;
 use crate::oid::Oid;
 use crate::path::{PathId, PathStep, PathSummary};
 use crate::stats::DepthStats;
+use crate::strings::StringColumns;
 use ncq_xml::{Symbol, SymbolTable};
 use std::fmt;
 use std::path::Path;
@@ -67,7 +68,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NCQSNAP\0";
 /// Current layout version (the zero-copy mmap container written by
 /// [`crate::mmap::SnapshotWriterV3`]). Bump on any payload or header
 /// change.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Well-known section ids. Unknown ids are ignored by readers, so
 /// higher layers can add sections without touching this crate.
@@ -78,7 +79,9 @@ pub mod section {
     pub const PATHS: u32 = 2;
     /// Dense per-oid columns: `σ` and parent.
     pub const COLUMNS: u32 = 3;
-    /// String relations (cdata text and attribute values) per path.
+    /// String relations (cdata text and attribute values): entry and
+    /// byte counts, then `rel_off`, owners, `text_off` and the text blob
+    /// in final form.
     pub const STRINGS: u32 = 4;
     /// The structural meet index: depths, preorder intervals, the
     /// block-RMQ tables over them, per-path document-order postings.
@@ -398,9 +401,9 @@ const STEP_ELEMENT: u8 = 0;
 const STEP_ATTRIBUTE: u8 = 1;
 const STEP_CDATA: u8 = 2;
 
-// The SYMBOLS / PATHS / STRINGS payloads are length-prefixed replay
-// encodings: they materialize at decode (interning, boxed strings), so
-// they gain nothing from the aligned final-form treatment.
+// The SYMBOLS / PATHS payloads are length-prefixed replay encodings:
+// they materialize at decode (interning), so they gain nothing from the
+// aligned final-form treatment.
 
 /// SYMBOLS payload: interning order reproduces ids on replay.
 fn encode_symbols_into(symbols: &SymbolTable, s: &mut SectionBuf<'_>) {
@@ -427,19 +430,6 @@ fn encode_paths_into(summary: &PathSummary, s: &mut SectionBuf<'_>) {
                 s.put_u32(sym.index() as u32);
             }
             PathStep::Cdata => s.put_u8(STEP_CDATA),
-        }
-    }
-}
-
-/// STRINGS payload: per path (including empty relations, so the loader
-/// needs no slot bookkeeping), `(owner, string)` in load order.
-fn encode_strings_into(strings: &[Vec<(Oid, Box<str>)>], s: &mut SectionBuf<'_>) {
-    s.put_u32(strings.len() as u32);
-    for rel in strings {
-        s.put_u32(rel.len() as u32);
-        for (owner, text) in rel {
-            s.put_u32(owner.index() as u32);
-            s.put_str(text);
         }
     }
 }
@@ -508,53 +498,38 @@ fn decode_paths(
     Ok(summary)
 }
 
-/// Per-path string relations in document order, as `MonetDb` owns them.
-type StringRelations = Vec<Vec<(Oid, Box<str>)>>;
-
+/// STRINGS payload: the entry count and the blob length, then the four
+/// string columns as mapped views. What the `&str` accessors rely on is
+/// checked once, in [`StringColumns::validated`].
 fn decode_strings(
-    s: &mut SectionCursor<'_>,
+    v: &mut SectionView<'_>,
     path_count: usize,
     n: usize,
-) -> Result<StringRelations, SnapshotError> {
-    let string_paths = s.get_u32("string relation count")? as usize;
-    if string_paths != path_count {
+) -> Result<StringColumns, SnapshotError> {
+    let entries = v.get_u64()? as usize;
+    let text_len = v.get_u64()? as usize;
+    let rel_off: Col<u32> = v.take_col(path_count + 1)?;
+    let owners: Col<Oid> = v.take_col(entries)?;
+    let text_off: Col<u32> = v.take_col(entries.saturating_add(1))?;
+    let text: Col<u8> = v.take_col(text_len)?;
+    if !v.at_end() {
         return Err(SnapshotError::Corrupt {
-            context: "string relation count mismatch",
+            context: "strings section has trailing bytes",
         });
     }
-    let mut strings: Vec<Vec<(Oid, Box<str>)>> = Vec::with_capacity(path_count);
-    for _ in 0..path_count {
-        let len = s.get_u32("string relation length")? as usize;
-        // Capacity clamped to what the payload can actually hold
-        // (≥ 8 bytes per entry: owner + string length prefix).
-        let mut rel = Vec::with_capacity(len.min(s.remaining() / 8));
-        let mut last: Option<u32> = None;
-        for _ in 0..len {
-            let owner = s.get_u32("string owner")?;
-            if owner as usize >= n || last.is_some_and(|prev| prev >= owner) {
-                return Err(SnapshotError::Corrupt {
-                    context: "string relation not in document order",
-                });
-            }
-            last = Some(owner);
-            let text = s.get_str("string payload")?;
-            rel.push((Oid::from_index(owner as usize), text.into()));
-        }
-        strings.push(rel);
-    }
-    Ok(strings)
+    StringColumns::validated(rel_off, owners, text_off, text, n)
 }
 
 impl MonetDb {
     /// Serialize the store into the **zero-copy container**:
-    /// replay-encoded SYMBOLS / PATHS / STRINGS payloads (those
-    /// materialize at decode) plus final-form, 64-byte-aligned arrays
-    /// for the dense columns and the finished meet index — exactly the
-    /// in-memory representation, so an open is a map + pointer fixup,
-    /// not a rebuild. Nothing derivable that no served request reads is
-    /// written: edge relations and the partitioner's mass prefix sums
-    /// are pure functions of the columns and are rebuilt lazily,
-    /// byte-identically.
+    /// replay-encoded SYMBOLS / PATHS payloads (those materialize at
+    /// decode) plus final-form, 64-byte-aligned arrays for the dense
+    /// columns, the string columns and the finished meet index —
+    /// exactly the in-memory representation, so an open is a map +
+    /// pointer fixup, not a rebuild. Nothing derivable that no served
+    /// request reads is written: edge relations and the partitioner's
+    /// mass prefix sums are pure functions of the columns and are
+    /// rebuilt lazily, byte-identically.
     pub fn encode_snapshot(&self, writer: &mut SnapshotWriterV3) {
         let mut buf = Vec::new();
         encode_symbols_into(&self.symbols, &mut SectionBuf::over(&mut buf));
@@ -573,9 +548,16 @@ impl MonetDb {
         s.put_col::<PathId>(&self.sigma);
         s.put_col::<Oid>(&self.parent);
 
-        buf.clear();
-        encode_strings_into(&self.strings, &mut SectionBuf::over(&mut buf));
-        writer.section(section::STRINGS).put_raw(&buf);
+        // STRINGS: the four string columns in final form, behind the two
+        // counts that size them.
+        let (rel_off, owners, text_off, text) = self.strings.columns();
+        let mut s = writer.section(section::STRINGS);
+        s.put_u64(owners.len() as u64);
+        s.put_u64(text.len() as u64);
+        s.put_col::<u32>(rel_off);
+        s.put_col::<Oid>(owners);
+        s.put_col::<u32>(text_off);
+        s.put_col::<u8>(text);
 
         // MEET_INDEX: the finished index, field for field — depths,
         // subtree intervals, the block-RMQ tables and the CSR postings.
@@ -609,9 +591,9 @@ impl MonetDb {
     }
 
     /// Reconstruct a store from the container: decode the small
-    /// materialized sections (checksummed here — they are a few percent
-    /// of the file), reattach every large array as a zero-copy [`Col`]
-    /// view, and seed the index/stats caches. Shape invariants the
+    /// materialized sections (checksummed here, as is STRINGS), reattach
+    /// every large array as a zero-copy [`Col`] view, and seed the
+    /// index/stats caches. Shape invariants the
     /// accessors rely on are validated; content checksums of the array
     /// sections follow the lazy-verify policy (see [`crate::mmap`]).
     pub fn decode_snapshot(snap: &MappedSnapshot) -> Result<MonetDb, SnapshotError> {
@@ -650,9 +632,11 @@ impl MonetDb {
             });
         }
 
-        // STRINGS.
-        let view = snap.section_verified(section::STRINGS)?;
-        let strings = decode_strings(&mut SectionCursor::new(view.payload()), path_count, n)?;
+        // STRINGS: zero-copy views too, but checksummed here — the one
+        // validation pass below reads every byte of it anyway, and the
+        // `&str` accessors rest on that pass.
+        let mut v = snap.section_verified(section::STRINGS)?;
+        let strings = decode_strings(&mut v, path_count, n)?;
 
         // MEET_INDEX: shape scalars, then straight pointer fixups.
         let mut v = snap.section(section::MEET_INDEX)?;
@@ -812,7 +796,10 @@ mod tests {
                 original.meet_index().oids_of_path(p)
             );
             assert_eq!(loaded.edges_of(p), original.edges_of(p));
-            assert_eq!(loaded.strings_of(p), original.strings_of(p));
+            assert!(loaded
+                .strings_of(p)
+                .iter()
+                .eq(original.strings_of(p).iter()));
         }
     }
 
@@ -843,7 +830,7 @@ mod tests {
 
         // The retired layouts and a future one are refused on the
         // header alone, through the file entry point.
-        for found in [1u8, 2, 3, 4, 99] {
+        for found in [1u8, 2, 3, 4, 5, 99] {
             bytes[8] = found;
             std::fs::write(&path, &bytes).unwrap();
             assert!(matches!(
@@ -946,16 +933,20 @@ mod tests {
 
     #[test]
     fn huge_declared_counts_fail_typed_without_allocating() {
-        // A checksum-valid payload whose length prefix claims ~4 billion
-        // string entries must not abort on a pre-allocation — capacity
-        // is clamped to the actual payload, so it fails typed. The lie
-        // is the first relation's length prefix (right after the u32
-        // path count).
-        let mut bytes = snapshot_bytes(&db());
-        forge_section(&mut bytes, section::STRINGS, |payload, _| {
-            payload[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        });
-        assert!(matches!(decode(bytes), Err(SnapshotError::Corrupt { .. })));
+        // A checksum-valid payload whose entry count claims billions of
+        // strings (or overflows a byte length) must fail typed: the
+        // columns are views sized against the section, never
+        // allocations sized by the count.
+        for lie in [u32::MAX as u64, u64::MAX, u64::MAX / 4] {
+            let mut bytes = snapshot_bytes(&db());
+            forge_section(&mut bytes, section::STRINGS, |payload, _| {
+                payload[..8].copy_from_slice(&lie.to_le_bytes());
+            });
+            assert!(matches!(
+                decode(bytes),
+                Err(SnapshotError::Truncated { .. } | SnapshotError::Corrupt { .. })
+            ));
+        }
     }
 
     #[test]

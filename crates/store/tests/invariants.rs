@@ -3,7 +3,7 @@
 //! Seeded loops over a deterministic PRNG stand in for proptest (the
 //! offline build cannot fetch it); failures print the seed.
 
-use ncq_store::{MonetDb, Oid, PathStep};
+use ncq_store::{MappedSnapshot, MonetDb, Oid, PathId, PathStep, VerifyMode};
 use ncq_xml::{Document, NodeId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -220,21 +220,123 @@ fn string_relations_cover_text_and_attributes() {
         // Cdata string owners are the cdata nodes themselves; attribute
         // string owners are element nodes.
         for p in db.summary().iter() {
-            for (owner, _) in db.strings_of(p) {
+            for (owner, _) in db.strings_of(p).iter() {
                 match db.summary().step(p) {
-                    PathStep::Cdata => assert_eq!(db.sigma(*owner), p, "seed {seed}"),
+                    PathStep::Cdata => assert_eq!(db.sigma(owner), p, "seed {seed}"),
                     PathStep::Attribute(_) => {
-                        assert_eq!(
-                            Some(db.sigma(*owner)),
-                            db.summary().parent(p),
-                            "seed {seed}"
-                        )
+                        assert_eq!(Some(db.sigma(owner)), db.summary().parent(p), "seed {seed}")
                     }
                     PathStep::Element(_) => panic!("element paths own no strings"),
                 }
             }
         }
     });
+}
+
+/// The string columns read back exactly what the document holds. Per
+/// path, the view iterates the `(owner, text)` pairs gathered straight
+/// from the tree in document order; `range` is a filter on the owner;
+/// `string_value` agrees with a linear scan; and a store reopened from
+/// its snapshot — through the file (mapped, or the owned copy under the
+/// `NCQ_NO_MMAP=1` CI leg) and through the owned-copy path directly —
+/// yields the same. The strings are hostile to an offset column: empty,
+/// and 1- to 4-byte code points side by side.
+#[test]
+fn string_views_equal_the_documents_strings() {
+    const PIECES: [&str; 7] = ["", "a", "é", "ß", "→", "日本", "🦀"];
+    let dir = std::env::temp_dir().join("ncq-store-string-views");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(10 << 32 | seed);
+        let text = |rng: &mut StdRng| -> String {
+            (0..rng.random_range(0usize..4))
+                .map(|_| PIECES[rng.random_range(0..PIECES.len())])
+                .collect()
+        };
+        // Elements under random earlier elements; each may get cdata,
+        // attributes, both (the same element owns entries in several
+        // relations) or neither (paths with no strings).
+        let mut doc = Document::new("root");
+        let mut elements = vec![doc.root()];
+        for _ in 0..rng.random_range(0usize..60) {
+            let host = elements[rng.random_range(0..elements.len())];
+            let e = doc.add_element(host, TAGS[rng.random_range(0..TAGS.len())]);
+            if rng.random_range(0..2usize) == 0 {
+                doc.add_text(e, text(&mut rng));
+            }
+            for _ in 0..rng.random_range(0usize..3) {
+                doc.set_attribute(e, TAGS[rng.random_range(0..TAGS.len())], text(&mut rng));
+            }
+            elements.push(e);
+        }
+        let built = MonetDb::from_document(&doc);
+
+        // The expectation, from the tree alone: oid = DFS position, a
+        // text node's relation is its own path, an attribute's is the
+        // `@name` child of its element's path.
+        let summary = built.summary();
+        let mut expected: Vec<Vec<(Oid, &str)>> = vec![Vec::new(); summary.len()];
+        for (n, o) in doc.iter_depth_first().zip(built.iter_oids()) {
+            if let Some(t) = doc.text(n) {
+                expected[built.sigma(o).index()].push((o, t));
+            }
+            for attr in doc.attributes(n) {
+                let path = summary
+                    .children(built.sigma(o))
+                    .iter()
+                    .find(|&&c| summary.step(c) == PathStep::Attribute(attr.name))
+                    .expect("attribute path interned");
+                expected[path.index()].push((o, &attr.value));
+            }
+        }
+        assert!(
+            seed > 0 || expected.iter().any(Vec::is_empty),
+            "no path without strings"
+        );
+
+        let file = dir.join(format!("seed-{seed}.ncq"));
+        built.save(&file).expect("save");
+        let reopened = MonetDb::load(&file).expect("load");
+        let bytes = std::fs::read(&file).expect("read");
+        std::fs::remove_file(&file).ok();
+        let owned = MonetDb::decode_snapshot(
+            &MappedSnapshot::from_owned_bytes(bytes, VerifyMode::Lazy).expect("owned open"),
+        )
+        .expect("owned decode");
+
+        let n = built.node_count();
+        let cut = rng.random_range(0..n + 1)..rng.random_range(0..n + 1);
+        for db in [&built, &reopened, &owned] {
+            for (p, expected) in expected.iter().enumerate() {
+                let p = PathId::from_index(p);
+                let rel = db.strings_of(p);
+                assert_eq!(rel.len(), expected.len(), "seed {seed}");
+                assert_eq!(rel.is_empty(), expected.is_empty(), "seed {seed}");
+                assert_eq!(&rel.iter().collect::<Vec<_>>(), expected, "seed {seed}");
+                for (i, &pair) in expected.iter().enumerate() {
+                    assert_eq!(rel.get(i), Some(pair), "seed {seed}");
+                }
+                assert_eq!(rel.get(expected.len()), None, "seed {seed}");
+                let filtered: Vec<_> = expected
+                    .iter()
+                    .copied()
+                    .filter(|(o, _)| cut.contains(&o.index()))
+                    .collect();
+                assert_eq!(
+                    db.strings_in_range(p, cut.clone())
+                        .iter()
+                        .collect::<Vec<_>>(),
+                    filtered,
+                    "seed {seed} range {cut:?}"
+                );
+                for o in db.iter_oids() {
+                    let scan = expected.iter().find(|(owner, _)| *owner == o);
+                    assert_eq!(db.string_value(p, o), scan.map(|&(_, t)| t), "seed {seed}");
+                }
+            }
+            assert!(db.strings_of(PathId::from_index(expected.len())).is_empty());
+        }
+    }
 }
 
 /// The prefix order `le` agrees with an independent prefix check on

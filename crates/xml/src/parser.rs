@@ -141,6 +141,14 @@ impl<'a> Parser<'a> {
         }
         let name = self.parse_name()?;
         let mut doc = Document::new(name);
+        // Every node still to come ends at a `<` of its own (an element
+        // at its close tag or, self-closing, its own tag; a text node at
+        // the tag that follows it), so the count bounds the node arena.
+        // Sized once, it is one mapping of its own; grown by doubling, it
+        // starts as a 100-byte chunk that glibc may hand out from another
+        // thread's arena, and then grows there, megabytes that a later
+        // `malloc_trim` does not give back.
+        doc.reserve_nodes(self.cursor.rest().bytes().filter(|&b| b == b'<').count());
         let root = doc.root();
         let name = name.to_owned();
         let self_closing = self.parse_attributes(&mut doc, root)?;

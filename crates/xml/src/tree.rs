@@ -89,6 +89,13 @@ impl Document {
         }
     }
 
+    /// Make room for `additional` more nodes in one allocation. A hint:
+    /// when the allocator refuses (the count comes from the input), the
+    /// arena grows as it is pushed to.
+    pub(crate) fn reserve_nodes(&mut self, additional: usize) {
+        let _ = self.nodes.try_reserve_exact(additional);
+    }
+
     /// The distinguished root node.
     #[inline]
     pub fn root(&self) -> NodeId {

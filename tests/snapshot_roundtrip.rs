@@ -1,8 +1,9 @@
 //! Snapshot persistence suite — one suite for the one format:
 //! round-trip equivalence on random trees, byte determinism, exhaustive
 //! corruption handling (truncation, bit flips, forged section-table
-//! extents), the layout version pin, the layout byte budget, the typed
-//! refusal of the retired v1–v4 layouts through every entry point,
+//! extents, forged string columns), the layout version pin, the layout
+//! byte budget, the typed refusal of the retired v1–v5 layouts through
+//! every entry point,
 //! and a two-process check that one snapshot file serves independent
 //! opens with equal answers.
 //!
@@ -10,7 +11,7 @@
 //! proptest (the offline build cannot fetch it); failures print the
 //! seed.
 //!
-//! The pinned fixture `tests/golden/snapshot_v5.bin` is a committed
+//! The pinned fixture `tests/golden/snapshot_v6.bin` is a committed
 //! current-layout snapshot of the Figure 1 corpus (saved through
 //! `ShardedDb` at K = 4 so every section id, including the partition
 //! map, is exercised). Regenerate after an *intended* layout change —
@@ -20,7 +21,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test snapshot_roundtrip
 //! ```
 //!
-//! The older committed fixtures (`snapshot_v1.bin` … `snapshot_v4.bin`)
+//! The older committed fixtures (`snapshot_v1.bin` … `snapshot_v5.bin`)
 //! are files no build writes any more; they stay committed to pin that
 //! opening one is a typed `UnsupportedVersion`, never a partial load.
 
@@ -199,6 +200,101 @@ fn corrupt_snapshots_fail_typed_at_every_boundary() {
     }
 }
 
+/// Forged string columns: `STRINGS` is served as four mapped views and
+/// its text is handed out as `&str` without a re-check, so everything
+/// that rests on is validated once at open. One forgery per rule, each
+/// with the section and table checksums repaired so only that
+/// validation stands in its way — and each a typed `Corrupt` naming the
+/// rule, never a panic, never a store.
+#[test]
+fn forged_string_columns_are_corrupt_not_served() {
+    // Relations: r/a/@k = {é, z}, r/a/cdata = {日本, w}, r/b/cdata = {x};
+    // the blob is "éz日本wx" with offsets [0, 2, 3, 9, 10, 11].
+    let db = Database::from_xml_str("<r><a k=\"é\">日本</a><a k=\"z\">w</a><b>x</b></r>").unwrap();
+    let (n, paths) = (db.store().node_count(), db.store().summary().len());
+    let stats = db.store().stats();
+    assert_eq!((stats.string_associations, stats.string_bytes), (5, 11));
+    let pristine = db.snapshot_to_bytes();
+
+    // The payload: two counts, then four 64-byte-aligned columns.
+    let align64 = |at: usize| (at + 63) & !63;
+    let rel_off = align64(16);
+    let owners = align64(rel_off + 4 * (paths + 1));
+    let text_off = align64(owners + 4 * 5);
+    let text = align64(text_off + 4 * 6);
+
+    let forge = |at: usize, value: &[u8]| {
+        let mut bytes = pristine.clone();
+        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let table_end = 24 + 32 * count;
+        let entry = (0..count)
+            .map(|i| 24 + 32 * i)
+            .find(|&e| u32::from_le_bytes(bytes[e..e + 4].try_into().unwrap()) == section::STRINGS)
+            .expect("STRINGS present");
+        let start = u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(bytes[entry + 16..entry + 24].try_into().unwrap()) as usize;
+        assert_eq!(
+            len,
+            text + 11,
+            "STRINGS is not laid out as this test assumes"
+        );
+        bytes[start + at..start + at + value.len()].copy_from_slice(value);
+        let sum = checksum64(&bytes[start..start + align64(len)]);
+        bytes[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
+        let table_sum = checksum64(&bytes[24..table_end]);
+        bytes[16..24].copy_from_slice(&table_sum.to_le_bytes());
+        bytes
+    };
+    // An edit that changes nothing decodes: the repair itself is sound.
+    Database::from_snapshot_bytes(forge(text, "é".as_bytes())).expect("pristine forgery");
+
+    let u32_at = |at: usize, v: u32| forge(at, &v.to_le_bytes());
+    let last_path = rel_off + 4 * paths;
+    for (rule, forged, context) in [
+        (
+            "non-monotone text_off",
+            u32_at(text_off + 4, 10),
+            "string offsets are not monotone",
+        ),
+        (
+            "last offset is not the blob length",
+            u32_at(text_off + 4 * 5, 10),
+            "string offsets do not span the text blob",
+        ),
+        (
+            "offset inside a code point",
+            u32_at(text_off + 4, 1),
+            "string offset splits a code point",
+        ),
+        (
+            "invalid UTF-8 byte",
+            forge(text + 3, &[0xFF]),
+            "string text is not UTF-8",
+        ),
+        (
+            "owner beyond the instance",
+            u32_at(owners + 4 * 4, n as u32),
+            "string owner out of range",
+        ),
+        (
+            "owners not increasing",
+            u32_at(owners + 4, 1), // the first `a`, again
+            "string relation not in document order",
+        ),
+        (
+            "rel_off not closed",
+            u32_at(last_path, 4),
+            "string relation offsets are not closed over the entry count",
+        ),
+    ] {
+        match Database::from_snapshot_bytes(forged) {
+            Err(SnapshotError::Corrupt { context: found }) => assert_eq!(found, context, "{rule}"),
+            Err(other) => panic!("{rule}: expected Corrupt, got {other}"),
+            Ok(_) => panic!("{rule}: forged strings were served"),
+        }
+    }
+}
+
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
@@ -298,17 +394,18 @@ fn pinned_fixture_guards_the_layout_version() {
 }
 
 /// The retired layouts are refused, typed, through every entry point.
-/// `snapshot_v1.bin` … `snapshot_v4.bin` are committed files of the
-/// Figure 1 corpus in the v1/v2 materializing layouts and the v3/v4
+/// `snapshot_v1.bin` … `snapshot_v5.bin` are committed files of the
+/// Figure 1 corpus in the v1/v2 materializing layouts and the v3–v5
 /// payloads of today's container; no build can
 /// write them any more and there is no upgrade tool — the way forward
 /// is to rebuild from the source XML and save again, and the error
 /// says so. Each open must fail on the header alone with
 /// `UnsupportedVersion { found, supported: SNAPSHOT_VERSION }`: never a
 /// panic, never a partial load, and on a serving process never a
-/// swapped backend. The header is all that guards a v4 file's symbols,
-/// paths and strings (they decode unchanged), so the last case forges
-/// it: a v4 `COLUMNS` section under a v5 header is `Corrupt`.
+/// swapped backend. The header is all that guards a v5 file's symbols,
+/// paths and tree columns (they decode unchanged), so the last case
+/// forges it: a v5 `STRINGS` section under a v6 header is a typed
+/// corruption error.
 #[test]
 fn legacy_fixtures_are_refused_typed() {
     for (fixture, version) in [
@@ -316,6 +413,7 @@ fn legacy_fixtures_are_refused_typed() {
         ("snapshot_v2.bin", 2),
         ("snapshot_v3.bin", 3),
         ("snapshot_v4.bin", 4),
+        ("snapshot_v5.bin", 5),
     ] {
         let bytes = std::fs::read(golden_path(fixture)).expect("read legacy fixture");
         let dir = scratch(&format!("legacy-v{version}"));
@@ -425,10 +523,16 @@ fn legacy_fixtures_are_refused_typed() {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    let mut forged = std::fs::read(golden_path("snapshot_v4.bin")).expect("read v4 fixture");
+    let mut forged = std::fs::read(golden_path("snapshot_v5.bin")).expect("read v5 fixture");
     forged[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    let err = Database::from_snapshot_bytes(forged).expect_err("v4 payloads under a v5 header");
-    assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+    let err = Database::from_snapshot_bytes(forged).expect_err("v5 payloads under a v6 header");
+    assert!(
+        matches!(
+            err,
+            SnapshotError::Corrupt { .. } | SnapshotError::Truncated { .. }
+        ),
+        "{err}"
+    );
 }
 
 /// The layout byte budget — a structural, timing-free pin of what the
@@ -438,7 +542,10 @@ fn legacy_fixtures_are_refused_typed() {
 /// a node plus the path offsets and alignment slack. `STATS` is four
 /// scalars — nothing per node, and nothing only the partitioner reads.
 /// `COLUMNS` is the tree itself and nothing else: `σ` and parent, 8
-/// bytes a node.
+/// bytes a node. `STRINGS` is the text plus an owner and an offset per
+/// string and an offset per path, each column padded to a cache line —
+/// the same bytes per string as the length-prefixed layout 5, which is
+/// what keeps `snapshot_bytes_per_xml_byte` inside its bound.
 #[test]
 fn meet_index_and_stats_sections_stay_within_their_byte_budget() {
     let corpus = DblpCorpus::generate(&DblpConfig::scaled(8_000));
@@ -463,6 +570,13 @@ fn meet_index_and_stats_sections_stay_within_their_byte_budget() {
         columns <= 8 * n + 4096,
         "COLUMNS is {columns} bytes for {n} nodes ({:.1} B/node)",
         columns as f64 / n as f64
+    );
+    let stats = db.store().stats();
+    let (count, text) = (stats.string_associations, stats.string_bytes);
+    let strings = bytes(section::STRINGS);
+    assert!(
+        strings <= 8 * count + text + 4 * (paths + 1) + 4 * 64,
+        "STRINGS is {strings} bytes for {count} strings / {text} text bytes / {paths} paths"
     );
 }
 
