@@ -179,17 +179,7 @@ fn neighbors(db: &MonetDb, graph: &RefGraph, o: Oid, out: &mut Vec<Oid>) {
     }
     let path = db.sigma(o);
     for &child_path in db.summary().children(path) {
-        // Children of o: scan the child path's edge relation slice owned
-        // by o. Edge relations are sorted by parent (document order), so
-        // binary search for the run.
-        let edges = db.edges_of(child_path);
-        let start = edges.partition_point(|&(p, _)| p < o);
-        for &(p, c) in &edges[start..] {
-            if p != o {
-                break;
-            }
-            out.push(c);
-        }
+        out.extend(db.children_on_path(child_path, o));
     }
     out.extend(
         graph

@@ -163,9 +163,9 @@ impl<'a> MeetPlanner<'a> {
     /// Plan a generalized meet over hit groups. The round estimate is
     /// the depth of the deepest hit path — or, when the inputs span
     /// more than 16 distinct relations, the corpus-level p90 depth from
-    /// the cached [`ncq_store::DepthStats`] (broad hit sets are
-    /// statistical samples of the corpus, and the O(1) summary beats
-    /// re-scanning hundreds of group depths per query). The roll-up is
+    /// [`ncq_store::DepthStats`] (broad hit sets are statistical samples
+    /// of the corpus, and one fold over the path summary replaces a
+    /// scan of hundreds of group depths per query). The roll-up is
     /// additionally capped at 64 total hits.
     pub fn plan_multi<H: Borrow<HitSet>>(&self, inputs: &[H]) -> PlanDecision {
         let summary = self.db.summary();

@@ -196,10 +196,9 @@ fn hit_group<B: MeetBackend + ?Sized>(
     if needles.is_empty() {
         // No predicate: the variable contributes the matched nodes
         // themselves (elements of matched element paths), read straight
-        // from the meet index's document-order posting lists.
-        let index = store.meet_index();
+        // from the store's document-order posting lists.
         return Ok(HitSet::from_pairs(matched.iter().flat_map(|&p| {
-            index.oids_of_path(p).iter().map(move |&o| (p, o))
+            store.oids_of_path(p).iter().map(move |&o| (p, o))
         })));
     }
 
@@ -260,7 +259,7 @@ fn projection_bindings<B: MeetBackend + ?Sized>(
 
     let mut out = Vec::new();
     for m in &matches {
-        for &o in index.oids_of_path(m.path) {
+        for &o in store.oids_of_path(m.path) {
             if needle_owners
                 .iter()
                 .all(|owners| index.subtree_contains_any(o, owners))

@@ -1,5 +1,5 @@
 //! The structural meet index: O(1) ancestor tests, O(1) LCA, O(1)
-//! distances, and document-order posting lists.
+//! distances over the store's own preorder columns.
 //!
 //! # Why
 //!
@@ -16,38 +16,30 @@
 //!
 //! The OIDs of a loaded [`crate::MonetDb`] are depth-first preorder by
 //! construction, and that numbering *is* the index — no second numbering
-//! is built on top of it. Three structures hang off it:
+//! is built on top of it. Two structures hang off it:
 //!
 //! 1. **Preorder intervals** — the subtree of `o` occupies the contiguous
 //!    OID range `[o, subtree_end(o))`. Storing one `end` per node gives
 //!    O(1) [`MeetIndex::is_ancestor_or_self`] — the pre/post-order
 //!    numbering trick with the pre-number coming for free from the OID
 //!    itself.
-//! 2. **A range-minimum structure over the preorder `depth` column** —
+//! 2. **A range-minimum structure over the store's `parent` column** —
 //!    order the pair so `a ≤ b`. If `b` lies in `a`'s interval, `a` is
-//!    the LCA. Otherwise the LCA is *the parent of any shallowest node
-//!    in the OID range `(a, b]`*:
-//!    * the range lies inside `lca`'s subtree and excludes `lca` itself
-//!      (`lca < a`), so nothing in it is shallower than `depth(lca) + 1`;
-//!    * the child of `lca` on `b`'s path is in it (it comes after `a`,
-//!      which sits under an earlier child, and no later than `b`);
-//!    * every node at that depth in it is a child of `lca`.
+//!    the LCA. Otherwise **`lca(a, b) = min(parent[a+1 ..= b])`**: with
+//!    `L` the LCA, every oid in `(a, b]` is a proper descendant of `L`,
+//!    so its parent is `L` or a descendant of `L` and therefore `≥ L` in
+//!    preorder, while the child of `L` on `b`'s path lies in `(a, b]`
+//!    and has parent exactly `L`.
 //!
-//!    So [`MeetIndex::lca`] is one range-minimum over depths plus one
-//!    parent look-up, and [`MeetIndex::distance`] is
-//!    `depth(a) + depth(b) − 2·depth(lca)`. The `n` positions are cut
-//!    into 32-entry blocks: per-position prefix/suffix minima answer the
-//!    partial blocks and a sparse table over whole-block minima answers
-//!    the middle, so a query is O(1) with **O(n)** memory (≈ 20 bytes a
-//!    node for the three tables). The tables pack `(depth << 32) |
-//!    parent`, so every tied minimum of a queried range is the *same*
-//!    value — the LCA falls out of the comparison with no dependent
-//!    load.
-//! 3. **Per-path posting lists** — for every path `p` of the summary, the
-//!    OIDs with `σ(o) = p`, in document order. Document-order sortedness
-//!    is what the plane-sweep set operators and the galloping posting
-//!    intersections rely on; keeping the lists here makes the guarantee
-//!    explicit (and allocation-free to read).
+//!    So [`MeetIndex::lca`] is one range-minimum and nothing else, and
+//!    [`MeetIndex::distance`] is `depth(a) + depth(b) − 2·depth(lca)`
+//!    with `depth(o) = summary.depth(σ(o))` read through a per-path
+//!    table. The `n` positions are cut into 32-entry blocks:
+//!    per-position prefix/suffix minima answer the partial blocks and a
+//!    sparse table over whole-block minima answers the middle, so a
+//!    query is O(1) with **O(n)** memory (≈ 10 bytes a node for the
+//!    three tables). Sub-range minima compose by `min`, so no depth is
+//!    stored or compared anywhere.
 //!
 //! # Paper connection
 //!
@@ -61,16 +53,17 @@
 use crate::mmap::Col;
 use crate::monet::MonetDb;
 use crate::oid::Oid;
-use crate::path::PathId;
+use crate::path::{PathId, PathSummary};
 
-/// Preorder LCA index with subtree intervals and per-path postings.
+/// Preorder LCA index: subtree intervals plus a block range-minimum
+/// structure over the `parent` column.
 ///
 /// Built once per document via [`MonetDb::meet_index`] (lazily, cached)
 /// or eagerly with [`MeetIndex::build`].
 ///
 /// Every array is a [`Col`]: owned when the index was built, a
-/// zero-copy view into a snapshot when it was loaded — all seven
-/// arrays here are **final-form** on disk, so a snapshot open performs
+/// zero-copy view into a snapshot when it was loaded — all four arrays
+/// stored here are **final-form** on disk, so a snapshot open performs
 /// no assembly at all. `pub(crate)` fields: the snapshot codec persists
 /// and reattaches them directly.
 #[derive(Debug, Clone)]
@@ -78,60 +71,41 @@ pub struct MeetIndex {
     /// The store's parent column (the root maps to itself) — a shared
     /// view of [`MonetDb`]'s own array, never persisted a second time.
     pub(crate) parent: Col<Oid>,
-    /// Tree depth per oid (copied out of the path summary for locality).
-    pub(crate) depth: Col<u32>,
+    /// The store's `σ` column, shared the same way.
+    pub(crate) sigma: Col<PathId>,
+    /// `summary.depth(p)` per path; `depth(o)` is `path_depth[σ(o)]`.
+    pub(crate) path_depth: Box<[u32]>,
     /// Exclusive end of the preorder interval per oid: the subtree of `o`
     /// is exactly the OID range `o.index()..subtree_end[o.index()]`.
     pub(crate) subtree_end: Col<u32>,
-    /// Per oid: packed `(depth << 32) | parent` minimum within its
-    /// block, from the block start up to and including this oid.
-    /// Packing makes every RMQ comparison a plain u64 compare with no
-    /// dependent loads.
-    pub(crate) prefix_min: Col<u64>,
-    /// Per oid: packed minimum within its block, from this oid to the
-    /// block end.
-    pub(crate) suffix_min: Col<u64>,
+    /// Per oid: the minimum of `parent` within its block, from the block
+    /// start up to and including this oid.
+    pub(crate) prefix_min: Col<Oid>,
+    /// Per oid: the minimum of `parent` within its block, from this oid
+    /// to the block end.
+    pub(crate) suffix_min: Col<Oid>,
     /// Sparse table over whole-block minima, flattened level-major:
-    /// `block_table[level * num_blocks + b]` is the packed minimum over
-    /// blocks `b .. b + 2^level`.
-    pub(crate) block_table: Col<u64>,
+    /// `block_table[level * num_blocks + b]` is the minimum of `parent`
+    /// over blocks `b .. b + 2^level`.
+    pub(crate) block_table: Col<Oid>,
     /// Number of 32-entry oid blocks.
     pub(crate) num_blocks: usize,
-    /// Per-path posting offsets (CSR): the oids of path `p` are
-    /// `path_data[path_off[p] .. path_off[p + 1]]`, in document order.
-    pub(crate) path_off: Col<u32>,
-    /// Concatenated per-path postings, `n` oids total.
-    pub(crate) path_data: Col<Oid>,
 }
 
-/// Block size: 32 entries = two cache lines of `depth`, and a
+/// Block size: 32 entries = two cache lines of `parent`, and a
 /// worst-case in-block scan of 32 contiguous comparisons. `pub(crate)`:
 /// the snapshot codec validates block counts against it.
 pub(crate) const BLOCK: usize = 32;
 const BLOCK_SHIFT: u32 = BLOCK.trailing_zeros();
 
-/// Pack a (depth, parent) pair; the natural u64 order is then "smaller
-/// depth first", and equal-depth entries of one queried range are equal
-/// outright (they share the parent — the LCA).
-#[inline]
-fn pack(depth: u32, parent: Oid) -> u64 {
-    ((depth as u64) << 32) | parent.raw() as u64
-}
-
 impl MeetIndex {
     /// Build the index from a loaded database — linear passes over the
-    /// preorder columns plus the small O((n/32)·log(n/32)) sparse-table
+    /// `parent` column plus the small O((n/32)·log(n/32)) sparse-table
     /// fill.
     pub fn build(db: &MonetDb) -> MeetIndex {
         let n = db.node_count();
         assert!(n > 0, "a loaded document always has a root");
         let parent = db.parent.clone();
-
-        let depth: Vec<u32> = db
-            .sigma
-            .iter()
-            .map(|&p| db.summary().depth(p) as u32)
-            .collect();
 
         // Preorder intervals: children have larger OIDs than parents, so
         // a reverse sweep folds each subtree's end into its parent.
@@ -143,32 +117,29 @@ impl MeetIndex {
             }
         }
 
-        // Per-block pass: fold the block's prefix/suffix packed minima
-        // and seed the sparse table's level 0 while the 32 entries are
-        // cache-hot. The big arrays are appended to (prefix order) or
-        // staged in a block-sized scratch (suffix order) so nothing is
-        // zero-filled only to be overwritten.
+        // Per-block pass: fold the block's prefix/suffix minima and seed
+        // the sparse table's level 0 while the 32 entries are cache-hot.
+        // The big arrays are appended to (prefix order) or staged in a
+        // block-sized scratch (suffix order) so nothing is zero-filled
+        // only to be overwritten.
         let num_blocks = n.div_ceil(BLOCK);
         let levels = usize::BITS as usize - (num_blocks.leading_zeros() as usize);
-        let mut prefix_min: Vec<u64> = Vec::with_capacity(n);
-        let mut suffix_min: Vec<u64> = Vec::with_capacity(n);
-        let mut block_table = vec![0u64; levels * num_blocks];
-        let mut scratch = [0u64; BLOCK];
-        for (b, level0) in block_table.iter_mut().take(num_blocks).enumerate() {
-            let start = b * BLOCK;
-            let end = (start + BLOCK).min(n);
-            let block = depth[start..end].iter().zip(&parent[start..end]);
-            let mut best = u64::MAX;
-            for (&d, &p) in block.clone() {
-                best = best.min(pack(d, p));
+        let mut prefix_min: Vec<Oid> = Vec::with_capacity(n);
+        let mut suffix_min: Vec<Oid> = Vec::with_capacity(n);
+        let mut block_table = vec![Oid::ROOT; levels * num_blocks];
+        let mut scratch = [Oid::ROOT; BLOCK];
+        for (block, level0) in parent.chunks(BLOCK).zip(block_table.iter_mut()) {
+            let mut best = block[0];
+            for &p in block {
+                best = best.min(p);
                 prefix_min.push(best);
             }
-            let mut best = u64::MAX;
-            for (off, (&d, &p)) in block.enumerate().rev() {
-                best = best.min(pack(d, p));
+            let mut best = block[block.len() - 1];
+            for (off, &p) in block.iter().enumerate().rev() {
+                best = best.min(p);
                 scratch[off] = best;
             }
-            suffix_min.extend_from_slice(&scratch[..end - start]);
+            suffix_min.extend_from_slice(&scratch[..block.len()]);
             *level0 = scratch[0];
         }
         // Remaining sparse-table levels over whole-block minima.
@@ -182,46 +153,28 @@ impl MeetIndex {
             }
         }
 
-        // Per-path postings in CSR layout — one offsets array plus the
-        // concatenated document-order data, the shape the snapshot maps
-        // back without assembly — by counting sort over `σ`.
-        let mut path_off = vec![0u32; db.summary().len() + 1];
-        for &p in db.sigma.iter() {
-            path_off[p.index() + 1] += 1;
-        }
-        for p in 1..path_off.len() {
-            path_off[p] += path_off[p - 1];
-        }
-        let mut next = path_off.clone();
-        let mut path_data = vec![Oid::ROOT; n];
-        for (i, &p) in db.sigma.iter().enumerate() {
-            path_data[next[p.index()] as usize] = Oid::from_index(i);
-            next[p.index()] += 1;
-        }
-
         MeetIndex {
             parent,
-            depth: depth.into(),
+            sigma: db.sigma.clone(),
+            path_depth: MeetIndex::path_depths(db.summary()),
             subtree_end: subtree_end.into(),
             prefix_min: prefix_min.into(),
             suffix_min: suffix_min.into(),
             block_table: block_table.into(),
             num_blocks,
-            path_off: path_off.into(),
-            path_data: path_data.into(),
         }
     }
 
-    /// Number of paths with a postings slot.
-    #[inline]
-    pub(crate) fn path_count(&self) -> usize {
-        self.path_off.len().saturating_sub(1)
+    /// The per-path depth table [`MeetIndex::depth`] reads through `σ`
+    /// — filled from the summary on build and on open, never stored.
+    pub(crate) fn path_depths(summary: &PathSummary) -> Box<[u32]> {
+        summary.iter().map(|p| summary.depth(p) as u32).collect()
     }
 
     /// Number of indexed objects.
     #[inline]
     pub fn len(&self) -> usize {
-        self.depth.len()
+        self.subtree_end.len()
     }
 
     /// Always false: an index exists only for a loaded (rooted) document.
@@ -233,7 +186,7 @@ impl MeetIndex {
     /// Tree depth of `o` (0 for the root).
     #[inline]
     pub fn depth(&self, o: Oid) -> usize {
-        self.depth[o.index()] as usize
+        self.path_depth[self.sigma[o.index()].index()] as usize
     }
 
     /// The preorder interval of `o`'s subtree: `o` is an ancestor-or-self
@@ -249,17 +202,15 @@ impl MeetIndex {
         anc.index() <= o.index() && o.index() < self.subtree_end[anc.index()] as usize
     }
 
-    /// Packed `(depth << 32) | parent` minimum over the oids `l..=r`.
+    /// Minimum of `parent` over the oids `l..=r`.
     #[inline]
-    fn rmq(&self, l: usize, r: usize) -> u64 {
+    fn min_parent(&self, l: usize, r: usize) -> Oid {
         debug_assert!(l <= r);
         let (bl, br) = (l >> BLOCK_SHIFT, r >> BLOCK_SHIFT);
         if bl == br {
             // One block: contiguous scan over at most 32 entries.
-            return self.depth[l..=r]
-                .iter()
-                .zip(&self.parent[l..=r])
-                .fold(u64::MAX, |best, (&d, &p)| best.min(pack(d, p)));
+            let run = &self.parent[l..=r];
+            return run.iter().fold(run[0], |best, &p| best.min(p));
         }
         let mut best = self.suffix_min[l].min(self.prefix_min[r]);
         if bl + 1 < br {
@@ -275,7 +226,13 @@ impl MeetIndex {
     /// O(1) lowest common ancestor.
     #[inline]
     pub fn lca(&self, a: Oid, b: Oid) -> Oid {
-        self.meet(a, b).0
+        let (a, b) = if a <= b { (a, b) } else { (b, a) };
+        if b.index() < self.subtree_end[a.index()] as usize {
+            return a;
+        }
+        // `b` lies outside `a`'s subtree: the smallest parent pointer in
+        // `(a, b]` is the LCA (module docs).
+        self.min_parent(a.index() + 1, b.index())
     }
 
     /// O(1) tree distance: the number of edges on the shortest path —
@@ -285,33 +242,12 @@ impl MeetIndex {
         self.meet(a, b).1
     }
 
-    /// O(1) combined meet: the LCA and the distance through it, sharing
-    /// one RMQ probe (the hot path of `meet2_indexed`).
+    /// O(1) combined meet: the LCA and the distance through it (the hot
+    /// path of `meet2_indexed`).
     #[inline]
     pub fn meet(&self, a: Oid, b: Oid) -> (Oid, usize) {
-        let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        let (da, db) = (self.depth(a), self.depth(b));
-        if b.index() < self.subtree_end[a.index()] as usize {
-            return (a, db - da);
-        }
-        // `b` lies outside `a`'s subtree: every shallowest node in
-        // `(a, b]` is a child of the LCA (module docs).
-        let m = self.rmq(a.index() + 1, b.index());
-        let lca = Oid::from_index((m & 0xFFFF_FFFF) as usize);
-        let dl = (m >> 32) as usize - 1;
-        (lca, da + db - 2 * dl)
-    }
-
-    /// All OIDs of path `p` in document order (empty for attribute paths,
-    /// which own no objects). Reading is allocation-free, unlike
-    /// [`MonetDb::oids_of_path`].
-    #[inline]
-    pub fn oids_of_path(&self, p: PathId) -> &[Oid] {
-        let i = p.index();
-        if i + 1 >= self.path_off.len() {
-            return &[];
-        }
-        &self.path_data[self.path_off[i] as usize..self.path_off[i + 1] as usize]
+        let lca = self.lca(a, b);
+        (lca, self.depth(a) + self.depth(b) - 2 * self.depth(lca))
     }
 
     /// Whether any OID of the sorted document-order `oids` slice falls in
@@ -357,13 +293,30 @@ mod tests {
         db.ancestors(b).find(|x| anc.contains(x)).unwrap()
     }
 
+    /// The module's claim, taken literally: unless one endpoint is an
+    /// ancestor of the other (`lca` is then that endpoint), the LCA is
+    /// the smallest parent pointer in the preorder range `(a, b]` — a
+    /// linear scan of the store's own column, no tables.
+    fn assert_lca_is_min_parent(db: &MonetDb, a: Oid, b: Oid, lca: Oid, what: &str) {
+        let (a, b) = if a <= b { (a, b) } else { (b, a) };
+        if lca == a {
+            return;
+        }
+        let min_parent = (a.index() + 1..=b.index())
+            .map(|i| db.parent(Oid::from_index(i)).expect("past the root"))
+            .min();
+        assert_eq!(min_parent, Some(lca), "{what} min(parent[{a}+1..={b}])");
+    }
+
     #[test]
     fn lca_matches_ancestor_walks_on_all_pairs() {
         let db = db();
         let idx = db.meet_index();
         for a in db.iter_oids() {
             for b in db.iter_oids() {
-                assert_eq!(idx.lca(a, b), reference_lca(&db, a, b), "{a:?} {b:?}");
+                let reference = reference_lca(&db, a, b);
+                assert_eq!(idx.lca(a, b), reference, "{a:?} {b:?}");
+                assert_lca_is_min_parent(&db, a, b, reference, "figure 1");
             }
         }
     }
@@ -402,6 +355,7 @@ mod tests {
         assert_eq!(idx.meet(a, b), expect, "{shape} n={n} meet({a}, {b})");
         assert_eq!(idx.lca(a, b), expect.0, "{shape} n={n} lca({a}, {b})");
         assert_eq!(idx.distance(a, b), expect.1, "{shape} n={n} d({a}, {b})");
+        assert_lca_is_min_parent(db, a, b, expect.0, shape);
     }
 
     /// Shapes chosen for the 32-entry block decomposition, at sizes on
@@ -495,20 +449,6 @@ mod tests {
                 .collect();
             assert_eq!(members, range.collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn path_oids_are_document_order_and_complete() {
-        let db = db();
-        let idx = db.meet_index();
-        let mut total = 0;
-        for p in db.summary().iter() {
-            let oids = idx.oids_of_path(p);
-            assert!(oids.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
-            assert_eq!(oids, db.oids_of_path(p).as_slice());
-            total += oids.len();
-        }
-        assert_eq!(total, db.node_count());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! # Why
 //!
 //! A loader that materializes every section and rebuilds derived
-//! state — depths, preorder intervals, RMQ tables — in
+//! state — preorder intervals, RMQ tables — in
 //! linear passes (the retired v1/v2 layouts) is 5–8× faster than
 //! parse+build, but a replica cold start or a `SNAPSHOT LOAD` hot swap
 //! still pays O(n) before the first query. The container (introduced
@@ -19,7 +19,7 @@
 //!
 //! ```text
 //! offset  0  magic   b"NCQSNAP\0"                      8 bytes
-//!         8  layout version = 6 (u32 LE)               4 bytes
+//!         8  layout version = 7 (u32 LE)               4 bytes
 //!        12  section count  (u32 LE)                   4 bytes
 //!        16  table checksum64 over the table bytes     8 bytes
 //!        24  section table: per section               32 bytes each
@@ -45,16 +45,18 @@
 //! pointer is formed (no SIGBUS-prone blind dereference). Payload
 //! checksums are **lazy** by default: sections the decoder reads in
 //! full anyway — to materialize them (symbols, paths, the partition
-//! map) or to validate what its accessors assume (the string columns,
-//! the full-text vocabulary) — are verified when decoded, while the
-//! large final-form arrays served as mapped views (columns, meet
-//! index) defer their checksum so first touch stays at page-fault
-//! cost.
-//! [`VerifyMode::Eager`] (what the forest catalog opens with, next to
-//! the manifest's whole-file checksum) verifies every section at open. Under lazy verification a bit flip in an
-//! unverified array can only produce wrong answers or a bounds-check
-//! panic — all views are ordinary checked slices, never undefined
-//! behaviour.
+//! map) or to validate what its accessors assume (the `σ`/parent
+//! columns, the string columns, the full-text vocabulary) — are
+//! verified when decoded, while the large final-form arrays served as
+//! mapped views that no open-time pass reads (the meet index)
+//! **defer** their checksum so first touch stays at page-fault cost.
+//! Nothing verifies a deferred section later on its own: it is
+//! checked only by [`VerifyMode::Eager`] (what the
+//! forest catalog opens with, next to the manifest's whole-file
+//! checksum) or an explicit [`MappedSnapshot::verify_all`]. Under lazy
+//! verification a bit flip in a deferred array can only produce wrong
+//! answers or a bounds-check panic — all views are ordinary checked
+//! slices, never undefined behaviour.
 //!
 //! `NCQ_NO_MMAP=1` (or a non-unix target) routes opens through an
 //! owned, 64-byte-aligned heap copy of the file — the same views over
@@ -85,7 +87,6 @@ pub fn section_name(id: u32) -> &'static str {
         crate::snapshot::section::COLUMNS => "columns",
         crate::snapshot::section::STRINGS => "strings",
         crate::snapshot::section::MEET_INDEX => "meet-index",
-        crate::snapshot::section::STATS => "stats",
         crate::snapshot::section::FULLTEXT => "fulltext",
         crate::snapshot::section::PARTITION => "partition",
         _ => "unknown-section",
@@ -951,7 +952,7 @@ mod tests {
         s.put_u64(3);
         s.put_col::<u32>(&[7, 8, 9]);
         s.put_col::<u64>(&[1 << 40, 2]);
-        let mut s = w.section(section::STATS);
+        let mut s = w.section(section::PARTITION);
         s.put_u64(42);
         w.into_bytes()
     }
@@ -968,7 +969,7 @@ mod tests {
         let b: Col<u64> = v.take_col(2).unwrap();
         assert_eq!(&*b, &[1 << 40, 2]);
         assert!(v.at_end());
-        let mut s = snap.section(section::STATS).unwrap();
+        let mut s = snap.section(section::PARTITION).unwrap();
         assert_eq!(s.get_u64().unwrap(), 42);
         assert!(!snap.has_section(section::FULLTEXT));
         assert!(matches!(
@@ -1040,7 +1041,7 @@ mod tests {
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
         let lazy = MappedSnapshot::from_owned_bytes(c, VerifyMode::Lazy).unwrap();
-        assert!(lazy.section_verified(section::STATS).is_err());
+        assert!(lazy.section_verified(section::PARTITION).is_err());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! path `σ(o)`, and scatters the associations into per-path binary
 //! relations:
 //!
-//! * **edge relations** `σ(o) ↦ [(parent, o)]` for element and cdata nodes,
+//! * **edge relations** `σ(o) ↦ [(parent, o)]` for element and cdata nodes
+//!   — held as per-path postings (the second column, in document order);
+//!   the first column is `parent[o]`,
 //! * **string relations** for cdata text (`…/cdata`) and attribute values
 //!   (`…/@name`), keyed by the owner's association path — four columns
 //!   shared by every relation (see [`crate::strings`]), read through the
@@ -36,11 +38,10 @@ use std::sync::OnceLock;
 
 /// A loaded, path-partitioned XML database instance.
 ///
-/// The dense per-oid columns and the string columns are [`Col`]s: owned
-/// after a bulk load, zero-copy views into the mapped file after a
-/// snapshot open. Edge relations are *derived* state — a pure function
-/// of the `σ`/parent columns — and are materialized lazily on first
-/// access, so neither path pays for them up front.
+/// The dense per-oid columns, the per-path postings and the string
+/// columns are [`Col`]s: owned after a bulk load, zero-copy views into
+/// the mapped file after a snapshot open. An edge relation is a *view*:
+/// `(parent[o], o)` over the postings of its path.
 #[derive(Debug, Clone)]
 pub struct MonetDb {
     /// Field visibility is `pub(crate)` so the snapshot codec
@@ -52,12 +53,12 @@ pub struct MonetDb {
     pub(crate) sigma: Col<PathId>,
     /// Parent oid per oid; the root maps to itself.
     pub(crate) parent: Col<Oid>,
-    /// Edge relations indexed by `PathId`: pairs `(parent(o), o)` with
-    /// `σ(o)` = that path. Attribute paths have empty edge relations.
-    /// Rebuilt lazily from `σ`/parent in two linear passes — byte-
-    /// identical to the bulk-load push order, since a parent's children
-    /// appear in oid order.
-    pub(crate) edges: OnceLock<Vec<Vec<(Oid, Oid)>>>,
+    /// Per-path posting offsets (CSR): the oids with `σ(o) = p` are
+    /// `path_data[path_off[p] .. path_off[p + 1]]`, in document order.
+    /// Attribute paths own no objects.
+    pub(crate) path_off: Col<u32>,
+    /// Concatenated per-path postings, `n` oids total.
+    pub(crate) path_data: Col<Oid>,
     /// String relations indexed by `PathId`: pairs `(owner, string)`.
     /// Non-empty only for cdata paths (owner = the cdata node) and
     /// attribute paths (owner = the element carrying the attribute).
@@ -65,8 +66,6 @@ pub struct MonetDb {
     /// Lazily built structural meet index (preorder LCA); the database
     /// is immutable after loading, so the cache never invalidates.
     pub(crate) meet_index: OnceLock<MeetIndex>,
-    /// Lazily computed node-depth distribution (planner input).
-    pub(crate) depth_stats: OnceLock<DepthStats>,
     /// Lazily computed per-oid mass prefix sums (partitioner input).
     pub(crate) partition_stats: OnceLock<PartitionStats>,
 }
@@ -122,41 +121,36 @@ impl MonetDb {
                 }
             }
         });
+        // The tree walk's scratch goes back before the postings are
+        // sized, so they take its place instead of adding to the peak.
+        drop((order, stack));
+        // Per-path postings in CSR layout — one offsets array plus the
+        // concatenated document-order data, the shape the snapshot maps
+        // back without assembly — by counting sort over `σ`.
+        let mut path_off = vec![0u32; summary.len() + 1];
+        for &p in &sigma {
+            path_off[p.index() + 1] += 1;
+        }
+        for p in 1..path_off.len() {
+            path_off[p] += path_off[p - 1];
+        }
+        let mut next = path_off.clone();
+        let mut path_data = vec![Oid::ROOT; n];
+        for (i, &p) in sigma.iter().enumerate() {
+            path_data[next[p.index()] as usize] = Oid::from_index(i);
+            next[p.index()] += 1;
+        }
         MonetDb {
             symbols: doc.symbols().clone(),
             summary,
             sigma: sigma.into(),
             parent: parent.into(),
-            edges: OnceLock::new(),
+            path_off: path_off.into(),
+            path_data: path_data.into(),
             strings,
             meet_index: OnceLock::new(),
-            depth_stats: OnceLock::new(),
             partition_stats: OnceLock::new(),
         }
-    }
-
-    /// The edge relations, materialized on first use: one counting pass
-    /// sizes every relation exactly, one fill pass in oid order
-    /// reproduces the bulk-load push order (no reallocation). Derived
-    /// state stays out of the snapshot *and* out of the cold-start
-    /// critical path.
-    fn edge_relations(&self) -> &[Vec<(Oid, Oid)>] {
-        self.edges.get_or_init(|| {
-            let n = self.sigma.len();
-            let path_count = self.summary.len();
-            let mut counts = vec![0u32; path_count];
-            for &p in &self.sigma[1..] {
-                counts[p.index()] += 1;
-            }
-            let mut edges: Vec<Vec<(Oid, Oid)>> = counts
-                .iter()
-                .map(|&c| Vec::with_capacity(c as usize))
-                .collect();
-            for i in 1..n {
-                edges[self.sigma[i].index()].push((self.parent[i], Oid::from_index(i)));
-            }
-            edges
-        })
     }
 
     // ----- primitives used by the meet operators -----
@@ -224,22 +218,19 @@ impl MonetDb {
     }
 
     /// Node-depth distribution of the instance — the corpus-shape signal
-    /// the depth-aware meet planner reads. Computed once (one pass over
-    /// the `σ` array) and cached.
+    /// the depth-aware meet planner reads. Objects of one path share a
+    /// depth, so the histogram is folded from the per-path posting
+    /// counts: O(paths), nothing per node.
     pub fn depth_stats(&self) -> DepthStats {
-        *self.depth_stats.get_or_init(|| {
-            let max_depth = self
-                .summary
-                .iter()
-                .map(|p| self.summary.depth(p))
-                .max()
-                .unwrap_or(0);
-            let mut histogram = vec![0usize; max_depth + 1];
-            for &p in self.sigma.iter() {
-                histogram[self.summary.depth(p)] += 1;
+        let mut histogram = Vec::new();
+        for p in self.summary.iter() {
+            let depth = self.summary.depth(p);
+            if histogram.len() <= depth {
+                histogram.resize(depth + 1, 0);
             }
-            DepthStats::from_histogram(&histogram)
-        })
+            histogram[depth] += self.oids_of_path(p).len();
+        }
+        DepthStats::from_histogram(&histogram)
     }
 
     /// Per-object mass prefix sums — the signal a partitioner balances
@@ -293,22 +284,43 @@ impl MonetDb {
 
     // ----- relation access -----
 
-    /// Edge relation of a path: all `(parent, o)` with `σ(o)` = `p`,
-    /// in document order of `o`.
-    pub fn edges_of(&self, p: PathId) -> &[(Oid, Oid)] {
-        self.edge_relations()
-            .get(p.index())
-            .map_or(&[], Vec::as_slice)
+    /// All oids whose `σ` equals `p`, in document order (empty for
+    /// attribute paths, which own no objects, and for unknown paths).
+    #[inline]
+    pub fn oids_of_path(&self, p: PathId) -> &[Oid] {
+        let i = p.index();
+        if i + 1 >= self.path_off.len() {
+            return &[];
+        }
+        &self.path_data[self.path_off[i] as usize..self.path_off[i + 1] as usize]
     }
 
-    /// The edges of relation `p` under one parent. Objects of one path
-    /// share a depth, so their parents are non-decreasing in document
-    /// order and the run is a contiguous subslice.
-    pub(crate) fn edges_under(&self, p: PathId, parent: Oid) -> &[(Oid, Oid)] {
-        let edges = self.edges_of(p);
-        let lo = edges.partition_point(|&(q, _)| q < parent);
-        let hi = edges.partition_point(|&(q, _)| q <= parent);
-        &edges[lo..hi]
+    /// The second column of the edge relation of `p`: its postings
+    /// without the root, which is no one's child.
+    fn edge_children(&self, p: PathId) -> &[Oid] {
+        match self.oids_of_path(p) {
+            [Oid::ROOT, rest @ ..] => rest,
+            oids => oids,
+        }
+    }
+
+    /// Edge relation of a path: all `(parent, o)` with `σ(o)` = `p`,
+    /// in document order of `o`.
+    pub fn edges_of(&self, p: PathId) -> impl ExactSizeIterator<Item = (Oid, Oid)> + '_ {
+        self.edge_children(p)
+            .iter()
+            .map(|&o| (self.parent[o.index()], o))
+    }
+
+    /// The children of `parent` on path `p`, in document order. Objects
+    /// of one path share a depth, so their parents are non-decreasing in
+    /// document order and the run is a contiguous subslice of the
+    /// postings, found by binary search on `parent[o]`.
+    pub fn children_on_path(&self, p: PathId, parent: Oid) -> &[Oid] {
+        let oids = self.edge_children(p);
+        let lo = oids.partition_point(|o| self.parent[o.index()] < parent);
+        let hi = lo + oids[lo..].partition_point(|o| self.parent[o.index()] == parent);
+        &oids[lo..hi]
     }
 
     /// String relation of a path: `(owner, string)` pairs in document
@@ -340,14 +352,6 @@ impl MonetDb {
         self.summary
             .iter()
             .filter(|p| !self.strings_of(*p).is_empty())
-    }
-
-    /// All oids whose `σ` equals `p`, in document order.
-    pub fn oids_of_path(&self, p: PathId) -> Vec<Oid> {
-        if self.summary.depth(p) == 0 {
-            return vec![Oid::ROOT];
-        }
-        self.edges_of(p).iter().map(|&(_, o)| o).collect()
     }
 
     /// Render the syntax tree in the style of the paper's **Figure 1**:
@@ -390,8 +394,8 @@ impl MonetDb {
                 .summary
                 .children(self.sigma(o))
                 .iter()
-                .flat_map(|p| self.edges_under(*p, o))
-                .map(|&(_, child)| child)
+                .flat_map(|p| self.children_on_path(*p, o))
+                .copied()
                 .collect();
             children.sort_unstable();
             for c in children.into_iter().rev() {
@@ -408,8 +412,8 @@ impl MonetDb {
         for p in self.summary.iter() {
             let name = self.relation_name(p);
             let edges = self.edges_of(p);
-            if !edges.is_empty() {
-                let pairs: Vec<String> = edges.iter().map(|(a, b)| format!("({a},{b})")).collect();
+            if edges.len() > 0 {
+                let pairs: Vec<String> = edges.map(|(a, b)| format!("({a},{b})")).collect();
                 lines.push(format!("{name} -> {{{}}}", pairs.join(", ")));
             }
             let strings = self.strings_of(p);
@@ -558,7 +562,7 @@ mod tests {
             .summary()
             .lookup_in(&["bibliography", "institute", "article"], db.symbols())
             .unwrap();
-        let edges = db.edges_of(p_art);
+        let edges: Vec<(Oid, Oid)> = db.edges_of(p_art).collect();
         assert_eq!(edges.len(), 2);
         // Both articles share the institute parent.
         assert_eq!(edges[0].0, edges[1].0);
@@ -691,8 +695,19 @@ mod tests {
         assert_eq!(s.max_depth, max);
         assert!((s.mean_depth - sum as f64 / db.node_count() as f64).abs() < 1e-12);
         assert!(s.p90_depth <= s.max_depth);
-        // Cached: second call returns the same value.
-        assert_eq!(db.depth_stats(), s);
+    }
+
+    #[test]
+    fn path_postings_are_document_order_and_complete() {
+        let db = figure1_db();
+        let mut total = 0;
+        for p in db.summary().iter() {
+            let oids = db.oids_of_path(p);
+            assert!(oids.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
+            assert!(oids.iter().all(|&o| db.sigma(o) == p));
+            total += oids.len();
+        }
+        assert_eq!(total, db.node_count());
     }
 
     #[test]
@@ -762,6 +777,6 @@ mod tests {
         let db = MonetDb::from_document(&parse("<only/>").unwrap());
         assert_eq!(db.node_count(), 1);
         assert_eq!(db.label(db.root()), "only");
-        assert_eq!(db.oids_of_path(db.sigma(db.root())), vec![Oid::ROOT]);
+        assert_eq!(db.oids_of_path(db.sigma(db.root())), [Oid::ROOT]);
     }
 }

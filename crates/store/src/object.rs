@@ -53,14 +53,14 @@ impl ObjectView {
                             }
                         }
                         PathStep::Cdata => {
-                            for &(_, child) in db.edges_under(child_path, oid) {
+                            for &child in db.children_on_path(child_path, oid) {
                                 text.push_str(
                                     db.string_value(child_path, child).unwrap_or_default(),
                                 );
                             }
                         }
                         PathStep::Element(_) => {
-                            children.extend(db.edges_under(child_path, oid).iter().map(|&(_, c)| c))
+                            children.extend(db.children_on_path(child_path, oid))
                         }
                     }
                 }

@@ -1,11 +1,11 @@
-//! Persistent snapshots: the on-disk layout for the Monet relations,
-//! the structural meet index and the instance statistics.
+//! Persistent snapshots: the on-disk layout for the Monet relations and
+//! the structural meet index.
 //!
 //! # Why
 //!
 //! The meet operator's O(1) fast paths rest on preprocessed state — the
-//! preorder-RMQ [`MeetIndex`], per-path postings, depth statistics —
-//! that the seed pipeline rebuilt on every process start
+//! preorder-RMQ [`MeetIndex`], per-path postings — that the seed
+//! pipeline rebuilt on every process start
 //! (parse → Monet transform → index build, O(n log n) and dominated by
 //! XML parsing and tokenization). A snapshot pays that cost **once**:
 //! [`MonetDb::save`] writes the loaded columns and the finished index
@@ -39,13 +39,13 @@
 //! `SNAPSHOT_VERSION` names the layout, not the software: any change to
 //! section payload encodings, section semantics or the header must bump
 //! it. A build reads exactly the version it writes; any other version —
-//! the retired v1/v2 materializing layouts and the v3–v5 payloads
+//! the retired v1/v2 materializing layouts and the v3–v6 payloads
 //! included — is refused at open with
 //! [`SnapshotError::UnsupportedVersion`]. There is no upgrade tool: an
 //! older file is replaced by rebuilding from the source XML and saving
-//! again. The pinned fixture `tests/golden/snapshot_v6.bin` makes a
+//! again. The pinned fixture `tests/golden/snapshot_v7.bin` makes a
 //! forgotten bump fail loudly in CI, and the retired
-//! `snapshot_v1.bin` … `snapshot_v5.bin` fixtures pin the refusal.
+//! `snapshot_v1.bin` … `snapshot_v6.bin` fixtures pin the refusal.
 //! Adding a **new optional section id** is backward compatible and
 //! needs no bump — readers ignore unknown ids.
 
@@ -54,7 +54,6 @@ use crate::mmap::{Col, MappedSnapshot, SectionView, SnapshotWriterV3};
 use crate::monet::MonetDb;
 use crate::oid::Oid;
 use crate::path::{PathId, PathStep, PathSummary};
-use crate::stats::DepthStats;
 use crate::strings::StringColumns;
 use ncq_xml::{Symbol, SymbolTable};
 use std::fmt;
@@ -68,7 +67,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NCQSNAP\0";
 /// Current layout version (the zero-copy mmap container written by
 /// [`crate::mmap::SnapshotWriterV3`]). Bump on any payload or header
 /// change.
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Well-known section ids. Unknown ids are ignored by readers, so
 /// higher layers can add sections without touching this crate.
@@ -83,11 +82,11 @@ pub mod section {
     /// byte counts, then `rel_off`, owners, `text_off` and the text blob
     /// in final form.
     pub const STRINGS: u32 = 4;
-    /// The structural meet index: depths, preorder intervals, the
-    /// block-RMQ tables over them, per-path document-order postings.
+    /// The structural meet index: preorder intervals, the three
+    /// minimum-parent block-RMQ tables, per-path document-order
+    /// postings. (Id 6 was the depth-statistics section of layouts
+    /// 1–6 and stays unassigned.)
     pub const MEET_INDEX: u32 = 5;
-    /// `DepthStats` (planner input).
-    pub const STATS: u32 = 6;
     /// The full-text inverted index (written by `ncq-fulltext`).
     pub const FULLTEXT: u32 = 7;
     /// The shard partition map (written by `ncq-shard`).
@@ -394,7 +393,7 @@ impl<'a> SectionCursor<'a> {
     }
 }
 
-// ----- MonetDb + MeetIndex + stats codecs -----
+// ----- MonetDb + MeetIndex codecs -----
 
 /// Path step encoding tags.
 const STEP_ELEMENT: u8 = 0;
@@ -527,9 +526,9 @@ impl MonetDb {
     /// columns, the string columns and the finished meet index —
     /// exactly the in-memory representation, so an open is a map +
     /// pointer fixup, not a rebuild. Nothing derivable that no served
-    /// request reads is written: edge relations and the partitioner's
-    /// mass prefix sums are pure functions of the columns and are
-    /// rebuilt lazily, byte-identically.
+    /// request reads is written: the partitioner's mass prefix sums
+    /// are a pure function of the columns and are rebuilt lazily,
+    /// byte-identically.
     pub fn encode_snapshot(&self, writer: &mut SnapshotWriterV3) {
         let mut buf = Vec::new();
         encode_symbols_into(&self.symbols, &mut SectionBuf::over(&mut buf));
@@ -559,9 +558,10 @@ impl MonetDb {
         s.put_col::<u32>(text_off);
         s.put_col::<u8>(text);
 
-        // MEET_INDEX: the finished index, field for field — depths,
-        // subtree intervals, the block-RMQ tables and the CSR postings.
-        // Its parent view is the COLUMNS array above, not written again.
+        // MEET_INDEX: the finished index, field for field — subtree
+        // intervals and the three minimum-parent tables — then the CSR
+        // postings. The index's `σ`/parent views are the COLUMNS arrays
+        // above, not written again.
         let index = self.meet_index();
         let levels = index
             .block_table
@@ -572,30 +572,22 @@ impl MonetDb {
         s.put_u64(n as u64);
         s.put_u64(index.num_blocks as u64);
         s.put_u64(levels as u64);
-        s.put_u64(index.path_count() as u64);
-        s.put_col::<u32>(&index.depth);
+        s.put_u64(self.summary.len() as u64);
         s.put_col::<u32>(&index.subtree_end);
-        s.put_col::<u64>(&index.prefix_min);
-        s.put_col::<u64>(&index.suffix_min);
-        s.put_col::<u64>(&index.block_table);
-        s.put_col::<u32>(&index.path_off);
-        s.put_col::<Oid>(&index.path_data);
-
-        // STATS: the four depth scalars.
-        let depth_stats = self.depth_stats();
-        let mut s = writer.section(section::STATS);
-        s.put_u64(depth_stats.nodes as u64);
-        s.put_u64(depth_stats.max_depth as u64);
-        s.put_u64(depth_stats.mean_depth.to_bits());
-        s.put_u64(depth_stats.p90_depth as u64);
+        s.put_col::<Oid>(&index.prefix_min);
+        s.put_col::<Oid>(&index.suffix_min);
+        s.put_col::<Oid>(&index.block_table);
+        s.put_col::<u32>(&self.path_off);
+        s.put_col::<Oid>(&self.path_data);
     }
 
     /// Reconstruct a store from the container: decode the small
-    /// materialized sections (checksummed here, as is STRINGS), reattach
+    /// materialized sections (checksummed here, as are COLUMNS and
+    /// STRINGS, which the validation passes read in full), reattach
     /// every large array as a zero-copy [`Col`] view, and seed the
-    /// index/stats caches. Shape invariants the
-    /// accessors rely on are validated; content checksums of the array
-    /// sections follow the lazy-verify policy (see [`crate::mmap`]).
+    /// index cache. Shape invariants the accessors rely on are
+    /// validated; the content checksum of MEET_INDEX follows the
+    /// lazy-verify policy (see [`crate::mmap`]).
     pub fn decode_snapshot(snap: &MappedSnapshot) -> Result<MonetDb, SnapshotError> {
         // SYMBOLS / PATHS.
         let view = snap.section_verified(section::SYMBOLS)?;
@@ -604,10 +596,11 @@ impl MonetDb {
         let summary = decode_paths(&mut SectionCursor::new(view.payload()), &symbols)?;
         let path_count = summary.len();
 
-        // COLUMNS: zero-copy views. The preorder/range invariants that
-        // the lazily derived edge relations index by are re-validated —
-        // two vectorizable scans, the only O(n) work on this path.
-        let mut v = snap.section(section::COLUMNS)?;
+        // COLUMNS: zero-copy views, checksummed here — the two
+        // vectorizable scans below, which re-validate the preorder/range
+        // invariants every accessor indexes by, read every byte of it
+        // anyway.
+        let mut v = snap.section_verified(section::COLUMNS)?;
         let n = v.get_u64()? as usize;
         if n == 0 {
             return Err(SnapshotError::Corrupt {
@@ -653,11 +646,10 @@ impl MonetDb {
                 context: "meet index shape mismatch",
             });
         }
-        let depth: Col<u32> = v.take_col(n)?;
         let subtree_end: Col<u32> = v.take_col(n)?;
-        let prefix_min: Col<u64> = v.take_col(n)?;
-        let suffix_min: Col<u64> = v.take_col(n)?;
-        let block_table: Col<u64> = v.take_col(levels * num_blocks)?;
+        let prefix_min: Col<Oid> = v.take_col(n)?;
+        let suffix_min: Col<Oid> = v.take_col(n)?;
+        let block_table: Col<Oid> = v.take_col(levels * num_blocks)?;
         let path_off: Col<u32> = v.take_col(path_count + 1)?;
         if path_off.first() != Some(&0)
             || path_off.last().copied() != Some(n as u32)
@@ -668,55 +660,37 @@ impl MonetDb {
             });
         }
         let path_data: Col<Oid> = v.take_col(n)?;
+        if !v.at_end() {
+            return Err(SnapshotError::Corrupt {
+                context: "meet index section has trailing bytes",
+            });
+        }
         let index = MeetIndex {
             parent: parent.clone(),
-            depth,
+            sigma: sigma.clone(),
+            path_depth: MeetIndex::path_depths(&summary),
             subtree_end,
             prefix_min,
             suffix_min,
             block_table,
             num_blocks,
-            path_off,
-            path_data,
         };
 
-        // STATS: four scalars, nothing after them.
-        let mut v = snap.section(section::STATS)?;
-        let depth_stats = DepthStats {
-            nodes: v.get_u64()? as usize,
-            max_depth: v.get_u64()? as usize,
-            mean_depth: f64::from_bits(v.get_u64()?),
-            p90_depth: v.get_u64()? as usize,
-        };
-        if depth_stats.nodes != n {
-            return Err(SnapshotError::Corrupt {
-                context: "depth stats disagree with columns",
-            });
-        }
-        if !v.at_end() {
-            return Err(SnapshotError::Corrupt {
-                context: "stats section has trailing bytes",
-            });
-        }
-
-        let db = MonetDb {
+        Ok(MonetDb {
             symbols,
             summary,
             sigma,
             parent,
-            edges: OnceLock::new(),
+            path_off,
+            path_data,
             strings,
-            meet_index: OnceLock::new(),
-            depth_stats: OnceLock::new(),
+            meet_index: OnceLock::from(index),
             partition_stats: OnceLock::new(),
-        };
-        let _ = db.meet_index.set(index);
-        let _ = db.depth_stats.set(depth_stats);
-        Ok(db)
+        })
     }
 
-    /// Save the store (plus index and stats) as a standalone
-    /// snapshot file. Higher layers that stack more sections go through
+    /// Save the store (plus index) as a standalone snapshot file.
+    /// Higher layers that stack more sections go through
     /// [`MonetDb::encode_snapshot`] instead.
     pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
         let mut writer = SnapshotWriterV3::new();
@@ -726,7 +700,7 @@ impl MonetDb {
 
     /// Load a store from a snapshot file: map it and reattach the
     /// columns (no parse, no DFS, no O(n log n) preprocess — the index
-    /// and stats arrive in final form).
+    /// arrives in final form).
     pub fn load(path: &Path) -> Result<MonetDb, SnapshotError> {
         MonetDb::decode_snapshot(&MappedSnapshot::open(path)?)
     }
@@ -791,11 +765,8 @@ mod tests {
             original.meet_index().meet(a, b)
         );
         for p in original.summary().iter() {
-            assert_eq!(
-                loaded.meet_index().oids_of_path(p),
-                original.meet_index().oids_of_path(p)
-            );
-            assert_eq!(loaded.edges_of(p), original.edges_of(p));
+            assert_eq!(loaded.oids_of_path(p), original.oids_of_path(p));
+            assert!(loaded.edges_of(p).eq(original.edges_of(p)));
             assert!(loaded
                 .strings_of(p)
                 .iter()
@@ -830,7 +801,7 @@ mod tests {
 
         // The retired layouts and a future one are refused on the
         // header alone, through the file entry point.
-        for found in [1u8, 2, 3, 4, 5, 99] {
+        for found in [1u8, 2, 3, 4, 5, 6, 99] {
             bytes[8] = found;
             std::fs::write(&path, &bytes).unwrap();
             assert!(matches!(
@@ -965,26 +936,17 @@ mod tests {
     }
 
     #[test]
-    fn stats_with_trailing_bytes_or_a_foreign_node_count_are_corrupt() {
-        // STATS is four scalars; the decoder accepts nothing after them
-        // and no node count but the one COLUMNS carries.
-        let pristine = snapshot_bytes(&db());
-        let mut trailing = pristine.clone();
-        forge_section(&mut trailing, section::STATS, |_, len| *len += 8);
+    fn meet_index_with_trailing_bytes_is_corrupt() {
+        // MEET_INDEX ends with the postings; a layout-6 section (wider
+        // tables, one more column) under a forged header reads as
+        // exactly this — the same shape scalars, then more bytes than
+        // the columns they size.
+        let mut bytes = snapshot_bytes(&db());
+        forge_section(&mut bytes, section::MEET_INDEX, |_, len| *len += 4);
         assert!(matches!(
-            decode(trailing),
+            decode(bytes),
             Err(SnapshotError::Corrupt {
-                context: "stats section has trailing bytes"
-            })
-        ));
-        let mut foreign = pristine;
-        forge_section(&mut foreign, section::STATS, |payload, _| {
-            payload[..8].copy_from_slice(&1_000_000u64.to_le_bytes());
-        });
-        assert!(matches!(
-            decode(foreign),
-            Err(SnapshotError::Corrupt {
-                context: "depth stats disagree with columns"
+                context: "meet index section has trailing bytes"
             })
         ));
     }

@@ -41,8 +41,8 @@ impl fmt::Display for StoreStats {
 /// depth-aware meet planner keys on (shallow corpora favour the Fig. 4
 /// frontier lift, deep corpora the indexed plane sweep).
 ///
-/// Computed once per database ([`crate::MonetDb::depth_stats`]) over the
-/// dense `σ` array; all three counters are object-level (element + cdata
+/// Folded on demand ([`crate::MonetDb::depth_stats`]) from the per-path
+/// posting counts; all three counters are object-level (element + cdata
 /// nodes), not path-level like [`StoreStats::max_depth`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DepthStats {

@@ -3,7 +3,7 @@
 //! Seeded loops over a deterministic PRNG stand in for proptest (the
 //! offline build cannot fetch it); failures print the seed.
 
-use ncq_store::{MappedSnapshot, MonetDb, Oid, PathId, PathStep, VerifyMode};
+use ncq_store::{DepthStats, MappedSnapshot, MonetDb, Oid, PathId, PathStep, VerifyMode};
 use ncq_xml::{Document, NodeId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -118,6 +118,21 @@ fn for_grafted_dbs(salt: u64, mut check: impl FnMut(&Document, &MonetDb, &[(Node
     );
 }
 
+/// `db` saved to `file` and opened again both ways: through the file
+/// (mapped, or the owned copy under the `NCQ_NO_MMAP=1` CI leg) and
+/// through the owned-copy path directly.
+fn reopen(db: &MonetDb, file: &std::path::Path) -> [MonetDb; 2] {
+    db.save(file).expect("save");
+    let reopened = MonetDb::load(file).expect("load");
+    let bytes = std::fs::read(file).expect("read");
+    std::fs::remove_file(file).ok();
+    let owned = MonetDb::decode_snapshot(
+        &MappedSnapshot::from_owned_bytes(bytes, VerifyMode::Lazy).expect("owned open"),
+    )
+    .expect("owned decode");
+    [reopened, owned]
+}
+
 /// Every tree node gets exactly one oid; count matches.
 #[test]
 fn oid_assignment_is_a_bijection() {
@@ -165,7 +180,7 @@ fn edge_relations_partition_the_objects() {
     for_random_dbs(3, |_, db, seed| {
         let mut appearances = vec![0usize; db.node_count()];
         for p in db.summary().iter() {
-            for &(parent, child) in db.edges_of(p) {
+            for (parent, child) in db.edges_of(p) {
                 assert_eq!(db.sigma(child), p, "seed {seed}");
                 assert_eq!(db.parent(child), Some(parent), "seed {seed}");
                 appearances[child.index()] += 1;
@@ -294,15 +309,7 @@ fn string_views_equal_the_documents_strings() {
             "no path without strings"
         );
 
-        let file = dir.join(format!("seed-{seed}.ncq"));
-        built.save(&file).expect("save");
-        let reopened = MonetDb::load(&file).expect("load");
-        let bytes = std::fs::read(&file).expect("read");
-        std::fs::remove_file(&file).ok();
-        let owned = MonetDb::decode_snapshot(
-            &MappedSnapshot::from_owned_bytes(bytes, VerifyMode::Lazy).expect("owned open"),
-        )
-        .expect("owned decode");
+        let [reopened, owned] = reopen(&built, &dir.join(format!("seed-{seed}.ncq")));
 
         let n = built.node_count();
         let cut = rng.random_range(0..n + 1)..rng.random_range(0..n + 1);
@@ -358,8 +365,9 @@ fn le_agrees_with_string_prefixes() {
     });
 }
 
-/// The meet index agrees with parent-pointer walks on every primitive:
-/// depth, inclusive-ancestor test, LCA, distance, and per-path postings.
+/// The meet index agrees with parent-pointer walks on every primitive
+/// — depth, inclusive-ancestor test, LCA, distance — and the LCA is the
+/// smallest parent pointer in the preorder range between the pair.
 #[test]
 fn meet_index_agrees_with_parent_walks() {
     for_random_dbs(8, |_, db, seed| {
@@ -385,6 +393,13 @@ fn meet_index_agrees_with_parent_walks() {
             let anc: Vec<Oid> = db.ancestors(a).collect();
             let reference = db.ancestors(b).find(|x| anc.contains(x)).unwrap();
             assert_eq!(idx.lca(a, b), reference, "seed {seed} {a:?} {b:?}");
+            let (lo, hi) = (a.min(b), a.max(b));
+            if !db.is_ancestor_or_self(lo, hi) {
+                let min_parent = (lo.index() + 1..=hi.index())
+                    .map(|i| db.parent(Oid::from_index(i)).unwrap())
+                    .min();
+                assert_eq!(min_parent, Some(reference), "seed {seed} {a:?} {b:?}");
+            }
             let expect_d = db.depth(a) + db.depth(b) - 2 * db.depth(reference);
             assert_eq!(idx.distance(a, b), expect_d, "seed {seed} {a:?} {b:?}");
             assert_eq!(
@@ -394,14 +409,66 @@ fn meet_index_agrees_with_parent_walks() {
             );
             assert_eq!(idx.depth(a), db.depth(a), "seed {seed}");
         }
-        let mut total = 0usize;
-        for p in db.summary().iter() {
-            let oids = idx.oids_of_path(p);
-            assert!(oids.windows(2).all(|w| w[0] < w[1]), "seed {seed}");
-            assert_eq!(oids, db.oids_of_path(p).as_slice(), "seed {seed}");
-            total += oids.len();
+    });
+}
+
+/// The edge relations are a view of the per-path postings. Per path,
+/// the postings are the oids with that `σ` in document order;
+/// `edges_of` pairs each with its parent, in the same order and never
+/// the root; `children_on_path` is a filter of the postings on the
+/// parent; the relation counts in `stats()` and the depth statistics
+/// (folded from per-path counts) equal what a walk over the nodes
+/// gives — on the built store and on one reopened from its snapshot
+/// both ways.
+#[test]
+fn edge_views_and_depth_stats_equal_the_per_node_walk() {
+    let dir = std::env::temp_dir().join("ncq-store-edge-views");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for_random_dbs(11, |_, built, seed| {
+        let [reopened, owned] = reopen(built, &dir.join(format!("seed-{seed}.ncq")));
+
+        let mut histogram = Vec::new();
+        for o in built.iter_oids() {
+            let depth = built.depth(o);
+            if histogram.len() <= depth {
+                histogram.resize(depth + 1, 0);
+            }
+            histogram[depth] += 1;
         }
-        assert_eq!(total, n, "seed {seed}");
+        let depth_stats = DepthStats::from_histogram(&histogram);
+
+        for db in [built, &reopened, &owned] {
+            let (mut relations, mut associations) = (0, 0);
+            for p in db.summary().iter() {
+                let oids: Vec<Oid> = db.iter_oids().filter(|&o| db.sigma(o) == p).collect();
+                assert_eq!(db.oids_of_path(p), oids, "seed {seed}");
+                let edges: Vec<(Oid, Oid)> = oids
+                    .iter()
+                    .filter_map(|&o| Some((db.parent(o)?, o)))
+                    .collect();
+                assert_eq!(db.edges_of(p).len(), edges.len(), "seed {seed}");
+                assert!(db.edges_of(p).eq(edges.iter().copied()), "seed {seed}");
+                relations += !edges.is_empty() as usize;
+                associations += edges.len();
+                for q in db.iter_oids() {
+                    let children: Vec<Oid> = oids
+                        .iter()
+                        .copied()
+                        .filter(|&o| db.parent(o) == Some(q))
+                        .collect();
+                    assert_eq!(db.children_on_path(p, q), children, "seed {seed} {q:?}");
+                }
+            }
+            let stats = db.stats();
+            assert_eq!(
+                (stats.edge_relations, stats.edge_associations),
+                (relations, associations),
+                "seed {seed}"
+            );
+            assert_eq!(associations, db.node_count() - 1, "seed {seed}");
+            assert_eq!(db.depth_stats(), depth_stats, "seed {seed}");
+            assert_eq!(db.dump_relations(), built.dump_relations(), "seed {seed}");
+        }
     });
 }
 

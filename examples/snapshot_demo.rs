@@ -32,7 +32,6 @@ fn main() {
     let t = Instant::now();
     let db = Database::from_xml_str(&xml).expect("corpus parses");
     db.store().meet_index();
-    db.store().depth_stats();
     let build_time = t.elapsed();
     println!(
         "parse+build: {} objects, {} tokens in {:.1?}",

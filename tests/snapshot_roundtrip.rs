@@ -2,7 +2,7 @@
 //! round-trip equivalence on random trees, byte determinism, exhaustive
 //! corruption handling (truncation, bit flips, forged section-table
 //! extents, forged string columns), the layout version pin, the layout
-//! byte budget, the typed refusal of the retired v1–v5 layouts through
+//! byte budget, the typed refusal of the retired v1–v6 layouts through
 //! every entry point,
 //! and a two-process check that one snapshot file serves independent
 //! opens with equal answers.
@@ -11,7 +11,7 @@
 //! proptest (the offline build cannot fetch it); failures print the
 //! seed.
 //!
-//! The pinned fixture `tests/golden/snapshot_v6.bin` is a committed
+//! The pinned fixture `tests/golden/snapshot_v7.bin` is a committed
 //! current-layout snapshot of the Figure 1 corpus (saved through
 //! `ShardedDb` at K = 4 so every section id, including the partition
 //! map, is exercised). Regenerate after an *intended* layout change —
@@ -21,7 +21,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test snapshot_roundtrip
 //! ```
 //!
-//! The older committed fixtures (`snapshot_v1.bin` … `snapshot_v5.bin`)
+//! The older committed fixtures (`snapshot_v1.bin` … `snapshot_v6.bin`)
 //! are files no build writes any more; they stay committed to pin that
 //! opening one is a typed `UnsupportedVersion`, never a partial load.
 
@@ -149,8 +149,8 @@ fn corrupt_snapshots_fail_typed_at_every_boundary() {
     std::fs::remove_file(&path).ok();
 
     // Decode through the mapped path with *eager* verification so a
-    // payload flip in a lazily-checked section (columns, meet index,
-    // stats) still surfaces as a typed checksum error rather than a
+    // payload flip in the deferred section (the meet index) still
+    // surfaces as a typed checksum error rather than a
     // semantically-plausible wrong value.
     let decode = |data: Vec<u8>| -> Result<(), SnapshotError> {
         let snap = MappedSnapshot::from_owned_bytes(data, VerifyMode::Eager)?;
@@ -394,18 +394,18 @@ fn pinned_fixture_guards_the_layout_version() {
 }
 
 /// The retired layouts are refused, typed, through every entry point.
-/// `snapshot_v1.bin` … `snapshot_v5.bin` are committed files of the
-/// Figure 1 corpus in the v1/v2 materializing layouts and the v3–v5
+/// `snapshot_v1.bin` … `snapshot_v6.bin` are committed files of the
+/// Figure 1 corpus in the v1/v2 materializing layouts and the v3–v6
 /// payloads of today's container; no build can
 /// write them any more and there is no upgrade tool — the way forward
 /// is to rebuild from the source XML and save again, and the error
 /// says so. Each open must fail on the header alone with
 /// `UnsupportedVersion { found, supported: SNAPSHOT_VERSION }`: never a
 /// panic, never a partial load, and on a serving process never a
-/// swapped backend. The header is all that guards a v5 file's symbols,
-/// paths and tree columns (they decode unchanged), so the last case
-/// forges it: a v5 `STRINGS` section under a v6 header is a typed
-/// corruption error.
+/// swapped backend. The header is all that guards a v6 file's symbols,
+/// paths, tree and string columns (they decode unchanged), so the last
+/// case forges it: a v6 `MEET_INDEX` section under a v7 header is a
+/// typed corruption error.
 #[test]
 fn legacy_fixtures_are_refused_typed() {
     for (fixture, version) in [
@@ -414,6 +414,7 @@ fn legacy_fixtures_are_refused_typed() {
         ("snapshot_v3.bin", 3),
         ("snapshot_v4.bin", 4),
         ("snapshot_v5.bin", 5),
+        ("snapshot_v6.bin", 6),
     ] {
         let bytes = std::fs::read(golden_path(fixture)).expect("read legacy fixture");
         let dir = scratch(&format!("legacy-v{version}"));
@@ -523,9 +524,9 @@ fn legacy_fixtures_are_refused_typed() {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    let mut forged = std::fs::read(golden_path("snapshot_v5.bin")).expect("read v5 fixture");
+    let mut forged = std::fs::read(golden_path("snapshot_v6.bin")).expect("read v6 fixture");
     forged[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    let err = Database::from_snapshot_bytes(forged).expect_err("v5 payloads under a v6 header");
+    let err = Database::from_snapshot_bytes(forged).expect_err("v6 payloads under a v7 header");
     assert!(
         matches!(
             err,
@@ -536,18 +537,18 @@ fn legacy_fixtures_are_refused_typed() {
 }
 
 /// The layout byte budget — a structural, timing-free pin of what the
-/// file stores per node. The meet index is seven columns over the
-/// preorder numbering (two u32 columns, two packed u64 minima, a
-/// sparse table over n/32 blocks, the CSR postings): at most 32 bytes
-/// a node plus the path offsets and alignment slack. `STATS` is four
-/// scalars — nothing per node, and nothing only the partitioner reads.
-/// `COLUMNS` is the tree itself and nothing else: `σ` and parent, 8
+/// file stores per node. The meet index is six columns over the
+/// preorder numbering (the subtree ends, two u32 minimum-parent
+/// columns, a sparse table over n/32 blocks, the CSR postings): at most
+/// 18 bytes a node plus the path offsets and alignment slack — nothing
+/// the path summary already says (depths), and nothing only the
+/// partitioner reads. `COLUMNS` is the tree itself and nothing else: `σ` and parent, 8
 /// bytes a node. `STRINGS` is the text plus an owner and an offset per
 /// string and an offset per path, each column padded to a cache line —
 /// the same bytes per string as the length-prefixed layout 5, which is
 /// what keeps `snapshot_bytes_per_xml_byte` inside its bound.
 #[test]
-fn meet_index_and_stats_sections_stay_within_their_byte_budget() {
+fn store_sections_stay_within_their_byte_budget() {
     let corpus = DblpCorpus::generate(&DblpConfig::scaled(8_000));
     let db = Database::from_document(&corpus.document);
     let (n, paths) = (db.store().node_count(), db.store().summary().len());
@@ -559,12 +560,10 @@ fn meet_index_and_stats_sections_stay_within_their_byte_budget() {
     let bytes = |id: u32| snap.section(id).expect("section present").remaining();
     let meet_index = bytes(section::MEET_INDEX);
     assert!(
-        meet_index <= 32 * n + 4 * paths + 4096,
+        meet_index <= 18 * n + 4 * paths + 4096,
         "MEET_INDEX is {meet_index} bytes for {n} nodes / {paths} paths ({:.1} B/node)",
         meet_index as f64 / n as f64
     );
-    let stats = bytes(section::STATS);
-    assert!(stats <= 64, "STATS is {stats} bytes");
     let columns = bytes(section::COLUMNS);
     assert!(
         columns <= 8 * n + 4096,
