@@ -64,36 +64,6 @@ pub fn deep_chain_db(depth: usize) -> (Database, Oid, Oid) {
     )
 }
 
-/// One probe pair `2·depth + 2` edges apart with the meet at the root,
-/// in a ~4M-node corpus of "comb" chains: every chain node carries ~64
-/// leaf children before the next chain step, so consecutive ancestors
-/// are far apart in OID space and every parent hop is a fresh cache
-/// line. Unlike [`deep_chain_db`]'s bottom fork (constant distance 4),
-/// this shape scales the *distance* with the depth, which is what
-/// separates O(distance) walks from the O(1) index.
-pub fn deep_pair_db(depth: usize) -> (Database, Oid, Oid) {
-    const PAD: usize = 64;
-    let chains = (4_194_304 / ((depth + 1) * (PAD + 1))).max(2);
-    let mut doc = Document::new("root");
-    let mut leaves = Vec::with_capacity(chains);
-    for c in 0..chains {
-        let mut cur = doc.root();
-        for i in 0..depth {
-            cur = doc.add_element(cur, "e");
-            // Irregular padding: a constant stride between consecutive
-            // ancestors would let the hardware prefetcher stream the
-            // parent walk, which real document shapes do not allow.
-            let pad = PAD / 2 + (c.wrapping_mul(31) + i.wrapping_mul(17)) % PAD;
-            for _ in 0..pad {
-                doc.add_element(cur, "pad");
-            }
-        }
-        leaves.push(doc.add_text(cur, format!("probe-{c}")));
-    }
-    let (a, b) = (oid_of(&doc, leaves[0]), oid_of(&doc, leaves[chains / 2]));
-    (Database::from_document(&doc), a, b)
-}
-
 /// Run the steering ablation over several depths.
 pub fn steering(depths: &[usize], runs: usize) -> Vec<SteeringRow> {
     depths

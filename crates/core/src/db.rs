@@ -7,8 +7,9 @@
 
 use crate::answer::AnswerSet;
 use crate::meet2::{meet2_indexed, Meet2};
-use crate::meet_multi::{meet_multi_indexed, Meet, MeetOptions};
+use crate::meet_multi::{Meet, MeetOptions};
 use crate::planner::MeetPlanner;
+use crate::sweep::{merged_hits, sweep};
 use ncq_fulltext::{search, HitSet, InvertedIndex};
 use ncq_store::snapshot::SnapshotError;
 use ncq_store::{MappedSnapshot, MonetDb, Oid, PathId, SnapshotWriterV3, VerifyMode};
@@ -219,7 +220,7 @@ impl Database {
     }
 
     /// Generalized meet over hit groups (paper Fig. 5), ranked. The
-    /// planner picks roll-up or indexed sweep;
+    /// planner picks the token roll-up or the sweep ([`crate::sweep`]);
     /// [`MeetOptions::strategy`] forces either. Inputs are accepted
     /// through any [`std::borrow::Borrow`]-able holder (`HitSet`,
     /// `&HitSet`, `Arc<HitSet>`), so shared caches need no deep copy.
@@ -230,7 +231,7 @@ impl Database {
     ) -> Vec<Meet> {
         let _span = ncq_obs::trace::span("meet_eval");
         self.planner().execute(inputs, options, || {
-            meet_multi_indexed(&self.store, inputs, options)
+            sweep(&self.store, &merged_hits(inputs), options, |_| false).meets
         })
     }
 

@@ -19,8 +19,9 @@
 //!   cardinality ([`MeetOptions::strategy`] forces an arm);
 //! * **roll-up | sweep** — the generalized meet of Fig. 5 over
 //!   arbitrarily many heterogeneous hit groups: the paper's bottom-up
-//!   token roll-up, or the indexed document-order plane sweep
-//!   ([`sweep`]) with O(1) LCA probes — same answers, different costs.
+//!   token roll-up level by level, or the same roll-up as one stack
+//!   pass over the hits in document order ([`sweep`]) with one O(1)
+//!   LCA probe per hit — same answers, different costs.
 //!   Both apply the §4 extensions: result-type restriction `meet_Π`
 //!   ([`filter::PathFilter`]) and distance bound `meet^δ`;
 //! * **rank, cut** — distance-based ranking ([`rank`]) and `limit k`.

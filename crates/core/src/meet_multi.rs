@@ -47,22 +47,19 @@ pub struct MeetOptions {
     /// [`crate::MeetPlanner::execute`]; the operators in this module
     /// *are* the strategies and ignore it.
     pub strategy: MeetStrategy,
-    /// Top-k bound (the dialect's `limit k`). Answers are ranked by
-    /// distance, so once `k` meets are held and the k-th best distance
-    /// is strictly better than anything evaluation could still produce,
-    /// both the roll-up and the indexed sweep stop early.
-    /// [`crate::MeetPlanner::execute`] then truncates to exactly `k`;
-    /// the first `k` answers are byte-identical to the unbounded
-    /// evaluation's prefix.
+    /// Top-k bound (the dialect's `limit k`): the answer is the first
+    /// `k` of the unbounded ranking, byte for byte. No arm stops early
+    /// for it. [`crate::MeetPlanner::execute`] ranks and truncates; the
+    /// sweep arm also keeps only the `k` best by the same rank key while
+    /// it runs, so a meet that cannot make the cut costs no witness
+    /// sample. Any value is safe: nothing is sized by `k`.
     pub limit: Option<usize>,
 }
 
 impl MeetOptions {
     /// The effective witness-sample bound: [`MeetOptions::witness_cap`]
-    /// with `0` meaning the default of 8. Public so alternative
-    /// executors (the sharded scatter/gather) apply the exact same
-    /// bound — witness samples are part of the byte-identical-answers
-    /// contract.
+    /// with `0` meaning the default of 8. Both arms apply it — witness
+    /// samples are part of the byte-identical-answers contract.
     pub fn cap(&self) -> usize {
         if self.witness_cap == 0 {
             8
@@ -97,35 +94,6 @@ pub struct Meet {
     pub witness_count: usize,
     /// Sample of witnesses (bounded by [`MeetOptions::witness_cap`]).
     pub witnesses: Vec<MeetWitness>,
-}
-
-/// Bounded max-heap of the `k` smallest emitted distances: its top is
-/// the current k-th best distance, the early-exit threshold for
-/// [`MeetOptions::limit`]. Requires `k ≥ 1`.
-struct TopK {
-    k: usize,
-    heap: std::collections::BinaryHeap<usize>,
-}
-
-impl TopK {
-    fn new(k: usize) -> TopK {
-        TopK {
-            k,
-            heap: std::collections::BinaryHeap::with_capacity(k + 1),
-        }
-    }
-
-    fn push(&mut self, distance: usize) {
-        self.heap.push(distance);
-        if self.heap.len() > self.k {
-            self.heap.pop();
-        }
-    }
-
-    /// The k-th best distance so far — `None` until `k` meets are held.
-    fn kth(&self) -> Option<usize> {
-        (self.heap.len() >= self.k).then(|| *self.heap.peek().expect("k >= 1"))
-    }
 }
 
 /// A token: the state of hits climbing the tree during the roll-up.
@@ -183,10 +151,6 @@ pub(crate) fn meet_multi<H: Borrow<HitSet>>(
 ) -> Vec<Meet> {
     let summary = db.summary();
     let cap = options.cap();
-    if options.limit == Some(0) {
-        return Vec::new();
-    }
-    let mut best = options.limit.map(TopK::new);
 
     // tokens[path] : oid → token. Only paths that can carry tokens are
     // materialized.
@@ -243,9 +207,6 @@ pub(crate) fn meet_multi<H: Borrow<HitSet>>(
                     // either way — "they are output and not considered
                     // anymore" / "we discard o".
                     if options.filter.accepts(path) {
-                        if let Some(best) = best.as_mut() {
-                            best.push(distance);
-                        }
                         meets.push(Meet {
                             node: oid,
                             path,
@@ -264,8 +225,8 @@ pub(crate) fn meet_multi<H: Borrow<HitSet>>(
             // candidate). Tokens beyond δ keep climbing: they can no
             // longer *form* a meet, but they still count as witnesses of
             // a meet formed by closer hits higher up — pruning them here
-            // would change witness counts (and diverge from the indexed
-            // plane sweep, which sees every unconsumed hit in a subtree).
+            // would change witness counts (and diverge from the sweep
+            // arm, whose tokens carry every unconsumed hit of a subtree).
             let Some(parent_path) = parent_path else {
                 continue; // lone token at the root: dies
             };
@@ -290,137 +251,8 @@ pub(crate) fn meet_multi<H: Borrow<HitSet>>(
                 .and_modify(|t| t.absorb(climbed.clone(), cap))
                 .or_insert(climbed);
         }
-
-        // Top-k early exit: climbs only ever grow, so the two smallest
-        // climbs over every live token floor the distance of any meet
-        // the roll-up could still form. Once the k-th best emitted
-        // distance is *strictly* below that floor, nothing ahead can
-        // enter the ranked top k (ties could still win the
-        // witness-count/document-order tie-breaks, so ties keep going).
-        if let Some(kth) = best.as_ref().and_then(TopK::kth) {
-            let (mut c1, mut c2) = (usize::MAX, usize::MAX);
-            for token in tokens.values().flat_map(HashMap::values) {
-                for c in [token.min_climb, token.second_climb] {
-                    if c < c1 {
-                        c2 = c1;
-                        c1 = c;
-                    } else if c < c2 {
-                        c2 = c;
-                    }
-                }
-            }
-            // c2 == MAX means at most one witness is left anywhere: no
-            // further meet is possible either way.
-            if kth < c1.saturating_add(c2) {
-                break;
-            }
-        }
     }
 
-    // Deterministic order: deepest meets first, then document order.
-    meets.sort_by_key(|m| (std::cmp::Reverse(summary.depth(m.path)), m.node));
-    meets
-}
-
-/// Indexed plane-sweep evaluation of the generalized meet.
-///
-/// Produces exactly the meets of [`meet_multi`] (same nodes, distances,
-/// witness counts and witness climbs) without any token climbing: all
-/// hits are merged in document order; candidate meets are the LCAs of
-/// adjacent hits (O(1) via [`MonetDb::meet_index`]), processed deepest
-/// first from a heap. Because preorder intervals are contiguous, the
-/// unconsumed hits of a subtree form a contiguous run in the merged list:
-/// accepting a meet consumes that run and creates exactly one new
-/// adjacency. A candidate whose two closest hits violate `meet^δ` is
-/// skipped — its hits stay alive for shallower candidates, mirroring the
-/// roll-up's merged tokens climbing on.
-///
-/// Cost: O(hits log hits) for sort + heap, with O(1) work per LCA probe —
-/// replacing the roll-up's O(hits × depth) parent climbing.
-pub(crate) fn meet_multi_indexed<H: Borrow<HitSet>>(
-    db: &MonetDb,
-    inputs: &[H],
-    options: &MeetOptions,
-) -> Vec<Meet> {
-    // Merge all hits in document order, keeping input provenance and
-    // multiplicity (two attribute hits owned by one element are two
-    // witnesses, exactly as in the roll-up).
-    let mut items: Vec<(Oid, u32)> = inputs
-        .iter()
-        .enumerate()
-        .flat_map(|(i, hits)| hits.borrow().iter().map(move |(_, o)| (o, i as u32)))
-        .collect();
-    items.sort_unstable();
-
-    let summary = db.summary();
-    let cap = options.cap();
-    let index = db.meet_index();
-    if options.limit == Some(0) {
-        return Vec::new();
-    }
-
-    let oids: Vec<Oid> = items.iter().map(|&(o, _)| o).collect();
-    let meets: std::cell::RefCell<Vec<Meet>> = std::cell::RefCell::new(Vec::new());
-    let best: std::cell::RefCell<Option<TopK>> =
-        std::cell::RefCell::new(options.limit.map(TopK::new));
-
-    let on_candidate = |m: Oid, run: &[usize]| {
-        // Distance between the two closest witnesses through m.
-        let m_depth = index.depth(m);
-        let (mut min_climb, mut second_climb) = (usize::MAX, usize::MAX);
-        for &i in run {
-            let climb = index.depth(items[i].0) - m_depth;
-            if climb < min_climb {
-                second_climb = min_climb;
-                min_climb = climb;
-            } else if climb < second_climb {
-                second_climb = climb;
-            }
-        }
-        let distance = min_climb.saturating_add(second_climb);
-        if options.max_distance.is_some_and(|d| distance > d) {
-            // Too far apart: hits stay alive for higher meets.
-            return crate::sweep::Verdict::Reject;
-        }
-        // Consume the run; a suppressed result type still consumes
-        // its witnesses ("they are output and not considered
-        // anymore").
-        if options.filter.accepts(db.sigma(m)) {
-            if let Some(best) = best.borrow_mut().as_mut() {
-                best.push(distance);
-            }
-            let witnesses = run
-                .iter()
-                .take(cap)
-                .map(|&i| MeetWitness {
-                    origin: items[i].0,
-                    input: items[i].1 as usize,
-                    climb: index.depth(items[i].0) - m_depth,
-                })
-                .collect();
-            meets.borrow_mut().push(Meet {
-                node: m,
-                path: db.sigma(m),
-                distance,
-                witness_count: run.len(),
-                witnesses,
-            });
-        }
-        crate::sweep::Verdict::Accept
-    };
-
-    match options.limit {
-        // Unbounded sweeps skip the early-exit bookkeeping entirely.
-        None => crate::sweep::plane_sweep(index, &oids, on_candidate),
-        Some(_) => crate::sweep::plane_sweep_bounded(index, &oids, on_candidate, |floor| {
-            best.borrow()
-                .as_ref()
-                .and_then(TopK::kth)
-                .is_some_and(|kth| kth < floor)
-        }),
-    }
-
-    let mut meets = meets.into_inner();
     // Deterministic order: deepest meets first, then document order.
     meets.sort_by_key(|m| (std::cmp::Reverse(summary.depth(m.path)), m.node));
     meets

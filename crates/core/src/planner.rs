@@ -1,21 +1,25 @@
 //! The one meet pipeline: plan → {roll-up | sweep} → rank → cut.
 //!
 //! Every request ends in the generalized meet of Fig. 5, and the paper's
-//! token roll-up and the indexed **plane sweep** evaluate it to the same
-//! answers at different costs:
+//! token roll-up and the **sweep** ([`crate::sweep`]) evaluate it to the
+//! same answers at different costs:
 //!
 //! * the roll-up pays `O(hits)` parent look-ups *per level* plus hash-map
 //!   bookkeeping per token — cheap when the inputs are few and shallow,
 //!   and it never touches the meet index;
-//! * the sweep pays one `O(hits log hits)` sorted pass with heap pushes
-//!   and O(1) LCA probes — depth-independent, with a larger constant.
+//! * the sweep pays the sort of the hits into document order plus one
+//!   O(hits) stack pass with one O(1) LCA probe per hit —
+//!   depth-independent.
 //!
 //! [`MeetPlanner::plan_multi`] compares a **round estimate** (how deep
 //! the inputs sit, i.e. how many parent-join rounds the roll-up could
 //! need) against a **round budget** proportional to `log₂(hits)`, and
-//! caps the roll-up at a small hit count: CHANGES.md (PR 1) measured the
-//! sweep 1.7× faster even on flat DBLP at ~6k hits, so the roll-up is
-//! only planned where either evaluation is microseconds.
+//! caps the roll-up at a small hit count, so the roll-up is only planned
+//! where either evaluation is microseconds. The thresholds were
+//! calibrated against the heap-driven sweep the stack pass replaced
+//! (CHANGES.md, PR 1 and PR 2) and have not been re-derived: on the
+//! benchmark's two request streams the roll-up was planned on 0 of
+//! 11 890 MEETs (ROADMAP item 5).
 //! [`MeetPlanner::execute`] is the single place that resolves
 //! [`MeetStrategy`] (`Auto` plans, `Lift`/`Sweep` force an arm — the
 //! equivalence tests use that), runs the chosen arm, ranks and applies
@@ -37,17 +41,17 @@ pub enum MeetStrategy {
     Auto,
     /// Force the paper-faithful Fig. 5 token roll-up.
     Lift,
-    /// Force the indexed document-order plane sweep.
+    /// Force the document-order stack pass ([`crate::sweep`]).
     Sweep,
 }
 
 // Planner thresholds, calibrated against the flat/deep rows recorded in
-// CHANGES.md (PR 1, PR 2).
+// CHANGES.md (PR 1, PR 2) — that is, against the sweep of that time.
 
 /// Flat component of the roll-up's round budget.
 const LIFT_ROUND_BASE: usize = 4;
 /// Rounds granted per *bit* of input cardinality (bit length =
-/// ⌊log₂(hits)⌋ + 1) — a proxy for the sweep's per-item log factor.
+/// ⌊log₂(hits)⌋ + 1) — a proxy for the log factor of the sweep's sort.
 const LIFT_ROUNDS_PER_LOG2: usize = 2;
 /// Above this many total hits the roll-up is never planned (its
 /// per-token hashing loses to the sweep regardless of depth).
@@ -62,7 +66,7 @@ const GROUP_SCAN_LIMIT: usize = 16;
 pub enum ChosenStrategy {
     /// Token roll-up.
     Lift,
-    /// Indexed plane sweep.
+    /// Document-order stack pass.
     Sweep,
 }
 
@@ -192,10 +196,11 @@ impl<'a> MeetPlanner<'a> {
     /// (`Auto` → [`MeetPlanner::plan_multi`]), evaluate the roll-up or
     /// the caller's `sweep`, rank, truncate to [`MeetOptions::limit`].
     ///
-    /// `sweep` is the one thing engines differ in: the single-process
-    /// sweep over freshly sorted items or the sharded scatter/gather.
-    /// It returns the sweep arm's meets in any order — the rank key is
-    /// total.
+    /// `sweep` is the one thing engines differ in: one pass of
+    /// [`crate::sweep::sweep`] over all hits, or the sharded
+    /// scatter/gather of several. It returns the sweep arm's meets in
+    /// any order, possibly already cut to the `limit` best — the rank
+    /// key is total.
     pub fn execute<H: Borrow<HitSet>>(
         &self,
         inputs: &[H],
@@ -222,7 +227,7 @@ impl<'a> MeetPlanner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meet_multi::meet_multi_indexed;
+    use crate::sweep::{merged_hits, sweep};
     use ncq_store::Oid;
     use ncq_xml::parse;
 
@@ -296,7 +301,7 @@ mod tests {
             };
             for inputs in [vec![], vec![HitSet::new(), HitSet::new()]] {
                 let meets = planner.execute(&inputs, &options, || {
-                    meet_multi_indexed(&db, &inputs, &options)
+                    sweep(&db, &merged_hits(&inputs), &options, |_| false).meets
                 });
                 assert!(meets.is_empty(), "{strategy:?}");
             }
@@ -316,7 +321,7 @@ mod tests {
             let mut swept = false;
             let meets = planner.execute(&inputs, &options, || {
                 swept = true;
-                meet_multi_indexed(&db, &inputs, &options)
+                sweep(&db, &merged_hits(&inputs), &options, |_| false).meets
             });
             (meets, swept)
         };
@@ -354,7 +359,7 @@ mod tests {
                 ..MeetOptions::default()
             };
             let meets = planner.execute(&inputs, &options, || {
-                meet_multi_indexed(&db, &inputs, &options)
+                sweep(&db, &merged_hits(&inputs), &options, |_| false).meets
             });
             assert_eq!(meets.len(), 1, "{strategy:?}");
             assert_eq!(meets[0].distance, 4, "{strategy:?}: closest pair first");

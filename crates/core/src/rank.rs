@@ -10,15 +10,73 @@
 //! hook where such scoring plugs in.
 
 use crate::meet_multi::Meet;
+use ncq_store::Oid;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The rank key, smallest first: distance, then more witnesses, then
+/// document order. Total — a node is a meet at most once per evaluation.
+pub(crate) type RankKey = (usize, Reverse<usize>, Oid);
+
+pub(crate) fn rank_key(distance: usize, witness_count: usize, node: Oid) -> RankKey {
+    (distance, Reverse(witness_count), node)
+}
 
 /// Rank in-place by the paper's join-count heuristic.
 pub fn rank_meets(meets: &mut [Meet]) {
-    meets.sort_by(|a, b| {
-        a.distance
-            .cmp(&b.distance)
-            .then(b.witness_count.cmp(&a.witness_count))
-            .then(a.node.cmp(&b.node))
-    });
+    meets.sort_by_key(|m| rank_key(m.distance, m.witness_count, m.node));
+}
+
+/// The `k` best meets by [`rank_key`] out of a stream, unordered (the
+/// pipeline ranks afterwards). A max-heap of the kept keys names the
+/// slot of the worst kept meet; a meet that cannot displace it is
+/// refused by [`KBest::admits`] before its witness sample is built.
+/// Nothing is sized by `k`, which comes straight off the wire: a bound
+/// no stream of `at_most` meets can reach is no bound.
+pub(crate) struct KBest {
+    k: Option<usize>,
+    worst: BinaryHeap<(RankKey, usize)>,
+    meets: Vec<Meet>,
+}
+
+impl KBest {
+    pub(crate) fn new(limit: Option<usize>, at_most: usize) -> KBest {
+        KBest {
+            k: limit.filter(|&k| k < at_most),
+            worst: BinaryHeap::new(),
+            meets: Vec::new(),
+        }
+    }
+
+    /// Whether a meet with this key would be kept.
+    pub(crate) fn admits(&self, key: RankKey) -> bool {
+        match self.k {
+            None => true,
+            Some(k) => self.meets.len() < k || self.worst.peek().is_some_and(|w| key < w.0),
+        }
+    }
+
+    /// Keep an admitted meet, in place of the worst one once `k` are held.
+    pub(crate) fn keep(&mut self, meet: Meet) {
+        let key = rank_key(meet.distance, meet.witness_count, meet.node);
+        match self.k {
+            Some(k) if self.meets.len() == k => {
+                let mut worst = self.worst.peek_mut().expect("admitted past k = 0");
+                let slot = worst.1;
+                *worst = (key, slot);
+                self.meets[slot] = meet;
+            }
+            Some(_) => {
+                self.worst.push((key, self.meets.len()));
+                self.meets.push(meet);
+            }
+            None => self.meets.push(meet),
+        }
+    }
+
+    pub(crate) fn into_meets(self) -> Vec<Meet> {
+        self.meets
+    }
 }
 
 /// Rank by a custom score (lower is better), stable within equal scores.

@@ -1207,6 +1207,43 @@ mod tests {
     }
 
     #[test]
+    fn absurd_limits_survive_the_codec_and_evaluate_like_no_limit() {
+        let db = Database::from_xml_str(FIG).unwrap();
+        let inputs = vec![db.search("Bit"), db.search("1999")];
+        for strategy in [MeetStrategy::Lift, MeetStrategy::Sweep] {
+            let unbounded = db.meet_hits(
+                &inputs,
+                &MeetOptions {
+                    strategy,
+                    ..MeetOptions::default()
+                },
+            );
+            assert!(!unbounded.is_empty());
+            for k in [usize::MAX, usize::MAX / 2, 1 << 40] {
+                let req = EngineRequest::Meet {
+                    inputs: inputs.clone(),
+                    options: MeetOptions {
+                        strategy,
+                        limit: Some(k),
+                        ..MeetOptions::default()
+                    },
+                };
+                let Ok(EngineRequest::Meet { inputs, options }) =
+                    decode_request(&encode_request(&req))
+                else {
+                    panic!("limit {k} did not round-trip");
+                };
+                assert_eq!(options.limit, Some(k));
+                assert_eq!(
+                    db.meet_hits(&inputs, &options),
+                    unbounded,
+                    "{strategy:?} {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn framed_stream_round_trips() {
         let payload = encode_request(&EngineRequest::Search {
             term: "x".to_owned(),

@@ -7,6 +7,8 @@
 //! Seeded loops over a deterministic PRNG stand in for proptest (the
 //! offline build cannot fetch it); failures print the seed.
 
+mod shapes;
+
 use ncq_core::reference::{meet2, meet2_naive, meet_sets};
 use ncq_core::{meet2_indexed, Database, Meet, MeetOptions, MeetStrategy};
 use ncq_fulltext::HitSet;
@@ -296,4 +298,134 @@ fn max_distance_is_monotone_and_sweep_agrees() {
         };
         assert_eq!(key(&bounded), key(&indexed), "seed {seed} δ={delta}");
     }
+}
+
+/// The shapes of `shapes/mod.rs`, each under every distance bound,
+/// limit and witness cap: the sweep arm returns the roll-up's ranked
+/// meets with the same witnesses, its capped sample is the first `cap`
+/// witnesses in document order, and `limit k` is the unbounded prefix in
+/// both arms.
+#[test]
+fn adversarial_shapes_agree_with_the_roll_up() {
+    for shape in shapes::shapes() {
+        let name = shape.name;
+        for max_distance in shapes::MAX_DISTANCES {
+            let options = |witness_cap, limit| MeetOptions {
+                filter: shape.filter.clone(),
+                max_distance,
+                witness_cap,
+                limit,
+                ..MeetOptions::default()
+            };
+            let run =
+                |options: &MeetOptions, strategy| run(&shape.db, &shape.inputs, options, strategy);
+
+            let oracle = run(&options(usize::MAX, None), MeetStrategy::Lift);
+            let full = run(&options(usize::MAX, None), MeetStrategy::Sweep);
+            // The roll-up absorbs tokens path by path, the sweep in
+            // document order: same witnesses, compared as sets.
+            let mut sorted = oracle.clone();
+            for m in &mut sorted {
+                m.witnesses.sort_unstable_by_key(|w| (w.origin, w.input));
+            }
+            assert_eq!(sorted, full, "{name} δ={max_distance:?}");
+            for m in &full {
+                assert_eq!(m.witnesses.len(), m.witness_count, "{name}");
+                assert!(max_distance.is_none_or(|d| m.distance <= d), "{name}");
+            }
+
+            for witness_cap in shapes::WITNESS_CAPS {
+                let capped: Vec<Meet> = full
+                    .iter()
+                    .map(|m| Meet {
+                        witnesses: m.witnesses[..witness_cap.min(m.witness_count)].to_vec(),
+                        ..m.clone()
+                    })
+                    .collect();
+                for strategy in [MeetStrategy::Lift, MeetStrategy::Sweep] {
+                    let unbounded = run(&options(witness_cap, None), strategy);
+                    if strategy == MeetStrategy::Sweep {
+                        assert_eq!(
+                            unbounded, capped,
+                            "{name} δ={max_distance:?} cap={witness_cap}"
+                        );
+                    }
+                    for limit in shapes::LIMITS {
+                        let bounded = run(&options(witness_cap, limit), strategy);
+                        let k = limit.unwrap_or(usize::MAX).min(unbounded.len());
+                        assert_eq!(
+                            bounded,
+                            unbounded[..k],
+                            "{name} δ={max_distance:?} cap={witness_cap} limit={limit:?} {strategy:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// What each shape is there to show, spelled out.
+#[test]
+fn adversarial_shapes_have_the_answers_they_were_built_for() {
+    let shapes = shapes::shapes();
+    let sweep = |name: &str, max_distance| {
+        let shape = shapes.iter().find(|s| s.name == name).expect(name);
+        let options = MeetOptions {
+            filter: shape.filter.clone(),
+            max_distance,
+            ..MeetOptions::default()
+        };
+        (
+            shape,
+            run(&shape.db, &shape.inputs, &options, MeetStrategy::Sweep),
+        )
+    };
+
+    // One meet, exact count, sample capped.
+    let (shape, star) = sweep("star", None);
+    assert_eq!(star.len(), 1);
+    assert_eq!(star[0].node, shape.db.store().root());
+    assert_eq!((star[0].distance, star[0].witness_count), (2, 10_000));
+    assert_eq!(star[0].witnesses.len(), MeetOptions::default().cap());
+
+    // Nested hits pair off bottom-up; under δ = 0 nothing is close
+    // enough anywhere on the chain.
+    assert_eq!(sweep("chain", None).1.len(), 150);
+    assert!(sweep("chain", Some(0)).1.is_empty());
+
+    let (shape, same) = sweep("same oid", Some(0));
+    assert_eq!(same.len(), 1);
+    assert_eq!(same[0].node, shapes::oid_by_tag(&shape.db, "x"));
+    assert_eq!((same[0].distance, same[0].witness_count), (0, 3));
+
+    let (shape, attrs) = sweep("attribute pair", Some(0));
+    assert_eq!(attrs.len(), 1);
+    assert_eq!(attrs[0].node, shapes::oid_by_tag(&shape.db, "e"));
+    assert_eq!((attrs[0].distance, attrs[0].witness_count), (0, 2));
+
+    // Every LCA on the spine, leaves paired off two levels at a time.
+    for name in ["comb, leaf first", "comb, leaf last"] {
+        let (shape, comb) = sweep(name, None);
+        assert_eq!(comb.len(), 100, "{name}");
+        assert!(comb.iter().all(|m| m.distance == 3), "{name}");
+        let store = shape.db.store();
+        assert!(comb
+            .iter()
+            .all(|m| m.node == store.root() || store.tag(m.node) == Some("s")));
+    }
+
+    // Rejected at <a>, <b> and <c>, accepted at the root on 0 + 3 with
+    // everything that climbed as witnesses, in document order.
+    let (shape, climbed) = sweep("climbing token", Some(3));
+    assert_eq!(climbed.len(), 1);
+    assert_eq!(climbed[0].node, shape.db.store().root());
+    assert_eq!((climbed[0].distance, climbed[0].witness_count), (3, 6));
+    let climbs: Vec<usize> = climbed[0].witnesses.iter().map(|w| w.climb).collect();
+    assert_eq!(climbs, [0, 3, 7, 7, 6, 20]);
+
+    // <x>'s hits are consumed by the suppressed meet: only <z> answers.
+    let (shape, suppressed) = sweep("suppressed meet", None);
+    assert_eq!(suppressed.len(), 1);
+    assert_eq!(suppressed[0].node, shapes::oid_by_tag(&shape.db, "z"));
 }

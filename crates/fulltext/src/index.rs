@@ -117,7 +117,7 @@ impl InvertedIndex {
         // document order within a relation — and deduplicated. It holds
         // by construction (string_paths iterates paths in interning
         // order, owners in document order); the galloping intersections
-        // and the meet plane sweeps rely on it.
+        // rely on it.
         debug_assert!(map.values().all(|v| v.windows(2).all(|w| w[0] < w[1])));
         let mut lists: Vec<(Box<str>, Vec<Posting>)> = map.into_iter().collect();
         lists.sort_unstable_by(|a, b| a.0.cmp(&b.0));

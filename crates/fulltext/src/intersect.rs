@@ -7,10 +7,6 @@
 //! wastes work on the long list; *galloping* advances through it in
 //! doubling strides and finishes the probe with a binary search, giving
 //! O(short · log(long / short)) instead of O(short + long).
-//!
-//! The same doc-order sortedness is what the meet plane sweeps in
-//! `ncq-core` rely on; this module is the full-text side of that
-//! contract.
 
 use crate::index::Posting;
 use ncq_store::Oid;

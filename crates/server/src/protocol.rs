@@ -612,8 +612,8 @@ mod tests {
         let header = lines[stats_at - 1];
         let n: usize = header.strip_prefix("OK ").unwrap().parse().unwrap();
         // 17 counter/rate lines + 2 snapshot-open counters + simd.mode
-        // + 4 kernels × {scalar,vector}.
-        assert_eq!(n, 28, "one line per counter plus the derived rates");
+        // + 3 kernels × {scalar,vector}.
+        assert_eq!(n, 26, "one line per counter plus the derived rates");
         assert_eq!(lines[stats_at], "served=1");
         // The derived cache hit rates ride the frame.
         for key in ["sem_hit_rate=0.0000", "term_cache_hit_rate=0.0000"] {
@@ -678,6 +678,22 @@ mod tests {
         assert_eq!(both.matches("<result").count(), 1);
         let swapped = session("MEET Bit 1999 LIMIT 1 WITHIN 9\n");
         assert_eq!(swapped, both);
+    }
+
+    #[test]
+    fn absurd_limits_answer_like_no_limit() {
+        // `k` comes straight off the wire; sizing anything by it used
+        // to panic the worker (capacity overflow), abort the process
+        // (an 8 TB allocation) or overflow `k + 1`.
+        let full = session("MEET Bit 1999\n");
+        assert!(full.starts_with("OK "), "{full}");
+        for k in [
+            "9223372036854775807",
+            "1099511627776",
+            "18446744073709551615",
+        ] {
+            assert_eq!(session(&format!("MEET Bit 1999 LIMIT {k}\n")), full, "{k}");
+        }
     }
 
     #[test]

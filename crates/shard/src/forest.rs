@@ -2,7 +2,7 @@
 //! materializes as a [`ShardedDb`], so the catalog's scatter/gather
 //! layer addresses `(corpus, shard)` pairs — the catalog routes a
 //! query to one corpus, that corpus's [`crate::PartitionMap`] routes the work
-//! to its shards, and the gather roll-up stays the only cross-shard
+//! to its shards, and the gather pass stays the only cross-shard
 //! step. Single-shard entries stay plain [`Database`]s (a one-shard
 //! `ShardedDb` would only add a delegating facade).
 //!

@@ -18,8 +18,9 @@
 //!   `run_query` surface as [`ncq_core::Database`] — byte-identical
 //!   answers, pinned by the golden suite and the randomized
 //!   equivalence property tests — with per-shard meets running in
-//!   parallel on a persistent worker pool and a gather sweep resolving
-//!   cross-shard meets on the spine;
+//!   parallel on a persistent worker pool and one more pass of the
+//!   same sweep, over the shards' survivors, resolving cross-shard
+//!   meets on the spine;
 //! * [`ncq_core::MeetBackend`] is implemented, so `ncq-server` workers
 //!   (`Server::start_backend`) and `ncq-query` evaluation dispatch to a
 //!   sharded engine without changes.

@@ -7,33 +7,33 @@
 //!
 //! 1. **Scatter** — inputs are routed by ownership: hits inside a
 //!    shard's chunk subtrees go to that shard, hits owned by spine
-//!    nodes go straight to the gather pool. Per-shard work (posting
-//!    lookups, substring scans, plane sweeps) runs in parallel on a
+//!    nodes go straight to the gather. Per-shard work (posting
+//!    lookups, substring scans, meets) runs in parallel on a
 //!    persistent worker pool.
-//! 2. **Per-shard meets** — each shard sweeps the meet *below its
-//!    spine floor*. A candidate meet on the spine is **deferred** (the
-//!    sweep's `Reject` verdict: leave the run alive, never re-propose
-//!    locally) because its witness run may span shards.
-//! 3. **Gather** — surviving items from every shard (plus the
-//!    spine-owned inputs) merge in document order and roll up the
-//!    spine, deepest node first: every remaining candidate is a spine
-//!    node, so each one's witness run is a single interval probe over
-//!    the sorted survivor list. The spine is replicated, so the gather
-//!    never touches shard-private state.
+//! 2. **Per-shard meets** — each shard runs the stack pass of
+//!    [`ncq_core::sweep`] over its own hits with one gate: a spine node
+//!    is **deferred**, never a meet here, because its hits may span
+//!    shards. The task returns its meets and its survivors — the hits
+//!    no shard-local meet consumed.
+//! 3. **Gather** — the survivors of every shard plus the spine-owned
+//!    hits, merged in document order, go through the same pass once
+//!    more with nothing deferred. The spine is replicated, so the
+//!    gather never touches shard-private state.
 //!
 //! # Why the answers are identical
 //!
-//! Sharding exploits three facts. (a) A subtree is a contiguous OID
-//! interval wholly inside one chunk, so the witness run of any
-//! below-spine meet is entirely shard-local — the shard computes
-//! exactly the run the global sweep would. (b) The global sweep accepts
-//! candidates deepest-first, and consumptions in disjoint subtrees
-//! commute, so "all shard-local candidates first, then the spine" is a
-//! legal reordering of the global schedule. (c) Cross-shard LCAs are
-//! always spine nodes, so the gather sees every candidate the shards
-//! deferred. The sharding equivalence property suite and the golden
-//! suite pin the result: byte-identical answers, document order
-//! included.
+//! (a) A subtree is a contiguous OID interval, and that of a node below
+//! the spine lies wholly inside one chunk, so such a node closes in its
+//! shard over exactly the hits it would close over in the single
+//! engine's pass. (b) The pass closes children before parents, and
+//! disjoint subtrees commute, so "every shard-local node first, then
+//! the spine" is one of its legal orders. (c) Every cross-shard LCA is
+//! a spine node, so the gather sees every node the shards deferred. A
+//! shard-local node that shows up again in the gather failed in its
+//! shard (fewer than two hits, or `meet^δ`), is closed there over the
+//! identical hits, and fails again. The sharding equivalence property
+//! suite and the golden suite pin the result: byte-identical answers,
+//! witness order included.
 //!
 //! The structural [`ncq_store::MeetIndex`] is interval-addressed, so
 //! its *restriction to a shard* is the index itself probed only inside
@@ -45,8 +45,7 @@
 
 use crate::partition::PartitionMap;
 use crate::pool::Pool;
-use ncq_core::meet_multi::MeetWitness;
-use ncq_core::sweep::{plane_sweep, Verdict};
+use ncq_core::sweep::{merged_hits, sweep};
 use ncq_core::{BackendError, Database, Meet, MeetBackend, MeetOptions};
 use ncq_fulltext::search::{phrase_hits, word_hits};
 use ncq_fulltext::tokenize::{contains_fold, fold, tokens};
@@ -56,19 +55,6 @@ use ncq_store::{MonetDb, Oid, PathId};
 use ncq_xml::{Document, ParseError};
 use std::borrow::Borrow;
 use std::sync::Arc;
-
-/// Interval probe over a gather pool's sorted survivor keys: the
-/// vector kernel for pools large enough to pay for lane setup, the
-/// scalar partition search otherwise (identical result either way).
-fn key_range(keys: &[u32], lo: u32, hi: u32) -> (usize, usize) {
-    if keys.len() < 64 {
-        let start = ncq_simd::scalar::lower_bound_u32(keys, lo);
-        let end = start + ncq_simd::scalar::lower_bound_u32(&keys[start..], hi);
-        (start, end)
-    } else {
-        ncq_simd::range_u32(keys, lo, hi)
-    }
-}
 
 /// Registry handle for the per-shard scatter-task duration histogram.
 fn shard_task_histogram() -> &'static Arc<ncq_obs::Histogram> {
@@ -96,9 +82,6 @@ struct Inner {
     spine_postings: InvertedIndex,
     /// Spine-owned string associations, for substring scans.
     spine_strings: Vec<(PathId, Oid)>,
-    /// Spine nodes ordered deepest-first (document order within a
-    /// depth) — the gather roll-up's candidate schedule.
-    spine_by_depth: Vec<Oid>,
 }
 
 /// A sharded execution layer with the query surface of [`Database`]
@@ -169,11 +152,6 @@ impl ShardedDb {
                     .map(move |(o, _)| (p, o))
             })
             .collect();
-        let mut spine_by_depth: Vec<Oid> = store
-            .iter_oids()
-            .filter(|&o| partition.is_spine(o))
-            .collect();
-        spine_by_depth.sort_by_key(|&o| (std::cmp::Reverse(store.depth(o)), o));
         // Size the pool from the shards actually built (a tiny document
         // may collapse below the requested K); a single-shard layout
         // never scatters, so it gets no pool at all.
@@ -186,7 +164,6 @@ impl ShardedDb {
                 shards,
                 spine_postings,
                 spine_strings,
-                spine_by_depth,
             }),
             pool,
         }
@@ -371,10 +348,12 @@ impl ShardedDb {
     /// Sharded [`Database::meet_hits`]: the generalized meet, ranked,
     /// through the same pipeline ([`ncq_core::MeetPlanner::execute`]:
     /// same plan, same roll-up on the spine replica, same rank and
-    /// cut) with the scatter/gather plugged in as the sweep arm. Shard
-    /// sweeps run to completion whatever the `limit` (consumption, and
-    /// so the survivors fed to the gather, must stay exact); the
-    /// pipeline's cut over shard + spine meets is the global top k.
+    /// cut) with the scatter/gather plugged in as the sweep arm. Under
+    /// a `limit` each pass keeps its own `k` best — which contain every
+    /// meet of its that is among the global `k` best — and consumes
+    /// exactly what it would without one, so the survivors fed to the
+    /// gather stay exact; the pipeline's cut over shard + gather meets
+    /// is the global top k.
     pub fn meet_hits<H: Borrow<HitSet>>(&self, inputs: &[H], options: &MeetOptions) -> Vec<Meet> {
         let db = &self.inner.db;
         if self.shard_count() == 1 {
@@ -403,31 +382,22 @@ impl ShardedDb {
 
     // ----- scatter/gather executors -----
 
-    /// Sweep-tier generalized meet: route merged hits by shard, run the
-    /// gated sweep per shard in parallel, gather the survivors.
+    /// The sweep arm, scattered: route the merged hits by shard, run
+    /// the pass with the spine gate per shard in parallel, then run it
+    /// once more, ungated, over the survivors and the spine's own hits.
     fn scatter_meet_multi<H: Borrow<HitSet>>(
         &self,
         inputs: &[H],
         options: &MeetOptions,
     ) -> Vec<Meet> {
         let inner = &self.inner;
-
-        // Merge all hits in document order with input provenance —
-        // identical to the single-db indexed sweep.
-        let mut items: Vec<(Oid, u32)> = inputs
-            .iter()
-            .enumerate()
-            .flat_map(|(i, hits)| hits.borrow().iter().map(move |(_, o)| (o, i as u32)))
-            .collect();
-        items.sort_unstable();
-
         let k = inner.shards.len();
         let mut per_shard: Vec<Vec<(Oid, u32)>> = (0..k).map(|_| Vec::new()).collect();
         let mut pool_items: Vec<(Oid, u32)> = Vec::new();
-        for &(o, input) in &items {
-            match inner.partition.shard_of(o) {
-                Some(s) => per_shard[s].push((o, input)),
-                None => pool_items.push((o, input)),
+        for item in merged_hits(inputs) {
+            match inner.partition.shard_of(item.0) {
+                Some(s) => per_shard[s].push(item),
+                None => pool_items.push(item),
             }
         }
 
@@ -437,7 +407,11 @@ impl ShardedDb {
             .map(|items| {
                 let inner = Arc::clone(&self.inner);
                 let options = options.clone();
-                move || sweep_multi(&inner, items, &options)
+                move || {
+                    sweep(inner.db.store(), &items, &options, |node| {
+                        inner.partition.is_spine(node)
+                    })
+                }
             })
             .collect();
 
@@ -445,94 +419,20 @@ impl ShardedDb {
         {
             let _scatter = ncq_obs::trace::span("scatter");
             ncq_obs::trace::annotate("tasks", tasks.len().to_string());
-            for (local_meets, survivors) in self.timed_scatter(tasks) {
-                meets.extend(local_meets);
-                pool_items.extend(survivors);
+            for local in self.timed_scatter(tasks) {
+                meets.extend(local.meets);
+                pool_items.extend(local.survivors);
             }
         }
 
         let _gather = ncq_obs::trace::span("gather");
         pool_items.sort_unstable();
-        self.gather_multi(&pool_items, options, &mut meets);
+        meets.extend(sweep(inner.db.store(), &pool_items, options, |_| false).meets);
 
         // No canonical pre-sort: the pipeline ranks by the *total* key
         // (distance, witness count, node) — each node is accepted at
         // most once, so the rank fully determines the final order.
         meets
-    }
-
-    /// The gather roll-up for the generalized meet: survivors resolve
-    /// on the spine, deepest node first. Verdicts (the `meet^δ` bound,
-    /// filter-suppressed consumption, capped document-order witness
-    /// samples) replicate the single-db sweep's candidate logic; a
-    /// spine node whose run fails `meet^δ` leaves the run alive for its
-    /// shallower ancestors — exactly the sweep's `Reject` memoization,
-    /// since every spine node is visited at most once.
-    fn gather_multi(&self, items: &[(Oid, u32)], options: &MeetOptions, meets: &mut Vec<Meet>) {
-        if items.len() < 2 {
-            return;
-        }
-        let index = self.inner.db.store().meet_index();
-        let keys: Vec<u32> = items.iter().map(|&(o, _)| o.raw()).collect();
-        let mut alive = Alive::new(items.len());
-        let mut run: Vec<usize> = Vec::new();
-        for &s in &self.inner.spine_by_depth {
-            let range = index.subtree_range(s);
-            run.clear();
-            let (start, end) = key_range(&keys, range.start as u32, range.end as u32);
-            let mut i = alive.find(start);
-            while i < end {
-                run.push(i);
-                i = alive.find(i + 1);
-            }
-            if run.len() < 2 {
-                continue;
-            }
-            match multi_candidate(&self.inner, items, &run, s, options) {
-                // A `meet^δ` failure: the run stays alive for
-                // shallower spine nodes.
-                MultiVerdict::Keep => {}
-                MultiVerdict::Consume(meet) => {
-                    meets.extend(meet);
-                    for &i in &run {
-                        alive.consume(i);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// "Next alive index ≥ i" with path compression — the gather roll-up's
-/// consumption structure (consumed runs are spliced out in amortized
-/// near-constant time).
-struct Alive {
-    jump: Vec<u32>,
-}
-
-impl Alive {
-    fn new(n: usize) -> Alive {
-        Alive {
-            jump: (0..=n as u32).collect(),
-        }
-    }
-
-    fn find(&mut self, start: usize) -> usize {
-        let mut root = start;
-        while self.jump[root] as usize != root {
-            root = self.jump[root] as usize;
-        }
-        let mut i = start;
-        while self.jump[i] as usize != i {
-            let next = self.jump[i] as usize;
-            self.jump[i] = root as u32;
-            i = next;
-        }
-        root
-    }
-
-    fn consume(&mut self, i: usize) {
-        self.jump[i] = i as u32 + 1;
     }
 }
 
@@ -586,107 +486,6 @@ impl std::fmt::Debug for ShardedDb {
             .field("workers", &self.worker_count())
             .finish()
     }
-}
-
-// ----- shard-local executors -----
-
-/// What [`multi_candidate`] decided about one candidate node.
-enum MultiVerdict {
-    /// A `meet^δ` failure: the run stays alive for shallower
-    /// candidates.
-    Keep,
-    /// Consume the run; `None` when the path filter suppressed the
-    /// result ("they are output and not considered anymore").
-    Consume(Option<Meet>),
-}
-
-/// Evaluate one generalized-meet candidate — the single place encoding
-/// the indexed sweep's candidate logic for the sharded executors:
-/// distance from the two closest climbs, `meet^δ` rejection,
-/// filter-suppressed consumption, capped witness samples in document
-/// order. Shared by the gated per-shard sweep and the gather roll-up so
-/// the semantics cannot drift between scatter and gather.
-fn multi_candidate(
-    inner: &Inner,
-    items: &[(Oid, u32)],
-    run: &[usize],
-    node: Oid,
-    options: &MeetOptions,
-) -> MultiVerdict {
-    let store = inner.db.store();
-    let index = store.meet_index();
-    let m_depth = index.depth(node);
-    let (mut min_climb, mut second_climb) = (usize::MAX, usize::MAX);
-    for &i in run {
-        let climb = index.depth(items[i].0) - m_depth;
-        if climb < min_climb {
-            second_climb = min_climb;
-            min_climb = climb;
-        } else if climb < second_climb {
-            second_climb = climb;
-        }
-    }
-    let distance = min_climb.saturating_add(second_climb);
-    if options.max_distance.is_some_and(|d| distance > d) {
-        return MultiVerdict::Keep;
-    }
-    let meet = options.filter.accepts(store.sigma(node)).then(|| {
-        let witnesses = run
-            .iter()
-            .take(options.cap())
-            .map(|&i| MeetWitness {
-                origin: items[i].0,
-                input: items[i].1 as usize,
-                climb: index.depth(items[i].0) - m_depth,
-            })
-            .collect();
-        Meet {
-            node,
-            path: store.sigma(node),
-            distance,
-            witness_count: run.len(),
-            witnesses,
-        }
-    });
-    MultiVerdict::Consume(meet)
-}
-
-/// The per-shard generalized sweep: the plane sweep with the spine gate
-/// (cross-shard candidates defer to the gather), candidate verdicts via
-/// [`multi_candidate`]. Also reports which items survived.
-fn sweep_multi(
-    inner: &Inner,
-    items: Vec<(Oid, u32)>,
-    options: &MeetOptions,
-) -> (Vec<Meet>, Vec<(Oid, u32)>) {
-    let index = inner.db.store().meet_index();
-    let oids: Vec<Oid> = items.iter().map(|&(o, _)| o).collect();
-    let mut meets: Vec<Meet> = Vec::new();
-    let mut consumed = vec![false; items.len()];
-
-    plane_sweep(index, &oids, |m, run| {
-        if inner.partition.is_spine(m) {
-            return Verdict::Reject; // defer to the gather roll-up
-        }
-        match multi_candidate(inner, &items, run, m, options) {
-            MultiVerdict::Keep => Verdict::Reject,
-            MultiVerdict::Consume(meet) => {
-                meets.extend(meet);
-                for &i in run {
-                    consumed[i] = true;
-                }
-                Verdict::Accept
-            }
-        }
-    });
-
-    let survivors = items
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| !consumed[i])
-        .map(|(_, &item)| item)
-        .collect();
-    (meets, survivors)
 }
 
 #[cfg(test)]

@@ -7,6 +7,9 @@
 //! Seeded loops over a deterministic PRNG stand in for proptest (the
 //! offline build cannot fetch it); failures print the seed.
 
+#[path = "../../core/tests/shapes/mod.rs"]
+mod shapes;
+
 use ncq_core::{Database, MeetBackend, MeetOptions, MeetStrategy, PathFilter};
 use ncq_fulltext::HitSet;
 use ncq_shard::ShardedDb;
@@ -98,6 +101,71 @@ fn meet_multi_is_identical_including_witnesses() {
             }
         }
     }
+}
+
+/// The shapes the random trees rarely draw (`ncq-core`'s
+/// `tests/shapes/mod.rs`), each at a random K under every distance
+/// bound, limit and witness cap.
+#[test]
+fn adversarial_shapes_are_identical_including_witnesses() {
+    let mut rng = StdRng::seed_from_u64(0x5AAB);
+    for shape in shapes::shapes() {
+        let k = random_k(&mut rng);
+        let sharded = ShardedDb::new(shape.db.clone(), k);
+        for max_distance in shapes::MAX_DISTANCES {
+            for limit in shapes::LIMITS {
+                for witness_cap in shapes::WITNESS_CAPS {
+                    for strategy in [MeetStrategy::Auto, MeetStrategy::Lift, MeetStrategy::Sweep] {
+                        let options = MeetOptions {
+                            filter: shape.filter.clone(),
+                            max_distance,
+                            witness_cap,
+                            strategy,
+                            limit,
+                        };
+                        assert_eq!(
+                            shape.db.meet_hits(&shape.inputs, &options),
+                            sharded.meet_hits(&shape.inputs, &options),
+                            "{} k {k} {options:?}",
+                            shape.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A token rejected by shard-local nodes and accepted on the spine: the
+/// shard hands it to the gather with its hits in document order, and
+/// the gather, re-closing the shard-local nodes over the same hits,
+/// rejects there again before the root accepts.
+#[test]
+fn a_token_rejected_in_its_shard_is_accepted_on_the_spine() {
+    let shape = shapes::shapes()
+        .into_iter()
+        .find(|s| s.name == "climbing token")
+        .unwrap();
+    let sharded = ShardedDb::new(shape.db.clone(), 2);
+    assert_eq!(sharded.shard_count(), 2);
+    let partition = sharded.partition();
+    assert!(partition.is_spine(shape.db.store().root()));
+    for tag in ["a", "b", "c"] {
+        assert!(
+            !partition.is_spine(shapes::oid_by_tag(&shape.db, tag)),
+            "{tag}"
+        );
+    }
+    let options = MeetOptions {
+        max_distance: Some(3),
+        strategy: MeetStrategy::Sweep,
+        ..MeetOptions::default()
+    };
+    let meets = sharded.meet_hits(&shape.inputs, &options);
+    assert_eq!(meets, shape.db.meet_hits(&shape.inputs, &options));
+    assert_eq!(meets.len(), 1);
+    assert_eq!(meets[0].node, shape.db.store().root());
+    assert_eq!((meets[0].distance, meets[0].witness_count), (3, 6));
 }
 
 #[test]

@@ -1,13 +1,11 @@
 //! # ncq-simd — branch-free lane-parallel kernels for the meet engine
 //!
 //! The hot loops of the nearest-concept stack — posting-list
-//! intersection and decode (`ncq-fulltext`) and the interval probes of
-//! the sharded gather (`ncq-shard`) — reduce to four primitive kernels
+//! intersection and decode (`ncq-fulltext`) and the subtree
+//! containment probe (`ncq-store`) — reduce to three primitive kernels
 //! over sorted `u32` runs:
 //!
 //! * [`lower_bound_u32`] — partition search;
-//! * [`range_u32`] — the interval-containment probe (`lo <= x < hi`
-//!   over a sorted run is a pair of partition searches);
 //! * [`intersect_u32_into`] — compare-exchange intersection;
 //! * [`unpack_hi_u32`] — posting decode: deinterleave the owner
 //!   column out of `(path, owner)` pairs.
@@ -168,7 +166,6 @@ macro_rules! counters {
 
 counters! {
     lower_bound: LB_S / LB_V,
-    range: RANGE_S / RANGE_V,
     intersect: IX_S / IX_V,
     decode: DEC_S / DEC_V,
 }
@@ -188,13 +185,11 @@ impl DispatchStats {
     pub fn lines(&self) -> Vec<(&'static str, u64, u64)> {
         let DispatchStats {
             lower_bound,
-            range,
             intersect,
             decode,
         } = *self;
         vec![
             ("lower_bound", lower_bound.0, lower_bound.1),
-            ("range", range.0, range.1),
             ("intersect", intersect.0, intersect.1),
             ("decode", decode.0, decode.1),
         ]
@@ -223,37 +218,6 @@ pub fn lower_bound_u32(hay: &[u32], target: u32) -> usize {
         _ => {
             LB_S.fetch_add(1, Relaxed);
             scalar::lower_bound_u32(hay, target)
-        }
-    }
-}
-
-/// The half-open index range of elements `x` with `lo <= x < hi` in a
-/// sorted run — the bulk interval-containment probe behind subtree
-/// (ancestor) tests: preorder intervals are contiguous, so "which of
-/// these document-ordered survivors lie under this node" is exactly
-/// two partition searches.
-#[inline]
-pub fn range_u32(hay: &[u32], lo: u32, hi: u32) -> (usize, usize) {
-    match mode() {
-        #[cfg(target_arch = "x86_64")]
-        Mode::Avx2 => {
-            RANGE_V.fetch_add(1, Relaxed);
-            let start = unsafe { x86::lower_bound_u32_avx2(hay, lo) };
-            let end = start + unsafe { x86::lower_bound_u32_avx2(&hay[start..], hi) };
-            (start, end)
-        }
-        #[cfg(target_arch = "x86_64")]
-        Mode::Sse2 => {
-            RANGE_V.fetch_add(1, Relaxed);
-            let start = unsafe { x86::lower_bound_u32_sse2(hay, lo) };
-            let end = start + unsafe { x86::lower_bound_u32_sse2(&hay[start..], hi) };
-            (start, end)
-        }
-        _ => {
-            RANGE_S.fetch_add(1, Relaxed);
-            let start = scalar::lower_bound_u32(hay, lo);
-            let end = start + scalar::lower_bound_u32(&hay[start..], hi);
-            (start, end)
         }
     }
 }

@@ -111,24 +111,6 @@ fn lower_bound_u32_matches_partition_point() {
 }
 
 #[test]
-fn range_u32_matches_two_partition_points() {
-    let _guard = lock_modes();
-    let mut rng = StdRng::seed_from_u64(0x9_08);
-    for hay in edge_runs() {
-        for _ in 0..30 {
-            let lo = rng.next_u64() as u32 % 1100;
-            let hi = lo.saturating_add(rng.next_u64() as u32 % 400);
-            let expect = (
-                hay.partition_point(|&x| x < lo),
-                hay.partition_point(|&x| x < hi),
-            );
-            for_each_mode("range_u32", || simd::range_u32(&hay, lo, hi));
-            assert_eq!(simd::range_u32(&hay, lo, hi), expect);
-        }
-    }
-}
-
-#[test]
 fn intersect_matches_scalar_reference() {
     let _guard = lock_modes();
     let mut rng = StdRng::seed_from_u64(0x9_04);

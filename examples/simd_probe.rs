@@ -23,15 +23,13 @@
 //! total.vector=9184
 //! ```
 
-use nearest_concept::core::MeetOptions;
-use nearest_concept::{run_query, Database, QueryOutput, ShardedDb};
+use nearest_concept::{run_query, Database, QueryOutput};
 
 fn main() {
     // A small forked corpus whose leaves interleave three terms, so
     // the workload drives every kernel family: posting decode and
-    // intersection (phrase search), partition search (the dialect's
-    // `contains` offspring test) and interval range probes (the
-    // sharded gather).
+    // intersection (phrase search) and partition search (the dialect's
+    // `contains` offspring test).
     let mut xml = String::from("<root>");
     for f in 0..24 {
         xml.push_str("<x><x><x>");
@@ -65,17 +63,9 @@ fn main() {
         other => panic!("probe query: {other:?}"),
     };
 
-    // The sharded gather re-attaches deferred candidates with `range`
-    // probes over document-ordered survivors.
-    let alpha = db.search("alpha");
-    let beta = db.search("beta");
-    let sharded = ShardedDb::new(db, 4);
-    let gathered = sharded.meet_hits(&[&alpha, &beta], &MeetOptions::default());
-
     eprintln!(
-        "workload: {} phrase hits, {rows} projected rows, {} gathered meets",
-        phrase.len(),
-        gathered.len()
+        "workload: {} phrase hits, {rows} projected rows",
+        phrase.len()
     );
 
     let stats = nearest_concept::simd::dispatch_stats();

@@ -1,11 +1,11 @@
-//! Differential harness for the top-k early exit.
+//! Differential harness for `limit k`.
 //!
-//! `MeetOptions::limit` is an *optimization*: it promises answers
-//! byte-identical to the first `k` of the plain unbounded evaluation.
-//! This suite proves the promise differentially on random trees —
-//! through `Database` and `ShardedDb` at K ∈ {1, 4}, every strategy, at
-//! k ∈ {1, 2, 5} and at k far beyond the result size — and once more
-//! through the full term pipeline.
+//! `MeetOptions::limit` promises answers byte-identical to the first
+//! `k` of the plain unbounded evaluation. This suite proves the promise
+//! differentially on random trees — through `Database` and `ShardedDb`
+//! at K ∈ {1, 4}, every strategy, at k ∈ {1, 2, 5}, at k beyond the
+//! result size and at the absurd k a hostile client can send — and once
+//! more through the full term pipeline.
 //!
 //! Seeded loops over the vendored deterministic PRNG stand in for
 //! proptest (the offline build cannot fetch it); failures print the
@@ -57,9 +57,10 @@ const STRATEGIES: [MeetStrategy; 3] = [MeetStrategy::Auto, MeetStrategy::Lift, M
 
 /// `limit k` is the unbounded ranking's prefix: for every strategy and
 /// engine, the bounded answer equals `unbounded[..k]` at small k, and
-/// equals the full answer when k exceeds the result size. The early
-/// exits (roll-up climb floor, sweep depth floor, per-shard local
-/// top-k) may skip work but must never change a returned byte.
+/// equals the full answer when k exceeds the result size. The k-best
+/// selection inside each pass of the sweep arm (one per shard, one at
+/// the gather) may skip witness samples but must never change a
+/// returned byte, and nothing may be sized by `k`.
 #[test]
 fn limit_k_equals_the_unbounded_prefix() {
     for seed in 0u64..40 {
@@ -94,7 +95,7 @@ fn limit_k_equals_the_unbounded_prefix() {
                         },
                     )
                     .unwrap();
-                for k in [1usize, 2, 5, unbounded.len() + 100] {
+                for k in [1usize, 2, 5, unbounded.len() + 100, 1 << 40, usize::MAX] {
                     let bounded = engine
                         .meet_hit_groups(
                             &inputs,
