@@ -311,27 +311,21 @@ mod tests {
         let root = doc.root();
         let mut seen_inproc = false;
         let mut seen_article = false;
-        for &rec in doc.children(root) {
+        for rec in doc.children(root) {
             match doc.tag_name(rec).unwrap() {
                 "inproceedings" => {
                     seen_inproc = true;
                     assert!(doc.attribute(rec, "key").is_some());
-                    let tags: Vec<&str> = doc
-                        .children(rec)
-                        .iter()
-                        .filter_map(|&c| doc.tag_name(c))
-                        .collect();
+                    let tags: Vec<&str> =
+                        doc.children(rec).filter_map(|c| doc.tag_name(c)).collect();
                     for required in ["author", "title", "pages", "year", "booktitle"] {
                         assert!(tags.contains(&required), "missing {required}");
                     }
                 }
                 "article" => {
                     seen_article = true;
-                    let tags: Vec<&str> = doc
-                        .children(rec)
-                        .iter()
-                        .filter_map(|&c| doc.tag_name(c))
-                        .collect();
+                    let tags: Vec<&str> =
+                        doc.children(rec).filter_map(|c| doc.tag_name(c)).collect();
                     for required in ["author", "title", "year", "journal", "volume"] {
                         assert!(tags.contains(&required), "missing {required}");
                     }
@@ -348,9 +342,9 @@ mod tests {
         let corpus = DblpCorpus::generate(&DblpConfig::default());
         let doc = &corpus.document;
         let mut mentions = 0;
-        for &rec in doc.children(doc.root()) {
+        for rec in doc.children(doc.root()) {
             if doc.tag_name(rec) == Some("article") {
-                for &c in doc.children(rec) {
+                for c in doc.children(rec) {
                     if doc.tag_name(c) == Some("title") && doc.deep_text(c).contains("ICDE") {
                         mentions += 1;
                     }

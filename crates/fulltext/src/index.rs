@@ -1,6 +1,6 @@
 //! The inverted index over all string relations of a database.
 
-use crate::tokenize::tokens;
+use crate::tokenize::Scanner;
 use ncq_store::{Col, MonetDb, Oid, PathId};
 use std::collections::HashMap;
 
@@ -99,16 +99,23 @@ impl InvertedIndex {
     /// Index every string association of `db`.
     pub fn build(db: &MonetDb) -> InvertedIndex {
         let mut map: HashMap<Box<str>, Vec<Posting>> = HashMap::new();
+        let mut token = String::new();
         for path in db.string_paths() {
             for (owner, text) in db.strings_of(path).iter() {
                 let posting = Posting { path, owner };
-                for tok in tokens(text) {
-                    let list = map.entry(tok.into_boxed_str()).or_default();
-                    // The same token may occur twice in one string; store
-                    // the posting once. Postings arrive in (path, owner)
-                    // order, so checking the tail suffices.
-                    if list.last() != Some(&posting) {
-                        list.push(posting);
+                let mut scanner = Scanner::new(text);
+                while scanner.next_into(&mut token) {
+                    match map.get_mut(token.as_str()) {
+                        // The same token may occur twice in one string;
+                        // store the posting once. Postings arrive in
+                        // (path, owner) order, so checking the tail
+                        // suffices.
+                        Some(list) if list.last() == Some(&posting) => {}
+                        Some(list) => list.push(posting),
+                        // A key is boxed on a token's first occurrence.
+                        None => {
+                            map.insert(token.as_str().into(), vec![posting]);
+                        }
                     }
                 }
             }
@@ -271,6 +278,18 @@ mod tests {
         let db = MonetDb::from_document(&parse("<a><t>spam spam spam</t></a>").unwrap());
         let idx = InvertedIndex::build(&db);
         assert_eq!(idx.postings("spam").len(), 1);
+    }
+
+    #[test]
+    fn a_term_ending_in_capital_sigma_finds_its_token() {
+        // `str::to_lowercase` lowers the last letter of "ΟΔΟΣ" to `ς`;
+        // the tokenizer, folding char by char, indexed it under `σ`.
+        let db = MonetDb::from_document(&parse("<a><t>Η ΟΔΟΣ μου</t><t>ΠΑΡΟΔΟΣΗ</t></a>").unwrap());
+        let idx = InvertedIndex::build(&db);
+        assert!(idx.vocabulary().any(|t| t == "οδοσ"));
+        assert_eq!(idx.postings("ΟΔΟΣ").len(), 1);
+        assert_eq!(idx.postings("ΟΔΟΣ"), idx.postings("οδοσ"));
+        assert!(idx.contains("ΟΔΟΣ") && idx.contains("Οδοσ"));
     }
 
     #[test]

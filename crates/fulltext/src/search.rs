@@ -176,6 +176,25 @@ mod tests {
     }
 
     #[test]
+    fn a_term_ending_in_capital_sigma_takes_the_index_arm() {
+        let db = MonetDb::from_document(
+            &parse("<a><t>Η ΟΔΟΣ μου</t><t>ΠΑΡΟΔΟΣΗ</t><t>İstanbul straße</t></a>").unwrap(),
+        );
+        let idx = InvertedIndex::build(&db);
+        // The scan would also find the word inside "ΠΑΡΟΔΟΣΗ"; the index
+        // arm finds the whole word only.
+        assert_eq!(substring_hits(&db, "ΟΔΟΣ").len(), 2);
+        assert_eq!(term_hits(&db, &idx, "ΟΔΟΣ"), word_hits(&idx, "ΟΔΟΣ"));
+        assert_eq!(term_hits(&db, &idx, " ΟΔΟΣ ").len(), 1);
+        // Unchanged: folds that lengthen or do nothing.
+        assert_eq!(
+            term_hits(&db, &idx, "İSTANBUL"),
+            word_hits(&idx, "i\u{307}stanbul")
+        );
+        assert_eq!(term_hits(&db, &idx, "STRAßE").len(), 1);
+    }
+
+    #[test]
     fn no_hits_for_absent_terms() {
         let (db, idx) = setup();
         assert!(word_hits(&idx, "absent").is_empty());

@@ -160,6 +160,17 @@ mod tests {
     }
 
     #[test]
+    fn expansion_folds_like_the_tokenizer() {
+        let mut t = Thesaurus::new();
+        t.add_synonyms(&["ΟΔΟΣ", "ΔΡΌΜΟΣ"]);
+        assert_eq!(t.expand("ΟΔΟΣ"), vec!["οδοσ", "δρόμοσ"]);
+        assert_eq!(t.expand("ΔΡΌΜΟΣ"), vec!["δρόμοσ", "οδοσ"]);
+        let db = MonetDb::from_document(&parse("<a><t>Η ΟΔΟΣ</t><t>ο ΔΡΌΜΟΣ</t></a>").unwrap());
+        let idx = InvertedIndex::build(&db);
+        assert_eq!(expanded_hits(&db, &idx, &t, "ΟΔΟΣ").len(), 2);
+    }
+
+    #[test]
     fn expand_puts_the_query_term_first() {
         let mut t = Thesaurus::new();
         t.add_synonyms(&["x", "y", "z"]);

@@ -160,3 +160,94 @@ fn galloping_intersection_matches_naive() {
         }
     }
 }
+
+/// The naive definition of a token, one `char` at a time: a maximal run
+/// of alphanumerics, each lowered by `char::to_lowercase`.
+fn reference_tokens(text: &str) -> Vec<String> {
+    let mut out = vec![String::new()];
+    for c in text.chars() {
+        if c.is_alphanumeric() {
+            out.last_mut().unwrap().extend(c.to_lowercase());
+        } else {
+            out.push(String::new());
+        }
+    }
+    out.retain(|t| !t.is_empty());
+    out
+}
+
+/// Strings over ASCII, Latin-1, Greek (with final-sigma positions),
+/// Turkish dotted/dotless i, digits of three scripts and separators.
+fn mixed_script_string(rng: &mut StdRng) -> String {
+    const ALPHABET: [char; 40] = [
+        'a', 'B', 'z', 'Q', '0', '7', ' ', '-', ',', '.', '\'', '_', 'é', 'É', 'ß', 'Ü', 'ñ', '¿',
+        '×', 'Σ', 'σ', 'ς', 'Ο', 'Δ', 'ό', 'Ά', 'İ', 'I', 'ı', 'i', '٣', '७', '９', 'Ⅻ', '½', '€',
+        '\u{307}', '\u{a0}', '中', '\n',
+    ];
+    let len = rng.random_range(0usize..24);
+    (0..len)
+        .map(|_| ALPHABET[rng.random_range(0..ALPHABET.len())])
+        .collect()
+}
+
+/// `tokens()` is the naive definition, and so is every fold of a term.
+#[test]
+fn tokens_match_the_charwise_reference() {
+    for seed in 0..CASES * 8 {
+        let mut rng = StdRng::seed_from_u64(7 << 32 | seed);
+        let s = mixed_script_string(&mut rng);
+        let toks: Vec<String> = ncq_fulltext::tokenize::tokens(&s).collect();
+        assert_eq!(toks, reference_tokens(&s), "seed {seed}: {s:?}");
+        for t in &toks {
+            assert_eq!(&ncq_fulltext::tokenize::fold(t), t, "seed {seed}: {s:?}");
+        }
+    }
+}
+
+/// `InvertedIndex::build` is the index of the reference tokens: the same
+/// vocabulary, and for each token the same postings in the same order.
+#[test]
+fn built_index_matches_the_reference_index() {
+    use std::collections::BTreeMap;
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(8 << 32 | seed);
+        let mut doc = Document::new("root");
+        for _ in 0..rng.random_range(1usize..30) {
+            let item = doc.add_element(doc.root(), ["item", "note"][rng.random_range(0..2)]);
+            doc.add_text(item, mixed_script_string(&mut rng));
+            if rng.random_bool() {
+                doc.set_attribute(item, "k", mixed_script_string(&mut rng));
+            }
+        }
+        let db = MonetDb::from_document(&doc);
+        let mut expected: BTreeMap<String, Vec<(ncq_store::PathId, ncq_store::Oid)>> =
+            BTreeMap::new();
+        for path in db.string_paths() {
+            for (owner, text) in db.strings_of(path).iter() {
+                for token in reference_tokens(text) {
+                    let list = expected.entry(token).or_default();
+                    if list.last() != Some(&(path, owner)) {
+                        list.push((path, owner));
+                    }
+                }
+            }
+        }
+        let idx = InvertedIndex::build(&db);
+        let vocabulary: Vec<&str> = idx.vocabulary().collect();
+        let reference: Vec<&str> = expected.keys().map(String::as_str).collect();
+        assert_eq!(vocabulary, reference, "seed {seed}");
+        for (token, list) in &expected {
+            let built: Vec<_> = idx
+                .postings(token)
+                .iter()
+                .map(|p| (p.path, p.owner))
+                .collect();
+            assert_eq!(&built, list, "seed {seed}: {token:?}");
+        }
+        assert_eq!(
+            idx.posting_count(),
+            expected.values().map(Vec::len).sum::<usize>(),
+            "seed {seed}"
+        );
+    }
+}

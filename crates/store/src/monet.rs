@@ -1,6 +1,8 @@
 //! The Monet transform: bulk loading and the loaded database.
 //!
-//! [`MonetDb::from_document`] walks the syntax tree depth-first, assigns
+//! [`MonetDb::from_document`] walks the syntax tree depth-first along its
+//! child and sibling links (`ncq_xml::Document` is a flat arena; a node's
+//! arena index says nothing about its place in the document), assigns
 //! dense [`Oid`]s in document order (paper: "the assignment of OIDs is
 //! arbitrary, e.g., depth-first traversal order"), interns every node's
 //! path `σ(o)`, and scatters the associations into per-path binary
@@ -77,53 +79,53 @@ impl MonetDb {
         let mut summary = PathSummary::new();
         let mut sigma: Vec<PathId> = Vec::with_capacity(n);
         let mut parent: Vec<Oid> = Vec::with_capacity(n);
-        // The nodes in oid order, for the walks that size and fill the
-        // string columns once every path is known.
-        let mut order = Vec::with_capacity(n);
-        // Explicit DFS stack of (node, parent oid, parent path); the
-        // root is its own parent and has no parent path. Children are
-        // pushed in reverse so document order pops first.
-        let mut stack = vec![(doc.root(), Oid::ROOT, None)];
-        while let Some((node, parent_oid, parent_path)) = stack.pop() {
+        // The oid of every node met so far, by arena index: a node is
+        // met after its parent, whose oid and path its own are made
+        // from. Arena order is pre-order only for a parsed document, so
+        // all three walks follow the links.
+        let mut oid_of = vec![Oid::ROOT; n];
+        for node in doc.iter_depth_first() {
             let oid = Oid::from_index(sigma.len());
+            oid_of[node.index()] = oid;
             // Symbols are cloned from the document below, so its symbol
             // ids are valid in our table too.
             let step = match doc.kind(node) {
-                NodeKind::Element(sym) => PathStep::Element(*sym),
+                NodeKind::Element(sym) => PathStep::Element(sym),
                 NodeKind::Text(_) => PathStep::Cdata,
             };
-            let path = match parent_path {
-                None => summary.intern_root(step),
-                Some(p) => summary.intern_child(p, step),
+            // The root is its own parent and has no parent path.
+            let (parent_oid, path) = match doc.parent(node) {
+                None => (Oid::ROOT, summary.intern_root(step)),
+                Some(p) => {
+                    let p = oid_of[p.index()];
+                    (p, summary.intern_child(sigma[p.index()], step))
+                }
             };
             sigma.push(path);
             parent.push(parent_oid);
-            order.push(node);
             // Attribute paths are interned here, right after their
             // element's, so path ids keep their document order; the walks
             // below only look them up.
             for attr in doc.attributes(node) {
                 summary.intern_child(path, PathStep::Attribute(attr.name));
             }
-            for &c in doc.children(node).iter().rev() {
-                stack.push((c, oid, Some(path)));
-            }
         }
+        // The scratch goes back before the string columns and the
+        // postings are sized, so they take its place instead of adding
+        // to the peak.
+        drop(oid_of);
         let strings = StringColumns::from_document_order(summary.len(), |emit| {
-            for (i, &node) in order.iter().enumerate() {
+            for (i, node) in doc.iter_depth_first().enumerate() {
                 let oid = Oid::from_index(i);
                 if let NodeKind::Text(s) = doc.kind(node) {
                     emit(sigma[i], oid, s);
                 }
                 for attr in doc.attributes(node) {
                     let apath = summary.intern_child(sigma[i], PathStep::Attribute(attr.name));
-                    emit(apath, oid, &attr.value);
+                    emit(apath, oid, attr.value);
                 }
             }
         });
-        // The tree walk's scratch goes back before the postings are
-        // sized, so they take its place instead of adding to the peak.
-        drop((order, stack));
         // Per-path postings in CSR layout — one offsets array plus the
         // concatenated document-order data, the shape the snapshot maps
         // back without assembly — by counting sort over `σ`.

@@ -88,7 +88,18 @@ impl PathSummary {
     }
 
     fn intern_step(&mut self, parent: Option<PathId>, step: PathStep) -> PathId {
-        if let Some(&p) = self.intern.get(&(parent, step)) {
+        // The bulk load asks once per node, and most paths have a few
+        // children: those are compared one by one, which costs less than
+        // hashing the key; a wide schema node goes through the map.
+        const SCANNED: usize = 8;
+        let known = match parent {
+            Some(p) if self.children[p.index()].len() <= SCANNED => self.children[p.index()]
+                .iter()
+                .copied()
+                .find(|c| self.nodes[c.index()].step == step),
+            _ => self.intern.get(&(parent, step)).copied(),
+        };
+        if let Some(p) = known {
             return p;
         }
         let id = PathId(u32::try_from(self.nodes.len()).expect("too many paths"));

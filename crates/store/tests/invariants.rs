@@ -59,7 +59,7 @@ fn build(ops: &[Op]) -> Document {
                 let last_is_text = doc
                     .children(cur)
                     .last()
-                    .is_some_and(|&c| doc.text(c).is_some());
+                    .is_some_and(|c| doc.text(c).is_some());
                 if !last_is_text {
                     doc.add_text(cur, s.clone());
                 }
@@ -173,6 +173,42 @@ fn oids_follow_document_order() {
     });
 }
 
+/// The load depends on the tree, not on the arena: a document built
+/// out of document order loads to the same relations, dump for dump,
+/// as its copy built in document order (where arena index = oid).
+#[test]
+fn out_of_order_documents_load_like_their_in_order_copies() {
+    for_grafted_dbs(12, |doc, db, pairs, seed| {
+        let mut copy = Document::new(doc.tag_name(doc.root()).unwrap());
+        let mut copy_of = vec![copy.root(); doc.len()];
+        for n in doc.iter_depth_first() {
+            if let Some(p) = doc.parent(n) {
+                copy_of[n.index()] = match doc.text(n) {
+                    Some(text) => copy.add_text(copy_of[p.index()], text),
+                    None => copy.add_element(copy_of[p.index()], doc.tag_name(n).unwrap()),
+                };
+            }
+            for attr in doc.attributes(n) {
+                let name = doc.symbols().resolve(attr.name);
+                copy.set_attribute(copy_of[n.index()], name, attr.value);
+            }
+        }
+        assert!(copy.structural_eq(doc), "seed {seed}");
+        for &(n, o) in pairs {
+            assert_eq!(copy_of[n.index()].index(), o.index(), "seed {seed}");
+        }
+        let in_order = MonetDb::from_document(&copy);
+        assert_eq!(
+            db.dump_relations(),
+            in_order.dump_relations(),
+            "seed {seed}"
+        );
+        assert!(db.iter_oids().all(|o| db.sigma(o) == in_order.sigma(o)
+            && db.parent(o) == in_order.parent(o)
+            && db.label(o) == in_order.label(o)));
+    });
+}
+
 /// Every non-root oid appears exactly once as the child component of
 /// exactly one edge relation, and that relation is σ(o).
 #[test]
@@ -228,7 +264,7 @@ fn string_relations_cover_text_and_attributes() {
             .count();
         let attrs: usize = doc
             .iter_depth_first()
-            .map(|n| doc.attributes(n).len())
+            .map(|n| doc.attributes(n).count())
             .sum();
         let total: usize = db.summary().iter().map(|p| db.strings_of(p).len()).sum();
         assert_eq!(total, text_nodes + attrs, "seed {seed}");
@@ -301,7 +337,7 @@ fn string_views_equal_the_documents_strings() {
                     .iter()
                     .find(|&&c| summary.step(c) == PathStep::Attribute(attr.name))
                     .expect("attribute path interned");
-                expected[path.index()].push((o, &attr.value));
+                expected[path.index()].push((o, attr.value));
             }
         }
         assert!(

@@ -1,8 +1,11 @@
-//! A byte cursor over the source text with line/column tracking.
+//! A byte cursor over the source text.
 //!
 //! The parser is byte-oriented: XML markup is pure ASCII, and UTF-8
 //! multi-byte sequences can only occur inside names, text and attribute
-//! values, where they are copied through verbatim.
+//! values, where they are copied through verbatim. The cursor keeps a
+//! byte offset and nothing else; the line and column of an offset are
+//! counted when an error is built ([`Cursor::position_at`]), not on every
+//! byte of a well-formed document.
 
 use crate::error::Position;
 
@@ -10,36 +13,38 @@ use crate::error::Position;
 #[derive(Debug, Clone)]
 pub struct Cursor<'a> {
     src: &'a str,
-    bytes: &'a [u8],
     offset: usize,
-    line: u32,
-    column: u32,
 }
 
 impl<'a> Cursor<'a> {
     /// Create a cursor at the start of `src`.
     pub fn new(src: &'a str) -> Cursor<'a> {
-        Cursor {
-            src,
-            bytes: src.as_bytes(),
-            offset: 0,
-            line: 1,
-            column: 1,
-        }
+        Cursor { src, offset: 0 }
     }
 
     /// Current position (for error reporting).
     pub fn position(&self) -> Position {
+        self.position_at(self.offset)
+    }
+
+    /// Line and column of a byte offset: one pass over the bytes before
+    /// it, so only for building an error.
+    pub fn position_at(&self, offset: usize) -> Position {
+        let before = &self.src.as_bytes()[..offset];
+        let line_start = before
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
         Position {
-            line: self.line,
-            column: self.column,
-            offset: self.offset,
+            line: 1 + before.iter().filter(|&&b| b == b'\n').count() as u32,
+            column: (offset - line_start + 1) as u32,
+            offset,
         }
     }
 
     /// Whether the whole input has been consumed.
     pub fn is_eof(&self) -> bool {
-        self.offset >= self.bytes.len()
+        self.offset >= self.src.len()
     }
 
     /// Current byte offset.
@@ -49,54 +54,41 @@ impl<'a> Cursor<'a> {
 
     /// Look at the current byte without consuming it.
     pub fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.offset).copied()
+        self.peek_at(0)
     }
 
     /// Look `n` bytes ahead of the current byte.
     pub fn peek_at(&self, n: usize) -> Option<u8> {
-        self.bytes.get(self.offset + n).copied()
+        self.src.as_bytes().get(self.offset + n).copied()
     }
 
     /// Consume and return the current byte.
     pub fn bump(&mut self) -> Option<u8> {
         let b = self.peek()?;
         self.offset += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.column = 1;
-        } else {
-            self.column += 1;
-        }
         Some(b)
     }
 
     /// Whether the remaining input starts with `prefix`.
     pub fn starts_with(&self, prefix: &str) -> bool {
-        self.src[self.offset..].starts_with(prefix)
+        self.rest().starts_with(prefix)
     }
 
     /// Consume `prefix` if the input starts with it; report success.
     pub fn eat(&mut self, prefix: &str) -> bool {
-        if self.starts_with(prefix) {
-            for _ in 0..prefix.len() {
-                self.bump();
-            }
-            true
-        } else {
-            false
+        let found = self.starts_with(prefix);
+        if found {
+            self.offset += prefix.len();
         }
+        found
     }
 
     /// Consume bytes while `pred` holds; return the consumed slice.
     pub fn eat_while(&mut self, mut pred: impl FnMut(u8) -> bool) -> &'a str {
-        let start = self.offset;
-        while let Some(b) = self.peek() {
-            if !pred(b) {
-                break;
-            }
-            self.bump();
-        }
-        &self.src[start..self.offset]
+        let rest = self.rest();
+        let len = rest.bytes().position(|b| !pred(b)).unwrap_or(rest.len());
+        self.offset += len;
+        &rest[..len]
     }
 
     /// Skip ASCII whitespace; return how many bytes were skipped.
@@ -107,13 +99,10 @@ impl<'a> Cursor<'a> {
     /// Consume everything up to (but not including) `needle`, returning the
     /// consumed slice, or `None` if `needle` never occurs.
     pub fn eat_until(&mut self, needle: &str) -> Option<&'a str> {
-        let rest = &self.src[self.offset..];
-        let idx = rest.find(needle)?;
-        let start = self.offset;
-        for _ in 0..idx {
-            self.bump();
-        }
-        Some(&self.src[start..self.offset])
+        let rest = self.rest();
+        let len = rest.find(needle)?;
+        self.offset += len;
+        Some(&rest[..len])
     }
 
     /// The remaining unconsumed input (for diagnostics and tests).
@@ -138,6 +127,20 @@ mod tests {
         assert_eq!(c.position().column, 1);
         c.bump(); // c
         assert_eq!(c.position().column, 2);
+    }
+
+    #[test]
+    fn position_at_counts_from_the_start() {
+        let c = Cursor::new("ab\n\ncd\n");
+        let at = |offset| {
+            let p = c.position_at(offset);
+            (p.line, p.column, p.offset)
+        };
+        assert_eq!(at(0), (1, 1, 0));
+        assert_eq!(at(2), (1, 3, 2)); // the newline itself
+        assert_eq!(at(3), (2, 1, 3));
+        assert_eq!(at(5), (3, 2, 5));
+        assert_eq!(at(7), (4, 1, 7)); // end of input
     }
 
     #[test]

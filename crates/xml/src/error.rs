@@ -78,6 +78,11 @@ pub enum ParseErrorKind {
         /// The repeated attribute name.
         name: String,
     },
+    /// The source is longer than the tree's `u32` offsets can address.
+    DocumentTooLarge {
+        /// Length of the source in bytes.
+        bytes: usize,
+    },
 }
 
 impl fmt::Display for ParseErrorKind {
@@ -107,6 +112,13 @@ impl fmt::Display for ParseErrorKind {
             ParseErrorKind::NoRootElement => write!(f, "no root element found"),
             ParseErrorKind::DuplicateAttribute { name } => {
                 write!(f, "duplicate attribute {name:?}")
+            }
+            ParseErrorKind::DocumentTooLarge { bytes } => {
+                let limit = u32::MAX;
+                write!(
+                    f,
+                    "document of {bytes} bytes exceeds the {limit} the tree can address"
+                )
             }
         }
     }

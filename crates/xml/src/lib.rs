@@ -13,7 +13,11 @@
 //! The [`tree::Document`] arena realizes exactly this: element nodes carry a
 //! [`symbols::Symbol`] label and attribute list, character data becomes a
 //! dedicated *cdata* child node (mirroring the `cdata` nodes of the paper's
-//! Figure 1), and sibling order is the order of the `children` vector.
+//! Figure 1), and sibling order is the order of the sibling links — the
+//! order the children were added in. The tree exists to be bulk-loaded
+//! into `ncq-store` and dropped, so it is three flat vectors (six `u32`
+//! words a node, attribute records, one text blob) plus the symbol table,
+//! and [`parse`] allocates per distinct name, not per node.
 //!
 //! ## Supported XML subset
 //!
@@ -34,7 +38,7 @@
 //! let doc = ncq_xml::parse("<bib><article year='1999'>How to Hack</article></bib>").unwrap();
 //! let root = doc.root();
 //! assert_eq!(doc.tag_name(root), Some("bib"));
-//! let article = doc.children(root)[0];
+//! let article = doc.children(root).next().unwrap();
 //! assert_eq!(doc.attribute(article, "year"), Some("1999"));
 //! ```
 

@@ -30,16 +30,40 @@ pub fn parse(src: &str) -> Result<Document, ParseError> {
 
 /// Parse `src` into a [`Document`].
 pub fn parse_with_options(src: &str, options: ParseOptions) -> Result<Document, ParseError> {
+    check_size(src.len())?;
     Parser {
         cursor: Cursor::new(src.strip_prefix('\u{feff}').unwrap_or(src)),
         options,
+        value: String::new(),
+        carried_by: Vec::new(),
     }
     .parse_document()
+}
+
+/// The node, attribute and text counters of a [`Document`] are `u32`.
+/// Each is bounded by the length of the source — a node and an attribute
+/// take at least a byte of markup each, and an entity never decodes to
+/// more bytes than it occupies — so refusing a longer source up front
+/// keeps every counter on the parser path in range.
+fn check_size(bytes: usize) -> Result<(), ParseError> {
+    match u32::try_from(bytes) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(ParseError {
+            kind: ParseErrorKind::DocumentTooLarge { bytes },
+            position: Position::start(),
+        }),
+    }
 }
 
 struct Parser<'a> {
     cursor: Cursor<'a>,
     options: ParseOptions,
+    /// The attribute value being decoded, reused from one to the next.
+    value: String,
+    /// Per attribute-name symbol, the last element that carried it: a
+    /// name met again on the same element is a duplicate, found without
+    /// looking at the element's other attributes.
+    carried_by: Vec<Option<NodeId>>,
 }
 
 impl<'a> Parser<'a> {
@@ -50,8 +74,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn err_at(&self, kind: ParseErrorKind, position: Position) -> ParseError {
-        ParseError { kind, position }
+    /// An error at an offset noted earlier.
+    fn err_at(&self, kind: ParseErrorKind, offset: usize) -> ParseError {
+        ParseError {
+            kind,
+            position: self.cursor.position_at(offset),
+        }
     }
 
     fn parse_document(mut self) -> Result<Document, ParseError> {
@@ -135,7 +163,7 @@ impl<'a> Parser<'a> {
 
     fn parse_root(&mut self) -> Result<Document, ParseError> {
         // The root start tag gives the Document its root label.
-        let open_pos = self.cursor.position();
+        let open = self.cursor.offset();
         if !self.cursor.eat("<") {
             return Err(self.err(ParseErrorKind::NoRootElement));
         }
@@ -143,19 +171,34 @@ impl<'a> Parser<'a> {
         let mut doc = Document::new(name);
         // Every node still to come ends at a `<` of its own (an element
         // at its close tag or, self-closing, its own tag; a text node at
-        // the tag that follows it), so the count bounds the node arena.
-        // Sized once, it is one mapping of its own; grown by doubling, it
-        // starts as a 100-byte chunk that glibc may hand out from another
-        // thread's arena, and then grows there, megabytes that a later
-        // `malloc_trim` does not give back.
-        doc.reserve_nodes(self.cursor.rest().bytes().filter(|&b| b == b'<').count());
-        let root = doc.root();
-        let name = name.to_owned();
-        let self_closing = self.parse_attributes(&mut doc, root)?;
-        if self_closing {
-            return Ok(doc);
+        // the tag that follows it), every attribute has a `=` of its own
+        // and the decoded text is no longer than the source, so these
+        // bound the three vectors of the document. Sized once, each is
+        // one mapping of its own, resident only as far as it is filled
+        // (`Document::reserve` sees to it that dropping it hands the
+        // pages back); grown by doubling, it starts as a 100-byte chunk
+        // that glibc may hand out from another thread's arena, and then
+        // grows there, megabytes that a later `malloc_trim` does not
+        // give back.
+        let rest = self.cursor.rest();
+        let (mut tags, mut assignments) = (0usize, 0usize);
+        // Byte-wide counters over chunks they cannot overflow on: the
+        // loop the compiler turns into vector compares and adds.
+        for chunk in rest.as_bytes().chunks(u8::MAX as usize) {
+            let (mut lt, mut eq) = (0u8, 0u8);
+            for &b in chunk {
+                lt += (b == b'<') as u8;
+                eq += (b == b'=') as u8;
+            }
+            tags += lt as usize;
+            assignments += eq as usize;
         }
-        self.parse_content(&mut doc, root, &name, open_pos)?;
+        doc.reserve(tags, assignments, rest.len());
+        let root = doc.root();
+        let self_closing = self.parse_attributes(&mut doc, root)?;
+        if !self_closing {
+            self.parse_content(&mut doc, root, name, open)?;
+        }
         Ok(doc)
     }
 
@@ -168,50 +211,70 @@ impl<'a> Parser<'a> {
         &mut self,
         doc: &mut Document,
         open_node: NodeId,
-        open_name: &str,
-        open_pos: Position,
+        open_name: &'a str,
+        open: usize,
     ) -> Result<(), ParseError> {
-        // Stack of (node, name, position-of-open-tag).
-        let mut stack: Vec<(NodeId, String, Position)> =
-            vec![(open_node, open_name.to_owned(), open_pos)];
+        // The open elements: (node, name, offset of the open tag), the
+        // name borrowed from the source.
+        let mut stack: Vec<(NodeId, &'a str, usize)> = vec![(open_node, open_name, open)];
+        // The character data met since the last tag, decoded; reused
+        // from one text node to the next.
         let mut text = String::new();
 
-        macro_rules! flush_text {
-            ($parent:expr) => {
-                if !text.is_empty() {
-                    let keep = self.options.keep_whitespace_text
-                        || !text.chars().all(|c| c.is_whitespace());
-                    if keep {
-                        let body = if self.options.trim_text {
-                            text.trim().to_owned()
-                        } else {
-                            std::mem::take(&mut text)
-                        };
-                        if !body.is_empty() {
-                            doc.add_text($parent, body);
-                        }
-                    }
-                    text.clear();
+        while let Some(&(parent, parent_name, parent_open)) = stack.last() {
+            match self.cursor.peek() {
+                None => {
+                    let while_parsing = "element content";
+                    let kind = ParseErrorKind::UnexpectedEof { while_parsing };
+                    return Err(self.err_at(kind, parent_open));
                 }
-            };
-        }
-
-        while let Some((parent, parent_name, parent_pos)) = stack.last().cloned() {
-            if self.cursor.is_eof() {
-                return Err(self.err_at(
-                    ParseErrorKind::UnexpectedEof {
-                        while_parsing: "element content",
-                    },
-                    parent_pos,
-                ));
+                Some(b'<') => {}
+                Some(_) => {
+                    let chunk = self.cursor.eat_while(|b| b != b'<' && b != b'&');
+                    if self.cursor.peek() == Some(b'&') {
+                        text.push_str(chunk);
+                        text.push(self.parse_entity()?);
+                    } else if text.is_empty() && !self.cursor.starts_with("<![CDATA[") {
+                        // The whole text node is one slice of the source.
+                        self.add_text(doc, parent, chunk);
+                    } else {
+                        text.push_str(chunk);
+                    }
+                    continue;
+                }
             }
-            if self.cursor.starts_with("</") {
-                flush_text!(parent);
+            let second = self.cursor.peek_at(1);
+            if second == Some(b'!') && self.cursor.eat("<![CDATA[") {
+                match self.cursor.eat_until("]]>") {
+                    Some(body) => {
+                        text.push_str(body);
+                        self.cursor.eat("]]>");
+                    }
+                    None => {
+                        return Err(self.err(ParseErrorKind::UnexpectedEof {
+                            while_parsing: "CDATA section",
+                        }))
+                    }
+                }
+                continue;
+            }
+            // Any other markup ends the text node.
+            self.add_text(doc, parent, &text);
+            text.clear();
+            if second == Some(b'/') {
+                // Spelled exactly `</name>`, the tag is three comparisons;
+                // anything else takes the general path from its start.
+                let start = self.cursor.clone();
+                if self.cursor.eat("</") && self.cursor.eat(parent_name) && self.cursor.eat(">") {
+                    stack.pop();
+                    continue;
+                }
+                self.cursor = start;
                 self.cursor.eat("</");
                 let name = self.parse_name()?;
                 if name != parent_name {
                     return Err(self.err(ParseErrorKind::MismatchedClosingTag {
-                        expected: parent_name,
+                        expected: parent_name.to_owned(),
                         found: name.to_owned(),
                     }));
                 }
@@ -224,58 +287,38 @@ impl<'a> Parser<'a> {
                 }
                 stack.pop();
             } else if self.cursor.starts_with("<!--") {
-                flush_text!(parent);
                 self.skip_comment()?;
-            } else if self.cursor.starts_with("<![CDATA[") {
-                self.cursor.eat("<![CDATA[");
-                match self.cursor.eat_until("]]>") {
-                    Some(body) => {
-                        text.push_str(body);
-                        self.cursor.eat("]]>");
-                    }
-                    None => {
-                        return Err(self.err(ParseErrorKind::UnexpectedEof {
-                            while_parsing: "CDATA section",
-                        }))
-                    }
-                }
-            } else if self.cursor.starts_with("<?") {
-                flush_text!(parent);
+            } else if second == Some(b'?') {
                 self.skip_pi()?;
-            } else if self.cursor.starts_with("<") {
-                flush_text!(parent);
-                let child_pos = self.cursor.position();
+            } else {
+                let child_open = self.cursor.offset();
                 self.cursor.eat("<");
-                let name = self.parse_name()?.to_owned();
-                let child = doc.add_element(parent, &name);
+                let name = self.parse_name()?;
+                let child = doc.add_element(parent, name);
                 let self_closing = self.parse_attributes(doc, child)?;
                 if !self_closing {
-                    stack.push((child, name, child_pos));
+                    stack.push((child, name, child_open));
                 }
-            } else {
-                self.parse_text_run(&mut text)?;
             }
         }
         Ok(())
     }
 
-    /// Accumulate character data up to the next `<`, decoding entities.
-    fn parse_text_run(&mut self, out: &mut String) -> Result<(), ParseError> {
-        loop {
-            let chunk = self.cursor.eat_while(|b| b != b'<' && b != b'&');
-            out.push_str(chunk);
-            match self.cursor.peek() {
-                Some(b'&') => {
-                    let c = self.parse_entity()?;
-                    out.push(c);
-                }
-                _ => return Ok(()),
-            }
+    /// One text node from the character data between two tags, unless
+    /// the options drop it.
+    fn add_text(&self, doc: &mut Document, parent: NodeId, text: &str) {
+        let keep = self.options.keep_whitespace_text || !text.chars().all(char::is_whitespace);
+        let body = match self.options.trim_text {
+            true => text.trim(),
+            false => text,
+        };
+        if keep && !body.is_empty() {
+            doc.add_text(parent, body);
         }
     }
 
     fn parse_entity(&mut self) -> Result<char, ParseError> {
-        let pos = self.cursor.position();
+        let pos = self.cursor.offset();
         self.cursor.eat("&");
         let body = self
             .cursor
@@ -340,11 +383,16 @@ impl<'a> Parser<'a> {
                             expected: "whitespace before attribute",
                         }));
                     }
-                    let name_pos = self.cursor.position();
-                    let name = self.parse_name()?.to_owned();
-                    if doc.attribute(node, &name).is_some() {
+                    let name_at = self.cursor.offset();
+                    let name = self.parse_name()?;
+                    let symbol = doc.intern(name);
+                    if self.carried_by.len() <= symbol.index() {
+                        self.carried_by.resize(symbol.index() + 1, None);
+                    }
+                    if self.carried_by[symbol.index()].replace(node) == Some(node) {
+                        let name = name.to_owned();
                         return Err(
-                            self.err_at(ParseErrorKind::DuplicateAttribute { name }, name_pos)
+                            self.err_at(ParseErrorKind::DuplicateAttribute { name }, name_at)
                         );
                     }
                     self.cursor.skip_whitespace();
@@ -355,14 +403,15 @@ impl<'a> Parser<'a> {
                         }));
                     }
                     self.cursor.skip_whitespace();
-                    let value = self.parse_attribute_value()?;
-                    doc.set_attribute(node, &name, value);
+                    self.parse_attribute_value()?;
+                    doc.push_attribute(node, symbol, &self.value);
                 }
             }
         }
     }
 
-    fn parse_attribute_value(&mut self) -> Result<String, ParseError> {
+    /// Decode a quoted attribute value into `self.value`.
+    fn parse_attribute_value(&mut self) -> Result<(), ParseError> {
         let quote = match self.cursor.peek() {
             Some(q @ (b'"' | b'\'')) => q,
             other => {
@@ -373,20 +422,20 @@ impl<'a> Parser<'a> {
             }
         };
         self.cursor.bump();
-        let mut out = String::new();
+        self.value.clear();
         loop {
             let chunk = self
                 .cursor
                 .eat_while(|b| b != quote && b != b'&' && b != b'<');
-            out.push_str(chunk);
+            self.value.push_str(chunk);
             match self.cursor.peek() {
                 Some(b) if b == quote => {
                     self.cursor.bump();
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'&') => {
                     let c = self.parse_entity()?;
-                    out.push(c);
+                    self.value.push(c);
                 }
                 Some(_) => {
                     return Err(self.err(ParseErrorKind::UnexpectedChar {
@@ -427,7 +476,7 @@ mod tests {
     #[test]
     fn parses_nested_elements_and_text() {
         let d = parse("<a><b>hello</b><c>world</c></a>").unwrap();
-        let kids = d.children(d.root());
+        let kids: Vec<NodeId> = d.children(d.root()).collect();
         assert_eq!(kids.len(), 2);
         assert_eq!(d.tag_name(kids[0]), Some("b"));
         assert_eq!(d.deep_text(d.root()), "helloworld");
@@ -457,14 +506,14 @@ mod tests {
     fn cdata_merges_with_adjacent_text() {
         let d = parse("<a>pre<![CDATA[mid]]>post</a>").unwrap();
         // One single text node.
-        assert_eq!(d.children(d.root()).len(), 1);
+        assert_eq!(d.children(d.root()).count(), 1);
         assert_eq!(d.deep_text(d.root()), "premidpost");
     }
 
     #[test]
     fn whitespace_only_text_is_dropped_by_default() {
         let d = parse("<a>\n  <b/>\n  <c/>\n</a>").unwrap();
-        assert_eq!(d.children(d.root()).len(), 2);
+        assert_eq!(d.children(d.root()).count(), 2);
     }
 
     #[test]
@@ -477,7 +526,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(d.children(d.root()).len(), 3);
+        assert_eq!(d.children(d.root()).count(), 3);
     }
 
     #[test]
@@ -508,7 +557,7 @@ mod tests {
     fn comments_inside_content_are_skipped() {
         let d = parse("<a>x<!-- ignore <b> -->y</a>").unwrap();
         // The comment splits the text into two nodes.
-        assert_eq!(d.children(d.root()).len(), 2);
+        assert_eq!(d.children(d.root()).count(), 2);
         assert_eq!(d.deep_text(d.root()), "xy");
     }
 
@@ -537,6 +586,36 @@ mod tests {
     fn duplicate_attribute_is_an_error() {
         let e = parse(r#"<a x="1" x="2"/>"#).unwrap_err();
         assert!(matches!(e.kind, ParseErrorKind::DuplicateAttribute { .. }));
+    }
+
+    #[test]
+    fn duplicate_attribute_is_found_per_element() {
+        // The same names on a parent, its child and its sibling are fine.
+        let d = parse(r#"<a x="1" y="2"><b x="3"><c y="4" x="5"/></b><b x="6"/></a>"#).unwrap();
+        assert_eq!(d.attribute(d.root(), "x"), Some("1"));
+        // A repeat after another element used the name in between.
+        let e = parse("<a x='1'><b x='2'/></a><!-- -->").map(|_| ());
+        assert_eq!(e, Ok(()));
+        let e = parse("<a>\n<b x='1' y='2'\n   x='3'/></a>").unwrap_err();
+        assert_eq!(
+            e.kind,
+            ParseErrorKind::DuplicateAttribute { name: "x".into() }
+        );
+        assert_eq!((e.position.line, e.position.column), (3, 4));
+        assert_eq!(e.position.offset, 22);
+    }
+
+    #[test]
+    fn a_source_the_offsets_cannot_address_is_refused() {
+        assert_eq!(check_size(0), Ok(()));
+        assert_eq!(check_size(u32::MAX as usize), Ok(()));
+        let e = check_size(u32::MAX as usize + 1).unwrap_err();
+        assert_eq!(e.kind, ParseErrorKind::DocumentTooLarge { bytes: 1 << 32 });
+        assert_eq!(e.position, Position::start());
+        assert_eq!(
+            e.to_string(),
+            "document of 4294967296 bytes exceeds the 4294967295 the tree can address at 1:1"
+        );
     }
 
     #[test]
@@ -613,14 +692,14 @@ mod tests {
         assert_eq!(arts.len(), 2);
         assert_eq!(d.attribute(arts[0], "key"), Some("BB99"));
         assert_eq!(d.attribute(arts[1], "key"), Some("BK99"));
-        let title2 = d.children(arts[1])[1];
+        let title2 = d.children(arts[1]).nth(1).unwrap();
         assert_eq!(d.deep_text(title2), "Hacking & RSI");
     }
 
     #[test]
     fn text_kind_matches() {
         let d = parse("<a>t</a>").unwrap();
-        let t = d.children(d.root())[0];
+        let t = d.children(d.root()).next().unwrap();
         assert!(matches!(d.kind(t), NodeKind::Text(s) if s == "t"));
         assert_eq!(d.text(t), Some("t"));
         assert_eq!(d.tag_name(t), None);

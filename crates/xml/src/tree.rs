@@ -1,23 +1,40 @@
 //! Arena-based XML syntax tree: the conceptual data model of the paper.
 //!
-//! A [`Document`] owns a flat arena of [`Node`]s addressed by [`NodeId`].
-//! Two node kinds exist:
+//! A [`Document`] is three flat vectors and the symbol table — no heap
+//! object per node:
 //!
-//! * **Element** nodes carry an interned tag name, an ordered attribute
-//!   list, and an ordered child list (the paper's `rank` function is the
-//!   child-vector position).
-//! * **Text** nodes carry character data. They correspond to the `cdata`
-//!   nodes drawn in Figure 1 of the paper — PCDATA and CDATA are not
-//!   distinguished, exactly as the paper's "common simplification".
+//! * `nodes`, six `u32` words a node, addressed by [`NodeId`]:
 //!
-//! The arena layout guarantees that a node created after its parent has a
-//! larger `NodeId`; builders in this crate and the parser always create
-//! nodes parent-first, so `NodeId` order is a topological (and for the
-//! parser: document/depth-first) order. `ncq-store` relies on this when it
-//! assigns OIDs.
+//!   | word     | element                  | text (the paper's *cdata*) |
+//!   |----------|--------------------------|----------------------------|
+//!   | `kind`   | tag [`Symbol`]           | the text sentinel          |
+//!   | `parent` | parent node (none: root) | parent node                |
+//!   | `next`   | next sibling             | next sibling               |
+//!   | `first`  | first child              | byte offset in the blob    |
+//!   | `last`   | last child               | byte length                |
+//!   | `attr`   | last attribute           | —                          |
+//!
+//! * `attrs`, one record per attribute: name, value range in the blob
+//!   and the next attribute of the same element. The list is circular —
+//!   the last record links back to the first — so one word in the node
+//!   gives both O(1) append and iteration in insertion order.
+//! * `text`, one blob holding every text node's data and every attribute
+//!   value (entities decoded). PCDATA and CDATA are not distinguished,
+//!   exactly as the paper's "common simplification".
+//!
+//! Sibling order (the paper's `rank`) is the order of the `next` links,
+//! which is the order the children were added in, under whichever parent
+//! and at whatever time: `add_element` / `add_text` append to the
+//! parent's list in O(1). A node is created after its parent, so a
+//! child's `NodeId` is larger than its parent's; the parser creates
+//! nodes in document order, so there `NodeId` order *is* pre-order.
+//! Builders may add a child to an earlier parent at any time, and then
+//! it is not — `ncq-store` assigns oids by walking the links
+//! ([`Document::iter_depth_first`]), never by `NodeId`.
 
 use crate::symbols::{Symbol, SymbolTable};
 use std::fmt;
+use std::iter::successors;
 
 /// Index of a node inside a [`Document`] arena.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -38,68 +55,134 @@ impl fmt::Debug for NodeId {
 }
 
 /// A single attribute `name="value"` on an element.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attribute {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Attribute<'a> {
     /// Interned attribute name.
     pub name: Symbol,
     /// Attribute value with entities already decoded.
-    pub value: String,
+    pub value: &'a str,
 }
 
 /// What a node is: an element or character data.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeKind {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeKind<'a> {
     /// An element with an interned tag name.
     Element(Symbol),
     /// Character data (the paper's *cdata* node).
-    Text(String),
+    Text(&'a str),
 }
 
-/// One node of the syntax tree.
-#[derive(Debug, Clone)]
-pub struct Node {
-    kind: NodeKind,
-    parent: Option<NodeId>,
-    children: Vec<NodeId>,
-    attrs: Vec<Attribute>,
+/// "No such node / attribute" in a link word, and the `kind` of a text
+/// node. Every index handed out is checked to stay below it.
+const NIL: u32 = u32::MAX;
+const TEXT: u32 = NIL;
+
+/// One node of the syntax tree; see the module docs for the layout.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    kind: u32,
+    parent: u32,
+    next: u32,
+    first: u32,
+    last: u32,
+    attr: u32,
 }
 
-/// A rooted XML syntax tree with its symbol table.
+/// One attribute record: its value is `text[at .. at + len]`.
+#[derive(Debug, Clone, Copy)]
+struct Attr {
+    name: Symbol,
+    at: u32,
+    len: u32,
+    next: u32,
+}
+
+/// A rooted XML syntax tree with its symbol table. The root is node 0.
 #[derive(Debug, Clone)]
 pub struct Document {
     nodes: Vec<Node>,
-    root: NodeId,
+    attrs: Vec<Attr>,
+    text: String,
     symbols: SymbolTable,
+}
+
+/// `n` as an index word.
+///
+/// # Panics
+/// Panics with "document too large" when it does not fit below [`NIL`].
+fn word(n: usize) -> u32 {
+    u32::try_from(n)
+        .ok()
+        .filter(|&w| w != NIL)
+        .expect("document too large")
+}
+
+/// The capacity to ask for when `count` elements of `T` are wanted in one
+/// block that is filled, read once and dropped, as a parsed document is.
+///
+/// A block of 128 KiB or more is a mapping of its own under glibc, and a
+/// *freed* mapping of up to 32 MiB becomes the allocator's new mmap
+/// threshold: after the first `drop(doc)` every smaller block — the next
+/// document, the store's columns, a snapshot image on its way up — is
+/// carved from the heap, and up to twice that much freed heap is kept.
+/// What an ingest then costs depends on the holes the previous one left:
+/// the same 5 MB input peaked at 76, 83 or 87 MB from one run to the
+/// next. Past 32 MiB a block is mapped, unmapped on drop and leaves the
+/// threshold alone, so such a block asks for that much; it is resident
+/// only as far as it is filled, and the fourth ingest of a process costs
+/// what the first did. Elsewhere, and for small documents, the capacity
+/// is the count.
+fn own_mapping<T>(count: usize) -> usize {
+    const MAPPED_FROM: usize = 128 << 10;
+    const KEPT_UP_TO: usize = 32 << 20;
+    let size = std::mem::size_of::<T>();
+    let glibc = cfg!(all(target_env = "gnu", target_pointer_width = "64"));
+    if glibc && count.saturating_mul(size) >= MAPPED_FROM {
+        count.max(KEPT_UP_TO / size + 1)
+    } else {
+        count
+    }
+}
+
+fn link(word: u32) -> Option<NodeId> {
+    (word != NIL).then_some(NodeId(word))
 }
 
 impl Document {
     /// Create a document with a single root element named `root_tag`.
     pub fn new(root_tag: &str) -> Document {
         let mut symbols = SymbolTable::new();
-        let sym = symbols.intern(root_tag);
+        let kind = word(symbols.intern(root_tag).index());
+        let root = Node {
+            kind,
+            parent: NIL,
+            next: NIL,
+            first: NIL,
+            last: NIL,
+            attr: NIL,
+        };
         Document {
-            nodes: vec![Node {
-                kind: NodeKind::Element(sym),
-                parent: None,
-                children: Vec::new(),
-                attrs: Vec::new(),
-            }],
-            root: NodeId(0),
+            nodes: vec![root],
+            attrs: Vec::new(),
+            text: String::new(),
             symbols,
         }
     }
 
-    /// Make room for `additional` more nodes in one allocation. A hint:
-    /// when the allocator refuses (the count comes from the input), the
-    /// arena grows as it is pushed to.
-    pub(crate) fn reserve_nodes(&mut self, additional: usize) {
-        let _ = self.nodes.try_reserve_exact(additional);
+    /// Make room for this many more nodes, attributes and blob bytes,
+    /// one allocation each. A hint: when the allocator refuses (the
+    /// counts come from the input), the vectors grow as they are pushed
+    /// to.
+    pub(crate) fn reserve(&mut self, nodes: usize, attrs: usize, text: usize) {
+        let _ = self.nodes.try_reserve_exact(own_mapping::<Node>(nodes));
+        let _ = self.attrs.try_reserve_exact(own_mapping::<Attr>(attrs));
+        let _ = self.text.try_reserve_exact(own_mapping::<u8>(text));
     }
 
     /// The distinguished root node.
     #[inline]
     pub fn root(&self) -> NodeId {
-        self.root
+        NodeId(0)
     }
 
     /// Total number of nodes (elements + text).
@@ -119,94 +202,170 @@ impl Document {
         &self.symbols
     }
 
+    /// Intern an attribute name for [`Document::push_attribute`].
+    pub(crate) fn intern(&mut self, name: &str) -> Symbol {
+        self.symbols.intern(name)
+    }
+
     /// Append a new element child under `parent` and return its id.
+    ///
+    /// # Panics
+    /// Like [`Document::add_text`].
     pub fn add_element(&mut self, parent: NodeId, tag: &str) -> NodeId {
-        let sym = self.symbols.intern(tag);
-        self.push_node(parent, NodeKind::Element(sym))
+        let tag = self.symbols.intern(tag);
+        self.push_node(parent, word(tag.index()), NIL, NIL)
     }
 
     /// Append a new text (cdata) child under `parent` and return its id.
-    pub fn add_text(&mut self, parent: NodeId, text: impl Into<String>) -> NodeId {
-        self.push_node(parent, NodeKind::Text(text.into()))
+    ///
+    /// # Panics
+    /// Panics if `parent` is a text node, and with "document too large"
+    /// once the nodes or the text no longer fit `u32` offsets.
+    pub fn add_text(&mut self, parent: NodeId, text: impl AsRef<str>) -> NodeId {
+        let (at, len) = self.push_str(text.as_ref());
+        self.push_node(parent, TEXT, at, len)
     }
 
-    /// Set (or overwrite) an attribute on an element node.
+    /// Set (or overwrite) an attribute on an element node. Overwriting
+    /// keeps the attribute's position in the list.
     ///
     /// # Panics
     /// Panics if `node` is a text node.
-    pub fn set_attribute(&mut self, node: NodeId, name: &str, value: impl Into<String>) {
-        assert!(
-            matches!(self.nodes[node.index()].kind, NodeKind::Element(_)),
-            "attributes only exist on element nodes"
-        );
-        let sym = self.symbols.intern(name);
-        let attrs = &mut self.nodes[node.index()].attrs;
-        if let Some(a) = attrs.iter_mut().find(|a| a.name == sym) {
-            a.value = value.into();
-        } else {
-            attrs.push(Attribute {
-                name: sym,
-                value: value.into(),
-            });
+    pub fn set_attribute(&mut self, node: NodeId, name: &str, value: impl AsRef<str>) {
+        let name = self.symbols.intern(name);
+        let existing = self.attr_ids(node).find(|&a| self.attrs[a].name == name);
+        match existing {
+            Some(a) => {
+                let (at, len) = self.push_str(value.as_ref());
+                (self.attrs[a].at, self.attrs[a].len) = (at, len);
+            }
+            None => self.push_attribute(node, name, value.as_ref()),
         }
     }
 
-    fn push_node(&mut self, parent: NodeId, kind: NodeKind) -> NodeId {
-        assert!(parent.index() < self.nodes.len(), "dangling parent id");
-        let id = NodeId(u32::try_from(self.nodes.len()).expect("document too large"));
+    /// Append an attribute the caller knows `node` does not carry yet.
+    pub(crate) fn push_attribute(&mut self, node: NodeId, name: Symbol, value: &str) {
+        let owner = node.index();
+        assert!(
+            self.nodes[owner].kind != TEXT,
+            "attributes only exist on element nodes"
+        );
+        let (at, len) = self.push_str(value);
+        let id = word(self.attrs.len());
+        // Close the circle: the new last record links to the first.
+        let next = match std::mem::replace(&mut self.nodes[owner].attr, id) {
+            NIL => id,
+            last => std::mem::replace(&mut self.attrs[last as usize].next, id),
+        };
+        self.attrs.push(Attr {
+            name,
+            at,
+            len,
+            next,
+        });
+    }
+
+    /// Append `s` to the blob; its offset and length.
+    fn push_str(&mut self, s: &str) -> (u32, u32) {
+        let at = self.text.len();
+        self.text.push_str(s);
+        // The end fits, so the offset and the length do.
+        word(self.text.len());
+        (at as u32, s.len() as u32)
+    }
+
+    fn push_node(&mut self, parent: NodeId, kind: u32, first: u32, last: u32) -> NodeId {
+        let id = word(self.nodes.len());
+        let host = &mut self.nodes[parent.index()];
+        assert!(host.kind != TEXT, "children only exist under element nodes");
+        let prev = std::mem::replace(&mut host.last, id);
+        match prev {
+            NIL => host.first = id,
+            _ => self.nodes[prev as usize].next = id,
+        }
         self.nodes.push(Node {
             kind,
-            parent: Some(parent),
-            children: Vec::new(),
-            attrs: Vec::new(),
+            parent: parent.0,
+            next: NIL,
+            first,
+            last,
+            attr: NIL,
         });
-        self.nodes[parent.index()].children.push(id);
-        id
+        NodeId(id)
     }
 
     /// The node's kind.
     #[inline]
-    pub fn kind(&self, id: NodeId) -> &NodeKind {
-        &self.nodes[id.index()].kind
+    pub fn kind(&self, id: NodeId) -> NodeKind<'_> {
+        let node = &self.nodes[id.index()];
+        match node.kind {
+            TEXT => NodeKind::Text(self.slice(node.first, node.last)),
+            tag => NodeKind::Element(Symbol::from_index(tag as usize)),
+        }
+    }
+
+    fn slice(&self, at: u32, len: u32) -> &str {
+        &self.text[at as usize..at as usize + len as usize]
     }
 
     /// The parent, `None` for the root.
     #[inline]
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.index()].parent
+        link(self.nodes[id.index()].parent)
     }
 
-    /// The ordered children (the paper's `rank` order).
-    #[inline]
-    pub fn children(&self, id: NodeId) -> &[NodeId] {
-        &self.nodes[id.index()].children
+    /// The children in sibling order (the paper's `rank` order).
+    pub fn children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        successors(self.first_child(id), |c| link(self.nodes[c.index()].next))
     }
 
-    /// The attributes of an element (empty slice for text nodes).
-    #[inline]
-    pub fn attributes(&self, id: NodeId) -> &[Attribute] {
-        &self.nodes[id.index()].attrs
+    fn first_child(&self, id: NodeId) -> Option<NodeId> {
+        let node = &self.nodes[id.index()];
+        link(if node.kind == TEXT { NIL } else { node.first })
+    }
+
+    /// The attributes of an element in the order they were first set
+    /// (none for text nodes).
+    pub fn attributes(&self, id: NodeId) -> impl Iterator<Item = Attribute<'_>> + '_ {
+        self.attr_ids(id).map(|a| {
+            let Attr { name, at, len, .. } = self.attrs[a];
+            let value = self.slice(at, len);
+            Attribute { name, value }
+        })
+    }
+
+    fn named_attributes(&self, id: NodeId) -> impl Iterator<Item = (&str, &str)> + '_ {
+        self.attributes(id)
+            .map(|a| (self.symbols.resolve(a.name), a.value))
+    }
+
+    /// Indices into `attrs` of the attributes of `id`: once around the
+    /// circle, from the record after the last one.
+    fn attr_ids(&self, id: NodeId) -> impl Iterator<Item = usize> + '_ {
+        let last = self.nodes[id.index()].attr;
+        let first = (last != NIL).then(|| self.attrs[last as usize].next);
+        successors(first, move |&a| {
+            (a != last).then(|| self.attrs[a as usize].next)
+        })
+        .map(|a| a as usize)
     }
 
     /// Tag name of an element node, `None` for text nodes.
     pub fn tag_name(&self, id: NodeId) -> Option<&str> {
-        match self.nodes[id.index()].kind {
-            NodeKind::Element(sym) => Some(self.symbols.resolve(sym)),
-            NodeKind::Text(_) => None,
-        }
+        self.tag_symbol(id).map(|tag| self.symbols.resolve(tag))
     }
 
     /// Interned tag symbol of an element node, `None` for text nodes.
     pub fn tag_symbol(&self, id: NodeId) -> Option<Symbol> {
-        match self.nodes[id.index()].kind {
-            NodeKind::Element(sym) => Some(sym),
+        match self.kind(id) {
+            NodeKind::Element(tag) => Some(tag),
             NodeKind::Text(_) => None,
         }
     }
 
     /// Character data of a text node, `None` for elements.
     pub fn text(&self, id: NodeId) -> Option<&str> {
-        match &self.nodes[id.index()].kind {
+        match self.kind(id) {
             NodeKind::Text(s) => Some(s),
             NodeKind::Element(_) => None,
         }
@@ -214,12 +373,10 @@ impl Document {
 
     /// Attribute value by name on an element node.
     pub fn attribute(&self, id: NodeId, name: &str) -> Option<&str> {
-        let sym = self.symbols.get(name)?;
-        self.nodes[id.index()]
-            .attrs
-            .iter()
-            .find(|a| a.name == sym)
-            .map(|a| a.value.as_str())
+        let name = self.symbols.get(name)?;
+        self.attributes(id)
+            .find(|a| a.name == name)
+            .map(|a| a.value)
     }
 
     /// Depth of a node: 0 for the root.
@@ -228,19 +385,13 @@ impl Document {
     }
 
     /// Iterate `id, parent(id), …, root` (inclusive on both ends).
-    pub fn ancestors(&self, id: NodeId) -> Ancestors<'_> {
-        Ancestors {
-            doc: self,
-            next: Some(id),
-        }
+    pub fn ancestors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        successors(Some(id), |&n| self.parent(n))
     }
 
     /// Depth-first pre-order traversal of the whole document.
-    pub fn iter_depth_first(&self) -> DepthFirst<'_> {
-        DepthFirst {
-            doc: self,
-            stack: vec![self.root],
-        }
+    pub fn iter_depth_first(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.iter_subtree(self.root())
     }
 
     /// All node ids in arena order (parents before children, but not
@@ -251,18 +402,7 @@ impl Document {
 
     /// Concatenated text of all descendant text nodes, in document order.
     pub fn deep_text(&self, id: NodeId) -> String {
-        let mut out = String::new();
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            if let NodeKind::Text(s) = &self.nodes[n.index()].kind {
-                out.push_str(s);
-            }
-            // Push children in reverse so the leftmost is popped first.
-            for &c in self.nodes[n.index()].children.iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
+        self.iter_subtree(id).filter_map(|n| self.text(n)).collect()
     }
 
     /// Find the first descendant element (pre-order) with the given tag.
@@ -273,84 +413,65 @@ impl Document {
     }
 
     /// Depth-first pre-order traversal of the subtree rooted at `from`.
-    pub fn iter_subtree(&self, from: NodeId) -> DepthFirst<'_> {
-        DepthFirst {
-            doc: self,
-            stack: vec![from],
-        }
+    /// It follows the links — down to the first child, else along the
+    /// next sibling of the nearest ancestor below `from` that has one —
+    /// so it keeps no stack.
+    pub fn iter_subtree(&self, from: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        successors(Some(from), move |&n| {
+            if let Some(child) = self.first_child(n) {
+                return Some(child);
+            }
+            let mut up = n;
+            while up != from {
+                let node = &self.nodes[up.index()];
+                if let Some(sibling) = link(node.next) {
+                    return Some(sibling);
+                }
+                up = NodeId(node.parent);
+            }
+            None
+        })
     }
 
     /// Structural equality, ignoring symbol numbering (two documents built
     /// in different label orders can still be equal).
     pub fn structural_eq(&self, other: &Document) -> bool {
-        fn eq_rec(a: &Document, an: NodeId, b: &Document, bn: NodeId) -> bool {
-            match (a.kind(an), b.kind(bn)) {
-                (NodeKind::Text(x), NodeKind::Text(y)) => x == y,
-                (NodeKind::Element(_), NodeKind::Element(_)) => {
-                    if a.tag_name(an) != b.tag_name(bn) {
-                        return false;
-                    }
-                    let aa = a.attributes(an);
-                    let ba = b.attributes(bn);
-                    if aa.len() != ba.len() {
-                        return false;
-                    }
-                    for (x, y) in aa.iter().zip(ba.iter()) {
-                        if a.symbols.resolve(x.name) != b.symbols.resolve(y.name)
-                            || x.value != y.value
-                        {
-                            return false;
-                        }
-                    }
-                    let ac = a.children(an);
-                    let bc = b.children(bn);
-                    ac.len() == bc.len()
-                        && ac.iter().zip(bc.iter()).all(|(&x, &y)| eq_rec(a, x, b, y))
-                }
-                _ => false,
-            }
-        }
-        eq_rec(self, self.root(), other, other.root())
-    }
-}
-
-/// Iterator over a node's ancestors, produced by [`Document::ancestors`].
-pub struct Ancestors<'a> {
-    doc: &'a Document,
-    next: Option<NodeId>,
-}
-
-impl Iterator for Ancestors<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        let cur = self.next?;
-        self.next = self.doc.parent(cur);
-        Some(cur)
-    }
-}
-
-/// Depth-first pre-order iterator, produced by [`Document::iter_depth_first`].
-pub struct DepthFirst<'a> {
-    doc: &'a Document,
-    stack: Vec<NodeId>,
-}
-
-impl Iterator for DepthFirst<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        let cur = self.stack.pop()?;
-        for &c in self.doc.children(cur).iter().rev() {
-            self.stack.push(c);
-        }
-        Some(cur)
+        // Two pre-order walks in step. Nodes that agree on having a child
+        // and on having a next sibling make the walks take the same
+        // turns, so equal pairs all the way mean equal shapes.
+        let same = |a: NodeId, b: NodeId| {
+            self.tag_name(a) == other.tag_name(b)
+                && self.text(a) == other.text(b)
+                && self.first_child(a).is_some() == other.first_child(b).is_some()
+                && (self.nodes[a.index()].next != NIL) == (other.nodes[b.index()].next != NIL)
+                && self.named_attributes(a).eq(other.named_attributes(b))
+        };
+        let mut theirs = other.iter_depth_first();
+        self.iter_depth_first()
+            .all(|a| theirs.next().is_some_and(|b| same(a, b)))
+            && theirs.next().is_none()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_block_that_would_be_mapped_asks_for_a_mapping_that_is_handed_back() {
+        // Below glibc's 128 KiB: the count itself.
+        assert_eq!(own_mapping::<Node>(5_000), 5_000);
+        assert_eq!(own_mapping::<u8>(0), 0);
+        // Never less than what was asked for.
+        assert_eq!(own_mapping::<Node>(2_000_000), 2_000_000);
+        if cfg!(all(target_env = "gnu", target_pointer_width = "64")) {
+            // From there on: past the 32 MiB a freed mapping may have
+            // and still move the threshold.
+            assert!(own_mapping::<Node>(6_000) * std::mem::size_of::<Node>() > 32 << 20);
+            assert!(own_mapping::<Attr>(20_000) * std::mem::size_of::<Attr>() > 32 << 20);
+            assert_eq!(own_mapping::<u8>(128 << 10), (32 << 20) + 1);
+        }
+    }
 
     /// Build the running example of the paper's Figure 1 (one article).
     fn small_bib() -> Document {
@@ -381,11 +502,7 @@ mod tests {
     fn children_preserve_rank_order() {
         let d = small_bib();
         let art = d.find_element(d.root(), "article").unwrap();
-        let tags: Vec<&str> = d
-            .children(art)
-            .iter()
-            .map(|&c| d.tag_name(c).unwrap())
-            .collect();
+        let tags: Vec<&str> = d.children(art).map(|c| d.tag_name(c).unwrap()).collect();
         assert_eq!(tags, vec!["author", "title", "year"]);
     }
 
@@ -404,7 +521,7 @@ mod tests {
         d.set_attribute(root, "a", "1");
         d.set_attribute(root, "a", "2");
         assert_eq!(d.attribute(root, "a"), Some("2"));
-        assert_eq!(d.attributes(root).len(), 1);
+        assert_eq!(d.attributes(root).count(), 1);
     }
 
     #[test]
@@ -519,5 +636,111 @@ mod tests {
         // bibliography, institute, article, author, firstname, #Ben,
         // lastname, #Bit, title, #How to Hack, year, #1999
         assert_eq!(d.len(), 12);
+    }
+
+    /// `r(a(a1, a2), b(b1))` with `a2` added last, under the earlier parent.
+    fn out_of_order() -> (Document, [NodeId; 5]) {
+        let mut d = Document::new("r");
+        let a = d.add_element(d.root(), "a");
+        let a1 = d.add_text(a, "one");
+        let b = d.add_element(d.root(), "b");
+        let b1 = d.add_text(b, "three");
+        let a2 = d.add_element(a, "two");
+        (d, [a, a1, a2, b, b1])
+    }
+
+    #[test]
+    fn children_keep_insertion_order_when_built_out_of_document_order() {
+        let (d, [a, a1, a2, b, b1]) = out_of_order();
+        assert_eq!(d.children(d.root()).collect::<Vec<_>>(), vec![a, b]);
+        assert_eq!(d.children(a).collect::<Vec<_>>(), vec![a1, a2]);
+        assert_eq!(d.children(b).collect::<Vec<_>>(), vec![b1]);
+        assert_eq!(d.children(a1).count(), 0);
+        // Pre-order follows the links, not the arena.
+        let order: Vec<NodeId> = d.iter_depth_first().collect();
+        assert_eq!(order, vec![d.root(), a, a1, a2, b, b1]);
+        assert!(a2 > b1);
+        assert_eq!(d.parent(a2), Some(a));
+        assert_eq!(d.depth(a2), 2);
+    }
+
+    #[test]
+    fn iter_subtree_stops_at_the_last_descendant() {
+        let (d, [a, a1, a2, b, b1]) = out_of_order();
+        assert_eq!(d.iter_subtree(a).collect::<Vec<_>>(), vec![a, a1, a2]);
+        assert_eq!(d.iter_subtree(b).collect::<Vec<_>>(), vec![b, b1]);
+        assert_eq!(d.iter_subtree(a1).collect::<Vec<_>>(), vec![a1]);
+        assert_eq!(d.iter_subtree(a2).collect::<Vec<_>>(), vec![a2]);
+        assert_eq!(d.deep_text(a), "one");
+        assert_eq!(d.deep_text(d.root()), "onethree");
+        assert_eq!(d.find_element(d.root(), "two"), Some(a2));
+        assert_eq!(d.find_element(b, "two"), None);
+    }
+
+    #[test]
+    fn attributes_keep_insertion_order_across_elements_and_overwrites() {
+        let mut d = Document::new("r");
+        let x = d.add_element(d.root(), "x");
+        let y = d.add_element(d.root(), "y");
+        d.set_attribute(x, "a", "1");
+        d.set_attribute(y, "a", "y1");
+        d.set_attribute(x, "b", "2");
+        d.set_attribute(x, "c", "3");
+        d.set_attribute(y, "c", "y3");
+        // Overwriting the first, a middle and the last attribute keeps
+        // every position and the count.
+        d.set_attribute(x, "b", "two");
+        d.set_attribute(x, "a", "");
+        d.set_attribute(x, "c", "three, longer than before");
+        let pairs = |n| -> Vec<(&str, &str)> {
+            d.attributes(n)
+                .map(|a| (d.symbols().resolve(a.name), a.value))
+                .collect()
+        };
+        assert_eq!(
+            pairs(x),
+            vec![("a", ""), ("b", "two"), ("c", "three, longer than before")]
+        );
+        assert_eq!(pairs(y), vec![("a", "y1"), ("c", "y3")]);
+        assert_eq!(d.attribute(x, "b"), Some("two"));
+        assert_eq!(d.attributes(d.root()).count(), 0);
+    }
+
+    #[test]
+    fn structural_eq_follows_links_not_arena_order() {
+        let (a, _) = out_of_order();
+        let mut b = Document::new("r");
+        let x = b.add_element(b.root(), "a");
+        b.add_text(x, "one");
+        b.add_element(x, "two");
+        let y = b.add_element(b.root(), "b");
+        b.add_text(y, "three");
+        assert!(a.structural_eq(&b) && b.structural_eq(&a));
+        // Same pre-order labels, different shape: `two` moved under `b`.
+        let mut c = Document::new("r");
+        let x = c.add_element(c.root(), "a");
+        c.add_text(x, "one");
+        let y = c.add_element(c.root(), "b");
+        c.add_element(y, "two");
+        c.add_text(y, "three");
+        assert!(!a.structural_eq(&c));
+        // A proper prefix is not equal either way round.
+        let mut e = b.clone();
+        e.add_element(y, "tail");
+        assert!(!b.structural_eq(&e) && !e.structural_eq(&b));
+    }
+
+    #[test]
+    #[should_panic(expected = "children only exist under element nodes")]
+    fn add_child_under_text_panics() {
+        let mut d = Document::new("r");
+        let t = d.add_text(d.root(), "hello");
+        d.add_element(t, "x");
+    }
+
+    #[test]
+    #[should_panic(expected = "document too large")]
+    fn an_index_that_does_not_fit_a_word_is_refused() {
+        word(u32::MAX as usize);
     }
 }

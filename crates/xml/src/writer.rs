@@ -42,18 +42,15 @@ fn write_node(doc: &Document, node: NodeId, options: WriteOptions, depth: usize,
             out.push_str(tag);
             for attr in doc.attributes(node) {
                 let name = doc.symbols().resolve(attr.name);
-                let _ = write!(out, " {}=\"{}\"", name, escape_attribute(&attr.value));
+                let _ = write!(out, " {}=\"{}\"", name, escape_attribute(attr.value));
             }
-            let children = doc.children(node);
-            if children.is_empty() {
+            if doc.children(node).next().is_none() {
                 out.push_str("/>");
             } else {
                 out.push('>');
                 // Mixed content (any text child) suppresses indentation for
                 // the element body so text round-trips byte-exactly.
-                let mixed = children
-                    .iter()
-                    .any(|&c| matches!(doc.kind(c), NodeKind::Text(_)));
+                let mixed = doc.children(node).any(|c| doc.text(c).is_some());
                 let child_opts = if mixed {
                     WriteOptions {
                         indent: None,
@@ -62,7 +59,7 @@ fn write_node(doc: &Document, node: NodeId, options: WriteOptions, depth: usize,
                 } else {
                     options
                 };
-                for &c in children {
+                for c in doc.children(node) {
                     write_node(doc, c, child_opts, depth + 1, out);
                 }
                 indent(child_opts, depth, out);

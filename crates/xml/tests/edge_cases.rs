@@ -119,7 +119,7 @@ fn very_wide_documents_parse() {
     }
     src.push_str("</r>");
     let d = parse(&src).unwrap();
-    assert_eq!(d.children(d.root()).len(), 20_000);
+    assert_eq!(d.children(d.root()).count(), 20_000);
 }
 
 #[test]
@@ -130,7 +130,7 @@ fn many_attributes_on_one_element() {
     }
     src.push_str("/>");
     let d = parse(&src).unwrap();
-    assert_eq!(d.attributes(d.root()).len(), 500);
+    assert_eq!(d.attributes(d.root()).count(), 500);
     assert_eq!(d.attribute(d.root(), "a499"), Some("499"));
 }
 
@@ -176,11 +176,90 @@ fn mixed_content_order_is_preserved() {
     let d = parse("<p>one<b>two</b>three<i>four</i>five</p>").unwrap();
     let kinds: Vec<String> = d
         .children(d.root())
-        .iter()
-        .map(|&c| match d.kind(c) {
+        .map(|c| match d.kind(c) {
             ncq_xml::NodeKind::Text(s) => format!("#{s}"),
             ncq_xml::NodeKind::Element(_) => d.tag_name(c).unwrap().to_string(),
         })
         .collect();
     assert_eq!(kinds, vec!["#one", "b", "#three", "i", "#five"]);
+}
+
+/// A start tag with `count` distinct attributes `a0='0' a1='1' …`, then
+/// `tail`, then `/>`.
+fn wide_tag(count: usize, tail: &str) -> String {
+    let mut src = String::from("<r");
+    for i in 0..count {
+        src.push_str(&format!(" a{i}='{i}'"));
+    }
+    src.push_str(tail);
+    src.push_str("/>");
+    src
+}
+
+/// Hostile input: duplicate detection must not look at the element's
+/// other attributes. A scan per attribute is 2 × 10¹⁰ comparisons for
+/// each of the two parses here — most of a minute in a release build
+/// (measured before the fix: 5 s for 100 000), many in a debug build.
+/// The linear parse takes a quarter of a second in a release build and
+/// about a second and a half in a debug build, nearly all of it
+/// interning 200 000 distinct names.
+#[test]
+fn two_hundred_thousand_attributes_parse_in_linear_time() {
+    const COUNT: usize = 200_000;
+    let src = wide_tag(COUNT, "");
+    // A duplicate placed last is the worst case for a scan.
+    let dup = wide_tag(COUNT, " a7='again'");
+    let started = std::time::Instant::now();
+    let d = parse(&src).unwrap();
+    let e = parse(&dup).unwrap_err();
+    let elapsed = started.elapsed();
+    println!("{COUNT} attributes, parsed twice: {elapsed:?}");
+    assert!(elapsed.as_secs() < 20, "took {elapsed:?}");
+
+    let mut seen = 0;
+    for (i, attr) in d.attributes(d.root()).enumerate() {
+        assert_eq!(d.symbols().resolve(attr.name)[1..], i.to_string());
+        assert_eq!(attr.value, i.to_string());
+        seen += 1;
+    }
+    assert_eq!(seen, COUNT);
+    assert_eq!(d.attribute(d.root(), "a199999"), Some("199999"));
+    // The error is at the repeated name, as it always was.
+    assert_eq!(
+        e.kind,
+        ParseErrorKind::DuplicateAttribute { name: "a7".into() }
+    );
+    let at = dup.len() - "a7='again'/>".len();
+    assert_eq!(
+        (e.position.line, e.position.column, e.position.offset),
+        (1, at as u32 + 1, at)
+    );
+}
+
+/// A chain one million elements deep: the parser keeps its own stack,
+/// the walks follow the links, and dropping the tree is three frees —
+/// nothing recurses.
+#[test]
+fn a_million_deep_chain_parses_walks_and_drops() {
+    const DEPTH: usize = 1_000_000;
+    let mut src = String::with_capacity(DEPTH * 7 + 4);
+    for _ in 0..DEPTH {
+        src.push_str("<d>");
+    }
+    src.push_str("leaf");
+    for _ in 0..DEPTH {
+        src.push_str("</d>");
+    }
+    let d = parse(&src).unwrap();
+    assert_eq!(d.len(), DEPTH + 1);
+    assert_eq!(d.iter_depth_first().count(), DEPTH + 1);
+    let leaf = d.iter_depth_first().last().unwrap();
+    assert_eq!(d.text(leaf), Some("leaf"));
+    assert_eq!(d.depth(leaf), DEPTH);
+    assert_eq!(d.deep_text(d.root()), "leaf");
+    assert_eq!(d.find_element(d.root(), "x"), None);
+    let inner = d.children(d.root()).next().unwrap();
+    assert_eq!(d.iter_subtree(inner).count(), DEPTH);
+    assert!(d.structural_eq(&d.clone()));
+    drop(d);
 }
