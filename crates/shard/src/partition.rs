@@ -2,14 +2,14 @@
 //! shards plus a replicated spine.
 //!
 //! Because OIDs are assigned in depth-first document order, every
-//! subtree is a contiguous OID interval ([`ncq_store::MeetIndex`]'s
-//! preorder intervals). A document therefore shards *naturally*: pick a
-//! set of **chunk roots** whose subtrees cover the document, pack
-//! consecutive chunks into K balanced shards, and replicate only the
-//! **spine** — the proper ancestors of the chunk roots — so that every
-//! cross-shard meet resolves on replicated state. The spine is tiny by
-//! construction: it contains exactly the nodes too heavy to fit a
-//! single chunk, i.e. O(chunks × depth) nodes.
+//! subtree is a contiguous OID interval
+//! ([`ncq_store::MeetIndex::subtree_range`]). A document therefore
+//! shards *naturally*: pick a set of **chunk roots** whose subtrees
+//! cover the document, pack consecutive chunks into K balanced shards,
+//! and replicate only the **spine** — the proper ancestors of the chunk
+//! roots — so that every cross-shard meet resolves on replicated state.
+//! The spine is tiny by construction: it contains exactly the nodes too
+//! heavy to fit a single chunk, i.e. O(chunks × depth) nodes.
 //!
 //! Balancing weighs subtrees by [`ncq_store::PartitionStats`] — node
 //! count plus posting mass — so a shard owning few huge text nodes and

@@ -16,30 +16,34 @@
 //!
 //! The OIDs of a loaded [`crate::MonetDb`] are depth-first preorder by
 //! construction, and that numbering *is* the index — no second numbering
-//! is built on top of it. Two structures hang off it:
+//! is built on top of it. One fact about it carries every query: for
+//! `a < b`, **`min(parent[a+1 ..= b])` is `a` when `b` lies in `a`'s
+//! subtree and the LCA of `a` and `b` otherwise** (then smaller than
+//! `a`). With `L` the LCA, every oid in `(a, b]` is a proper descendant
+//! of `L` — the subtree of `L` is a contiguous preorder range holding
+//! both — so its parent is `L` or a descendant of `L` and therefore
+//! `≥ L` in preorder, while the child of `L` on `b`'s path lies in
+//! `(a, b]` and has parent exactly `L`.
 //!
-//! 1. **Preorder intervals** — the subtree of `o` occupies the contiguous
-//!    OID range `[o, subtree_end(o))`. Storing one `end` per node gives
-//!    O(1) [`MeetIndex::is_ancestor_or_self`] — the pre/post-order
-//!    numbering trick with the pre-number coming for free from the OID
-//!    itself.
-//! 2. **A range-minimum structure over the store's `parent` column** —
-//!    order the pair so `a ≤ b`. If `b` lies in `a`'s interval, `a` is
-//!    the LCA. Otherwise **`lca(a, b) = min(parent[a+1 ..= b])`**: with
-//!    `L` the LCA, every oid in `(a, b]` is a proper descendant of `L`,
-//!    so its parent is `L` or a descendant of `L` and therefore `≥ L` in
-//!    preorder, while the child of `L` on `b`'s path lies in `(a, b]`
-//!    and has parent exactly `L`.
+//! So [`MeetIndex::lca`] is one range minimum over the store's `parent`
+//! column and nothing else; [`MeetIndex::is_ancestor_or_self`] asks
+//! whether that minimum is the candidate ancestor; and
+//! [`MeetIndex::subtree_range`] gallops to the first oid whose range
+//! minimum drops below its root. [`MeetIndex::distance`] is
+//! `depth(a) + depth(b) − 2·depth(lca)` with `depth(o) =
+//! summary.depth(σ(o))` read through a per-path table.
 //!
-//!    So [`MeetIndex::lca`] is one range-minimum and nothing else, and
-//!    [`MeetIndex::distance`] is `depth(a) + depth(b) − 2·depth(lca)`
-//!    with `depth(o) = summary.depth(σ(o))` read through a per-path
-//!    table. The `n` positions are cut into 32-entry blocks:
-//!    per-position prefix/suffix minima answer the partial blocks and a
-//!    sparse table over whole-block minima answers the middle, so a
-//!    query is O(1) with **O(n)** memory (≈ 10 bytes a node for the
-//!    three tables). Sub-range minima compose by `min`, so no depth is
-//!    stored or compared anywhere.
+//! The range minimum is O(1) with **O(n)** memory — one `u32` a node
+//! plus a sparse table of about `log₂(n/32)` `u32`s per 32-entry block
+//! (1.75 bytes a node for 521 k nodes). The `n` positions are cut
+//! into 32-entry blocks. Per position `r`, a 32-bit mask records the
+//! stack of suffix minima of its block up to `r` (the entries whose
+//! parent is smaller than every parent after them, up to `r`); the
+//! lowest of them at or after `l` is the minimum of `parent[l ..= r]`,
+//! one mask, one shift, one trailing-zero count. A range across blocks
+//! takes that probe on each partial block and a sparse table over
+//! whole-block minima for the middle. Sub-range minima compose by
+//! `min`, so no depth is stored or compared anywhere.
 //!
 //! # Paper connection
 //!
@@ -55,14 +59,14 @@ use crate::monet::MonetDb;
 use crate::oid::Oid;
 use crate::path::{PathId, PathSummary};
 
-/// Preorder LCA index: subtree intervals plus a block range-minimum
-/// structure over the `parent` column.
+/// Preorder LCA index: a block range-minimum structure over the
+/// `parent` column.
 ///
 /// Built once per document via [`MonetDb::meet_index`] (lazily, cached)
 /// or eagerly with [`MeetIndex::build`].
 ///
 /// Every array is a [`Col`]: owned when the index was built, a
-/// zero-copy view into a snapshot when it was loaded — all four arrays
+/// zero-copy view into a snapshot when it was loaded — both arrays
 /// stored here are **final-form** on disk, so a snapshot open performs
 /// no assembly at all. `pub(crate)` fields: the snapshot codec persists
 /// and reattaches them directly.
@@ -75,15 +79,11 @@ pub struct MeetIndex {
     pub(crate) sigma: Col<PathId>,
     /// `summary.depth(p)` per path; `depth(o)` is `path_depth[σ(o)]`.
     pub(crate) path_depth: Box<[u32]>,
-    /// Exclusive end of the preorder interval per oid: the subtree of `o`
-    /// is exactly the OID range `o.index()..subtree_end[o.index()]`.
-    pub(crate) subtree_end: Col<u32>,
-    /// Per oid: the minimum of `parent` within its block, from the block
-    /// start up to and including this oid.
-    pub(crate) prefix_min: Col<Oid>,
-    /// Per oid: the minimum of `parent` within its block, from this oid
-    /// to the block end.
-    pub(crate) suffix_min: Col<Oid>,
+    /// Per oid `o` of the block starting at `bs`: bit `j` is set when
+    /// entry `bs + j` is on the stack of suffix minima of
+    /// `parent[bs ..= o]` — its parent is smaller than every parent
+    /// after it, up to `o`. Bit `o − bs` is always set.
+    pub(crate) stack_mask: Col<u32>,
     /// Sparse table over whole-block minima, flattened level-major:
     /// `block_table[level * num_blocks + b]` is the minimum of `parent`
     /// over blocks `b .. b + 2^level`.
@@ -92,14 +92,14 @@ pub struct MeetIndex {
     pub(crate) num_blocks: usize,
 }
 
-/// Block size: 32 entries = two cache lines of `parent`, and a
-/// worst-case in-block scan of 32 contiguous comparisons. `pub(crate)`:
-/// the snapshot codec validates block counts against it.
+/// Block size: one bit per entry of a `u32` stack mask (and two cache
+/// lines of `parent`). `pub(crate)`: the snapshot codec validates block
+/// counts against it.
 pub(crate) const BLOCK: usize = 32;
 const BLOCK_SHIFT: u32 = BLOCK.trailing_zeros();
 
 impl MeetIndex {
-    /// Build the index from a loaded database — linear passes over the
+    /// Build the index from a loaded database — one pass over the
     /// `parent` column plus the small O((n/32)·log(n/32)) sparse-table
     /// fill.
     pub fn build(db: &MonetDb) -> MeetIndex {
@@ -107,40 +107,27 @@ impl MeetIndex {
         assert!(n > 0, "a loaded document always has a root");
         let parent = db.parent.clone();
 
-        // Preorder intervals: children have larger OIDs than parents, so
-        // a reverse sweep folds each subtree's end into its parent.
-        let mut subtree_end: Vec<u32> = (1..=n as u32).collect();
-        for i in (1..n).rev() {
-            let p = parent[i].index();
-            if subtree_end[p] < subtree_end[i] {
-                subtree_end[p] = subtree_end[i];
-            }
-        }
-
-        // Per-block pass: fold the block's prefix/suffix minima and seed
-        // the sparse table's level 0 while the 32 entries are cache-hot.
-        // The big arrays are appended to (prefix order) or staged in a
-        // block-sized scratch (suffix order) so nothing is zero-filled
-        // only to be overwritten.
+        // Per-block pass: run the block's stack of suffix minima as a
+        // bit mask (the top is the highest set bit), record it after
+        // every push, and seed the sparse table's level 0 with the
+        // bottom of the final stack — the block minimum.
         let num_blocks = n.div_ceil(BLOCK);
         let levels = usize::BITS as usize - (num_blocks.leading_zeros() as usize);
-        let mut prefix_min: Vec<Oid> = Vec::with_capacity(n);
-        let mut suffix_min: Vec<Oid> = Vec::with_capacity(n);
+        let mut stack_mask: Vec<u32> = Vec::with_capacity(n);
         let mut block_table = vec![Oid::ROOT; levels * num_blocks];
-        let mut scratch = [Oid::ROOT; BLOCK];
         for (block, level0) in parent.chunks(BLOCK).zip(block_table.iter_mut()) {
-            let mut best = block[0];
-            for &p in block {
-                best = best.min(p);
-                prefix_min.push(best);
+            let mut stack = 0u32;
+            for (j, &p) in block.iter().enumerate() {
+                while let Some(top) = stack.checked_ilog2() {
+                    if block[top as usize] < p {
+                        break;
+                    }
+                    stack ^= 1 << top;
+                }
+                stack |= 1 << j;
+                stack_mask.push(stack);
             }
-            let mut best = block[block.len() - 1];
-            for (off, &p) in block.iter().enumerate().rev() {
-                best = best.min(p);
-                scratch[off] = best;
-            }
-            suffix_min.extend_from_slice(&scratch[..block.len()]);
-            *level0 = scratch[0];
+            *level0 = block[stack.trailing_zeros() as usize];
         }
         // Remaining sparse-table levels over whole-block minima.
         for level in 1..levels {
@@ -157,9 +144,7 @@ impl MeetIndex {
             parent,
             sigma: db.sigma.clone(),
             path_depth: MeetIndex::path_depths(db.summary()),
-            subtree_end: subtree_end.into(),
-            prefix_min: prefix_min.into(),
-            suffix_min: suffix_min.into(),
+            stack_mask: stack_mask.into(),
             block_table: block_table.into(),
             num_blocks,
         }
@@ -174,7 +159,7 @@ impl MeetIndex {
     /// Number of indexed objects.
     #[inline]
     pub fn len(&self) -> usize {
-        self.subtree_end.len()
+        self.parent.len()
     }
 
     /// Always false: an index exists only for a loaded (rooted) document.
@@ -190,16 +175,51 @@ impl MeetIndex {
     }
 
     /// The preorder interval of `o`'s subtree: `o` is an ancestor-or-self
-    /// of exactly the OIDs with index in this range.
-    #[inline]
+    /// of exactly the OIDs with index in this range. Its end is the first
+    /// oid past `o` outside the subtree, found by galloping and then
+    /// bisecting over ancestor tests — O(log size) range minima.
     pub fn subtree_range(&self, o: Oid) -> std::ops::Range<usize> {
-        o.index()..self.subtree_end[o.index()] as usize
+        let start = o.index();
+        let inside = |j: usize| self.is_ancestor_or_self(o, Oid::from_index(j));
+        // The end lies in `lo..=hi`.
+        let (mut lo, mut hi) = (start + 1, self.len());
+        let mut step = 1;
+        while start + step < hi {
+            if !inside(start + step) {
+                hi = start + step;
+                break;
+            }
+            lo = start + step + 1;
+            step *= 2;
+        }
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if inside(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        start..lo
     }
 
-    /// O(1) inclusive ancestor test via preorder intervals.
+    /// O(1) inclusive ancestor test: `anc` is the LCA of the pair exactly
+    /// when it is an ancestor-or-self of `o`.
     #[inline]
     pub fn is_ancestor_or_self(&self, anc: Oid, o: Oid) -> bool {
-        anc.index() <= o.index() && o.index() < self.subtree_end[anc.index()] as usize
+        self.lca(anc, o) == anc
+    }
+
+    /// Minimum of `parent` over the oids `l..=r` of one block: the
+    /// lowest entry at or after `l` on `r`'s stack. Bit `r` is or-ed in
+    /// so that a corrupt mask from a lazily verified file still lands
+    /// inside `[l, r]`.
+    #[inline]
+    fn block_min(&self, l: usize, r: usize) -> Oid {
+        let bs = r & !(BLOCK - 1);
+        debug_assert!(bs <= l && l <= r);
+        let stack = (self.stack_mask[r] | 1 << (r - bs)) & (u32::MAX << (l - bs));
+        self.parent[bs + stack.trailing_zeros() as usize]
     }
 
     /// Minimum of `parent` over the oids `l..=r`.
@@ -208,11 +228,20 @@ impl MeetIndex {
         debug_assert!(l <= r);
         let (bl, br) = (l >> BLOCK_SHIFT, r >> BLOCK_SHIFT);
         if bl == br {
-            // One block: contiguous scan over at most 32 entries.
-            let run = &self.parent[l..=r];
-            return run.iter().fold(run[0], |best, &p| best.min(p));
+            return self.block_min(l, r);
         }
-        let mut best = self.suffix_min[l].min(self.prefix_min[r]);
+        // One probe per partial block. Their end entries are read up
+        // front: in the range, so the minimum stays the same, but the
+        // reads do not wait for the masks, and they bring in the cache
+        // lines the probes then read (a block is two lines of `parent`).
+        let (left_end, right_start) = ((bl << BLOCK_SHIFT) + BLOCK - 1, br << BLOCK_SHIFT);
+        let ends = self.parent[l]
+            .min(self.parent[left_end])
+            .min(self.parent[right_start])
+            .min(self.parent[r]);
+        let mut best = ends
+            .min(self.block_min(l, left_end))
+            .min(self.block_min(right_start, r));
         if bl + 1 < br {
             // Whole blocks strictly between: one sparse-table probe.
             let span = br - bl - 1;
@@ -227,11 +256,10 @@ impl MeetIndex {
     #[inline]
     pub fn lca(&self, a: Oid, b: Oid) -> Oid {
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        if b.index() < self.subtree_end[a.index()] as usize {
+        if a == b {
             return a;
         }
-        // `b` lies outside `a`'s subtree: the smallest parent pointer in
-        // `(a, b]` is the LCA (module docs).
+        // The smallest parent pointer in `(a, b]` (module docs).
         self.min_parent(a.index() + 1, b.index())
     }
 
@@ -252,11 +280,12 @@ impl MeetIndex {
 
     /// Whether any OID of the sorted document-order `oids` slice falls in
     /// the subtree of `o` — an O(log n) containment test used by query
-    /// evaluation ("does this node's offspring contain a hit?").
+    /// evaluation ("does this node's offspring contain a hit?"): the
+    /// first oid at or after `o` is in the subtree, or none is.
     pub fn subtree_contains_any(&self, o: Oid, oids: &[Oid]) -> bool {
         let start = ncq_simd::lower_bound_u32(Oid::raw_slice(oids), o.raw());
         oids.get(start)
-            .is_some_and(|&x| x.index() < self.subtree_end[o.index()] as usize)
+            .is_some_and(|&x| self.is_ancestor_or_self(o, x))
     }
 }
 
@@ -355,7 +384,26 @@ mod tests {
         assert_eq!(idx.meet(a, b), expect, "{shape} n={n} meet({a}, {b})");
         assert_eq!(idx.lca(a, b), expect.0, "{shape} n={n} lca({a}, {b})");
         assert_eq!(idx.distance(a, b), expect.1, "{shape} n={n} d({a}, {b})");
+        let anc = (idx.is_ancestor_or_self(a, b), idx.is_ancestor_or_self(b, a));
+        assert_eq!(
+            anc,
+            (expect.0 == a, expect.0 == b),
+            "{shape} n={n} anc({a}, {b})"
+        );
         assert_lca_is_min_parent(db, a, b, expect.0, shape);
+    }
+
+    /// `subtree_range(o)` against the walk: it starts at `o`, its last oid
+    /// is a descendant-or-self of `o` and the oid after it (if any) is
+    /// not — preorder subtrees are contiguous, so that pins the range.
+    fn assert_subtree_range_matches_walk(db: &MonetDb, shape: &str, o: usize) {
+        let range = db.meet_index().subtree_range(Oid::from_index(o));
+        let (root, n) = (Oid::from_index(o), db.node_count());
+        let below = |x: usize| walk_meet(db, root, Oid::from_index(x)).0 == root;
+        let what = format!("{shape} n={n} subtree({o}) = {range:?}");
+        assert_eq!(range.start, o, "{what}");
+        assert!(below(range.end - 1), "{what}");
+        assert!(range.end == n || !below(range.end), "{what}");
     }
 
     /// Shapes chosen for the 32-entry block decomposition, at sizes on
@@ -365,8 +413,9 @@ mod tests {
     /// block edges) and a random attachment tree. All ordered pairs —
     /// so `a == b`, ancestor/descendant in both argument orders,
     /// adjacent siblings and first/last oid are all in — up to 65
-    /// nodes; above that every adjacent pair, first/last, and 10^5
-    /// seeded pairs.
+    /// nodes; above that every adjacent pair, first/last, every range
+    /// `(a, b]` inside one middle block, and 10^5 seeded pairs. Every
+    /// node's subtree range, at every size.
     #[test]
     fn lca_meet_and_distance_match_parent_walks_on_block_edge_shapes() {
         let mut rng = StdRng::seed_from_u64(0x1ca_b10c);
@@ -386,6 +435,9 @@ mod tests {
             for (shape, parents) in &shapes {
                 let db = tree(parents);
                 assert_eq!(db.node_count(), n);
+                for o in 0..n {
+                    assert_subtree_range_matches_walk(&db, shape, o);
+                }
                 if n <= 65 {
                     for a in 0..n {
                         for b in 0..n {
@@ -400,6 +452,13 @@ mod tests {
                 }
                 assert_pair_matches_walk(&db, shape, 0, n - 1);
                 assert_pair_matches_walk(&db, shape, n - 1, 0);
+                // `lca(a, b)` probes `(a, b]`: every in-block `(l, r)`.
+                let bs = (n / 2) & !(BLOCK - 1);
+                for a in bs - 1..bs + BLOCK {
+                    for b in a..bs + BLOCK {
+                        assert_pair_matches_walk(&db, shape, a, b);
+                    }
+                }
                 for _ in 0..100_000 {
                     let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
                     assert_pair_matches_walk(&db, shape, a, b);

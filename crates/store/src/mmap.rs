@@ -19,7 +19,7 @@
 //!
 //! ```text
 //! offset  0  magic   b"NCQSNAP\0"                      8 bytes
-//!         8  layout version = 7 (u32 LE)               4 bytes
+//!         8  layout version = 8 (u32 LE)               4 bytes
 //!        12  section count  (u32 LE)                   4 bytes
 //!        16  table checksum64 over the table bytes     8 bytes
 //!        24  section table: per section               32 bytes each
@@ -585,22 +585,20 @@ impl SectionBufV3<'_> {
         self.buf.extend_from_slice(as_bytes(vals));
     }
 
-    /// Make room for `additional` bytes, keeping the capacity a power
-    /// of two. `Vec` doubles too, but jumps to the exact size when one
-    /// column is more than the buffer holds, and the image then ends up
-    /// with whatever capacity the column sizes happen to produce. A save
-    /// frees the image right after writing it, and glibc takes the size
-    /// of a freed mapping of up to 32 MiB as its new mmap threshold:
-    /// from then on everything smaller comes from the heap and twice
-    /// that much freed heap is kept. A 31 MiB image in a 31.9 MiB buffer
-    /// put 47 MB on the ingest peak of the next build in the same
-    /// process; in a 32 MiB buffer it is unmapped without a trace.
+    /// Make room for `additional` bytes; once the image is big enough to
+    /// be a mapping of its own, more than 32 MiB of it
+    /// ([`ncq_xml::tree::own_mapping`]). A save frees the image right
+    /// after writing it, and glibc takes the size of a freed mapping of
+    /// up to 32 MiB as its new mmap threshold: from then on everything
+    /// smaller comes from the heap and twice that much freed heap is
+    /// kept. A 31 MiB image in a 31.9 MiB buffer put 47 MB on the ingest
+    /// peak of the next build in the same process, and a 16 MiB image in
+    /// a 16 MiB buffer lifted `deep_sweep`'s set-up peak from 47–51 to
+    /// 61–64 MB; past 32 MiB the buffer is unmapped without a trace, and
+    /// untouched pages are never resident.
     fn reserve(&mut self, additional: usize) {
-        let needed = self.buf.len() + additional;
-        if needed > self.buf.capacity() {
-            self.buf
-                .reserve_exact(needed.next_power_of_two() - self.buf.len());
-        }
+        let needed = ncq_xml::tree::own_mapping::<u8>(self.buf.len() + additional);
+        self.buf.reserve(needed - self.buf.len());
     }
 }
 
@@ -994,14 +992,26 @@ mod tests {
     }
 
     #[test]
-    fn image_capacity_stays_a_power_of_two() {
+    fn image_past_128_kib_is_a_mapping_of_its_own() {
         let mut w = SnapshotWriterV3::new();
         let mut s = w.section(section::COLUMNS);
         s.put_col::<u32>(&[1; 5]);
-        // Each far more than twice what the buffer holds by then.
-        s.put_col::<u8>(&[2; 3000]);
         s.put_raw(&[3; 20_000]);
-        assert!(w.into_bytes().capacity().is_power_of_two());
+        // Well inside the heap: the size it needs, not a mapping.
+        let small = w.into_bytes().capacity();
+        assert!(small < 128 << 10, "{small}");
+
+        let mut w = SnapshotWriterV3::new();
+        let mut s = w.section(section::COLUMNS);
+        s.put_col::<u32>(&[1; 5]);
+        // Far more than twice what the buffer holds by then.
+        s.put_col::<u8>(&vec![2; 200 << 10]);
+        let capacity = w.into_bytes().capacity();
+        if cfg!(all(target_env = "gnu", target_pointer_width = "64")) {
+            // Past the 32 MiB a freed mapping may have and still move
+            // glibc's mmap threshold.
+            assert!(capacity > 32 << 20, "{capacity}");
+        }
     }
 
     #[test]

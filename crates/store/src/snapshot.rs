@@ -39,13 +39,13 @@
 //! `SNAPSHOT_VERSION` names the layout, not the software: any change to
 //! section payload encodings, section semantics or the header must bump
 //! it. A build reads exactly the version it writes; any other version —
-//! the retired v1/v2 materializing layouts and the v3–v6 payloads
+//! the retired v1/v2 materializing layouts and the v3–v7 payloads
 //! included — is refused at open with
 //! [`SnapshotError::UnsupportedVersion`]. There is no upgrade tool: an
 //! older file is replaced by rebuilding from the source XML and saving
-//! again. The pinned fixture `tests/golden/snapshot_v7.bin` makes a
+//! again. The pinned fixture `tests/golden/snapshot_v8.bin` makes a
 //! forgotten bump fail loudly in CI, and the retired
-//! `snapshot_v1.bin` … `snapshot_v6.bin` fixtures pin the refusal.
+//! `snapshot_v1.bin` … `snapshot_v7.bin` fixtures pin the refusal.
 //! Adding a **new optional section id** is backward compatible and
 //! needs no bump — readers ignore unknown ids.
 
@@ -67,7 +67,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NCQSNAP\0";
 /// Current layout version (the zero-copy mmap container written by
 /// [`crate::mmap::SnapshotWriterV3`]). Bump on any payload or header
 /// change.
-pub const SNAPSHOT_VERSION: u32 = 7;
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Well-known section ids. Unknown ids are ignored by readers, so
 /// higher layers can add sections without touching this crate.
@@ -82,10 +82,11 @@ pub mod section {
     /// byte counts, then `rel_off`, owners, `text_off` and the text blob
     /// in final form.
     pub const STRINGS: u32 = 4;
-    /// The structural meet index: preorder intervals, the three
-    /// minimum-parent block-RMQ tables, per-path document-order
-    /// postings. (Id 6 was the depth-statistics section of layouts
-    /// 1–6 and stays unassigned.)
+    /// The structural meet index: four shape scalars, one 32-bit stack
+    /// mask per oid and the sparse table over 32-entry block minima of
+    /// the parent column, then per-path document-order postings. (Id 6
+    /// was the depth-statistics section of layouts 1–6 and stays
+    /// unassigned.)
     pub const MEET_INDEX: u32 = 5;
     /// The full-text inverted index (written by `ncq-fulltext`).
     pub const FULLTEXT: u32 = 7;
@@ -558,8 +559,8 @@ impl MonetDb {
         s.put_col::<u32>(text_off);
         s.put_col::<u8>(text);
 
-        // MEET_INDEX: the finished index, field for field — subtree
-        // intervals and the three minimum-parent tables — then the CSR
+        // MEET_INDEX: the finished index, field for field — the stack
+        // masks and the sparse table over block minima — then the CSR
         // postings. The index's `σ`/parent views are the COLUMNS arrays
         // above, not written again.
         let index = self.meet_index();
@@ -573,9 +574,7 @@ impl MonetDb {
         s.put_u64(index.num_blocks as u64);
         s.put_u64(levels as u64);
         s.put_u64(self.summary.len() as u64);
-        s.put_col::<u32>(&index.subtree_end);
-        s.put_col::<Oid>(&index.prefix_min);
-        s.put_col::<Oid>(&index.suffix_min);
+        s.put_col::<u32>(&index.stack_mask);
         s.put_col::<Oid>(&index.block_table);
         s.put_col::<u32>(&self.path_off);
         s.put_col::<Oid>(&self.path_data);
@@ -646,9 +645,7 @@ impl MonetDb {
                 context: "meet index shape mismatch",
             });
         }
-        let subtree_end: Col<u32> = v.take_col(n)?;
-        let prefix_min: Col<Oid> = v.take_col(n)?;
-        let suffix_min: Col<Oid> = v.take_col(n)?;
+        let stack_mask: Col<u32> = v.take_col(n)?;
         let block_table: Col<Oid> = v.take_col(levels * num_blocks)?;
         let path_off: Col<u32> = v.take_col(path_count + 1)?;
         if path_off.first() != Some(&0)
@@ -669,9 +666,7 @@ impl MonetDb {
             parent: parent.clone(),
             sigma: sigma.clone(),
             path_depth: MeetIndex::path_depths(&summary),
-            subtree_end,
-            prefix_min,
-            suffix_min,
+            stack_mask,
             block_table,
             num_blocks,
         };
@@ -801,7 +796,7 @@ mod tests {
 
         // The retired layouts and a future one are refused on the
         // header alone, through the file entry point.
-        for found in [1u8, 2, 3, 4, 5, 6, 99] {
+        for found in [1u8, 2, 3, 4, 5, 6, 7, 99] {
             bytes[8] = found;
             std::fs::write(&path, &bytes).unwrap();
             assert!(matches!(
@@ -937,10 +932,10 @@ mod tests {
 
     #[test]
     fn meet_index_with_trailing_bytes_is_corrupt() {
-        // MEET_INDEX ends with the postings; a layout-6 section (wider
-        // tables, one more column) under a forged header reads as
-        // exactly this — the same shape scalars, then more bytes than
-        // the columns they size.
+        // MEET_INDEX ends with the postings; an older section with more
+        // per-node columns under a forged header can read as exactly
+        // this — the same shape scalars, then more bytes than the
+        // columns they size.
         let mut bytes = snapshot_bytes(&db());
         forge_section(&mut bytes, section::MEET_INDEX, |_, len| *len += 4);
         assert!(matches!(
@@ -949,5 +944,35 @@ mod tests {
                 context: "meet index section has trailing bytes"
             })
         ));
+    }
+
+    #[test]
+    fn zeroed_stack_masks_answer_inside_the_instance_without_a_panic() {
+        // MEET_INDEX is the deferred section: a lazy open never checks
+        // its content, so wrong masks must give wrong answers at worst —
+        // never an index past the range the probe was asked about. Four
+        // blocks, so ranges within and across blocks are both probed.
+        let original = MonetDb::from_document(
+            &parse(&format!("<r>{}</r>", "<a><b>x</b><c>y</c></a>".repeat(25))).unwrap(),
+        );
+        let n = original.node_count();
+        assert!(n > 3 * BLOCK, "{n}");
+        let mut bytes = snapshot_bytes(&original);
+        // Four u64 scalars, then the masks at the next 64-byte boundary.
+        forge_section(&mut bytes, section::MEET_INDEX, |payload, _| {
+            payload[64..64 + 4 * n].fill(0);
+        });
+        let loaded = MonetDb::decode_snapshot(
+            &MappedSnapshot::from_owned_bytes(bytes, VerifyMode::Lazy).unwrap(),
+        )
+        .unwrap();
+        let idx = loaded.meet_index();
+        assert!(idx.stack_mask.iter().all(|&m| m == 0), "the forgery took");
+        for a in loaded.iter_oids() {
+            for b in loaded.iter_oids() {
+                assert!(idx.lca(a, b).index() < n, "lca({a}, {b})");
+            }
+            assert!(idx.subtree_range(a).end <= n, "subtree({a})");
+        }
     }
 }

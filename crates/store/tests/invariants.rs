@@ -402,12 +402,15 @@ fn le_agrees_with_string_prefixes() {
 }
 
 /// The meet index agrees with parent-pointer walks on every primitive
-/// — depth, inclusive-ancestor test, LCA, distance — and the LCA is the
-/// smallest parent pointer in the preorder range between the pair.
+/// — depth, inclusive-ancestor test, LCA, distance, subtree range — and
+/// the LCA is the smallest parent pointer in the preorder range between
+/// the pair; built, and reopened from its snapshot both ways (mapped
+/// and owned views of the stored masks and table).
 #[test]
 fn meet_index_agrees_with_parent_walks() {
+    let dir = std::env::temp_dir().join("ncq-store-meet-index");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
     for_random_dbs(8, |_, db, seed| {
-        let idx = db.meet_index();
         let n = db.node_count();
         // Exhaustive on small documents, sampled on larger ones.
         let mut rng = StdRng::seed_from_u64(9 << 32 | seed);
@@ -425,25 +428,40 @@ fn meet_index_agrees_with_parent_walks() {
                 })
                 .collect()
         };
-        for (a, b) in pairs {
-            let anc: Vec<Oid> = db.ancestors(a).collect();
-            let reference = db.ancestors(b).find(|x| anc.contains(x)).unwrap();
-            assert_eq!(idx.lca(a, b), reference, "seed {seed} {a:?} {b:?}");
-            let (lo, hi) = (a.min(b), a.max(b));
-            if !db.is_ancestor_or_self(lo, hi) {
-                let min_parent = (lo.index() + 1..=hi.index())
-                    .map(|i| db.parent(Oid::from_index(i)).unwrap())
-                    .min();
-                assert_eq!(min_parent, Some(reference), "seed {seed} {a:?} {b:?}");
+        let [reopened, owned] = reopen(db, &dir.join(format!("seed-{seed}.ncq")));
+        for idx in [db.meet_index(), reopened.meet_index(), owned.meet_index()] {
+            for o in db.iter_oids() {
+                let members: Vec<usize> = db
+                    .iter_oids()
+                    .filter(|&x| db.is_ancestor_or_self(o, x))
+                    .map(Oid::index)
+                    .collect();
+                assert_eq!(
+                    idx.subtree_range(o).collect::<Vec<_>>(),
+                    members,
+                    "seed {seed}"
+                );
             }
-            let expect_d = db.depth(a) + db.depth(b) - 2 * db.depth(reference);
-            assert_eq!(idx.distance(a, b), expect_d, "seed {seed} {a:?} {b:?}");
-            assert_eq!(
-                idx.is_ancestor_or_self(a, b),
-                db.is_ancestor_or_self(a, b),
-                "seed {seed} {a:?} {b:?}"
-            );
-            assert_eq!(idx.depth(a), db.depth(a), "seed {seed}");
+            for &(a, b) in &pairs {
+                let anc: Vec<Oid> = db.ancestors(a).collect();
+                let reference = db.ancestors(b).find(|x| anc.contains(x)).unwrap();
+                assert_eq!(idx.lca(a, b), reference, "seed {seed} {a:?} {b:?}");
+                let (lo, hi) = (a.min(b), a.max(b));
+                if !db.is_ancestor_or_self(lo, hi) {
+                    let min_parent = (lo.index() + 1..=hi.index())
+                        .map(|i| db.parent(Oid::from_index(i)).unwrap())
+                        .min();
+                    assert_eq!(min_parent, Some(reference), "seed {seed} {a:?} {b:?}");
+                }
+                let expect_d = db.depth(a) + db.depth(b) - 2 * db.depth(reference);
+                assert_eq!(idx.distance(a, b), expect_d, "seed {seed} {a:?} {b:?}");
+                assert_eq!(
+                    idx.is_ancestor_or_self(a, b),
+                    db.is_ancestor_or_self(a, b),
+                    "seed {seed} {a:?} {b:?}"
+                );
+                assert_eq!(idx.depth(a), db.depth(a), "seed {seed}");
+            }
         }
     });
 }

@@ -118,7 +118,9 @@ fn word(n: usize) -> u32 {
 }
 
 /// The capacity to ask for when `count` elements of `T` are wanted in one
-/// block that is filled, read once and dropped, as a parsed document is.
+/// block that is filled, read once and dropped, as a parsed document is
+/// (and as `ncq-store`'s snapshot image is, so the rule has this one
+/// definition).
 ///
 /// A block of 128 KiB or more is a mapping of its own under glibc, and a
 /// *freed* mapping of up to 32 MiB becomes the allocator's new mmap
@@ -132,7 +134,7 @@ fn word(n: usize) -> u32 {
 /// only as far as it is filled, and the fourth ingest of a process costs
 /// what the first did. Elsewhere, and for small documents, the capacity
 /// is the count.
-fn own_mapping<T>(count: usize) -> usize {
+pub fn own_mapping<T>(count: usize) -> usize {
     const MAPPED_FROM: usize = 128 << 10;
     const KEPT_UP_TO: usize = 32 << 20;
     let size = std::mem::size_of::<T>();

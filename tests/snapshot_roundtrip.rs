@@ -2,7 +2,7 @@
 //! round-trip equivalence on random trees, byte determinism, exhaustive
 //! corruption handling (truncation, bit flips, forged section-table
 //! extents, forged string columns), the layout version pin, the layout
-//! byte budget, the typed refusal of the retired v1–v6 layouts through
+//! byte budget, the typed refusal of the retired v1–v7 layouts through
 //! every entry point,
 //! and a two-process check that one snapshot file serves independent
 //! opens with equal answers.
@@ -11,7 +11,7 @@
 //! proptest (the offline build cannot fetch it); failures print the
 //! seed.
 //!
-//! The pinned fixture `tests/golden/snapshot_v7.bin` is a committed
+//! The pinned fixture `tests/golden/snapshot_v8.bin` is a committed
 //! current-layout snapshot of the Figure 1 corpus (saved through
 //! `ShardedDb` at K = 4 so every section id, including the partition
 //! map, is exercised). Regenerate after an *intended* layout change —
@@ -21,7 +21,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test snapshot_roundtrip
 //! ```
 //!
-//! The older committed fixtures (`snapshot_v1.bin` … `snapshot_v6.bin`)
+//! The older committed fixtures (`snapshot_v1.bin` … `snapshot_v7.bin`)
 //! are files no build writes any more; they stay committed to pin that
 //! opening one is a typed `UnsupportedVersion`, never a partial load.
 
@@ -394,18 +394,19 @@ fn pinned_fixture_guards_the_layout_version() {
 }
 
 /// The retired layouts are refused, typed, through every entry point.
-/// `snapshot_v1.bin` … `snapshot_v6.bin` are committed files of the
-/// Figure 1 corpus in the v1/v2 materializing layouts and the v3–v6
+/// `snapshot_v1.bin` … `snapshot_v7.bin` are committed files of the
+/// Figure 1 corpus in the v1/v2 materializing layouts and the v3–v7
 /// payloads of today's container; no build can
 /// write them any more and there is no upgrade tool — the way forward
 /// is to rebuild from the source XML and save again, and the error
 /// says so. Each open must fail on the header alone with
 /// `UnsupportedVersion { found, supported: SNAPSHOT_VERSION }`: never a
 /// panic, never a partial load, and on a serving process never a
-/// swapped backend. The header is all that guards a v6 file's symbols,
+/// swapped backend. The header is all that guards a v7 file's symbols,
 /// paths, tree and string columns (they decode unchanged), so the last
-/// case forges it: a v6 `MEET_INDEX` section under a v7 header is a
-/// typed corruption error.
+/// case forges it: a v7 `MEET_INDEX` section (three per-node columns
+/// where there is one now) under a v8 header is a typed corruption
+/// error.
 #[test]
 fn legacy_fixtures_are_refused_typed() {
     for (fixture, version) in [
@@ -415,6 +416,7 @@ fn legacy_fixtures_are_refused_typed() {
         ("snapshot_v4.bin", 4),
         ("snapshot_v5.bin", 5),
         ("snapshot_v6.bin", 6),
+        ("snapshot_v7.bin", 7),
     ] {
         let bytes = std::fs::read(golden_path(fixture)).expect("read legacy fixture");
         let dir = scratch(&format!("legacy-v{version}"));
@@ -524,9 +526,9 @@ fn legacy_fixtures_are_refused_typed() {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    let mut forged = std::fs::read(golden_path("snapshot_v6.bin")).expect("read v6 fixture");
+    let mut forged = std::fs::read(golden_path("snapshot_v7.bin")).expect("read v7 fixture");
     forged[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    let err = Database::from_snapshot_bytes(forged).expect_err("v6 payloads under a v7 header");
+    let err = Database::from_snapshot_bytes(forged).expect_err("v7 payloads under a v8 header");
     assert!(
         matches!(
             err,
@@ -537,10 +539,10 @@ fn legacy_fixtures_are_refused_typed() {
 }
 
 /// The layout byte budget — a structural, timing-free pin of what the
-/// file stores per node. The meet index is six columns over the
-/// preorder numbering (the subtree ends, two u32 minimum-parent
-/// columns, a sparse table over n/32 blocks, the CSR postings): at most
-/// 18 bytes a node plus the path offsets and alignment slack — nothing
+/// file stores per node. The meet index is four columns over the
+/// preorder numbering (a u32 stack mask per node, a sparse table over
+/// n/32 blocks, the CSR postings): at most 10 bytes a node plus the
+/// path offsets and alignment slack — nothing
 /// the path summary already says (depths), and nothing only the
 /// partitioner reads. `COLUMNS` is the tree itself and nothing else: `σ` and parent, 8
 /// bytes a node. `STRINGS` is the text plus an owner and an offset per
@@ -560,7 +562,7 @@ fn store_sections_stay_within_their_byte_budget() {
     let bytes = |id: u32| snap.section(id).expect("section present").remaining();
     let meet_index = bytes(section::MEET_INDEX);
     assert!(
-        meet_index <= 18 * n + 4 * paths + 4096,
+        meet_index <= 10 * n + 4 * paths + 4096,
         "MEET_INDEX is {meet_index} bytes for {n} nodes / {paths} paths ({:.1} B/node)",
         meet_index as f64 / n as f64
     );
