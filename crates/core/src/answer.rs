@@ -217,7 +217,8 @@ impl fmt::Display for AnswerSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meet_multi::{meet_multi, MeetOptions};
+    use crate::meet_multi::MeetOptions;
+    use crate::reference::meet_rollup;
     use ncq_fulltext::{search, InvertedIndex};
     use ncq_store::MonetDb;
     use ncq_xml::parse;
@@ -241,7 +242,7 @@ mod tests {
             search::term_hits(&db, &idx, "Bit"),
             search::term_hits(&db, &idx, "1999"),
         ];
-        let meets = meet_multi(&db, &inputs, &MeetOptions::default());
+        let meets = meet_rollup(&db, &inputs, &MeetOptions::default());
         let answers = AnswerSet::from_meets(&db, meets);
         assert_eq!(answers.len(), 1);
         let a = &answers.results[0];
@@ -264,7 +265,7 @@ mod tests {
             search::term_hits(&db, &idx, "Bit"),
             search::term_hits(&db, &idx, "1999"),
         ];
-        let meets = meet_multi(&db, &inputs, &MeetOptions::default());
+        let meets = meet_rollup(&db, &inputs, &MeetOptions::default());
         let answers = AnswerSet::from_meets(&db, meets);
         let xml = answers.to_answer_xml();
         assert!(xml.starts_with("<answer>"));
@@ -280,7 +281,7 @@ mod tests {
             search::term_hits(&db, &idx, "Bit"),
             search::term_hits(&db, &idx, "1999"),
         ];
-        let meets = meet_multi(&db, &inputs, &MeetOptions::default());
+        let meets = meet_rollup(&db, &inputs, &MeetOptions::default());
         let answers = AnswerSet::from_meets(&db, meets);
         let xml = answers.to_detailed_xml();
         assert!(xml.contains("tag=\"article\""));

@@ -504,7 +504,6 @@ impl MeetBackend for ForestBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MeetStrategy;
 
     const BIB: &str = r#"<bib><article key="BB99"><author>Ben Bit</author>
         <year>1999</year></article></bib>"#;
@@ -624,10 +623,7 @@ mod tests {
         let bib_after = swapped.corpus("bib").unwrap();
         assert!(Arc::ptr_eq(&bib_before, &bib_after));
         // …and the swapped corpus still answers.
-        let opts = MeetOptions {
-            strategy: MeetStrategy::Auto,
-            ..MeetOptions::default()
-        };
+        let opts = MeetOptions::default();
         let answers = swapped
             .corpus("shop")
             .unwrap()

@@ -8,7 +8,8 @@
 use crate::answer::AnswerSet;
 use crate::meet2::{meet2_indexed, Meet2};
 use crate::meet_multi::{Meet, MeetOptions};
-use crate::planner::MeetPlanner;
+use crate::rank::rank_and_cut;
+use crate::reference::MeetPlanner;
 use crate::sweep::{merged_hits, sweep};
 use ncq_fulltext::{search, HitSet, InvertedIndex};
 use ncq_store::snapshot::SnapshotError;
@@ -153,7 +154,7 @@ impl Database {
     /// zero-copy — microseconds of header/table checksums and pointer
     /// fixup instead of the parse → transform → index build pipeline.
     /// Set `NCQ_NO_MMAP=1` to force the owned in-memory arena. A file
-    /// of any other layout version (the retired v1/v2/v3 included) is a
+    /// of any other layout version (the retired v1–v7 included) is a
     /// typed [`SnapshotError::UnsupportedVersion`].
     pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Database, SnapshotError> {
         let started = std::time::Instant::now();
@@ -206,10 +207,12 @@ impl Database {
 
     // ----- meet entry points -----
     //
-    // Every meet the facade serves is the generalized meet of Fig. 5,
-    // run through the one pipeline in [`MeetPlanner::execute`].
+    // Every meet the facade serves is the generalized meet of Fig. 5:
+    // one stack pass, then rank and cut.
 
-    /// The depth-aware planner over this database.
+    /// The roll-up's cost model ([`crate::reference::MeetPlanner`]);
+    /// nothing served consults it.
+    // Only because `perf/src/trace.rs` links it; ROADMAP 1(d) unlinks it.
     pub fn planner(&self) -> MeetPlanner<'_> {
         MeetPlanner::new(&self.store)
     }
@@ -219,20 +222,19 @@ impl Database {
         meet2_indexed(&self.store, o1, o2)
     }
 
-    /// Generalized meet over hit groups (paper Fig. 5), ranked. The
-    /// planner picks the token roll-up or the sweep ([`crate::sweep`]);
-    /// [`MeetOptions::strategy`] forces either. Inputs are accepted
-    /// through any [`std::borrow::Borrow`]-able holder (`HitSet`,
-    /// `&HitSet`, `Arc<HitSet>`), so shared caches need no deep copy.
+    /// Generalized meet over hit groups (paper Fig. 5): one stack pass
+    /// over the hits in document order ([`crate::sweep`]), ranked and
+    /// cut to [`MeetOptions::limit`]. Inputs are accepted through any
+    /// [`std::borrow::Borrow`]-able holder (`HitSet`, `&HitSet`,
+    /// `Arc<HitSet>`), so shared caches need no deep copy.
     pub fn meet_hits<H: std::borrow::Borrow<HitSet>>(
         &self,
         inputs: &[H],
         options: &MeetOptions,
     ) -> Vec<Meet> {
         let _span = ncq_obs::trace::span("meet_eval");
-        self.planner().execute(inputs, options, || {
-            sweep(&self.store, &merged_hits(inputs), options, |_| false).meets
-        })
+        let swept = sweep(&self.store, &merged_hits(inputs), options, |_| false);
+        rank_and_cut(swept.meets, options.limit)
     }
 
     /// The paper's signature query: full-text search each term, then meet
@@ -287,6 +289,17 @@ mod tests {
         assert_eq!(answers.tags(), vec!["article"]);
     }
 
+    /// The served witness sample is in document order, whichever way
+    /// the hits climb: o3 (under `<b>`) before o6 (under `<a><c>`). The
+    /// paper's roll-up absorbs the deeper o6 first.
+    #[test]
+    fn witnesses_serialize_in_document_order() {
+        let db = Database::from_xml_str("<r><a/><b>t</b><a><c>t</c></a></r>").unwrap();
+        let xml = db.meet_terms(&["t"]).unwrap().to_detailed_xml();
+        let at = |oid: &str| xml.find(&format!("origin=\"{oid}\"")).unwrap();
+        assert!(at("o3") < at("o6"), "{xml}");
+    }
+
     #[test]
     fn parse_errors_propagate() {
         assert!(Database::from_xml_str("<broken>").is_err());
@@ -309,24 +322,20 @@ mod tests {
     }
 
     #[test]
-    fn strategy_overrides_agree_through_the_facade() {
+    fn the_facade_agrees_with_the_rollup_oracle() {
         let db = Database::from_xml_str(FIGURE1).unwrap();
+        let key = |ms: Vec<Meet>| -> Vec<_> {
+            ms.iter()
+                .map(|m| (m.node, m.distance, m.witness_count))
+                .collect()
+        };
         for terms in [["Bit", "1999"], ["1999", "Hack"]] {
             let inputs = terms.map(|t| db.search(t));
-            let run = |strategy| -> Vec<_> {
-                let options = MeetOptions {
-                    strategy,
-                    ..MeetOptions::default()
-                };
-                db.meet_hits(&inputs, &options)
-                    .iter()
-                    .map(|m| (m.node, m.distance, m.witness_count))
-                    .collect()
-            };
-            let auto = run(crate::MeetStrategy::Auto);
-            assert!(!auto.is_empty(), "{terms:?}");
-            assert_eq!(auto, run(crate::MeetStrategy::Lift), "{terms:?}");
-            assert_eq!(auto, run(crate::MeetStrategy::Sweep), "{terms:?}");
+            let options = MeetOptions::default();
+            let served = key(db.meet_hits(&inputs, &options));
+            assert!(!served.is_empty(), "{terms:?}");
+            let oracle = crate::reference::meet_rollup_ranked(db.store(), &inputs, &options);
+            assert_eq!(served, key(oracle), "{terms:?}");
         }
     }
 

@@ -10,27 +10,27 @@
 //! One pipeline serves every request:
 //!
 //! ```text
-//! search → plan → { roll-up | sweep } → rank → cut
+//! search → sweep → rank → cut
 //! ```
 //!
 //! * **search** — each term becomes a hit group
 //!   ([`ncq_fulltext::HitSet`]);
-//! * **plan** — [`MeetPlanner::plan_multi`] weighs input depth against
-//!   cardinality ([`MeetOptions::strategy`] forces an arm);
-//! * **roll-up | sweep** — the generalized meet of Fig. 5 over
-//!   arbitrarily many heterogeneous hit groups: the paper's bottom-up
-//!   token roll-up level by level, or the same roll-up as one stack
-//!   pass over the hits in document order ([`sweep`]) with one O(1)
-//!   LCA probe per hit — same answers, different costs.
-//!   Both apply the §4 extensions: result-type restriction `meet_Π`
+//! * **sweep** — the generalized meet of Fig. 5 over arbitrarily many
+//!   heterogeneous hit groups, done as one stack pass over the hits in
+//!   document order ([`sweep`]) with one O(1) LCA probe per hit. It
+//!   applies the §4 extensions: result-type restriction `meet_Π`
 //!   ([`filter::PathFilter`]) and distance bound `meet^δ`;
-//! * **rank, cut** — distance-based ranking ([`rank`]) and `limit k`.
+//! * **rank, cut** — distance-based ranking and `limit k`
+//!   ([`rank::rank_and_cut`]).
 //!
-//! [`MeetPlanner::execute`] is that pipeline; [`Database::meet_hits`],
-//! the sharded engine, the forest fan-out ([`catalog`]) and the remote
-//! engine ([`remote`]) all end in it. The paper's pairwise walks (Fig. 3) and two-set frontier lift
-//! (Fig. 4) are not served operators: they live in [`mod@reference`] as the
-//! oracles the test suites check the pipeline against.
+//! [`Database::meet_hits`] is that pipeline; the sharded engine runs the
+//! same pass as a scatter/gather and ends in the same rank and cut; the
+//! forest fan-out ([`catalog`]) and the remote engine ([`remote`])
+//! delegate to one of those two. The paper's own algorithms — the pairwise
+//! walks (Fig. 3), the two-set frontier lift (Fig. 4) and the
+//! level-by-level token roll-up (Fig. 5) — are not served operators:
+//! they live in [`mod@reference`] as the oracles the test suites check
+//! the pipeline against.
 //!
 //! [`Database`] packages parsing, the Monet transform, the inverted index
 //! and the pipeline behind one facade:
@@ -60,7 +60,6 @@ pub mod filter;
 pub mod graph;
 pub mod meet2;
 pub mod meet_multi;
-pub mod planner;
 pub mod rank;
 pub mod reference;
 pub mod remote;
@@ -75,7 +74,8 @@ pub use filter::PathFilter;
 pub use graph::{graph_distance, graph_meet, GraphMeet, RefGraph};
 pub use meet2::{meet2_indexed, Meet2};
 pub use meet_multi::{Meet, MeetOptions};
-pub use planner::{ChosenStrategy, MeetPlanner, MeetStrategy, PlanDecision};
+// Only because `perf/src/trace.rs` links it; ROADMAP 1(d) unlinks it.
+pub use reference::ChosenStrategy;
 pub use remote::{
     EngineRequest, EngineResponse, HealthMonitor, RemoteBackend, RemoteConfig, ReplicaHealth,
     WireError, DEFAULT_FRAME_CAP,

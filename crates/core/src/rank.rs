@@ -5,9 +5,7 @@
 //!
 //! Meets whose witnesses lie closer together rank higher. Ties break
 //! toward more witnesses (a concept explaining more hits is more
-//! interesting), then document order for determinism. The paper mentions
-//! thesauri and IR techniques as future work — [`rank_meets_by`] is the
-//! hook where such scoring plugs in.
+//! interesting), then document order for determinism.
 
 use crate::meet_multi::Meet;
 use ncq_store::Oid;
@@ -27,10 +25,22 @@ pub fn rank_meets(meets: &mut [Meet]) {
     meets.sort_by_key(|m| rank_key(m.distance, m.witness_count, m.node));
 }
 
-/// The `k` best meets by [`rank_key`] out of a stream, unordered (the
-/// pipeline ranks afterwards). A max-heap of the kept keys names the
-/// slot of the worst kept meet; a meet that cannot displace it is
-/// refused by [`KBest::admits`] before its witness sample is built.
+/// The last step of every served meet: rank, then keep the first
+/// `limit` (the dialect's `limit k`). [`crate::Database::meet_hits`]
+/// and the sharded engine both end here.
+pub fn rank_and_cut(mut meets: Vec<Meet>, limit: Option<usize>) -> Vec<Meet> {
+    rank_meets(&mut meets);
+    if let Some(k) = limit {
+        meets.truncate(k);
+    }
+    meets
+}
+
+/// The `k` best meets by [`rank_key`] out of a stream, unordered
+/// ([`rank_and_cut`] ranks afterwards). A max-heap of the kept keys
+/// names the slot of the worst kept meet; a meet that cannot displace
+/// it is refused by [`KBest::admits`] before its witness sample is
+/// built.
 /// Nothing is sized by `k`, which comes straight off the wire: a bound
 /// no stream of `at_most` meets can reach is no bound.
 pub(crate) struct KBest {
@@ -79,28 +89,6 @@ impl KBest {
     }
 }
 
-/// Rank by a custom score (lower is better), stable within equal scores.
-pub fn rank_meets_by<S: Ord>(meets: &mut [Meet], mut score: impl FnMut(&Meet) -> S) {
-    meets.sort_by_key(|m| score(m));
-}
-
-/// The paper's second heuristic: "it is worthwhile to apply additional
-/// heuristics like **distances in the source file**". OIDs are assigned
-/// in document order, so the span of witness origins approximates their
-/// spread in the source text; tighter spans rank first, tree distance
-/// breaks ties.
-pub fn rank_meets_by_source_proximity(meets: &mut [Meet]) {
-    meets.sort_by_key(|m| {
-        let min = m.witnesses.iter().map(|w| w.origin).min();
-        let max = m.witnesses.iter().map(|w| w.origin).max();
-        let span = match (min, max) {
-            (Some(a), Some(b)) => b.index() - a.index(),
-            _ => usize::MAX,
-        };
-        (span, m.distance, m.node)
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,54 +131,6 @@ mod tests {
         let mut v = vec![meet(9, 3, 2), meet(4, 3, 2)];
         rank_meets(&mut v);
         assert_eq!(v[0].node.index(), 4);
-    }
-
-    #[test]
-    fn custom_scores_override() {
-        let mut v = vec![meet(1, 1, 1), meet(2, 9, 9)];
-        // Prefer many witnesses regardless of distance.
-        rank_meets_by(&mut v, |m| std::cmp::Reverse(m.witness_count));
-        assert_eq!(v[0].node.index(), 2);
-    }
-
-    fn meet_with_origins(node: usize, distance: usize, origins: &[usize]) -> Meet {
-        Meet {
-            node: Oid::from_index(node),
-            path: PathId::from_index(0),
-            distance,
-            witness_count: origins.len(),
-            witnesses: origins
-                .iter()
-                .enumerate()
-                .map(|(i, &o)| MeetWitness {
-                    origin: Oid::from_index(o),
-                    input: i,
-                    climb: 1,
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn source_proximity_prefers_tight_spans() {
-        // Meet 1: witnesses far apart in the source; meet 2: adjacent.
-        let mut v = vec![
-            meet_with_origins(1, 2, &[10, 500]),
-            meet_with_origins(2, 9, &[100, 103]),
-        ];
-        rank_meets_by_source_proximity(&mut v);
-        assert_eq!(v[0].node.index(), 2, "tight source span wins");
-    }
-
-    #[test]
-    fn source_proximity_falls_back_to_distance() {
-        let mut v = vec![
-            meet_with_origins(1, 9, &[10, 20]),
-            meet_with_origins(2, 2, &[100, 110]),
-        ];
-        rank_meets_by_source_proximity(&mut v);
-        // Equal spans (10): tree distance decides.
-        assert_eq!(v[0].node.index(), 2);
     }
 
     #[test]

@@ -46,7 +46,6 @@ use crate::backend::{BackendError, MeetBackend, RobustnessStats};
 use crate::db::Database;
 use crate::filter::PathFilter;
 use crate::meet_multi::{Meet, MeetOptions, MeetWitness};
-use crate::planner::MeetStrategy;
 use ncq_fulltext::HitSet;
 use ncq_store::snapshot::{checksum64, SectionBuf, SectionCursor, SnapshotError};
 use ncq_store::{MonetDb, Oid, PathId};
@@ -266,8 +265,7 @@ pub enum EngineRequest {
     Meet {
         /// The hit groups.
         inputs: Vec<HitSet>,
-        /// Meet options (filter, distance bound, witness cap,
-        /// strategy).
+        /// Meet options (filter, distance bound, witness cap, limit).
         options: MeetOptions,
     },
 }
@@ -329,11 +327,6 @@ fn put_options(b: &mut SectionBuf<'_>, options: &MeetOptions) {
         }
     }
     b.put_u64(options.witness_cap as u64);
-    b.put_u8(match options.strategy {
-        MeetStrategy::Auto => 0,
-        MeetStrategy::Lift => 1,
-        MeetStrategy::Sweep => 2,
-    });
     match options.limit {
         None => b.put_u8(0),
         Some(k) => {
@@ -374,16 +367,6 @@ fn get_options(c: &mut SectionCursor<'_>) -> Result<MeetOptions, WireError> {
         }
     };
     let witness_cap = c.get_u64("witness cap")? as usize;
-    let strategy = match c.get_u8("strategy")? {
-        0 => MeetStrategy::Auto,
-        1 => MeetStrategy::Lift,
-        2 => MeetStrategy::Sweep,
-        other => {
-            return Err(WireError::Corrupt {
-                context: format!("unknown strategy {other}"),
-            })
-        }
-    };
     let limit = match c.get_u8("limit flag")? {
         0 => None,
         1 => Some(c.get_u64("limit")? as usize),
@@ -397,7 +380,6 @@ fn get_options(c: &mut SectionCursor<'_>) -> Result<MeetOptions, WireError> {
         filter,
         max_distance,
         witness_cap,
-        strategy,
         limit,
     })
 }
@@ -1113,7 +1095,6 @@ mod tests {
             options: MeetOptions {
                 max_distance: Some(9),
                 witness_cap: 4,
-                strategy: MeetStrategy::Lift,
                 filter: PathFilter::Exclude([PathId::from_index(0)].into_iter().collect()),
                 limit: Some(3),
             },
@@ -1210,34 +1191,55 @@ mod tests {
     fn absurd_limits_survive_the_codec_and_evaluate_like_no_limit() {
         let db = Database::from_xml_str(FIG).unwrap();
         let inputs = vec![db.search("Bit"), db.search("1999")];
-        for strategy in [MeetStrategy::Lift, MeetStrategy::Sweep] {
-            let unbounded = db.meet_hits(
-                &inputs,
-                &MeetOptions {
-                    strategy,
+        let unbounded = db.meet_hits(&inputs, &MeetOptions::default());
+        assert!(!unbounded.is_empty());
+        for k in [usize::MAX, usize::MAX / 2, 1 << 40] {
+            let req = EngineRequest::Meet {
+                inputs: inputs.clone(),
+                options: MeetOptions {
+                    limit: Some(k),
                     ..MeetOptions::default()
                 },
-            );
-            assert!(!unbounded.is_empty());
-            for k in [usize::MAX, usize::MAX / 2, 1 << 40] {
-                let req = EngineRequest::Meet {
-                    inputs: inputs.clone(),
-                    options: MeetOptions {
-                        strategy,
-                        limit: Some(k),
-                        ..MeetOptions::default()
-                    },
-                };
-                let Ok(EngineRequest::Meet { inputs, options }) =
-                    decode_request(&encode_request(&req))
-                else {
-                    panic!("limit {k} did not round-trip");
-                };
-                assert_eq!(options.limit, Some(k));
-                assert_eq!(
-                    db.meet_hits(&inputs, &options),
-                    unbounded,
-                    "{strategy:?} {k}"
+            };
+            let Ok(EngineRequest::Meet { inputs, options }) = decode_request(&encode_request(&req))
+            else {
+                panic!("limit {k} did not round-trip");
+            };
+            assert_eq!(options.limit, Some(k));
+            assert_eq!(db.meet_hits(&inputs, &options), unbounded, "{k}");
+        }
+    }
+
+    /// The MEET body once carried a strategy byte between the witness
+    /// cap and the limit flag. The protocol has no version field, so a
+    /// peer still sending that shape must be refused, never misread:
+    /// the extra byte leaves trailing bytes, a truncated `k` or a bad
+    /// limit flag.
+    #[test]
+    fn the_old_meet_body_with_a_strategy_byte_is_refused_typed() {
+        let db = Database::from_xml_str(FIG).unwrap();
+        for strategy in 0u8..3 {
+            for limit in [None, Some(3u64)] {
+                let mut payload = Vec::new();
+                let mut b = SectionBuf::over(&mut payload);
+                b.put_u8(OP_MEET);
+                b.put_u32(1);
+                put_hit_set(&mut b, &db.search("Bit"));
+                b.put_u8(0); // filter: all
+                b.put_u8(0); // no distance bound
+                b.put_u64(4); // witness cap
+                b.put_u8(strategy);
+                match limit {
+                    None => b.put_u8(0),
+                    Some(k) => {
+                        b.put_u8(1);
+                        b.put_u64(k);
+                    }
+                }
+                assert!(
+                    matches!(decode_request(&payload), Err(WireError::Corrupt { .. })),
+                    "strategy {strategy} limit {limit:?}: {:?}",
+                    decode_request(&payload)
                 );
             }
         }

@@ -1,5 +1,6 @@
-//! The sweep arm of the generalized meet: Fig. 5's roll-up as one stack
-//! pass over the hits in document order.
+//! The served generalized meet: Fig. 5's roll-up as one stack pass over
+//! the hits in document order. The paper's level-by-level roll-up is its
+//! oracle, [`crate::reference::meet_rollup`].
 //!
 //! The paper contracts "the offspring of nodes whose only offspring are
 //! leaves", bottom-up; "all nodes that are meets of other nodes are
@@ -39,7 +40,7 @@ use std::borrow::Borrow;
 
 /// All hits of `inputs` in document order, each with the index of its
 /// input group. Multiplicity is kept: two attribute hits owned by one
-/// element are two witnesses, exactly as in the token roll-up.
+/// element are two witnesses, exactly as in the paper's token roll-up.
 pub fn merged_hits<H: Borrow<HitSet>>(inputs: &[H]) -> Vec<(Oid, u32)> {
     let total = inputs.iter().map(|hits| hits.borrow().len()).sum();
     let mut items: Vec<(Oid, u32)> = Vec::with_capacity(total);

@@ -2,11 +2,11 @@
 //! documents (DBLP bibliography and multimedia feature shapes), the
 //! indexed primitives must agree exactly with the paper's walk/lift
 //! evaluation — `meet2_indexed` ≡ steered `meet2` ≡ `meet2_naive`, and
-//! the plane-sweep arm of the generalized meet returns the same ranked
-//! answers as the token roll-up.
+//! served generalized meet (one stack pass) returns the same ranked
+//! answers as the paper's token roll-up.
 
-use ncq_core::reference::{meet2, meet2_naive};
-use ncq_core::{meet2_indexed, Database, MeetOptions, MeetStrategy};
+use ncq_core::reference::{meet2, meet2_naive, meet_rollup_ranked};
+use ncq_core::{meet2_indexed, Database, MeetOptions};
 use ncq_datagen::{DblpConfig, DblpCorpus, MultimediaConfig, MultimediaCorpus};
 use ncq_fulltext::HitSet;
 use ncq_store::Oid;
@@ -94,15 +94,6 @@ fn sweep_meet_multi_matches_rollup_on_corpus_queries() {
             })
             .collect::<Vec<_>>()
     };
-    let run = |db: &Database, inputs: &[HitSet], opts: &MeetOptions, strategy| {
-        db.meet_hits(
-            inputs,
-            &MeetOptions {
-                strategy,
-                ..opts.clone()
-            },
-        )
-    };
     for seed in 0..4u64 {
         // DBLP: the paper's "ICDE AND year" query at several δ bounds.
         let db = dblp_db(seed);
@@ -117,11 +108,11 @@ fn sweep_meet_multi_matches_rollup_on_corpus_queries() {
                 witness_cap: 1024,
                 ..MeetOptions::default()
             };
-            let rollup = run(&db, &inputs, &opts, MeetStrategy::Lift);
-            let indexed = run(&db, &inputs, &opts, MeetStrategy::Sweep);
+            let served = db.meet_hits(&inputs, &opts);
+            let rollup = meet_rollup_ranked(db.store(), &inputs, &opts);
             assert_eq!(
+                canonical(&served),
                 canonical(&rollup),
-                canonical(&indexed),
                 "seed {seed} δ={max_distance:?}"
             );
         }
@@ -135,11 +126,11 @@ fn sweep_meet_multi_matches_rollup_on_corpus_queries() {
                 witness_cap: 1024,
                 ..MeetOptions::default()
             };
-            let rollup = run(&db, &inputs, &opts, MeetStrategy::Lift);
-            let indexed = run(&db, &inputs, &opts, MeetStrategy::Sweep);
-            assert_eq!(canonical(&rollup), canonical(&indexed), "seed {seed} d={d}");
-            assert_eq!(rollup.len(), 1, "seed {seed} d={d}");
-            assert_eq!(rollup[0].distance, d, "seed {seed} d={d}");
+            let served = db.meet_hits(&inputs, &opts);
+            let rollup = meet_rollup_ranked(db.store(), &inputs, &opts);
+            assert_eq!(canonical(&served), canonical(&rollup), "seed {seed} d={d}");
+            assert_eq!(served.len(), 1, "seed {seed} d={d}");
+            assert_eq!(served[0].distance, d, "seed {seed} d={d}");
         }
     }
 }

@@ -1,12 +1,12 @@
-//! Planner regression tests: seeded-PRNG corpora at depth ∈ {3, 16, 256}
-//! pin (a) that the roll-up and the sweep return identical ranked meets
-//! through `Database::meet_hits`, (b) that the planner picks the
-//! roll-up on a small flat input and the sweep on deep or large ones —
-//! the flat-row regression of CHANGES.md PR 1, closed in PR 2 — and
-//! (c) that a forced strategy runs the forced arm.
+//! Depth regression tests: seeded-PRNG corpora at depth ∈ {3, 16, 256}
+//! pin (a) that `Database::meet_hits` returns the paper's roll-up's
+//! ranked meets (`reference::meet_rollup_ranked`), and (b) that the
+//! roll-up's cost model, which the benchmark's tracer still reads, picks
+//! the roll-up on a small flat input and the stack pass on deep or large
+//! ones — the flat-row regression recorded in CHANGES.md.
 
-use ncq_core::reference::meet_sets;
-use ncq_core::{ChosenStrategy, Database, Meet, MeetOptions, MeetStrategy};
+use ncq_core::reference::{meet_rollup_ranked, meet_sets};
+use ncq_core::{ChosenStrategy, Database, Meet, MeetOptions};
 use ncq_fulltext::HitSet;
 use ncq_store::Oid;
 use ncq_xml::Document;
@@ -48,17 +48,16 @@ fn marker_hits(db: &Database) -> [HitSet; 2] {
     ["s", "t"].map(|needle| db.search_word(needle))
 }
 
-fn forced(strategy: MeetStrategy) -> MeetOptions {
+fn options() -> MeetOptions {
     MeetOptions {
-        strategy,
         witness_cap: 1024,
         ..MeetOptions::default()
     }
 }
 
 /// Ranked meets with each witness sample put in a canonical order:
-/// the roll-up absorbs witnesses group by group, the sweep lists them
-/// in document order — the same set either way.
+/// the roll-up absorbs witnesses path level by path level, the served
+/// pass lists them in document order — the same set either way.
 fn canonical(meets: &[Meet]) -> Vec<Meet> {
     let mut meets = meets.to_vec();
     for m in &mut meets {
@@ -80,23 +79,17 @@ fn sweep_and_rollup_agree_at_every_depth() {
             let (s, t) = (oids(&inputs[0]), oids(&inputs[1]));
             assert!(!s.is_empty() && !t.is_empty());
             assert_eq!(db.store().depth(s[0]), depth, "marker depth is exact");
-            let run = |strategy| canonical(&db.meet_hits(&inputs, &forced(strategy)));
-            let rollup = run(MeetStrategy::Lift);
+            let served = canonical(&db.meet_hits(&inputs, &options()));
             assert!(
-                rollup == run(MeetStrategy::Sweep),
-                "depth {depth} seed {seed}: roll-up and sweep diverged"
-            );
-            // The planner dispatch returns the same answers as both.
-            assert!(
-                rollup == run(MeetStrategy::Auto),
-                "depth {depth} seed {seed}"
+                served == canonical(&meet_rollup_ranked(db.store(), &inputs, &options())),
+                "depth {depth} seed {seed}: served meet and roll-up diverged"
             );
             // On this shape (every s has a t under the same parent) the
             // generalized meet finds exactly the Fig. 4 minimal meets:
             // one per record.
             let mut oracle = meet_sets(db.store(), &s, &t).unwrap().oids();
             oracle.sort_unstable();
-            let mut nodes: Vec<Oid> = rollup.iter().map(|m| m.node).collect();
+            let mut nodes: Vec<Oid> = served.iter().map(|m| m.node).collect();
             nodes.sort_unstable();
             assert_eq!(nodes, oracle, "depth {depth} seed {seed}");
             assert_eq!(nodes.len(), records);
@@ -135,46 +128,21 @@ fn planner_picks_rollup_flat_and_sweep_deep() {
 }
 
 #[test]
-fn forced_strategies_execute_the_forced_arm() {
-    // The pipeline's sweep arm is a closure, so which arm ran is
-    // observable: a forced roll-up never calls it, a forced sweep
-    // always does, Auto does exactly when the plan says so.
-    for (depth, records) in [(3, 8), (16, 24), (256, 6)] {
-        let db = corpus(0x16, depth, records);
-        let inputs = marker_hits(&db);
-        let ran_sweep = |strategy| {
-            let mut swept = false;
-            let meets: Vec<Meet> = db.planner().execute(&inputs, &forced(strategy), || {
-                swept = true;
-                db.meet_hits(&inputs, &forced(MeetStrategy::Sweep))
-            });
-            assert_eq!(meets.len(), records, "depth {depth} {strategy:?}");
-            swept
-        };
-        assert!(!ran_sweep(MeetStrategy::Lift), "depth {depth}");
-        assert!(ran_sweep(MeetStrategy::Sweep), "depth {depth}");
-        let planned = db.planner().plan_multi(&inputs).strategy;
-        assert_eq!(
-            ran_sweep(MeetStrategy::Auto),
-            planned == ChosenStrategy::Sweep,
-            "depth {depth}"
-        );
-    }
-}
-
-#[test]
 fn planner_empty_input_regression() {
     let db = corpus(0, 3, 4);
     let [s, _] = marker_hits(&db);
     let none: [HitSet; 0] = [];
     assert_eq!(db.planner().plan_multi(&none).hits, 0);
-    for strategy in [MeetStrategy::Auto, MeetStrategy::Lift, MeetStrategy::Sweep] {
-        assert!(db.meet_hits(&none, &forced(strategy)).is_empty());
-        // An empty group next to a populated one contributes nothing:
-        // the populated group still meets within itself.
-        let empty = HitSet::new();
-        let alone = db.meet_hits(&[&s], &forced(strategy));
-        let padded = db.meet_hits(&[&s, &empty], &forced(strategy));
-        assert!(!alone.is_empty() && alone == padded, "{strategy:?}");
-    }
+    assert!(db.meet_hits(&none, &options()).is_empty());
+    assert!(meet_rollup_ranked(db.store(), &none, &options()).is_empty());
+    // An empty group next to a populated one contributes nothing: the
+    // populated group still meets within itself.
+    let empty = HitSet::new();
+    let alone = db.meet_hits(&[&s], &options());
+    let padded = db.meet_hits(&[&s, &empty], &options());
+    assert!(!alone.is_empty() && alone == padded);
+    assert_eq!(
+        canonical(&padded),
+        canonical(&meet_rollup_ranked(db.store(), &[&s, &empty], &options()))
+    );
 }

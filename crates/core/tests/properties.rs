@@ -1,16 +1,17 @@
 //! Randomized property tests on random trees: the paper's walks in
 //! [`ncq_core::reference`] against an independent ancestor-set LCA and
-//! the O(1) index, and the two arms of the meet pipeline (roll-up and
-//! sweep, forced through [`Database::meet_hits`]) against each other
-//! and against the witness invariants of the generalized meet.
+//! the O(1) index, and the served meet ([`Database::meet_hits`], one
+//! stack pass) against the paper's roll-up
+//! ([`ncq_core::reference::meet_rollup_ranked`]) and against the witness
+//! invariants of the generalized meet.
 //!
 //! Seeded loops over a deterministic PRNG stand in for proptest (the
 //! offline build cannot fetch it); failures print the seed.
 
 mod shapes;
 
-use ncq_core::reference::{meet2, meet2_naive, meet_sets};
-use ncq_core::{meet2_indexed, Database, Meet, MeetOptions, MeetStrategy};
+use ncq_core::reference::{meet2, meet2_naive, meet_rollup_ranked, meet_sets};
+use ncq_core::{meet2_indexed, Database, Meet, MeetOptions};
 use ncq_fulltext::HitSet;
 use ncq_store::{MonetDb, Oid};
 use ncq_xml::Document;
@@ -157,26 +158,15 @@ fn random_inputs(rng: &mut StdRng, db: &MonetDb, max_groups: usize, picks: usize
         .collect()
 }
 
-/// One arm of the pipeline, forced through the facade.
-fn run(
-    db: &Database,
-    inputs: &[HitSet],
-    options: &MeetOptions,
-    strategy: MeetStrategy,
-) -> Vec<Meet> {
-    db.meet_hits(
-        inputs,
-        &MeetOptions {
-            strategy,
-            ..options.clone()
-        },
-    )
+/// The paper's roll-up over the same inputs, ranked and cut.
+fn rollup(db: &Database, inputs: &[HitSet], options: &MeetOptions) -> Vec<Meet> {
+    meet_rollup_ranked(db.store(), inputs, options)
 }
 
 /// Generalized-meet invariants: witnesses' pairwise LCA is exactly the
 /// meet node; the reported distance is the closest witness pair's
 /// distance; every hit is consumed by exactly one meet, except at most
-/// one lone survivor (which dies at the root). The sweep arm returns
+/// one lone survivor (which dies at the root). The served meet returns
 /// exactly the roll-up's ranked meets, witness for witness.
 #[test]
 fn meet_multi_witness_invariants_and_sweep_agrees() {
@@ -192,7 +182,7 @@ fn meet_multi_witness_invariants_and_sweep_agrees() {
             witness_cap: 64,
             ..MeetOptions::default()
         };
-        let meets = run(&facade, &inputs, &opts, MeetStrategy::Lift);
+        let meets = facade.meet_hits(&inputs, &opts);
 
         let mut consumed = 0usize;
         for m in &meets {
@@ -226,8 +216,8 @@ fn meet_multi_witness_invariants_and_sweep_agrees() {
             "seed {seed}: hits={total_hits} consumed={consumed}"
         );
 
-        // The indexed sweep is witness-for-witness identical.
-        let indexed = run(&facade, &inputs, &opts, MeetStrategy::Sweep);
+        // The paper's roll-up is witness-for-witness identical.
+        let oracle = rollup(&facade, &inputs, &opts);
         let canonical = |ms: &[Meet]| {
             ms.iter()
                 .map(|m| {
@@ -241,12 +231,12 @@ fn meet_multi_witness_invariants_and_sweep_agrees() {
                 })
                 .collect::<Vec<_>>()
         };
-        assert_eq!(canonical(&meets), canonical(&indexed), "seed {seed}");
+        assert_eq!(canonical(&meets), canonical(&oracle), "seed {seed}");
     }
 }
 
 /// The generalized meet is invariant under permutation of the input
-/// groups, in both arms.
+/// groups, served and in the paper's roll-up.
 #[test]
 fn meet_multi_is_order_invariant() {
     for seed in 0..CASES {
@@ -255,24 +245,28 @@ fn meet_multi_is_order_invariant() {
         let picks = rng.random_range(2usize..18);
         let inputs = random_inputs(&mut rng, db.store(), 3, picks);
         let inputs_rev: Vec<HitSet> = inputs.iter().rev().cloned().collect();
-        for strategy in [MeetStrategy::Lift, MeetStrategy::Sweep] {
-            let fwd = run(&db, &inputs, &MeetOptions::default(), strategy);
-            let rev = run(&db, &inputs_rev, &MeetOptions::default(), strategy);
-            let a: Vec<(Oid, usize, usize)> = fwd
-                .iter()
+        let key = |ms: Vec<Meet>| -> Vec<(Oid, usize, usize)> {
+            ms.iter()
                 .map(|m| (m.node, m.distance, m.witness_count))
-                .collect();
-            let b: Vec<(Oid, usize, usize)> = rev
-                .iter()
-                .map(|m| (m.node, m.distance, m.witness_count))
-                .collect();
-            assert_eq!(a, b, "seed {seed} {strategy:?}");
-        }
+                .collect()
+        };
+        let opts = MeetOptions::default();
+        assert_eq!(
+            key(db.meet_hits(&inputs, &opts)),
+            key(db.meet_hits(&inputs_rev, &opts)),
+            "seed {seed} served"
+        );
+        assert_eq!(
+            key(rollup(&db, &inputs, &opts)),
+            key(rollup(&db, &inputs_rev, &opts)),
+            "seed {seed} roll-up"
+        );
     }
 }
 
 /// The distance bound meet^δ only ever removes answers, every surviving
-/// answer respects the bound, and roll-up and sweep agree under δ.
+/// answer respects the bound, and the served meet agrees with the
+/// roll-up under δ.
 #[test]
 fn max_distance_is_monotone_and_sweep_agrees() {
     for seed in 0..CASES {
@@ -285,26 +279,25 @@ fn max_distance_is_monotone_and_sweep_agrees() {
             max_distance: Some(delta),
             ..MeetOptions::default()
         };
-        let bounded = run(&db, &inputs, &opts, MeetStrategy::Lift);
+        let bounded = db.meet_hits(&inputs, &opts);
         for m in &bounded {
             assert!(m.distance <= delta, "seed {seed}");
             assert!(m.witness_count >= 2, "seed {seed}");
         }
-        let indexed = run(&db, &inputs, &opts, MeetStrategy::Sweep);
+        let oracle = rollup(&db, &inputs, &opts);
         let key = |ms: &[Meet]| {
             ms.iter()
                 .map(|m| (m.node, m.distance, m.witness_count))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(key(&bounded), key(&indexed), "seed {seed} δ={delta}");
+        assert_eq!(key(&bounded), key(&oracle), "seed {seed} δ={delta}");
     }
 }
 
 /// The shapes of `shapes/mod.rs`, each under every distance bound,
-/// limit and witness cap: the sweep arm returns the roll-up's ranked
+/// limit and witness cap: the served meet returns the roll-up's ranked
 /// meets with the same witnesses, its capped sample is the first `cap`
-/// witnesses in document order, and `limit k` is the unbounded prefix in
-/// both arms.
+/// witnesses in document order, and `limit k` is the unbounded prefix.
 #[test]
 fn adversarial_shapes_agree_with_the_roll_up() {
     for shape in shapes::shapes() {
@@ -315,15 +308,13 @@ fn adversarial_shapes_agree_with_the_roll_up() {
                 max_distance,
                 witness_cap,
                 limit,
-                ..MeetOptions::default()
             };
-            let run =
-                |options: &MeetOptions, strategy| run(&shape.db, &shape.inputs, options, strategy);
+            let run = |options: &MeetOptions| shape.db.meet_hits(&shape.inputs, options);
 
-            let oracle = run(&options(usize::MAX, None), MeetStrategy::Lift);
-            let full = run(&options(usize::MAX, None), MeetStrategy::Sweep);
-            // The roll-up absorbs tokens path by path, the sweep in
-            // document order: same witnesses, compared as sets.
+            let oracle = rollup(&shape.db, &shape.inputs, &options(usize::MAX, None));
+            let full = run(&options(usize::MAX, None));
+            // The roll-up absorbs tokens path by path, the served pass
+            // in document order: same witnesses, compared as sets.
             let mut sorted = oracle.clone();
             for m in &mut sorted {
                 m.witnesses.sort_unstable_by_key(|w| (w.origin, w.input));
@@ -342,23 +333,19 @@ fn adversarial_shapes_agree_with_the_roll_up() {
                         ..m.clone()
                     })
                     .collect();
-                for strategy in [MeetStrategy::Lift, MeetStrategy::Sweep] {
-                    let unbounded = run(&options(witness_cap, None), strategy);
-                    if strategy == MeetStrategy::Sweep {
-                        assert_eq!(
-                            unbounded, capped,
-                            "{name} δ={max_distance:?} cap={witness_cap}"
-                        );
-                    }
-                    for limit in shapes::LIMITS {
-                        let bounded = run(&options(witness_cap, limit), strategy);
-                        let k = limit.unwrap_or(usize::MAX).min(unbounded.len());
-                        assert_eq!(
-                            bounded,
-                            unbounded[..k],
-                            "{name} δ={max_distance:?} cap={witness_cap} limit={limit:?} {strategy:?}"
-                        );
-                    }
+                let unbounded = run(&options(witness_cap, None));
+                assert_eq!(
+                    unbounded, capped,
+                    "{name} δ={max_distance:?} cap={witness_cap}"
+                );
+                for limit in shapes::LIMITS {
+                    let bounded = run(&options(witness_cap, limit));
+                    let k = limit.unwrap_or(usize::MAX).min(unbounded.len());
+                    assert_eq!(
+                        bounded,
+                        unbounded[..k],
+                        "{name} δ={max_distance:?} cap={witness_cap} limit={limit:?}"
+                    );
                 }
             }
         }
@@ -376,10 +363,7 @@ fn adversarial_shapes_have_the_answers_they_were_built_for() {
             max_distance,
             ..MeetOptions::default()
         };
-        (
-            shape,
-            run(&shape.db, &shape.inputs, &options, MeetStrategy::Sweep),
-        )
+        (shape, shape.db.meet_hits(&shape.inputs, &options))
     };
 
     // One meet, exact count, sample capped.

@@ -9,7 +9,7 @@
 //!
 //! Every instrumentation primitive ([`span`], [`event`], [`annotate`])
 //! is a no-op when no trace is active on the thread, so instrumented
-//! library code (planner, shards, remote router) costs one TLS check
+//! library code (meet, shards, remote router) costs one TLS check
 //! when tracing is off the request path.
 
 use std::cell::RefCell;

@@ -98,8 +98,8 @@ pub fn run_query<B: MeetBackend + ?Sized>(db: &B, src: &str) -> Result<QueryOutp
     run_query_opts(db, src, &QueryOptions::default())
 }
 
-/// Parse and evaluate with full [`QueryOptions`] (limits + planner
-/// overrides).
+/// Parse and evaluate with full [`QueryOptions`] (limits, default
+/// corpus).
 pub fn run_query_opts<B: MeetBackend + ?Sized>(
     db: &B,
     src: &str,

@@ -339,7 +339,7 @@ fn format_stats(client: &Client) -> String {
 /// appears as an `ncq_*` counter or gauge — plus per-corpus query
 /// counts as a labelled counter family and everything the instrumented
 /// stages recorded into the metrics registry (latency histograms with
-/// their quantile summaries, plan/remote counters).
+/// their quantile summaries, remote counters).
 fn format_metrics(client: &Client) -> String {
     let stats = client.stats();
     let rows = stat_rows(&stats);

@@ -88,10 +88,10 @@ pub enum Request {
         terms: Vec<String>,
         /// Maximum witness distance (`meet^δ`).
         within: Option<usize>,
-        /// At most this many ranked answers (`LIMIT k` on the wire);
-        /// the engines stop sweeping once the k-th best distance is
-        /// unbeatable. On a fan-out request the bound applies per
-        /// corpus.
+        /// At most this many ranked answers (`LIMIT k` on the wire): the
+        /// first `k` of the unbounded ranking, selected while the stack
+        /// pass runs; nothing stops early for it. On a fan-out request
+        /// the bound applies per corpus.
         limit: Option<usize>,
         /// Corpus routing (see the enum docs).
         corpus: Option<String>,

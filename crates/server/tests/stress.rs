@@ -91,7 +91,7 @@ fn request_mix(db: &Database, terms: &[String]) -> Vec<(Request, Response)> {
 }
 
 /// Single-threaded reference evaluation (same options as the server's
-/// defaults: Auto planner, 10k row limit).
+/// defaults: default meet options, 10k row limit).
 fn reference(db: &Database, request: &Request) -> Response {
     match request {
         Request::MeetTerms { terms, within, .. } => {

@@ -45,6 +45,7 @@
 
 use crate::partition::PartitionMap;
 use crate::pool::Pool;
+use ncq_core::rank::rank_and_cut;
 use ncq_core::sweep::{merged_hits, sweep};
 use ncq_core::{BackendError, Database, Meet, MeetBackend, MeetOptions};
 use ncq_fulltext::search::{phrase_hits, word_hits};
@@ -345,22 +346,18 @@ impl ShardedDb {
 
     // ----- meet entry points -----
 
-    /// Sharded [`Database::meet_hits`]: the generalized meet, ranked,
-    /// through the same pipeline ([`ncq_core::MeetPlanner::execute`]:
-    /// same plan, same roll-up on the spine replica, same rank and
-    /// cut) with the scatter/gather plugged in as the sweep arm. Under
-    /// a `limit` each pass keeps its own `k` best — which contain every
-    /// meet of its that is among the global `k` best — and consumes
-    /// exactly what it would without one, so the survivors fed to the
-    /// gather stay exact; the pipeline's cut over shard + gather meets
-    /// is the global top k.
+    /// Sharded [`Database::meet_hits`]: the generalized meet as the
+    /// scatter/gather below, then the single engine's rank and cut
+    /// ([`rank_and_cut`]). Under a `limit` each pass keeps its own `k`
+    /// best — which contain every meet of its that is among the global
+    /// `k` best — and consumes exactly what it would without one, so the
+    /// survivors fed to the gather stay exact; the cut over shard +
+    /// gather meets is the global top k.
     pub fn meet_hits<H: Borrow<HitSet>>(&self, inputs: &[H], options: &MeetOptions) -> Vec<Meet> {
-        let db = &self.inner.db;
         if self.shard_count() == 1 {
-            return db.meet_hits(inputs, options);
+            return self.inner.db.meet_hits(inputs, options);
         }
-        db.planner()
-            .execute(inputs, options, || self.scatter_meet_multi(inputs, options))
+        rank_and_cut(self.scatter_meet(inputs, options), options.limit)
     }
 
     // ----- query dialect -----
@@ -382,14 +379,10 @@ impl ShardedDb {
 
     // ----- scatter/gather executors -----
 
-    /// The sweep arm, scattered: route the merged hits by shard, run
+    /// The stack pass, scattered: route the merged hits by shard, run
     /// the pass with the spine gate per shard in parallel, then run it
     /// once more, ungated, over the survivors and the spine's own hits.
-    fn scatter_meet_multi<H: Borrow<HitSet>>(
-        &self,
-        inputs: &[H],
-        options: &MeetOptions,
-    ) -> Vec<Meet> {
+    fn scatter_meet<H: Borrow<HitSet>>(&self, inputs: &[H], options: &MeetOptions) -> Vec<Meet> {
         let inner = &self.inner;
         let k = inner.shards.len();
         let mut per_shard: Vec<Vec<(Oid, u32)>> = (0..k).map(|_| Vec::new()).collect();
@@ -429,7 +422,7 @@ impl ShardedDb {
         pool_items.sort_unstable();
         meets.extend(sweep(inner.db.store(), &pool_items, options, |_| false).meets);
 
-        // No canonical pre-sort: the pipeline ranks by the *total* key
+        // No canonical pre-sort: `rank_and_cut` ranks by the *total* key
         // (distance, witness count, node) — each node is accepted at
         // most once, so the rank fully determines the final order.
         meets
@@ -559,13 +552,11 @@ mod tests {
                 ..MeetOptions::default()
             },
             MeetOptions {
-                strategy: ncq_core::MeetStrategy::Sweep,
                 witness_cap: 1,
                 ..MeetOptions::default()
             },
             MeetOptions {
                 filter: ncq_core::PathFilter::exclude_root(single.store()),
-                strategy: ncq_core::MeetStrategy::Sweep,
                 ..MeetOptions::default()
             },
         ] {

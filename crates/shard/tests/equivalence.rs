@@ -1,8 +1,7 @@
 //! Sharding equivalence property suite: for random trees and random K,
 //! [`ShardedDb`] answers are identical to [`Database`] answers for the
-//! generalized meet under every strategy — witness samples and result
-//! order included — plus full-text search and `AnswerSet` XML byte
-//! equality.
+//! generalized meet — witness samples and result order included — plus
+//! full-text search and `AnswerSet` XML byte equality.
 //!
 //! Seeded loops over a deterministic PRNG stand in for proptest (the
 //! offline build cannot fetch it); failures print the seed.
@@ -10,7 +9,7 @@
 #[path = "../../core/tests/shapes/mod.rs"]
 mod shapes;
 
-use ncq_core::{Database, MeetBackend, MeetOptions, MeetStrategy, PathFilter};
+use ncq_core::{Database, MeetBackend, MeetOptions, PathFilter};
 use ncq_fulltext::HitSet;
 use ncq_shard::ShardedDb;
 use ncq_store::Oid;
@@ -82,23 +81,20 @@ fn meet_multi_is_identical_including_witnesses() {
                 0 => Some(rng.random_range(1usize..6)),
                 _ => None,
             };
-            for strategy in [MeetStrategy::Auto, MeetStrategy::Lift, MeetStrategy::Sweep] {
-                let options = MeetOptions {
-                    max_distance,
-                    filter: filter.clone(),
-                    strategy,
-                    witness_cap: rng.random_range(1usize..5),
-                    limit,
-                };
-                // Full structural equality: nodes, paths, distances,
-                // witness counts AND the capped witness samples, in
-                // result order.
-                assert_eq!(
-                    db.meet_hits(&inputs, &options),
-                    sharded.meet_hits(&inputs, &options),
-                    "seed {seed} k {k} {strategy:?}"
-                );
-            }
+            let options = MeetOptions {
+                max_distance,
+                filter,
+                witness_cap: rng.random_range(1usize..5),
+                limit,
+            };
+            // Full structural equality: nodes, paths, distances,
+            // witness counts AND the capped witness samples, in
+            // result order.
+            assert_eq!(
+                db.meet_hits(&inputs, &options),
+                sharded.meet_hits(&inputs, &options),
+                "seed {seed} k {k}"
+            );
         }
     }
 }
@@ -115,21 +111,18 @@ fn adversarial_shapes_are_identical_including_witnesses() {
         for max_distance in shapes::MAX_DISTANCES {
             for limit in shapes::LIMITS {
                 for witness_cap in shapes::WITNESS_CAPS {
-                    for strategy in [MeetStrategy::Auto, MeetStrategy::Lift, MeetStrategy::Sweep] {
-                        let options = MeetOptions {
-                            filter: shape.filter.clone(),
-                            max_distance,
-                            witness_cap,
-                            strategy,
-                            limit,
-                        };
-                        assert_eq!(
-                            shape.db.meet_hits(&shape.inputs, &options),
-                            sharded.meet_hits(&shape.inputs, &options),
-                            "{} k {k} {options:?}",
-                            shape.name
-                        );
-                    }
+                    let options = MeetOptions {
+                        filter: shape.filter.clone(),
+                        max_distance,
+                        witness_cap,
+                        limit,
+                    };
+                    assert_eq!(
+                        shape.db.meet_hits(&shape.inputs, &options),
+                        sharded.meet_hits(&shape.inputs, &options),
+                        "{} k {k} {options:?}",
+                        shape.name
+                    );
                 }
             }
         }
@@ -158,7 +151,6 @@ fn a_token_rejected_in_its_shard_is_accepted_on_the_spine() {
     }
     let options = MeetOptions {
         max_distance: Some(3),
-        strategy: MeetStrategy::Sweep,
         ..MeetOptions::default()
     };
     let meets = sharded.meet_hits(&shape.inputs, &options);

@@ -219,8 +219,8 @@ impl MonetDb {
         self.meet_index.get_or_init(|| MeetIndex::build(self))
     }
 
-    /// Node-depth distribution of the instance — the corpus-shape signal
-    /// the depth-aware meet planner reads. Objects of one path share a
+    /// Node-depth distribution of the instance (read by the roll-up's
+    /// cost model in `ncq_core::reference`). Objects of one path share a
     /// depth, so the histogram is folded from the per-path posting
     /// counts: O(paths), nothing per node.
     pub fn depth_stats(&self) -> DepthStats {

@@ -37,9 +37,8 @@ impl fmt::Display for StoreStats {
     }
 }
 
-/// Node-depth distribution of a loaded instance — the signal the
-/// depth-aware meet planner keys on (shallow corpora favour the Fig. 5
-/// token roll-up, deep corpora the sweep).
+/// Node-depth distribution of a loaded instance. Its one reader is the
+/// roll-up's cost model in `ncq_core::reference`.
 ///
 /// Folded on demand ([`crate::MonetDb::depth_stats`]) from the per-path
 /// posting counts; all three counters are object-level (element + cdata

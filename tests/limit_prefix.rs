@@ -3,16 +3,18 @@
 //! `MeetOptions::limit` promises answers byte-identical to the first
 //! `k` of the plain unbounded evaluation. This suite proves the promise
 //! differentially on random trees — through `Database` and `ShardedDb`
-//! at K ∈ {1, 4}, every strategy, at k ∈ {1, 2, 5}, at k beyond the
-//! result size and at the absurd k a hostile client can send — and once
-//! more through the full term pipeline.
+//! at K ∈ {1, 4}, at k ∈ {1, 2, 5}, at k beyond the result size and at
+//! the absurd k a hostile client can send, with the paper's roll-up
+//! (`reference::meet_rollup_ranked`) as the oracle for the ranking — and
+//! once more through the full term pipeline.
 //!
 //! Seeded loops over the vendored deterministic PRNG stand in for
 //! proptest (the offline build cannot fetch it); failures print the
 //! seed.
 
 use ncq_fulltext::HitSet;
-use nearest_concept::core::{MeetBackend, MeetOptions, MeetStrategy};
+use nearest_concept::core::reference::meet_rollup_ranked;
+use nearest_concept::core::{Meet, MeetBackend, MeetOptions};
 use nearest_concept::xml::Document;
 use nearest_concept::{Database, ShardedDb};
 use rand::rngs::StdRng;
@@ -53,14 +55,22 @@ const TERMS: [&str; 7] = [
     "twin peaks",
 ];
 
-const STRATEGIES: [MeetStrategy; 3] = [MeetStrategy::Auto, MeetStrategy::Lift, MeetStrategy::Sweep];
+/// A meet's rank-relevant fields. The roll-up's witness sample follows
+/// absorption order, so the oracle comparison leaves the sample out;
+/// the engines are compared byte for byte.
+fn ranked(meets: &[Meet]) -> Vec<(usize, usize, usize)> {
+    meets
+        .iter()
+        .map(|m| (m.node.index(), m.distance, m.witness_count))
+        .collect()
+}
 
-/// `limit k` is the unbounded ranking's prefix: for every strategy and
-/// engine, the bounded answer equals `unbounded[..k]` at small k, and
-/// equals the full answer when k exceeds the result size. The k-best
-/// selection inside each pass of the sweep arm (one per shard, one at
-/// the gather) may skip witness samples but must never change a
-/// returned byte, and nothing may be sized by `k`.
+/// `limit k` is the unbounded ranking's prefix: for every engine, the
+/// bounded answer equals `unbounded[..k]` at small k, and equals the
+/// full answer when k exceeds the result size; the unbounded ranking is
+/// the roll-up's. The k-best selection inside each stack pass (one per
+/// shard, one at the gather) may skip witness samples but must never
+/// change a returned byte, and nothing may be sized by `k`.
 #[test]
 fn limit_k_equals_the_unbounded_prefix() {
     for seed in 0u64..40 {
@@ -84,34 +94,31 @@ fn limit_k_equals_the_unbounded_prefix() {
                 Box::new(ShardedDb::new(db.clone(), 4)),
             ),
         ];
+        let oracle = meet_rollup_ranked(db.store(), &inputs, &MeetOptions::default());
         for (name, engine) in &engines {
-            for strategy in STRATEGIES {
-                let unbounded = engine
+            let unbounded = engine
+                .meet_hit_groups(&inputs, &MeetOptions::default())
+                .unwrap();
+            assert_eq!(
+                ranked(&unbounded),
+                ranked(&oracle),
+                "seed {seed}: {name} ranks unlike the roll-up"
+            );
+            for k in [1usize, 2, 5, unbounded.len() + 100, 1 << 40, usize::MAX] {
+                let bounded = engine
                     .meet_hit_groups(
                         &inputs,
                         &MeetOptions {
-                            strategy,
+                            limit: Some(k),
                             ..MeetOptions::default()
                         },
                     )
                     .unwrap();
-                for k in [1usize, 2, 5, unbounded.len() + 100, 1 << 40, usize::MAX] {
-                    let bounded = engine
-                        .meet_hit_groups(
-                            &inputs,
-                            &MeetOptions {
-                                strategy,
-                                limit: Some(k),
-                                ..MeetOptions::default()
-                            },
-                        )
-                        .unwrap();
-                    let want = &unbounded[..k.min(unbounded.len())];
-                    assert_eq!(
-                        bounded, want,
-                        "seed {seed}: limit {k} != unbounded prefix on {name} ({strategy:?})"
-                    );
-                }
+                let want = &unbounded[..k.min(unbounded.len())];
+                assert_eq!(
+                    bounded, want,
+                    "seed {seed}: limit {k} != unbounded prefix on {name}"
+                );
             }
         }
     }

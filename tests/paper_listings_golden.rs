@@ -5,7 +5,7 @@
 //! result oids, paths, distances and witnesses, or the complete
 //! projection row set — is compared byte-for-byte against a checked-in
 //! fixture under `tests/golden/`. Any behavioural drift (ranking,
-//! witness accounting, planner routing, serialization) shows up as a
+//! witness accounting, witness order, serialization) shows up as a
 //! fixture diff instead of slipping past tag-only assertions.
 //!
 //! Regenerate after an *intended* change with:

@@ -25,7 +25,7 @@
 //! are files no build writes any more; they stay committed to pin that
 //! opening one is a typed `UnsupportedVersion`, never a partial load.
 
-use nearest_concept::core::{MeetBackend, MeetOptions, MeetStrategy};
+use nearest_concept::core::{MeetBackend, MeetOptions};
 use nearest_concept::datagen::{DblpConfig, DblpCorpus};
 use nearest_concept::server::{serve_lines, Server, ServerConfig};
 use nearest_concept::store::snapshot::{checksum64, section};
@@ -71,8 +71,8 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// Round-trip property: for random trees, a save → load cycle answers
-/// `meet_sets` and `meet_multi` identically — document order, join
-/// accounting and witness samples included — through both the plain
+/// the generalized meet identically — ranking, distances and witness
+/// samples included — through both the plain
 /// `Database` and a `ShardedDb` at random K reloaded from the same
 /// file.
 #[test]
@@ -89,30 +89,24 @@ fn random_trees_round_trip_with_identical_meets() {
         let loaded = Database::open_snapshot(&path).expect("load");
         let loaded_sharded = ShardedDb::open_snapshot(&path, k).expect("load sharded");
 
-        // The generalized meet through the full term pipeline, every
-        // strategy (the forced sweep is what reads the loaded meet
-        // index): serialized answer XML pins ranking, distances,
-        // document order and witnesses.
+        // The generalized meet through the full term pipeline (the
+        // stack pass reads the loaded meet index): serialized answer
+        // XML pins ranking, distances, document order and witnesses.
         let terms = ["alpha", "beta", "twin peaks"];
-        for strategy in [MeetStrategy::Auto, MeetStrategy::Lift, MeetStrategy::Sweep] {
-            let options = MeetOptions {
-                strategy,
-                ..MeetOptions::default()
-            };
-            let a = original.meet_terms_with(&terms, &options).unwrap();
-            let b = loaded.meet_terms_with(&terms, &options).unwrap();
-            assert_eq!(
-                a.to_detailed_xml(),
-                b.to_detailed_xml(),
-                "seed {seed} {strategy:?}: loaded Database diverged"
-            );
-            let c = loaded_sharded.meet_terms_answers(&terms, &options).unwrap();
-            assert_eq!(
-                a.to_detailed_xml(),
-                c.to_detailed_xml(),
-                "seed {seed} {strategy:?}: loaded ShardedDb (K={k}) diverged"
-            );
-        }
+        let options = MeetOptions::default();
+        let a = original.meet_terms_with(&terms, &options).unwrap();
+        let b = loaded.meet_terms_with(&terms, &options).unwrap();
+        assert_eq!(
+            a.to_detailed_xml(),
+            b.to_detailed_xml(),
+            "seed {seed}: loaded Database diverged"
+        );
+        let c = loaded_sharded.meet_terms_answers(&terms, &options).unwrap();
+        assert_eq!(
+            a.to_detailed_xml(),
+            c.to_detailed_xml(),
+            "seed {seed}: loaded ShardedDb (K={k}) diverged"
+        );
 
         std::fs::remove_file(&path).ok();
     }
