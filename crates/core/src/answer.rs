@@ -53,7 +53,7 @@ pub struct Answer {
     pub witnesses: Vec<Witness>,
 }
 
-/// A corpus (or shard) that could not contribute to a fan-out answer:
+/// A corpus that could not contribute to a fan-out answer:
 /// every replica of its engine was down, so the results list covers the
 /// surviving corpora only. Typed graceful degradation — the marker
 /// rides *inside* the answer set instead of failing the whole batch.

@@ -3,9 +3,10 @@
 //! The query language (`ncq-query`), the server and the examples all
 //! consume the same three capabilities — resolve a term to hits, meet
 //! hit groups, expose the store for schema work. [`MeetBackend`] names
-//! that surface so callers can be written once and served by either the
-//! single-process [`Database`] or a sharded execution layer
-//! (`ncq-shard`'s `ShardedDb`), with identical answers.
+//! that surface so callers can be written once and served by the
+//! single-process [`Database`], a [`crate::RemoteBackend`] proxying to
+//! replicas, or a [`crate::ForestBackend`] of named corpora, with
+//! identical answers.
 //!
 //! The trait is object-safe on purpose: `ncq-server` holds its backend
 //! as `Arc<dyn MeetBackend>` so one worker pool can front whichever
@@ -86,11 +87,10 @@ impl RobustnessStats {
 /// meet, over one shared [`MonetDb`] schema.
 ///
 /// Implementations must agree with [`Database`] bit-for-bit: the golden
-/// suite and the sharding equivalence property tests run the same
-/// queries through every backend and compare serialized answers.
+/// and forest suites run the same queries through every backend and
+/// compare serialized answers.
 pub trait MeetBackend: Send + Sync {
-    /// The underlying Monet transform (for sharded engines: the full
-    /// store, whose top levels double as the replicated spine).
+    /// The underlying Monet transform.
     fn store(&self) -> &MonetDb;
 
     /// Hits for one term (word, phrase or substring — the dispatch of
@@ -155,8 +155,8 @@ pub trait MeetBackend: Send + Sync {
 
     /// Cold-load a snapshot and splice it in as corpus `name`,
     /// returning the backend to serve *subsequent* batches. The
-    /// replacement keeps the corpus's current engine shape (via
-    /// [`MeetBackend::open_snapshot_like`] on that corpus) and shares
+    /// replacement is opened by [`MeetBackend::open_snapshot_like`] on
+    /// that corpus and shares
     /// every other corpus's engine by refcount, so in-flight batches on
     /// the old backend — and all other corpora — are untouched.
     fn reload_corpus(
@@ -170,21 +170,18 @@ pub trait MeetBackend: Send + Sync {
     }
 
     /// Persist this engine's full state as a versioned snapshot file
-    /// (the server's `SNAPSHOT SAVE` verb dispatches here). Engines
-    /// with extra state beyond store + postings override this to stack
-    /// their own sections; the default serves the common
-    /// store+fulltext shape.
+    /// (the server's `SNAPSHOT SAVE` verb dispatches here). The default
+    /// refuses; [`Database`] writes its store and postings.
     fn save_snapshot(&self, _path: &Path) -> Result<(), SnapshotError> {
         Err(SnapshotError::Unsupported {
             context: "this backend does not persist snapshots",
         })
     }
 
-    /// Cold-load a snapshot as an engine of the *same shape* as `self`
-    /// (the server's `SNAPSHOT LOAD` hot-swap dispatches here, so
-    /// reloading never silently downgrades a sharded deployment to a
-    /// single-process one). The default loads a plain [`Database`];
-    /// sharded engines override to re-partition at their current K.
+    /// Cold-load a snapshot as an engine of the same kind as `self` (the
+    /// server's `SNAPSHOT LOAD` hot-swap dispatches here). The default
+    /// loads a plain [`Database`]; a remote engine keeps its replicas
+    /// and a forest refuses, reloading per corpus instead.
     fn open_snapshot_like(&self, path: &Path) -> Result<Arc<dyn MeetBackend>, SnapshotError> {
         Ok(Arc::new(Database::open_snapshot(path)?))
     }

@@ -1,19 +1,17 @@
 //! The forest engine: a [`Catalog`] of named corpora behind one
 //! [`MeetBackend`].
 //!
-//! The paper defines nearest-concept semantics per document; the
-//! ROADMAP's serving story needs *many* documents per process — one
-//! spine per corpus, named by a manifest, addressed by the query
-//! language (`from corpus(name)`), the line protocol (`USE`,
-//! `CORPORA`) and the scatter/gather layer ((corpus, shard) pairs).
-//! Two pieces implement that here:
+//! The paper defines nearest-concept semantics per document; a serving
+//! process holds *many* documents — one engine per corpus, named by a
+//! manifest, addressed by the query language (`from corpus(name)`) and
+//! the line protocol (`USE`, `CORPORA`). Two pieces implement that
+//! here:
 //!
 //! * [`Catalog`] — an ordered set of `name → Arc<dyn MeetBackend>`
 //!   corpora with a default. Built programmatically or from a
-//!   versioned [`Manifest`] file (each entry a PR-4 snapshot, verified
-//!   against the manifest's recorded checksum before decode). The
-//!   opener is pluggable so `ncq-shard` can materialize multi-shard
-//!   entries as `ShardedDb` without this crate depending on it.
+//!   versioned [`Manifest`] file ([`Catalog::open_manifest`]: each
+//!   entry a snapshot, verified against the manifest's recorded
+//!   checksum before decode, served in-process or by its replicas).
 //! * [`ForestBackend`] — [`MeetBackend`] over a catalog. The trait
 //!   surface (store / search / meet) routes to the **default corpus**,
 //!   so unqualified queries answer byte-identically to a direct
@@ -25,8 +23,8 @@
 //!   answer.
 //!
 //! Hot swaps stay per-corpus: [`MeetBackend::reload_corpus`] clones
-//! the catalog, replaces one corpus's engine (same shape, via that
-//! corpus's `open_snapshot_like`) and returns a new forest sharing
+//! the catalog, replaces one corpus's engine (via that corpus's
+//! `open_snapshot_like`) and returns a new forest sharing
 //! every other engine by refcount — the server's generation-tagged
 //! swap then retires the old forest without touching in-flight batches
 //! or sibling corpora.
@@ -35,8 +33,9 @@ use crate::answer::AnswerSet;
 use crate::backend::{BackendError, MeetBackend, RobustnessStats};
 use crate::db::Database;
 use crate::meet_multi::MeetOptions;
+use crate::remote::{RemoteBackend, RemoteConfig};
 use ncq_fulltext::HitSet;
-use ncq_store::manifest::{Manifest, ManifestEntry, ManifestError};
+use ncq_store::manifest::{Manifest, ManifestError};
 use ncq_store::snapshot::{checksum64, SnapshotError, SNAPSHOT_VERSION};
 use ncq_store::{validate_corpus_name, MappedSnapshot, MonetDb, VerifyMode};
 use std::fmt;
@@ -289,45 +288,27 @@ impl Catalog {
         self.corpora.iter().map(|c| (c.name.as_str(), &c.backend))
     }
 
-    /// Open every corpus of a manifest as a single-process
-    /// [`Database`] (shard counts recorded in the manifest are served
-    /// unsharded here — `ncq-shard::open_catalog_remote` is the
-    /// shard-aware loader).
-    pub fn open_manifest(path: impl AsRef<Path>) -> Result<Catalog, CatalogError> {
-        Catalog::open_manifest_remote(
-            path,
-            |_entry, snap| Ok(Arc::new(Database::decode_from(snap)?) as Arc<dyn MeetBackend>),
-            crate::remote::RemoteConfig::default(),
-        )
-    }
-
-    /// Open a manifest with a caller-chosen engine per entry. Each
-    /// corpus snapshot is opened once as a [`MappedSnapshot`] and
-    /// verified before it reaches `opener`: the file is mmapped, every
-    /// section is verified eagerly against the container's own
-    /// per-section checksums, and the mapped bytes are hashed against
-    /// the manifest's recorded whole-file checksum so a
-    /// swapped-but-internally-valid file still fails typed (the pages
-    /// are already resident from the eager pass, so this costs no
+    /// Open every corpus of a manifest. Each corpus snapshot is opened
+    /// once as a [`MappedSnapshot`] and verified before it is decoded:
+    /// the file is mmapped, every section is verified eagerly against
+    /// the container's own per-section checksums, and the mapped bytes
+    /// are hashed against the manifest's recorded whole-file checksum
+    /// so a swapped-but-internally-valid file still fails typed (the
+    /// pages are already resident from the eager pass, so this costs no
     /// extra IO). An entry recording any other layout version fails
     /// with [`CatalogError::LayoutVersion`] before its file is opened.
     /// Serving opens that want the lazy microsecond path go through
     /// [`Database::open_snapshot`] directly.
     ///
-    /// Entries with replica endpoints bypass the opener: the snapshot
-    /// becomes the coordinator's local resolver copy inside a
-    /// [`crate::RemoteBackend`] that proxies search/meet to the listed
+    /// An entry without endpoints is served in-process as a
+    /// [`Database`]. An entry with replica endpoints keeps the snapshot
+    /// as the coordinator's local resolver copy inside a
+    /// [`RemoteBackend`] that proxies search/meet to the listed
     /// replicas with failover, routed by `remote_config` (timeouts,
-    /// retry rounds, backoff — the stress suites tighten these) —
-    /// shard-aware openers need no remote logic of their own, because
-    /// the remote process does its own sharding.
-    pub fn open_manifest_remote(
+    /// retry rounds, backoff — the stress suites tighten these).
+    pub fn open_manifest(
         path: impl AsRef<Path>,
-        mut opener: impl FnMut(
-            &ManifestEntry,
-            &MappedSnapshot,
-        ) -> Result<Arc<dyn MeetBackend>, SnapshotError>,
-        remote_config: crate::remote::RemoteConfig,
+        remote_config: RemoteConfig,
     ) -> Result<Catalog, CatalogError> {
         let path = path.as_ref();
         let manifest = Manifest::load(path)?;
@@ -357,32 +338,23 @@ impl Catalog {
                     name: entry.name.clone(),
                 });
             }
-            let backend = if entry.endpoints.is_empty() {
-                opener(entry, &snap).map_err(|e| CatalogError::Corpus {
-                    name: entry.name.clone(),
-                    error: e,
-                })?
+            let db = Database::decode_from(&snap).map_err(|error| CatalogError::Corpus {
+                name: entry.name.clone(),
+                error,
+            })?;
+            let backend: Arc<dyn MeetBackend> = if entry.endpoints.is_empty() {
+                Arc::new(db)
             } else {
-                let resolver = Database::decode_from(&snap).map_err(|e| CatalogError::Corpus {
-                    name: entry.name.clone(),
-                    error: e,
-                })?;
-                let remote = crate::remote::RemoteBackend::new(
-                    resolver,
-                    &entry.endpoints,
-                    remote_config.clone(),
-                )
-                .map_err(|_| CatalogError::Corpus {
-                    name: entry.name.clone(),
-                    // Unreachable in practice: the manifest decoder
-                    // refuses entries with an empty endpoint string
-                    // list only when the list is genuinely empty, and
-                    // that case routes to the opener above.
-                    error: SnapshotError::Unsupported {
-                        context: "remote corpus entry lost its endpoints",
-                    },
-                })?;
-                Arc::new(remote) as Arc<dyn MeetBackend>
+                let remote = RemoteBackend::new(db, &entry.endpoints, remote_config.clone())
+                    .map_err(|_| CatalogError::Corpus {
+                        name: entry.name.clone(),
+                        // Unreachable: this branch holds a non-empty
+                        // endpoint list.
+                        error: SnapshotError::Unsupported {
+                            context: "remote corpus entry lost its endpoints",
+                        },
+                    })?;
+                Arc::new(remote)
             };
             catalog.add(entry.name.clone(), backend)?;
         }
@@ -399,6 +371,16 @@ impl fmt::Debug for Catalog {
             .field("default", &self.default_name())
             .finish()
     }
+}
+
+/// Open a manifest under the default router configuration, wrapped as
+/// a serving backend — the engine `ncq-server`'s `Server::open_manifest`
+/// spins its worker pool over.
+pub fn open_forest(manifest_path: impl AsRef<Path>) -> Result<ForestBackend, CatalogError> {
+    ForestBackend::new(Catalog::open_manifest(
+        manifest_path,
+        RemoteConfig::default(),
+    )?)
 }
 
 /// [`MeetBackend`] over a [`Catalog`]: the forest engine.
@@ -490,8 +472,7 @@ impl MeetBackend for ForestBackend {
         let current = self.catalog.get(name).ok_or(SnapshotError::Unsupported {
             context: "no corpus of that name in the catalog",
         })?;
-        // Same-shape reload for *this corpus only*: a sharded corpus
-        // re-shards at its current K, a plain one stays plain.
+        // Reload *this corpus only*; every other engine is shared.
         let fresh = current.open_snapshot_like(path)?;
         let mut catalog = self.catalog.clone();
         catalog
@@ -655,16 +636,16 @@ mod tests {
 
         let mut manifest = Manifest::new();
         manifest
-            .push(ManifestEntry::describe("bib", &bib_snap, 1).unwrap())
+            .push(ManifestEntry::describe("bib", &bib_snap).unwrap())
             .unwrap();
         manifest
-            .push(ManifestEntry::describe("shop", &shop_snap, 1).unwrap())
+            .push(ManifestEntry::describe("shop", &shop_snap).unwrap())
             .unwrap();
         manifest.default = 1;
         let mpath = dir.join("forest.ncqm");
         manifest.save(&mpath).unwrap();
 
-        let catalog = Catalog::open_manifest(&mpath).unwrap();
+        let catalog = Catalog::open_manifest(&mpath, RemoteConfig::default()).unwrap();
         assert_eq!(catalog.names(), vec!["bib", "shop"]);
         assert_eq!(catalog.default_name(), Some("shop"));
         let forest = ForestBackend::new(catalog).unwrap();
@@ -683,14 +664,14 @@ mod tests {
         rotted[last] ^= 0x01;
         std::fs::write(&bib_snap, &rotted).unwrap();
         assert!(matches!(
-            Catalog::open_manifest(&mpath),
+            open_forest(&mpath),
             Err(CatalogError::ChecksumMismatch { name }) if name == "bib"
         ));
 
         // A dangling snapshot path is a typed io failure.
         std::fs::remove_file(&bib_snap).unwrap();
         assert!(matches!(
-            Catalog::open_manifest(&mpath),
+            open_forest(&mpath),
             Err(CatalogError::Corpus { name, error: SnapshotError::Io(_) }) if name == "bib"
         ));
 

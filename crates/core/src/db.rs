@@ -57,8 +57,8 @@ pub struct Database {
 
 /// Registry handles for the snapshot-open telemetry: open latency plus
 /// one counter per open style, so METRICS can tell mapped (zero-copy)
-/// cold starts from materialized (owned heap copy: `NCQ_NO_MMAP`,
-/// non-unix, in-memory bytes) ones.
+/// cold starts from materialized (owned heap copy: non-unix, in-memory
+/// bytes) ones.
 fn snapshot_open_metrics() -> &'static (
     std::sync::Arc<ncq_obs::Histogram>,
     std::sync::Arc<ncq_obs::Counter>,
@@ -80,9 +80,9 @@ fn snapshot_open_metrics() -> &'static (
 }
 
 /// Record one snapshot open: latency into the histogram, one tick on
-/// the mapped or materialized counter. `pub(crate)` so every cold-start
-/// entry point (database, sharded, catalog) reports through one funnel.
-pub(crate) fn record_snapshot_open(started: std::time::Instant, mapped: bool) {
+/// the mapped or materialized counter: every cold-start entry point
+/// reports through this one funnel.
+fn record_snapshot_open(started: std::time::Instant, mapped: bool) {
     let (open_ns, mapped_total, materialized_total) = snapshot_open_metrics();
     open_ns.record(started.elapsed().as_nanos() as u64);
     if mapped {
@@ -119,11 +119,8 @@ impl Database {
 
     /// Serialize the whole engine into a snapshot writer: every
     /// section in final form, so opening the file is mmap + checksum +
-    /// pointer fixup. This is what [`Database::save_snapshot`] writes;
-    /// exposed so execution layers with extra state (e.g. a shard
-    /// partition map) can append their own sections before writing the
-    /// file.
-    pub fn encode_snapshot(&self) -> SnapshotWriterV3 {
+    /// pointer fixup.
+    fn encode_snapshot(&self) -> SnapshotWriterV3 {
         let mut writer = SnapshotWriterV3::new();
         self.store.encode_snapshot(&mut writer);
         self.index.encode_snapshot(&mut writer);
@@ -152,8 +149,8 @@ impl Database {
 
     /// Cold-start from a snapshot file: the file is mmapped and served
     /// zero-copy — microseconds of header/table checksums and pointer
-    /// fixup instead of the parse → transform → index build pipeline.
-    /// Set `NCQ_NO_MMAP=1` to force the owned in-memory arena. A file
+    /// fixup instead of the parse → transform → index build pipeline
+    /// (off unix, the file is read into an owned arena instead). A file
     /// of any other layout version (the retired v1–v7 included) is a
     /// typed [`SnapshotError::UnsupportedVersion`].
     pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Database, SnapshotError> {
@@ -298,6 +295,26 @@ mod tests {
         let xml = db.meet_terms(&["t"]).unwrap().to_detailed_xml();
         let at = |oid: &str| xml.find(&format!("origin=\"{oid}\"")).unwrap();
         assert!(at("o3") < at("o6"), "{xml}");
+    }
+
+    /// Sections a reader does not know are skipped: id 8 (the shard
+    /// partition map that older saves may carry) and a future id alike.
+    #[test]
+    fn unknown_sections_are_ignored() {
+        let db = Database::from_xml_str(FIGURE1).unwrap();
+        let expected = db.meet_terms(&["Bit", "1999"]).unwrap().to_detailed_xml();
+        for id in [8, 0xBEEF] {
+            let mut writer = db.encode_snapshot();
+            writer.section(id).put_raw(b"unknown payload");
+            let loaded = Database::from_snapshot_bytes(writer.into_bytes()).unwrap();
+            assert_eq!(
+                loaded.store().dump_relations(),
+                db.store().dump_relations(),
+                "id {id}"
+            );
+            let answers = loaded.meet_terms(&["Bit", "1999"]).unwrap();
+            assert_eq!(answers.to_detailed_xml(), expected, "id {id}");
+        }
     }
 
     #[test]

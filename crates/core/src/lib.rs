@@ -23,10 +23,11 @@
 //! * **rank, cut** — distance-based ranking and `limit k`
 //!   ([`rank::rank_and_cut`]).
 //!
-//! [`Database::meet_hits`] is that pipeline; the sharded engine runs the
-//! same pass as a scatter/gather and ends in the same rank and cut; the
-//! forest fan-out ([`catalog`]) and the remote engine ([`remote`])
-//! delegate to one of those two. The paper's own algorithms — the pairwise
+//! [`Database::meet_hits`] is that pipeline; the forest fan-out
+//! ([`catalog`]) and the remote engine ([`remote`]) delegate to it.
+//! (`ncq-shard` runs the same pass as a scatter/gather for the
+//! benchmark's comparison; nothing serves it.) The paper's own
+//! algorithms — the pairwise
 //! walks (Fig. 3), the two-set frontier lift (Fig. 4) and the
 //! level-by-level token roll-up (Fig. 5) — are not served operators:
 //! they live in [`mod@reference`] as the oracles the test suites check
@@ -67,7 +68,7 @@ pub mod sweep;
 
 pub use answer::{Answer, AnswerSet, PartialAnswer, Witness};
 pub use backend::{BackendError, MeetBackend, RobustnessStats};
-pub use catalog::{Catalog, CatalogError, ForestBackend};
+pub use catalog::{open_forest, Catalog, CatalogError, ForestBackend};
 pub use db::{Database, MeetError};
 pub use distance::distance;
 pub use filter::PathFilter;

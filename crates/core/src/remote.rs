@@ -2,8 +2,8 @@
 //! [`RemoteBackend`].
 //!
 //! The forest catalog (PR 5) still assumed every engine lives
-//! in-process. This module is the distribution step: a corpus or shard
-//! engine can run in another process behind `ncq-server`'s framed
+//! in-process. This module is the distribution step: a corpus engine
+//! can run in another process behind `ncq-server`'s framed
 //! engine listener, and the coordinator holds a [`RemoteBackend`] that
 //! proxies the [`MeetBackend`] surface over TCP — answers byte-identical
 //! to in-process execution, because the replica runs the same engine

@@ -33,7 +33,7 @@ const _: () = assert!(std::mem::align_of::<Posting>() == 4);
 /// One physical form, built or opened: the vocabulary as a sorted blob
 /// plus offsets (CSR over bytes), the postings as one concatenated
 /// slice plus offsets (CSR over lists). Each array is a [`Col`] — owned
-/// after a build or a restriction, a zero-copy view after a snapshot
+/// after a build, a zero-copy view after a snapshot
 /// open — and lookups binary-search the sorted vocabulary.
 /// `pub(crate)` fields: the snapshot codec (`crate::snapshot`) persists
 /// and reattaches them directly.
@@ -131,23 +131,6 @@ impl InvertedIndex {
         let mut csr = Builder::new();
         for (token, list) in &lists {
             csr.push(token, list.iter().copied());
-        }
-        csr.finish()
-    }
-
-    /// Restriction of the index to the postings whose owner satisfies
-    /// `keep` — the per-shard posting build of a sharded execution
-    /// layer. Each global posting list is filtered in order, so the
-    /// sorted/deduplicated contract carries over; restricting an index
-    /// by a partition of the OID space yields indexes whose posting
-    /// lists partition the originals (no duplication, nothing lost).
-    /// The result owns its arrays — shards hold their filtered lists
-    /// regardless of where the parent index lives.
-    pub fn restrict(&self, mut keep: impl FnMut(Oid) -> bool) -> InvertedIndex {
-        let mut csr = Builder::new();
-        for i in 0..self.vocabulary_size() {
-            let kept = self.list(i).iter().copied().filter(|p| keep(p.owner));
-            csr.push(self.token(i), kept);
         }
         csr.finish()
     }
@@ -297,34 +280,6 @@ mod tests {
         let idx = InvertedIndex::build(&db());
         assert!(idx.postings("absent").is_empty());
         assert!(!idx.contains("absent"));
-    }
-
-    #[test]
-    fn restriction_partitions_the_postings() {
-        let db = db();
-        let idx = InvertedIndex::build(&db);
-        // Split the OID space at an arbitrary pivot: the two restricted
-        // indexes partition every posting list.
-        let pivot = Oid::from_index(db.node_count() / 2);
-        let low = idx.restrict(|o| o < pivot);
-        let high = idx.restrict(|o| o >= pivot);
-        assert_eq!(
-            low.posting_count() + high.posting_count(),
-            idx.posting_count()
-        );
-        for token in idx.vocabulary() {
-            let mut merged: Vec<Posting> = low
-                .postings(token)
-                .iter()
-                .chain(high.postings(token))
-                .copied()
-                .collect();
-            merged.sort_unstable();
-            assert_eq!(merged, idx.postings(token), "{token}");
-            assert!(low.postings(token).windows(2).all(|w| w[0] < w[1]));
-        }
-        // Tokens with no surviving postings vanish entirely.
-        assert!(idx.restrict(|_| false).vocabulary_size() == 0);
     }
 
     #[test]

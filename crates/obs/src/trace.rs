@@ -4,13 +4,12 @@
 //! `parent` indices encode the tree — carried in a thread-local slot
 //! while the owning thread works on it. The server's workers evaluate
 //! one job at a time, start to finish, so thread-local is the natural
-//! home; work timed on another thread (a shard's scatter task) is
-//! stitched in after the fact as a closed span ([`record_closed`]).
+//! home.
 //!
 //! Every instrumentation primitive ([`span`], [`event`], [`annotate`])
 //! is a no-op when no trace is active on the thread, so instrumented
-//! library code (meet, shards, remote router) costs one TLS check
-//! when tracing is off the request path.
+//! library code (meet, remote router) costs one TLS check when tracing
+//! is off the request path.
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -21,7 +20,7 @@ pub struct SpanRec {
     /// Index of the parent span in the trace's `spans` vector;
     /// `None` only for the root.
     pub parent: Option<u32>,
-    /// Stage name (static: "parse", "plan", "scatter", …).
+    /// Stage name (static: "parse", "meet_eval", …).
     pub stage: &'static str,
     /// Start, nanoseconds relative to the trace's start.
     pub start_ns: u64,
@@ -218,25 +217,6 @@ pub fn annotate(key: &'static str, value: String) {
     });
 }
 
-/// Record an already-measured span under the innermost open span of
-/// the current trace — how work timed on *another* thread (a scatter
-/// worker) lands in the coordinating thread's trace.
-pub fn record_closed(stage: &'static str, dur_ns: u64, attrs: Vec<(&'static str, String)>) {
-    CURRENT.with(|c| {
-        if let Some(trace) = c.borrow_mut().as_mut() {
-            let now = trace.elapsed_ns();
-            let parent = trace.open.last().copied();
-            trace.spans.push(SpanRec {
-                parent,
-                stage,
-                start_ns: now.saturating_sub(dur_ns),
-                dur_ns,
-                attrs,
-            });
-        }
-    });
-}
-
 /// Record an instant event (a zero-duration span) on the current
 /// trace, with one detail attribute.
 pub fn event(stage: &'static str, detail: String) {
@@ -298,17 +278,6 @@ mod tests {
             event("e", "d".into());
         }
         assert_eq!(finish(), None);
-    }
-
-    #[test]
-    fn record_closed_attaches_a_measured_span() {
-        start(9);
-        record_closed("shard_task", 1_000, vec![("shard", "4".into())]);
-        let t = finish().unwrap();
-        let task = t.spans_named("shard_task");
-        assert_eq!(task.len(), 1);
-        assert_eq!(task[0].dur_ns, 1_000);
-        assert_eq!(task[0].parent, Some(0), "attached under the root");
     }
 
     #[test]

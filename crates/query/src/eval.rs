@@ -92,8 +92,8 @@ pub enum QueryOutput {
 /// Parse and evaluate with default limits.
 ///
 /// Generic over the execution backend: the single-process
-/// [`ncq_core::Database`] and the sharded facade both serve the same
-/// dialect with identical answers (the golden suite pins it).
+/// [`ncq_core::Database`], a remote engine and a forest all serve the
+/// same dialect with identical answers (the golden suite pins it).
 pub fn run_query<B: MeetBackend + ?Sized>(db: &B, src: &str) -> Result<QueryOutput, QueryError> {
     run_query_opts(db, src, &QueryOptions::default())
 }

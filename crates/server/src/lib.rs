@@ -33,7 +33,7 @@
 //!   that the distributed stress suite replays deterministically;
 //! * **backend dispatch**: workers hold an `Arc<dyn MeetBackend>`, so
 //!   the same pool serves the single-process [`ncq_core::Database`],
-//!   the sharded `ncq-shard::ShardedDb`, or a multi-corpus
+//!   a replica-backed [`ncq_core::RemoteBackend`], or a multi-corpus
 //!   [`ncq_core::ForestBackend`] ([`Server::start_backend`]);
 //! * **forest serving**: [`Server::open_manifest`] boots a catalog of
 //!   named corpora from a manifest file; requests route per corpus

@@ -125,13 +125,12 @@ pub enum Request {
     },
     /// Cold-load a snapshot and hot-swap it in (the line protocol's
     /// `SNAPSHOT LOAD <name> [INTO <corpus>]`). Without a corpus the
-    /// whole backend swaps, keeping its *shape*
-    /// ([`MeetBackend::open_snapshot_like`]): a sharded deployment
-    /// reloads sharded at its current K. With a corpus, only that
-    /// corpus of a forest deployment swaps
-    /// ([`MeetBackend::reload_corpus`]): the fresh engine keeps the
-    /// corpus's shape and every *other* corpus's engine is shared by
-    /// refcount, so sibling corpora — and all in-flight batches — are
+    /// whole backend swaps for one of the same kind
+    /// ([`MeetBackend::open_snapshot_like`]): a remote engine keeps its
+    /// replicas. With a corpus, only that corpus of a forest deployment
+    /// swaps ([`MeetBackend::reload_corpus`]) and every *other*
+    /// corpus's engine is shared by refcount, so sibling corpora — and
+    /// all in-flight batches — are
     /// untouched. Either way the swap takes effect for batches formed
     /// after this request completes, and the swapped scope's cached
     /// term decodes and results go stale. Gated by
@@ -625,8 +624,9 @@ impl Server {
     }
 
     /// Spawn the worker pool over any [`MeetBackend`] — the
-    /// single-process [`Database`] or a sharded engine. Workers are
-    /// agnostic: they decode terms and meet through the trait.
+    /// single-process [`Database`], a remote engine or a forest.
+    /// Workers are agnostic: they decode terms and meet through the
+    /// trait.
     pub fn start_backend(db: Arc<dyn MeetBackend>, config: ServerConfig) -> Server {
         db.store().meet_index();
         let workers = if config.workers == 0 {
@@ -673,18 +673,17 @@ impl Server {
     }
 
     /// Cold-start a *forest* service from a manifest file: every
-    /// corpus entry opens from its snapshot (shard-aware — entries
-    /// with `shards > 1` cold-start as `ncq-shard::ShardedDb`,
-    /// reusing the stored partition cut), verified against the
-    /// manifest's recorded checksums, and the worker pool spins up
-    /// over the resulting [`ncq_core::ForestBackend`]. Unqualified queries hit
-    /// the manifest's default corpus; `USE <corpus>` / `from
-    /// corpus(name)` route the rest.
+    /// corpus entry opens from its snapshot, verified against the
+    /// manifest's recorded checksums ([`ncq_core::Catalog::open_manifest`]),
+    /// and the worker pool spins up over the resulting
+    /// [`ncq_core::ForestBackend`]. Unqualified queries hit the
+    /// manifest's default corpus; `USE <corpus>` / `from corpus(name)`
+    /// route the rest.
     pub fn open_manifest(
         path: impl AsRef<Path>,
         config: ServerConfig,
     ) -> Result<Server, CatalogError> {
-        let forest = ncq_shard::open_forest(path)?;
+        let forest = ncq_core::open_forest(path)?;
         Ok(Server::start_backend(Arc::new(forest), config))
     }
 

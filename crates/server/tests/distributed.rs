@@ -422,7 +422,7 @@ fn manifest_endpoint_entries_serve_through_remote_replicas() {
     let mut manifest = Manifest::new();
     manifest
         .push(
-            ManifestEntry::describe("fig", &snap, 1)
+            ManifestEntry::describe("fig", &snap)
                 .unwrap()
                 .with_endpoints([replica.local_addr().to_string()])
                 .unwrap(),
@@ -431,7 +431,7 @@ fn manifest_endpoint_entries_serve_through_remote_replicas() {
     let mpath = dir.join("forest.ncqm");
     manifest.save(&mpath).unwrap();
 
-    let catalog = ncq_shard::open_catalog_remote(&mpath, fast_config()).unwrap();
+    let catalog = Catalog::open_manifest(&mpath, fast_config()).unwrap();
     let corpus = catalog.get("fig").unwrap();
     let opts = MeetOptions::default();
     let via_manifest = corpus.meet_terms_answers(&["Bit", "1999"], &opts).unwrap();

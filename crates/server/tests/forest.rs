@@ -54,10 +54,10 @@ fn manifest_cold_start_serves_every_corpus() {
     shop.save_snapshot(dir.join("shop.ncq")).unwrap();
     let mut manifest = Manifest::new();
     manifest
-        .push(ManifestEntry::describe("bib", dir.join("bib.ncq"), 1).unwrap())
+        .push(ManifestEntry::describe("bib", dir.join("bib.ncq")).unwrap())
         .unwrap();
     manifest
-        .push(ManifestEntry::describe("shop", dir.join("shop.ncq"), 1).unwrap())
+        .push(ManifestEntry::describe("shop", dir.join("shop.ncq")).unwrap())
         .unwrap();
     let mpath = dir.join("forest.ncqm");
     manifest.save(&mpath).unwrap();

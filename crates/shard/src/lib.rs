@@ -1,50 +1,39 @@
-//! # ncq-shard — preorder-interval sharded execution
+//! # ncq-shard — the scatter/gather meet the benchmark compares against
 //!
-//! The meet operator works over preorder/postorder OID intervals, which
-//! makes a document *naturally partitionable*: every subtree is a
-//! contiguous OID range, so a shard is just an interval, and only the
-//! (tiny) top of the tree — the **spine** — must be replicated to
-//! resolve cross-shard meets. This crate turns the single-process
-//! [`ncq_core::Database`] into that sharded layer:
+//! The meet operator works over preorder OID intervals, so a document
+//! partitions naturally: every subtree is a contiguous OID range, a
+//! shard is a run of such ranges, and only the top of the tree — the
+//! **spine** — is shared by every shard. This crate is that split of
+//! [`ncq_core::Database::meet_hits`]:
 //!
 //! * [`PartitionMap`] cuts a document into K balanced shards on subtree
-//!   boundaries, weighing node count plus posting mass, and marks the
-//!   replicated spine (the ancestors of every chunk root);
-//! * per-shard full-text postings are built by *restriction* of the
-//!   global relations ([`ncq_fulltext::InvertedIndex::restrict`] /
-//!   [`ncq_store::MonetDb::strings_in_range`]), so term lookups scatter
-//!   only to the shards owning hits;
-//! * [`ShardedDb`] serves the same `search` / `meet_hits` /
-//!   `run_query` surface as [`ncq_core::Database`] — byte-identical
-//!   answers, pinned by the golden suite and the randomized
-//!   equivalence property tests — with per-shard meets running in
-//!   parallel on a persistent worker pool and one more pass of the
-//!   same sweep, over the shards' survivors, resolving cross-shard
-//!   meets on the spine;
-//! * [`ncq_core::MeetBackend`] is implemented, so `ncq-server` workers
-//!   (`Server::start_backend`) and `ncq-query` evaluation dispatch to a
-//!   sharded engine without changes.
+//!   boundaries, weighing node count plus string mass, and marks the
+//!   spine (the ancestors of every chunk root);
+//! * [`ShardedDb::meet_hits`] runs the stack pass per shard in
+//!   parallel, deferring spine nodes, then once more over the
+//!   survivors — byte-identical answers, pinned by the equivalence
+//!   property tests.
+//!
+//! It is not a deployment: nothing serves it. The benchmark's
+//! `shard.meet_us` and `shard.speedup` rows time it against the single
+//! engine on the same inputs.
 //!
 //! ```
-//! use ncq_core::{MeetBackend, MeetOptions};
+//! use ncq_core::{Database, MeetOptions};
 //! use ncq_shard::ShardedDb;
 //!
-//! let sharded = ShardedDb::from_xml_str(
+//! let db = Database::from_xml_str(
 //!     "<bib><article><author>Ben Bit</author><year>1999</year></article></bib>",
-//!     4,
 //! ).unwrap();
-//! let answers = sharded
-//!     .meet_terms_answers(&["Bit", "1999"], &MeetOptions::default())
-//!     .unwrap();
-//! assert_eq!(answers.results[0].tag, "article");
+//! let inputs = [db.search("Bit"), db.search("1999")];
+//! let options = MeetOptions::default();
+//! let single = db.meet_hits(&inputs, &options);
+//! assert_eq!(ShardedDb::new(db, 4).meet_hits(&inputs, &options), single);
 //! ```
 
-pub mod forest;
-pub mod partition;
+mod partition;
 mod pool;
-pub mod sharded;
-pub mod snapshot;
+mod sharded;
 
-pub use forest::{open_catalog_remote, open_forest, sharded_corpus};
-pub use partition::{PartitionMap, ShardInfo};
+pub use partition::PartitionMap;
 pub use sharded::ShardedDb;

@@ -1,21 +1,21 @@
 //! The partition map: cutting a document into K preorder-interval
-//! shards plus a replicated spine.
+//! shards plus a spine.
 //!
 //! Because OIDs are assigned in depth-first document order, every
 //! subtree is a contiguous OID interval
 //! ([`ncq_store::MeetIndex::subtree_range`]). A document therefore
 //! shards *naturally*: pick a set of **chunk roots** whose subtrees
 //! cover the document, pack consecutive chunks into K balanced shards,
-//! and replicate only the **spine** — the proper ancestors of the chunk
-//! roots — so that every cross-shard meet resolves on replicated state.
-//! The spine is tiny by construction: it contains exactly the nodes too
-//! heavy to fit a single chunk, i.e. O(chunks × depth) nodes.
+//! and leave only the **spine** — the proper ancestors of the chunk
+//! roots — to the gather, so that every cross-shard meet resolves
+//! there. The spine is tiny by construction: it contains exactly the
+//! nodes too heavy to fit a single chunk, i.e. O(chunks × depth) nodes.
 //!
-//! Balancing weighs subtrees by [`ncq_store::PartitionStats`] — node
-//! count plus posting mass — so a shard owning few huge text nodes and
-//! a shard owning many tiny elements cost about the same to scan.
+//! Balancing weighs subtrees by `Mass` — node count plus string
+//! mass — so a shard owning few huge text nodes and a shard owning many
+//! tiny elements cost about the same to scan.
 //!
-//! Invariants the executors build on:
+//! Invariants the executor builds on:
 //!
 //! * every object is either on the spine or owned by exactly one shard;
 //! * a shard's owned objects lie inside its covering preorder interval
@@ -26,39 +26,53 @@
 //!   nest, so a common ancestor of nodes in two chunks properly
 //!   contains a chunk root).
 
-use ncq_store::{Col, MonetDb, Oid};
+use ncq_store::{MonetDb, Oid};
 use std::ops::Range;
 
-/// One shard of the partition: a run of consecutive chunk subtrees.
-#[derive(Debug, Clone)]
-pub struct ShardInfo {
-    /// Chunk roots in preorder. The shard owns exactly the union of
-    /// their subtrees.
-    pub roots: Vec<Oid>,
-    /// Covering preorder interval: from the first chunk root to the end
-    /// of the last chunk's subtree. Spine nodes *inside* the interval
-    /// (ancestors of later chunks) are not owned by the shard.
-    pub range: Range<usize>,
-    /// Owned objects (sum of chunk subtree sizes; excludes spine).
-    pub nodes: usize,
-    /// Owned mass (node count + posting mass, from `PartitionStats`).
-    pub mass: u64,
+/// Per-object load weights as prefix sums over the document-order OID
+/// axis. The weight of an object is `1 + strings(o)`: one unit of
+/// structural mass plus one per string it owns (what the full-text
+/// index decomposes into postings). Because OIDs are preorder, the mass
+/// of a subtree is the prefix-sum difference over its interval.
+struct Mass {
+    /// `prefix[i]` = total weight of oids `0..i`; length `nodes + 1`.
+    prefix: Vec<u64>,
+}
+
+impl Mass {
+    fn of(db: &MonetDb) -> Mass {
+        let mut prefix = vec![1u64; db.node_count() + 1];
+        prefix[0] = 0;
+        for p in db.string_paths() {
+            for (owner, _) in db.strings_of(p).iter() {
+                prefix[owner.index() + 1] += 1;
+            }
+        }
+        for i in 1..prefix.len() {
+            prefix[i] += prefix[i - 1];
+        }
+        Mass { prefix }
+    }
+
+    fn total(&self) -> u64 {
+        self.prefix[self.prefix.len() - 1]
+    }
+
+    fn interval(&self, range: Range<usize>) -> u64 {
+        self.prefix[range.end] - self.prefix[range.start]
+    }
 }
 
 /// The K-way partition of one document.
 #[derive(Debug, Clone)]
 pub struct PartitionMap {
-    /// The K the partition was *requested* with (shard_count may be
-    /// smaller for tiny documents). Persisted with the map so a
-    /// snapshot load can tell whether a stored cut matches the K it
-    /// was asked for.
-    pub(crate) requested_k: usize,
-    pub(crate) shards: Vec<ShardInfo>,
-    /// Bitset over OIDs: true = spine (replicated) node. A [`Col`] so
-    /// a snapshot open serves it straight out of the mapped file.
-    pub(crate) spine: Col<u64>,
-    pub(crate) spine_nodes: usize,
-    pub(crate) total_mass: u64,
+    /// Per shard, its covering preorder interval: from its first chunk
+    /// root to the end of its last chunk's subtree. The shard owns the
+    /// interval's non-spine objects (spine nodes inside it are
+    /// ancestors of later chunks).
+    shards: Vec<Range<usize>>,
+    /// Bitset over OIDs: set = spine node.
+    spine: Vec<u64>,
 }
 
 impl PartitionMap {
@@ -67,47 +81,36 @@ impl PartitionMap {
     /// document) yields one shard owning everything and an empty spine.
     pub fn build(db: &MonetDb, k: usize) -> PartitionMap {
         let n = db.node_count();
-        let stats = db.partition_stats();
         let index = db.meet_index();
-        let total_mass = stats.total_mass();
+        let mass = Mass::of(db);
         let k = k.max(1);
 
         let mut spine = vec![0u64; n.div_ceil(64)];
-        let mut spine_nodes = 0usize;
         if k == 1 || n == 1 {
             return PartitionMap {
-                requested_k: k,
-                shards: vec![ShardInfo {
-                    roots: vec![db.root()],
-                    range: 0..n,
-                    nodes: n,
-                    mass: total_mass,
-                }],
-                spine: spine.into(),
-                spine_nodes,
-                total_mass,
+                shards: std::iter::once(0..n).collect(),
+                spine,
             };
         }
 
         // Chunk decomposition: descend from the root, emitting every
         // subtree that fits the chunk target and recursing through (and
-        // replicating) the nodes that don't. Over-decomposing by 8×
+        // marking as spine) the nodes that don't. Over-decomposing by 8×
         // relative to the shard target gives the greedy packer slack to
         // balance without splitting below subtree granularity.
-        let chunk_target = (total_mass / (8 * k as u64)).max(1);
+        let chunk_target = (mass.total() / (8 * k as u64)).max(1);
         let mut chunks: Vec<Oid> = Vec::new();
+        let mut spine_mass = 0u64;
         let mut stack: Vec<Oid> = vec![db.root()];
         while let Some(o) = stack.pop() {
             let range = index.subtree_range(o);
-            let mass = stats.interval_mass(range.clone());
             // A node with no children cannot be split further.
-            let leaf = range.len() == 1;
-            if mass <= chunk_target || leaf {
+            if mass.interval(range.clone()) <= chunk_target || range.len() == 1 {
                 chunks.push(o);
                 continue;
             }
             spine[o.index() / 64] |= 1 << (o.index() % 64);
-            spine_nodes += 1;
+            spine_mass += mass.interval(o.index()..o.index() + 1);
             // Children in reverse document order so the stack pops them
             // in document order — chunks come out in preorder.
             let mut children = Vec::new();
@@ -122,15 +125,14 @@ impl PartitionMap {
 
         // Greedy packing of consecutive chunks into k shards: close a
         // shard once it holds its fair share of the remaining mass.
-        let owned_mass: u64 = total_mass - spine_mass(db, &spine);
-        let mut shards: Vec<ShardInfo> = Vec::new();
-        let mut acc: Vec<Oid> = Vec::new();
+        let mut shards: Vec<Range<usize>> = Vec::new();
+        let mut start: Option<usize> = None;
         let mut acc_mass = 0u64;
-        let mut remaining = owned_mass;
+        let mut remaining = mass.total() - spine_mass;
         for (i, &root) in chunks.iter().enumerate() {
-            let mass = stats.interval_mass(index.subtree_range(root));
-            acc.push(root);
-            acc_mass += mass;
+            let chunk = index.subtree_range(root);
+            let first = *start.get_or_insert(chunk.start);
+            acc_mass += mass.interval(chunk.clone());
             let shards_left = k - shards.len();
             let chunks_left = chunks.len() - i - 1;
             let fair = remaining.div_ceil(shards_left as u64);
@@ -141,34 +143,14 @@ impl PartitionMap {
                 || chunks_left == 0
             {
                 remaining -= acc_mass;
-                shards.push(Self::close_shard(index, std::mem::take(&mut acc), acc_mass));
+                shards.push(first..chunk.end);
+                start = None;
                 acc_mass = 0;
             }
         }
-        debug_assert!(acc.is_empty());
+        debug_assert!(start.is_none());
 
-        PartitionMap {
-            requested_k: k,
-            shards,
-            spine: spine.into(),
-            spine_nodes,
-            total_mass,
-        }
-    }
-
-    fn close_shard(index: &ncq_store::MeetIndex, roots: Vec<Oid>, mass: u64) -> ShardInfo {
-        let start = roots.first().expect("non-empty shard").index();
-        let end = index.subtree_range(*roots.last().expect("non-empty")).end;
-        let nodes = roots
-            .iter()
-            .map(|&r| index.subtree_range(r).len())
-            .sum::<usize>();
-        ShardInfo {
-            roots,
-            range: start..end,
-            nodes,
-            mass,
-        }
+        PartitionMap { shards, spine }
     }
 
     /// Number of shards (≤ the requested K; small documents may not
@@ -177,66 +159,35 @@ impl PartitionMap {
         self.shards.len()
     }
 
-    /// The K the partition was requested with.
-    pub fn requested_k(&self) -> usize {
-        self.requested_k
-    }
-
-    /// The shards, in preorder of their covering intervals.
-    pub fn shards(&self) -> &[ShardInfo] {
-        &self.shards
-    }
-
-    /// Whether `o` is a replicated spine node (a proper ancestor of
-    /// some chunk root).
+    /// Whether `o` is a spine node (a proper ancestor of some chunk
+    /// root).
     #[inline]
     pub fn is_spine(&self, o: Oid) -> bool {
         self.spine[o.index() / 64] >> (o.index() % 64) & 1 == 1
     }
 
-    /// Number of spine nodes.
-    pub fn spine_len(&self) -> usize {
-        self.spine_nodes
-    }
-
-    /// Total document mass (spine + shards).
-    pub fn total_mass(&self) -> u64 {
-        self.total_mass
-    }
-
     /// The shard owning `o`, or `None` for spine nodes.
-    pub fn shard_of(&self, o: Oid) -> Option<usize> {
+    pub(crate) fn shard_of(&self, o: Oid) -> Option<usize> {
         if self.is_spine(o) {
             return None;
         }
         let i = self
             .shards
-            .partition_point(|s| s.range.end <= o.index())
+            .partition_point(|s| s.end <= o.index())
             .min(self.shards.len() - 1);
-        debug_assert!(self.shards[i].range.contains(&o.index()));
+        debug_assert!(self.shards[i].contains(&o.index()));
         Some(i)
     }
-}
-
-/// Mass of the spine nodes themselves (they carry no chunk).
-fn spine_mass(db: &MonetDb, spine: &[u64]) -> u64 {
-    let stats = db.partition_stats();
-    let mut mass = 0u64;
-    for (word_idx, &word) in spine.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let bit = bits.trailing_zeros() as usize;
-            mass += stats.mass_of(word_idx * 64 + bit);
-            bits &= bits - 1;
-        }
-    }
-    mass
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncq_xml::parse;
+    use ncq_core::Database;
+
+    fn load(xml: &str) -> MonetDb {
+        Database::from_xml_str(xml).unwrap().store().clone()
+    }
 
     fn wide_db(sections: usize, leaves: usize) -> MonetDb {
         let mut xml = String::from("<r>");
@@ -248,22 +199,29 @@ mod tests {
             xml.push_str("</sec>");
         }
         xml.push_str("</r>");
-        MonetDb::from_document(&parse(&xml).unwrap())
+        load(&xml)
+    }
+
+    /// The chunk roots: the objects off the spine whose parent is on
+    /// it, or the root itself when it is off the spine.
+    fn chunk_roots(db: &MonetDb, p: &PartitionMap) -> Vec<Oid> {
+        db.iter_oids()
+            .filter(|&o| !p.is_spine(o) && db.parent(o).is_none_or(|up| p.is_spine(up)))
+            .collect()
     }
 
     /// Every object is spine xor owned by exactly one shard, and
     /// `shard_of` agrees with the chunk-root subtree intervals.
     fn check_cover(db: &MonetDb, p: &PartitionMap) {
         let index = db.meet_index();
+        let roots = chunk_roots(db, p);
         let mut owned = vec![0usize; db.node_count()];
-        for (i, s) in p.shards().iter().enumerate() {
-            assert!(!s.roots.is_empty());
-            for &r in &s.roots {
-                assert!(!p.is_spine(r), "chunk roots are owned");
-                for x in index.subtree_range(r) {
-                    owned[x] += 1;
-                    assert_eq!(p.shard_of(Oid::from_index(x)), Some(i));
-                }
+        for &r in &roots {
+            let shard = p.shard_of(r).expect("chunk roots are owned");
+            for x in index.subtree_range(r) {
+                owned[x] += 1;
+                assert_eq!(p.shard_of(Oid::from_index(x)), Some(shard));
+                assert!(p.shards[shard].contains(&x));
             }
         }
         for o in db.iter_oids() {
@@ -274,16 +232,17 @@ mod tests {
                 assert_eq!(owned[o.index()], 1, "{o}: owned exactly once");
             }
         }
-        // Covering intervals ascend and stay disjoint.
-        for w in p.shards().windows(2) {
-            assert!(w[0].range.end <= w[1].range.start);
+        // Covering intervals ascend, stay disjoint and each owns a chunk.
+        for w in p.shards.windows(2) {
+            assert!(w[0].end <= w[1].start);
+        }
+        for s in &p.shards {
+            assert!(roots.iter().any(|r| s.contains(&r.index())));
         }
         // Spine nodes are exactly the proper ancestors of chunk roots.
         for o in db.iter_oids() {
-            let is_ancestor = p
-                .shards()
+            let is_ancestor = roots
                 .iter()
-                .flat_map(|s| s.roots.iter())
                 .any(|&r| r != o && db.is_ancestor_or_self(o, r));
             assert_eq!(p.is_spine(o), is_ancestor, "{o}");
         }
@@ -294,8 +253,8 @@ mod tests {
         let db = wide_db(4, 4);
         let p = PartitionMap::build(&db, 1);
         assert_eq!(p.shard_count(), 1);
-        assert_eq!(p.spine_len(), 0);
-        assert_eq!(p.shards()[0].nodes, db.node_count());
+        assert!(db.iter_oids().all(|o| !p.is_spine(o)));
+        assert_eq!(p.shards[0], 0..db.node_count());
         check_cover(&db, &p);
     }
 
@@ -307,13 +266,20 @@ mod tests {
         check_cover(&db, &p);
         // Balanced within the chunk granularity: no shard more than
         // 2× the mean mass.
-        let masses: Vec<u64> = p.shards().iter().map(|s| s.mass).collect();
+        let mass = Mass::of(&db);
+        let mut masses = vec![0u64; p.shard_count()];
+        for o in db.iter_oids() {
+            if let Some(s) = p.shard_of(o) {
+                masses[s] += mass.interval(o.index()..o.index() + 1);
+            }
+        }
         let mean = masses.iter().sum::<u64>() / masses.len() as u64;
         for m in &masses {
             assert!(*m <= 2 * mean, "masses {masses:?}");
         }
         // The spine is tiny relative to the document.
-        assert!(p.spine_len() < db.node_count() / 4);
+        let spine = db.iter_oids().filter(|&o| p.is_spine(o)).count();
+        assert!(spine < db.node_count() / 4);
     }
 
     #[test]
@@ -328,7 +294,7 @@ mod tests {
             xml.push_str("</e>");
         }
         xml.push_str("</r>");
-        let db = MonetDb::from_document(&parse(&xml).unwrap());
+        let db = load(&xml);
         for k in [2, 3, 8] {
             let p = PartitionMap::build(&db, k);
             assert!(p.shard_count() >= 1 && p.shard_count() <= k);
@@ -338,11 +304,11 @@ mod tests {
 
     #[test]
     fn oversized_k_degrades_gracefully() {
-        let db = MonetDb::from_document(&parse("<r><a>x</a><b>y</b></r>").unwrap());
+        let db = load("<r><a>x</a><b>y</b></r>");
         let p = PartitionMap::build(&db, 64);
         assert!(p.shard_count() <= 64);
         check_cover(&db, &p);
-        let single = MonetDb::from_document(&parse("<only/>").unwrap());
+        let single = load("<only/>");
         let p = PartitionMap::build(&single, 8);
         assert_eq!(p.shard_count(), 1);
         check_cover(&single, &p);
@@ -371,5 +337,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn mass_weighs_structure_plus_strings() {
+        let db = load(
+            r#"<bib><article key="BB99"><author>Ben Bit</author><year>1999</year></article></bib>"#,
+        );
+        let mass = Mass::of(&db);
+        // Total mass = every object once + every string association.
+        assert_eq!(
+            mass.total(),
+            (db.node_count() + db.stats().string_associations) as u64
+        );
+        let one = |o: Oid| mass.interval(o.index()..o.index() + 1);
+        // The root weighs 1, a cdata node 2 (itself + its string), and
+        // the article 2 (itself + its @key).
+        assert_eq!(one(Oid::ROOT), 1);
+        let cdata = db.iter_oids().find(|&o| db.label(o) == "cdata").unwrap();
+        assert_eq!(one(cdata), 2);
+        let article = db
+            .iter_oids()
+            .find(|&o| db.tag(o) == Some("article"))
+            .unwrap();
+        assert_eq!(one(article), 2);
+        // Subtree masses sum like intervals: whole document = root range.
+        let root = db.meet_index().subtree_range(Oid::ROOT);
+        assert_eq!(mass.interval(root), mass.total());
     }
 }

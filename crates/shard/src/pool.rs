@@ -4,8 +4,7 @@
 //! jobs with a `Condvar` — but scoped to fan-out/fan-in: a scatter
 //! submits one job per shard and blocks until all of them answered.
 //! Persistent threads (rather than per-query spawns) keep the per-query
-//! scatter overhead at two mutex hops per shard, which is what lets the
-//! sharded facade stay at parity with the single database even at K=1.
+//! scatter overhead at two mutex hops per shard.
 //!
 //! The scattering caller **helps**: instead of parking on the result
 //! channel it drains the job queue inline until empty, then waits only
@@ -57,11 +56,6 @@ impl Pool {
             })
             .collect();
         Pool { shared, workers }
-    }
-
-    /// Number of worker threads.
-    pub(crate) fn workers(&self) -> usize {
-        self.workers.len()
     }
 
     /// Run every task, in parallel across the workers *and the calling
@@ -152,7 +146,7 @@ mod tests {
     #[test]
     fn scatter_returns_results_in_task_order() {
         let pool = Pool::new(4);
-        assert_eq!(pool.workers(), 4);
+        assert_eq!(pool.workers.len(), 4);
         let tasks: Vec<_> = (0..32).map(|i| move || i * 10).collect();
         assert_eq!(
             pool.scatter(tasks),

@@ -47,13 +47,13 @@ pub use manifest::{
     validate_corpus_name, Manifest, ManifestEntry, ManifestError, MANIFEST_MAGIC, MANIFEST_VERSION,
 };
 pub use mmap::{
-    mmap_disabled, section_name, Col, MappedSnapshot, Pod, SectionBufV3, SectionView,
-    SnapshotArena, SnapshotWriterV3, VerifyMode,
+    section_name, Col, MappedSnapshot, Pod, SectionBufV3, SectionView, SnapshotArena,
+    SnapshotWriterV3, VerifyMode,
 };
 pub use monet::MonetDb;
 pub use object::ObjectView;
 pub use oid::Oid;
 pub use path::{PathId, PathStep, PathSummary};
 pub use snapshot::{SectionBuf, SectionCursor, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use stats::{DepthStats, PartitionStats, StoreStats};
+pub use stats::{DepthStats, StoreStats};
 pub use strings::StringRel;

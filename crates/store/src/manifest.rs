@@ -1,15 +1,12 @@
 //! The forest manifest: a versioned catalog file naming N corpora.
 //!
-//! The ROADMAP's forest-of-documents item needs exactly one artifact
-//! beyond the PR-4 snapshot: a small, corruption-proof file that names
-//! every corpus of a deployment and says where its snapshot lives, how
-//! many shards it wants, and what the snapshot bytes must hash to. A
-//! catalog (`ncq-core::Catalog`) opens this file and materializes one
-//! engine per entry; the scatter/gather layer then addresses
-//! `(corpus, shard)` pairs instead of assuming one document per
-//! process.
+//! A forest deployment needs exactly one artifact beyond the snapshot:
+//! a small, corruption-proof file that names every corpus and says
+//! where its snapshot lives, what the snapshot bytes must hash to, and
+//! which replicas (if any) serve it. A catalog (`ncq-core::Catalog`)
+//! opens this file and materializes one engine per entry.
 //!
-//! # Layout (manifest version 2)
+//! # Layout (manifest version 3)
 //!
 //! ```text
 //! offset 0   magic   b"NCQFRST\0"                    8 bytes
@@ -20,7 +17,6 @@
 //!              per corpus:
 //!                name (len-prefixed str)
 //!                snapshot path (len-prefixed str)
-//!                shard count (u32)
 //!                snapshot layout version (u32)
 //!                snapshot checksum64 (u64)
 //!                replica endpoint count (u32)
@@ -33,8 +29,8 @@
 //! resolver copy, and the endpoints name the replica engines that
 //! execute search/meet remotely. Like snapshots, a build reads exactly
 //! the manifest version it writes; any other version (the retired
-//! endpoint-less version 1 included) is a typed
-//! [`ManifestError::UnsupportedVersion`].
+//! endpoint-less version 1 and the shard-count version 2 included) is
+//! a typed [`ManifestError::UnsupportedVersion`].
 //!
 //! The same corruption discipline as [`crate::snapshot`]: every failure
 //! mode is a typed [`ManifestError`], never a panic — bad magic, a
@@ -60,7 +56,7 @@ use std::path::{Path, PathBuf};
 pub const MANIFEST_MAGIC: [u8; 8] = *b"NCQFRST\0";
 
 /// Current manifest layout version. Bump on any layout change.
-pub const MANIFEST_VERSION: u32 = 2;
+pub const MANIFEST_VERSION: u32 = 3;
 
 /// Typed manifest failures. Loading never panics on malformed input.
 #[derive(Debug)]
@@ -235,8 +231,6 @@ pub struct ManifestEntry {
     /// Snapshot path as stored (relative paths resolve against the
     /// manifest's directory).
     pub snapshot: String,
-    /// Requested shard count (1 = single-process engine).
-    pub shards: usize,
     /// The snapshot's layout version as recorded at manifest build
     /// time; a catalog refuses entries whose version it cannot read.
     pub layout_version: u32,
@@ -256,7 +250,6 @@ impl ManifestEntry {
     pub fn describe(
         name: impl Into<String>,
         snapshot_path: impl AsRef<Path>,
-        shards: usize,
     ) -> Result<ManifestEntry, ManifestError> {
         let name = name.into();
         validate_corpus_name(&name)?;
@@ -271,7 +264,6 @@ impl ManifestEntry {
         Ok(ManifestEntry {
             name,
             snapshot: path.to_string_lossy().into_owned(),
-            shards: shards.max(1),
             layout_version,
             checksum: checksum64(&bytes),
             endpoints: Vec::new(),
@@ -349,7 +341,6 @@ impl Manifest {
             for e in &self.corpora {
                 b.put_str(&e.name);
                 b.put_str(&e.snapshot);
-                b.put_u32(e.shards as u32);
                 b.put_u32(e.layout_version);
                 b.put_u64(e.checksum);
                 b.put_u32(e.endpoints.len() as u32);
@@ -368,8 +359,7 @@ impl Manifest {
 
     /// Parse and validate manifest bytes: magic, version, body
     /// checksum, then every structural invariant (non-empty, default in
-    /// range, valid unique names, positive shard counts, no trailing
-    /// garbage).
+    /// range, valid unique names and endpoints, no trailing garbage).
     pub fn from_bytes(bytes: &[u8]) -> Result<Manifest, ManifestError> {
         if bytes.len() < 8 {
             return Err(ManifestError::Truncated { context: "magic" });
@@ -405,9 +395,9 @@ impl Manifest {
                 context: "default corpus index out of range",
             });
         }
-        // Clamped: an entry spans ≥ 24 payload bytes, so a lying count
+        // Clamped: an entry spans ≥ 20 payload bytes, so a lying count
         // fails typed instead of aborting on a huge pre-allocation.
-        let mut corpora = Vec::with_capacity(count.min(c.remaining() / 24 + 1));
+        let mut corpora = Vec::with_capacity(count.min(c.remaining() / 20 + 1));
         for _ in 0..count {
             let name = c.get_str("corpus name")?.to_owned();
             validate_corpus_name(&name)?;
@@ -415,12 +405,6 @@ impl Manifest {
                 return Err(ManifestError::DuplicateCorpus { name });
             }
             let snapshot = c.get_str("corpus snapshot path")?.to_owned();
-            let shards = c.get_u32("corpus shard count")? as usize;
-            if shards == 0 {
-                return Err(ManifestError::Corrupt {
-                    context: "corpus shard count is zero",
-                });
-            }
             let layout_version = c.get_u32("corpus layout version")?;
             let checksum = c.get_u64("corpus snapshot checksum")?;
             let n = c.get_u32("corpus endpoint count")? as usize;
@@ -433,7 +417,6 @@ impl Manifest {
             corpora.push(ManifestEntry {
                 name,
                 snapshot,
-                shards,
                 layout_version,
                 checksum,
                 endpoints,
@@ -465,22 +448,23 @@ mod tests {
 
     fn sample() -> Manifest {
         let mut m = Manifest::new();
-        for (name, path, shards, endpoints) in [
-            ("dblp", "dblp.ncq", 1usize, vec![]),
+        for (i, (name, path, endpoints)) in [
+            ("dblp", "dblp.ncq", vec![]),
             (
                 "multimedia",
                 "snapshots/mm.ncq",
-                4,
                 vec!["127.0.0.1:9201".to_owned(), "replica-b:9201".to_owned()],
             ),
-            ("deep", "/abs/deep.ncq", 2, vec![]),
-        ] {
+            ("deep", "/abs/deep.ncq", vec![]),
+        ]
+        .into_iter()
+        .enumerate()
+        {
             m.push(ManifestEntry {
                 name: name.into(),
                 snapshot: path.into(),
-                shards,
                 layout_version: crate::snapshot::SNAPSHOT_VERSION,
-                checksum: 0x1234_5678_9abc_def0 ^ shards as u64,
+                checksum: 0x1234_5678_9abc_def0 ^ i as u64,
                 endpoints,
             })
             .unwrap();
@@ -494,7 +478,7 @@ mod tests {
         let m = sample();
         let loaded = Manifest::from_bytes(&m.to_bytes()).unwrap();
         assert_eq!(loaded, m);
-        assert_eq!(loaded.entry("deep").unwrap().shards, 2);
+        assert_eq!(loaded.entry("deep").unwrap().snapshot, "/abs/deep.ncq");
         assert!(loaded.entry("absent").is_none());
     }
 
@@ -564,7 +548,6 @@ mod tests {
             m.push(ManifestEntry {
                 name: "dblp".into(),
                 snapshot: "other.ncq".into(),
-                shards: 1,
                 layout_version: 1,
                 checksum: 0,
                 endpoints: vec![],
@@ -575,7 +558,6 @@ mod tests {
         m.corpora.push(ManifestEntry {
             name: "dblp".into(),
             snapshot: "other.ncq".into(),
-            shards: 1,
             layout_version: 1,
             checksum: 0,
             endpoints: vec![],
@@ -622,9 +604,10 @@ mod tests {
 
     #[test]
     fn other_manifest_versions_are_refused_typed() {
-        // Version 1 (the retired endpoint-less layout), 0 and a future
-        // version all fail on the header alone.
-        for found in [0u8, 1, 99] {
+        // Version 1 (the retired endpoint-less layout), version 2 (the
+        // retired shard-count layout), 0 and a future version all fail
+        // on the header alone.
+        for found in [0u8, 1, 2, 99] {
             let mut bytes = sample().to_bytes();
             bytes[8] = found;
             assert!(matches!(
@@ -664,7 +647,6 @@ mod tests {
         let entry = ManifestEntry {
             name: "x".into(),
             snapshot: "x.ncq".into(),
-            shards: 1,
             layout_version: 1,
             checksum: 0,
             endpoints: vec![],
@@ -723,13 +705,6 @@ mod tests {
             Manifest::from_bytes(&m.to_bytes()),
             Err(ManifestError::Corrupt { .. })
         ));
-        // Zero shard count.
-        let mut m = sample();
-        m.corpora[2].shards = 0;
-        assert!(matches!(
-            Manifest::from_bytes(&m.to_bytes()),
-            Err(ManifestError::Corrupt { .. })
-        ));
     }
 
     #[test]
@@ -765,19 +740,19 @@ mod tests {
         let snap = dir.join("fig.ncq");
         let db = crate::MonetDb::from_document(&ncq_xml::parse("<bib><a>x</a></bib>").unwrap());
         db.save(&snap).unwrap();
-        let entry = ManifestEntry::describe("fig", &snap, 1).unwrap();
+        let entry = ManifestEntry::describe("fig", &snap).unwrap();
         assert_eq!(entry.layout_version, crate::snapshot::SNAPSHOT_VERSION);
         assert_eq!(entry.checksum, checksum64(&std::fs::read(&snap).unwrap()));
         // A non-snapshot file is refused.
         let junk = dir.join("junk.bin");
         std::fs::write(&junk, b"not a snapshot").unwrap();
         assert!(matches!(
-            ManifestEntry::describe("junk", &junk, 1),
+            ManifestEntry::describe("junk", &junk),
             Err(ManifestError::Corrupt { .. })
         ));
         // A dangling path is a typed io error.
         assert!(matches!(
-            ManifestEntry::describe("gone", dir.join("gone.ncq"), 1),
+            ManifestEntry::describe("gone", dir.join("gone.ncq")),
             Err(ManifestError::Io(_))
         ));
         for p in [&snap, &junk] {

@@ -44,9 +44,9 @@
 //! truncated or table-corrupt file fails typed before any payload
 //! pointer is formed (no SIGBUS-prone blind dereference). Payload
 //! checksums are **lazy** by default: sections the decoder reads in
-//! full anyway — to materialize them (symbols, paths, the partition
-//! map) or to validate what its accessors assume (the `σ`/parent
-//! columns, the string columns, the full-text vocabulary) — are
+//! full anyway — to materialize them (symbols, paths) or to validate
+//! what its accessors assume (the `σ`/parent columns, the string
+//! columns, the full-text vocabulary) — are
 //! verified when decoded, while the large final-form arrays served as
 //! mapped views that no open-time pass reads (the meet index)
 //! **defer** their checksum so first touch stays at page-fault cost.
@@ -58,9 +58,11 @@
 //! answers or a bounds-check panic — all views are ordinary checked
 //! slices, never undefined behaviour.
 //!
-//! `NCQ_NO_MMAP=1` (or a non-unix target) routes opens through an
-//! owned, 64-byte-aligned heap copy of the file — the same views over
-//! the same layout, minus the shared page cache.
+//! A file open maps the file on unix targets and reads it into an
+//! owned, 64-byte-aligned heap copy elsewhere — the same views over the
+//! same layout, minus the shared page cache. In-memory bytes
+//! ([`MappedSnapshot::from_owned_bytes`]) always take the owned arena,
+//! which is how a unix build exercises it.
 
 use crate::snapshot::{checksum64, write_atomic, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use std::path::Path;
@@ -88,20 +90,8 @@ pub fn section_name(id: u32) -> &'static str {
         crate::snapshot::section::STRINGS => "strings",
         crate::snapshot::section::MEET_INDEX => "meet-index",
         crate::snapshot::section::FULLTEXT => "fulltext",
-        crate::snapshot::section::PARTITION => "partition",
         _ => "unknown-section",
     }
-}
-
-/// Whether snapshot opens should avoid `mmap` and fall back to the
-/// owned-copy path: always on non-unix targets, or when the
-/// `NCQ_NO_MMAP` environment switch is set (truthy) — the knob the CI
-/// mmap-on/off matrix flips, mirroring `NCQ_SIMD`.
-pub fn mmap_disabled() -> bool {
-    if !cfg!(unix) {
-        return true;
-    }
-    std::env::var("NCQ_NO_MMAP").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 /// When payload checksums are verified. See the module docs.
@@ -130,8 +120,6 @@ pub unsafe trait Pod: Copy + Send + Sync + 'static {}
 unsafe impl Pod for u8 {}
 // SAFETY: as above.
 unsafe impl Pod for u32 {}
-// SAFETY: as above.
-unsafe impl Pod for u64 {}
 // SAFETY: `Oid` is `repr(transparent)` over `u32` (asserted below).
 unsafe impl Pod for crate::oid::Oid {}
 // SAFETY: `PathId` is `repr(transparent)` over `u32` (asserted below).
@@ -194,8 +182,8 @@ mod sys {
 
 /// The backing memory of one open snapshot: either a read-only file
 /// mapping (zero-copy, page cache shared across processes) or an
-/// owned 64-byte-aligned heap copy (the `NCQ_NO_MMAP` / non-unix /
-/// from-bytes fallback). Column views ([`Col`]) hold an `Arc` to the
+/// owned 64-byte-aligned heap copy (non-unix targets and the
+/// from-bytes entry points). Column views ([`Col`]) hold an `Arc` to the
 /// arena, so the mapping lives exactly as long as any view over it.
 pub struct SnapshotArena {
     ptr: NonNull<u8>,
@@ -220,7 +208,7 @@ unsafe impl Sync for SnapshotArena {}
 
 impl SnapshotArena {
     /// Copy `bytes` into a fresh 64-byte-aligned allocation. A `Vec`
-    /// would only guarantee byte alignment — not enough to view u64
+    /// would only guarantee byte alignment — not enough to view u32
     /// arrays in place.
     pub fn from_bytes(bytes: &[u8]) -> SnapshotArena {
         if bytes.is_empty() {
@@ -622,8 +610,8 @@ pub struct MappedSnapshot {
 }
 
 impl MappedSnapshot {
-    /// Open a snapshot file with [`VerifyMode::Lazy`]: mmap (or
-    /// owned fallback), then header + table + extent validation.
+    /// Open a snapshot file with [`VerifyMode::Lazy`]: mmap (an owned
+    /// copy off unix), then header + table + extent validation.
     pub fn open(path: &Path) -> Result<MappedSnapshot, SnapshotError> {
         MappedSnapshot::open_with(path, VerifyMode::Lazy)
     }
@@ -631,20 +619,19 @@ impl MappedSnapshot {
     /// [`MappedSnapshot::open`] with an explicit verification mode.
     pub fn open_with(path: &Path, mode: VerifyMode) -> Result<MappedSnapshot, SnapshotError> {
         #[cfg(unix)]
-        {
-            if !mmap_disabled() {
-                let file = std::fs::File::open(path)?;
-                let len = usize::try_from(file.metadata()?.len())
-                    .map_err(|_| SnapshotError::Io(std::io::Error::other("file too large")))?;
-                let arena = SnapshotArena::map_file(&file, len)?;
-                return MappedSnapshot::from_arena(Arc::new(arena), mode);
-            }
-        }
-        MappedSnapshot::from_owned_bytes(std::fs::read(path)?, mode)
+        let arena = {
+            let file = std::fs::File::open(path)?;
+            let len = usize::try_from(file.metadata()?.len())
+                .map_err(|_| SnapshotError::Io(std::io::Error::other("file too large")))?;
+            SnapshotArena::map_file(&file, len)?
+        };
+        #[cfg(not(unix))]
+        let arena = SnapshotArena::from_bytes(&std::fs::read(path)?);
+        MappedSnapshot::from_arena(Arc::new(arena), mode)
     }
 
     /// Open from in-memory bytes (always the owned arena — the
-    /// from-bytes entry points and the no-mmap fallback).
+    /// from-bytes entry points and the non-unix file open).
     pub fn from_owned_bytes(
         bytes: Vec<u8>,
         mode: VerifyMode,
@@ -768,11 +755,6 @@ impl MappedSnapshot {
             snapshot.verify_all()?;
         }
         Ok(snapshot)
-    }
-
-    /// Whether a section is present.
-    pub fn has_section(&self, id: u32) -> bool {
-        self.table.iter().any(|e| e.id == id)
     }
 
     /// The whole snapshot file as bytes (mapped or owned). The forest
@@ -949,8 +931,8 @@ mod tests {
         let mut s = w.section(section::COLUMNS);
         s.put_u64(3);
         s.put_col::<u32>(&[7, 8, 9]);
-        s.put_col::<u64>(&[1 << 40, 2]);
-        let mut s = w.section(section::PARTITION);
+        s.put_col::<u32>(&[1 << 30, 2]);
+        let mut s = w.section(section::STRINGS);
         s.put_u64(42);
         w.into_bytes()
     }
@@ -964,12 +946,11 @@ mod tests {
         assert_eq!(v.get_u64().unwrap(), 3);
         let a: Col<u32> = v.take_col(3).unwrap();
         assert_eq!(&*a, &[7, 8, 9]);
-        let b: Col<u64> = v.take_col(2).unwrap();
-        assert_eq!(&*b, &[1 << 40, 2]);
+        let b: Col<u32> = v.take_col(2).unwrap();
+        assert_eq!(&*b, &[1 << 30, 2]);
         assert!(v.at_end());
-        let mut s = snap.section(section::PARTITION).unwrap();
+        let mut s = snap.section(section::STRINGS).unwrap();
         assert_eq!(s.get_u64().unwrap(), 42);
-        assert!(!snap.has_section(section::FULLTEXT));
         assert!(matches!(
             snap.section(section::FULLTEXT),
             Err(SnapshotError::MissingSection { .. })
@@ -1051,7 +1032,7 @@ mod tests {
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
         let lazy = MappedSnapshot::from_owned_bytes(c, VerifyMode::Lazy).unwrap();
-        assert!(lazy.section_verified(section::PARTITION).is_err());
+        assert!(lazy.section_verified(section::STRINGS).is_err());
     }
 
     #[test]
@@ -1125,7 +1106,7 @@ mod tests {
         assert!(!col.is_mapped());
         let copy = col.clone();
         assert_eq!(copy, col);
-        let empty: Col<u64> = Col::default();
+        let empty: Col<u32> = Col::default();
         assert!(empty.is_empty());
         assert_eq!(format!("{col:?}"), "[1, 2, 3]");
     }

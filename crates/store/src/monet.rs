@@ -32,10 +32,9 @@ use crate::index::MeetIndex;
 use crate::mmap::Col;
 use crate::oid::Oid;
 use crate::path::{PathId, PathStep, PathSummary};
-use crate::stats::{DepthStats, PartitionStats, StoreStats};
+use crate::stats::{DepthStats, StoreStats};
 use crate::strings::{StringColumns, StringRel};
 use ncq_xml::{Document, NodeKind, SymbolTable};
-use std::ops::Range;
 use std::sync::OnceLock;
 
 /// A loaded, path-partitioned XML database instance.
@@ -68,8 +67,6 @@ pub struct MonetDb {
     /// Lazily built structural meet index (preorder LCA); the database
     /// is immutable after loading, so the cache never invalidates.
     pub(crate) meet_index: OnceLock<MeetIndex>,
-    /// Lazily computed per-oid mass prefix sums (partitioner input).
-    pub(crate) partition_stats: OnceLock<PartitionStats>,
 }
 
 impl MonetDb {
@@ -151,7 +148,6 @@ impl MonetDb {
             path_data: path_data.into(),
             strings,
             meet_index: OnceLock::new(),
-            partition_stats: OnceLock::new(),
         }
     }
 
@@ -235,21 +231,6 @@ impl MonetDb {
         DepthStats::from_histogram(&histogram)
     }
 
-    /// Per-object mass prefix sums — the signal a partitioner balances
-    /// when cutting the document into preorder-interval shards. The
-    /// weight of an object is `1 + strings(o)` (structural mass plus
-    /// posting mass). Computed once and cached.
-    pub fn partition_stats(&self) -> &PartitionStats {
-        self.partition_stats.get_or_init(|| {
-            let mut weights = vec![1u64; self.node_count()];
-            let (_, owners, _, _) = self.strings.columns();
-            for owner in owners {
-                weights[owner.index()] += 1;
-            }
-            PartitionStats::from_weights(weights)
-        })
-    }
-
     // ----- schema access -----
 
     /// The path summary (tree-shaped schema).
@@ -329,16 +310,6 @@ impl MonetDb {
     /// order of the owner.
     pub fn strings_of(&self, p: PathId) -> StringRel<'_> {
         self.strings.relation(p)
-    }
-
-    /// Restriction of a string relation to a preorder OID interval:
-    /// the `(owner, string)` pairs with `owner.index()` in `range`.
-    /// String relations are loaded in document order of the owner, so
-    /// the restriction is a contiguous run found by two binary
-    /// searches — the zero-copy "relation restriction" a sharded
-    /// execution layer scans instead of the whole relation.
-    pub fn strings_in_range(&self, p: PathId, range: Range<usize>) -> StringRel<'_> {
-        self.strings_of(p).range(range)
     }
 
     /// The string owned by `owner` in relation `p`, if any. String
@@ -710,68 +681,6 @@ mod tests {
             total += oids.len();
         }
         assert_eq!(total, db.node_count());
-    }
-
-    #[test]
-    fn partition_stats_weigh_structure_plus_strings() {
-        let db = figure1_db();
-        let s = db.partition_stats();
-        assert_eq!(s.len(), db.node_count());
-        // Total mass = every object once + every string association.
-        assert_eq!(
-            s.total_mass(),
-            (db.node_count() + db.stats().string_associations) as u64
-        );
-        // A cdata node weighs 2 (itself + its string); the root weighs 1.
-        let cdata = db.iter_oids().find(|&o| db.label(o) == "cdata").unwrap();
-        assert_eq!(s.mass_of(cdata.index()), 2);
-        assert_eq!(s.mass_of(Oid::ROOT.index()), 1);
-        // An article owns a @key attribute string.
-        let article = db
-            .iter_oids()
-            .find(|&o| db.tag(o) == Some("article"))
-            .unwrap();
-        assert_eq!(s.mass_of(article.index()), 2);
-        // Subtree masses sum like intervals: whole document = root range.
-        let idx = db.meet_index();
-        assert_eq!(
-            s.interval_mass(idx.subtree_range(Oid::ROOT)),
-            s.total_mass()
-        );
-        // Cached.
-        assert!(std::ptr::eq(s, db.partition_stats()));
-    }
-
-    #[test]
-    fn range_restrictions_are_contiguous_subslices() {
-        let db = figure1_db();
-        let idx = db.meet_index();
-        // Restrict every relation to the second article's subtree and
-        // compare against a filter.
-        let article2 = db
-            .iter_oids()
-            .filter(|&o| db.tag(o) == Some("article"))
-            .nth(1)
-            .unwrap();
-        let range = idx.subtree_range(article2);
-        for p in db.summary().iter() {
-            let strings: Vec<_> = db
-                .strings_of(p)
-                .iter()
-                .filter(|(o, _)| range.contains(&o.index()))
-                .collect();
-            let restricted: Vec<_> = db.strings_in_range(p, range.clone()).iter().collect();
-            assert_eq!(restricted, strings);
-        }
-        // The restricted year relation holds exactly the second year.
-        let p_year = db
-            .summary()
-            .lookup_in(
-                &["bibliography", "institute", "article", "year", "cdata"],
-                db.symbols(),
-            )
-            .unwrap();
-        assert_eq!(db.strings_in_range(p_year, range).len(), 1);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! in their in-memory representation; [`MonetDb::load`] maps the file
 //! and reattaches them — no parse, no DFS, no re-tokenization. Higher
 //! layers stack their own sections on the same container:
-//! `ncq-fulltext` persists the inverted index, `ncq-shard` the
-//! partition map, `ncq-core` ties them together behind
-//! `Database::save_snapshot` / `Database::open_snapshot`.
+//! `ncq-fulltext` persists the inverted index, and `ncq-core` ties both
+//! together behind `Database::save_snapshot` /
+//! `Database::open_snapshot`.
 //!
 //! # Layout
 //!
@@ -88,10 +88,11 @@ pub mod section {
     /// was the depth-statistics section of layouts 1–6 and stays
     /// unassigned.)
     pub const MEET_INDEX: u32 = 5;
-    /// The full-text inverted index (written by `ncq-fulltext`).
+    /// The full-text inverted index (written by `ncq-fulltext`). (Id 8
+    /// was the shard `PARTITION` map, which layout-8 files saved through
+    /// `ncq-shard` may still carry; it stays unassigned, and readers
+    /// skip it like any unknown id.)
     pub const FULLTEXT: u32 = 7;
-    /// The shard partition map (written by `ncq-shard`).
-    pub const PARTITION: u32 = 8;
 }
 
 /// Typed snapshot failures. Loading never panics on malformed input:
@@ -526,10 +527,7 @@ impl MonetDb {
     /// decode) plus final-form, 64-byte-aligned arrays for the dense
     /// columns, the string columns and the finished meet index —
     /// exactly the in-memory representation, so an open is a map +
-    /// pointer fixup, not a rebuild. Nothing derivable that no served
-    /// request reads is written: the partitioner's mass prefix sums
-    /// are a pure function of the columns and are rebuilt lazily,
-    /// byte-identically.
+    /// pointer fixup, not a rebuild.
     pub fn encode_snapshot(&self, writer: &mut SnapshotWriterV3) {
         let mut buf = Vec::new();
         encode_symbols_into(&self.symbols, &mut SectionBuf::over(&mut buf));
@@ -680,7 +678,6 @@ impl MonetDb {
             path_data,
             strings,
             meet_index: OnceLock::from(index),
-            partition_stats: OnceLock::new(),
         })
     }
 
@@ -748,7 +745,6 @@ mod tests {
         assert_eq!(loaded.dump_relations(), original.dump_relations());
         assert_eq!(loaded.stats(), original.stats());
         assert_eq!(loaded.depth_stats(), original.depth_stats());
-        assert_eq!(loaded.partition_stats(), original.partition_stats());
         for o in original.iter_oids() {
             assert_eq!(loaded.sigma(o), original.sigma(o));
             assert_eq!(loaded.parent(o), original.parent(o));
@@ -863,16 +859,6 @@ mod tests {
                 section: section::PATHS
             })
         ));
-    }
-
-    #[test]
-    fn unknown_sections_are_ignored() {
-        let original = db();
-        let mut w = SnapshotWriterV3::new();
-        original.encode_snapshot(&mut w);
-        w.section(0xBEEF).put_raw(b"future extension");
-        let loaded = decode(w.into_bytes()).unwrap();
-        assert_eq!(loaded.dump_relations(), original.dump_relations());
     }
 
     /// Rewrite section `id` in place — `edit` gets the payload bytes and

@@ -94,66 +94,6 @@ impl fmt::Display for DepthStats {
     }
 }
 
-/// Per-object load weights for partitioning, as prefix sums over the
-/// document-order OID axis.
-///
-/// The weight of an object is `1 + strings(o)` — one unit of structural
-/// mass plus its posting mass (string associations are what the
-/// full-text index decomposes into postings, so they approximate the
-/// per-subtree share of query work). Because OIDs are preorder, the
-/// mass of any subtree is the prefix-sum difference over its preorder
-/// interval — the quantity a partitioner balances when it cuts a
-/// document into shards on subtree boundaries.
-///
-/// Computed once per database ([`crate::MonetDb::partition_stats`]) and
-/// cached; never persisted — only the partitioner reads it, and one
-/// pass over the string relations rebuilds it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PartitionStats {
-    /// `prefix[i]` = total weight of oids `0..i`; length `nodes + 1`.
-    prefix: Vec<u64>,
-}
-
-impl PartitionStats {
-    /// Build from per-oid weights in document order.
-    pub fn from_weights(weights: impl IntoIterator<Item = u64>) -> PartitionStats {
-        let mut prefix = vec![0u64];
-        let mut acc = 0u64;
-        for w in weights {
-            acc += w;
-            prefix.push(acc);
-        }
-        PartitionStats { prefix }
-    }
-
-    /// Number of objects covered.
-    pub fn len(&self) -> usize {
-        self.prefix.len() - 1
-    }
-
-    /// Whether the instance has no objects (never true for a loaded
-    /// document, which always has a root).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total weight of the whole document.
-    pub fn total_mass(&self) -> u64 {
-        *self.prefix.last().expect("prefix has a zero sentinel")
-    }
-
-    /// Weight of one object.
-    pub fn mass_of(&self, index: usize) -> u64 {
-        self.prefix[index + 1] - self.prefix[index]
-    }
-
-    /// Total weight of a preorder OID interval (e.g. a subtree's range
-    /// from [`crate::MeetIndex::subtree_range`]).
-    pub fn interval_mass(&self, range: std::ops::Range<usize>) -> u64 {
-        self.prefix[range.end] - self.prefix[range.start]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,26 +122,6 @@ mod tests {
     #[test]
     fn depth_stats_empty_histogram() {
         assert_eq!(DepthStats::from_histogram(&[]), DepthStats::default());
-    }
-
-    #[test]
-    fn partition_stats_prefix_sums() {
-        let s = PartitionStats::from_weights([3, 1, 1, 2]);
-        assert_eq!(s.len(), 4);
-        assert!(!s.is_empty());
-        assert_eq!(s.total_mass(), 7);
-        assert_eq!(s.mass_of(0), 3);
-        assert_eq!(s.mass_of(3), 2);
-        assert_eq!(s.interval_mass(1..3), 2);
-        assert_eq!(s.interval_mass(0..4), 7);
-        assert_eq!(s.interval_mass(2..2), 0);
-    }
-
-    #[test]
-    fn partition_stats_empty() {
-        let s = PartitionStats::from_weights([]);
-        assert!(s.is_empty());
-        assert_eq!(s.total_mass(), 0);
     }
 
     #[test]

@@ -211,19 +211,6 @@ impl<'a> StringRel<'a> {
             .map(move |(&owner, at)| (owner, self.str_at(at[0], at[1])))
     }
 
-    /// Restriction to a preorder oid interval: the associations with
-    /// `owner.index()` in `range`. Owners are in document order, so the
-    /// restriction is a contiguous run found by two binary searches.
-    pub fn range(self, range: Range<usize>) -> StringRel<'a> {
-        let lo = self.owners.partition_point(|o| o.index() < range.start);
-        let hi = lo + self.owners[lo..].partition_point(|o| o.index() < range.end);
-        StringRel {
-            owners: &self.owners[lo..hi],
-            text_off: &self.text_off[lo..=hi],
-            text: self.text,
-        }
-    }
-
     /// The string owned by `owner`, if any (binary search).
     pub(crate) fn value_of(self, owner: Oid) -> Option<&'a str> {
         let i = self.owners.binary_search(&owner).ok()?;

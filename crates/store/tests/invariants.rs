@@ -119,8 +119,8 @@ fn for_grafted_dbs(salt: u64, mut check: impl FnMut(&Document, &MonetDb, &[(Node
 }
 
 /// `db` saved to `file` and opened again both ways: through the file
-/// (mapped, or the owned copy under the `NCQ_NO_MMAP=1` CI leg) and
-/// through the owned-copy path directly.
+/// (mapped on unix, an owned copy elsewhere) and through the owned-copy
+/// path directly.
 fn reopen(db: &MonetDb, file: &std::path::Path) -> [MonetDb; 2] {
     db.save(file).expect("save");
     let reopened = MonetDb::load(file).expect("load");
@@ -286,12 +286,11 @@ fn string_relations_cover_text_and_attributes() {
 
 /// The string columns read back exactly what the document holds. Per
 /// path, the view iterates the `(owner, text)` pairs gathered straight
-/// from the tree in document order; `range` is a filter on the owner;
-/// `string_value` agrees with a linear scan; and a store reopened from
-/// its snapshot — through the file (mapped, or the owned copy under the
-/// `NCQ_NO_MMAP=1` CI leg) and through the owned-copy path directly —
-/// yields the same. The strings are hostile to an offset column: empty,
-/// and 1- to 4-byte code points side by side.
+/// from the tree in document order; `string_value` agrees with a linear
+/// scan; and a store reopened from its snapshot — through the file
+/// (mapped on unix, an owned copy elsewhere) and through the owned-copy
+/// path directly — yields the same. The strings are hostile to an
+/// offset column: empty, and 1- to 4-byte code points side by side.
 #[test]
 fn string_views_equal_the_documents_strings() {
     const PIECES: [&str; 7] = ["", "a", "é", "ß", "→", "日本", "🦀"];
@@ -347,8 +346,6 @@ fn string_views_equal_the_documents_strings() {
 
         let [reopened, owned] = reopen(&built, &dir.join(format!("seed-{seed}.ncq")));
 
-        let n = built.node_count();
-        let cut = rng.random_range(0..n + 1)..rng.random_range(0..n + 1);
         for db in [&built, &reopened, &owned] {
             for (p, expected) in expected.iter().enumerate() {
                 let p = PathId::from_index(p);
@@ -360,18 +357,6 @@ fn string_views_equal_the_documents_strings() {
                     assert_eq!(rel.get(i), Some(pair), "seed {seed}");
                 }
                 assert_eq!(rel.get(expected.len()), None, "seed {seed}");
-                let filtered: Vec<_> = expected
-                    .iter()
-                    .copied()
-                    .filter(|(o, _)| cut.contains(&o.index()))
-                    .collect();
-                assert_eq!(
-                    db.strings_in_range(p, cut.clone())
-                        .iter()
-                        .collect::<Vec<_>>(),
-                    filtered,
-                    "seed {seed} range {cut:?}"
-                );
                 for o in db.iter_oids() {
                     let scan = expected.iter().find(|(owner, _)| *owner == o);
                     assert_eq!(db.string_value(p, o), scan.map(|&(_, t)| t), "seed {seed}");

@@ -1,7 +1,6 @@
 //! Demonstrates forest serving: build three corpora (DBLP substitute,
 //! multimedia substitute, a deep fork forest), snapshot each, describe
-//! them in a versioned manifest (the multimedia corpus sharded 4-way),
-//! cold-start a whole multi-corpus service from the manifest file, and
+//! them in a versioned manifest, cold-start a whole multi-corpus service from the manifest file, and
 //! drive it over TCP — `CORPORA`, `USE`, corpus-routed `MEET`/`SQL`,
 //! the `USE *` fan-out, a per-corpus hot swap, and the per-corpus
 //! `STATS` lines.
@@ -13,7 +12,7 @@
 use nearest_concept::datagen::{DblpConfig, DblpCorpus, MultimediaConfig, MultimediaCorpus};
 use nearest_concept::server::{NetConfig, Server, ServerConfig, TcpAcceptor};
 use nearest_concept::store::manifest::{Manifest, ManifestEntry};
-use nearest_concept::{Database, ShardedDb};
+use nearest_concept::Database;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -64,27 +63,24 @@ fn main() {
     );
     let deep = Database::from_xml_str(&deep_xml(48, 200)).expect("deep corpus");
 
-    // Snapshot each corpus; the multimedia one through the sharded
-    // engine so its snapshot carries a 4-way partition cut.
+    // Snapshot each corpus.
     let dblp_snap = dir.join("dblp.ncq");
     let mm_snap = dir.join("multimedia.ncq");
     let deep_snap = dir.join("deep.ncq");
     dblp.save_snapshot(&dblp_snap).expect("save dblp");
-    ShardedDb::new(multimedia.clone(), 4)
-        .save_snapshot(&mm_snap)
-        .expect("save multimedia");
+    multimedia.save_snapshot(&mm_snap).expect("save multimedia");
     deep.save_snapshot(&deep_snap).expect("save deep");
 
-    // One manifest names the forest: corpus -> snapshot, shard count,
-    // whole-file checksum, layout version.
+    // One manifest names the forest: corpus -> snapshot, whole-file
+    // checksum, layout version.
     let mut manifest = Manifest::new();
-    for (name, path, shards) in [
-        ("dblp", &dblp_snap, 1usize),
-        ("multimedia", &mm_snap, 4),
-        ("deep", &deep_snap, 1),
+    for (name, path) in [
+        ("dblp", &dblp_snap),
+        ("multimedia", &mm_snap),
+        ("deep", &deep_snap),
     ] {
         manifest
-            .push(ManifestEntry::describe(name, path, shards).expect("describe"))
+            .push(ManifestEntry::describe(name, path).expect("describe"))
             .expect("push");
     }
     let mpath = dir.join("forest.ncqm");

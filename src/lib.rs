@@ -21,14 +21,13 @@
 //! * [`xml`] — XML parser and syntax tree (conceptual model)
 //! * [`store`] — Monet transform (physical model, path-partitioned relations)
 //! * [`fulltext`] — inverted index producing meet inputs
-//! * [`core`] — the one meet pipeline (plan → roll-up | sweep → rank →
-//!   cut), the [`Database`] facade and the paper's walks as `reference`
-//!   oracles
+//! * [`core`] — the one meet pipeline (merged hits → stack pass → rank
+//!   and cut), the [`Database`] facade and the paper's walks as
+//!   `reference` oracles
 //! * [`query`] — the paper's SQL-with-paths dialect incl. the `meet` aggregate
-//! * [`shard`] — preorder-interval sharded execution (partition map,
-//!   replicated spine, scatter/gather meets)
 //! * [`server`] — batched concurrent query service over any
-//!   [`ncq_core::MeetBackend`] (`Database` or [`ShardedDb`])
+//!   [`ncq_core::MeetBackend`] (a `Database`, a remote engine or a
+//!   forest of corpora)
 //! * [`simd`] — lane-parallel set kernels with runtime CPU dispatch and
 //!   bit-identical scalar fallbacks (`NCQ_SIMD` overrides the mode)
 //! * [`datagen`] — synthetic DBLP / multimedia corpora used by the benchmarks
@@ -38,19 +37,17 @@ pub use ncq_datagen as datagen;
 pub use ncq_fulltext as fulltext;
 pub use ncq_query as query;
 pub use ncq_server as server;
-pub use ncq_shard as shard;
 pub use ncq_simd as simd;
 pub use ncq_store as store;
 pub use ncq_xml as xml;
 
 pub use ncq_core::{
-    Answer, AnswerSet, Catalog, CatalogError, Database, ForestBackend, MeetBackend, MeetOptions,
-    RefGraph,
+    open_forest, Answer, AnswerSet, Catalog, CatalogError, Database, ForestBackend, MeetBackend,
+    MeetOptions, RefGraph,
 };
 pub use ncq_fulltext::Thesaurus;
 pub use ncq_query::{run_query, run_query_opts, QueryOptions, QueryOutput};
 pub use ncq_server::{Client, Server, ServerConfig};
-pub use ncq_shard::{open_forest, ShardedDb};
 pub use ncq_store::{
     Manifest, ManifestEntry, ManifestError, SnapshotError, MANIFEST_VERSION, SNAPSHOT_VERSION,
 };

@@ -6,9 +6,8 @@
 
 use nearest_concept::core::catalog::meet_terms_forest;
 use nearest_concept::core::{Catalog, CatalogError, ForestBackend, MeetBackend, MeetOptions};
-use nearest_concept::shard::{open_forest, sharded_corpus};
 use nearest_concept::store::manifest::{Manifest, ManifestEntry};
-use nearest_concept::{run_query, Database, QueryOutput};
+use nearest_concept::{open_forest, run_query, Database, QueryOutput};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -309,27 +308,22 @@ fn batched_and_cached_forest_replay_is_byte_stable() {
 }
 
 #[test]
-fn manifest_cold_start_replays_the_same_answers_with_a_sharded_corpus() {
+fn manifest_cold_start_replays_the_same_answers() {
     let dir = std::env::temp_dir().join("ncq-forest-golden-manifest");
     std::fs::create_dir_all(&dir).unwrap();
-    let paths: Vec<(&str, PathBuf, usize)> = vec![
-        ("dblp", dir.join("dblp.ncq"), 1),
-        ("multimedia", dir.join("multimedia.ncq"), 4),
-        ("deep", dir.join("deep.ncq"), 1),
+    let paths: Vec<(&str, PathBuf)> = vec![
+        ("dblp", dir.join("dblp.ncq")),
+        ("multimedia", dir.join("multimedia.ncq")),
+        ("deep", dir.join("deep.ncq")),
     ];
-    // The multimedia corpus is saved *through the sharded engine* so
-    // the snapshot carries a partition cut and the manifest's shard
-    // count exercises the (corpus, shard) routing path.
-    dblp().save_snapshot(&paths[0].1).unwrap();
-    nearest_concept::ShardedDb::new(multimedia(), 4)
-        .save_snapshot(&paths[1].1)
-        .unwrap();
-    deep().save_snapshot(&paths[2].1).unwrap();
+    for (name, path) in &paths {
+        direct(name).save_snapshot(path).unwrap();
+    }
 
     let mut manifest = Manifest::new();
-    for (name, path, shards) in &paths {
+    for (name, path) in &paths {
         manifest
-            .push(ManifestEntry::describe(*name, path, *shards).unwrap())
+            .push(ManifestEntry::describe(*name, path).unwrap())
             .unwrap();
     }
     let mpath = dir.join("forest.ncqm");
@@ -348,23 +342,6 @@ fn manifest_cold_start_replays_the_same_answers_with_a_sharded_corpus() {
             .to_detailed_xml();
         assert_eq!(actual, expected, "{name}: manifest cold start drifted");
     }
-    // A programmatic sharded corpus agrees too (catalog over ShardedDb
-    // built in-process rather than snapshot-loaded).
-    let mut catalog = Catalog::new();
-    catalog
-        .add("multimedia", sharded_corpus(multimedia(), 4))
-        .unwrap();
-    let sharded_forest = ForestBackend::new(catalog).unwrap();
-    assert_eq!(
-        sharded_forest
-            .meet_terms_answers(&["1999", "1995"], &opts)
-            .unwrap()
-            .to_detailed_xml(),
-        multimedia()
-            .meet_terms(&["1999", "1995"])
-            .unwrap()
-            .to_detailed_xml()
-    );
 
     // Corruption at the catalog level fails typed: a dangling snapshot
     // path (the manifest survives, the corpus file is gone)…
@@ -380,7 +357,7 @@ fn manifest_cold_start_replays_the_same_answers_with_a_sharded_corpus() {
         Err(CatalogError::ChecksumMismatch { name }) if name == "deep"
     ));
 
-    for (_, p, _) in &paths {
+    for (_, p) in &paths {
         std::fs::remove_file(p).ok();
     }
     std::fs::remove_file(&mpath).ok();

@@ -2,9 +2,9 @@
 //!
 //! `MeetOptions::limit` promises answers byte-identical to the first
 //! `k` of the plain unbounded evaluation. This suite proves the promise
-//! differentially on random trees — through `Database` and `ShardedDb`
-//! at K ∈ {1, 4}, at k ∈ {1, 2, 5}, at k beyond the result size and at
-//! the absurd k a hostile client can send, with the paper's roll-up
+//! differentially on random trees — at k ∈ {1, 2, 5}, at k beyond the
+//! result size and at the absurd k a hostile client can send, with the
+//! paper's roll-up
 //! (`reference::meet_rollup_ranked`) as the oracle for the ranking — and
 //! once more through the full term pipeline.
 //!
@@ -14,9 +14,9 @@
 
 use ncq_fulltext::HitSet;
 use nearest_concept::core::reference::meet_rollup_ranked;
-use nearest_concept::core::{Meet, MeetBackend, MeetOptions};
+use nearest_concept::core::{Meet, MeetOptions};
 use nearest_concept::xml::Document;
-use nearest_concept::{Database, ShardedDb};
+use nearest_concept::Database;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -65,12 +65,10 @@ fn ranked(meets: &[Meet]) -> Vec<(usize, usize, usize)> {
         .collect()
 }
 
-/// `limit k` is the unbounded ranking's prefix: for every engine, the
-/// bounded answer equals `unbounded[..k]` at small k, and equals the
+/// `limit k` is the unbounded ranking's prefix: the bounded answer equals `unbounded[..k]` at small k, and equals the
 /// full answer when k exceeds the result size; the unbounded ranking is
-/// the roll-up's. The k-best selection inside each stack pass (one per
-/// shard, one at the gather) may skip witness samples but must never
-/// change a returned byte, and nothing may be sized by `k`.
+/// the roll-up's. The k-best selection may skip witness samples but must
+/// never change a returned byte, and nothing may be sized by `k`.
 #[test]
 fn limit_k_equals_the_unbounded_prefix() {
     for seed in 0u64..40 {
@@ -83,43 +81,23 @@ fn limit_k_equals_the_unbounded_prefix() {
             .map(|_| &hits[rng.random_range(0..hits.len())])
             .collect();
 
-        let engines: Vec<(String, Box<dyn MeetBackend>)> = vec![
-            ("Database".into(), Box::new(db.clone())),
-            (
-                "ShardedDb K=1".into(),
-                Box::new(ShardedDb::new(db.clone(), 1)),
-            ),
-            (
-                "ShardedDb K=4".into(),
-                Box::new(ShardedDb::new(db.clone(), 4)),
-            ),
-        ];
         let oracle = meet_rollup_ranked(db.store(), &inputs, &MeetOptions::default());
-        for (name, engine) in &engines {
-            let unbounded = engine
-                .meet_hit_groups(&inputs, &MeetOptions::default())
-                .unwrap();
-            assert_eq!(
-                ranked(&unbounded),
-                ranked(&oracle),
-                "seed {seed}: {name} ranks unlike the roll-up"
+        let unbounded = db.meet_hits(&inputs, &MeetOptions::default());
+        assert_eq!(
+            ranked(&unbounded),
+            ranked(&oracle),
+            "seed {seed}: the engine ranks unlike the roll-up"
+        );
+        for k in [1usize, 2, 5, unbounded.len() + 100, 1 << 40, usize::MAX] {
+            let bounded = db.meet_hits(
+                &inputs,
+                &MeetOptions {
+                    limit: Some(k),
+                    ..MeetOptions::default()
+                },
             );
-            for k in [1usize, 2, 5, unbounded.len() + 100, 1 << 40, usize::MAX] {
-                let bounded = engine
-                    .meet_hit_groups(
-                        &inputs,
-                        &MeetOptions {
-                            limit: Some(k),
-                            ..MeetOptions::default()
-                        },
-                    )
-                    .unwrap();
-                let want = &unbounded[..k.min(unbounded.len())];
-                assert_eq!(
-                    bounded, want,
-                    "seed {seed}: limit {k} != unbounded prefix on {name}"
-                );
-            }
+            let want = &unbounded[..k.min(unbounded.len())];
+            assert_eq!(bounded, want, "seed {seed}: limit {k} != unbounded prefix");
         }
     }
 }

@@ -172,48 +172,11 @@ fn paper_listing_queries_match_golden_fixtures() {
     );
 }
 
-/// The sharded engine answers every paper-listing query byte-identically
-/// to the single database: the same fixtures, run through `ShardedDb`
-/// at K = 4 (and the degenerate K = 1). The fixtures are *not*
-/// regenerated here — `UPDATE_GOLDEN` only applies to the single-db
-/// test above, so sharding can never silently redefine the truth.
-#[test]
-fn sharded_execution_matches_the_golden_fixtures() {
-    let db = Database::from_xml_str(nearest_concept::datagen::FIGURE1_XML).unwrap();
-    let dir = golden_dir();
-    let mut failures = Vec::new();
-    for k in [1, 4] {
-        let sharded = nearest_concept::ShardedDb::new(db.clone(), k);
-        for (name, query) in QUERIES {
-            let output = sharded
-                .run_query(query)
-                .unwrap_or_else(|e| panic!("sharded golden query {name} failed: {e}"));
-            let actual = serialize(&output);
-            match std::fs::read_to_string(dir.join(format!("{name}.xml"))) {
-                Ok(expected) if expected == actual => {}
-                Ok(expected) => failures.push(format!(
-                    "{name} (K={k}): sharded output drifted\n--- expected ---\n{expected}\n--- actual ---\n{actual}"
-                )),
-                Err(e) => failures.push(format!(
-                    "{name}: cannot read fixture ({e}); run UPDATE_GOLDEN=1 first"
-                )),
-            }
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} sharded golden mismatches:\n{}",
-        failures.len(),
-        failures.join("\n")
-    );
-}
-
 /// Snapshot cold starts serve the paper byte-identically: the database
 /// is saved to a versioned snapshot, reloaded cold, and every golden
-/// query re-runs through both the snapshot-loaded `Database` and a
-/// snapshot-loaded `ShardedDb` (K = 4, reusing the persisted partition
-/// map) against the same fixtures. `UPDATE_GOLDEN` does not apply here
-/// either — a snapshot load can never redefine the truth.
+/// query re-runs through the snapshot-loaded `Database` against the
+/// same fixtures. `UPDATE_GOLDEN` does not apply here — a snapshot load
+/// can never redefine the truth.
 #[test]
 fn snapshot_loaded_engines_match_the_golden_fixtures() {
     let dir = std::env::temp_dir().join("ncq-golden-snapshot-test");
@@ -221,12 +184,8 @@ fn snapshot_loaded_engines_match_the_golden_fixtures() {
     let path = dir.join("figure1-golden.ncq");
 
     let db = Database::from_xml_str(nearest_concept::datagen::FIGURE1_XML).unwrap();
-    let sharded = nearest_concept::ShardedDb::new(db, 4);
-    sharded.save_snapshot(&path).expect("save snapshot");
-
+    db.save_snapshot(&path).expect("save snapshot");
     let loaded_db = Database::open_snapshot(&path).expect("open snapshot");
-    let loaded_sharded =
-        nearest_concept::ShardedDb::open_snapshot(&path, 4).expect("open sharded snapshot");
 
     let mut failures = Vec::new();
     for (name, query) in QUERIES {
@@ -244,16 +203,6 @@ fn snapshot_loaded_engines_match_the_golden_fixtures() {
         if single != expected {
             failures.push(format!(
                 "{name}: snapshot-loaded Database drifted\n--- expected ---\n{expected}\n--- actual ---\n{single}"
-            ));
-        }
-        let scattered = serialize(
-            &loaded_sharded
-                .run_query(query)
-                .unwrap_or_else(|e| panic!("sharded snapshot golden query {name} failed: {e}")),
-        );
-        if scattered != expected {
-            failures.push(format!(
-                "{name}: snapshot-loaded ShardedDb (K=4) drifted\n--- expected ---\n{expected}\n--- actual ---\n{scattered}"
             ));
         }
     }

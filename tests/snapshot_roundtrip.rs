@@ -12,10 +12,9 @@
 //! seed.
 //!
 //! The pinned fixture `tests/golden/snapshot_v8.bin` is a committed
-//! current-layout snapshot of the Figure 1 corpus (saved through
-//! `ShardedDb` at K = 4 so every section id, including the partition
-//! map, is exercised). Regenerate after an *intended* layout change —
-//! which must also bump `SNAPSHOT_VERSION` — with:
+//! current-layout snapshot of the Figure 1 corpus, as
+//! `Database::save_snapshot` writes it. Regenerate after an *intended*
+//! layout change — which must also bump `SNAPSHOT_VERSION` — with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test snapshot_roundtrip
@@ -25,7 +24,7 @@
 //! are files no build writes any more; they stay committed to pin that
 //! opening one is a typed `UnsupportedVersion`, never a partial load.
 
-use nearest_concept::core::{MeetBackend, MeetOptions};
+use nearest_concept::core::MeetOptions;
 use nearest_concept::datagen::{DblpConfig, DblpCorpus};
 use nearest_concept::server::{serve_lines, Server, ServerConfig};
 use nearest_concept::store::snapshot::{checksum64, section};
@@ -34,17 +33,16 @@ use nearest_concept::store::{
     SNAPSHOT_VERSION,
 };
 use nearest_concept::xml::Document;
-use nearest_concept::{Catalog, CatalogError, Database, ShardedDb};
+use nearest_concept::{open_forest, CatalogError, Database};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
 
-/// Random tree with text leaves, as in the sharding equivalence suite:
-/// node `i + 1` hangs under a random earlier node; some nodes carry
-/// cdata from a small token pool so string relations, postings and the
-/// partition weights are all exercised.
+/// Random tree with text leaves: node `i + 1` hangs under a random
+/// earlier node; some nodes carry cdata from a small token pool so
+/// string relations and postings are exercised.
 fn random_tree(rng: &mut StdRng) -> Document {
     const TAGS: [&str; 5] = ["a", "b", "c", "d", "e"];
     const WORDS: [&str; 6] = ["alpha", "beta", "gamma", "delta", "twin peaks", "omega"];
@@ -72,22 +70,17 @@ fn scratch(name: &str) -> PathBuf {
 
 /// Round-trip property: for random trees, a save → load cycle answers
 /// the generalized meet identically — ranking, distances and witness
-/// samples included — through both the plain
-/// `Database` and a `ShardedDb` at random K reloaded from the same
-/// file.
+/// samples included.
 #[test]
 fn random_trees_round_trip_with_identical_meets() {
     for seed in 0u64..25 {
         let mut rng = StdRng::seed_from_u64(0x5eed_0000 + seed);
         let doc = random_tree(&mut rng);
         let original = Database::from_document(&doc);
-        let k = rng.random_range(1usize..6);
 
         let path = scratch(&format!("prop-{seed}.ncq"));
-        let sharded = ShardedDb::new(original.clone(), k);
-        sharded.save_snapshot(&path).expect("save");
+        original.save_snapshot(&path).expect("save");
         let loaded = Database::open_snapshot(&path).expect("load");
-        let loaded_sharded = ShardedDb::open_snapshot(&path, k).expect("load sharded");
 
         // The generalized meet through the full term pipeline (the
         // stack pass reads the loaded meet index): serialized answer
@@ -100,12 +93,6 @@ fn random_trees_round_trip_with_identical_meets() {
             a.to_detailed_xml(),
             b.to_detailed_xml(),
             "seed {seed}: loaded Database diverged"
-        );
-        let c = loaded_sharded.meet_terms_answers(&terms, &options).unwrap();
-        assert_eq!(
-            a.to_detailed_xml(),
-            c.to_detailed_xml(),
-            "seed {seed}: loaded ShardedDb (K={k}) diverged"
         );
 
         std::fs::remove_file(&path).ok();
@@ -136,9 +123,8 @@ fn snapshot_bytes_are_deterministic_across_saves_and_reloads() {
 #[test]
 fn corrupt_snapshots_fail_typed_at_every_boundary() {
     let db = Database::from_xml_str(nearest_concept::datagen::FIGURE1_XML).unwrap();
-    let sharded = ShardedDb::new(db, 4);
     let path = scratch("corrupt.ncq");
-    sharded.save_snapshot(&path).expect("save");
+    db.save_snapshot(&path).expect("save");
     let bytes = std::fs::read(&path).expect("read");
     std::fs::remove_file(&path).ok();
 
@@ -148,7 +134,7 @@ fn corrupt_snapshots_fail_typed_at_every_boundary() {
     // semantically-plausible wrong value.
     let decode = |data: Vec<u8>| -> Result<(), SnapshotError> {
         let snap = MappedSnapshot::from_owned_bytes(data, VerifyMode::Eager)?;
-        ShardedDb::from_source(&snap, 4)?;
+        Database::decode_from(&snap)?;
         Ok(())
     };
     decode(bytes.clone()).expect("pristine bytes decode");
@@ -310,7 +296,7 @@ fn probe(db: &Database) -> String {
 /// The layout version pin. The committed fixture must (a) carry the
 /// current `SNAPSHOT_VERSION`, (b) decode into an engine that answers
 /// a known meet, (c) re-encode to the **exact committed bytes**, and
-/// (d) equal a fresh K = 4 save of the Figure 1 corpus.
+/// (d) equal a fresh save of the Figure 1 corpus.
 /// Any layout change that forgets to bump the version fails here
 /// loudly: either the old fixture no longer decodes, or the re-encoded
 /// bytes drift from the committed ones. After an intended change, bump
@@ -321,8 +307,7 @@ fn pinned_fixture_guards_the_layout_version() {
     let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1");
     if update {
         let db = Database::from_xml_str(nearest_concept::datagen::FIGURE1_XML).unwrap();
-        let sharded = ShardedDb::new(db, 4);
-        sharded.save_snapshot(&path).expect("write fixture");
+        db.save_snapshot(&path).expect("write fixture");
         return;
     }
     let bytes = std::fs::read(&path).unwrap_or_else(|e| {
@@ -347,43 +332,22 @@ fn pinned_fixture_guards_the_layout_version() {
     let answers = loaded.meet_terms(&["Bit", "1999"]).expect("probe meet");
     assert_eq!(answers.tags(), vec!["article"], "fixture answers drifted");
 
-    // ShardedDb reuses the fixture's persisted K = 4 partition map.
-    let p = scratch("fixture-copy.ncq");
-    std::fs::write(&p, &bytes).expect("stage fixture");
-    let sharded = ShardedDb::open_snapshot(&p, 4).expect("sharded fixture load");
-    assert_eq!(sharded.partition().requested_k(), 4);
+    // Byte-stability: re-encoding the loaded engine must reproduce the
+    // committed bytes exactly.
     assert_eq!(
-        sharded
-            .meet_terms_answers(&["Bit", "1999"], &MeetOptions::default())
-            .unwrap()
-            .to_detailed_xml(),
-        answers.to_detailed_xml()
-    );
-    std::fs::remove_file(&p).ok();
-
-    // Byte-stability: re-encoding the loaded engine plus its partition
-    // map must reproduce the committed bytes exactly.
-    let mut writer = loaded.encode_snapshot();
-    sharded.partition().encode_snapshot(&mut writer);
-    assert_eq!(
-        writer.into_bytes(),
+        loaded.snapshot_to_bytes(),
         bytes,
         "re-encoded bytes drifted from the committed v{SNAPSHOT_VERSION} fixture; \
          bump SNAPSHOT_VERSION and regenerate (UPDATE_GOLDEN=1)"
     );
 
     // And so must a fresh build: the fixture is exactly what this build
-    // writes for Figure 1 at K = 4, not merely something it can re-emit.
-    let fresh = ShardedDb::new(
-        Database::from_xml_str(nearest_concept::datagen::FIGURE1_XML).unwrap(),
-        4,
-    );
-    let mut writer = fresh.database().encode_snapshot();
-    fresh.partition().encode_snapshot(&mut writer);
+    // writes for Figure 1, not merely something it can re-emit.
+    let fresh = Database::from_xml_str(nearest_concept::datagen::FIGURE1_XML).unwrap();
     assert_eq!(
-        writer.into_bytes(),
+        fresh.snapshot_to_bytes(),
         bytes,
-        "a fresh K = 4 save of Figure 1 drifted from the committed v{SNAPSHOT_VERSION} fixture"
+        "a fresh save of Figure 1 drifted from the committed v{SNAPSHOT_VERSION} fixture"
     );
 }
 
@@ -441,27 +405,19 @@ fn legacy_fixtures_are_refused_typed() {
             Database::from_snapshot_bytes(bytes.clone()).expect_err("refused"),
             "Database::from_snapshot_bytes",
         );
-        refused(
-            ShardedDb::open_snapshot(&path, 4).expect_err("refused"),
-            "ShardedDb::open_snapshot",
-        );
-        refused(
-            ShardedDb::from_snapshot_bytes(bytes.clone(), 4).expect_err("refused"),
-            "ShardedDb::from_snapshot_bytes",
-        );
 
         // Forest: an honest manifest records the file's layout version,
         // and the catalog refuses the entry before opening the file…
         let mut manifest = Manifest::new();
         manifest
-            .push(ManifestEntry::describe("fig", &path, 1).expect("describe"))
+            .push(ManifestEntry::describe("fig", &path).expect("describe"))
             .expect("push");
         assert_eq!(manifest.corpora[0].layout_version, version);
         let mpath = dir.join("forest.ncqm");
         manifest.save(&mpath).expect("save manifest");
         assert!(
             matches!(
-                Catalog::open_manifest(&mpath),
+                open_forest(&mpath),
                 Err(CatalogError::LayoutVersion { found, supported: SNAPSHOT_VERSION, .. })
                     if found == version
             ),
@@ -471,10 +427,10 @@ fn legacy_fixtures_are_refused_typed() {
         // own header.
         manifest.corpora[0].layout_version = SNAPSHOT_VERSION;
         manifest.save(&mpath).expect("save manifest");
-        match Catalog::open_manifest(&mpath) {
+        match open_forest(&mpath) {
             Err(CatalogError::Corpus { name, error }) => {
                 assert_eq!(name, "fig");
-                refused(error, "Catalog::open_manifest");
+                refused(error, "open_forest");
             }
             other => panic!("{fixture}: lying manifest opened as {other:?}"),
         }
@@ -584,9 +540,8 @@ fn store_sections_stay_within_their_byte_budget() {
 #[test]
 fn table_length_lies_are_typed_errors_end_to_end() {
     let db = Database::from_xml_str(nearest_concept::datagen::FIGURE1_XML).unwrap();
-    let sharded = ShardedDb::new(db, 4);
     let path = scratch("length-lies.ncq");
-    sharded.save_snapshot(&path).expect("save");
+    db.save_snapshot(&path).expect("save");
     let bytes = std::fs::read(&path).expect("read");
 
     let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
