@@ -1245,6 +1245,87 @@ mod tests {
         }
     }
 
+    /// The wire bytes, pinned: one request per opcode, the tracing
+    /// envelope, one response per kind, an in-band error and a framed
+    /// ping. Any change to the frame header or a body encoding fails
+    /// here.
+    #[test]
+    fn encoding_is_pinned() {
+        let (p, o) = (PathId::from_index, Oid::from_index);
+        let hits = HitSet::from_pairs([(p(3), o(7)), (p(3), o(9)), (p(5), o(11))]);
+        let meet = EngineRequest::Meet {
+            inputs: vec![hits.clone(), HitSet::new()],
+            options: MeetOptions {
+                filter: PathFilter::allowing([p(2), p(1)]),
+                max_distance: Some(4),
+                witness_cap: 2,
+                limit: Some(10),
+            },
+        };
+        let meets = vec![Meet {
+            node: o(2),
+            path: p(1),
+            distance: 3,
+            witness_count: 5,
+            witnesses: vec![MeetWitness {
+                origin: o(7),
+                input: 1,
+                climb: 2,
+            }],
+        }];
+        let ping = encode_request(&EngineRequest::Ping);
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &ping, DEFAULT_FRAME_CAP).unwrap();
+        let search = EngineRequest::Search {
+            term: "Bit".to_owned(),
+        };
+        let hit_set = concat!(
+            "02000000", // two groups
+            "03000000020000000700000009000000",
+            "05000000010000000b000000",
+        );
+        for (what, bytes, pinned) in [
+            ("ping", ping, "01".to_owned()),
+            ("search", encode_request(&search), "0203000000426974".to_owned()),
+            (
+                "meet",
+                encode_request(&meet),
+                [
+                    "0302000000",
+                    hit_set,
+                    "00000000", // the empty hit set
+                    "020200000001000000020000000104000000000000000200000000000000010a00000000000000",
+                ]
+                .concat(),
+            ),
+            (
+                "traced",
+                encode_request_traced(&search, 0x0102_0304_0506_0708),
+                "0408070605040302010203000000426974".to_owned(),
+            ),
+            ("pong", encode_response(&EngineResponse::Pong), "0000".to_owned()),
+            (
+                "hits",
+                encode_response(&EngineResponse::Hits(hits)),
+                ["0001", hit_set].concat(),
+            ),
+            (
+                "meets",
+                encode_response(&EngineResponse::Meets(meets)),
+                concat!(
+                    "000201000000020000000100000003000000000000000500000000000000",
+                    "010000000700000001000000000000000200000000000000",
+                )
+                .to_owned(),
+            ),
+            ("error", encode_error_response("nope"), "01040000006e6f7065".to_owned()),
+            ("framed ping", framed, "010000006fe97b3f43e8859601".to_owned()),
+        ] {
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, pinned, "{what}");
+        }
+    }
+
     #[test]
     fn framed_stream_round_trips() {
         let payload = encode_request(&EngineRequest::Search {

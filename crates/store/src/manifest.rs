@@ -733,6 +733,43 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The manifest bytes, pinned: two corpora, the second with two
+    /// replica endpoints and the default. Any change to the header, the
+    /// body or the string and count encodings fails here.
+    #[test]
+    fn encoding_is_pinned() {
+        let mut m = Manifest::new();
+        for (name, snapshot, checksum, endpoints) in [
+            ("dblp", "dblp.ncq", 0x0123_4567_89ab_cdef, vec![]),
+            (
+                "mm",
+                "snap/mm.ncq",
+                0xfedc_ba98_7654_3210,
+                vec!["127.0.0.1:9201".to_owned(), "replica-b:9201".to_owned()],
+            ),
+        ] {
+            m.push(ManifestEntry {
+                name: name.into(),
+                snapshot: snapshot.into(),
+                layout_version: 8,
+                checksum,
+                endpoints,
+            })
+            .unwrap();
+        }
+        m.default = 1;
+        let hex: String = m.to_bytes().iter().map(|b| format!("{b:02x}")).collect();
+        let pinned = concat!(
+            "4e4351465253540003000000d094346665e3ec9c", // magic, version, checksum
+            "0200000001000000",                         // two corpora, default 1
+            "0400000064626c700800000064626c702e6e637108000000efcdab896745230100000000",
+            "020000006d6d0b000000736e61702f6d6d2e6e6371080000001032547698badcfe02000000",
+            "0e0000003132372e302e302e313a39323031",
+            "0e0000007265706c6963612d623a39323031",
+        );
+        assert_eq!(hex, pinned);
+    }
+
     #[test]
     fn describe_reads_version_and_checksum_from_a_real_snapshot() {
         let dir = std::env::temp_dir().join("ncq-manifest-describe-test");
