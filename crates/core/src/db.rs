@@ -13,7 +13,7 @@ use crate::reference::MeetPlanner;
 use crate::sweep::{merged_hits, sweep};
 use ncq_fulltext::{search, HitSet, InvertedIndex};
 use ncq_store::snapshot::SnapshotError;
-use ncq_store::{MappedSnapshot, MonetDb, Oid, PathId, SnapshotWriterV3, VerifyMode};
+use ncq_store::{MappedSnapshot, MonetDb, Oid, PathId, SnapshotWriter, VerifyMode};
 use ncq_xml::{Document, ParseError};
 use std::fmt;
 use std::path::Path;
@@ -120,8 +120,8 @@ impl Database {
     /// Serialize the whole engine into a snapshot writer: every
     /// section in final form, so opening the file is mmap + checksum +
     /// pointer fixup.
-    fn encode_snapshot(&self) -> SnapshotWriterV3 {
-        let mut writer = SnapshotWriterV3::new();
+    fn encode_snapshot(&self) -> SnapshotWriter {
+        let mut writer = SnapshotWriter::new();
         self.store.encode_snapshot(&mut writer);
         self.index.encode_snapshot(&mut writer);
         writer
@@ -305,7 +305,7 @@ mod tests {
         let expected = db.meet_terms(&["Bit", "1999"]).unwrap().to_detailed_xml();
         for id in [8, 0xBEEF] {
             let mut writer = db.encode_snapshot();
-            writer.section(id).put_raw(b"unknown payload");
+            writer.section(id).put_bytes(b"unknown payload");
             let loaded = Database::from_snapshot_bytes(writer.into_bytes()).unwrap();
             assert_eq!(
                 loaded.store().dump_relations(),

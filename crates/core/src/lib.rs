@@ -78,6 +78,6 @@ pub use meet_multi::{Meet, MeetOptions};
 // Only because `perf/src/trace.rs` links it; ROADMAP 1(d) unlinks it.
 pub use reference::ChosenStrategy;
 pub use remote::{
-    EngineRequest, EngineResponse, HealthMonitor, RemoteBackend, RemoteConfig, ReplicaHealth,
-    WireError, DEFAULT_FRAME_CAP,
+    EngineRequest, EngineResponse, RemoteBackend, RemoteConfig, ReplicaHealth, WireError,
+    DEFAULT_FRAME_CAP,
 };

@@ -22,49 +22,57 @@
 //! fault-injection suite flips response bytes and expects the router to
 //! fail over, not to return garbage. Request payloads are
 //! `[opcode u8][body]`; response payloads are `[status u8][body]` with
-//! status 0 = OK and 1 = an in-band error message. Bodies use the
-//! bounds-checked [`SectionBuf`]/[`SectionCursor`] readers shared with
-//! the snapshot layer, so truncation and garbage decode to typed
-//! errors, never panics.
+//! status 0 = OK and 1 = an in-band error message. Headers and bodies
+//! are written by the store's [`ByteWriter`] and read by its
+//! bounds-checked [`ByteReader`], the codec of the snapshot and the
+//! manifest too, so truncation and garbage decode to typed errors,
+//! never panics.
 //!
 //! # Failover routing
 //!
 //! A [`RemoteBackend`] names one or more replica endpoints. Each
 //! replica carries a health state machine — healthy → suspect → down,
-//! driven by in-band call failures and (optionally) a periodic
-//! [`HealthMonitor`] ping thread. Calls sweep replicas in endpoint
-//! order, skipping ones believed down (until their half-open probe
-//! timer elapses), re-issuing the request on the next replica
-//! mid-query on any transport or framing failure, with bounded retry
-//! rounds under exponential backoff + seeded jitter. When every sweep
-//! fails, the call returns a typed
-//! [`BackendError::Unavailable`] — never a panic, never a hang past
-//! the configured timeout budget (every socket carries connect, read
-//! and write timeouts).
+//! driven by call failures. Calls sweep replicas in endpoint order,
+//! skipping ones believed down (until their half-open probe timer
+//! elapses), re-issuing the request on the next replica mid-query on
+//! any transport or framing failure, with bounded retry rounds under
+//! exponential backoff + seeded jitter. A sweep that skipped every
+//! replica force-probes the skipped ones, so a down replica heals
+//! through ordinary calls. When every sweep fails, the call returns a
+//! typed [`BackendError::Unavailable`] — never a panic, never a hang
+//! past the configured timeout budget (every socket carries connect,
+//! read and write timeouts).
 
 use crate::backend::{BackendError, MeetBackend, RobustnessStats};
 use crate::db::Database;
 use crate::filter::PathFilter;
 use crate::meet_multi::{Meet, MeetOptions, MeetWitness};
 use ncq_fulltext::HitSet;
-use ncq_store::snapshot::{checksum64, SectionBuf, SectionCursor, SnapshotError};
-use ncq_store::{MonetDb, Oid, PathId};
+use ncq_store::snapshot::{checksum64, SnapshotError};
+use ncq_store::{ByteReader, ByteWriter, MonetDb, Oid, PathId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::HashSet;
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Frame header length: u32 payload length + u64 payload checksum.
 pub const FRAME_HEADER_LEN: usize = 12;
 
-/// Default cap on a single frame's payload (64 MiB): a length field
-/// past this is refused before any allocation.
+/// Cap on a single frame's payload (64 MiB): a length field past this
+/// is refused before any allocation.
 pub const DEFAULT_FRAME_CAP: u32 = 64 << 20;
+
+/// Consecutive failures that demote a suspect replica to down.
+const SUSPECT_THRESHOLD: u32 = 2;
+
+/// Seed of the router's deterministic backoff jitter ("ncq_jitt").
+const JITTER_SEED: u64 = 0x6e63_715f_6a69_7474;
 
 /// Typed wire failures. Decoding never panics on malformed input.
 #[derive(Debug)]
@@ -139,7 +147,7 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Cursor failures become wire failures, keeping their context.
+/// Reader failures become wire failures, keeping their context.
 impl From<SnapshotError> for WireError {
     fn from(e: SnapshotError) -> WireError {
         match e {
@@ -161,13 +169,18 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8], cap: u32) -> Result<(), W
             cap: cap as u64,
         });
     }
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&checksum64(payload).to_le_bytes());
-    w.write_all(&header)?;
+    w.write_all(&frame_header(payload))?;
     w.write_all(payload)?;
     w.flush()?;
     Ok(())
+}
+
+/// The header of a frame carrying `payload`.
+pub fn frame_header(payload: &[u8]) -> Vec<u8> {
+    let mut header = ByteWriter::new();
+    header.put_u32(payload.len() as u32);
+    header.put_u64(checksum64(payload));
+    header.into_bytes()
 }
 
 /// Read one frame, verifying length cap and payload checksum. A clean
@@ -201,8 +214,9 @@ pub fn read_frame_or_eof(r: &mut impl Read, cap: u32) -> Result<Option<Vec<u8>>,
             Err(e) => return Err(e.into()),
         }
     }
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-    let checksum = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
+    let mut fields = ByteReader::new(&header, "frame header");
+    let len = fields.get_u32()?;
+    let checksum = fields.get_u64()?;
     if len > cap {
         return Err(WireError::FrameTooLarge {
             len: len as u64,
@@ -254,7 +268,7 @@ const RESP_MEETS: u8 = 2;
 /// protocol stays three opcodes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineRequest {
-    /// Liveness probe (the health monitor's heartbeat).
+    /// Liveness probe.
     Ping,
     /// Resolve one term to hits.
     Search {
@@ -281,20 +295,20 @@ pub enum EngineResponse {
     Meets(Vec<Meet>),
 }
 
-fn put_hit_set(b: &mut SectionBuf<'_>, hits: &HitSet) {
+fn put_hit_set(b: &mut ByteWriter, hits: &HitSet) {
     b.put_u32(hits.group_count() as u32);
     for (path, oids) in hits.groups() {
         b.put_u32(path.index() as u32);
-        b.put_u32_col(oids.iter().map(|o| o.index() as u32));
+        b.put_u32_run(oids.iter().map(|o| o.index() as u32));
     }
 }
 
-fn get_hit_set(c: &mut SectionCursor<'_>) -> Result<HitSet, WireError> {
-    let groups = c.get_u32("hit set group count")? as usize;
+fn get_hit_set(c: &mut ByteReader<'_>) -> Result<HitSet, WireError> {
+    let groups = c.get_u32()? as usize;
     let mut pairs: Vec<(PathId, Oid)> = Vec::new();
     for _ in 0..groups {
-        let path = PathId::from_index(c.get_u32("hit group path")? as usize);
-        let oids = c.get_u32_col("hit group oids")?;
+        let path = PathId::from_index(c.get_u32()? as usize);
+        let oids = c.get_u32_run()?;
         pairs.extend(
             oids.into_iter()
                 .map(|o| (path, Oid::from_index(o as usize))),
@@ -303,79 +317,66 @@ fn get_hit_set(c: &mut SectionCursor<'_>) -> Result<HitSet, WireError> {
     Ok(HitSet::from_pairs(pairs))
 }
 
-fn put_options(b: &mut SectionBuf<'_>, options: &MeetOptions) {
-    match &options.filter {
-        PathFilter::All => b.put_u8(0),
-        PathFilter::Exclude(set) => {
-            b.put_u8(1);
-            let mut ids: Vec<u32> = set.iter().map(|p| p.index() as u32).collect();
-            ids.sort_unstable();
-            b.put_u32_col(ids.into_iter());
-        }
-        PathFilter::Allow(set) => {
-            b.put_u8(2);
-            let mut ids: Vec<u32> = set.iter().map(|p| p.index() as u32).collect();
-            ids.sort_unstable();
-            b.put_u32_col(ids.into_iter());
-        }
-    }
-    match options.max_distance {
+fn put_paths(b: &mut ByteWriter, variant: u8, set: &HashSet<PathId>) {
+    b.put_u8(variant);
+    let mut ids: Vec<u32> = set.iter().map(|p| p.index() as u32).collect();
+    ids.sort_unstable();
+    b.put_u32_run(ids.into_iter());
+}
+
+fn get_paths(c: &mut ByteReader<'_>) -> Result<HashSet<PathId>, WireError> {
+    Ok(c.get_u32_run()?
+        .into_iter()
+        .map(|p| PathId::from_index(p as usize))
+        .collect())
+}
+
+/// A flag byte, then the value if there is one.
+fn put_optional(b: &mut ByteWriter, value: Option<usize>) {
+    match value {
         None => b.put_u8(0),
-        Some(d) => {
+        Some(v) => {
             b.put_u8(1);
-            b.put_u64(d as u64);
-        }
-    }
-    b.put_u64(options.witness_cap as u64);
-    match options.limit {
-        None => b.put_u8(0),
-        Some(k) => {
-            b.put_u8(1);
-            b.put_u64(k as u64);
+            b.put_u64(v as u64);
         }
     }
 }
 
-fn get_options(c: &mut SectionCursor<'_>) -> Result<MeetOptions, WireError> {
-    let filter = match c.get_u8("filter variant")? {
+fn get_optional(c: &mut ByteReader<'_>, what: &str) -> Result<Option<usize>, WireError> {
+    match c.get_u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(c.get_u64()? as usize)),
+        other => Err(WireError::Corrupt {
+            context: format!("bad {what} flag {other}"),
+        }),
+    }
+}
+
+fn put_options(b: &mut ByteWriter, options: &MeetOptions) {
+    match &options.filter {
+        PathFilter::All => b.put_u8(0),
+        PathFilter::Exclude(set) => put_paths(b, 1, set),
+        PathFilter::Allow(set) => put_paths(b, 2, set),
+    }
+    put_optional(b, options.max_distance);
+    b.put_u64(options.witness_cap as u64);
+    put_optional(b, options.limit);
+}
+
+fn get_options(c: &mut ByteReader<'_>) -> Result<MeetOptions, WireError> {
+    let filter = match c.get_u8()? {
         0 => PathFilter::All,
-        1 => PathFilter::Exclude(
-            c.get_u32_col("filter exclude set")?
-                .into_iter()
-                .map(|p| PathId::from_index(p as usize))
-                .collect(),
-        ),
-        2 => PathFilter::Allow(
-            c.get_u32_col("filter allow set")?
-                .into_iter()
-                .map(|p| PathId::from_index(p as usize))
-                .collect(),
-        ),
+        1 => PathFilter::Exclude(get_paths(c)?),
+        2 => PathFilter::Allow(get_paths(c)?),
         other => {
             return Err(WireError::Corrupt {
                 context: format!("unknown filter variant {other}"),
             })
         }
     };
-    let max_distance = match c.get_u8("max distance flag")? {
-        0 => None,
-        1 => Some(c.get_u64("max distance")? as usize),
-        other => {
-            return Err(WireError::Corrupt {
-                context: format!("bad max-distance flag {other}"),
-            })
-        }
-    };
-    let witness_cap = c.get_u64("witness cap")? as usize;
-    let limit = match c.get_u8("limit flag")? {
-        0 => None,
-        1 => Some(c.get_u64("limit")? as usize),
-        other => {
-            return Err(WireError::Corrupt {
-                context: format!("bad limit flag {other}"),
-            })
-        }
-    };
+    let max_distance = get_optional(c, "max-distance")?;
+    let witness_cap = c.get_u64()? as usize;
+    let limit = get_optional(c, "limit")?;
     Ok(MeetOptions {
         filter,
         max_distance,
@@ -384,7 +385,7 @@ fn get_options(c: &mut SectionCursor<'_>) -> Result<MeetOptions, WireError> {
     })
 }
 
-fn put_meets(b: &mut SectionBuf<'_>, meets: &[Meet]) {
+fn put_meets(b: &mut ByteWriter, meets: &[Meet]) {
     b.put_u32(meets.len() as u32);
     for m in meets {
         b.put_u32(m.node.index() as u32);
@@ -400,23 +401,23 @@ fn put_meets(b: &mut SectionBuf<'_>, meets: &[Meet]) {
     }
 }
 
-fn get_meets(c: &mut SectionCursor<'_>) -> Result<Vec<Meet>, WireError> {
-    let count = c.get_u32("meet count")? as usize;
+fn get_meets(c: &mut ByteReader<'_>) -> Result<Vec<Meet>, WireError> {
+    let count = c.get_u32()? as usize;
     // Clamped: a meet spans ≥ 24 payload bytes, so a lying count fails
     // typed instead of aborting on a huge pre-allocation.
     let mut meets = Vec::with_capacity(count.min(c.remaining() / 24 + 1));
     for _ in 0..count {
-        let node = Oid::from_index(c.get_u32("meet node")? as usize);
-        let path = PathId::from_index(c.get_u32("meet path")? as usize);
-        let distance = c.get_u64("meet distance")? as usize;
-        let witness_count = c.get_u64("meet witness count")? as usize;
-        let wlen = c.get_u32("meet witness list length")? as usize;
+        let node = Oid::from_index(c.get_u32()? as usize);
+        let path = PathId::from_index(c.get_u32()? as usize);
+        let distance = c.get_u64()? as usize;
+        let witness_count = c.get_u64()? as usize;
+        let wlen = c.get_u32()? as usize;
         let mut witnesses = Vec::with_capacity(wlen.min(c.remaining() / 20 + 1));
         for _ in 0..wlen {
             witnesses.push(MeetWitness {
-                origin: Oid::from_index(c.get_u32("witness origin")? as usize),
-                input: c.get_u64("witness input")? as usize,
-                climb: c.get_u64("witness climb")? as usize,
+                origin: Oid::from_index(c.get_u32()? as usize),
+                input: c.get_u64()? as usize,
+                climb: c.get_u64()? as usize,
             });
         }
         meets.push(Meet {
@@ -430,10 +431,7 @@ fn get_meets(c: &mut SectionCursor<'_>) -> Result<Vec<Meet>, WireError> {
     Ok(meets)
 }
 
-/// Serialize a request payload (deterministic).
-pub fn encode_request(req: &EngineRequest) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut b = SectionBuf::over(&mut out);
+fn put_request(b: &mut ByteWriter, req: &EngineRequest) {
     match req {
         EngineRequest::Ping => b.put_u8(OP_PING),
         EngineRequest::Search { term } => {
@@ -444,24 +442,29 @@ pub fn encode_request(req: &EngineRequest) -> Vec<u8> {
             b.put_u8(OP_MEET);
             b.put_u32(inputs.len() as u32);
             for h in inputs {
-                put_hit_set(&mut b, h);
+                put_hit_set(b, h);
             }
-            put_options(&mut b, options);
+            put_options(b, options);
         }
     }
-    out
+}
+
+/// Serialize a request payload (deterministic).
+pub fn encode_request(req: &EngineRequest) -> Vec<u8> {
+    let mut b = ByteWriter::new();
+    put_request(&mut b, req);
+    b.into_bytes()
 }
 
 /// Serialize a request payload wrapped in the tracing envelope: the
 /// trace id rides in the frame body so the replica can stitch its
 /// engine-side spans to the coordinator's trace.
 pub fn encode_request_traced(req: &EngineRequest, trace_id: u64) -> Vec<u8> {
-    let inner = encode_request(req);
-    let mut out = Vec::with_capacity(9 + inner.len());
-    out.push(OP_TRACED);
-    out.extend_from_slice(&trace_id.to_le_bytes());
-    out.extend_from_slice(&inner);
-    out
+    let mut b = ByteWriter::new();
+    b.put_u8(OP_TRACED);
+    b.put_u64(trace_id);
+    put_request(&mut b, req);
+    b.into_bytes()
 }
 
 /// Parse a request payload, unwrapping the tracing envelope when
@@ -469,34 +472,36 @@ pub fn encode_request_traced(req: &EngineRequest, trace_id: u64) -> Vec<u8> {
 /// (`None` for plain requests). Envelopes never nest — the inner body
 /// must be a plain request.
 pub fn decode_request_traced(payload: &[u8]) -> Result<(EngineRequest, Option<u64>), WireError> {
-    if payload.first() == Some(&OP_TRACED) {
-        let Some(id_bytes) = payload.get(1..9) else {
-            return Err(WireError::Corrupt {
-                context: "traced request envelope shorter than its header".to_owned(),
-            });
-        };
-        let id = u64::from_le_bytes(id_bytes.try_into().expect("8 bytes"));
-        let req = decode_request(&payload[9..])?;
-        return Ok((req, Some(id)));
+    let mut c = ByteReader::new(payload, "engine request");
+    if payload.first() != Some(&OP_TRACED) {
+        return Ok((get_request(&mut c)?, None));
     }
-    Ok((decode_request(payload)?, None))
+    c.get_u8()?; // OP_TRACED
+    let id = c.get_u64().map_err(|_| WireError::Corrupt {
+        context: "traced request envelope shorter than its header".to_owned(),
+    })?;
+    Ok((get_request(&mut c)?, Some(id)))
 }
 
 /// Parse and validate a request payload.
 pub fn decode_request(payload: &[u8]) -> Result<EngineRequest, WireError> {
-    let mut c = SectionCursor::new(payload);
-    let req = match c.get_u8("request opcode")? {
+    get_request(&mut ByteReader::new(payload, "engine request"))
+}
+
+/// One plain request, which must end the payload.
+fn get_request(c: &mut ByteReader<'_>) -> Result<EngineRequest, WireError> {
+    let req = match c.get_u8()? {
         OP_PING => EngineRequest::Ping,
         OP_SEARCH => EngineRequest::Search {
-            term: c.get_str("search term")?.to_owned(),
+            term: c.get_str()?.to_owned(),
         },
         OP_MEET => {
-            let n = c.get_u32("meet input count")? as usize;
+            let n = c.get_u32()? as usize;
             let mut inputs = Vec::with_capacity(n.min(c.remaining() / 4 + 1));
             for _ in 0..n {
-                inputs.push(get_hit_set(&mut c)?);
+                inputs.push(get_hit_set(c)?);
             }
-            let options = get_options(&mut c)?;
+            let options = get_options(c)?;
             EngineRequest::Meet { inputs, options }
         }
         other => {
@@ -515,8 +520,7 @@ pub fn decode_request(payload: &[u8]) -> Result<EngineRequest, WireError> {
 
 /// Serialize a success response payload (deterministic).
 pub fn encode_response(resp: &EngineResponse) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut b = SectionBuf::over(&mut out);
+    let mut b = ByteWriter::new();
     b.put_u8(STATUS_OK);
     match resp {
         EngineResponse::Pong => b.put_u8(RESP_PONG),
@@ -529,26 +533,25 @@ pub fn encode_response(resp: &EngineResponse) -> Vec<u8> {
             put_meets(&mut b, meets);
         }
     }
-    out
+    b.into_bytes()
 }
 
 /// Serialize an in-band error response payload.
 pub fn encode_error_response(message: &str) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut b = SectionBuf::over(&mut out);
+    let mut b = ByteWriter::new();
     b.put_u8(STATUS_ERR);
     b.put_str(message);
-    out
+    b.into_bytes()
 }
 
 /// Parse and validate a response payload. An in-band error status
 /// becomes [`WireError::Remote`].
 pub fn decode_response(payload: &[u8]) -> Result<EngineResponse, WireError> {
-    let mut c = SectionCursor::new(payload);
-    match c.get_u8("response status")? {
+    let mut c = ByteReader::new(payload, "engine response");
+    match c.get_u8()? {
         STATUS_OK => {}
         STATUS_ERR => {
-            return Err(WireError::Remote(c.get_str("error message")?.to_owned()));
+            return Err(WireError::Remote(c.get_str()?.to_owned()));
         }
         other => {
             return Err(WireError::Corrupt {
@@ -556,7 +559,7 @@ pub fn decode_response(payload: &[u8]) -> Result<EngineResponse, WireError> {
             })
         }
     }
-    let resp = match c.get_u8("response kind")? {
+    let resp = match c.get_u8()? {
         RESP_PONG => EngineResponse::Pong,
         RESP_HITS => EngineResponse::Hits(get_hit_set(&mut c)?),
         RESP_MEETS => EngineResponse::Meets(get_meets(&mut c)?),
@@ -577,10 +580,10 @@ pub fn decode_response(payload: &[u8]) -> Result<EngineResponse, WireError> {
 // ----- failover router -----
 
 /// Per-replica health. Transitions: any failure moves `Healthy` to
-/// `Suspect`; [`RemoteConfig::suspect_threshold`] consecutive failures
-/// move `Suspect` to `Down`; any success resets to `Healthy`. A down
-/// replica is skipped by the router until its half-open probe timer
-/// ([`RemoteConfig::down_probe_after`]) elapses.
+/// `Suspect`; two consecutive failures move `Suspect` to `Down`; any
+/// success resets to `Healthy`. A down replica is skipped by the router
+/// until its half-open probe timer ([`RemoteConfig::down_probe_after`])
+/// elapses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicaHealth {
     /// Answering normally.
@@ -613,12 +616,6 @@ pub struct RemoteConfig {
     pub backoff_max: Duration,
     /// How long a down replica stays skipped before a half-open probe.
     pub down_probe_after: Duration,
-    /// Consecutive failures that demote a suspect replica to down.
-    pub suspect_threshold: u32,
-    /// Frame payload cap for this connection.
-    pub frame_cap: u32,
-    /// Seed of the deterministic jitter stream.
-    pub jitter_seed: u64,
 }
 
 impl Default for RemoteConfig {
@@ -631,9 +628,6 @@ impl Default for RemoteConfig {
             backoff_base: Duration::from_millis(10),
             backoff_max: Duration::from_millis(500),
             down_probe_after: Duration::from_millis(500),
-            suspect_threshold: 2,
-            frame_cap: DEFAULT_FRAME_CAP,
-            jitter_seed: 0x6e63_715f_6a69_7474, // "ncq_jitt"
         }
     }
 }
@@ -663,15 +657,22 @@ impl Replica {
         }
     }
 
+    /// The state, even if a thread panicked holding it: it is plain
+    /// flags and an optional socket, and a socket left mid-frame fails
+    /// its next exchange typed and is dropped.
+    fn state(&self) -> MutexGuard<'_, ReplicaState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn health(&self) -> ReplicaHealth {
-        self.state.lock().expect("replica state lock").health
+        self.state().health
     }
 
     /// Whether the router should try this replica in the current
     /// sweep: healthy and suspect replicas always, down replicas only
     /// once their half-open probe timer has elapsed.
     fn eligible(&self) -> bool {
-        let st = self.state.lock().expect("replica state lock");
+        let st = self.state();
         match st.health {
             ReplicaHealth::Healthy | ReplicaHealth::Suspect => true,
             ReplicaHealth::Down => st.probe_after.is_none_or(|t| Instant::now() >= t),
@@ -684,42 +685,47 @@ impl Replica {
     /// exchange: calls to *one replica* serialize, calls across
     /// replicas proceed in parallel.
     fn exchange(&self, request: &[u8], config: &RemoteConfig) -> Result<Vec<u8>, WireError> {
-        let mut st = self.state.lock().expect("replica state lock");
-        if st.conn.is_none() {
-            let addr = self
-                .addr
-                .to_socket_addrs()?
-                .next()
-                .ok_or_else(|| WireError::Corrupt {
-                    context: format!("endpoint {:?} resolves to no address", self.addr),
-                })?;
-            let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
-            stream.set_read_timeout(Some(config.read_timeout))?;
-            stream.set_write_timeout(Some(config.write_timeout))?;
-            stream.set_nodelay(true)?;
-            st.conn = Some(stream);
-        }
-        let stream = st.conn.as_mut().expect("connection just ensured");
-        let result = write_frame(stream, request, config.frame_cap)
-            .and_then(|()| read_frame(stream, config.frame_cap));
+        let mut st = self.state();
+        let stream = match st.conn.take() {
+            Some(stream) => stream,
+            None => self.connect(config)?,
+        };
+        let stream = st.conn.insert(stream);
+        let result = write_frame(stream, request, DEFAULT_FRAME_CAP)
+            .and_then(|()| read_frame(stream, DEFAULT_FRAME_CAP));
         if result.is_err() {
             st.conn = None;
         }
         result
     }
 
+    fn connect(&self, config: &RemoteConfig) -> Result<TcpStream, WireError> {
+        let addr = self
+            .addr
+            .to_socket_addrs()?
+            .next()
+            .ok_or_else(|| WireError::Corrupt {
+                context: format!("endpoint {:?} resolves to no address", self.addr),
+            })?;
+        let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
+        stream.set_read_timeout(Some(config.read_timeout))?;
+        stream.set_write_timeout(Some(config.write_timeout))?;
+        stream.set_nodelay(true)?;
+        Ok(stream)
+    }
+
     fn mark_ok(&self) {
-        let mut st = self.state.lock().expect("replica state lock");
+        let mut st = self.state();
         st.health = ReplicaHealth::Healthy;
         st.consecutive_failures = 0;
         st.probe_after = None;
     }
 
     fn mark_failed(&self, config: &RemoteConfig) {
-        let mut st = self.state.lock().expect("replica state lock");
+        let mut st = self.state();
         st.conn = None;
         st.consecutive_failures = st.consecutive_failures.saturating_add(1);
-        if st.consecutive_failures >= config.suspect_threshold {
+        if st.consecutive_failures >= SUSPECT_THRESHOLD {
             st.health = ReplicaHealth::Down;
             st.probe_after = Some(Instant::now() + config.down_probe_after);
         } else {
@@ -787,7 +793,7 @@ impl RemoteBackend {
                 attempts: 0,
             });
         }
-        let jitter = Mutex::new(StdRng::seed_from_u64(config.jitter_seed));
+        let jitter = Mutex::new(StdRng::seed_from_u64(JITTER_SEED));
         Ok(RemoteBackend {
             resolver,
             replicas: endpoints.iter().cloned().map(Replica::new).collect(),
@@ -810,21 +816,17 @@ impl RemoteBackend {
             .collect()
     }
 
-    /// The router configuration in effect.
-    pub fn config(&self) -> &RemoteConfig {
-        &self.config
-    }
-
     fn backoff_delay(&self, round: usize) -> Duration {
         let base = self.config.backoff_base.max(Duration::from_micros(1));
         let shift = round.saturating_sub(1).min(16) as u32;
         let exp = base
             .saturating_mul(1u32 << shift)
             .min(self.config.backoff_max);
+        // A poisoned RNG is still an RNG.
         let jitter_us = self
             .jitter
             .lock()
-            .expect("jitter rng lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .random_range(0..base.as_micros().max(1) as u64);
         exp + Duration::from_micros(jitter_us)
     }
@@ -925,55 +927,6 @@ impl RemoteBackend {
             attempts,
         })
     }
-
-    /// Probe every replica with one `PING`, updating health records.
-    /// The [`HealthMonitor`] calls this periodically; tests call it
-    /// directly to drive the state machine.
-    pub fn ping_replicas(&self) {
-        let request = encode_request(&EngineRequest::Ping);
-        for replica in &self.replicas {
-            match replica.exchange(&request, &self.config) {
-                Ok(payload) => match decode_response(&payload) {
-                    Ok(EngineResponse::Pong) => replica.mark_ok(),
-                    Ok(_) | Err(WireError::Remote(_)) => replica.mark_ok(),
-                    Err(e) => self.note_failure(replica, &e),
-                },
-                Err(e) => self.note_failure(replica, &e),
-            }
-        }
-    }
-
-    /// Start a background thread pinging every replica each
-    /// `interval`. The thread holds only a weak reference — dropping
-    /// the backend (or the returned [`HealthMonitor`]) stops it.
-    pub fn spawn_health_monitor(backend: &Arc<RemoteBackend>, interval: Duration) -> HealthMonitor {
-        let weak: Weak<RemoteBackend> = Arc::downgrade(backend);
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("ncq-health-monitor".to_owned())
-            .spawn(move || loop {
-                if thread_stop.load(Relaxed) {
-                    break;
-                }
-                let Some(backend) = weak.upgrade() else { break };
-                backend.ping_replicas();
-                drop(backend);
-                // Sleep in short steps so stop stays responsive.
-                let mut remaining = interval;
-                let step = Duration::from_millis(20);
-                while !remaining.is_zero() && !thread_stop.load(Relaxed) {
-                    let nap = remaining.min(step);
-                    std::thread::sleep(nap);
-                    remaining = remaining.saturating_sub(nap);
-                }
-            })
-            .expect("spawn health monitor thread");
-        HealthMonitor {
-            stop,
-            handle: Some(handle),
-        }
-    }
 }
 
 impl fmt::Debug for RemoteBackend {
@@ -1051,34 +1004,6 @@ impl MeetBackend for RemoteBackend {
     }
 }
 
-/// Handle to a running replica ping thread (see
-/// [`RemoteBackend::spawn_health_monitor`]). Dropping it stops and
-/// joins the thread.
-pub struct HealthMonitor {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl HealthMonitor {
-    /// Stop and join the ping thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.stop.store(true, Relaxed);
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for HealthMonitor {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1106,7 +1031,13 @@ mod tests {
     /// lives in `ncq-server`; this one exists so the codec and router
     /// are provable inside `ncq-core`.
     fn toy_engine(db: Arc<Database>) -> (std::net::SocketAddr, TcpListener) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        toy_engine_on(db, TcpListener::bind("127.0.0.1:0").unwrap())
+    }
+
+    fn toy_engine_on(
+        db: Arc<Database>,
+        listener: TcpListener,
+    ) -> (std::net::SocketAddr, TcpListener) {
         let addr = listener.local_addr().unwrap();
         let accept = listener.try_clone().unwrap();
         std::thread::spawn(move || {
@@ -1150,7 +1081,6 @@ mod tests {
             backoff_base: Duration::from_millis(1),
             backoff_max: Duration::from_millis(5),
             down_probe_after: Duration::from_millis(10),
-            ..RemoteConfig::default()
         }
     }
 
@@ -1220,8 +1150,7 @@ mod tests {
         let db = Database::from_xml_str(FIG).unwrap();
         for strategy in 0u8..3 {
             for limit in [None, Some(3u64)] {
-                let mut payload = Vec::new();
-                let mut b = SectionBuf::over(&mut payload);
+                let mut b = ByteWriter::new();
                 b.put_u8(OP_MEET);
                 b.put_u32(1);
                 put_hit_set(&mut b, &db.search("Bit"));
@@ -1236,6 +1165,7 @@ mod tests {
                         b.put_u64(k);
                     }
                 }
+                let payload = b.into_bytes();
                 assert!(
                     matches!(decode_request(&payload), Err(WireError::Corrupt { .. })),
                     "strategy {strategy} limit {limit:?}: {:?}",
@@ -1482,61 +1412,27 @@ mod tests {
     }
 
     #[test]
-    fn down_replicas_recover_through_the_health_monitor() {
+    fn down_replicas_recover_through_ordinary_calls() {
         let db = Arc::new(Database::from_xml_str(FIG).unwrap());
         // Start dead: grab a port, refuse connections.
         let parked = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = parked.local_addr().unwrap();
         drop(parked);
-        let config = fast_config();
-        let remote = Arc::new(
-            RemoteBackend::new(
-                Database::from_xml_str(FIG).unwrap(),
-                &[addr.to_string()],
-                config,
-            )
-            .unwrap(),
-        );
+        let remote = RemoteBackend::new(
+            Database::from_xml_str(FIG).unwrap(),
+            &[addr.to_string()],
+            fast_config(),
+        )
+        .unwrap();
         assert!(remote.search("Bit").is_err());
         assert_eq!(remote.replica_health()[0].1, ReplicaHealth::Down);
 
-        // Bring the replica up on the same port and let pings heal it.
-        let listener = TcpListener::bind(addr).unwrap();
-        let local = listener.local_addr().unwrap();
-        assert_eq!(local, addr);
-        let accept = listener.try_clone().unwrap();
-        let db2 = Arc::clone(&db);
-        std::thread::spawn(move || {
-            for stream in accept.incoming() {
-                let Ok(stream) = stream else { break };
-                let db = Arc::clone(&db2);
-                std::thread::spawn(move || {
-                    let mut reader = BufReader::new(stream.try_clone().unwrap());
-                    let mut writer = stream;
-                    while let Ok(Some(payload)) = read_frame_or_eof(&mut reader, DEFAULT_FRAME_CAP)
-                    {
-                        let response = match decode_request(&payload) {
-                            Ok(EngineRequest::Search { term }) => {
-                                encode_response(&EngineResponse::Hits(db.search(&term)))
-                            }
-                            Ok(_) => encode_response(&EngineResponse::Pong),
-                            Err(e) => encode_error_response(&e.to_string()),
-                        };
-                        if write_frame(&mut writer, &response, DEFAULT_FRAME_CAP).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        let monitor = RemoteBackend::spawn_health_monitor(&remote, Duration::from_millis(10));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while remote.replica_health()[0].1 != ReplicaHealth::Healthy {
-            assert!(Instant::now() < deadline, "replica never healed");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // Bring the replica up on the same port. No prober runs: the
+        // next call tries the down replica (its probe timer has elapsed,
+        // or the forced second pass takes it), so the call heals it.
+        let (_, _listener) = toy_engine_on(Arc::clone(&db), TcpListener::bind(addr).unwrap());
         assert_eq!(remote.search("Bit").unwrap(), db.search("Bit"));
-        monitor.shutdown();
+        assert_eq!(remote.replica_health()[0].1, ReplicaHealth::Healthy);
     }
 
     #[test]

@@ -25,13 +25,13 @@
 
 use crate::index::{InvertedIndex, Posting};
 use ncq_store::snapshot::{section, SnapshotError};
-use ncq_store::{MappedSnapshot, MonetDb, SnapshotWriterV3};
+use ncq_store::{MappedSnapshot, MonetDb, SnapshotWriter};
 
 impl InvertedIndex {
     /// Write the `FULLTEXT` section: three scalars, then the four
     /// arrays as they sit in memory.
-    pub fn encode_snapshot(&self, writer: &mut SnapshotWriterV3) {
-        let mut s = writer.section(section::FULLTEXT);
+    pub fn encode_snapshot(&self, writer: &mut SnapshotWriter) {
+        let s = writer.section(section::FULLTEXT);
         s.put_u64(self.vocabulary_size() as u64);
         s.put_u64(self.postings.len() as u64);
         s.put_u64(self.blob.len() as u64);
@@ -61,10 +61,10 @@ impl InvertedIndex {
         let offsets = token_count
             .checked_add(1)
             .ok_or(corrupt("fulltext token count overflows"))?;
-        let token_off = s.take_col::<u32>(offsets)?;
-        let blob = s.take_col::<u8>(blob_len)?;
-        let posting_off = s.take_col::<u32>(offsets)?;
-        let postings = s.take_col::<Posting>(posting_total)?;
+        let token_off = s.get_col::<u32>(offsets)?;
+        let blob = s.get_col::<u8>(blob_len)?;
+        let posting_off = s.get_col::<u32>(offsets)?;
+        let postings = s.get_col::<Posting>(posting_total)?;
         if !s.at_end() {
             return Err(corrupt("fulltext section has trailing bytes"));
         }
@@ -136,7 +136,7 @@ mod tests {
     }
 
     fn round_trip(store: &MonetDb, idx: &InvertedIndex) -> InvertedIndex {
-        let mut w = SnapshotWriterV3::new();
+        let mut w = SnapshotWriter::new();
         store.encode_snapshot(&mut w);
         idx.encode_snapshot(&mut w);
         let snap = MappedSnapshot::from_owned_bytes(w.into_bytes(), VerifyMode::Eager).unwrap();
@@ -165,7 +165,7 @@ mod tests {
         let store = store();
         let idx = InvertedIndex::build(&store);
         let bytes = |i: &InvertedIndex| {
-            let mut w = SnapshotWriterV3::new();
+            let mut w = SnapshotWriter::new();
             store.encode_snapshot(&mut w);
             i.encode_snapshot(&mut w);
             w.into_bytes()
@@ -188,9 +188,9 @@ mod tests {
             (1, u64::MAX / 8, 1),
             (1, 1, u64::MAX),
         ] {
-            let mut w = SnapshotWriterV3::new();
+            let mut w = SnapshotWriter::new();
             store.encode_snapshot(&mut w);
-            let mut s = w.section(section::FULLTEXT);
+            let s = w.section(section::FULLTEXT);
             s.put_u64(tokens);
             s.put_u64(postings);
             s.put_u64(blob);
@@ -210,9 +210,9 @@ mod tests {
         let store = store();
         // Helper: write a FULLTEXT section from raw parts.
         let encode = |token_off: &[u32], blob: &[u8], posting_off: &[u32], posts: &[Posting]| {
-            let mut w = SnapshotWriterV3::new();
+            let mut w = SnapshotWriter::new();
             store.encode_snapshot(&mut w);
-            let mut s = w.section(section::FULLTEXT);
+            let s = w.section(section::FULLTEXT);
             s.put_u64((token_off.len() - 1) as u64);
             s.put_u64(posts.len() as u64);
             s.put_u64(blob.len() as u64);

@@ -30,8 +30,7 @@
 //! codec), so faults land at protocol-meaningful positions instead of
 //! random TCP offsets.
 
-use ncq_core::remote::{read_frame_or_eof, DEFAULT_FRAME_CAP};
-use ncq_store::snapshot::checksum64;
+use ncq_core::remote::{frame_header, read_frame_or_eof, DEFAULT_FRAME_CAP};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::io::Write;
@@ -169,11 +168,7 @@ impl ChaosProxy {
 
 /// Rebuild the wire bytes of one frame around `payload`.
 fn frame_bytes(payload: &[u8]) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(12 + payload.len());
-    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    framed.extend_from_slice(&checksum64(payload).to_le_bytes());
-    framed.extend_from_slice(payload);
-    framed
+    [frame_header(payload).as_slice(), payload].concat()
 }
 
 /// Forward request frames upstream and response frames back, applying
@@ -280,7 +275,6 @@ mod tests {
             backoff_base: Duration::from_millis(1),
             backoff_max: Duration::from_millis(5),
             down_probe_after: Duration::from_millis(10),
-            ..RemoteConfig::default()
         }
     }
 

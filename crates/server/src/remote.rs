@@ -32,25 +32,15 @@ use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Engine listener tuning knobs.
-#[derive(Debug, Clone)]
+/// Engine listener tuning knobs. Frames in both directions are capped
+/// at [`DEFAULT_FRAME_CAP`].
+#[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// Frame payload cap (both directions).
-    pub frame_cap: u32,
     /// Optional idle read timeout: a connection that sends nothing for
     /// this long is dropped. `None` (the default) keeps idle pooled
     /// coordinator connections open indefinitely — the coordinator's
     /// failover router reconnects transparently either way.
     pub read_timeout: Option<Duration>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> EngineConfig {
-        EngineConfig {
-            frame_cap: DEFAULT_FRAME_CAP,
-            read_timeout: None,
-        }
-    }
 }
 
 /// A running engine listener: accepts coordinator connections and
@@ -135,7 +125,7 @@ fn serve_engine_session(
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     loop {
-        let payload = match read_frame_or_eof(&mut reader, config.frame_cap) {
+        let payload = match read_frame_or_eof(&mut reader, DEFAULT_FRAME_CAP) {
             Ok(Some(payload)) => payload,
             // Clean EOF: the coordinator closed its pooled connection.
             Ok(None) => return Ok(()),
@@ -176,7 +166,7 @@ fn serve_engine_session(
             }
         };
         served.fetch_add(1, SeqCst);
-        write_frame(&mut writer, &response, config.frame_cap)?;
+        write_frame(&mut writer, &response, DEFAULT_FRAME_CAP)?;
     }
 }
 
@@ -199,7 +189,6 @@ mod tests {
             backoff_base: Duration::from_millis(1),
             backoff_max: Duration::from_millis(5),
             down_probe_after: Duration::from_millis(10),
-            ..RemoteConfig::default()
         }
     }
 

@@ -84,7 +84,6 @@ fn fast_config() -> RemoteConfig {
         backoff_base: Duration::from_millis(2),
         backoff_max: Duration::from_millis(20),
         down_probe_after: Duration::from_millis(20),
-        ..RemoteConfig::default()
     }
 }
 

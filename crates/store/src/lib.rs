@@ -47,13 +47,13 @@ pub use manifest::{
     validate_corpus_name, Manifest, ManifestEntry, ManifestError, MANIFEST_MAGIC, MANIFEST_VERSION,
 };
 pub use mmap::{
-    section_name, Col, MappedSnapshot, Pod, SectionBufV3, SectionView, SnapshotArena,
-    SnapshotWriterV3, VerifyMode,
+    section_name, ByteReader, ByteWriter, Col, MappedSnapshot, Pod, SnapshotArena, SnapshotWriter,
+    VerifyMode,
 };
 pub use monet::MonetDb;
 pub use object::ObjectView;
 pub use oid::Oid;
 pub use path::{PathId, PathStep, PathSummary};
-pub use snapshot::{SectionBuf, SectionCursor, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use stats::{DepthStats, StoreStats};
 pub use strings::StringRel;

@@ -46,9 +46,8 @@
 //! against the manifest file's directory ([`Manifest::resolve`]), so a
 //! manifest and its snapshots move between machines as one directory.
 
-use crate::snapshot::{
-    checksum64, write_atomic, SectionBuf, SectionCursor, SnapshotError, SNAPSHOT_MAGIC,
-};
+use crate::mmap::{ByteReader, ByteWriter};
+use crate::snapshot::{checksum64, write_atomic, SnapshotError, SNAPSHOT_MAGIC};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -153,8 +152,8 @@ impl From<std::io::Error> for ManifestError {
     }
 }
 
-/// Cursor failures become manifest failures: the bounds-checked readers
-/// of [`SectionCursor`] report `Corrupt`/`Truncated`, which keep their
+/// Reader failures become manifest failures: the bounds-checked
+/// [`ByteReader`] reports `Truncated`/`Corrupt`, which keep their
 /// context here.
 impl From<SnapshotError> for ManifestError {
     fn from(e: SnapshotError) -> ManifestError {
@@ -255,12 +254,15 @@ impl ManifestEntry {
         validate_corpus_name(&name)?;
         let path = snapshot_path.as_ref();
         let bytes = std::fs::read(path)?;
-        if bytes.len() < 12 || bytes[..8] != SNAPSHOT_MAGIC {
-            return Err(ManifestError::Corrupt {
-                context: "described file is not a snapshot",
-            });
-        }
-        let layout_version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+        let mut header = ByteReader::new(&bytes, "snapshot header");
+        let layout_version = match (header.get_bytes(8), header.get_u32()) {
+            (Ok(magic), Ok(version)) if magic == SNAPSHOT_MAGIC => version,
+            _ => {
+                return Err(ManifestError::Corrupt {
+                    context: "described file is not a snapshot",
+                })
+            }
+        };
         Ok(ManifestEntry {
             name,
             snapshot: path.to_string_lossy().into_owned(),
@@ -333,63 +335,57 @@ impl Manifest {
 
     /// Render the framed manifest bytes (deterministic).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        {
-            let mut b = SectionBuf::over(&mut body);
-            b.put_u32(self.corpora.len() as u32);
-            b.put_u32(self.default as u32);
-            for e in &self.corpora {
-                b.put_str(&e.name);
-                b.put_str(&e.snapshot);
-                b.put_u32(e.layout_version);
-                b.put_u64(e.checksum);
-                b.put_u32(e.endpoints.len() as u32);
-                for endpoint in &e.endpoints {
-                    b.put_str(endpoint);
-                }
+        let mut body = ByteWriter::new();
+        body.put_u32(self.corpora.len() as u32);
+        body.put_u32(self.default as u32);
+        for e in &self.corpora {
+            body.put_str(&e.name);
+            body.put_str(&e.snapshot);
+            body.put_u32(e.layout_version);
+            body.put_u64(e.checksum);
+            body.put_u32(e.endpoints.len() as u32);
+            for endpoint in &e.endpoints {
+                body.put_str(endpoint);
             }
         }
-        let mut out = Vec::with_capacity(20 + body.len());
-        out.extend_from_slice(&MANIFEST_MAGIC);
-        out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        out.extend_from_slice(&checksum64(&body).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
+        let body = body.into_bytes();
+        let mut out = ByteWriter::new();
+        out.put_bytes(&MANIFEST_MAGIC);
+        out.put_u32(MANIFEST_VERSION);
+        out.put_u64(checksum64(&body));
+        out.put_bytes(&body);
+        out.into_bytes()
     }
 
     /// Parse and validate manifest bytes: magic, version, body
     /// checksum, then every structural invariant (non-empty, default in
     /// range, valid unique names and endpoints, no trailing garbage).
     pub fn from_bytes(bytes: &[u8]) -> Result<Manifest, ManifestError> {
-        if bytes.len() < 8 {
-            return Err(ManifestError::Truncated { context: "magic" });
-        }
-        if bytes[..8] != MANIFEST_MAGIC {
+        let mut header = ByteReader::new(bytes, "magic");
+        if header.get_bytes(8)? != MANIFEST_MAGIC {
             return Err(ManifestError::BadMagic);
         }
-        if bytes.len() < 20 {
-            return Err(ManifestError::Truncated { context: "header" });
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+        header.reading("header");
+        let version = header.get_u32()?;
+        let checksum = header.get_u64()?;
         if version != MANIFEST_VERSION {
             return Err(ManifestError::UnsupportedVersion {
                 found: version,
                 supported: MANIFEST_VERSION,
             });
         }
-        let checksum = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-        let body = &bytes[20..];
+        let body = header.get_bytes(header.remaining())?;
         if checksum64(body) != checksum {
             return Err(ManifestError::ChecksumMismatch);
         }
-        let mut c = SectionCursor::new(body);
-        let count = c.get_u32("corpus count")? as usize;
+        let mut c = ByteReader::new(body, "manifest body");
+        let count = c.get_u32()? as usize;
         if count == 0 {
             return Err(ManifestError::Corrupt {
                 context: "manifest names no corpora",
             });
         }
-        let default = c.get_u32("default corpus index")? as usize;
+        let default = c.get_u32()? as usize;
         if default >= count {
             return Err(ManifestError::Corrupt {
                 context: "default corpus index out of range",
@@ -399,18 +395,18 @@ impl Manifest {
         // fails typed instead of aborting on a huge pre-allocation.
         let mut corpora = Vec::with_capacity(count.min(c.remaining() / 20 + 1));
         for _ in 0..count {
-            let name = c.get_str("corpus name")?.to_owned();
+            let name = c.get_str()?.to_owned();
             validate_corpus_name(&name)?;
             if corpora.iter().any(|e: &ManifestEntry| e.name == name) {
                 return Err(ManifestError::DuplicateCorpus { name });
             }
-            let snapshot = c.get_str("corpus snapshot path")?.to_owned();
-            let layout_version = c.get_u32("corpus layout version")?;
-            let checksum = c.get_u64("corpus snapshot checksum")?;
-            let n = c.get_u32("corpus endpoint count")? as usize;
+            let snapshot = c.get_str()?.to_owned();
+            let layout_version = c.get_u32()?;
+            let checksum = c.get_u64()?;
+            let n = c.get_u32()? as usize;
             let mut endpoints = Vec::with_capacity(n.min(c.remaining() / 4 + 1));
             for _ in 0..n {
-                let endpoint = c.get_str("corpus replica endpoint")?.to_owned();
+                let endpoint = c.get_str()?.to_owned();
                 validate_endpoint(&endpoint)?;
                 endpoints.push(endpoint);
             }
@@ -776,7 +772,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let snap = dir.join("fig.ncq");
         let db = crate::MonetDb::from_document(&ncq_xml::parse("<bib><a>x</a></bib>").unwrap());
-        db.save(&snap).unwrap();
+        let mut w = crate::SnapshotWriter::new();
+        db.encode_snapshot(&mut w);
+        w.write_to(&snap).unwrap();
         let entry = ManifestEntry::describe("fig", &snap).unwrap();
         assert_eq!(entry.layout_version, crate::snapshot::SNAPSHOT_VERSION);
         assert_eq!(entry.checksum, checksum64(&std::fs::read(&snap).unwrap()));

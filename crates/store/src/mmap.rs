@@ -1,5 +1,11 @@
-//! The zero-copy snapshot container: the mapped reader, the aligned
-//! writer, and the shared-or-mapped column machinery.
+//! The byte codec, the zero-copy snapshot container, and the
+//! shared-or-mapped column machinery.
+//!
+//! One writer ([`ByteWriter`]) and one bounds-checked reader
+//! ([`ByteReader`]) encode and decode every byte format: the container
+//! below, the forest manifest ([`crate::manifest`]) and the engine wire
+//! (`ncq-core::remote`). Hostile bytes read as a typed
+//! [`SnapshotError`], never a panic.
 //!
 //! # Why
 //!
@@ -7,9 +13,8 @@
 //! state — preorder intervals, RMQ tables — in
 //! linear passes (the retired v1/v2 layouts) is 5–8× faster than
 //! parse+build, but a replica cold start or a `SNAPSHOT LOAD` hot swap
-//! still pays O(n) before the first query. The container (introduced
-//! with layout 3, unchanged since) stores every array in its
-//! **final in-memory form**, 64-byte aligned, so opening
+//! still pays O(n) before the first query. The container stores every
+//! array in its **final in-memory form**, 64-byte aligned, so opening
 //! a snapshot is `mmap` + header/table checksum + pointer fixup: the
 //! engine serves straight out of the page cache, one physical copy
 //! shared across processes, and the first byte of a multi-gigabyte
@@ -454,113 +459,60 @@ impl<T: Pod + PartialEq> PartialEq for Col<T> {
 
 impl<T: Pod + Eq> Eq for Col<T> {}
 
-// ----- writer -----
+// ----- the byte codec -----
 
-/// Accumulates sections, then emits the aligned container introduced
-/// with layout 3; unchanged in 4. Section order is the writer's call
-/// order and every codec keeps it fixed, so snapshot bytes are a pure
-/// function of the database. Payloads are appended to the one buffer
-/// that becomes the image, so a save holds the snapshot once.
+/// The one writer: little-endian scalars, raw bytes, length-prefixed
+/// strings and `u32` runs, and typed arrays at the next 64-byte
+/// boundary with no length prefix ([`ByteWriter::put_col`]), which a
+/// [`ByteReader`] on a snapshot section reads back as zero-copy views.
 #[derive(Default)]
-pub struct SnapshotWriterV3 {
-    /// Every payload, each starting on a 64-byte boundary.
-    payloads: Vec<u8>,
-    /// `(id, start, len)` into `payloads`; the last `len` is set by
-    /// `seal`.
-    sections: Vec<(u32, usize, usize)>,
+pub struct ByteWriter {
+    buf: Vec<u8>,
+    /// Whether this is a snapshot image, which grows into a mapping of
+    /// its own (see `reserve`).
+    image: bool,
 }
 
-/// Builder for one section payload of the aligned container
-/// introduced with layout 3; unchanged in 4: little-endian scalars,
-/// raw embedded payloads, and 64-byte-aligned typed arrays.
-pub struct SectionBufV3<'a> {
-    buf: &'a mut Vec<u8>,
-}
-
-impl SnapshotWriterV3 {
-    /// An empty snapshot.
-    pub fn new() -> SnapshotWriterV3 {
-        SnapshotWriterV3::default()
+impl ByteWriter {
+    /// An empty buffer.
+    pub fn new() -> ByteWriter {
+        ByteWriter::default()
     }
 
-    /// Close the open section: record its length, zero-pad to the
-    /// next 64-byte boundary.
-    fn seal(&mut self) {
-        if let Some((_, start, len)) = self.sections.last_mut() {
-            *len = self.payloads.len() - *start;
-        }
-        self.payloads.resize(align64(self.payloads.len()), 0);
+    /// Append one byte.
+    pub fn put_u8(&mut self, v: u8) {
+        self.put_bytes(&[v]);
     }
 
-    /// Start (or panic on a duplicate of) section `id`.
-    pub fn section(&mut self, id: u32) -> SectionBufV3<'_> {
-        assert!(
-            self.sections.iter().all(|&(existing, ..)| existing != id),
-            "duplicate snapshot section {id}"
-        );
-        self.seal();
-        self.sections.push((id, self.payloads.len(), 0));
-        SectionBufV3 {
-            buf: &mut self.payloads,
-        }
-    }
-
-    /// Render the framed snapshot: header, checksummed table,
-    /// aligned zero-padded payloads.
-    pub fn into_bytes(mut self) -> Vec<u8> {
-        self.seal();
-        let count = self.sections.len();
-        let table_end = 24 + 32 * count;
-        let payload_start = align64(table_end);
-        // Make room in front: 64-byte-aligned positions stay aligned.
-        let mut out = self.payloads;
-        let payload_len = out.len();
-        out.resize(payload_start + payload_len, 0);
-        out.copy_within(..payload_len, payload_start);
-        out[..payload_start].fill(0);
-        out[..8].copy_from_slice(&SNAPSHOT_MAGIC);
-        out[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out[12..16].copy_from_slice(&(count as u32).to_le_bytes());
-        for (i, &(id, start, len)) in self.sections.iter().enumerate() {
-            let start = payload_start + start;
-            let at = 24 + 32 * i;
-            out[at..at + 4].copy_from_slice(&id.to_le_bytes());
-            // bytes at+4..at+8 stay zero (reserved).
-            out[at + 8..at + 16].copy_from_slice(&(start as u64).to_le_bytes());
-            out[at + 16..at + 24].copy_from_slice(&(len as u64).to_le_bytes());
-            let sum = checksum64(&out[start..start + align64(len)]);
-            out[at + 24..at + 32].copy_from_slice(&sum.to_le_bytes());
-        }
-        let table_sum = checksum64(&out[24..table_end]);
-        out[16..24].copy_from_slice(&table_sum.to_le_bytes());
-        out
-    }
-
-    /// Write the snapshot to `path` atomically (temp file + rename,
-    /// unique per process and write), so readers never observe a
-    /// half-written snapshot.
-    pub fn write_to(self, path: &Path) -> Result<(), SnapshotError> {
-        Ok(write_atomic(path, "snapshot", &self.into_bytes())?)
-    }
-}
-
-impl SectionBufV3<'_> {
-    /// Append a `u32` scalar, little-endian.
+    /// Append a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_bytes(&v.to_le_bytes());
     }
 
-    /// Append a `u64` scalar, little-endian.
+    /// Append a `u64`, little-endian.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_bytes(&v.to_le_bytes());
     }
 
-    /// Embed a pre-encoded payload verbatim (the small
-    /// replay-decoded sections are encoded through
-    /// [`crate::snapshot::SectionBuf`]).
-    pub fn put_raw(&mut self, bytes: &[u8]) {
+    /// Append bytes verbatim, with no length prefix.
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.reserve(bytes.len());
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Append a length-prefixed UTF-8 string.
+    pub fn put_str(&mut self, s: &str) {
+        self.put_u32(u32::try_from(s.len()).expect("string longer than u32::MAX bytes"));
+        self.put_bytes(s.as_bytes());
+    }
+
+    /// Append a length-prefixed run of `u32`s, little-endian.
+    pub fn put_u32_run(&mut self, run: impl ExactSizeIterator<Item = u32>) {
+        self.put_u32(u32::try_from(run.len()).expect("run longer than u32::MAX values"));
+        self.reserve(4 * run.len());
+        for v in run {
+            self.buf.extend_from_slice(&v.to_le_bytes());
+        }
     }
 
     /// Append a typed array at the next 64-byte boundary (zero padding
@@ -573,8 +525,13 @@ impl SectionBufV3<'_> {
         self.buf.extend_from_slice(as_bytes(vals));
     }
 
-    /// Make room for `additional` bytes; once the image is big enough to
-    /// be a mapping of its own, more than 32 MiB of it
+    /// The bytes written.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// Make room for `additional` bytes. A snapshot image that is big
+    /// enough to be a mapping of its own asks for more than 32 MiB
     /// ([`ncq_xml::tree::own_mapping`]). A save frees the image right
     /// after writing it, and glibc takes the size of a freed mapping of
     /// up to 32 MiB as its new mmap threshold: from then on everything
@@ -583,14 +540,239 @@ impl SectionBufV3<'_> {
     /// peak of the next build in the same process, and a 16 MiB image in
     /// a 16 MiB buffer lifted `deep_sweep`'s set-up peak from 47–51 to
     /// 61–64 MB; past 32 MiB the buffer is unmapped without a trace, and
-    /// untouched pages are never resident.
+    /// untouched pages are never resident. Manifest and wire buffers
+    /// grow as a `Vec` does: one that reserved 32 MiB would put a fresh
+    /// mapping on every remote call.
     fn reserve(&mut self, additional: usize) {
-        let needed = ncq_xml::tree::own_mapping::<u8>(self.buf.len() + additional);
-        self.buf.reserve(needed - self.buf.len());
+        let len = self.buf.len();
+        let wanted = if self.image {
+            ncq_xml::tree::own_mapping::<u8>(len + additional)
+        } else {
+            len + additional
+        };
+        self.buf.reserve(wanted - len);
     }
 }
 
-// ----- reader -----
+/// The one reader, over what a [`ByteWriter`] wrote. Running out of
+/// bytes is [`SnapshotError::Truncated`] naming what was being read —
+/// for a [`MappedSnapshot`] section, the section — and where; no read
+/// can panic or reach past its run.
+pub struct ByteReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    context: &'static str,
+    /// The arena `bytes` lies in and the offset it starts at, for a
+    /// snapshot section.
+    arena: Option<(&'a Arc<SnapshotArena>, usize)>,
+}
+
+impl<'a> ByteReader<'a> {
+    /// A reader over `bytes`; errors name `context`.
+    pub fn new(bytes: &'a [u8], context: &'static str) -> ByteReader<'a> {
+        ByteReader {
+            bytes,
+            pos: 0,
+            context,
+            arena: None,
+        }
+    }
+
+    /// Name what is read from here on.
+    pub fn reading(&mut self, context: &'static str) {
+        self.context = context;
+    }
+
+    fn offset(&self, pos: usize) -> u64 {
+        (self.arena.map_or(0, |(_, base)| base) + pos) as u64
+    }
+
+    /// Read `n` bytes verbatim.
+    pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or(SnapshotError::Truncated {
+                context: self.context,
+                offset: self.offset(self.pos),
+            })?;
+        let bytes = &self.bytes[self.pos..end];
+        self.pos = end;
+        Ok(bytes)
+    }
+
+    fn get_array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.get_bytes(N)?);
+        Ok(out)
+    }
+
+    /// Read one byte.
+    pub fn get_u8(&mut self) -> Result<u8, SnapshotError> {
+        Ok(self.get_array::<1>()?[0])
+    }
+
+    /// Read a `u32`.
+    pub fn get_u32(&mut self) -> Result<u32, SnapshotError> {
+        Ok(u32::from_le_bytes(self.get_array()?))
+    }
+
+    /// Read a `u64`.
+    pub fn get_u64(&mut self) -> Result<u64, SnapshotError> {
+        Ok(u64::from_le_bytes(self.get_array()?))
+    }
+
+    /// Read a length-prefixed UTF-8 string.
+    pub fn get_str(&mut self) -> Result<&'a str, SnapshotError> {
+        let len = self.get_u32()? as usize;
+        std::str::from_utf8(self.get_bytes(len)?).map_err(|_| SnapshotError::Corrupt {
+            context: self.context,
+        })
+    }
+
+    /// Read a length-prefixed run of `u32`s.
+    pub fn get_u32_run(&mut self) -> Result<Vec<u32>, SnapshotError> {
+        let len = self.get_u32()? as usize;
+        let bytes = self.get_bytes(len.saturating_mul(4))?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect())
+    }
+
+    /// Read `len` elements of a typed array at the next 64-byte
+    /// boundary as a zero-copy column. Only a snapshot section has the
+    /// aligned arena this needs; any other reader refuses typed.
+    pub fn get_col<T: Pod>(&mut self, len: usize) -> Result<Col<T>, SnapshotError> {
+        let Some((arena, base)) = self.arena else {
+            return Err(SnapshotError::Unsupported {
+                context: "typed columns are read off a snapshot arena",
+            });
+        };
+        let aligned = align64(self.pos);
+        let end = len
+            .checked_mul(std::mem::size_of::<T>())
+            .and_then(|n| aligned.checked_add(n))
+            .ok_or(SnapshotError::Corrupt {
+                context: self.context,
+            })?;
+        if end > self.bytes.len() {
+            return Err(SnapshotError::Truncated {
+                context: self.context,
+                offset: self.offset(aligned),
+            });
+        }
+        let col = Col::mapped(arena, base + aligned, len, self.context)?;
+        self.pos = end;
+        Ok(col)
+    }
+
+    /// Bytes left after the cursor. Decoders clamp count-derived
+    /// pre-allocations with it, so a lying count fails typed when the
+    /// bytes run out instead of aborting on a huge `with_capacity`.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// Whether the cursor consumed every byte.
+    pub fn at_end(&self) -> bool {
+        self.pos == self.bytes.len()
+    }
+}
+
+// ----- the container -----
+
+/// Accumulates sections, then emits the container. Section order is
+/// the writer's call order and every codec keeps it fixed, so snapshot
+/// bytes are a pure function of the database. Payloads are appended to
+/// the one buffer that becomes the image, so a save holds the snapshot
+/// once.
+pub struct SnapshotWriter {
+    /// Every payload, each starting on a 64-byte boundary.
+    payloads: ByteWriter,
+    /// `(id, start, len)` into `payloads`; the last `len` is set by
+    /// `seal`.
+    sections: Vec<(u32, usize, usize)>,
+}
+
+impl Default for SnapshotWriter {
+    fn default() -> SnapshotWriter {
+        SnapshotWriter {
+            payloads: ByteWriter {
+                buf: Vec::new(),
+                image: true,
+            },
+            sections: Vec::new(),
+        }
+    }
+}
+
+impl SnapshotWriter {
+    /// An empty snapshot.
+    pub fn new() -> SnapshotWriter {
+        SnapshotWriter::default()
+    }
+
+    /// Close the open section: record its length, zero-pad to the
+    /// next 64-byte boundary.
+    fn seal(&mut self) {
+        let buf = &mut self.payloads.buf;
+        if let Some((_, start, len)) = self.sections.last_mut() {
+            *len = buf.len() - *start;
+        }
+        buf.resize(align64(buf.len()), 0);
+    }
+
+    /// Start (or panic on a duplicate of) section `id`; its payload is
+    /// what is written to the returned writer until the next section.
+    pub fn section(&mut self, id: u32) -> &mut ByteWriter {
+        assert!(
+            self.sections.iter().all(|&(existing, ..)| existing != id),
+            "duplicate snapshot section {id}"
+        );
+        self.seal();
+        self.sections.push((id, self.payloads.buf.len(), 0));
+        &mut self.payloads
+    }
+
+    /// Render the framed snapshot: header, checksummed table,
+    /// aligned zero-padded payloads.
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.seal();
+        let mut out = self.payloads.buf;
+        let count = self.sections.len();
+        let payload_start = align64(24 + 32 * count);
+        let mut table = ByteWriter::new();
+        for &(id, start, len) in &self.sections {
+            table.put_u32(id);
+            table.put_u32(0); // reserved
+            table.put_u64((payload_start + start) as u64);
+            table.put_u64(len as u64);
+            table.put_u64(checksum64(&out[start..start + align64(len)]));
+        }
+        let mut head = ByteWriter::new();
+        head.put_bytes(&SNAPSHOT_MAGIC);
+        head.put_u32(SNAPSHOT_VERSION);
+        head.put_u32(count as u32);
+        head.put_u64(checksum64(&table.buf));
+        head.put_bytes(&table.buf);
+        head.buf.resize(payload_start, 0);
+        // Make room in front: 64-byte-aligned positions stay aligned.
+        let payload_len = out.len();
+        out.resize(payload_start + payload_len, 0);
+        out.copy_within(..payload_len, payload_start);
+        out[..payload_start].copy_from_slice(&head.buf);
+        out
+    }
+
+    /// Write the snapshot to `path` atomically (temp file + rename,
+    /// unique per process and write), so readers never observe a
+    /// half-written snapshot.
+    pub fn write_to(self, path: &Path) -> Result<(), SnapshotError> {
+        Ok(write_atomic(path, "snapshot", &self.into_bytes())?)
+    }
+}
 
 struct SectionEntry {
     id: u32,
@@ -602,8 +784,8 @@ struct SectionEntry {
 }
 
 /// An open snapshot: the arena plus the validated section table.
-/// Section payloads are served as [`SectionView`] cursors whose typed
-/// array reads produce zero-copy [`Col`] views.
+/// Section payloads are served as [`ByteReader`]s whose typed array
+/// reads produce zero-copy [`Col`] views.
 pub struct MappedSnapshot {
     arena: Arc<SnapshotArena>,
     table: Vec<SectionEntry>,
@@ -644,44 +826,26 @@ impl MappedSnapshot {
         mode: VerifyMode,
     ) -> Result<MappedSnapshot, SnapshotError> {
         let data = arena.bytes();
-        if data.len() < 8 {
-            return Err(SnapshotError::Truncated {
-                context: "magic",
-                offset: data.len() as u64,
-            });
-        }
-        if data[..8] != SNAPSHOT_MAGIC {
+        let mut header = ByteReader::new(data, "magic");
+        if header.get_bytes(8)? != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        if data.len() < 24 {
-            return Err(SnapshotError::Truncated {
-                context: "header",
-                offset: 8,
-            });
-        }
-        let version = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
+        header.reading("header");
+        let version = header.get_u32()?;
+        let count = header.get_u32()? as usize;
+        let table_sum = header.get_u64()?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
                 supported: SNAPSHOT_VERSION,
             });
         }
-        let count = u32::from_le_bytes(data[12..16].try_into().expect("4 bytes")) as usize;
-        let table_end = 24usize
-            .checked_add(count.checked_mul(32).ok_or(SnapshotError::Corrupt {
-                context: "section count overflows",
-            })?)
-            .ok_or(SnapshotError::Corrupt {
-                context: "section table overflows",
-            })?;
-        if data.len() < table_end {
-            return Err(SnapshotError::Truncated {
-                context: "section table",
-                offset: 24,
-            });
-        }
-        let table_sum = u64::from_le_bytes(data[16..24].try_into().expect("8 bytes"));
-        if checksum64(&data[24..table_end]) != table_sum {
+        header.reading("section table");
+        let table_len = count.checked_mul(32).ok_or(SnapshotError::Corrupt {
+            context: "section count overflows",
+        })?;
+        let table_bytes = header.get_bytes(table_len)?;
+        if checksum64(table_bytes) != table_sum {
             return Err(SnapshotError::ChecksumMismatch {
                 section: "section table",
                 offset: 24,
@@ -691,15 +855,15 @@ impl MappedSnapshot {
         // writer emitted — but length validation against the *actual*
         // file stays mandatory: the stat'd length is the only defense
         // between a truncated file and a faulting dereference.
+        let mut entries = ByteReader::new(table_bytes, "section table");
         let mut table = Vec::with_capacity(count);
-        let mut expected = align64(table_end);
-        for i in 0..count {
-            let at = 24 + 32 * i;
-            let id = u32::from_le_bytes(data[at..at + 4].try_into().expect("4 bytes"));
-            let reserved = u32::from_le_bytes(data[at + 4..at + 8].try_into().expect("4 bytes"));
-            let offset = u64::from_le_bytes(data[at + 8..at + 16].try_into().expect("8 bytes"));
-            let len = u64::from_le_bytes(data[at + 16..at + 24].try_into().expect("8 bytes"));
-            let checksum = u64::from_le_bytes(data[at + 24..at + 32].try_into().expect("8 bytes"));
+        let mut expected = align64(24 + table_len);
+        for _ in 0..count {
+            let id = entries.get_u32()?;
+            let reserved = entries.get_u32()?;
+            let offset = entries.get_u64()?;
+            let len = entries.get_u64()?;
+            let checksum = entries.get_u64()?;
             if reserved != 0 {
                 return Err(SnapshotError::Corrupt {
                     context: "reserved table bytes are not zero",
@@ -792,30 +956,32 @@ impl MappedSnapshot {
         Ok(())
     }
 
-    /// Cursor over a section payload **without** checksumming it —
+    /// Reader over a section payload **without** checksumming it —
     /// the deferred-verification path for sections served as mapped
     /// views.
-    pub fn section(&self, id: u32) -> Result<SectionView<'_>, SnapshotError> {
+    pub fn section(&self, id: u32) -> Result<ByteReader<'_>, SnapshotError> {
         let e = self.entry(id)?;
-        Ok(self.view(e))
+        Ok(self.reader(e))
     }
 
-    /// Cursor over a section payload after verifying its checksum
+    /// Reader over a section payload after verifying its checksum
     /// (once; subsequent calls are free) — the path for sections the
     /// decoder materializes.
-    pub fn section_verified(&self, id: u32) -> Result<SectionView<'_>, SnapshotError> {
+    pub fn section_verified(&self, id: u32) -> Result<ByteReader<'_>, SnapshotError> {
         let e = self.entry(id)?;
         self.verify_entry(e)?;
-        Ok(self.view(e))
+        Ok(self.reader(e))
     }
 
-    fn view<'a>(&'a self, e: &'a SectionEntry) -> SectionView<'a> {
-        SectionView {
-            arena: &self.arena,
-            name: section_name(e.id),
-            base: e.start,
-            len: e.len,
+    /// Every read is bounds-checked against the table-declared payload
+    /// length, itself validated against the real file length at open,
+    /// so a length-lie surfaces as a typed error naming the section.
+    fn reader(&self, e: &SectionEntry) -> ByteReader<'_> {
+        ByteReader {
+            bytes: &self.arena.bytes()[e.start..e.start + e.len],
             pos: 0,
+            context: section_name(e.id),
+            arena: Some((&self.arena, e.start)),
         }
     }
 
@@ -842,97 +1008,18 @@ impl std::fmt::Debug for MappedSnapshot {
     }
 }
 
-/// Sequential reader over one section payload: little-endian
-/// scalars, embedded raw payloads, and 64-byte-aligned typed arrays
-/// that come back as zero-copy [`Col`] views. Every read is
-/// bounds-checked against the table-declared payload length (itself
-/// validated against the real file length at open), so a length-lie
-/// surfaces as a typed error, never an out-of-bounds dereference.
-pub struct SectionView<'a> {
-    arena: &'a Arc<SnapshotArena>,
-    name: &'static str,
-    base: usize,
-    len: usize,
-    pos: usize,
-}
-
-impl<'a> SectionView<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end =
-            self.pos
-                .checked_add(n)
-                .filter(|&e| e <= self.len)
-                .ok_or(SnapshotError::Truncated {
-                    context: self.name,
-                    offset: (self.base + self.pos) as u64,
-                })?;
-        let slice = &self.arena.bytes()[self.base + self.pos..self.base + end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Read a `u32` scalar.
-    pub fn get_u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Read a `u64` scalar.
-    pub fn get_u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// The whole payload (for sections that embed a
-    /// [`crate::snapshot::SectionBuf`]-encoded body).
-    pub fn payload(&self) -> &'a [u8] {
-        &self.arena.bytes()[self.base..self.base + self.len]
-    }
-
-    /// Read `len` elements of a typed array at the next 64-byte
-    /// boundary as a zero-copy column.
-    pub fn take_col<T: Pod>(&mut self, len: usize) -> Result<Col<T>, SnapshotError> {
-        let aligned = align64(self.pos);
-        let need = len
-            .checked_mul(std::mem::size_of::<T>())
-            .and_then(|n| aligned.checked_add(n))
-            .ok_or(SnapshotError::Corrupt { context: self.name })?;
-        if need > self.len {
-            return Err(SnapshotError::Truncated {
-                context: self.name,
-                offset: (self.base + aligned) as u64,
-            });
-        }
-        let col = Col::mapped(self.arena, self.base + aligned, len, self.name)?;
-        self.pos = need;
-        Ok(col)
-    }
-
-    /// Bytes left after the cursor (capacity clamps for count fields).
-    pub fn remaining(&self) -> usize {
-        self.len - self.pos
-    }
-
-    /// Whether the cursor consumed the whole payload.
-    pub fn at_end(&self) -> bool {
-        self.pos == self.len
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::snapshot::section;
 
     fn sample() -> Vec<u8> {
-        let mut w = SnapshotWriterV3::new();
-        let mut s = w.section(section::COLUMNS);
+        let mut w = SnapshotWriter::new();
+        let s = w.section(section::COLUMNS);
         s.put_u64(3);
         s.put_col::<u32>(&[7, 8, 9]);
         s.put_col::<u32>(&[1 << 30, 2]);
-        let mut s = w.section(section::STRINGS);
+        let s = w.section(section::STRINGS);
         s.put_u64(42);
         w.into_bytes()
     }
@@ -944,9 +1031,9 @@ mod tests {
         assert!(!snap.is_mapped());
         let mut v = snap.section_verified(section::COLUMNS).unwrap();
         assert_eq!(v.get_u64().unwrap(), 3);
-        let a: Col<u32> = v.take_col(3).unwrap();
+        let a: Col<u32> = v.get_col(3).unwrap();
         assert_eq!(&*a, &[7, 8, 9]);
-        let b: Col<u32> = v.take_col(2).unwrap();
+        let b: Col<u32> = v.get_col(2).unwrap();
         assert_eq!(&*b, &[1 << 30, 2]);
         assert!(v.at_end());
         let mut s = snap.section(section::STRINGS).unwrap();
@@ -974,16 +1061,16 @@ mod tests {
 
     #[test]
     fn image_past_128_kib_is_a_mapping_of_its_own() {
-        let mut w = SnapshotWriterV3::new();
-        let mut s = w.section(section::COLUMNS);
+        let mut w = SnapshotWriter::new();
+        let s = w.section(section::COLUMNS);
         s.put_col::<u32>(&[1; 5]);
-        s.put_raw(&[3; 20_000]);
+        s.put_bytes(&[3; 20_000]);
         // Well inside the heap: the size it needs, not a mapping.
         let small = w.into_bytes().capacity();
         assert!(small < 128 << 10, "{small}");
 
-        let mut w = SnapshotWriterV3::new();
-        let mut s = w.section(section::COLUMNS);
+        let mut w = SnapshotWriter::new();
+        let s = w.section(section::COLUMNS);
         s.put_col::<u32>(&[1; 5]);
         // Far more than twice what the buffer holds by then.
         s.put_col::<u8>(&vec![2; 200 << 10]);
@@ -993,6 +1080,48 @@ mod tests {
             // glibc's mmap threshold.
             assert!(capacity > 32 << 20, "{capacity}");
         }
+
+        // A manifest or wire buffer of the same size grows as a `Vec`
+        // does: a mapping of its own on every remote call would cost a
+        // fresh `mmap` each time.
+        let mut plain = ByteWriter::new();
+        plain.put_u32_run((0..50 << 10).map(|v| v as u32));
+        plain.put_bytes(&vec![2; 200 << 10]);
+        let capacity = plain.into_bytes().capacity();
+        assert!(capacity < 1 << 20, "{capacity}");
+    }
+
+    #[test]
+    fn readers_off_an_arena_refuse_columns_and_name_what_ran_out() {
+        let mut w = ByteWriter::new();
+        w.put_u32(7);
+        w.put_str("ab");
+        w.put_u32_run([1, 2].into_iter());
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes, "sample");
+        assert_eq!(r.get_u32().unwrap(), 7);
+        assert_eq!(r.get_str().unwrap(), "ab");
+        assert_eq!(r.get_u32_run().unwrap(), [1, 2]);
+        assert!(r.at_end());
+        assert!(matches!(
+            r.get_u8(),
+            Err(SnapshotError::Truncated {
+                context: "sample",
+                offset: 22
+            })
+        ));
+        assert!(matches!(
+            ByteReader::new(&bytes, "sample").get_col::<u32>(1),
+            Err(SnapshotError::Unsupported { .. })
+        ));
+        // A length prefix past the end is a truncation, not a panic.
+        let mut lying = ByteWriter::new();
+        lying.put_u32(u32::MAX);
+        let lying = lying.into_bytes();
+        assert!(matches!(
+            ByteReader::new(&lying, "sample").get_u32_run(),
+            Err(SnapshotError::Truncated { .. })
+        ));
     }
 
     #[test]
@@ -1092,7 +1221,7 @@ mod tests {
         assert!(snap.is_mapped());
         let mut v = snap.section_verified(section::COLUMNS).unwrap();
         assert_eq!(v.get_u64().unwrap(), 3);
-        let col: Col<u32> = v.take_col(3).unwrap();
+        let col: Col<u32> = v.get_col(3).unwrap();
         assert!(col.is_mapped());
         drop(snap); // the Col's arena Arc keeps the mapping alive
         assert_eq!(&*col, &[7, 8, 9]);

@@ -8,31 +8,29 @@
 //! pipeline rebuilt on every process start
 //! (parse → Monet transform → index build, O(n log n) and dominated by
 //! XML parsing and tokenization). A snapshot pays that cost **once**:
-//! [`MonetDb::save`] writes the loaded columns and the finished index
-//! in their in-memory representation; [`MonetDb::load`] maps the file
-//! and reattaches them — no parse, no DFS, no re-tokenization. Higher
-//! layers stack their own sections on the same container:
-//! `ncq-fulltext` persists the inverted index, and `ncq-core` ties both
-//! together behind `Database::save_snapshot` /
-//! `Database::open_snapshot`.
+//! [`MonetDb::encode_snapshot`] writes the loaded columns and the
+//! finished index in their in-memory representation;
+//! [`MonetDb::decode_snapshot`] reattaches them from the mapped file —
+//! no parse, no DFS, no re-tokenization. Higher layers stack their own
+//! sections on the same container: `ncq-fulltext` persists the
+//! inverted index, and `ncq-core` ties both together behind
+//! `Database::save_snapshot` / `Database::open_snapshot`.
 //!
 //! # Layout
 //!
 //! There is one container: 64-byte-aligned sections holding the arrays
 //! in final form, served straight out of an `mmap` with lazy
-//! per-section checksums. The container (header, section table, writer,
-//! reader, column views) lives in [`crate::mmap`]; this module holds
-//! what every section codec shares — the error type, the section ids,
-//! [`checksum64`], the little-endian [`SectionBuf`]/[`SectionCursor`]
-//! used by the small replay-decoded sections (and by the forest
-//! manifest and the remote wire codec) — plus the store's own section
-//! codecs.
+//! per-section checksums. The container and the byte codec (one writer
+//! and one reader for every section, the forest manifest and the remote
+//! wire) live in [`crate::mmap`]; this module holds what every section
+//! codec shares — the error type, the section ids, [`checksum64`] —
+//! plus the store's own section codecs.
 //!
 //! Every corruption mode surfaces as a typed [`SnapshotError`] — never
 //! a panic and never silently wrong data. Writers emit sections in a
 //! fixed order with sorted interior maps, so **snapshot bytes are a
 //! pure function of the database**: saving twice yields byte-identical
-//! files (the CI `snapshot-compat` job `cmp`s them).
+//! files (CI `cmp`s two saves of `examples/snapshot_demo`).
 //!
 //! # Versioning policy
 //!
@@ -50,7 +48,7 @@
 //! needs no bump — readers ignore unknown ids.
 
 use crate::index::{MeetIndex, BLOCK};
-use crate::mmap::{Col, MappedSnapshot, SectionView, SnapshotWriterV3};
+use crate::mmap::{ByteReader, ByteWriter, Col, MappedSnapshot, SnapshotWriter};
 use crate::monet::MonetDb;
 use crate::oid::Oid;
 use crate::path::{PathId, PathStep, PathSummary};
@@ -65,7 +63,7 @@ use std::sync::OnceLock;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NCQSNAP\0";
 
 /// Current layout version (the zero-copy mmap container written by
-/// [`crate::mmap::SnapshotWriterV3`]). Bump on any payload or header
+/// [`crate::mmap::SnapshotWriter`]). Bump on any payload or header
 /// change.
 pub const SNAPSHOT_VERSION: u32 = 8;
 
@@ -269,132 +267,6 @@ pub(crate) fn write_atomic(path: &Path, kind: &str, bytes: &[u8]) -> std::io::Re
     written
 }
 
-/// Append-only little-endian payload buffer for one section.
-pub struct SectionBuf<'a> {
-    buf: &'a mut Vec<u8>,
-}
-
-impl<'a> SectionBuf<'a> {
-    /// A writer over a caller-owned buffer — codecs outside the
-    /// snapshot container (e.g. the forest manifest) reuse the
-    /// little-endian appenders without framing a section table.
-    pub fn over(buf: &'a mut Vec<u8>) -> SectionBuf<'a> {
-        SectionBuf { buf }
-    }
-
-    /// Append one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Append a `u32`, little-endian.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `u64`, little-endian.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_u32(u32::try_from(s.len()).expect("string too long for snapshot"));
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Append a length-prefixed `u32` column as one contiguous LE run —
-    /// the zero-copy-friendly encoding the bulk readers decode with
-    /// `chunks_exact`.
-    pub fn put_u32_col(&mut self, col: impl ExactSizeIterator<Item = u32>) {
-        self.put_u32(u32::try_from(col.len()).expect("column too long for snapshot"));
-        self.buf.reserve(4 * col.len());
-        for v in col {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-}
-
-/// Sequential little-endian reader over one section payload. All reads
-/// are bounds-checked: payload underruns surface as
-/// [`SnapshotError::Corrupt`] (the checksum already passed, so running
-/// out of bytes means the encoder and decoder disagree — exactly what
-/// the version pin exists to catch).
-pub struct SectionCursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SectionCursor<'a> {
-    /// A cursor over a raw buffer — codecs outside the snapshot
-    /// container (e.g. the forest manifest) reuse the bounds-checked
-    /// little-endian readers on their own payloads.
-    pub fn new(buf: &'a [u8]) -> SectionCursor<'a> {
-        SectionCursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(SnapshotError::Corrupt { context })?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Read one byte.
-    pub fn get_u8(&mut self, context: &'static str) -> Result<u8, SnapshotError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    /// Read a `u32`.
-    pub fn get_u32(&mut self, context: &'static str) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, context)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Read a `u64`.
-    pub fn get_u64(&mut self, context: &'static str) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, context)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Read a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self, context: &'static str) -> Result<&'a str, SnapshotError> {
-        let len = self.get_u32(context)? as usize;
-        let bytes = self.take(len, context)?;
-        std::str::from_utf8(bytes).map_err(|_| SnapshotError::Corrupt { context })
-    }
-
-    /// Read a length-prefixed `u32` column.
-    pub fn get_u32_col(&mut self, context: &'static str) -> Result<Vec<u32>, SnapshotError> {
-        let len = self.get_u32(context)? as usize;
-        let bytes = self.take(4 * len, context)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
-
-    /// Whether the cursor consumed the whole payload.
-    pub fn at_end(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    /// Unconsumed payload bytes. Decoders clamp length-prefix-derived
-    /// pre-allocations with this (`count.min(remaining / min_elem)`):
-    /// a checksum-valid but inconsistent count must surface as a typed
-    /// [`SnapshotError::Corrupt`] when the payload runs out, never as
-    /// an allocator abort from a multi-gigabyte `with_capacity`.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-}
-
 // ----- MonetDb + MeetIndex codecs -----
 
 /// Path step encoding tags.
@@ -404,10 +276,11 @@ const STEP_CDATA: u8 = 2;
 
 // The SYMBOLS / PATHS payloads are length-prefixed replay encodings:
 // they materialize at decode (interning), so they gain nothing from the
-// aligned final-form treatment.
+// aligned final-form treatment. They are written straight into the
+// image and read straight off the mapped section.
 
 /// SYMBOLS payload: interning order reproduces ids on replay.
-fn encode_symbols_into(symbols: &SymbolTable, s: &mut SectionBuf<'_>) {
+fn encode_symbols(symbols: &SymbolTable, s: &mut ByteWriter) {
     s.put_u32(symbols.len() as u32);
     for (_, name) in symbols.iter() {
         s.put_str(name);
@@ -417,7 +290,7 @@ fn encode_symbols_into(symbols: &SymbolTable, s: &mut SectionBuf<'_>) {
 /// PATHS payload: parents-before-children by interning order, so the
 /// loader replays `intern_root`/`intern_child` and gets the same dense
 /// ids back.
-fn encode_paths_into(summary: &PathSummary, s: &mut SectionBuf<'_>) {
+fn encode_paths(summary: &PathSummary, s: &mut ByteWriter) {
     s.put_u32(summary.len() as u32);
     for p in summary.iter() {
         s.put_u32(summary.parent(p).map_or(u32::MAX, |q| q.index() as u32));
@@ -435,11 +308,11 @@ fn encode_paths_into(summary: &PathSummary, s: &mut SectionBuf<'_>) {
     }
 }
 
-fn decode_symbols(s: &mut SectionCursor<'_>) -> Result<SymbolTable, SnapshotError> {
-    let symbol_count = s.get_u32("symbol count")? as usize;
+fn decode_symbols(s: &mut ByteReader<'_>) -> Result<SymbolTable, SnapshotError> {
+    let symbol_count = s.get_u32()? as usize;
     let mut symbols = SymbolTable::new();
     for _ in 0..symbol_count {
-        symbols.intern(s.get_str("symbol")?);
+        symbols.intern(s.get_str()?);
     }
     if symbols.len() != symbol_count {
         return Err(SnapshotError::Corrupt {
@@ -451,17 +324,17 @@ fn decode_symbols(s: &mut SectionCursor<'_>) -> Result<SymbolTable, SnapshotErro
 
 /// Replay interning; dense ids must come back unchanged.
 fn decode_paths(
-    s: &mut SectionCursor<'_>,
+    s: &mut ByteReader<'_>,
     symbols: &SymbolTable,
 ) -> Result<PathSummary, SnapshotError> {
-    let path_count = s.get_u32("path count")? as usize;
+    let path_count = s.get_u32()? as usize;
     let mut summary = PathSummary::new();
     for i in 0..path_count {
-        let parent = s.get_u32("path parent")?;
-        let tag = s.get_u8("path step tag")?;
+        let parent = s.get_u32()?;
+        let tag = s.get_u8()?;
         let step = match tag {
             STEP_ELEMENT | STEP_ATTRIBUTE => {
-                let sym = s.get_u32("path symbol")? as usize;
+                let sym = s.get_u32()? as usize;
                 if sym >= symbols.len() {
                     return Err(SnapshotError::Corrupt {
                         context: "path symbol out of range",
@@ -503,16 +376,16 @@ fn decode_paths(
 /// string columns as mapped views. What the `&str` accessors rely on is
 /// checked once, in [`StringColumns::validated`].
 fn decode_strings(
-    v: &mut SectionView<'_>,
+    v: &mut ByteReader<'_>,
     path_count: usize,
     n: usize,
 ) -> Result<StringColumns, SnapshotError> {
     let entries = v.get_u64()? as usize;
     let text_len = v.get_u64()? as usize;
-    let rel_off: Col<u32> = v.take_col(path_count + 1)?;
-    let owners: Col<Oid> = v.take_col(entries)?;
-    let text_off: Col<u32> = v.take_col(entries.saturating_add(1))?;
-    let text: Col<u8> = v.take_col(text_len)?;
+    let rel_off: Col<u32> = v.get_col(path_count + 1)?;
+    let owners: Col<Oid> = v.get_col(entries)?;
+    let text_off: Col<u32> = v.get_col(entries.saturating_add(1))?;
+    let text: Col<u8> = v.get_col(text_len)?;
     if !v.at_end() {
         return Err(SnapshotError::Corrupt {
             context: "strings section has trailing bytes",
@@ -528,20 +401,15 @@ impl MonetDb {
     /// columns, the string columns and the finished meet index —
     /// exactly the in-memory representation, so an open is a map +
     /// pointer fixup, not a rebuild.
-    pub fn encode_snapshot(&self, writer: &mut SnapshotWriterV3) {
-        let mut buf = Vec::new();
-        encode_symbols_into(&self.symbols, &mut SectionBuf::over(&mut buf));
-        writer.section(section::SYMBOLS).put_raw(&buf);
-
-        buf.clear();
-        encode_paths_into(&self.summary, &mut SectionBuf::over(&mut buf));
-        writer.section(section::PATHS).put_raw(&buf);
+    pub fn encode_snapshot(&self, writer: &mut SnapshotWriter) {
+        encode_symbols(&self.symbols, writer.section(section::SYMBOLS));
+        encode_paths(&self.summary, writer.section(section::PATHS));
 
         // COLUMNS: the node count, then `σ` and parent in final form —
         // the whole tree (oids are preorder positions, so sibling order
         // needs no column of its own).
         let n = self.sigma.len();
-        let mut s = writer.section(section::COLUMNS);
+        let s = writer.section(section::COLUMNS);
         s.put_u64(n as u64);
         s.put_col::<PathId>(&self.sigma);
         s.put_col::<Oid>(&self.parent);
@@ -549,7 +417,7 @@ impl MonetDb {
         // STRINGS: the four string columns in final form, behind the two
         // counts that size them.
         let (rel_off, owners, text_off, text) = self.strings.columns();
-        let mut s = writer.section(section::STRINGS);
+        let s = writer.section(section::STRINGS);
         s.put_u64(owners.len() as u64);
         s.put_u64(text.len() as u64);
         s.put_col::<u32>(rel_off);
@@ -567,7 +435,7 @@ impl MonetDb {
             .len()
             .checked_div(index.num_blocks)
             .unwrap_or(0);
-        let mut s = writer.section(section::MEET_INDEX);
+        let s = writer.section(section::MEET_INDEX);
         s.put_u64(n as u64);
         s.put_u64(index.num_blocks as u64);
         s.put_u64(levels as u64);
@@ -587,10 +455,8 @@ impl MonetDb {
     /// lazy-verify policy (see [`crate::mmap`]).
     pub fn decode_snapshot(snap: &MappedSnapshot) -> Result<MonetDb, SnapshotError> {
         // SYMBOLS / PATHS.
-        let view = snap.section_verified(section::SYMBOLS)?;
-        let symbols = decode_symbols(&mut SectionCursor::new(view.payload()))?;
-        let view = snap.section_verified(section::PATHS)?;
-        let summary = decode_paths(&mut SectionCursor::new(view.payload()), &symbols)?;
+        let symbols = decode_symbols(&mut snap.section_verified(section::SYMBOLS)?)?;
+        let summary = decode_paths(&mut snap.section_verified(section::PATHS)?, &symbols)?;
         let path_count = summary.len();
 
         // COLUMNS: zero-copy views, checksummed here — the two
@@ -604,8 +470,8 @@ impl MonetDb {
                 context: "empty instance (a loaded document has a root)",
             });
         }
-        let sigma: Col<PathId> = v.take_col(n)?;
-        let parent: Col<Oid> = v.take_col(n)?;
+        let sigma: Col<PathId> = v.get_col(n)?;
+        let parent: Col<Oid> = v.get_col(n)?;
         if !v.at_end() {
             return Err(SnapshotError::Corrupt {
                 context: "columns section has trailing bytes",
@@ -643,9 +509,9 @@ impl MonetDb {
                 context: "meet index shape mismatch",
             });
         }
-        let stack_mask: Col<u32> = v.take_col(n)?;
-        let block_table: Col<Oid> = v.take_col(levels * num_blocks)?;
-        let path_off: Col<u32> = v.take_col(path_count + 1)?;
+        let stack_mask: Col<u32> = v.get_col(n)?;
+        let block_table: Col<Oid> = v.get_col(levels * num_blocks)?;
+        let path_off: Col<u32> = v.get_col(path_count + 1)?;
         if path_off.first() != Some(&0)
             || path_off.last().copied() != Some(n as u32)
             || path_off.windows(2).any(|w| w[0] > w[1])
@@ -654,7 +520,7 @@ impl MonetDb {
                 context: "postings do not cover the instance",
             });
         }
-        let path_data: Col<Oid> = v.take_col(n)?;
+        let path_data: Col<Oid> = v.get_col(n)?;
         if !v.at_end() {
             return Err(SnapshotError::Corrupt {
                 context: "meet index section has trailing bytes",
@@ -679,22 +545,6 @@ impl MonetDb {
             strings,
             meet_index: OnceLock::from(index),
         })
-    }
-
-    /// Save the store (plus index) as a standalone snapshot file.
-    /// Higher layers that stack more sections go through
-    /// [`MonetDb::encode_snapshot`] instead.
-    pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
-        let mut writer = SnapshotWriterV3::new();
-        self.encode_snapshot(&mut writer);
-        writer.write_to(path)
-    }
-
-    /// Load a store from a snapshot file: map it and reattach the
-    /// columns (no parse, no DFS, no O(n log n) preprocess — the index
-    /// arrives in final form).
-    pub fn load(path: &Path) -> Result<MonetDb, SnapshotError> {
-        MonetDb::decode_snapshot(&MappedSnapshot::open(path)?)
     }
 }
 
@@ -724,10 +574,18 @@ mod tests {
         MonetDb::from_document(&parse(FIGURE1).unwrap())
     }
 
-    fn snapshot_bytes(db: &MonetDb) -> Vec<u8> {
-        let mut w = SnapshotWriterV3::new();
+    fn writer(db: &MonetDb) -> SnapshotWriter {
+        let mut w = SnapshotWriter::new();
         db.encode_snapshot(&mut w);
-        w.into_bytes()
+        w
+    }
+
+    fn snapshot_bytes(db: &MonetDb) -> Vec<u8> {
+        writer(db).into_bytes()
+    }
+
+    fn load(path: &Path) -> Result<MonetDb, SnapshotError> {
+        MonetDb::decode_snapshot(&MappedSnapshot::open(path)?)
     }
 
     fn decode(bytes: Vec<u8>) -> Result<MonetDb, SnapshotError> {
@@ -781,13 +639,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("figure1.ncq");
         let original = db();
-        original.save(&path).unwrap();
+        writer(&original).write_to(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         assert_eq!(
             u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
             SNAPSHOT_VERSION
         );
-        let loaded = MonetDb::load(&path).unwrap();
+        let loaded = load(&path).unwrap();
         assert_eq!(loaded.dump_relations(), original.dump_relations());
 
         // The retired layouts and a future one are refused on the
@@ -796,7 +654,7 @@ mod tests {
             bytes[8] = found;
             std::fs::write(&path, &bytes).unwrap();
             assert!(matches!(
-                MonetDb::load(&path),
+                load(&path),
                 Err(SnapshotError::UnsupportedVersion { found: f, supported: SNAPSHOT_VERSION })
                     if f == found as u32
             ));
@@ -827,7 +685,10 @@ mod tests {
         // The destination is an existing directory: the rename fails.
         let dest = dir.join("figure1.ncq");
         std::fs::create_dir_all(&dest).unwrap();
-        assert!(matches!(db().save(&dest), Err(SnapshotError::Io(_))));
+        assert!(matches!(
+            writer(&db()).write_to(&dest),
+            Err(SnapshotError::Io(_))
+        ));
         let left: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name())
@@ -851,7 +712,7 @@ mod tests {
 
     #[test]
     fn missing_section_is_typed() {
-        let mut w = SnapshotWriterV3::new();
+        let mut w = SnapshotWriter::new();
         w.section(section::SYMBOLS).put_u32(0);
         assert!(matches!(
             decode(w.into_bytes()),

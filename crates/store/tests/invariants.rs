@@ -3,7 +3,9 @@
 //! Seeded loops over a deterministic PRNG stand in for proptest (the
 //! offline build cannot fetch it); failures print the seed.
 
-use ncq_store::{DepthStats, MappedSnapshot, MonetDb, Oid, PathId, PathStep, VerifyMode};
+use ncq_store::{
+    DepthStats, MappedSnapshot, MonetDb, Oid, PathId, PathStep, SnapshotWriter, VerifyMode,
+};
 use ncq_xml::{Document, NodeId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -122,8 +124,11 @@ fn for_grafted_dbs(salt: u64, mut check: impl FnMut(&Document, &MonetDb, &[(Node
 /// (mapped on unix, an owned copy elsewhere) and through the owned-copy
 /// path directly.
 fn reopen(db: &MonetDb, file: &std::path::Path) -> [MonetDb; 2] {
-    db.save(file).expect("save");
-    let reopened = MonetDb::load(file).expect("load");
+    let mut writer = SnapshotWriter::new();
+    db.encode_snapshot(&mut writer);
+    writer.write_to(file).expect("save");
+    let reopened =
+        MonetDb::decode_snapshot(&MappedSnapshot::open(file).expect("open")).expect("load");
     let bytes = std::fs::read(file).expect("read");
     std::fs::remove_file(file).ok();
     let owned = MonetDb::decode_snapshot(
