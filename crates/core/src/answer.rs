@@ -1,4 +1,5 @@
-//! Answer sets: what a meet query returns to the user.
+//! Answer sets: what a meet query returns to the user (and
+//! [`RowSet`], what a projection query returns).
 //!
 //! The paper renders answers as
 //!
@@ -211,6 +212,37 @@ impl AnswerSet {
 impl fmt::Display for AnswerSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.to_answer_xml())
+    }
+}
+
+/// One projection row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Row {
+    /// Projected values (tag names), one per select item.
+    pub values: Vec<String>,
+    /// The bound node per `from` variable (in `from` order).
+    pub nodes: Vec<Oid>,
+}
+
+/// A projection result.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct RowSet {
+    /// Column headers (select-item names).
+    pub columns: Vec<String>,
+    /// Result rows.
+    pub rows: Vec<Row>,
+}
+
+impl RowSet {
+    /// Render rows in the paper's `<answer>` markup (one `<result>` per
+    /// row, first projected value).
+    pub fn to_answer_xml(&self) -> String {
+        let mut out = String::from("<answer>\n");
+        for row in &self.rows {
+            out.push_str(&format!("  <result> {} </result>\n", row.values.join(", ")));
+        }
+        out.push_str("</answer>");
+        out
     }
 }
 

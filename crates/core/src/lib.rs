@@ -66,7 +66,7 @@ pub mod reference;
 pub mod remote;
 pub mod sweep;
 
-pub use answer::{Answer, AnswerSet, PartialAnswer, Witness};
+pub use answer::{Answer, AnswerSet, PartialAnswer, Row, RowSet, Witness};
 pub use backend::{BackendError, MeetBackend, RobustnessStats};
 pub use catalog::{open_forest, Catalog, CatalogError, ForestBackend};
 pub use db::{Database, MeetError};
@@ -78,6 +78,6 @@ pub use meet_multi::{Meet, MeetOptions};
 // Only because `perf/src/trace.rs` links it; ROADMAP 1(d) unlinks it.
 pub use reference::ChosenStrategy;
 pub use remote::{
-    EngineRequest, EngineResponse, RemoteBackend, RemoteConfig, ReplicaHealth, WireError,
-    DEFAULT_FRAME_CAP,
+    EngineQuery, EngineRequest, EngineResponse, RemoteBackend, RemoteConfig, ReplicaHealth,
+    WireError, DEFAULT_FRAME_CAP,
 };

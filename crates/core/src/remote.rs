@@ -43,6 +43,7 @@
 //! past the configured timeout budget (every socket carries connect,
 //! read and write timeouts).
 
+use crate::answer::{Answer, AnswerSet, PartialAnswer, Row, RowSet, Witness};
 use crate::backend::{BackendError, MeetBackend, RobustnessStats};
 use crate::db::Database;
 use crate::filter::PathFilter;
@@ -254,6 +255,12 @@ const OP_MEET: u8 = 3;
 /// that predates the envelope rejects opcode 4 as a typed in-band
 /// error (requests without an active trace are unaffected).
 const OP_TRACED: u8 = 4;
+/// A whole request: `[OP_ANSWER][kind u8][body]`, kind 0 a MEET
+/// (terms, options) and kind 1 a SQL query (text, row cap).
+const OP_ANSWER: u8 = 5;
+
+const QUERY_MEET: u8 = 0;
+const QUERY_SQL: u8 = 1;
 
 const STATUS_OK: u8 = 0;
 const STATUS_ERR: u8 = 1;
@@ -261,11 +268,12 @@ const STATUS_ERR: u8 = 1;
 const RESP_PONG: u8 = 0;
 const RESP_HITS: u8 = 1;
 const RESP_MEETS: u8 = 2;
+const RESP_ANSWERS: u8 = 3;
+const RESP_ROWS: u8 = 4;
 
-/// One engine-protocol request: the [`MeetBackend`] surface on the
-/// wire. `meet_terms`/`run_query` compose from these on the
-/// coordinator (search per term, one meet over the groups), so the
-/// protocol stays three opcodes.
+/// One engine-protocol request. [`EngineRequest::Answer`] carries a
+/// whole MEET or SQL query; `Search` and `Meet` are its sub-steps (one
+/// term's hits, one meet over hit groups).
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineRequest {
     /// Liveness probe.
@@ -282,6 +290,31 @@ pub enum EngineRequest {
         /// Meet options (filter, distance bound, witness cap, limit).
         options: MeetOptions,
     },
+    /// A whole request, answered finished: ranked and resolved.
+    Answer(EngineQuery),
+}
+
+/// A request the engine evaluates end to end, the way an in-process
+/// engine serves it: the reply is the finished [`AnswerSet`] or
+/// [`RowSet`], so no hit set crosses the wire and the coordinator
+/// needs no copy of the corpus to resolve answers.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EngineQuery {
+    /// The served MEET: search each term, meet, rank, resolve.
+    Meet {
+        /// The terms (word, phrase or substring syntax).
+        terms: Vec<String>,
+        /// Meet options (filter, distance bound, witness cap, limit).
+        options: MeetOptions,
+    },
+    /// A query of the SQL dialect.
+    Sql {
+        /// The query text, without a `corpus(…)` clause: the
+        /// coordinator has already routed it to this engine.
+        text: String,
+        /// The projection row cap (`QueryConfig::max_rows`).
+        max_rows: usize,
+    },
 }
 
 /// One engine-protocol response.
@@ -293,6 +326,10 @@ pub enum EngineResponse {
     Hits(HitSet),
     /// Answer to [`EngineRequest::Meet`].
     Meets(Vec<Meet>),
+    /// Answer to a MEET, or to a SQL meet aggregate.
+    Answers(AnswerSet),
+    /// Answer to a SQL projection.
+    Rows(RowSet),
 }
 
 fn put_hit_set(b: &mut ByteWriter, hits: &HitSet) {
@@ -431,6 +468,168 @@ fn get_meets(c: &mut ByteReader<'_>) -> Result<Vec<Meet>, WireError> {
     Ok(meets)
 }
 
+fn put_opt_str(b: &mut ByteWriter, value: Option<&str>) {
+    match value {
+        None => b.put_u8(0),
+        Some(v) => {
+            b.put_u8(1);
+            b.put_str(v);
+        }
+    }
+}
+
+fn get_opt_str(c: &mut ByteReader<'_>, what: &str) -> Result<Option<String>, WireError> {
+    match c.get_u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(c.get_str()?.to_owned())),
+        other => Err(WireError::Corrupt {
+            context: format!("bad {what} flag {other}"),
+        }),
+    }
+}
+
+fn put_strs<'s>(b: &mut ByteWriter, strs: impl ExactSizeIterator<Item = &'s str>) {
+    b.put_u32(strs.len() as u32);
+    for s in strs {
+        b.put_str(s);
+    }
+}
+
+fn get_strs(c: &mut ByteReader<'_>) -> Result<Vec<String>, WireError> {
+    let n = c.get_u32()? as usize;
+    // Clamped: a string spans ≥ 4 payload bytes.
+    let mut strs = Vec::with_capacity(n.min(c.remaining() / 4 + 1));
+    for _ in 0..n {
+        strs.push(c.get_str()?.to_owned());
+    }
+    Ok(strs)
+}
+
+fn put_query(b: &mut ByteWriter, query: &EngineQuery) {
+    match query {
+        EngineQuery::Meet { terms, options } => {
+            b.put_u8(QUERY_MEET);
+            put_strs(b, terms.iter().map(String::as_str));
+            put_options(b, options);
+        }
+        EngineQuery::Sql { text, max_rows } => {
+            b.put_u8(QUERY_SQL);
+            b.put_str(text);
+            b.put_u64(*max_rows as u64);
+        }
+    }
+}
+
+fn get_query(c: &mut ByteReader<'_>) -> Result<EngineQuery, WireError> {
+    match c.get_u8()? {
+        QUERY_MEET => Ok(EngineQuery::Meet {
+            terms: get_strs(c)?,
+            options: get_options(c)?,
+        }),
+        QUERY_SQL => Ok(EngineQuery::Sql {
+            text: c.get_str()?.to_owned(),
+            max_rows: c.get_u64()? as usize,
+        }),
+        other => Err(WireError::Corrupt {
+            context: format!("unknown query kind {other}"),
+        }),
+    }
+}
+
+fn put_answers(b: &mut ByteWriter, answers: &AnswerSet) {
+    b.put_u32(answers.results.len() as u32);
+    for r in &answers.results {
+        put_opt_str(b, r.corpus.as_deref());
+        b.put_u32(r.oid.index() as u32);
+        b.put_str(&r.tag);
+        b.put_str(&r.path);
+        b.put_u64(r.distance as u64);
+        b.put_u64(r.witness_count as u64);
+        b.put_u32(r.witnesses.len() as u32);
+        for w in &r.witnesses {
+            b.put_u32(w.origin.index() as u32);
+            b.put_u64(w.term as u64);
+            b.put_u64(w.climb as u64);
+            put_opt_str(b, w.text.as_deref());
+        }
+    }
+    b.put_u32(answers.partials.len() as u32);
+    for p in &answers.partials {
+        b.put_str(&p.corpus);
+        b.put_str(&p.detail);
+    }
+}
+
+fn get_answers(c: &mut ByteReader<'_>) -> Result<AnswerSet, WireError> {
+    let count = c.get_u32()? as usize;
+    // Clamped like `get_meets`: an answer spans ≥ 33 payload bytes, a
+    // witness ≥ 21, a partial ≥ 8.
+    let mut results = Vec::with_capacity(count.min(c.remaining() / 33 + 1));
+    for _ in 0..count {
+        let corpus = get_opt_str(c, "corpus")?;
+        let oid = Oid::from_index(c.get_u32()? as usize);
+        let tag = c.get_str()?.to_owned();
+        let path = c.get_str()?.to_owned();
+        let distance = c.get_u64()? as usize;
+        let witness_count = c.get_u64()? as usize;
+        let wlen = c.get_u32()? as usize;
+        let mut witnesses = Vec::with_capacity(wlen.min(c.remaining() / 21 + 1));
+        for _ in 0..wlen {
+            witnesses.push(Witness {
+                origin: Oid::from_index(c.get_u32()? as usize),
+                term: c.get_u64()? as usize,
+                climb: c.get_u64()? as usize,
+                text: get_opt_str(c, "witness text")?,
+            });
+        }
+        results.push(Answer {
+            corpus,
+            oid,
+            tag,
+            path,
+            distance,
+            witness_count,
+            witnesses,
+        });
+    }
+    let count = c.get_u32()? as usize;
+    let mut partials = Vec::with_capacity(count.min(c.remaining() / 8 + 1));
+    for _ in 0..count {
+        partials.push(PartialAnswer {
+            corpus: c.get_str()?.to_owned(),
+            detail: c.get_str()?.to_owned(),
+        });
+    }
+    Ok(AnswerSet { results, partials })
+}
+
+fn put_rows(b: &mut ByteWriter, rows: &RowSet) {
+    put_strs(b, rows.columns.iter().map(String::as_str));
+    b.put_u32(rows.rows.len() as u32);
+    for row in &rows.rows {
+        put_strs(b, row.values.iter().map(String::as_str));
+        b.put_u32_run(row.nodes.iter().map(|o| o.index() as u32));
+    }
+}
+
+fn get_rows(c: &mut ByteReader<'_>) -> Result<RowSet, WireError> {
+    let columns = get_strs(c)?;
+    let count = c.get_u32()? as usize;
+    // Clamped: a row spans ≥ 8 payload bytes.
+    let mut rows = Vec::with_capacity(count.min(c.remaining() / 8 + 1));
+    for _ in 0..count {
+        rows.push(Row {
+            values: get_strs(c)?,
+            nodes: c
+                .get_u32_run()?
+                .into_iter()
+                .map(|o| Oid::from_index(o as usize))
+                .collect(),
+        });
+    }
+    Ok(RowSet { columns, rows })
+}
+
 fn put_request(b: &mut ByteWriter, req: &EngineRequest) {
     match req {
         EngineRequest::Ping => b.put_u8(OP_PING),
@@ -445,6 +644,10 @@ fn put_request(b: &mut ByteWriter, req: &EngineRequest) {
                 put_hit_set(b, h);
             }
             put_options(b, options);
+        }
+        EngineRequest::Answer(query) => {
+            b.put_u8(OP_ANSWER);
+            put_query(b, query);
         }
     }
 }
@@ -504,6 +707,7 @@ fn get_request(c: &mut ByteReader<'_>) -> Result<EngineRequest, WireError> {
             let options = get_options(c)?;
             EngineRequest::Meet { inputs, options }
         }
+        OP_ANSWER => EngineRequest::Answer(get_query(c)?),
         other => {
             return Err(WireError::Corrupt {
                 context: format!("unknown request opcode {other}"),
@@ -531,6 +735,14 @@ pub fn encode_response(resp: &EngineResponse) -> Vec<u8> {
         EngineResponse::Meets(meets) => {
             b.put_u8(RESP_MEETS);
             put_meets(&mut b, meets);
+        }
+        EngineResponse::Answers(answers) => {
+            b.put_u8(RESP_ANSWERS);
+            put_answers(&mut b, answers);
+        }
+        EngineResponse::Rows(rows) => {
+            b.put_u8(RESP_ROWS);
+            put_rows(&mut b, rows);
         }
     }
     b.into_bytes()
@@ -563,6 +775,8 @@ pub fn decode_response(payload: &[u8]) -> Result<EngineResponse, WireError> {
         RESP_PONG => EngineResponse::Pong,
         RESP_HITS => EngineResponse::Hits(get_hit_set(&mut c)?),
         RESP_MEETS => EngineResponse::Meets(get_meets(&mut c)?),
+        RESP_ANSWERS => EngineResponse::Answers(get_answers(&mut c)?),
+        RESP_ROWS => EngineResponse::Rows(get_rows(&mut c)?),
         other => {
             return Err(WireError::Corrupt {
                 context: format!("unknown response kind {other}"),
@@ -1060,6 +1274,14 @@ mod tests {
                                     db.meet_hits(&refs, &options),
                                 ))
                             }
+                            Ok(EngineRequest::Answer(EngineQuery::Meet { terms, options })) => {
+                                let terms: Vec<&str> = terms.iter().map(String::as_str).collect();
+                                let answers = db.meet_terms_with(&terms, &options).unwrap();
+                                encode_response(&EngineResponse::Answers(answers))
+                            }
+                            Ok(EngineRequest::Answer(EngineQuery::Sql { .. })) => {
+                                encode_error_response("the toy engine serves no SQL")
+                            }
                             Err(e) => encode_error_response(&e.to_string()),
                         };
                         if write_frame(&mut writer, &response, DEFAULT_FRAME_CAP).is_err() {
@@ -1093,6 +1315,18 @@ mod tests {
                 term: "\"Ben Bit\"".to_owned(),
             },
             sample_meet_request(&db),
+            EngineRequest::Answer(EngineQuery::Meet {
+                terms: vec!["Bit".to_owned(), "\"Ben Bit\"".to_owned()],
+                options: MeetOptions {
+                    max_distance: Some(9),
+                    limit: Some(3),
+                    ..MeetOptions::default()
+                },
+            }),
+            EngineRequest::Answer(EngineQuery::Sql {
+                text: "select meet(a, b) from % as a, % as b".to_owned(),
+                max_rows: usize::MAX,
+            }),
         ] {
             let bytes = encode_request(&req);
             assert_eq!(decode_request(&bytes).unwrap(), req);
@@ -1103,10 +1337,22 @@ mod tests {
         let inputs = [db.search("Bit"), db.search("1999")];
         let refs: Vec<&HitSet> = inputs.iter().collect();
         let meets = db.meet_hits(&refs, &MeetOptions::default());
+        let mut answers = db.meet_terms(&["Bit", "1999"]).unwrap();
+        answers.tag_corpus("bib");
+        answers.push_partial("shop", "every replica is down");
+        let rows = RowSet {
+            columns: vec!["t".to_owned(), "$T".to_owned()],
+            rows: vec![Row {
+                values: vec!["article".to_owned(), "author".to_owned()],
+                nodes: vec![Oid::from_index(1), Oid::from_index(3)],
+            }],
+        };
         for resp in [
             EngineResponse::Pong,
             EngineResponse::Hits(db.search("Bit")),
             EngineResponse::Meets(meets),
+            EngineResponse::Answers(answers),
+            EngineResponse::Rows(rows),
         ] {
             let bytes = encode_response(&resp);
             assert_eq!(decode_response(&bytes).unwrap(), resp);
@@ -1203,6 +1449,53 @@ mod tests {
                 climb: 2,
             }],
         }];
+        let answer_meet = EngineRequest::Answer(EngineQuery::Meet {
+            terms: vec!["Bit".to_owned(), "1999".to_owned()],
+            options: MeetOptions {
+                max_distance: Some(5),
+                limit: Some(2),
+                ..MeetOptions::default()
+            },
+        });
+        let answer_sql = EngineRequest::Answer(EngineQuery::Sql {
+            text: "select t from a as t".to_owned(),
+            max_rows: 100,
+        });
+        let answers = AnswerSet {
+            results: vec![Answer {
+                corpus: Some("db".to_owned()),
+                oid: o(2),
+                tag: "a".to_owned(),
+                path: "r/a".to_owned(),
+                distance: 3,
+                witness_count: 5,
+                witnesses: vec![
+                    Witness {
+                        origin: o(7),
+                        term: 1,
+                        climb: 2,
+                        text: Some("Bit".to_owned()),
+                    },
+                    Witness {
+                        origin: o(8),
+                        term: 0,
+                        climb: 1,
+                        text: None,
+                    },
+                ],
+            }],
+            partials: vec![PartialAnswer {
+                corpus: "x".to_owned(),
+                detail: "down".to_owned(),
+            }],
+        };
+        let rows = RowSet {
+            columns: vec!["t".to_owned()],
+            rows: vec![Row {
+                values: vec!["a".to_owned()],
+                nodes: vec![o(2)],
+            }],
+        };
         let ping = encode_request(&EngineRequest::Ping);
         let mut framed = Vec::new();
         write_frame(&mut framed, &ping, DEFAULT_FRAME_CAP).unwrap();
@@ -1245,6 +1538,53 @@ mod tests {
                 concat!(
                     "000201000000020000000100000003000000000000000500000000000000",
                     "010000000700000001000000000000000200000000000000",
+                )
+                .to_owned(),
+            ),
+            (
+                "answer meet",
+                encode_request(&answer_meet),
+                concat!(
+                    "0500",                             // OP_ANSWER, MEET
+                    "02000000", "03000000426974", "0400000031393939", // terms
+                    "00", "010500000000000000",           // all paths, within 5
+                    "0000000000000000", "010200000000000000", // cap, limit 2
+                )
+                .to_owned(),
+            ),
+            (
+                "answer sql",
+                encode_request(&answer_sql),
+                concat!(
+                    "0501",                                     // OP_ANSWER, SQL
+                    "1400000073656c65637420742066726f6d20612061732074", // text
+                    "6400000000000000",                         // max rows 100
+                )
+                .to_owned(),
+            ),
+            (
+                "answers",
+                encode_response(&EngineResponse::Answers(answers)),
+                concat!(
+                    "0003", "01000000",                       // one result
+                    "01020000006462", "02000000",           // corpus "db", o2
+                    "0100000061", "03000000722f61",         // tag, path
+                    "0300000000000000", "0500000000000000", // distance, count
+                    "02000000",                             // two witnesses
+                    "07000000", "0100000000000000", "0200000000000000",
+                    "0103000000426974",                     // text "Bit"
+                    "08000000", "0000000000000000", "0100000000000000", "00",
+                    "01000000", "0100000078", "04000000646f776e", // one partial
+                )
+                .to_owned(),
+            ),
+            (
+                "rows",
+                encode_response(&EngineResponse::Rows(rows)),
+                concat!(
+                    "0004", "010000000100000074", // columns ["t"]
+                    "01000000",                   // one row
+                    "010000000100000061", "0100000002000000", // ["a"], [o2]
                 )
                 .to_owned(),
             ),
@@ -1292,12 +1632,17 @@ mod tests {
                 "payload prefix of {len} bytes decoded"
             );
         }
-        let resp = encode_response(&EngineResponse::Hits(db.search("Bit")));
-        for len in 0..resp.len() {
-            assert!(
-                decode_response(&resp[..len]).is_err(),
-                "response prefix of {len} bytes decoded"
-            );
+        let answers = db.meet_terms(&["Bit", "1999"]).unwrap();
+        for resp in [
+            encode_response(&EngineResponse::Hits(db.search("Bit"))),
+            encode_response(&EngineResponse::Answers(answers)),
+        ] {
+            for len in 0..resp.len() {
+                assert!(
+                    decode_response(&resp[..len]).is_err(),
+                    "response prefix of {len} bytes decoded"
+                );
+            }
         }
     }
 

@@ -16,6 +16,7 @@ use crate::ast::{Query, SelectClause, SelectItem};
 use crate::error::QueryError;
 use crate::parser::parse_query;
 use crate::pathexpr::{match_paths, matched_path_ids, PathMatch};
+pub use ncq_core::answer::{Row, RowSet};
 use ncq_core::{AnswerSet, MeetBackend, MeetOptions, PathFilter};
 use ncq_fulltext::HitSet;
 use ncq_store::{Oid, PathId};
@@ -46,37 +47,6 @@ pub struct QueryOptions {
     /// the server's `USE` verb threads the session corpus through
     /// here. An explicit `from corpus(name)` in the query wins.
     pub default_corpus: Option<String>,
-}
-
-/// One projection row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Row {
-    /// Projected values (tag names), one per select item.
-    pub values: Vec<String>,
-    /// The bound node per `from` variable (in `from` order).
-    pub nodes: Vec<Oid>,
-}
-
-/// A projection result.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RowSet {
-    /// Column headers (select-item names).
-    pub columns: Vec<String>,
-    /// Result rows.
-    pub rows: Vec<Row>,
-}
-
-impl RowSet {
-    /// Render rows in the paper's `<answer>` markup (one `<result>` per
-    /// row, first projected value).
-    pub fn to_answer_xml(&self) -> String {
-        let mut out = String::from("<answer>\n");
-        for row in &self.rows {
-            out.push_str(&format!("  <result> {} </result>\n", row.values.join(", ")));
-        }
-        out.push_str("</answer>");
-        out
-    }
 }
 
 /// Output of [`run_query`]: rows for projections, ranked answers for meet

@@ -22,10 +22,11 @@
 use crate::listener::Listener;
 use ncq_core::remote::{
     decode_request_traced, encode_error_response, encode_response, read_frame_or_eof, write_frame,
-    EngineRequest, EngineResponse, WireError, DEFAULT_FRAME_CAP,
+    EngineQuery, EngineRequest, EngineResponse, WireError, DEFAULT_FRAME_CAP,
 };
 use ncq_core::MeetBackend;
 use ncq_fulltext::HitSet;
+use ncq_query::{run_query_opts, QueryConfig, QueryOptions, QueryOutput};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
@@ -108,6 +109,26 @@ fn answer(backend: &dyn MeetBackend, request: EngineRequest) -> Vec<u8> {
                 Err(e) => encode_error_response(&e.to_string()),
             }
         }
+        EngineRequest::Answer(EngineQuery::Meet { terms, options }) => {
+            let terms: Vec<&str> = terms.iter().map(String::as_str).collect();
+            match backend.meet_terms_answers(&terms, &options) {
+                Ok(answers) => encode_response(&EngineResponse::Answers(answers)),
+                Err(e) => encode_error_response(&e.to_string()),
+            }
+        }
+        EngineRequest::Answer(EngineQuery::Sql { text, max_rows }) => {
+            let options = QueryOptions {
+                config: QueryConfig { max_rows },
+                default_corpus: None,
+            };
+            match run_query_opts(backend, &text, &options) {
+                Ok(QueryOutput::Answers(answers)) => {
+                    encode_response(&EngineResponse::Answers(answers))
+                }
+                Ok(QueryOutput::Rows(rows)) => encode_response(&EngineResponse::Rows(rows)),
+                Err(e) => encode_error_response(&e.to_string()),
+            }
+        }
     }));
     result.unwrap_or_else(|_| encode_error_response("internal error: engine evaluation panicked"))
 }
@@ -154,6 +175,8 @@ fn serve_engine_session(
                             EngineRequest::Ping => "ping",
                             EngineRequest::Search { .. } => "search",
                             EngineRequest::Meet { .. } => "meet",
+                            EngineRequest::Answer(EngineQuery::Meet { .. }) => "answer_meet",
+                            EngineRequest::Answer(EngineQuery::Sql { .. }) => "answer_sql",
                         }
                         .to_owned(),
                     );
