@@ -215,6 +215,16 @@ impl fmt::Display for AnswerSet {
     }
 }
 
+/// Output of a query of the SQL dialect: rows for projections, ranked
+/// answers for meet aggregates.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum QueryOutput {
+    /// Projection result.
+    Rows(RowSet),
+    /// Meet-aggregation result.
+    Answers(AnswerSet),
+}
+
 /// One projection row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Row {

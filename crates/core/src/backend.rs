@@ -1,20 +1,20 @@
 //! The execution-backend abstraction: one query surface, many engines.
 //!
 //! The query language (`ncq-query`), the server and the examples all
-//! consume the same three capabilities — resolve a term to hits, meet
-//! hit groups, expose the store for schema work. [`MeetBackend`] names
-//! that surface so callers can be written once and served by the
-//! single-process [`Database`], a [`crate::RemoteBackend`] proxying to
-//! replicas, or a [`crate::ForestBackend`] of named corpora, with
-//! identical answers.
+//! consume the same capabilities — resolve a term to hits, answer a
+//! MEET, expose the store for schema work. [`MeetBackend`] names that
+//! surface so callers can be written once and served by the
+//! single-process [`Database`], a [`crate::RemoteBackend`] whose
+//! replicas answer whole requests, or a [`crate::ForestBackend`] of
+//! named corpora, with identical answers.
 //!
 //! The trait is object-safe on purpose: `ncq-server` holds its backend
 //! as `Arc<dyn MeetBackend>` so one worker pool can front whichever
 //! engine the deployment loaded.
 
-use crate::answer::AnswerSet;
+use crate::answer::{AnswerSet, QueryOutput};
 use crate::db::Database;
-use crate::meet_multi::{Meet, MeetOptions};
+use crate::meet_multi::MeetOptions;
 use ncq_fulltext::HitSet;
 use ncq_store::snapshot::SnapshotError;
 use ncq_store::MonetDb;
@@ -83,42 +83,57 @@ impl RobustnessStats {
     }
 }
 
-/// A queryable meet engine: full-text resolution plus the generalized
-/// meet, over one shared [`MonetDb`] schema.
+/// How a served MEET turns a term into its hits: [`MeetBackend::search`],
+/// or a cache in front of it (`ncq-server`'s term cache).
+pub type TermResolver<'a> = dyn FnMut(&str) -> Result<Arc<HitSet>, BackendError> + 'a;
+
+/// A queryable meet engine: full-text resolution plus the served MEET,
+/// over one corpus.
 ///
 /// Implementations must agree with [`Database`] bit-for-bit: the golden
 /// and forest suites run the same queries through every backend and
 /// compare serialized answers.
 pub trait MeetBackend: Send + Sync {
-    /// The underlying Monet transform.
-    fn store(&self) -> &MonetDb;
+    /// The corpus's Monet transform, when this process holds it. `None`
+    /// for a remote corpus: its replicas hold the corpus, and such a
+    /// backend answers [`MeetBackend::meet_terms_answers`] and
+    /// [`MeetBackend::answer_sql`] whole on them.
+    fn store(&self) -> Option<&MonetDb>;
 
     /// Hits for one term (word, phrase or substring — the dispatch of
     /// [`ncq_fulltext::search::term_hits`]).
     fn search(&self, term: &str) -> Result<HitSet, BackendError>;
 
-    /// The generalized meet over hit groups (paper Fig. 5), ranked —
-    /// the engine's equivalent of [`Database::meet_hits`].
-    fn meet_hit_groups(
-        &self,
-        inputs: &[&HitSet],
-        options: &MeetOptions,
-    ) -> Result<Vec<Meet>, BackendError>;
-
-    /// The paper's signature query through this engine: search each
-    /// term, meet the hit groups, resolve an [`AnswerSet`].
+    /// The served MEET, the paper's signature query: each term becomes
+    /// hits through `resolve`, the hit groups meet
+    /// ([`crate::sweep::meet_hits`]) and the ranked meets resolve to an
+    /// [`AnswerSet`] against [`MeetBackend::store`]. A backend without
+    /// a store overrides this; a remote one sends the terms and ignores
+    /// `resolve`.
     fn meet_terms_answers(
         &self,
         terms: &[&str],
         options: &MeetOptions,
+        resolve: &mut TermResolver<'_>,
     ) -> Result<AnswerSet, BackendError> {
+        let store = self.store().ok_or_else(no_store)?;
         let inputs = terms
             .iter()
-            .map(|t| self.search(t))
-            .collect::<Result<Vec<HitSet>, _>>()?;
-        let refs: Vec<&HitSet> = inputs.iter().collect();
-        let meets = self.meet_hit_groups(&refs, options)?;
-        Ok(AnswerSet::from_meets(self.store(), meets))
+            .map(|t| resolve(t))
+            .collect::<Result<Vec<Arc<HitSet>>, _>>()?;
+        let meets = crate::sweep::meet_hits(store, &inputs, options);
+        let _serialize = ncq_obs::trace::span("serialize");
+        Ok(AnswerSet::from_meets(store, meets))
+    }
+
+    /// Evaluate a query of the SQL dialect whole, on the engine that
+    /// holds the corpus: `ncq-query` sends a query here when the
+    /// backend it resolved has no [`MeetBackend::store`]. `query` is
+    /// the query text without a `corpus(…)` clause; `max_rows` caps a
+    /// projection. Only a backend without a store overrides this; the
+    /// default refuses.
+    fn answer_sql(&self, _query: &str, _max_rows: usize) -> Result<QueryOutput, BackendError> {
+        Err(no_store())
     }
 
     /// This engine's robustness counters (zeros for local engines).
@@ -180,28 +195,30 @@ pub trait MeetBackend: Send + Sync {
 
     /// Cold-load a snapshot as an engine of the same kind as `self` (the
     /// server's `SNAPSHOT LOAD` hot-swap dispatches here). The default
-    /// loads a plain [`Database`]; a remote engine keeps its replicas
-    /// and a forest refuses, reloading per corpus instead.
+    /// loads a plain [`Database`]; a remote corpus refuses (its
+    /// replicas own it) and a forest refuses, reloading per corpus
+    /// instead.
     fn open_snapshot_like(&self, path: &Path) -> Result<Arc<dyn MeetBackend>, SnapshotError> {
         Ok(Arc::new(Database::open_snapshot(path)?))
     }
 }
 
+/// What a backend without a store and without its own MEET and SQL
+/// paths answers.
+fn no_store() -> BackendError {
+    BackendError::Unavailable {
+        detail: "this engine holds no corpus to evaluate against".to_owned(),
+        attempts: 0,
+    }
+}
+
 impl MeetBackend for Database {
-    fn store(&self) -> &MonetDb {
-        Database::store(self)
+    fn store(&self) -> Option<&MonetDb> {
+        Some(Database::store(self))
     }
 
     fn search(&self, term: &str) -> Result<HitSet, BackendError> {
         Ok(Database::search(self, term))
-    }
-
-    fn meet_hit_groups(
-        &self,
-        inputs: &[&HitSet],
-        options: &MeetOptions,
-    ) -> Result<Vec<Meet>, BackendError> {
-        Ok(self.meet_hits(inputs, options))
     }
 
     fn save_snapshot(&self, path: &Path) -> Result<(), SnapshotError> {
@@ -229,14 +246,14 @@ mod tests {
         let db = Database::from_xml_str(FIGURE1).unwrap();
         let backend: &dyn MeetBackend = &db;
         assert_eq!(backend.search("Bit").unwrap(), db.search("Bit"));
-        let inputs = vec![db.search("Bit"), db.search("1999")];
-        let refs: Vec<&HitSet> = inputs.iter().collect();
         let opts = MeetOptions::default();
-        assert_eq!(
-            backend.meet_hit_groups(&refs, &opts).unwrap(),
-            db.meet_hits(&inputs, &opts)
-        );
-        let answers = backend.meet_terms_answers(&["Bit", "1999"], &opts).unwrap();
+        let answers = backend
+            .meet_terms_answers(&["Bit", "1999"], &opts, &mut |t| {
+                backend.search(t).map(Arc::new)
+            })
+            .unwrap();
         assert_eq!(answers, db.meet_terms(&["Bit", "1999"]).unwrap());
+        // A store-holding backend sends no SQL anywhere.
+        assert!(backend.answer_sql("select t from % as t", 10).is_err());
     }
 }

@@ -13,7 +13,7 @@
 //!   entry a snapshot, verified against the manifest's recorded
 //!   checksum before decode, served in-process or by its replicas).
 //! * [`ForestBackend`] — [`MeetBackend`] over a catalog. The trait
-//!   surface (store / search / meet) routes to the **default corpus**,
+//!   surface (store / search / MEET / SQL) routes to the **default corpus**,
 //!   so unqualified queries answer byte-identically to a direct
 //!   `Database` on that corpus; `corpus(name)` resolution routes
 //!   qualified queries; [`meet_terms_forest`] fans out across every
@@ -29,8 +29,8 @@
 //! swap then retires the old forest without touching in-flight batches
 //! or sibling corpora.
 
-use crate::answer::AnswerSet;
-use crate::backend::{BackendError, MeetBackend, RobustnessStats};
+use crate::answer::{AnswerSet, QueryOutput};
+use crate::backend::{BackendError, MeetBackend, RobustnessStats, TermResolver};
 use crate::db::Database;
 use crate::meet_multi::MeetOptions;
 use crate::remote::{RemoteBackend, RemoteConfig};
@@ -137,19 +137,20 @@ impl From<ManifestError> for CatalogError {
 }
 
 /// The signature query fanned out across *every* corpus `forest`
-/// serves: per corpus, resolve each term, meet the hit groups, tag the
-/// answers with the corpus name; answers concatenate in catalog order
-/// (stable cross-corpus document order). `resolve(corpus, engine, term)`
-/// is how a term becomes hits — [`MeetBackend::search`] directly, or
-/// `ncq-server`'s per-worker term cache in front of it.
+/// serves: per corpus, [`MeetBackend::meet_terms_answers`], with the
+/// answers tagged by corpus name and concatenated in catalog order
+/// (stable cross-corpus document order). `resolve(corpus, engine,
+/// term)` is how a term becomes hits on a corpus held in this process —
+/// [`MeetBackend::search`] directly, or `ncq-server`'s term cache in
+/// front of it; a remote corpus answers on its replicas.
 ///
 /// Graceful degradation: a corpus whose engine is unavailable (a remote
 /// corpus with every replica down) contributes a typed
 /// [`crate::answer::PartialAnswer`] marker instead of failing the whole
 /// fan-out — the surviving corpora still answer.
-pub fn meet_terms_forest<H: std::borrow::Borrow<HitSet>>(
+pub fn meet_terms_forest<H: Into<Arc<HitSet>>>(
     forest: &dyn MeetBackend,
-    terms: &[impl AsRef<str>],
+    terms: &[&str],
     options: &MeetOptions,
     mut resolve: impl FnMut(&str, &Arc<dyn MeetBackend>, &str) -> Result<H, BackendError>,
 ) -> AnswerSet {
@@ -158,19 +159,14 @@ pub fn meet_terms_forest<H: std::borrow::Borrow<HitSet>>(
         let Some(backend) = forest.corpus(&name) else {
             continue;
         };
-        let answers = (|| {
-            let inputs = terms
-                .iter()
-                .map(|t| resolve(&name, &backend, t.as_ref()))
-                .collect::<Result<Vec<H>, _>>()?;
-            let refs: Vec<&HitSet> = inputs.iter().map(H::borrow).collect();
-            let meets = backend.meet_hit_groups(&refs, options)?;
-            let mut answers = AnswerSet::from_meets(backend.store(), meets);
-            answers.tag_corpus(&name);
-            Ok::<_, BackendError>(answers)
-        })();
+        let answers = backend.meet_terms_answers(terms, options, &mut |term| {
+            resolve(&name, &backend, term).map(Into::into)
+        });
         match answers {
-            Ok(a) => all.results.extend(a.results),
+            Ok(mut a) => {
+                a.tag_corpus(&name);
+                all.results.extend(a.results);
+            }
             Err(e) => all.push_partial(&name, e.to_string()),
         }
     }
@@ -214,7 +210,9 @@ impl Catalog {
         if self.corpora.iter().any(|c| c.name == name) {
             return Err(CatalogError::DuplicateCorpus { name });
         }
-        backend.store().meet_index();
+        if let Some(store) = backend.store() {
+            store.meet_index();
+        }
         self.corpora.push(Corpus { name, backend });
         Ok(())
     }
@@ -232,7 +230,9 @@ impl Catalog {
             .ok_or_else(|| CatalogError::UnknownCorpus {
                 name: name.to_owned(),
             })?;
-        backend.store().meet_index();
+        if let Some(store) = backend.store() {
+            store.meet_index();
+        }
         corpus.backend = backend;
         Ok(())
     }
@@ -301,11 +301,12 @@ impl Catalog {
     /// [`Database::open_snapshot`] directly.
     ///
     /// An entry without endpoints is served in-process as a
-    /// [`Database`]. An entry with replica endpoints keeps the snapshot
-    /// as the coordinator's local resolver copy inside a
-    /// [`RemoteBackend`] that proxies search/meet to the listed
-    /// replicas with failover, routed by `remote_config` (timeouts,
-    /// retry rounds, backoff — the stress suites tighten these).
+    /// [`Database`]. An entry with replica endpoints is verified and
+    /// decoded the same way, then handed to [`RemoteBackend::new`],
+    /// which keeps nothing of it: the listed replicas answer whole
+    /// requests with failover, routed by `remote_config` (timeouts,
+    /// retry rounds, backoff — the stress suites tighten these), and
+    /// the coordinator holds no copy of the corpus.
     pub fn open_manifest(
         path: impl AsRef<Path>,
         remote_config: RemoteConfig,
@@ -414,7 +415,7 @@ impl fmt::Debug for ForestBackend {
 }
 
 impl MeetBackend for ForestBackend {
-    fn store(&self) -> &MonetDb {
+    fn store(&self) -> Option<&MonetDb> {
         self.catalog.default_backend().store()
     }
 
@@ -422,14 +423,19 @@ impl MeetBackend for ForestBackend {
         self.catalog.default_backend().search(term)
     }
 
-    fn meet_hit_groups(
+    fn meet_terms_answers(
         &self,
-        inputs: &[&HitSet],
+        terms: &[&str],
         options: &MeetOptions,
-    ) -> Result<Vec<crate::meet_multi::Meet>, BackendError> {
+        resolve: &mut TermResolver<'_>,
+    ) -> Result<AnswerSet, BackendError> {
         self.catalog
             .default_backend()
-            .meet_hit_groups(inputs, options)
+            .meet_terms_answers(terms, options, resolve)
+    }
+
+    fn answer_sql(&self, query: &str, max_rows: usize) -> Result<QueryOutput, BackendError> {
+        self.catalog.default_backend().answer_sql(query, max_rows)
     }
 
     fn corpus(&self, name: &str) -> Option<Arc<dyn MeetBackend>> {
@@ -509,7 +515,9 @@ mod tests {
         let opts = MeetOptions::default();
         assert_eq!(
             forest
-                .meet_terms_answers(&["Bit", "1999"], &opts)
+                .meet_terms_answers(&["Bit", "1999"], &opts, &mut |t| {
+                    forest.search(t).map(Arc::new)
+                })
                 .unwrap()
                 .to_detailed_xml(),
             direct
@@ -518,7 +526,10 @@ mod tests {
                 .to_detailed_xml()
         );
         assert_eq!(forest.search("Bit").unwrap(), direct.search("Bit"));
-        assert_eq!(forest.store().node_count(), direct.store().node_count());
+        assert_eq!(
+            MeetBackend::store(&forest).map(MonetDb::node_count),
+            Some(direct.store().node_count())
+        );
     }
 
     #[test]
@@ -605,10 +616,11 @@ mod tests {
         assert!(Arc::ptr_eq(&bib_before, &bib_after));
         // …and the swapped corpus still answers.
         let opts = MeetOptions::default();
-        let answers = swapped
-            .corpus("shop")
-            .unwrap()
-            .meet_terms_answers(&["Bit", "1999"], &opts)
+        let shop = swapped.corpus("shop").unwrap();
+        let answers = shop
+            .meet_terms_answers(&["Bit", "1999"], &opts, &mut |t| {
+                shop.search(t).map(Arc::new)
+            })
             .unwrap();
         assert_eq!(answers.tags(), vec!["item"]);
         // Unknown corpus and non-forest engines fail typed.
@@ -652,7 +664,9 @@ mod tests {
         // Default routing follows the manifest's default index.
         assert_eq!(
             forest
-                .meet_terms_answers(&["Bit", "1999"], &MeetOptions::default())
+                .meet_terms_answers(&["Bit", "1999"], &MeetOptions::default(), &mut |t| {
+                    forest.search(t).map(Arc::new)
+                })
                 .unwrap()
                 .tags(),
             vec!["item"]

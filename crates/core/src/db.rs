@@ -8,9 +8,7 @@
 use crate::answer::AnswerSet;
 use crate::meet2::{meet2_indexed, Meet2};
 use crate::meet_multi::{Meet, MeetOptions};
-use crate::rank::rank_and_cut;
 use crate::reference::MeetPlanner;
-use crate::sweep::{merged_hits, sweep};
 use ncq_fulltext::{search, HitSet, InvertedIndex};
 use ncq_store::snapshot::SnapshotError;
 use ncq_store::{MappedSnapshot, MonetDb, Oid, PathId, SnapshotWriter, VerifyMode};
@@ -219,19 +217,14 @@ impl Database {
         meet2_indexed(&self.store, o1, o2)
     }
 
-    /// Generalized meet over hit groups (paper Fig. 5): one stack pass
-    /// over the hits in document order ([`crate::sweep`]), ranked and
-    /// cut to [`MeetOptions::limit`]. Inputs are accepted through any
-    /// [`std::borrow::Borrow`]-able holder (`HitSet`, `&HitSet`,
-    /// `Arc<HitSet>`), so shared caches need no deep copy.
+    /// Generalized meet over hit groups (paper Fig. 5):
+    /// [`crate::sweep::meet_hits`] on this database's store.
     pub fn meet_hits<H: std::borrow::Borrow<HitSet>>(
         &self,
         inputs: &[H],
         options: &MeetOptions,
     ) -> Vec<Meet> {
-        let _span = ncq_obs::trace::span("meet_eval");
-        let swept = sweep(&self.store, &merged_hits(inputs), options, |_| false);
-        rank_and_cut(swept.meets, options.limit)
+        crate::sweep::meet_hits(&self.store, inputs, options)
     }
 
     /// The paper's signature query: full-text search each term, then meet

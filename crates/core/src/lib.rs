@@ -23,7 +23,9 @@
 //! * **rank, cut** — distance-based ranking and `limit k`
 //!   ([`rank::rank_and_cut`]).
 //!
-//! [`Database::meet_hits`] is that pipeline; the forest fan-out
+//! [`sweep::meet_hits`] is that pipeline ([`Database::meet_hits`] runs
+//! it on a database's store); the served MEET
+//! ([`MeetBackend::meet_terms_answers`]), the forest fan-out
 //! ([`catalog`]) and the remote engine ([`remote`]) delegate to it.
 //! (`ncq-shard` runs the same pass as a scatter/gather for the
 //! benchmark's comparison; nothing serves it.) The paper's own
@@ -66,7 +68,7 @@ pub mod reference;
 pub mod remote;
 pub mod sweep;
 
-pub use answer::{Answer, AnswerSet, PartialAnswer, Row, RowSet, Witness};
+pub use answer::{Answer, AnswerSet, PartialAnswer, QueryOutput, Row, RowSet, Witness};
 pub use backend::{BackendError, MeetBackend, RobustnessStats};
 pub use catalog::{open_forest, Catalog, CatalogError, ForestBackend};
 pub use db::{Database, MeetError};

@@ -3,11 +3,14 @@
 //!
 //! The forest catalog (PR 5) still assumed every engine lives
 //! in-process. This module is the distribution step: a corpus engine
-//! can run in another process behind `ncq-server`'s framed
-//! engine listener, and the coordinator holds a [`RemoteBackend`] that
-//! proxies the [`MeetBackend`] surface over TCP — answers byte-identical
-//! to in-process execution, because the replica runs the same engine
-//! over the same snapshot and the wire codec is lossless.
+//! can run in another process behind `ncq-server`'s framed engine
+//! listener, and the coordinator holds a [`RemoteBackend`] that sends
+//! each MEET or SQL query whole ([`EngineRequest::Answer`]) and gets
+//! back the finished, ranked and resolved answer — byte-identical to
+//! in-process execution, because the replica runs the same engine over
+//! the same snapshot and the wire codec is lossless. The coordinator
+//! keeps no copy of the corpus; a term's hits (`Search`, for the
+//! `SEARCH` verb's count) are the only sub-step it still asks for.
 //!
 //! # Frame layout
 //!
@@ -43,8 +46,8 @@
 //! past the configured timeout budget (every socket carries connect,
 //! read and write timeouts).
 
-use crate::answer::{Answer, AnswerSet, PartialAnswer, Row, RowSet, Witness};
-use crate::backend::{BackendError, MeetBackend, RobustnessStats};
+use crate::answer::{Answer, AnswerSet, PartialAnswer, QueryOutput, Row, RowSet, Witness};
+use crate::backend::{BackendError, MeetBackend, RobustnessStats, TermResolver};
 use crate::db::Database;
 use crate::filter::PathFilter;
 use crate::meet_multi::{Meet, MeetOptions, MeetWitness};
@@ -974,18 +977,16 @@ fn remote_metrics() -> &'static RemoteMetrics {
     })
 }
 
-/// [`MeetBackend`] proxied over the framed engine protocol, with
-/// replica failover.
+/// [`MeetBackend`] served by replica engines over the framed engine
+/// protocol, with failover.
 ///
-/// The backend keeps a local *resolver* copy of the corpus (the same
-/// snapshot the replicas serve): [`MeetBackend::store`] must hand out
-/// schema and string lookups for answer resolution, and those stay
-/// local — only search and meet execution travel. Because replicas run
-/// the identical engine over the identical snapshot, a remote answer
-/// is byte-identical to in-process execution; the golden replay suite
-/// asserts exactly that.
+/// The coordinator holds no copy of the corpus, so
+/// [`MeetBackend::store`] is `None`: a MEET or a SQL query travels
+/// whole ([`EngineRequest::Answer`], one round trip) and comes back
+/// ranked and resolved. Because replicas run the identical engine over
+/// the identical snapshot, a remote answer is byte-identical to
+/// in-process execution; the golden replay suite asserts exactly that.
 pub struct RemoteBackend {
-    resolver: Database,
     replicas: Vec<Replica>,
     config: RemoteConfig,
     jitter: Mutex<StdRng>,
@@ -994,13 +995,17 @@ pub struct RemoteBackend {
 
 impl RemoteBackend {
     /// Route to `endpoints` (tried in order — list the preferred
-    /// replica first), resolving answers against `resolver`. Refuses
-    /// an empty endpoint list.
+    /// replica first). Refuses an empty endpoint list.
+    ///
+    /// `corpus` is dropped (its mapping released) before this returns:
+    /// the replicas own the corpus. The argument stays only because the
+    /// benchmark still passes one (ROADMAP 1(f)).
     pub fn new(
-        resolver: Database,
+        corpus: Database,
         endpoints: &[String],
         config: RemoteConfig,
     ) -> Result<RemoteBackend, BackendError> {
+        drop(corpus);
         if endpoints.is_empty() {
             return Err(BackendError::Unavailable {
                 detail: "a remote backend needs at least one replica endpoint".to_owned(),
@@ -1009,7 +1014,6 @@ impl RemoteBackend {
         }
         let jitter = Mutex::new(StdRng::seed_from_u64(JITTER_SEED));
         Ok(RemoteBackend {
-            resolver,
             replicas: endpoints.iter().cloned().map(Replica::new).collect(),
             config,
             jitter,
@@ -1152,8 +1156,8 @@ impl fmt::Debug for RemoteBackend {
 }
 
 impl MeetBackend for RemoteBackend {
-    fn store(&self) -> &MonetDb {
-        self.resolver.store()
+    fn store(&self) -> Option<&MonetDb> {
+        None
     }
 
     fn search(&self, term: &str) -> Result<HitSet, BackendError> {
@@ -1161,26 +1165,37 @@ impl MeetBackend for RemoteBackend {
             term: term.to_owned(),
         })? {
             EngineResponse::Hits(hits) => Ok(hits),
-            other => Err(BackendError::Remote {
-                detail: format!("expected hits, got {other:?}"),
-            }),
+            other => Err(unexpected("hits", &other)),
         }
     }
 
-    fn meet_hit_groups(
+    /// One [`EngineQuery::Meet`] round trip; `resolve` is not consulted,
+    /// since the replica searches its own corpus.
+    fn meet_terms_answers(
         &self,
-        inputs: &[&HitSet],
+        terms: &[&str],
         options: &MeetOptions,
-    ) -> Result<Vec<Meet>, BackendError> {
-        let owned: Vec<HitSet> = inputs.iter().map(|h| (*h).clone()).collect();
-        match self.call(&EngineRequest::Meet {
-            inputs: owned,
+        _resolve: &mut TermResolver<'_>,
+    ) -> Result<AnswerSet, BackendError> {
+        let query = EngineQuery::Meet {
+            terms: terms.iter().map(|t| (*t).to_owned()).collect(),
             options: options.clone(),
-        })? {
-            EngineResponse::Meets(meets) => Ok(meets),
-            other => Err(BackendError::Remote {
-                detail: format!("expected meets, got {other:?}"),
-            }),
+        };
+        match self.call(&EngineRequest::Answer(query))? {
+            EngineResponse::Answers(answers) => Ok(answers),
+            other => Err(unexpected("answers", &other)),
+        }
+    }
+
+    fn answer_sql(&self, query: &str, max_rows: usize) -> Result<QueryOutput, BackendError> {
+        let query = EngineQuery::Sql {
+            text: query.to_owned(),
+            max_rows,
+        };
+        match self.call(&EngineRequest::Answer(query))? {
+            EngineResponse::Answers(answers) => Ok(QueryOutput::Answers(answers)),
+            EngineResponse::Rows(rows) => Ok(QueryOutput::Rows(rows)),
+            other => Err(unexpected("answers or rows", &other)),
         }
     }
 
@@ -1197,24 +1212,27 @@ impl MeetBackend for RemoteBackend {
         }
     }
 
-    /// Persists the *resolver* copy — the same snapshot the replicas
-    /// serve, so this is the corpus state.
-    fn save_snapshot(&self, path: &Path) -> Result<(), SnapshotError> {
-        Database::save_snapshot(&self.resolver, path)
+    fn save_snapshot(&self, _path: &Path) -> Result<(), SnapshotError> {
+        Err(REPLICAS_OWN_THE_CORPUS)
     }
 
-    /// Reload the resolver from `path`, keeping the same endpoints and
-    /// router configuration (replica health restarts fresh).
-    fn open_snapshot_like(&self, path: &Path) -> Result<Arc<dyn MeetBackend>, SnapshotError> {
-        let resolver = Database::open_snapshot(path)?;
-        let endpoints = self.endpoints();
-        let backend =
-            RemoteBackend::new(resolver, &endpoints, self.config.clone()).map_err(|_| {
-                SnapshotError::Unsupported {
-                    context: "remote backend lost its endpoints during reload",
-                }
-            })?;
-        Ok(Arc::new(backend))
+    /// Refused rather than left to the default, which would load a
+    /// local [`Database`] and quietly turn a remote deployment local.
+    fn open_snapshot_like(&self, _path: &Path) -> Result<Arc<dyn MeetBackend>, SnapshotError> {
+        Err(REPLICAS_OWN_THE_CORPUS)
+    }
+}
+
+/// The refusal of the snapshot verbs on a remote corpus: the
+/// coordinator holds no copy to save or swap.
+const REPLICAS_OWN_THE_CORPUS: SnapshotError = SnapshotError::Unsupported {
+    context: "a remote corpus is owned by its replicas; snapshot or reload it on the engines",
+};
+
+/// A well-framed reply of the wrong kind.
+fn unexpected(wanted: &str, got: &EngineResponse) -> BackendError {
+    BackendError::Remote {
+        detail: format!("expected {wanted}, got {got:?}"),
     }
 }
 
@@ -1545,9 +1563,9 @@ mod tests {
                 "answer meet",
                 encode_request(&answer_meet),
                 concat!(
-                    "0500",                             // OP_ANSWER, MEET
+                    "0500", // OP_ANSWER, MEET
                     "02000000", "03000000426974", "0400000031393939", // terms
-                    "00", "010500000000000000",           // all paths, within 5
+                    "00", "010500000000000000", // all paths, within 5
                     "0000000000000000", "010200000000000000", // cap, limit 2
                 )
                 .to_owned(),
@@ -1556,9 +1574,9 @@ mod tests {
                 "answer sql",
                 encode_request(&answer_sql),
                 concat!(
-                    "0501",                                     // OP_ANSWER, SQL
+                    "0501", // OP_ANSWER, SQL
                     "1400000073656c65637420742066726f6d20612061732074", // text
-                    "6400000000000000",                         // max rows 100
+                    "6400000000000000", // max rows 100
                 )
                 .to_owned(),
             ),
@@ -1566,13 +1584,13 @@ mod tests {
                 "answers",
                 encode_response(&EngineResponse::Answers(answers)),
                 concat!(
-                    "0003", "01000000",                       // one result
-                    "01020000006462", "02000000",           // corpus "db", o2
-                    "0100000061", "03000000722f61",         // tag, path
+                    "0003", "01000000", // one result
+                    "01020000006462", "02000000", // corpus "db", o2
+                    "0100000061", "03000000722f61", // tag, path
                     "0300000000000000", "0500000000000000", // distance, count
-                    "02000000",                             // two witnesses
+                    "02000000", // two witnesses
                     "07000000", "0100000000000000", "0200000000000000",
-                    "0103000000426974",                     // text "Bit"
+                    "0103000000426974", // text "Bit"
                     "08000000", "0000000000000000", "0100000000000000", "00",
                     "01000000", "0100000078", "04000000646f776e", // one partial
                 )
@@ -1583,7 +1601,7 @@ mod tests {
                 encode_response(&EngineResponse::Rows(rows)),
                 concat!(
                     "0004", "010000000100000074", // columns ["t"]
-                    "01000000",                   // one row
+                    "01000000", // one row
                     "010000000100000061", "0100000002000000", // ["a"], [o2]
                 )
                 .to_owned(),
@@ -1686,10 +1704,20 @@ mod tests {
         .unwrap();
         let opts = MeetOptions::default();
         let local = db.meet_terms(&["Bit", "1999"]).unwrap();
-        let over_wire = remote.meet_terms_answers(&["Bit", "1999"], &opts).unwrap();
+        let over_wire = remote
+            .meet_terms_answers(&["Bit", "1999"], &opts, &mut |t| {
+                remote.search(t).map(Arc::new)
+            })
+            .unwrap();
         assert_eq!(over_wire.to_detailed_xml(), local.to_detailed_xml());
         assert_eq!(remote.search("Bit").unwrap(), db.search("Bit"));
         assert_eq!(remote.robustness_stats(), RobustnessStats::default());
+        // The coordinator holds no corpus, so it has nothing to save.
+        assert!(remote.store().is_none());
+        assert!(matches!(
+            remote.save_snapshot(Path::new("unused.ncq")),
+            Err(SnapshotError::Unsupported { .. })
+        ));
     }
 
     #[test]
@@ -1708,7 +1736,9 @@ mod tests {
         )
         .unwrap();
         let answers = remote
-            .meet_terms_answers(&["Bit", "1999"], &MeetOptions::default())
+            .meet_terms_answers(&["Bit", "1999"], &MeetOptions::default(), &mut |t| {
+                remote.search(t).map(Arc::new)
+            })
             .unwrap();
         assert_eq!(
             answers.to_detailed_xml(),
@@ -1751,7 +1781,9 @@ mod tests {
         // instead of panicking or answering empty.
         assert!(remote.robustness_stats().retries >= 1);
         assert!(matches!(
-            remote.meet_hit_groups(&[], &MeetOptions::default()),
+            remote.meet_terms_answers(&["Bit"], &MeetOptions::default(), &mut |t| {
+                remote.search(t).map(Arc::new)
+            }),
             Err(BackendError::Unavailable { .. })
         ));
     }

@@ -33,7 +33,7 @@
 //! which is this same pass again over everybody's survivors.
 
 use crate::meet_multi::{Meet, MeetOptions, MeetWitness};
-use crate::rank::{rank_key, KBest};
+use crate::rank::{rank_and_cut, rank_key, KBest};
 use ncq_fulltext::HitSet;
 use ncq_store::{MeetIndex, MonetDb, Oid};
 use std::borrow::Borrow;
@@ -49,6 +49,21 @@ pub fn merged_hits<H: Borrow<HitSet>>(inputs: &[H]) -> Vec<(Oid, u32)> {
     }
     items.sort_unstable();
     items
+}
+
+/// The generalized meet over hit groups (paper Fig. 5) on `store`:
+/// one pass over the hits in document order, ranked and cut to
+/// [`MeetOptions::limit`]. Inputs are accepted through any
+/// [`Borrow`]-able holder (`HitSet`, `&HitSet`, `Arc<HitSet>`), so
+/// shared caches need no deep copy.
+pub fn meet_hits<H: Borrow<HitSet>>(
+    store: &MonetDb,
+    inputs: &[H],
+    options: &MeetOptions,
+) -> Vec<Meet> {
+    let _span = ncq_obs::trace::span("meet_eval");
+    let swept = sweep(store, &merged_hits(inputs), options, |_| false);
+    rank_and_cut(swept.meets, options.limit)
 }
 
 /// What one pass found.

@@ -16,10 +16,11 @@ use crate::ast::{Query, SelectClause, SelectItem};
 use crate::error::QueryError;
 use crate::parser::parse_query;
 use crate::pathexpr::{match_paths, matched_path_ids, PathMatch};
-pub use ncq_core::answer::{Row, RowSet};
+pub use ncq_core::answer::{QueryOutput, Row, RowSet};
+use ncq_core::sweep::meet_hits;
 use ncq_core::{AnswerSet, MeetBackend, MeetOptions, PathFilter};
 use ncq_fulltext::HitSet;
-use ncq_store::{Oid, PathId};
+use ncq_store::{MonetDb, Oid, PathId};
 
 #[cfg(test)]
 use ncq_core::Database;
@@ -47,16 +48,6 @@ pub struct QueryOptions {
     /// the server's `USE` verb threads the session corpus through
     /// here. An explicit `from corpus(name)` in the query wins.
     pub default_corpus: Option<String>,
-}
-
-/// Output of [`run_query`]: rows for projections, ranked answers for meet
-/// aggregates.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QueryOutput {
-    /// Projection result.
-    Rows(RowSet),
-    /// Meet-aggregation result.
-    Answers(AnswerSet),
 }
 
 /// Parse and evaluate with default limits.
@@ -104,18 +95,28 @@ pub fn evaluate<B: MeetBackend + ?Sized>(
     }
 }
 
-/// Evaluate against an already-resolved backend.
+/// Evaluate against an already-resolved backend. A backend without a
+/// store (a remote corpus) evaluates the whole query on its replicas:
+/// it receives the query text with the corpus clause dropped, since
+/// the routing is already done.
 fn evaluate_resolved<B: MeetBackend + ?Sized>(
     db: &B,
     query: &Query,
     opts: &QueryOptions,
 ) -> Result<QueryOutput, QueryError> {
-    let config = &opts.config;
+    let Some(store) = db.store() else {
+        let text = Query {
+            corpus: None,
+            ..query.clone()
+        }
+        .to_string();
+        return Ok(db.answer_sql(&text, opts.config.max_rows)?);
+    };
     match &query.select {
         SelectClause::Meet { vars, modifiers } => {
             let inputs: Vec<HitSet> = vars
                 .iter()
-                .map(|v| hit_group(db, query, v))
+                .map(|v| hit_group(db, store, query, v))
                 .collect::<Result<_, _>>()?;
             let mut options = MeetOptions {
                 max_distance: modifiers.within,
@@ -125,24 +126,20 @@ fn evaluate_resolved<B: MeetBackend + ?Sized>(
             if !modifiers.only.is_empty() {
                 let mut allowed: Vec<PathId> = Vec::new();
                 for pat in &modifiers.only {
-                    allowed.extend(matched_path_ids(db.store(), pat));
+                    allowed.extend(matched_path_ids(store, pat));
                 }
                 options.filter = PathFilter::allowing(allowed);
             } else if !modifiers.excluding.is_empty() {
                 let mut excluded: Vec<PathId> = Vec::new();
                 for pat in &modifiers.excluding {
-                    excluded.extend(matched_path_ids(db.store(), pat));
+                    excluded.extend(matched_path_ids(store, pat));
                 }
                 options.filter = PathFilter::excluding(excluded);
             }
-            let input_refs: Vec<&HitSet> = inputs.iter().collect();
-            let meets = db.meet_hit_groups(&input_refs, &options)?;
-            Ok(QueryOutput::Answers(AnswerSet::from_meets(
-                db.store(),
-                meets,
-            )))
+            let meets = meet_hits(store, &inputs, &options);
+            Ok(QueryOutput::Answers(AnswerSet::from_meets(store, meets)))
         }
-        SelectClause::Projection(items) => projection(db, query, items, config),
+        SelectClause::Projection(items) => projection(db, store, query, items, &opts.config),
     }
 }
 
@@ -151,6 +148,7 @@ fn evaluate_resolved<B: MeetBackend + ?Sized>(
 /// matched paths, containing *all* of its needles.
 fn hit_group<B: MeetBackend + ?Sized>(
     db: &B,
+    store: &MonetDb,
     query: &Query,
     var: &str,
 ) -> Result<HitSet, QueryError> {
@@ -159,7 +157,6 @@ fn hit_group<B: MeetBackend + ?Sized>(
         .ok_or_else(|| QueryError::UnboundVariable {
             name: var.to_owned(),
         })?;
-    let store = db.store();
     let matched = matched_path_ids(store, &binding.path);
     let needles = query.needles_for(var);
 
@@ -202,6 +199,7 @@ type BoundNode = (Oid, TagAssignment);
 /// matching the path pattern whose subtree contains all needles.
 fn projection_bindings<B: MeetBackend + ?Sized>(
     db: &B,
+    store: &MonetDb,
     query: &Query,
     var: &str,
 ) -> Result<Vec<BoundNode>, QueryError> {
@@ -210,7 +208,6 @@ fn projection_bindings<B: MeetBackend + ?Sized>(
         .ok_or_else(|| QueryError::UnboundVariable {
             name: var.to_owned(),
         })?;
-    let store = db.store();
     let index = store.meet_index();
     let matches: Vec<PathMatch> = match_paths(store, &binding.path);
     let needles = query.needles_for(var);
@@ -245,15 +242,15 @@ fn projection_bindings<B: MeetBackend + ?Sized>(
 
 fn projection<B: MeetBackend + ?Sized>(
     db: &B,
+    store: &MonetDb,
     query: &Query,
     items: &[SelectItem],
     config: &QueryConfig,
 ) -> Result<QueryOutput, QueryError> {
-    let store = db.store();
     let var_names: Vec<&str> = query.from.iter().map(|b| b.var.as_str()).collect();
     let mut bindings = Vec::with_capacity(var_names.len());
     for v in &var_names {
-        bindings.push(projection_bindings(db, query, v)?);
+        bindings.push(projection_bindings(db, store, query, v)?);
     }
 
     let columns: Vec<String> = items

@@ -316,7 +316,11 @@ mod tests {
         )
         .unwrap();
         let opts = MeetOptions::default();
-        let over_proxy = remote.meet_terms_answers(&["Bit", "1999"], &opts).unwrap();
+        let over_proxy = remote
+            .meet_terms_answers(&["Bit", "1999"], &opts, &mut |t| {
+                remote.search(t).map(Arc::new)
+            })
+            .unwrap();
         assert_eq!(
             over_proxy.to_detailed_xml(),
             db.meet_terms(&["Bit", "1999"]).unwrap().to_detailed_xml()

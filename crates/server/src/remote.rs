@@ -4,10 +4,12 @@
 //! The line protocol ([`crate::protocol::serve_lines`]) is the *user*
 //! transport; this module is the *engine* transport — the serving side
 //! of `ncq-core::remote`'s length-delimited request/response framing.
-//! A coordinator's `RemoteBackend` connects here and proxies
-//! search/meet calls; because this process runs the same engine over
-//! the same snapshot, answers are byte-identical to in-process
-//! execution.
+//! A coordinator's `RemoteBackend` connects here and sends whole
+//! requests — a MEET or a SQL query — and gets back finished answers;
+//! because this process runs the same engine over the same snapshot,
+//! answers are byte-identical to in-process execution. The sub-step
+//! opcodes (one term's hits, one meet over shipped hit sets) are
+//! served too: the `SEARCH` verb's count uses the first.
 //!
 //! Failure discipline mirrors the rest of the stack: malformed request
 //! *bodies* are answered with an in-band error frame (the framing is
@@ -24,8 +26,8 @@ use ncq_core::remote::{
     decode_request_traced, encode_error_response, encode_response, read_frame_or_eof, write_frame,
     EngineQuery, EngineRequest, EngineResponse, WireError, DEFAULT_FRAME_CAP,
 };
+use ncq_core::sweep::meet_hits;
 use ncq_core::MeetBackend;
-use ncq_fulltext::HitSet;
 use ncq_query::{run_query_opts, QueryConfig, QueryOptions, QueryOutput};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -64,7 +66,9 @@ impl RemoteEngine {
     ) -> std::io::Result<RemoteEngine> {
         // Force the meet index eagerly so the first remote call does
         // not race the build.
-        backend.store().meet_index();
+        if let Some(store) = backend.store() {
+            store.meet_index();
+        }
         let served = Arc::new(AtomicU64::new(0));
         let session_served = Arc::clone(&served);
         let listener = Listener::bind(
@@ -102,16 +106,18 @@ fn answer(backend: &dyn MeetBackend, request: EngineRequest) -> Vec<u8> {
             Ok(hits) => encode_response(&EngineResponse::Hits(hits)),
             Err(e) => encode_error_response(&e.to_string()),
         },
-        EngineRequest::Meet { inputs, options } => {
-            let refs: Vec<&HitSet> = inputs.iter().collect();
-            match backend.meet_hit_groups(&refs, &options) {
-                Ok(meets) => encode_response(&EngineResponse::Meets(meets)),
-                Err(e) => encode_error_response(&e.to_string()),
+        EngineRequest::Meet { inputs, options } => match backend.store() {
+            Some(store) => {
+                encode_response(&EngineResponse::Meets(meet_hits(store, &inputs, &options)))
             }
-        }
+            None => encode_error_response("this engine holds no corpus to meet over"),
+        },
         EngineRequest::Answer(EngineQuery::Meet { terms, options }) => {
             let terms: Vec<&str> = terms.iter().map(String::as_str).collect();
-            match backend.meet_terms_answers(&terms, &options) {
+            let answers = backend.meet_terms_answers(&terms, &options, &mut |term| {
+                backend.search(term).map(Arc::new)
+            });
+            match answers {
                 Ok(answers) => encode_response(&EngineResponse::Answers(answers)),
                 Err(e) => encode_error_response(&e.to_string()),
             }
@@ -231,10 +237,27 @@ mod tests {
         )
         .unwrap();
         let opts = MeetOptions::default();
-        let over_wire = remote.meet_terms_answers(&["Bit", "1999"], &opts).unwrap();
+        let over_wire = remote
+            .meet_terms_answers(&["Bit", "1999"], &opts, &mut |t| {
+                remote.search(t).map(Arc::new)
+            })
+            .unwrap();
         let local = db.meet_terms(&["Bit", "1999"]).unwrap();
         assert_eq!(over_wire.to_detailed_xml(), local.to_detailed_xml());
-        assert!(engine.served() >= 3); // two searches + one meet
+        // The whole MEET is one request, and so is each SQL query.
+        assert_eq!(engine.served(), 1);
+        for (sql, served) in [
+            (
+                "select meet(a, b) from bib/% as a, bib/% as b \
+                 where a contains 'Bit' and b contains '1999'",
+                2,
+            ),
+            ("select t from bib/article as t", 3),
+        ] {
+            let over_wire = ncq_query::run_query(&remote, sql).unwrap();
+            assert_eq!(over_wire, ncq_query::run_query(&*db, sql).unwrap(), "{sql}");
+            assert_eq!(engine.served(), served, "{sql}");
+        }
         engine.shutdown();
     }
 

@@ -13,6 +13,7 @@ use ncq_core::{AnswerSet, BackendError, CatalogError, Database, MeetBackend, Mee
 use ncq_fulltext::HitSet;
 use ncq_query::{parse_query, run_query_opts, QueryConfig, QueryOptions, QueryOutput, RowSet};
 use ncq_store::snapshot::SnapshotError;
+use ncq_store::MonetDb;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::Hash;
@@ -126,9 +127,10 @@ pub enum Request {
     /// Cold-load a snapshot and hot-swap it in (the line protocol's
     /// `SNAPSHOT LOAD <name> [INTO <corpus>]`). Without a corpus the
     /// whole backend swaps for one of the same kind
-    /// ([`MeetBackend::open_snapshot_like`]): a remote engine keeps its
-    /// replicas. With a corpus, only that corpus of a forest deployment
-    /// swaps ([`MeetBackend::reload_corpus`]) and every *other*
+    /// ([`MeetBackend::open_snapshot_like`]); a remote corpus refuses,
+    /// since its replicas own it. With a corpus, only that corpus of a
+    /// forest deployment swaps ([`MeetBackend::reload_corpus`]) and
+    /// every *other*
     /// corpus's engine is shared by refcount, so sibling corpora — and
     /// all in-flight batches — are
     /// untouched. Either way the swap takes effect for batches formed
@@ -625,10 +627,13 @@ impl Server {
 
     /// Spawn the worker pool over any [`MeetBackend`] — the
     /// single-process [`Database`], a remote engine or a forest.
-    /// Workers are agnostic: they decode terms and meet through the
-    /// trait.
+    /// Workers are agnostic: they answer a MEET through
+    /// [`MeetBackend::meet_terms_answers`] with their term cache as the
+    /// resolver, and SQL through `ncq-query`.
     pub fn start_backend(db: Arc<dyn MeetBackend>, config: ServerConfig) -> Server {
-        db.store().meet_index();
+        if let Some(store) = db.store() {
+            store.meet_index();
+        }
         let workers = if config.workers == 0 {
             thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -1060,6 +1065,7 @@ fn execute(
                 limit: *limit,
                 ..MeetOptions::default()
             };
+            let term_refs: Vec<&str> = terms.iter().map(String::as_str).collect();
             if corpus.as_deref() == Some(ALL_CORPORA) {
                 // Fan out across the whole catalog, decoding through the
                 // per-corpus engines and the tagged term cache, same as
@@ -1075,7 +1081,7 @@ fn execute(
                 }
                 let all = ncq_core::catalog::meet_terms_forest(
                     &**db,
-                    terms,
+                    &term_refs,
                     &options,
                     |name, target, term| {
                         get_or_decode(shared, cache, epochs.of(name), target, name, term)
@@ -1106,19 +1112,11 @@ fn execute(
                 (key, epoch)
             });
             cached(shared, key, || {
-                let mut inputs = Vec::with_capacity(terms.len());
-                for term in terms {
-                    match get_or_decode(shared, cache, epoch, &target, &corpus_name, term) {
-                        Ok(hits) => inputs.push(hits),
-                        Err(e) => return Response::Error(e.to_string()),
-                    }
-                }
-                let refs: Vec<&HitSet> = inputs.iter().map(Arc::as_ref).collect();
-                match target.meet_hit_groups(&refs, &options) {
-                    Ok(meets) => {
-                        let _serialize = ncq_obs::trace::span("serialize");
-                        Response::Answers(AnswerSet::from_meets(target.store(), meets))
-                    }
+                let answers = target.meet_terms_answers(&term_refs, &options, &mut |term| {
+                    get_or_decode(shared, cache, epoch, &target, &corpus_name, term)
+                });
+                match answers {
+                    Ok(answers) => Response::Answers(answers),
                     Err(e) => {
                         ncq_obs::trace::event("error", e.to_string());
                         Response::Error(e.to_string())
@@ -1218,7 +1216,7 @@ fn execute(
             Ok(full) => match db.save_snapshot(&full) {
                 Ok(()) => Response::Info(format!(
                     "snapshot saved: {} objects -> {}",
-                    db.store().node_count(),
+                    db.store().map_or(0, MonetDb::node_count),
                     full.display()
                 )),
                 Err(e) => Response::Error(e.to_string()),
@@ -1242,7 +1240,7 @@ fn execute(
                         Ok(fresh) => fresh,
                         Err(e) => return Response::Error(e.to_string()),
                     };
-                    let objects = fresh.store().node_count();
+                    let objects = fresh.store().map_or(0, MonetDb::node_count);
                     {
                         // Full swap: every cached decode and result is
                         // for the old backend now. Bump the epoch while
@@ -1665,8 +1663,8 @@ mod tests {
     }
 
     impl MeetBackend for Gated {
-        fn store(&self) -> &ncq_store::MonetDb {
-            self.db.store()
+        fn store(&self) -> Option<&MonetDb> {
+            Some(self.db.store())
         }
 
         fn search(&self, term: &str) -> Result<HitSet, BackendError> {
@@ -1675,14 +1673,6 @@ mod tests {
                 self.release.lock().unwrap().recv().unwrap();
             }
             Ok(self.db.search(term))
-        }
-
-        fn meet_hit_groups(
-            &self,
-            inputs: &[&HitSet],
-            options: &MeetOptions,
-        ) -> Result<Vec<ncq_core::Meet>, BackendError> {
-            Ok(self.db.meet_hits(inputs, options))
         }
     }
 

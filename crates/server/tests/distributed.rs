@@ -107,7 +107,9 @@ fn remote_replicas_answer_byte_identically() {
     let opts = MeetOptions::default();
     for (t1, t2) in term_pairs(&db, 12) {
         let over_wire = remote
-            .meet_terms_answers(&[t1.as_str(), t2.as_str()], &opts)
+            .meet_terms_answers(&[t1.as_str(), t2.as_str()], &opts, &mut |t| {
+                remote.search(t).map(Arc::new)
+            })
             .unwrap();
         let local = db.meet_terms(&[t1.as_str(), t2.as_str()]).unwrap();
         assert_eq!(
@@ -155,7 +157,9 @@ fn chaos_replica_with_one_healthy_peer_stays_byte_identical() {
     let opts = MeetOptions::default();
     for (t1, t2) in term_pairs(&db, 16) {
         let over_wire = remote
-            .meet_terms_answers(&[t1.as_str(), t2.as_str()], &opts)
+            .meet_terms_answers(&[t1.as_str(), t2.as_str()], &opts, &mut |t| {
+                remote.search(t).map(Arc::new)
+            })
             .unwrap();
         let local = db.meet_terms(&[t1.as_str(), t2.as_str()]).unwrap();
         assert_eq!(
@@ -197,7 +201,11 @@ fn stalled_replica_times_out_and_fails_over() {
     .unwrap();
     let started = Instant::now();
     let opts = MeetOptions::default();
-    let answers = remote.meet_terms_answers(&["Bit", "1999"], &opts).unwrap();
+    let answers = remote
+        .meet_terms_answers(&["Bit", "1999"], &opts, &mut |t| {
+            remote.search(t).map(Arc::new)
+        })
+        .unwrap();
     assert_eq!(
         answers.to_detailed_xml(),
         db.meet_terms(&["Bit", "1999"]).unwrap().to_detailed_xml()
@@ -242,7 +250,9 @@ fn killing_a_replica_mid_batch_keeps_answers_byte_identical() {
             doomed.take().unwrap().shutdown();
         }
         let over_wire = remote
-            .meet_terms_answers(&[t1.as_str(), t2.as_str()], &opts)
+            .meet_terms_answers(&[t1.as_str(), t2.as_str()], &opts, &mut |t| {
+                remote.search(t).map(Arc::new)
+            })
             .unwrap();
         let local = db.meet_terms(&[t1.as_str(), t2.as_str()]).unwrap();
         assert_eq!(
@@ -384,7 +394,9 @@ fn forest_with_a_down_default_corpus_fails_typed_never_empty() {
         Err(BackendError::Unavailable { .. })
     ));
     assert!(matches!(
-        forest.meet_terms_answers(&["Bit", "1999"], &MeetOptions::default()),
+        forest.meet_terms_answers(&["Bit", "1999"], &MeetOptions::default(), &mut |t| {
+            forest.search(t).map(Arc::new)
+        }),
         Err(BackendError::Unavailable { .. })
     ));
 
@@ -433,7 +445,11 @@ fn manifest_endpoint_entries_serve_through_remote_replicas() {
     let catalog = Catalog::open_manifest(&mpath, fast_config()).unwrap();
     let corpus = catalog.get("fig").unwrap();
     let opts = MeetOptions::default();
-    let via_manifest = corpus.meet_terms_answers(&["Bit", "1999"], &opts).unwrap();
+    let via_manifest = corpus
+        .meet_terms_answers(&["Bit", "1999"], &opts, &mut |t| {
+            corpus.search(t).map(Arc::new)
+        })
+        .unwrap();
     let local = db.meet_terms(&["Bit", "1999"]).unwrap();
     assert_eq!(via_manifest.to_detailed_xml(), local.to_detailed_xml());
 
@@ -565,7 +581,9 @@ fn trace_ids_propagate_over_the_wire_and_record_failover() {
     let id = ncq_obs::obs().next_trace_id();
     ncq_obs::obs().begin_trace(id);
     let answers = remote
-        .meet_terms_answers(&["Bit", "1999"], &MeetOptions::default())
+        .meet_terms_answers(&["Bit", "1999"], &MeetOptions::default(), &mut |t| {
+            remote.search(t).map(Arc::new)
+        })
         .unwrap();
     let sealed = ncq_obs::obs()
         .finish_trace()
@@ -612,4 +630,123 @@ fn trace_ids_propagate_over_the_wire_and_record_failover() {
     proxy.shutdown();
     sick.shutdown();
     healthy.shutdown();
+}
+
+/// A remote corpus has no local copy to save or swap: `SNAPSHOT SAVE`
+/// and `SNAPSHOT LOAD` on a remote deployment, and `SNAPSHOT LOAD …
+/// INTO` a remote corpus of a forest, answer a typed in-band refusal,
+/// write nothing, and leave the deployment remote.
+#[test]
+fn snapshot_verbs_on_a_remote_corpus_are_refused_typed() {
+    let dir = std::env::temp_dir().join("ncq-distributed-remote-snapshot-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = Arc::new(Database::from_xml_str(FIG).unwrap());
+    db.save_snapshot(dir.join("fig.ncq")).unwrap();
+    let replica = engine(&db);
+    let remote = || {
+        let endpoints = [replica.local_addr().to_string()];
+        let corpus = Database::from_xml_str(FIG).unwrap();
+        Arc::new(RemoteBackend::new(corpus, &endpoints, fast_config()).unwrap())
+    };
+    let config = ServerConfig {
+        workers: 1,
+        snapshot_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let refusal = "ERR snapshot operation unsupported: a remote corpus is owned by its replicas";
+
+    // A single remote corpus: both verbs refused, MEET still remote.
+    let server = Server::start_backend(remote(), config.clone());
+    let mut out = Vec::new();
+    serve_lines(
+        &server.client(),
+        "SNAPSHOT SAVE copy.ncq\nSNAPSHOT LOAD fig.ncq\nMEET Bit 1999\n".as_bytes(),
+        &mut out,
+    )
+    .unwrap();
+    let out = String::from_utf8(out).unwrap();
+    assert_eq!(out.matches(refusal).count(), 2, "{out}");
+    assert!(out.contains("tag=\"article\""), "{out}");
+    assert!(!dir.join("copy.ncq").exists(), "nothing was saved");
+    let served = replica.served();
+    assert!(server.client().meet_terms(["Bob", "Byte"]).is_ok());
+    assert_eq!(replica.served(), served + 1, "the MEET still went remote");
+    server.shutdown();
+
+    // A forest: the per-corpus reload of the remote corpus is refused,
+    // the local one still reloads.
+    let mut catalog = Catalog::new();
+    catalog
+        .add("local", Arc::new(Database::from_xml_str(FIG).unwrap()))
+        .unwrap();
+    catalog
+        .add("remote", remote() as Arc<dyn MeetBackend>)
+        .unwrap();
+    let server = Server::start_backend(Arc::new(ForestBackend::new(catalog).unwrap()), config);
+    let mut out = Vec::new();
+    serve_lines(
+        &server.client(),
+        "SNAPSHOT LOAD fig.ncq INTO remote\nSNAPSHOT LOAD fig.ncq INTO local\n\
+         USE remote\nMEET Bit 1999\n"
+            .as_bytes(),
+        &mut out,
+    )
+    .unwrap();
+    let out = String::from_utf8(out).unwrap();
+    assert!(
+        out.contains(
+            "ERR corpus \"remote\": snapshot operation unsupported: a remote corpus is owned by its replicas"
+        ),
+        "{out}"
+    );
+    assert!(out.contains("corpus \"local\" reloaded"), "{out}");
+    assert!(out.contains("tag=\"article\""), "{out}");
+    server.shutdown();
+    replica.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The coordinator holds no corpus: the snapshot handed to
+/// `RemoteBackend::new`, or opened by `Catalog::open_manifest` for an
+/// entry with endpoints, is unmapped by the time construction returns.
+#[cfg(target_os = "linux")]
+#[test]
+fn remote_construction_releases_the_snapshot_mapping() {
+    let maps = || std::fs::read_to_string("/proc/self/maps").unwrap();
+    let dir = std::env::temp_dir().join("ncq-distributed-maps-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let copy = dir.join("fig-coordinator-copy.ncq");
+    Database::from_xml_str(FIG)
+        .unwrap()
+        .save_snapshot(&copy)
+        .unwrap();
+    let listed = copy.to_str().unwrap().to_owned();
+
+    let opened = Database::open_snapshot(&copy).unwrap();
+    assert!(maps().contains(&listed), "an open snapshot is mapped");
+    let remote = RemoteBackend::new(opened, &[dead_endpoint().to_string()], fast_config()).unwrap();
+    assert!(
+        !maps().contains(&listed),
+        "RemoteBackend::new kept a mapping"
+    );
+
+    let mut manifest = Manifest::new();
+    manifest
+        .push(
+            ManifestEntry::describe("fig", &copy)
+                .unwrap()
+                .with_endpoints([dead_endpoint().to_string()])
+                .unwrap(),
+        )
+        .unwrap();
+    let mpath = dir.join("forest.ncqm");
+    manifest.save(&mpath).unwrap();
+    let catalog = Catalog::open_manifest(&mpath, fast_config()).unwrap();
+    assert!(
+        !maps().contains(&listed),
+        "Catalog::open_manifest kept a mapping"
+    );
+    assert!(catalog.get("fig").unwrap().store().is_none());
+    drop((remote, catalog));
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -25,9 +25,10 @@
 //!
 //! An empty endpoint list means "serve this corpus in-process". A
 //! corpus *with* endpoints is served through `ncq-core`'s
-//! `RemoteBackend`: the snapshot path stays the coordinator's local
-//! resolver copy, and the endpoints name the replica engines that
-//! execute search/meet remotely. Like snapshots, a build reads exactly
+//! `RemoteBackend`: the endpoints name the replica engines that answer
+//! its requests whole, and the snapshot is the file the coordinator
+//! verifies against the recorded checksum before it routes there (it
+//! keeps no copy of the corpus). Like snapshots, a build reads exactly
 //! the manifest version it writes; any other version (the retired
 //! endpoint-less version 1 and the shard-count version 2 included) is
 //! a typed [`ManifestError::UnsupportedVersion`].
@@ -238,8 +239,8 @@ pub struct ManifestEntry {
     pub checksum: u64,
     /// Replica engine endpoints (`host:port`), in failover-routing
     /// order. Empty = serve in-process from the snapshot; non-empty =
-    /// proxy search/meet to these replicas, keeping the snapshot as the
-    /// coordinator's local resolver copy.
+    /// these replicas answer every request, and the coordinator only
+    /// verifies the snapshot, keeping no copy of it.
     pub endpoints: Vec<String>,
 }
 

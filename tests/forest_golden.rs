@@ -132,7 +132,7 @@ fn three_corpus_catalog_answers_match_per_corpus_databases_byte_for_byte() {
         // MEET: byte-identical serialized answers.
         let expected = reference.meet_terms(&terms).unwrap().to_detailed_xml();
         let actual = routed
-            .meet_terms_answers(&terms, &opts)
+            .meet_terms_answers(&terms, &opts, &mut |t| routed.search(t).map(Arc::new))
             .unwrap()
             .to_detailed_xml();
         assert_eq!(actual, expected, "{name}: MEET drifted through the catalog");
@@ -334,10 +334,9 @@ fn manifest_cold_start_replays_the_same_answers() {
     let opts = MeetOptions::default();
     for (name, terms, _, _) in probes() {
         let expected = direct(name).meet_terms(&terms).unwrap().to_detailed_xml();
-        let actual = forest
-            .corpus(name)
-            .unwrap()
-            .meet_terms_answers(&terms, &opts)
+        let corpus = forest.corpus(name).unwrap();
+        let actual = corpus
+            .meet_terms_answers(&terms, &opts, &mut |t| corpus.search(t).map(Arc::new))
             .unwrap()
             .to_detailed_xml();
         assert_eq!(actual, expected, "{name}: manifest cold start drifted");

@@ -304,6 +304,130 @@ fn forest_routed_execution_matches_the_golden_fixtures() {
     );
 }
 
+/// A remote corpus serves the paper byte-identically: Figure 1 runs in
+/// a `RemoteEngine` on loopback, and the coordinator's
+/// `RemoteBackend` holds no copy of it, so every query travels whole
+/// and comes back ranked and resolved. Part one sends each fixture
+/// query straight to the remote corpus, one engine request apiece,
+/// plus the served MEET and `limit` (which no fixture pins) against
+/// in-process evaluation. Part two puts the remote corpus in a forest
+/// beside a local default corpus and names it with `from
+/// corpus(figure1)`. `UPDATE_GOLDEN` does not apply here.
+#[test]
+fn remote_corpus_execution_matches_the_golden_fixtures() {
+    use nearest_concept::core::{Catalog, ForestBackend, MeetBackend, RemoteBackend, RemoteConfig};
+    use nearest_concept::server::{EngineConfig, RemoteEngine};
+    use std::sync::Arc;
+
+    let db = Arc::new(Database::from_xml_str(nearest_concept::datagen::FIGURE1_XML).unwrap());
+    let engine = RemoteEngine::bind(
+        "127.0.0.1:0",
+        Arc::clone(&db) as Arc<dyn MeetBackend>,
+        EngineConfig::default(),
+    )
+    .expect("bind the engine");
+    let remote = || {
+        let corpus = Database::from_xml_str(nearest_concept::datagen::FIGURE1_XML).unwrap();
+        let endpoints = [engine.local_addr().to_string()];
+        Arc::new(RemoteBackend::new(corpus, &endpoints, RemoteConfig::default()).unwrap())
+    };
+
+    // Part one: the remote corpus on its own.
+    let figure1 = remote();
+    assert!(figure1.store().is_none(), "the coordinator holds no corpus");
+    let mut failures = Vec::new();
+    for (name, query) in QUERIES {
+        let expected = std::fs::read_to_string(golden_dir().join(format!("{name}.xml")))
+            .unwrap_or_else(|e| panic!("{name}: cannot read fixture ({e})"));
+        let before = engine.served();
+        let actual = serialize(
+            &run_query(&*figure1, query)
+                .unwrap_or_else(|e| panic!("remote golden query {name} failed: {e}")),
+        );
+        assert_eq!(engine.served(), before + 1, "{name}: one engine request");
+        if actual != expected {
+            failures.push(format!(
+                "{name}: remote corpus drifted\n--- expected ---\n{expected}\n--- actual ---\n{actual}"
+            ));
+        }
+    }
+    let limited = "select meet(t1, t2) from bibliography/% as t1, bibliography/% as t2 \
+                   where t1 contains 'Bit' and t2 contains '1999' limit 1";
+    assert_eq!(
+        serialize(&run_query(&*figure1, limited).unwrap()),
+        serialize(&run_query(&*db, limited).unwrap()),
+        "SQL limit through the remote corpus"
+    );
+    for (terms, within, limit) in [
+        (&["Bit", "1999"][..], None, None),
+        (&["Ben", "RSI"], Some(4), None),
+        (&["Ben", "RSI"], Some(5), None),
+        (&["1999", "Hack"], None, Some(1)),
+        (&["Bob", "Byte", "Ben", "Bit"], Some(9), Some(2)),
+    ] {
+        let options = nearest_concept::MeetOptions {
+            max_distance: within,
+            limit,
+            ..nearest_concept::MeetOptions::default()
+        };
+        let before = engine.served();
+        let over_wire = figure1
+            .meet_terms_answers(terms, &options, &mut |t| figure1.search(t).map(Arc::new))
+            .unwrap();
+        assert_eq!(engine.served(), before + 1, "{terms:?}: one engine request");
+        assert_eq!(
+            over_wire.to_detailed_xml(),
+            db.meet_terms_with(terms, &options)
+                .unwrap()
+                .to_detailed_xml(),
+            "MEET {terms:?} within {within:?} limit {limit:?}"
+        );
+    }
+
+    // Part two: a forest whose default corpus is local, the query
+    // naming the remote one.
+    let mut catalog = Catalog::new();
+    catalog
+        .add(
+            "multimedia",
+            Arc::new(Database::from_document(
+                &nearest_concept::datagen::MultimediaCorpus::generate(
+                    &nearest_concept::datagen::MultimediaConfig {
+                        noise_items: 20,
+                        ..nearest_concept::datagen::MultimediaConfig::default()
+                    },
+                )
+                .document,
+            )) as Arc<dyn MeetBackend>,
+        )
+        .expect("add multimedia");
+    catalog
+        .add("figure1", remote() as Arc<dyn MeetBackend>)
+        .expect("add figure1");
+    let forest = ForestBackend::new(catalog).expect("non-empty catalog");
+    for (name, query) in QUERIES {
+        let expected = std::fs::read_to_string(golden_dir().join(format!("{name}.xml")))
+            .unwrap_or_else(|e| panic!("{name}: cannot read fixture ({e})"));
+        let routed = query.replacen("from ", "from corpus(figure1), ", 1);
+        let actual = serialize(
+            &run_query(&forest, &routed)
+                .unwrap_or_else(|e| panic!("forest remote query {name} failed: {e}")),
+        );
+        if actual != expected {
+            failures.push(format!(
+                "{name}: corpus(figure1) through the forest drifted\n--- expected ---\n{expected}\n--- actual ---\n{actual}"
+            ));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} remote golden mismatches:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    engine.shutdown();
+}
+
 /// The concurrent serving path replays the paper byte-identically —
 /// twice. Pass 1 submits every golden query to a running `Server` from
 /// parallel threads, so requests share batch windows and the batched
