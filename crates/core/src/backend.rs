@@ -131,7 +131,9 @@ pub trait MeetBackend: Send + Sync {
     /// backend it resolved has no [`MeetBackend::store`]. `query` is
     /// the query text without a `corpus(…)` clause; `max_rows` caps a
     /// projection. Only a backend without a store overrides this; the
-    /// default refuses.
+    /// default refuses. An evaluation error on the engine comes back
+    /// untyped, as its rendered text in [`BackendError::Remote`]
+    /// (`ncq-query` then reports it as `QueryError::Backend`).
     fn answer_sql(&self, _query: &str, _max_rows: usize) -> Result<QueryOutput, BackendError> {
         Err(no_store())
     }

@@ -371,25 +371,37 @@ fn get_paths(c: &mut ByteReader<'_>) -> Result<HashSet<PathId>, WireError> {
         .collect())
 }
 
-/// A flag byte, then the value if there is one.
-fn put_optional(b: &mut ByteWriter, value: Option<usize>) {
+/// A flag byte, then the value (written by `put`) if there is one.
+fn put_optional<T>(b: &mut ByteWriter, value: Option<T>, put: impl FnOnce(&mut ByteWriter, T)) {
     match value {
         None => b.put_u8(0),
         Some(v) => {
             b.put_u8(1);
-            b.put_u64(v as u64);
+            put(b, v);
         }
     }
 }
 
-fn get_optional(c: &mut ByteReader<'_>, what: &str) -> Result<Option<usize>, WireError> {
+fn get_optional<'a, T>(
+    c: &mut ByteReader<'a>,
+    what: &str,
+    get: impl FnOnce(&mut ByteReader<'a>) -> Result<T, SnapshotError>,
+) -> Result<Option<T>, WireError> {
     match c.get_u8()? {
         0 => Ok(None),
-        1 => Ok(Some(c.get_u64()? as usize)),
+        1 => Ok(Some(get(c)?)),
         other => Err(WireError::Corrupt {
             context: format!("bad {what} flag {other}"),
         }),
     }
+}
+
+fn put_opt_usize(b: &mut ByteWriter, value: Option<usize>) {
+    put_optional(b, value, |b, v| b.put_u64(v as u64));
+}
+
+fn get_opt_usize(c: &mut ByteReader<'_>, what: &str) -> Result<Option<usize>, WireError> {
+    get_optional(c, what, |c| Ok(c.get_u64()? as usize))
 }
 
 fn put_options(b: &mut ByteWriter, options: &MeetOptions) {
@@ -398,9 +410,9 @@ fn put_options(b: &mut ByteWriter, options: &MeetOptions) {
         PathFilter::Exclude(set) => put_paths(b, 1, set),
         PathFilter::Allow(set) => put_paths(b, 2, set),
     }
-    put_optional(b, options.max_distance);
+    put_opt_usize(b, options.max_distance);
     b.put_u64(options.witness_cap as u64);
-    put_optional(b, options.limit);
+    put_opt_usize(b, options.limit);
 }
 
 fn get_options(c: &mut ByteReader<'_>) -> Result<MeetOptions, WireError> {
@@ -414,9 +426,9 @@ fn get_options(c: &mut ByteReader<'_>) -> Result<MeetOptions, WireError> {
             })
         }
     };
-    let max_distance = get_optional(c, "max-distance")?;
+    let max_distance = get_opt_usize(c, "max-distance")?;
     let witness_cap = c.get_u64()? as usize;
-    let limit = get_optional(c, "limit")?;
+    let limit = get_opt_usize(c, "limit")?;
     Ok(MeetOptions {
         filter,
         max_distance,
@@ -472,23 +484,11 @@ fn get_meets(c: &mut ByteReader<'_>) -> Result<Vec<Meet>, WireError> {
 }
 
 fn put_opt_str(b: &mut ByteWriter, value: Option<&str>) {
-    match value {
-        None => b.put_u8(0),
-        Some(v) => {
-            b.put_u8(1);
-            b.put_str(v);
-        }
-    }
+    put_optional(b, value, ByteWriter::put_str);
 }
 
 fn get_opt_str(c: &mut ByteReader<'_>, what: &str) -> Result<Option<String>, WireError> {
-    match c.get_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(c.get_str()?.to_owned())),
-        other => Err(WireError::Corrupt {
-            context: format!("bad {what} flag {other}"),
-        }),
-    }
+    get_optional(c, what, |c| Ok(c.get_str()?.to_owned()))
 }
 
 fn put_strs<'s>(b: &mut ByteWriter, strs: impl ExactSizeIterator<Item = &'s str>) {

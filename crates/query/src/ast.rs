@@ -172,9 +172,12 @@ impl fmt::Display for Query {
             write!(f, "{} as {}", b.path, b.var)?;
         }
         for (i, c) in self.conditions.iter().enumerate() {
+            // The lexer has no escapes: a needle holding `'` was quoted
+            // with `"` (and so holds no `"`).
+            let quote = if c.needle.contains('\'') { '"' } else { '\'' };
             write!(
                 f,
-                " {} {} contains '{}'",
+                " {} {} contains {quote}{}{quote}",
                 if i == 0 { "where" } else { "and" },
                 c.var,
                 c.needle
@@ -243,6 +246,17 @@ mod tests {
         assert_eq!(q.needles_for("t1"), vec!["Bit", "1999"]);
         assert_eq!(q.needles_for("t2"), vec!["x"]);
         assert!(q.needles_for("t3").is_empty());
+    }
+
+    #[test]
+    fn a_needle_with_an_apostrophe_prints_double_quoted() {
+        let mut q = sample();
+        q.conditions[0].needle = "O'Neil".into();
+        let text = q.to_string();
+        assert!(text.ends_with(r#"where t1 contains "O'Neil""#), "{text}");
+        assert_eq!(crate::parse_query(&text).unwrap(), q);
+        let q = crate::parse_query(r#"select t from x as t where t contains 'say "hi"'"#).unwrap();
+        assert_eq!(crate::parse_query(&q.to_string()).unwrap(), q);
     }
 
     #[test]

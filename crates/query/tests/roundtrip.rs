@@ -64,11 +64,13 @@ fn path_expr(rng: &mut StdRng) -> PathExpr {
 }
 
 fn needle(rng: &mut StdRng) -> String {
-    // Anything except quotes (the printer uses single quotes).
-    const CHARS: [char; 10] = ['a', 'B', '7', ' ', '.', '&', '-', 'z', 'Q', '0'];
+    // At most one kind of quote: the lexer has no escapes, so no
+    // literal can hold both.
+    let quote = ['\'', '"'][rng.random_range(0..2usize)];
+    let chars = ['a', 'B', '7', ' ', '.', '&', '-', 'z', 'Q', '0', quote];
     let len = rng.random_range(1usize..13);
     let s: String = (0..len)
-        .map(|_| CHARS[rng.random_range(0..CHARS.len())])
+        .map(|_| chars[rng.random_range(0..chars.len())])
         .collect();
     s.trim().to_string() + "x"
 }

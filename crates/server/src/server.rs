@@ -1213,6 +1213,9 @@ fn execute(
             default: db.default_corpus(),
         },
         Request::SnapshotSave { path } => match resolve_snapshot_path(&shared.config, path) {
+            // Every backend that saves holds a store: a remote corpus
+            // and a forest refuse the verb, so the 0 below is never
+            // printed by an in-tree backend.
             Ok(full) => match db.save_snapshot(&full) {
                 Ok(()) => Response::Info(format!(
                     "snapshot saved: {} objects -> {}",
@@ -1240,6 +1243,8 @@ fn execute(
                         Ok(fresh) => fresh,
                         Err(e) => return Response::Error(e.to_string()),
                     };
+                    // A remote corpus and a forest refuse above, so
+                    // the fresh engine is a `Database` with a store.
                     let objects = fresh.store().map_or(0, MonetDb::node_count);
                     {
                         // Full swap: every cached decode and result is

@@ -316,6 +316,8 @@ fn forest_routed_execution_matches_the_golden_fixtures() {
 #[test]
 fn remote_corpus_execution_matches_the_golden_fixtures() {
     use nearest_concept::core::{Catalog, ForestBackend, MeetBackend, RemoteBackend, RemoteConfig};
+    use nearest_concept::query::{QueryConfig, QueryError};
+    use nearest_concept::run_query_opts;
     use nearest_concept::server::{EngineConfig, RemoteEngine};
     use std::sync::Arc;
 
@@ -358,6 +360,34 @@ fn remote_corpus_execution_matches_the_golden_fixtures() {
         serialize(&run_query(&*db, limited).unwrap()),
         "SQL limit through the remote corpus"
     );
+    // The query travels as its `Display` text: a needle holding an
+    // apostrophe must survive it.
+    let apostrophe = r#"select meet(t1, t2) from bibliography/% as t1, bibliography/% as t2
+                        where t1 contains "Bob Byte'" and t2 contains 'RSI'"#;
+    let local = serialize(&run_query(&*db, apostrophe).unwrap());
+    assert!(local.contains("<result "), "{local}");
+    assert_eq!(
+        serialize(&run_query(&*figure1, apostrophe).unwrap()),
+        local,
+        "a double-quoted needle through the remote corpus"
+    );
+    // An evaluation error on the engine comes back as its text, untyped.
+    let capped = nearest_concept::QueryOptions {
+        config: QueryConfig { max_rows: 1 },
+        default_corpus: None,
+    };
+    let rows = "select t from bibliography/% as t";
+    let local = run_query_opts(&*db, rows, &capped).unwrap_err();
+    assert!(
+        matches!(local, QueryError::RowLimitExceeded { limit: 1 }),
+        "{local:?}"
+    );
+    match run_query_opts(&*figure1, rows, &capped) {
+        Err(QueryError::Backend { detail }) => {
+            assert_eq!(detail, format!("remote engine error: {local}"))
+        }
+        other => panic!("expected the engine's error text, got {other:?}"),
+    }
     for (terms, within, limit) in [
         (&["Bit", "1999"][..], None, None),
         (&["Ben", "RSI"], Some(4), None),
