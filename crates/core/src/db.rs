@@ -188,11 +188,6 @@ impl Database {
         search::word_hits(&self.index, word)
     }
 
-    /// Hits by substring scan (the `contains` predicate).
-    pub fn search_contains(&self, needle: &str) -> HitSet {
-        search::substring_hits(&self.store, needle)
-    }
-
     /// Hits broadened by a thesaurus (paper §4: "thesauri are a promising
     /// tool … especially to broaden a search that returned too few
     /// answers").
@@ -319,7 +314,6 @@ mod tests {
     fn search_modes_agree_on_simple_words() {
         let db = Database::from_xml_str(FIGURE1).unwrap();
         assert_eq!(db.search("Ben").len(), db.search_word("Ben").len());
-        assert_eq!(db.search_contains("Ben").len(), 1);
     }
 
     #[test]

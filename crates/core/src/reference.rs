@@ -13,7 +13,9 @@
 //!   `d = distance(o₁, o₂)` look-ups.
 //! * [`meet2_naive`] — the baseline the steering is measured against:
 //!   materialize the full ancestor list of one node, then walk the
-//!   other upward probing membership (`depth(o₁) + d` look-ups).
+//!   other upward probing membership: `depth(o₁)` look-ups for the list
+//!   plus `depth(o₂) − depth(meet)` for the climb, which is
+//!   `d + depth(meet)`.
 //! * [`meet_sets`] — Fig. 4: `meet_s(O₁, O₂)` over two *homogeneous*
 //!   OID sets (every member of a set shares one path). Repeated
 //!   *parent joins* lift whole frontiers, the σ prefix order steers
@@ -31,12 +33,12 @@
 //! * [`MeetPlanner`] — the cost model that once chose between the
 //!   roll-up and the stack pass. Nothing served consults it.
 //!
-//! Callers are the test suites and `repro`'s steering ablation, plus
-//! one outside the workspace: the benchmark's tracer
-//! (`perf/src/trace.rs`) reads [`MeetPlanner::plan_multi`] through
-//! [`crate::Database::planner`] until ROADMAP item 1(d) unlinks it. The
-//! module is not re-exported at the crate root, with one exception for
-//! that same tracer: [`ChosenStrategy`].
+//! Callers are the test suites, plus one outside the workspace: the
+//! benchmark's tracer (`perf/src/trace.rs`) reads
+//! [`MeetPlanner::plan_multi`] through [`crate::Database::planner`]
+//! until ROADMAP item 1(d) unlinks it. The module is not re-exported at
+//! the crate root, with one exception for that same tracer:
+//! [`ChosenStrategy`].
 
 use crate::db::MeetError;
 use crate::meet2::Meet2;
@@ -703,8 +705,25 @@ mod tests {
                 let s = meet2(&db, a, b);
                 assert_eq!(s.lookups, s.distance);
                 let n = meet2_naive(&db, a, b);
-                assert!(n.lookups >= s.lookups);
+                assert_eq!(n.lookups, s.lookups + db.depth(s.meet));
             }
+        }
+        // Ablation A: `root/e/…/e` with a two-leaf fork at the bottom. The
+        // probes are 4 apart at every depth; the naive walk also pays the
+        // chain above the fork, the indexed probe walks nothing.
+        for (depth, naive) in [(8, 12), (32, 36), (128, 132), (512, 516)] {
+            let xml = format!(
+                "<root>{}<left>probe-left</left><right>probe-right</right>{}</root>",
+                "<e>".repeat(depth),
+                "</e>".repeat(depth)
+            );
+            let db = MonetDb::from_document(&parse(&xml).unwrap());
+            let (a, b) = (cdata(&db, "probe-left"), cdata(&db, "probe-right"));
+            let s = meet2(&db, a, b);
+            assert_eq!((s.distance, s.lookups), (4, 4), "depth {depth}");
+            assert_eq!(meet2_naive(&db, a, b).lookups, naive, "depth {depth}");
+            let i = crate::meet2_indexed(&db, a, b);
+            assert_eq!((i.meet, i.distance, i.lookups), (s.meet, 4, 0));
         }
     }
 

@@ -23,12 +23,16 @@ fn dblp_db(seed: u64) -> Database {
     Database::from_document(&corpus.document)
 }
 
+/// Fig. 6's planted distances, 0..=20 edges, four probe pairs each.
+const MAX_DISTANCE: usize = 20;
+const PROBES: usize = 4;
+
 fn multimedia_db(seed: u64) -> Database {
     let corpus = MultimediaCorpus::generate(&MultimediaConfig {
         seed,
         noise_items: 40,
-        max_distance: 12,
-        probes_per_distance: 2,
+        max_distance: MAX_DISTANCE,
+        probes_per_distance: PROBES,
     });
     Database::from_document(&corpus.document)
 }
@@ -117,20 +121,25 @@ fn sweep_meet_multi_matches_rollup_on_corpus_queries() {
             );
         }
 
-        // Multimedia: probe markers at exact planted distances.
+        // Multimedia (Fig. 6): every planted probe pair meets once, at
+        // exactly its planted distance.
         let db = multimedia_db(seed);
-        for d in [0usize, 1, 5, 12] {
-            let (ta, tb) = MultimediaCorpus::marker_terms(d, 0);
-            let inputs = [db.search_contains(&ta), db.search_contains(&tb)];
+        for (d, k) in (0..=MAX_DISTANCE).flat_map(|d| (0..PROBES).map(move |k| (d, k))) {
+            let (ta, tb) = MultimediaCorpus::marker_terms(d, k);
+            let inputs = [db.search(&ta), db.search(&tb)];
             let opts = MeetOptions {
                 witness_cap: 1024,
                 ..MeetOptions::default()
             };
             let served = db.meet_hits(&inputs, &opts);
             let rollup = meet_rollup_ranked(db.store(), &inputs, &opts);
-            assert_eq!(canonical(&served), canonical(&rollup), "seed {seed} d={d}");
-            assert_eq!(served.len(), 1, "seed {seed} d={d}");
-            assert_eq!(served[0].distance, d, "seed {seed} d={d}");
+            assert_eq!(
+                canonical(&served),
+                canonical(&rollup),
+                "seed {seed} d={d} k={k}"
+            );
+            assert_eq!(served.len(), 1, "seed {seed} d={d} k={k}");
+            assert_eq!(served[0].distance, d, "seed {seed} d={d} k={k}");
         }
     }
 }

@@ -264,9 +264,11 @@ fn meet_multi_is_order_invariant() {
     }
 }
 
-/// The distance bound meet^δ only ever removes answers, every surviving
-/// answer respects the bound, and the served meet agrees with the
-/// roll-up under δ.
+/// Under the distance bound meet^δ every answer respects the bound, the
+/// served meet agrees with the roll-up, and each answer is an unbounded
+/// one or a proper ancestor of an unbounded answer farther apart than δ:
+/// the hits of a meet that fails δ climb on (Fig. 5) and may pair with
+/// a closer hit higher up, so δ can promote an answer, not only drop it.
 #[test]
 fn max_distance_is_monotone_and_sweep_agrees() {
     for seed in 0..CASES {
@@ -291,6 +293,14 @@ fn max_distance_is_monotone_and_sweep_agrees() {
                 .collect::<Vec<_>>()
         };
         assert_eq!(key(&bounded), key(&oracle), "seed {seed} δ={delta}");
+        let unbounded = db.meet_hits(&inputs, &MeetOptions::default());
+        for m in &bounded {
+            let kept = unbounded.iter().any(|u| u.node == m.node);
+            let promoted = unbounded
+                .iter()
+                .any(|u| u.distance > delta && db.store().is_ancestor_or_self(m.node, u.node));
+            assert!(kept || promoted, "seed {seed} δ={delta}: {:?}", m.node);
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Ad-hoc microbenchmark of the raw kernels against their scalar
-//! references, on pseudo-random sorted runs. Not a gate — `repro
-//! --exp pr9` is — just a quick probe while tuning:
+//! references, on pseudo-random sorted runs. Not a gate — the `perf/`
+//! benchmark's `simd.*` rows are — just a quick probe while tuning:
 //!
 //! ```sh
 //! cargo run --release -p ncq-simd --example kernel_bench
