@@ -1,9 +1,10 @@
 //! The execution-backend abstraction: one query surface, many engines.
 //!
 //! The query language (`ncq-query`), the server and the examples all
-//! consume the same capabilities — resolve a term to hits, answer a
-//! MEET, expose the store for schema work. [`MeetBackend`] names that
-//! surface so callers can be written once and served by the
+//! consume the same capabilities — resolve a term to hits, expose the
+//! store the meet runs on, or answer a whole query where the corpus
+//! lives. [`MeetBackend`] names that surface so callers can be written
+//! once and served by the
 //! single-process [`Database`], a [`crate::RemoteBackend`] whose
 //! replicas answer whole requests, or a [`crate::ForestBackend`] of
 //! named corpora, with identical answers.
@@ -12,9 +13,8 @@
 //! as `Arc<dyn MeetBackend>` so one worker pool can front whichever
 //! engine the deployment loaded.
 
-use crate::answer::{AnswerSet, QueryOutput};
+use crate::answer::QueryOutput;
 use crate::db::Database;
-use crate::meet_multi::MeetOptions;
 use ncq_fulltext::HitSet;
 use ncq_store::snapshot::SnapshotError;
 use ncq_store::MonetDb;
@@ -83,12 +83,9 @@ impl RobustnessStats {
     }
 }
 
-/// How a served MEET turns a term into its hits: [`MeetBackend::search`],
-/// or a cache in front of it (`ncq-server`'s term cache).
-pub type TermResolver<'a> = dyn FnMut(&str) -> Result<Arc<HitSet>, BackendError> + 'a;
-
-/// A queryable meet engine: full-text resolution plus the served MEET,
-/// over one corpus.
+/// A queryable meet engine over one corpus: full-text resolution and
+/// the store the meet runs on, or — for a corpus held elsewhere — the
+/// whole query answered where it lives.
 ///
 /// Implementations must agree with [`Database`] bit-for-bit: the golden
 /// and forest suites run the same queries through every backend and
@@ -96,46 +93,28 @@ pub type TermResolver<'a> = dyn FnMut(&str) -> Result<Arc<HitSet>, BackendError>
 pub trait MeetBackend: Send + Sync {
     /// The corpus's Monet transform, when this process holds it. `None`
     /// for a remote corpus: its replicas hold the corpus, and such a
-    /// backend answers [`MeetBackend::meet_terms_answers`] and
-    /// [`MeetBackend::answer_sql`] whole on them.
+    /// backend answers every query whole on them
+    /// ([`MeetBackend::answer_sql`]).
     fn store(&self) -> Option<&MonetDb>;
 
     /// Hits for one term (word, phrase or substring — the dispatch of
     /// [`ncq_fulltext::search::term_hits`]).
     fn search(&self, term: &str) -> Result<HitSet, BackendError>;
 
-    /// The served MEET, the paper's signature query: each term becomes
-    /// hits through `resolve`, the hit groups meet
-    /// ([`crate::sweep::meet_hits`]) and the ranked meets resolve to an
-    /// [`AnswerSet`] against [`MeetBackend::store`]. A backend without
-    /// a store overrides this; a remote one sends the terms and ignores
-    /// `resolve`.
-    fn meet_terms_answers(
-        &self,
-        terms: &[&str],
-        options: &MeetOptions,
-        resolve: &mut TermResolver<'_>,
-    ) -> Result<AnswerSet, BackendError> {
-        let store = self.store().ok_or_else(no_store)?;
-        let inputs = terms
-            .iter()
-            .map(|t| resolve(t))
-            .collect::<Result<Vec<Arc<HitSet>>, _>>()?;
-        let meets = crate::sweep::meet_hits(store, &inputs, options);
-        let _serialize = ncq_obs::trace::span("serialize");
-        Ok(AnswerSet::from_meets(store, meets))
-    }
-
     /// Evaluate a query of the SQL dialect whole, on the engine that
-    /// holds the corpus: `ncq-query` sends a query here when the
-    /// backend it resolved has no [`MeetBackend::store`]. `query` is
+    /// holds the corpus: `ncq-query` sends a query here — a MEET as the
+    /// Listing-2 query it abbreviates — when the backend it resolved
+    /// has no [`MeetBackend::store`]. `query` is
     /// the query text without a `corpus(…)` clause; `max_rows` caps a
     /// projection. Only a backend without a store overrides this; the
     /// default refuses. An evaluation error on the engine comes back
     /// untyped, as its rendered text in [`BackendError::Remote`]
     /// (`ncq-query` then reports it as `QueryError::Backend`).
     fn answer_sql(&self, _query: &str, _max_rows: usize) -> Result<QueryOutput, BackendError> {
-        Err(no_store())
+        Err(BackendError::Unavailable {
+            detail: "this engine holds no corpus to evaluate against".to_owned(),
+            attempts: 0,
+        })
     }
 
     /// This engine's robustness counters (zeros for local engines).
@@ -205,15 +184,6 @@ pub trait MeetBackend: Send + Sync {
     }
 }
 
-/// What a backend without a store and without its own MEET and SQL
-/// paths answers.
-fn no_store() -> BackendError {
-    BackendError::Unavailable {
-        detail: "this engine holds no corpus to evaluate against".to_owned(),
-        attempts: 0,
-    }
-}
-
 impl MeetBackend for Database {
     fn store(&self) -> Option<&MonetDb> {
         Some(Database::store(self))
@@ -248,13 +218,10 @@ mod tests {
         let db = Database::from_xml_str(FIGURE1).unwrap();
         let backend: &dyn MeetBackend = &db;
         assert_eq!(backend.search("Bit").unwrap(), db.search("Bit"));
-        let opts = MeetOptions::default();
-        let answers = backend
-            .meet_terms_answers(&["Bit", "1999"], &opts, &mut |t| {
-                backend.search(t).map(Arc::new)
-            })
-            .unwrap();
-        assert_eq!(answers, db.meet_terms(&["Bit", "1999"]).unwrap());
+        assert_eq!(
+            backend.store().map(MonetDb::node_count),
+            Some(db.store().node_count())
+        );
         // A store-holding backend sends no SQL anywhere.
         assert!(backend.answer_sql("select t from % as t", 10).is_err());
     }

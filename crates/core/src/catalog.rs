@@ -13,12 +13,12 @@
 //!   entry a snapshot, verified against the manifest's recorded
 //!   checksum before decode, served in-process or by its replicas).
 //! * [`ForestBackend`] — [`MeetBackend`] over a catalog. The trait
-//!   surface (store / search / MEET / SQL) routes to the **default corpus**,
+//!   surface (store / search / SQL) routes to the **default corpus**,
 //!   so unqualified queries answer byte-identically to a direct
 //!   `Database` on that corpus; `corpus(name)` resolution routes
-//!   qualified queries; [`meet_terms_forest`] fans out across every
-//!   corpus and concatenates corpus-tagged answers in catalog order.
-//!   Meets never span corpora — documents share no root, so a
+//!   qualified queries, and `ncq-server`'s `USE *` fans a meet out
+//!   over every corpus, concatenating corpus-tagged answers in catalog
+//!   order. Meets never span corpora — documents share no root, so a
 //!   cross-corpus LCA does not exist; concatenation *is* the complete
 //!   answer.
 //!
@@ -29,10 +29,9 @@
 //! swap then retires the old forest without touching in-flight batches
 //! or sibling corpora.
 
-use crate::answer::{AnswerSet, QueryOutput};
-use crate::backend::{BackendError, MeetBackend, RobustnessStats, TermResolver};
+use crate::answer::QueryOutput;
+use crate::backend::{BackendError, MeetBackend, RobustnessStats};
 use crate::db::Database;
-use crate::meet_multi::MeetOptions;
 use crate::remote::{RemoteBackend, RemoteConfig};
 use ncq_fulltext::HitSet;
 use ncq_store::manifest::{Manifest, ManifestError};
@@ -134,43 +133,6 @@ impl From<ManifestError> for CatalogError {
     fn from(e: ManifestError) -> CatalogError {
         CatalogError::Manifest(e)
     }
-}
-
-/// The signature query fanned out across *every* corpus `forest`
-/// serves: per corpus, [`MeetBackend::meet_terms_answers`], with the
-/// answers tagged by corpus name and concatenated in catalog order
-/// (stable cross-corpus document order). `resolve(corpus, engine,
-/// term)` is how a term becomes hits on a corpus held in this process —
-/// [`MeetBackend::search`] directly, or `ncq-server`'s term cache in
-/// front of it; a remote corpus answers on its replicas.
-///
-/// Graceful degradation: a corpus whose engine is unavailable (a remote
-/// corpus with every replica down) contributes a typed
-/// [`crate::answer::PartialAnswer`] marker instead of failing the whole
-/// fan-out — the surviving corpora still answer.
-pub fn meet_terms_forest<H: Into<Arc<HitSet>>>(
-    forest: &dyn MeetBackend,
-    terms: &[&str],
-    options: &MeetOptions,
-    mut resolve: impl FnMut(&str, &Arc<dyn MeetBackend>, &str) -> Result<H, BackendError>,
-) -> AnswerSet {
-    let mut all = AnswerSet::default();
-    for name in forest.corpus_names() {
-        let Some(backend) = forest.corpus(&name) else {
-            continue;
-        };
-        let answers = backend.meet_terms_answers(terms, options, &mut |term| {
-            resolve(&name, &backend, term).map(Into::into)
-        });
-        match answers {
-            Ok(mut a) => {
-                a.tag_corpus(&name);
-                all.results.extend(a.results);
-            }
-            Err(e) => all.push_partial(&name, e.to_string()),
-        }
-    }
-    all
 }
 
 #[derive(Clone)]
@@ -423,17 +385,6 @@ impl MeetBackend for ForestBackend {
         self.catalog.default_backend().search(term)
     }
 
-    fn meet_terms_answers(
-        &self,
-        terms: &[&str],
-        options: &MeetOptions,
-        resolve: &mut TermResolver<'_>,
-    ) -> Result<AnswerSet, BackendError> {
-        self.catalog
-            .default_backend()
-            .meet_terms_answers(terms, options, resolve)
-    }
-
     fn answer_sql(&self, query: &str, max_rows: usize) -> Result<QueryOutput, BackendError> {
         self.catalog.default_backend().answer_sql(query, max_rows)
     }
@@ -491,6 +442,17 @@ impl MeetBackend for ForestBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::answer::AnswerSet;
+    use crate::meet_multi::MeetOptions;
+
+    /// A meet of `terms` through a backend's trait surface: its
+    /// `search` for the hits, its `store` for the meet.
+    fn meet(backend: &dyn MeetBackend, terms: &[&str]) -> AnswerSet {
+        let store = backend.store().expect("a local corpus");
+        let inputs: Vec<HitSet> = terms.iter().map(|t| backend.search(t).unwrap()).collect();
+        let meets = crate::sweep::meet_hits(store, &inputs, &MeetOptions::default());
+        AnswerSet::from_meets(store, meets)
+    }
 
     const BIB: &str = r#"<bib><article key="BB99"><author>Ben Bit</author>
         <year>1999</year></article></bib>"#;
@@ -512,14 +474,8 @@ mod tests {
     fn trait_surface_routes_to_the_default_corpus_byte_identically() {
         let forest = forest();
         let direct = Database::from_xml_str(BIB).unwrap();
-        let opts = MeetOptions::default();
         assert_eq!(
-            forest
-                .meet_terms_answers(&["Bit", "1999"], &opts, &mut |t| {
-                    forest.search(t).map(Arc::new)
-                })
-                .unwrap()
-                .to_detailed_xml(),
+            meet(&forest, &["Bit", "1999"]).to_detailed_xml(),
             direct
                 .meet_terms(&["Bit", "1999"])
                 .unwrap()
@@ -543,32 +499,6 @@ mod tests {
         let db = Database::from_xml_str(BIB).unwrap();
         assert!(db.corpus_names().is_empty());
         assert!(MeetBackend::corpus(&db, "bib").is_none());
-    }
-
-    #[test]
-    fn forest_fanout_concatenates_in_catalog_order_with_corpus_tags() {
-        let forest = forest();
-        let opts = MeetOptions::default();
-        let direct = |_: &str, engine: &Arc<dyn MeetBackend>, term: &str| engine.search(term);
-        let all = meet_terms_forest(&forest, &["Bit", "1999"], &opts, direct);
-        // Both corpora contain both terms: one meet each, bib first
-        // (catalog order), every answer corpus-tagged.
-        assert_eq!(all.len(), 2);
-        assert_eq!(all.results[0].corpus.as_deref(), Some("bib"));
-        assert_eq!(all.results[1].corpus.as_deref(), Some("shop"));
-        assert_eq!(all.results[0].tag, "article");
-        assert_eq!(all.results[1].tag, "item");
-        let xml = all.to_detailed_xml();
-        assert!(xml.contains("corpus=\"bib\""), "{xml}");
-        assert!(xml.contains("corpus=\"shop\""), "{xml}");
-        // Deterministic: a second run serializes identically.
-        assert_eq!(
-            xml,
-            meet_terms_forest(&forest, &["Bit", "1999"], &opts, direct).to_detailed_xml()
-        );
-        // A single-document engine serves no corpora to fan out over.
-        let db = Database::from_xml_str(BIB).unwrap();
-        assert!(meet_terms_forest(&db, &["Bit", "1999"], &opts, direct).is_empty());
     }
 
     #[test]
@@ -615,14 +545,8 @@ mod tests {
         let bib_after = swapped.corpus("bib").unwrap();
         assert!(Arc::ptr_eq(&bib_before, &bib_after));
         // …and the swapped corpus still answers.
-        let opts = MeetOptions::default();
         let shop = swapped.corpus("shop").unwrap();
-        let answers = shop
-            .meet_terms_answers(&["Bit", "1999"], &opts, &mut |t| {
-                shop.search(t).map(Arc::new)
-            })
-            .unwrap();
-        assert_eq!(answers.tags(), vec!["item"]);
+        assert_eq!(meet(&*shop, &["Bit", "1999"]).tags(), vec!["item"]);
         // Unknown corpus and non-forest engines fail typed.
         assert!(forest.reload_corpus("absent", &path).is_err());
         let db = Database::from_xml_str(BIB).unwrap();
@@ -662,15 +586,7 @@ mod tests {
         assert_eq!(catalog.default_name(), Some("shop"));
         let forest = ForestBackend::new(catalog).unwrap();
         // Default routing follows the manifest's default index.
-        assert_eq!(
-            forest
-                .meet_terms_answers(&["Bit", "1999"], &MeetOptions::default(), &mut |t| {
-                    forest.search(t).map(Arc::new)
-                })
-                .unwrap()
-                .tags(),
-            vec!["item"]
-        );
+        assert_eq!(meet(&forest, &["Bit", "1999"]).tags(), vec!["item"]);
 
         // A modified snapshot file fails the manifest checksum, typed.
         let mut rotted = std::fs::read(&bib_snap).unwrap();

@@ -24,9 +24,10 @@
 //!   ([`rank::rank_and_cut`]).
 //!
 //! [`sweep::meet_hits`] is that pipeline ([`Database::meet_hits`] runs
-//! it on a database's store); the served MEET
-//! ([`MeetBackend::meet_terms_answers`]), the forest fan-out
-//! ([`catalog`]) and the remote engine ([`remote`]) delegate to it.
+//! it on a database's store). Every served meet reaches it through
+//! `ncq-query`'s evaluation of a SQL meet — the MEET verb is the
+//! Listing-2 query it abbreviates — on a local corpus, on each corpus
+//! of a forest ([`catalog`]) or on a remote replica ([`remote`]).
 //! (`ncq-shard` runs the same pass as a scatter/gather for the
 //! benchmark's comparison; nothing serves it.) The paper's own
 //! algorithms — the pairwise

@@ -47,7 +47,7 @@
 //! read and write timeouts).
 
 use crate::answer::{Answer, AnswerSet, PartialAnswer, QueryOutput, Row, RowSet, Witness};
-use crate::backend::{BackendError, MeetBackend, RobustnessStats, TermResolver};
+use crate::backend::{BackendError, MeetBackend, RobustnessStats};
 use crate::db::Database;
 use crate::filter::PathFilter;
 use crate::meet_multi::{Meet, MeetOptions, MeetWitness};
@@ -1169,24 +1169,6 @@ impl MeetBackend for RemoteBackend {
         }
     }
 
-    /// One [`EngineQuery::Meet`] round trip; `resolve` is not consulted,
-    /// since the replica searches its own corpus.
-    fn meet_terms_answers(
-        &self,
-        terms: &[&str],
-        options: &MeetOptions,
-        _resolve: &mut TermResolver<'_>,
-    ) -> Result<AnswerSet, BackendError> {
-        let query = EngineQuery::Meet {
-            terms: terms.iter().map(|t| (*t).to_owned()).collect(),
-            options: options.clone(),
-        };
-        match self.call(&EngineRequest::Answer(query))? {
-            EngineResponse::Answers(answers) => Ok(answers),
-            other => Err(unexpected("answers", &other)),
-        }
-    }
-
     fn answer_sql(&self, query: &str, max_rows: usize) -> Result<QueryOutput, BackendError> {
         let query = EngineQuery::Sql {
             text: query.to_owned(),
@@ -1292,13 +1274,15 @@ mod tests {
                                     db.meet_hits(&refs, &options),
                                 ))
                             }
-                            Ok(EngineRequest::Answer(EngineQuery::Meet { terms, options })) => {
-                                let terms: Vec<&str> = terms.iter().map(String::as_str).collect();
-                                let answers = db.meet_terms_with(&terms, &options).unwrap();
-                                encode_response(&EngineResponse::Answers(answers))
+                            Ok(EngineRequest::Answer(EngineQuery::Meet { .. })) => {
+                                encode_error_response("the toy engine reads query text only")
                             }
-                            Ok(EngineRequest::Answer(EngineQuery::Sql { .. })) => {
-                                encode_error_response("the toy engine serves no SQL")
+                            Ok(EngineRequest::Answer(EngineQuery::Sql { text, .. })) => {
+                                // No SQL parser in this crate: the toy
+                                // engine reads a query as a term list.
+                                let terms: Vec<&str> = text.split_whitespace().collect();
+                                let answers = db.meet_terms(&terms).unwrap();
+                                encode_response(&EngineResponse::Answers(answers))
                             }
                             Err(e) => encode_error_response(&e.to_string()),
                         };
@@ -1310,6 +1294,14 @@ mod tests {
             }
         });
         (addr, listener)
+    }
+
+    /// A whole query answered by the replicas of `remote`.
+    fn answers(remote: &RemoteBackend, text: &str) -> Result<AnswerSet, BackendError> {
+        match remote.answer_sql(text, usize::MAX)? {
+            QueryOutput::Answers(answers) => Ok(answers),
+            QueryOutput::Rows(rows) => panic!("{text}: rows {rows:?}"),
+        }
     }
 
     fn fast_config() -> RemoteConfig {
@@ -1702,13 +1694,8 @@ mod tests {
             fast_config(),
         )
         .unwrap();
-        let opts = MeetOptions::default();
         let local = db.meet_terms(&["Bit", "1999"]).unwrap();
-        let over_wire = remote
-            .meet_terms_answers(&["Bit", "1999"], &opts, &mut |t| {
-                remote.search(t).map(Arc::new)
-            })
-            .unwrap();
+        let over_wire = answers(&remote, "Bit 1999").unwrap();
         assert_eq!(over_wire.to_detailed_xml(), local.to_detailed_xml());
         assert_eq!(remote.search("Bit").unwrap(), db.search("Bit"));
         assert_eq!(remote.robustness_stats(), RobustnessStats::default());
@@ -1735,13 +1722,8 @@ mod tests {
             fast_config(),
         )
         .unwrap();
-        let answers = remote
-            .meet_terms_answers(&["Bit", "1999"], &MeetOptions::default(), &mut |t| {
-                remote.search(t).map(Arc::new)
-            })
-            .unwrap();
         assert_eq!(
-            answers.to_detailed_xml(),
+            answers(&remote, "Bit 1999").unwrap().to_detailed_xml(),
             db.meet_terms(&["Bit", "1999"]).unwrap().to_detailed_xml()
         );
         let stats = remote.robustness_stats();
@@ -1777,13 +1759,11 @@ mod tests {
         // with generous slack for CI scheduling.
         let budget = Duration::from_secs(5);
         assert!(elapsed < budget, "took {elapsed:?}");
-        // Retries were counted, and the meet fails typed the same way
-        // instead of panicking or answering empty.
+        // Retries were counted, and a whole query fails typed the same
+        // way instead of panicking or answering empty.
         assert!(remote.robustness_stats().retries >= 1);
         assert!(matches!(
-            remote.meet_terms_answers(&["Bit"], &MeetOptions::default(), &mut |t| {
-                remote.search(t).map(Arc::new)
-            }),
+            answers(&remote, "Bit"),
             Err(BackendError::Unavailable { .. })
         ));
     }

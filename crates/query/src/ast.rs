@@ -172,15 +172,17 @@ impl fmt::Display for Query {
             write!(f, "{} as {}", b.path, b.var)?;
         }
         for (i, c) in self.conditions.iter().enumerate() {
-            // The lexer has no escapes: a needle holding `'` was quoted
-            // with `"` (and so holds no `"`).
-            let quote = if c.needle.contains('\'') { '"' } else { '\'' };
+            // A needle holding `'` is quoted with `"`, and only a needle
+            // holding both kinds needs its `"` doubled (the lexer reads a
+            // doubled quote as one), so every other needle prints as
+            // typed.
+            let quote = if c.needle.contains('\'') { "\"" } else { "'" };
             write!(
                 f,
                 " {} {} contains {quote}{}{quote}",
                 if i == 0 { "where" } else { "and" },
                 c.var,
-                c.needle
+                c.needle.replace(quote, &quote.repeat(2))
             )?;
         }
         if let Some(n) = self.limit {
@@ -191,6 +193,47 @@ impl fmt::Display for Query {
 }
 
 impl Query {
+    /// The query the `MEET` verb abbreviates: Listing 2 with one `%`
+    /// variable per term, `select meet(t0, t1) within δ from % as t0,
+    /// % as t1 where t0 contains 'a' and t1 contains 'b' limit k`.
+    /// Variable `ti` holds term `i`, so witness `term` indices follow
+    /// the term order.
+    pub fn meet_terms<S: AsRef<str>>(
+        terms: &[S],
+        within: Option<usize>,
+        limit: Option<usize>,
+    ) -> Query {
+        let vars: Vec<String> = (0..terms.len()).map(|i| format!("t{i}")).collect();
+        Query {
+            from: vars
+                .iter()
+                .map(|var| Binding {
+                    path: PathExpr {
+                        steps: vec![PathStepExpr::AnySeq],
+                    },
+                    var: var.clone(),
+                })
+                .collect(),
+            conditions: vars
+                .iter()
+                .zip(terms)
+                .map(|(var, term)| Condition {
+                    var: var.clone(),
+                    needle: term.as_ref().to_owned(),
+                })
+                .collect(),
+            select: SelectClause::Meet {
+                vars,
+                modifiers: MeetModifiers {
+                    within,
+                    ..MeetModifiers::default()
+                },
+            },
+            corpus: None,
+            limit,
+        }
+    }
+
     /// All `contains` strings attached to one variable.
     pub fn needles_for(&self, var: &str) -> Vec<&str> {
         self.conditions
@@ -256,6 +299,38 @@ mod tests {
         assert!(text.ends_with(r#"where t1 contains "O'Neil""#), "{text}");
         assert_eq!(crate::parse_query(&text).unwrap(), q);
         let q = crate::parse_query(r#"select t from x as t where t contains 'say "hi"'"#).unwrap();
+        assert_eq!(crate::parse_query(&q.to_string()).unwrap(), q);
+    }
+
+    #[test]
+    fn a_needle_with_both_quotes_prints_its_double_quotes_doubled() {
+        let mut q = sample();
+        q.conditions[0].needle = r#"it's "hi""#.into();
+        let text = q.to_string();
+        assert!(
+            text.ends_with(r#"where t1 contains "it's ""hi""""#),
+            "{text}"
+        );
+        assert_eq!(crate::parse_query(&text).unwrap(), q);
+        // A one-term MEET whose term spells a second condition stays
+        // one condition.
+        let q = Query::meet_terms(&["a'\" and t0 contains \"b'"], None, None);
+        let text = q.to_string();
+        assert_eq!(
+            text,
+            r#"select meet(t0) from % as t0 where t0 contains "a'"" and t0 contains ""b'""#
+        );
+        assert_eq!(crate::parse_query(&text).unwrap(), q);
+    }
+
+    #[test]
+    fn meet_terms_is_listing_2_over_percent() {
+        let q = Query::meet_terms(&["Bit", "1999"], Some(4), Some(2));
+        assert_eq!(
+            q.to_string(),
+            "select meet(t0, t1) within 4 from % as t0, % as t1 \
+             where t0 contains 'Bit' and t1 contains '1999' limit 2"
+        );
         assert_eq!(crate::parse_query(&q.to_string()).unwrap(), q);
     }
 

@@ -31,8 +31,6 @@ pub enum QueryError {
         /// The variable name.
         name: String,
     },
-    /// A meet aggregate needs at least two variables.
-    MeetNeedsTwoVariables,
     /// Projection result exceeded the configured row limit — the
     /// "combinatorial explosion" the paper warns about.
     RowLimitExceeded {
@@ -90,9 +88,6 @@ impl fmt::Display for QueryError {
             QueryError::DuplicateVariable { name } => {
                 write!(f, "variable {name:?} is bound more than once")
             }
-            QueryError::MeetNeedsTwoVariables => {
-                write!(f, "meet(...) needs at least two variables")
-            }
             QueryError::RowLimitExceeded { limit } => write!(
                 f,
                 "projection exceeded {limit} rows (combinatorial explosion); refine the query or use meet()"
@@ -129,7 +124,7 @@ mod tests {
                 QueryError::UnboundVariable { name: "t9".into() },
                 "not bound",
             ),
-            (QueryError::MeetNeedsTwoVariables, "at least two"),
+            (QueryError::InvalidLimit, "at least 1"),
             (QueryError::RowLimitExceeded { limit: 7 }, "explosion"),
             (QueryError::ModifierWithoutMeet, "meet"),
             (

@@ -12,15 +12,16 @@
 //!   of the paper's Figure 5 combines them, honouring `within`
 //!   (`meet^δ`), `excluding` and `only` (`meet_Π`).
 
-use crate::ast::{Query, SelectClause, SelectItem};
+use crate::ast::{PathStepExpr, Query, SelectClause, SelectItem};
 use crate::error::QueryError;
 use crate::parser::parse_query;
 use crate::pathexpr::{match_paths, matched_path_ids, PathMatch};
 pub use ncq_core::answer::{QueryOutput, Row, RowSet};
 use ncq_core::sweep::meet_hits;
-use ncq_core::{AnswerSet, MeetBackend, MeetOptions, PathFilter};
+use ncq_core::{AnswerSet, BackendError, MeetBackend, MeetOptions, PathFilter};
 use ncq_fulltext::HitSet;
 use ncq_store::{MonetDb, Oid, PathId};
+use std::sync::Arc;
 
 #[cfg(test)]
 use ncq_core::Database;
@@ -74,11 +75,17 @@ pub fn run_query_opts<B: MeetBackend + ?Sized>(
     evaluate(db, &query, options)
 }
 
+/// How a `contains` needle becomes hits on the engine a query
+/// evaluates on: [`MeetBackend::search`], or a cache in front of it
+/// (`ncq-server`'s term cache).
+pub type TermResolver<'a> = dyn FnMut(&str) -> Result<Arc<HitSet>, BackendError> + 'a;
+
 /// Evaluate a parsed query, resolving its corpus first: an explicit
 /// `from corpus(name)` wins over [`QueryOptions::default_corpus`];
 /// with neither, the backend itself evaluates (which for a forest
 /// backend is its catalog's default corpus). A name the backend cannot
-/// resolve is a typed [`QueryError::UnknownCorpus`].
+/// resolve is a typed [`QueryError::UnknownCorpus`]. Needles resolve
+/// through [`MeetBackend::search`].
 pub fn evaluate<B: MeetBackend + ?Sized>(
     db: &B,
     query: &Query,
@@ -89,20 +96,26 @@ pub fn evaluate<B: MeetBackend + ?Sized>(
             let target = db.corpus(name).ok_or_else(|| QueryError::UnknownCorpus {
                 name: name.to_owned(),
             })?;
-            evaluate_resolved(&*target, query, opts)
+            evaluate_on(&*target, query, &opts.config, &mut |needle| {
+                target.search(needle).map(Arc::new)
+            })
         }
-        None => evaluate_resolved(db, query, opts),
+        None => evaluate_on(db, query, &opts.config, &mut |needle| {
+            db.search(needle).map(Arc::new)
+        }),
     }
 }
 
-/// Evaluate against an already-resolved backend. A backend without a
-/// store (a remote corpus) evaluates the whole query on its replicas:
-/// it receives the query text with the corpus clause dropped, since
-/// the routing is already done.
-fn evaluate_resolved<B: MeetBackend + ?Sized>(
+/// Evaluate against an already-resolved backend (the query's corpus
+/// clause is not consulted), each `contains` needle becoming hits
+/// through `resolve`. A backend without a store (a remote corpus)
+/// evaluates the whole query on its replicas: it receives the query
+/// text with the corpus clause dropped, and `resolve` is not called.
+pub fn evaluate_on<B: MeetBackend + ?Sized>(
     db: &B,
     query: &Query,
-    opts: &QueryOptions,
+    config: &QueryConfig,
+    resolve: &mut TermResolver<'_>,
 ) -> Result<QueryOutput, QueryError> {
     let Some(store) = db.store() else {
         let text = Query {
@@ -110,13 +123,13 @@ fn evaluate_resolved<B: MeetBackend + ?Sized>(
             ..query.clone()
         }
         .to_string();
-        return Ok(db.answer_sql(&text, opts.config.max_rows)?);
+        return Ok(db.answer_sql(&text, config.max_rows)?);
     };
     match &query.select {
         SelectClause::Meet { vars, modifiers } => {
-            let inputs: Vec<HitSet> = vars
+            let inputs: Vec<Arc<HitSet>> = vars
                 .iter()
-                .map(|v| hit_group(db, store, query, v))
+                .map(|v| hit_group(store, query, v, resolve))
                 .collect::<Result<_, _>>()?;
             let mut options = MeetOptions {
                 max_distance: modifiers.within,
@@ -137,42 +150,56 @@ fn evaluate_resolved<B: MeetBackend + ?Sized>(
                 options.filter = PathFilter::excluding(excluded);
             }
             let meets = meet_hits(store, &inputs, &options);
+            let _serialize = ncq_obs::trace::span("serialize");
             Ok(QueryOutput::Answers(AnswerSet::from_meets(store, meets)))
         }
-        SelectClause::Projection(items) => projection(db, store, query, items, &opts.config),
+        SelectClause::Projection(items) => projection(store, query, items, config, resolve),
     }
 }
 
 /// The hit group of a meet variable: string associations (or bare nodes
 /// when the variable has no `contains` predicate) under the variable's
 /// matched paths, containing *all* of its needles.
-fn hit_group<B: MeetBackend + ?Sized>(
-    db: &B,
+fn hit_group(
     store: &MonetDb,
     query: &Query,
     var: &str,
-) -> Result<HitSet, QueryError> {
+    resolve: &mut TermResolver<'_>,
+) -> Result<Arc<HitSet>, QueryError> {
     let binding = query
         .binding_for(var)
         .ok_or_else(|| QueryError::UnboundVariable {
             name: var.to_owned(),
         })?;
-    let matched = matched_path_ids(store, &binding.path);
     let needles = query.needles_for(var);
 
     if needles.is_empty() {
         // No predicate: the variable contributes the matched nodes
         // themselves (elements of matched element paths), read straight
         // from the store's document-order posting lists.
-        return Ok(HitSet::from_pairs(matched.iter().flat_map(|&p| {
-            store.oids_of_path(p).iter().map(move |&o| (p, o))
-        })));
+        let matched = matched_path_ids(store, &binding.path);
+        return Ok(Arc::new(HitSet::from_pairs(matched.iter().flat_map(
+            |&p| store.oids_of_path(p).iter().map(move |&o| (p, o)),
+        ))));
     }
 
-    let mut result: Option<HitSet> = None;
+    // `%` matches every element path, and every hit lies under the
+    // root, so its scope is everything: a needle's hits serve as they
+    // are (a cached decode is shared, not copied).
+    let everywhere = binding.path.steps == [PathStepExpr::AnySeq];
+    let matched = if everywhere {
+        Vec::new()
+    } else {
+        matched_path_ids(store, &binding.path)
+    };
+    let mut result: Option<Arc<HitSet>> = None;
     for needle in needles {
-        let mut hits = db.search(needle)?;
-        hits.retain(|path, _| matched.iter().any(|&mp| store.summary().le(path, mp)));
+        let mut hits = resolve(needle)?;
+        if !everywhere {
+            let mut scoped = HitSet::clone(&hits);
+            scoped.retain(|path, _| matched.iter().any(|&mp| store.summary().le(path, mp)));
+            hits = Arc::new(scoped);
+        }
         result = Some(match result {
             None => hits,
             Some(prev) => {
@@ -183,7 +210,7 @@ fn hit_group<B: MeetBackend + ?Sized>(
                         both.insert(p, o);
                     }
                 }
-                both
+                Arc::new(both)
             }
         });
     }
@@ -197,11 +224,11 @@ type BoundNode = (Oid, TagAssignment);
 
 /// A variable's projection bindings: `(node, tag-assignments)` for nodes
 /// matching the path pattern whose subtree contains all needles.
-fn projection_bindings<B: MeetBackend + ?Sized>(
-    db: &B,
+fn projection_bindings(
     store: &MonetDb,
     query: &Query,
     var: &str,
+    resolve: &mut TermResolver<'_>,
 ) -> Result<Vec<BoundNode>, QueryError> {
     let binding = query
         .binding_for(var)
@@ -218,7 +245,7 @@ fn projection_bindings<B: MeetBackend + ?Sized>(
     // interval — no ancestor-closure materialization.
     let mut needle_owners: Vec<Vec<Oid>> = Vec::with_capacity(needles.len());
     for needle in &needles {
-        let mut owners: Vec<Oid> = db.search(needle)?.iter().map(|(_, o)| o).collect();
+        let mut owners: Vec<Oid> = resolve(needle)?.iter().map(|(_, o)| o).collect();
         owners.sort_unstable();
         owners.dedup();
         needle_owners.push(owners);
@@ -240,17 +267,17 @@ fn projection_bindings<B: MeetBackend + ?Sized>(
     Ok(out)
 }
 
-fn projection<B: MeetBackend + ?Sized>(
-    db: &B,
+fn projection(
     store: &MonetDb,
     query: &Query,
     items: &[SelectItem],
     config: &QueryConfig,
+    resolve: &mut TermResolver<'_>,
 ) -> Result<QueryOutput, QueryError> {
     let var_names: Vec<&str> = query.from.iter().map(|b| b.var.as_str()).collect();
     let mut bindings = Vec::with_capacity(var_names.len());
     for v in &var_names {
-        bindings.push(projection_bindings(db, store, query, v)?);
+        bindings.push(projection_bindings(store, query, v, resolve)?);
     }
 
     let columns: Vec<String> = items

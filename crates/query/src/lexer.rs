@@ -118,22 +118,30 @@ pub fn lex(src: &str) -> Result<Vec<Token>, QueryError> {
                 i = j;
             }
             b'\'' | b'"' => {
-                let quote = b;
+                // Inside the literal a doubled quote stands for one.
+                let quote = b as char;
+                let mut text = String::new();
                 let mut j = i + 1;
-                while j < bytes.len() && bytes[j] != quote {
+                loop {
+                    let Some(len) = src[j..].find(quote) else {
+                        return Err(QueryError::Lex {
+                            offset,
+                            found: quote,
+                        });
+                    };
+                    text.push_str(&src[j..j + len]);
+                    j += len + 1;
+                    if bytes.get(j) != Some(&b) {
+                        break;
+                    }
+                    text.push(quote);
                     j += 1;
                 }
-                if j >= bytes.len() {
-                    return Err(QueryError::Lex {
-                        offset,
-                        found: quote as char,
-                    });
-                }
                 out.push(Token {
-                    kind: TokenKind::Str(src[i + 1..j].to_owned()),
+                    kind: TokenKind::Str(text),
                     offset,
                 });
-                i = j + 1;
+                i = j;
             }
             b'0'..=b'9' => {
                 let mut j = i;
@@ -231,6 +239,20 @@ mod tests {
                 TokenKind::Str("19 99".into()),
             ]
         );
+    }
+
+    #[test]
+    fn a_doubled_quote_inside_a_literal_is_one_quote() {
+        assert_eq!(
+            kinds(r#"'it''s' "say ""hi""" '' """#),
+            vec![
+                TokenKind::Str("it's".into()),
+                TokenKind::Str(r#"say "hi""#.into()),
+                TokenKind::Str(String::new()),
+                TokenKind::Str(String::new()),
+            ]
+        );
+        assert!(matches!(lex("'it''s"), Err(QueryError::Lex { .. })));
     }
 
     #[test]

@@ -190,9 +190,6 @@ impl Parser {
                     break;
                 }
             }
-            if vars.len() < 2 {
-                return Err(QueryError::MeetNeedsTwoVariables);
-            }
             return Ok(SelectClause::Meet { vars, modifiers });
         }
         let mut items = vec![self.select_item()?];
@@ -469,9 +466,11 @@ mod tests {
     }
 
     #[test]
-    fn meet_needs_two_vars() {
-        let e = parse_query("select meet(t1) from x as t1").unwrap_err();
-        assert!(matches!(e, QueryError::MeetNeedsTwoVariables));
+    fn a_meet_of_one_variable_is_a_query() {
+        // One term's hits meet each other (Fig. 5), as `MEET x` does.
+        let q = parse_query("select meet(t1) from x as t1 where t1 contains 'q'").unwrap();
+        assert!(matches!(&q.select, SelectClause::Meet { vars, .. } if vars == &["t1"]));
+        assert_eq!(parse_query(&q.to_string()).unwrap(), q);
     }
 
     #[test]

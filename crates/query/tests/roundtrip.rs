@@ -64,10 +64,11 @@ fn path_expr(rng: &mut StdRng) -> PathExpr {
 }
 
 fn needle(rng: &mut StdRng) -> String {
-    // At most one kind of quote: the lexer has no escapes, so no
-    // literal can hold both.
-    let quote = ['\'', '"'][rng.random_range(0..2usize)];
-    let chars = ['a', 'B', '7', ' ', '.', '&', '-', 'z', 'Q', '0', quote];
+    // Either kind of quote, or both: a literal holding both doubles the
+    // one it is quoted with.
+    let quotes: &[char] = [&['\''][..], &['"'], &['\'', '"']][rng.random_range(0..3usize)];
+    let mut chars = vec!['a', 'B', '7', ' ', '.', '&', '-', 'z', 'Q', '0'];
+    chars.extend_from_slice(quotes);
     let len = rng.random_range(1usize..13);
     let s: String = (0..len)
         .map(|_| chars[rng.random_range(0..chars.len())])
@@ -76,7 +77,7 @@ fn needle(rng: &mut StdRng) -> String {
 }
 
 /// A structurally valid query: distinct binding vars, select/where refer
-/// only to bound vars, meet has ≥ 2 vars.
+/// only to bound vars.
 fn random_query(rng: &mut StdRng) -> Query {
     let n_bindings = rng.random_range(2usize..4);
     let mut from_raw: Vec<(PathExpr, String)> = (0..n_bindings)
@@ -111,7 +112,7 @@ fn random_query(rng: &mut StdRng) -> Query {
             _ => None,
         })
         .collect();
-    let select = if is_meet && from.len() >= 2 {
+    let select = if is_meet {
         SelectClause::Meet {
             vars: from.iter().map(|b| b.var.clone()).collect(),
             modifiers: MeetModifiers {

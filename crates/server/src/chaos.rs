@@ -261,7 +261,7 @@ mod tests {
     use super::*;
     use crate::remote::{EngineConfig, RemoteEngine};
     use ncq_core::remote::{RemoteBackend, RemoteConfig};
-    use ncq_core::{Database, MeetBackend, MeetOptions};
+    use ncq_core::{Database, MeetBackend};
 
     const FIG: &str = r#"<bib><article key="BB99"><author>Ben Bit</author>
         <year>1999</year></article></bib>"#;
@@ -315,15 +315,13 @@ mod tests {
             fast_config(),
         )
         .unwrap();
-        let opts = MeetOptions::default();
-        let over_proxy = remote
-            .meet_terms_answers(&["Bit", "1999"], &opts, &mut |t| {
-                remote.search(t).map(Arc::new)
-            })
-            .unwrap();
+        let query = ncq_query::Query::meet_terms(&["Bit", "1999"], None, None);
+        let over_proxy =
+            ncq_query::eval::evaluate(&remote, &query, &ncq_query::QueryOptions::default())
+                .unwrap();
         assert_eq!(
-            over_proxy.to_detailed_xml(),
-            db.meet_terms(&["Bit", "1999"]).unwrap().to_detailed_xml()
+            over_proxy,
+            ncq_query::QueryOutput::Answers(db.meet_terms(&["Bit", "1999"]).unwrap())
         );
         assert_eq!(proxy.faults_injected(), 0);
         proxy.shutdown();

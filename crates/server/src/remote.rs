@@ -113,12 +113,12 @@ fn answer(backend: &dyn MeetBackend, request: EngineRequest) -> Vec<u8> {
             None => encode_error_response("this engine holds no corpus to meet over"),
         },
         EngineRequest::Answer(EngineQuery::Meet { terms, options }) => {
-            let terms: Vec<&str> = terms.iter().map(String::as_str).collect();
-            let answers = backend.meet_terms_answers(&terms, &options, &mut |term| {
-                backend.search(term).map(Arc::new)
-            });
-            match answers {
-                Ok(answers) => encode_response(&EngineResponse::Answers(answers)),
+            let query = ncq_query::Query::meet_terms(&terms, options.max_distance, options.limit);
+            match ncq_query::eval::evaluate(backend, &query, &QueryOptions::default()) {
+                Ok(QueryOutput::Answers(answers)) => {
+                    encode_response(&EngineResponse::Answers(answers))
+                }
+                Ok(QueryOutput::Rows(rows)) => encode_response(&EngineResponse::Rows(rows)),
                 Err(e) => encode_error_response(&e.to_string()),
             }
         }
@@ -203,7 +203,7 @@ fn serve_engine_session(
 mod tests {
     use super::*;
     use ncq_core::remote::{RemoteBackend, RemoteConfig};
-    use ncq_core::{Database, MeetOptions};
+    use ncq_core::Database;
     use std::time::Instant;
 
     const FIG: &str = r#"<bib><article key="BB99"><author>Ben Bit</author>
@@ -236,14 +236,12 @@ mod tests {
             fast_config(),
         )
         .unwrap();
-        let opts = MeetOptions::default();
-        let over_wire = remote
-            .meet_terms_answers(&["Bit", "1999"], &opts, &mut |t| {
-                remote.search(t).map(Arc::new)
-            })
-            .unwrap();
-        let local = db.meet_terms(&["Bit", "1999"]).unwrap();
-        assert_eq!(over_wire.to_detailed_xml(), local.to_detailed_xml());
+        // A MEET travels whole as the Listing-2 text it abbreviates.
+        let query = ncq_query::Query::meet_terms(&["Bit", "1999"], None, None);
+        let over_wire =
+            ncq_query::eval::evaluate(&remote, &query, &QueryOptions::default()).unwrap();
+        let local = QueryOutput::Answers(db.meet_terms(&["Bit", "1999"]).unwrap());
+        assert_eq!(over_wire, local);
         // The whole MEET is one request, and so is each SQL query.
         assert_eq!(engine.served(), 1);
         for (sql, served) in [

@@ -9,9 +9,10 @@
 //! always makes progress and a saturated client always eventually
 //! admits or observes shutdown.
 
-use ncq_core::{AnswerSet, BackendError, CatalogError, Database, MeetBackend, MeetOptions};
+use ncq_core::{AnswerSet, BackendError, CatalogError, Database, MeetBackend};
 use ncq_fulltext::HitSet;
-use ncq_query::{parse_query, run_query_opts, QueryConfig, QueryOptions, QueryOutput, RowSet};
+use ncq_query::eval::evaluate_on;
+use ncq_query::{parse_query, Query, QueryConfig, QueryError, QueryOutput, RowSet, SelectClause};
 use ncq_store::snapshot::SnapshotError;
 use ncq_store::MonetDb;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -78,12 +79,16 @@ impl Default for ServerConfig {
 /// The `corpus` fields route against a forest deployment: `None` hits
 /// the backend's default corpus, `Some(name)` a named corpus,
 /// `Some("*")` ([`ALL_CORPORA`]) fans out across the whole catalog
-/// (MEET and SEARCH only). On single-document backends any
-/// `Some(...)` routing is an in-band error.
+/// (any meet, MEET or SQL, and SEARCH; a SQL projection is refused).
+/// On single-document backends any `Some(...)` routing is an in-band
+/// error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// The paper's signature query: full-text search each term, meet the
-    /// hit groups (optionally bounded by `within` = `meet^δ`).
+    /// hit groups (optionally bounded by `within` = `meet^δ`). This is
+    /// only the verb's parsed form: it is served as the Listing-2 query
+    /// it abbreviates ([`ncq_query::Query::meet_terms`]), one `%`
+    /// variable per term.
     MeetTerms {
         /// Search terms, one hit group each.
         terms: Vec<String>,
@@ -102,7 +107,7 @@ pub enum Request {
         /// Query text.
         src: String,
         /// Session default corpus; an explicit `from corpus(name)` in
-        /// the text wins. `"*"` is not meaningful for SQL.
+        /// the text wins. `"*"` fans a meet out like MEET's.
         corpus: Option<String>,
     },
     /// A bare full-text search, answered with the hit count.
@@ -280,8 +285,9 @@ pub struct ServerStats {
     pub term_decodes: usize,
     /// Term look-ups answered from a worker cache (shared decodes).
     pub term_cache_hits: usize,
-    /// Cacheable queries (MEET/SQL against one corpus) answered from
-    /// the semantic result cache — evaluation skipped entirely.
+    /// Cacheable queries (MEET/SQL against one corpus; a `USE *`
+    /// fan-out is not cached) answered from the semantic result cache —
+    /// evaluation skipped entirely.
     pub sem_hits: usize,
     /// Cacheable queries that had to evaluate. For any run without
     /// config changes, `sem_hits + sem_misses` equals the cacheable
@@ -549,26 +555,17 @@ impl<K: Hash + Eq + Clone, V: Clone> EpochCache<K, V> {
 }
 
 /// Result-cache key: every field that selects the answer, typed — so
-/// no term, corpus name or query text can spell another request's key.
+/// no corpus name can spell another request's query text. The text is
+/// the canonical print of the parse: whitespace and case variants of a
+/// SQL query share an entry, and so do a MEET and its Listing-2 query
+/// (term order is kept — witness `term` indices depend on it). The
+/// corpus is the *resolved* one (text wins over session wins over
+/// default).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum SemKey {
-    /// `MEET`: resolved corpus, options, and the term list in request
-    /// order (order is positional — witness `input` indices depend on
-    /// it).
-    Meet {
-        corpus: String,
-        within: Option<usize>,
-        limit: Option<usize>,
-        terms: Vec<String>,
-    },
-    /// SQL: the canonical printed parse (whitespace/case variants
-    /// share an entry), the *resolved* corpus (text wins over session
-    /// wins over default) and the session corpus.
-    Sql {
-        corpus: String,
-        session: Option<String>,
-        query: String,
-    },
+struct SemKey {
+    query: String,
+    corpus: String,
+    session: Option<String>,
 }
 
 impl Shared {
@@ -627,9 +624,9 @@ impl Server {
 
     /// Spawn the worker pool over any [`MeetBackend`] — the
     /// single-process [`Database`], a remote engine or a forest.
-    /// Workers are agnostic: they answer a MEET through
-    /// [`MeetBackend::meet_terms_answers`] with their term cache as the
-    /// resolver, and SQL through `ncq-query`.
+    /// Workers are agnostic: a MEET becomes the SQL meet it abbreviates,
+    /// and every query evaluates through `ncq-query` with the worker's
+    /// term cache resolving its needles.
     pub fn start_backend(db: Arc<dyn MeetBackend>, config: ServerConfig) -> Server {
         if let Some(store) = db.store() {
             store.meet_index();
@@ -869,7 +866,7 @@ fn get_or_decode(
     shared: &Shared,
     cache: &mut TermCache,
     epoch: Epoch,
-    db: &Arc<dyn MeetBackend>,
+    db: &dyn MeetBackend,
     corpus: &str,
     term: &str,
 ) -> Result<Arc<HitSet>, BackendError> {
@@ -1052,120 +1049,33 @@ fn execute(
     cache: &mut TermCache,
     request: &Request,
 ) -> Response {
-    let sem_on = shared.config.sem_cache_capacity > 0;
     match request {
+        // The MEET verb is Listing 2's shorthand: from here on it is
+        // that query, on the one evaluation every meet takes.
         Request::MeetTerms {
             terms,
             within,
             limit,
             corpus,
         } => {
-            let options = MeetOptions {
-                max_distance: *within,
-                limit: *limit,
-                ..MeetOptions::default()
-            };
-            let term_refs: Vec<&str> = terms.iter().map(String::as_str).collect();
-            if corpus.as_deref() == Some(ALL_CORPORA) {
-                // Fan out across the whole catalog, decoding through the
-                // per-corpus engines and the tagged term cache, same as
-                // single-corpus routing.
-                let names = db.corpus_names();
-                if names.is_empty() {
-                    return Response::Error(
-                        "this deployment serves no corpora (single-document backend)".to_owned(),
-                    );
-                }
-                for name in &names {
-                    shared.stats.note_corpus(name);
-                }
-                let all = ncq_core::catalog::meet_terms_forest(
-                    &**db,
-                    &term_refs,
-                    &options,
-                    |name, target, term| {
-                        get_or_decode(shared, cache, epochs.of(name), target, name, term)
-                    },
-                );
-                shared
-                    .stats
-                    .partial_answers
-                    .fetch_add(all.partials.len(), Relaxed);
-                return Response::Answers(all);
+            if terms.is_empty() {
+                return Response::Error("MEET needs at least one term".to_owned());
             }
-            let (target, stat_name) = match resolve_corpus(db, corpus) {
-                Ok(pair) => pair,
-                Err(msg) => return Response::Error(msg),
-            };
-            if let Some(name) = &stat_name {
-                shared.stats.note_corpus(name);
+            if *limit == Some(0) {
+                return Response::Error(QueryError::InvalidLimit.to_string());
             }
-            let corpus_name = stat_name.unwrap_or_default();
-            let epoch = epochs.of(&corpus_name);
-            let key = sem_on.then(|| {
-                let key = SemKey::Meet {
-                    corpus: corpus_name.clone(),
-                    within: *within,
-                    limit: *limit,
-                    terms: terms.clone(),
-                };
-                (key, epoch)
-            });
-            cached(shared, key, || {
-                let answers = target.meet_terms_answers(&term_refs, &options, &mut |term| {
-                    get_or_decode(shared, cache, epoch, &target, &corpus_name, term)
-                });
-                match answers {
-                    Ok(answers) => Response::Answers(answers),
-                    Err(e) => {
-                        ncq_obs::trace::event("error", e.to_string());
-                        Response::Error(e.to_string())
-                    }
-                }
-            })
+            let query = Query::meet_terms(terms, *within, *limit);
+            answer_query(shared, db, epochs, cache, &query, corpus)
         }
-        Request::Sql { corpus, .. } if corpus.as_deref() == Some(ALL_CORPORA) => Response::Error(
-            "SQL evaluates against one corpus; USE a concrete corpus name".to_owned(),
-        ),
         Request::Sql { src, corpus } => {
-            // Accounting follows the session (or default) corpus,
-            // independent of any `from corpus(name)` inside the text.
-            if let Some(name) = corpus.clone().or_else(|| db.default_corpus()) {
-                shared.stats.note_corpus(&name);
-            }
-            // The *resolved* corpus scopes the invalidation epoch. A
-            // parse error is not cacheable; it answers in-band below.
-            let key = match (sem_on, parse_query(src)) {
-                (true, Ok(q)) => {
-                    let resolved = q
-                        .corpus
-                        .clone()
-                        .or_else(|| corpus.clone())
-                        .or_else(|| db.default_corpus())
-                        .unwrap_or_default();
-                    let epoch = epochs.of(&resolved);
-                    let key = SemKey::Sql {
-                        corpus: resolved,
-                        session: corpus.clone(),
-                        query: q.to_string(),
-                    };
-                    Some((key, epoch))
-                }
-                _ => None,
+            let parsed = {
+                let _parse = ncq_obs::trace::span("parse");
+                parse_query(src)
             };
-            cached(shared, key, || {
-                let options = QueryOptions {
-                    config: QueryConfig {
-                        max_rows: shared.config.max_rows,
-                    },
-                    default_corpus: corpus.clone(),
-                };
-                match run_query_opts(&**db, src, &options) {
-                    Ok(QueryOutput::Answers(a)) => Response::Answers(a),
-                    Ok(QueryOutput::Rows(r)) => Response::Rows(r),
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            })
+            match parsed {
+                Ok(query) => answer_query(shared, db, epochs, cache, &query, corpus),
+                Err(e) => Response::Error(e.to_string()),
+            }
         }
         Request::Search { term, corpus } => {
             if corpus.as_deref() == Some(ALL_CORPORA) {
@@ -1185,7 +1095,7 @@ fn execute(
                     // silently short total is a wrong answer — so an
                     // unavailable corpus fails the whole fan-out count,
                     // typed with the corpus it died on.
-                    match get_or_decode(shared, cache, epochs.of(name), &target, name, term) {
+                    match get_or_decode(shared, cache, epochs.of(name), &*target, name, term) {
                         Ok(hits) => total += hits.len(),
                         Err(e) => {
                             return Response::Error(format!("corpus {name:?}: {e}"));
@@ -1203,7 +1113,7 @@ fn execute(
             }
             let cache_corpus = stat_name.as_deref().unwrap_or("");
             let epoch = epochs.of(cache_corpus);
-            match get_or_decode(shared, cache, epoch, &target, cache_corpus, term) {
+            match get_or_decode(shared, cache, epoch, &*target, cache_corpus, term) {
                 Ok(hits) => Response::Count(hits.len()),
                 Err(e) => Response::Error(e.to_string()),
             }
@@ -1305,6 +1215,125 @@ fn execute(
                     }
                 }
             }
+        }
+    }
+}
+
+/// Answer a query — SQL text or a desugared MEET — on the corpus it
+/// resolves to: the text's `from corpus(name)`, else the session
+/// corpus, else the backend's default. Needles resolve through the
+/// worker's term cache; under `USE *` a meet fans out instead.
+fn answer_query(
+    shared: &Shared,
+    db: &Arc<dyn MeetBackend>,
+    epochs: &Epochs,
+    cache: &mut TermCache,
+    query: &Query,
+    session: &Option<String>,
+) -> Response {
+    let named = query.corpus.clone().or_else(|| session.clone());
+    if named.as_deref() == Some(ALL_CORPORA) {
+        return fan_out(shared, db, epochs, cache, query);
+    }
+    let (target, resolved) = match resolve_corpus(db, &named) {
+        Ok(pair) => pair,
+        Err(msg) => return Response::Error(msg),
+    };
+    // Accounting follows the session (or default) corpus, independent
+    // of any `from corpus(name)` inside the text.
+    if let Some(name) = session.clone().or_else(|| db.default_corpus()) {
+        shared.stats.note_corpus(&name);
+    }
+    let corpus = resolved.unwrap_or_default();
+    let epoch = epochs.of(&corpus);
+    let key = (shared.config.sem_cache_capacity > 0).then(|| {
+        let key = SemKey {
+            query: query.to_string(),
+            corpus: corpus.clone(),
+            session: session.clone(),
+        };
+        (key, epoch)
+    });
+    cached(shared, key, || {
+        let _eval = ncq_obs::trace::span("eval");
+        respond(evaluate_on(
+            &*target,
+            query,
+            &query_config(shared),
+            &mut |term| get_or_decode(shared, cache, epoch, &*target, &corpus, term),
+        ))
+    })
+}
+
+/// A meet on every corpus of the forest (`USE *`), answers tagged by
+/// corpus and concatenated in catalog order: meets never span corpora,
+/// so that is the whole answer. A corpus whose engine is unavailable
+/// contributes a typed `<partial>` marker instead of failing the
+/// fan-out. Not result-cached: one entry would span every corpus's
+/// invalidation epoch.
+fn fan_out(
+    shared: &Shared,
+    db: &Arc<dyn MeetBackend>,
+    epochs: &Epochs,
+    cache: &mut TermCache,
+    query: &Query,
+) -> Response {
+    if !matches!(query.select, SelectClause::Meet { .. }) {
+        return Response::Error(
+            "a projection evaluates against one corpus; USE a concrete corpus name".to_owned(),
+        );
+    }
+    let names = db.corpus_names();
+    if names.is_empty() {
+        return Response::Error(
+            "this deployment serves no corpora (single-document backend)".to_owned(),
+        );
+    }
+    let mut all = AnswerSet::default();
+    for name in &names {
+        let Some(target) = db.corpus(name) else {
+            continue;
+        };
+        shared.stats.note_corpus(name);
+        let epoch = epochs.of(name);
+        let output = evaluate_on(&*target, query, &query_config(shared), &mut |term| {
+            get_or_decode(shared, cache, epoch, &*target, name, term)
+        });
+        match output {
+            Ok(QueryOutput::Answers(mut answers)) => {
+                answers.tag_corpus(name);
+                all.results.extend(answers.results);
+            }
+            Err(QueryError::Backend { detail }) => all.push_partial(name, detail),
+            other => return respond(other),
+        }
+    }
+    shared
+        .stats
+        .partial_answers
+        .fetch_add(all.partials.len(), Relaxed);
+    Response::Answers(all)
+}
+
+fn query_config(shared: &Shared) -> QueryConfig {
+    QueryConfig {
+        max_rows: shared.config.max_rows,
+    }
+}
+
+/// An evaluation as a response. An unavailable engine reads the same
+/// whichever verb met it: its own message, as `SEARCH` reports it.
+fn respond(output: Result<QueryOutput, QueryError>) -> Response {
+    match output {
+        Ok(QueryOutput::Answers(answers)) => Response::Answers(answers),
+        Ok(QueryOutput::Rows(rows)) => Response::Rows(rows),
+        Err(e) => {
+            let msg = match e {
+                QueryError::Backend { detail } => detail,
+                e => e.to_string(),
+            };
+            ncq_obs::trace::event("error", msg.clone());
+            Response::Error(msg)
         }
     }
 }
@@ -1583,6 +1612,42 @@ mod tests {
         assert_eq!(stats.term_decodes, 2, "one decode per distinct term");
         assert_eq!(stats.term_cache_hits, 8);
         assert_eq!((stats.sem_hits, stats.sem_misses), (0, 0), "cache off");
+    }
+
+    #[test]
+    fn a_meet_and_its_sql_form_share_decodes_and_a_result_entry() {
+        // Result cache off: Listing 2 after `MEET Bit 1999` finds both
+        // of its needles decoded.
+        let s = server(ServerConfig {
+            workers: 1,
+            sem_cache_capacity: 0,
+            ..ServerConfig::default()
+        });
+        let client = s.client();
+        client.meet_terms(["Bit", "1999"]).unwrap();
+        let before = s.stats();
+        client
+            .sql(
+                "select meet(t1, t2) from bibliography/% as t1, bibliography/% as t2 \
+                 where t1 contains 'Bit' and t2 contains '1999'",
+            )
+            .unwrap();
+        let after = s.shutdown();
+        assert_eq!(after.term_decodes, before.term_decodes, "no decode");
+        assert_eq!(after.term_cache_hits, before.term_cache_hits + 2);
+
+        // Result cache on: a MEET and its printed SQL text are one
+        // entry.
+        let s = server(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let client = s.client();
+        let meet = client.meet_terms(["Bit", "1999"]).unwrap();
+        let text = Query::meet_terms(&["Bit", "1999"], None, None).to_string();
+        assert_eq!(client.sql(text).unwrap(), Response::Answers(meet));
+        let stats = s.shutdown();
+        assert_eq!((stats.sem_hits, stats.sem_misses), (1, 1));
     }
 
     #[test]

@@ -13,8 +13,10 @@ use ncq_core::remote::{
     encode_request, read_frame, write_frame, EngineRequest, EngineResponse, RemoteBackend,
     RemoteConfig, DEFAULT_FRAME_CAP,
 };
-use ncq_core::{BackendError, Catalog, Database, ForestBackend, MeetBackend, MeetOptions};
+use ncq_core::{AnswerSet, BackendError, Catalog, Database, ForestBackend, MeetBackend};
 use ncq_datagen::{DblpConfig, DblpCorpus};
+use ncq_query::eval::evaluate;
+use ncq_query::{Query, QueryError, QueryOptions, QueryOutput};
 use ncq_server::{
     serve_lines, ChaosProxy, ChaosSchedule, EngineConfig, Fault, RemoteEngine, Request, Response,
     Server, ServerConfig, ALL_CORPORA,
@@ -63,6 +65,19 @@ fn term_pairs(db: &Database, want: usize) -> Vec<(String, String)> {
         .collect()
 }
 
+/// `MEET terms` as the Listing-2 query it abbreviates, evaluated on
+/// `backend` (a remote corpus receives it whole, as its text).
+fn meet(backend: &dyn MeetBackend, terms: &[&str]) -> Result<AnswerSet, QueryError> {
+    match evaluate(
+        backend,
+        &Query::meet_terms(terms, None, None),
+        &QueryOptions::default(),
+    )? {
+        QueryOutput::Answers(answers) => Ok(answers),
+        QueryOutput::Rows(rows) => panic!("a meet answered rows {rows:?}"),
+    }
+}
+
 fn engine(db: &Arc<Database>) -> RemoteEngine {
     RemoteEngine::bind(
         "127.0.0.1:0",
@@ -104,13 +119,8 @@ fn remote_replicas_answer_byte_identically() {
         fast_config(),
     )
     .unwrap();
-    let opts = MeetOptions::default();
     for (t1, t2) in term_pairs(&db, 12) {
-        let over_wire = remote
-            .meet_terms_answers(&[t1.as_str(), t2.as_str()], &opts, &mut |t| {
-                remote.search(t).map(Arc::new)
-            })
-            .unwrap();
+        let over_wire = meet(&remote, &[t1.as_str(), t2.as_str()]).unwrap();
         let local = db.meet_terms(&[t1.as_str(), t2.as_str()]).unwrap();
         assert_eq!(
             over_wire.to_detailed_xml(),
@@ -154,13 +164,8 @@ fn chaos_replica_with_one_healthy_peer_stays_byte_identical() {
         fast_config(),
     )
     .unwrap();
-    let opts = MeetOptions::default();
     for (t1, t2) in term_pairs(&db, 16) {
-        let over_wire = remote
-            .meet_terms_answers(&[t1.as_str(), t2.as_str()], &opts, &mut |t| {
-                remote.search(t).map(Arc::new)
-            })
-            .unwrap();
+        let over_wire = meet(&remote, &[t1.as_str(), t2.as_str()]).unwrap();
         let local = db.meet_terms(&[t1.as_str(), t2.as_str()]).unwrap();
         assert_eq!(
             over_wire.to_detailed_xml(),
@@ -200,12 +205,7 @@ fn stalled_replica_times_out_and_fails_over() {
     )
     .unwrap();
     let started = Instant::now();
-    let opts = MeetOptions::default();
-    let answers = remote
-        .meet_terms_answers(&["Bit", "1999"], &opts, &mut |t| {
-            remote.search(t).map(Arc::new)
-        })
-        .unwrap();
+    let answers = meet(&remote, &["Bit", "1999"]).unwrap();
     assert_eq!(
         answers.to_detailed_xml(),
         db.meet_terms(&["Bit", "1999"]).unwrap().to_detailed_xml()
@@ -239,7 +239,6 @@ fn killing_a_replica_mid_batch_keeps_answers_byte_identical() {
         fast_config(),
     )
     .unwrap();
-    let opts = MeetOptions::default();
     let pairs = term_pairs(&db, 16);
     let mut doomed = Some(doomed);
     for (i, (t1, t2)) in pairs.iter().enumerate() {
@@ -249,11 +248,7 @@ fn killing_a_replica_mid_batch_keeps_answers_byte_identical() {
         if i == pairs.len() / 2 {
             doomed.take().unwrap().shutdown();
         }
-        let over_wire = remote
-            .meet_terms_answers(&[t1.as_str(), t2.as_str()], &opts, &mut |t| {
-                remote.search(t).map(Arc::new)
-            })
-            .unwrap();
+        let over_wire = meet(&remote, &[t1.as_str(), t2.as_str()]).unwrap();
         let local = db.meet_terms(&[t1.as_str(), t2.as_str()]).unwrap();
         assert_eq!(
             over_wire.to_detailed_xml(),
@@ -314,29 +309,10 @@ fn forest_with_a_down_corpus_degrades_to_typed_partial_answers() {
         .unwrap();
     let forest = ForestBackend::new(catalog).unwrap();
 
-    // Direct forest fan-out: the healthy corpus answers, the dead one
-    // degrades to a typed partial marker.
-    let opts = MeetOptions::default();
-    let answers = ncq_core::catalog::meet_terms_forest(
-        &forest,
-        &["Bit", "1999"],
-        &opts,
-        |_, engine, term| engine.search(term),
-    );
-    assert!(answers.is_partial(), "dead corpus must mark the answer");
-    assert!(
-        !answers.results.is_empty(),
-        "healthy corpus still answers: {}",
-        answers.to_detailed_xml()
-    );
-    let xml = answers.to_detailed_xml();
-    assert!(
-        xml.contains("<partial corpus=\"remote\""),
-        "typed partial rides the answer markup: {xml}"
-    );
-
-    // Through the server: USE * fan-out answers partially and the
-    // robustness counters expose it.
+    // USE * fan-out: the healthy corpus answers, the dead one degrades
+    // to a typed partial marker — for the MEET verb and for the SQL
+    // meet it abbreviates alike — and the robustness counters expose
+    // it.
     let server = Server::start_backend(
         Arc::new(forest),
         ServerConfig {
@@ -345,21 +321,43 @@ fn forest_with_a_down_corpus_degrades_to_typed_partial_answers() {
         },
     );
     let client = server.client();
-    let response = client
-        .request(Request::MeetTerms {
-            terms: vec!["Bit".into(), "1999".into()],
-            within: None,
-            limit: None,
-            corpus: Some(ALL_CORPORA.into()),
-        })
-        .unwrap();
-    let Response::Answers(a) = response else {
-        panic!("expected answers, got {response:?}");
+    let everywhere = |request: Request| {
+        client
+            .request(request.with_corpus(Some(ALL_CORPORA.into())))
+            .unwrap()
     };
-    assert!(a.is_partial());
-    assert!(!a.results.is_empty());
+    let sql = "select meet(a, b) from % as a, % as b where a contains 'Bit' and b contains '1999'";
+    let mut xml = Vec::new();
+    for request in [Request::meet_terms(["Bit", "1999"]), Request::sql(sql)] {
+        let response = everywhere(request);
+        let Response::Answers(answers) = response else {
+            panic!("expected answers, got {response:?}");
+        };
+        assert!(answers.is_partial(), "dead corpus must mark the answer");
+        assert!(
+            answers
+                .results
+                .iter()
+                .all(|r| r.corpus.as_deref() == Some("local")),
+            "healthy corpus still answers, tagged: {}",
+            answers.to_detailed_xml()
+        );
+        assert!(!answers.results.is_empty());
+        let text = answers.to_detailed_xml();
+        assert!(
+            text.contains("<partial corpus=\"remote\""),
+            "typed partial rides the answer markup: {text}"
+        );
+        xml.push(text);
+    }
+    assert_eq!(xml[0], xml[1], "MEET and its SQL meet fan out alike");
+    // A projection has no meet to fan out.
+    match everywhere(Request::sql("select t from % as t")) {
+        Response::Error(msg) => assert!(msg.contains("one corpus"), "{msg}"),
+        other => panic!("a projection over * must be refused, got {other:?}"),
+    }
     let stats = server.stats();
-    assert!(stats.partial_answers >= 1, "{stats:?}");
+    assert!(stats.partial_answers >= 2, "{stats:?}");
     assert!(
         stats.replicas_down >= 1 || stats.timeouts > 0 || stats.retries > 0,
         "router counters surface the dead replica: {stats:?}"
@@ -394,10 +392,8 @@ fn forest_with_a_down_default_corpus_fails_typed_never_empty() {
         Err(BackendError::Unavailable { .. })
     ));
     assert!(matches!(
-        forest.meet_terms_answers(&["Bit", "1999"], &MeetOptions::default(), &mut |t| {
-            forest.search(t).map(Arc::new)
-        }),
-        Err(BackendError::Unavailable { .. })
+        meet(&forest, &["Bit", "1999"]),
+        Err(QueryError::Backend { detail }) if detail.starts_with("engine unavailable")
     ));
 
     // On the wire: `ERR engine unavailable …`, never `OK 0`.
@@ -444,12 +440,7 @@ fn manifest_endpoint_entries_serve_through_remote_replicas() {
 
     let catalog = Catalog::open_manifest(&mpath, fast_config()).unwrap();
     let corpus = catalog.get("fig").unwrap();
-    let opts = MeetOptions::default();
-    let via_manifest = corpus
-        .meet_terms_answers(&["Bit", "1999"], &opts, &mut |t| {
-            corpus.search(t).map(Arc::new)
-        })
-        .unwrap();
+    let via_manifest = meet(&**corpus, &["Bit", "1999"]).unwrap();
     let local = db.meet_terms(&["Bit", "1999"]).unwrap();
     assert_eq!(via_manifest.to_detailed_xml(), local.to_detailed_xml());
 
@@ -580,11 +571,7 @@ fn trace_ids_propagate_over_the_wire_and_record_failover() {
 
     let id = ncq_obs::obs().next_trace_id();
     ncq_obs::obs().begin_trace(id);
-    let answers = remote
-        .meet_terms_answers(&["Bit", "1999"], &MeetOptions::default(), &mut |t| {
-            remote.search(t).map(Arc::new)
-        })
-        .unwrap();
+    let answers = meet(&remote, &["Bit", "1999"]).unwrap();
     let sealed = ncq_obs::obs()
         .finish_trace()
         .expect("coordinator trace was active");

@@ -262,7 +262,10 @@ fn hot_swap_stress_serves_only_live_generations() {
 /// U+001F is not white space, so `MEET Hack\x1f1999` is a one-term
 /// request (answer: nothing meets) and must never share a result-cache
 /// entry with the two-term `MEET Hack 1999` (answer: the article) —
-/// whichever of the two warms the cache first.
+/// whichever of the two warms the cache first. Likewise a one-term MEET
+/// whose term holds both quote kinds and spells a second condition must
+/// not share the entry of the SQL conjunction it would print as if its
+/// `"` were not doubled.
 #[test]
 fn unit_separator_in_a_term_does_not_alias_another_request() {
     let db = Database::from_xml_str(
@@ -306,6 +309,37 @@ fn unit_separator_in_a_term_does_not_alias_another_request() {
             (0, 2),
             "two different requests, two evaluations"
         );
+    }
+
+    let db = Database::from_xml_str("<bib><note>a' b'</note><note>b' a'</note></bib>").unwrap();
+    let one_term = Request::meet_terms(["a'\" and t0 contains \"b'"]);
+    let conjunction =
+        Request::sql(r#"select meet(t0) from % as t0 where t0 contains "a'" and t0 contains "b'""#);
+    let answer = |request: &Request| {
+        let server = Server::start(Arc::new(db.clone()), ServerConfig::default());
+        let response = server.client().request(request.clone()).unwrap();
+        server.shutdown();
+        response
+    };
+    let (alone_one, alone_conj) = (answer(&one_term), answer(&conjunction));
+    assert_ne!(alone_one, alone_conj, "distinguishable answers");
+    assert!(matches!(&alone_conj, Response::Answers(a) if !a.is_empty()));
+    for order in [
+        [(&one_term, &alone_one), (&conjunction, &alone_conj)],
+        [(&conjunction, &alone_conj), (&one_term, &alone_one)],
+    ] {
+        let server = Server::start(
+            Arc::new(db.clone()),
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        );
+        for (request, expected) in order {
+            assert_eq!(&server.client().request(request.clone()).unwrap(), expected);
+        }
+        let stats = server.shutdown();
+        assert_eq!((stats.sem_hits, stats.sem_misses), (0, 2));
     }
 }
 

@@ -4,12 +4,26 @@
 //! fan-out, and cold-starts end to end from a manifest file — with
 //! corruption (dangling paths, checksum drift) failing typed.
 
-use nearest_concept::core::catalog::meet_terms_forest;
-use nearest_concept::core::{Catalog, CatalogError, ForestBackend, MeetBackend, MeetOptions};
+use nearest_concept::core::{AnswerSet, Catalog, CatalogError, ForestBackend, MeetBackend};
+use nearest_concept::query::{eval::evaluate, Query};
+use nearest_concept::server::{Request, Response, Server, ServerConfig, ALL_CORPORA};
 use nearest_concept::store::manifest::{Manifest, ManifestEntry};
-use nearest_concept::{open_forest, run_query, Database, QueryOutput};
+use nearest_concept::{open_forest, run_query, Database, QueryOptions, QueryOutput};
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// `MEET terms` on corpus `name` of `forest`: the Listing-2 query it
+/// abbreviates, routed like a session's `USE name`.
+fn meet_on(forest: &ForestBackend, name: &str, terms: &[&str]) -> AnswerSet {
+    let opts = QueryOptions {
+        default_corpus: Some(name.to_owned()),
+        ..QueryOptions::default()
+    };
+    match evaluate(forest, &Query::meet_terms(terms, None, None), &opts) {
+        Ok(QueryOutput::Answers(answers)) => answers,
+        other => panic!("{name}: MEET {terms:?} answered {other:?}"),
+    }
+}
 
 /// The deep fork forest of the PR 4 bench: `pairs` heads, two
 /// depth-`depth` chains each, text leaves `s` / `t`.
@@ -124,17 +138,13 @@ fn direct(name: &str) -> Database {
 #[test]
 fn three_corpus_catalog_answers_match_per_corpus_databases_byte_for_byte() {
     let forest = ForestBackend::new(three_corpus_catalog()).unwrap();
-    let opts = MeetOptions::default();
     for (name, terms, sql, search_term) in probes() {
         let reference = direct(name);
         let routed = forest.corpus(name).expect("corpus resolves");
 
         // MEET: byte-identical serialized answers.
         let expected = reference.meet_terms(&terms).unwrap().to_detailed_xml();
-        let actual = routed
-            .meet_terms_answers(&terms, &opts, &mut |t| routed.search(t).map(Arc::new))
-            .unwrap()
-            .to_detailed_xml();
+        let actual = meet_on(&forest, name, &terms).to_detailed_xml();
         assert_eq!(actual, expected, "{name}: MEET drifted through the catalog");
 
         // SQL: the corpus clause routes inside the evaluator.
@@ -164,15 +174,19 @@ fn three_corpus_catalog_answers_match_per_corpus_databases_byte_for_byte() {
 
 #[test]
 fn cross_corpus_fanout_order_is_stable_and_corpus_tagged() {
-    let forest = ForestBackend::new(three_corpus_catalog()).unwrap();
-    let opts = MeetOptions::default();
-    // "1999" + "1995" hit dblp and multimedia but not deep: the
+    let server = Server::start_backend(
+        Arc::new(ForestBackend::new(three_corpus_catalog()).unwrap()),
+        ServerConfig::default(),
+    );
+    // "1999" + "1995" hit dblp and multimedia but not deep: the `USE *`
     // concatenation must list dblp's answers first (catalog order),
     // each tagged, and serialize identically across runs.
     let fan_out = || {
-        meet_terms_forest(&forest, &["1999", "1995"], &opts, |_, engine, term| {
-            engine.search(term)
-        })
+        let request = Request::meet_terms(["1999", "1995"]).with_corpus(Some(ALL_CORPORA.into()));
+        match server.client().request(request).unwrap() {
+            Response::Answers(answers) => answers,
+            other => panic!("unexpected {other:?}"),
+        }
     };
     let first = fan_out();
     assert!(!first.is_empty());
@@ -224,8 +238,6 @@ fn cross_corpus_fanout_order_is_stable_and_corpus_tagged() {
 /// `limit` on the wire returning the ranked prefix.
 #[test]
 fn batched_and_cached_forest_replay_is_byte_stable() {
-    use nearest_concept::server::{Request, Response, Server, ServerConfig};
-
     // Concurrent routed MEETs (shared drains), then a warmed-cache
     // replay, then the wire-level limit — all byte-identical to the
     // direct engines.
@@ -331,14 +343,9 @@ fn manifest_cold_start_replays_the_same_answers() {
 
     let forest = open_forest(&mpath).unwrap();
     assert_eq!(forest.corpus_names(), vec!["dblp", "multimedia", "deep"]);
-    let opts = MeetOptions::default();
     for (name, terms, _, _) in probes() {
         let expected = direct(name).meet_terms(&terms).unwrap().to_detailed_xml();
-        let corpus = forest.corpus(name).unwrap();
-        let actual = corpus
-            .meet_terms_answers(&terms, &opts, &mut |t| corpus.search(t).map(Arc::new))
-            .unwrap()
-            .to_detailed_xml();
+        let actual = meet_on(&forest, name, &terms).to_detailed_xml();
         assert_eq!(actual, expected, "{name}: manifest cold start drifted");
     }
 

@@ -401,15 +401,19 @@ fn remote_corpus_execution_matches_the_golden_fixtures() {
             ..nearest_concept::MeetOptions::default()
         };
         let before = engine.served();
-        let over_wire = figure1
-            .meet_terms_answers(terms, &options, &mut |t| figure1.search(t).map(Arc::new))
-            .unwrap();
+        // The MEET as the query it abbreviates, sent whole as its text.
+        let over_wire = nearest_concept::query::eval::evaluate(
+            &*figure1,
+            &nearest_concept::query::Query::meet_terms(terms, within, limit),
+            &nearest_concept::QueryOptions::default(),
+        )
+        .unwrap();
         assert_eq!(engine.served(), before + 1, "{terms:?}: one engine request");
         assert_eq!(
-            over_wire.to_detailed_xml(),
-            db.meet_terms_with(terms, &options)
-                .unwrap()
-                .to_detailed_xml(),
+            serialize(&over_wire),
+            serialize(&QueryOutput::Answers(
+                db.meet_terms_with(terms, &options).unwrap()
+            )),
             "MEET {terms:?} within {within:?} limit {limit:?}"
         );
     }
