@@ -258,11 +258,12 @@ const OP_MEET: u8 = 3;
 /// that predates the envelope rejects opcode 4 as a typed in-band
 /// error (requests without an active trace are unaffected).
 const OP_TRACED: u8 = 4;
-/// A whole request: `[OP_ANSWER][kind u8][body]`, kind 0 a MEET
-/// (terms, options) and kind 1 a SQL query (text, row cap).
+/// A whole request: `[OP_ANSWER][kind u8][body]`. The one kind is 1, a
+/// query of the SQL dialect (text, row cap) — a MEET travels as the
+/// Listing-2 query it abbreviates. Kind 0, the retired MEET body
+/// (terms, options), is refused.
 const OP_ANSWER: u8 = 5;
 
-const QUERY_MEET: u8 = 0;
 const QUERY_SQL: u8 = 1;
 
 const STATUS_OK: u8 = 0;
@@ -275,8 +276,8 @@ const RESP_ANSWERS: u8 = 3;
 const RESP_ROWS: u8 = 4;
 
 /// One engine-protocol request. [`EngineRequest::Answer`] carries a
-/// whole MEET or SQL query; `Search` and `Meet` are its sub-steps (one
-/// term's hits, one meet over hit groups).
+/// whole query; `Search` and `Meet` are its sub-steps (one term's
+/// hits, one meet over hit groups).
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineRequest {
     /// Liveness probe.
@@ -297,27 +298,18 @@ pub enum EngineRequest {
     Answer(EngineQuery),
 }
 
-/// A request the engine evaluates end to end, the way an in-process
-/// engine serves it: the reply is the finished [`AnswerSet`] or
+/// A query of the SQL dialect the engine evaluates end to end, the way
+/// an in-process engine serves it (a MEET arrives as the Listing-2
+/// query it abbreviates): the reply is the finished [`AnswerSet`] or
 /// [`RowSet`], so no hit set crosses the wire and the coordinator
 /// needs no copy of the corpus to resolve answers.
 #[derive(Debug, Clone, PartialEq)]
-pub enum EngineQuery {
-    /// The served MEET: search each term, meet, rank, resolve.
-    Meet {
-        /// The terms (word, phrase or substring syntax).
-        terms: Vec<String>,
-        /// Meet options (filter, distance bound, witness cap, limit).
-        options: MeetOptions,
-    },
-    /// A query of the SQL dialect.
-    Sql {
-        /// The query text, without a `corpus(…)` clause: the
-        /// coordinator has already routed it to this engine.
-        text: String,
-        /// The projection row cap (`QueryConfig::max_rows`).
-        max_rows: usize,
-    },
+pub struct EngineQuery {
+    /// The query text, without a `corpus(…)` clause: the coordinator
+    /// has already routed it to this engine.
+    pub text: String,
+    /// The projection row cap (`QueryConfig::max_rows`).
+    pub max_rows: usize,
 }
 
 /// One engine-protocol response.
@@ -509,27 +501,14 @@ fn get_strs(c: &mut ByteReader<'_>) -> Result<Vec<String>, WireError> {
 }
 
 fn put_query(b: &mut ByteWriter, query: &EngineQuery) {
-    match query {
-        EngineQuery::Meet { terms, options } => {
-            b.put_u8(QUERY_MEET);
-            put_strs(b, terms.iter().map(String::as_str));
-            put_options(b, options);
-        }
-        EngineQuery::Sql { text, max_rows } => {
-            b.put_u8(QUERY_SQL);
-            b.put_str(text);
-            b.put_u64(*max_rows as u64);
-        }
-    }
+    b.put_u8(QUERY_SQL);
+    b.put_str(&query.text);
+    b.put_u64(query.max_rows as u64);
 }
 
 fn get_query(c: &mut ByteReader<'_>) -> Result<EngineQuery, WireError> {
     match c.get_u8()? {
-        QUERY_MEET => Ok(EngineQuery::Meet {
-            terms: get_strs(c)?,
-            options: get_options(c)?,
-        }),
-        QUERY_SQL => Ok(EngineQuery::Sql {
+        QUERY_SQL => Ok(EngineQuery {
             text: c.get_str()?.to_owned(),
             max_rows: c.get_u64()? as usize,
         }),
@@ -1170,7 +1149,7 @@ impl MeetBackend for RemoteBackend {
     }
 
     fn answer_sql(&self, query: &str, max_rows: usize) -> Result<QueryOutput, BackendError> {
-        let query = EngineQuery::Sql {
+        let query = EngineQuery {
             text: query.to_owned(),
             max_rows,
         };
@@ -1274,10 +1253,7 @@ mod tests {
                                     db.meet_hits(&refs, &options),
                                 ))
                             }
-                            Ok(EngineRequest::Answer(EngineQuery::Meet { .. })) => {
-                                encode_error_response("the toy engine reads query text only")
-                            }
-                            Ok(EngineRequest::Answer(EngineQuery::Sql { text, .. })) => {
+                            Ok(EngineRequest::Answer(EngineQuery { text, .. })) => {
                                 // No SQL parser in this crate: the toy
                                 // engine reads a query as a term list.
                                 let terms: Vec<&str> = text.split_whitespace().collect();
@@ -1325,15 +1301,7 @@ mod tests {
                 term: "\"Ben Bit\"".to_owned(),
             },
             sample_meet_request(&db),
-            EngineRequest::Answer(EngineQuery::Meet {
-                terms: vec!["Bit".to_owned(), "\"Ben Bit\"".to_owned()],
-                options: MeetOptions {
-                    max_distance: Some(9),
-                    limit: Some(3),
-                    ..MeetOptions::default()
-                },
-            }),
-            EngineRequest::Answer(EngineQuery::Sql {
+            EngineRequest::Answer(EngineQuery {
                 text: "select meet(a, b) from % as a, % as b".to_owned(),
                 max_rows: usize::MAX,
             }),
@@ -1431,6 +1399,22 @@ mod tests {
         }
     }
 
+    /// The `Answer` body once had a MEET kind (0: terms, then meet
+    /// options). A MEET now travels as its Listing-2 text, so a peer
+    /// still sending the old kind is refused typed, never misread.
+    #[test]
+    fn the_old_meet_answer_kind_is_refused_typed() {
+        let mut b = ByteWriter::new();
+        b.put_u8(OP_ANSWER);
+        b.put_u8(0); // the retired MEET kind
+        put_strs(&mut b, ["Bit", "1999"].into_iter());
+        put_options(&mut b, &MeetOptions::default());
+        assert!(matches!(
+            decode_request(&b.into_bytes()),
+            Err(WireError::Corrupt { context }) if context == "unknown query kind 0"
+        ));
+    }
+
     /// The wire bytes, pinned: one request per opcode, the tracing
     /// envelope, one response per kind, an in-band error and a framed
     /// ping. Any change to the frame header or a body encoding fails
@@ -1459,15 +1443,7 @@ mod tests {
                 climb: 2,
             }],
         }];
-        let answer_meet = EngineRequest::Answer(EngineQuery::Meet {
-            terms: vec!["Bit".to_owned(), "1999".to_owned()],
-            options: MeetOptions {
-                max_distance: Some(5),
-                limit: Some(2),
-                ..MeetOptions::default()
-            },
-        });
-        let answer_sql = EngineRequest::Answer(EngineQuery::Sql {
+        let answer_sql = EngineRequest::Answer(EngineQuery {
             text: "select t from a as t".to_owned(),
             max_rows: 100,
         });
@@ -1548,17 +1524,6 @@ mod tests {
                 concat!(
                     "000201000000020000000100000003000000000000000500000000000000",
                     "010000000700000001000000000000000200000000000000",
-                )
-                .to_owned(),
-            ),
-            (
-                "answer meet",
-                encode_request(&answer_meet),
-                concat!(
-                    "0500", // OP_ANSWER, MEET
-                    "02000000", "03000000426974", "0400000031393939", // terms
-                    "00", "010500000000000000", // all paths, within 5
-                    "0000000000000000", "010200000000000000", // cap, limit 2
                 )
                 .to_owned(),
             ),

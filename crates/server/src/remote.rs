@@ -112,17 +112,7 @@ fn answer(backend: &dyn MeetBackend, request: EngineRequest) -> Vec<u8> {
             }
             None => encode_error_response("this engine holds no corpus to meet over"),
         },
-        EngineRequest::Answer(EngineQuery::Meet { terms, options }) => {
-            let query = ncq_query::Query::meet_terms(&terms, options.max_distance, options.limit);
-            match ncq_query::eval::evaluate(backend, &query, &QueryOptions::default()) {
-                Ok(QueryOutput::Answers(answers)) => {
-                    encode_response(&EngineResponse::Answers(answers))
-                }
-                Ok(QueryOutput::Rows(rows)) => encode_response(&EngineResponse::Rows(rows)),
-                Err(e) => encode_error_response(&e.to_string()),
-            }
-        }
-        EngineRequest::Answer(EngineQuery::Sql { text, max_rows }) => {
+        EngineRequest::Answer(EngineQuery { text, max_rows }) => {
             let options = QueryOptions {
                 config: QueryConfig { max_rows },
                 default_corpus: None,
@@ -181,8 +171,7 @@ fn serve_engine_session(
                             EngineRequest::Ping => "ping",
                             EngineRequest::Search { .. } => "search",
                             EngineRequest::Meet { .. } => "meet",
-                            EngineRequest::Answer(EngineQuery::Meet { .. }) => "answer_meet",
-                            EngineRequest::Answer(EngineQuery::Sql { .. }) => "answer_sql",
+                            EngineRequest::Answer(_) => "answer",
                         }
                         .to_owned(),
                     );
