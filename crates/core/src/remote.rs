@@ -5,7 +5,8 @@
 //! in-process. This module is the distribution step: a corpus engine
 //! can run in another process behind `ncq-server`'s framed engine
 //! listener, and the coordinator holds a [`RemoteBackend`] that sends
-//! each MEET or SQL query whole ([`EngineRequest::Answer`]) and gets
+//! each query whole, as its text ([`EngineRequest::Answer`]; a MEET
+//! as the Listing-2 query it abbreviates), and gets
 //! back the finished, ranked and resolved answer — byte-identical to
 //! in-process execution, because the replica runs the same engine over
 //! the same snapshot and the wire codec is lossless. The coordinator
@@ -321,7 +322,7 @@ pub enum EngineResponse {
     Hits(HitSet),
     /// Answer to [`EngineRequest::Meet`].
     Meets(Vec<Meet>),
-    /// Answer to a MEET, or to a SQL meet aggregate.
+    /// Answer to a meet query (a MEET arrives as one).
     Answers(AnswerSet),
     /// Answer to a SQL projection.
     Rows(RowSet),
@@ -960,8 +961,9 @@ fn remote_metrics() -> &'static RemoteMetrics {
 /// protocol, with failover.
 ///
 /// The coordinator holds no copy of the corpus, so
-/// [`MeetBackend::store`] is `None`: a MEET or a SQL query travels
-/// whole ([`EngineRequest::Answer`], one round trip) and comes back
+/// [`MeetBackend::store`] is `None`: every query, a MEET as its
+/// Listing-2 text, travels whole ([`EngineRequest::Answer`], one round
+/// trip) and comes back
 /// ranked and resolved. Because replicas run the identical engine over
 /// the identical snapshot, a remote answer is byte-identical to
 /// in-process execution; the golden replay suite asserts exactly that.

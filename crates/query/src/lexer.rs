@@ -232,27 +232,18 @@ mod tests {
 
     #[test]
     fn string_literals_both_quote_styles() {
+        // Inside a literal a doubled quote is one quote.
         assert_eq!(
-            kinds("'Ben Bit' \"19 99\""),
+            kinds(r#"'Ben Bit' "19 99" 'it''s' "say ""hi""" '' """#),
             vec![
                 TokenKind::Str("Ben Bit".into()),
                 TokenKind::Str("19 99".into()),
-            ]
-        );
-    }
-
-    #[test]
-    fn a_doubled_quote_inside_a_literal_is_one_quote() {
-        assert_eq!(
-            kinds(r#"'it''s' "say ""hi""" '' """#),
-            vec![
                 TokenKind::Str("it's".into()),
                 TokenKind::Str(r#"say "hi""#.into()),
                 TokenKind::Str(String::new()),
                 TokenKind::Str(String::new()),
             ]
         );
-        assert!(matches!(lex("'it''s"), Err(QueryError::Lex { .. })));
     }
 
     #[test]
@@ -273,6 +264,7 @@ mod tests {
     #[test]
     fn unterminated_string_is_an_error() {
         assert!(matches!(lex("'open"), Err(QueryError::Lex { .. })));
+        assert!(matches!(lex("'it''s"), Err(QueryError::Lex { .. })));
     }
 
     #[test]

@@ -43,7 +43,13 @@
 //!
 //! `*` matches exactly one element step, `%` any (possibly empty)
 //! sequence of element steps, `$X` captures a tag and unifies across
-//! repeated uses — the paper's path variables.
+//! repeated uses — the paper's path variables. A `STRING` is quoted
+//! with `'` or `"`; inside it, a doubled quote stands for one.
+//!
+//! The server's `MEET a b WITHIN δ LIMIT k` verb is this dialect's
+//! Listing 2 over `%` ([`Query::meet_terms`]): `select meet(t0, t1)
+//! within δ from % as t0, % as t1 where t0 contains 'a' and t1
+//! contains 'b' limit k`.
 //!
 //! ## Semantics
 //!

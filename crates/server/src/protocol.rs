@@ -5,13 +5,15 @@
 //! ```text
 //! MEET term term …​ [WITHIN n] [LIMIT k]
 //!                                 meet of full-text terms (meet^δ via
-//!                                 WITHIN; LIMIT keeps the k best answers,
-//!                                 served by a bounded sweep)
+//!                                 WITHIN; LIMIT keeps the k best answers):
+//!                                 Listing 2's shorthand, served as that
+//!                                 SQL meet, one `%` variable per term
 //! SQL select meet(a, b) from …​    the SQL-with-paths dialect
 //!                                 (`from corpus(name), …` routes per query)
 //! SEARCH term                     full-text hit count
 //! USE corpus                      route this session at a forest corpus
-//!                                 (`USE *` fans MEET/SEARCH across all)
+//!                                 (`USE *` fans MEET, SEARCH and SQL
+//!                                 meets across all)
 //! CORPORA                         list the forest's corpora (default marked)
 //! SNAPSHOT SAVE name              persist the serving backend to a snapshot
 //! SNAPSHOT LOAD name [INTO c]     cold-load a snapshot, hot-swap it in —
@@ -75,8 +77,8 @@ pub fn serve_lines<R: BufRead, W: Write>(
 ) -> std::io::Result<()> {
     let mut payload = String::new();
     // The session's corpus routing, set by `USE`. `None` = the
-    // deployment's default corpus; `Some("*")` fans MEET/SEARCH out
-    // across the whole catalog.
+    // deployment's default corpus; `Some("*")` fans MEET, SEARCH and
+    // SQL meets out across the whole catalog.
     let mut session_corpus: Option<String> = None;
     let mut line = Vec::new();
     loop {

@@ -5,7 +5,8 @@
 //! transport; this module is the *engine* transport — the serving side
 //! of `ncq-core::remote`'s length-delimited request/response framing.
 //! A coordinator's `RemoteBackend` connects here and sends whole
-//! requests — a MEET or a SQL query — and gets back finished answers;
+//! queries as their text — a MEET as the Listing-2 query it
+//! abbreviates — and gets back finished answers;
 //! because this process runs the same engine over the same snapshot,
 //! answers are byte-identical to in-process execution. The sub-step
 //! opcodes (one term's hits, one meet over shipped hit sets) are

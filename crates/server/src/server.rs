@@ -1587,6 +1587,25 @@ mod tests {
             Response::Error(msg) => assert!(!msg.is_empty()),
             other => panic!("unexpected {other:?}"),
         }
+        // A MEET with no Listing-2 text, and a fan-out with no corpora.
+        let no_terms = Request::meet_terms(Vec::<String>::new());
+        let limit_zero = Request::MeetTerms {
+            terms: vec!["Bit".into()],
+            within: None,
+            limit: Some(0),
+            corpus: None,
+        };
+        let everywhere = Request::meet_terms(["Bit", "1999"]).with_corpus(Some(ALL_CORPORA.into()));
+        for (request, needle) in [
+            (no_terms, "at least one term"),
+            (limit_zero, "limit must be at least 1"),
+            (everywhere, "serves no corpora"),
+        ] {
+            match client.request(request).unwrap() {
+                Response::Error(msg) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
         // The worker survives and serves the next query.
         assert_eq!(
             client.meet_terms(["Bob", "Byte"]).unwrap().tags(),
