@@ -5,6 +5,7 @@
 //! association they represent". [`HitSet`] is that shape: for each path, a
 //! sorted, deduplicated vector of owner oids.
 
+use crate::index::Postings;
 use ncq_store::{MonetDb, Oid, PathId};
 use std::collections::BTreeMap;
 
@@ -28,6 +29,16 @@ impl HitSet {
         }
         set.normalize();
         set
+    }
+
+    /// Add one whole group: `owners` sorted and deduplicated, `path`
+    /// not yet present. An empty group is dropped.
+    pub(crate) fn push_run(&mut self, path: PathId, owners: Vec<Oid>) {
+        debug_assert!(owners.windows(2).all(|w| w[0] < w[1]));
+        if !owners.is_empty() {
+            let previous = self.groups.insert(path, owners);
+            debug_assert!(previous.is_none());
+        }
     }
 
     fn normalize(&mut self) {
@@ -111,6 +122,17 @@ impl HitSet {
             out.push('\n');
         }
         out
+    }
+}
+
+/// A token's runs are already this shape: one group per run, as is.
+impl From<Postings<'_>> for HitSet {
+    fn from(postings: Postings<'_>) -> HitSet {
+        let mut set = HitSet::new();
+        for (path, owners) in postings.runs() {
+            set.push_run(path, owners.to_vec());
+        }
+        set
     }
 }
 

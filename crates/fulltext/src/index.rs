@@ -4,135 +4,192 @@ use crate::tokenize::Scanner;
 use ncq_store::{Col, MonetDb, Oid, PathId};
 use std::collections::HashMap;
 
-/// One posting: the association `(owner, string)` that contained the token,
-/// identified by its relation (path) and owner oid.
-///
-/// `repr(C)`: both fields are `repr(transparent)` `u32` newtypes, so a
-/// posting is guaranteed to be laid out as `[path, owner]: [u32; 2]` —
-/// the shape the SIMD decode kernel deinterleaves owner columns from
-/// (see [`mod@crate::intersect`]) and the shape the snapshot maps
-/// back as a plain slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(C)]
-pub struct Posting {
-    /// Relation (path type) of the association.
-    pub path: PathId,
-    /// Owner oid: the cdata node for text, the element for attributes.
-    pub owner: Oid,
-}
-
-// SAFETY: `repr(C)` over two `repr(transparent)` u32 newtypes — size 8,
-// align 4, no padding, every bit pattern valid. The compile-time asserts
-// below pin the layout the mapped snapshot relies on.
-unsafe impl ncq_store::Pod for Posting {}
-const _: () = assert!(std::mem::size_of::<Posting>() == 8);
-const _: () = assert!(std::mem::align_of::<Posting>() == 4);
-
 /// Token → postings over every string relation of a [`MonetDb`].
 ///
 /// One physical form, built or opened: the vocabulary as a sorted blob
-/// plus offsets (CSR over bytes), the postings as one concatenated
-/// slice plus offsets (CSR over lists). Each array is a [`Col`] — owned
-/// after a build, a zero-copy view after a snapshot
-/// open — and lookups binary-search the sorted vocabulary.
-/// `pub(crate)` fields: the snapshot codec (`crate::snapshot`) persists
-/// and reattaches them directly.
+/// plus offsets (CSR over bytes), and each token's postings grouped by
+/// path — the paper's Fig. 5 relations `R₁ … Rₙ`, restricted to the
+/// token. A `(token, path)` run is one path plus the owners that
+/// relation holds for the token in document order; `run_off` is the CSR
+/// from token to runs, `owner_off` the CSR from run to owners, so a
+/// posting costs one `u32`. Each array is a [`Col`] — owned after a
+/// build, a zero-copy view after a snapshot open — and lookups
+/// binary-search the sorted vocabulary. `pub(crate)` fields: the
+/// snapshot codec (`crate::snapshot`) persists and reattaches them
+/// directly.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
     /// Byte offsets into `blob`, length `tokens + 1`.
     pub(crate) token_off: Col<u32>,
     /// Concatenated UTF-8 token bytes, lexicographic order.
     pub(crate) blob: Col<u8>,
-    /// Posting offsets, length `tokens + 1`.
-    pub(crate) posting_off: Col<u32>,
-    /// All postings, concatenated in token order.
-    pub(crate) postings: Col<Posting>,
+    /// Run offsets, length `tokens + 1`.
+    pub(crate) run_off: Col<u32>,
+    /// The path of each run, strictly increasing within a token.
+    pub(crate) run_path: Col<PathId>,
+    /// Owner offsets, length `runs + 1`.
+    pub(crate) owner_off: Col<u32>,
+    /// All owners, run after run, strictly increasing within a run.
+    pub(crate) owners: Col<Oid>,
 }
 
-/// Assembles the CSR form from `(token, postings)` entries pushed in
-/// lexicographic token order; an entry with no postings leaves no
-/// token behind.
-struct Builder {
-    token_off: Vec<u32>,
-    blob: Vec<u8>,
-    posting_off: Vec<u32>,
-    postings: Vec<Posting>,
+/// The postings of one token, borrowed from the index: its runs, one
+/// per path, paths ascending and owners ascending within a run — the
+/// grouped shape a [`crate::HitSet`] holds, with no re-sort.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Postings<'a> {
+    pub(crate) paths: &'a [PathId],
+    /// `paths.len() + 1` offsets into `owners`, or none at all for a
+    /// token outside the vocabulary.
+    pub(crate) owner_off: &'a [u32],
+    pub(crate) owners: &'a [Oid],
 }
 
-impl Builder {
-    fn new() -> Builder {
-        Builder {
-            token_off: vec![0],
-            blob: Vec::new(),
-            posting_off: vec![0],
-            postings: Vec::new(),
+impl<'a> Postings<'a> {
+    /// The `(path, owners)` runs in path order.
+    pub fn runs(self) -> impl ExactSizeIterator<Item = (PathId, &'a [Oid])> + 'a {
+        let Postings {
+            paths,
+            owner_off,
+            owners,
+        } = self;
+        paths
+            .iter()
+            .zip(owner_off.windows(2))
+            .map(move |(&path, at)| (path, &owners[at[0] as usize..at[1] as usize]))
+    }
+
+    /// Every `(path, owner)` posting, in `(path, owner)` order.
+    pub fn iter(self) -> impl Iterator<Item = (PathId, Oid)> + 'a {
+        self.runs()
+            .flat_map(|(path, owners)| owners.iter().map(move |&owner| (path, owner)))
+    }
+
+    /// Number of postings.
+    pub fn len(self) -> usize {
+        match (self.owner_off.first(), self.owner_off.last()) {
+            (Some(&start), Some(&end)) => (end - start) as usize,
+            _ => 0,
         }
     }
 
-    fn push(&mut self, token: &str, list: impl Iterator<Item = Posting>) {
-        let before = self.postings.len();
-        self.postings.extend(list);
-        if self.postings.len() > before {
-            self.blob.extend_from_slice(token.as_bytes());
-            self.token_off.push(self.blob.len() as u32);
-            self.posting_off.push(self.postings.len() as u32);
-        }
+    /// Whether the token has no postings (it is not in the vocabulary).
+    pub fn is_empty(self) -> bool {
+        self.paths.is_empty()
     }
+}
 
-    fn finish(self) -> InvertedIndex {
-        InvertedIndex {
-            token_off: self.token_off.into(),
-            blob: self.blob.into(),
-            posting_off: self.posting_off.into(),
-            postings: self.postings.into(),
+impl PartialEq for Postings<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.runs().eq(other.runs())
+    }
+}
+
+impl Eq for Postings<'_> {}
+
+/// One token's postings while the index is built: its owners, and the
+/// end of each path's run among them.
+#[derive(Default)]
+struct Runs {
+    ends: Vec<(PathId, u32)>,
+    owners: Vec<Oid>,
+}
+
+impl Runs {
+    /// Postings arrive in `(path, owner)` order, so a token met twice
+    /// in one string repeats the tail, and a new path opens a run.
+    fn push(&mut self, path: PathId, owner: Oid) {
+        match self.ends.last_mut() {
+            Some((last, _)) if *last == path && self.owners.last() == Some(&owner) => {}
+            Some((last, end)) if *last == path => {
+                self.owners.push(owner);
+                *end += 1;
+            }
+            _ => {
+                self.owners.push(owner);
+                self.ends.push((path, self.owners.len() as u32));
+            }
         }
     }
 }
 
 impl Default for InvertedIndex {
     fn default() -> InvertedIndex {
-        Builder::new().finish()
+        InvertedIndex::assemble(Vec::new())
     }
 }
 
 impl InvertedIndex {
     /// Index every string association of `db`.
     pub fn build(db: &MonetDb) -> InvertedIndex {
-        let mut map: HashMap<Box<str>, Vec<Posting>> = HashMap::new();
+        let mut map: HashMap<Box<str>, Runs> = HashMap::new();
         let mut token = String::new();
         for path in db.string_paths() {
             for (owner, text) in db.strings_of(path).iter() {
-                let posting = Posting { path, owner };
                 let mut scanner = Scanner::new(text);
                 while scanner.next_into(&mut token) {
                     match map.get_mut(token.as_str()) {
-                        // The same token may occur twice in one string;
-                        // store the posting once. Postings arrive in
-                        // (path, owner) order, so checking the tail
-                        // suffices.
-                        Some(list) if list.last() == Some(&posting) => {}
-                        Some(list) => list.push(posting),
+                        Some(runs) => runs.push(path, owner),
                         // A key is boxed on a token's first occurrence.
                         None => {
-                            map.insert(token.as_str().into(), vec![posting]);
+                            let mut runs = Runs::default();
+                            runs.push(path, owner);
+                            map.insert(token.as_str().into(), runs);
                         }
                     }
                 }
             }
         }
-        // Contract: every posting list is sorted by (path, owner) —
-        // document order within a relation — and deduplicated. It holds
-        // by construction (string_paths iterates paths in interning
-        // order, owners in document order); the galloping intersections
-        // rely on it.
-        debug_assert!(map.values().all(|v| v.windows(2).all(|w| w[0] < w[1])));
-        let mut lists: Vec<(Box<str>, Vec<Posting>)> = map.into_iter().collect();
+        let mut lists: Vec<(Box<str>, Runs)> = map.into_iter().collect();
         lists.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut csr = Builder::new();
-        for (token, list) in &lists {
-            csr.push(token, list.iter().copied());
+        let index = InvertedIndex::assemble(lists);
+        // Contract: paths strictly increase within a token and owners
+        // within a run — document order within a relation. It holds by
+        // construction (string_paths iterates paths in interning order,
+        // owners in document order); the run intersections rely on it,
+        // and a snapshot open checks the same rules.
+        debug_assert_eq!(
+            index.check_structure(db.summary().len(), db.node_count()),
+            Ok(())
+        );
+        index
+    }
+
+    /// Lay sorted per-token runs out as the final columns, each sized
+    /// exactly up front; a token's build lists are freed as soon as
+    /// they are copied.
+    fn assemble(lists: Vec<(Box<str>, Runs)>) -> InvertedIndex {
+        let (bytes, runs, postings) = lists.iter().fold((0, 0, 0), |(b, r, p), (t, l)| {
+            (b + t.len(), r + l.ends.len(), p + l.owners.len())
+        });
+        let mut token_off = Vec::with_capacity(lists.len() + 1);
+        let mut blob = Vec::with_capacity(bytes);
+        let mut run_off = Vec::with_capacity(lists.len() + 1);
+        let mut run_path = Vec::with_capacity(runs);
+        let mut owner_off = Vec::with_capacity(runs + 1);
+        let mut owners = Vec::with_capacity(postings);
+        token_off.push(0);
+        run_off.push(0);
+        owner_off.push(0);
+        for (token, list) in lists {
+            blob.extend_from_slice(token.as_bytes());
+            token_off.push(blob.len() as u32);
+            let base = owners.len() as u32;
+            for &(path, end) in &list.ends {
+                run_path.push(path);
+                owner_off.push(base + end);
+            }
+            owners.extend_from_slice(&list.owners);
+            run_off.push(run_path.len() as u32);
         }
-        csr.finish()
+        InvertedIndex {
+            token_off: token_off.into(),
+            blob: blob.into(),
+            run_off: run_off.into(),
+            run_path: run_path.into(),
+            owner_off: owner_off.into(),
+            owners: owners.into(),
+        }
     }
 
     /// The `i`-th token of the sorted vocabulary.
@@ -142,14 +199,19 @@ impl InvertedIndex {
         std::str::from_utf8(bytes).expect("token is valid UTF-8")
     }
 
-    /// The posting list of the `i`-th token.
-    fn list(&self, i: usize) -> &[Posting] {
-        &self.postings[self.posting_off[i] as usize..self.posting_off[i + 1] as usize]
+    /// The postings of the `i`-th token.
+    fn postings_at(&self, i: usize) -> Postings<'_> {
+        let (start, end) = (self.run_off[i] as usize, self.run_off[i + 1] as usize);
+        Postings {
+            paths: &self.run_path[start..end],
+            owner_off: &self.owner_off[start..=end],
+            owners: &self.owners,
+        }
     }
 
-    /// Postings of a token, sorted by `(path, owner)` and deduplicated.
-    /// The query term is case-folded before lookup.
-    pub fn postings(&self, term: &str) -> &[Posting] {
+    /// Postings of a token, grouped by path. The query term is
+    /// case-folded before lookup.
+    pub fn postings(&self, term: &str) -> Postings<'_> {
         let folded = crate::tokenize::fold(term);
         let count = self.vocabulary_size();
         let mut lo = 0usize;
@@ -163,9 +225,9 @@ impl InvertedIndex {
             }
         }
         if lo < count && self.token(lo) == folded.as_str() {
-            self.list(lo)
+            self.postings_at(lo)
         } else {
-            &[]
+            Postings::default()
         }
     }
 
@@ -181,12 +243,23 @@ impl InvertedIndex {
 
     /// Total number of postings.
     pub fn posting_count(&self) -> usize {
-        self.postings.len()
+        self.owners.len()
+    }
+
+    /// Total number of `(token, path)` runs.
+    pub fn run_count(&self) -> usize {
+        self.run_path.len()
     }
 
     /// Iterate over the vocabulary in lexicographic order.
     pub fn vocabulary(&self) -> impl Iterator<Item = &str> + '_ {
         (0..self.vocabulary_size()).map(|i| self.token(i))
+    }
+
+    /// Every token with its postings, in vocabulary order: one linear
+    /// pass over the blob, the way substring search reads it.
+    pub fn entries(&self) -> impl Iterator<Item = (&str, Postings<'_>)> + '_ {
+        (0..self.vocabulary_size()).map(|i| (self.token(i), self.postings_at(i)))
     }
 }
 
@@ -219,14 +292,12 @@ mod tests {
     fn word_lookup_finds_cdata_hits() {
         let db = db();
         let idx = InvertedIndex::build(&db);
-        let hits = idx.postings("Bit");
+        let hits: Vec<_> = idx.postings("Bit").iter().collect();
         assert_eq!(hits.len(), 1);
-        assert_eq!(db.relation_name(hits[0].path), "bib/article/author/cdata");
+        let (path, owner) = hits[0];
+        assert_eq!(db.relation_name(path), "bib/article/author/cdata");
         // The owner is the cdata node carrying "Ben Bit".
-        assert_eq!(
-            db.string_value(hits[0].path, hits[0].owner),
-            Some("Ben Bit")
-        );
+        assert_eq!(db.string_value(path, owner), Some("Ben Bit"));
     }
 
     #[test]
@@ -241,10 +312,11 @@ mod tests {
     fn attribute_values_are_indexed_with_element_owner() {
         let db = db();
         let idx = InvertedIndex::build(&db);
-        let hits = idx.postings("BB99");
+        let hits: Vec<_> = idx.postings("BB99").iter().collect();
         assert_eq!(hits.len(), 1);
-        assert_eq!(db.relation_name(hits[0].path), "bib/article/@key");
-        assert_eq!(db.tag(hits[0].owner), Some("article"));
+        let (path, owner) = hits[0];
+        assert_eq!(db.relation_name(path), "bib/article/@key");
+        assert_eq!(db.tag(owner), Some("article"));
     }
 
     #[test]
@@ -253,7 +325,37 @@ mod tests {
         let idx = InvertedIndex::build(&db);
         let hits = idx.postings("1999");
         assert_eq!(hits.len(), 2);
-        assert_ne!(hits[0].owner, hits[1].owner);
+        // One relation, so one run holding both owners.
+        assert_eq!(hits.runs().len(), 1);
+        let (_, owners) = hits.runs().next().unwrap();
+        assert_ne!(owners[0], owners[1]);
+    }
+
+    #[test]
+    fn postings_are_runs_grouped_by_path() {
+        // `x` on three paths: twice in one string, in two `t` strings,
+        // in an attribute and in a text under the same element.
+        let db =
+            MonetDb::from_document(&parse(r#"<a><t>x y x</t><u k="x">x</u><t>X</t></a>"#).unwrap());
+        let idx = InvertedIndex::build(&db);
+        let runs: Vec<_> = idx.postings("x").runs().collect();
+        assert!(runs.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut named: Vec<_> = runs
+            .iter()
+            .map(|(path, owners)| (db.relation_name(*path), owners.len()))
+            .collect();
+        named.sort();
+        assert_eq!(
+            named,
+            [
+                ("a/t/cdata".to_string(), 2),
+                ("a/u/@k".to_string(), 1),
+                ("a/u/cdata".to_string(), 1)
+            ]
+        );
+        assert_eq!(idx.postings("x").len(), 4);
+        assert_eq!(idx.posting_count(), 5);
+        assert_eq!(idx.run_count(), 4);
     }
 
     #[test]
@@ -288,5 +390,8 @@ mod tests {
         assert_eq!(idx.vocabulary().count(), idx.vocabulary_size());
         let total: usize = idx.vocabulary().map(|t| idx.postings(t).len()).sum();
         assert_eq!(total, idx.posting_count());
+        let runs: usize = idx.entries().map(|(_, p)| p.runs().len()).sum();
+        assert_eq!(runs, idx.run_count());
+        assert!(idx.entries().map(|(t, _)| t).eq(idx.vocabulary()));
     }
 }

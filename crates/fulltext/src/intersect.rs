@@ -1,238 +1,186 @@
-//! Galloping (exponential-search) intersection of sorted posting lists.
+//! Intersection of posting lists, path by path.
 //!
-//! Posting lists are kept sorted by `(path, owner)` — document order
-//! within each relation, relations in interning order — so multi-term
-//! conjunctions are sort-merge problems. When list sizes are skewed
-//! (the common case: one rare term, one frequent term), a linear merge
-//! wastes work on the long list; *galloping* advances through it in
-//! doubling strides and finishes the probe with a binary search, giving
-//! O(short · log(long / short)) instead of O(short + long).
+//! A token's postings are runs grouped by path — paths ascending, owners
+//! strictly increasing within a run (document order within a relation)
+//! — so a multi-term conjunction is a merge on path, and for each path
+//! both lists hold, one intersection of two owner runs. Those runs are
+//! exactly the shape of `ncq_simd::intersect_u32_into`, and they go to
+//! it as they lie in the index, built or mapped: no decode, no copy.
+//! The kernel gallops through skewed stretches (one rare term, one
+//! frequent term) in either dispatch mode, so a run pair costs
+//! O(short · log(long / short)) rather than O(short + long).
 
-use crate::index::Posting;
-use ncq_store::Oid;
+use crate::hits::HitSet;
+use crate::index::Postings;
+use ncq_store::{Oid, PathId};
+use std::cmp::Ordering;
 
-/// Smallest index `i` in `list[from..]` with `list[i] >= target`,
-/// found by doubling strides then binary search within the last stride.
-#[inline]
-fn gallop_to(list: &[Posting], from: usize, target: Posting) -> usize {
-    let mut step = 1usize;
-    let mut lo = from;
-    let mut hi = from;
-    while hi < list.len() && list[hi] < target {
-        lo = hi + 1;
-        hi += step;
-        step *= 2;
-    }
-    let hi = hi.min(list.len());
-    lo + list[lo..hi].partition_point(|&p| p < target)
-}
-
-/// Intersection of two sorted, deduplicated posting lists.
-///
-/// Both lists are sorted by `(path, owner)`, so the intersection
-/// decomposes into per-path segments whose owner columns are sorted,
-/// strictly increasing `u32` runs — exactly the shape of
-/// `ncq_simd::intersect_u32_into`. When a vector mode is active the
-/// common segments go through the compare-exchange kernel (with the
-/// gallop shortcut built into it for skewed stretches); under
-/// `NCQ_SIMD=off` (or off x86-64) the original galloping merge runs
-/// unchanged. Output is bit-identical either way: segments are visited
-/// in path order and owners emitted in ascending order within each.
-///
-/// Short lists stay on the scalar merge even in vector mode: the owner
-/// columns have to be copied out of the `(path, owner)` structs before
-/// the kernel can see them, and below ~1k postings that copy costs
-/// more than the lanes win back.
-pub fn intersect(a: &[Posting], b: &[Posting]) -> Vec<Posting> {
-    const VECTOR_MIN: usize = 1024;
-    if a.len() + b.len() < VECTOR_MIN || ncq_simd::mode() == ncq_simd::Mode::Scalar {
-        return intersect_scalar(a, b);
-    }
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    let mut owners_a: Vec<u32> = Vec::new();
-    let mut owners_b: Vec<u32> = Vec::new();
-    let mut hits: Vec<u32> = Vec::new();
-    while i < a.len() && j < b.len() {
-        match a[i].path.cmp(&b[j].path) {
-            std::cmp::Ordering::Less => {
-                let target = Posting {
-                    path: b[j].path,
-                    owner: Oid::ROOT,
-                };
-                i = gallop_to(a, i + 1, target);
+/// Merge two path-ordered run sequences on path and intersect the
+/// owner runs of every common path.
+fn intersect_runs<'a, 'b>(
+    a: impl Iterator<Item = (PathId, &'a [Oid])>,
+    b: impl Iterator<Item = (PathId, &'b [Oid])>,
+) -> HitSet {
+    let mut out = HitSet::new();
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    while let (Some(&(pa, oa)), Some(&(pb, ob))) = (a.peek(), b.peek()) {
+        match pa.cmp(&pb) {
+            Ordering::Less => {
+                a.next();
             }
-            std::cmp::Ordering::Greater => {
-                let target = Posting {
-                    path: a[i].path,
-                    owner: Oid::ROOT,
-                };
-                j = gallop_to(b, j + 1, target);
+            Ordering::Greater => {
+                b.next();
             }
-            std::cmp::Ordering::Equal => {
-                let path = a[i].path;
-                let ea = i + a[i..].partition_point(|p| p.path == path);
-                let eb = j + b[j..].partition_point(|p| p.path == path);
-                owners_a.clear();
-                ncq_simd::unpack_hi_u32(as_pairs(&a[i..ea]), &mut owners_a);
-                owners_b.clear();
-                ncq_simd::unpack_hi_u32(as_pairs(&b[j..eb]), &mut owners_b);
-                hits.clear();
-                ncq_simd::intersect_u32_into(&owners_a, &owners_b, &mut hits);
-                out.extend(hits.iter().map(|&owner| Posting {
-                    path,
-                    owner: Oid::from_raw(owner),
-                }));
-                i = ea;
-                j = eb;
+            Ordering::Equal => {
+                let mut both = Vec::new();
+                ncq_simd::intersect_u32_into(Oid::raw_slice(oa), Oid::raw_slice(ob), &mut both);
+                out.push_run(pa, Oid::wrap_raw_vec(both));
+                a.next();
+                b.next();
             }
         }
     }
     out
 }
 
-/// View a posting segment as the `[path, owner]` pairs the decode
-/// kernel reads. Sound because `Posting` is `repr(C)` over two
-/// `repr(transparent)` `u32` newtypes (checked below).
-fn as_pairs(seg: &[Posting]) -> &[[u32; 2]] {
-    const _: () =
-        assert!(std::mem::size_of::<Posting>() == 8 && std::mem::align_of::<Posting>() == 4);
-    unsafe { std::slice::from_raw_parts(seg.as_ptr().cast(), seg.len()) }
+/// Intersection of two tokens' postings, grouped by path.
+pub fn intersect(a: Postings<'_>, b: Postings<'_>) -> HitSet {
+    intersect_runs(a.runs(), b.runs())
 }
 
-/// The scalar path: gallop through whichever side is currently ahead.
-fn intersect_scalar(a: &[Posting], b: &[Posting]) -> Vec<Posting> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => i = gallop_to(a, i + 1, b[j]),
-            std::cmp::Ordering::Greater => j = gallop_to(b, j + 1, a[i]),
-        }
-    }
-    out
-}
-
-/// Intersection of arbitrarily many sorted posting lists, smallest list
+/// Intersection of arbitrarily many tokens' postings, the two shortest
 /// first so every later pass shrinks the candidate set fastest.
-pub fn intersect_all(lists: &[&[Posting]]) -> Vec<Posting> {
-    let Some(&first) = lists.iter().min_by_key(|l| l.len()) else {
-        return Vec::new();
-    };
-    let mut acc: Vec<Posting> = first.to_vec();
-    let mut rest: Vec<&&[Posting]> = lists
-        .iter()
-        .filter(|l| !std::ptr::eq(l.as_ptr(), first.as_ptr()))
-        .collect();
-    rest.sort_by_key(|l| l.len());
-    for list in rest {
-        if acc.is_empty() {
-            break;
+pub fn intersect_all(lists: &[Postings<'_>]) -> HitSet {
+    let mut lists = lists.to_vec();
+    lists.sort_by_key(|l| l.len());
+    match lists.as_slice() {
+        [] => HitSet::new(),
+        [only] => HitSet::from(*only),
+        [first, second, rest @ ..] => {
+            let mut acc = intersect(*first, *second);
+            for list in rest {
+                if acc.is_empty() {
+                    break;
+                }
+                let groups = acc.groups().iter().map(|(&p, v)| (p, v.as_slice()));
+                acc = intersect_runs(groups, list.runs());
+            }
+            acc
         }
-        acc = intersect(&acc, list);
     }
-    acc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncq_store::{Oid, PathId};
 
-    fn p(path: usize, owner: usize) -> Posting {
-        Posting {
-            path: PathId::from_index(path),
-            owner: Oid::from_index(owner),
+    /// The three columns of a posting view over sorted `(path, owner)`
+    /// pairs.
+    struct Columns {
+        paths: Vec<PathId>,
+        owner_off: Vec<u32>,
+        owners: Vec<Oid>,
+    }
+
+    fn columns(pairs: &[(usize, usize)]) -> Columns {
+        let mut pairs = pairs.to_vec();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut c = Columns {
+            paths: Vec::new(),
+            owner_off: vec![0],
+            owners: Vec::new(),
+        };
+        for (path, owner) in pairs {
+            let path = PathId::from_index(path);
+            if c.paths.last() != Some(&path) {
+                c.paths.push(path);
+                c.owner_off.push(c.owners.len() as u32);
+            }
+            c.owners.push(Oid::from_index(owner));
+            *c.owner_off.last_mut().unwrap() = c.owners.len() as u32;
+        }
+        c
+    }
+
+    fn view(c: &Columns) -> Postings<'_> {
+        Postings {
+            paths: &c.paths,
+            owner_off: &c.owner_off,
+            owners: &c.owners,
         }
     }
 
-    /// Reference linear intersection.
-    fn slow(a: &[Posting], b: &[Posting]) -> Vec<Posting> {
-        a.iter().filter(|x| b.contains(x)).copied().collect()
+    fn hits(pairs: &[(usize, usize)]) -> HitSet {
+        HitSet::from(view(&columns(pairs)))
+    }
+
+    /// Reference intersection over the flattened pairs.
+    fn slow(a: &Columns, b: &Columns) -> HitSet {
+        let b: Vec<_> = view(b).iter().collect();
+        view(a).iter().filter(|x| b.contains(x)).collect()
     }
 
     #[test]
-    fn agrees_with_linear_merge() {
-        let a: Vec<Posting> = (0..50).map(|i| p(i % 3, i * 2)).collect();
-        let mut a = a;
-        a.sort_unstable();
-        let b: Vec<Posting> = (0..200).map(|i| p(i % 3, i)).collect();
-        let mut b = b;
-        b.sort_unstable();
-        b.dedup();
-        a.dedup();
-        assert_eq!(intersect(&a, &b), slow(&a, &b));
-        assert_eq!(intersect(&b, &a), slow(&a, &b));
+    fn agrees_with_the_pairwise_reference() {
+        let a = columns(&(0..50).map(|i| (i % 3, i * 2)).collect::<Vec<_>>());
+        let b = columns(&(0..200).map(|i| (i % 3, i)).collect::<Vec<_>>());
+        assert_eq!(intersect(view(&a), view(&b)), slow(&a, &b));
+        assert_eq!(intersect(view(&b), view(&a)), slow(&a, &b));
     }
 
     #[test]
     fn skewed_lists_intersect_correctly() {
-        let rare = vec![p(0, 7), p(1, 1000)];
-        let frequent: Vec<Posting> = (0..5000).map(|i| p(0, i)).collect();
-        let both = intersect(&rare, &frequent);
-        assert_eq!(both, vec![p(0, 7)]);
+        let rare = columns(&[(0, 7), (1, 1000)]);
+        let frequent = columns(&(0..5000).map(|i| (0, i)).collect::<Vec<_>>());
+        let both = intersect(view(&rare), view(&frequent));
+        assert_eq!(both, hits(&[(0, 7)]));
     }
 
     #[test]
     fn empty_and_disjoint_inputs() {
-        assert!(intersect(&[], &[p(0, 1)]).is_empty());
-        assert!(intersect(&[p(0, 1)], &[]).is_empty());
-        assert!(intersect(&[p(0, 1)], &[p(0, 2)]).is_empty());
+        let (empty, one, two) = (columns(&[]), columns(&[(0, 1)]), columns(&[(0, 2)]));
+        assert!(intersect(view(&empty), view(&one)).is_empty());
+        assert!(intersect(view(&one), view(&empty)).is_empty());
+        assert!(intersect(view(&one), view(&two)).is_empty());
+        // Same owner, different relation: no hit.
+        assert!(intersect(view(&one), view(&columns(&[(1, 1)]))).is_empty());
     }
 
     #[test]
     fn multi_way_starts_from_the_rarest() {
-        let a: Vec<Posting> = (0..100).map(|i| p(0, i)).collect();
-        let b: Vec<Posting> = (0..100).filter(|i| i % 2 == 0).map(|i| p(0, i)).collect();
-        let c = vec![p(0, 4), p(0, 5), p(0, 6)];
-        let out = intersect_all(&[&a, &b, &c]);
-        assert_eq!(out, vec![p(0, 4), p(0, 6)]);
+        let a = columns(&(0..100).map(|i| (0, i)).collect::<Vec<_>>());
+        let b = columns(
+            &(0..100)
+                .filter(|i| i % 2 == 0)
+                .map(|i| (0, i))
+                .collect::<Vec<_>>(),
+        );
+        let c = columns(&[(0, 4), (0, 5), (0, 6)]);
+        let out = intersect_all(&[view(&a), view(&b), view(&c)]);
+        assert_eq!(out, hits(&[(0, 4), (0, 6)]));
         assert!(intersect_all(&[]).is_empty());
-        assert_eq!(intersect_all(&[&c]), c);
+        assert_eq!(intersect_all(&[view(&c)]), HitSet::from(view(&c)));
     }
 
     #[test]
-    fn vector_and_scalar_paths_agree() {
+    fn random_runs_agree_with_the_reference() {
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(9);
-        let mk = |rng: &mut StdRng, n: usize| {
-            let mut v: Vec<Posting> = (0..n)
-                .map(|_| p(rng.random_range(0..4), rng.random_range(0..4000)))
+        let mut mk = |cap: usize| {
+            let n = rng.random_range(0..cap);
+            let pairs: Vec<_> = (0..n)
+                .map(|_| (rng.random_range(0..4), rng.random_range(0..4000)))
                 .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
+            columns(&pairs)
         };
+        // Runs shorter and longer than a vector block, under whatever
+        // dispatch mode the process runs (CI runs both).
         for round in 0..40 {
-            // Alternate below and above the wrapper's short-list
-            // cutoff so both the scalar shortcut and the kernel path
-            // are exercised.
             let cap = if round % 2 == 0 { 150 } else { 1500 };
-            let la = rng.random_range(0..cap);
-            let lb = rng.random_range(0..cap);
-            let a = mk(&mut rng, la);
-            let b = mk(&mut rng, lb);
-            // Whatever the ambient dispatch mode, the public entry must
-            // match the scalar merge bit for bit.
-            assert_eq!(intersect(&a, &b), intersect_scalar(&a, &b));
-            assert_eq!(intersect(&a, &b), slow(&a, &b));
-        }
-    }
-
-    #[test]
-    fn gallop_lands_on_first_not_less() {
-        let list: Vec<Posting> = (0..64).map(|i| p(0, i * 3)).collect();
-        for target in 0..200 {
-            let t = p(0, target);
-            let i = gallop_to(&list, 0, t);
-            assert!(list[..i].iter().all(|&x| x < t));
-            assert!(list[i..].iter().all(|&x| x >= t));
+            let (a, b) = (mk(cap), mk(cap));
+            assert_eq!(intersect(view(&a), view(&b)), slow(&a, &b), "round {round}");
         }
     }
 }

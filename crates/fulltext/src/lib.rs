@@ -7,8 +7,8 @@
 //! concepts. This crate provides that front end:
 //!
 //! * [`tokenize`] — the word tokenizer (case-folded alphanumeric runs),
-//! * [`InvertedIndex`] — token → postings `(PathId, Oid)` over every
-//!   string relation of a [`ncq_store::MonetDb`],
+//! * [`InvertedIndex`] — token → postings over every string relation
+//!   of a [`ncq_store::MonetDb`], grouped by path into owner runs,
 //! * [`search`] — word / phrase / substring / predicate queries returning a
 //!   [`HitSet`]: hits grouped per path, exactly the input shape the
 //!   generalized meet algorithm (paper Fig. 5) consumes.
@@ -32,6 +32,6 @@ pub mod thesaurus;
 pub mod tokenize;
 
 pub use hits::HitSet;
-pub use index::{InvertedIndex, Posting};
+pub use index::{InvertedIndex, Postings};
 pub use intersect::{intersect, intersect_all};
 pub use thesaurus::{expanded_hits, Thesaurus};

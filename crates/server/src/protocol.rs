@@ -614,8 +614,8 @@ mod tests {
         let header = lines[stats_at - 1];
         let n: usize = header.strip_prefix("OK ").unwrap().parse().unwrap();
         // 17 counter/rate lines + 2 snapshot-open counters + simd.mode
-        // + 3 kernels × {scalar,vector}.
-        assert_eq!(n, 26, "one line per counter plus the derived rates");
+        // + 2 kernels × {scalar,vector}.
+        assert_eq!(n, 24, "one line per counter plus the derived rates");
         assert_eq!(lines[stats_at], "served=1");
         // The derived cache hit rates ride the frame.
         for key in ["sem_hit_rate=0.0000", "term_cache_hit_rate=0.0000"] {
@@ -786,7 +786,7 @@ mod tests {
         let mode = ncq_simd::mode().name();
         assert!(out.contains(&format!("simd.mode={mode}")), "{out}");
         assert!(out.contains("simd.intersect.scalar="), "{out}");
-        assert!(out.contains("simd.decode.vector="), "{out}");
+        assert!(out.contains("simd.lower_bound.vector="), "{out}");
         assert!(
             out.contains("# TYPE ncq_simd_dispatch_total counter"),
             "{out}"

@@ -1,14 +1,12 @@
 //! # ncq-simd — branch-free lane-parallel kernels for the meet engine
 //!
-//! The hot loops of the nearest-concept stack — posting-list
-//! intersection and decode (`ncq-fulltext`) and the subtree
-//! containment probe (`ncq-store`) — reduce to three primitive kernels
-//! over sorted `u32` runs:
+//! The hot loops of the nearest-concept stack — posting-run
+//! intersection (`ncq-fulltext`) and the subtree containment probe
+//! (`ncq-store`) — reduce to two primitive kernels over sorted `u32`
+//! runs:
 //!
 //! * [`lower_bound_u32`] — partition search;
-//! * [`intersect_u32_into`] — compare-exchange intersection;
-//! * [`unpack_hi_u32`] — posting decode: deinterleave the owner
-//!   column out of `(path, owner)` pairs.
+//! * [`intersect_u32_into`] — compare-exchange intersection.
 //!
 //! [`scalar::difference_u32_into`] has no vector twin: its only caller
 //! is the Fig. 4 test oracle (`ncq_core::reference`).
@@ -167,7 +165,6 @@ macro_rules! counters {
 counters! {
     lower_bound: LB_S / LB_V,
     intersect: IX_S / IX_V,
-    decode: DEC_S / DEC_V,
 }
 
 impl DispatchStats {
@@ -186,12 +183,10 @@ impl DispatchStats {
         let DispatchStats {
             lower_bound,
             intersect,
-            decode,
         } = *self;
         vec![
             ("lower_bound", lower_bound.0, lower_bound.1),
             ("intersect", intersect.0, intersect.1),
-            ("decode", decode.0, decode.1),
         ]
     }
 }
@@ -235,32 +230,6 @@ pub fn intersect_u32_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
         _ => {
             IX_S.fetch_add(1, Relaxed);
             scalar::intersect_u32_into(a, b, out);
-        }
-    }
-}
-
-/// Posting decode: append the high lane of each `[lo, hi]` pair to
-/// `out`. A `(path, owner)` posting with guaranteed field order is a
-/// `[u32; 2]`; deinterleaving its owner column produces the strictly
-/// increasing run the set kernels consume, and doing it 4–8 pairs per
-/// round is what makes handing a posting segment to the intersection
-/// kernel cheaper than walking the structs.
-#[inline]
-pub fn unpack_hi_u32(pairs: &[[u32; 2]], out: &mut Vec<u32>) {
-    match mode() {
-        #[cfg(target_arch = "x86_64")]
-        Mode::Avx2 => {
-            DEC_V.fetch_add(1, Relaxed);
-            unsafe { x86::unpack_hi_u32_avx2(pairs, out) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Mode::Sse2 => {
-            DEC_V.fetch_add(1, Relaxed);
-            unsafe { x86::unpack_hi_u32_sse2(pairs, out) }
-        }
-        _ => {
-            DEC_S.fetch_add(1, Relaxed);
-            scalar::unpack_hi_u32(pairs, out);
         }
     }
 }

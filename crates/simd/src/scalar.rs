@@ -57,14 +57,6 @@ pub fn difference_u32_into(set: &[u32], remove: &[u32], out: &mut Vec<u32>) {
     }
 }
 
-/// Posting decode: append the high lane of each `[lo, hi]` pair to
-/// `out`. A `(path, owner)` posting viewed as `[u32; 2]` yields its
-/// owner column — the strictly increasing run the set kernels consume.
-#[inline]
-pub fn unpack_hi_u32(pairs: &[[u32; 2]], out: &mut Vec<u32>) {
-    out.extend(pairs.iter().map(|p| p[1]));
-}
-
 /// Exponential probe + partition search: number of leading elements of
 /// `list` that are `< target`.
 #[inline]

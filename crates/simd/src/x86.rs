@@ -180,62 +180,3 @@ pub unsafe fn intersect_u32_sse2(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     // Sub-block tails finish on the scalar kernel.
     crate::scalar::intersect_u32_into(&a[i..], &b[j..], out);
 }
-
-/// SSE2 posting decode: gather the high lane of four `[lo, hi]` pairs
-/// per round (two loads, two shuffles, one unpack), scalar remainder.
-///
-/// # Safety
-/// Requires SSE2 (see [`lower_bound_u32_sse2`]).
-#[target_feature(enable = "sse2")]
-pub unsafe fn unpack_hi_u32_sse2(pairs: &[[u32; 2]], out: &mut Vec<u32>) {
-    let n = pairs.len();
-    out.reserve(n);
-    let base = out.len();
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let p = pairs.as_ptr().add(i).cast::<__m128i>();
-        let v0 = _mm_loadu_si128(p); // [lo0, hi0, lo1, hi1]
-        let v1 = _mm_loadu_si128(p.add(1));
-        let s0 = _mm_shuffle_epi32(v0, 0b11_01_11_01); // [hi0, hi1, hi0, hi1]
-        let s1 = _mm_shuffle_epi32(v1, 0b11_01_11_01);
-        // Low halves back to back: [hi0, hi1, hi2, hi3].
-        let packed = _mm_unpacklo_epi64(s0, s1);
-        _mm_storeu_si128(out.as_mut_ptr().add(base + i).cast(), packed);
-        i += 4;
-    }
-    // The reserve above covers everything written through the raw
-    // pointer; the remainder goes through push.
-    out.set_len(base + i);
-    for pair in &pairs[i..] {
-        out.push(pair[1]);
-    }
-}
-
-/// AVX2 posting decode: eight pairs per round via two cross-lane
-/// permutes, scalar remainder.
-///
-/// # Safety
-/// Requires AVX2 (checked by the dispatch layer).
-#[target_feature(enable = "avx2")]
-pub unsafe fn unpack_hi_u32_avx2(pairs: &[[u32; 2]], out: &mut Vec<u32>) {
-    let n = pairs.len();
-    out.reserve(n);
-    let base = out.len();
-    // Odd 32-bit lanes (the hi halves) into the low 128 bits.
-    let idx = _mm256_setr_epi32(1, 3, 5, 7, 1, 3, 5, 7);
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let p = pairs.as_ptr().add(i).cast::<__m256i>();
-        let v0 = _mm256_loadu_si256(p); // pairs i .. i+4
-        let v1 = _mm256_loadu_si256(p.add(1)); // pairs i+4 .. i+8
-        let r0 = _mm256_permutevar8x32_epi32(v0, idx); // low 128 = his of v0
-        let r1 = _mm256_permutevar8x32_epi32(v1, idx);
-        let packed = _mm256_permute2x128_si256(r0, r1, 0x20);
-        _mm256_storeu_si256(out.as_mut_ptr().add(base + i).cast(), packed);
-        i += 8;
-    }
-    out.set_len(base + i);
-    for pair in &pairs[i..] {
-        out.push(pair[1]);
-    }
-}

@@ -185,30 +185,3 @@ fn difference_matches_retain() {
         }
     }
 }
-
-#[test]
-fn unpack_hi_matches_field_walk() {
-    let _guard = lock_modes();
-    let mut rng = StdRng::seed_from_u64(0x9_09);
-    // Lengths straddling both block widths (4 for SSE2, 8 for AVX2)
-    // and their remainders.
-    for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 100, 1000] {
-        let pairs: Vec<[u32; 2]> = (0..len)
-            .map(|_| [rng.next_u64() as u32, rng.next_u64() as u32])
-            .collect();
-        for off in 0..3.min(pairs.len() + 1) {
-            let pairs = &pairs[off..];
-            let expect: Vec<u32> = pairs.iter().map(|p| p[1]).collect();
-            for_each_mode("unpack_hi_u32", || {
-                let mut out = Vec::new();
-                simd::unpack_hi_u32(pairs, &mut out);
-                out
-            });
-            // Appending must preserve an existing prefix.
-            let mut out = vec![42u32];
-            simd::unpack_hi_u32(pairs, &mut out);
-            assert_eq!(out[0], 42);
-            assert_eq!(&out[1..], expect);
-        }
-    }
-}

@@ -37,13 +37,13 @@
 //! `SNAPSHOT_VERSION` names the layout, not the software: any change to
 //! section payload encodings, section semantics or the header must bump
 //! it. A build reads exactly the version it writes; any other version —
-//! the retired v1/v2 materializing layouts and the v3–v7 payloads
+//! the retired v1/v2 materializing layouts and the v3–v8 payloads
 //! included — is refused at open with
 //! [`SnapshotError::UnsupportedVersion`]. There is no upgrade tool: an
 //! older file is replaced by rebuilding from the source XML and saving
-//! again. The pinned fixture `tests/golden/snapshot_v8.bin` makes a
+//! again. The pinned fixture `tests/golden/snapshot_v9.bin` makes a
 //! forgotten bump fail loudly in CI, and the retired
-//! `snapshot_v1.bin` … `snapshot_v7.bin` fixtures pin the refusal.
+//! `snapshot_v1.bin` … `snapshot_v8.bin` fixtures pin the refusal.
 //! Adding a **new optional section id** is backward compatible and
 //! needs no bump — readers ignore unknown ids.
 
@@ -65,7 +65,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NCQSNAP\0";
 /// Current layout version (the zero-copy mmap container written by
 /// [`crate::mmap::SnapshotWriter`]). Bump on any payload or header
 /// change.
-pub const SNAPSHOT_VERSION: u32 = 8;
+pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// Well-known section ids. Unknown ids are ignored by readers, so
 /// higher layers can add sections without touching this crate.
@@ -86,10 +86,12 @@ pub mod section {
     /// was the depth-statistics section of layouts 1–6 and stays
     /// unassigned.)
     pub const MEET_INDEX: u32 = 5;
-    /// The full-text inverted index (written by `ncq-fulltext`). (Id 8
-    /// was the shard `PARTITION` map, which layout-8 files saved through
-    /// `ncq-shard` may still carry; it stays unassigned, and readers
-    /// skip it like any unknown id.)
+    /// The full-text inverted index (written by `ncq-fulltext`): the
+    /// sorted vocabulary, then each token's postings as runs grouped by
+    /// path — a run offset per token, a path and an owner offset per
+    /// run, one owner oid per posting. (Id 8 was the shard `PARTITION`
+    /// map of earlier layouts; it stays unassigned, and readers skip it
+    /// like any unknown id.)
     pub const FULLTEXT: u32 = 7;
 }
 

@@ -27,7 +27,7 @@ use nearest_concept::{run_query, Database, QueryOutput};
 
 fn main() {
     // A small forked corpus whose leaves interleave three terms, so
-    // the workload drives every kernel family: posting decode and
+    // the workload drives both kernel families: posting-run
     // intersection (phrase search) and partition search (the dialect's
     // `contains` offspring test).
     let mut xml = String::from("<root>");
@@ -49,8 +49,8 @@ fn main() {
     xml.push_str("</root>");
     let db = Database::from_xml_str(&xml).expect("probe corpus");
 
-    // Phrase search decodes the per-word posting lists and intersects
-    // them before the adjacency check — `decode` and `intersect`.
+    // Phrase search intersects the per-word owner runs before the
+    // adjacency check — `intersect`.
     let phrase = db.search("alpha beta gamma");
 
     // A projection's `contains` asks, per candidate node, whether its

@@ -2,7 +2,7 @@
 //! round-trip equivalence on random trees, byte determinism, exhaustive
 //! corruption handling (truncation, bit flips, forged section-table
 //! extents, forged string columns), the layout version pin, the layout
-//! byte budget, the typed refusal of the retired v1–v7 layouts through
+//! byte budget, the typed refusal of the retired v1–v8 layouts through
 //! every entry point,
 //! and a two-process check that one snapshot file serves independent
 //! opens with equal answers.
@@ -11,7 +11,7 @@
 //! proptest (the offline build cannot fetch it); failures print the
 //! seed.
 //!
-//! The pinned fixture `tests/golden/snapshot_v8.bin` is a committed
+//! The pinned fixture `tests/golden/snapshot_v9.bin` is a committed
 //! current-layout snapshot of the Figure 1 corpus, as
 //! `Database::save_snapshot` writes it. Regenerate after an *intended*
 //! layout change — which must also bump `SNAPSHOT_VERSION` — with:
@@ -20,7 +20,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test snapshot_roundtrip
 //! ```
 //!
-//! The older committed fixtures (`snapshot_v1.bin` … `snapshot_v7.bin`)
+//! The older committed fixtures (`snapshot_v1.bin` … `snapshot_v8.bin`)
 //! are files no build writes any more; they stay committed to pin that
 //! opening one is a typed `UnsupportedVersion`, never a partial load.
 
@@ -352,19 +352,19 @@ fn pinned_fixture_guards_the_layout_version() {
 }
 
 /// The retired layouts are refused, typed, through every entry point.
-/// `snapshot_v1.bin` … `snapshot_v7.bin` are committed files of the
-/// Figure 1 corpus in the v1/v2 materializing layouts and the v3–v7
+/// `snapshot_v1.bin` … `snapshot_v8.bin` are committed files of the
+/// Figure 1 corpus in the v1/v2 materializing layouts and the v3–v8
 /// payloads of today's container; no build can
 /// write them any more and there is no upgrade tool — the way forward
 /// is to rebuild from the source XML and save again, and the error
 /// says so. Each open must fail on the header alone with
 /// `UnsupportedVersion { found, supported: SNAPSHOT_VERSION }`: never a
 /// panic, never a partial load, and on a serving process never a
-/// swapped backend. The header is all that guards a v7 file's symbols,
-/// paths, tree and string columns (they decode unchanged), so the last
-/// case forges it: a v7 `MEET_INDEX` section (three per-node columns
-/// where there is one now) under a v8 header is a typed corruption
-/// error.
+/// swapped backend. The header is all that guards an old file's
+/// sections that decode unchanged, so the last cases forge it: a v7
+/// `MEET_INDEX` section (three per-node columns where there is one now)
+/// and a v8 `FULLTEXT` section (`(path, owner)` pairs where there are
+/// runs now) under the current header are typed corruption errors.
 #[test]
 fn legacy_fixtures_are_refused_typed() {
     for (fixture, version) in [
@@ -375,6 +375,7 @@ fn legacy_fixtures_are_refused_typed() {
         ("snapshot_v5.bin", 5),
         ("snapshot_v6.bin", 6),
         ("snapshot_v7.bin", 7),
+        ("snapshot_v8.bin", 8),
     ] {
         let bytes = std::fs::read(golden_path(fixture)).expect("read legacy fixture");
         let dir = scratch(&format!("legacy-v{version}"));
@@ -476,16 +477,18 @@ fn legacy_fixtures_are_refused_typed() {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    let mut forged = std::fs::read(golden_path("snapshot_v7.bin")).expect("read v7 fixture");
-    forged[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    let err = Database::from_snapshot_bytes(forged).expect_err("v7 payloads under a v8 header");
-    assert!(
-        matches!(
-            err,
-            SnapshotError::Corrupt { .. } | SnapshotError::Truncated { .. }
-        ),
-        "{err}"
-    );
+    for fixture in ["snapshot_v7.bin", "snapshot_v8.bin"] {
+        let mut forged = std::fs::read(golden_path(fixture)).expect("read legacy fixture");
+        forged[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        let err = Database::from_snapshot_bytes(forged).expect_err("old payloads, current header");
+        assert!(
+            matches!(
+                err,
+                SnapshotError::Corrupt { .. } | SnapshotError::Truncated { .. }
+            ),
+            "{fixture}: {err}"
+        );
+    }
 }
 
 /// The layout byte budget — a structural, timing-free pin of what the
@@ -499,6 +502,8 @@ fn legacy_fixtures_are_refused_typed() {
 /// string and an offset per path, each column padded to a cache line —
 /// the same bytes per string as the length-prefixed layout 5, which is
 /// what keeps `snapshot_bytes_per_xml_byte` inside its bound.
+/// `FULLTEXT` is the vocabulary plus one owner a posting and a path and
+/// an offset a `(token, path)` run — no path repeated per posting.
 #[test]
 fn store_sections_stay_within_their_byte_budget() {
     let corpus = DblpCorpus::generate(&DblpConfig::scaled(8_000));
@@ -528,6 +533,22 @@ fn store_sections_stay_within_their_byte_budget() {
     assert!(
         strings <= 8 * count + text + 4 * (paths + 1) + 4 * 64,
         "STRINGS is {strings} bytes for {count} strings / {text} text bytes / {paths} paths"
+    );
+    let index = db.index();
+    let (tokens, runs, postings) = (
+        index.vocabulary_size(),
+        index.run_count(),
+        index.posting_count(),
+    );
+    let vocabulary: usize = index.vocabulary().map(str::len).sum();
+    let fulltext = bytes(section::FULLTEXT);
+    assert!(
+        fulltext <= 4 * postings + 8 * runs + vocabulary + 8 * (tokens + 1) + 4 + 6 * 64 + 32,
+        "FULLTEXT is {fulltext} bytes for {postings} postings / {runs} runs / {tokens} tokens"
+    );
+    assert!(
+        runs * 8 < postings,
+        "a DBLP token's postings should share paths: {runs} runs for {postings} postings"
     );
 }
 
