@@ -10,8 +10,8 @@
 //! named corpora, with identical answers.
 //!
 //! The trait is object-safe on purpose: `ncq-server` holds its backend
-//! as `Arc<dyn MeetBackend>` so one worker pool can front whichever
-//! engine the deployment loaded.
+//! as `Arc<dyn MeetBackend>` so one service can front whichever engine
+//! the deployment loaded.
 
 use crate::answer::QueryOutput;
 use crate::db::Database;

@@ -338,7 +338,7 @@ impl fmt::Debug for Catalog {
 
 /// Open a manifest under the default router configuration, wrapped as
 /// a serving backend — the engine `ncq-server`'s `Server::open_manifest`
-/// spins its worker pool over.
+/// serves.
 pub fn open_forest(manifest_path: impl AsRef<Path>) -> Result<ForestBackend, CatalogError> {
     ForestBackend::new(Catalog::open_manifest(
         manifest_path,

@@ -2,9 +2,9 @@
 //!
 //! A request gets one `Trace` — a flat vector of [`SpanRec`]s whose
 //! `parent` indices encode the tree — carried in a thread-local slot
-//! while the owning thread works on it. The server's workers evaluate
-//! one job at a time, start to finish, so thread-local is the natural
-//! home.
+//! while the owning thread works on it. The server evaluates each
+//! request start to finish on the thread that made it, so thread-local
+//! is the natural home.
 //!
 //! Every instrumentation primitive ([`span`], [`event`], [`annotate`])
 //! is a no-op when no trace is active on the thread, so instrumented

@@ -6,18 +6,18 @@
 //! clients. This crate is that server loop around
 //! [`ncq_core::Database`]:
 //!
-//! * **thread-per-core workers** over an `Arc<Database>` (the database
-//!   is immutable after load, so workers share it without locks);
-//! * a **bounded admission queue**: [`Client::request`] blocks while the
-//!   queue is at capacity (back-pressure), [`Client::try_request`]
-//!   refuses instead ([`ServerError::Saturated`]) — the admission
-//!   policy of a service that would rather shed than stall;
-//! * **one job, one evaluation, one reply**: a worker drains up to
-//!   [`ServerConfig::batch_max`] queued requests per wake-up and
-//!   answers each as it completes — only the queue drain is shared.
-//!   Repeated terms share full-text posting decodes through a
-//!   per-worker term cache, repeated queries meet in the shared
-//!   result cache;
+//! * **the caller evaluates**: there is no worker pool; a request is
+//!   evaluated on the thread that makes it (a TCP session thread, or
+//!   the in-process caller) over an `Arc<Database>` that is immutable
+//!   after load, so callers share it without locks;
+//! * **bounded admission**: at most [`ServerConfig::max_in_flight`]
+//!   requests evaluate at once. [`Client::request`] waits for a free
+//!   slot (back-pressure), [`Client::try_request`] refuses instead
+//!   ([`ServerError::Saturated`]) — the admission policy of a service
+//!   that would rather shed than stall;
+//! * **one request, one evaluation, one answer**: repeated terms share
+//!   full-text posting decodes through one shared term cache, repeated
+//!   queries meet in the shared result cache;
 //! * a **blocking client handle** ([`Client`]) plus a **line protocol**
 //!   ([`protocol`]) used by the integration tests and examples;
 //! * a **TCP acceptor** ([`net::TcpAcceptor`]): thread-per-connection
@@ -27,12 +27,8 @@
 //!   side of `ncq-core`'s framed replica protocol — a coordinator's
 //!   `RemoteBackend` fails over between several of these, and answers
 //!   stay byte-identical to in-process execution;
-//! * a **fault-injection harness** ([`chaos::ChaosProxy`]): a
-//!   frame-aware proxy driven by a seeded PRNG schedule (refusal,
-//!   mid-frame disconnect, checksum corruption, stalls, slow drip)
-//!   that the distributed stress suite replays deterministically;
-//! * **backend dispatch**: workers hold an `Arc<dyn MeetBackend>`, so
-//!   the same pool serves the single-process [`ncq_core::Database`],
+//! * **backend dispatch**: the service holds an `Arc<dyn MeetBackend>`,
+//!   so the same code serves the single-process [`ncq_core::Database`],
 //!   a replica-backed [`ncq_core::RemoteBackend`], or a multi-corpus
 //!   [`ncq_core::ForestBackend`] ([`Server::start_backend`]);
 //! * **forest serving**: [`Server::open_manifest`] boots a catalog of
@@ -40,7 +36,7 @@
 //!   (`USE` / `CORPORA` verbs, per-request `corpus` fields), stats
 //!   count per corpus, and `SNAPSHOT LOAD <file> INTO <corpus>`
 //!   hot-swaps one corpus while sharing every other corpus's engine
-//!   with the in-flight batches.
+//!   with the requests in flight.
 //!
 //! ```
 //! use ncq_core::Database;
@@ -60,14 +56,12 @@
 //! server.shutdown();
 //! ```
 
-pub mod chaos;
 mod listener;
 pub mod net;
 pub mod protocol;
 pub mod remote;
 pub mod server;
 
-pub use chaos::{ChaosProxy, ChaosSchedule, Fault};
 pub use net::{NetConfig, TcpAcceptor};
 pub use protocol::serve_lines;
 pub use remote::{EngineConfig, RemoteEngine};

@@ -1,9 +1,9 @@
-//! The one TCP listener behind [`crate::TcpAcceptor`],
-//! [`crate::RemoteEngine`] and [`crate::ChaosProxy`]: an accept thread
-//! that spawns one named session thread per admitted connection,
-//! tracks every live session socket, and on shutdown stops accepting,
-//! severs the sockets (unblocking reads) and joins every thread — no
-//! session outlives its listener.
+//! The one TCP listener behind [`crate::TcpAcceptor`] and
+//! [`crate::RemoteEngine`]: an accept thread that spawns one named
+//! session thread per admitted connection, tracks every live session
+//! socket, and on shutdown stops accepting, severs the sockets
+//! (unblocking reads) and joins every thread — no session outlives its
+//! listener.
 
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -91,17 +91,20 @@ impl Listener {
                     let Some(ticket) = admit(&mut stream) else {
                         continue;
                     };
-                    let session = Arc::clone(&session);
-                    let registry = Arc::clone(&registry);
+                    // Registered here, not on the session thread: a
+                    // drain that ran before the new thread did would
+                    // miss its socket and wait on its read forever.
+                    let id = registry.register(&stream);
+                    let (session, sessions) = (Arc::clone(&session), Arc::clone(&registry));
                     let spawned = thread::Builder::new()
                         .name(format!("{prefix}-session"))
                         .spawn(move || {
-                            let id = registry.register(&stream);
                             session(stream, ticket);
-                            registry.deregister(id);
+                            sessions.deregister(id);
                         });
-                    if let Ok(handle) = spawned {
-                        handles.push(handle);
+                    match spawned {
+                        Ok(handle) => handles.push(handle),
+                        Err(_) => registry.deregister(id),
                     }
                     // Reap finished sessions so a long-lived listener
                     // does not accumulate handles.

@@ -4,9 +4,10 @@
 //! The line protocol ([`crate::protocol::serve_lines`]) is transport
 //! agnostic; this module supplies the first real transport. The design
 //! stays deliberately synchronous — thread-per-connection over the
-//! blocking [`Client`] handle — because the admission queue already
-//! provides the back-pressure story: a connection thread that blocks in
-//! [`Client::request`] is exactly a queued request. What the acceptor
+//! blocking [`Client`] handle — because admission already provides the
+//! back-pressure story: a session thread waiting in [`Client::request`]
+//! for an in-flight slot is exactly a queued request, and once admitted
+//! it evaluates the request itself. What the acceptor
 //! adds is the *outer* limit: at most [`NetConfig::max_connections`]
 //! live sessions; a connection beyond the cap is answered with a single
 //! in-band `ERR` line and closed, so remote clients observe shedding
@@ -152,13 +153,7 @@ mod tests {
             )
             .unwrap(),
         );
-        Server::start(
-            db,
-            ServerConfig {
-                workers: 2,
-                ..ServerConfig::default()
-            },
-        )
+        Server::start(db, ServerConfig::default())
     }
 
     fn send(addr: SocketAddr, input: &str) -> String {

@@ -111,7 +111,7 @@ pub fn serve_lines<R: BufRead, W: Write>(
         payload.clear();
         // Allocate the request id before dispatch: queries carry it as
         // their trace id, and *every* error frame — including parse
-        // errors that never reach a worker — can be correlated.
+        // errors that never reach evaluation — can be correlated.
         let req_id = ncq_obs::obs().next_trace_id();
         match verb.to_ascii_uppercase().as_str() {
             "QUIT" => break,
@@ -271,15 +271,13 @@ enum Stat {
 /// for purely local deployments; non-zero values mean the failover
 /// routers are working around sick replicas. `shed_rate` (shed /
 /// admission attempts) is the back-pressure signal an operator watches
-/// to size the queue.
+/// to size [`crate::ServerConfig::max_in_flight`].
 #[rustfmt::skip]
 fn stat_rows(stats: &ServerStats) -> Vec<(Option<&'static str>, &'static str, Stat)> {
     use Stat::{Counter, Level, Rate, Registry};
     let registry = &ncq_obs::obs().registry;
     vec![
         (Some("served"),              "ncq_served_total",          Counter(stats.served as u64)),
-        (Some("batches"),             "ncq_batches_total",         Counter(stats.batches as u64)),
-        (Some("max_batch"),           "ncq_max_batch",             Level(stats.max_batch as u64)),
         (Some("term_decodes"),        "ncq_term_decodes_total",    Counter(stats.term_decodes as u64)),
         (Some("term_cache_hits"),     "ncq_term_cache_hits_total", Counter(stats.term_cache_hits as u64)),
         (Some("term_cache_hit_rate"), "ncq_term_cache_hit_rate",   Rate(stats.term_cache_hit_rate())),
@@ -551,13 +549,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let server = Server::start(
-            db,
-            ServerConfig {
-                workers: 1,
-                ..ServerConfig::default()
-            },
-        );
+        let server = Server::start(db, ServerConfig::default());
         let mut out = Vec::new();
         serve_lines(&server.client(), input, &mut out).unwrap();
         String::from_utf8(out).unwrap()
@@ -613,9 +605,9 @@ mod tests {
         let lines: Vec<&str> = out.lines().collect();
         let header = lines[stats_at - 1];
         let n: usize = header.strip_prefix("OK ").unwrap().parse().unwrap();
-        // 17 counter/rate lines + 2 snapshot-open counters + simd.mode
+        // 15 counter/rate lines + 2 snapshot-open counters + simd.mode
         // + 2 kernels × {scalar,vector}.
-        assert_eq!(n, 24, "one line per counter plus the derived rates");
+        assert_eq!(n, 22, "one line per counter plus the derived rates");
         assert_eq!(lines[stats_at], "served=1");
         // The derived cache hit rates ride the frame.
         for key in ["sem_hit_rate=0.0000", "term_cache_hit_rate=0.0000"] {
@@ -685,7 +677,7 @@ mod tests {
     #[test]
     fn absurd_limits_answer_like_no_limit() {
         // `k` comes straight off the wire; sizing anything by it used
-        // to panic the worker (capacity overflow), abort the process
+        // to panic the evaluation (capacity overflow), abort the process
         // (an 8 TB allocation) or overflow `k + 1`.
         let full = session("MEET Bit 1999\n");
         assert!(full.starts_with("OK "), "{full}");
@@ -720,7 +712,6 @@ mod tests {
         let server = Server::start(
             db,
             ServerConfig {
-                workers: 1,
                 snapshot_dir: Some(dir.clone()),
                 ..ServerConfig::default()
             },
@@ -758,7 +749,6 @@ mod tests {
         assert!(after.contains("served=1"), "{out}");
         assert!(after.contains("sem_misses=0"), "{out}");
         assert!(after.contains("term_decodes=0"), "{out}");
-        assert!(after.contains("batches=0"), "{out}");
     }
 
     #[test]
@@ -850,7 +840,7 @@ mod tests {
         let out = session("MEET Bit 1999\nTRACE 200\nQUIT\n");
         // The ring is process-global; with a large enough window the
         // MEET we just ran is in there, carrying its op annotation and
-        // the serialize stage from the worker.
+        // the serialize stage of its evaluation.
         assert!(out.contains("trace "), "{out}");
         assert!(out.contains("op=meet"), "{out}");
         assert!(out.contains("serialize"), "{out}");

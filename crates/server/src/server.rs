@@ -1,13 +1,12 @@
-//! The query service: bounded admission, worker pool, one evaluation
-//! and one reply per job.
+//! The query service: bounded admission, and each request evaluated on
+//! the thread that asks.
 //!
-//! One `Shared` state is owned jointly by the [`Server`] (which joins
-//! the workers) and every [`Client`] handle. The admission queue is a
-//! `Mutex<VecDeque>` with two condvars — `work` wakes workers, `space`
-//! wakes admitters — which is deadlock-free by construction: workers
-//! only ever *drain* the queue (they never submit), so a full queue
-//! always makes progress and a saturated client always eventually
-//! admits or observes shutdown.
+//! One `Shared` state is owned jointly by the [`Server`] and every
+//! [`Client`] handle. Admission is an in-flight counter under a mutex
+//! with one condvar, signalled whenever a slot frees or shutdown
+//! begins. A caller holds its slot only while it evaluates its own
+//! request, so a waiting caller always eventually admits or observes
+//! shutdown.
 
 use ncq_core::{AnswerSet, BackendError, CatalogError, Database, MeetBackend};
 use ncq_fulltext::HitSet;
@@ -19,9 +18,8 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::Hash;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
-use std::thread;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError, RwLock};
 
 /// The corpus argument that fans a request out across every corpus of
 /// a forest deployment (`USE *` on the wire).
@@ -30,23 +28,17 @@ pub const ALL_CORPORA: &str = "*";
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads; `0` = one per core (thread-per-core).
-    pub workers: usize,
-    /// Admission queue capacity; [`Client::request`] blocks and
+    /// Requests evaluating at once; [`Client::request`] waits and
     /// [`Client::try_request`] refuses beyond it. Minimum 1.
-    pub queue_capacity: usize,
-    /// Maximum queued requests one worker drains per wake-up (one
-    /// queue-lock round trip); it then evaluates them one by one, in
-    /// queue order, answering each as it completes. Minimum 1.
-    pub batch_max: usize,
+    pub max_in_flight: usize,
     /// Projection row limit for SQL queries.
     pub max_rows: usize,
-    /// Distinct terms each worker keeps decoded (FIFO eviction);
-    /// `0` disables the cache. Entries are epoch-tagged like the
-    /// semantic cache's.
+    /// Distinct terms the service keeps decoded (FIFO eviction, shared
+    /// by every caller); `0` disables the cache. Entries are
+    /// epoch-tagged like the semantic cache's.
     pub term_cache_capacity: usize,
     /// Distinct *query results* the service keeps (FIFO eviction,
-    /// shared across workers); `0` disables the semantic cache. A hit
+    /// shared by every caller); `0` disables the semantic cache. A hit
     /// skips evaluation entirely. Entries are epoch-tagged per corpus:
     /// `SNAPSHOT LOAD … INTO c` invalidates only corpus `c`'s entries,
     /// a whole-backend load invalidates everything.
@@ -63,9 +55,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            workers: 0,
-            queue_capacity: 1024,
-            batch_max: 32,
+            max_in_flight: 1024,
             max_rows: 10_000,
             term_cache_capacity: 4096,
             sem_cache_capacity: 1024,
@@ -74,7 +64,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// One query, as admitted by the queue.
+/// One query, as the service admits it.
 ///
 /// The `corpus` fields route against a forest deployment: `None` hits
 /// the backend's default corpus, `Some(name)` a named corpus,
@@ -137,9 +127,9 @@ pub enum Request {
     /// forest deployment swaps ([`MeetBackend::reload_corpus`]) and
     /// every *other*
     /// corpus's engine is shared by refcount, so sibling corpora — and
-    /// all in-flight batches — are
-    /// untouched. Either way the swap takes effect for batches formed
-    /// after this request completes, and the swapped scope's cached
+    /// every request in flight — are untouched. Either way the swap
+    /// takes effect for requests that start after this one completes,
+    /// and the swapped scope's cached
     /// term decodes and results go stale. Gated by
     /// [`ServerConfig::snapshot_dir`] like the save verb.
     SnapshotLoad {
@@ -244,15 +234,13 @@ pub enum Response {
     Error(String),
 }
 
-/// Client-visible service errors (the queue, not the query).
+/// Client-visible service errors (admission, not the query).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerError {
     /// The server is shutting down; no new requests are admitted.
     Closed,
-    /// The admission queue is full ([`Client::try_request`] only).
+    /// Every in-flight slot is taken ([`Client::try_request`] only).
     Saturated,
-    /// The worker processing the request died before replying.
-    Disconnected,
     /// The request was served but answered [`Response::Error`]
     /// (convenience accessors like [`Client::meet_terms`] surface it
     /// here).
@@ -263,8 +251,7 @@ impl fmt::Display for ServerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServerError::Closed => write!(f, "server is shut down"),
-            ServerError::Saturated => write!(f, "admission queue is full"),
-            ServerError::Disconnected => write!(f, "worker dropped the request"),
+            ServerError::Saturated => write!(f, "every in-flight slot is taken"),
             ServerError::Query(msg) => write!(f, "query failed: {msg}"),
         }
     }
@@ -277,13 +264,13 @@ impl std::error::Error for ServerError {}
 pub struct ServerStats {
     /// Requests answered.
     pub served: usize,
-    /// Queue drains performed (worker wake-ups that found work).
+    /// Requests answered in the current window (since start or the
+    /// last `STATS RESET`).
+    // Only because perf/src/run.rs reads it; ROADMAP 17 drops the row.
     pub batches: usize,
-    /// Most requests taken by one drain (≤ [`ServerConfig::batch_max`]).
-    pub max_batch: usize,
     /// Term look-ups that ran a full-text search.
     pub term_decodes: usize,
-    /// Term look-ups answered from a worker cache (shared decodes).
+    /// Term look-ups answered from the term cache (shared decodes).
     pub term_cache_hits: usize,
     /// Cacheable queries (MEET/SQL against one corpus; a `USE *`
     /// fan-out is not cached) answered from the semantic result cache —
@@ -297,9 +284,9 @@ pub struct ServerStats {
     /// generation-stale entries removed on lookup after a snapshot
     /// swap.
     pub sem_evictions: usize,
-    /// Requests refused at admission ([`Client::try_request`] on a full
-    /// queue) plus connections refused by the TCP acceptor's connection
-    /// cap — every form of shedding the service performs.
+    /// Requests refused at admission ([`Client::try_request`] with
+    /// every slot taken) plus connections refused by the TCP acceptor's
+    /// connection cap — every form of shedding the service performs.
     pub shed: usize,
     /// Queries served per corpus, sorted by name — populated only when
     /// requests route by corpus (forest deployments; a fan-out request
@@ -324,12 +311,11 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Share of admission attempts that were shed: `shed / (served +
-    /// shed)`. Served is the right denominator for a drained queue —
-    /// every admitted request is eventually served — and keeps the
-    /// rate meaningful while the server is still running.
+    /// Share of admission attempts in the window that were shed:
+    /// `shed / (batches + shed)`. Both counts restart at `STATS RESET`,
+    /// so the rate never divides a window count by a lifetime total.
     pub fn shed_rate(&self) -> f64 {
-        let attempts = self.served + self.shed;
+        let attempts = self.batches + self.shed;
         if attempts == 0 {
             0.0
         } else {
@@ -349,7 +335,7 @@ impl ServerStats {
         }
     }
 
-    /// Share of term look-ups served from a worker's decode cache:
+    /// Share of term look-ups served from the decode cache:
     /// `term_cache_hits / (term_cache_hits + term_decodes)`, `0.0`
     /// before any look-up.
     pub fn term_cache_hit_rate(&self) -> f64 {
@@ -366,7 +352,6 @@ impl ServerStats {
 struct Counters {
     served: AtomicUsize,
     batches: AtomicUsize,
-    max_batch: AtomicUsize,
     term_decodes: AtomicUsize,
     term_cache_hits: AtomicUsize,
     sem_hits: AtomicUsize,
@@ -385,7 +370,6 @@ impl Counters {
         ServerStats {
             served: self.served.load(Relaxed),
             batches: self.batches.load(Relaxed),
-            max_batch: self.max_batch.load(Relaxed),
             term_decodes: self.term_decodes.load(Relaxed),
             term_cache_hits: self.term_cache_hits.load(Relaxed),
             sem_hits: self.sem_hits.load(Relaxed),
@@ -414,15 +398,14 @@ impl Counters {
     }
 
     /// Zero the *window* counters — the ones an operator reads as
-    /// rates over a measurement window (cache hits/misses, shedding,
-    /// batching shape) — while leaving the monotonic lifetime totals
-    /// (`served`, per-corpus counts) untouched. The `STATS RESET`
+    /// rates over a measurement window (answered requests, cache
+    /// hits/misses, shedding) — while leaving the monotonic lifetime
+    /// totals (`served`, per-corpus counts) untouched. The `STATS RESET`
     /// verb; remote robustness counters live in the backend's routers
     /// and are not reset here.
     fn reset_window(&self) {
         for counter in [
             &self.batches,
-            &self.max_batch,
             &self.term_decodes,
             &self.term_cache_hits,
             &self.sem_hits,
@@ -436,44 +419,39 @@ impl Counters {
     }
 }
 
-struct Job {
-    request: Request,
-    reply: mpsc::Sender<Response>,
-    /// The request's trace/correlation id: allocated at admission,
-    /// begins the worker-side trace, and rides `ERR` responses so a
-    /// client-side failure is greppable in `TRACE`/`SLOW` output.
-    trace_id: u64,
-}
-
-struct QueueState {
-    queue: VecDeque<Job>,
-    shutdown: bool,
-}
-
 struct Shared {
     /// The serving backend. Behind an `RwLock` so `SNAPSHOT LOAD` can
-    /// hot-swap a cold-started engine in; workers take one read-clone
-    /// per batch (an uncontended read lock + refcount bump), so the
+    /// hot-swap a cold-started engine in; each request takes one
+    /// read-clone (an uncontended read lock + refcount bump), so the
     /// steady-state cost is nil and a swap never stalls in-flight
-    /// evaluation — old batches finish on the old `Arc`.
+    /// evaluation — requests in flight finish on the old `Arc`.
     db: RwLock<Arc<dyn MeetBackend>>,
     /// Invalidation epochs for both caches, split by scope: a
     /// whole-backend swap bumps `full`, a per-corpus splice bumps only
     /// that corpus's entry. Swappers mutate this while still holding
     /// the `db` *write* lock and readers snapshot it under the *read*
-    /// lock, so a batch can never pair a fresh engine with stale
+    /// lock, so a request can never pair a fresh engine with stale
     /// epochs (or vice versa). Lock order: `db`, then `epochs`.
     epochs: Mutex<Epochs>,
-    /// The semantic result cache, shared across workers (unlike the
-    /// per-worker term caches — a result hit saves a whole evaluation,
-    /// which dwarfs the mutex).
+    /// The semantic result cache.
     sem: Mutex<EpochCache<SemKey, Response>>,
+    /// Decoded terms, keyed `corpus \0 term`: the same term decodes
+    /// differently per corpus of a forest, and corpus names can never
+    /// contain NUL (the manifest/catalog name validation), so the split
+    /// at the first NUL is unambiguous. Values are `Arc`s, so a hit is
+    /// a refcount bump, not a copy of the posting lists.
+    terms: Mutex<EpochCache<String, Arc<HitSet>>>,
     config: ServerConfig,
-    state: Mutex<QueueState>,
-    /// Signalled when jobs are queued or shutdown begins.
-    work: Condvar,
-    /// Signalled when queue slots free up or shutdown begins.
-    space: Condvar,
+    /// Requests evaluating now (≤ [`ServerConfig::max_in_flight`]).
+    /// Nothing panics while holding it, so a poisoned lock still
+    /// guards a true count and is recovered, not unwrapped — least of
+    /// all in [`Slot`]'s drop, which may run while a panic unwinds.
+    in_flight: Mutex<usize>,
+    /// Set when shutdown begins. Written and read only under the
+    /// `in_flight` lock, which orders it, so `Relaxed` suffices.
+    closed: AtomicBool,
+    /// Signalled when a slot frees or shutdown begins.
+    freed: Condvar,
     stats: Counters,
 }
 
@@ -500,8 +478,9 @@ impl Epochs {
 /// entries carry the [`Epoch`] observed when their computation
 /// *started* — a value computed on an engine that was swapped out
 /// mid-flight tags as already stale and is never served. Instantiated
-/// twice: the shared result cache ([`Shared::sem`]) and each worker's
-/// private term-decode cache.
+/// twice: the result cache ([`Shared::sem`]) and the term-decode cache
+/// ([`Shared::terms`]). Callers hold the lock for one lookup or one
+/// insert, never across an evaluation or a decode.
 struct EpochCache<K, V> {
     map: HashMap<K, (V, Epoch)>,
     order: VecDeque<K>,
@@ -576,8 +555,8 @@ impl Shared {
 
     /// The current backend with the cache epochs read under the same
     /// read-lock hold — and a swap bumps its epoch while still holding
-    /// the write lock — so the pair is consistent for the whole batch:
-    /// a worker can never pair a new engine with old epochs (which
+    /// the write lock — so the pair is consistent for the whole
+    /// request: it can never pair a new engine with old epochs (which
     /// would let it serve term decodes or results of the previous
     /// corpus).
     fn backend_and_epochs(&self) -> (Arc<dyn MeetBackend>, Epochs) {
@@ -601,71 +580,51 @@ impl Shared {
     }
 }
 
-/// The running service. Dropping (or [`Server::shutdown`]) drains the
-/// queue and joins the workers.
+/// The running service. Dropping it (or [`Server::shutdown`]) refuses
+/// new requests and waits for the ones in flight.
 pub struct Server {
     shared: Arc<Shared>,
-    workers: Vec<thread::JoinHandle<()>>,
 }
 
-/// A cheaply clonable blocking handle to a [`Server`].
+/// A cheaply clonable blocking handle to a [`Server`]. Each request
+/// evaluates on the thread that makes it.
 #[derive(Clone)]
 pub struct Client {
     shared: Arc<Shared>,
 }
 
 impl Server {
-    /// Spawn the worker pool over a loaded database. The structural
-    /// meet index is built eagerly so the first queries don't race to
-    /// build it.
+    /// Serve a loaded database. The structural meet index is built
+    /// eagerly so the first queries don't race to build it.
     pub fn start(db: Arc<Database>, config: ServerConfig) -> Server {
         Server::start_backend(db, config)
     }
 
-    /// Spawn the worker pool over any [`MeetBackend`] — the
-    /// single-process [`Database`], a remote engine or a forest.
-    /// Workers are agnostic: a MEET becomes the SQL meet it abbreviates,
-    /// and every query evaluates through `ncq-query` with the worker's
-    /// term cache resolving its needles.
+    /// Serve any [`MeetBackend`] — the single-process [`Database`], a
+    /// remote engine or a forest. A MEET becomes the SQL meet it
+    /// abbreviates, and every query evaluates through `ncq-query` with
+    /// the shared term cache resolving its needles.
     pub fn start_backend(db: Arc<dyn MeetBackend>, config: ServerConfig) -> Server {
         if let Some(store) = db.store() {
             store.meet_index();
         }
-        let workers = if config.workers == 0 {
-            thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            config.workers
-        };
-        let sem_capacity = config.sem_cache_capacity;
         let shared = Arc::new(Shared {
             db: RwLock::new(db),
             epochs: Mutex::new(Epochs::default()),
-            sem: Mutex::new(EpochCache::new(sem_capacity)),
+            sem: Mutex::new(EpochCache::new(config.sem_cache_capacity)),
+            terms: Mutex::new(EpochCache::new(config.term_cache_capacity)),
             config,
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            space: Condvar::new(),
+            in_flight: Mutex::new(0),
+            closed: AtomicBool::new(false),
+            freed: Condvar::new(),
             stats: Counters::default(),
         });
-        let workers = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("ncq-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker thread")
-            })
-            .collect();
-        Server { shared, workers }
+        Server { shared }
     }
 
     /// Cold-start the service from a snapshot file: the single-process
     /// [`Database`] is loaded (meet index, stats and postings arrive
-    /// pre-computed — no parse, no O(n log n) preprocess) and the
-    /// worker pool spun up over it.
+    /// pre-computed — no parse, no O(n log n) preprocess) and served.
     pub fn open_snapshot(
         path: impl AsRef<Path>,
         config: ServerConfig,
@@ -677,10 +636,9 @@ impl Server {
     /// Cold-start a *forest* service from a manifest file: every
     /// corpus entry opens from its snapshot, verified against the
     /// manifest's recorded checksums ([`ncq_core::Catalog::open_manifest`]),
-    /// and the worker pool spins up over the resulting
-    /// [`ncq_core::ForestBackend`]. Unqualified queries hit the
-    /// manifest's default corpus; `USE <corpus>` / `from corpus(name)`
-    /// route the rest.
+    /// and the resulting [`ncq_core::ForestBackend`] is served.
+    /// Unqualified queries hit the manifest's default corpus;
+    /// `USE <corpus>` / `from corpus(name)` route the rest.
     pub fn open_manifest(
         path: impl AsRef<Path>,
         config: ServerConfig,
@@ -696,76 +654,106 @@ impl Server {
         }
     }
 
-    /// Number of worker threads serving.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Current counters.
     pub fn stats(&self) -> ServerStats {
         self.shared.stats_snapshot()
     }
 
-    /// Stop admitting, drain the queue, join the workers; returns the
+    /// Refuse new requests, wait for the ones in flight; returns the
     /// final counters.
-    pub fn shutdown(mut self) -> ServerStats {
-        self.stop_and_join();
+    pub fn shutdown(self) -> ServerStats {
+        self.shared.close();
         self.shared.stats_snapshot()
-    }
-
-    fn stop_and_join(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("queue lock");
-            state.shutdown = true;
-        }
-        self.shared.work.notify_all();
-        self.shared.space.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.stop_and_join();
+        self.shared.close();
+    }
+}
+
+/// A guard of [`Shared::in_flight`], recovered if poisoned.
+fn unpoison<T>(locked: LockResult<T>) -> T {
+    locked.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One in-flight slot; dropping it — on return or while a panic
+/// unwinds — frees the slot.
+struct Slot<'a>(&'a Shared);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        *unpoison(self.0.in_flight.lock()) -= 1;
+        self.0.freed.notify_all();
+    }
+}
+
+impl Shared {
+    /// Take an in-flight slot, waiting for one when `block`, else
+    /// refusing with [`ServerError::Saturated`].
+    fn admit(&self, block: bool) -> Result<Slot<'_>, ServerError> {
+        let capacity = self.config.max_in_flight.max(1);
+        let mut in_flight = unpoison(self.in_flight.lock());
+        loop {
+            if self.closed.load(Relaxed) {
+                return Err(ServerError::Closed);
+            }
+            if *in_flight < capacity {
+                *in_flight += 1;
+                return Ok(Slot(self));
+            }
+            if !block {
+                self.stats.shed.fetch_add(1, Relaxed);
+                return Err(ServerError::Saturated);
+            }
+            in_flight = unpoison(self.freed.wait(in_flight));
+        }
+    }
+
+    /// Refuse new requests, then wait until none is in flight.
+    fn close(&self) {
+        let mut in_flight = unpoison(self.in_flight.lock());
+        self.closed.store(true, Relaxed);
+        self.freed.notify_all();
+        while *in_flight > 0 {
+            in_flight = unpoison(self.freed.wait(in_flight));
+        }
+    }
+
+    /// Evaluate one admitted request on the calling thread, traced under
+    /// `trace_id`. A panic in evaluation answers an in-band error.
+    fn answer(&self, request: &Request, trace_id: u64) -> Response {
+        // One backend per request: a concurrent SNAPSHOT LOAD swaps the
+        // engine for *subsequent* requests. Backend and cache epochs
+        // are read as one consistent pair (see
+        // [`Shared::backend_and_epochs`]), so decodes and results of a
+        // swapped-out engine fail their epoch check.
+        let (db, epochs) = self.backend_and_epochs();
+        ncq_obs::obs().begin_trace(trace_id);
+        ncq_obs::trace::annotate("op", request_kind(request).to_owned());
+        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute(self, &db, &epochs, request)
+        }))
+        .unwrap_or_else(|_| {
+            Response::Error("internal error: query evaluation panicked".to_owned())
+        });
+        // Seal before answering: a client holding its answer can
+        // already read its trace (`TRACE`).
+        finish_request_trace();
+        self.stats.served.fetch_add(1, Relaxed);
+        self.stats.batches.fetch_add(1, Relaxed);
+        response
     }
 }
 
 impl Client {
-    fn submit(
-        &self,
-        request: Request,
-        block: bool,
-        trace_id: u64,
-    ) -> Result<mpsc::Receiver<Response>, ServerError> {
-        let capacity = self.shared.config.queue_capacity.max(1);
-        let (tx, rx) = mpsc::channel();
-        let mut state = self.shared.state.lock().expect("queue lock");
-        loop {
-            if state.shutdown {
-                return Err(ServerError::Closed);
-            }
-            if state.queue.len() < capacity {
-                break;
-            }
-            if !block {
-                self.shared.stats.shed.fetch_add(1, Relaxed);
-                return Err(ServerError::Saturated);
-            }
-            state = self.shared.space.wait(state).expect("queue lock");
-        }
-        state.queue.push_back(Job {
-            request,
-            reply: tx,
-            trace_id,
-        });
-        drop(state);
-        self.shared.work.notify_all();
-        Ok(rx)
+    fn serve(&self, request: Request, block: bool, trace_id: u64) -> Result<Response, ServerError> {
+        let _slot = self.shared.admit(block)?;
+        Ok(self.shared.answer(&request, trace_id))
     }
 
-    /// Admit (blocking on a full queue) and wait for the answer.
+    /// Admit (waiting for a free slot) and answer.
     pub fn request(&self, request: Request) -> Result<Response, ServerError> {
         self.request_with_id(request, ncq_obs::obs().next_trace_id())
     }
@@ -773,25 +761,23 @@ impl Client {
     /// [`Client::request`] under a caller-allocated trace/request id —
     /// front ends that already stamped the request (the line protocol's
     /// per-line id, which also rides `ERR` responses) pass it through
-    /// so the worker-side trace carries the same id.
+    /// so the evaluation's trace carries the same id.
     pub fn request_with_id(
         &self,
         request: Request,
         trace_id: u64,
     ) -> Result<Response, ServerError> {
-        let rx = self.submit(request, true, trace_id)?;
-        rx.recv().map_err(|_| ServerError::Disconnected)
+        self.serve(request, true, trace_id)
     }
 
-    /// Admit without blocking — [`ServerError::Saturated`] on a full
-    /// queue — then wait for the answer.
+    /// Admit without waiting — [`ServerError::Saturated`] when every
+    /// slot is taken — then answer.
     pub fn try_request(&self, request: Request) -> Result<Response, ServerError> {
-        let rx = self.submit(request, false, ncq_obs::obs().next_trace_id())?;
-        rx.recv().map_err(|_| ServerError::Disconnected)
+        self.serve(request, false, ncq_obs::obs().next_trace_id())
     }
 
-    /// Zero the window state (`STATS RESET`): cache hit/miss, shedding
-    /// and batching-shape counters restart, and every registered
+    /// Zero the window state (`STATS RESET`): answered-request, cache
+    /// hit/miss and shedding counters restart, and every registered
     /// histogram's buckets clear with them — a latency histogram is
     /// window state exactly like the hit/miss counters it sits next
     /// to. Monotonic lifetime totals (`served`, per-corpus counts) and
@@ -835,43 +821,36 @@ impl Client {
     }
 
     /// Record one shed request on behalf of a front end that refuses
-    /// work before it reaches the queue (the TCP acceptor's connection
-    /// cap) — keeps [`ServerStats::shed_rate`] covering every form of
-    /// shedding the service performs.
+    /// work before admission (the TCP acceptor's connection cap) —
+    /// keeps [`ServerStats::shed_rate`] covering every form of shedding
+    /// the service performs.
     pub(crate) fn note_shed(&self) {
         self.shared.stats.shed.fetch_add(1, Relaxed);
     }
 }
 
-// ----- worker side -----
-
-/// Per-worker decoded-term cache. Entries are `Arc<HitSet>` so handing
-/// a cached decode to the meet operators is a refcount bump, not a deep
-/// copy of the posting lists.
-///
-/// Keys are `corpus \0 term`: the same term decodes differently per
-/// corpus of a forest, and corpus names can never contain NUL
-/// (enforced by the manifest/catalog name validation), so the split at
-/// the first NUL is unambiguous.
-type TermCache = EpochCache<String, Arc<HitSet>>;
-
-/// `term`'s hits on `db` (the engine of `corpus`, whose batch-start
-/// `epoch` tags and validates the entry), from the worker's cache when
-/// it holds a still-valid decode. Fallible since
-/// the backend may be a remote replica set: a decode that fails (every
-/// replica down) is a typed error, never a silently empty hit set — and
-/// is *not* cached, so the next request retries against recovered
-/// replicas.
+/// `term`'s hits on `db` (the engine of `corpus`, whose request-start
+/// `epoch` tags and validates the entry), from the term cache when it
+/// holds a still-valid decode. The cache lock is held for the lookup
+/// and the insert only: concurrent misses on one term each decode.
+/// Fallible since the backend may be a remote replica set: a decode
+/// that fails (every replica down) is a typed error, never a silently
+/// empty hit set — and is *not* cached, so the next request retries
+/// against recovered replicas.
 fn get_or_decode(
     shared: &Shared,
-    cache: &mut TermCache,
     epoch: Epoch,
     db: &dyn MeetBackend,
     corpus: &str,
     term: &str,
 ) -> Result<Arc<HitSet>, BackendError> {
     let key = format!("{corpus}\0{term}");
-    if let Some(hits) = cache.lookup(&key, epoch, &mut 0) {
+    let cached = shared
+        .terms
+        .lock()
+        .expect("term cache lock")
+        .lookup(&key, epoch, &mut 0);
+    if let Some(hits) = cached {
         shared.stats.term_cache_hits.fetch_add(1, Relaxed);
         ncq_obs::trace::event("term_cache", format!("hit {term}"));
         return Ok(hits);
@@ -880,42 +859,12 @@ fn get_or_decode(
     let _decode = ncq_obs::trace::span("term_decode");
     ncq_obs::trace::annotate("term", term.to_owned());
     let hits = Arc::new(db.search(term)?);
-    cache.insert(key, Arc::clone(&hits), epoch);
+    shared
+        .terms
+        .lock()
+        .expect("term cache lock")
+        .insert(key, Arc::clone(&hits), epoch);
     Ok(hits)
-}
-
-fn worker_loop(shared: &Shared) {
-    let mut cache = TermCache::new(shared.config.term_cache_capacity);
-    while let Some(batch) = next_batch(shared) {
-        // One backend per batch: a concurrent SNAPSHOT LOAD swaps the
-        // engine for *subsequent* batches. Backend and cache epochs are
-        // read as one consistent pair (see
-        // [`Shared::backend_and_epochs`]), so decodes and results of a
-        // swapped-out engine fail their epoch check.
-        let (db, epochs) = shared.backend_and_epochs();
-        let batch_len = batch.len();
-        shared.stats.batches.fetch_add(1, Relaxed);
-        shared.stats.max_batch.fetch_max(batch_len, Relaxed);
-        // Only the drain is shared: each job is evaluated alone, in
-        // queue order, and answered before the next one starts.
-        for job in batch {
-            ncq_obs::obs().begin_trace(job.trace_id);
-            ncq_obs::trace::annotate("op", request_kind(&job.request).to_owned());
-            ncq_obs::trace::annotate("batch", batch_len.to_string());
-            let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                execute(shared, &db, &epochs, &mut cache, &job.request)
-            }))
-            .unwrap_or_else(|_| {
-                Response::Error("internal error: query evaluation panicked".to_owned())
-            });
-            // Seal before replying: a client holding its answer can
-            // already read its trace (`TRACE`).
-            finish_request_trace();
-            shared.stats.served.fetch_add(1, Relaxed);
-            // A dropped receiver just means the client stopped waiting.
-            let _ = job.reply.send(response);
-        }
-    }
 }
 
 /// Registry handle for the end-to-end request latency histogram.
@@ -998,30 +947,6 @@ fn sem_insert(shared: &Shared, key: SemKey, response: Response, epoch: Epoch) {
     shared.stats.sem_evictions.fetch_add(evicted, Relaxed);
 }
 
-/// Blocks for work, then drains up to `batch_max` queued jobs. Returns
-/// `None` when shut down and fully drained.
-fn next_batch(shared: &Shared) -> Option<Vec<Job>> {
-    let batch_max = shared.config.batch_max.max(1);
-    let mut state = shared.state.lock().expect("queue lock");
-    while state.queue.is_empty() {
-        if state.shutdown {
-            return None;
-        }
-        state = shared.work.wait(state).expect("queue lock");
-    }
-    let mut batch = Vec::with_capacity(batch_max.min(state.queue.len()));
-    while batch.len() < batch_max {
-        match state.queue.pop_front() {
-            Some(job) => batch.push(job),
-            None => break,
-        }
-    }
-    shared.space.notify_all();
-
-    drop(state);
-    Some(batch)
-}
-
 /// Resolve a request's corpus routing: `(engine to evaluate on, stat
 /// key to count under)`. `None` routing on a forest resolves to the
 /// default corpus *name* for accounting while evaluating through the
@@ -1041,12 +966,11 @@ fn resolve_corpus(
     }
 }
 
-/// Evaluate one request to completion on its batch's backend.
+/// Evaluate one request to completion on the backend it started on.
 fn execute(
     shared: &Shared,
     db: &Arc<dyn MeetBackend>,
     epochs: &Epochs,
-    cache: &mut TermCache,
     request: &Request,
 ) -> Response {
     match request {
@@ -1065,7 +989,7 @@ fn execute(
                 return Response::Error(QueryError::InvalidLimit.to_string());
             }
             let query = Query::meet_terms(terms, *within, *limit);
-            answer_query(shared, db, epochs, cache, &query, corpus)
+            answer_query(shared, db, epochs, &query, corpus)
         }
         Request::Sql { src, corpus } => {
             let parsed = {
@@ -1073,7 +997,7 @@ fn execute(
                 parse_query(src)
             };
             match parsed {
-                Ok(query) => answer_query(shared, db, epochs, cache, &query, corpus),
+                Ok(query) => answer_query(shared, db, epochs, &query, corpus),
                 Err(e) => Response::Error(e.to_string()),
             }
         }
@@ -1095,7 +1019,7 @@ fn execute(
                     // silently short total is a wrong answer — so an
                     // unavailable corpus fails the whole fan-out count,
                     // typed with the corpus it died on.
-                    match get_or_decode(shared, cache, epochs.of(name), &*target, name, term) {
+                    match get_or_decode(shared, epochs.of(name), &*target, name, term) {
                         Ok(hits) => total += hits.len(),
                         Err(e) => {
                             return Response::Error(format!("corpus {name:?}: {e}"));
@@ -1113,7 +1037,7 @@ fn execute(
             }
             let cache_corpus = stat_name.as_deref().unwrap_or("");
             let epoch = epochs.of(cache_corpus);
-            match get_or_decode(shared, cache, epoch, &*target, cache_corpus, term) {
+            match get_or_decode(shared, epoch, &*target, cache_corpus, term) {
                 Ok(hits) => Response::Count(hits.len()),
                 Err(e) => Response::Error(e.to_string()),
             }
@@ -1168,15 +1092,15 @@ fn execute(
                         shared.epochs.lock().expect("epoch lock").full += 1;
                     }
                     Response::Info(format!(
-                        "snapshot loaded: {objects} objects <- {} (takes effect for subsequent batches)",
+                        "snapshot loaded: {objects} objects <- {} (takes effect for subsequent requests)",
                         full.display()
                     ))
                 }
                 Some(name) => {
                     // Per-corpus splice. The replacement forest clones
-                    // the *current* catalog (not this batch's possibly
+                    // the *current* catalog (not this request's possibly
                     // stale backend — a sibling corpus may have been
-                    // swapped since the batch formed), and the
+                    // swapped since the request began), and the
                     // expensive snapshot load runs outside the write
                     // lock: if another swap lands in between (the
                     // serving backend is no longer the one cloned),
@@ -1209,7 +1133,7 @@ fn execute(
                             .or_insert(0) += 1;
                         drop(guard);
                         return Response::Info(format!(
-                            "corpus {name:?} reloaded <- {} (takes effect for subsequent batches)",
+                            "corpus {name:?} reloaded <- {} (takes effect for subsequent requests)",
                             full.display()
                         ));
                     }
@@ -1222,18 +1146,17 @@ fn execute(
 /// Answer a query — SQL text or a desugared MEET — on the corpus it
 /// resolves to: the text's `from corpus(name)`, else the session
 /// corpus, else the backend's default. Needles resolve through the
-/// worker's term cache; under `USE *` a meet fans out instead.
+/// shared term cache; under `USE *` a meet fans out instead.
 fn answer_query(
     shared: &Shared,
     db: &Arc<dyn MeetBackend>,
     epochs: &Epochs,
-    cache: &mut TermCache,
     query: &Query,
     session: &Option<String>,
 ) -> Response {
     let named = query.corpus.clone().or_else(|| session.clone());
     if named.as_deref() == Some(ALL_CORPORA) {
-        return fan_out(shared, db, epochs, cache, query);
+        return fan_out(shared, db, epochs, query);
     }
     let (target, resolved) = match resolve_corpus(db, &named) {
         Ok(pair) => pair,
@@ -1260,7 +1183,7 @@ fn answer_query(
             &*target,
             query,
             &query_config(shared),
-            &mut |term| get_or_decode(shared, cache, epoch, &*target, &corpus, term),
+            &mut |term| get_or_decode(shared, epoch, &*target, &corpus, term),
         ))
     })
 }
@@ -1271,13 +1194,7 @@ fn answer_query(
 /// contributes a typed `<partial>` marker instead of failing the
 /// fan-out. Not result-cached: one entry would span every corpus's
 /// invalidation epoch.
-fn fan_out(
-    shared: &Shared,
-    db: &Arc<dyn MeetBackend>,
-    epochs: &Epochs,
-    cache: &mut TermCache,
-    query: &Query,
-) -> Response {
+fn fan_out(shared: &Shared, db: &Arc<dyn MeetBackend>, epochs: &Epochs, query: &Query) -> Response {
     if !matches!(query.select, SelectClause::Meet { .. }) {
         return Response::Error(
             "a projection evaluates against one corpus; USE a concrete corpus name".to_owned(),
@@ -1297,7 +1214,7 @@ fn fan_out(
         shared.stats.note_corpus(name);
         let epoch = epochs.of(name);
         let output = evaluate_on(&*target, query, &query_config(shared), &mut |term| {
-            get_or_decode(shared, cache, epoch, &*target, name, term)
+            get_or_decode(shared, epoch, &*target, name, term)
         });
         match output {
             Ok(QueryOutput::Answers(mut answers)) => {
@@ -1420,6 +1337,7 @@ fn resolve_snapshot_path(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     const FIGURE1: &str = r#"
 <bibliography>
@@ -1444,10 +1362,7 @@ mod tests {
 
     #[test]
     fn meet_terms_round_trip() {
-        let s = server(ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        });
+        let s = server(ServerConfig::default());
         let answers = s.client().meet_terms(["Bit", "1999"]).unwrap();
         assert_eq!(answers.tags(), vec!["article"]);
         let stats = s.shutdown();
@@ -1457,10 +1372,7 @@ mod tests {
 
     #[test]
     fn sql_and_search_round_trip() {
-        let s = server(ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        });
+        let s = server(ServerConfig::default());
         let client = s.client();
         match client
             .sql(
@@ -1492,7 +1404,6 @@ mod tests {
         let path = dir.join("figure1.ncq");
 
         let s = server(ServerConfig {
-            workers: 2,
             snapshot_dir: Some(dir.clone()),
             ..ServerConfig::default()
         });
@@ -1506,14 +1417,7 @@ mod tests {
         }
 
         // Cold-start an independent server straight from the file.
-        let cold = Server::open_snapshot(
-            &path,
-            ServerConfig {
-                workers: 1,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
+        let cold = Server::open_snapshot(&path, ServerConfig::default()).unwrap();
         assert_eq!(
             cold.client().meet_terms(["Bit", "1999"]).unwrap().tags(),
             vec!["article"]
@@ -1550,10 +1454,7 @@ mod tests {
     #[test]
     fn snapshot_verbs_are_gated_by_the_configured_directory() {
         // Default config: verbs disabled outright.
-        let s = server(ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        });
+        let s = server(ServerConfig::default());
         match s.client().request(Request::snapshot_save("x.ncq")).unwrap() {
             Response::Error(msg) => assert!(msg.contains("disabled"), "{msg}"),
             other => panic!("unexpected {other:?}"),
@@ -1563,7 +1464,6 @@ mod tests {
         let dir = std::env::temp_dir().join("ncq-server-snapshot-gate");
         std::fs::create_dir_all(&dir).unwrap();
         let s = server(ServerConfig {
-            workers: 1,
             snapshot_dir: Some(dir),
             ..ServerConfig::default()
         });
@@ -1578,10 +1478,7 @@ mod tests {
 
     #[test]
     fn query_errors_are_responses_not_crashes() {
-        let s = server(ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        });
+        let s = server(ServerConfig::default());
         let client = s.client();
         match client.sql("select nonsense garbage !!").unwrap() {
             Response::Error(msg) => assert!(!msg.is_empty()),
@@ -1606,7 +1503,7 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        // The worker survives and serves the next query.
+        // The service survives and serves the next query.
         assert_eq!(
             client.meet_terms(["Bob", "Byte"]).unwrap().tags(),
             vec!["cdata"]
@@ -1618,7 +1515,6 @@ mod tests {
         // Semantic cache off: every repeat re-evaluates, sharing only
         // the term decodes.
         let s = server(ServerConfig {
-            workers: 1,
             sem_cache_capacity: 0,
             ..ServerConfig::default()
         });
@@ -1638,7 +1534,6 @@ mod tests {
         // Result cache off: Listing 2 after `MEET Bit 1999` finds both
         // of its needles decoded.
         let s = server(ServerConfig {
-            workers: 1,
             sem_cache_capacity: 0,
             ..ServerConfig::default()
         });
@@ -1657,10 +1552,7 @@ mod tests {
 
         // Result cache on: a MEET and its printed SQL text are one
         // entry.
-        let s = server(ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        });
+        let s = server(ServerConfig::default());
         let client = s.client();
         let meet = client.meet_terms(["Bit", "1999"]).unwrap();
         let text = Query::meet_terms(&["Bit", "1999"], None, None).to_string();
@@ -1673,10 +1565,7 @@ mod tests {
     fn repeated_queries_hit_the_semantic_cache() {
         // Semantic cache on (the default): repeats skip evaluation —
         // and the term cache — entirely.
-        let s = server(ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        });
+        let s = server(ServerConfig::default());
         let client = s.client();
         let first = client.meet_terms(["Bit", "1999"]).unwrap();
         for _ in 0..4 {
@@ -1716,13 +1605,7 @@ mod tests {
         let db = Arc::new(
             Database::from_xml_str(&format!("<bibliography>{xml}</bibliography>")).unwrap(),
         );
-        let s = Server::start(
-            db,
-            ServerConfig {
-                workers: 1,
-                ..ServerConfig::default()
-            },
-        );
+        let s = Server::start(db, ServerConfig::default());
         let client = s.client();
         let full = client.meet_terms(["Bit", "1999"]).unwrap();
         assert!(full.len() >= 2, "need a multi-answer query");
@@ -1744,7 +1627,8 @@ mod tests {
     }
 
     /// A backend whose `search` parks on terms starting with `gate`
-    /// until the test releases it, reporting each park first.
+    /// until the test releases it, reporting each park first, and
+    /// panics on terms starting with `panic`.
     struct Gated {
         db: Database,
         parked: Mutex<mpsc::Sender<String>>,
@@ -1757,6 +1641,9 @@ mod tests {
         }
 
         fn search(&self, term: &str) -> Result<HitSet, BackendError> {
+            if term.starts_with("panic") {
+                panic!("search of {term:?} panicked");
+            }
             if term.starts_with("gate") {
                 self.parked.lock().unwrap().send(term.to_owned()).unwrap();
                 self.release.lock().unwrap().recv().unwrap();
@@ -1765,10 +1652,9 @@ mod tests {
         }
     }
 
-    /// One worker over a [`Gated`] backend, already parked inside a
-    /// `SEARCH gate-0` job so that everything submitted next is picked
-    /// up by a single drain once the returned sender releases it.
-    fn parked_server() -> (Server, mpsc::Receiver<String>, mpsc::Sender<()>) {
+    /// A server over a [`Gated`] backend, the receiver of its park
+    /// reports and the sender that releases a parked search.
+    fn gated_server(config: ServerConfig) -> (Server, mpsc::Receiver<String>, mpsc::Sender<()>) {
         let (parked_tx, parked) = mpsc::channel();
         let (release, release_rx) = mpsc::channel();
         let s = Server::start_backend(
@@ -1777,89 +1663,87 @@ mod tests {
                 parked: Mutex::new(parked_tx),
                 release: Mutex::new(release_rx),
             }),
-            ServerConfig {
-                workers: 1,
-                ..ServerConfig::default()
-            },
+            config,
         );
-        // The reply is dropped unread: the worker does not care.
-        s.client()
-            .submit(Request::search("gate-0"), true, 1)
-            .unwrap();
-        assert_eq!(parked.recv().unwrap(), "gate-0");
         (s, parked, release)
     }
 
+    /// `SEARCH gate-0` on its own thread, returned once it is parked
+    /// inside the backend — holding its in-flight slot.
+    fn park(
+        client: &Client,
+        parked: &mpsc::Receiver<String>,
+    ) -> std::thread::JoinHandle<Result<Response, ServerError>> {
+        let client = client.clone();
+        let handle = std::thread::spawn(move || client.request(Request::search("gate-0")));
+        assert_eq!(parked.recv().unwrap(), "gate-0");
+        handle
+    }
+
     #[test]
-    fn replies_are_not_held_for_the_rest_of_the_drain() {
-        let (s, parked, release) = parked_server();
+    fn a_panicking_evaluation_answers_an_error_and_frees_its_slot() {
+        let (s, _parked, _release) = gated_server(ServerConfig {
+            max_in_flight: 1,
+            ..ServerConfig::default()
+        });
         let client = s.client();
-        let fast_a = client
-            .submit(Request::meet_terms(["Bit", "1999"]), true, 2)
-            .unwrap();
-        let blocked = client
-            .submit(Request::meet_terms(["gate-1", "1999"]), true, 3)
-            .unwrap();
-        let fast_b = client
-            .submit(Request::meet_terms(["Bob", "Byte"]), true, 4)
-            .unwrap();
-        release.send(()).unwrap();
-
-        // The worker is now inside the second job of its drain: the
-        // first job's reply must already be out, the third still queued
-        // behind the parked one.
-        assert_eq!(parked.recv().unwrap(), "gate-1");
-        match fast_a.try_recv() {
-            Ok(Response::Answers(a)) => assert_eq!(a.tags(), vec!["article"]),
-            other => panic!("first reply held back while a later job runs: {other:?}"),
-        }
-        assert!(fast_b.try_recv().is_err());
-
-        release.send(()).unwrap();
-        assert!(matches!(blocked.recv().unwrap(), Response::Answers(_)));
-        match fast_b.recv().unwrap() {
-            Response::Answers(a) => assert_eq!(a.tags(), vec!["cdata"]),
-            other => panic!("unexpected {other:?}"),
-        }
-        let stats = s.shutdown();
         assert_eq!(
-            (stats.served, stats.batches, stats.max_batch),
-            (4, 2, 3),
-            "{stats:?}"
+            client.request(Request::search("panic")),
+            Ok(Response::Error(
+                "internal error: query evaluation panicked".to_owned()
+            ))
+        );
+        // The one slot is free again: the next request is admitted.
+        assert_eq!(
+            client.try_request(Request::search("1999")),
+            Ok(Response::Count(2))
+        );
+        let stats = s.shutdown();
+        assert_eq!((stats.served, stats.shed), (2, 0), "{stats:?}");
+    }
+
+    #[test]
+    fn shutdown_waits_for_the_request_in_flight() {
+        let (s, parked, release) = gated_server(ServerConfig::default());
+        let client = s.client();
+        let in_flight = park(&client, &parked);
+        let (done_tx, done) = mpsc::channel();
+        let closer = std::thread::spawn(move || done_tx.send(s.shutdown()).unwrap());
+        // Once a new request is refused, shutdown has begun; it cannot
+        // return while the parked request holds its slot.
+        let mut before = 0;
+        while client.request(Request::search("1999")) != Err(ServerError::Closed) {
+            before += 1;
+            std::thread::yield_now();
+        }
+        assert!(done.try_recv().is_err(), "shutdown returned early");
+        release.send(()).unwrap();
+        assert_eq!(in_flight.join().unwrap(), Ok(Response::Count(0)));
+        let stats = done.recv().unwrap();
+        closer.join().unwrap();
+        assert_eq!(stats.served, before + 1, "{stats:?}");
+        assert_eq!(
+            client.request(Request::search("1999")),
+            Err(ServerError::Closed)
         );
     }
 
     #[test]
-    fn identical_meets_drained_together_evaluate_once() {
-        let (s, _parked, release) = parked_server();
+    fn identical_meets_evaluate_once() {
+        let s = server(ServerConfig::default());
         let client = s.client();
-        let first = client
-            .submit(Request::meet_terms(["Bit", "1999"]), true, 2)
-            .unwrap();
-        let second = client
-            .submit(Request::meet_terms(["Bit", "1999"]), true, 3)
-            .unwrap();
-        release.send(()).unwrap();
-        let (first, second) = (first.recv().unwrap(), second.recv().unwrap());
-        match (&first, &second) {
-            (Response::Answers(a), Response::Answers(b)) => {
-                assert_eq!(a.to_detailed_xml(), b.to_detailed_xml());
-                assert_eq!(a.tags(), vec!["article"]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let first = client.meet_terms(["Bit", "1999"]).unwrap();
+        let second = client.meet_terms(["Bit", "1999"]).unwrap();
+        assert_eq!(first.to_detailed_xml(), second.to_detailed_xml());
+        assert_eq!(first.tags(), vec!["article"]);
         let stats = s.shutdown();
-        assert_eq!(stats.max_batch, 2, "one drain took both: {stats:?}");
         assert_eq!((stats.sem_hits, stats.sem_misses), (1, 1), "{stats:?}");
-        assert_eq!(stats.term_decodes, 3, "gate-0, Bit, 1999: {stats:?}");
+        assert_eq!(stats.term_decodes, 2, "Bit, 1999: {stats:?}");
     }
 
     #[test]
     fn shutdown_refuses_new_requests() {
-        let s = server(ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        });
+        let s = server(ServerConfig::default());
         let client = s.client();
         s.shutdown();
         assert_eq!(
@@ -1870,45 +1754,50 @@ mod tests {
 
     #[test]
     fn try_request_reports_saturation() {
-        // No free worker slots: one worker, capacity 1, and the queue
-        // pre-loaded while the worker is held busy by a slow batch
-        // window. Simplest deterministic variant: don't start workers at
-        // all — capacity is exceeded by the second unserved submit.
-        let db: Arc<dyn MeetBackend> = Arc::new(Database::from_xml_str(FIGURE1).unwrap());
-        let shared = Arc::new(Shared {
-            db: RwLock::new(db),
-            epochs: Mutex::new(Epochs::default()),
-            sem: Mutex::new(EpochCache::new(0)),
-            config: ServerConfig {
-                queue_capacity: 1,
-                ..ServerConfig::default()
-            },
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            space: Condvar::new(),
-            stats: Counters::default(),
+        let (s, parked, release) = gated_server(ServerConfig {
+            max_in_flight: 1,
+            ..ServerConfig::default()
         });
-        let client = Client {
-            shared: Arc::clone(&shared),
-        };
-        let first = client.submit(Request::search("x"), false, 1);
-        assert!(first.is_ok());
-        let second = client.submit(Request::search("y"), false, 2);
-        assert!(matches!(second, Err(ServerError::Saturated)));
+        let client = s.client();
+        let in_flight = park(&client, &parked);
+        assert_eq!(
+            client.try_request(Request::search("y")),
+            Err(ServerError::Saturated)
+        );
         // Shedding is counted, and the rate reflects refused admissions.
         assert_eq!(client.stats().shed, 1);
         assert_eq!(client.stats().shed_rate(), 1.0);
+        release.send(()).unwrap();
+        assert!(in_flight.join().unwrap().is_ok());
+        assert_eq!(s.shutdown().shed_rate(), 0.5);
+    }
+
+    #[test]
+    fn shed_rate_after_a_reset_counts_only_the_window() {
+        let (s, parked, release) = gated_server(ServerConfig {
+            max_in_flight: 1,
+            ..ServerConfig::default()
+        });
+        let client = s.client();
+        for _ in 0..4 {
+            client.request(Request::search("1999")).unwrap();
+        }
+        client.reset_window_stats();
+        let in_flight = park(&client, &parked);
+        assert_eq!(
+            client.try_request(Request::search("1999")),
+            Err(ServerError::Saturated)
+        );
+        let stats = client.stats();
+        assert_eq!((stats.served, stats.batches, stats.shed), (4, 0, 1));
+        assert_eq!(stats.shed_rate(), 1.0, "{stats:?}");
+        release.send(()).unwrap();
+        in_flight.join().unwrap().unwrap();
     }
 
     #[test]
     fn shed_rate_is_zero_without_pressure() {
-        let s = server(ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        });
+        let s = server(ServerConfig::default());
         let client = s.client();
         client.meet_terms(["Bit", "1999"]).unwrap();
         let stats = s.shutdown();
@@ -1921,8 +1810,7 @@ mod tests {
     fn error_displays_are_informative() {
         for (e, needle) in [
             (ServerError::Closed, "shut down"),
-            (ServerError::Saturated, "full"),
-            (ServerError::Disconnected, "dropped"),
+            (ServerError::Saturated, "slot"),
             (ServerError::Query("boom".into()), "boom"),
         ] {
             assert!(e.to_string().contains(needle), "{e}");

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the framed engine protocol.
 //!
 //! [`ChaosProxy`] sits between a coordinator's `RemoteBackend` and a
-//! real [`crate::remote::RemoteEngine`], forwarding frames verbatim —
+//! real `ncq_server::RemoteEngine`, forwarding frames verbatim —
 //! except when the seeded schedule says otherwise. Faults are drawn
 //! from a PRNG seeded at construction — once per accepted connection
 //! (where [`Fault::Refuse`] lands) and once per request/response
@@ -33,14 +33,13 @@
 use ncq_core::remote::{frame_header, read_frame_or_eof, DEFAULT_FRAME_CAP};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::HashMap;
 use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
-
-use crate::listener::Listener;
 
 /// One injectable failure mode. [`Fault::Refuse`] is drawn at accept
 /// time; every other fault applies to one request/response exchange.
@@ -99,54 +98,80 @@ impl ChaosSchedule {
 ///
 /// Point a `RemoteBackend` endpoint at [`ChaosProxy::local_addr`]; the
 /// proxy forwards frames to `upstream`, applying the scheduled fault
-/// of each connection to the responses flowing back.
+/// of each connection to the responses flowing back. One accept thread
+/// spawns one relay thread per connection; shutdown (or drop) stops
+/// accepting, severs every relay's client socket and joins them all.
 pub struct ChaosProxy {
-    listener: Listener,
+    local_addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    /// A clone of each live relay's client socket, by connection
+    /// number, so shutdown can sever relays blocked in a read.
+    clients: Arc<Mutex<HashMap<u64, TcpStream>>>,
+    accept_thread: Option<thread::JoinHandle<()>>,
     faults_injected: Arc<AtomicU64>,
-    connections: Arc<AtomicU64>,
 }
 
 impl ChaosProxy {
     /// Bind an OS-assigned local port proxying to `upstream`.
     pub fn bind(upstream: SocketAddr, schedule: ChaosSchedule) -> std::io::Result<ChaosProxy> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let local_addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let clients = Arc::new(Mutex::new(HashMap::new()));
         let faults_injected = Arc::new(AtomicU64::new(0));
-        let connections = Arc::new(AtomicU64::new(0));
         let schedule = Arc::new(schedule);
 
-        let admit_schedule = Arc::clone(&schedule);
-        let admit_faults = Arc::clone(&faults_injected);
-        let admit_connections = Arc::clone(&connections);
-        let session_faults = Arc::clone(&faults_injected);
-        let listener = Listener::bind(
-            "127.0.0.1:0",
-            "ncq-chaos",
-            move |client| {
-                admit_connections.fetch_add(1, SeqCst);
+        let (accept_stop, accept_clients, faults) = (
+            Arc::clone(&stop),
+            Arc::clone(&clients),
+            Arc::clone(&faults_injected),
+        );
+        let accept_thread = thread::spawn(move || {
+            let mut relays = Vec::new();
+            for (id, client) in (0u64..).zip(listener.incoming()) {
+                if accept_stop.load(SeqCst) {
+                    break;
+                }
+                let Ok(client) = client else { continue };
                 // The accept-time draw is where Refuse lands; any other
                 // draw becomes the first exchange's fault and later
                 // exchanges redraw.
-                let first_fault = admit_schedule.draw();
+                let first_fault = schedule.draw();
                 if first_fault == Fault::Refuse {
-                    admit_faults.fetch_add(1, SeqCst);
+                    faults.fetch_add(1, SeqCst);
                     let _ = client.shutdown(Shutdown::Both);
-                    return None;
+                    continue;
                 }
-                Some(first_fault)
-            },
-            move |client, first_fault| {
-                let _ = relay_session(client, upstream, first_fault, &schedule, &session_faults);
-            },
-        )?;
+                if let Ok(clone) = client.try_clone() {
+                    accept_clients.lock().unwrap().insert(id, clone);
+                }
+                let (schedule, faults) = (Arc::clone(&schedule), Arc::clone(&faults));
+                let clients = Arc::clone(&accept_clients);
+                relays.push(thread::spawn(move || {
+                    let _ = relay_session(client, upstream, first_fault, &schedule, &faults);
+                    // Dropping the last clone closes the connection.
+                    clients.lock().unwrap().remove(&id);
+                }));
+            }
+            for client in accept_clients.lock().unwrap().values() {
+                let _ = client.shutdown(Shutdown::Both);
+            }
+            for relay in relays {
+                let _ = relay.join();
+            }
+        });
         Ok(ChaosProxy {
-            listener,
+            local_addr,
+            stop,
+            clients,
+            accept_thread: Some(accept_thread),
             faults_injected,
-            connections,
         })
     }
 
     /// The proxy's client-facing address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener.local_addr()
+        self.local_addr
     }
 
     /// Applied fault draws other than [`Fault::None`] — accept-time
@@ -155,14 +180,23 @@ impl ChaosProxy {
         self.faults_injected.load(SeqCst)
     }
 
-    /// Total connections accepted.
-    pub fn connections(&self) -> u64 {
-        self.connections.load(SeqCst)
-    }
-
     /// Stop accepting, sever every relay, join all threads.
-    pub fn shutdown(mut self) {
-        self.listener.shutdown();
+    pub fn shutdown(self) {}
+}
+
+impl Drop for ChaosProxy {
+    fn drop(&mut self) {
+        if let Some(accept_thread) = self.accept_thread.take() {
+            self.stop.store(true, SeqCst);
+            // Unblock the accept loop with a throwaway connection.
+            let _ = TcpStream::connect(self.local_addr);
+            if let Ok(clients) = self.clients.lock() {
+                for client in clients.values() {
+                    let _ = client.shutdown(Shutdown::Both);
+                }
+            }
+            let _ = accept_thread.join();
+        }
     }
 }
 
@@ -256,12 +290,11 @@ fn relay_session(
     }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::remote::{EngineConfig, RemoteEngine};
     use ncq_core::remote::{RemoteBackend, RemoteConfig};
     use ncq_core::{Database, MeetBackend};
+    use ncq_server::{EngineConfig, RemoteEngine};
 
     const FIG: &str = r#"<bib><article key="BB99"><author>Ben Bit</author>
         <year>1999</year></article></bib>"#;

@@ -5,10 +5,13 @@
 //! degrade to **typed** partial answers (never panics, never hangs past
 //! its timeout budget) when every replica of a corpus is gone.
 //!
-//! The fault schedule is a seeded PRNG ([`ncq_server::ChaosSchedule`]),
+//! The fault schedule is a seeded PRNG ([`chaos::ChaosSchedule`]),
 //! so every run of this suite injects exactly the same faults in the
 //! same order: a failure here replays deterministically.
 
+mod chaos;
+
+use chaos::{ChaosProxy, ChaosSchedule, Fault};
 use ncq_core::remote::{
     encode_request, read_frame, write_frame, EngineRequest, EngineResponse, RemoteBackend,
     RemoteConfig, DEFAULT_FRAME_CAP,
@@ -18,8 +21,7 @@ use ncq_datagen::{DblpConfig, DblpCorpus};
 use ncq_query::eval::evaluate;
 use ncq_query::{Query, QueryError, QueryOptions, QueryOutput};
 use ncq_server::{
-    serve_lines, ChaosProxy, ChaosSchedule, EngineConfig, Fault, RemoteEngine, Request, Response,
-    Server, ServerConfig, ALL_CORPORA,
+    serve_lines, EngineConfig, RemoteEngine, Request, Response, Server, ServerConfig, ALL_CORPORA,
 };
 use ncq_store::manifest::{Manifest, ManifestEntry};
 use std::io::{Read, Write};
@@ -313,13 +315,7 @@ fn forest_with_a_down_corpus_degrades_to_typed_partial_answers() {
     // to a typed partial marker — for the MEET verb and for the SQL
     // meet it abbreviates alike — and the robustness counters expose
     // it.
-    let server = Server::start_backend(
-        Arc::new(forest),
-        ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        },
-    );
+    let server = Server::start_backend(Arc::new(forest), ServerConfig::default());
     let client = server.client();
     let everywhere = |request: Request| {
         client
@@ -397,13 +393,7 @@ fn forest_with_a_down_default_corpus_fails_typed_never_empty() {
     ));
 
     // On the wire: `ERR engine unavailable …`, never `OK 0`.
-    let server = Server::start_backend(
-        Arc::new(forest),
-        ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        },
-    );
+    let server = Server::start_backend(Arc::new(forest), ServerConfig::default());
     let mut out = Vec::new();
     serve_lines(
         &server.client(),
@@ -636,7 +626,6 @@ fn snapshot_verbs_on_a_remote_corpus_are_refused_typed() {
         Arc::new(RemoteBackend::new(corpus, &endpoints, fast_config()).unwrap())
     };
     let config = ServerConfig {
-        workers: 1,
         snapshot_dir: Some(dir.clone()),
         ..ServerConfig::default()
     };

@@ -22,7 +22,7 @@ fn scratch_dir(name: &str) -> PathBuf {
 
 /// A 2-corpus forest server (default corpus `bib`), snapshot dir
 /// enabled, with the corpora also saved as snapshot files for reloads.
-fn forest_server(dir: &Path, workers: usize) -> Server {
+fn forest_server(dir: &Path) -> Server {
     let bib = Database::from_xml_str(BIB).unwrap();
     let shop = Database::from_xml_str(SHOP).unwrap();
     bib.save_snapshot(dir.join("bib.ncq")).unwrap();
@@ -38,7 +38,6 @@ fn forest_server(dir: &Path, workers: usize) -> Server {
     Server::start_backend(
         Arc::new(forest),
         ServerConfig {
-            workers,
             snapshot_dir: Some(dir.to_path_buf()),
             ..ServerConfig::default()
         },
@@ -62,14 +61,7 @@ fn manifest_cold_start_serves_every_corpus() {
     let mpath = dir.join("forest.ncqm");
     manifest.save(&mpath).unwrap();
 
-    let server = Server::open_manifest(
-        &mpath,
-        ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = Server::open_manifest(&mpath, ServerConfig::default()).unwrap();
     let client = server.client();
     let (names, default) = client.corpora().unwrap();
     assert_eq!(names, vec!["bib", "shop"]);
@@ -148,7 +140,7 @@ fn manifest_cold_start_serves_every_corpus() {
 #[test]
 fn forest_verbs_round_trip_over_the_wire() {
     let dir = scratch_dir("ncq-server-forest-wire-test");
-    let server = forest_server(&dir, 1);
+    let server = forest_server(&dir);
     let mut out = Vec::new();
     serve_lines(
         &server.client(),
@@ -184,7 +176,7 @@ fn forest_verbs_round_trip_over_the_wire() {
 #[test]
 fn snapshot_names_with_whitespace_or_nul_are_typed_errors() {
     let dir = scratch_dir("ncq-server-snapname-test");
-    let server = forest_server(&dir, 1);
+    let server = forest_server(&dir);
     let client = server.client();
     for bad in ["a b.ncq", "tab\there", "nul\0name", " "] {
         match client.request(Request::snapshot_load(bad)).unwrap() {
@@ -221,7 +213,7 @@ fn concurrent_reloads_of_different_corpora_both_stick() {
            <item><label>Bit set</label><price>1999</price></item></shop>"#,
     )
     .unwrap();
-    let server = forest_server(&dir, 4);
+    let server = forest_server(&dir);
     bib_v2.save_snapshot(dir.join("bib-v2.ncq")).unwrap();
     shop_v2.save_snapshot(dir.join("shop-v2.ncq")).unwrap();
 
@@ -269,7 +261,7 @@ fn concurrent_reloads_of_different_corpora_both_stick() {
 #[test]
 fn single_corpus_hot_swap_leaves_other_corpora_untouched() {
     let dir = scratch_dir("ncq-server-forest-swap-stress");
-    let server = forest_server(&dir, 4);
+    let server = forest_server(&dir);
     let reference = Database::from_xml_str(BIB)
         .unwrap()
         .meet_terms(&["Bit", "1999"])

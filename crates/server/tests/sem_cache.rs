@@ -12,7 +12,7 @@
 //! swap answer fails the run. The STATS counters must reconcile:
 //! every cacheable query is exactly one semantic hit or miss.
 //!
-//! The per-worker term-decode cache is the same epoch-tagged mechanism
+//! The shared term-decode cache is the same epoch-tagged mechanism
 //! and is pinned here too: a corpus splice keeps sibling corpora's
 //! decodes, a whole-backend load drops everything. And the result-cache
 //! key must be injective in the request — no term can spell another
@@ -38,14 +38,8 @@ fn scratch_dir(name: &str) -> PathBuf {
 
 /// A bib+shop forest server with both bib generations saved as
 /// snapshot files, ready for `SNAPSHOT LOAD … INTO bib` swaps.
-fn forest_server(dir: &Path, workers: usize) -> Server {
-    forest_server_with(
-        dir,
-        ServerConfig {
-            workers,
-            ..ServerConfig::default()
-        },
-    )
+fn forest_server(dir: &Path) -> Server {
+    forest_server_with(dir, ServerConfig::default())
 }
 
 /// [`forest_server`] with explicit tuning (`snapshot_dir` is always
@@ -101,7 +95,7 @@ fn reference(xml: &str) -> String {
 #[test]
 fn corpus_swap_invalidates_only_that_corpus() {
     let dir = scratch_dir("ncq-sem-cache-unit");
-    let server = forest_server(&dir, 1);
+    let server = forest_server(&dir);
     let client = server.client();
 
     let v1 = reference(BIB_V1);
@@ -161,7 +155,6 @@ fn full_reload_invalidates_everything() {
     let server = Server::start(
         Arc::new(db),
         ServerConfig {
-            workers: 1,
             snapshot_dir: Some(dir.clone()),
             ..ServerConfig::default()
         },
@@ -201,7 +194,7 @@ fn full_reload_invalidates_everything() {
 #[test]
 fn hot_swap_stress_serves_only_live_generations() {
     let dir = scratch_dir("ncq-sem-cache-stress");
-    let server = forest_server(&dir, 4);
+    let server = forest_server(&dir);
     let v1 = reference(BIB_V1);
     let v2 = reference(BIB_V2);
 
@@ -288,13 +281,7 @@ fn unit_separator_in_a_term_does_not_alias_another_request() {
         [&one_term[..], &two_terms[..]],
         [&two_terms[..], &one_term[..]],
     ] {
-        let server = Server::start(
-            Arc::new(db.clone()),
-            ServerConfig {
-                workers: 1,
-                ..ServerConfig::default()
-            },
-        );
+        let server = Server::start(Arc::new(db.clone()), ServerConfig::default());
         let input: String = order
             .iter()
             .map(|terms| format!("MEET {}\n", terms.join(" ")))
@@ -328,13 +315,7 @@ fn unit_separator_in_a_term_does_not_alias_another_request() {
         [(&one_term, &alone_one), (&conjunction, &alone_conj)],
         [(&conjunction, &alone_conj), (&one_term, &alone_one)],
     ] {
-        let server = Server::start(
-            Arc::new(db.clone()),
-            ServerConfig {
-                workers: 1,
-                ..ServerConfig::default()
-            },
-        );
+        let server = Server::start(Arc::new(db.clone()), ServerConfig::default());
         for (request, expected) in order {
             assert_eq!(&server.client().request(request.clone()).unwrap(), expected);
         }
@@ -351,7 +332,6 @@ fn unit_separator_in_a_term_does_not_alias_another_request() {
 fn term_decodes_survive_a_sibling_swap_but_not_a_full_reload() {
     let dir = scratch_dir("ncq-term-cache-epochs");
     let no_results = ServerConfig {
-        workers: 1,            // one worker, one term cache
         sem_cache_capacity: 0, // every MEET reaches the term cache
         ..ServerConfig::default()
     };

@@ -128,9 +128,7 @@ fn stress_one_corpus(db: Arc<Database>, label: &str) {
     let server = Server::start(
         Arc::clone(&db),
         ServerConfig {
-            workers: 4,
-            queue_capacity: 64,
-            batch_max: 8,
+            max_in_flight: 64,
             ..ServerConfig::default()
         },
     );
@@ -187,9 +185,7 @@ fn saturated_admission_queue_never_deadlocks() {
     let server = Server::start(
         Arc::clone(&db),
         ServerConfig {
-            workers: 2,
-            queue_capacity: 2,
-            batch_max: 2,
+            max_in_flight: 2,
             ..ServerConfig::default()
         },
     );

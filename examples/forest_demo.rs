@@ -97,7 +97,6 @@ fn main() {
     let server = Server::open_manifest(
         &mpath,
         ServerConfig {
-            workers: 2,
             snapshot_dir: Some(dir.clone()),
             ..ServerConfig::default()
         },

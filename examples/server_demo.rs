@@ -1,6 +1,7 @@
-//! Demonstrates `ncq-server`: a batched concurrent query service over
-//! the DBLP substitute corpus, driven both through the blocking client
-//! handle (from several threads) and through the line protocol.
+//! Demonstrates `ncq-server`: a concurrent query service over the DBLP
+//! substitute corpus, driven both through the blocking client handle
+//! (from several threads, each evaluating its own requests) and through
+//! the line protocol.
 //!
 //! ```text
 //! cargo run --release --example server_demo
@@ -25,14 +26,9 @@ fn main() {
         corpus.records()
     );
 
-    let server = Server::start(
-        Arc::clone(&db),
-        ServerConfig {
-            workers: 4,
-            ..ServerConfig::default()
-        },
-    );
-    println!("serving with {} workers", server.worker_count());
+    let config = ServerConfig::default();
+    println!("serving at most {} requests at once", config.max_in_flight);
+    let server = Server::start(Arc::clone(&db), config);
 
     // --- concurrent clients over the blocking handle ---
     let years = ["1994", "1995", "1996", "1997"];
@@ -78,7 +74,7 @@ fn main() {
 
     let stats = server.shutdown();
     println!(
-        "served {} requests in {} batches (max batch {}); {} term decodes, {} cache hits",
-        stats.served, stats.batches, stats.max_batch, stats.term_decodes, stats.term_cache_hits
+        "served {} requests; {} term decodes, {} term cache hits, {} result cache hits",
+        stats.served, stats.term_decodes, stats.term_cache_hits, stats.sem_hits
     );
 }

@@ -70,14 +70,7 @@ fn main() {
 
     // Serve the cold-started engine over TCP (Server::open_snapshot
     // wraps exactly this load).
-    let server = Server::open_snapshot(
-        &path,
-        ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("cold server");
+    let server = Server::open_snapshot(&path, ServerConfig::default()).expect("cold server");
     let acceptor =
         TcpAcceptor::bind("127.0.0.1:0", server.client(), NetConfig::default()).expect("bind");
     println!(

@@ -233,22 +233,16 @@ fn cross_corpus_fanout_order_is_stable_and_corpus_tagged() {
 }
 
 /// A forest `Server` replays the forest probes byte-identically: the
-/// routed MEET answers the same cold, from concurrent clients sharing
-/// queue drains, and from a warmed semantic cache — with the per-corpus
+/// routed MEET answers the same cold, from concurrent clients
+/// evaluating at once, and from a warmed semantic cache — with the per-corpus
 /// `limit` on the wire returning the ranked prefix.
 #[test]
-fn batched_and_cached_forest_replay_is_byte_stable() {
-    // Concurrent routed MEETs (shared drains), then a warmed-cache
+fn concurrent_and_cached_forest_replay_is_byte_stable() {
+    // Concurrent routed MEETs, then a warmed-cache
     // replay, then the wire-level limit — all byte-identical to the
     // direct engines.
     let forest = ForestBackend::new(three_corpus_catalog()).unwrap();
-    let server = Server::start_backend(
-        Arc::new(forest),
-        ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        },
-    );
+    let server = Server::start_backend(Arc::new(forest), ServerConfig::default());
     let meet = |corpus: &str, terms: &[&str; 2], limit: Option<usize>| match server
         .client()
         .request(Request::MeetTerms {
@@ -290,7 +284,7 @@ fn batched_and_cached_forest_replay_is_byte_stable() {
             .meet_terms(&probes().iter().find(|p| p.0 == name).unwrap().1)
             .unwrap()
             .to_detailed_xml();
-        assert_eq!(got, expected, "{name}: batched forest serving drifted");
+        assert_eq!(got, expected, "{name}: concurrent forest serving drifted");
     }
     for (name, terms, _, _) in probes() {
         let expected = direct(name).meet_terms(&terms).unwrap();

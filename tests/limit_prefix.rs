@@ -310,13 +310,7 @@ fn meet_verb_and_its_sql_form_answer_byte_identically() {
             .unwrap();
     }
     let forest = ForestBackend::new(catalog).unwrap();
-    let server = Server::start_backend(
-        Arc::new(forest.clone()),
-        ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        },
-    );
+    let server = Server::start_backend(Arc::new(forest.clone()), ServerConfig::default());
     let client = server.client();
 
     let mut checked = 0usize;

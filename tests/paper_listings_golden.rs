@@ -464,14 +464,14 @@ fn remote_corpus_execution_matches_the_golden_fixtures() {
 
 /// The concurrent serving path replays the paper byte-identically —
 /// twice. Pass 1 submits every golden query to a running `Server` from
-/// parallel threads, so requests share batch windows and the batched
-/// executor; pass 2 replays the same queries against the now-warmed
+/// parallel threads, so the requests evaluate concurrently, each on its
+/// own thread; pass 2 replays the same queries against the now-warmed
 /// semantic result cache, where evaluation is skipped entirely. Both
 /// passes must reproduce the pinned fixtures byte-for-byte, and the
 /// stats must show pass 2 was served from the cache. `UPDATE_GOLDEN`
 /// does not apply here — the serving path can never redefine the truth.
 #[test]
-fn server_batched_and_cached_replay_matches_the_golden_fixtures() {
+fn server_concurrent_and_cached_replay_matches_the_golden_fixtures() {
     use nearest_concept::server::{Response, Server, ServerConfig};
     use std::sync::Arc;
 
@@ -484,13 +484,7 @@ fn server_batched_and_cached_replay_matches_the_golden_fixtures() {
     }
 
     let db = Database::from_xml_str(nearest_concept::datagen::FIGURE1_XML).unwrap();
-    let server = Server::start(
-        Arc::new(db),
-        ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        },
-    );
+    let server = Server::start(Arc::new(db), ServerConfig::default());
 
     let dir = golden_dir();
     let expected: Vec<(&str, String)> = QUERIES
@@ -504,7 +498,7 @@ fn server_batched_and_cached_replay_matches_the_golden_fixtures() {
         })
         .collect();
 
-    // Pass 1: every query in flight at once — shared batch windows.
+    // Pass 1: every query in flight at once.
     let handles: Vec<_> = QUERIES
         .iter()
         .map(|&(name, query)| {
@@ -518,7 +512,7 @@ fn server_batched_and_cached_replay_matches_the_golden_fixtures() {
         let got = &cold.iter().find(|(n, _)| n == name).unwrap().1;
         assert_eq!(
             got, fixture,
-            "{name}: batched serving drifted from the fixture"
+            "{name}: concurrent serving drifted from the fixture"
         );
     }
 

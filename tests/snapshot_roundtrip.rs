@@ -443,7 +443,6 @@ fn legacy_fixtures_are_refused_typed() {
         let server = Server::start(
             Arc::new(db),
             ServerConfig {
-                workers: 1,
                 snapshot_dir: Some(dir.clone()),
                 ..ServerConfig::default()
             },
