@@ -260,7 +260,7 @@ impl RowSet {
 mod tests {
     use super::*;
     use crate::meet_multi::MeetOptions;
-    use crate::reference::meet_rollup;
+    use crate::sweep::meet_hits;
     use ncq_fulltext::{search, InvertedIndex};
     use ncq_store::MonetDb;
     use ncq_xml::parse;
@@ -284,7 +284,7 @@ mod tests {
             search::term_hits(&db, &idx, "Bit"),
             search::term_hits(&db, &idx, "1999"),
         ];
-        let meets = meet_rollup(&db, &inputs, &MeetOptions::default());
+        let meets = meet_hits(&db, &inputs, &MeetOptions::default());
         let answers = AnswerSet::from_meets(&db, meets);
         assert_eq!(answers.len(), 1);
         let a = &answers.results[0];
@@ -307,7 +307,7 @@ mod tests {
             search::term_hits(&db, &idx, "Bit"),
             search::term_hits(&db, &idx, "1999"),
         ];
-        let meets = meet_rollup(&db, &inputs, &MeetOptions::default());
+        let meets = meet_hits(&db, &inputs, &MeetOptions::default());
         let answers = AnswerSet::from_meets(&db, meets);
         let xml = answers.to_answer_xml();
         assert!(xml.starts_with("<answer>"));
@@ -323,7 +323,7 @@ mod tests {
             search::term_hits(&db, &idx, "Bit"),
             search::term_hits(&db, &idx, "1999"),
         ];
-        let meets = meet_rollup(&db, &inputs, &MeetOptions::default());
+        let meets = meet_hits(&db, &inputs, &MeetOptions::default());
         let answers = AnswerSet::from_meets(&db, meets);
         let xml = answers.to_detailed_xml();
         assert!(xml.contains("tag=\"article\""));

@@ -8,7 +8,7 @@
 use crate::answer::AnswerSet;
 use crate::meet2::{meet2_indexed, Meet2};
 use crate::meet_multi::{Meet, MeetOptions};
-use crate::reference::MeetPlanner;
+use crate::planner::MeetPlanner;
 use ncq_fulltext::{search, HitSet, InvertedIndex};
 use ncq_store::snapshot::SnapshotError;
 use ncq_store::{MappedSnapshot, MonetDb, Oid, PathId, SnapshotWriter, VerifyMode};
@@ -19,7 +19,7 @@ use std::path::Path;
 /// The error type of the meet entry points. The generalized meet
 /// accepts any grouped input, so [`Database::meet_terms`] never
 /// produces one today; the only inhabitant comes from the Fig. 4
-/// oracle [`crate::reference::meet_sets`], which is defined on
+/// oracle `meet_sets` in the `ncq-oracle` crate, which is defined on
 /// homogeneous sets only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MeetError {
@@ -200,8 +200,8 @@ impl Database {
     // Every meet the facade serves is the generalized meet of Fig. 5:
     // one stack pass, then rank and cut.
 
-    /// The roll-up's cost model ([`crate::reference::MeetPlanner`]);
-    /// nothing served consults it.
+    /// The roll-up's cost model ([`MeetPlanner`]); nothing served
+    /// consults it.
     // Only because `perf/src/trace.rs` links it; ROADMAP 1(d) unlinks it.
     pub fn planner(&self) -> MeetPlanner<'_> {
         MeetPlanner::new(&self.store)
@@ -323,24 +323,6 @@ mod tests {
         let bit = db.search("Bit").iter().next().unwrap().1;
         let m = db.meet_pair(ben, bit);
         assert_eq!(db.store().tag(m.meet), Some("author"));
-    }
-
-    #[test]
-    fn the_facade_agrees_with_the_rollup_oracle() {
-        let db = Database::from_xml_str(FIGURE1).unwrap();
-        let key = |ms: Vec<Meet>| -> Vec<_> {
-            ms.iter()
-                .map(|m| (m.node, m.distance, m.witness_count))
-                .collect()
-        };
-        for terms in [["Bit", "1999"], ["1999", "Hack"]] {
-            let inputs = terms.map(|t| db.search(t));
-            let options = MeetOptions::default();
-            let served = key(db.meet_hits(&inputs, &options));
-            assert!(!served.is_empty(), "{terms:?}");
-            let oracle = crate::reference::meet_rollup_ranked(db.store(), &inputs, &options);
-            assert_eq!(served, key(oracle), "{terms:?}");
-        }
     }
 
     #[test]

@@ -281,7 +281,7 @@ pub fn graph_distance(db: &MonetDb, graph: &RefGraph, o1: Oid, o2: Oid) -> usize
 mod tests {
     use super::*;
     use crate::distance::distance;
-    use crate::reference::meet2;
+    use crate::meet2::meet2_indexed;
     use ncq_xml::parse;
 
     fn db_with_refs() -> (MonetDb, RefGraph) {
@@ -396,7 +396,7 @@ mod tests {
         let p = by_text(&db, "p");
         let q = by_text(&db, "q");
         let gm = graph_meet(&db, &graph, p, q).unwrap();
-        let tm = meet2(&db, p, q);
+        let tm = meet2_indexed(&db, p, q);
         assert_eq!(gm.distance, tm.distance);
         // The graph midpoint is an ancestor of one of the endpoints on
         // the path through the LCA.

@@ -33,8 +33,9 @@
 //! algorithms — the pairwise
 //! walks (Fig. 3), the two-set frontier lift (Fig. 4) and the
 //! level-by-level token roll-up (Fig. 5) — are not served operators:
-//! they live in [`mod@reference`] as the oracles the test suites check
-//! the pipeline against.
+//! they live in the dev-only `ncq-oracle` crate, beside a declarative
+//! spec of the meet, as the oracles the test suites check the pipeline
+//! against.
 //!
 //! [`Database`] packages parsing, the Monet transform, the inverted index
 //! and the pipeline behind one facade:
@@ -64,8 +65,8 @@ pub mod filter;
 pub mod graph;
 pub mod meet2;
 pub mod meet_multi;
+pub mod planner;
 pub mod rank;
-pub mod reference;
 pub mod remote;
 pub mod sweep;
 
@@ -79,7 +80,7 @@ pub use graph::{graph_distance, graph_meet, GraphMeet, RefGraph};
 pub use meet2::{meet2_indexed, Meet2};
 pub use meet_multi::{Meet, MeetOptions};
 // Only because `perf/src/trace.rs` links it; ROADMAP 1(d) unlinks it.
-pub use reference::ChosenStrategy;
+pub use planner::ChosenStrategy;
 pub use remote::{
     EngineQuery, EngineRequest, EngineResponse, RemoteBackend, RemoteConfig, ReplicaHealth,
     WireError, DEFAULT_FRAME_CAP,

@@ -3,8 +3,8 @@
 //!
 //! [`meet2_indexed`] answers in O(1) from the indexed LCA of
 //! [`ncq_store::MeetIndex`]. The paper's σ-steered parent walk (Fig. 3)
-//! and its naive baseline live in [`crate::reference`] as oracles; all
-//! three agree on `meet` and `distance` for every pair.
+//! and its naive baseline live in the dev-only `ncq-oracle` crate as
+//! oracles; all three agree on `meet` and `distance` for every pair.
 
 use ncq_store::{MonetDb, Oid};
 
@@ -33,33 +33,5 @@ pub fn meet2_indexed(db: &MonetDb, o1: Oid, o2: Oid) -> Meet2 {
         meet,
         distance,
         lookups: 0,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::reference::meet2;
-    use ncq_xml::parse;
-
-    #[test]
-    fn indexed_agrees_with_steered_everywhere() {
-        let db = MonetDb::from_document(
-            &parse(
-                "<bib><inst><art key='k'><au><f>Ben</f><l>Bit</l></au><y>1999</y></art>\
-                 <art><au>Bob Byte</au><y>1999</y></art></inst></bib>",
-            )
-            .unwrap(),
-        );
-        let oids: Vec<Oid> = db.iter_oids().collect();
-        for &a in &oids {
-            for &b in &oids {
-                let s = meet2(&db, a, b);
-                let i = meet2_indexed(&db, a, b);
-                assert_eq!(s.meet, i.meet, "meet mismatch for {a:?},{b:?}");
-                assert_eq!(s.distance, i.distance, "distance mismatch for {a:?},{b:?}");
-                assert_eq!(i.lookups, 0, "indexed meet performs no parent walk");
-            }
-        }
     }
 }

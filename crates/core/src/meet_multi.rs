@@ -3,8 +3,8 @@
 //!
 //! Every served meet is one stack pass ([`crate::sweep`]) followed by
 //! [`crate::rank::rank_and_cut`]. The paper's own level-by-level token
-//! roll-up is the oracle that pass is checked against,
-//! [`crate::reference::meet_rollup`].
+//! roll-up is the oracle that pass is checked against: `meet_rollup` in
+//! the dev-only `ncq-oracle` crate, beside the declarative `spec::meet`.
 
 use crate::filter::PathFilter;
 use ncq_store::{Oid, PathId};

@@ -1,6 +1,9 @@
 //! The served generalized meet: Fig. 5's roll-up as one stack pass over
-//! the hits in document order. The paper's level-by-level roll-up is its
-//! oracle, [`crate::reference::meet_rollup`].
+//! the hits in document order. Its oracles live in the dev-only
+//! `ncq-oracle` crate: the paper's level-by-level roll-up
+//! (`meet_rollup`), and `spec::meet`, which defines the meet from the
+//! tree and the hits alone and is checked against [`meet_hits`] on every
+//! tree of up to 7 nodes.
 //!
 //! The paper contracts "the offspring of nodes whose only offspring are
 //! leaves", bottom-up; "all nodes that are meets of other nodes are

@@ -5,10 +5,10 @@
 //! served generalized meet (one stack pass) returns the same ranked
 //! answers as the paper's token roll-up.
 
-use ncq_core::reference::{meet2, meet2_naive, meet_rollup_ranked};
 use ncq_core::{meet2_indexed, Database, MeetOptions};
 use ncq_datagen::{DblpConfig, DblpCorpus, MultimediaConfig, MultimediaCorpus};
 use ncq_fulltext::HitSet;
+use ncq_oracle::{meet2, meet2_naive, meet_rollup_ranked};
 use ncq_store::Oid;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -1,13 +1,13 @@
 //! Depth regression tests: seeded-PRNG corpora at depth ∈ {3, 16, 256}
 //! pin (a) that `Database::meet_hits` returns the paper's roll-up's
-//! ranked meets (`reference::meet_rollup_ranked`), and (b) that the
+//! ranked meets (`ncq_oracle::meet_rollup_ranked`), and (b) that the
 //! roll-up's cost model, which the benchmark's tracer still reads, picks
 //! the roll-up on a small flat input and the stack pass on deep or large
 //! ones — the flat-row regression recorded in CHANGES.md.
 
-use ncq_core::reference::{meet_rollup_ranked, meet_sets};
 use ncq_core::{ChosenStrategy, Database, Meet, MeetOptions};
 use ncq_fulltext::HitSet;
+use ncq_oracle::{meet_rollup_ranked, meet_sets};
 use ncq_store::Oid;
 use ncq_xml::Document;
 use rand::rngs::StdRng;

@@ -1,37 +1,24 @@
 //! Randomized property tests on random trees: the paper's walks in
-//! [`ncq_core::reference`] against an independent ancestor-set LCA and
-//! the O(1) index, and the served meet ([`Database::meet_hits`], one
-//! stack pass) against the paper's roll-up
-//! ([`ncq_core::reference::meet_rollup_ranked`]) and against the witness
-//! invariants of the generalized meet.
+//! `ncq-oracle` against an independent ancestor-set LCA and the O(1)
+//! index, and the served meet ([`Database::meet_hits`], one stack pass)
+//! against the paper's roll-up ([`ncq_oracle::meet_rollup_ranked`]) and
+//! against the witness invariants of the generalized meet.
 //!
 //! Seeded loops over a deterministic PRNG stand in for proptest (the
 //! offline build cannot fetch it); failures print the seed.
 
-mod shapes;
-
-use ncq_core::reference::{meet2, meet2_naive, meet_rollup_ranked, meet_sets};
 use ncq_core::{meet2_indexed, Database, Meet, MeetOptions};
 use ncq_fulltext::HitSet;
+use ncq_oracle::{meet2, meet2_naive, meet_rollup_ranked, meet_sets, shapes, TreeDraw};
 use ncq_store::{MonetDb, Oid};
 use ncq_xml::Document;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashSet;
 
-/// Random tree: node `i + 1` hangs under a random earlier node. Tags
-/// cycle through a small vocabulary so path summaries stay non-trivial.
+/// Bare elements, 1..120 of them (tags only: no text, no attributes).
 fn random_tree(rng: &mut StdRng) -> Document {
-    const TAGS: [&str; 5] = ["a", "b", "c", "d", "e"];
-    let mut doc = Document::new("root");
-    let mut nodes = vec![doc.root()];
-    let n = rng.random_range(1usize..120);
-    for i in 0..n {
-        let parent = nodes[rng.random_range(0..nodes.len())];
-        let node = doc.add_element(parent, TAGS[i % TAGS.len()]);
-        nodes.push(node);
-    }
-    doc
+    ncq_oracle::random_tree(rng, &TreeDraw::TAGS)
 }
 
 /// Independent LCA reference: intersect full ancestor lists.
@@ -304,7 +291,7 @@ fn max_distance_is_monotone_and_sweep_agrees() {
     }
 }
 
-/// The shapes of `shapes/mod.rs`, each under every distance bound,
+/// The shapes of `ncq_oracle::shapes`, each under every distance bound,
 /// limit and witness cap: the served meet returns the roll-up's ranked
 /// meets with the same witnesses, its capped sample is the first `cap`
 /// witnesses in document order, and `limit k` is the unbounded prefix.

@@ -1,7 +1,8 @@
 //! Tree and hit shapes the random 150-node generators rarely draw,
-//! shared by `properties.rs` (sweep arm against the Fig. 5 roll-up) and
-//! `ncq-shard`'s `equivalence.rs` (sharded against single engine). Each
-//! aims at one corner of the stack pass in `ncq_core::sweep`.
+//! shared by `ncq-core`'s `properties.rs` (the stack pass against the
+//! Fig. 5 roll-up) and `ncq-shard`'s `equivalence.rs` (sharded against
+//! single engine). Each aims at one corner of the stack pass in
+//! `ncq_core::sweep`.
 
 use ncq_core::{Database, PathFilter};
 use ncq_fulltext::HitSet;
@@ -9,15 +10,23 @@ use ncq_store::Oid;
 use ncq_xml::{Document, NodeId};
 use std::collections::HashMap;
 
+/// One shape: a database, its hit groups and the result-type filter.
 pub struct Shape {
+    /// What the shape is called in failure messages.
     pub name: &'static str,
+    /// The loaded tree.
     pub db: Database,
+    /// The hit groups to meet.
     pub inputs: Vec<HitSet>,
+    /// `meet_Π`; everything but "suppressed meet" accepts all paths.
     pub filter: PathFilter,
 }
 
+/// The distance bounds every shape is met under.
 pub const MAX_DISTANCES: [Option<usize>; 4] = [None, Some(0), Some(1), Some(3)];
+/// The `limit k` values every shape is met under.
 pub const LIMITS: [Option<usize>; 4] = [None, Some(1), Some(2), Some(usize::MAX)];
+/// The witness caps every shape is met under.
 pub const WITNESS_CAPS: [usize; 3] = [1, 8, 64];
 
 /// The first oid carrying `tag`.
@@ -180,6 +189,7 @@ fn suppressed_meet() -> Shape {
     s
 }
 
+/// Every shape, built afresh.
 pub fn shapes() -> Vec<Shape> {
     vec![
         chain(),

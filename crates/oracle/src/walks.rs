@@ -1,10 +1,5 @@
-//! Reference algorithms — the paper's walks, kept as test oracles.
-//!
-//! Nothing a request reaches lives here: every served meet is one stack
-//! pass over the hits in document order ([`crate::sweep`]), ranked and
-//! cut by [`crate::rank::rank_and_cut`] (pairwise probes go through the
-//! O(1) [`crate::meet2_indexed`]). This module holds the paper-faithful
-//! algorithms that pass is checked against:
+//! The paper's own algorithms, kept as the oracles the served stack
+//! pass ([`ncq_core::sweep`]) is checked against:
 //!
 //! * [`meet2`] — Fig. 3: the lowest common ancestor of two nodes by
 //!   parent walks *steered* by comparing `σ(o₁)` and `σ(o₂)`: the node
@@ -30,23 +25,14 @@
 //!   served path does, so an equivalence check is one call. Its witness
 //!   samples follow absorption order rather than document order; compare
 //!   them as sets.
-//! * [`MeetPlanner`] — the cost model that once chose between the
-//!   roll-up and the stack pass. Nothing served consults it.
-//!
-//! Callers are the test suites, plus one outside the workspace: the
-//! benchmark's tracer (`perf/src/trace.rs`) reads
-//! [`MeetPlanner::plan_multi`] through [`crate::Database::planner`]
-//! until ROADMAP item 1(d) unlinks it. The module is not re-exported at
-//! the crate root, with one exception for that same tracer:
-//! [`ChosenStrategy`].
 
-use crate::db::MeetError;
-use crate::meet2::Meet2;
-use crate::meet_multi::{Meet, MeetOptions, MeetWitness};
-use crate::rank::rank_and_cut;
+use ncq_core::meet_multi::MeetWitness;
+use ncq_core::rank::rank_and_cut;
+use ncq_core::{Meet, Meet2, MeetError, MeetOptions};
 use ncq_fulltext::HitSet;
 use ncq_store::{MonetDb, Oid, PathId};
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// σ-steered pairwise meet (paper Fig. 3).
@@ -143,33 +129,27 @@ fn check_homogeneous(db: &MonetDb, set: &[Oid]) -> Result<Option<PathId>, MeetEr
     Ok(Some(expected))
 }
 
-/// Below this combined size the frontier intersection stays on the
-/// scalar reference even in vector mode: frontiers shrink fast as they climb,
-/// and on runs of a few dozen oids the lane setup costs more than it
-/// saves. The output is identical either way (same reference kernel).
-const VECTOR_MIN: usize = 64;
-
 /// Sorted-set intersection; inputs must be sorted and deduplicated.
-/// Frontiers are sorted `Oid` runs, i.e. raw `u32` lanes — the kernel
-/// dispatches vector or scalar per `ncq_simd::mode()`.
 fn intersect(a: &[Oid], b: &[Oid]) -> Vec<Oid> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    if a.len() + b.len() < VECTOR_MIN {
-        ncq_simd::scalar::intersect_u32_into(Oid::raw_slice(a), Oid::raw_slice(b), &mut out);
-    } else {
-        ncq_simd::intersect_u32_into(Oid::raw_slice(a), Oid::raw_slice(b), &mut out);
+    let (mut i, mut j) = (0, 0);
+    let mut out = Vec::new();
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
     }
-    Oid::wrap_raw_vec(out)
+    out
 }
 
-/// Remove (sorted) `remove` from (sorted) `set`.
+/// Remove (sorted) `remove` from `set`.
 fn difference(set: &mut Vec<Oid>, remove: &[Oid]) {
-    if remove.is_empty() {
-        return;
-    }
-    let mut out = Vec::with_capacity(set.len());
-    ncq_simd::scalar::difference_u32_into(Oid::raw_slice(set), Oid::raw_slice(remove), &mut out);
-    *set = Oid::wrap_raw_vec(out);
+    set.retain(|o| remove.binary_search(o).is_err());
 }
 
 /// Lift a frontier one level: map every OID to its parent, dedup.
@@ -430,7 +410,7 @@ pub fn meet_rollup<H: Borrow<HitSet>>(
 }
 
 /// [`meet_rollup`] ranked and cut to [`MeetOptions::limit`], like every
-/// served answer: the one-line oracle for [`crate::Database::meet_hits`].
+/// served answer: the one-line oracle for [`ncq_core::Database::meet_hits`].
 pub fn meet_rollup_ranked<H: Borrow<HitSet>>(
     db: &MonetDb,
     inputs: &[H],
@@ -439,114 +419,10 @@ pub fn meet_rollup_ranked<H: Borrow<HitSet>>(
     rank_and_cut(meet_rollup(db, inputs, options), options.limit)
 }
 
-// ----- the roll-up's cost model -----
-//
-// Kept only because the benchmark's tracer (`perf/src/trace.rs`) reads
-// `plan_multi` and `ChosenStrategy`; ROADMAP item 1(d) unlinks it.
-// `plan_multi` compares a round estimate (how deep the inputs sit, i.e.
-// how many parent-join rounds the roll-up could need) against a round
-// budget proportional to `log₂(hits)`, and caps the roll-up at a small
-// hit count. The thresholds were calibrated against the flat/deep rows
-// of CHANGES.md — against the heap-driven sweep the stack pass
-// replaced — and have not been re-derived: on the benchmark's two
-// request streams the roll-up was planned on 0 of 11 890 MEETs.
-
-/// Flat component of the roll-up's round budget.
-const LIFT_ROUND_BASE: usize = 4;
-/// Rounds granted per *bit* of input cardinality (bit length =
-/// ⌊log₂(hits)⌋ + 1) — a proxy for the log factor of the sweep's sort.
-const LIFT_ROUNDS_PER_LOG2: usize = 2;
-/// Above this many total hits the roll-up is never planned (its
-/// per-token hashing loses to the sweep regardless of depth).
-const ROLLUP_MAX_HITS: usize = 64;
-/// When the inputs span more than this many distinct relations,
-/// [`MeetPlanner::plan_multi`] stops scanning per-group depths and uses
-/// the corpus-level [`ncq_store::DepthStats`] (p90 depth) instead.
-const GROUP_SCAN_LIMIT: usize = 16;
-
-/// The evaluation a plan picks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChosenStrategy {
-    /// Token roll-up.
-    Lift,
-    /// Document-order stack pass.
-    Sweep,
-}
-
-/// One planning decision, with the quantities it weighed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanDecision {
-    /// The chosen evaluation.
-    pub strategy: ChosenStrategy,
-    /// Total input hits.
-    pub hits: usize,
-    /// Parent-join rounds the roll-up could need (depth of the deepest
-    /// input).
-    pub est_rounds: usize,
-    /// Rounds the roll-up is granted before the sweep is preferred.
-    pub round_budget: usize,
-}
-
-/// Per-query cost model over a loaded database: would the roll-up or
-/// the stack pass be cheaper? Cheap to construct (borrows the store);
-/// [`crate::Database::planner`] hands one out.
-#[derive(Debug, Clone, Copy)]
-pub struct MeetPlanner<'a> {
-    db: &'a MonetDb,
-}
-
-/// Bit length of `n` (⌊log₂(n)⌋ + 1 for n ≥ 1; 1 for n = 0) — the
-/// cardinality proxy the round budget scales with.
-fn bit_length(n: usize) -> usize {
-    usize::BITS as usize - n.max(1).leading_zeros() as usize
-}
-
-impl<'a> MeetPlanner<'a> {
-    /// Planner over `db`.
-    pub fn new(db: &'a MonetDb) -> MeetPlanner<'a> {
-        MeetPlanner { db }
-    }
-
-    /// Plan a generalized meet over hit groups. The round estimate is
-    /// the depth of the deepest hit path — or, when the inputs span
-    /// more than 16 distinct relations, the corpus-level p90 depth from
-    /// [`ncq_store::DepthStats`] (broad hit sets are statistical samples
-    /// of the corpus, and one fold over the path summary replaces a
-    /// scan of hundreds of group depths per query). The roll-up is
-    /// additionally capped at 64 total hits.
-    pub fn plan_multi<H: Borrow<HitSet>>(&self, inputs: &[H]) -> PlanDecision {
-        let summary = self.db.summary();
-        let hits: usize = inputs.iter().map(|h| h.borrow().len()).sum();
-        let group_count: usize = inputs.iter().map(|h| h.borrow().group_count()).sum();
-        let est_rounds = if group_count > GROUP_SCAN_LIMIT {
-            self.db.depth_stats().p90_depth
-        } else {
-            inputs
-                .iter()
-                .flat_map(|h| h.borrow().groups().keys())
-                .map(|&p| summary.depth(p))
-                .max()
-                .unwrap_or(0)
-        };
-        let round_budget = LIFT_ROUND_BASE + LIFT_ROUNDS_PER_LOG2 * bit_length(hits);
-        let strategy = if est_rounds <= round_budget && hits <= ROLLUP_MAX_HITS {
-            ChosenStrategy::Lift
-        } else {
-            ChosenStrategy::Sweep
-        };
-        PlanDecision {
-            strategy,
-            hits,
-            est_rounds,
-            round_budget,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::PathFilter;
+    use ncq_core::PathFilter;
     use ncq_fulltext::{search, InvertedIndex};
     use ncq_xml::parse;
 
@@ -722,7 +598,7 @@ mod tests {
             let s = meet2(&db, a, b);
             assert_eq!((s.distance, s.lookups), (4, 4), "depth {depth}");
             assert_eq!(meet2_naive(&db, a, b).lookups, naive, "depth {depth}");
-            let i = crate::meet2_indexed(&db, a, b);
+            let i = ncq_core::meet2_indexed(&db, a, b);
             assert_eq!((i.meet, i.distance, i.lookups), (s.meet, 4, 0));
         }
     }
@@ -1023,7 +899,8 @@ mod tests {
         let (db, _) = setup();
         assert!(meet_rollup::<HitSet>(&db, &[], &MeetOptions::default()).is_empty());
         let empty = HitSet::new();
-        assert!(meet_rollup(&db, &[empty], &MeetOptions::default()).is_empty());
+        assert!(meet_rollup(&db, &[&empty], &MeetOptions::default()).is_empty());
+        assert!(meet_rollup(&db, &[&empty, &empty], &MeetOptions::default()).is_empty());
     }
 
     #[test]
@@ -1083,122 +960,5 @@ mod tests {
         let a: Vec<Oid> = meets.iter().map(|m| m.node).collect();
         let b: Vec<Oid> = meets_rev.iter().map(|m| m.node).collect();
         assert_eq!(a, b);
-    }
-
-    // ----- cost model -----
-
-    fn deep_db(depth: usize, chains: usize) -> MonetDb {
-        let mut xml = String::from("<r>");
-        for c in 0..chains {
-            for _ in 0..depth {
-                xml.push_str("<e>");
-            }
-            xml.push_str(&format!("<a>s{c}</a><b>t{c}</b>"));
-            for _ in 0..depth {
-                xml.push_str("</e>");
-            }
-        }
-        xml.push_str("</r>");
-        MonetDb::from_document(&parse(&xml).unwrap())
-    }
-
-    fn cdata_oids(db: &MonetDb, prefix: &str) -> Vec<Oid> {
-        let mut v: Vec<Oid> = db
-            .string_paths()
-            .flat_map(|p| db.strings_of(p).iter())
-            .filter(|(_, t)| t.starts_with(prefix))
-            .map(|(o, _)| o)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// The `s…` and `t…` leaves as two hit groups (first `take` of each).
-    fn inputs(db: &MonetDb, take: usize) -> Vec<HitSet> {
-        ["s", "t"]
-            .map(|prefix| {
-                HitSet::from_pairs(
-                    cdata_oids(db, prefix)
-                        .into_iter()
-                        .take(take)
-                        .map(|o| (db.sigma(o), o)),
-                )
-            })
-            .to_vec()
-    }
-
-    #[test]
-    fn shallow_inputs_plan_lift() {
-        let db = deep_db(1, 8);
-        let plan = MeetPlanner::new(&db).plan_multi(&inputs(&db, usize::MAX));
-        assert_eq!(plan.strategy, ChosenStrategy::Lift);
-        assert_eq!(plan.hits, 16);
-    }
-
-    #[test]
-    fn deep_inputs_plan_sweep() {
-        let db = deep_db(64, 4);
-        let plan = MeetPlanner::new(&db).plan_multi(&inputs(&db, usize::MAX));
-        // est_rounds = 66 (chain + <a> + cdata), budget = 4 + 2·bits(8).
-        assert_eq!(plan.strategy, ChosenStrategy::Sweep);
-        assert!(plan.est_rounds > plan.round_budget);
-    }
-
-    #[test]
-    fn empty_input_plans_and_rolls_up_nothing() {
-        let db = deep_db(1, 2);
-        let none: [HitSet; 0] = [];
-        assert_eq!(MeetPlanner::new(&db).plan_multi(&none).hits, 0);
-        for inputs in [vec![], vec![HitSet::new(), HitSet::new()]] {
-            assert!(meet_rollup(&db, &inputs, &MeetOptions::default()).is_empty());
-        }
-    }
-
-    #[test]
-    fn multi_rollup_is_capped_by_hits() {
-        let db = deep_db(1, 40); // shallow, 80 hits > ROLLUP_MAX_HITS
-        let planner = MeetPlanner::new(&db);
-        let plan = planner.plan_multi(&inputs(&db, usize::MAX));
-        assert_eq!(plan.strategy, ChosenStrategy::Sweep);
-        assert_eq!(plan.hits, 80);
-        // The small prefix still plans the roll-up.
-        let small = planner.plan_multi(&inputs(&db, 4));
-        assert_eq!(small.strategy, ChosenStrategy::Lift);
-    }
-
-    #[test]
-    fn bit_length_is_sane() {
-        assert_eq!(bit_length(0), 1);
-        assert_eq!(bit_length(1), 1);
-        assert_eq!(bit_length(2), 2);
-        assert_eq!(bit_length(3), 2);
-        assert_eq!(bit_length(1024), 11);
-    }
-
-    #[test]
-    fn wide_inputs_plan_from_corpus_depth_stats() {
-        // More distinct relations than GROUP_SCAN_LIMIT: the estimate
-        // must come from the cached corpus DepthStats, not a scan.
-        let mut xml = String::from("<r>");
-        for i in 0..40 {
-            xml.push_str(&format!("<t{i}>w</t{i}>"));
-        }
-        xml.push_str("</r>");
-        let db = MonetDb::from_document(&parse(&xml).unwrap());
-        let planner = MeetPlanner::new(&db);
-        let wide =
-            vec![HitSet::from_pairs(db.string_paths().flat_map(|p| {
-                db.strings_of(p).iter().map(move |(o, _)| (p, o))
-            }))];
-        assert!(wide[0].group_count() > GROUP_SCAN_LIMIT);
-        let plan = planner.plan_multi(&wide);
-        assert_eq!(plan.est_rounds, db.depth_stats().p90_depth);
-        // Under the limit, the exact per-group scan is used.
-        let narrow =
-            vec![HitSet::from_pairs(db.string_paths().take(2).flat_map(
-                |p| db.strings_of(p).iter().map(move |(o, _)| (p, o)),
-            ))];
-        let plan = planner.plan_multi(&narrow);
-        assert_eq!(plan.est_rounds, 2); // r/t{i}/cdata
     }
 }

@@ -34,18 +34,15 @@ use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Engine listener tuning knobs. Frames in both directions are capped
-/// at [`DEFAULT_FRAME_CAP`].
+/// Engine listener settings: there are none. A session blocks until
+/// the coordinator closes it (its failover router reconnects
+/// transparently), and frames in both directions are capped at
+/// [`DEFAULT_FRAME_CAP`].
+// Only because `perf/src/{stack,trace}.rs` pass `EngineConfig::default()`;
+// ROADMAP 17 unlinks the benchmark from the engine's internals.
 #[derive(Debug, Clone, Default)]
-pub struct EngineConfig {
-    /// Optional idle read timeout: a connection that sends nothing for
-    /// this long is dropped. `None` (the default) keeps idle pooled
-    /// coordinator connections open indefinitely — the coordinator's
-    /// failover router reconnects transparently either way.
-    pub read_timeout: Option<Duration>,
-}
+pub struct EngineConfig {}
 
 /// A running engine listener: accepts coordinator connections and
 /// serves the framed engine protocol over `backend`.
@@ -63,7 +60,7 @@ impl RemoteEngine {
     pub fn bind(
         addr: impl ToSocketAddrs,
         backend: Arc<dyn MeetBackend>,
-        config: EngineConfig,
+        _config: EngineConfig,
     ) -> std::io::Result<RemoteEngine> {
         // Force the meet index eagerly so the first remote call does
         // not race the build.
@@ -77,7 +74,7 @@ impl RemoteEngine {
             "ncq-engine",
             |_| Some(()),
             move |stream, ()| {
-                let _ = serve_engine_session(&*backend, stream, &config, &session_served);
+                let _ = serve_engine_session(&*backend, stream, &session_served);
             },
         )?;
         Ok(RemoteEngine { listener, served })
@@ -135,11 +132,9 @@ fn answer(backend: &dyn MeetBackend, request: EngineRequest) -> Vec<u8> {
 fn serve_engine_session(
     backend: &dyn MeetBackend,
     stream: TcpStream,
-    config: &EngineConfig,
     served: &AtomicU64,
 ) -> Result<(), WireError> {
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(config.read_timeout)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     loop {
@@ -194,7 +189,7 @@ mod tests {
     use super::*;
     use ncq_core::remote::{RemoteBackend, RemoteConfig};
     use ncq_core::Database;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     const FIG: &str = r#"<bib><article key="BB99"><author>Ben Bit</author>
         <year>1999</year></article></bib>"#;

@@ -6,37 +6,19 @@
 //! Seeded loops over a deterministic PRNG stand in for proptest (the
 //! offline build cannot fetch it); failures print the seed.
 
-#[path = "../../core/tests/shapes/mod.rs"]
-mod shapes;
-
 use ncq_core::{Database, MeetOptions, PathFilter};
 use ncq_fulltext::HitSet;
+use ncq_oracle::{shapes, TreeDraw};
 use ncq_shard::ShardedDb;
 use ncq_store::Oid;
 use ncq_xml::Document;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Random tree with text leaves: node `i + 1` hangs under a random
-/// earlier node; some nodes carry cdata from a small token pool so
-/// term hits land on both shards and spine.
+/// Random tree with text leaves from a small token pool, so term hits
+/// land on both shards and spine.
 fn random_tree(rng: &mut StdRng) -> Document {
-    const TAGS: [&str; 5] = ["a", "b", "c", "d", "e"];
-    const WORDS: [&str; 6] = ["alpha", "beta", "gamma", "delta", "twin peaks", "omega"];
-    let mut doc = Document::new("root");
-    let mut nodes = vec![doc.root()];
-    let n = rng.random_range(1usize..150);
-    for i in 0..n {
-        let parent = nodes[rng.random_range(0..nodes.len())];
-        let node = doc.add_element(parent, TAGS[i % TAGS.len()]);
-        if rng.random_range(0..3usize) == 0 {
-            let w1 = WORDS[rng.random_range(0..WORDS.len())];
-            let w2 = WORDS[rng.random_range(0..WORDS.len())];
-            doc.add_text(node, format!("{w1} {w2}"));
-        }
-        nodes.push(node);
-    }
-    doc
+    ncq_oracle::random_tree(rng, &TreeDraw::TEXT)
 }
 
 fn random_oid(rng: &mut StdRng, db: &Database) -> Oid {
@@ -102,8 +84,8 @@ fn meet_multi_is_identical_including_witnesses() {
     }
 }
 
-/// The shapes the random trees rarely draw (`ncq-core`'s
-/// `tests/shapes/mod.rs`), each at a random K under every distance
+/// The shapes the random trees rarely draw (`ncq_oracle::shapes`),
+/// each at a random K under every distance
 /// bound, limit and witness cap.
 #[test]
 fn adversarial_shapes_are_identical_including_witnesses() {

@@ -8,9 +8,6 @@
 //! * [`lower_bound_u32`] — partition search;
 //! * [`intersect_u32_into`] — compare-exchange intersection.
 //!
-//! [`scalar::difference_u32_into`] has no vector twin: its only caller
-//! is the Fig. 4 test oracle (`ncq_core::reference`).
-//!
 //! This crate provides each kernel twice: a scalar reference
 //! ([`scalar`]) and an SSE2/AVX2 implementation ([`x86`], x86-64
 //! only). The public functions dispatch per process according to

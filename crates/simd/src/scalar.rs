@@ -32,31 +32,6 @@ pub fn intersect_u32_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     }
 }
 
-/// `set \ remove` over sorted, strictly increasing runs, appended to
-/// `out`. Merge-structured with bulk copies of the kept stretches.
-pub fn difference_u32_into(set: &[u32], remove: &[u32], out: &mut Vec<u32>) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < set.len() {
-        if j == remove.len() {
-            out.extend_from_slice(&set[i..]);
-            return;
-        }
-        // Keep everything below the next removal candidate.
-        let k = lower_bound_u32(&set[i..], remove[j]);
-        out.extend_from_slice(&set[i..i + k]);
-        i += k;
-        if i < set.len() && set[i] == remove[j] {
-            i += 1;
-        }
-        // Skip removal candidates below the next survivor.
-        j += match set.get(i) {
-            Some(&s) => lower_bound_u32(&remove[j..], s).max(1),
-            None => return,
-        };
-        j = j.min(remove.len());
-    }
-}
-
 /// Exponential probe + partition search: number of leading elements of
 /// `list` that are `< target`.
 #[inline]

@@ -152,36 +152,3 @@ fn intersect_matches_scalar_reference() {
         }
     }
 }
-
-#[test]
-fn difference_matches_retain() {
-    let mut rng = StdRng::seed_from_u64(0x9_05);
-    let mut cases: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
-    for a in edge_runs() {
-        for b in edge_runs() {
-            cases.push((a.clone(), b));
-        }
-    }
-    for _ in 0..200 {
-        let la = rng.random_range(0..70);
-        let lb = rng.random_range(0..70);
-        let span = *[60u32, 300, 5_000].get(rng.random_range(0..3)).unwrap();
-        cases.push((
-            sorted_run(&mut rng, la, span),
-            sorted_run(&mut rng, lb, span),
-        ));
-    }
-    for (set, remove) in &cases {
-        for off in 0..3.min(set.len() + 1) {
-            let set = &set[off..];
-            let expect: Vec<u32> = set
-                .iter()
-                .filter(|x| remove.binary_search(x).is_err())
-                .copied()
-                .collect();
-            let mut out = Vec::new();
-            simd::scalar::difference_u32_into(set, remove, &mut out);
-            assert_eq!(out, expect);
-        }
-    }
-}

@@ -216,7 +216,7 @@ impl MonetDb {
     }
 
     /// Node-depth distribution of the instance (read by the roll-up's
-    /// cost model in `ncq_core::reference`). Objects of one path share a
+    /// cost model in `ncq_core::planner`). Objects of one path share a
     /// depth, so the histogram is folded from the per-path posting
     /// counts: O(paths), nothing per node.
     pub fn depth_stats(&self) -> DepthStats {

@@ -38,7 +38,7 @@ impl fmt::Display for StoreStats {
 }
 
 /// Node-depth distribution of a loaded instance. Its one reader is the
-/// roll-up's cost model in `ncq_core::reference`.
+/// roll-up's cost model in `ncq_core::planner`.
 ///
 /// Folded on demand ([`crate::MonetDb::depth_stats`]) from the per-path
 /// posting counts; all three counters are object-level (element + cdata

@@ -51,7 +51,7 @@ pub mod tree;
 pub mod writer;
 
 pub use error::{ParseError, ParseErrorKind};
-pub use parser::{parse, parse_with_options, ParseOptions};
+pub use parser::parse;
 pub use symbols::{Symbol, SymbolTable};
 pub use tree::{Attribute, Document, NodeId, NodeKind};
 pub use writer::{write_document, WriteOptions};

@@ -10,34 +10,28 @@ use crate::error::{ParseError, ParseErrorKind, Position};
 use crate::escape::decode_entity;
 use crate::tree::{Document, NodeId};
 
-/// Knobs for [`parse_with_options`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParseOptions {
-    /// Keep text nodes that consist solely of whitespace. Defaults to
-    /// `false`: data-oriented XML (bibliographies, feature files) uses
-    /// whitespace purely for indentation, and the paper's data model has no
-    /// use for it.
-    pub keep_whitespace_text: bool,
-    /// Trim leading/trailing whitespace of retained text nodes. Defaults to
-    /// `false` so that mixed content round-trips unchanged.
-    pub trim_text: bool,
-}
-
-/// Parse with default [`ParseOptions`].
-pub fn parse(src: &str) -> Result<Document, ParseError> {
-    parse_with_options(src, ParseOptions::default())
-}
-
 /// Parse `src` into a [`Document`].
-pub fn parse_with_options(src: &str, options: ParseOptions) -> Result<Document, ParseError> {
+///
+/// Text that is whitespace only is dropped: data-oriented XML
+/// (bibliographies, feature files) uses it purely for indentation, and
+/// the paper's data model has no use for it. Other text is kept as it
+/// is, untrimmed, so mixed content round-trips unchanged.
+pub fn parse(src: &str) -> Result<Document, ParseError> {
     check_size(src.len())?;
     Parser {
         cursor: Cursor::new(src.strip_prefix('\u{feff}').unwrap_or(src)),
-        options,
         value: String::new(),
         carried_by: Vec::new(),
     }
     .parse_document()
+}
+
+/// One text node from the character data between two tags, unless it
+/// is whitespace only.
+fn add_text(doc: &mut Document, parent: NodeId, text: &str) {
+    if !text.chars().all(char::is_whitespace) {
+        doc.add_text(parent, text);
+    }
 }
 
 /// The node, attribute and text counters of a [`Document`] are `u32`.
@@ -57,7 +51,6 @@ fn check_size(bytes: usize) -> Result<(), ParseError> {
 
 struct Parser<'a> {
     cursor: Cursor<'a>,
-    options: ParseOptions,
     /// The attribute value being decoded, reused from one to the next.
     value: String,
     /// Per attribute-name symbol, the last element that carried it: a
@@ -236,7 +229,7 @@ impl<'a> Parser<'a> {
                         text.push(self.parse_entity()?);
                     } else if text.is_empty() && !self.cursor.starts_with("<![CDATA[") {
                         // The whole text node is one slice of the source.
-                        self.add_text(doc, parent, chunk);
+                        add_text(doc, parent, chunk);
                     } else {
                         text.push_str(chunk);
                     }
@@ -259,7 +252,7 @@ impl<'a> Parser<'a> {
                 continue;
             }
             // Any other markup ends the text node.
-            self.add_text(doc, parent, &text);
+            add_text(doc, parent, &text);
             text.clear();
             if second == Some(b'/') {
                 // Spelled exactly `</name>`, the tag is three comparisons;
@@ -302,19 +295,6 @@ impl<'a> Parser<'a> {
             }
         }
         Ok(())
-    }
-
-    /// One text node from the character data between two tags, unless
-    /// the options drop it.
-    fn add_text(&self, doc: &mut Document, parent: NodeId, text: &str) {
-        let keep = self.options.keep_whitespace_text || !text.chars().all(char::is_whitespace);
-        let body = match self.options.trim_text {
-            true => text.trim(),
-            false => text,
-        };
-        if keep && !body.is_empty() {
-            doc.add_text(parent, body);
-        }
     }
 
     fn parse_entity(&mut self) -> Result<char, ParseError> {
@@ -514,32 +494,6 @@ mod tests {
     fn whitespace_only_text_is_dropped_by_default() {
         let d = parse("<a>\n  <b/>\n  <c/>\n</a>").unwrap();
         assert_eq!(d.children(d.root()).count(), 2);
-    }
-
-    #[test]
-    fn whitespace_can_be_kept() {
-        let d = parse_with_options(
-            "<a> <b/> </a>",
-            ParseOptions {
-                keep_whitespace_text: true,
-                trim_text: false,
-            },
-        )
-        .unwrap();
-        assert_eq!(d.children(d.root()).count(), 3);
-    }
-
-    #[test]
-    fn trim_text_trims() {
-        let d = parse_with_options(
-            "<a>  padded  </a>",
-            ParseOptions {
-                keep_whitespace_text: false,
-                trim_text: true,
-            },
-        )
-        .unwrap();
-        assert_eq!(d.deep_text(d.root()), "padded");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Edge cases and adversarial inputs for the XML parser.
 
-use ncq_xml::{parse, parse_with_options, ParseErrorKind, ParseOptions};
+use ncq_xml::{parse, ParseErrorKind};
 
 #[test]
 fn cdata_with_brackets_inside() {
@@ -138,19 +138,6 @@ fn many_attributes_on_one_element() {
 fn crlf_line_endings_parse() {
     let d = parse("<a>\r\n  <b>x</b>\r\n</a>").unwrap();
     assert_eq!(d.deep_text(d.root()), "x");
-}
-
-#[test]
-fn keep_whitespace_preserves_crlf_text() {
-    let d = parse_with_options(
-        "<a>\r\n</a>",
-        ParseOptions {
-            keep_whitespace_text: true,
-            trim_text: false,
-        },
-    )
-    .unwrap();
-    assert_eq!(d.deep_text(d.root()), "\r\n");
 }
 
 #[test]

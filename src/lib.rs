@@ -22,8 +22,9 @@
 //! * [`store`] — Monet transform (physical model, path-partitioned relations)
 //! * [`fulltext`] — inverted index producing meet inputs
 //! * [`core`] — the one meet pipeline (merged hits → stack pass → rank
-//!   and cut), the [`Database`] facade and the paper's walks as
-//!   `reference` oracles
+//!   and cut) and the [`Database`] facade; the paper's walks and a
+//!   declarative spec of the meet are test oracles in the dev-only
+//!   `ncq-oracle` crate
 //! * [`query`] — the paper's SQL-with-paths dialect incl. the `meet` aggregate
 //! * [`server`] — batched concurrent query service over any
 //!   [`ncq_core::MeetBackend`] (a `Database`, a remote engine or a

@@ -6,7 +6,7 @@
 //! differentially on random trees — at k ∈ {1, 2, 5}, at k beyond the
 //! result size and at the absurd k a hostile client can send, with the
 //! paper's roll-up
-//! (`reference::meet_rollup_ranked`) as the oracle for the ranking — and
+//! (`ncq_oracle::meet_rollup_ranked`) as the oracle for the ranking — and
 //! once more through the full term pipeline.
 //!
 //! `MEET a b WITHIN δ LIMIT k` is the keyword shorthand of Listing 2,
@@ -20,7 +20,7 @@
 //! seed.
 
 use ncq_fulltext::HitSet;
-use nearest_concept::core::reference::meet_rollup_ranked;
+use ncq_oracle::{meet_rollup_ranked, TreeDraw};
 use nearest_concept::core::{
     Catalog, ForestBackend, Meet, MeetBackend, MeetOptions, RemoteBackend, RemoteConfig,
 };
@@ -36,36 +36,10 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
 
-/// Random tree with text leaves (the snapshot suite's generator): node
-/// `i + 1` hangs under a random earlier node; some nodes carry cdata
-/// from a small token pool so hit sets overlap between queries.
+/// Random tree with text leaves from a small token pool, so hit sets
+/// overlap between queries.
 fn random_tree(rng: &mut StdRng) -> Document {
-    random_tree_with(rng, false)
-}
-
-/// [`random_tree`], and with `attributes` some elements also carry a
-/// `key` attribute from the same pool, so hits land on attribute paths
-/// too.
-fn random_tree_with(rng: &mut StdRng, attributes: bool) -> Document {
-    const TAGS: [&str; 5] = ["a", "b", "c", "d", "e"];
-    const WORDS: [&str; 6] = ["alpha", "beta", "gamma", "delta", "twin peaks", "omega"];
-    let mut doc = Document::new("root");
-    let mut nodes = vec![doc.root()];
-    let n = rng.random_range(1usize..150);
-    for i in 0..n {
-        let parent = nodes[rng.random_range(0..nodes.len())];
-        let node = doc.add_element(parent, TAGS[i % TAGS.len()]);
-        if rng.random_range(0..3usize) == 0 {
-            let w1 = WORDS[rng.random_range(0..WORDS.len())];
-            let w2 = WORDS[rng.random_range(0..WORDS.len())];
-            doc.add_text(node, format!("{w1} {w2}"));
-        }
-        if attributes && rng.random_range(0..4usize) == 0 {
-            doc.set_attribute(node, "key", WORDS[rng.random_range(0..WORDS.len())]);
-        }
-        nodes.push(node);
-    }
-    doc
+    ncq_oracle::random_tree(rng, &TreeDraw::TEXT)
 }
 
 /// Terms the generator's token pool can answer — including a phrase and
@@ -270,7 +244,9 @@ fn meet_verb_and_its_sql_form_answer_byte_identically() {
     );
     corpora.push(("fig1".to_owned(), figure1, cases));
     for seed in 0..40 {
-        let db = Database::from_document(&random_tree_with(&mut rng, true));
+        // `key` attributes too, so hits land on attribute paths.
+        let db =
+            Database::from_document(&ncq_oracle::random_tree(&mut rng, &TreeDraw::TEXT_AND_KEYS));
         let cases = draw_cases(&mut rng, &db, 8);
         corpora.push((format!("tree{seed}"), db, cases));
     }

@@ -24,6 +24,7 @@
 //! are files no build writes any more; they stay committed to pin that
 //! opening one is a typed `UnsupportedVersion`, never a partial load.
 
+use ncq_oracle::TreeDraw;
 use nearest_concept::core::MeetOptions;
 use nearest_concept::datagen::{DblpConfig, DblpCorpus};
 use nearest_concept::server::{serve_lines, Server, ServerConfig};
@@ -35,31 +36,15 @@ use nearest_concept::store::{
 use nearest_concept::xml::Document;
 use nearest_concept::{open_forest, CatalogError, Database};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
 
-/// Random tree with text leaves: node `i + 1` hangs under a random
-/// earlier node; some nodes carry cdata from a small token pool so
-/// string relations and postings are exercised.
+/// Random tree with text leaves from a small token pool, so string
+/// relations and postings are exercised.
 fn random_tree(rng: &mut StdRng) -> Document {
-    const TAGS: [&str; 5] = ["a", "b", "c", "d", "e"];
-    const WORDS: [&str; 6] = ["alpha", "beta", "gamma", "delta", "twin peaks", "omega"];
-    let mut doc = Document::new("root");
-    let mut nodes = vec![doc.root()];
-    let n = rng.random_range(1usize..150);
-    for i in 0..n {
-        let parent = nodes[rng.random_range(0..nodes.len())];
-        let node = doc.add_element(parent, TAGS[i % TAGS.len()]);
-        if rng.random_range(0..3usize) == 0 {
-            let w1 = WORDS[rng.random_range(0..WORDS.len())];
-            let w2 = WORDS[rng.random_range(0..WORDS.len())];
-            doc.add_text(node, format!("{w1} {w2}"));
-        }
-        nodes.push(node);
-    }
-    doc
+    ncq_oracle::random_tree(rng, &TreeDraw::TEXT)
 }
 
 fn scratch(name: &str) -> PathBuf {
