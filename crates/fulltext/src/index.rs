@@ -120,27 +120,49 @@ impl Default for InvertedIndex {
 }
 
 impl InvertedIndex {
-    /// Index every string association of `db`.
+    /// Index every string association of `db`. Each distinct value is
+    /// tokenized once, into one flat vector of token ids with an offset
+    /// per value; each association then replays its value's token ids.
     pub fn build(db: &MonetDb) -> InvertedIndex {
-        let mut map: HashMap<Box<str>, Runs> = HashMap::new();
+        // Token ids in first-appearance order, and each token's runs.
+        let mut ids: HashMap<Box<str>, u32> = HashMap::new();
+        let mut runs: Vec<Runs> = Vec::new();
+        let values = db.string_values();
+        let mut value_tokens: Vec<u32> = Vec::new();
+        let mut value_off: Vec<u32> = Vec::with_capacity(values.len() + 1);
+        value_off.push(0);
         let mut token = String::new();
-        for path in db.string_paths() {
-            for (owner, text) in db.strings_of(path).iter() {
-                let mut scanner = Scanner::new(text);
-                while scanner.next_into(&mut token) {
-                    match map.get_mut(token.as_str()) {
-                        Some(runs) => runs.push(path, owner),
-                        // A key is boxed on a token's first occurrence.
-                        None => {
-                            let mut runs = Runs::default();
-                            runs.push(path, owner);
-                            map.insert(token.as_str().into(), runs);
-                        }
+        for value in values.iter() {
+            let mut scanner = Scanner::new(value);
+            while scanner.next_into(&mut token) {
+                let id = match ids.get(token.as_str()) {
+                    Some(&id) => id,
+                    // A key is boxed on a token's first occurrence.
+                    None => {
+                        let id = runs.len() as u32;
+                        ids.insert(token.as_str().into(), id);
+                        runs.push(Runs::default());
+                        id
                     }
+                };
+                value_tokens.push(id);
+            }
+            value_off.push(value_tokens.len() as u32);
+        }
+        for path in db.string_paths() {
+            for (owner, value) in db.strings_of(path).value_ids() {
+                let at = value_off[value as usize] as usize..value_off[value as usize + 1] as usize;
+                for &id in &value_tokens[at] {
+                    runs[id as usize].push(path, owner);
                 }
             }
         }
-        let mut lists: Vec<(Box<str>, Runs)> = map.into_iter().collect();
+        drop((value_tokens, value_off));
+        let mut lists: Vec<(Box<str>, Runs)> = ids
+            .into_iter()
+            .map(|(token, id)| (token, std::mem::take(&mut runs[id as usize])))
+            .collect();
+        drop(runs);
         lists.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let index = InvertedIndex::assemble(lists);
         // Contract: paths strictly increase within a token and owners
@@ -199,8 +221,39 @@ impl InvertedIndex {
         std::str::from_utf8(bytes).expect("token is valid UTF-8")
     }
 
+    /// The indices of the tokens containing `piece`, ascending: one
+    /// forward search over the token blob, with each match mapped to
+    /// its token by the offsets. A match that straddles two tokens is no
+    /// witness, but it may hide one that starts inside its second token,
+    /// so the search resumes at the start of the next token either way.
+    pub(crate) fn tokens_containing<'a>(
+        &'a self,
+        piece: &'a str,
+    ) -> impl Iterator<Item = usize> + 'a {
+        // Built from `&str`s, or validated token by token as UTF-8 by
+        // the decoder: the concatenation is UTF-8 too.
+        let blob = std::str::from_utf8(&self.blob).expect("tokens are valid UTF-8");
+        let mut from = 0;
+        std::iter::from_fn(move || loop {
+            // `from` is always a token boundary, so a char boundary.
+            let at = from
+                + blob
+                    .get(from..)
+                    .filter(|rest| !rest.is_empty())?
+                    .find(piece)?;
+            let i = self
+                .token_off
+                .partition_point(|&start| start as usize <= at)
+                - 1;
+            from = self.token_off[i + 1] as usize;
+            if at + piece.len() <= from {
+                return Some(i);
+            }
+        })
+    }
+
     /// The postings of the `i`-th token.
-    fn postings_at(&self, i: usize) -> Postings<'_> {
+    pub(crate) fn postings_at(&self, i: usize) -> Postings<'_> {
         let (start, end) = (self.run_off[i] as usize, self.run_off[i + 1] as usize);
         Postings {
             paths: &self.run_path[start..end],
@@ -254,12 +307,6 @@ impl InvertedIndex {
     /// Iterate over the vocabulary in lexicographic order.
     pub fn vocabulary(&self) -> impl Iterator<Item = &str> + '_ {
         (0..self.vocabulary_size()).map(|i| self.token(i))
-    }
-
-    /// Every token with its postings, in vocabulary order: one linear
-    /// pass over the blob, the way substring search reads it.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, Postings<'_>)> + '_ {
-        (0..self.vocabulary_size()).map(|i| (self.token(i), self.postings_at(i)))
     }
 }
 
@@ -359,6 +406,23 @@ mod tests {
     }
 
     #[test]
+    fn tokens_containing_a_piece_skip_matches_across_tokens() {
+        // The blob is "a" "aab" "b" "ba" = "aaabbba". "aa" first matches
+        // at 0, across `a` and `aab`: no witness, and a search resuming
+        // after that match would miss the one at 1, inside `aab`.
+        let db = MonetDb::from_document(&parse("<a><t>aab a b ba</t></a>").unwrap());
+        let idx = InvertedIndex::build(&db);
+        assert!(idx.vocabulary().eq(["a", "aab", "b", "ba"]));
+        let found = |piece| idx.tokens_containing(piece).collect::<Vec<_>>();
+        assert_eq!(found("aa"), [1]);
+        assert_eq!(found("ab"), [1]);
+        assert_eq!(found("ba"), [3]);
+        assert_eq!(found("a"), [0, 1, 3]);
+        assert_eq!(found("bb"), Vec::<usize>::new());
+        assert_eq!(found("aaab"), Vec::<usize>::new());
+    }
+
+    #[test]
     fn duplicate_token_in_one_string_posts_once() {
         let db = MonetDb::from_document(&parse("<a><t>spam spam spam</t></a>").unwrap());
         let idx = InvertedIndex::build(&db);
@@ -390,8 +454,7 @@ mod tests {
         assert_eq!(idx.vocabulary().count(), idx.vocabulary_size());
         let total: usize = idx.vocabulary().map(|t| idx.postings(t).len()).sum();
         assert_eq!(total, idx.posting_count());
-        let runs: usize = idx.entries().map(|(_, p)| p.runs().len()).sum();
+        let runs: usize = idx.vocabulary().map(|t| idx.postings(t).runs().len()).sum();
         assert_eq!(runs, idx.run_count());
-        assert!(idx.entries().map(|(t, _)| t).eq(idx.vocabulary()));
     }
 }

@@ -12,6 +12,7 @@ use crate::index::{InvertedIndex, Postings};
 use crate::intersect::intersect_all;
 use crate::tokenize::{contains_fold, fold, tokens};
 use ncq_store::MonetDb;
+use std::collections::HashMap;
 
 /// All associations containing `term` as a whole word (case-folded).
 pub fn word_hits(index: &InvertedIndex, term: &str) -> HitSet {
@@ -49,13 +50,13 @@ pub fn phrase_hits(db: &MonetDb, index: &InvertedIndex, phrase: &str) -> HitSet 
 /// alphanumeric piece of the folded needle lies inside one token of
 /// every string that contains the needle (a character that is not
 /// alphanumeric folds to characters that are not either, so a piece
-/// cannot straddle a separator). One pass over the sorted vocabulary
-/// finds the tokens containing each piece; the piece with the fewest
+/// cannot straddle a separator). One search per piece over the token
+/// blob finds the tokens containing it; the piece with the fewest
 /// postings wins, and its tokens' postings are the candidates. Each
-/// candidate's string is then checked with [`contains_fold`], because a
-/// token match says nothing about the rest of the needle. A needle
-/// without an alphanumeric character has no piece, and only then are
-/// the strings scanned.
+/// candidate's string is then checked with [`contains_fold`], once per
+/// distinct value, because a token match says nothing about the rest of
+/// the needle. A needle without an alphanumeric character has no piece,
+/// and only then are the strings scanned.
 pub fn substring_hits(db: &MonetDb, index: &InvertedIndex, needle: &str) -> HitSet {
     let folded = fold(needle);
     let pieces: Vec<&str> = folded
@@ -67,23 +68,27 @@ pub fn substring_hits(db: &MonetDb, index: &InvertedIndex, needle: &str) -> HitS
     }
     // Per piece: its postings total and the postings of every token
     // holding it.
-    let mut witnesses: Vec<(usize, Vec<Postings<'_>>)> = vec![(0, Vec::new()); pieces.len()];
-    for (token, postings) in index.entries() {
-        for (piece, (total, lists)) in pieces.iter().zip(&mut witnesses) {
-            if token.contains(piece) {
-                *total += postings.len();
-                lists.push(postings);
-            }
-        }
-    }
-    let (_, lists) = witnesses
-        .into_iter()
+    let lists = pieces
+        .iter()
+        .map(|piece| {
+            let lists: Vec<Postings<'_>> = index
+                .tokens_containing(piece)
+                .map(|i| index.postings_at(i))
+                .collect();
+            (lists.iter().map(|p| p.len()).sum::<usize>(), lists)
+        })
         .min_by_key(|(total, _)| *total)
+        .map(|(_, lists)| lists)
         .unwrap_or_default();
     let mut hits: HitSet = lists.into_iter().flat_map(Postings::iter).collect();
+    let values = db.string_values();
+    let mut verdicts: HashMap<u32, bool> = HashMap::new();
     hits.retain(|path, owner| {
-        db.string_value(path, owner)
-            .is_some_and(|s| contains_fold(s, needle))
+        db.strings_of(path).value_id_of(owner).is_some_and(|id| {
+            *verdicts
+                .entry(id)
+                .or_insert_with(|| values.get(id).is_some_and(|s| contains_fold(s, needle)))
+        })
     });
     hits
 }

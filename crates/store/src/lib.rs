@@ -56,4 +56,4 @@ pub use oid::Oid;
 pub use path::{PathId, PathStep, PathSummary};
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use stats::{DepthStats, StoreStats};
-pub use strings::StringRel;
+pub use strings::{StringRel, StringValues};

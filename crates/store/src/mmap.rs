@@ -985,6 +985,12 @@ impl MappedSnapshot {
         }
     }
 
+    /// The section table: each section's id and payload length, in file
+    /// order.
+    pub fn sections(&self) -> impl ExactSizeIterator<Item = (u32, usize)> + '_ {
+        self.table.iter().map(|e| (e.id, e.len))
+    }
+
     /// Verify every section checksum (the eager mode; also what the
     /// forest catalog runs in place of the manifest's whole-file
     /// checksum).

@@ -12,9 +12,10 @@
 //!   — held as per-path postings (the second column, in document order);
 //!   the first column is `parent[o]`,
 //! * **string relations** for cdata text (`…/cdata`) and attribute values
-//!   (`…/@name`), keyed by the owner's association path — four columns
-//!   shared by every relation (see [`crate::strings`]), read through the
-//!   borrowed [`StringRel`] view.
+//!   (`…/@name`), keyed by the owner's association path — columns shared
+//!   by every relation over one dictionary of distinct values (see
+//!   [`crate::strings`]), read through the borrowed [`StringRel`] view.
+//!   A cdata relation's owners are its path's postings.
 //!
 //! **Oid = preorder position.** That is the one contract between the
 //! store and the tree it was loaded from: the i-th node of
@@ -33,7 +34,7 @@ use crate::mmap::Col;
 use crate::oid::Oid;
 use crate::path::{PathId, PathStep, PathSummary};
 use crate::stats::{DepthStats, StoreStats};
-use crate::strings::{StringColumns, StringRel};
+use crate::strings::{StringColumns, StringRel, StringValues};
 use ncq_xml::{Document, NodeKind, SymbolTable};
 use std::sync::OnceLock;
 
@@ -61,8 +62,9 @@ pub struct MonetDb {
     /// Concatenated per-path postings, `n` oids total.
     pub(crate) path_data: Col<Oid>,
     /// String relations indexed by `PathId`: pairs `(owner, string)`.
-    /// Non-empty only for cdata paths (owner = the cdata node) and
-    /// attribute paths (owner = the element carrying the attribute).
+    /// Non-empty only for cdata paths (owner = the cdata node, read from
+    /// the postings) and attribute paths (owner = the element carrying
+    /// the attribute).
     pub(crate) strings: StringColumns,
     /// Lazily built structural meet index (preorder LCA); the database
     /// is immutable after loading, so the cache never invalidates.
@@ -107,22 +109,10 @@ impl MonetDb {
                 summary.intern_child(path, PathStep::Attribute(attr.name));
             }
         }
-        // The scratch goes back before the string columns and the
-        // postings are sized, so they take its place instead of adding
-        // to the peak.
+        // The scratch goes back before the postings and the string
+        // columns are sized, so they take its place instead of adding to
+        // the peak.
         drop(oid_of);
-        let strings = StringColumns::from_document_order(summary.len(), |emit| {
-            for (i, node) in doc.iter_depth_first().enumerate() {
-                let oid = Oid::from_index(i);
-                if let NodeKind::Text(s) = doc.kind(node) {
-                    emit(sigma[i], oid, s);
-                }
-                for attr in doc.attributes(node) {
-                    let apath = summary.intern_child(sigma[i], PathStep::Attribute(attr.name));
-                    emit(apath, oid, attr.value);
-                }
-            }
-        });
         // Per-path postings in CSR layout — one offsets array plus the
         // concatenated document-order data, the shape the snapshot maps
         // back without assembly — by counting sort over `σ`.
@@ -139,6 +129,22 @@ impl MonetDb {
             path_data[next[p.index()] as usize] = Oid::from_index(i);
             next[p.index()] += 1;
         }
+        // A cdata relation's owners are these postings, so the string
+        // columns are told how many nodes each path has.
+        let strings = StringColumns::from_document_order(&summary, &path_off, |emit| {
+            for (i, node) in doc.iter_depth_first().enumerate() {
+                let oid = Oid::from_index(i);
+                if let NodeKind::Text(s) = doc.kind(node) {
+                    emit(sigma[i], oid, s);
+                }
+                for attr in doc.attributes(node) {
+                    let apath = summary
+                        .child(sigma[i], PathStep::Attribute(attr.name))
+                        .expect("attribute paths are interned in the first walk");
+                    emit(apath, oid, attr.value);
+                }
+            }
+        });
         MonetDb {
             symbols: doc.symbols().clone(),
             summary,
@@ -309,7 +315,13 @@ impl MonetDb {
     /// String relation of a path: `(owner, string)` pairs in document
     /// order of the owner.
     pub fn strings_of(&self, p: PathId) -> StringRel<'_> {
-        self.strings.relation(p)
+        self.strings.relation(p, self.oids_of_path(p))
+    }
+
+    /// The dictionary of distinct string values that every relation's
+    /// [`StringRel::value_ids`] index into.
+    pub fn string_values(&self) -> StringValues<'_> {
+        self.strings.values()
     }
 
     /// The string owned by `owner` in relation `p`, if any. String
@@ -406,12 +418,12 @@ impl MonetDb {
 
     /// Summary statistics (relation counts, association counts…).
     pub fn stats(&self) -> StoreStats {
-        let (_, owners, _, text) = self.strings.columns();
+        let (_, _, _, value_id, _, _) = self.strings.columns();
         let mut s = StoreStats {
             objects: self.node_count(),
             paths: self.summary.len(),
-            string_associations: owners.len(),
-            string_bytes: text.len(),
+            string_associations: value_id.len(),
+            string_bytes: self.strings.total_bytes(),
             ..StoreStats::default()
         };
         for p in self.summary.iter() {
@@ -512,6 +524,48 @@ mod tests {
         assert_eq!(db.tag(first), Some("article"));
         assert_eq!(db.tag(second), Some("article"));
         assert_ne!(first, second);
+    }
+
+    #[test]
+    fn each_distinct_value_is_stored_once_in_first_appearance_order() {
+        let db = figure1_db();
+        let values: Vec<&str> = db.string_values().iter().collect();
+        assert_eq!(
+            values,
+            [
+                "BB99",
+                "Ben",
+                "Bit",
+                "How to Hack",
+                "1999",
+                "BK99",
+                "Bob Byte",
+                "Hacking & RSI"
+            ]
+        );
+        // Both years name the one value; the ids index the dictionary.
+        let p = db
+            .summary()
+            .lookup_in(
+                &["bibliography", "institute", "article", "year", "cdata"],
+                db.symbols(),
+            )
+            .unwrap();
+        let ids: Vec<u32> = db.strings_of(p).value_ids().map(|(_, id)| id).collect();
+        assert_eq!(ids, [4, 4]);
+        assert_eq!(db.string_values().get(4), Some("1999"));
+        assert_eq!(db.string_values().get(8), None);
+        // A cdata relation's owners are its path's postings.
+        assert!(db
+            .strings_of(p)
+            .value_ids()
+            .map(|(o, _)| o)
+            .eq(db.oids_of_path(p).iter().copied()));
+        let s = db.stats();
+        assert_eq!(
+            s.string_bytes,
+            "BB99BK99BenBitBob ByteHow to HackHacking & RSI19991999".len()
+        );
     }
 
     #[test]

@@ -37,13 +37,13 @@
 //! `SNAPSHOT_VERSION` names the layout, not the software: any change to
 //! section payload encodings, section semantics or the header must bump
 //! it. A build reads exactly the version it writes; any other version —
-//! the retired v1/v2 materializing layouts and the v3–v8 payloads
+//! the retired v1/v2 materializing layouts and the v3–v9 payloads
 //! included — is refused at open with
 //! [`SnapshotError::UnsupportedVersion`]. There is no upgrade tool: an
 //! older file is replaced by rebuilding from the source XML and saving
-//! again. The pinned fixture `tests/golden/snapshot_v9.bin` makes a
+//! again. The pinned fixture `tests/golden/snapshot_v10.bin` makes a
 //! forgotten bump fail loudly in CI, and the retired
-//! `snapshot_v1.bin` … `snapshot_v8.bin` fixtures pin the refusal.
+//! `snapshot_v1.bin` … `snapshot_v9.bin` fixtures pin the refusal.
 //! Adding a **new optional section id** is backward compatible and
 //! needs no bump — readers ignore unknown ids.
 
@@ -65,7 +65,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NCQSNAP\0";
 /// Current layout version (the zero-copy mmap container written by
 /// [`crate::mmap::SnapshotWriter`]). Bump on any payload or header
 /// change.
-pub const SNAPSHOT_VERSION: u32 = 9;
+pub const SNAPSHOT_VERSION: u32 = 10;
 
 /// Well-known section ids. Unknown ids are ignored by readers, so
 /// higher layers can add sections without touching this crate.
@@ -76,9 +76,11 @@ pub mod section {
     pub const PATHS: u32 = 2;
     /// Dense per-oid columns: `σ` and parent.
     pub const COLUMNS: u32 = 3;
-    /// String relations (cdata text and attribute values): entry and
-    /// byte counts, then `rel_off`, owners, `text_off` and the text blob
-    /// in final form.
+    /// String relations (cdata text and attribute values): entry,
+    /// attribute owner, value and byte counts, then `rel_off`,
+    /// `owner_off`, the attribute owners, a value id per entry, and the
+    /// dictionary of distinct values (`value_off` and the text blob) in
+    /// final form. A cdata relation's owners are its path's postings.
     pub const STRINGS: u32 = 4;
     /// The structural meet index: four shape scalars, one 32-bit stack
     /// mask per oid and the sparse table over 32-entry block minima of
@@ -374,26 +376,35 @@ fn decode_paths(
     Ok(summary)
 }
 
-/// STRINGS payload: the entry count and the blob length, then the four
-/// string columns as mapped views. What the `&str` accessors rely on is
-/// checked once, in [`StringColumns::validated`].
+/// STRINGS payload: the entry, attribute owner and value counts and the
+/// blob length, then the six string columns as mapped views. What the
+/// `&str` accessors rely on, and what ties each relation to its path,
+/// is checked once, in [`StringColumns::validated`].
 fn decode_strings(
     v: &mut ByteReader<'_>,
-    path_count: usize,
-    n: usize,
+    summary: &PathSummary,
+    sigma: &[PathId],
+    path_off: &[u32],
+    path_data: &[Oid],
 ) -> Result<StringColumns, SnapshotError> {
     let entries = v.get_u64()? as usize;
+    let owner_count = v.get_u64()? as usize;
+    let values = v.get_u64()? as usize;
     let text_len = v.get_u64()? as usize;
-    let rel_off: Col<u32> = v.get_col(path_count + 1)?;
-    let owners: Col<Oid> = v.get_col(entries)?;
-    let text_off: Col<u32> = v.get_col(entries.saturating_add(1))?;
-    let text: Col<u8> = v.get_col(text_len)?;
+    let columns = (
+        v.get_col(summary.len() + 1)?,
+        v.get_col(summary.len() + 1)?,
+        v.get_col(owner_count)?,
+        v.get_col(entries)?,
+        v.get_col(values.saturating_add(1))?,
+        v.get_col(text_len)?,
+    );
     if !v.at_end() {
         return Err(SnapshotError::Corrupt {
             context: "strings section has trailing bytes",
         });
     }
-    StringColumns::validated(rel_off, owners, text_off, text, n)
+    StringColumns::validated(columns, summary, sigma, path_off, path_data)
 }
 
 impl MonetDb {
@@ -416,15 +427,19 @@ impl MonetDb {
         s.put_col::<PathId>(&self.sigma);
         s.put_col::<Oid>(&self.parent);
 
-        // STRINGS: the four string columns in final form, behind the two
+        // STRINGS: the six string columns in final form, behind the four
         // counts that size them.
-        let (rel_off, owners, text_off, text) = self.strings.columns();
+        let (rel_off, owner_off, owners, value_id, value_off, text) = self.strings.columns();
         let s = writer.section(section::STRINGS);
+        s.put_u64(value_id.len() as u64);
         s.put_u64(owners.len() as u64);
+        s.put_u64(value_off.len() as u64 - 1);
         s.put_u64(text.len() as u64);
         s.put_col::<u32>(rel_off);
+        s.put_col::<u32>(owner_off);
         s.put_col::<Oid>(owners);
-        s.put_col::<u32>(text_off);
+        s.put_col::<u32>(value_id);
+        s.put_col::<u32>(value_off);
         s.put_col::<u8>(text);
 
         // MEET_INDEX: the finished index, field for field — the stack
@@ -490,12 +505,6 @@ impl MonetDb {
             });
         }
 
-        // STRINGS: zero-copy views too, but checksummed here — the one
-        // validation pass below reads every byte of it anyway, and the
-        // `&str` accessors rest on that pass.
-        let mut v = snap.section_verified(section::STRINGS)?;
-        let strings = decode_strings(&mut v, path_count, n)?;
-
         // MEET_INDEX: shape scalars, then straight pointer fixups.
         let mut v = snap.section(section::MEET_INDEX)?;
         let idx_n = v.get_u64()? as usize;
@@ -528,6 +537,14 @@ impl MonetDb {
                 context: "meet index section has trailing bytes",
             });
         }
+
+        // STRINGS: zero-copy views too, but checksummed here — the one
+        // validation pass below reads every byte of it anyway, and the
+        // `&str` accessors rest on that pass. The cdata runs of the
+        // postings above are the cdata relations' owners, so that pass
+        // checks them too, although their section is verified lazily.
+        let mut v = snap.section_verified(section::STRINGS)?;
+        let strings = decode_strings(&mut v, &summary, &sigma, &path_off, &path_data)?;
         let index = MeetIndex {
             parent: parent.clone(),
             sigma: sigma.clone(),
@@ -652,7 +669,7 @@ mod tests {
 
         // The retired layouts and a future one are refused on the
         // header alone, through the file entry point.
-        for found in [1u8, 2, 3, 4, 5, 6, 7, 99] {
+        for found in [1u8, 2, 3, 4, 5, 6, 7, 8, 9, 99] {
             bytes[8] = found;
             std::fs::write(&path, &bytes).unwrap();
             assert!(matches!(

@@ -1,174 +1,409 @@
-//! String relations as columns: one text blob, an offset per string, an
-//! owner per string, and a CSR over path ids.
+//! String relations as columns over one dictionary of distinct values.
 //!
 //! The paper's `(oid, string)` associations of one path form one
-//! relation; here every relation of the instance shares four columns:
+//! relation. Monet, the paper's back end, keeps each distinct value of
+//! a string column once, in its string heap; so does this store. Every
+//! relation of the instance shares these columns:
 //!
 //! * `rel_off` — `paths + 1` entry positions: relation `p` is the
-//!   entries `rel_off[p] .. rel_off[p + 1]`,
-//! * `owners` — the owner oid per entry, document order inside a
-//!   relation,
-//! * `text_off` — `entries + 1` byte positions: entry `i` is the bytes
-//!   `text_off[i] .. text_off[i + 1]` of
-//! * `text` — every string of the instance, back to back, grouped like
-//!   the entries.
+//!   entries `rel_off[p] .. rel_off[p + 1]`, in document order of the
+//!   owner,
+//! * `value_id` — the value of each entry, an index into the
+//!   dictionary,
+//! * `value_off` — `values + 1` byte positions: value `v` is the bytes
+//!   `value_off[v] .. value_off[v + 1]` of
+//! * `text` — every distinct value once, in the order the document
+//!   first holds it,
+//! * `owner_off` and `owners` — the owner oids of the attribute
+//!   relations (`paths + 1` positions into `owners`). A cdata relation
+//!   stores no owners: every cdata node owns exactly one string, so the
+//!   owners of relation `p` are the path's postings,
+//!   [`crate::MonetDb::oids_of_path`].
 //!
 //! The columns are [`Col`]s — owned after a bulk load, views into the
 //! mapped file after a snapshot open — so neither side holds a heap
-//! allocation per string. [`StringRel`] is the borrowed view of one
-//! relation that [`crate::MonetDb::strings_of`] hands out.
+//! allocation per string or per value. [`StringRel`] is the borrowed
+//! view of one relation that [`crate::MonetDb::strings_of`] hands out,
+//! and [`StringValues`] the view of the dictionary.
 //!
-//! The fields are private to this module because [`StringRel`] turns
+//! The fields are private to this module because [`StringValues`] turns
 //! blob bytes into `&str` without re-checking them: both constructors
-//! establish, once, that every entry is a whole UTF-8 string.
+//! establish, once, that every value is a whole UTF-8 string.
 
 use crate::mmap::Col;
 use crate::oid::Oid;
-use crate::path::PathId;
-use crate::snapshot::SnapshotError;
-use std::ops::Range;
+use crate::path::{PathId, PathStep, PathSummary};
+use crate::snapshot::{checksum64, SnapshotError};
 
 /// The string relations of one instance. See the module docs.
 #[derive(Debug, Clone)]
 pub(crate) struct StringColumns {
     rel_off: Col<u32>,
+    owner_off: Col<u32>,
     owners: Col<Oid>,
-    text_off: Col<u32>,
+    value_id: Col<u32>,
+    value_off: Col<u32>,
     text: Col<u8>,
+}
+
+/// The six columns of [`StringColumns`] in snapshot order: `rel_off`,
+/// `owner_off`, owners, `value_id`, `value_off`, text.
+pub(crate) type Columns<'a> = (
+    &'a [u32],
+    &'a [u32],
+    &'a [Oid],
+    &'a [u32],
+    &'a [u32],
+    &'a [u8],
+);
+
+/// The six columns as read from a snapshot, before validation.
+pub(crate) type OwnedColumns = (Col<u32>, Col<u32>, Col<Oid>, Col<u32>, Col<u32>, Col<u8>);
+
+/// An empty slot of the [`Dictionary`] table.
+const EMPTY: u32 = u32::MAX;
+
+/// The distinct values met so far, in first-appearance order, found
+/// again through an open-addressing table of value ids keyed by a hash
+/// of the bytes. Ids never depend on the hash: they count values in
+/// the order they arrive.
+struct Dictionary {
+    value_off: Vec<u32>,
+    text: Vec<u8>,
+    /// Linear probing, at most half full; a power of two long.
+    slots: Vec<u32>,
+}
+
+impl Dictionary {
+    fn new() -> Dictionary {
+        Dictionary {
+            value_off: vec![0],
+            text: Vec::new(),
+            slots: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.value_off.len() - 1
+    }
+
+    fn value(&self, id: u32) -> &[u8] {
+        let id = id as usize;
+        &self.text[self.value_off[id] as usize..self.value_off[id + 1] as usize]
+    }
+
+    /// The first free slot of `bytes`' probe sequence, or the slot
+    /// holding it.
+    fn slot(&self, bytes: &[u8]) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = checksum64(bytes) as usize & mask;
+        while self.slots[at] != EMPTY && self.value(self.slots[at]) != bytes {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// The id of `value`, adding it on its first appearance.
+    fn id_of(&mut self, value: &str) -> u32 {
+        if 2 * (self.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let at = self.slot(value.as_bytes());
+        if self.slots[at] == EMPTY {
+            self.slots[at] = self.len() as u32;
+            self.text.extend_from_slice(value.as_bytes());
+            let end = u32::try_from(self.text.len()).expect("the distinct strings fit in 4 GiB");
+            self.value_off.push(end);
+        }
+        self.slots[at]
+    }
+
+    /// Double the table and put every value back.
+    fn grow(&mut self) {
+        self.slots = vec![EMPTY; (2 * self.slots.len()).max(1024)];
+        for id in 0..self.len() as u32 {
+            let at = self.slot(self.value(id));
+            self.slots[at] = id;
+        }
+    }
 }
 
 impl StringColumns {
     /// Group the `(path, owner, string)` associations of a document by
     /// path. `strings` reports every association to the sink it is
-    /// given, in document order, and is run twice — once to size the
-    /// columns, once to fill them — so nothing is staged per string and
-    /// the order inside a relation stays document order (a counting
-    /// sort).
+    /// given, in document order, and is run twice — once to count the
+    /// entries of each relation and meet the distinct values, once to
+    /// fill the columns — so the order inside a relation stays document
+    /// order (a counting sort). The only thing staged per string is its
+    /// value id. `path_off` is the postings' CSR: a cdata relation must
+    /// hold exactly one string per node of its path.
     pub(crate) fn from_document_order(
-        path_count: usize,
+        summary: &PathSummary,
+        path_off: &[u32],
         mut strings: impl FnMut(&mut dyn FnMut(PathId, Oid, &str)),
     ) -> StringColumns {
-        // Per path: where its next entry and its next byte go.
+        let path_count = summary.len();
+        let mut dictionary = Dictionary::new();
+        // Each string's value id, in document order.
+        let mut ids: Vec<u32> = Vec::new();
+        // Per path: where its next entry goes.
         let mut entry_at = vec![0usize; path_count + 1];
-        let mut byte_at = vec![0usize; path_count + 1];
         strings(&mut |path, _, value| {
             entry_at[path.index() + 1] += 1;
-            byte_at[path.index() + 1] += value.len();
+            ids.push(dictionary.id_of(value));
         });
+        // The table goes back before the columns are sized.
+        let Dictionary {
+            value_off, text, ..
+        } = dictionary;
+        let mut owner_at = vec![0usize; path_count + 1];
+        for p in summary.iter() {
+            let (i, entries) = (p.index(), entry_at[p.index() + 1]);
+            match summary.step(p) {
+                PathStep::Attribute(_) => owner_at[i + 1] = entries,
+                PathStep::Cdata => assert_eq!(
+                    entries as u32,
+                    path_off[i + 1] - path_off[i],
+                    "every cdata node owns exactly one string"
+                ),
+                PathStep::Element(_) => assert_eq!(entries, 0, "an element owns no string"),
+            }
+        }
         for p in 0..path_count {
             entry_at[p + 1] += entry_at[p];
-            byte_at[p + 1] += byte_at[p];
+            owner_at[p + 1] += owner_at[p];
         }
-        let (entries, bytes) = (entry_at[path_count], byte_at[path_count]);
-        // Both columns of offsets are u32, like the oids.
-        u32::try_from(entries).expect("fewer than 2^32 strings");
-        u32::try_from(bytes).expect("the strings of one instance fit in 4 GiB");
-        let (entry_off, byte_off) = (entry_at.clone(), byte_at.clone());
+        // Entry positions are u32, like the oids.
+        u32::try_from(ids.len()).expect("fewer than 2^32 strings");
+        let (entry_off, owner_off) = (entry_at.clone(), owner_at.clone());
 
-        let mut owners = vec![Oid::ROOT; entries];
-        let mut text_off = vec![0u32; entries + 1];
-        let mut text = vec![0u8; bytes];
-        text_off[entries] = bytes as u32;
-        strings(&mut |path, owner, value| {
-            let (entry, byte) = (&mut entry_at[path.index()], &mut byte_at[path.index()]);
-            owners[*entry] = owner;
-            text_off[*entry] = *byte as u32;
-            text[*byte..*byte + value.len()].copy_from_slice(value.as_bytes());
-            *entry += 1;
-            *byte += value.len();
+        let mut owners = vec![Oid::ROOT; owner_off[path_count]];
+        let mut value_id = vec![0u32; ids.len()];
+        let mut next = ids.iter();
+        strings(&mut |path, owner, _| {
+            let p = path.index();
+            value_id[entry_at[p]] = *next.next().expect("the second walk is no longer");
+            entry_at[p] += 1;
+            if owner_off[p + 1] > owner_off[p] {
+                owners[owner_at[p]] = owner;
+                owner_at[p] += 1;
+            }
         });
-        // Every relation filled exactly the room the first walk gave it,
-        // so every entry is one whole `&str` of the second.
         assert!(
-            entry_at[..path_count] == entry_off[1..] && byte_at[..path_count] == byte_off[1..],
+            next.next().is_none() && entry_at[..path_count] == entry_off[1..],
             "the two walks over the document's strings disagree"
         );
-        let rel_off: Vec<u32> = entry_off.iter().map(|&at| at as u32).collect();
+        drop(ids);
+        let offsets = |at: Vec<usize>| -> Col<u32> {
+            at.into_iter()
+                .map(|at| at as u32)
+                .collect::<Vec<_>>()
+                .into()
+        };
         StringColumns {
-            rel_off: rel_off.into(),
+            rel_off: offsets(entry_off),
+            owner_off: offsets(owner_off),
             owners: owners.into(),
-            text_off: text_off.into(),
+            value_id: value_id.into(),
+            value_off: value_off.into(),
             text: text.into(),
         }
     }
 
-    /// Adopt four columns read from a snapshot, after the one pass that
-    /// everything handing out `&str` relies on: `rel_off` is closed over
-    /// the entry count, `text_off` is monotone from 0 to the blob
-    /// length, the blob is UTF-8 and no offset splits a code point, and
-    /// the owners of one relation are oids of the instance in strictly
-    /// increasing order.
+    /// Adopt six columns read from a snapshot, after the one pass that
+    /// everything handing out `&str` relies on — the dictionary's
+    /// offsets are monotone from 0 to the blob length, the blob is UTF-8
+    /// and no offset splits a code point, every value id is in range —
+    /// and the checks that make each relation what its path says:
+    /// none on an element path; an attribute relation's owners are
+    /// elements of the attribute's parent path, in document order; a
+    /// cdata relation holds one string per node of its path, and that
+    /// path's postings (`path_data[path_off[p] .. path_off[p + 1]]`, of
+    /// the lazily verified meet index section) are oids of the path in
+    /// document order.
     pub(crate) fn validated(
-        rel_off: Col<u32>,
-        owners: Col<Oid>,
-        text_off: Col<u32>,
-        text: Col<u8>,
-        node_count: usize,
+        (rel_off, owner_off, owners, value_id, value_off, text): OwnedColumns,
+        summary: &PathSummary,
+        sigma: &[PathId],
+        path_off: &[u32],
+        path_data: &[Oid],
     ) -> Result<StringColumns, SnapshotError> {
         let corrupt = |context| Err(SnapshotError::Corrupt { context });
-        let entries = owners.len();
-        if rel_off.first() != Some(&0)
-            || rel_off.last().map(|&e| e as usize) != Some(entries)
-            || rel_off.windows(2).any(|w| w[0] > w[1])
-        {
+        let closed = |off: &[u32], total: usize| {
+            off.first() == Some(&0)
+                && off.last().map(|&e| e as usize) == Some(total)
+                && off.windows(2).all(|w| w[0] <= w[1])
+        };
+        if !closed(&rel_off, value_id.len()) {
             return corrupt("string relation offsets are not closed over the entry count");
         }
-        if text_off.len() != entries + 1
-            || text_off[0] != 0
-            || text_off[entries] as usize != text.len()
-        {
-            return corrupt("string offsets do not span the text blob");
+        if !closed(&owner_off, owners.len()) {
+            return corrupt("attribute owner offsets are not closed over the owner column");
         }
-        if text_off.windows(2).any(|w| w[0] > w[1]) {
-            return corrupt("string offsets are not monotone");
+        if value_off.first() != Some(&0)
+            || value_off.last().map(|&e| e as usize) != Some(text.len())
+        {
+            return corrupt("string value offsets do not span the text blob");
+        }
+        if value_off.windows(2).any(|w| w[0] > w[1]) {
+            return corrupt("string value offsets are not monotone");
         }
         let Ok(blob) = std::str::from_utf8(&text) else {
             return corrupt("string text is not UTF-8");
         };
-        if text_off
+        if value_off
             .iter()
             .any(|&at| !blob.is_char_boundary(at as usize))
         {
-            return corrupt("string offset splits a code point");
+            return corrupt("string value offset splits a code point");
         }
-        for rel in rel_off.windows(2) {
-            let owners = &owners[rel[0] as usize..rel[1] as usize];
-            if owners.windows(2).any(|w| w[0] >= w[1]) {
-                return corrupt("string relation not in document order");
-            }
-            if owners.last().is_some_and(|o| o.index() >= node_count) {
-                return corrupt("string owner out of range");
+        let values = value_off.len() - 1;
+        if value_id.iter().any(|&id| id as usize >= values) {
+            return corrupt("string value id out of range");
+        }
+        let range = |off: &[u32], p: usize| off[p] as usize..off[p + 1] as usize;
+        for p in summary.iter() {
+            let (entries, owned) = (range(&rel_off, p.index()), range(&owner_off, p.index()));
+            match summary.step(p) {
+                PathStep::Element(_) => {
+                    if !entries.is_empty() || !owned.is_empty() {
+                        return corrupt("string relation on an element path");
+                    }
+                }
+                PathStep::Attribute(_) => {
+                    if owned.len() != entries.len() {
+                        return corrupt("attribute relation and its owners disagree");
+                    }
+                    let owners = &owners[owned];
+                    if owners.windows(2).any(|w| w[0] >= w[1]) {
+                        return corrupt("string relation not in document order");
+                    }
+                    let parent = summary.parent(p);
+                    if owners
+                        .iter()
+                        .any(|o| sigma.get(o.index()).copied() != parent)
+                    {
+                        return corrupt("attribute owner not on the attribute's parent path");
+                    }
+                }
+                PathStep::Cdata => {
+                    let postings = &path_data[range(path_off, p.index())];
+                    if !owned.is_empty() || entries.len() != postings.len() {
+                        return corrupt("cdata relation does not cover its path");
+                    }
+                    if postings.windows(2).any(|w| w[0] >= w[1]) {
+                        return corrupt("cdata postings not in document order");
+                    }
+                    if postings.iter().any(|o| sigma.get(o.index()) != Some(&p)) {
+                        return corrupt("cdata posting not on its path");
+                    }
+                }
             }
         }
         Ok(StringColumns {
             rel_off,
+            owner_off,
             owners,
-            text_off,
+            value_id,
+            value_off,
             text,
         })
     }
 
-    /// The four columns in snapshot order: `rel_off`, owners,
-    /// `text_off`, text.
-    pub(crate) fn columns(&self) -> (&[u32], &[Oid], &[u32], &[u8]) {
-        (&self.rel_off, &self.owners, &self.text_off, &self.text)
+    /// The six columns in snapshot order.
+    pub(crate) fn columns(&self) -> Columns<'_> {
+        (
+            &self.rel_off,
+            &self.owner_off,
+            &self.owners,
+            &self.value_id,
+            &self.value_off,
+            &self.text,
+        )
     }
 
-    /// The relation of path `p`; empty for a path the instance does not
-    /// have.
-    pub(crate) fn relation(&self, p: PathId) -> StringRel<'_> {
-        match self.rel_off.get(p.index()..p.index() + 2) {
-            Some(&[lo, hi]) => self.entries(lo as usize..hi as usize),
-            _ => self.entries(0..0),
-        }
-    }
-
-    fn entries(&self, r: Range<usize>) -> StringRel<'_> {
-        StringRel {
-            owners: &self.owners[r.clone()],
-            text_off: &self.text_off[r.start..=r.end],
+    /// The dictionary of distinct values.
+    pub(crate) fn values(&self) -> StringValues<'_> {
+        StringValues {
+            value_off: &self.value_off,
             text: &self.text,
         }
+    }
+
+    /// The bytes of every string, counted once per association.
+    pub(crate) fn total_bytes(&self) -> usize {
+        let values = self.values();
+        self.value_id.iter().map(|&id| values.value(id).len()).sum()
+    }
+
+    /// The relation of path `p`, whose postings are `postings`; empty
+    /// for a path the instance does not have.
+    pub(crate) fn relation<'a>(&'a self, p: PathId, postings: &'a [Oid]) -> StringRel<'a> {
+        let span = |off: &[u32]| match off.get(p.index()..p.index() + 2) {
+            Some(&[lo, hi]) => lo as usize..hi as usize,
+            _ => 0..0,
+        };
+        let (entries, owned) = (span(&self.rel_off), span(&self.owner_off));
+        // Only an attribute relation stores owners; a cdata relation's
+        // are its path's postings.
+        let owners = match (entries.is_empty(), owned.is_empty()) {
+            (true, _) => &[][..],
+            (false, true) => postings,
+            (false, false) => &self.owners[owned],
+        };
+        StringRel {
+            owners,
+            ids: &self.value_id[entries],
+            values: self.values(),
+        }
+    }
+}
+
+/// The dictionary of one instance: each distinct string value once, in
+/// the order the document first holds it. A borrowed, `Copy` view;
+/// [`StringRel::value_ids`] names its entries by index.
+#[derive(Clone, Copy)]
+pub struct StringValues<'a> {
+    /// `values + 1` positions in `text`.
+    value_off: &'a [u32],
+    text: &'a [u8],
+}
+
+impl<'a> StringValues<'a> {
+    /// Number of distinct values.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.value_off.len() - 1
+    }
+
+    /// Whether the instance holds no string.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Value `id`, if the dictionary has it.
+    pub fn get(self, id: u32) -> Option<&'a str> {
+        ((id as usize) < self.len()).then(|| self.value(id))
+    }
+
+    /// The values in id order.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = &'a str> + 'a {
+        (0..self.len() as u32).map(move |id| self.value(id))
+    }
+
+    /// The one place blob bytes become a `&str`.
+    #[inline]
+    fn value(self, id: u32) -> &'a str {
+        let id = id as usize;
+        let bytes = &self.text[self.value_off[id] as usize..self.value_off[id + 1] as usize];
+        // SAFETY: `value_off[id]..value_off[id + 1]` is one value of a
+        // `StringColumns` dictionary, and a `StringValues` only ever
+        // borrows one, whose two constructors make every value a whole
+        // UTF-8 string: `from_document_order` copies each value from one
+        // `&str`, and `validated` checks that the blob is UTF-8 and that
+        // every offset is a char boundary of it.
+        unsafe { std::str::from_utf8_unchecked(bytes) }
     }
 }
 
@@ -178,56 +413,51 @@ impl StringColumns {
 #[derive(Clone, Copy)]
 pub struct StringRel<'a> {
     owners: &'a [Oid],
-    /// `owners.len() + 1` positions in `text`.
-    text_off: &'a [u32],
-    /// The whole blob of the instance, not only this relation's part.
-    text: &'a [u8],
+    /// The value id of each association.
+    ids: &'a [u32],
+    values: StringValues<'a>,
 }
 
 impl<'a> StringRel<'a> {
     /// Number of associations.
     #[inline]
     pub fn len(self) -> usize {
-        self.owners.len()
+        self.ids.len()
     }
 
     /// Whether the relation holds no association.
     #[inline]
     pub fn is_empty(self) -> bool {
-        self.owners.is_empty()
+        self.ids.is_empty()
     }
 
     /// The `i`-th association in document order.
     pub fn get(self, i: usize) -> Option<(Oid, &'a str)> {
-        let owner = *self.owners.get(i)?;
-        Some((owner, self.str_at(self.text_off[i], self.text_off[i + 1])))
+        Some((*self.owners.get(i)?, self.values.value(*self.ids.get(i)?)))
     }
 
     /// The associations in document order.
     pub fn iter(self) -> impl ExactSizeIterator<Item = (Oid, &'a str)> + 'a {
-        self.owners
-            .iter()
-            .zip(self.text_off.windows(2))
-            .map(move |(&owner, at)| (owner, self.str_at(at[0], at[1])))
+        self.value_ids()
+            .map(move |(owner, id)| (owner, self.values.value(id)))
+    }
+
+    /// The associations in document order, each value named by its id
+    /// in [`crate::MonetDb::string_values`]: what lets a reader do its
+    /// work once per distinct value.
+    pub fn value_ids(self) -> impl ExactSizeIterator<Item = (Oid, u32)> + 'a {
+        self.owners.iter().copied().zip(self.ids.iter().copied())
+    }
+
+    /// The value id of the string owned by `owner`, if any (binary
+    /// search).
+    pub fn value_id_of(self, owner: Oid) -> Option<u32> {
+        let i = self.owners.binary_search(&owner).ok()?;
+        self.ids.get(i).copied()
     }
 
     /// The string owned by `owner`, if any (binary search).
     pub(crate) fn value_of(self, owner: Oid) -> Option<&'a str> {
-        let i = self.owners.binary_search(&owner).ok()?;
-        self.get(i).map(|(_, value)| value)
-    }
-
-    /// The one place blob bytes become a `&str`.
-    #[inline]
-    fn str_at(self, start: u32, end: u32) -> &'a str {
-        let bytes = &self.text[start as usize..end as usize];
-        // SAFETY: `start..end` is one entry of `text_off`, and a
-        // `StringRel` only ever borrows a `StringColumns`, whose two
-        // constructors make every entry a whole UTF-8 string:
-        // `from_document_order` copies each entry from one `&str` (and
-        // asserts that its fill walk matched its sizing walk), and
-        // `validated` checks that the blob is UTF-8 and that every
-        // offset is a char boundary of it.
-        unsafe { std::str::from_utf8_unchecked(bytes) }
+        self.value_id_of(owner).map(|id| self.values.value(id))
     }
 }

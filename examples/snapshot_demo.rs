@@ -8,11 +8,13 @@
 //! ```
 //!
 //! With an explicit `SNAPSHOT_PATH` the demo only builds and saves
-//! (twice is byte-identical — the CI `snapshot-compat` job runs it
-//! with two paths and `cmp`s the files).
+//! (twice is byte-identical — CI's byte-determinism step runs it with
+//! two paths and `cmp`s the files). Either way it prints the byte count
+//! of every section from the saved file's section table.
 
 use nearest_concept::datagen::{DblpConfig, DblpCorpus};
 use nearest_concept::server::{NetConfig, Server, ServerConfig, TcpAcceptor};
+use nearest_concept::store::{section_name, MappedSnapshot};
 use nearest_concept::xml::{write_document, WriteOptions};
 use nearest_concept::Database;
 use std::io::{BufReader, Read, Write};
@@ -51,6 +53,11 @@ fn main() {
         path.display(),
         t.elapsed()
     );
+    let saved = MappedSnapshot::open(&path).expect("reopen snapshot");
+    for (id, len) in saved.sections() {
+        println!("  section {:<10} {len:>9} bytes", section_name(id));
+    }
+    drop(saved);
     if out.is_some() {
         // CI determinism mode: save only (run twice, `cmp` the files).
         return;

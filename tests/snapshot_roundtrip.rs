@@ -2,8 +2,8 @@
 //! round-trip equivalence on random trees, byte determinism, exhaustive
 //! corruption handling (truncation, bit flips, forged section-table
 //! extents, forged string columns), the layout version pin, the layout
-//! byte budget, the typed refusal of the retired v1–v8 layouts through
-//! every entry point,
+//! byte budget, the typed refusal of the retired v1–v9 layouts through
+//! every entry point, that layout 10 changed only `STRINGS`,
 //! and a two-process check that one snapshot file serves independent
 //! opens with equal answers.
 //!
@@ -11,7 +11,7 @@
 //! proptest (the offline build cannot fetch it); failures print the
 //! seed.
 //!
-//! The pinned fixture `tests/golden/snapshot_v9.bin` is a committed
+//! The pinned fixture `tests/golden/snapshot_v10.bin` is a committed
 //! current-layout snapshot of the Figure 1 corpus, as
 //! `Database::save_snapshot` writes it. Regenerate after an *intended*
 //! layout change — which must also bump `SNAPSHOT_VERSION` — with:
@@ -20,7 +20,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test snapshot_roundtrip
 //! ```
 //!
-//! The older committed fixtures (`snapshot_v1.bin` … `snapshot_v8.bin`)
+//! The older committed fixtures (`snapshot_v1.bin` … `snapshot_v9.bin`)
 //! are files no build writes any more; they stay committed to pin that
 //! opening one is a typed `UnsupportedVersion`, never a partial load.
 
@@ -30,7 +30,7 @@ use nearest_concept::datagen::{DblpConfig, DblpCorpus};
 use nearest_concept::server::{serve_lines, Server, ServerConfig};
 use nearest_concept::store::snapshot::{checksum64, section};
 use nearest_concept::store::{
-    section_name, Manifest, ManifestEntry, MappedSnapshot, SnapshotError, VerifyMode,
+    section_name, Manifest, ManifestEntry, MappedSnapshot, PathStep, SnapshotError, VerifyMode,
     SNAPSHOT_VERSION,
 };
 use nearest_concept::xml::Document;
@@ -165,43 +165,60 @@ fn corrupt_snapshots_fail_typed_at_every_boundary() {
     }
 }
 
-/// Forged string columns: `STRINGS` is served as four mapped views and
-/// its text is handed out as `&str` without a re-check, so everything
-/// that rests on is validated once at open. One forgery per rule, each
-/// with the section and table checksums repaired so only that
-/// validation stands in its way — and each a typed `Corrupt` naming the
-/// rule, never a panic, never a store.
+/// Forged string columns: `STRINGS` is served as six mapped views, its
+/// values are handed out as `&str` without a re-check, and a cdata
+/// relation's owners are the path's postings in the lazily verified
+/// `MEET_INDEX` section, so everything that rests on is validated once
+/// at open. One forgery per rule, each with the section and table
+/// checksums repaired so only that validation stands in its way — and
+/// each a typed `Corrupt` naming the rule, never a panic, never a store.
 #[test]
 fn forged_string_columns_are_corrupt_not_served() {
-    // Relations: r/a/@k = {é, z}, r/a/cdata = {日本, w}, r/b/cdata = {x};
-    // the blob is "éz日本wx" with offsets [0, 2, 3, 9, 10, 11].
-    let db = Database::from_xml_str("<r><a k=\"é\">日本</a><a k=\"z\">w</a><b>x</b></r>").unwrap();
+    // Nodes o0 r, o1 a, o2 "日本", o3 a, o4 "w", o5 b, o6 "日本"; paths
+    // r, r/a, r/a/@k, r/a/cdata, r/b, r/b/cdata. Relations: r/a/@k =
+    // {(o1, é), (o3, é)}, r/a/cdata = {(o2, 日本), (o4, w)}, r/b/cdata =
+    // {(o6, 日本)}. The dictionary is "é", "日本", "w": the blob "é日本w"
+    // with offsets [0, 2, 8, 9], and the value ids [0, 0, 1, 2, 1].
+    let db =
+        Database::from_xml_str("<r><a k=\"é\">日本</a><a k=\"é\">w</a><b>日本</b></r>").unwrap();
     let (n, paths) = (db.store().node_count(), db.store().summary().len());
+    assert_eq!((n, paths), (7, 6));
     let stats = db.store().stats();
-    assert_eq!((stats.string_associations, stats.string_bytes), (5, 11));
+    assert_eq!((stats.string_associations, stats.string_bytes), (5, 17));
+    assert!(db.store().string_values().iter().eq(["é", "日本", "w"]));
     let pristine = db.snapshot_to_bytes();
 
-    // The payload: two counts, then four 64-byte-aligned columns.
+    // STRINGS: four counts, then six 64-byte-aligned columns.
     let align64 = |at: usize| (at + 63) & !63;
-    let rel_off = align64(16);
-    let owners = align64(rel_off + 4 * (paths + 1));
-    let text_off = align64(owners + 4 * 5);
-    let text = align64(text_off + 4 * 6);
+    let rel_off = align64(32);
+    let owner_off = align64(rel_off + 4 * (paths + 1));
+    let owners = align64(owner_off + 4 * (paths + 1));
+    let value_id = align64(owners + 4 * 2);
+    let value_off = align64(value_id + 4 * 5);
+    let text = align64(value_off + 4 * 4);
+    // MEET_INDEX: four counts, the stack masks, one block minimum, the
+    // postings' offsets, then the postings [o0, o1, o3, o2, o4, o5, o6].
+    let path_data = align64(align64(align64(64 + 4 * n) + 4) + 4 * (paths + 1));
 
-    let forge = |at: usize, value: &[u8]| {
+    let forge = |id: u32, at: usize, value: &[u8]| {
         let mut bytes = pristine.clone();
         let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
         let table_end = 24 + 32 * count;
         let entry = (0..count)
             .map(|i| 24 + 32 * i)
-            .find(|&e| u32::from_le_bytes(bytes[e..e + 4].try_into().unwrap()) == section::STRINGS)
-            .expect("STRINGS present");
+            .find(|&e| u32::from_le_bytes(bytes[e..e + 4].try_into().unwrap()) == id)
+            .expect("section present");
         let start = u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap()) as usize;
         let len = u64::from_le_bytes(bytes[entry + 16..entry + 24].try_into().unwrap()) as usize;
+        let expected = match id {
+            section::STRINGS => text + 9,
+            _ => path_data + 4 * n,
+        };
         assert_eq!(
             len,
-            text + 11,
-            "STRINGS is not laid out as this test assumes"
+            expected,
+            "{} is not laid out as this test assumes",
+            section_name(id)
         );
         bytes[start + at..start + at + value.len()].copy_from_slice(value);
         let sum = checksum64(&bytes[start..start + align64(len)]);
@@ -211,45 +228,97 @@ fn forged_string_columns_are_corrupt_not_served() {
         bytes
     };
     // An edit that changes nothing decodes: the repair itself is sound.
-    Database::from_snapshot_bytes(forge(text, "é".as_bytes())).expect("pristine forgery");
+    Database::from_snapshot_bytes(forge(section::STRINGS, text, "é".as_bytes()))
+        .expect("pristine forgery");
+    Database::from_snapshot_bytes(forge(
+        section::MEET_INDEX,
+        path_data + 12,
+        &2u32.to_le_bytes(),
+    ))
+    .expect("pristine postings forgery");
 
-    let u32_at = |at: usize, v: u32| forge(at, &v.to_le_bytes());
-    let last_path = rel_off + 4 * paths;
+    let strings = |at: usize, v: u32| forge(section::STRINGS, at, &v.to_le_bytes());
+    let postings =
+        |i: usize, v: u32| forge(section::MEET_INDEX, path_data + 4 * i, &v.to_le_bytes());
     for (rule, forged, context) in [
         (
-            "non-monotone text_off",
-            u32_at(text_off + 4, 10),
-            "string offsets are not monotone",
+            "rel_off not closed",
+            strings(rel_off + 4 * paths, 4),
+            "string relation offsets are not closed over the entry count",
         ),
         (
-            "last offset is not the blob length",
-            u32_at(text_off + 4 * 5, 10),
-            "string offsets do not span the text blob",
+            "owner_off not closed",
+            strings(owner_off + 4 * paths, 1),
+            "attribute owner offsets are not closed over the owner column",
         ),
         (
-            "offset inside a code point",
-            u32_at(text_off + 4, 1),
-            "string offset splits a code point",
+            "last value offset is not the blob length",
+            strings(value_off + 4 * 3, 8),
+            "string value offsets do not span the text blob",
+        ),
+        (
+            "non-monotone value_off",
+            strings(value_off + 4, 9),
+            "string value offsets are not monotone",
         ),
         (
             "invalid UTF-8 byte",
-            forge(text + 3, &[0xFF]),
+            forge(section::STRINGS, text + 2, &[0xFF]),
             "string text is not UTF-8",
         ),
         (
-            "owner beyond the instance",
-            u32_at(owners + 4 * 4, n as u32),
-            "string owner out of range",
+            "value offset inside a code point",
+            strings(value_off + 4, 1),
+            "string value offset splits a code point",
         ),
         (
-            "owners not increasing",
-            u32_at(owners + 4, 1), // the first `a`, again
+            "value id past the dictionary",
+            strings(value_id + 4 * 4, 3),
+            "string value id out of range",
+        ),
+        (
+            "an entry moved onto the element path r/a",
+            strings(rel_off + 4 * 2, 1),
+            "string relation on an element path",
+        ),
+        (
+            "one owner for two attribute values",
+            strings(owner_off + 4 * 3, 1),
+            "attribute relation and its owners disagree",
+        ),
+        (
+            "attribute owners not increasing",
+            strings(owners + 4, 1), // the first `a`, again
             "string relation not in document order",
         ),
         (
-            "rel_off not closed",
-            u32_at(last_path, 4),
-            "string relation offsets are not closed over the entry count",
+            "attribute value attached to the b element",
+            strings(owners + 4, 5),
+            "attribute owner not on the attribute's parent path",
+        ),
+        (
+            "a cdata relation one string short",
+            strings(rel_off + 4 * 4, 3),
+            "cdata relation does not cover its path",
+        ),
+        (
+            "r/a/cdata postings swapped",
+            forge(
+                section::MEET_INDEX,
+                path_data + 12,
+                &[4, 0, 0, 0, 2, 0, 0, 0],
+            ),
+            "cdata postings not in document order",
+        ),
+        (
+            "an a element among r/a/cdata's postings",
+            postings(3, 3),
+            "cdata posting not on its path",
+        ),
+        (
+            "a posting beyond the instance",
+            postings(4, n as u32),
+            "cdata posting not on its path",
         ),
     ] {
         match Database::from_snapshot_bytes(forged) {
@@ -337,8 +406,8 @@ fn pinned_fixture_guards_the_layout_version() {
 }
 
 /// The retired layouts are refused, typed, through every entry point.
-/// `snapshot_v1.bin` … `snapshot_v8.bin` are committed files of the
-/// Figure 1 corpus in the v1/v2 materializing layouts and the v3–v8
+/// `snapshot_v1.bin` … `snapshot_v9.bin` are committed files of the
+/// Figure 1 corpus in the v1/v2 materializing layouts and the v3–v9
 /// payloads of today's container; no build can
 /// write them any more and there is no upgrade tool — the way forward
 /// is to rebuild from the source XML and save again, and the error
@@ -347,9 +416,11 @@ fn pinned_fixture_guards_the_layout_version() {
 /// panic, never a partial load, and on a serving process never a
 /// swapped backend. The header is all that guards an old file's
 /// sections that decode unchanged, so the last cases forge it: a v7
-/// `MEET_INDEX` section (three per-node columns where there is one now)
-/// and a v8 `FULLTEXT` section (`(path, owner)` pairs where there are
-/// runs now) under the current header are typed corruption errors.
+/// `MEET_INDEX` section (three per-node columns where there is one now),
+/// a v8 `FULLTEXT` section (`(path, owner)` pairs where there are runs
+/// now) and a v9 `STRINGS` section (a text offset per string where there
+/// is a value id now) under the current header are typed corruption
+/// errors.
 #[test]
 fn legacy_fixtures_are_refused_typed() {
     for (fixture, version) in [
@@ -361,6 +432,7 @@ fn legacy_fixtures_are_refused_typed() {
         ("snapshot_v6.bin", 6),
         ("snapshot_v7.bin", 7),
         ("snapshot_v8.bin", 8),
+        ("snapshot_v9.bin", 9),
     ] {
         let bytes = std::fs::read(golden_path(fixture)).expect("read legacy fixture");
         let dir = scratch(&format!("legacy-v{version}"));
@@ -461,7 +533,7 @@ fn legacy_fixtures_are_refused_typed() {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    for fixture in ["snapshot_v7.bin", "snapshot_v8.bin"] {
+    for fixture in ["snapshot_v7.bin", "snapshot_v8.bin", "snapshot_v9.bin"] {
         let mut forged = std::fs::read(golden_path(fixture)).expect("read legacy fixture");
         forged[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         let err = Database::from_snapshot_bytes(forged).expect_err("old payloads, current header");
@@ -475,6 +547,42 @@ fn legacy_fixtures_are_refused_typed() {
     }
 }
 
+/// The sections of a snapshot image, by id, read off its section table.
+fn section_payloads(bytes: &[u8]) -> Vec<(u32, &[u8])> {
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    (0..count)
+        .map(|i| {
+            let at = 24 + 32 * i;
+            let field =
+                |f: usize| u64::from_le_bytes(bytes[at + f..at + f + 8].try_into().unwrap());
+            let id = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            let (start, len) = (field(8) as usize, field(16) as usize);
+            (id, &bytes[start..start + len])
+        })
+        .collect()
+}
+
+/// Layout 10 changed `STRINGS` and the version, nothing else: every
+/// other section of the Figure 1 fixture is byte for byte the retired
+/// layout 9's.
+#[test]
+fn layout_10_changes_only_the_strings_section() {
+    let v9 = std::fs::read(golden_path("snapshot_v9.bin")).expect("read v9 fixture");
+    let v10 = Database::from_xml_str(nearest_concept::datagen::FIGURE1_XML)
+        .unwrap()
+        .snapshot_to_bytes();
+    let (old, new) = (section_payloads(&v9), section_payloads(&v10));
+    let ids = |sections: &[(u32, &[u8])]| sections.iter().map(|&(id, _)| id).collect::<Vec<_>>();
+    assert_eq!(ids(&old), ids(&new), "the section list changed");
+    for (&(id, old), &(_, new)) in old.iter().zip(&new) {
+        assert!(
+            id == section::STRINGS || old == new,
+            "section {} changed",
+            section_name(id)
+        );
+    }
+}
+
 /// The layout byte budget — a structural, timing-free pin of what the
 /// file stores per node. The meet index is four columns over the
 /// preorder numbering (a u32 stack mask per node, a sparse table over
@@ -482,10 +590,11 @@ fn legacy_fixtures_are_refused_typed() {
 /// path offsets and alignment slack — nothing
 /// the path summary already says (depths), and nothing only the
 /// partitioner reads. `COLUMNS` is the tree itself and nothing else: `σ` and parent, 8
-/// bytes a node. `STRINGS` is the text plus an owner and an offset per
-/// string and an offset per path, each column padded to a cache line —
-/// the same bytes per string as the length-prefixed layout 5, which is
-/// what keeps `snapshot_bytes_per_xml_byte` inside its bound.
+/// bytes a node. `STRINGS` is each distinct value once plus an offset
+/// per value, a value id per string, an owner per attribute string (a
+/// cdata string's owner is a posting) and two offsets per path, each
+/// column padded to a cache line: less than the text of every string
+/// plus its id.
 /// `FULLTEXT` is the vocabulary plus one owner a posting and a path and
 /// an offset a `(token, path)` run — no path repeated per posting.
 #[test]
@@ -511,12 +620,33 @@ fn store_sections_stay_within_their_byte_budget() {
         "COLUMNS is {columns} bytes for {n} nodes ({:.1} B/node)",
         columns as f64 / n as f64
     );
-    let stats = db.store().stats();
+    let store = db.store();
+    let stats = store.stats();
     let (count, text) = (stats.string_associations, stats.string_bytes);
+    let values = store.string_values();
+    let distinct: usize = values.iter().map(str::len).sum();
+    let attribute_strings: usize = store
+        .summary()
+        .iter()
+        .filter(|&p| matches!(store.summary().step(p), PathStep::Attribute(_)))
+        .map(|p| store.strings_of(p).len())
+        .sum();
     let strings = bytes(section::STRINGS);
     assert!(
-        strings <= 8 * count + text + 4 * (paths + 1) + 4 * 64,
-        "STRINGS is {strings} bytes for {count} strings / {text} text bytes / {paths} paths"
+        strings
+            <= 4 * (count + attribute_strings + values.len() + 1)
+                + distinct
+                + 8 * (paths + 1)
+                + 32
+                + 6 * 64,
+        "STRINGS is {strings} bytes for {count} strings ({attribute_strings} attribute values) / \
+         {} values of {distinct} bytes / {paths} paths",
+        values.len()
+    );
+    assert!(
+        strings < 4 * count + text,
+        "STRINGS ({strings} bytes) is no smaller than the text of {count} strings ({text} bytes) \
+         and their ids"
     );
     let index = db.index();
     let (tokens, runs, postings) = (
