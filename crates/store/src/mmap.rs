@@ -351,12 +351,15 @@ pub struct Col<T: Pod> {
 }
 
 enum ColBacking<T> {
-    Owned(Arc<[T]>),
+    /// The vector's own buffer: converting an `Arc<[T]>` would copy
+    /// every element into a new allocation, so a column being built
+    /// would briefly exist twice and leave a hole of its size behind.
+    Owned(Arc<Vec<T>>),
     Arena(Arc<SnapshotArena>),
 }
 
 // SAFETY: the data behind `ptr` is immutable and outlives the Col via
-// its backing (owned box or arena Arc); `T: Pod` is Send + Sync.
+// its backing (owned vector or arena Arc); `T: Pod` is Send + Sync.
 unsafe impl<T: Pod> Send for Col<T> {}
 // SAFETY: as above.
 unsafe impl<T: Pod> Sync for Col<T> {}
@@ -416,8 +419,9 @@ impl<T: Pod> std::ops::Deref for Col<T> {
 }
 
 impl<T: Pod> From<Vec<T>> for Col<T> {
-    fn from(v: Vec<T>) -> Col<T> {
-        let owned: Arc<[T]> = v.into();
+    fn from(mut v: Vec<T>) -> Col<T> {
+        v.shrink_to_fit();
+        let owned = Arc::new(v);
         Col {
             ptr: owned.as_ptr(),
             len: owned.len(),
