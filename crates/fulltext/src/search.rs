@@ -12,7 +12,6 @@ use crate::index::{InvertedIndex, Postings};
 use crate::intersect::intersect_all;
 use crate::tokenize::{contains_fold, fold, tokens};
 use ncq_store::MonetDb;
-use std::collections::HashMap;
 
 /// All associations containing `term` as a whole word (case-folded).
 pub fn word_hits(index: &InvertedIndex, term: &str) -> HitSet {
@@ -53,10 +52,10 @@ pub fn phrase_hits(db: &MonetDb, index: &InvertedIndex, phrase: &str) -> HitSet 
 /// cannot straddle a separator). One search per piece over the token
 /// blob finds the tokens containing it; the piece with the fewest
 /// postings wins, and its tokens' postings are the candidates. Each
-/// candidate's string is then checked with [`contains_fold`], once per
-/// distinct value, because a token match says nothing about the rest of
-/// the needle. A needle without an alphanumeric character has no piece,
-/// and only then are the strings scanned.
+/// candidate's string is then checked with [`contains_fold`], because a
+/// token match says nothing about the rest of the needle. A needle
+/// without an alphanumeric character has no piece, and only then are
+/// the strings scanned.
 pub fn substring_hits(db: &MonetDb, index: &InvertedIndex, needle: &str) -> HitSet {
     let folded = fold(needle);
     let pieces: Vec<&str> = folded
@@ -81,14 +80,9 @@ pub fn substring_hits(db: &MonetDb, index: &InvertedIndex, needle: &str) -> HitS
         .map(|(_, lists)| lists)
         .unwrap_or_default();
     let mut hits: HitSet = lists.into_iter().flat_map(Postings::iter).collect();
-    let values = db.string_values();
-    let mut verdicts: HashMap<u32, bool> = HashMap::new();
     hits.retain(|path, owner| {
-        db.strings_of(path).value_id_of(owner).is_some_and(|id| {
-            *verdicts
-                .entry(id)
-                .or_insert_with(|| values.get(id).is_some_and(|s| contains_fold(s, needle)))
-        })
+        db.string_value(path, owner)
+            .is_some_and(|s| contains_fold(s, needle))
     });
     hits
 }

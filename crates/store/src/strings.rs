@@ -33,7 +33,8 @@
 use crate::mmap::Col;
 use crate::oid::Oid;
 use crate::path::{PathId, PathStep, PathSummary};
-use crate::snapshot::{checksum64, SnapshotError};
+use crate::snapshot::SnapshotError;
+use std::collections::HashMap;
 
 /// The string relations of one instance. See the module docs.
 #[derive(Debug, Clone)]
@@ -60,74 +61,6 @@ pub(crate) type Columns<'a> = (
 /// The six columns as read from a snapshot, before validation.
 pub(crate) type OwnedColumns = (Col<u32>, Col<u32>, Col<Oid>, Col<u32>, Col<u32>, Col<u8>);
 
-/// An empty slot of the [`Dictionary`] table.
-const EMPTY: u32 = u32::MAX;
-
-/// The distinct values met so far, in first-appearance order, found
-/// again through an open-addressing table of value ids keyed by a hash
-/// of the bytes. Ids never depend on the hash: they count values in
-/// the order they arrive.
-struct Dictionary {
-    value_off: Vec<u32>,
-    text: Vec<u8>,
-    /// Linear probing, at most half full; a power of two long.
-    slots: Vec<u32>,
-}
-
-impl Dictionary {
-    fn new() -> Dictionary {
-        Dictionary {
-            value_off: vec![0],
-            text: Vec::new(),
-            slots: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.value_off.len() - 1
-    }
-
-    fn value(&self, id: u32) -> &[u8] {
-        let id = id as usize;
-        &self.text[self.value_off[id] as usize..self.value_off[id + 1] as usize]
-    }
-
-    /// The first free slot of `bytes`' probe sequence, or the slot
-    /// holding it.
-    fn slot(&self, bytes: &[u8]) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut at = checksum64(bytes) as usize & mask;
-        while self.slots[at] != EMPTY && self.value(self.slots[at]) != bytes {
-            at = (at + 1) & mask;
-        }
-        at
-    }
-
-    /// The id of `value`, adding it on its first appearance.
-    fn id_of(&mut self, value: &str) -> u32 {
-        if 2 * (self.len() + 1) > self.slots.len() {
-            self.grow();
-        }
-        let at = self.slot(value.as_bytes());
-        if self.slots[at] == EMPTY {
-            self.slots[at] = self.len() as u32;
-            self.text.extend_from_slice(value.as_bytes());
-            let end = u32::try_from(self.text.len()).expect("the distinct strings fit in 4 GiB");
-            self.value_off.push(end);
-        }
-        self.slots[at]
-    }
-
-    /// Double the table and put every value back.
-    fn grow(&mut self) {
-        self.slots = vec![EMPTY; (2 * self.slots.len()).max(1024)];
-        for id in 0..self.len() as u32 {
-            let at = self.slot(self.value(id));
-            self.slots[at] = id;
-        }
-    }
-}
-
 impl StringColumns {
     /// Group the `(path, owner, string)` associations of a document by
     /// path. `strings` reports every association to the sink it is
@@ -137,25 +70,33 @@ impl StringColumns {
     /// order (a counting sort). The only thing staged per string is its
     /// value id. `path_off` is the postings' CSR: a cdata relation must
     /// hold exactly one string per node of its path.
-    pub(crate) fn from_document_order(
+    pub(crate) fn from_document_order<'d>(
         summary: &PathSummary,
         path_off: &[u32],
-        mut strings: impl FnMut(&mut dyn FnMut(PathId, Oid, &str)),
+        mut strings: impl FnMut(&mut dyn FnMut(PathId, Oid, &'d str)),
     ) -> StringColumns {
         let path_count = summary.len();
-        let mut dictionary = Dictionary::new();
+        // The id of each distinct value, keyed by the document's own
+        // bytes. Ids count values in the order they first arrive, so no
+        // map order reaches the columns.
+        let mut dictionary: HashMap<&'d str, u32> = HashMap::new();
+        let (mut value_off, mut text) = (vec![0u32], Vec::new());
         // Each string's value id, in document order.
         let mut ids: Vec<u32> = Vec::new();
         // Per path: where its next entry goes.
         let mut entry_at = vec![0usize; path_count + 1];
         strings(&mut |path, _, value| {
             entry_at[path.index() + 1] += 1;
-            ids.push(dictionary.id_of(value));
+            let next = dictionary.len() as u32;
+            ids.push(*dictionary.entry(value).or_insert_with(|| {
+                text.extend_from_slice(value.as_bytes());
+                value_off
+                    .push(u32::try_from(text.len()).expect("the distinct strings fit in 4 GiB"));
+                next
+            }));
         });
-        // The table goes back before the columns are sized.
-        let Dictionary {
-            value_off, text, ..
-        } = dictionary;
+        // The map goes back before the columns are sized.
+        drop(dictionary);
         let mut owner_at = vec![0usize; path_count + 1];
         for p in summary.iter() {
             let (i, entries) = (p.index(), entry_at[p.index() + 1]);
@@ -215,8 +156,9 @@ impl StringColumns {
     /// offsets are monotone from 0 to the blob length, the blob is UTF-8
     /// and no offset splits a code point, every value id is in range —
     /// and the checks that make each relation what its path says:
-    /// none on an element path; an attribute relation's owners are
-    /// elements of the attribute's parent path, in document order; a
+    /// none on an element path; an attribute or cdata path has a parent
+    /// path; an attribute relation's owners are elements of the
+    /// instance on the attribute's parent path, in document order; a
     /// cdata relation holds one string per node of its path, and that
     /// path's postings (`path_data[path_off[p] .. path_off[p + 1]]`, of
     /// the lazily verified meet index section) are oids of the path in
@@ -264,12 +206,15 @@ impl StringColumns {
         let range = |off: &[u32], p: usize| off[p] as usize..off[p + 1] as usize;
         for p in summary.iter() {
             let (entries, owned) = (range(&rel_off, p.index()), range(&owner_off, p.index()));
+            let parent = summary.parent(p);
             match summary.step(p) {
                 PathStep::Element(_) => {
                     if !entries.is_empty() || !owned.is_empty() {
                         return corrupt("string relation on an element path");
                     }
                 }
+                // A string's owner is an element: its path has a parent.
+                _ if parent.is_none() => return corrupt("string path without a parent path"),
                 PathStep::Attribute(_) => {
                     if owned.len() != entries.len() {
                         return corrupt("attribute relation and its owners disagree");
@@ -278,11 +223,10 @@ impl StringColumns {
                     if owners.windows(2).any(|w| w[0] >= w[1]) {
                         return corrupt("string relation not in document order");
                     }
-                    let parent = summary.parent(p);
-                    if owners
-                        .iter()
-                        .any(|o| sigma.get(o.index()).copied() != parent)
-                    {
+                    if owners.last().is_some_and(|o| o.index() >= sigma.len()) {
+                        return corrupt("string owner out of range");
+                    }
+                    if owners.iter().any(|o| Some(sigma[o.index()]) != parent) {
                         return corrupt("attribute owner not on the attribute's parent path");
                     }
                 }
@@ -382,11 +326,6 @@ impl<'a> StringValues<'a> {
         self.len() == 0
     }
 
-    /// Value `id`, if the dictionary has it.
-    pub fn get(self, id: u32) -> Option<&'a str> {
-        ((id as usize) < self.len()).then(|| self.value(id))
-    }
-
     /// The values in id order.
     pub fn iter(self) -> impl ExactSizeIterator<Item = &'a str> + 'a {
         (0..self.len() as u32).map(move |id| self.value(id))
@@ -449,15 +388,9 @@ impl<'a> StringRel<'a> {
         self.owners.iter().copied().zip(self.ids.iter().copied())
     }
 
-    /// The value id of the string owned by `owner`, if any (binary
-    /// search).
-    pub fn value_id_of(self, owner: Oid) -> Option<u32> {
-        let i = self.owners.binary_search(&owner).ok()?;
-        self.ids.get(i).copied()
-    }
-
     /// The string owned by `owner`, if any (binary search).
     pub(crate) fn value_of(self, owner: Oid) -> Option<&'a str> {
-        self.value_id_of(owner).map(|id| self.values.value(id))
+        let i = self.owners.binary_search(&owner).ok()?;
+        Some(self.values.value(*self.ids.get(i)?))
     }
 }

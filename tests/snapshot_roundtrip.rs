@@ -200,8 +200,14 @@ fn forged_string_columns_are_corrupt_not_served() {
     // postings' offsets, then the postings [o0, o1, o3, o2, o4, o5, o6].
     let path_data = align64(align64(align64(64 + 4 * n) + 4) + 4 * (paths + 1));
 
-    let forge = |id: u32, at: usize, value: &[u8]| {
-        let mut bytes = pristine.clone();
+    // PATHS: the path count, then per path its parent (u32::MAX for a
+    // root), a step tag and, but for cdata, a symbol. Paths 0-2 are
+    // nine bytes each, so path p <= 3 starts at 4 + 9p; the two cdata
+    // records are five.
+    let path_record = |p: usize| 4 + 9 * p;
+    let paths_len = path_record(paths) - 4 * 2;
+
+    let forge_on = |mut bytes: Vec<u8>, id: u32, at: usize, value: &[u8]| {
         let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
         let table_end = 24 + 32 * count;
         let entry = (0..count)
@@ -212,6 +218,7 @@ fn forged_string_columns_are_corrupt_not_served() {
         let len = u64::from_le_bytes(bytes[entry + 16..entry + 24].try_into().unwrap()) as usize;
         let expected = match id {
             section::STRINGS => text + 9,
+            section::PATHS => paths_len,
             _ => path_data + 4 * n,
         };
         assert_eq!(
@@ -227,6 +234,7 @@ fn forged_string_columns_are_corrupt_not_served() {
         bytes[16..24].copy_from_slice(&table_sum.to_le_bytes());
         bytes
     };
+    let forge = |id: u32, at: usize, value: &[u8]| forge_on(pristine.clone(), id, at, value);
     // An edit that changes nothing decodes: the repair itself is sound.
     Database::from_snapshot_bytes(forge(section::STRINGS, text, "é".as_bytes()))
         .expect("pristine forgery");
@@ -236,10 +244,14 @@ fn forged_string_columns_are_corrupt_not_served() {
         &2u32.to_le_bytes(),
     ))
     .expect("pristine postings forgery");
+    Database::from_snapshot_bytes(forge(section::PATHS, path_record(3), &1u32.to_le_bytes()))
+        .expect("pristine paths forgery");
 
     let strings = |at: usize, v: u32| forge(section::STRINGS, at, &v.to_le_bytes());
     let postings =
         |i: usize, v: u32| forge(section::MEET_INDEX, path_data + 4 * i, &v.to_le_bytes());
+    // Path `p` made a root path.
+    let root = |p: usize| forge(section::PATHS, path_record(p), &u32::MAX.to_le_bytes());
     for (rule, forged, context) in [
         (
             "rel_off not closed",
@@ -290,6 +302,33 @@ fn forged_string_columns_are_corrupt_not_served() {
             "attribute owners not increasing",
             strings(owners + 4, 1), // the first `a`, again
             "string relation not in document order",
+        ),
+        (
+            "attribute owner beyond the instance",
+            strings(owners + 4, n as u32),
+            "string owner out of range",
+        ),
+        (
+            "r/a/@k made a root path",
+            root(2),
+            "string path without a parent path",
+        ),
+        (
+            "r/a/cdata made a root path",
+            root(3),
+            "string path without a parent path",
+        ),
+        (
+            // A root path has no parent and an oid past σ no path: were
+            // the two compared, they would agree.
+            "a root attribute path whose owners are beyond the instance",
+            forge_on(
+                root(2),
+                section::STRINGS,
+                owners,
+                &[(n as u32).to_le_bytes(), (n as u32 + 1).to_le_bytes()].concat(),
+            ),
+            "string path without a parent path",
         ),
         (
             "attribute value attached to the b element",
