@@ -352,7 +352,8 @@ mod tests {
         // the cdata meet must rank first.
         let answers = db.meet_terms(&["Bob", "Byte", "Ben", "Bit"]).unwrap();
         assert_eq!(answers.len(), 2);
-        assert!(answers.results[0].distance <= answers.results[1].distance);
-        assert_eq!(answers.results[0].tag, "cdata");
+        let (first, second) = (answers.get(0).unwrap(), answers.get(1).unwrap());
+        assert!(first.distance <= second.distance);
+        assert_eq!(first.tag, "cdata");
     }
 }

@@ -53,7 +53,7 @@
 //!
 //! // "What did Bit do in 1999?" — no schema knowledge required:
 //! let answers = db.meet_terms(&["Bit", "1999"]).unwrap();
-//! assert_eq!(answers.results[0].tag, "article");
+//! assert_eq!(answers.get(0).unwrap().tag, "article");
 //! ```
 
 pub mod answer;
@@ -70,7 +70,7 @@ pub mod rank;
 pub mod remote;
 pub mod sweep;
 
-pub use answer::{Answer, AnswerSet, PartialAnswer, QueryOutput, Row, RowSet, Witness};
+pub use answer::{Answer, AnswerSet, PartialAnswer, QueryOutput, Row, RowSet, Witness, Witnesses};
 pub use backend::{BackendError, MeetBackend, RobustnessStats};
 pub use catalog::{open_forest, Catalog, CatalogError, ForestBackend};
 pub use db::{Database, MeetError};

@@ -47,7 +47,7 @@
 //! past the configured timeout budget (every socket carries connect,
 //! read and write timeouts).
 
-use crate::answer::{Answer, AnswerSet, PartialAnswer, QueryOutput, Row, RowSet, Witness};
+use crate::answer::{AnswerBuilder, AnswerSet, PartialAnswer, QueryOutput, Row, RowSet};
 use crate::backend::{BackendError, MeetBackend, RobustnessStats};
 use crate::db::Database;
 use crate::filter::PathFilter;
@@ -480,8 +480,8 @@ fn put_opt_str(b: &mut ByteWriter, value: Option<&str>) {
     put_optional(b, value, ByteWriter::put_str);
 }
 
-fn get_opt_str(c: &mut ByteReader<'_>, what: &str) -> Result<Option<String>, WireError> {
-    get_optional(c, what, |c| Ok(c.get_str()?.to_owned()))
+fn get_opt_str<'a>(c: &mut ByteReader<'a>, what: &str) -> Result<Option<&'a str>, WireError> {
+    get_optional(c, what, |c| c.get_str())
 }
 
 fn put_strs<'s>(b: &mut ByteWriter, strs: impl ExactSizeIterator<Item = &'s str>) {
@@ -520,20 +520,20 @@ fn get_query(c: &mut ByteReader<'_>) -> Result<EngineQuery, WireError> {
 }
 
 fn put_answers(b: &mut ByteWriter, answers: &AnswerSet) {
-    b.put_u32(answers.results.len() as u32);
-    for r in &answers.results {
-        put_opt_str(b, r.corpus.as_deref());
+    b.put_u32(answers.len() as u32);
+    for r in answers.iter() {
+        put_opt_str(b, r.corpus);
         b.put_u32(r.oid.index() as u32);
-        b.put_str(&r.tag);
-        b.put_str(&r.path);
+        b.put_str(r.tag);
+        b.put_str(r.path);
         b.put_u64(r.distance as u64);
         b.put_u64(r.witness_count as u64);
         b.put_u32(r.witnesses.len() as u32);
-        for w in &r.witnesses {
+        for w in r.witnesses.iter() {
             b.put_u32(w.origin.index() as u32);
             b.put_u64(w.term as u64);
             b.put_u64(w.climb as u64);
-            put_opt_str(b, w.text.as_deref());
+            put_opt_str(b, w.text);
         }
     }
     b.put_u32(answers.partials.len() as u32);
@@ -543,37 +543,39 @@ fn put_answers(b: &mut ByteWriter, answers: &AnswerSet) {
     }
 }
 
+/// A `u64` field of an answer, which an [`AnswerSet`] stores as `u32`.
+fn get_u64_as_u32(c: &mut ByteReader<'_>, what: &str) -> Result<u32, WireError> {
+    u32::try_from(c.get_u64()?).map_err(|_| WireError::Corrupt {
+        context: format!("answer {what} out of range"),
+    })
+}
+
 fn get_answers(c: &mut ByteReader<'_>) -> Result<AnswerSet, WireError> {
     let count = c.get_u32()? as usize;
-    // Clamped like `get_meets`: an answer spans ≥ 33 payload bytes, a
-    // witness ≥ 21, a partial ≥ 8.
-    let mut results = Vec::with_capacity(count.min(c.remaining() / 33 + 1));
+    // Capacities bounded by the frame, so a lying count cannot force a
+    // huge allocation (`finish` gives back what goes unused): an answer
+    // spans ≥ 33 payload bytes, a witness ≥ 21, a partial ≥ 8, and
+    // every arena byte is a payload byte.
+    let mut answers = AnswerBuilder::with_capacity(
+        count.min(c.remaining() / 33 + 1),
+        c.remaining() / 21 + 1,
+        c.remaining(),
+    );
     for _ in 0..count {
         let corpus = get_opt_str(c, "corpus")?;
         let oid = Oid::from_index(c.get_u32()? as usize);
-        let tag = c.get_str()?.to_owned();
-        let path = c.get_str()?.to_owned();
-        let distance = c.get_u64()? as usize;
-        let witness_count = c.get_u64()? as usize;
+        let tag = c.get_str()?;
+        let path = c.get_str()?;
+        let distance = get_u64_as_u32(c, "distance")?;
+        let witness_count = get_u64_as_u32(c, "witness count")?;
+        answers.result(corpus, oid, (tag, path), distance, witness_count);
         let wlen = c.get_u32()? as usize;
-        let mut witnesses = Vec::with_capacity(wlen.min(c.remaining() / 21 + 1));
         for _ in 0..wlen {
-            witnesses.push(Witness {
-                origin: Oid::from_index(c.get_u32()? as usize),
-                term: c.get_u64()? as usize,
-                climb: c.get_u64()? as usize,
-                text: get_opt_str(c, "witness text")?,
-            });
+            let origin = Oid::from_index(c.get_u32()? as usize);
+            let term = get_u64_as_u32(c, "witness term")?;
+            let climb = get_u64_as_u32(c, "witness climb")?;
+            answers.witness(origin, term, climb, get_opt_str(c, "witness text")?);
         }
-        results.push(Answer {
-            corpus,
-            oid,
-            tag,
-            path,
-            distance,
-            witness_count,
-            witnesses,
-        });
     }
     let count = c.get_u32()? as usize;
     let mut partials = Vec::with_capacity(count.min(c.remaining() / 8 + 1));
@@ -583,7 +585,7 @@ fn get_answers(c: &mut ByteReader<'_>) -> Result<AnswerSet, WireError> {
             detail: c.get_str()?.to_owned(),
         });
     }
-    Ok(AnswerSet { results, partials })
+    Ok(answers.finish(partials))
 }
 
 fn put_rows(b: &mut ByteWriter, rows: &RowSet) {
@@ -1317,8 +1319,8 @@ mod tests {
         let inputs = [db.search("Bit"), db.search("1999")];
         let refs: Vec<&HitSet> = inputs.iter().collect();
         let meets = db.meet_hits(&refs, &MeetOptions::default());
-        let mut answers = db.meet_terms(&["Bit", "1999"]).unwrap();
-        answers.tag_corpus("bib");
+        let mut answers = AnswerSet::default();
+        answers.append("bib", db.meet_terms(&["Bit", "1999"]).unwrap());
         answers.push_partial("shop", "every replica is down");
         let rows = RowSet {
             columns: vec!["t".to_owned(), "$T".to_owned()],
@@ -1417,6 +1419,46 @@ mod tests {
         ));
     }
 
+    /// A witness without text (an attribute hit's element) and one with
+    /// empty text stay apart: in the flat set, after a forest append
+    /// rebases its arena, and across the wire. The detailed XML prints
+    /// both as an empty `<witness>`, so only these forms keep them.
+    #[test]
+    fn witness_text_none_and_empty_stay_distinct() {
+        fn texts(set: &AnswerSet) -> Vec<Option<&str>> {
+            set.iter()
+                .flat_map(|a| a.witnesses.iter().map(|w| w.text))
+                .collect()
+        }
+        let sample = |first: Option<&str>| {
+            let o = Oid::from_index;
+            let mut answers = AnswerBuilder::with_capacity(1, 3, 8);
+            answers.result(None, o(1), ("a", "r/a"), 0, 3);
+            answers.witness(o(2), 0, 1, first);
+            answers.witness(o(3), 1, 1, Some(""));
+            answers.witness(o(4), 1, 1, Some("x"));
+            answers.finish(Vec::new())
+        };
+        let answers = sample(None);
+        let expected = [None, Some(""), Some("x")];
+        assert_eq!(texts(&answers), expected);
+        assert_ne!(answers, sample(Some("")));
+        let mut forest = AnswerSet::default();
+        forest.append("c", answers.clone());
+        assert_eq!(texts(&forest), expected);
+        let bytes = encode_response(&EngineResponse::Answers(answers.clone()));
+        let Ok(EngineResponse::Answers(back)) = decode_response(&bytes) else {
+            panic!("answers do not decode as answers");
+        };
+        assert_eq!(texts(&back), expected);
+        assert_eq!(back, answers);
+        assert_eq!(
+            answers.to_detailed_xml(),
+            sample(Some("")).to_detailed_xml(),
+            "the XML form is the one that cannot tell them apart"
+        );
+    }
+
     /// The wire bytes, pinned: one request per opcode, the tracing
     /// envelope, one response per kind, an in-band error and a framed
     /// ping. Any change to the frame header or a body encoding fails
@@ -1449,34 +1491,14 @@ mod tests {
             text: "select t from a as t".to_owned(),
             max_rows: 100,
         });
-        let answers = AnswerSet {
-            results: vec![Answer {
-                corpus: Some("db".to_owned()),
-                oid: o(2),
-                tag: "a".to_owned(),
-                path: "r/a".to_owned(),
-                distance: 3,
-                witness_count: 5,
-                witnesses: vec![
-                    Witness {
-                        origin: o(7),
-                        term: 1,
-                        climb: 2,
-                        text: Some("Bit".to_owned()),
-                    },
-                    Witness {
-                        origin: o(8),
-                        term: 0,
-                        climb: 1,
-                        text: None,
-                    },
-                ],
-            }],
-            partials: vec![PartialAnswer {
-                corpus: "x".to_owned(),
-                detail: "down".to_owned(),
-            }],
-        };
+        let mut answers = AnswerBuilder::with_capacity(1, 2, 16);
+        answers.result(Some("db"), o(2), ("a", "r/a"), 3, 5);
+        answers.witness(o(7), 1, 2, Some("Bit"));
+        answers.witness(o(8), 0, 1, None);
+        let answers = answers.finish(vec![PartialAnswer {
+            corpus: "x".to_owned(),
+            detail: "down".to_owned(),
+        }]);
         let rows = RowSet {
             columns: vec!["t".to_owned()],
             rows: vec![Row {
@@ -1649,6 +1671,24 @@ mod tests {
         assert!(decode_request(&[0xFF, 0x00, 0x01]).is_err());
         assert!(decode_response(&[0xFF]).is_err());
         assert!(decode_request(&[]).is_err());
+        // An answer field past `u32`, which an answer set stores, is
+        // refused, not truncated.
+        let mut b = ByteWriter::new();
+        b.put_u8(STATUS_OK);
+        b.put_u8(RESP_ANSWERS);
+        b.put_u32(1);
+        put_opt_str(&mut b, None);
+        b.put_u32(1);
+        b.put_str("a");
+        b.put_str("r/a");
+        b.put_u64(u64::from(u32::MAX) + 1);
+        b.put_u64(2);
+        b.put_u32(0);
+        b.put_u32(0);
+        assert!(matches!(
+            decode_response(&b.into_bytes()),
+            Err(WireError::Corrupt { context }) if context == "answer distance out of range"
+        ));
     }
 
     #[test]

@@ -589,19 +589,23 @@ mod tests {
         let QueryOutput::Answers(full) = run_query(&db, q).unwrap() else {
             panic!()
         };
-        assert!(full.results.len() >= 2);
-        for k in 1..=full.results.len() {
+        assert!(full.len() >= 2);
+        for k in 1..=full.len() {
             let QueryOutput::Answers(bounded) = run_query(&db, &format!("{q} limit {k}")).unwrap()
             else {
                 panic!()
             };
-            assert_eq!(bounded.results, full.results[..k], "k = {k}");
+            assert_eq!(
+                bounded.iter().collect::<Vec<_>>(),
+                full.iter().take(k).collect::<Vec<_>>(),
+                "k = {k}"
+            );
         }
         // A limit beyond the answer count changes nothing.
         let QueryOutput::Answers(big) = run_query(&db, &format!("{q} limit 100")).unwrap() else {
             panic!()
         };
-        assert_eq!(big.results, full.results);
+        assert_eq!(big, full);
     }
 
     fn max_rows_10() -> QueryOptions {

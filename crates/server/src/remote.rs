@@ -247,7 +247,7 @@ mod tests {
             let over_wire = ncq_query::run_query(&remote, sql).unwrap();
             let local = ncq_query::run_query(&*db, sql).unwrap();
             assert!(
-                matches!(&local, QueryOutput::Answers(a) if !a.results.is_empty())
+                matches!(&local, QueryOutput::Answers(a) if !a.is_empty())
                     || matches!(&local, QueryOutput::Rows(r) if !r.rows.is_empty()),
                 "{sql}"
             );

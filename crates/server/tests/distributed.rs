@@ -331,14 +331,11 @@ fn forest_with_a_down_corpus_degrades_to_typed_partial_answers() {
         };
         assert!(answers.is_partial(), "dead corpus must mark the answer");
         assert!(
-            answers
-                .results
-                .iter()
-                .all(|r| r.corpus.as_deref() == Some("local")),
+            answers.iter().all(|r| r.corpus == Some("local")),
             "healthy corpus still answers, tagged: {}",
             answers.to_detailed_xml()
         );
-        assert!(!answers.results.is_empty());
+        assert!(!answers.is_empty());
         let text = answers.to_detailed_xml();
         assert!(
             text.contains("<partial corpus=\"remote\""),

@@ -201,17 +201,49 @@ impl PathSummary {
     /// Render the path in the `a/b/@c` notation used throughout this repo
     /// (the paper's Figure 2 uses the same shape with different separators).
     pub fn display(&self, p: PathId, symbols: &SymbolTable) -> String {
-        let mut steps = Vec::with_capacity(self.depth(p) + 1);
+        let mut out = String::new();
+        self.display_into(p, symbols, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// The byte length of [`PathSummary::display`]'s rendering of `p`.
+    pub fn display_len(&self, p: PathId, symbols: &SymbolTable) -> usize {
+        let mut len = self.depth(p); // the separators
+        let mut cur = Some(p);
+        while let Some(c) = cur {
+            len += match self.step(c) {
+                PathStep::Element(s) => symbols.resolve(s).len(),
+                PathStep::Attribute(s) => 1 + symbols.resolve(s).len(),
+                PathStep::Cdata => "cdata".len(),
+            };
+            cur = self.parent(c);
+        }
+        len
+    }
+
+    /// Append [`PathSummary::display`]'s rendering of `p` to `out`,
+    /// and return where its last step ([`PathSummary::last_label`])
+    /// starts in `out`. `steps` is scratch, so a caller rendering many
+    /// paths allocates it once.
+    pub fn display_into(
+        &self,
+        p: PathId,
+        symbols: &SymbolTable,
+        steps: &mut Vec<PathId>,
+        out: &mut String,
+    ) -> usize {
+        steps.clear();
         let mut cur = Some(p);
         while let Some(c) = cur {
             steps.push(c);
             cur = self.parent(c);
         }
-        let mut out = String::new();
+        let mut last = out.len();
         for (i, id) in steps.iter().rev().enumerate() {
             if i > 0 {
                 out.push('/');
             }
+            last = out.len();
             match self.step(*id) {
                 PathStep::Element(s) => out.push_str(symbols.resolve(s)),
                 PathStep::Attribute(s) => {
@@ -221,7 +253,7 @@ impl PathSummary {
                 PathStep::Cdata => out.push_str("cdata"),
             }
         }
-        out
+        last
     }
 
     /// Look up a path by its step names. `"@name"` selects an attribute
@@ -319,12 +351,23 @@ mod tests {
 
     #[test]
     fn display_renders_relation_names() {
-        let (mut ps, sym, _, p_art, p_year, p_key) = setup();
+        let (mut ps, sym, p_bib, p_art, p_year, p_key) = setup();
         assert_eq!(ps.display(p_year, &sym), "bib/article/year");
         assert_eq!(ps.display(p_key, &sym), "bib/article/@key");
         let p_cd = ps.intern_child(p_art, PathStep::Cdata);
         assert_eq!(ps.display(p_cd, &sym), "bib/article/cdata");
-        let _ = sym;
+        // Appended after what `out` holds, the last step located in it.
+        let (mut out, mut steps) = (String::from("x"), Vec::new());
+        for p in [p_year, p_key, p_cd, p_art] {
+            let at = out.len();
+            let last = ps.display_into(p, &sym, &mut steps, &mut out);
+            assert_eq!(out[at..], ps.display(p, &sym));
+            assert_eq!(out.len() - at, ps.display_len(p, &sym));
+            assert_eq!(out[last..], ps.last_label(p, &sym));
+            assert!(last > at);
+        }
+        let last = ps.display_into(p_bib, &sym, &mut steps, &mut out);
+        assert_eq!(&out[last..], "bib");
     }
 
     #[test]

@@ -385,7 +385,6 @@ fn decode_strings(
     summary: &PathSummary,
     sigma: &[PathId],
     path_off: &[u32],
-    path_data: &[Oid],
 ) -> Result<StringColumns, SnapshotError> {
     let entries = v.get_u64()? as usize;
     let owner_count = v.get_u64()? as usize;
@@ -404,7 +403,7 @@ fn decode_strings(
             context: "strings section has trailing bytes",
         });
     }
-    StringColumns::validated(columns, summary, sigma, path_off, path_data)
+    StringColumns::validated(columns, summary, sigma, path_off)
 }
 
 impl MonetDb {
@@ -537,14 +536,29 @@ impl MonetDb {
                 context: "meet index section has trailing bytes",
             });
         }
+        // Each postings run is its path's oids in document order,
+        // checked here although the section is verified lazily: the
+        // edge relations index `parent` by them, and a cdata path's run
+        // owns its strings.
+        for (p, run) in path_off.windows(2).enumerate() {
+            let run = &path_data[run[0] as usize..run[1] as usize];
+            let context = if run.windows(2).any(|w| w[0] >= w[1]) {
+                "postings not in document order"
+            } else if run.last().is_some_and(|o| o.index() >= n) {
+                "posting beyond the instance"
+            } else if run.iter().any(|o| sigma[o.index()].index() != p) {
+                "posting not on its path"
+            } else {
+                continue;
+            };
+            return Err(SnapshotError::Corrupt { context });
+        }
 
         // STRINGS: zero-copy views too, but checksummed here — the one
         // validation pass below reads every byte of it anyway, and the
-        // `&str` accessors rest on that pass. The cdata runs of the
-        // postings above are the cdata relations' owners, so that pass
-        // checks them too, although their section is verified lazily.
+        // `&str` accessors rest on that pass.
         let mut v = snap.section_verified(section::STRINGS)?;
-        let strings = decode_strings(&mut v, &summary, &sigma, &path_off, &path_data)?;
+        let strings = decode_strings(&mut v, &summary, &sigma, &path_off)?;
         let index = MeetIndex {
             parent: parent.clone(),
             sigma: sigma.clone(),

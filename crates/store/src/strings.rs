@@ -159,16 +159,13 @@ impl StringColumns {
     /// none on an element path; an attribute or cdata path has a parent
     /// path; an attribute relation's owners are elements of the
     /// instance on the attribute's parent path, in document order; a
-    /// cdata relation holds one string per node of its path, and that
-    /// path's postings (`path_data[path_off[p] .. path_off[p + 1]]`, of
-    /// the lazily verified meet index section) are oids of the path in
-    /// document order.
+    /// cdata relation holds one string per node of its path, whose
+    /// postings (`path_off`'s runs, checked at open) are its owners.
     pub(crate) fn validated(
         (rel_off, owner_off, owners, value_id, value_off, text): OwnedColumns,
         summary: &PathSummary,
         sigma: &[PathId],
         path_off: &[u32],
-        path_data: &[Oid],
     ) -> Result<StringColumns, SnapshotError> {
         let corrupt = |context| Err(SnapshotError::Corrupt { context });
         let closed = |off: &[u32], total: usize| {
@@ -231,15 +228,8 @@ impl StringColumns {
                     }
                 }
                 PathStep::Cdata => {
-                    let postings = &path_data[range(path_off, p.index())];
-                    if !owned.is_empty() || entries.len() != postings.len() {
+                    if !owned.is_empty() || entries.len() != range(path_off, p.index()).len() {
                         return corrupt("cdata relation does not cover its path");
-                    }
-                    if postings.windows(2).any(|w| w[0] >= w[1]) {
-                        return corrupt("cdata postings not in document order");
-                    }
-                    if postings.iter().any(|o| sigma.get(o.index()) != Some(&p)) {
-                        return corrupt("cdata posting not on its path");
                     }
                 }
             }

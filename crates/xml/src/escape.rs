@@ -1,5 +1,7 @@
 //! Entity escaping and decoding for text and attribute values.
 
+use std::fmt::{self, Write as _};
+
 /// Decode a single entity body (the part between `&` and `;`).
 ///
 /// Supports the five predefined entities plus decimal (`#NN`) and
@@ -28,32 +30,70 @@ pub fn decode_entity(entity: &str) -> Option<char> {
 /// Escape character data for element content (`&`, `<`, `>`).
 pub fn escape_text(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
-    }
+    let _ = write!(out, "{}", EscapedText(text));
     out
 }
 
 /// Escape an attribute value for double-quoted serialization.
 pub fn escape_attribute(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\n' => out.push_str("&#10;"),
-            '\t' => out.push_str("&#9;"),
-            _ => out.push(c),
+    let _ = write!(out, "{}", EscapedAttribute(value));
+    out
+}
+
+/// Character data for element content, escaped as it is written:
+/// `write!(out, "{}", EscapedText(s))` appends [`escape_text`]'s bytes
+/// without building them first.
+#[derive(Debug, Clone, Copy)]
+pub struct EscapedText<'a>(pub &'a str);
+
+/// An attribute value for double-quoted serialization, escaped as it
+/// is written (the bytes of [`escape_attribute`]).
+#[derive(Debug, Clone, Copy)]
+pub struct EscapedAttribute<'a>(pub &'a str);
+
+impl fmt::Display for EscapedText<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_escaped(f, self.0, |b| match b {
+            b'&' => Some("&amp;"),
+            b'<' => Some("&lt;"),
+            b'>' => Some("&gt;"),
+            _ => None,
+        })
+    }
+}
+
+impl fmt::Display for EscapedAttribute<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_escaped(f, self.0, |b| match b {
+            b'&' => Some("&amp;"),
+            b'<' => Some("&lt;"),
+            b'>' => Some("&gt;"),
+            b'"' => Some("&quot;"),
+            b'\n' => Some("&#10;"),
+            b'\t' => Some("&#9;"),
+            _ => None,
+        })
+    }
+}
+
+/// Write `s`, each byte `entity` names replaced by its entity. Every
+/// escaped byte is ASCII, so the unescaped runs between them split no
+/// code point.
+fn write_escaped(
+    f: &mut fmt::Formatter<'_>,
+    s: &str,
+    entity: impl Fn(u8) -> Option<&'static str>,
+) -> fmt::Result {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if let Some(e) = entity(b) {
+            f.write_str(&s[run..i])?;
+            f.write_str(e)?;
+            run = i + 1;
         }
     }
-    out
+    f.write_str(&s[run..])
 }
 
 #[cfg(test)]
@@ -92,6 +132,8 @@ mod tests {
     fn text_escaping_round_trips_specials() {
         assert_eq!(escape_text("a & b < c > d"), "a &amp; b &lt; c &gt; d");
         assert_eq!(escape_text("plain"), "plain");
+        assert_eq!(escape_text("日本<é>&"), "日本&lt;é&gt;&amp;");
+        assert_eq!(EscapedText("日本<é>&").to_string(), "日本&lt;é&gt;&amp;");
     }
 
     #[test]

@@ -22,15 +22,15 @@ fn main() {
 
     println!("{}\n", answers.to_answer_xml());
 
-    for answer in &answers.results {
+    for answer in answers.iter() {
         println!(
             "nearest concept: <{}> at {} (distance {} between the hits)",
             answer.tag, answer.path, answer.distance
         );
-        for w in &answer.witnesses {
+        for w in answer.witnesses.iter() {
             println!(
                 "  witness: {:?} ({} edges below)",
-                w.text.as_deref().unwrap_or("?"),
+                w.text.unwrap_or("?"),
                 w.climb
             );
         }
@@ -43,7 +43,7 @@ fn main() {
         println!(
             "\nmeet({:?}) -> <{}>",
             terms,
-            a.results.first().map(|r| r.tag.as_str()).unwrap_or("none")
+            a.get(0).map_or("none", |r| r.tag)
         );
     }
 }

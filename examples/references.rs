@@ -72,7 +72,6 @@ fn main() {
 
     // The broadened answers include EDBT publications.
     let edbt_answers = broad
-        .results
         .iter()
         .filter(|a| nearest_concept::store::ObjectView::deep_text(store, a.oid).contains("EDBT"))
         .count();

@@ -80,7 +80,7 @@ fn run_terms(db: &Database, terms: &[String], opts: &MeetOptions) {
     match db.meet_terms_with(&refs, opts) {
         Ok(answers) => {
             println!("{}", answers.to_answer_xml());
-            for a in &answers.results {
+            for a in answers.iter() {
                 println!("  {} at {} (distance {})", a.oid, a.path, a.distance);
             }
         }

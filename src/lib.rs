@@ -13,7 +13,7 @@
 //!     "<bib><article><author>Ben Bit</author><year>1999</year></article></bib>",
 //! ).unwrap();
 //! let answers = db.meet_terms(&["Bit", "1999"]).unwrap();
-//! assert_eq!(answers.results[0].tag, "article");
+//! assert_eq!(answers.get(0).unwrap().tag, "article");
 //! ```
 //!
 //! The individual layers are re-exported as modules:

@@ -191,9 +191,8 @@ fn cross_corpus_fanout_order_is_stable_and_corpus_tagged() {
     let first = fan_out();
     assert!(!first.is_empty());
     let corpora: Vec<&str> = first
-        .results
         .iter()
-        .map(|r| r.corpus.as_deref().expect("forest answers are tagged"))
+        .map(|r| r.corpus.expect("forest answers are tagged"))
         .collect();
     // Grouped by corpus, in catalog order.
     let mut seen: Vec<&str> = Vec::new();
@@ -216,13 +215,9 @@ fn cross_corpus_fanout_order_is_stable_and_corpus_tagged() {
     // ranked answers.
     for (name, _, _, _) in probes() {
         let expected = direct(name).meet_terms(&["1999", "1995"]).unwrap();
-        let group: Vec<_> = first
-            .results
-            .iter()
-            .filter(|r| r.corpus.as_deref() == Some(name))
-            .collect();
+        let group: Vec<_> = first.iter().filter(|r| r.corpus == Some(name)).collect();
         assert_eq!(group.len(), expected.len(), "{name}: group size");
-        for (got, want) in group.iter().zip(&expected.results) {
+        for (got, want) in group.iter().zip(expected.iter()) {
             assert_eq!(got.oid, want.oid, "{name}: per-corpus order drifted");
             assert_eq!(got.distance, want.distance);
         }
@@ -297,10 +292,10 @@ fn concurrent_and_cached_forest_replay_is_byte_stable() {
         );
         // The wire-level limit answers the ranked prefix.
         let bounded = meet(name, &terms, Some(1));
-        let cut = 1usize.min(expected.results.len());
+        let cut = 1usize.min(expected.len());
         assert_eq!(
-            bounded.results,
-            expected.results[..cut],
+            bounded.iter().collect::<Vec<_>>(),
+            expected.iter().take(cut).collect::<Vec<_>>(),
             "{name}: LIMIT 1 != ranked prefix over the wire"
         );
     }

@@ -120,8 +120,12 @@ fn limited_term_queries_answer_the_ranked_prefix() {
                 ..MeetOptions::default()
             };
             let bounded = db.meet_terms_with(&terms, &options).expect("bounded");
-            let cut = k.min(full.results.len());
-            assert_eq!(bounded.results, full.results[..cut], "seed {seed}: k = {k}");
+            let cut = k.min(full.len());
+            assert_eq!(
+                bounded.iter().collect::<Vec<_>>(),
+                full.iter().take(cut).collect::<Vec<_>>(),
+                "seed {seed}: k = {k}"
+            );
         }
     }
 }

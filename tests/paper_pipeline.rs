@@ -136,8 +136,8 @@ fn query_language_and_direct_api_agree() {
         panic!()
     };
     assert_eq!(api.tags(), lang.tags());
-    assert_eq!(api.results[0].oid, lang.results[0].oid);
-    assert_eq!(api.results[0].distance, lang.results[0].distance);
+    assert_eq!(api.get(0).unwrap().oid, lang.get(0).unwrap().oid);
+    assert_eq!(api.get(0).unwrap().distance, lang.get(0).unwrap().distance);
 }
 
 #[test]

@@ -65,8 +65,8 @@ fn meets_agree_across_serialization() {
         let a = db1.meet_terms(&terms).unwrap();
         let b = db2.meet_terms(&terms).unwrap();
         assert_eq!(a.tags(), b.tags(), "terms {terms:?}");
-        let da: Vec<usize> = a.results.iter().map(|r| r.distance).collect();
-        let db_: Vec<usize> = b.results.iter().map(|r| r.distance).collect();
+        let da: Vec<usize> = a.iter().map(|r| r.distance).collect();
+        let db_: Vec<usize> = b.iter().map(|r| r.distance).collect();
         assert_eq!(da, db_, "terms {terms:?}");
     }
 }

@@ -165,6 +165,37 @@ fn corrupt_snapshots_fail_typed_at_every_boundary() {
     }
 }
 
+/// The entry of section `id` in the table, and its payload's offset
+/// and length.
+fn section_extent(bytes: &[u8], id: u32) -> (usize, usize, usize) {
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let entry = (0..count)
+        .map(|i| 24 + 32 * i)
+        .find(|&e| u32::from_le_bytes(bytes[e..e + 4].try_into().unwrap()) == id)
+        .expect("section present");
+    let start = u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap()) as usize;
+    let len = u64::from_le_bytes(bytes[entry + 16..entry + 24].try_into().unwrap()) as usize;
+    (entry, start, len)
+}
+
+fn section_len(bytes: &[u8], id: u32) -> usize {
+    section_extent(bytes, id).2
+}
+
+/// `bytes` with `value` written at offset `at` of section `id`'s
+/// payload, the section and table checksums repaired: only the
+/// decoder's validation stands between the forgery and a served store.
+fn forge_section(mut bytes: Vec<u8>, id: u32, at: usize, value: &[u8]) -> Vec<u8> {
+    let (entry, start, len) = section_extent(&bytes, id);
+    bytes[start + at..start + at + value.len()].copy_from_slice(value);
+    let sum = checksum64(&bytes[start..start + ((len + 63) & !63)]);
+    bytes[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let table_sum = checksum64(&bytes[24..24 + 32 * count]);
+    bytes[16..24].copy_from_slice(&table_sum.to_le_bytes());
+    bytes
+}
+
 /// Forged string columns: `STRINGS` is served as six mapped views, its
 /// values are handed out as `&str` without a re-check, and a cdata
 /// relation's owners are the path's postings in the lazily verified
@@ -207,32 +238,19 @@ fn forged_string_columns_are_corrupt_not_served() {
     let path_record = |p: usize| 4 + 9 * p;
     let paths_len = path_record(paths) - 4 * 2;
 
-    let forge_on = |mut bytes: Vec<u8>, id: u32, at: usize, value: &[u8]| {
-        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        let table_end = 24 + 32 * count;
-        let entry = (0..count)
-            .map(|i| 24 + 32 * i)
-            .find(|&e| u32::from_le_bytes(bytes[e..e + 4].try_into().unwrap()) == id)
-            .expect("section present");
-        let start = u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap()) as usize;
-        let len = u64::from_le_bytes(bytes[entry + 16..entry + 24].try_into().unwrap()) as usize;
+    let forge_on = |bytes: Vec<u8>, id: u32, at: usize, value: &[u8]| {
         let expected = match id {
             section::STRINGS => text + 9,
             section::PATHS => paths_len,
             _ => path_data + 4 * n,
         };
         assert_eq!(
-            len,
+            section_len(&bytes, id),
             expected,
             "{} is not laid out as this test assumes",
             section_name(id)
         );
-        bytes[start + at..start + at + value.len()].copy_from_slice(value);
-        let sum = checksum64(&bytes[start..start + align64(len)]);
-        bytes[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
-        let table_sum = checksum64(&bytes[24..table_end]);
-        bytes[16..24].copy_from_slice(&table_sum.to_le_bytes());
-        bytes
+        forge_section(bytes, id, at, value)
     };
     let forge = |id: u32, at: usize, value: &[u8]| forge_on(pristine.clone(), id, at, value);
     // An edit that changes nothing decodes: the repair itself is sound.
@@ -347,23 +365,96 @@ fn forged_string_columns_are_corrupt_not_served() {
                 path_data + 12,
                 &[4, 0, 0, 0, 2, 0, 0, 0],
             ),
-            "cdata postings not in document order",
+            "postings not in document order",
         ),
         (
             "an a element among r/a/cdata's postings",
             postings(3, 3),
-            "cdata posting not on its path",
+            "posting not on its path",
         ),
         (
             "a posting beyond the instance",
             postings(4, n as u32),
-            "cdata posting not on its path",
+            "posting beyond the instance",
         ),
     ] {
         match Database::from_snapshot_bytes(forged) {
             Err(SnapshotError::Corrupt { context: found }) => assert_eq!(found, context, "{rule}"),
             Err(other) => panic!("{rule}: expected Corrupt, got {other}"),
             Ok(_) => panic!("{rule}: forged strings were served"),
+        }
+    }
+}
+
+/// A postings run on an element path is validated at open like a cdata
+/// run: an oid past the instance there used to open and then panic in
+/// `MonetDb::edges_of` (`parent[o]`) on the first walk of that path's
+/// edges.
+#[test]
+fn forged_element_postings_are_corrupt_not_a_panic() {
+    // Nodes o0 r, o1 a, o2 "y", o3 a, o4 "w", o5 b, o6 "y"; the postings
+    // are [o0, o1, o3, o2, o4, o5, o6], so `path_data[1]` is r/a's o1.
+    let db = Database::from_xml_str(r#"<r><a k="x">y</a><a k="x">w</a><b>y</b></r>"#).unwrap();
+    let (n, paths) = (db.store().node_count(), db.store().summary().len());
+    assert_eq!((n, paths), (7, 6));
+    let store = db.store();
+    let r_a = store
+        .summary()
+        .lookup_in(&["r", "a"], store.symbols())
+        .unwrap();
+    assert_eq!(store.oids_of_path(r_a)[0].index(), 1);
+    let align64 = |at: usize| (at + 63) & !63;
+    // MEET_INDEX: four counts, the stack masks, one block minimum, the
+    // postings' offsets, then the postings.
+    let path_data = align64(align64(align64(64 + 4 * n) + 4) + 4 * (paths + 1));
+    let pristine = db.snapshot_to_bytes();
+    assert_eq!(
+        section_len(&pristine, section::MEET_INDEX),
+        path_data + 4 * n
+    );
+    let posting = |i: usize, oid: u32| {
+        forge_section(
+            pristine.clone(),
+            section::MEET_INDEX,
+            path_data + 4 * i,
+            &oid.to_le_bytes(),
+        )
+    };
+    // The repair itself is sound: rewriting o1 as o1 decodes.
+    Database::from_snapshot_bytes(posting(1, 1)).expect("pristine postings forgery");
+    for (rule, forged, context) in [
+        // The forgery that used to panic: r/a's run [o1, o3] is now
+        // [o7, o3].
+        (
+            "r/a's o1 made o7 = n",
+            posting(1, 7),
+            "postings not in document order",
+        ),
+        (
+            "r/a's o3 made o7 = n",
+            posting(2, 7),
+            "posting beyond the instance",
+        ),
+        (
+            "r/a's o1 made o3",
+            posting(1, 3),
+            "postings not in document order",
+        ),
+        (
+            "r/a's o3 made the b element o5",
+            posting(2, 5),
+            "posting not on its path",
+        ),
+        (
+            "the root's posting made o1",
+            posting(0, 1),
+            "posting not on its path",
+        ),
+    ] {
+        match Database::from_snapshot_bytes(forged) {
+            Err(SnapshotError::Corrupt { context: found }) => assert_eq!(found, context, "{rule}"),
+            Err(other) => panic!("{rule}: expected Corrupt, got {other}"),
+            Ok(_) => panic!("{rule}: forged postings were served"),
         }
     }
 }
